@@ -139,13 +139,13 @@ def _resolve(target: str) -> Tuple[Any, str, Any]:
 class LayerTrace:
     """Installs span wrappers on :data:`ENTRY_POINTS` and accumulates per-group totals."""
 
-    def __init__(self, entry_points: Tuple[EntryPoint, ...] = ENTRY_POINTS) -> None:
+    def __init__(self) -> None:
         self._patches: List[Tuple[Any, str, Any]] = []
         self._stack: List[List[float]] = []
         self._depth: Counter = Counter()
         self.reset()
         # Resolve every target up front, so a renamed one fails before any run.
-        self._resolved = [(_resolve(point.target), point) for point in entry_points]
+        self._resolved = [(_resolve(point.target), point) for point in ENTRY_POINTS]
 
     def reset(self) -> None:
         self.self_s: Dict[str, float] = defaultdict(float)

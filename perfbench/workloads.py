@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Sequence
 from repro.annealing import QuantumAnnealerSimulator
 from repro.experiments.driver import run_driver
 from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
-from repro.experiments.qos_study import QOS_ARMS, QoSStudyConfig, QoSStudyDriver
+from repro.experiments.qos_study import QoSStudyConfig, QoSStudyDriver, _qos_jobs
 from repro.serving import (
     AnnealerServingBackend,
     BackendPool,
@@ -89,6 +89,8 @@ class Workload:
 # --------------------------------------------------------------------- #
 
 _FA_RA_SERIES = ("FA", "RA-greedy", "RA-ground", "RA-intermediate")
+#: The FR oracle's turning-point candidates in ``fig8_tts``; the read count
+#: rests on them, so the output check fails a run whose FR rows disagree.
 _FR_TURNING = (0.45, 0.6, 0.75, 0.9)
 
 
@@ -104,10 +106,12 @@ class RASweep(Workload):
         self.units = len(self.driver.tasks(self.config))
         grid = self.config.grid()
         # FA + three RA variants per grid point, plus the FR oracle's turning
-        # points (those at or after s_p) per grid point.
+        # points (those at or after s_p) per grid point; the oracle yields a
+        # row at each s_p with at least one turning point.
         points = len(_FA_RA_SERIES) * len(grid)
         points += sum(1 for s in grid for c in _FR_TURNING if c >= s)
         self.reads = self.config.num_reads * points
+        self.fr_grid = sorted(s for s in grid if any(c >= s for c in _FR_TURNING))
 
     def run(self):
         return run_driver(self.driver, self.config)
@@ -119,6 +123,12 @@ class RASweep(Workload):
             points = sorted(r.switch_s for r in rows if r.method == method)
             if points != grid:
                 problems.append(f"{method} covers s_p {points}, expected {grid}")
+        fr_rows = [r for r in rows if r.method == "FR-oracle"]
+        if sorted(r.switch_s for r in fr_rows) != self.fr_grid:
+            problems.append(f"FR-oracle covers s_p {sorted(r.switch_s for r in fr_rows)}")
+        for r in fr_rows:
+            if r.turning_s not in _FR_TURNING or r.turning_s < r.switch_s:
+                problems.append(f"FR-oracle at s_p={r.switch_s} turned at c_p={r.turning_s}")
         for r in rows:
             if not 0.0 <= r.success_probability <= 1.0:
                 problems.append(f"{r.method} p*={r.success_probability} outside [0, 1]")
@@ -149,28 +159,31 @@ class QoSDay(Workload):
     def __init__(self, seed: int) -> None:
         self.config = QoSStudyConfig(base_seed=seed)
         self.driver = _ShardKeepingQoSDriver()
-        self.units = len(self.driver.tasks(self.config))
+        self.tasks = self.driver.tasks(self.config)
+        self.units = len(self.tasks)
 
     def run(self):
-        return run_driver(self.driver, self.config), self.driver.shards
+        study = run_driver(self.driver, self.config)
+        # Hand the shards to the caller, so the driver keeps no pass alive.
+        shards, self.driver.shards = self.driver.shards, None
+        return study, shards
 
     def outcome(self, result) -> Outcome:
         study, shards = result
         problems = []
-        arms = len(QOS_ARMS)
-        if len(shards) != arms * len(self.config.scenarios):
-            problems.append(f"{len(shards)} shard reports for {self.config.scenarios}")
-        for position, scenario in enumerate(self.config.scenarios):
-            served = []
-            for arm, report in zip(QOS_ARMS, shards[arms * position : arms * (position + 1)]):
-                ids = sorted(o.job_id for o in report.outcomes)
-                # Job ids are the generated list's arrival-order indices, so
-                # covering each job once means exactly 0..n-1.
-                if not ids or ids != list(range(len(ids))):
-                    problems.append(f"{scenario}/{arm}: jobs not served exactly once")
-                served.append(len(ids))
-            if len(set(served)) != 1:
-                problems.append(f"{scenario}: arms served {served} jobs")
+        if len(shards) != len(self.tasks):
+            problems.append(f"{len(shards)} shard reports for {len(self.tasks)} tasks")
+        generated: Dict[int, List[int]] = {}
+        for task, report in zip(self.tasks, shards):
+            _, scenario, arm = task.key
+            seed = task.kwargs["workload_seed"]
+            if seed not in generated:
+                # The job list both arms of the scenario were generated from,
+                # rebuilt from the shard's own workload seed.
+                _, jobs = _qos_jobs(task.kwargs["config"], scenario, seed)
+                generated[seed] = sorted(job.job_id for job in jobs)
+            if sorted(o.job_id for o in report.outcomes) != generated[seed]:
+                problems.append(f"{scenario}/{arm}: generated jobs not served exactly once")
         outcomes = [o for report in shards for o in report.outcomes]
         return Outcome(
             digest(list(study.rows) + outcomes),
