@@ -4,7 +4,9 @@ Walks the ``repro-experiments`` argument parser and asserts that every
 registered subcommand (experiment name) and every option flag appears
 somewhere in ``docs/cli.md``.  New CLI surface therefore cannot land without
 its documentation — the docs can drift in prose, but never silently lose an
-entry point.
+entry point.  It also renders ``--help`` for the root parser and every
+subparser, so a help string argparse cannot format (a stray ``%``) fails
+here rather than in a user's terminal.
 
 Run from the repository root (CI does)::
 
@@ -41,21 +43,42 @@ REQUIRED_DOCS = (
 )
 
 
+def _parsers() -> list:
+    """The root parser and every subparser beneath it."""
+    parsers = []
+    stack = [build_parser()]
+    while stack:  # argparse has no public introspection API
+        parser = stack.pop()
+        parsers.append(parser)
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                stack.extend(action.choices.values())
+    return parsers
+
+
 def cli_surface() -> list:
     """Every subcommand and option flag the parser tree registers."""
     flags = set()
     subcommands = set()
-    stack = [build_parser()]
-    while stack:  # argparse has no public introspection API
-        parser = stack.pop()
+    for parser in _parsers():
         for action in parser._actions:
             for option in action.option_strings:
                 if option.startswith("--") and option != "--help":
                     flags.add(option)  # --help is argparse's, not ours
             if isinstance(action, argparse._SubParsersAction):
                 subcommands.update(action.choices)
-                stack.extend(action.choices.values())
     return sorted(flags) + sorted(subcommands)
+
+
+def check_help_renders() -> list:
+    """Every parser's ``--help`` must format without raising."""
+    problems = []
+    for parser in _parsers():
+        try:
+            parser.format_help()
+        except (TypeError, ValueError, KeyError) as error:
+            problems.append(f"'{parser.prog} --help' fails: {error}")
+    return problems
 
 
 def check_required_docs() -> list:
@@ -74,7 +97,7 @@ def check_required_docs() -> list:
 
 
 def main() -> int:
-    problems = check_required_docs()
+    problems = check_required_docs() + check_help_renders()
     if problems:
         print("FAIL: " + "; ".join(problems), file=sys.stderr)
         return 1

@@ -330,7 +330,7 @@ _ExperimentRunner = Callable[[CommonRunOptions], str]
 #: Subcommand name -> (runner, one-line summary shown in ``--help``).
 _EXPERIMENTS: Dict[str, Tuple[_ExperimentRunner, str]] = {
     "fig3": (_run_fig3, "Figure 3 — QUBO simplification by variable prefixing"),
-    "fig6": (_run_fig6, "Figure 6 — delta-E% distributions of FA / RA"),
+    "fig6": (_run_fig6, "Figure 6 — delta-E percentage distributions of FA / RA"),
     "fig7": (_run_fig7, "Figure 7 — RA performance vs initial-state quality"),
     "fig8": (_run_fig8, "Figure 8 — success probability and TTS vs s_p"),
     "headline": (_run_headline, "the abstract's 2-10x RA vs FA comparison"),

@@ -128,6 +128,14 @@ class QoSStudyConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        if not self.scenarios:
+            raise ConfigurationError("scenarios must not be empty")
+        if not self.service_classes:
+            raise ConfigurationError("service_classes must not be empty")
+        if self.annealer_workers < 1:
+            raise ConfigurationError(
+                f"annealer_workers must be at least 1, got {self.annealer_workers}"
+            )
         for name in self.scenarios:
             if name not in SCENARIO_NAMES:
                 raise ConfigurationError(
@@ -384,14 +392,6 @@ def run_qos_study(
     bitwise-identical to the serial path at any worker count) and ``cache``
     reuses shard results across runs; see :mod:`repro.parallel`.
     """
-    if not config.scenarios:
-        raise ConfigurationError("scenarios must not be empty")
-    if not config.service_classes:
-        raise ConfigurationError("service_classes must not be empty")
-    if config.annealer_workers < 1:
-        raise ConfigurationError(
-            f"annealer_workers must be at least 1, got {config.annealer_workers}"
-        )
     _log.info("qos_study.start", scenarios=len(config.scenarios), workers=workers or 1)
     return run_driver(QoSStudyDriver(), config, workers=workers, cache=cache)
 

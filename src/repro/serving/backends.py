@@ -86,7 +86,13 @@ class ServingBackend(abc.ABC):
 
     @abc.abstractmethod
     def service_time_us(self, jobs: Sequence[ServingJob]) -> float:
-        """Modelled wall-clock the backend needs to process ``jobs`` as one batch."""
+        """Modelled wall-clock the backend needs to process ``jobs`` as one batch.
+
+        Must be a pure timing query: a deterministic function of the batch,
+        with no side effects.  The simulator relies on this — it times each
+        queued job solo once and reuses the answer for every admission and
+        autoscaling pressure query.
+        """
 
     @abc.abstractmethod
     def solve(

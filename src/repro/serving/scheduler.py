@@ -28,6 +28,7 @@ bitwise-identical, since every priority is equal and every tier matches.
 from __future__ import annotations
 
 import abc
+import heapq
 import math
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -149,12 +150,11 @@ def select_batch(
         return []
     head = min(pool, key=policy.key)
     head_key = _batch_key(head, class_aware)
-    compatible = sorted(
-        (job for job in pool if _batch_key(job, class_aware) == head_key),
-        key=policy.key,
-    )
+    compatible = [job for job in pool if _batch_key(job, class_aware) == head_key]
     limit = len(compatible) if max_batch_size is None else max_batch_size
-    batch = compatible[:limit]
+    # Equivalent to sorted(compatible, key=policy.key)[:limit], without
+    # ordering the whole compatible set.
+    batch = heapq.nsmallest(limit, compatible, key=policy.key)
     selected = {job.job_id for job in batch}
     queue[:] = [job for job in queue if job.job_id not in selected]
     return batch

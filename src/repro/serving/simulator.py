@@ -23,11 +23,16 @@ therefore identical for every batch ceiling and scheduling order; only the
 those jobs' solutions) legitimately responds to timing knobs.  Every run is
 exactly reproducible from its seeds either way, and jobs that miss their
 deadline are counted in the report, never dropped.
+
+Deadline pressure — the admission and autoscaling signal — is answered from
+an incremental :class:`_PressureIndex` rather than by re-timing every queued
+job on every annealer at every query (see ``docs/serving.md``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+import bisect
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +65,74 @@ _TIME_EPS = 1e-12
 def _service_class_of(job: ServingJob) -> ServiceClass:
     """The job's service class; duck-typed jobs default to the legacy class."""
     return getattr(job, "service_class", DEFAULT_CLASS)
+
+
+def _deadline_order(job: ServingJob) -> Tuple[float, int]:
+    return (job.deadline_us, job.job_id)
+
+
+def _slack_deadline(job: ServingJob) -> float:
+    return job.deadline_us + 1e-9
+
+
+class _PressureIndex:
+    """Queued deadline-carrying jobs, grouped for O(groups) pressure queries.
+
+    A queued job is *deadline-pressured* at ``now`` when even its best solo
+    completion over the active annealer workers,
+    ``min(max(now, free_at_us, available_from_us) + solo_us)``, lands after
+    its deadline — waiting for an annealer already blows it.
+
+    Each job's solo service time on every annealer worker is computed once,
+    when it joins the queue; that tuple is its *service profile*.  Jobs
+    sharing a profile live in one list ordered by ``(deadline_us, job_id)``,
+    so a query computes one best completion per profile and the pressured
+    jobs are the list prefix whose deadlines fall short of it.  This relies
+    on :meth:`~repro.serving.backends.ServingBackend.service_time_us` being a
+    pure function of the batch.
+    """
+
+    def __init__(self, annealer_workers: Sequence[Worker]) -> None:
+        self._workers = list(annealer_workers)
+        self._groups: Dict[Tuple[float, ...], List[ServingJob]] = {}
+        self._profile_of: Dict[int, Tuple[float, ...]] = {}
+
+    def add(self, job: ServingJob) -> None:
+        """Index a newly queued job; deadline-free jobs are never pressured."""
+        if job.deadline_us is None:
+            return
+        profile = tuple(worker.backend.service_time_us([job]) for worker in self._workers)
+        self._profile_of[job.job_id] = profile
+        bisect.insort(self._groups.setdefault(profile, []), job, key=_deadline_order)
+
+    def discard(self, jobs: Sequence[ServingJob]) -> None:
+        """Drop dispatched jobs from the index."""
+        for job in jobs:
+            profile = self._profile_of.pop(job.job_id, None)
+            if profile is None:
+                continue
+            group = self._groups[profile]
+            del group[bisect.bisect_left(group, _deadline_order(job), key=_deadline_order)]
+
+    def pressured(self, now: float) -> List[ServingJob]:
+        """Every indexed job whose deadline is already blown at ``now``.
+
+        Parked workers are no capacity; warming workers count from the moment
+        they become dispatchable.  With no active annealer at all, every
+        deadline-carrying job is pressured.
+        """
+        starts = [
+            (position, max(now, worker.server.free_at_us, worker.available_from_us))
+            for position, worker in enumerate(self._workers)
+            if worker.active
+        ]
+        if not starts:
+            return [job for group in self._groups.values() for job in group]
+        pressured: List[ServingJob] = []
+        for profile, group in self._groups.items():
+            completion = min(start + profile[position] for position, start in starts)
+            pressured.extend(group[: bisect.bisect_left(group, completion, key=_slack_deadline)])
+        return pressured
 
 
 class RANServingSimulator:
@@ -141,6 +214,7 @@ class RANServingSimulator:
             )
         self.autoscaler = autoscaler
         self.topology = topology
+        self._pressure: Optional[_PressureIndex] = None
 
     # ------------------------------------------------------------------ #
 
@@ -173,6 +247,14 @@ class RANServingSimulator:
                 child_of[job_id] = child
 
         self._reset_pool()
+        # Pressure is only ever queried by admission control over a mixed
+        # pool or by the autoscaler; other runs never time solo jobs.
+        pool = self.pool
+        self._pressure = None
+        if self.autoscaler is not None or (
+            self.admission_control and pool.annealer_workers and pool.classical_workers
+        ):
+            self._pressure = _PressureIndex(pool.annealer_workers)
         events = EventQueue()
         for job in ordered:
             events.push(job.arrival_us, (_ARRIVAL, job))
@@ -194,11 +276,13 @@ class RANServingSimulator:
             for kind, item in pending:
                 if kind == _ARRIVAL:
                     queue.append(item)
+                    if self._pressure is not None:
+                        self._pressure.add(item)
                     arrivals_remaining -= 1
                 elif kind == _AUTOSCALE:
                     autoscale_tick = True
             if autoscale_tick and self.autoscaler is not None:
-                pressured_jobs = [job for job in queue if self._pressured(job, now)]
+                pressured_jobs = self._pressured_jobs(queue, now)
                 pressured = len(pressured_jobs)
                 step_kwargs: Dict = {}
                 if self.autoscaler.config.critical_pressure_jobs is not None:
@@ -346,7 +430,7 @@ class RANServingSimulator:
         the most critical pressured class may be offloaded pre-emptively to
         free annealer capacity for it.
         """
-        pressured = [job for job in queue if self._pressured(job, now)]
+        pressured = self._pressured_jobs(queue, now)
         if not self.class_aware:
             return pressured
         demotable = [job for job in pressured if _service_class_of(job).demotable]
@@ -363,26 +447,14 @@ class RANServingSimulator:
         ]
         return demotable + shed
 
-    def _pressured(self, job: ServingJob, now: float) -> bool:
-        """Whether waiting for an annealer already blows the deadline.
+    def _pressured_jobs(self, queue: List[ServingJob], now: float) -> List[ServingJob]:
+        """The deadline-pressured jobs of ``queue`` at ``now``, in no set order.
 
-        Uses the best projected solo completion over the *active* annealer
-        workers (each with its own availability, warm-up horizon and service
-        model), so demotion is correct for heterogeneous and elastic pools.
-        Parked workers are no capacity; warming workers count from the
-        moment they become dispatchable.
+        Answered from the run's pressure index, which mirrors ``queue``'s
+        deadline-carrying jobs; candidate order never matters downstream
+        because scheduling policies are total orders.
         """
-        if job.deadline_us is None:
-            return False
-        workers = self.pool.active_annealer_workers
-        if not workers:
-            return True
-        best_completion = min(
-            max(now, worker.server.free_at_us, worker.available_from_us)
-            + worker.backend.service_time_us([job])
-            for worker in workers
-        )
-        return best_completion > job.deadline_us + 1e-9
+        return self._pressure.pressured(now)
 
     def _serve(
         self,
@@ -395,6 +467,8 @@ class RANServingSimulator:
         demoted: bool,
     ) -> None:
         """Dispatch one batch onto one worker and record per-job outcomes."""
+        if self._pressure is not None:
+            self._pressure.discard(batch)
         service = worker.backend.service_time_us(batch)
         timing = worker.server.serve(now, service)
         worker.record_batch(len(batch))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -142,6 +143,12 @@ class ServingJob:
     (user, cell), a globally arrival-ordered ``job_id``, the user's QoS
     class and — when handover is modelled — the cell the user started in
     (``cell_id`` is then the cell serving the job *at arrival time*).
+
+    The scheduling keys (:attr:`num_variables`, :attr:`shape_key`,
+    :attr:`compat_key`) are computed on first access and cached on the
+    instance: the dispatcher reads them many times per job.  A
+    :func:`dataclasses.replace` copy starts with an empty cache, so it never
+    inherits a key of the original's channel use.
     """
 
     job_id: int
@@ -166,7 +173,7 @@ class ServingJob:
         """Whether the job carries a deadline."""
         return self.channel_use.has_deadline
 
-    @property
+    @functools.cached_property
     def num_variables(self) -> int:
         """QUBO size of the detection problem."""
         return self.channel_use.qubo_variable_count
@@ -181,7 +188,7 @@ class ServingJob:
         """Whether the job arrives in a different cell than the user's home."""
         return self.home_cell_id is not None and self.cell_id != self.home_cell_id
 
-    @property
+    @functools.cached_property
     def shape_key(self) -> Tuple[int, str]:
         """Physical batching key: QUBO size and modulation only.
 
@@ -192,7 +199,7 @@ class ServingJob:
         """
         return (self.num_variables, self.modulation)
 
-    @property
+    @functools.cached_property
     def compat_key(self) -> Tuple[int, str, int]:
         """Batching compatibility key: jobs may share a batch only if equal.
 

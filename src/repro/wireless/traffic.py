@@ -54,7 +54,8 @@ class ChannelUse:
         Absolute processing deadline (arrival + turnaround budget), or
         ``None`` when no deadline applies.  When present it must lie strictly
         after the arrival time — a job that is born already expired is a
-        configuration error, not a schedulable workload.
+        configuration error, not a schedulable workload.  A NaN deadline is
+        rejected too: it orders against nothing, so no scheduler can honour it.
     """
 
     index: int
@@ -63,7 +64,7 @@ class ChannelUse:
     deadline_us: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.deadline_us is not None and self.deadline_us <= self.arrival_time_us:
+        if self.deadline_us is not None and not self.deadline_us > self.arrival_time_us:
             raise ConfigurationError(
                 f"deadline_us ({self.deadline_us}) must be strictly greater than "
                 f"arrival_time_us ({self.arrival_time_us})"

@@ -28,6 +28,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["fig3", "--quick", "--paper-scale"])
 
+    @pytest.mark.parametrize("argv", [["--help"], ["fig6", "--help"], ["ablate", "--help"]])
+    def test_help_renders(self, argv, capsys):
+        # argparse %-formats every help string; a literal "%" used to crash.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.build_parser().parse_args(argv)
+        assert exit_info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_parses_quick(self):
         arguments = cli.build_parser().parse_args(["fig6", "--quick"])
         assert arguments.experiment == "fig6"

@@ -337,6 +337,15 @@ def quick_result():
     return run_qos_study(QoSStudyConfig.quick())
 
 
+_BAD_OVERRIDES = [
+    dict(scenarios=()),
+    dict(scenarios=("rush-hour",)),
+    dict(service_classes=()),
+    dict(service_classes=("platinum",)),
+    dict(annealer_workers=0),
+]
+
+
 class TestQoSStudy:
     def test_one_row_per_scenario_and_class(self, quick_result):
         config = QoSStudyConfig.quick()
@@ -371,19 +380,20 @@ class TestQoSStudy:
         sharded = run_qos_study(config, workers=2)
         assert serial.rows == sharded.rows
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(scenarios=()),
-            dict(scenarios=("rush-hour",)),
-            dict(service_classes=()),
-            dict(service_classes=("platinum",)),
-            dict(annealer_workers=0),
-        ],
-    )
+    @pytest.mark.parametrize("overrides", _BAD_OVERRIDES)
     def test_invalid_configurations_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
             run_qos_study(dataclasses.replace(QoSStudyConfig.quick(), **overrides))
+
+    @pytest.mark.parametrize("overrides", _BAD_OVERRIDES)
+    def test_run_driver_rejects_invalid_configurations(self, overrides):
+        # The config rejects itself, so run_driver (the ablation harness's
+        # path) cannot silently serve zero scenarios or zero annealers.
+        from repro.experiments.driver import run_driver
+        from repro.experiments.qos_study import QoSStudyDriver
+
+        with pytest.raises(ConfigurationError):
+            run_driver(QoSStudyDriver(), dataclasses.replace(QoSStudyConfig.quick(), **overrides))
 
     def test_registered_as_ablation_target(self):
         from repro.ablation import available_targets, get_target

@@ -241,6 +241,13 @@ class TestChannelUseDeadlineValidation:
         with pytest.raises(ConfigurationError):
             ChannelUse(index=0, arrival_time_us=10.0, transmission=transmission, deadline_us=5.0)
 
+    def test_nan_deadline_rejected(self, config, rng):
+        transmission = simulate_transmission(config, rng=rng)
+        with pytest.raises(ConfigurationError):
+            ChannelUse(
+                index=0, arrival_time_us=10.0, transmission=transmission, deadline_us=float("nan")
+            )
+
     def test_valid_deadline_accepted(self, config, rng):
         transmission = simulate_transmission(config, rng=rng)
         use = ChannelUse(
