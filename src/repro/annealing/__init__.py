@@ -14,9 +14,8 @@ programming surface:
 * :mod:`repro.annealing.device` — device timing constants, control-error
   (ICE-like) noise, and annealing energy scales A(s)/B(s).
 * :mod:`repro.annealing.kernels` — the replica-parallel Metropolis sweep
-  kernels (vectorized / reference / numba / legacy, selected by the
-  ``REPRO_KERNEL`` environment variable) shared by both backends and the
-  classical SA solver.
+  kernels (vectorized / numba, selected by the ``REPRO_KERNEL`` environment
+  variable) shared by both backends and the classical SA solver.
 * :mod:`repro.annealing.svmc` — a schedule-aware spin-vector Monte Carlo
   backend (the default physics surrogate).
 * :mod:`repro.annealing.sa_backend` — a schedule-driven simulated annealing

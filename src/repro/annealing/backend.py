@@ -28,7 +28,12 @@ from repro.annealing.schedule import AnnealSchedule
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import BatchRandomState, ensure_rng_batch
 
-__all__ = ["AnnealingBackend", "broadcast_initial_spins", "pad_problem_batch"]
+__all__ = [
+    "AnnealingBackend",
+    "broadcast_initial_spins",
+    "pad_problem_batch",
+    "prepare_anneal_batch",
+]
 
 
 def broadcast_initial_spins(
@@ -97,6 +102,53 @@ def pad_problem_batch(
         padded_symmetric[index, :size, :size] = matrix + matrix.T
         mask[index, :size] = True
     return padded_fields, padded_symmetric, mask, sizes
+
+
+def prepare_anneal_batch(
+    fields: Sequence[np.ndarray],
+    couplings: Sequence[np.ndarray],
+    schedule: AnnealSchedule,
+    num_reads: int,
+    initial_spins: Optional[Sequence[Optional[np.ndarray]]],
+    rng: BatchRandomState,
+) -> Optional[tuple]:
+    """The shared front end of the kernel backends' ``run_batch``.
+
+    Validates the read count and the initial states (a schedule that starts
+    at s = 1 needs one for every non-empty instance), spawns the per-instance
+    child generators and pads the problems.  Returns ``(children,
+    padded_fields, padded_symmetric, mask, sizes, initials)`` — the padded
+    arrays as from :func:`pad_problem_batch`, ``initials`` one
+    ``(num_reads, size)`` state or ``None`` per instance — or ``None`` when
+    the batch holds no spins at all, in which case every instance's result
+    is an empty ``(num_reads, 0)`` spin array.
+    """
+    if num_reads <= 0:
+        raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
+    batch = len(fields)
+    if initial_spins is not None and len(initial_spins) != batch:
+        raise ConfigurationError(
+            f"{len(initial_spins)} initial states supplied for a batch of {batch}"
+        )
+    if batch == 0:
+        return None
+    children = ensure_rng_batch(rng, batch)
+    padded_fields, symmetric, mask, sizes = pad_problem_batch(fields, couplings)
+
+    initials: List[Optional[np.ndarray]] = []
+    for index in range(batch):
+        supplied = None if initial_spins is None else initial_spins[index]
+        initial = broadcast_initial_spins(supplied, num_reads, int(sizes[index]))
+        if schedule.requires_initial_state and initial is None and sizes[index] > 0:
+            raise ConfigurationError(
+                f"schedule {schedule.name!r} starts at s = 1 and requires an "
+                f"initial state (missing for instance {index})"
+            )
+        initials.append(initial)
+
+    if padded_fields.shape[1] == 0:
+        return None
+    return children, padded_fields, symmetric, mask, sizes, initials
 
 
 class AnnealingBackend(abc.ABC):

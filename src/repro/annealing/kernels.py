@@ -4,30 +4,22 @@ This module is the numerical core of the library: the Metropolis sweep loops
 of :class:`~repro.annealing.sa_backend.ScheduleDrivenAnnealingBackend`,
 :class:`~repro.annealing.svmc.SpinVectorMonteCarloBackend` and the classical
 :class:`~repro.classical.simulated_annealing.SimulatedAnnealingSolver` all
-execute here.  Each family (SA spin flips, SVMC rotor updates) is implemented
-several times over the *same* dynamics specification:
+execute here.  Each family (SA spin flips, SVMC rotor updates) has one
+production data flow, available in two bitwise-identical implementations:
 
 ``vectorized`` (default)
     One array program over ``(batch, spins, reads)`` per sweep — every read
     of every instance advances in a single sequence of numpy operations.
-``reference``
-    Per-read python loops spelling out the decision logic one scalar at a
-    time.  Slow, but the executable specification: ``tests/test_kernels.py``
-    asserts the other implementations match it bit for bit.
 ``numba``
     The vectorized data flow with the per-chunk decision loops fused by a
     numba JIT (see :mod:`repro.annealing._kernels_numba`).  Optional: when
     numba is not importable the library falls back to ``vectorized`` with a
     one-time warning, so nothing ever requires it.
-``legacy``
-    The pre-kernel-rewrite sequential dynamics (one python iteration per spin
-    position per sweep), preserved verbatim as the benchmark baseline for the
-    vectorized kernels and as an escape hatch for reproducing historical
-    bitstreams.
 
 Select an implementation with the ``REPRO_KERNEL`` environment variable
-(``vectorized`` | ``reference`` | ``numba`` | ``legacy``); see
-``docs/kernels.md``.
+(``vectorized`` | ``numba``); see ``docs/kernels.md``.  The executable
+specification both are tested against — per-read python scalar loops over
+the same draws and helpers — lives with the tests (``tests/kernel_spec.py``).
 
 Chunked replica-parallel dynamics
 ---------------------------------
@@ -42,19 +34,20 @@ compiled SA sweeps use the same fixed-order structure.)
 
 The Metropolis accept tests are evaluated in log space: each spin draws one
 uniform ``u`` per sweep and accepts iff ``dE+ < -T*log(u/activity)`` where
-``dE+ = max(dE, 0)`` — probabilistically identical to the legacy pair of
-``exp`` gates (accept with probability ``activity * min(1, exp(-dE/T))``)
-but computable as a single per-sweep ``log`` block instead of a per-chunk
-``exp``.  The freeze-out ``activity`` gate therefore costs no extra draw.
+``dE+ = max(dE, 0)`` — acceptance with probability
+``activity * min(1, exp(-dE/T))``, computed as a single per-sweep ``log``
+block instead of a per-chunk ``exp``.  The freeze-out ``activity`` gate
+therefore costs no extra draw.
 
 Bitwise-equivalence design rules
 --------------------------------
-The implementations of one family agree bit for bit because they follow
-three rules, which any future kernel must preserve:
+The implementations of one family, and the scalar specification in the
+tests, agree bit for bit because they follow three rules, which any future
+kernel must preserve:
 
 * **Exact arithmetic may differ in shape.**  IEEE-754 ``+ - * /``,
-  comparisons, and min/max are exact per element, so the reference kernel
-  may compute them on python scalars while the vectorized kernel uses whole
+  comparisons, and min/max are exact per element, so the specification may
+  compute them on python scalars while the vectorized kernel uses whole
   arrays.
 * **Transcendentals are evaluated on identical blocks.**  numpy's
   ``log``/``exp``/``cos``/``sin`` pick different code paths for scalars and
@@ -79,7 +72,6 @@ is what keeps experiment results invariant to batching and worker counts.
 
 from __future__ import annotations
 
-import functools
 import os
 from typing import Optional, Sequence, Tuple, Union
 
@@ -102,21 +94,17 @@ __all__ = [
     "commit_chunk",
     "sa_sweeps",
     "sa_sweeps_vectorized",
-    "sa_sweeps_reference",
     "sa_sweeps_numba",
-    "sa_sweeps_legacy",
     "svmc_sweeps",
     "svmc_sweeps_vectorized",
-    "svmc_sweeps_reference",
     "svmc_sweeps_numba",
-    "svmc_sweeps_legacy",
 ]
 
 #: Environment variable selecting the sweep-kernel implementation.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
 #: Recognised values of :data:`KERNEL_ENV_VAR`.
-KERNEL_CHOICES = ("vectorized", "reference", "numba", "legacy")
+KERNEL_CHOICES = ("vectorized", "numba")
 
 #: Spins updated simultaneously per chunk of a sweep.  A constant (rather
 #: than e.g. a fraction of the problem size) so chunk boundaries — and with
@@ -180,13 +168,22 @@ def active_kernel_name() -> str:
 # --------------------------------------------------------------------- #
 
 
-def _instrumented_call(tel, family, implementation, kernel, args, kwargs, sweeps, batch, reads):
-    """Run one kernel call under a wall span with throughput counters.
+def _dispatch_instrumented(family, implementation, kernel, args, kwargs):
+    """Run one kernel call, timed and counted when telemetry is enabled.
 
-    Only reached when telemetry is enabled; the timing wraps the call from
-    the *outside*, so the kernel's arithmetic and draw sequence are untouched
-    and results stay bitwise-identical to the uninstrumented path.
+    The wall span wraps the call from the *outside*, so the kernel's
+    arithmetic and draw sequence are untouched and results stay
+    bitwise-identical to the uninstrumented path.  Geometry comes from the leading state array
+    ``(batch, max_size, reads)`` and the trailing ``settings`` sequence (one
+    row per sweep); fully-keyword calls skip instrumentation rather than
+    guess at argument positions.
     """
+    tel = telemetry.active()
+    if tel is None or not args:
+        return kernel(*args, **kwargs)
+    settings = kwargs["settings"] if "settings" in kwargs else args[-1]
+    sweeps = len(settings)
+    batch, reads = args[0].shape[0], args[0].shape[-1]
     labels = {"family": family, "implementation": implementation}
     tel.registry.counter("repro_kernel_calls_total", **labels).inc()
     tel.registry.counter("repro_kernel_sweeps_total", **labels).inc(sweeps)
@@ -207,61 +204,6 @@ def _instrumented_call(tel, family, implementation, kernel, args, kwargs, sweeps
         # throughput lands in the exported record.
         span.attrs["read_sweeps_per_s"] = read_sweeps / seconds
     return result
-
-
-def _dispatch_instrumented(family, implementation, kernel, args, kwargs):
-    """Instrument one replica-parallel kernel call when telemetry is enabled.
-
-    Geometry comes from the leading state array ``(batch, max_size, reads)``
-    and the trailing ``settings`` sequence (one row per sweep); fully-keyword
-    calls skip instrumentation rather than guess at argument positions.
-    """
-    tel = telemetry.active()
-    if tel is None or not args:
-        return kernel(*args, **kwargs)
-    settings = kwargs["settings"] if "settings" in kwargs else args[-1]
-    return _instrumented_call(
-        tel,
-        family,
-        implementation,
-        kernel,
-        args,
-        kwargs,
-        sweeps=len(settings),
-        batch=args[0].shape[0],
-        reads=args[0].shape[-1],
-    )
-
-
-def _instrument_legacy(family):
-    """Decorator timing the preserved legacy kernels under telemetry.
-
-    The legacy state layout is ``(batch, reads, max_size)``, hence the
-    different ``reads`` axis from :func:`_dispatch_instrumented`.
-    """
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            tel = telemetry.active()
-            if tel is None or not args:
-                return fn(*args, **kwargs)
-            settings = kwargs["settings"] if "settings" in kwargs else args[-1]
-            return _instrumented_call(
-                tel,
-                family,
-                "legacy",
-                fn,
-                args,
-                kwargs,
-                sweeps=len(settings),
-                batch=args[0].shape[0],
-                reads=args[0].shape[1],
-            )
-
-        return wrapper
-
-    return decorate
 
 
 # --------------------------------------------------------------------- #
@@ -316,8 +258,8 @@ def commit_chunk(
     exactly for simultaneous flips:
     ``dE = sum_i change_i * local_i(stale) + 1/2 * change^T Jsym change``
     (the second term corrects for pairs flipped in the same chunk).  The
-    einsum/gemm reduction order is part of the kernel contract — reference
-    and vectorized kernels call this helper with identical arrays.
+    einsum/gemm reduction order is part of the kernel contract — every
+    implementation calls this helper with identical arrays.
     """
     if energies is not None:
         gain = np.einsum("bcr,bcr->br", change, local[:, p0:p1])
@@ -347,7 +289,7 @@ def _sa_threshold_coefficients(problem, temperature, log_activity):
     Accepting iff ``dE+ < -T*log(u/activity)`` with ``dE = -2*p*s_i*L_i``
     rearranges (for ``p > 0``) to ``min(s_i*L_i, 0) > c1*log(u) + c0``.
     ``temperature`` may be a per-instance array; the arithmetic sequence here
-    must match the reference kernel's scalar evaluation exactly.
+    must match the per-instance scalar evaluation exactly.
     """
     denominator = 2.0 * problem
     c1 = temperature / denominator
@@ -372,8 +314,7 @@ def _sa_fill_thresholds(children, sizes, num_reads, out, problem, temperature, l
         child.random(out=block)
         with np.errstate(divide="ignore"):
             # u == 0.0 (possible, if vanishingly rare) maps to a -inf
-            # threshold, i.e. certain acceptance — exactly the legacy
-            # semantics of u < exp(...).
+            # threshold, i.e. certain acceptance.
             np.log(block, out=block)
         if problem > 0.0:
             instance_temperature = (
@@ -405,7 +346,7 @@ def _svmc_fill_blocks(
         child.random(out=block)
         with np.errstate(divide="ignore"):
             # u == 0.0 becomes a +inf threshold after negation: certain
-            # acceptance, matching the legacy u < exp(...) semantics.
+            # acceptance.
             np.log(block, out=block)
         np.multiply(block, -temperature, out=block)
         block += offset
@@ -474,63 +415,6 @@ def sa_sweeps_vectorized(
     return spins
 
 
-def sa_sweeps_reference(
-    spins: np.ndarray,
-    local: np.ndarray,
-    symmetric: np.ndarray,
-    mask: np.ndarray,
-    sizes: np.ndarray,
-    children: Sequence[np.random.Generator],
-    settings: SweepSettings,
-    *,
-    spins_per_step: int = DEFAULT_SPINS_PER_STEP,
-    energies: Optional[np.ndarray] = None,
-    best_spins: Optional[np.ndarray] = None,
-    best_energies: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The SA dynamics spelled out with per-read scalar loops.
-
-    The executable specification the fast kernels are tested against: every
-    accept decision and flip value is computed one read at a time with exact
-    scalar arithmetic, while draws, thresholds and the chunk commit go
-    through the same shared helpers (see the module docstring's equivalence
-    rules).  Intended for tests only — O(batch * spins * reads) python work.
-    """
-    batch, max_size, reads = spins.shape
-    track = best_energies is not None
-    chunk_cap = min(spins_per_step, max_size)
-    thresholds = np.zeros((batch, max_size, reads))
-    change = np.empty((batch, chunk_cap, reads))
-    coupled = np.empty((batch, max_size, reads))
-    for problem, _transverse, temperature, activity in settings:
-        log_activity = np.log(activity)
-        _sa_fill_thresholds(
-            children, sizes, reads, thresholds, problem, temperature, log_activity
-        )
-        for p0 in range(0, max_size, spins_per_step):
-            p1 = min(p0 + spins_per_step, max_size)
-            flips = change[:, : p1 - p0]
-            for b in range(batch):
-                size = int(sizes[b])
-                for p in range(p0, p1):
-                    row = p - p0
-                    for r in range(reads):
-                        cur = spins[b, p, r]
-                        if p >= size:
-                            ok = False
-                        elif problem > 0.0:
-                            prod = cur * local[b, p, r]
-                            clipped = prod if prod < 0.0 else 0.0
-                            ok = clipped > thresholds[b, p, r]
-                        else:
-                            ok = thresholds[b, p, r] < log_activity
-                        flips[b, row, r] = (-2.0 if ok else -0.0) * cur
-            commit_chunk(spins, local, symmetric, flips, p0, p1, coupled, energies)
-            if track:
-                _track_best(spins, energies, best_spins, best_energies)
-    return spins
-
-
 def sa_sweeps_numba(
     spins: np.ndarray,
     local: np.ndarray,
@@ -583,7 +467,6 @@ def sa_sweeps_numba(
 
 _SA_IMPLEMENTATIONS = {
     "vectorized": sa_sweeps_vectorized,
-    "reference": sa_sweeps_reference,
     "numba": sa_sweeps_numba,
 }
 
@@ -598,65 +481,6 @@ def sa_sweeps(*args, implementation: str = "vectorized", **kwargs) -> np.ndarray
             f"choose one of {', '.join(_SA_IMPLEMENTATIONS)}"
         ) from None
     return _dispatch_instrumented("sa", implementation, kernel, args, kwargs)
-
-
-@_instrument_legacy("sa")
-def sa_sweeps_legacy(
-    spins: np.ndarray,
-    local: np.ndarray,
-    symmetric: np.ndarray,
-    mask: np.ndarray,
-    sizes: np.ndarray,
-    children: Sequence[np.random.Generator],
-    settings: SweepSettings,
-) -> np.ndarray:
-    """The pre-rewrite sequential SA dynamics (one python step per position).
-
-    Operates on the historical ``(batch, reads, max_size)`` layout with
-    per-sweep random visit orders and per-position ``exp`` accept gates.
-    Preserved bit-for-bit as the benchmark baseline and for reproducing
-    pre-rewrite bitstreams via ``REPRO_KERNEL=legacy``.
-    """
-    batch, num_reads, max_size = spins.shape
-    lanes = np.arange(batch)
-    for problem, _transverse, temperature, activity in settings:
-        temperature = float(np.asarray(temperature).reshape(-1)[0]) if not np.isscalar(
-            temperature
-        ) else float(temperature)
-        draws_per_spin = 2 if activity < 1.0 else 1
-
-        orders = np.zeros((batch, max_size), dtype=int)
-        draws = np.zeros((batch, max_size, draws_per_spin, num_reads))
-        for index in range(batch):
-            size = int(sizes[index])
-            if size == 0:
-                continue
-            orders[index, :size] = children[index].permutation(size)
-            draws[index, :size] = children[index].random((size, draws_per_spin, num_reads))
-
-        for position in range(max_size):
-            active = mask[:, position]
-            if not np.any(active):
-                break
-            index = orders[:, position]
-            current = spins[lanes, :, index]
-            delta_energy = -2.0 * current * local[lanes, :, index] * problem
-            accept = (delta_energy <= 0.0) | (
-                draws[:, position, 0]
-                < np.exp(-np.clip(delta_energy, 0.0, 700.0) / temperature)
-            )
-            if activity < 1.0:
-                accept &= draws[:, position, 1] < activity
-            accept &= active[:, None]
-            touched = np.nonzero(np.any(accept, axis=1))[0]
-            if touched.size == 0:
-                continue
-            flipped = np.where(accept, -current, current)
-            change = flipped - current
-            spins[lanes, :, index] = flipped
-            rows = symmetric[touched, index[touched], :]
-            local[touched] += change[touched][:, :, None] * rows[:, None, :]
-    return spins
 
 
 # --------------------------------------------------------------------- #
@@ -789,89 +613,6 @@ def svmc_sweeps_vectorized(
     return cosines
 
 
-def svmc_sweeps_reference(
-    theta: np.ndarray,
-    cosines: np.ndarray,
-    sines: np.ndarray,
-    local: np.ndarray,
-    symmetric: np.ndarray,
-    mask: np.ndarray,
-    sizes: np.ndarray,
-    children: Sequence[np.random.Generator],
-    settings: SweepSettings,
-    *,
-    proposal_width: float,
-    uniform_fraction: float,
-    spins_per_step: int = DEFAULT_SPINS_PER_STEP,
-) -> np.ndarray:
-    """The SVMC dynamics spelled out with per-read scalar loops.
-
-    Proposal blocks (elementwise arithmetic and their transcendentals) are
-    assembled with the same shared block helpers as the vectorized kernel —
-    numpy transcendentals are not bitwise-reproducible on python scalars —
-    while every accept decision and state update is an explicit per-read
-    scalar computation.  Tests only.
-    """
-    batch, max_size, reads = theta.shape
-    chunk_cap = min(spins_per_step, max_size)
-    normals = np.zeros((batch, max_size, reads))
-    mixes = np.zeros((batch, max_size, reads))
-    thresholds = np.zeros((batch, max_size, reads))
-    proposed = np.empty((batch, chunk_cap, reads))
-    proposed_cos = np.empty((batch, chunk_cap, reads))
-    proposed_sin = np.empty((batch, chunk_cap, reads))
-    change = np.empty((batch, chunk_cap, reads))
-    coupled = np.empty((batch, max_size, reads))
-    for problem, transverse, temperature, activity in settings:
-        log_activity = np.log(activity)
-        _svmc_fill_blocks(
-            children,
-            sizes,
-            reads,
-            proposal_width,
-            normals,
-            mixes,
-            thresholds,
-            float(temperature),
-            log_activity,
-        )
-        for p0 in range(0, max_size, spins_per_step):
-            p1 = min(p0 + spins_per_step, max_size)
-            width = p1 - p0
-            prop = _svmc_propose_block(
-                theta[:, p0:p1],
-                normals[:, p0:p1],
-                mixes[:, p0:p1],
-                uniform_fraction,
-                proposed[:, :width],
-            )
-            cos_p, sin_p = _svmc_cos_sin_block(
-                prop, proposed_cos[:, :width], proposed_sin[:, :width]
-            )
-            flips = change[:, :width]
-            for b in range(batch):
-                size = int(sizes[b])
-                for p in range(p0, p1):
-                    row = p - p0
-                    for r in range(reads):
-                        gap = cos_p[b, row, r] - cosines[b, p, r]
-                        sdiff = sin_p[b, row, r] - sines[b, p, r]
-                        ok = False
-                        if p < size:
-                            step = gap * local[b, p, r] * problem
-                            step = step - sdiff * transverse
-                            uphill = step if step > 0.0 else 0.0
-                            ok = uphill < thresholds[b, p, r]
-                        keep = 1.0 if ok else 0.0
-                        flip = keep * gap
-                        flips[b, row, r] = flip
-                        cosines[b, p, r] += flip
-                        sines[b, p, r] += sdiff * keep
-                        theta[b, p, r] += (prop[b, row, r] - theta[b, p, r]) * keep
-            apply_couplings(local, symmetric, flips, p0, p1, coupled)
-    return cosines
-
-
 def svmc_sweeps_numba(
     theta: np.ndarray,
     cosines: np.ndarray,
@@ -951,7 +692,6 @@ def svmc_sweeps_numba(
 
 _SVMC_IMPLEMENTATIONS = {
     "vectorized": svmc_sweeps_vectorized,
-    "reference": svmc_sweeps_reference,
     "numba": svmc_sweeps_numba,
 }
 
@@ -966,88 +706,3 @@ def svmc_sweeps(*args, implementation: str = "vectorized", **kwargs) -> np.ndarr
             f"choose one of {', '.join(_SVMC_IMPLEMENTATIONS)}"
         ) from None
     return _dispatch_instrumented("svmc", implementation, kernel, args, kwargs)
-
-
-@_instrument_legacy("svmc")
-def svmc_sweeps_legacy(
-    theta: np.ndarray,
-    cosines: np.ndarray,
-    local: np.ndarray,
-    symmetric: np.ndarray,
-    mask: np.ndarray,
-    sizes: np.ndarray,
-    children: Sequence[np.random.Generator],
-    settings: SweepSettings,
-    *,
-    proposal_width: float,
-    uniform_fraction: float,
-) -> np.ndarray:
-    """The pre-rewrite sequential SVMC dynamics, preserved verbatim.
-
-    Operates on the historical ``(batch, reads, max_size)`` layout with
-    per-sweep random visit orders, separate uniform-angle/mix/accept draws
-    and per-position ``exp`` gates.  Benchmark baseline and
-    ``REPRO_KERNEL=legacy`` escape hatch.
-    """
-    batch, num_reads, max_size = theta.shape
-    lanes = np.arange(batch)
-    for problem, transverse, temperature, activity in settings:
-        temperature = float(temperature)
-        draws_per_spin = 2 if activity < 1.0 else 1
-
-        orders = np.zeros((batch, max_size), dtype=int)
-        normals = np.zeros((batch, max_size, num_reads))
-        uniform_angles = np.zeros((batch, max_size, num_reads))
-        use_draws = np.ones((batch, max_size, num_reads))
-        accept_draws = np.ones((batch, max_size, draws_per_spin, num_reads))
-        for index in range(batch):
-            size = int(sizes[index])
-            if size == 0:
-                continue
-            child = children[index]
-            orders[index, :size] = child.permutation(size)
-            normals[index, :size] = child.normal(0.0, proposal_width, size=(size, num_reads))
-            uniform_angles[index, :size] = child.uniform(0.0, np.pi, size=(size, num_reads))
-            use_draws[index, :size] = child.random((size, num_reads))
-            accept_draws[index, :size] = child.random((size, draws_per_spin, num_reads))
-
-        for position in range(max_size):
-            active = mask[:, position]
-            if not np.any(active):
-                break
-            index = orders[:, position]
-            current_theta = theta[lanes, :, index]
-            current_cos = cosines[lanes, :, index]
-            current_sin = np.sin(current_theta)
-
-            gaussian = current_theta + normals[:, position]
-            use_uniform = use_draws[:, position] < uniform_fraction
-            proposed_theta = np.where(
-                use_uniform, uniform_angles[:, position], np.clip(gaussian, 0.0, np.pi)
-            )
-            proposed_cos = np.cos(proposed_theta)
-            proposed_sin = np.sin(proposed_theta)
-
-            problem_field = local[lanes, :, index]
-            delta_energy = problem * problem_field * (proposed_cos - current_cos)
-            delta_energy -= transverse * (proposed_sin - current_sin)
-
-            accept = (delta_energy <= 0.0) | (
-                accept_draws[:, position, 0]
-                < np.exp(-np.clip(delta_energy, 0.0, 700.0) / temperature)
-            )
-            if activity < 1.0:
-                accept &= accept_draws[:, position, 1] < activity
-            accept &= active[:, None]
-            touched = np.nonzero(np.any(accept, axis=1))[0]
-            if touched.size == 0:
-                continue
-
-            new_theta = np.where(accept, proposed_theta, current_theta)
-            new_cos = np.cos(new_theta)
-            change = new_cos - current_cos
-            theta[lanes, :, index] = new_theta
-            cosines[lanes, :, index] = new_cos
-            rows = symmetric[touched, index[touched], :]
-            local[touched] += change[touched][:, :, None] * rows[:, None, :]
-    return cosines

@@ -28,7 +28,7 @@ program over ``(batch, spins, reads)`` per sweep — while drawing each
 instance's randomness from its own child generator, so batched and
 sequential results are bitwise-identical and independent of batch grouping.
 The ``REPRO_KERNEL`` environment variable selects the kernel implementation
-(vectorized / reference / numba / legacy); see ``docs/kernels.md``.
+(vectorized / numba); see ``docs/kernels.md``.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.annealing import kernels
-from repro.annealing.backend import AnnealingBackend, broadcast_initial_spins, pad_problem_batch
+from repro.annealing.backend import AnnealingBackend, prepare_anneal_batch
 from repro.annealing.device import AnnealingFunctions
 from repro.annealing.schedule import AnnealSchedule
 from repro.exceptions import ConfigurationError
-from repro.utils.rng import BatchRandomState, ensure_rng, ensure_rng_batch
+from repro.utils.rng import BatchRandomState, ensure_rng
 
 __all__ = ["ScheduleDrivenAnnealingBackend"]
 
@@ -161,65 +161,18 @@ class ScheduleDrivenAnnealingBackend(AnnealingBackend):
         ``b`` draws exclusively from child generator ``b``, so results are
         independent of how a workload is grouped into batches.  The sweep
         implementation is selected by the ``REPRO_KERNEL`` environment
-        variable; ``REPRO_KERNEL=legacy`` reproduces the pre-kernel-rewrite
-        sequential dynamics bit for bit.
+        variable.
         """
-        if num_reads <= 0:
-            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
-        batch = len(fields)
-        if initial_spins is not None and len(initial_spins) != batch:
-            raise ConfigurationError(
-                f"{len(initial_spins)} initial states supplied for a batch of {batch}"
-            )
-        if batch == 0:
-            return []
-        children = ensure_rng_batch(rng, batch)
-        padded_fields, symmetric, mask, sizes = pad_problem_batch(fields, couplings)
-        max_size = padded_fields.shape[1]
-
-        initials: List[Optional[np.ndarray]] = []
-        for index in range(batch):
-            supplied = None if initial_spins is None else initial_spins[index]
-            initial = broadcast_initial_spins(supplied, num_reads, int(sizes[index]))
-            if schedule.requires_initial_state and initial is None and sizes[index] > 0:
-                raise ConfigurationError(
-                    f"schedule {schedule.name!r} starts at s = 1 and requires an "
-                    f"initial state (missing for instance {index})"
-                )
-            initials.append(initial)
-
-        if max_size == 0:
-            return [np.zeros((num_reads, 0), dtype=np.int8) for _ in range(batch)]
-
+        prepared = prepare_anneal_batch(fields, couplings, schedule, num_reads, initial_spins, rng)
+        if prepared is None:
+            return [np.zeros((num_reads, 0), dtype=np.int8) for _ in fields]
+        children, padded_fields, symmetric, mask, sizes, initials = prepared
         settings = self._sweep_settings(schedule, annealing_functions, relative_temperature)
-        kernel = kernels.active_kernel_name()
 
-        if kernel == "legacy":
-            # Pre-rewrite read-major layout and sequential per-position sweeps.
-            spins = np.ones((batch, num_reads, max_size))
-            local = np.zeros((batch, num_reads, max_size))
-            for index in range(batch):
-                size = int(sizes[index])
-                if size == 0:
-                    continue
-                if initials[index] is not None:
-                    spins[index, :, :size] = initials[index].astype(float)
-                else:
-                    spins[index, :, :size] = children[index].choice(
-                        [-1.0, 1.0], size=(num_reads, size)
-                    )
-                local[index, :, :size] = (
-                    padded_fields[index, :size][None, :]
-                    + spins[index, :, :size] @ symmetric[index, :size, :size]
-                )
-            kernels.sa_sweeps_legacy(spins, local, symmetric, mask, sizes, children, settings)
-            return [
-                spins[index, :, : int(sizes[index])].astype(np.int8) for index in range(batch)
-            ]
-
-        # Replica-parallel kernels use the spin-major (batch, spins, reads)
-        # layout.  Padding lanes start at +1 and, having zero couplings, never
+        # The kernels use the spin-major (batch, spins, reads) layout.
+        # Padding lanes start at +1 and, having zero couplings, never
         # influence real spins; the kernel's mask suppresses their own flips.
+        batch, max_size = padded_fields.shape
         state = np.ones((batch, max_size, num_reads))
         for index in range(batch):
             size = int(sizes[index])
@@ -233,7 +186,14 @@ class ScheduleDrivenAnnealingBackend(AnnealingBackend):
                 ).T
         local = kernels.initial_local_fields(padded_fields, symmetric, state)
         kernels.sa_sweeps(
-            state, local, symmetric, mask, sizes, children, settings, implementation=kernel
+            state,
+            local,
+            symmetric,
+            mask,
+            sizes,
+            children,
+            settings,
+            implementation=kernels.active_kernel_name(),
         )
         return [
             state[index, : int(sizes[index])].T.astype(np.int8) for index in range(batch)

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.annealing import kernels
 from repro.annealing.backend import AnnealingBackend
 from repro.annealing.device import DeviceModel
 from repro.annealing.embedding import embed_ising, find_clique_embedding, unembed_sampleset
@@ -354,12 +353,8 @@ class QuantumAnnealerSimulator:
         *spawning* a child (which advances only the seed-sequence spawn
         counter, never the caller's bitstream) instead of drawing directly
         means sweeping ``num_reads`` can never shift the draws any downstream
-        consumer takes from the caller's generator.  ``REPRO_KERNEL=legacy``
-        keeps the pre-rewrite behaviour — kernel draws taken straight from
-        the caller's stream — so historical bitstreams stay reproducible.
+        consumer takes from the caller's generator.
         """
-        if kernels.active_kernel_name() == "legacy":
-            return generator
         return spawn_rngs(generator, 1)[0]
 
     def _sample_logical(

@@ -29,8 +29,8 @@ the replica-parallel rotor kernels of :mod:`repro.annealing.kernels` — one
 array program over ``(batch, spins, reads)`` per sweep — with per-instance
 child generators so batched and sequential results are bitwise-identical
 and independent of batch grouping.  The ``REPRO_KERNEL`` environment
-variable selects the kernel implementation (vectorized / reference / numba /
-legacy); see ``docs/kernels.md``.
+variable selects the kernel implementation (vectorized / numba); see
+``docs/kernels.md``.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.annealing import kernels
-from repro.annealing.backend import AnnealingBackend, broadcast_initial_spins, pad_problem_batch
+from repro.annealing.backend import AnnealingBackend, prepare_anneal_batch
 from repro.annealing.device import AnnealingFunctions
 from repro.annealing.schedule import AnnealSchedule
 from repro.exceptions import ConfigurationError
-from repro.utils.rng import BatchRandomState, ensure_rng, ensure_rng_batch
+from repro.utils.rng import BatchRandomState, ensure_rng
 
 __all__ = ["SpinVectorMonteCarloBackend"]
 
@@ -179,77 +179,19 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         instance ``b`` drawing exclusively from child generator ``b`` — so
         results are independent of how a workload is grouped into batches.
         The sweep implementation is selected by the ``REPRO_KERNEL``
-        environment variable; ``REPRO_KERNEL=legacy`` reproduces the
-        pre-kernel-rewrite sequential dynamics bit for bit.
+        environment variable.
         """
-        if num_reads <= 0:
-            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
-        batch = len(fields)
-        if initial_spins is not None and len(initial_spins) != batch:
-            raise ConfigurationError(
-                f"{len(initial_spins)} initial states supplied for a batch of {batch}"
-            )
-        if batch == 0:
-            return []
-        children = ensure_rng_batch(rng, batch)
-        padded_fields, symmetric, mask, sizes = pad_problem_batch(fields, couplings)
-        max_size = padded_fields.shape[1]
-
-        initials: List[Optional[np.ndarray]] = []
-        for index in range(batch):
-            supplied = None if initial_spins is None else initial_spins[index]
-            initial = broadcast_initial_spins(supplied, num_reads, int(sizes[index]))
-            if schedule.requires_initial_state and initial is None and sizes[index] > 0:
-                raise ConfigurationError(
-                    f"schedule {schedule.name!r} starts at s = 1 and requires an "
-                    f"initial state (missing for instance {index})"
-                )
-            initials.append(initial)
-
-        if max_size == 0:
-            return [np.zeros((num_reads, 0), dtype=np.int8) for _ in range(batch)]
-
+        prepared = prepare_anneal_batch(fields, couplings, schedule, num_reads, initial_spins, rng)
+        if prepared is None:
+            return [np.zeros((num_reads, 0), dtype=np.int8) for _ in fields]
+        children, padded_fields, symmetric, mask, sizes, initials = prepared
         settings = self._sweep_settings(schedule, annealing_functions, relative_temperature)
-        kernel = kernels.active_kernel_name()
 
-        if kernel == "legacy":
-            # Pre-rewrite read-major layout and sequential per-position sweeps.
-            theta = np.zeros((batch, num_reads, max_size))
-            cosines = np.ones((batch, num_reads, max_size))
-            local = np.zeros((batch, num_reads, max_size))
-            for index in range(batch):
-                size = int(sizes[index])
-                if size == 0:
-                    continue
-                theta[index, :, :size] = self._initial_angles(
-                    initials[index], num_reads, size, children[index]
-                )
-                cosines[index, :, :size] = np.cos(theta[index, :, :size])
-                local[index, :, :size] = (
-                    padded_fields[index, :size][None, :]
-                    + cosines[index, :, :size] @ symmetric[index, :size, :size]
-                )
-            kernels.svmc_sweeps_legacy(
-                theta,
-                cosines,
-                local,
-                symmetric,
-                mask,
-                sizes,
-                children,
-                settings,
-                proposal_width=self.proposal_width,
-                uniform_fraction=self.uniform_fraction,
-            )
-            return [
-                self._project(cosines[index, :, : int(sizes[index])], children[index])
-                for index in range(batch)
-            ]
-
-        # Replica-parallel kernels use the spin-major (batch, spins, reads)
-        # layout.  Padding rotors sit at theta = 0 (cos 1, sin 0) with zero
+        # The kernels use the spin-major (batch, spins, reads) layout.
+        # Padding rotors sit at theta = 0 (cos 1, sin 0) with zero
         # couplings: they cannot influence real spins and the kernel's mask
         # keeps them frozen.
+        batch, max_size = padded_fields.shape
         theta = np.zeros((batch, max_size, num_reads))
         for index in range(batch):
             size = int(sizes[index])
@@ -272,7 +214,7 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
             sizes,
             children,
             settings,
-            implementation=kernel,
+            implementation=kernels.active_kernel_name(),
             proposal_width=self.proposal_width,
             uniform_fraction=self.uniform_fraction,
         )

@@ -13,9 +13,8 @@ Both the single-instance :meth:`SimulatedAnnealingSolver.solve` and the
 batched :meth:`SimulatedAnnealingSolver.solve_batch` run the same kernel: the
 single path is literally a batch of one, so a batched solve over per-instance
 child generators is bitwise-identical to the sequential loop regardless of
-how instances are grouped.  ``REPRO_KERNEL=legacy`` selects the
-pre-kernel-rewrite bit-space sweep loop instead, reproducing historical
-results bit for bit.
+how instances are grouped.  ``REPRO_KERNEL`` selects the kernel
+implementation (vectorized / numba), exactly as for the anneal backends.
 """
 
 from __future__ import annotations
@@ -116,10 +115,6 @@ class SimulatedAnnealingSolver(QuboSolver):
     def _anneal_batch(
         self, qubos: List[QUBOModel], children: List[np.random.Generator]
     ) -> List[QuboSolution]:
-        kernel = kernels.active_kernel_name()
-        if kernel == "legacy":
-            return self._anneal_batch_legacy(qubos, children)
-
         batch = len(qubos)
         if batch == 0:
             return []
@@ -176,7 +171,7 @@ class SimulatedAnnealingSolver(QuboSolver):
             sizes,
             children,
             settings,
-            implementation=kernel,
+            implementation=kernels.active_kernel_name(),
             spins_per_step=1,
             energies=energies,
             best_spins=best_state,
@@ -213,103 +208,3 @@ class SimulatedAnnealingSolver(QuboSolver):
             energy=qubo.offset,
             solver_name=self.name,
         )
-
-    def _anneal_batch_legacy(
-        self, qubos: List[QUBOModel], children: List[np.random.Generator]
-    ) -> List[QuboSolution]:
-        """Pre-kernel-rewrite bit-space sweep loop (``REPRO_KERNEL=legacy``).
-
-        Preserved bit for bit: random per-sweep visit orders, one uniform per
-        bit, and sequential per-position vectorised Metropolis updates in
-        QUBO bit space.
-        """
-        batch = len(qubos)
-        if batch == 0:
-            return []
-        sizes = np.array([qubo.num_variables for qubo in qubos], dtype=int)
-        max_size = int(sizes.max())
-
-        temperatures = np.stack(
-            [self._temperature_schedule(qubo) for qubo in qubos]
-        )  # (B, num_sweeps)
-
-        # Per-instance incremental state: local[b, i] is the energy change of
-        # setting bit i of instance b to 1 given the other bits.
-        states = np.zeros((batch, max_size), dtype=np.int8)
-        linear = np.zeros((batch, max_size))
-        interaction = np.zeros((batch, max_size, max_size))
-        local = np.zeros((batch, max_size))
-        energies = np.zeros(batch)
-        for index, qubo in enumerate(qubos):
-            n = int(sizes[index])
-            if n == 0:
-                energies[index] = qubo.offset
-                continue
-            states[index, :n] = self._initial_bits(n, children[index])
-            matrix = qubo.coefficients
-            linear[index, :n] = np.diagonal(matrix)
-            symmetric = matrix + matrix.T
-            np.fill_diagonal(symmetric, 0.0)
-            interaction[index, :n, :n] = symmetric
-            local[index, :n] = linear[index, :n] + symmetric @ states[index, :n].astype(float)
-            energies[index] = qubo.energy(states[index, :n])
-
-        best_states = states.copy()
-        best_energies = energies.copy()
-        lanes = np.arange(batch)
-
-        for sweep in range(self.num_sweeps):
-            sweep_temperatures = temperatures[:, sweep]
-            orders = np.zeros((batch, max_size), dtype=int)
-            uniforms = np.ones((batch, max_size))
-            for index in range(batch):
-                n = int(sizes[index])
-                if n == 0:
-                    continue
-                orders[index, :n] = children[index].permutation(n)
-                uniforms[index, :n] = children[index].random(n)
-            for position in range(max_size):
-                active = position < sizes
-                if not np.any(active):
-                    break
-                index = orders[:, position]
-                current = states[lanes, index]
-                # Flipping bit i changes the energy by +local[i] (0 -> 1) or
-                # -local[i] (1 -> 0).
-                delta = np.where(current == 0, local[lanes, index], -local[lanes, index])
-                # The clip only touches lanes already accepted downhill, and
-                # keeps exp() from overflowing on strongly uphill proposals.
-                accept = (delta <= 0) | (
-                    uniforms[:, position]
-                    < np.exp(-np.clip(delta, 0.0, None) / sweep_temperatures)
-                )
-                accept &= active
-                touched = np.nonzero(accept)[0]
-                if touched.size == 0:
-                    continue
-                flipped_bits = 1 - current[touched]
-                states[touched, index[touched]] = flipped_bits
-                direction = (flipped_bits * 2 - 1).astype(float)
-                local[touched] += direction[:, None] * interaction[touched, :, index[touched]]
-                energies[touched] += delta[touched]
-                improved = touched[energies[touched] < best_energies[touched]]
-                if improved.size:
-                    best_energies[improved] = energies[improved]
-                    best_states[improved] = states[improved]
-
-        return [
-            QuboSolution(
-                assignment=best_states[index, : int(sizes[index])].copy(),
-                energy=float(best_energies[index]),
-                solver_name=self.name,
-                compute_time_us=self.time_per_sweep_us * self.num_sweeps,
-                iterations=self.num_sweeps,
-                metadata={
-                    "final_temperature": float(temperatures[index, -1]),
-                    "initial_temperature": float(temperatures[index, 0]),
-                },
-            )
-            if sizes[index]
-            else self._empty_solution(qubos[index])
-            for index in range(batch)
-        ]

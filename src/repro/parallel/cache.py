@@ -135,18 +135,6 @@ def _source_digest(function: Callable) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def _kernel_identity() -> str:
-    """The dynamics identity of the active sweep kernels.
-
-    The replica-parallel implementations (vectorized / reference / numba)
-    are proven bitwise-equal by ``tests/test_kernels.py``, so they share one
-    identity; only the preserved legacy dynamics produce different results.
-    """
-    from repro.annealing import kernels
-
-    return "legacy" if kernels.active_kernel_name() == "legacy" else "replica"
-
-
 def task_fingerprint(
     function: Callable,
     kwargs: Mapping[str, Any],
@@ -170,7 +158,6 @@ def task_fingerprint(
         "environment": {
             "python": ".".join(str(part) for part in sys.version_info[:3]),
             "numpy": np.__version__,
-            "kernel": _kernel_identity(),
         },
         "function": f"{function.__module__}.{function.__qualname__}",
         "library": _library_digest(),

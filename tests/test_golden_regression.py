@@ -11,9 +11,7 @@ After an *intentional* numerics change, regenerate with::
     PYTHONPATH=src python scripts/regen_golden.py
 
 The fixtures are recorded under the ``vectorized`` kernel and equally bind
-the ``numba`` kernel (bitwise-equal by contract, see tests/test_kernels.py);
-under ``reference`` (too slow) or ``legacy`` (different dynamics by design)
-the tests skip.
+the ``numba`` kernel (bitwise-equal by contract, see tests/test_kernels.py).
 """
 
 import dataclasses
@@ -23,7 +21,6 @@ import pathlib
 import pytest
 
 from repro.ablation.presets import ablation_quick_rows
-from repro.annealing import kernels
 from repro.experiments.fig6_distributions import Figure6Config, run_figure6
 from repro.experiments.fig8_tts import Figure8Config, run_figure8
 from repro.experiments.network_study import NetworkStudyConfig, run_network_study
@@ -76,13 +73,6 @@ def _row_label(row) -> str:
         if k in row
     ]
     return "/".join(str(row[k]) for k in keys) or "row"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _replica_kernel_only():
-    kernel = kernels.active_kernel_name()
-    if kernel not in ("vectorized", "numba"):
-        pytest.skip(f"golden fixtures do not bind the {kernel!r} kernel")
 
 
 @pytest.mark.parametrize("name", sorted(STUDIES))

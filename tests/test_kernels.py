@@ -1,15 +1,16 @@
 """Tests for repro.annealing.kernels (replica-parallel sweep kernels).
 
-The reference kernels are the executable specification: every fast
-implementation (vectorized, numba) must reproduce them *bit for bit* on every
-tested configuration — spin counts, read counts, chunk sizes, schedules and
-seeds — for both the SA and SVMC families.  The suite also locks down the
-``REPRO_KERNEL`` selection machinery and the random-draw discipline that
-keeps experiment results invariant to batching.
+The reference kernels in ``tests/kernel_spec.py`` are the executable
+specification: every production implementation (vectorized, numba) must
+reproduce them *bit for bit* on every tested configuration — spin counts,
+read counts, chunk sizes, schedules and seeds — for both the SA and SVMC
+families.  The suite also locks down the ``REPRO_KERNEL`` selection
+machinery and the random-draw discipline that keeps experiment results
+invariant to batching.
 """
 
+import functools
 import logging
-import os
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.exceptions import ConfigurationError
 from repro.qubo.ising import IsingModel
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import spawn_rngs
+from tests.kernel_spec import sa_sweeps_reference, svmc_sweeps_reference
 
 needs_numba = pytest.mark.skipif(
     not kernels.numba_available(), reason="numba is not installed"
@@ -116,12 +118,34 @@ def _svmc_state(sizes, reads, seed, padded_fields, symmetric):
     return theta, cosines, sines, local, children
 
 
+def _kernel(dispatch, spec, implementation):
+    """The test-side ``spec`` for ``"reference"``, else the production dispatch."""
+    if implementation == "reference":
+        return spec
+    return functools.partial(dispatch, implementation=implementation)
+
+
+def _use_kernel(monkeypatch, kernel):
+    """Route every solver-level kernel call to ``kernel``.
+
+    ``"reference"`` swaps the test-side spec in for the default
+    implementation of both families; any other name goes through
+    ``REPRO_KERNEL``.
+    """
+    if kernel == "reference":
+        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+        monkeypatch.setitem(kernels._SA_IMPLEMENTATIONS, "vectorized", sa_sweeps_reference)
+        monkeypatch.setitem(kernels._SVMC_IMPLEMENTATIONS, "vectorized", svmc_sweeps_reference)
+    else:
+        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+
+
 def _run_sa(implementation, sizes, reads, seed, schedule, chunk, track=False):
     padded_fields, symmetric, mask, size_array = _problem_batch(sizes, seed + 1000)
     state, local, children, extras = _sa_state(
         sizes, reads, seed, padded_fields, symmetric, track=track
     )
-    sa_sweeps(
+    _kernel(sa_sweeps, sa_sweeps_reference, implementation)(
         state,
         local,
         symmetric,
@@ -129,7 +153,6 @@ def _run_sa(implementation, sizes, reads, seed, schedule, chunk, track=False):
         size_array,
         children,
         schedule,
-        implementation=implementation,
         spins_per_step=chunk,
         **extras,
     )
@@ -141,7 +164,7 @@ def _run_svmc(implementation, sizes, reads, seed, schedule, chunk, **params):
     theta, cosines, sines, local, children = _svmc_state(
         sizes, reads, seed, padded_fields, symmetric
     )
-    svmc_sweeps(
+    _kernel(svmc_sweeps, svmc_sweeps_reference, implementation)(
         theta,
         cosines,
         sines,
@@ -151,7 +174,6 @@ def _run_svmc(implementation, sizes, reads, seed, schedule, chunk, **params):
         size_array,
         children,
         schedule,
-        implementation=implementation,
         proposal_width=params.get("proposal_width", 0.5),
         uniform_fraction=params.get("uniform_fraction", 0.15),
         spins_per_step=chunk,
@@ -165,18 +187,24 @@ class TestKernelSelection:
         assert kernels.requested_kernel_name() == "vectorized"
         assert kernels.active_kernel_name() == "vectorized"
 
+    def test_choices_are_the_production_implementations(self):
+        assert KERNEL_CHOICES == ("vectorized", "numba")
+        assert tuple(kernels._SA_IMPLEMENTATIONS) == KERNEL_CHOICES
+        assert tuple(kernels._SVMC_IMPLEMENTATIONS) == KERNEL_CHOICES
+
     @pytest.mark.parametrize("name", KERNEL_CHOICES)
     def test_every_choice_is_accepted(self, monkeypatch, name):
         monkeypatch.setenv(KERNEL_ENV_VAR, name)
         assert kernels.requested_kernel_name() == name
 
     def test_value_is_normalised(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "  Reference ")
-        assert kernels.requested_kernel_name() == "reference"
+        monkeypatch.setenv(KERNEL_ENV_VAR, "  Numba ")
+        assert kernels.requested_kernel_name() == "numba"
 
-    def test_unknown_value_is_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "turbo")
-        with pytest.raises(ConfigurationError, match="turbo"):
+    @pytest.mark.parametrize("name", ["turbo", "legacy", "reference"])
+    def test_unknown_value_is_rejected(self, monkeypatch, name):
+        monkeypatch.setenv(KERNEL_ENV_VAR, name)
+        with pytest.raises(ConfigurationError, match=f"{name}.*vectorized, numba"):
             kernels.requested_kernel_name()
         with pytest.raises(ConfigurationError):
             kernels.active_kernel_name()
@@ -346,7 +374,7 @@ SOLVER_LEVEL_KERNELS = ["reference", pytest.param("numba", marks=needs_numba)]
 
 
 class TestSolverLevelEquivalence:
-    """End-to-end runs agree bitwise across REPRO_KERNEL settings."""
+    """End-to-end runs agree bitwise with the spec and every REPRO_KERNEL."""
 
     @pytest.mark.parametrize("kernel", SOLVER_LEVEL_KERNELS)
     def test_classical_sa(self, monkeypatch, kernel):
@@ -354,7 +382,7 @@ class TestSolverLevelEquivalence:
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
         solver = SimulatedAnnealingSolver(num_sweeps=30)
         baseline = solver.solve_batch(qubos, rng=0)
-        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+        _use_kernel(monkeypatch, kernel)
         candidate = solver.solve_batch(qubos, rng=0)
         for expected, actual in zip(baseline, candidate):
             assert np.array_equal(expected.assignment, actual.assignment)
@@ -374,7 +402,7 @@ class TestSolverLevelEquivalence:
             ising.fields, ising.couplings, schedule, 6, functions, 0.05,
             rng=np.random.default_rng(2),
         )
-        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+        _use_kernel(monkeypatch, kernel)
         candidate = backend.run(
             ising.fields, ising.couplings, schedule, 6, functions, 0.05,
             rng=np.random.default_rng(2),
@@ -471,25 +499,26 @@ class TestDrawDiscipline:
             )
         assert np.array_equal(second_calls[0], second_calls[1])
 
-    def test_reverse_anneal_paths_agree_too(self):
-        # Reverse annealing threads initial states through the kernels; the
-        # reference implementation must agree there as well.
+    def test_reverse_anneal_paths_agree_too(self, monkeypatch):
+        # Reverse annealing threads initial states through the kernels of
+        # both backends; the spec must agree there as well.
         ising = _toy_ising(6, size=6)
         functions = AnnealingFunctions()
         schedule = reverse_anneal_schedule(0.6, 1.0, 1.0)
         initial = np.array([1, -1, 1, 1, -1, -1], dtype=np.int8)
-        results = {}
-        for implementation in ("vectorized", "reference"):
-            previous = os.environ.get(KERNEL_ENV_VAR)
-            os.environ[KERNEL_ENV_VAR] = implementation
-            try:
-                results[implementation] = ScheduleDrivenAnnealingBackend().run(
+        backends = (ScheduleDrivenAnnealingBackend(), SpinVectorMonteCarloBackend())
+
+        def run_all():
+            return [
+                backend.run(
                     ising.fields, ising.couplings, schedule, 4, functions, 0.05,
                     initial_spins=initial, rng=np.random.default_rng(8),
                 )
-            finally:
-                if previous is None:
-                    del os.environ[KERNEL_ENV_VAR]
-                else:
-                    os.environ[KERNEL_ENV_VAR] = previous
-        assert np.array_equal(results["vectorized"], results["reference"])
+                for backend in backends
+            ]
+
+        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+        production = run_all()
+        _use_kernel(monkeypatch, "reference")
+        for expected, actual in zip(production, run_all()):
+            assert np.array_equal(expected, actual)

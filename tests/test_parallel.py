@@ -121,18 +121,16 @@ class TestTaskFingerprint:
         kwargs = {"value": 3}
         assert task_fingerprint(_square, kwargs) != task_fingerprint(_fail, {"message": "x"})
 
-    def test_sensitive_to_legacy_kernel_dynamics(self, monkeypatch):
+    def test_same_for_every_kernel_choice(self, monkeypatch):
+        # The selectable kernels are bitwise-equal, so choosing among them
+        # must never invalidate cached results.
         from repro.annealing.kernels import KERNEL_ENV_VAR
 
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
         base = task_fingerprint(_seeded_draw, {"seed": 1, "count": 5}, ("k",))
-        # Choosing among the bitwise-equal replica implementations must not
-        # invalidate cached results...
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert task_fingerprint(_seeded_draw, {"seed": 1, "count": 5}, ("k",)) == base
-        # ...but the preserved legacy dynamics are a different result class.
-        monkeypatch.setenv(KERNEL_ENV_VAR, "legacy")
-        assert task_fingerprint(_seeded_draw, {"seed": 1, "count": 5}, ("k",)) != base
+        for kernel in ("vectorized", "numba"):
+            monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+            assert task_fingerprint(_seeded_draw, {"seed": 1, "count": 5}, ("k",)) == base
 
     def test_library_digest_is_stable_within_a_process(self):
         from repro.parallel.cache import _library_digest

@@ -419,8 +419,6 @@ class TestBitwiseInvariance:
 
     @pytest.mark.parametrize("name", ["fig6_quick", "fig8_quick", "snr_quick"])
     def test_golden_studies_identical_with_telemetry_on(self, name):
-        if kernels.active_kernel_name() not in ("vectorized", "numba"):
-            pytest.skip("golden fixtures bind the replica-parallel kernels only")
         from tests.test_golden_regression import GOLDEN_DIR, STUDIES, rows_as_payload
 
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
