@@ -9,12 +9,12 @@ sample distribution.
 
 from conftest import run_once
 
-from repro.experiments import Figure6Config, format_figure6_table, run_figure6
+from repro.experiments import Figure6Config, Figure6Driver, format_figure6_table, run_driver
 
 
 def test_figure6_distributions(benchmark, report_writer):
     config = Figure6Config(instances_per_modulation=2, num_reads=400)
-    series = run_once(benchmark, run_figure6, config)
+    series = run_once(benchmark, run_driver, Figure6Driver(), config)
     report_writer("figure6_distributions", format_figure6_table(series), data=series)
 
     by_key = {(row.modulation, row.method): row for row in series}

@@ -14,7 +14,7 @@ the switch/pause location grid, and checks the paper's qualitative findings:
 import numpy as np
 from conftest import run_once
 
-from repro.experiments import Figure8Config, format_figure8_table, run_figure8
+from repro.experiments import Figure8Config, Figure8Driver, format_figure8_table, run_driver
 
 
 def _best(rows, method):
@@ -24,7 +24,7 @@ def _best(rows, method):
 
 def test_figure8_tts_sweep(benchmark, report_writer):
     config = Figure8Config(num_reads=500)
-    rows = run_once(benchmark, run_figure8, config)
+    rows = run_once(benchmark, run_driver, Figure8Driver(), config)
     report_writer("figure8_tts_sweep", format_figure8_table(rows), data=rows)
 
     ra_rows = sorted(

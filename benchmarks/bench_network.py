@@ -34,9 +34,10 @@ import pathlib
 import sys
 import tracemalloc
 
+from repro.experiments.driver import run_driver
 from repro.experiments.network_study import (
     NetworkStudyConfig,
-    run_network_study,
+    NetworkStudyDriver,
 )
 from repro.network.aggregate import AggregationConfig, cell_window_counts
 from repro.network.topology import build_topology
@@ -94,8 +95,8 @@ def run_network_gates(smoke: bool = False) -> dict:
     config = _study_config(smoke)
     memory = _measure_counter_memory(config)
 
-    serial = run_network_study(config)
-    sharded = run_network_study(config, workers=2)
+    serial = run_driver(NetworkStudyDriver(), config)
+    sharded = run_driver(NetworkStudyDriver(), config, workers=2)
 
     rows = {row.placement: row for row in serial.rows}
     static_miss = rows["static"].miss_rate

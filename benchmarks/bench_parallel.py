@@ -35,8 +35,9 @@ import time
 
 from repro.experiments import (
     ScenarioStudyConfig,
+    ScenarioStudyDriver,
     format_scenario_table,
-    run_scenario_study,
+    run_driver,
 )
 from repro.parallel import ResultCache
 
@@ -59,22 +60,22 @@ SMOKE_WORKERS = 2
 def run_comparison(config: ScenarioStudyConfig = CONFIG, workers: int = WORKERS) -> dict:
     """Serial vs sharded vs cached runs of the catalog sweep."""
     start = time.perf_counter()
-    serial = run_scenario_study(config)
+    serial = run_driver(ScenarioStudyDriver(), config)
     serial_s = time.perf_counter() - start
     serial_table = format_scenario_table(serial)
 
     start = time.perf_counter()
-    parallel = run_scenario_study(config, workers=workers)
+    parallel = run_driver(ScenarioStudyDriver(), config, workers=workers)
     parallel_s = time.perf_counter() - start
     identical = format_scenario_table(parallel) == serial_table
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
         cache = ResultCache(cache_dir)
         start = time.perf_counter()
-        run_scenario_study(config, cache=cache)
+        run_driver(ScenarioStudyDriver(), config, cache=cache)
         cold_s = time.perf_counter() - start
         start = time.perf_counter()
-        warm = run_scenario_study(config, cache=cache)
+        warm = run_driver(ScenarioStudyDriver(), config, cache=cache)
         warm_s = time.perf_counter() - start
         warm_identical = format_scenario_table(warm) == serial_table
         hits, misses = cache.hits, cache.misses

@@ -36,8 +36,9 @@ import numpy as np
 
 from repro.experiments import (
     RobustnessStudyConfig,
+    RobustnessStudyDriver,
     format_robustness_table,
-    run_robustness_study,
+    run_driver,
 )
 from repro.wireless import ChannelImpairments, MIMOConfig
 from repro.wireless.mimo import simulate_transmission
@@ -73,9 +74,9 @@ def identity_is_bitwise() -> bool:
 
 def run_comparison(config: RobustnessStudyConfig = CONFIG, workers: int = WORKERS) -> dict:
     """Serial vs sharded runs of the sweep, plus the quality deltas."""
-    serial = run_robustness_study(config)
+    serial = run_driver(RobustnessStudyDriver(), config)
     serial_table = format_robustness_table(serial)
-    parallel = run_robustness_study(config, workers=workers)
+    parallel = run_driver(RobustnessStudyDriver(), config, workers=workers)
     identical = format_robustness_table(parallel) == serial_table
 
     def _row(axis: str, value: float):

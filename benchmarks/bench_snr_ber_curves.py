@@ -8,14 +8,14 @@ accurate as zero-forcing.
 
 from conftest import run_once
 
-from repro.experiments import SNRStudyConfig, format_snr_table, run_snr_study
+from repro.experiments import SNRStudyConfig, SNRStudyDriver, format_snr_table, run_driver
 
 
 def test_snr_ber_curves(benchmark, report_writer):
     config = SNRStudyConfig(
         snr_grid_db=(0.0, 6.0, 12.0, 18.0), channel_uses_per_point=6, num_reads=120
     )
-    rows = run_once(benchmark, run_snr_study, config)
+    rows = run_once(benchmark, run_driver, SNRStudyDriver(), config)
     report_writer("snr_ber_curves", format_snr_table(rows), data=rows)
 
     by_snr = {row.snr_db: row for row in rows}

@@ -21,7 +21,7 @@ script finishes in well under a minute::
 from __future__ import annotations
 
 from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBackend
-from repro.experiments import LoadStudyConfig, format_load_study_table, run_load_study
+from repro.experiments import LoadStudyConfig, LoadStudyDriver, format_load_study_table, run_driver
 from repro.serving import (
     AnnealerServingBackend,
     BackendPool,
@@ -43,7 +43,7 @@ def main() -> None:
         load_factors=(0.5, 1.0, 2.0, 4.0, 8.0),
         num_reads=30,
     )
-    print(format_load_study_table(run_load_study(config)))
+    print(format_load_study_table(run_driver(LoadStudyDriver(), config)))
     print()
 
     # ---- 2. One evaluated run with a hotspot cell ---------------------

@@ -27,23 +27,24 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.ablation.presets import ablation_quick_rows  # noqa: E402
-from repro.experiments.fig6_distributions import Figure6Config, run_figure6  # noqa: E402
-from repro.experiments.fig8_tts import Figure8Config, run_figure8  # noqa: E402
+from repro.experiments.driver import run_driver  # noqa: E402
+from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver  # noqa: E402
+from repro.experiments.fig8_tts import Figure8Config, Figure8Driver  # noqa: E402
 from repro.experiments.network_study import (  # noqa: E402
     NetworkStudyConfig,
-    run_network_study,
+    NetworkStudyDriver,
 )
-from repro.experiments.snr_study import SNRStudyConfig, run_snr_study  # noqa: E402
+from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver  # noqa: E402
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
 #: Fixture name -> zero-argument callable returning a list of result rows.
 STUDIES = {
     "ablation_quick": ablation_quick_rows,
-    "fig6_quick": lambda: run_figure6(Figure6Config.quick()),
-    "fig8_quick": lambda: run_figure8(Figure8Config.quick()),
-    "network_quick": lambda: run_network_study(NetworkStudyConfig.quick()).rows,
-    "snr_quick": lambda: run_snr_study(SNRStudyConfig.quick()),
+    "fig6_quick": lambda: run_driver(Figure6Driver(), Figure6Config.quick()),
+    "fig8_quick": lambda: run_driver(Figure8Driver(), Figure8Config.quick()),
+    "network_quick": lambda: run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick()).rows,
+    "snr_quick": lambda: run_driver(SNRStudyDriver(), SNRStudyConfig.quick()),
 }
 
 

@@ -23,14 +23,12 @@ from repro.ablation.spec import (
     compile_config,
     expand_spec,
     point_fingerprint,
-    spec_from_config,
 )
 from repro.ablation.study import (
     PointResult,
     StudyResult,
     StudyRow,
     format_study_table,
-    run_single_config,
     run_study,
 )
 
@@ -52,8 +50,6 @@ __all__ = [
     "pareto_front",
     "point_fingerprint",
     "register_target",
-    "run_single_config",
     "run_study",
-    "spec_from_config",
     "spec_from_mapping",
 ]

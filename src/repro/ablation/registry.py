@@ -1,26 +1,22 @@
 """The ablation target registry: experiments the harness knows how to sweep.
 
-An :class:`ExperimentTarget` adapts one experiment driver to the declarative
-harness: configuration presets, the driver's existing ``ShardTask`` builder
-(the same function the imperative entry point uses, so a study point's
-shards carry the same cache fingerprints as a direct run), a collector that
-turns shard results back into the driver's row type, and a metrics reducer
-producing the scalar columns of the tidy results table.
+An :class:`ExperimentTarget` is one experiment driver plus its named
+configuration presets.  A study point runs the driver's own ``tasks`` (so
+its shards carry the same cache fingerprints as ``run_driver`` on the same
+config), ``aggregate`` / ``rows`` and ``metrics`` — nothing is restated.
 
 Targets register by name; the built-in bindings (``fig8``, ``robustness``,
-``serve``, ``scenarios``, ``network``, ``anneal-hpo``) load lazily on first
-lookup so importing
-:mod:`repro.ablation` never triggers the experiment modules (which
-themselves call back into the harness).
+``serve``, ``scenarios``, ``network``, ``qos``, ``anneal-hpo``) load lazily
+on first lookup so importing :mod:`repro.ablation` never triggers the
+experiment modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.parallel import ShardTask
 
 __all__ = [
     "ExperimentTarget",
@@ -36,34 +32,26 @@ class ExperimentTarget:
 
     Attributes
     ----------
-    name:
-        Registry key (the spec's ``experiment`` value).
+    driver:
+        The :class:`~repro.experiments.driver.ExperimentDriver` whose
+        ``name`` is the registry key (the spec's ``experiment`` value) and
+        whose ``tasks`` / ``aggregate`` / ``rows`` / ``metrics`` /
+        ``metric_names`` a study point uses.
     presets:
-        Maps preset names (``default``/``quick``/``paper``/...) to
-        zero-argument config factories.
-    tasks:
-        ``config -> ShardTask list`` — the driver's own shard builder, so
-        per-point cache keys are identical to the imperative entry point's.
-    collect:
-        ``(config, shard_results) -> rows`` — reassembles the driver's result
-        rows from the shard results, in task order.
-    metrics:
-        ``rows -> ((name, value), ...)`` — the scalar summary metrics of one
-        study point, in a fixed declaration order.
-    metric_names:
-        The names ``metrics`` emits, used to validate spec selectors and
-        objectives before any compute is spent.
+        Maps preset names (``default``/``quick``/``paper``) to zero-argument
+        config factories; see :func:`repro.experiments.driver.config_presets`.
     description:
         One line for docs and error messages.
     """
 
-    name: str
+    driver: Any
     presets: Mapping[str, Callable[[], Any]]
-    tasks: Callable[[Any], Sequence[ShardTask]]
-    collect: Callable[[Any, Sequence[Any]], Sequence[Any]]
-    metrics: Callable[[Sequence[Any]], Tuple[Tuple[str, float], ...]]
-    metric_names: Tuple[str, ...]
     description: str = ""
+
+    @property
+    def name(self) -> str:
+        """Registry key: the driver's name."""
+        return self.driver.name
 
     def make_config(self, preset: str) -> Any:
         """Instantiate one of the target's preset configurations."""
@@ -75,33 +63,6 @@ class ExperimentTarget:
                 + ", ".join(sorted(self.presets))
             ) from None
         return factory()
-
-    @classmethod
-    def from_driver(
-        cls,
-        driver: Any,
-        presets: Mapping[str, Callable[[], Any]],
-        description: str = "",
-    ) -> "ExperimentTarget":
-        """Bind an :class:`~repro.experiments.driver.ExperimentDriver`.
-
-        The driver's own ``tasks`` builder produces the shard list (so a
-        study point's cache fingerprints are identical to the imperative
-        entry point's), ``collect`` routes the shard results through the
-        driver's pure ``aggregate``/``rows`` pair, and ``metrics`` /
-        ``metric_names`` come straight off the driver — no per-target glue.
-        """
-        return cls(
-            name=driver.name,
-            presets=presets,
-            tasks=driver.tasks,
-            collect=lambda config, shards: list(
-                driver.rows(driver.aggregate(config, list(shards)))
-            ),
-            metrics=driver.metrics,
-            metric_names=tuple(driver.metric_names),
-            description=description,
-        )
 
 
 _REGISTRY: Dict[str, ExperimentTarget] = {}

@@ -47,7 +47,6 @@ __all__ = [
     "expand_spec",
     "point_fingerprint",
     "compile_config",
-    "spec_from_config",
 ]
 
 _log = get_logger(__name__)
@@ -399,18 +398,3 @@ def compile_config(spec: AblationSpec, point: StudyPoint, base_config: Any) -> A
             )
         overrides[key] = _coerce_like(getattr(base_config, key), value, key)
     return dataclasses.replace(base_config, **overrides)
-
-
-def spec_from_config(name: str, experiment: str, config: Any) -> AblationSpec:
-    """The degenerate one-point spec equivalent to running ``config`` directly.
-
-    Every config field becomes a base override, so the single expanded point
-    compiles back to exactly ``config`` — this is how the rewired experiment
-    drivers (fig8, robustness) express themselves as thin specs over the
-    harness.
-    """
-    base = {
-        field.name: _freeze(getattr(config, field.name))
-        for field in dataclasses.fields(config)
-    }
-    return AblationSpec(name=name, experiment=experiment, base=base)

@@ -8,13 +8,10 @@ call over the concatenated task list (so sharding spans study points and the
 scalar metrics, ``experiment.point`` telemetry events, and an optional
 Pareto front over the spec's objectives.
 
-Because a point's shards are exactly the work units the imperative driver
-would build for the same config, a study is bitwise-identical to running the
+Because a point's shards are exactly the work units ``run_driver`` would
+build for the same config, a study is bitwise-identical to running the
 driver once per point — serial, at any worker count, or warm from cache —
 and editing one axis value recomputes only the points that use it.
-
-:func:`run_single_config` is the degenerate one-point study the rewired
-drivers (``run_figure8``, ``run_robustness_study``) are thin wrappers over.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ __all__ = [
     "StudyRow",
     "StudyResult",
     "run_study",
-    "run_single_config",
     "format_study_table",
 ]
 
@@ -146,20 +142,20 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _validate_metric_names(spec: AblationSpec, target: ExperimentTarget) -> None:
-    known = set(target.metric_names)
+def _validate_metric_names(spec: AblationSpec, metric_names: Tuple[str, ...]) -> None:
+    known = set(metric_names)
     for selector in spec.metrics:
         if selector not in known:
             raise ConfigurationError(
                 f"unknown metric {selector!r} for experiment {spec.experiment!r}; "
-                f"metrics: {', '.join(target.metric_names)}"
+                f"metrics: {', '.join(metric_names)}"
             )
     selectable = set(spec.metrics) if spec.metrics else known
     for metric, _ in spec.objectives:
         if metric not in known:
             raise ConfigurationError(
                 f"objective metric {metric!r} is not computed by experiment "
-                f"{spec.experiment!r}; metrics: {', '.join(target.metric_names)}"
+                f"{spec.experiment!r}; metrics: {', '.join(metric_names)}"
             )
         if metric not in selectable:
             raise ConfigurationError(
@@ -178,14 +174,14 @@ def compile_study(
     """
     target = get_target(spec.experiment)
     base_config = target.make_config(spec.preset)
-    _validate_metric_names(spec, target)
+    _validate_metric_names(spec, target.driver.metric_names)
     points = expand_spec(spec)
     configs: List[Any] = []
     tasks: List[ShardTask] = []
     slices: List[slice] = []
     for point in points:
         config = compile_config(spec, point, base_config)
-        inner = list(target.tasks(config))
+        inner = list(target.driver.tasks(config))
         slices.append(slice(len(tasks), len(tasks) + len(inner)))
         tasks.extend(inner)
         configs.append(config)
@@ -216,11 +212,12 @@ def run_study(
     runner = ParallelRunner(workers=workers, cache=cache)
     shard_results = runner.run_sharded(tasks)
 
-    selected = spec.metrics or target.metric_names
+    driver = target.driver
+    selected = spec.metrics or driver.metric_names
     results: List[PointResult] = []
     for point, config, task_slice in zip(points, configs, slices):
-        rows = tuple(target.collect(config, shard_results[task_slice]))
-        all_metrics = dict(target.metrics(rows))
+        rows = tuple(driver.rows(driver.aggregate(config, shard_results[task_slice])))
+        all_metrics = dict(driver.metrics(rows))
         metrics = tuple((name, float(all_metrics[name])) for name in selected)
         results.append(PointResult(point=point, metrics=metrics, rows=rows))
         telemetry.emit_progress(
@@ -250,25 +247,6 @@ def run_study(
         front=len(front),
     )
     return StudyResult(spec=spec, points=results, front=front, excluded=excluded, stats=stats)
-
-
-def run_single_config(
-    experiment: str,
-    config: Any,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> Tuple[List[ShardTask], List[Any]]:
-    """Run one explicit config as a degenerate one-point study.
-
-    This is the execution path of the rewired imperative drivers: the
-    target's shard builder produces the work units, the parallel runner
-    executes them, and ``(tasks, shard_results)`` come back in task order for
-    the driver's own row assembly and progress events.
-    """
-    target = get_target(experiment)
-    tasks = list(target.tasks(config))
-    shard_results = ParallelRunner(workers=workers, cache=cache).run_sharded(tasks)
-    return tasks, shard_results
 
 
 def format_study_table(result: StudyResult) -> str:

@@ -1,14 +1,13 @@
 """Built-in ablation targets: fig8, robustness, the serving/scenario/network/
 QoS drivers, and a synthetic SA HPO sweep.
 
-The experiment targets bind the drivers' :class:`~repro.experiments.driver.
-ExperimentDriver` objects via :meth:`~repro.ablation.registry.
-ExperimentTarget.from_driver`: a study point's shards are *the same work
-units* — same functions, same kwargs, same cache fingerprints — that a
-direct ``repro-experiments fig8`` / ``robustness`` / ``serve`` /
-``scenarios`` / ``network`` / ``qos`` run produces, and the rows and metrics
-come from the driver's own pure ``aggregate``/``metrics`` pair.  This is
-what makes the harness subsume the imperative drivers bitwise, and it means
+Each target wraps an :class:`~repro.experiments.driver.ExperimentDriver`
+with the presets its config class defines: a study point's shards are *the
+same work units* — same functions, same kwargs, same cache fingerprints —
+that ``run_driver`` (and so ``repro-experiments fig8`` / ``robustness`` /
+``serve`` / ``scenarios`` / ``network`` / ``qos``) produces, and the rows and
+metrics come from the driver's own pure ``aggregate``/``metrics`` pair.  This
+is what makes the harness subsume the imperative runs bitwise, and it means
 the declarative and imperative paths share one warm cache.  The
 serving-side targets turn pool sizes, autoscale thresholds, QoS class mixes
 and the network study's detector/embedder knobs into sweepable axes.
@@ -22,89 +21,34 @@ Pareto path in milliseconds without touching the MIMO stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.ablation.registry import ExperimentTarget, register_target
+from repro.experiments import (
+    ExperimentDriver,
+    Figure8Config,
+    Figure8Driver,
+    LoadStudyConfig,
+    LoadStudyDriver,
+    NetworkStudyConfig,
+    NetworkStudyDriver,
+    QoSStudyConfig,
+    QoSStudyDriver,
+    RobustnessStudyConfig,
+    RobustnessStudyDriver,
+    ScenarioStudyConfig,
+    ScenarioStudyDriver,
+    config_presets,
+)
+from repro.experiments.driver import mean_or_nan
 from repro.parallel import ShardTask
 
 __all__ = [
     "AnnealHPOConfig",
+    "AnnealHPODriver",
     "AnnealHPORow",
-    "anneal_hpo_tasks",
     "register_builtin_targets",
 ]
-
-
-def _mean_or_nan(values: Sequence[float]) -> float:
-    return float(np.mean(values)) if len(values) else float("nan")
-
-
-def _fig8_presets():
-    from repro.experiments.fig8_tts import Figure8Config
-
-    return {
-        "default": Figure8Config,
-        "quick": Figure8Config.quick,
-        "paper": Figure8Config.paper_scale,
-    }
-
-
-def _robustness_presets():
-    from repro.experiments.robustness_study import RobustnessStudyConfig
-
-    return {
-        "default": RobustnessStudyConfig,
-        "quick": RobustnessStudyConfig.quick,
-        "paper": RobustnessStudyConfig.paper_scale,
-    }
-
-
-def _serve_presets():
-    from repro.experiments.load_study import LoadStudyConfig
-
-    return {
-        "default": LoadStudyConfig,
-        "quick": LoadStudyConfig.quick,
-        "paper": LoadStudyConfig.paper_scale,
-    }
-
-
-def _scenarios_presets():
-    from repro.experiments.scenario_study import ScenarioStudyConfig
-
-    return {
-        "default": ScenarioStudyConfig,
-        "quick": ScenarioStudyConfig.quick,
-        "paper": ScenarioStudyConfig.paper_scale,
-    }
-
-
-def _network_presets():
-    from repro.experiments.network_study import NetworkStudyConfig
-
-    return {
-        "default": NetworkStudyConfig,
-        "quick": NetworkStudyConfig.quick,
-        "paper": NetworkStudyConfig.city_scale,
-        "city": NetworkStudyConfig.city_scale,
-    }
-
-
-def _qos_presets():
-    from repro.experiments.qos_study import QoSStudyConfig
-
-    return {
-        "default": QoSStudyConfig,
-        "quick": QoSStudyConfig.quick,
-        "paper": QoSStudyConfig.paper_scale,
-    }
-
-
-def _identity_collect(config: Any, shards: Sequence[Any]) -> List[Any]:
-    """Each shard result already is one row."""
-    return list(shards)
 
 
 # ---------------------------------------------------------------------------
@@ -180,94 +124,75 @@ def _anneal_hpo_shard(config: AnnealHPOConfig, restart: int) -> AnnealHPORow:
     )
 
 
-def anneal_hpo_tasks(config: AnnealHPOConfig) -> List[ShardTask]:
-    """One shard per SA restart, each seeded by (base_seed, restart)."""
-    return [
-        ShardTask(
-            key=("anneal-hpo", restart),
-            fn=_anneal_hpo_shard,
-            kwargs={"config": config, "restart": restart},
+class AnnealHPODriver(ExperimentDriver):
+    """The synthetic SA sweep: one shard per restart, one row per shard."""
+
+    name = "anneal-hpo"
+    metric_names = ANNEAL_HPO_METRICS
+
+    def tasks(self, config: AnnealHPOConfig) -> List[ShardTask]:
+        """One shard per SA restart, each seeded by (base_seed, restart)."""
+        return [
+            ShardTask(
+                key=("anneal-hpo", restart),
+                fn=_anneal_hpo_shard,
+                kwargs={"config": config, "restart": restart},
+            )
+            for restart in range(config.num_restarts)
+        ]
+
+    def aggregate(
+        self, config: AnnealHPOConfig, results: Sequence[AnnealHPORow]
+    ) -> List[AnnealHPORow]:
+        return list(results)
+
+    def metrics(self, rows: Sequence[AnnealHPORow]) -> Tuple[Tuple[str, float], ...]:
+        energies = [row.energy for row in rows]
+        return (
+            ("best_energy", min(energies) if energies else float("nan")),
+            ("mean_energy", mean_or_nan(energies)),
+            ("compute_time_us_mean", mean_or_nan([row.compute_time_us for row in rows])),
+            ("sweeps_total", float(sum(row.sweeps for row in rows))),
         )
-        for restart in range(config.num_restarts)
-    ]
-
-
-def _anneal_hpo_metrics(rows: Sequence[AnnealHPORow]) -> Tuple[Tuple[str, float], ...]:
-    energies = [row.energy for row in rows]
-    return (
-        ("best_energy", min(energies) if energies else float("nan")),
-        ("mean_energy", _mean_or_nan(energies)),
-        ("compute_time_us_mean", _mean_or_nan([row.compute_time_us for row in rows])),
-        ("sweeps_total", float(sum(row.sweeps for row in rows))),
-    )
 
 
 def register_builtin_targets() -> None:
     """Register the built-in targets (idempotent via replace=True)."""
-    from repro.experiments.fig8_tts import Figure8Driver
-    from repro.experiments.load_study import LoadStudyDriver
-    from repro.experiments.network_study import NetworkStudyDriver
-    from repro.experiments.qos_study import QoSStudyDriver
-    from repro.experiments.robustness_study import RobustnessStudyDriver
-    from repro.experiments.scenario_study import ScenarioStudyDriver
-
-    register_target(
-        ExperimentTarget.from_driver(
-            Figure8Driver(),
-            presets=_fig8_presets(),
-            description="Figure 8 — success probability and TTS(99%) vs s_p",
-        ),
-        replace=True,
-    )
-    register_target(
-        ExperimentTarget.from_driver(
+    builtins = (
+        (Figure8Driver(), Figure8Config, "Figure 8 — success probability and TTS(99%) vs s_p"),
+        (
             RobustnessStudyDriver(),
-            presets=_robustness_presets(),
-            description="E-X3 — detection robustness under channel impairments",
+            RobustnessStudyConfig,
+            "E-X3 — detection robustness under channel impairments",
         ),
-        replace=True,
-    )
-    register_target(
-        ExperimentTarget.from_driver(
+        (
             LoadStudyDriver(),
-            presets=_serve_presets(),
-            description="E-SV — deadline-miss rate vs offered load (serving pool)",
+            LoadStudyConfig,
+            "E-SV — deadline-miss rate vs offered load (serving pool)",
         ),
-        replace=True,
-    )
-    register_target(
-        ExperimentTarget.from_driver(
+        (
             ScenarioStudyDriver(),
-            presets=_scenarios_presets(),
-            description="E-SC — static vs autoscaled pools across the scenario catalog",
+            ScenarioStudyConfig,
+            "E-SC — static vs autoscaled pools across the scenario catalog",
         ),
-        replace=True,
-    )
-    register_target(
-        ExperimentTarget.from_driver(
+        (
             NetworkStudyDriver(),
-            presets=_network_presets(),
-            description="city-scale capacity placement: static vs reactive vs oracle",
+            NetworkStudyConfig,
+            "city-scale capacity placement: static vs reactive vs oracle",
         ),
-        replace=True,
-    )
-    register_target(
-        ExperimentTarget.from_driver(
+        (
             QoSStudyDriver(),
-            presets=_qos_presets(),
-            description="E-QS — classless vs class-aware serving across the catalog",
+            QoSStudyConfig,
+            "E-QS — classless vs class-aware serving across the catalog",
         ),
-        replace=True,
-    )
-    register_target(
-        ExperimentTarget(
-            name="anneal-hpo",
-            presets={"default": AnnealHPOConfig, "quick": AnnealHPOConfig.quick},
-            tasks=anneal_hpo_tasks,
-            collect=_identity_collect,
-            metrics=_anneal_hpo_metrics,
-            metric_names=ANNEAL_HPO_METRICS,
-            description="synthetic SA hyper-parameter sweep on a random QUBO",
+        (
+            AnnealHPODriver(),
+            AnnealHPOConfig,
+            "synthetic SA hyper-parameter sweep on a random QUBO",
         ),
-        replace=True,
     )
+    for driver, config_class, description in builtins:
+        register_target(
+            ExperimentTarget(driver, config_presets(config_class), description),
+            replace=True,
+        )

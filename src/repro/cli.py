@@ -46,8 +46,9 @@ without it (see ``docs/telemetry.md``).  ``--verbose/-v`` and ``--quiet/-q``
 control structured progress logging.
 
 Parsed options land in one :class:`CommonRunOptions` value consumed by every
-experiment runner, so adding a subcommand means writing one runner function
-and one table entry — never re-wiring flags.
+experiment runner, so adding a subcommand means one table entry — never
+re-wiring flags.  The sharded subcommands all run through
+:func:`~repro.experiments.driver.run_driver` with their study's driver.
 
 ``ablate`` runs a declarative ablation/HPO study: ``--spec FILE`` names a
 TOML or JSON study spec (see ``docs/ablation.md``), the execution options
@@ -60,11 +61,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import pathlib
 import re
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.parallel import ResultCache
@@ -72,21 +74,31 @@ from repro.telemetry import exporters
 from repro.telemetry.log import configure_logging, get_logger
 
 from repro.experiments import (
+    ExperimentDriver,
     Figure3Config,
     Figure6Config,
+    Figure6Driver,
     Figure7Config,
     Figure8Config,
+    Figure8Driver,
     HeadlineConfig,
     InitializerAblationConfig,
     LoadStudyConfig,
+    LoadStudyDriver,
     NetworkStudyConfig,
+    NetworkStudyDriver,
     PauseAblationConfig,
     QoSStudyConfig,
+    QoSStudyDriver,
     ScenarioStudyConfig,
+    ScenarioStudyDriver,
     PipelineStudyConfig,
     RobustnessStudyConfig,
+    RobustnessStudyDriver,
     SNRStudyConfig,
+    SNRStudyDriver,
     SoftConstraintConfig,
+    config_presets,
     format_figure3_table,
     format_figure6_table,
     format_figure7_table,
@@ -102,20 +114,13 @@ from repro.experiments import (
     format_scenario_table,
     format_snr_table,
     format_soft_constraint_table,
+    run_driver,
     run_figure3,
-    run_figure6,
     run_figure7,
-    run_figure8,
     run_headline,
     run_initializer_ablation,
-    run_load_study,
-    run_network_study,
     run_pause_ablation,
     run_pipeline_study,
-    run_qos_study,
-    run_robustness_study,
-    run_scenario_study,
-    run_snr_study,
     run_soft_constraint_study,
 )
 
@@ -154,156 +159,45 @@ class CommonRunOptions:
         )
 
 
-def _select(config_class, scale: str, batch_size: Optional[int] = None):
-    """Pick the configuration variant for the requested scale.
+def _config(config_class, options: CommonRunOptions):
+    """The configuration variant for the requested scale and batch size.
 
-    ``batch_size`` is applied to configurations that expose a ``batch_size``
-    field (fig6, snr, pipeline); others submit their natural batch and ignore
-    the flag.
+    A scale the class has no preset for falls back to its default.
+    ``--batch-size`` lands on the config's ``batch_size`` field (fig6, snr,
+    robustness, pipeline) or, for the serving studies, its
+    ``max_batch_size``; configs with neither ignore the flag.
     """
-    if scale == "paper" and hasattr(config_class, "paper_scale"):
-        config = config_class.paper_scale()
-    elif scale == "quick" and hasattr(config_class, "quick"):
-        config = config_class.quick()
-    else:
-        config = config_class()
-    if batch_size is not None and any(
-        field.name == "batch_size" for field in dataclasses.fields(config)
-    ):
-        config = dataclasses.replace(config, batch_size=batch_size)
-    return config
-
-
-def _select_serving(config_class, options: CommonRunOptions):
-    """Serving configs map ``--batch-size`` onto ``max_batch_size``."""
-    config = _select(config_class, options.scale)
+    presets = config_presets(config_class)
+    config = presets.get(options.scale, presets["default"])()
     if options.batch_size is not None:
-        config = dataclasses.replace(config, max_batch_size=options.batch_size)
+        fields = {field.name for field in dataclasses.fields(config)}
+        for name in ("batch_size", "max_batch_size"):
+            if name in fields:
+                return dataclasses.replace(config, **{name: options.batch_size})
     return config
 
 
-def _run_fig3(options: CommonRunOptions) -> str:
-    return format_figure3_table(
-        run_figure3(_select(Figure3Config, options.scale, options.batch_size))
+def _run_study(
+    run: Callable[[Any], Any],
+    config_class,
+    formatter: Callable[[Any], str],
+    options: CommonRunOptions,
+) -> str:
+    """An unsharded study: its ``run_*`` function on the selected config."""
+    return formatter(run(_config(config_class, options)))
+
+
+def _run_sharded(
+    driver: ExperimentDriver,
+    config_class,
+    formatter: Callable[[Any], str],
+    options: CommonRunOptions,
+) -> str:
+    """A sharded study: ``run_driver`` with the run's workers and cache."""
+    result = run_driver(
+        driver, _config(config_class, options), workers=options.workers, cache=options.cache
     )
-
-
-def _run_fig6(options: CommonRunOptions) -> str:
-    return format_figure6_table(
-        run_figure6(
-            _select(Figure6Config, options.scale, options.batch_size),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_fig7(options: CommonRunOptions) -> str:
-    return format_figure7_table(
-        run_figure7(_select(Figure7Config, options.scale, options.batch_size))
-    )
-
-
-def _run_fig8(options: CommonRunOptions) -> str:
-    return format_figure8_table(
-        run_figure8(
-            _select(Figure8Config, options.scale, options.batch_size),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_headline(options: CommonRunOptions) -> str:
-    return format_headline_report(
-        run_headline(_select(HeadlineConfig, options.scale, options.batch_size))
-    )
-
-
-def _run_pipeline(options: CommonRunOptions) -> str:
-    return format_pipeline_table(
-        run_pipeline_study(_select(PipelineStudyConfig, options.scale, options.batch_size))
-    )
-
-
-def _run_ablation(options: CommonRunOptions) -> str:
-    return format_initializer_table(
-        run_initializer_ablation(
-            _select(InitializerAblationConfig, options.scale, options.batch_size)
-        )
-    )
-
-
-def _run_constraints(options: CommonRunOptions) -> str:
-    return format_soft_constraint_table(
-        run_soft_constraint_study(_select(SoftConstraintConfig, options.scale, options.batch_size))
-    )
-
-
-def _run_snr(options: CommonRunOptions) -> str:
-    return format_snr_table(
-        run_snr_study(
-            _select(SNRStudyConfig, options.scale, options.batch_size),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_pause(options: CommonRunOptions) -> str:
-    return format_pause_table(
-        run_pause_ablation(_select(PauseAblationConfig, options.scale, options.batch_size))
-    )
-
-
-def _run_robustness(options: CommonRunOptions) -> str:
-    return format_robustness_table(
-        run_robustness_study(
-            _select(RobustnessStudyConfig, options.scale, options.batch_size),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_serve(options: CommonRunOptions) -> str:
-    return format_load_study_table(
-        run_load_study(
-            _select_serving(LoadStudyConfig, options),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_scenarios(options: CommonRunOptions) -> str:
-    return format_scenario_table(
-        run_scenario_study(
-            _select_serving(ScenarioStudyConfig, options),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_network(options: CommonRunOptions) -> str:
-    return format_network_table(
-        run_network_study(
-            _select(NetworkStudyConfig, options.scale),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_qos(options: CommonRunOptions) -> str:
-    return format_qos_table(
-        run_qos_study(
-            _select_serving(QoSStudyConfig, options),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
+    return formatter(result)
 
 
 def _run_ablate(spec_path: str, output: Optional[str], options: CommonRunOptions) -> str:
@@ -327,23 +221,77 @@ def _run_ablate(spec_path: str, output: Optional[str], options: CommonRunOptions
 
 _ExperimentRunner = Callable[[CommonRunOptions], str]
 
+
+def _study(run, config_class, formatter) -> _ExperimentRunner:
+    return functools.partial(_run_study, run, config_class, formatter)
+
+
+def _sharded(driver, config_class, formatter) -> _ExperimentRunner:
+    return functools.partial(_run_sharded, driver, config_class, formatter)
+
+
 #: Subcommand name -> (runner, one-line summary shown in ``--help``).
 _EXPERIMENTS: Dict[str, Tuple[_ExperimentRunner, str]] = {
-    "fig3": (_run_fig3, "Figure 3 — QUBO simplification by variable prefixing"),
-    "fig6": (_run_fig6, "Figure 6 — delta-E percentage distributions of FA / RA"),
-    "fig7": (_run_fig7, "Figure 7 — RA performance vs initial-state quality"),
-    "fig8": (_run_fig8, "Figure 8 — success probability and TTS vs s_p"),
-    "headline": (_run_headline, "the abstract's 2-10x RA vs FA comparison"),
-    "pipeline": (_run_pipeline, "Figure 2 — pipelined classical/quantum processing"),
-    "ablation": (_run_ablation, "initialiser-quality ablation (GS/ZF/MMSE/sphere)"),
-    "constraints": (_run_constraints, "Figure 4 — soft-information constraints"),
-    "snr": (_run_snr, "extension — BER vs SNR under AWGN"),
-    "pause": (_run_pause, "extension — the power of pausing"),
-    "robustness": (_run_robustness, "extension — impairment robustness sweep"),
-    "serve": (_run_serve, "serving layer — deadline-miss rate vs offered load"),
-    "scenarios": (_run_scenarios, "time-varying scenarios — static vs autoscaled"),
-    "network": (_run_network, "city-scale capacity placement on a topology"),
-    "qos": (_run_qos, "QoS classes — classless vs class-aware serving with handover"),
+    "fig3": (
+        _study(run_figure3, Figure3Config, format_figure3_table),
+        "Figure 3 — QUBO simplification by variable prefixing",
+    ),
+    "fig6": (
+        _sharded(Figure6Driver(), Figure6Config, format_figure6_table),
+        "Figure 6 — delta-E percentage distributions of FA / RA",
+    ),
+    "fig7": (
+        _study(run_figure7, Figure7Config, format_figure7_table),
+        "Figure 7 — RA performance vs initial-state quality",
+    ),
+    "fig8": (
+        _sharded(Figure8Driver(), Figure8Config, format_figure8_table),
+        "Figure 8 — success probability and TTS vs s_p",
+    ),
+    "headline": (
+        _study(run_headline, HeadlineConfig, format_headline_report),
+        "the abstract's 2-10x RA vs FA comparison",
+    ),
+    "pipeline": (
+        _study(run_pipeline_study, PipelineStudyConfig, format_pipeline_table),
+        "Figure 2 — pipelined classical/quantum processing",
+    ),
+    "ablation": (
+        _study(run_initializer_ablation, InitializerAblationConfig, format_initializer_table),
+        "initialiser-quality ablation (GS/ZF/MMSE/sphere)",
+    ),
+    "constraints": (
+        _study(run_soft_constraint_study, SoftConstraintConfig, format_soft_constraint_table),
+        "Figure 4 — soft-information constraints",
+    ),
+    "snr": (
+        _sharded(SNRStudyDriver(), SNRStudyConfig, format_snr_table),
+        "extension — BER vs SNR under AWGN",
+    ),
+    "pause": (
+        _study(run_pause_ablation, PauseAblationConfig, format_pause_table),
+        "extension — the power of pausing",
+    ),
+    "robustness": (
+        _sharded(RobustnessStudyDriver(), RobustnessStudyConfig, format_robustness_table),
+        "extension — impairment robustness sweep",
+    ),
+    "serve": (
+        _sharded(LoadStudyDriver(), LoadStudyConfig, format_load_study_table),
+        "serving layer — deadline-miss rate vs offered load",
+    ),
+    "scenarios": (
+        _sharded(ScenarioStudyDriver(), ScenarioStudyConfig, format_scenario_table),
+        "time-varying scenarios — static vs autoscaled",
+    ),
+    "network": (
+        _sharded(NetworkStudyDriver(), NetworkStudyConfig, format_network_table),
+        "city-scale capacity placement on a topology",
+    ),
+    "qos": (
+        _sharded(QoSStudyDriver(), QoSStudyConfig, format_qos_table),
+        "QoS classes — classless vs class-aware serving with handover",
+    ),
 }
 
 

@@ -1,8 +1,9 @@
 """Experiment runners reproducing every figure of the paper's evaluation.
 
-Each experiment module exposes a configuration dataclass, a ``run`` function
-returning structured results, and a ``format_table`` helper that prints the
-same rows/series the paper reports.  The benchmark harness under
+Each experiment module exposes a configuration dataclass, an
+:class:`~repro.experiments.driver.ExperimentDriver` (sharded studies) or a
+``run_*`` function returning structured results, and a ``format_*`` helper
+that prints the same rows/series the paper reports.  The benchmark harness under
 ``benchmarks/`` is a thin wrapper over these runners; they can also be invoked
 from the command line via ``repro-experiments`` (see :mod:`repro.cli`).
 
@@ -29,15 +30,16 @@ E-QS      QoS — classless vs class-aware serving of a mixed
           urllc/embb/best-effort population with handover
 ========  ==========================================================
 
-Every sharded runner sits behind one protocol:
-:class:`~repro.experiments.driver.ExperimentDriver` (``tasks`` /
+The sharded studies (fig6, fig8, snr, robustness, serve, scenarios,
+network, qos) have one entry path each, ``run_driver(XDriver(), XConfig)``:
+an :class:`~repro.experiments.driver.ExperimentDriver` (``tasks`` /
 ``aggregate`` / ``metrics``) executed by
-:func:`~repro.experiments.driver.run_driver`.  The ``run_*`` functions are
-thin compatibility wrappers over it, and the ablation harness binds the
-same driver objects via ``ExperimentTarget.from_driver``.
+:func:`~repro.experiments.driver.run_driver`.  The ablation harness wraps the
+same driver objects in its targets.  The remaining studies keep a single
+``run_*`` function.
 """
 
-from repro.experiments.driver import ExperimentDriver, run_driver
+from repro.experiments.driver import ExperimentDriver, config_presets, run_driver
 from repro.experiments.instances import (
     InstanceBundle,
     synthesize_instance,
@@ -55,8 +57,6 @@ from repro.experiments.fig6_distributions import (
     Figure6Config,
     Figure6Driver,
     Figure6Series,
-    figure6_tasks,
-    run_figure6,
     format_figure6_table,
 )
 from repro.experiments.fig7_initial_state import (
@@ -69,8 +69,6 @@ from repro.experiments.fig8_tts import (
     Figure8Config,
     Figure8Driver,
     Figure8Row,
-    figure8_tasks,
-    run_figure8,
     format_figure8_table,
 )
 from repro.experiments.headline import (
@@ -99,8 +97,6 @@ from repro.experiments.snr_study import (
     SNRStudyConfig,
     SNRStudyDriver,
     SNRStudyRow,
-    snr_study_tasks,
-    run_snr_study,
     format_snr_table,
 )
 from repro.experiments.pause_ablation import (
@@ -114,8 +110,6 @@ from repro.experiments.load_study import (
     LoadStudyDriver,
     LoadStudyRow,
     LoadStudyResult,
-    load_study_tasks,
-    run_load_study,
     format_load_study_table,
 )
 from repro.experiments.scenario_study import (
@@ -123,8 +117,6 @@ from repro.experiments.scenario_study import (
     ScenarioStudyDriver,
     ScenarioStudyRow,
     ScenarioStudyResult,
-    scenario_study_tasks,
-    run_scenario_study,
     format_scenario_table,
 )
 from repro.experiments.robustness_study import (
@@ -132,8 +124,6 @@ from repro.experiments.robustness_study import (
     RobustnessStudyConfig,
     RobustnessStudyDriver,
     RobustnessRow,
-    robustness_tasks,
-    run_robustness_study,
     format_robustness_table,
 )
 from repro.experiments.network_study import (
@@ -142,8 +132,6 @@ from repro.experiments.network_study import (
     NetworkStudyDriver,
     NetworkStudyRow,
     NetworkStudyResult,
-    network_study_tasks,
-    run_network_study,
     format_network_table,
 )
 from repro.experiments.qos_study import (
@@ -152,13 +140,12 @@ from repro.experiments.qos_study import (
     QoSStudyDriver,
     QoSStudyRow,
     QoSStudyResult,
-    qos_study_tasks,
-    run_qos_study,
     format_qos_table,
 )
 
 __all__ = [
     "ExperimentDriver",
+    "config_presets",
     "run_driver",
     "InstanceBundle",
     "synthesize_instance",
@@ -172,8 +159,6 @@ __all__ = [
     "Figure6Config",
     "Figure6Driver",
     "Figure6Series",
-    "figure6_tasks",
-    "run_figure6",
     "format_figure6_table",
     "Figure7Config",
     "Figure7Row",
@@ -182,8 +167,6 @@ __all__ = [
     "Figure8Config",
     "Figure8Driver",
     "Figure8Row",
-    "figure8_tasks",
-    "run_figure8",
     "format_figure8_table",
     "HeadlineConfig",
     "HeadlineResult",
@@ -204,8 +187,6 @@ __all__ = [
     "SNRStudyConfig",
     "SNRStudyDriver",
     "SNRStudyRow",
-    "snr_study_tasks",
-    "run_snr_study",
     "format_snr_table",
     "PauseAblationConfig",
     "PauseAblationRow",
@@ -215,37 +196,27 @@ __all__ = [
     "LoadStudyDriver",
     "LoadStudyRow",
     "LoadStudyResult",
-    "load_study_tasks",
-    "run_load_study",
     "format_load_study_table",
     "ScenarioStudyConfig",
     "ScenarioStudyDriver",
     "ScenarioStudyRow",
     "ScenarioStudyResult",
-    "scenario_study_tasks",
-    "run_scenario_study",
     "format_scenario_table",
     "ROBUSTNESS_AXES",
     "RobustnessStudyConfig",
     "RobustnessStudyDriver",
     "RobustnessRow",
-    "robustness_tasks",
-    "run_robustness_study",
     "format_robustness_table",
     "PLACEMENTS",
     "NetworkStudyConfig",
     "NetworkStudyDriver",
     "NetworkStudyRow",
     "NetworkStudyResult",
-    "network_study_tasks",
-    "run_network_study",
     "format_network_table",
     "QOS_ARMS",
     "QoSStudyConfig",
     "QoSStudyDriver",
     "QoSStudyRow",
     "QoSStudyResult",
-    "qos_study_tasks",
-    "run_qos_study",
     "format_qos_table",
 ]

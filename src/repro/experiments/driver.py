@@ -1,14 +1,10 @@
-"""The unified experiment-driver protocol shared by every study entry point.
+"""The experiment-driver protocol and the one runner every sharded study uses.
 
-Historically each experiment module grew its own ``run_*`` function around
-the same skeleton — build :class:`~repro.parallel.ShardTask` units, hand
-them to one :class:`~repro.parallel.ParallelRunner` call, emit progress
-telemetry, and reassemble the driver's result type — plus a hand-written
-adapter in :mod:`repro.ablation.targets` re-stating the same pieces for the
-declarative harness.  :class:`ExperimentDriver` names that skeleton once:
+A sweep-style study is a frozen configuration dataclass plus an
+:class:`ExperimentDriver`:
 
 * :meth:`~ExperimentDriver.tasks` — ``config -> ShardTask list``, the same
-  shard builder the result cache fingerprints;
+  shard list the result cache fingerprints;
 * :meth:`~ExperimentDriver.aggregate` — ``(config, shard results) -> result``,
   a pure function of its inputs (no telemetry, no logging), so the
   declarative harness can call it per study point;
@@ -16,30 +12,34 @@ declarative harness.  :class:`ExperimentDriver` names that skeleton once:
   ablation harness tabulates and the golden fixtures freeze);
 * :meth:`~ExperimentDriver.metrics` — scalar summary columns over the rows;
 * :meth:`~ExperimentDriver.progress` — the driver's progress-telemetry
-  side effects, kept out of :meth:`aggregate` so imperative runs emit
-  exactly what they always did while study points stay silent.
+  side effects, kept out of :meth:`aggregate` so study points stay silent.
 
-:func:`run_driver` is the one shared execution path: the imperative
-``run_*`` entry points are thin wrappers over it (input validation and
-their ``*.start`` log line stay in the wrapper, so logs and telemetry are
-bitwise-identical to the pre-protocol drivers), and
-:meth:`repro.ablation.registry.ExperimentTarget.from_driver` binds the same
-object into the declarative harness.
+:func:`run_driver` is the only runner: the CLI, benchmarks, examples and
+tests call ``run_driver(XDriver(), XConfig)`` directly, and the ablation
+harness wraps the same driver objects in its targets
+(:class:`repro.ablation.registry.ExperimentTarget`).  Configs validate
+themselves in ``__post_init__``, so every entry point rejects a bad config
+with the same message.  :func:`config_presets` names the ``default`` /
+``quick`` / ``paper`` variants of a config class for the CLI and the harness.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.parallel import ParallelRunner, ResultCache, ShardTask
+from repro.telemetry.log import get_logger
+
+_log = get_logger(__name__)
 
 __all__ = [
     "ExperimentDriver",
     "run_driver",
+    "config_presets",
     "finite_min_or_nan",
     "mean_or_nan",
 ]
@@ -128,6 +128,21 @@ def run_driver(
     harness, which builds the same work units; see :mod:`repro.parallel`.
     """
     tasks: List[ShardTask] = list(driver.tasks(config))
+    _log.info(f"{driver.name}.start", shards=len(tasks), workers=workers or 1)
     results = ParallelRunner(workers=workers, cache=cache).run_sharded(tasks)
     driver.progress(config, tasks, results)
     return driver.aggregate(config, results)
+
+
+def config_presets(config_class: Any) -> Dict[str, Callable[[], Any]]:
+    """The named configurations of a config class.
+
+    ``default`` is the class itself; ``quick`` and ``paper`` are its
+    ``quick`` / ``paper_scale`` classmethods, present only when the class
+    defines them.
+    """
+    presets: Dict[str, Callable[[], Any]] = {"default": config_class}
+    for preset, factory in (("quick", "quick"), ("paper", "paper_scale")):
+        if hasattr(config_class, factory):
+            presets[preset] = getattr(config_class, factory)
+    return presets

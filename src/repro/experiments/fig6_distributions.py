@@ -30,22 +30,17 @@ from repro.experiments.instances import (
     paper_figure6_configurations,
     synthesize_instances,
 )
-from repro.experiments.driver import ExperimentDriver, run_driver
+from repro.experiments.driver import ExperimentDriver
 from repro.metrics.quality import delta_e_distribution
 from repro.metrics.statistics import histogram_percentiles
 from repro import telemetry
-from repro.parallel import ResultCache, ShardTask
-from repro.telemetry.log import get_logger
+from repro.parallel import ShardTask
 from repro.utils.rng import spawn_rngs, stable_seed
-
-_log = get_logger(__name__)
 
 __all__ = [
     "Figure6Config",
     "Figure6Driver",
     "Figure6Series",
-    "figure6_tasks",
-    "run_figure6",
     "format_figure6_table",
 ]
 
@@ -123,19 +118,23 @@ class Figure6Series:
     bin_edges: Tuple[float, ...]
 
 
-def _figure6_configuration(
+def _figure6_shard(
     config: Figure6Config,
     num_users: int,
     modulation: str,
-    annealer: QuantumAnnealerSimulator,
+    batch_size: Optional[int] = None,
 ) -> List[Figure6Series]:
     """Run the three-method comparison for one (num_users, modulation) pair.
 
     All anneal randomness flows through children spawned from
     ``stable_seed("fig6-anneal", method, modulation, num_users, base_seed)``,
     so configurations are mutually independent: sharding the figure across
-    processes cannot change a single sample.
+    processes cannot change a single sample.  ``batch_size`` arrives outside
+    the fingerprinted config (results are proven batch-size-invariant, so the
+    cache key must not depend on it).
     """
+    config = dataclasses.replace(config, batch_size=batch_size)
+    annealer = QuantumAnnealerSimulator(seed=stable_seed("fig6", config.base_seed))
     greedy = GreedySearchSolver()
     bundles = synthesize_instances(
         config.instances_per_modulation,
@@ -224,66 +223,42 @@ def _figure6_configuration(
     return series
 
 
-def _figure6_shard(
-    config: Figure6Config,
-    num_users: int,
-    modulation: str,
-    batch_size: Optional[int] = None,
-) -> List[Figure6Series]:
-    """One (num_users, modulation) shard of the figure.
-
-    ``batch_size`` arrives outside the fingerprinted config (results are
-    proven batch-size-invariant, so the cache key must not depend on it).
-    """
-    config = dataclasses.replace(config, batch_size=batch_size)
-    annealer = QuantumAnnealerSimulator(seed=stable_seed("fig6", config.base_seed))
-    return _figure6_configuration(config, num_users, modulation, annealer)
-
-
-def _selected_configurations(config: Figure6Config) -> List[Tuple[int, str]]:
-    configurations = paper_figure6_configurations(config.num_variables)
-    if config.modulations is not None:
-        configurations = [
-            (users, modulation)
-            for users, modulation in configurations
-            if modulation in config.modulations
-        ]
-    return configurations
-
-
-def figure6_tasks(config: Figure6Config) -> List[ShardTask]:
-    """The figure's shard list: one task per (num_users, modulation) pair.
-
-    The per-shard configuration normalises the ``modulations`` filter away
-    (the shard is already pinned to one modulation), so changing which
-    modulations a run sweeps re-keys only the added or removed pairs; the
-    batch-size-invariant ``batch_size`` travels outside the fingerprint so
-    re-chunking a sweep never recomputes it.
-    """
-    shard_config = dataclasses.replace(config, modulations=None, batch_size=None)
-    return [
-        ShardTask(
-            key=("fig6", modulation, num_users),
-            fn=_figure6_shard,
-            kwargs={
-                "config": shard_config,
-                "num_users": num_users,
-                "modulation": modulation,
-                "batch_size": config.batch_size,
-            },
-            fingerprint_exclude=("batch_size",),
-        )
-        for num_users, modulation in _selected_configurations(config)
-    ]
-
-
 class Figure6Driver(ExperimentDriver):
     """Figure 6 behind the shared experiment-driver protocol."""
 
     name = "fig6"
 
     def tasks(self, config: Figure6Config) -> List[ShardTask]:
-        return figure6_tasks(config)
+        """One task per (num_users, modulation) pair.
+
+        The per-shard configuration normalises the ``modulations`` filter
+        away (the shard is already pinned to one modulation), so changing
+        which modulations a run sweeps re-keys only the added or removed
+        pairs; the batch-size-invariant ``batch_size`` travels outside the
+        fingerprint so re-chunking a sweep never recomputes it.
+        """
+        configurations = paper_figure6_configurations(config.num_variables)
+        if config.modulations is not None:
+            configurations = [
+                (users, modulation)
+                for users, modulation in configurations
+                if modulation in config.modulations
+            ]
+        shard_config = dataclasses.replace(config, modulations=None, batch_size=None)
+        return [
+            ShardTask(
+                key=("fig6", modulation, num_users),
+                fn=_figure6_shard,
+                kwargs={
+                    "config": shard_config,
+                    "num_users": num_users,
+                    "modulation": modulation,
+                    "batch_size": config.batch_size,
+                },
+                fingerprint_exclude=("batch_size",),
+            )
+            for num_users, modulation in configurations
+        ]
 
     def aggregate(
         self, config: Figure6Config, results: Sequence[List[Figure6Series]]
@@ -293,29 +268,6 @@ class Figure6Driver(ExperimentDriver):
     def progress(self, config, tasks, results) -> None:
         for task, shard in zip(tasks, results):
             telemetry.emit_progress("fig6", task.key[1:], series=len(shard))
-
-
-def run_figure6(
-    config: Figure6Config = Figure6Config(),
-    sampler: Optional[QuantumAnnealerSimulator] = None,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> List[Figure6Series]:
-    """Run the distribution comparison and return one series per (modulation, method).
-
-    ``workers`` shards the modulation grid across a process pool (results are
-    bitwise-identical to the serial path at any worker count) and ``cache``
-    reuses shard results across runs; see :mod:`repro.parallel`.  A custom
-    ``sampler`` pins the run to the calling process (serial, uncached).
-    """
-    if sampler is not None:
-        return [
-            entry
-            for num_users, modulation in _selected_configurations(config)
-            for entry in _figure6_configuration(config, num_users, modulation, sampler)
-        ]
-    _log.info("fig6.start", shards=len(figure6_tasks(config)), workers=workers or 1)
-    return run_driver(Figure6Driver(), config, workers=workers, cache=cache)
 
 
 def format_figure6_table(series: Sequence[Figure6Series]) -> str:

@@ -30,12 +30,7 @@ import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.classical.greedy import GreedySearchSolver
-from repro.experiments.driver import (
-    ExperimentDriver,
-    finite_min_or_nan,
-    mean_or_nan,
-    run_driver,
-)
+from repro.experiments.driver import ExperimentDriver, finite_min_or_nan, mean_or_nan
 from repro.experiments.instances import InstanceBundle, synthesize_instance
 from repro.hybrid.parameters import (
     SwitchPointRecord,
@@ -44,19 +39,14 @@ from repro.hybrid.parameters import (
 )
 from repro.metrics.quality import delta_e_percent
 from repro import telemetry
-from repro.parallel import ResultCache, ShardTask
-from repro.telemetry.log import get_logger
+from repro.parallel import ShardTask
 from repro.utils.rng import stable_seed
-
-_log = get_logger(__name__)
 
 __all__ = [
     "FIG8_METRICS",
     "Figure8Config",
     "Figure8Driver",
     "Figure8Row",
-    "figure8_tasks",
-    "run_figure8",
     "format_figure8_table",
 ]
 
@@ -188,18 +178,22 @@ def _candidate_with_quality(
     return best_candidate
 
 
-def _instance_for(config: Figure8Config) -> InstanceBundle:
-    return synthesize_instance(
+def _instance_and_annealer(
+    config: Figure8Config,
+) -> Tuple[InstanceBundle, QuantumAnnealerSimulator]:
+    annealer = QuantumAnnealerSimulator(seed=stable_seed("fig8", config.base_seed))
+    instance = synthesize_instance(
         config.num_users, config.modulation, seed=config.instance_seed
     )
+    return instance, annealer
 
 
-def _fa_rows(
-    config: Figure8Config,
-    instance: InstanceBundle,
-    annealer: QuantumAnnealerSimulator,
-) -> List[Figure8Row]:
-    """Forward annealing baseline (a batch of one keeps the code path uniform)."""
+def _figure8_fa_shard(config: Figure8Config) -> List[Figure8Row]:
+    """The FA sweep as one shard (its child seeds span the whole grid).
+
+    A batch of one keeps the forward-annealing code path uniform with RA's.
+    """
+    instance, annealer = _instance_and_annealer(config)
     fa_records = sweep_switch_point_batch(
         [instance.encoding.qubo],
         [instance.ground_energy],
@@ -215,18 +209,15 @@ def _fa_rows(
     return _rows_from_records("FA", fa_records)
 
 
-def _ra_rows(
-    config: Figure8Config,
-    instance: InstanceBundle,
-    annealer: QuantumAnnealerSimulator,
-) -> List[Figure8Row]:
-    """The whole reverse-annealing family as one batched sweep.
+def _figure8_ra_shard(config: Figure8Config) -> List[Figure8Row]:
+    """The whole reverse-annealing family as one batched sweep shard.
 
     Greedy candidate (the hybrid prototype), exact ground state (reference
     line) and optionally an intermediate-quality candidate share the RA
     schedule at every s_p, so each grid point is one batched submission
-    across the variants.
+    across the variants (one batched child per variant).
     """
+    instance, annealer = _instance_and_annealer(config)
     qubo = instance.encoding.qubo
     ground_energy = instance.ground_energy
     greedy_solution = GreedySearchSolver().solve(qubo)
@@ -261,13 +252,12 @@ def _ra_rows(
     return rows
 
 
-def _fr_rows(
-    config: Figure8Config,
-    instance: InstanceBundle,
-    annealer: QuantumAnnealerSimulator,
-    switch_s: float,
-) -> List[Figure8Row]:
-    """Forward-reverse annealing with the oracle turning point at one s_p."""
+def _figure8_fr_shard(config: Figure8Config, switch_s: float) -> List[Figure8Row]:
+    """Forward-reverse annealing with the oracle turning point at one s_p.
+
+    Its seed depends only on (base_seed, s_p), so FR points shard freely.
+    """
+    instance, annealer = _instance_and_annealer(config)
     fr_records = sweep_forward_reverse_turning_point(
         instance.encoding.qubo,
         instance.ground_energy,
@@ -288,58 +278,6 @@ def _fr_rows(
     return _rows_from_records("FR-oracle", [best])
 
 
-def _figure8_fa_shard(config: Figure8Config) -> List[Figure8Row]:
-    """The FA sweep as one shard (its child seeds span the whole grid)."""
-    annealer = QuantumAnnealerSimulator(seed=stable_seed("fig8", config.base_seed))
-    return _fa_rows(config, _instance_for(config), annealer)
-
-
-def _figure8_ra_shard(config: Figure8Config) -> List[Figure8Row]:
-    """The RA family sweep as one shard (one batched child per variant)."""
-    annealer = QuantumAnnealerSimulator(seed=stable_seed("fig8", config.base_seed))
-    return _ra_rows(config, _instance_for(config), annealer)
-
-
-def _figure8_fr_shard(config: Figure8Config, switch_s: float) -> List[Figure8Row]:
-    """One FR-oracle grid point; its seed depends only on (base_seed, s_p)."""
-    annealer = QuantumAnnealerSimulator(seed=stable_seed("fig8", config.base_seed))
-    return _fr_rows(config, _instance_for(config), annealer, switch_s)
-
-
-def figure8_tasks(config: Figure8Config) -> List[ShardTask]:
-    """The figure's shard list: FA sweep, RA family, one task per FR point.
-
-    The FA and RA sweeps consume their child generators *across* the grid
-    (splitting them would change which reads each point draws), so each runs
-    as one shard; the FR oracle is seeded per grid point and shards freely.
-    Each shard's configuration normalises away the knobs its method never
-    reads (the RA-only ``intermediate_initial_quality``, the task-list-level
-    ``include_fr_oracle``, and for FR the grid), so toggling one method's
-    knob re-keys only that method's shards in the cache.
-    """
-    fa_config = dataclasses.replace(
-        config, include_fr_oracle=False, intermediate_initial_quality=None
-    )
-    ra_config = dataclasses.replace(config, include_fr_oracle=False)
-    tasks = [
-        ShardTask(key=("fig8", "fa"), fn=_figure8_fa_shard, kwargs={"config": fa_config}),
-        ShardTask(key=("fig8", "ra"), fn=_figure8_ra_shard, kwargs={"config": ra_config}),
-    ]
-    if config.include_fr_oracle:
-        fr_config = dataclasses.replace(
-            config, switch_values=None, intermediate_initial_quality=None
-        )
-        tasks.extend(
-            ShardTask(
-                key=("fig8", "fr", float(switch_s)),
-                fn=_figure8_fr_shard,
-                kwargs={"config": fr_config, "switch_s": float(switch_s)},
-            )
-            for switch_s in config.grid()
-        )
-    return tasks
-
-
 class Figure8Driver(ExperimentDriver):
     """Figure 8 behind the shared experiment-driver protocol."""
 
@@ -347,7 +285,38 @@ class Figure8Driver(ExperimentDriver):
     metric_names = FIG8_METRICS
 
     def tasks(self, config: Figure8Config) -> List[ShardTask]:
-        return figure8_tasks(config)
+        """FA sweep, RA family, one task per FR point.
+
+        The FA and RA sweeps consume their child generators *across* the
+        grid (splitting them would change which reads each point draws), so
+        each runs as one shard; the FR oracle is seeded per grid point and
+        shards freely.  Each shard's configuration normalises away the knobs
+        its method never reads (the RA-only ``intermediate_initial_quality``,
+        the task-list-level ``include_fr_oracle``, and for FR the grid), so
+        toggling one method's knob re-keys only that method's shards in the
+        cache.
+        """
+        fa_config = dataclasses.replace(
+            config, include_fr_oracle=False, intermediate_initial_quality=None
+        )
+        ra_config = dataclasses.replace(config, include_fr_oracle=False)
+        tasks = [
+            ShardTask(key=("fig8", "fa"), fn=_figure8_fa_shard, kwargs={"config": fa_config}),
+            ShardTask(key=("fig8", "ra"), fn=_figure8_ra_shard, kwargs={"config": ra_config}),
+        ]
+        if config.include_fr_oracle:
+            fr_config = dataclasses.replace(
+                config, switch_values=None, intermediate_initial_quality=None
+            )
+            tasks.extend(
+                ShardTask(
+                    key=("fig8", "fr", float(switch_s)),
+                    fn=_figure8_fr_shard,
+                    kwargs={"config": fr_config, "switch_s": float(switch_s)},
+                )
+                for switch_s in config.grid()
+            )
+        return tasks
 
     def aggregate(
         self, config: Figure8Config, results: Sequence[List[Figure8Row]]
@@ -377,37 +346,6 @@ class Figure8Driver(ExperimentDriver):
     def progress(self, config, tasks, results) -> None:
         for task, shard in zip(tasks, results):
             telemetry.emit_progress("fig8", task.key[1:], rows=len(shard))
-
-
-def run_figure8(
-    config: Figure8Config = Figure8Config(),
-    sampler: Optional[QuantumAnnealerSimulator] = None,
-    bundle: Optional[InstanceBundle] = None,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> List[Figure8Row]:
-    """Run the s_p sweep for every method and return all (method, s_p) rows.
-
-    ``workers`` shards the sweep (FA, RA family, each FR oracle point) across
-    a process pool — results are bitwise-identical to the serial path at any
-    worker count — and ``cache`` reuses shard results across runs; see
-    :mod:`repro.parallel`.  A custom ``sampler`` or ``bundle`` pins the run
-    to the calling process (serial, uncached).
-    """
-    if sampler is not None or bundle is not None:
-        instance = bundle if bundle is not None else _instance_for(config)
-        annealer = sampler if sampler is not None else QuantumAnnealerSimulator(
-            seed=stable_seed("fig8", config.base_seed)
-        )
-        rows = _fa_rows(config, instance, annealer)
-        rows.extend(_ra_rows(config, instance, annealer))
-        if config.include_fr_oracle:
-            for switch_s in config.grid():
-                rows.extend(_fr_rows(config, instance, annealer, switch_s))
-        return rows
-
-    _log.info("fig8.start", shards=len(figure8_tasks(config)), workers=workers or 1)
-    return run_driver(Figure8Driver(), config, workers=workers, cache=cache)
 
 
 def format_figure8_table(rows: Sequence[Figure8Row]) -> str:

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError
-from repro.experiments.driver import ExperimentDriver, mean_or_nan, run_driver
+from repro.experiments.driver import ExperimentDriver, mean_or_nan
 from repro.hybrid.pipeline import HybridPipelineSimulator, PipelineReport
-from repro.parallel import ResultCache, ShardTask
+from repro.parallel import ShardTask
 from repro.serving.backends import AnnealerServingBackend, ClassicalServingBackend
 from repro.serving.pool import BackendPool
 from repro.serving.report import ServingReport, format_serving_report
@@ -48,9 +48,6 @@ __all__ = [
     "LoadStudyDriver",
     "LoadStudyRow",
     "LoadStudyResult",
-    "collect_load_rows",
-    "load_study_tasks",
-    "run_load_study",
     "format_load_study_table",
 ]
 
@@ -109,6 +106,13 @@ class LoadStudyConfig:
     policy: str = "edf"
     admission_control: bool = True
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.load_factors:
+            raise ConfigurationError("load_factors must not be empty")
+        for factor in self.load_factors:
+            if factor <= 0:
+                raise ConfigurationError(f"load factors must be positive, got {factor}")
 
     @classmethod
     def quick(cls) -> "LoadStudyConfig":
@@ -230,28 +234,6 @@ def _load_shard(
     return serialized, pipelined, pooled
 
 
-def load_study_tasks(config: LoadStudyConfig) -> List[ShardTask]:
-    """The sweep's shard list: one task per load factor.
-
-    Each task's configuration is restricted to its own load factor, so a
-    grid edit re-keys (and recomputes) only the touched points.
-    """
-    workload_seed = stable_seed("load-study", config.base_seed)
-    pipeline_seed = stable_seed("load-pipe", config.base_seed)
-    return [
-        ShardTask(
-            key=("load-study", float(load_factor)),
-            fn=_load_shard,
-            kwargs={
-                "config": dataclasses.replace(config, load_factors=(float(load_factor),)),
-                "workload_seed": workload_seed,
-                "pipeline_seed": pipeline_seed,
-            },
-        )
-        for load_factor in config.load_factors
-    ]
-
-
 class LoadStudyDriver(ExperimentDriver):
     """The offered-load sweep behind the shared experiment-driver protocol."""
 
@@ -259,14 +241,48 @@ class LoadStudyDriver(ExperimentDriver):
     metric_names = SERVE_METRICS
 
     def tasks(self, config: LoadStudyConfig) -> List[ShardTask]:
-        return load_study_tasks(config)
+        """One task per load factor.
 
-    def aggregate(self, config: LoadStudyConfig, results) -> "LoadStudyResult":
-        return LoadStudyResult(
-            rows=collect_load_rows(config, results),
-            detail=results[-1][2] if results else None,
-            config=config,
-        )
+        Each task's configuration is restricted to its own load factor, so a
+        grid edit re-keys (and recomputes) only the touched points.
+        """
+        workload_seed = stable_seed("load-study", config.base_seed)
+        pipeline_seed = stable_seed("load-pipe", config.base_seed)
+        return [
+            ShardTask(
+                key=("load-study", float(load_factor)),
+                fn=_load_shard,
+                kwargs={
+                    "config": dataclasses.replace(config, load_factors=(float(load_factor),)),
+                    "workload_seed": workload_seed,
+                    "pipeline_seed": pipeline_seed,
+                },
+            )
+            for load_factor in config.load_factors
+        ]
+
+    def aggregate(
+        self,
+        config: LoadStudyConfig,
+        results: Sequence[Tuple[ServingReport, PipelineReport, ServingReport]],
+    ) -> LoadStudyResult:
+        """One row per load factor from its (serialized, pipelined, pooled) triple."""
+        rows = [
+            LoadStudyRow(
+                load_factor=load_factor,
+                offered_load_jobs_per_ms=pooled.offered_load_jobs_per_ms,
+                serialized_miss_rate=serialized.deadline_miss_rate or 0.0,
+                pipelined_miss_rate=pipelined.deadline_miss_rate or 0.0,
+                pooled_miss_rate=pooled.deadline_miss_rate or 0.0,
+                serialized_p95_us=serialized.p95_latency_us,
+                pipelined_p95_us=pipelined.p95_latency_us,
+                pooled_p95_us=pooled.p95_latency_us,
+                pooled_mean_batch=pooled.mean_batch_size,
+                pooled_demotion_rate=pooled.demotion_rate,
+            )
+            for load_factor, (serialized, pipelined, pooled) in zip(config.load_factors, results)
+        ]
+        return LoadStudyResult(rows=rows, detail=results[-1][2], config=config)
 
     def metrics(self, rows) -> Tuple[Tuple[str, float], ...]:
         pooled = [row.pooled_miss_rate for row in rows]
@@ -299,55 +315,6 @@ class LoadStudyDriver(ExperimentDriver):
                 pooled_miss_rate=pooled.deadline_miss_rate or 0.0,
             )
             _log.debug("load_study.point", load_factor=load_factor)
-
-
-def run_load_study(
-    config: LoadStudyConfig = LoadStudyConfig(),
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> LoadStudyResult:
-    """Sweep the load grid over the three serving architectures.
-
-    ``workers`` shards the sweep across a process pool (results are
-    bitwise-identical to the serial path at any worker count) and ``cache``
-    reuses shard results across runs; see :mod:`repro.parallel`.
-    """
-    if not config.load_factors:
-        raise ConfigurationError("load_factors must not be empty")
-    for factor in config.load_factors:
-        if factor <= 0:
-            raise ConfigurationError(f"load factors must be positive, got {factor}")
-
-    _log.info("load_study.start", points=len(config.load_factors), workers=workers or 1)
-    return run_driver(LoadStudyDriver(), config, workers=workers, cache=cache)
-
-
-def collect_load_rows(
-    config: LoadStudyConfig,
-    shards: Tuple[Tuple[ServingReport, PipelineReport, ServingReport], ...],
-) -> List[LoadStudyRow]:
-    """Reassemble the sweep's rows from the per-load-factor shard triples.
-
-    Shared by :func:`run_load_study` and the ablation-target binding, so the
-    declarative harness reports exactly the rows the imperative driver does.
-    """
-    rows: List[LoadStudyRow] = []
-    for load_factor, (serialized, pipelined, pooled) in zip(config.load_factors, shards):
-        rows.append(
-            LoadStudyRow(
-                load_factor=load_factor,
-                offered_load_jobs_per_ms=pooled.offered_load_jobs_per_ms,
-                serialized_miss_rate=serialized.deadline_miss_rate or 0.0,
-                pipelined_miss_rate=pipelined.deadline_miss_rate or 0.0,
-                pooled_miss_rate=pooled.deadline_miss_rate or 0.0,
-                serialized_p95_us=serialized.p95_latency_us,
-                pipelined_p95_us=pipelined.p95_latency_us,
-                pooled_p95_us=pooled.p95_latency_us,
-                pooled_mean_batch=pooled.mean_batch_size,
-                pooled_demotion_rate=pooled.demotion_rate,
-            )
-        )
-    return rows
 
 
 def format_load_study_table(result: LoadStudyResult) -> str:

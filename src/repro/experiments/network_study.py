@@ -42,7 +42,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError
-from repro.experiments.driver import ExperimentDriver, run_driver
+from repro.experiments.driver import ExperimentDriver
 from repro.network.aggregate import (
     AggregationConfig,
     cell_window_counts,
@@ -58,14 +58,11 @@ from repro.network.embedding import (
 )
 from repro.network.kpi import HotspotDetector, HotspotDetectorConfig
 from repro.network.topology import TOPOLOGY_KINDS, build_topology
-from repro.parallel import ResultCache, ShardTask
+from repro.parallel import ShardTask
 from repro.serving.scenarios import SCENARIO_NAMES, build_scenario
 from repro.serving.simulator import RANServingSimulator
-from repro.telemetry.log import get_logger
 from repro.utils.rng import stable_seed
 from repro.wireless.mimo import MIMOConfig
-
-_log = get_logger(__name__)
 
 __all__ = [
     "NETWORK_METRICS",
@@ -74,8 +71,6 @@ __all__ = [
     "NetworkStudyDriver",
     "NetworkStudyRow",
     "NetworkStudyResult",
-    "network_study_tasks",
-    "run_network_study",
     "format_network_table",
 ]
 
@@ -227,7 +222,7 @@ class NetworkStudyConfig:
         """A denser city: 400 cells, four million users (still fast)."""
         return cls(rows=20, cols=20, horizon_us=40_000.0)
 
-    # ``--scale paper`` maps to the densest catalogued configuration.
+    # The ``paper`` preset maps to the densest catalogued configuration.
     paper_scale = city_scale
 
 
@@ -411,32 +406,6 @@ def _network_shard(
     )
 
 
-def network_study_tasks(config: NetworkStudyConfig) -> List[ShardTask]:
-    """The study's shard list: one task per placement arm.
-
-    Every arm shares the per-scenario workload seed (arms are paired on the
-    same counter matrix), and each task's configuration is restricted to its
-    own arm so cache fingerprints never depend on which *other* arms the
-    study sweeps.
-    """
-    workload_seed = stable_seed("network-study", config.scenario, config.base_seed)
-    tasks: List[ShardTask] = []
-    for placement in config.placements:
-        shard_config = dataclasses.replace(config, placements=(placement,))
-        tasks.append(
-            ShardTask(
-                key=("network-study", config.scenario, placement),
-                fn=_network_shard,
-                kwargs={
-                    "config": shard_config,
-                    "placement": placement,
-                    "workload_seed": workload_seed,
-                },
-            )
-        )
-    return tasks
-
-
 def _placement_row(rows, placement: str):
     for row in rows:
         if row.placement == placement:
@@ -451,7 +420,26 @@ class NetworkStudyDriver(ExperimentDriver):
     metric_names = NETWORK_METRICS
 
     def tasks(self, config: NetworkStudyConfig) -> List[ShardTask]:
-        return network_study_tasks(config)
+        """One task per placement arm.
+
+        Every arm shares the per-scenario workload seed (arms are paired on
+        the same counter matrix), and each task's configuration is restricted
+        to its own arm so cache fingerprints never depend on which *other*
+        arms the study sweeps.
+        """
+        workload_seed = stable_seed("network-study", config.scenario, config.base_seed)
+        return [
+            ShardTask(
+                key=("network-study", config.scenario, placement),
+                fn=_network_shard,
+                kwargs={
+                    "config": dataclasses.replace(config, placements=(placement,)),
+                    "placement": placement,
+                    "workload_seed": workload_seed,
+                },
+            )
+            for placement in config.placements
+        ]
 
     def aggregate(
         self, config: NetworkStudyConfig, results: List[NetworkStudyRow]
@@ -490,27 +478,6 @@ class NetworkStudyDriver(ExperimentDriver):
             telemetry.emit_progress(
                 "network-study", row.placement, miss_rate=row.miss_rate
             )
-
-
-def run_network_study(
-    config: NetworkStudyConfig = NetworkStudyConfig(),
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> NetworkStudyResult:
-    """Score every placement arm on the shared city-scale counter matrix.
-
-    ``workers`` shards the arms across a process pool (results are
-    bitwise-identical to the serial path at any worker count) and ``cache``
-    reuses shard results across runs; see :mod:`repro.parallel`.
-    """
-    _log.info(
-        "network_study.start",
-        cells=config.num_cells,
-        users=config.simulated_users,
-        placements=len(config.placements),
-        workers=workers or 1,
-    )
-    return run_driver(NetworkStudyDriver(), config, workers=workers, cache=cache)
 
 
 def format_network_table(result: NetworkStudyResult) -> str:

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError
-from repro.experiments.driver import ExperimentDriver, mean_or_nan, run_driver
+from repro.experiments.driver import ExperimentDriver, mean_or_nan
 from repro.network.topology import build_topology
-from repro.parallel import ResultCache, ShardTask
+from repro.parallel import ShardTask
 from repro.serving.backends import AnnealerServingBackend, ClassicalServingBackend
 from repro.serving.pool import BackendPool
 from repro.serving.qos import resolve_service_class
@@ -42,11 +42,8 @@ from repro.serving.workload import (
     generate_serving_jobs,
     uniform_cell_profiles,
 )
-from repro.telemetry.log import get_logger
 from repro.utils.rng import stable_seed
 from repro.wireless.mimo import MIMOConfig
-
-_log = get_logger(__name__)
 
 __all__ = [
     "QOS_ARMS",
@@ -55,9 +52,6 @@ __all__ = [
     "QoSStudyDriver",
     "QoSStudyRow",
     "QoSStudyResult",
-    "collect_qos_rows",
-    "qos_study_tasks",
-    "run_qos_study",
     "format_qos_table",
 ]
 
@@ -261,73 +255,6 @@ def _qos_shard(config: QoSStudyConfig, arm: str, workload_seed: int) -> ServingR
     return report
 
 
-def qos_study_tasks(config: QoSStudyConfig) -> List[ShardTask]:
-    """The sweep's shard list: one (scenario, arm) task per catalog entry.
-
-    Each task's configuration is restricted to its own scenario and its
-    workload seed is the per-scenario child seed, so a task's cache
-    fingerprint never depends on which *other* scenarios the sweep contains.
-    """
-    tasks: List[ShardTask] = []
-    for name in config.scenarios:
-        shard_config = dataclasses.replace(config, scenarios=(name,))
-        workload_seed = stable_seed("qos-study", name, config.base_seed)
-        for arm in QOS_ARMS:
-            tasks.append(
-                ShardTask(
-                    key=("qos-study", name, arm),
-                    fn=_qos_shard,
-                    kwargs={
-                        "config": shard_config,
-                        "arm": arm,
-                        "workload_seed": workload_seed,
-                    },
-                )
-            )
-    return tasks
-
-
-def collect_qos_rows(
-    config: QoSStudyConfig, reports: List[ServingReport]
-) -> List[QoSStudyRow]:
-    """Pair the (classless, aware) shard reports back into per-class rows.
-
-    Shared by :func:`run_qos_study` and the ablation-target binding.  Both
-    arms serve the identical job list, so they expose the identical class
-    set; rows follow the aware report's (sorted) class order.
-    """
-    rows: List[QoSStudyRow] = []
-    for position, name in enumerate(config.scenarios):
-        classless = reports[2 * position]
-        aware = reports[2 * position + 1]
-        handover_fraction = (
-            aware.metadata.get("handover_jobs", 0) / aware.num_jobs
-            if aware.num_jobs
-            else 0.0
-        )
-        for entry in aware.class_reports:
-            baseline = classless.class_report(entry.service_class)
-            rows.append(
-                QoSStudyRow(
-                    scenario=name,
-                    service_class=entry.service_class,
-                    jobs=entry.jobs,
-                    handover_fraction=handover_fraction,
-                    classless_miss_rate=(
-                        baseline.deadline_miss_rate or 0.0 if baseline else 0.0
-                    ),
-                    aware_miss_rate=entry.deadline_miss_rate or 0.0,
-                    classless_p99_us=baseline.p99_latency_us if baseline else 0.0,
-                    aware_p99_us=entry.p99_latency_us,
-                    classless_demotion_rate=(
-                        baseline.demotion_rate if baseline else 0.0
-                    ),
-                    aware_demotion_rate=entry.demotion_rate,
-                )
-            )
-    return rows
-
-
 class QoSStudyDriver(ExperimentDriver):
     """The QoS-class sweep behind the shared experiment-driver protocol."""
 
@@ -335,16 +262,69 @@ class QoSStudyDriver(ExperimentDriver):
     metric_names = QOS_METRICS
 
     def tasks(self, config: QoSStudyConfig) -> List[ShardTask]:
-        return qos_study_tasks(config)
+        """One (scenario, arm) task per catalog entry.
+
+        Each task's configuration is restricted to its own scenario and its
+        workload seed is the per-scenario child seed, so a task's cache
+        fingerprint never depends on which *other* scenarios the sweep
+        contains.
+        """
+        tasks: List[ShardTask] = []
+        for name in config.scenarios:
+            shard_config = dataclasses.replace(config, scenarios=(name,))
+            workload_seed = stable_seed("qos-study", name, config.base_seed)
+            for arm in QOS_ARMS:
+                tasks.append(
+                    ShardTask(
+                        key=("qos-study", name, arm),
+                        fn=_qos_shard,
+                        kwargs={
+                            "config": shard_config,
+                            "arm": arm,
+                            "workload_seed": workload_seed,
+                        },
+                    )
+                )
+        return tasks
 
     def aggregate(
-        self, config: QoSStudyConfig, results: List[ServingReport]
+        self, config: QoSStudyConfig, results: Sequence[ServingReport]
     ) -> QoSStudyResult:
-        return QoSStudyResult(
-            rows=collect_qos_rows(config, list(results)),
-            detail=results[-1] if results else None,
-            config=config,
-        )
+        """Pair the (classless, aware) shard reports back into per-class rows.
+
+        Both arms serve the identical job list, so they expose the identical
+        class set; rows follow the aware report's (sorted) class order.
+        """
+        rows: List[QoSStudyRow] = []
+        for position, name in enumerate(config.scenarios):
+            classless = results[2 * position]
+            aware = results[2 * position + 1]
+            handover_fraction = (
+                aware.metadata.get("handover_jobs", 0) / aware.num_jobs
+                if aware.num_jobs
+                else 0.0
+            )
+            for entry in aware.class_reports:
+                baseline = classless.class_report(entry.service_class)
+                rows.append(
+                    QoSStudyRow(
+                        scenario=name,
+                        service_class=entry.service_class,
+                        jobs=entry.jobs,
+                        handover_fraction=handover_fraction,
+                        classless_miss_rate=(
+                            baseline.deadline_miss_rate or 0.0 if baseline else 0.0
+                        ),
+                        aware_miss_rate=entry.deadline_miss_rate or 0.0,
+                        classless_p99_us=baseline.p99_latency_us if baseline else 0.0,
+                        aware_p99_us=entry.p99_latency_us,
+                        classless_demotion_rate=(
+                            baseline.demotion_rate if baseline else 0.0
+                        ),
+                        aware_demotion_rate=entry.demotion_rate,
+                    )
+                )
+        return QoSStudyResult(rows=rows, detail=results[-1], config=config)
 
     def metrics(self, rows) -> Tuple[Tuple[str, float], ...]:
         urllc = [row for row in rows if row.service_class == "urllc"]
@@ -379,21 +359,6 @@ class QoSStudyDriver(ExperimentDriver):
             telemetry.emit_progress(
                 "qos-study", name, miss_rate=aware.deadline_miss_rate or 0.0
             )
-
-
-def run_qos_study(
-    config: QoSStudyConfig = QoSStudyConfig(),
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> QoSStudyResult:
-    """Serve every catalog scenario classless and class-aware, per class.
-
-    ``workers`` shards the sweep across a process pool (results are
-    bitwise-identical to the serial path at any worker count) and ``cache``
-    reuses shard results across runs; see :mod:`repro.parallel`.
-    """
-    _log.info("qos_study.start", scenarios=len(config.scenarios), workers=workers or 1)
-    return run_driver(QoSStudyDriver(), config, workers=workers, cache=cache)
 
 
 def format_qos_table(result: QoSStudyResult) -> str:

@@ -33,10 +33,9 @@ from repro.classical.exhaustive import ExhaustiveSolver
 from repro.classical.mmse import MMSEDetector
 from repro.classical.zero_forcing import ZeroForcingDetector
 from repro.exceptions import ConfigurationError
-from repro.experiments.driver import ExperimentDriver, mean_or_nan, run_driver
+from repro.experiments.driver import ExperimentDriver, mean_or_nan
 from repro.hybrid.solver import HybridMIMODetector
-from repro.parallel import ResultCache, ShardTask
-from repro.telemetry.log import get_logger
+from repro.parallel import ShardTask
 from repro.transform.mimo_to_qubo import is_optimum, mimo_to_qubo
 from repro.utils.batching import iter_batches
 from repro.utils.rng import ensure_rng, stable_seed
@@ -45,16 +44,12 @@ from repro.wireless.fading import ChannelImpairments, FadingProcess
 from repro.wireless.metrics import bit_error_rate
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
 
-_log = get_logger(__name__)
-
 __all__ = [
     "ROBUSTNESS_AXES",
     "ROBUSTNESS_METRICS",
     "RobustnessStudyConfig",
     "RobustnessStudyDriver",
     "RobustnessRow",
-    "robustness_tasks",
-    "run_robustness_study",
     "format_robustness_table",
 ]
 
@@ -189,20 +184,38 @@ def _impairments_for(
     )
 
 
-def _robustness_point(
-    config: RobustnessStudyConfig,
-    axis: str,
-    value: float,
-    annealer: QuantumAnnealerSimulator,
+def _axis_grid(config: RobustnessStudyConfig, axis: str) -> Tuple[float, ...]:
+    try:
+        return tuple(getattr(config, _AXIS_FIELDS[axis]))
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown robustness axis {axis!r}; axes: {', '.join(ROBUSTNESS_AXES)}"
+        ) from None
+
+
+def _robustness_point_shard(
+    config: RobustnessStudyConfig, axis: str, batch_size: Optional[int] = None
 ) -> RobustnessRow:
     """Decode one coherent stream under one impairment grid point.
 
-    Channel synthesis walks the point's fading process use by use (block
-    ``i`` depends on blocks ``0..i-1`` exactly as physics demands), each use
-    drawing from its own explicit child seed; detection randomness flows
-    through separate per-use children, so the row is independent of the
-    hybrid submission batching.
+    The config's axis grid holds exactly the point.  Channel synthesis walks
+    the point's fading process use by use (block ``i`` depends on blocks
+    ``0..i-1`` exactly as physics demands), each use drawing from its own
+    explicit child seed; detection randomness flows through separate per-use
+    children, so the row is independent of the hybrid submission batching.
+    ``batch_size`` arrives outside the fingerprinted config (results are
+    proven batch-size-invariant, so the cache key must not depend on it).
     """
+    grid = _axis_grid(config, axis)
+    if len(grid) != 1:
+        raise ConfigurationError(
+            f"a robustness shard sweeps exactly one {axis} point, got {grid!r}"
+        )
+    config = dataclasses.replace(config, batch_size=batch_size)
+    value = float(grid[0])
+    annealer = QuantumAnnealerSimulator(
+        seed=stable_seed("robustness-study", axis, config.base_seed)
+    )
     impairments = _impairments_for(config, axis, value)
     mimo_config = MIMOConfig(
         num_users=config.num_users,
@@ -284,68 +297,6 @@ def _robustness_point(
     )
 
 
-def _axis_grid(config: RobustnessStudyConfig, axis: str) -> Tuple[float, ...]:
-    try:
-        return tuple(getattr(config, _AXIS_FIELDS[axis]))
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown robustness axis {axis!r}; axes: {', '.join(ROBUSTNESS_AXES)}"
-        ) from None
-
-
-def _robustness_point_shard(
-    config: RobustnessStudyConfig, axis: str, batch_size: Optional[int] = None
-) -> RobustnessRow:
-    """One grid-point shard; the config's axis grid holds exactly the point.
-
-    ``batch_size`` arrives outside the fingerprinted config (results are
-    proven batch-size-invariant, so the cache key must not depend on it).
-    """
-    grid = _axis_grid(config, axis)
-    if len(grid) != 1:
-        raise ConfigurationError(
-            f"a robustness shard sweeps exactly one {axis} point, got {grid!r}"
-        )
-    config = dataclasses.replace(config, batch_size=batch_size)
-    annealer = QuantumAnnealerSimulator(
-        seed=stable_seed("robustness-study", axis, config.base_seed)
-    )
-    return _robustness_point(config, axis, float(grid[0]), annealer)
-
-
-def robustness_tasks(config: RobustnessStudyConfig) -> List[ShardTask]:
-    """The sweep's shard list: one task per (axis, value) grid point.
-
-    Each task's configuration keeps only its own point (every other axis
-    grid is emptied), so adding, removing or editing one grid point re-keys
-    only that point on a cached re-run — the selective-invalidation contract
-    the cache tests pin down.  The batch-size-invariant ``batch_size``
-    travels outside the fingerprint.
-    """
-    empty = {field: () for field in _AXIS_FIELDS.values()}
-    tasks: List[ShardTask] = []
-    for axis in ROBUSTNESS_AXES:
-        for value in _axis_grid(config, axis):
-            shard_config = dataclasses.replace(
-                config,
-                batch_size=None,
-                **{**empty, _AXIS_FIELDS[axis]: (float(value),)},
-            )
-            tasks.append(
-                ShardTask(
-                    key=("robustness", axis, float(value)),
-                    fn=_robustness_point_shard,
-                    kwargs={
-                        "config": shard_config,
-                        "axis": axis,
-                        "batch_size": config.batch_size,
-                    },
-                    fingerprint_exclude=("batch_size",),
-                )
-            )
-    return tasks
-
-
 class RobustnessStudyDriver(ExperimentDriver):
     """The impairment sweep behind the shared experiment-driver protocol."""
 
@@ -353,7 +304,36 @@ class RobustnessStudyDriver(ExperimentDriver):
     metric_names = ROBUSTNESS_METRICS
 
     def tasks(self, config: RobustnessStudyConfig) -> List[ShardTask]:
-        return robustness_tasks(config)
+        """One task per (axis, value) grid point.
+
+        Each task's configuration keeps only its own point (every other axis
+        grid is emptied), so adding, removing or editing one grid point
+        re-keys only that point on a cached re-run — the
+        selective-invalidation contract the cache tests pin down.  The
+        batch-size-invariant ``batch_size`` travels outside the fingerprint.
+        """
+        empty = {field: () for field in _AXIS_FIELDS.values()}
+        tasks: List[ShardTask] = []
+        for axis in ROBUSTNESS_AXES:
+            for value in _axis_grid(config, axis):
+                shard_config = dataclasses.replace(
+                    config,
+                    batch_size=None,
+                    **{**empty, _AXIS_FIELDS[axis]: (float(value),)},
+                )
+                tasks.append(
+                    ShardTask(
+                        key=("robustness", axis, float(value)),
+                        fn=_robustness_point_shard,
+                        kwargs={
+                            "config": shard_config,
+                            "axis": axis,
+                            "batch_size": config.batch_size,
+                        },
+                        fingerprint_exclude=("batch_size",),
+                    )
+                )
+        return tasks
 
     def aggregate(
         self, config: RobustnessStudyConfig, results: Sequence[RobustnessRow]
@@ -385,23 +365,6 @@ class RobustnessStudyDriver(ExperimentDriver):
             telemetry.emit_progress(
                 "robustness-study", (row.axis, row.value), hybrid_ber=row.hybrid_ber
             )
-
-
-def run_robustness_study(
-    config: RobustnessStudyConfig = RobustnessStudyConfig(),
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> List[RobustnessRow]:
-    """Sweep the four impairment axes and return one row per grid point.
-
-    ``workers`` shards the grid across a process pool (results are
-    bitwise-identical to the serial path at any worker count) and ``cache``
-    reuses point results across runs; see :mod:`repro.parallel`.
-    """
-    _log.info(
-        "robustness_study.start", points=len(robustness_tasks(config)), workers=workers or 1
-    )
-    return run_driver(RobustnessStudyDriver(), config, workers=workers, cache=cache)
 
 
 _AXIS_LABELS = {

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError
-from repro.experiments.driver import ExperimentDriver, mean_or_nan, run_driver
-from repro.parallel import ResultCache, ShardTask
-from repro.telemetry.log import get_logger
+from repro.experiments.driver import ExperimentDriver, mean_or_nan
+from repro.parallel import ShardTask
 from repro.serving.autoscale import (
     AutoscaleConfig,
     AutoscaleController,
@@ -45,17 +44,12 @@ from repro.serving.workload import generate_serving_jobs, uniform_cell_profiles
 from repro.utils.rng import stable_seed
 from repro.wireless.mimo import MIMOConfig
 
-_log = get_logger(__name__)
-
 __all__ = [
     "SCENARIOS_METRICS",
     "ScenarioStudyConfig",
     "ScenarioStudyDriver",
     "ScenarioStudyRow",
     "ScenarioStudyResult",
-    "collect_scenario_rows",
-    "scenario_study_tasks",
-    "run_scenario_study",
     "format_scenario_table",
 ]
 
@@ -116,6 +110,14 @@ class ScenarioStudyConfig:
     warmup_us: float = 400.0
     autoscale_interval_us: float = 200.0
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.scenarios:
+            raise ConfigurationError("scenarios must not be empty")
+        if self.static_workers < 1:
+            raise ConfigurationError(
+                f"static_workers must be at least 1, got {self.static_workers}"
+            )
 
     @classmethod
     def quick(cls) -> "ScenarioStudyConfig":
@@ -249,34 +251,6 @@ def _scenario_shard(
     raise ConfigurationError(f"arm must be 'static' or 'autoscaled', got {arm!r}")
 
 
-def scenario_study_tasks(config: ScenarioStudyConfig) -> List[ShardTask]:
-    """The sweep's shard list: one (scenario, arm) task per catalog entry.
-
-    Each task's configuration is the study configuration restricted to its
-    own scenario, and its workload seed is the per-scenario child seed the
-    serial path derives — so a task's cache fingerprint never depends on
-    *which other* scenarios the sweep contains, and editing the catalog
-    re-keys only the touched entries.
-    """
-    tasks: List[ShardTask] = []
-    for name in config.scenarios:
-        shard_config = dataclasses.replace(config, scenarios=(name,))
-        workload_seed = stable_seed("scenario-study", name, config.base_seed)
-        for arm in ("static", "autoscaled"):
-            tasks.append(
-                ShardTask(
-                    key=("scenario-study", name, arm),
-                    fn=_scenario_shard,
-                    kwargs={
-                        "config": shard_config,
-                        "arm": arm,
-                        "workload_seed": workload_seed,
-                    },
-                )
-            )
-    return tasks
-
-
 class ScenarioStudyDriver(ExperimentDriver):
     """The catalog sweep behind the shared experiment-driver protocol."""
 
@@ -284,16 +258,55 @@ class ScenarioStudyDriver(ExperimentDriver):
     metric_names = SCENARIOS_METRICS
 
     def tasks(self, config: ScenarioStudyConfig) -> List[ShardTask]:
-        return scenario_study_tasks(config)
+        """One (scenario, arm) task per catalog entry.
+
+        Each task's configuration is the study configuration restricted to
+        its own scenario, and its workload seed is the per-scenario child
+        seed — so a task's cache fingerprint never depends on *which other*
+        scenarios the sweep contains, and editing the catalog re-keys only
+        the touched entries.
+        """
+        tasks: List[ShardTask] = []
+        for name in config.scenarios:
+            shard_config = dataclasses.replace(config, scenarios=(name,))
+            workload_seed = stable_seed("scenario-study", name, config.base_seed)
+            for arm in ("static", "autoscaled"):
+                tasks.append(
+                    ShardTask(
+                        key=("scenario-study", name, arm),
+                        fn=_scenario_shard,
+                        kwargs={
+                            "config": shard_config,
+                            "arm": arm,
+                            "workload_seed": workload_seed,
+                        },
+                    )
+                )
+        return tasks
 
     def aggregate(
-        self, config: ScenarioStudyConfig, results: List[ServingReport]
+        self, config: ScenarioStudyConfig, results: Sequence[ServingReport]
     ) -> ScenarioStudyResult:
-        return ScenarioStudyResult(
-            rows=collect_scenario_rows(config, list(results)),
-            detail=results[-1] if results else None,
-            config=config,
-        )
+        """Pair the (static, autoscaled) shard reports back into catalog rows."""
+        rows: List[ScenarioStudyRow] = []
+        for position, name in enumerate(config.scenarios):
+            static = results[2 * position]
+            autoscaled = results[2 * position + 1]
+            rows.append(
+                ScenarioStudyRow(
+                    scenario=name,
+                    num_jobs=autoscaled.num_jobs,
+                    offered_load_jobs_per_ms=autoscaled.offered_load_jobs_per_ms,
+                    static_miss_rate=static.deadline_miss_rate or 0.0,
+                    autoscaled_miss_rate=autoscaled.deadline_miss_rate or 0.0,
+                    static_p99_us=static.p99_latency_us,
+                    autoscaled_p99_us=autoscaled.p99_latency_us,
+                    mean_active_workers=autoscaled.metadata["autoscale_average_active"],
+                    scale_events=autoscaled.metadata["autoscale_events"],
+                    autoscaled_demotion_rate=autoscaled.demotion_rate,
+                )
+            )
+        return ScenarioStudyResult(rows=rows, detail=results[-1], config=config)
 
     def metrics(self, rows) -> Tuple[Tuple[str, float], ...]:
         autoscaled = [row.autoscaled_miss_rate for row in rows]
@@ -321,58 +334,6 @@ class ScenarioStudyDriver(ExperimentDriver):
             telemetry.emit_progress(
                 "scenario-study", name, miss_rate=autoscaled.deadline_miss_rate or 0.0
             )
-
-
-def run_scenario_study(
-    config: ScenarioStudyConfig = ScenarioStudyConfig(),
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> ScenarioStudyResult:
-    """Serve every catalog scenario with the static and autoscaled pools.
-
-    ``workers`` shards the sweep across a process pool (results are
-    bitwise-identical to the serial path at any worker count) and ``cache``
-    reuses shard results across runs; see :mod:`repro.parallel`.
-    """
-    if not config.scenarios:
-        raise ConfigurationError("scenarios must not be empty")
-    if config.static_workers < 1:
-        raise ConfigurationError(
-            f"static_workers must be at least 1, got {config.static_workers}"
-        )
-
-    _log.info("scenario_study.start", scenarios=len(config.scenarios), workers=workers or 1)
-    return run_driver(ScenarioStudyDriver(), config, workers=workers, cache=cache)
-
-
-def collect_scenario_rows(
-    config: ScenarioStudyConfig, reports: List[ServingReport]
-) -> List[ScenarioStudyRow]:
-    """Pair the (static, autoscaled) shard reports back into catalog rows.
-
-    Shared by :func:`run_scenario_study` and the ablation-target binding, so
-    the declarative harness reports exactly the rows the imperative driver
-    does.
-    """
-    rows: List[ScenarioStudyRow] = []
-    for position, name in enumerate(config.scenarios):
-        static = reports[2 * position]
-        autoscaled = reports[2 * position + 1]
-        rows.append(
-            ScenarioStudyRow(
-                scenario=name,
-                num_jobs=autoscaled.num_jobs,
-                offered_load_jobs_per_ms=autoscaled.offered_load_jobs_per_ms,
-                static_miss_rate=static.deadline_miss_rate or 0.0,
-                autoscaled_miss_rate=autoscaled.deadline_miss_rate or 0.0,
-                static_p99_us=static.p99_latency_us,
-                autoscaled_p99_us=autoscaled.p99_latency_us,
-                mean_active_workers=autoscaled.metadata["autoscale_average_active"],
-                scale_events=autoscaled.metadata["autoscale_events"],
-                autoscaled_demotion_rate=autoscaled.demotion_rate,
-            )
-        )
-    return rows
 
 
 def format_scenario_table(result: ScenarioStudyResult) -> str:

@@ -21,11 +21,10 @@ from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.classical.mmse import MMSEDetector
 from repro.classical.zero_forcing import ZeroForcingDetector
 from repro.exceptions import ConfigurationError
-from repro.experiments.driver import ExperimentDriver, run_driver
+from repro.experiments.driver import ExperimentDriver
 from repro import telemetry
 from repro.hybrid.solver import HybridMIMODetector
-from repro.parallel import ResultCache, ShardTask
-from repro.telemetry.log import get_logger
+from repro.parallel import ShardTask
 from repro.transform.mimo_to_qubo import mimo_to_qubo
 from repro.utils.batching import iter_batches
 from repro.utils.rng import ensure_rng, stable_seed
@@ -33,14 +32,10 @@ from repro.wireless.channel import RayleighFadingChannel
 from repro.wireless.metrics import bit_error_rate
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
 
-_log = get_logger(__name__)
-
 __all__ = [
     "SNRStudyConfig",
     "SNRStudyDriver",
     "SNRStudyRow",
-    "snr_study_tasks",
-    "run_snr_study",
     "format_snr_table",
 ]
 
@@ -94,15 +89,25 @@ class SNRStudyRow:
     hybrid_ber: float
 
 
-def _snr_point(
-    config: SNRStudyConfig, snr_db: float, annealer: QuantumAnnealerSimulator
+def _snr_point_shard(
+    config: SNRStudyConfig, batch_size: Optional[int] = None
 ) -> SNRStudyRow:
     """Average the detectors' BERs over the channel uses of one SNR point.
 
-    Every channel use is seeded by its own explicit child
+    ``config.snr_grid_db`` holds exactly the point.  Every channel use is
+    seeded by its own explicit child
     (``stable_seed("snr-use", snr_db, index, base_seed)``), so points are
-    independent of each other and of execution order.
+    independent of each other and of execution order.  ``batch_size``
+    arrives outside the fingerprinted config (results are proven
+    batch-size-invariant, so the cache key must not depend on it).
     """
+    if len(config.snr_grid_db) != 1:
+        raise ConfigurationError(
+            f"an SNR shard sweeps exactly one point, got {config.snr_grid_db!r}"
+        )
+    config = dataclasses.replace(config, batch_size=batch_size)
+    snr_db = float(config.snr_grid_db[0])
+    annealer = QuantumAnnealerSimulator(seed=stable_seed("snr-study", config.base_seed))
     zero_forcing = ZeroForcingDetector()
     channel_model = RayleighFadingChannel()
     mimo_config = MIMOConfig(
@@ -166,53 +171,33 @@ def _snr_point(
     )
 
 
-def _snr_point_shard(
-    config: SNRStudyConfig, batch_size: Optional[int] = None
-) -> SNRStudyRow:
-    """One SNR-point shard; ``config.snr_grid_db`` holds exactly the point.
-
-    ``batch_size`` arrives outside the fingerprinted config (results are
-    proven batch-size-invariant, so the cache key must not depend on it).
-    """
-    if len(config.snr_grid_db) != 1:
-        raise ConfigurationError(
-            f"an SNR shard sweeps exactly one point, got {config.snr_grid_db!r}"
-        )
-    config = dataclasses.replace(config, batch_size=batch_size)
-    annealer = QuantumAnnealerSimulator(seed=stable_seed("snr-study", config.base_seed))
-    return _snr_point(config, float(config.snr_grid_db[0]), annealer)
-
-
-def snr_study_tasks(config: SNRStudyConfig) -> List[ShardTask]:
-    """The sweep's shard list: one task per SNR grid point.
-
-    Each task's configuration is restricted to its own point, so adding or
-    changing one grid point recomputes only that point on a cached re-run;
-    the batch-size-invariant ``batch_size`` travels outside the fingerprint.
-    """
-    return [
-        ShardTask(
-            key=("snr-study", float(snr_db)),
-            fn=_snr_point_shard,
-            kwargs={
-                "config": dataclasses.replace(
-                    config, snr_grid_db=(float(snr_db),), batch_size=None
-                ),
-                "batch_size": config.batch_size,
-            },
-            fingerprint_exclude=("batch_size",),
-        )
-        for snr_db in config.snr_grid_db
-    ]
-
-
 class SNRStudyDriver(ExperimentDriver):
     """The BER-vs-SNR sweep behind the shared experiment-driver protocol."""
 
     name = "snr"
 
     def tasks(self, config: SNRStudyConfig) -> List[ShardTask]:
-        return snr_study_tasks(config)
+        """One task per SNR grid point.
+
+        Each task's configuration is restricted to its own point, so adding
+        or changing one grid point recomputes only that point on a cached
+        re-run; the batch-size-invariant ``batch_size`` travels outside the
+        fingerprint.
+        """
+        return [
+            ShardTask(
+                key=("snr-study", float(snr_db)),
+                fn=_snr_point_shard,
+                kwargs={
+                    "config": dataclasses.replace(
+                        config, snr_grid_db=(float(snr_db),), batch_size=None
+                    ),
+                    "batch_size": config.batch_size,
+                },
+                fingerprint_exclude=("batch_size",),
+            )
+            for snr_db in config.snr_grid_db
+        ]
 
     def aggregate(
         self, config: SNRStudyConfig, results: Sequence[SNRStudyRow]
@@ -222,26 +207,6 @@ class SNRStudyDriver(ExperimentDriver):
     def progress(self, config, tasks, results) -> None:
         for row in results:
             telemetry.emit_progress("snr-study", row.snr_db, hybrid_ber=row.hybrid_ber)
-
-
-def run_snr_study(
-    config: SNRStudyConfig = SNRStudyConfig(),
-    sampler: Optional[QuantumAnnealerSimulator] = None,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> List[SNRStudyRow]:
-    """Sweep SNR and return one row of averaged BERs per SNR point.
-
-    ``workers`` shards the grid across a process pool (results are
-    bitwise-identical to the serial path at any worker count) and ``cache``
-    reuses point results across runs; see :mod:`repro.parallel`.  A custom
-    ``sampler`` pins the study to the calling process (live simulator objects
-    cannot be shipped to pool workers), so it runs serially and uncached.
-    """
-    if sampler is not None:
-        return [_snr_point(config, float(snr_db), sampler) for snr_db in config.snr_grid_db]
-    _log.info("snr_study.start", points=len(config.snr_grid_db), workers=workers or 1)
-    return run_driver(SNRStudyDriver(), config, workers=workers, cache=cache)
 
 
 def format_snr_table(rows: Sequence[SNRStudyRow]) -> str:

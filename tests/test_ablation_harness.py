@@ -38,10 +38,10 @@ from repro.ablation import (
     pareto_front,
     point_fingerprint,
     run_study,
-    spec_from_config,
 )
 from repro.ablation.targets import AnnealHPOConfig
 from repro.exceptions import ConfigurationError
+from repro.experiments.driver import run_driver
 from repro.parallel import ResultCache
 
 # Fixed, derandomized profile: the suite must behave identically on every
@@ -398,12 +398,6 @@ class TestCompileConfig:
         with pytest.raises(ConfigurationError, match="num_sweeps"):
             compile_config(spec, self._one_point(spec), AnnealHPOConfig())
 
-    def test_spec_from_config_round_trips(self):
-        config = AnnealHPOConfig(num_sweeps=33, num_restarts=3)
-        spec = spec_from_config("round-trip", "anneal-hpo", config)
-        compiled = compile_config(spec, self._one_point(spec), AnnealHPOConfig())
-        assert compiled == config
-
 
 def _hpo_spec(**overrides) -> AblationSpec:
     kwargs = dict(
@@ -471,7 +465,7 @@ class TestRunStudy:
     def test_builtin_targets_are_registered(self):
         assert {"fig8", "robustness", "anneal-hpo"} <= set(available_targets())
         target = get_target("anneal-hpo")
-        assert target.metric_names == (
+        assert target.driver.metric_names == (
             "best_energy",
             "mean_energy",
             "compute_time_us_mean",
@@ -482,11 +476,11 @@ class TestRunStudy:
 class TestDriverSubsumption:
     """The declarative specs reproduce the imperative drivers bitwise."""
 
-    def test_fig8_quick_spec_matches_run_figure8(self):
+    def test_fig8_quick_spec_matches_run_driver(self):
         from repro.ablation.presets import fig8_quick_spec
-        from repro.experiments.fig8_tts import Figure8Config, run_figure8
+        from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
 
-        direct = run_figure8(Figure8Config.quick())
+        direct = run_driver(Figure8Driver(), Figure8Config.quick())
         result = run_study(fig8_quick_spec())
         assert len(result.points) == 1
         harness_rows = list(result.points[0].rows)
@@ -494,14 +488,14 @@ class TestDriverSubsumption:
             dataclasses.asdict(r) for r in direct
         ]
 
-    def test_robustness_quick_spec_matches_run_robustness_study(self):
+    def test_robustness_quick_spec_matches_run_driver(self):
         from repro.ablation.presets import robustness_quick_spec
         from repro.experiments.robustness_study import (
             RobustnessStudyConfig,
-            run_robustness_study,
+            RobustnessStudyDriver,
         )
 
-        direct = run_robustness_study(RobustnessStudyConfig.quick())
+        direct = run_driver(RobustnessStudyDriver(), RobustnessStudyConfig.quick())
         result = run_study(robustness_quick_spec())
         assert len(result.points) == 1
         harness_rows = list(result.points[0].rows)
@@ -511,10 +505,10 @@ class TestDriverSubsumption:
 
     def test_fig8_shards_share_cache_with_imperative_driver(self, tmp_path):
         from repro.ablation.presets import fig8_quick_spec
-        from repro.experiments.fig8_tts import Figure8Config, run_figure8
+        from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
 
         cache = ResultCache(tmp_path / "cache")
-        run_figure8(Figure8Config.quick(), cache=cache)
+        run_driver(Figure8Driver(), Figure8Config.quick(), cache=cache)
         warm = run_study(fig8_quick_spec(), cache=cache)
         assert warm.stats.executed == 0
         assert warm.stats.cache_hits > 0

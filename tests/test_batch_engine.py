@@ -384,12 +384,10 @@ class TestHybridBatch:
                 assert expected.expectation_energy == actual.expectation_energy
 
     def test_figure6_batch_size_does_not_change_results(self):
-        from repro.experiments.fig6_distributions import Figure6Config, run_figure6
+        from repro.experiments.driver import run_driver
+        from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
 
         def run(batch_size):
-            sampler = QuantumAnnealerSimulator(
-                backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8), seed=5
-            )
             config = Figure6Config(
                 num_variables=8,
                 instances_per_modulation=3,
@@ -397,7 +395,7 @@ class TestHybridBatch:
                 modulations=("QPSK",),
                 batch_size=batch_size,
             )
-            return run_figure6(config, sampler=sampler)
+            return run_driver(Figure6Driver(), config)
 
         whole = run(None)
         split = run(2)

@@ -6,8 +6,10 @@ from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBacken
 from repro.experiments import (
     Figure3Config,
     Figure6Config,
+    Figure6Driver,
     Figure7Config,
     Figure8Config,
+    Figure8Driver,
     HeadlineConfig,
     InitializerAblationConfig,
     PipelineStudyConfig,
@@ -20,10 +22,9 @@ from repro.experiments import (
     format_initializer_table,
     format_pipeline_table,
     format_soft_constraint_table,
+    run_driver,
     run_figure3,
-    run_figure6,
     run_figure7,
-    run_figure8,
     run_headline,
     run_initializer_ablation,
     run_pipeline_study,
@@ -62,8 +63,8 @@ class TestFigure3:
 
 
 class TestFigure6:
-    def test_quick_run(self, quick_sampler):
-        series = run_figure6(Figure6Config.quick(), sampler=quick_sampler)
+    def test_quick_run(self):
+        series = run_driver(Figure6Driver(), Figure6Config.quick())
         methods = {row.method for row in series}
         assert methods == {"FA", "RA-random", "RA-greedy"}
         for row in series:
@@ -73,14 +74,14 @@ class TestFigure6:
         table = format_figure6_table(series)
         assert "RA-greedy" in table
 
-    def test_modulation_filter(self, quick_sampler):
+    def test_modulation_filter(self):
         config = Figure6Config(
             num_variables=8,
             instances_per_modulation=1,
             num_reads=60,
             modulations=("QPSK",),
         )
-        series = run_figure6(config, sampler=quick_sampler)
+        series = run_driver(Figure6Driver(), config)
         assert {row.modulation for row in series} == {"QPSK"}
 
 
@@ -101,9 +102,9 @@ class TestFigure7:
 
 
 class TestFigure8:
-    def test_quick_run(self, quick_sampler):
+    def test_quick_run(self):
         config = Figure8Config.quick()
-        rows = run_figure8(config, sampler=quick_sampler)
+        rows = run_driver(Figure8Driver(), config)
         methods = {row.method for row in rows}
         assert {"FA", "RA-greedy", "RA-ground"}.issubset(methods)
         per_method = {
@@ -113,8 +114,8 @@ class TestFigure8:
             assert len(method_rows) == len(config.grid())
         assert "TTS" in format_figure8_table(rows)
 
-    def test_ra_ground_dominates_at_high_switch(self, quick_sampler):
-        rows = run_figure8(Figure8Config.quick(), sampler=quick_sampler)
+    def test_ra_ground_dominates_at_high_switch(self):
+        rows = run_driver(Figure8Driver(), Figure8Config.quick())
         high = max(Figure8Config.quick().grid())
         ground_row = next(
             row for row in rows if row.method == "RA-ground" and row.switch_s == high

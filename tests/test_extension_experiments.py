@@ -7,10 +7,11 @@ from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBacken
 from repro.experiments import (
     PauseAblationConfig,
     SNRStudyConfig,
+    SNRStudyDriver,
     format_pause_table,
     format_snr_table,
+    run_driver,
     run_pause_ablation,
-    run_snr_study,
 )
 
 
@@ -21,9 +22,9 @@ def quick_sampler():
 
 
 class TestSNRStudy:
-    def test_quick_run_structure(self, quick_sampler):
+    def test_quick_run_structure(self):
         config = SNRStudyConfig.quick()
-        rows = run_snr_study(config, sampler=quick_sampler)
+        rows = run_driver(SNRStudyDriver(), config)
         assert len(rows) == len(config.snr_grid_db)
         for row in rows:
             assert row.channel_uses == config.channel_uses_per_point
@@ -31,21 +32,19 @@ class TestSNRStudy:
                 assert 0.0 <= value <= 1.0
         assert "SNR" in format_snr_table(rows)
 
-    def test_high_snr_beats_low_snr_for_linear_detectors(self, quick_sampler):
+    def test_high_snr_beats_low_snr_for_linear_detectors(self):
         config = SNRStudyConfig(
             snr_grid_db=(0.0, 20.0), channel_uses_per_point=4, num_reads=40
         )
-        rows = {row.snr_db: row for row in run_snr_study(config, sampler=quick_sampler)}
+        rows = {row.snr_db: row for row in run_driver(SNRStudyDriver(), config)}
         assert rows[20.0].mmse_ber <= rows[0.0].mmse_ber + 1e-9
         assert rows[20.0].zero_forcing_ber <= rows[0.0].zero_forcing_ber + 1e-9
 
-    def test_deterministic_given_seed(self, quick_sampler):
-        config = SNRStudyConfig.quick()
-        first = run_snr_study(config, sampler=QuantumAnnealerSimulator(seed=3))
-        second = run_snr_study(config, sampler=QuantumAnnealerSimulator(seed=3))
-        assert [row.zero_forcing_ber for row in first] == [
-            row.zero_forcing_ber for row in second
-        ]
+    def test_deterministic_given_seed(self):
+        config = SNRStudyConfig(snr_grid_db=(0.0, 18.0), channel_uses_per_point=2, base_seed=3)
+        first = run_driver(SNRStudyDriver(), config)
+        second = run_driver(SNRStudyDriver(), config)
+        assert first == second
 
 
 class TestPauseAblation:

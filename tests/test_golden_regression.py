@@ -21,10 +21,11 @@ import pathlib
 import pytest
 
 from repro.ablation.presets import ablation_quick_rows
-from repro.experiments.fig6_distributions import Figure6Config, run_figure6
-from repro.experiments.fig8_tts import Figure8Config, run_figure8
-from repro.experiments.network_study import NetworkStudyConfig, run_network_study
-from repro.experiments.snr_study import SNRStudyConfig, run_snr_study
+from repro.experiments.driver import run_driver
+from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
+from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
+from repro.experiments.network_study import NetworkStudyConfig, NetworkStudyDriver
+from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -35,10 +36,10 @@ def rows_as_payload(rows) -> list:
 
 STUDIES = {
     "ablation_quick": ablation_quick_rows,
-    "fig6_quick": lambda: run_figure6(Figure6Config.quick()),
-    "fig8_quick": lambda: run_figure8(Figure8Config.quick()),
-    "network_quick": lambda: run_network_study(NetworkStudyConfig.quick()).rows,
-    "snr_quick": lambda: run_snr_study(SNRStudyConfig.quick()),
+    "fig6_quick": lambda: run_driver(Figure6Driver(), Figure6Config.quick()),
+    "fig8_quick": lambda: run_driver(Figure8Driver(), Figure8Config.quick()),
+    "network_quick": lambda: run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick()).rows,
+    "snr_quick": lambda: run_driver(SNRStudyDriver(), SNRStudyConfig.quick()),
 }
 
 

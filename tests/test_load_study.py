@@ -7,15 +7,16 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     LoadStudyConfig,
+    LoadStudyDriver,
     format_load_study_table,
-    run_load_study,
+    run_driver,
 )
 from repro.serving import ServingReport
 
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return run_load_study(LoadStudyConfig.quick())
+    return run_driver(LoadStudyDriver(), LoadStudyConfig.quick())
 
 
 class TestLoadStudy:
@@ -54,12 +55,12 @@ class TestLoadStudy:
 
     def test_reproducible(self):
         config = dataclasses.replace(LoadStudyConfig.quick(), load_factors=(2.0,))
-        first = run_load_study(config)
-        second = run_load_study(config)
+        first = run_driver(LoadStudyDriver(), config)
+        second = run_driver(LoadStudyDriver(), config)
         assert first.rows == second.rows
 
     @pytest.mark.parametrize("load_factors", [(), (0.0,), (-1.0,)])
     def test_invalid_load_factors(self, load_factors):
-        config = dataclasses.replace(LoadStudyConfig.quick(), load_factors=load_factors)
+        # The config rejects itself, so no entry point can run it.
         with pytest.raises(ConfigurationError):
-            run_load_study(config)
+            dataclasses.replace(LoadStudyConfig.quick(), load_factors=load_factors)

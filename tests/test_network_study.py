@@ -16,10 +16,10 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     NetworkStudyConfig,
+    NetworkStudyDriver,
     format_network_table,
-    run_network_study,
+    run_driver,
 )
-from repro.experiments.network_study import network_study_tasks
 from repro.network import (
     AggregationConfig,
     NetworkTopology,
@@ -40,7 +40,7 @@ from repro.wireless.mimo import MIMOConfig
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return run_network_study(NetworkStudyConfig.quick())
+    return run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick())
 
 
 def _row(result, placement):
@@ -90,7 +90,7 @@ class TestNetworkStudy:
             assert row.placement in table
 
     def test_reproducible(self, quick_result):
-        again = run_network_study(NetworkStudyConfig.quick())
+        again = run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick())
         assert again.rows == quick_result.rows
 
     def test_invalid_configurations_rejected(self):
@@ -107,7 +107,7 @@ class TestNetworkStudy:
 class TestNetworkStudyDeterminism:
     def test_sharded_run_is_bitwise_identical_to_serial(self, quick_result):
         config = NetworkStudyConfig.quick()
-        parallel = run_network_study(config, workers=2)
+        parallel = run_driver(NetworkStudyDriver(), config, workers=2)
         assert parallel.rows == quick_result.rows
         assert format_network_table(parallel) == format_network_table(quick_result)
 
@@ -115,11 +115,11 @@ class TestNetworkStudyDeterminism:
         config = NetworkStudyConfig.quick()
         first = [
             task_fingerprint(task.fn, task.kwargs, key=task.key)
-            for task in network_study_tasks(config)
+            for task in NetworkStudyDriver().tasks(config)
         ]
         second = [
             task_fingerprint(task.fn, task.kwargs, key=task.key)
-            for task in network_study_tasks(config)
+            for task in NetworkStudyDriver().tasks(config)
         ]
         assert first == second
         assert len(set(first)) == len(first)
@@ -127,24 +127,24 @@ class TestNetworkStudyDeterminism:
     def test_cached_rerun_is_all_hits_and_identical(self, tmp_path, quick_result):
         config = NetworkStudyConfig.quick()
         cache = ResultCache(tmp_path / "cache")
-        num_shards = len(network_study_tasks(config))
+        num_shards = len(NetworkStudyDriver().tasks(config))
 
-        cold = run_network_study(config, cache=cache)
+        cold = run_driver(NetworkStudyDriver(), config, cache=cache)
         assert cache.misses == num_shards and cache.hits == 0
 
         cache.reset_counters()
-        warm = run_network_study(config, cache=cache)
+        warm = run_driver(NetworkStudyDriver(), config, cache=cache)
         assert cache.hits == num_shards and cache.misses == 0
         assert warm.rows == cold.rows == quick_result.rows
 
     def test_placement_restriction_reuses_the_shared_arm(self, tmp_path):
         config = NetworkStudyConfig.quick()
         cache = ResultCache(tmp_path / "cache")
-        run_network_study(config, cache=cache)
+        run_driver(NetworkStudyDriver(), config, cache=cache)
 
         cache.reset_counters()
         only_static = dataclasses.replace(config, placements=("static",))
-        narrowed = run_network_study(only_static, cache=cache)
+        narrowed = run_driver(NetworkStudyDriver(), only_static, cache=cache)
         assert cache.hits == 1 and cache.misses == 0
         assert narrowed.rows[0].placement == "static"
 

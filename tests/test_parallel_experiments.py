@@ -12,18 +12,18 @@ import dataclasses
 
 from repro.experiments import (
     Figure6Config,
+    Figure6Driver,
     Figure8Config,
+    Figure8Driver,
     LoadStudyConfig,
+    LoadStudyDriver,
     ScenarioStudyConfig,
+    ScenarioStudyDriver,
     SNRStudyConfig,
+    SNRStudyDriver,
     format_load_study_table,
     format_scenario_table,
-    run_figure6,
-    run_figure8,
-    run_load_study,
-    run_scenario_study,
-    run_snr_study,
-    scenario_study_tasks,
+    run_driver,
 )
 from repro.parallel import ParallelRunner, ResultCache, ShardTask
 
@@ -31,31 +31,31 @@ from repro.parallel import ParallelRunner, ResultCache, ShardTask
 class TestParallelEqualsSerial:
     def test_figure6(self):
         config = Figure6Config.quick()
-        assert run_figure6(config, workers=2) == run_figure6(config)
+        assert run_driver(Figure6Driver(), config, workers=2) == run_driver(Figure6Driver(), config)
 
     def test_figure8(self):
         config = Figure8Config.quick()
-        assert run_figure8(config, workers=2) == run_figure8(config)
+        assert run_driver(Figure8Driver(), config, workers=2) == run_driver(Figure8Driver(), config)
 
     def test_figure8_with_fr_oracle(self):
         config = dataclasses.replace(Figure8Config.quick(), include_fr_oracle=True)
-        assert run_figure8(config, workers=2) == run_figure8(config)
+        assert run_driver(Figure8Driver(), config, workers=2) == run_driver(Figure8Driver(), config)
 
     def test_snr_study(self):
-        config = SNRStudyConfig.quick()
-        assert run_snr_study(config, workers=2) == run_snr_study(config)
+        driver, config = SNRStudyDriver(), SNRStudyConfig.quick()
+        assert run_driver(driver, config, workers=2) == run_driver(driver, config)
 
     def test_load_study(self):
         config = LoadStudyConfig.quick()
-        serial = run_load_study(config)
-        parallel = run_load_study(config, workers=2)
+        serial = run_driver(LoadStudyDriver(), config)
+        parallel = run_driver(LoadStudyDriver(), config, workers=2)
         assert parallel.rows == serial.rows
         assert format_load_study_table(parallel) == format_load_study_table(serial)
 
     def test_scenario_study(self):
         config = ScenarioStudyConfig.quick()
-        serial = run_scenario_study(config)
-        parallel = run_scenario_study(config, workers=2)
+        serial = run_driver(ScenarioStudyDriver(), config)
+        parallel = run_driver(ScenarioStudyDriver(), config, workers=2)
         assert parallel.rows == serial.rows
         assert format_scenario_table(parallel) == format_scenario_table(serial)
 
@@ -64,13 +64,13 @@ class TestScenarioCacheCorrectness:
     def test_cached_rerun_is_byte_identical_and_all_hits(self, tmp_path):
         config = ScenarioStudyConfig.quick()
         cache = ResultCache(tmp_path / "cache")
-        num_shards = len(scenario_study_tasks(config))
+        num_shards = len(ScenarioStudyDriver().tasks(config))
 
-        cold = run_scenario_study(config, cache=cache)
+        cold = run_driver(ScenarioStudyDriver(), config, cache=cache)
         assert cache.misses == num_shards and cache.hits == 0
 
         cache.reset_counters()
-        warm = run_scenario_study(config, cache=cache)
+        warm = run_driver(ScenarioStudyDriver(), config, cache=cache)
         assert cache.hits == num_shards and cache.misses == 0
         assert format_scenario_table(warm) == format_scenario_table(cold)
         assert warm.rows == cold.rows
@@ -79,7 +79,7 @@ class TestScenarioCacheCorrectness:
         config = ScenarioStudyConfig.quick()
         cache = ResultCache(tmp_path / "cache")
         runner = ParallelRunner(cache=cache)
-        tasks = scenario_study_tasks(config)
+        tasks = ScenarioStudyDriver().tasks(config)
         baseline = runner.run_sharded(tasks)
 
         # Re-seed one scenario arm's workload; every other shard must hit.
@@ -102,17 +102,17 @@ class TestScenarioCacheCorrectness:
         # on it); a catalog extension only computes the new scenario.
         config = ScenarioStudyConfig.quick()
         cache = ResultCache(tmp_path / "cache")
-        run_scenario_study(config, cache=cache)
+        run_driver(ScenarioStudyDriver(), config, cache=cache)
 
         cache.reset_counters()
         extended = dataclasses.replace(config, scenarios=config.scenarios + ("diurnal",))
-        run_scenario_study(extended, cache=cache)
+        run_driver(ScenarioStudyDriver(), extended, cache=cache)
         assert cache.hits == 2 * len(config.scenarios)
         assert cache.misses == 2  # the two new diurnal arms
 
         cache.reset_counters()
         retuned = dataclasses.replace(config, static_workers=config.static_workers + 1)
-        run_scenario_study(retuned, cache=cache)
+        run_driver(ScenarioStudyDriver(), retuned, cache=cache)
         assert cache.misses == 2 * len(config.scenarios)
 
     def test_fig8_method_knobs_invalidate_only_their_method(self, tmp_path):
@@ -123,12 +123,12 @@ class TestScenarioCacheCorrectness:
             intermediate_initial_quality=None,
         )
         cache = ResultCache(tmp_path / "cache")
-        run_figure8(config, cache=cache)
+        run_driver(Figure8Driver(), config, cache=cache)
         num_shards = 2 + len(config.grid())
 
         cache.reset_counters()
         toggled = dataclasses.replace(config, intermediate_initial_quality=6.0)
-        run_figure8(toggled, cache=cache)
+        run_driver(Figure8Driver(), toggled, cache=cache)
         assert cache.misses == 1  # the RA family shard only
         assert cache.hits == num_shards - 1
 
@@ -137,10 +137,10 @@ class TestScenarioCacheCorrectness:
         # must replay from the cache, not recompute.
         config = SNRStudyConfig.quick()
         cache = ResultCache(tmp_path / "cache")
-        baseline = run_snr_study(config, cache=cache)
+        baseline = run_driver(SNRStudyDriver(), config, cache=cache)
 
         cache.reset_counters()
         rechunked = dataclasses.replace(config, batch_size=1)
-        rows = run_snr_study(rechunked, cache=cache)
+        rows = run_driver(SNRStudyDriver(), rechunked, cache=cache)
         assert cache.hits == len(config.snr_grid_db) and cache.misses == 0
         assert rows == baseline

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments import QoSStudyConfig, format_qos_table, run_qos_study
+from repro.experiments import QoSStudyConfig, QoSStudyDriver, format_qos_table, run_driver
 from repro.network import build_topology
 from repro.serving import (
     BEST_EFFORT,
@@ -334,7 +334,7 @@ class TestPerClassReports:
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return run_qos_study(QoSStudyConfig.quick())
+    return run_driver(QoSStudyDriver(), QoSStudyConfig.quick())
 
 
 _BAD_OVERRIDES = [
@@ -343,6 +343,23 @@ _BAD_OVERRIDES = [
     dict(service_classes=()),
     dict(service_classes=("platinum",)),
     dict(annealer_workers=0),
+]
+
+#: Every field the sharded serving configs reject, as (ablation target,
+#: overrides); the QoS cases come first.
+_REJECTED_FIELDS = [("qos", overrides) for overrides in _BAD_OVERRIDES] + [
+    ("serve", dict(load_factors=())),
+    ("serve", dict(load_factors=(-1.0,))),
+    ("scenarios", dict(scenarios=())),
+    ("scenarios", dict(static_workers=0)),
+    ("network", dict(topology_kind="torus")),
+    ("network", dict(scenario="rush-hour")),
+    ("network", dict(placements=())),
+    ("network", dict(placements=("random",))),
+    ("network", dict(utilization=1.0)),
+    ("network", dict(migration_fraction=1.5)),
+    ("network", dict(min_capacity_fraction=-0.1)),
+    ("network", dict(detail_max_jobs_per_cell=-1)),
 ]
 
 
@@ -376,24 +393,29 @@ class TestQoSStudy:
 
     def test_serial_matches_sharded(self):
         config = dataclasses.replace(QoSStudyConfig.quick(), scenarios=("busy-day",))
-        serial = run_qos_study(config)
-        sharded = run_qos_study(config, workers=2)
+        serial = run_driver(QoSStudyDriver(), config)
+        sharded = run_driver(QoSStudyDriver(), config, workers=2)
         assert serial.rows == sharded.rows
 
     @pytest.mark.parametrize("overrides", _BAD_OVERRIDES)
     def test_invalid_configurations_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
-            run_qos_study(dataclasses.replace(QoSStudyConfig.quick(), **overrides))
+            QoSStudyConfig(**overrides)
 
-    @pytest.mark.parametrize("overrides", _BAD_OVERRIDES)
+    @pytest.mark.parametrize("overrides", _REJECTED_FIELDS)
     def test_run_driver_rejects_invalid_configurations(self, overrides):
-        # The config rejects itself, so run_driver (the ablation harness's
-        # path) cannot silently serve zero scenarios or zero annealers.
-        from repro.experiments.driver import run_driver
-        from repro.experiments.qos_study import QoSStudyDriver
+        # The config rejects itself, so neither run_driver nor an ablation
+        # spec can silently run it (zero load points, zero scenarios, zero
+        # annealers): both paths raise the config's own message.
+        from repro.ablation import AblationSpec, get_target, run_study
 
-        with pytest.raises(ConfigurationError):
-            run_driver(QoSStudyDriver(), dataclasses.replace(QoSStudyConfig.quick(), **overrides))
+        experiment, fields = overrides
+        with pytest.raises(ConfigurationError) as constructed:
+            dataclasses.replace(get_target(experiment).make_config("quick"), **fields)
+        spec = AblationSpec(name="invalid", experiment=experiment, preset="quick", base=fields)
+        with pytest.raises(ConfigurationError) as studied:
+            run_study(spec)
+        assert str(studied.value) == str(constructed.value)
 
     def test_registered_as_ablation_target(self):
         from repro.ablation import available_targets, get_target
@@ -401,7 +423,7 @@ class TestQoSStudy:
 
         assert "qos" in available_targets()
         target = get_target("qos")
-        assert target.metric_names == QOS_METRICS
+        assert target.driver.metric_names == QOS_METRICS
         assert set(target.presets) >= {"default", "quick", "paper"}
 
 
@@ -457,19 +479,17 @@ class TestExperimentDriver:
         driver = _ToyDriver()
         assert run_driver(driver, (5, 4, 3, 2)) == run_driver(driver, (5, 4, 3, 2), workers=2)
 
-    def test_from_driver_binds_rows_and_metrics(self):
+    def test_target_wraps_the_driver(self):
         from repro.ablation.registry import ExperimentTarget
 
-        target = ExperimentTarget.from_driver(
-            _ToyDriver(), presets={"quick": lambda: (1, 2)}, description="toy"
-        )
+        target = ExperimentTarget(_ToyDriver(), presets={"quick": lambda: (1, 2)})
         assert target.name == "toy"
-        assert target.metric_names == ("total",)
-        config = (1, 2)
-        shards = [task.fn(**task.kwargs) for task in target.tasks(config)]
-        rows = target.collect(config, shards)
+        config = target.make_config("quick")
+        driver = target.driver
+        shards = [task.fn(**task.kwargs) for task in driver.tasks(config)]
+        rows = driver.rows(driver.aggregate(config, shards))
         assert rows == [1, 4]
-        assert target.metrics(rows) == (("total", 5.0),)
+        assert driver.metrics(rows) == (("total", 5.0),)
 
     def test_every_sweep_study_driver_subclasses_the_protocol(self):
         from repro.experiments.driver import ExperimentDriver

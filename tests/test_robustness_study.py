@@ -6,13 +6,13 @@ import pickle
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.experiments.driver import run_driver
 from repro.experiments.robustness_study import (
     ROBUSTNESS_AXES,
     RobustnessRow,
     RobustnessStudyConfig,
+    RobustnessStudyDriver,
     format_robustness_table,
-    robustness_tasks,
-    run_robustness_study,
     _impairments_for,
 )
 from repro.parallel import ParallelRunner, ResultCache
@@ -25,7 +25,7 @@ def quick_config():
 
 class TestConfigAndTasks:
     def test_tasks_cover_every_axis_point(self, quick_config):
-        tasks = robustness_tasks(quick_config)
+        tasks = RobustnessStudyDriver().tasks(quick_config)
         expected = sum(
             len(grid)
             for grid in (
@@ -39,7 +39,7 @@ class TestConfigAndTasks:
         assert {task.key[1] for task in tasks} == set(ROBUSTNESS_AXES)
 
     def test_shard_config_restricted_to_its_own_point(self, quick_config):
-        for task in robustness_tasks(quick_config):
+        for task in RobustnessStudyDriver().tasks(quick_config):
             axis, value = task.key[1], task.key[2]
             config = task.kwargs["config"]
             grids = {
@@ -53,7 +53,7 @@ class TestConfigAndTasks:
 
     def test_shard_rejects_multi_point_grids(self, quick_config):
         with pytest.raises(ConfigurationError):
-            robustness_tasks(quick_config)[0].fn(
+            RobustnessStudyDriver().tasks(quick_config)[0].fn(
                 config=quick_config, axis="correlation"
             )
 
@@ -71,8 +71,8 @@ class TestConfigAndTasks:
 
 class TestStudy:
     def test_quick_run_structure(self, quick_config):
-        rows = run_robustness_study(quick_config)
-        assert len(rows) == len(robustness_tasks(quick_config))
+        rows = run_driver(RobustnessStudyDriver(), quick_config)
+        assert len(rows) == len(RobustnessStudyDriver().tasks(quick_config))
         for row in rows:
             assert isinstance(row, RobustnessRow)
             assert 0.0 <= row.hybrid_ber <= 1.0
@@ -81,19 +81,20 @@ class TestStudy:
             assert row.channel_uses == quick_config.channel_uses_per_point
 
     def test_parallel_matches_serial_bitwise(self, quick_config):
-        serial = run_robustness_study(quick_config)
-        parallel = run_robustness_study(quick_config, workers=2)
+        serial = run_driver(RobustnessStudyDriver(), quick_config)
+        parallel = run_driver(RobustnessStudyDriver(), quick_config, workers=2)
         assert serial == parallel
 
     def test_batch_size_invariant(self, quick_config):
-        whole = run_robustness_study(quick_config)
-        chunked = run_robustness_study(
+        whole = run_driver(RobustnessStudyDriver(), quick_config)
+        chunked = run_driver(
+            RobustnessStudyDriver(),
             dataclasses.replace(quick_config, batch_size=1)
         )
         assert whole == chunked
 
     def test_format_table_lists_every_axis(self, quick_config):
-        rows = run_robustness_study(quick_config)
+        rows = run_driver(RobustnessStudyDriver(), quick_config)
         table = format_robustness_table(rows)
         for label in ("spatial correlation", "velocity", "CSI error", "interference"):
             assert label in table
@@ -109,13 +110,13 @@ class TestSelectiveInvalidation:
 
     def test_fingerprints_stable_when_an_untouched_point_changes(self, quick_config):
         base = {
-            task.key: task.fingerprint() for task in robustness_tasks(quick_config)
+            task.key: task.fingerprint() for task in RobustnessStudyDriver().tasks(quick_config)
         }
         edited = dataclasses.replace(
             quick_config,
             csi_error_grid=quick_config.csi_error_grid[:-1] + (0.7,),
         )
-        changed = {task.key: task.fingerprint() for task in robustness_tasks(edited)}
+        changed = {task.key: task.fingerprint() for task in RobustnessStudyDriver().tasks(edited)}
 
         stale = ("robustness", "csi-error", quick_config.csi_error_grid[-1])
         fresh = ("robustness", "csi-error", 0.7)
@@ -126,10 +127,10 @@ class TestSelectiveInvalidation:
                 assert base[key] == fingerprint, f"untouched point {key} re-keyed"
 
     def test_batch_size_is_outside_the_fingerprint(self, quick_config):
-        base = [task.fingerprint() for task in robustness_tasks(quick_config)]
+        base = [task.fingerprint() for task in RobustnessStudyDriver().tasks(quick_config)]
         rechunked = [
             task.fingerprint()
-            for task in robustness_tasks(
+            for task in RobustnessStudyDriver().tasks(
                 dataclasses.replace(quick_config, batch_size=1)
             )
         ]
@@ -140,7 +141,7 @@ class TestSelectiveInvalidation:
     ):
         cache = ResultCache(tmp_path / "cache")
         runner = ParallelRunner(cache=cache)
-        first = runner.run_sharded(robustness_tasks(quick_config))
+        first = runner.run_sharded(RobustnessStudyDriver().tasks(quick_config))
         assert runner.last_run.cache_misses == len(first)
 
         edited = dataclasses.replace(
@@ -148,7 +149,7 @@ class TestSelectiveInvalidation:
             interference_grid=quick_config.interference_grid[:-1] + (5.0,),
         )
         cache.reset_counters()
-        second = runner.run_sharded(robustness_tasks(edited))
+        second = runner.run_sharded(RobustnessStudyDriver().tasks(edited))
         assert runner.last_run.cache_misses == 1
         assert runner.last_run.cache_hits == len(second) - 1
         # The edited point is the sweep's last task; every untouched row
@@ -159,7 +160,7 @@ class TestSelectiveInvalidation:
     def test_corrupt_cache_entry_recomputes_that_point(self, quick_config, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         runner = ParallelRunner(cache=cache)
-        tasks = robustness_tasks(quick_config)
+        tasks = RobustnessStudyDriver().tasks(quick_config)
         first = runner.run_sharded(tasks)
 
         # Truncate one entry mid-pickle and scribble over another: both
@@ -188,7 +189,7 @@ class TestDegradation:
         )
         rows = {
             row.value: row
-            for row in run_robustness_study(config)
+            for row in run_driver(RobustnessStudyDriver(), config)
             if row.axis == "csi-error"
         }
         assert rows[0.5].hybrid_ber >= rows[0.0].hybrid_ber

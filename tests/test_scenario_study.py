@@ -7,15 +7,16 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     ScenarioStudyConfig,
+    ScenarioStudyDriver,
     format_scenario_table,
-    run_scenario_study,
+    run_driver,
 )
 from repro.serving import ServingReport
 
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return run_scenario_study(ScenarioStudyConfig.quick())
+    return run_driver(ScenarioStudyDriver(), ScenarioStudyConfig.quick())
 
 
 class TestScenarioStudy:
@@ -52,22 +53,17 @@ class TestScenarioStudy:
         config = dataclasses.replace(
             ScenarioStudyConfig.quick(), scenarios=("flash-crowd",)
         )
-        first = run_scenario_study(config)
-        second = run_scenario_study(config)
+        first = run_driver(ScenarioStudyDriver(), config)
+        second = run_driver(ScenarioStudyDriver(), config)
         assert first.rows == second.rows
 
     def test_invalid_configurations_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_scenario_study(
-                dataclasses.replace(ScenarioStudyConfig.quick(), scenarios=())
-            )
+            dataclasses.replace(ScenarioStudyConfig.quick(), scenarios=())
         with pytest.raises(ConfigurationError):
-            run_scenario_study(
-                dataclasses.replace(ScenarioStudyConfig.quick(), static_workers=0)
-            )
+            dataclasses.replace(ScenarioStudyConfig.quick(), static_workers=0)
         with pytest.raises(ConfigurationError):
-            run_scenario_study(
-                dataclasses.replace(
-                    ScenarioStudyConfig.quick(), scenarios=("rush-hour",)
-                )
+            run_driver(
+                ScenarioStudyDriver(),
+                dataclasses.replace(ScenarioStudyConfig.quick(), scenarios=("rush-hour",)),
             )
