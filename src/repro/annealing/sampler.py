@@ -108,23 +108,8 @@ class QuantumAnnealerSimulator:
         # Re-evaluate energies under the QUBO so offsets/conventions match the
         # caller's model exactly (the conversion is exact, but recomputing
         # avoids accumulating floating-point drift through two conversions).
-        assignments = np.array([record.assignment for record in sampleset.records])
-        occurrences = sampleset.occurrences()
-        energies = qubo.energies(assignments) if len(sampleset) else np.empty(0)
-        from repro.annealing.sampleset import SampleRecord
-
-        records = [
-            SampleRecord(
-                assignment=assignment,
-                energy=float(energy),
-                num_occurrences=int(count),
-                chain_break_fraction=record.chain_break_fraction,
-            )
-            for assignment, energy, count, record in zip(
-                assignments, energies, occurrences, sampleset.records
-            )
-        ]
-        return SampleSet(records, metadata=sampleset.metadata)
+        energies = qubo.energies(sampleset.assignments()) if len(sampleset) else np.empty(0)
+        return sampleset.with_energies(energies)
 
     def sample_ising(
         self,

@@ -256,9 +256,7 @@ def run_soft_constraint_study(
             )
             # Success is judged on the ORIGINAL objective: did the augmented
             # search return the true detection optimum?
-            original_energies = qubo.energies(
-                np.array([record.assignment for record in sampleset.records])
-            )
+            original_energies = qubo.energies(sampleset.assignments())
             weights = sampleset.occurrences()
             hits = sum(
                 int(count)

@@ -9,6 +9,7 @@ machinery and the random-draw discipline that keeps experiment results
 invariant to batching.
 """
 
+import copy
 import functools
 import logging
 
@@ -356,6 +357,151 @@ class TestSVMCEquivalence:
         jit = _run_svmc("numba", [7, 3, 10], 4, 7, schedule, chunk)
         for reference, candidate in zip(ref, jit):
             assert np.array_equal(reference, candidate)
+
+
+#: Activities around the SVMC freeze-out gate: the backends' residual floor,
+#: just below the gate crossover (gated path), exactly at it and full
+#: activity (dense path).
+GATE_ACTIVITIES = {
+    "floor": 0.02,
+    "below-crossover": float(np.nextafter(kernels.SVMC_GATE_CROSSOVER, 0.0)),
+    "at-crossover": kernels.SVMC_GATE_CROSSOVER,
+    "full": 1.0,
+}
+
+#: Batch compositions for the gated path: one instance, ragged padding, and
+#: sizes 65 and 130 (several 64-spin chunks, a partial last chunk).
+GATE_SIZES = {"single": [6], "ragged": [7, 3, 10], "multi-chunk": [65, 130, 3]}
+
+
+def _gate_schedule(activity):
+    return [(0.3, 0.7, 1.5, activity), (0.7, 0.3, 0.8, activity), (1.0, 0.05, 0.2, activity)]
+
+
+def _assert_bitwise(expected, actual):
+    for reference, candidate in zip(expected, actual):
+        assert reference.tobytes() == candidate.tobytes()
+
+
+class TestGatedSVMC:
+    """Sweeps below the activity crossover evaluate only gate-passing
+    proposals; the results stay bit-identical to the spec."""
+
+    @pytest.mark.parametrize("activity_key", sorted(GATE_ACTIVITIES))
+    @pytest.mark.parametrize("size_key", sorted(GATE_SIZES))
+    @pytest.mark.parametrize("reads", [1, 5])
+    @pytest.mark.parametrize("uniform_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("chunk", [4, DEFAULT_SPINS_PER_STEP])
+    def test_matches_reference(self, activity_key, size_key, reads, uniform_fraction, chunk):
+        schedule = _gate_schedule(GATE_ACTIVITIES[activity_key])
+        sizes = GATE_SIZES[size_key]
+        runs = [
+            _run_svmc(
+                implementation, sizes, reads, 11, schedule, chunk,
+                uniform_fraction=uniform_fraction,
+            )
+            for implementation in ("reference", "vectorized")
+        ]
+        _assert_bitwise(*runs)
+
+    def test_dense_and_gated_sweeps_interleave(self):
+        schedule = [
+            (0.2, 0.8, 2.0, 1.0),
+            (0.5, 0.5, 1.0, 0.02),
+            (0.7, 0.3, 0.6, 0.6),
+            (0.9, 0.1, 0.3, 0.3),
+            (1.0, 0.0, 0.1, kernels.SVMC_GATE_CROSSOVER),
+        ]
+        runs = [
+            _run_svmc(implementation, [65, 9], 3, 5, schedule, DEFAULT_SPINS_PER_STEP)
+            for implementation in ("reference", "vectorized")
+        ]
+        _assert_bitwise(*runs)
+
+    @pytest.mark.parametrize("uniform_fraction", [0.0, 0.2])
+    def test_uniform_equal_to_activity(self, uniform_fraction):
+        # Replay the first sweep's draws on copies of the children and set
+        # the activity to one of the accept uniforms it will draw.
+        sizes, reads, seed = [7, 4], 6, 23
+        padded_fields, symmetric, _, _ = _problem_batch(sizes, seed + 1000)
+        children = _svmc_state(sizes, reads, seed, padded_fields, symmetric)[-1]
+        replay = copy.deepcopy(children[0])
+        replay.standard_normal((sizes[0], reads))
+        replay.random((sizes[0], reads))
+        uniforms = replay.random((sizes[0], reads))
+        activity = float(uniforms[uniforms < kernels.SVMC_GATE_CROSSOVER][0])
+        schedule = [(0.6, 0.4, 0.7, activity), (0.9, 0.1, 0.3, activity)]
+        runs = [
+            _run_svmc(
+                implementation, sizes, reads, seed, schedule, DEFAULT_SPINS_PER_STEP,
+                uniform_fraction=uniform_fraction,
+            )
+            for implementation in ("reference", "vectorized")
+        ]
+        _assert_bitwise(*runs)
+
+    @pytest.mark.parametrize("activity_key", sorted(GATE_ACTIVITIES))
+    def test_crossover_selects_the_path(self, monkeypatch, activity_key):
+        calls = []
+        gated = kernels._svmc_gated_chunk
+        monkeypatch.setattr(
+            kernels, "_svmc_gated_chunk", lambda *args: calls.append(1) or gated(*args)
+        )
+        activity = GATE_ACTIVITIES[activity_key]
+        _run_svmc("vectorized", [5], 2, 3, _gate_schedule(activity), DEFAULT_SPINS_PER_STEP)
+        assert bool(calls) == (activity < kernels.SVMC_GATE_CROSSOVER)
+
+    def test_padding_rotors_never_move(self):
+        # Padding lanes are frozen by the mask even when they hold a rotor
+        # state that a proposal could change.
+        sizes, reads = [3, 8], 4
+        padded_fields, symmetric, mask, size_array = _problem_batch(sizes, 77)
+        theta, cosines, sines, local, children = _svmc_state(
+            sizes, reads, 5, padded_fields, symmetric
+        )
+        theta[0, 3:] = np.pi / 3.0
+        cosines[0, 3:] = np.cos(np.pi / 3.0)
+        sines[0, 3:] = np.sin(np.pi / 3.0)
+        padding = [array[0, 3:].copy() for array in (theta, cosines, sines)]
+        svmc_sweeps(
+            theta, cosines, sines, local, symmetric, mask, size_array, children,
+            _gate_schedule(0.02), implementation="vectorized",
+            proposal_width=0.5, uniform_fraction=0.2,
+        )
+        for before, array in zip(padding, (theta, cosines, sines)):
+            assert before.tobytes() == array[0, 3:].tobytes()
+
+    def test_rejects_non_contiguous_state(self):
+        padded_fields, symmetric, mask, size_array = _problem_batch([4], 1)
+        theta, cosines, sines, local, children = _svmc_state([4], 6, 0, padded_fields, symmetric)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            svmc_sweeps(
+                theta[:, :, ::2], cosines[:, :, ::2], sines[:, :, ::2], local[:, :, ::2],
+                symmetric, mask, size_array, children, _gate_schedule(0.02),
+                implementation="vectorized", proposal_width=0.5, uniform_fraction=0.1,
+            )
+
+    def test_transcendentals_match_on_gathered_blocks(self):
+        # The gated path relies on numpy's elementwise cos/log giving the
+        # same bits on a gathered contiguous 1-D block as on the dense chunk
+        # block and on a non-contiguous partial-chunk view.  Fail loudly on
+        # a platform where that does not hold.
+        rng = np.random.default_rng(42)
+        batch, chunk_cap, reads, width = 3, 64, 37, 23
+        angles = rng.uniform(0.0, np.pi, size=(batch, chunk_cap, reads))
+        uniforms = rng.random((batch, chunk_cap, reads))
+        uniforms.reshape(-1)[:4] = [0.0, 1.0, 5e-324, 0.5]
+        positions = np.flatnonzero(rng.random((batch, width, reads)) < 0.3)
+        for ufunc, values in ((np.cos, angles), (np.log, uniforms)):
+            with np.errstate(divide="ignore"):
+                dense = ufunc(values)[:, :width].reshape(-1)[positions]
+                view = ufunc(values[:, :width]).reshape(-1)[positions]
+                gathered = np.take(values[:, :width].reshape(-1), positions)
+                # Written into an offset slice of a larger buffer, as the
+                # kernel does with its scratch.
+                out = np.empty(gathered.size + 1)[1:]
+                ufunc(gathered, out=out)
+            assert dense.tobytes() == view.tobytes() == out.tobytes()
 
 
 def _toy_qubo(seed, size=8):
