@@ -21,6 +21,22 @@ import pathlib
 import pytest
 
 from repro.ablation.presets import ablation_quick_rows
+from repro.experiments import (
+    Figure3Config,
+    Figure7Config,
+    HeadlineConfig,
+    InitializerAblationConfig,
+    PauseAblationConfig,
+    PipelineStudyConfig,
+    SoftConstraintConfig,
+    run_figure3,
+    run_figure7,
+    run_headline,
+    run_initializer_ablation,
+    run_pause_ablation,
+    run_pipeline_study,
+    run_soft_constraint_study,
+)
 from repro.experiments.driver import run_driver
 from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
 from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
@@ -36,9 +52,19 @@ def rows_as_payload(rows) -> list:
 
 STUDIES = {
     "ablation_quick": ablation_quick_rows,
+    "ablation_quick_initializers": lambda: run_initializer_ablation(
+        InitializerAblationConfig.quick()
+    ),
+    "constraints_quick": lambda: run_soft_constraint_study(SoftConstraintConfig.quick()),
+    # Figure3Config has no quick preset: ``fig3 --quick`` runs the default.
+    "fig3_quick": lambda: run_figure3(Figure3Config()),
     "fig6_quick": lambda: run_driver(Figure6Driver(), Figure6Config.quick()),
+    "fig7_quick": lambda: run_figure7(Figure7Config.quick()),
     "fig8_quick": lambda: run_driver(Figure8Driver(), Figure8Config.quick()),
+    "headline_quick": lambda: [run_headline(HeadlineConfig.quick())],
     "network_quick": lambda: run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick()).rows,
+    "pause_quick": lambda: run_pause_ablation(PauseAblationConfig.quick()),
+    "pipeline_quick": lambda: [run_pipeline_study(PipelineStudyConfig.quick())],
     "snr_quick": lambda: run_driver(SNRStudyDriver(), SNRStudyConfig.quick()),
 }
 
