@@ -8,12 +8,12 @@ problems larger than roughly 32-40 variables.
 
 from conftest import run_once
 
-from repro.experiments import Figure3Config, format_figure3_table, run_figure3
+from repro.experiments import Figure3Config, Figure3Driver, format_figure3_table, run_driver
 
 
 def test_figure3_simplification(benchmark, report_writer):
     config = Figure3Config(instances_per_point=5)
-    rows = run_once(benchmark, run_figure3, config)
+    rows = run_once(benchmark, run_driver, Figure3Driver(), config)
     report_writer("figure3_simplification", format_figure3_table(rows), data=rows)
 
     # Shape check (paper): small problems are frequently simplified...

@@ -9,12 +9,12 @@ degrade as the initial state gets worse.
 import numpy as np
 from conftest import run_once
 
-from repro.experiments import Figure7Config, format_figure7_table, run_figure7
+from repro.experiments import Figure7Config, Figure7Driver, format_figure7_table, run_driver
 
 
 def test_figure7_initial_state_quality(benchmark, report_writer):
     config = Figure7Config(num_reads=500, candidates_per_bin=3)
-    rows = run_once(benchmark, run_figure7, config)
+    rows = run_once(benchmark, run_driver, Figure7Driver(), config)
     report_writer("figure7_initial_state", format_figure7_table(rows), data=rows)
 
     assert len(rows) >= 3, "enough dE_IS% bins must be populated to see the trend"

@@ -13,12 +13,12 @@ on the default typical instance and checks that the hybrid wins by a factor in
 
 from conftest import run_once
 
-from repro.experiments import HeadlineConfig, format_headline_report, run_headline
+from repro.experiments import HeadlineConfig, HeadlineDriver, format_headline_report, run_driver
 
 
 def test_headline_speedup(benchmark, report_writer):
     config = HeadlineConfig(num_reads=600)
-    result = run_once(benchmark, run_headline, config)
+    result = run_once(benchmark, run_driver, HeadlineDriver(), config)
     report_writer("headline_speedup", format_headline_report(result), data=result)
 
     # The hybrid must beat the FA baseline on the typical instance...

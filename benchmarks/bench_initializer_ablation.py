@@ -11,14 +11,15 @@ from conftest import run_once
 
 from repro.experiments import (
     InitializerAblationConfig,
+    InitializerAblationDriver,
     format_initializer_table,
-    run_initializer_ablation,
+    run_driver,
 )
 
 
 def test_initializer_ablation(benchmark, report_writer):
     config = InitializerAblationConfig(num_reads=400)
-    rows = run_once(benchmark, run_initializer_ablation, config)
+    rows = run_once(benchmark, run_driver, InitializerAblationDriver(), config)
     report_writer("initializer_ablation", format_initializer_table(rows), data=rows)
 
     by_name = {row.initializer: row for row in rows}

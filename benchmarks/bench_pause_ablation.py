@@ -9,12 +9,17 @@ schedule.
 
 from conftest import run_once
 
-from repro.experiments import PauseAblationConfig, format_pause_table, run_pause_ablation
+from repro.experiments import (
+    PauseAblationConfig,
+    PauseAblationDriver,
+    format_pause_table,
+    run_driver,
+)
 
 
 def test_pause_ablation(benchmark, report_writer):
     config = PauseAblationConfig(num_reads=500)
-    rows = run_once(benchmark, run_pause_ablation, config)
+    rows = run_once(benchmark, run_driver, PauseAblationDriver(), config)
     report_writer("pause_ablation", format_pause_table(rows), data=rows)
 
     ra_rows = {row.pause_duration_us: row for row in rows if row.method == "RA-greedy"}

@@ -9,7 +9,12 @@ both stages busy.
 
 from conftest import run_once
 
-from repro.experiments import PipelineStudyConfig, format_pipeline_table, run_pipeline_study
+from repro.experiments import (
+    PipelineStudyConfig,
+    PipelineStudyDriver,
+    format_pipeline_table,
+    run_driver,
+)
 
 
 def test_pipeline_throughput(benchmark, report_writer):
@@ -21,7 +26,7 @@ def test_pipeline_throughput(benchmark, report_writer):
         num_reads=30,
         evaluate_solutions=True,
     )
-    result = run_once(benchmark, run_pipeline_study, config)
+    result = run_once(benchmark, run_driver, PipelineStudyDriver(), config)
     report_writer("pipeline_throughput", format_pipeline_table(result), data=result)
 
     # Pipelining can only help: throughput at least as high, latency no worse.

@@ -11,14 +11,15 @@ from conftest import run_once
 
 from repro.experiments import (
     SoftConstraintConfig,
+    SoftConstraintDriver,
     format_soft_constraint_table,
-    run_soft_constraint_study,
+    run_driver,
 )
 
 
 def test_soft_constraint_study(benchmark, report_writer):
     config = SoftConstraintConfig(num_reads=400, strengths=(0.0, 0.5, 2.0, 8.0))
-    rows = run_once(benchmark, run_soft_constraint_study, config)
+    rows = run_once(benchmark, run_driver, SoftConstraintDriver(), config)
     report_writer("soft_constraints", format_soft_constraint_table(rows), data=rows)
 
     baseline = next(row for row in rows if row.knowledge == "none")

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from repro.experiments import (
     PipelineStudyConfig,
+    PipelineStudyDriver,
     format_pipeline_table,
-    run_pipeline_study,
+    run_driver,
 )
 
 
@@ -33,7 +34,7 @@ def main() -> None:
         include_qpu_overheads=False,    # count pure anneal time, like the paper's TTS
         evaluate_solutions=True,
     )
-    result = run_pipeline_study(config)
+    result = run_driver(PipelineStudyDriver(), config)
     print(format_pipeline_table(result))
 
     pipelined = result.pipelined

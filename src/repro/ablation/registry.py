@@ -40,13 +40,10 @@ class ExperimentTarget:
     presets:
         Maps preset names (``default``/``quick``/``paper``) to zero-argument
         config factories; see :func:`repro.experiments.driver.config_presets`.
-    description:
-        One line for docs and error messages.
     """
 
     driver: Any
     presets: Mapping[str, Callable[[], Any]]
-    description: str = ""
 
     @property
     def name(self) -> str:

@@ -128,6 +128,7 @@ class AnnealHPODriver(ExperimentDriver):
     """The synthetic SA sweep: one shard per restart, one row per shard."""
 
     name = "anneal-hpo"
+    description = "synthetic SA hyper-parameter sweep on a random QUBO"
     metric_names = ANNEAL_HPO_METRICS
 
     def tasks(self, config: AnnealHPOConfig) -> List[ShardTask]:
@@ -140,11 +141,6 @@ class AnnealHPODriver(ExperimentDriver):
             )
             for restart in range(config.num_restarts)
         ]
-
-    def aggregate(
-        self, config: AnnealHPOConfig, results: Sequence[AnnealHPORow]
-    ) -> List[AnnealHPORow]:
-        return list(results)
 
     def metrics(self, rows: Sequence[AnnealHPORow]) -> Tuple[Tuple[str, float], ...]:
         energies = [row.energy for row in rows]
@@ -159,40 +155,13 @@ class AnnealHPODriver(ExperimentDriver):
 def register_builtin_targets() -> None:
     """Register the built-in targets (idempotent via replace=True)."""
     builtins = (
-        (Figure8Driver(), Figure8Config, "Figure 8 — success probability and TTS(99%) vs s_p"),
-        (
-            RobustnessStudyDriver(),
-            RobustnessStudyConfig,
-            "E-X3 — detection robustness under channel impairments",
-        ),
-        (
-            LoadStudyDriver(),
-            LoadStudyConfig,
-            "E-SV — deadline-miss rate vs offered load (serving pool)",
-        ),
-        (
-            ScenarioStudyDriver(),
-            ScenarioStudyConfig,
-            "E-SC — static vs autoscaled pools across the scenario catalog",
-        ),
-        (
-            NetworkStudyDriver(),
-            NetworkStudyConfig,
-            "city-scale capacity placement: static vs reactive vs oracle",
-        ),
-        (
-            QoSStudyDriver(),
-            QoSStudyConfig,
-            "E-QS — classless vs class-aware serving across the catalog",
-        ),
-        (
-            AnnealHPODriver(),
-            AnnealHPOConfig,
-            "synthetic SA hyper-parameter sweep on a random QUBO",
-        ),
+        (Figure8Driver(), Figure8Config),
+        (RobustnessStudyDriver(), RobustnessStudyConfig),
+        (LoadStudyDriver(), LoadStudyConfig),
+        (ScenarioStudyDriver(), ScenarioStudyConfig),
+        (NetworkStudyDriver(), NetworkStudyConfig),
+        (QoSStudyDriver(), QoSStudyConfig),
+        (AnnealHPODriver(), AnnealHPOConfig),
     )
-    for driver, config_class, description in builtins:
-        register_target(
-            ExperimentTarget(driver, config_presets(config_class), description),
-            replace=True,
-        )
+    for driver, config_class in builtins:
+        register_target(ExperimentTarget(driver, config_presets(config_class)), replace=True)

@@ -31,13 +31,11 @@ instance group as one batch); results are identical for every batch size
 thanks to per-instance child generators.
 
 The *execution* options shape how work runs without changing results.
-``--workers N`` shards the sweep-style experiments (fig6, fig8, snr,
-robustness, serve, scenarios, network, qos) across ``N`` processes — results
-are bitwise-identical to the serial run at any worker count.  Shard results
-are cached on disk under ``--cache-dir`` (default ``.repro-cache``) so a
-re-run with one changed point recomputes only that point; ``--no-cache``
-disables the cache.  Experiments without a sharded driver ignore all three
-flags.
+``--workers N`` shards any experiment across ``N`` processes — results are
+bitwise-identical to the serial run at any worker count.  Shard results are
+cached on disk under ``--cache-dir`` (default ``.repro-cache``) so a re-run
+with one changed point recomputes only that point; ``--no-cache`` disables
+the cache.
 
 ``--telemetry[=DIR]`` records an execution trace (sim-time job spans, kernel
 timings, cache counters) and exports ``trace.jsonl``, ``metrics.prom`` and
@@ -46,9 +44,9 @@ without it (see ``docs/telemetry.md``).  ``--verbose/-v`` and ``--quiet/-q``
 control structured progress logging.
 
 Parsed options land in one :class:`CommonRunOptions` value consumed by every
-experiment runner, so adding a subcommand means one table entry — never
-re-wiring flags.  The sharded subcommands all run through
-:func:`~repro.experiments.driver.run_driver` with their study's driver.
+experiment, so adding a subcommand means one table entry — never re-wiring
+flags.  Every experiment subcommand runs through
+:func:`~repro.experiments.driver.run_driver` with its study's driver.
 
 ``ablate`` runs a declarative ablation/HPO study: ``--spec FILE`` names a
 TOML or JSON study spec (see ``docs/ablation.md``), the execution options
@@ -61,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import pathlib
 import re
@@ -76,28 +73,35 @@ from repro.telemetry.log import configure_logging, get_logger
 from repro.experiments import (
     ExperimentDriver,
     Figure3Config,
+    Figure3Driver,
     Figure6Config,
     Figure6Driver,
     Figure7Config,
+    Figure7Driver,
     Figure8Config,
     Figure8Driver,
     HeadlineConfig,
+    HeadlineDriver,
     InitializerAblationConfig,
+    InitializerAblationDriver,
     LoadStudyConfig,
     LoadStudyDriver,
     NetworkStudyConfig,
     NetworkStudyDriver,
     PauseAblationConfig,
+    PauseAblationDriver,
+    PipelineStudyConfig,
+    PipelineStudyDriver,
     QoSStudyConfig,
     QoSStudyDriver,
-    ScenarioStudyConfig,
-    ScenarioStudyDriver,
-    PipelineStudyConfig,
     RobustnessStudyConfig,
     RobustnessStudyDriver,
+    ScenarioStudyConfig,
+    ScenarioStudyDriver,
     SNRStudyConfig,
     SNRStudyDriver,
     SoftConstraintConfig,
+    SoftConstraintDriver,
     config_presets,
     format_figure3_table,
     format_figure6_table,
@@ -115,13 +119,6 @@ from repro.experiments import (
     format_snr_table,
     format_soft_constraint_table,
     run_driver,
-    run_figure3,
-    run_figure7,
-    run_headline,
-    run_initializer_ablation,
-    run_pause_ablation,
-    run_pipeline_study,
-    run_soft_constraint_study,
 )
 
 __all__ = ["CommonRunOptions", "main"]
@@ -151,12 +148,7 @@ class CommonRunOptions:
         """Collapse the parsed flags into one options value."""
         scale = "paper" if arguments.paper_scale else ("quick" if arguments.quick else "default")
         cache = None if arguments.no_cache else ResultCache(arguments.cache_dir)
-        return cls(
-            scale=scale,
-            batch_size=arguments.batch_size,
-            workers=arguments.workers,
-            cache=cache,
-        )
+        return cls(scale, arguments.batch_size, arguments.workers, cache)
 
 
 def _config(config_class, options: CommonRunOptions):
@@ -175,29 +167,6 @@ def _config(config_class, options: CommonRunOptions):
             if name in fields:
                 return dataclasses.replace(config, **{name: options.batch_size})
     return config
-
-
-def _run_study(
-    run: Callable[[Any], Any],
-    config_class,
-    formatter: Callable[[Any], str],
-    options: CommonRunOptions,
-) -> str:
-    """An unsharded study: its ``run_*`` function on the selected config."""
-    return formatter(run(_config(config_class, options)))
-
-
-def _run_sharded(
-    driver: ExperimentDriver,
-    config_class,
-    formatter: Callable[[Any], str],
-    options: CommonRunOptions,
-) -> str:
-    """A sharded study: ``run_driver`` with the run's workers and cache."""
-    result = run_driver(
-        driver, _config(config_class, options), workers=options.workers, cache=options.cache
-    )
-    return formatter(result)
 
 
 def _run_ablate(spec_path: str, output: Optional[str], options: CommonRunOptions) -> str:
@@ -219,79 +188,26 @@ def _run_ablate(spec_path: str, output: Optional[str], options: CommonRunOptions
     return format_study_table(result) + f"\nArtifact: {artifact}"
 
 
-_ExperimentRunner = Callable[[CommonRunOptions], str]
-
-
-def _study(run, config_class, formatter) -> _ExperimentRunner:
-    return functools.partial(_run_study, run, config_class, formatter)
-
-
-def _sharded(driver, config_class, formatter) -> _ExperimentRunner:
-    return functools.partial(_run_sharded, driver, config_class, formatter)
-
-
-#: Subcommand name -> (runner, one-line summary shown in ``--help``).
-_EXPERIMENTS: Dict[str, Tuple[_ExperimentRunner, str]] = {
-    "fig3": (
-        _study(run_figure3, Figure3Config, format_figure3_table),
-        "Figure 3 — QUBO simplification by variable prefixing",
-    ),
-    "fig6": (
-        _sharded(Figure6Driver(), Figure6Config, format_figure6_table),
-        "Figure 6 — delta-E percentage distributions of FA / RA",
-    ),
-    "fig7": (
-        _study(run_figure7, Figure7Config, format_figure7_table),
-        "Figure 7 — RA performance vs initial-state quality",
-    ),
-    "fig8": (
-        _sharded(Figure8Driver(), Figure8Config, format_figure8_table),
-        "Figure 8 — success probability and TTS vs s_p",
-    ),
-    "headline": (
-        _study(run_headline, HeadlineConfig, format_headline_report),
-        "the abstract's 2-10x RA vs FA comparison",
-    ),
-    "pipeline": (
-        _study(run_pipeline_study, PipelineStudyConfig, format_pipeline_table),
-        "Figure 2 — pipelined classical/quantum processing",
-    ),
-    "ablation": (
-        _study(run_initializer_ablation, InitializerAblationConfig, format_initializer_table),
-        "initialiser-quality ablation (GS/ZF/MMSE/sphere)",
-    ),
-    "constraints": (
-        _study(run_soft_constraint_study, SoftConstraintConfig, format_soft_constraint_table),
-        "Figure 4 — soft-information constraints",
-    ),
-    "snr": (
-        _sharded(SNRStudyDriver(), SNRStudyConfig, format_snr_table),
-        "extension — BER vs SNR under AWGN",
-    ),
-    "pause": (
-        _study(run_pause_ablation, PauseAblationConfig, format_pause_table),
-        "extension — the power of pausing",
-    ),
-    "robustness": (
-        _sharded(RobustnessStudyDriver(), RobustnessStudyConfig, format_robustness_table),
-        "extension — impairment robustness sweep",
-    ),
-    "serve": (
-        _sharded(LoadStudyDriver(), LoadStudyConfig, format_load_study_table),
-        "serving layer — deadline-miss rate vs offered load",
-    ),
-    "scenarios": (
-        _sharded(ScenarioStudyDriver(), ScenarioStudyConfig, format_scenario_table),
-        "time-varying scenarios — static vs autoscaled",
-    ),
-    "network": (
-        _sharded(NetworkStudyDriver(), NetworkStudyConfig, format_network_table),
-        "city-scale capacity placement on a topology",
-    ),
-    "qos": (
-        _sharded(QoSStudyDriver(), QoSStudyConfig, format_qos_table),
-        "QoS classes — classless vs class-aware serving with handover",
-    ),
+#: Subcommand (``driver.name``) -> (driver, config class, table formatter).
+_EXPERIMENTS: Dict[str, Tuple[ExperimentDriver, Any, Callable[[Any], str]]] = {
+    driver.name: (driver, config_class, formatter)
+    for driver, config_class, formatter in (
+        (Figure3Driver(), Figure3Config, format_figure3_table),
+        (Figure6Driver(), Figure6Config, format_figure6_table),
+        (Figure7Driver(), Figure7Config, format_figure7_table),
+        (Figure8Driver(), Figure8Config, format_figure8_table),
+        (HeadlineDriver(), HeadlineConfig, format_headline_report),
+        (PipelineStudyDriver(), PipelineStudyConfig, format_pipeline_table),
+        (InitializerAblationDriver(), InitializerAblationConfig, format_initializer_table),
+        (SoftConstraintDriver(), SoftConstraintConfig, format_soft_constraint_table),
+        (SNRStudyDriver(), SNRStudyConfig, format_snr_table),
+        (PauseAblationDriver(), PauseAblationConfig, format_pause_table),
+        (RobustnessStudyDriver(), RobustnessStudyConfig, format_robustness_table),
+        (LoadStudyDriver(), LoadStudyConfig, format_load_study_table),
+        (ScenarioStudyDriver(), ScenarioStudyConfig, format_scenario_table),
+        (NetworkStudyDriver(), NetworkStudyConfig, format_network_table),
+        (QoSStudyDriver(), QoSStudyConfig, format_qos_table),
+    )
 }
 
 
@@ -329,8 +245,7 @@ def _execution_options() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="shard the sweep-style experiments (fig6, fig8, snr, robustness, "
-        "serve, scenarios, network, qos) across N processes; results are "
+        help="shard every experiment across N processes; results are "
         "bitwise-identical to the serial run at any worker count (default: serial)",
     )
     parent.add_argument(
@@ -396,10 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="which experiment to run ('ablate' runs a declarative study "
         "from --spec and is not part of 'all')",
     )
-    for name, (_, summary) in sorted(_EXPERIMENTS.items()):
-        subparsers.add_parser(
-            name, parents=[scale, execution], help=summary, description=summary
-        )
+    for name, (driver, *_) in sorted(_EXPERIMENTS.items()):
+        summary = driver.description
+        subparsers.add_parser(name, parents=[scale, execution], help=summary, description=summary)
     subparsers.add_parser(
         "all",
         parents=[scale, execution],
@@ -474,8 +388,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print()
         else:
             for name in names:
-                runner, _ = _EXPERIMENTS[name]
-                print(runner(options))
+                driver, config_class, formatter = _EXPERIMENTS[name]
+                config = _config(config_class, options)
+                print(formatter(run_driver(driver, config, options.workers, options.cache)))
                 print()
     finally:
         # Export whatever was recorded even when an experiment raises —

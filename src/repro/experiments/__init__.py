@@ -1,11 +1,11 @@
 """Experiment runners reproducing every figure of the paper's evaluation.
 
 Each experiment module exposes a configuration dataclass, an
-:class:`~repro.experiments.driver.ExperimentDriver` (sharded studies) or a
-``run_*`` function returning structured results, and a ``format_*`` helper
-that prints the same rows/series the paper reports.  The benchmark harness under
-``benchmarks/`` is a thin wrapper over these runners; they can also be invoked
-from the command line via ``repro-experiments`` (see :mod:`repro.cli`).
+:class:`~repro.experiments.driver.ExperimentDriver` returning structured
+results, and a ``format_*`` helper that prints the same rows/series the paper
+reports.  The benchmark harness under ``benchmarks/`` is a thin wrapper over
+these drivers; they can also be invoked from the command line via
+``repro-experiments`` (see :mod:`repro.cli`).
 
 Experiment index (see DESIGN.md for the full mapping):
 
@@ -30,13 +30,11 @@ E-QS      QoS — classless vs class-aware serving of a mixed
           urllc/embb/best-effort population with handover
 ========  ==========================================================
 
-The sharded studies (fig6, fig8, snr, robustness, serve, scenarios,
-network, qos) have one entry path each, ``run_driver(XDriver(), XConfig)``:
-an :class:`~repro.experiments.driver.ExperimentDriver` (``tasks`` /
+Every study has one entry path, ``run_driver(XDriver(), XConfig)``: an
+:class:`~repro.experiments.driver.ExperimentDriver` (``tasks`` /
 ``aggregate`` / ``metrics``) executed by
 :func:`~repro.experiments.driver.run_driver`.  The ablation harness wraps the
-same driver objects in its targets.  The remaining studies keep a single
-``run_*`` function.
+same driver objects in its targets.
 """
 
 from repro.experiments.driver import ExperimentDriver, config_presets, run_driver
@@ -49,8 +47,8 @@ from repro.experiments.instances import (
 )
 from repro.experiments.fig3_simplification import (
     Figure3Config,
+    Figure3Driver,
     Figure3Row,
-    run_figure3,
     format_figure3_table,
 )
 from repro.experiments.fig6_distributions import (
@@ -61,8 +59,8 @@ from repro.experiments.fig6_distributions import (
 )
 from repro.experiments.fig7_initial_state import (
     Figure7Config,
+    Figure7Driver,
     Figure7Row,
-    run_figure7,
     format_figure7_table,
 )
 from repro.experiments.fig8_tts import (
@@ -73,24 +71,24 @@ from repro.experiments.fig8_tts import (
 )
 from repro.experiments.headline import (
     HeadlineConfig,
+    HeadlineDriver,
     HeadlineResult,
-    run_headline,
     format_headline_report,
 )
 from repro.experiments.pipeline_study import (
     PipelineStudyConfig,
+    PipelineStudyDriver,
     PipelineStudyResult,
-    run_pipeline_study,
     format_pipeline_table,
 )
 from repro.experiments.ablation import (
     InitializerAblationConfig,
+    InitializerAblationDriver,
     InitializerAblationRow,
-    run_initializer_ablation,
     format_initializer_table,
     SoftConstraintConfig,
+    SoftConstraintDriver,
     SoftConstraintRow,
-    run_soft_constraint_study,
     format_soft_constraint_table,
 )
 from repro.experiments.snr_study import (
@@ -101,8 +99,8 @@ from repro.experiments.snr_study import (
 )
 from repro.experiments.pause_ablation import (
     PauseAblationConfig,
+    PauseAblationDriver,
     PauseAblationRow,
-    run_pause_ablation,
     format_pause_table,
 )
 from repro.experiments.load_study import (
@@ -153,44 +151,44 @@ __all__ = [
     "paper_figure6_configurations",
     "variables_for",
     "Figure3Config",
+    "Figure3Driver",
     "Figure3Row",
-    "run_figure3",
     "format_figure3_table",
     "Figure6Config",
     "Figure6Driver",
     "Figure6Series",
     "format_figure6_table",
     "Figure7Config",
+    "Figure7Driver",
     "Figure7Row",
-    "run_figure7",
     "format_figure7_table",
     "Figure8Config",
     "Figure8Driver",
     "Figure8Row",
     "format_figure8_table",
     "HeadlineConfig",
+    "HeadlineDriver",
     "HeadlineResult",
-    "run_headline",
     "format_headline_report",
     "PipelineStudyConfig",
+    "PipelineStudyDriver",
     "PipelineStudyResult",
-    "run_pipeline_study",
     "format_pipeline_table",
     "InitializerAblationConfig",
+    "InitializerAblationDriver",
     "InitializerAblationRow",
-    "run_initializer_ablation",
     "format_initializer_table",
     "SoftConstraintConfig",
+    "SoftConstraintDriver",
     "SoftConstraintRow",
-    "run_soft_constraint_study",
     "format_soft_constraint_table",
     "SNRStudyConfig",
     "SNRStudyDriver",
     "SNRStudyRow",
     "format_snr_table",
     "PauseAblationConfig",
+    "PauseAblationDriver",
     "PauseAblationRow",
-    "run_pause_ablation",
     "format_pause_table",
     "LoadStudyConfig",
     "LoadStudyDriver",

@@ -18,8 +18,9 @@ fully evaluate:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,21 +29,25 @@ from repro.classical.greedy import GreedySearchSolver
 from repro.classical.mmse import MMSEDetector
 from repro.classical.sphere_decoder import FixedComplexitySphereDecoder, KBestSphereDecoder
 from repro.classical.zero_forcing import ZeroForcingDetector
+from repro.experiments.driver import ExperimentDriver, SingleShardDriver
 from repro.experiments.instances import InstanceBundle, synthesize_instance
 from repro.hybrid.solver import DetectorInitializer, HybridQuboSolver
 from repro.metrics.quality import delta_e_percent
+from repro.parallel import ShardTask
 from repro.qubo.constraints import SoftConstraint, add_soft_constraints
 from repro.qubo.energy import brute_force_minimum
 from repro.utils.rng import stable_seed
+from repro.utils.validation import require, require_non_negative, require_positive_fields
 
 __all__ = [
+    "INITIALIZERS",
     "InitializerAblationConfig",
+    "InitializerAblationDriver",
     "InitializerAblationRow",
-    "run_initializer_ablation",
     "format_initializer_table",
     "SoftConstraintConfig",
+    "SoftConstraintDriver",
     "SoftConstraintRow",
-    "run_soft_constraint_study",
     "format_soft_constraint_table",
 ]
 
@@ -50,6 +55,24 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # E-AB1: initialiser quality ablation
 # --------------------------------------------------------------------------- #
+
+#: Initialiser name -> factory building it for one instance's encoding.
+_INITIALIZER_FACTORIES = {
+    "greedy": lambda encoding: GreedySearchSolver(),
+    "zero-forcing": lambda encoding: DetectorInitializer(
+        ZeroForcingDetector(), encoding, modelled_time_us=2.0
+    ),
+    "mmse": lambda encoding: DetectorInitializer(MMSEDetector(), encoding, modelled_time_us=2.0),
+    "k-best": lambda encoding: DetectorInitializer(
+        KBestSphereDecoder(k_best=8), encoding, modelled_time_us=5.0
+    ),
+    "fcsd": lambda encoding: DetectorInitializer(
+        FixedComplexitySphereDecoder(full_expansion_levels=1), encoding, modelled_time_us=4.0
+    ),
+}
+
+#: Initialiser names :class:`InitializerAblationConfig` accepts.
+INITIALIZERS = tuple(_INITIALIZER_FACTORIES)
 
 
 @dataclass(frozen=True)
@@ -62,7 +85,16 @@ class InitializerAblationConfig:
     num_reads: int = 200
     instance_seed: int = 2
     base_seed: int = 0
-    initializers: Tuple[str, ...] = ("greedy", "zero-forcing", "mmse", "k-best", "fcsd")
+    initializers: Tuple[str, ...] = INITIALIZERS
+
+    def __post_init__(self) -> None:
+        require_positive_fields(self, "num_users", "num_reads")
+        require(bool(self.initializers), "initializers must not be empty")
+        for name in self.initializers:
+            require(
+                name in INITIALIZERS,
+                f"unknown initializer {name!r}; choose from {', '.join(INITIALIZERS)}",
+            )
 
     @classmethod
     def quick(cls) -> "InitializerAblationConfig":
@@ -82,63 +114,50 @@ class InitializerAblationRow:
     classical_time_us: float
 
 
-def _build_initializer(name: str, bundle: InstanceBundle):
-    """Instantiate the requested initialiser for one instance."""
-    encoding = bundle.encoding
-    if name == "greedy":
-        return GreedySearchSolver()
-    if name == "zero-forcing":
-        return DetectorInitializer(ZeroForcingDetector(), encoding, modelled_time_us=2.0)
-    if name == "mmse":
-        return DetectorInitializer(MMSEDetector(), encoding, modelled_time_us=2.0)
-    if name == "k-best":
-        return DetectorInitializer(KBestSphereDecoder(k_best=8), encoding, modelled_time_us=5.0)
-    if name == "fcsd":
-        return DetectorInitializer(
-            FixedComplexitySphereDecoder(full_expansion_levels=1), encoding, modelled_time_us=4.0
-        )
-    raise ValueError(f"unknown initializer {name!r}")
+def _initializer_shard(config: InitializerAblationConfig) -> InitializerAblationRow:
+    """Reverse annealing seeded by the one initialiser ``config.initializers`` holds.
 
-
-def run_initializer_ablation(
-    config: InitializerAblationConfig = InitializerAblationConfig(),
-    sampler: Optional[QuantumAnnealerSimulator] = None,
-    bundle: Optional[InstanceBundle] = None,
-) -> List[InitializerAblationRow]:
-    """Compare reverse annealing seeded by different classical initialisers."""
-    instance = bundle if bundle is not None else synthesize_instance(
-        config.num_users, config.modulation, seed=config.instance_seed
-    )
-    annealer = sampler if sampler is not None else QuantumAnnealerSimulator(
-        seed=stable_seed("ablation", config.base_seed)
-    )
-    qubo = instance.encoding.qubo
+    Each solve draws from its own ``stable_seed("ablation-run", name, …)``,
+    so a row does not depend on which other initialisers the study holds.
+    """
+    (name,) = config.initializers
+    instance = synthesize_instance(config.num_users, config.modulation, seed=config.instance_seed)
     ground = instance.ground_energy
+    hybrid = HybridQuboSolver(
+        classical_solver=_INITIALIZER_FACTORIES[name](instance.encoding),
+        sampler=QuantumAnnealerSimulator(seed=stable_seed("ablation", config.base_seed)),
+        switch_s=config.switch_s,
+        num_reads=config.num_reads,
+    )
+    result = hybrid.solve(
+        instance.encoding.qubo, rng=stable_seed("ablation-run", name, config.base_seed)
+    )
+    return InitializerAblationRow(
+        initializer=name,
+        initial_quality_percent=delta_e_percent(result.initial_solution.energy, ground),
+        initial_found_optimum=bool(result.initial_solution.energy <= ground + 1e-6),
+        success_probability=result.sampleset.success_probability(ground),
+        best_energy=result.best_energy,
+        classical_time_us=result.classical_time_us,
+    )
 
-    rows: List[InitializerAblationRow] = []
-    for name in config.initializers:
-        initializer = _build_initializer(name, instance)
-        hybrid = HybridQuboSolver(
-            classical_solver=initializer,
-            sampler=annealer,
-            switch_s=config.switch_s,
-            num_reads=config.num_reads,
-        )
-        result = hybrid.solve(qubo, rng=stable_seed("ablation-run", name, config.base_seed))
-        initial_quality = delta_e_percent(result.initial_solution.energy, ground)
-        rows.append(
-            InitializerAblationRow(
-                initializer=name,
-                initial_quality_percent=initial_quality,
-                initial_found_optimum=bool(
-                    result.initial_solution.energy <= ground + 1e-6
-                ),
-                success_probability=result.sampleset.success_probability(ground),
-                best_energy=result.best_energy,
-                classical_time_us=result.classical_time_us,
+
+class InitializerAblationDriver(ExperimentDriver):
+    """The initialiser ablation behind the shared experiment-driver protocol."""
+
+    name = "ablation"
+    description = "initialiser-quality ablation (GS/ZF/MMSE/sphere)"
+
+    def tasks(self, config: InitializerAblationConfig) -> List[ShardTask]:
+        """One task per initialiser, its config holding only that initialiser."""
+        return [
+            ShardTask(
+                key=("ablation", name),
+                fn=_initializer_shard,
+                kwargs={"config": dataclasses.replace(config, initializers=(name,))},
             )
-        )
-    return rows
+            for name in config.initializers
+        ]
 
 
 def format_initializer_table(rows: Sequence[InitializerAblationRow]) -> str:
@@ -174,6 +193,13 @@ class SoftConstraintConfig:
     switch_s: float = 0.41
     instance_seed: int = 3
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        require_positive_fields(self, "num_users", "num_reads")
+        require_non_negative(self.wrong_pairs, "wrong_pairs")
+        require(bool(self.strengths), "strengths must not be empty")
+        for strength in self.strengths:
+            require_non_negative(strength, "constraint strength")
 
     @classmethod
     def quick(cls) -> "SoftConstraintConfig":
@@ -217,18 +243,10 @@ def _pair_constraints(
     return correct, wrong
 
 
-def run_soft_constraint_study(
-    config: SoftConstraintConfig = SoftConstraintConfig(),
-    sampler: Optional[QuantumAnnealerSimulator] = None,
-    bundle: Optional[InstanceBundle] = None,
-) -> List[SoftConstraintRow]:
+def _soft_constraint_rows(config: SoftConstraintConfig) -> List[SoftConstraintRow]:
     """Sweep constraint strength with correct and partially wrong pre-knowledge."""
-    instance = bundle if bundle is not None else synthesize_instance(
-        config.num_users, config.modulation, seed=config.instance_seed
-    )
-    annealer = sampler if sampler is not None else QuantumAnnealerSimulator(
-        seed=stable_seed("soft-constraints", config.base_seed)
-    )
+    instance = synthesize_instance(config.num_users, config.modulation, seed=config.instance_seed)
+    annealer = QuantumAnnealerSimulator(seed=stable_seed("soft-constraints", config.base_seed))
     qubo = instance.encoding.qubo
     ground_energy = instance.ground_energy
     ground_state = instance.ground_state
@@ -277,6 +295,14 @@ def run_soft_constraint_study(
                 )
             )
     return rows
+
+
+class SoftConstraintDriver(SingleShardDriver):
+    """The soft-constraint study as one shard: every strength shares one annealer."""
+
+    name = "constraints"
+    description = "Figure 4 — soft-information constraints"
+    study = staticmethod(_soft_constraint_rows)
 
 
 def format_soft_constraint_table(rows: Sequence[SoftConstraintRow]) -> str:

@@ -1,13 +1,16 @@
-"""The experiment-driver protocol and the one runner every sharded study uses.
+"""The experiment-driver protocol and the one runner every study uses.
 
-A sweep-style study is a frozen configuration dataclass plus an
-:class:`ExperimentDriver`:
+Every study is a frozen configuration dataclass plus an
+:class:`ExperimentDriver` named after its CLI subcommand:
 
 * :meth:`~ExperimentDriver.tasks` — ``config -> ShardTask list``, the same
-  shard list the result cache fingerprints;
+  shard list the result cache fingerprints.  A study shards only where a
+  one-point run equals the matching slice of the full run; studies whose
+  points share one annealer stream are a :class:`SingleShardDriver`;
 * :meth:`~ExperimentDriver.aggregate` — ``(config, shard results) -> result``,
   a pure function of its inputs (no telemetry, no logging), so the
-  declarative harness can call it per study point;
+  declarative harness can call it per study point.  The default is the
+  shard results as a list (one row per shard);
 * :meth:`~ExperimentDriver.rows` — the tidy row view of a result (what the
   ablation harness tabulates and the golden fixtures freeze);
 * :meth:`~ExperimentDriver.metrics` — scalar summary columns over the rows;
@@ -15,7 +18,8 @@ A sweep-style study is a frozen configuration dataclass plus an
   side effects, kept out of :meth:`aggregate` so study points stay silent.
 
 :func:`run_driver` is the only runner: the CLI, benchmarks, examples and
-tests call ``run_driver(XDriver(), XConfig)`` directly, and the ablation
+tests call ``run_driver(XDriver(), XConfig)`` directly, so every study gets
+``--workers``, the result cache and shard telemetry, and the ablation
 harness wraps the same driver objects in its targets
 (:class:`repro.ablation.registry.ExperimentTarget`).  Configs validate
 themselves in ``__post_init__``, so every entry point rejects a bad config
@@ -38,6 +42,7 @@ _log = get_logger(__name__)
 
 __all__ = [
     "ExperimentDriver",
+    "SingleShardDriver",
     "run_driver",
     "config_presets",
     "finite_min_or_nan",
@@ -59,15 +64,17 @@ def mean_or_nan(values: Sequence[float]) -> float:
 class ExperimentDriver(ABC):
     """One experiment behind the shared ``tasks / aggregate / metrics`` API.
 
-    Subclasses set :attr:`name` (the registry key a
-    :class:`~repro.ablation.registry.ExperimentTarget` binding uses) and
-    :attr:`metric_names` (the declaration-ordered names
-    :meth:`metrics` emits; empty for experiments the ablation harness does
-    not sweep), and implement :meth:`tasks` and :meth:`aggregate`.
+    Subclasses set :attr:`name` (the CLI subcommand and the registry key a
+    :class:`~repro.ablation.registry.ExperimentTarget` binding uses),
+    :attr:`description` and :attr:`metric_names` (the declaration-ordered
+    names :meth:`metrics` emits; empty for experiments the ablation harness
+    does not sweep), and implement :meth:`tasks`.
     """
 
-    #: Registry key of the experiment (the ablation spec's ``experiment``).
+    #: The CLI subcommand and the ablation spec's ``experiment`` value.
     name: str = ""
+    #: One line for ``--help`` and docs.
+    description: str = ""
     #: Names :meth:`metrics` emits, in declaration order.
     metric_names: Tuple[str, ...] = ()
 
@@ -75,13 +82,14 @@ class ExperimentDriver(ABC):
     def tasks(self, config: Any) -> Sequence[ShardTask]:
         """The experiment's shard list for ``config``, in canonical order."""
 
-    @abstractmethod
     def aggregate(self, config: Any, results: Sequence[Any]) -> Any:
         """Reassemble the experiment's result from shard results.
 
         Must be a pure function of ``(config, results)`` — no telemetry, no
         logging — so the declarative harness can reuse it per study point.
+        The default is one row per shard, in task order.
         """
+        return list(results)
 
     def rows(self, result: Any) -> Sequence[Any]:
         """The tidy row sequence of a result.
@@ -112,6 +120,22 @@ class ExperimentDriver(ABC):
         results in task order; the default emits nothing.
         """
         return None
+
+
+class SingleShardDriver(ExperimentDriver):
+    """A study whose points share one annealer stream, run as one shard.
+
+    Subclasses set :attr:`study` to the module-level ``config -> result``
+    function (``staticmethod``-wrapped, so the pool can pickle it by name).
+    """
+
+    study: Callable[[Any], Any]
+
+    def tasks(self, config: Any) -> List[ShardTask]:
+        return [ShardTask(key=(self.name,), fn=self.study, kwargs={"config": config})]
+
+    def aggregate(self, config: Any, results: Sequence[Any]) -> Any:
+        return results[0]
 
 
 def run_driver(

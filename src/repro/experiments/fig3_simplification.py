@@ -16,15 +16,19 @@ experiment reproduces.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.experiments.driver import ExperimentDriver
 from repro.experiments.instances import synthesize_instance, variables_for
+from repro.parallel import ShardTask
 from repro.qubo.preprocessing import simplify_qubo
+from repro.utils.validation import require, require_positive
 
-__all__ = ["Figure3Config", "Figure3Row", "run_figure3", "format_figure3_table"]
+__all__ = ["Figure3Config", "Figure3Driver", "Figure3Row", "format_figure3_table"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,12 @@ class Figure3Config:
     )
     base_seed: int = 0
 
+    def __post_init__(self) -> None:
+        require_positive(self.instances_per_point, "instances_per_point")
+        users = [count for counts in self.user_counts.values() for count in counts]
+        require(bool(users), "user_counts must name at least one point")
+        require_positive(min(users), "every user count")
+
     @classmethod
     def paper_scale(cls) -> "Figure3Config":
         """The configuration matching the paper's 50 instances per point."""
@@ -73,36 +83,50 @@ class Figure3Row:
     average_fixed_variables: float
 
 
-def run_figure3(config: Figure3Config = Figure3Config()) -> List[Figure3Row]:
-    """Run the preprocessing study and return one row per (modulation, size)."""
-    rows: List[Figure3Row] = []
-    for modulation, user_counts in config.user_counts.items():
-        for num_users in user_counts:
-            simplified = 0
-            fixed_counts: List[int] = []
-            for index in range(config.instances_per_point):
-                bundle = synthesize_instance(
-                    num_users,
-                    modulation,
-                    seed=config.base_seed + index,
-                )
-                report = simplify_qubo(bundle.encoding.qubo)
-                if report.was_simplified:
-                    simplified += 1
-                    fixed_counts.append(report.num_fixed)
-            ratio = simplified / config.instances_per_point
-            average_fixed = float(np.mean(fixed_counts)) if fixed_counts else 0.0
-            rows.append(
-                Figure3Row(
-                    modulation=modulation,
-                    num_users=num_users,
-                    num_variables=variables_for(num_users, modulation),
-                    instances=config.instances_per_point,
-                    simplified_ratio=ratio,
-                    average_fixed_variables=average_fixed,
-                )
+def _figure3_point_shard(config: Figure3Config) -> Figure3Row:
+    """The row of the one (modulation, users) point ``config.user_counts`` holds.
+
+    Instance ``index`` is seeded by ``base_seed + index`` alone, so a point
+    does not depend on which other points the sweep holds.
+    """
+    ((modulation, (num_users,)),) = config.user_counts.items()
+    fixed_counts: List[int] = []
+    for index in range(config.instances_per_point):
+        bundle = synthesize_instance(num_users, modulation, seed=config.base_seed + index)
+        report = simplify_qubo(bundle.encoding.qubo)
+        if report.was_simplified:
+            fixed_counts.append(report.num_fixed)
+    return Figure3Row(
+        modulation=modulation,
+        num_users=num_users,
+        num_variables=variables_for(num_users, modulation),
+        instances=config.instances_per_point,
+        simplified_ratio=len(fixed_counts) / config.instances_per_point,
+        average_fixed_variables=float(np.mean(fixed_counts)) if fixed_counts else 0.0,
+    )
+
+
+class Figure3Driver(ExperimentDriver):
+    """Figure 3 behind the shared experiment-driver protocol."""
+
+    name = "fig3"
+    description = "Figure 3 — QUBO simplification by variable prefixing"
+
+    def tasks(self, config: Figure3Config) -> List[ShardTask]:
+        """One task per (modulation, users) point, its config holding only that point."""
+        return [
+            ShardTask(
+                key=("fig3", modulation, num_users),
+                fn=_figure3_point_shard,
+                kwargs={
+                    "config": dataclasses.replace(
+                        config, user_counts={modulation: (num_users,)}
+                    )
+                },
             )
-    return rows
+            for modulation, user_counts in config.user_counts.items()
+            for num_users in user_counts
+        ]
 
 
 def format_figure3_table(rows: Sequence[Figure3Row]) -> str:

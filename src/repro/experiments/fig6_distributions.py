@@ -36,6 +36,7 @@ from repro.metrics.statistics import histogram_percentiles
 from repro import telemetry
 from repro.parallel import ShardTask
 from repro.utils.rng import spawn_rngs, stable_seed
+from repro.utils.validation import require, require_positive_fields
 
 __all__ = [
     "Figure6Config",
@@ -86,6 +87,14 @@ class Figure6Config:
     base_seed: int = 0
     modulations: Optional[Tuple[str, ...]] = None
     batch_size: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        require_positive_fields(self, "num_variables", "instances_per_modulation", "num_reads")
+        require(len(self.bin_edges) >= 2, "bin_edges must hold at least two edges")
+        require(
+            self.modulations is None or len(self.modulations) > 0,
+            "modulations must not be empty (None selects all)",
+        )
 
     @classmethod
     def paper_scale(cls) -> "Figure6Config":
@@ -227,6 +236,7 @@ class Figure6Driver(ExperimentDriver):
     """Figure 6 behind the shared experiment-driver protocol."""
 
     name = "fig6"
+    description = "Figure 6 — delta-E percentage distributions of FA / RA"
 
     def tasks(self, config: Figure6Config) -> List[ShardTask]:
         """One task per (num_users, modulation) pair.

@@ -15,16 +15,18 @@ statistics of each bin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
+from repro.experiments.driver import SingleShardDriver
 from repro.experiments.instances import InstanceBundle, synthesize_instance
 from repro.metrics.quality import delta_e_percent
 from repro.utils.rng import stable_seed
+from repro.utils.validation import require_non_negative, require_positive_fields
 
-__all__ = ["Figure7Config", "Figure7Row", "run_figure7", "format_figure7_table"]
+__all__ = ["Figure7Config", "Figure7Driver", "Figure7Row", "format_figure7_table"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,11 @@ class Figure7Config:
     candidates_per_bin: int = 3
     instance_seed: int = 12
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        require_positive_fields(self, "num_users", "num_reads", "candidates_per_bin")
+        require_positive_fields(self, "bin_width_percent", "max_bin_percent")
+        require_non_negative(self.pause_duration_us, "pause_duration_us")
 
     @classmethod
     def paper_scale(cls) -> "Figure7Config":
@@ -118,18 +125,10 @@ def _generate_candidates(
     return buckets
 
 
-def run_figure7(
-    config: Figure7Config = Figure7Config(),
-    sampler: Optional[QuantumAnnealerSimulator] = None,
-    bundle: Optional[InstanceBundle] = None,
-) -> List[Figure7Row]:
+def _figure7_rows(config: Figure7Config) -> List[Figure7Row]:
     """Run the initial-state-quality study and return one row per ΔE_IS% bin."""
-    instance = bundle if bundle is not None else synthesize_instance(
-        config.num_users, config.modulation, seed=config.instance_seed
-    )
-    annealer = sampler if sampler is not None else QuantumAnnealerSimulator(
-        seed=stable_seed("fig7", config.base_seed)
-    )
+    instance = synthesize_instance(config.num_users, config.modulation, seed=config.instance_seed)
+    annealer = QuantumAnnealerSimulator(seed=stable_seed("fig7", config.base_seed))
     rng = np.random.default_rng(stable_seed("fig7-candidates", config.base_seed))
 
     qubo = instance.encoding.qubo
@@ -166,6 +165,14 @@ def run_figure7(
             )
         )
     return rows
+
+
+class Figure7Driver(SingleShardDriver):
+    """Figure 7 as one shard: every bin's RA runs draw from one annealer stream."""
+
+    name = "fig7"
+    description = "Figure 7 — RA performance vs initial-state quality"
+    study = staticmethod(_figure7_rows)
 
 
 def format_figure7_table(rows: Sequence[Figure7Row]) -> str:

@@ -41,6 +41,7 @@ from repro.metrics.quality import delta_e_percent
 from repro import telemetry
 from repro.parallel import ShardTask
 from repro.utils.rng import stable_seed
+from repro.utils.validation import require, require_positive_fields
 
 __all__ = [
     "FIG8_METRICS",
@@ -99,6 +100,13 @@ class Figure8Config:
     intermediate_initial_quality: Optional[float] = 6.0
     instance_seed: int = 12
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        require_positive_fields(self, "num_users", "num_reads")
+        require(
+            self.switch_values is None or len(self.switch_values) > 0,
+            "switch_values must not be empty (None selects the default grid)",
+        )
 
     @classmethod
     def paper_scale(cls) -> "Figure8Config":
@@ -282,6 +290,7 @@ class Figure8Driver(ExperimentDriver):
     """Figure 8 behind the shared experiment-driver protocol."""
 
     name = "fig8"
+    description = "Figure 8 — success probability and TTS vs s_p"
     metric_names = FIG8_METRICS
 
     def tasks(self, config: Figure8Config) -> List[ShardTask]:

@@ -15,17 +15,19 @@ makes), and reports the p* and TTS ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.classical.greedy import GreedySearchSolver
+from repro.experiments.driver import SingleShardDriver
 from repro.experiments.instances import synthesize_instance
 from repro.hybrid.parameters import best_switch_point, sweep_switch_point_batch
 from repro.utils.rng import stable_seed
+from repro.utils.validation import require, require_non_negative, require_positive_fields
 
-__all__ = ["HeadlineConfig", "HeadlineResult", "run_headline", "format_headline_report"]
+__all__ = ["HeadlineConfig", "HeadlineDriver", "HeadlineResult", "format_headline_report"]
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,12 @@ class HeadlineConfig:
     pause_duration_us: float = 1.0
     anneal_time_us: float = 1.0
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        require_positive_fields(self, "num_users", "num_reads", "anneal_time_us")
+        require_non_negative(self.pause_duration_us, "pause_duration_us")
+        require(bool(self.instance_seeds), "instance_seeds must not be empty")
+        require(bool(self.switch_values), "switch_values must not be empty")
 
     @classmethod
     def paper_scale(cls) -> "HeadlineConfig":
@@ -120,21 +128,15 @@ class HeadlineResult:
         return float(np.median(finite)) if finite else float("inf")
 
 
-def run_headline(
-    config: HeadlineConfig = HeadlineConfig(),
-    sampler: Optional[QuantumAnnealerSimulator] = None,
-) -> HeadlineResult:
+def _headline_result(config: HeadlineConfig) -> HeadlineResult:
     """Run the best-operating-point comparison of RA(GS) vs FA."""
-    annealer = sampler if sampler is not None else QuantumAnnealerSimulator(
-        seed=stable_seed("headline", config.base_seed)
-    )
+    annealer = QuantumAnnealerSimulator(seed=stable_seed("headline", config.base_seed))
     greedy = GreedySearchSolver()
     bundles = [
         synthesize_instance(config.num_users, config.modulation, seed=seed)
         for seed in config.instance_seeds
     ]
 
-    labels: List[str] = [bundle.describe() for bundle in bundles]
     qubos = [bundle.encoding.qubo for bundle in bundles]
     grounds = [bundle.ground_energy for bundle in bundles]
 
@@ -164,33 +166,25 @@ def run_headline(
         rng=stable_seed("headline-ra", config.base_seed),
     )
 
-    fa_success: List[float] = []
-    ra_success: List[float] = []
-    fa_tts: List[float] = []
-    ra_tts: List[float] = []
-    fa_switch: List[float] = []
-    ra_switch: List[float] = []
-
-    for fa_records, ra_records in zip(fa_per_instance, ra_per_instance):
-        fa_best = best_switch_point(fa_records)
-        fa_success.append(fa_best.success_probability)
-        fa_tts.append(fa_best.tts.tts_us)
-        fa_switch.append(fa_best.switch_s)
-
-        ra_best = best_switch_point(ra_records)
-        ra_success.append(ra_best.success_probability)
-        ra_tts.append(ra_best.tts.tts_us)
-        ra_switch.append(ra_best.switch_s)
-
+    fa_best = [best_switch_point(records) for records in fa_per_instance]
+    ra_best = [best_switch_point(records) for records in ra_per_instance]
     return HeadlineResult(
-        instance_labels=tuple(labels),
-        fa_best_success=tuple(fa_success),
-        ra_best_success=tuple(ra_success),
-        fa_best_tts_us=tuple(fa_tts),
-        ra_best_tts_us=tuple(ra_tts),
-        fa_best_switch=tuple(fa_switch),
-        ra_best_switch=tuple(ra_switch),
+        instance_labels=tuple(bundle.describe() for bundle in bundles),
+        fa_best_success=tuple(best.success_probability for best in fa_best),
+        ra_best_success=tuple(best.success_probability for best in ra_best),
+        fa_best_tts_us=tuple(best.tts.tts_us for best in fa_best),
+        ra_best_tts_us=tuple(best.tts.tts_us for best in ra_best),
+        fa_best_switch=tuple(best.switch_s for best in fa_best),
+        ra_best_switch=tuple(best.switch_s for best in ra_best),
     )
+
+
+class HeadlineDriver(SingleShardDriver):
+    """The headline comparison as one shard: FA and RA share one annealer."""
+
+    name = "headline"
+    description = "the abstract's 2-10x RA vs FA comparison"
+    study = staticmethod(_headline_result)
 
 
 def format_headline_report(result: HeadlineResult) -> str:

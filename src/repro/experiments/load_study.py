@@ -238,6 +238,7 @@ class LoadStudyDriver(ExperimentDriver):
     """The offered-load sweep behind the shared experiment-driver protocol."""
 
     name = "serve"
+    description = "serving layer — deadline-miss rate vs offered load"
     metric_names = SERVE_METRICS
 
     def tasks(self, config: LoadStudyConfig) -> List[ShardTask]:

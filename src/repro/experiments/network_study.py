@@ -417,6 +417,7 @@ class NetworkStudyDriver(ExperimentDriver):
     """The placement study behind the shared experiment-driver protocol."""
 
     name = "network"
+    description = "city-scale capacity placement on a topology"
     metric_names = NETWORK_METRICS
 
     def tasks(self, config: NetworkStudyConfig) -> List[ShardTask]:

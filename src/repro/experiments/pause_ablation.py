@@ -11,15 +11,19 @@ swept at a fixed switch point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.classical.greedy import GreedySearchSolver
-from repro.experiments.instances import InstanceBundle, synthesize_instance
+from repro.experiments.driver import SingleShardDriver
+from repro.experiments.instances import synthesize_instance
 from repro.metrics.tts import time_to_solution
 from repro.utils.rng import stable_seed
+from repro.utils.validation import require, require_non_negative, require_positive_fields
 
-__all__ = ["PauseAblationConfig", "PauseAblationRow", "run_pause_ablation", "format_pause_table"]
+__all__ = ["PauseAblationConfig", "PauseAblationDriver", "PauseAblationRow", "format_pause_table"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,12 @@ class PauseAblationConfig:
     ra_switch_s: float = 0.41
     num_reads: int = 400
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        require_positive_fields(self, "num_users", "num_reads")
+        require(bool(self.pause_durations_us), "pause_durations_us must not be empty")
+        for pause in self.pause_durations_us:
+            require_non_negative(pause, "pause duration")
 
     @classmethod
     def quick(cls) -> "PauseAblationConfig":
@@ -52,18 +62,10 @@ class PauseAblationRow:
     duration_us: float
 
 
-def run_pause_ablation(
-    config: PauseAblationConfig = PauseAblationConfig(),
-    sampler: Optional[QuantumAnnealerSimulator] = None,
-    bundle: Optional[InstanceBundle] = None,
-) -> List[PauseAblationRow]:
+def _pause_rows(config: PauseAblationConfig) -> List[PauseAblationRow]:
     """Sweep the pause duration for FA and RA(GS) on one instance."""
-    instance = bundle if bundle is not None else synthesize_instance(
-        config.num_users, config.modulation, seed=config.instance_seed
-    )
-    annealer = sampler if sampler is not None else QuantumAnnealerSimulator(
-        seed=stable_seed("pause-ablation", config.base_seed)
-    )
+    instance = synthesize_instance(config.num_users, config.modulation, seed=config.instance_seed)
+    annealer = QuantumAnnealerSimulator(seed=stable_seed("pause-ablation", config.base_seed))
     qubo = instance.encoding.qubo
     ground = instance.ground_energy
     greedy = GreedySearchSolver().solve(qubo)
@@ -81,18 +83,6 @@ def run_pause_ablation(
                 pause_s=config.fa_pause_location,
                 pause_duration_us=pause,
             )
-        fa_duration = fa.metadata["schedule_duration_us"]
-        fa_probability = fa.success_probability(ground)
-        rows.append(
-            PauseAblationRow(
-                method="FA",
-                pause_duration_us=pause,
-                success_probability=fa_probability,
-                tts_us=time_to_solution(fa_probability, fa_duration).tts_us,
-                duration_us=fa_duration,
-            )
-        )
-
         ra = annealer.reverse_anneal(
             qubo,
             greedy.assignment,
@@ -100,18 +90,27 @@ def run_pause_ablation(
             num_reads=config.num_reads,
             pause_duration_us=pause,
         )
-        ra_duration = ra.metadata["schedule_duration_us"]
-        ra_probability = ra.success_probability(ground)
-        rows.append(
-            PauseAblationRow(
-                method="RA-greedy",
-                pause_duration_us=pause,
-                success_probability=ra_probability,
-                tts_us=time_to_solution(ra_probability, ra_duration).tts_us,
-                duration_us=ra_duration,
+        for method, sampleset in (("FA", fa), ("RA-greedy", ra)):
+            duration = sampleset.metadata["schedule_duration_us"]
+            probability = sampleset.success_probability(ground)
+            rows.append(
+                PauseAblationRow(
+                    method=method,
+                    pause_duration_us=pause,
+                    success_probability=probability,
+                    tts_us=time_to_solution(probability, duration).tts_us,
+                    duration_us=duration,
+                )
             )
-        )
     return rows
+
+
+class PauseAblationDriver(SingleShardDriver):
+    """The pause ablation as one shard: every duration shares one annealer stream."""
+
+    name = "pause"
+    description = "extension — the power of pausing"
+    study = staticmethod(_pause_rows)
 
 
 def format_pause_table(rows: Sequence[PauseAblationRow]) -> str:
@@ -120,8 +119,6 @@ def format_pause_table(rows: Sequence[PauseAblationRow]) -> str:
         "Ablation - the power of pausing (FA pause at fixed location, RA pause at s_p)",
         f"{'method':>10}  {'pause (us)':>10}  {'p*':>7}  {'TTS (us)':>12}  {'duration (us)':>13}",
     ]
-    import numpy as np
-
     for row in rows:
         tts_text = f"{row.tts_us:.1f}" if np.isfinite(row.tts_us) else "inf"
         lines.append(

@@ -15,15 +15,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
+from repro.experiments.driver import SingleShardDriver
 from repro.hybrid.pipeline import HybridPipelineSimulator, PipelineReport
 from repro.utils.rng import stable_seed
+from repro.utils.validation import require_positive_fields
 from repro.wireless.mimo import MIMOConfig
 from repro.wireless.traffic import TrafficGenerator
 
 __all__ = [
     "PipelineStudyConfig",
+    "PipelineStudyDriver",
     "PipelineStudyResult",
-    "run_pipeline_study",
     "format_pipeline_table",
 ]
 
@@ -65,6 +67,11 @@ class PipelineStudyConfig:
     base_seed: int = 0
     batch_size: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        require_positive_fields(
+            self, "num_users", "num_channel_uses", "symbol_period_us", "num_reads"
+        )
+
     @classmethod
     def quick(cls) -> "PipelineStudyConfig":
         """A minimal configuration used by the test suite."""
@@ -89,14 +96,9 @@ class PipelineStudyResult:
         return self.pipelined.mean_latency_us / self.serial.mean_latency_us
 
 
-def run_pipeline_study(
-    config: PipelineStudyConfig = PipelineStudyConfig(),
-    sampler: Optional[QuantumAnnealerSimulator] = None,
-) -> PipelineStudyResult:
+def _pipeline_result(config: PipelineStudyConfig) -> PipelineStudyResult:
     """Run the pipelined and serial simulations on an identical traffic trace."""
-    annealer = sampler if sampler is not None else QuantumAnnealerSimulator(
-        seed=stable_seed("pipeline", config.base_seed)
-    )
+    annealer = QuantumAnnealerSimulator(seed=stable_seed("pipeline", config.base_seed))
     mimo_config = MIMOConfig(num_users=config.num_users, modulation=config.modulation)
     traffic = TrafficGenerator(
         mimo_config,
@@ -123,6 +125,14 @@ def run_pipeline_study(
         channel_uses, pipelined=False, rng=stable_seed("serial-run", config.base_seed)
     )
     return PipelineStudyResult(pipelined=pipelined, serial=serial)
+
+
+class PipelineStudyDriver(SingleShardDriver):
+    """Figure 2 as one shard: both runs share one annealer and one trace."""
+
+    name = "pipeline"
+    description = "Figure 2 — pipelined classical/quantum processing"
+    study = staticmethod(_pipeline_result)
 
 
 def format_pipeline_table(result: PipelineStudyResult) -> str:

@@ -259,6 +259,7 @@ class QoSStudyDriver(ExperimentDriver):
     """The QoS-class sweep behind the shared experiment-driver protocol."""
 
     name = "qos"
+    description = "QoS classes — classless vs class-aware serving with handover"
     metric_names = QOS_METRICS
 
     def tasks(self, config: QoSStudyConfig) -> List[ShardTask]:

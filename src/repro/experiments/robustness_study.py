@@ -39,6 +39,7 @@ from repro.parallel import ShardTask
 from repro.transform.mimo_to_qubo import is_optimum, mimo_to_qubo
 from repro.utils.batching import iter_batches
 from repro.utils.rng import ensure_rng, stable_seed
+from repro.utils.validation import require, require_positive_fields
 from repro.wireless.channel import effective_noise_variance
 from repro.wireless.fading import ChannelImpairments, FadingProcess
 from repro.wireless.metrics import bit_error_rate
@@ -121,6 +122,13 @@ class RobustnessStudyConfig:
     interference_grid: Tuple[float, ...] = (0.0, 0.5, 2.0)
     carrier_frequency_ghz: float = 3.5
     block_period_us: float = 71.4
+
+    def __post_init__(self) -> None:
+        require(
+            any(getattr(self, field) for field in _AXIS_FIELDS.values()),
+            "at least one impairment grid must be non-empty",
+        )
+        require_positive_fields(self, "channel_uses_per_point", "num_reads")
 
     @classmethod
     def quick(cls) -> "RobustnessStudyConfig":
@@ -301,6 +309,7 @@ class RobustnessStudyDriver(ExperimentDriver):
     """The impairment sweep behind the shared experiment-driver protocol."""
 
     name = "robustness"
+    description = "extension — impairment robustness sweep"
     metric_names = ROBUSTNESS_METRICS
 
     def tasks(self, config: RobustnessStudyConfig) -> List[ShardTask]:
@@ -334,11 +343,6 @@ class RobustnessStudyDriver(ExperimentDriver):
                     )
                 )
         return tasks
-
-    def aggregate(
-        self, config: RobustnessStudyConfig, results: Sequence[RobustnessRow]
-    ) -> List[RobustnessRow]:
-        return list(results)
 
     def metrics(self, rows: Sequence[RobustnessRow]) -> Tuple[Tuple[str, float], ...]:
         times = [row.hybrid_time_us for row in rows]

@@ -255,6 +255,7 @@ class ScenarioStudyDriver(ExperimentDriver):
     """The catalog sweep behind the shared experiment-driver protocol."""
 
     name = "scenarios"
+    description = "time-varying scenarios — static vs autoscaled"
     metric_names = SCENARIOS_METRICS
 
     def tasks(self, config: ScenarioStudyConfig) -> List[ShardTask]:

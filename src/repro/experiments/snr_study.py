@@ -28,6 +28,7 @@ from repro.parallel import ShardTask
 from repro.transform.mimo_to_qubo import mimo_to_qubo
 from repro.utils.batching import iter_batches
 from repro.utils.rng import ensure_rng, stable_seed
+from repro.utils.validation import require, require_positive_fields
 from repro.wireless.channel import RayleighFadingChannel
 from repro.wireless.metrics import bit_error_rate
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
@@ -71,6 +72,10 @@ class SNRStudyConfig:
     switch_s: float = 0.45
     base_seed: int = 0
     batch_size: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        require(bool(self.snr_grid_db), "snr_grid_db must not be empty")
+        require_positive_fields(self, "channel_uses_per_point", "num_reads")
 
     @classmethod
     def quick(cls) -> "SNRStudyConfig":
@@ -175,6 +180,7 @@ class SNRStudyDriver(ExperimentDriver):
     """The BER-vs-SNR sweep behind the shared experiment-driver protocol."""
 
     name = "snr"
+    description = "extension — BER vs SNR under AWGN"
 
     def tasks(self, config: SNRStudyConfig) -> List[ShardTask]:
         """One task per SNR grid point.
@@ -198,11 +204,6 @@ class SNRStudyDriver(ExperimentDriver):
             )
             for snr_db in config.snr_grid_db
         ]
-
-    def aggregate(
-        self, config: SNRStudyConfig, results: Sequence[SNRStudyRow]
-    ) -> List[SNRStudyRow]:
-        return list(results)
 
     def progress(self, config, tasks, results) -> None:
         for row in results:

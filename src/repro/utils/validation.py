@@ -14,6 +14,7 @@ from repro.exceptions import ConfigurationError
 __all__ = [
     "require",
     "require_positive",
+    "require_positive_fields",
     "require_non_negative",
     "require_in_range",
     "require_power_of_two",
@@ -31,6 +32,12 @@ def require_positive(value: Any, name: str) -> None:
     """Require ``value > 0``."""
     if not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
+
+
+def require_positive_fields(config: Any, *names: str) -> None:
+    """Require ``config.<name> > 0`` for every named field."""
+    for name in names:
+        require_positive(getattr(config, name), name)
 
 
 def require_non_negative(value: Any, name: str) -> None:

@@ -92,15 +92,6 @@ class TestMain:
         assert "detection robustness under channel impairments" in captured.out
         assert "spatial correlation rho" in captured.out
 
-    def test_robustness_workers_match_serial_output(self, capsys):
-        exit_code = cli.main(["robustness", "--quick", "--no-cache"])
-        serial = capsys.readouterr().out
-        assert exit_code == 0
-        exit_code = cli.main(["robustness", "--quick", "--no-cache", "--workers", "2"])
-        parallel = capsys.readouterr().out
-        assert exit_code == 0
-        assert parallel == serial
-
     def test_runs_scenarios_quick(self, capsys):
         exit_code = cli.main(["scenarios", "--quick"])
         captured = capsys.readouterr()
@@ -110,11 +101,13 @@ class TestMain:
         # The default on-disk shard cache was populated in the CWD.
         assert list(pathlib.Path(".repro-cache").glob("*/*.pkl"))
 
-    def test_workers_match_serial_output(self, capsys):
-        exit_code = cli.main(["snr", "--quick", "--no-cache"])
+    @pytest.mark.parametrize("experiment", sorted(cli._EXPERIMENTS))
+    def test_workers_match_serial_output(self, experiment, capsys):
+        # Every study runs through run_driver, so sharding never changes a table.
+        exit_code = cli.main([experiment, "--quick", "--no-cache"])
         serial = capsys.readouterr().out
         assert exit_code == 0
-        exit_code = cli.main(["snr", "--quick", "--no-cache", "--workers", "2"])
+        exit_code = cli.main([experiment, "--quick", "--no-cache", "--workers", "2"])
         parallel = capsys.readouterr().out
         assert exit_code == 0
         assert parallel == serial

@@ -1,19 +1,22 @@
 """Tests for the experiment runners (quick configurations)."""
 
-import pytest
-
-from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBackend
 from repro.experiments import (
     Figure3Config,
+    Figure3Driver,
     Figure6Config,
     Figure6Driver,
     Figure7Config,
+    Figure7Driver,
     Figure8Config,
     Figure8Driver,
     HeadlineConfig,
+    HeadlineDriver,
     InitializerAblationConfig,
+    InitializerAblationDriver,
     PipelineStudyConfig,
+    PipelineStudyDriver,
     SoftConstraintConfig,
+    SoftConstraintDriver,
     format_figure3_table,
     format_figure6_table,
     format_figure7_table,
@@ -23,19 +26,7 @@ from repro.experiments import (
     format_pipeline_table,
     format_soft_constraint_table,
     run_driver,
-    run_figure3,
-    run_figure7,
-    run_headline,
-    run_initializer_ablation,
-    run_pipeline_study,
-    run_soft_constraint_study,
 )
-
-
-@pytest.fixture
-def quick_sampler():
-    backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=12)
-    return QuantumAnnealerSimulator(backend=backend, seed=5)
 
 
 class TestFigure3:
@@ -44,7 +35,7 @@ class TestFigure3:
             instances_per_point=2,
             user_counts={"QPSK": (2, 6, 20), "16-QAM": (1, 3, 10)},
         )
-        rows = run_figure3(config)
+        rows = run_driver(Figure3Driver(), config)
         assert len(rows) == 6
         for row in rows:
             assert 0.0 <= row.simplified_ratio <= 1.0
@@ -55,7 +46,7 @@ class TestFigure3:
 
     def test_large_problems_not_simplified(self):
         config = Figure3Config(instances_per_point=2, user_counts={"16-QAM": (12,)})
-        rows = run_figure3(config)
+        rows = run_driver(Figure3Driver(), config)
         assert rows[0].simplified_ratio == 0.0
 
     def test_paper_scale_configuration(self):
@@ -86,8 +77,8 @@ class TestFigure6:
 
 
 class TestFigure7:
-    def test_quick_run(self, quick_sampler):
-        rows = run_figure7(Figure7Config.quick(), sampler=quick_sampler)
+    def test_quick_run(self):
+        rows = run_driver(Figure7Driver(), Figure7Config.quick())
         assert rows, "at least the ground-state bin must be populated"
         assert rows[0].bin_low_percent == 0.0
         for row in rows:
@@ -95,8 +86,8 @@ class TestFigure7:
             assert row.mean_initial_quality < Figure7Config.quick().max_bin_percent
         assert "dE_IS%" in format_figure7_table(rows)
 
-    def test_bins_are_ordered(self, quick_sampler):
-        rows = run_figure7(Figure7Config.quick(), sampler=quick_sampler)
+    def test_bins_are_ordered(self):
+        rows = run_driver(Figure7Driver(), Figure7Config.quick())
         lows = [row.bin_low_percent for row in rows]
         assert lows == sorted(lows)
 
@@ -124,8 +115,8 @@ class TestFigure8:
 
 
 class TestHeadline:
-    def test_quick_run(self, quick_sampler):
-        result = run_headline(HeadlineConfig.quick(), sampler=quick_sampler)
+    def test_quick_run(self):
+        result = run_driver(HeadlineDriver(), HeadlineConfig.quick())
         assert len(result.instance_labels) == 1
         assert len(result.success_ratios) == 1
         assert result.median_tts_speedup >= 0.0
@@ -135,15 +126,15 @@ class TestHeadline:
 
 class TestPipelineStudy:
     def test_quick_run(self):
-        result = run_pipeline_study(PipelineStudyConfig.quick())
+        result = run_driver(PipelineStudyDriver(), PipelineStudyConfig.quick())
         assert result.pipelined.num_jobs == result.serial.num_jobs
         assert result.throughput_gain >= 1.0 - 1e-9
         assert "pipelined" in format_pipeline_table(result)
 
 
 class TestAblations:
-    def test_initializer_ablation_quick(self, quick_sampler):
-        rows = run_initializer_ablation(InitializerAblationConfig.quick(), sampler=quick_sampler)
+    def test_initializer_ablation_quick(self):
+        rows = run_driver(InitializerAblationDriver(), InitializerAblationConfig.quick())
         names = [row.initializer for row in rows]
         assert names == ["greedy", "zero-forcing"]
         for row in rows:
@@ -151,8 +142,8 @@ class TestAblations:
             assert 0.0 <= row.success_probability <= 1.0
         assert "initializer" in format_initializer_table(rows)
 
-    def test_soft_constraint_quick(self, quick_sampler):
-        rows = run_soft_constraint_study(SoftConstraintConfig.quick(), sampler=quick_sampler)
+    def test_soft_constraint_quick(self):
+        rows = run_driver(SoftConstraintDriver(), SoftConstraintConfig.quick())
         knowledge_kinds = {row.knowledge for row in rows}
         assert "none" in knowledge_kinds
         assert "correct" in knowledge_kinds

@@ -3,22 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBackend
 from repro.experiments import (
     PauseAblationConfig,
+    PauseAblationDriver,
     SNRStudyConfig,
     SNRStudyDriver,
     format_pause_table,
     format_snr_table,
     run_driver,
-    run_pause_ablation,
 )
-
-
-@pytest.fixture
-def quick_sampler():
-    backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=12)
-    return QuantumAnnealerSimulator(backend=backend, seed=17)
 
 
 class TestSNRStudy:
@@ -48,22 +41,22 @@ class TestSNRStudy:
 
 
 class TestPauseAblation:
-    def test_quick_run_structure(self, quick_sampler):
+    def test_quick_run_structure(self):
         config = PauseAblationConfig.quick()
-        rows = run_pause_ablation(config, sampler=quick_sampler)
+        rows = run_driver(PauseAblationDriver(), config)
         assert len(rows) == 2 * len(config.pause_durations_us)
         methods = {row.method for row in rows}
         assert methods == {"FA", "RA-greedy"}
         assert "pause" in format_pause_table(rows)
 
-    def test_durations_reflect_pause(self, quick_sampler):
+    def test_durations_reflect_pause(self):
         config = PauseAblationConfig.quick()
-        rows = run_pause_ablation(config, sampler=quick_sampler)
+        rows = run_driver(PauseAblationDriver(), config)
         fa = {row.pause_duration_us: row for row in rows if row.method == "FA"}
         assert fa[1.0].duration_us == pytest.approx(fa[0.0].duration_us + 1.0)
 
-    def test_probabilities_valid(self, quick_sampler):
-        rows = run_pause_ablation(PauseAblationConfig.quick(), sampler=quick_sampler)
+    def test_probabilities_valid(self):
+        rows = run_driver(PauseAblationDriver(), PauseAblationConfig.quick())
         for row in rows:
             assert 0.0 <= row.success_probability <= 1.0
             assert row.tts_us > 0 or not np.isfinite(row.tts_us)

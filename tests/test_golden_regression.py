@@ -23,19 +23,19 @@ import pytest
 from repro.ablation.presets import ablation_quick_rows
 from repro.experiments import (
     Figure3Config,
+    Figure3Driver,
     Figure7Config,
+    Figure7Driver,
     HeadlineConfig,
+    HeadlineDriver,
     InitializerAblationConfig,
+    InitializerAblationDriver,
     PauseAblationConfig,
+    PauseAblationDriver,
     PipelineStudyConfig,
+    PipelineStudyDriver,
     SoftConstraintConfig,
-    run_figure3,
-    run_figure7,
-    run_headline,
-    run_initializer_ablation,
-    run_pause_ablation,
-    run_pipeline_study,
-    run_soft_constraint_study,
+    SoftConstraintDriver,
 )
 from repro.experiments.driver import run_driver
 from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
@@ -52,19 +52,19 @@ def rows_as_payload(rows) -> list:
 
 STUDIES = {
     "ablation_quick": ablation_quick_rows,
-    "ablation_quick_initializers": lambda: run_initializer_ablation(
-        InitializerAblationConfig.quick()
+    "ablation_quick_initializers": lambda: run_driver(
+        InitializerAblationDriver(), InitializerAblationConfig.quick()
     ),
-    "constraints_quick": lambda: run_soft_constraint_study(SoftConstraintConfig.quick()),
+    "constraints_quick": lambda: run_driver(SoftConstraintDriver(), SoftConstraintConfig.quick()),
     # Figure3Config has no quick preset: ``fig3 --quick`` runs the default.
-    "fig3_quick": lambda: run_figure3(Figure3Config()),
+    "fig3_quick": lambda: run_driver(Figure3Driver(), Figure3Config()),
     "fig6_quick": lambda: run_driver(Figure6Driver(), Figure6Config.quick()),
-    "fig7_quick": lambda: run_figure7(Figure7Config.quick()),
+    "fig7_quick": lambda: run_driver(Figure7Driver(), Figure7Config.quick()),
     "fig8_quick": lambda: run_driver(Figure8Driver(), Figure8Config.quick()),
-    "headline_quick": lambda: [run_headline(HeadlineConfig.quick())],
+    "headline_quick": lambda: [run_driver(HeadlineDriver(), HeadlineConfig.quick())],
     "network_quick": lambda: run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick()).rows,
-    "pause_quick": lambda: run_pause_ablation(PauseAblationConfig.quick()),
-    "pipeline_quick": lambda: [run_pipeline_study(PipelineStudyConfig.quick())],
+    "pause_quick": lambda: run_driver(PauseAblationDriver(), PauseAblationConfig.quick()),
+    "pipeline_quick": lambda: [run_driver(PipelineStudyDriver(), PipelineStudyConfig.quick())],
     "snr_quick": lambda: run_driver(SNRStudyDriver(), SNRStudyConfig.quick()),
 }
 

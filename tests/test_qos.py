@@ -14,7 +14,22 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments import QoSStudyConfig, QoSStudyDriver, format_qos_table, run_driver
+from repro.experiments import (
+    Figure3Config,
+    Figure6Config,
+    Figure7Config,
+    HeadlineConfig,
+    InitializerAblationConfig,
+    PauseAblationConfig,
+    PipelineStudyConfig,
+    QoSStudyConfig,
+    QoSStudyDriver,
+    SNRStudyConfig,
+    SoftConstraintConfig,
+    config_presets,
+    format_qos_table,
+    run_driver,
+)
 from repro.network import build_topology
 from repro.serving import (
     BEST_EFFORT,
@@ -345,8 +360,8 @@ _BAD_OVERRIDES = [
     dict(annealer_workers=0),
 ]
 
-#: Every field the sharded serving configs reject, as (ablation target,
-#: overrides); the QoS cases come first.
+#: Fields the study configs reject, as (ablation target name or config
+#: class, overrides); the QoS cases come first.
 _REJECTED_FIELDS = [("qos", overrides) for overrides in _BAD_OVERRIDES] + [
     ("serve", dict(load_factors=())),
     ("serve", dict(load_factors=(-1.0,))),
@@ -360,6 +375,24 @@ _REJECTED_FIELDS = [("qos", overrides) for overrides in _BAD_OVERRIDES] + [
     ("network", dict(migration_fraction=1.5)),
     ("network", dict(min_capacity_fraction=-0.1)),
     ("network", dict(detail_max_jobs_per_cell=-1)),
+    ("fig8", dict(switch_values=())),
+    ("robustness", dict(channel_uses_per_point=0)),
+    (
+        "robustness",
+        dict(correlation_grid=(), velocity_grid_mps=(), csi_error_grid=(), interference_grid=()),
+    ),
+    (Figure3Config, dict(instances_per_point=0)),
+    (Figure3Config, dict(user_counts={"QPSK": ()})),
+    (Figure6Config, dict(modulations=())),
+    (Figure7Config, dict(bin_width_percent=0)),
+    (HeadlineConfig, dict(switch_values=())),
+    (PipelineStudyConfig, dict(num_channel_uses=0)),
+    (InitializerAblationConfig, dict(initializers=("greedy", "oracle"))),
+    (InitializerAblationConfig, dict(initializers=())),
+    (SoftConstraintConfig, dict(strengths=(-1.0,))),
+    (SNRStudyConfig, dict(snr_grid_db=())),
+    (SNRStudyConfig, dict(channel_uses_per_point=0)),
+    (PauseAblationConfig, dict(pause_durations_us=(-1.0,))),
 ]
 
 
@@ -410,6 +443,13 @@ class TestQoSStudy:
         from repro.ablation import AblationSpec, get_target, run_study
 
         experiment, fields = overrides
+        if not isinstance(experiment, str):
+            # Not an ablation target: reach the config through the preset
+            # the CLI's --quick selects (its default when it has none).
+            presets = config_presets(experiment)
+            with pytest.raises(ConfigurationError):
+                dataclasses.replace(presets.get("quick", presets["default"])(), **fields)
+            return
         with pytest.raises(ConfigurationError) as constructed:
             dataclasses.replace(get_target(experiment).make_config("quick"), **fields)
         spec = AblationSpec(name="invalid", experiment=experiment, preset="quick", base=fields)
