@@ -1,8 +1,9 @@
 """Regenerate the golden regression fixtures in ``tests/golden/``.
 
-The fixtures freeze the full numeric output of the quick experiment
-configurations (Figure 6 distributions, Figure 8 TTS sweep, and the SNR/BER
-study) under the replica-parallel sweep kernels.  ``tests/test_golden_regression.py``
+The fixtures freeze the full numeric output of every paper study's quick
+configuration (plus the network study and the micro ablation study) under
+the replica-parallel sweep kernels; single-result studies (headline,
+pipeline) are stored as a one-row list.  ``tests/test_golden_regression.py``
 re-runs the same configurations on every CI run and fails with a readable
 field-by-field diff whenever any number moves — so a change to the kernels,
 the RNG draw discipline, or the experiment plumbing cannot silently alter

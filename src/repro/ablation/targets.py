@@ -128,7 +128,6 @@ class AnnealHPODriver(ExperimentDriver):
     """The synthetic SA sweep: one shard per restart, one row per shard."""
 
     name = "anneal-hpo"
-    description = "synthetic SA hyper-parameter sweep on a random QUBO"
     metric_names = ANNEAL_HPO_METRICS
 
     def tasks(self, config: AnnealHPOConfig) -> List[ShardTask]:

@@ -148,7 +148,12 @@ class CommonRunOptions:
         """Collapse the parsed flags into one options value."""
         scale = "paper" if arguments.paper_scale else ("quick" if arguments.quick else "default")
         cache = None if arguments.no_cache else ResultCache(arguments.cache_dir)
-        return cls(scale, arguments.batch_size, arguments.workers, cache)
+        return cls(
+            scale=scale,
+            batch_size=arguments.batch_size,
+            workers=arguments.workers,
+            cache=cache,
+        )
 
 
 def _config(config_class, options: CommonRunOptions):

@@ -116,16 +116,12 @@ class Figure3Driver(ExperimentDriver):
         """One task per (modulation, users) point, its config holding only that point."""
         return [
             ShardTask(
-                key=("fig3", modulation, num_users),
+                key=("fig3", modulation, users),
                 fn=_figure3_point_shard,
-                kwargs={
-                    "config": dataclasses.replace(
-                        config, user_counts={modulation: (num_users,)}
-                    )
-                },
+                kwargs={"config": dataclasses.replace(config, user_counts={modulation: (users,)})},
             )
             for modulation, user_counts in config.user_counts.items()
-            for num_users in user_counts
+            for users in user_counts
         ]
 
 

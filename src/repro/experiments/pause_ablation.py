@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.classical.greedy import GreedySearchSolver
 from repro.experiments.driver import SingleShardDriver
@@ -119,6 +117,8 @@ def format_pause_table(rows: Sequence[PauseAblationRow]) -> str:
         "Ablation - the power of pausing (FA pause at fixed location, RA pause at s_p)",
         f"{'method':>10}  {'pause (us)':>10}  {'p*':>7}  {'TTS (us)':>12}  {'duration (us)':>13}",
     ]
+    import numpy as np
+
     for row in rows:
         tts_text = f"{row.tts_us:.1f}" if np.isfinite(row.tts_us) else "inf"
         lines.append(
