@@ -3,7 +3,9 @@
 The fixtures freeze the full numeric output of every paper study's quick
 configuration (plus the network study and the micro ablation study) under
 the replica-parallel sweep kernels; single-result studies (headline,
-pipeline) are stored as a one-row list.  ``tests/test_golden_regression.py``
+pipeline) are stored as a one-row list.  ``single_entry_points`` pins one
+seeded call of every single-instance hybrid entry point (see
+``tests/entry_point_cases.py``).  ``tests/test_golden_regression.py``
 re-runs the same configurations on every CI run and fails with a readable
 field-by-field diff whenever any number moves — so a change to the kernels,
 the RNG draw discipline, or the experiment plumbing cannot silently alter
@@ -26,6 +28,7 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 from repro.ablation.presets import ablation_quick_rows  # noqa: E402
 from repro.experiments.driver import run_driver  # noqa: E402
@@ -52,6 +55,7 @@ from repro.experiments.network_study import (  # noqa: E402
     NetworkStudyDriver,
 )
 from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver  # noqa: E402
+from tests.entry_point_cases import single_entry_point_rows  # noqa: E402
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
@@ -71,13 +75,16 @@ STUDIES = {
     "network_quick": lambda: run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick()).rows,
     "pause_quick": lambda: run_driver(PauseAblationDriver(), PauseAblationConfig.quick()),
     "pipeline_quick": lambda: [run_driver(PipelineStudyDriver(), PipelineStudyConfig.quick())],
+    "single_entry_points": single_entry_point_rows,
     "snr_quick": lambda: run_driver(SNRStudyDriver(), SNRStudyConfig.quick()),
 }
 
 
 def rows_as_payload(rows) -> list:
-    """Result dataclasses as plain JSON-compatible dicts (exact floats)."""
-    return json.loads(json.dumps([dataclasses.asdict(row) for row in rows]))
+    """Result rows (dataclasses or plain dicts) as JSON-compatible dicts (exact floats)."""
+    return json.loads(
+        json.dumps([row if isinstance(row, dict) else dataclasses.asdict(row) for row in rows])
+    )
 
 
 def main() -> int:

@@ -1,10 +1,12 @@
 """Golden regression tests for the quick experiment configurations.
 
 Each fixture in ``tests/golden/`` freezes the exact numeric output of one
-quick study under the replica-parallel kernels.  These tests re-run the
-studies and compare every field bitwise, failing with a readable per-field
-diff.  They are the tripwire for unintended numerics changes anywhere in the
-stack — kernels, RNG draw discipline, padding, or experiment plumbing.
+quick study under the replica-parallel kernels (``single_entry_points``
+pins the single-instance hybrid entry points instead; see
+``tests/entry_point_cases.py``).  These tests re-run them and compare every
+field bitwise, failing with a readable per-field diff.  They are the tripwire
+for unintended numerics changes anywhere in the stack — kernels, RNG draw
+discipline, padding, or experiment plumbing.
 
 After an *intentional* numerics change, regenerate with::
 
@@ -42,13 +44,16 @@ from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
 from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
 from repro.experiments.network_study import NetworkStudyConfig, NetworkStudyDriver
 from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver
+from tests.entry_point_cases import single_entry_point_rows
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def rows_as_payload(rows) -> list:
-    """Result dataclasses as JSON-roundtripped dicts (same as regen_golden)."""
-    return json.loads(json.dumps([dataclasses.asdict(row) for row in rows]))
+    """Result rows as JSON-roundtripped dicts (same as regen_golden)."""
+    return json.loads(
+        json.dumps([row if isinstance(row, dict) else dataclasses.asdict(row) for row in rows])
+    )
 
 STUDIES = {
     "ablation_quick": ablation_quick_rows,
@@ -65,6 +70,7 @@ STUDIES = {
     "network_quick": lambda: run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick()).rows,
     "pause_quick": lambda: run_driver(PauseAblationDriver(), PauseAblationConfig.quick()),
     "pipeline_quick": lambda: [run_driver(PipelineStudyDriver(), PipelineStudyConfig.quick())],
+    "single_entry_points": single_entry_point_rows,
     "snr_quick": lambda: run_driver(SNRStudyDriver(), SNRStudyConfig.quick()),
 }
 
@@ -96,7 +102,7 @@ def _row_label(row) -> str:
     """A short identity for one result row, for diff readability."""
     keys = [
         k
-        for k in ("modulation", "method", "switch_s", "snr_db", "placement", "point_id")
+        for k in ("case", "modulation", "method", "switch_s", "snr_db", "placement", "point_id")
         if k in row
     ]
     return "/".join(str(row[k]) for k in keys) or "row"
