@@ -196,6 +196,7 @@ class AnnealingBackend(abc.ABC):
             Array of shape (num_reads, num_spins) with entries +/-1.
         """
 
+    @abc.abstractmethod
     def run_batch(
         self,
         fields: Sequence[np.ndarray],
@@ -212,14 +213,10 @@ class AnnealingBackend(abc.ABC):
         The batch shares a schedule, device functions and temperature; each
         instance keeps its own size, coefficients and (optional) initial
         state.  Instance ``b`` draws exclusively from per-instance child
-        generator ``b`` (see :func:`repro.utils.rng.ensure_rng_batch`), so the
-        result list is bitwise-identical to calling :meth:`run` once per
-        instance with those children — regardless of how instances are grouped
-        into batches.
-
-        This default implementation is exactly that sequential loop.  Backends
-        with a vectorised multi-instance kernel override it; the contract
-        (per-instance child streams, identical results) must be preserved.
+        generator ``b`` (see :func:`repro.utils.rng.ensure_rng_batch`), so
+        results do not depend on how instances are grouped into batches, and
+        :meth:`run` is this method on a batch of one.
+        :func:`prepare_anneal_batch` is the shared validating front end.
 
         Parameters
         ----------
@@ -238,24 +235,3 @@ class AnnealingBackend(abc.ABC):
         list of numpy.ndarray
             One ``(num_reads, num_spins_b)`` array of +/-1 spins per instance.
         """
-        batch = len(fields)
-        if initial_spins is not None and len(initial_spins) != batch:
-            raise ConfigurationError(
-                f"{len(initial_spins)} initial states supplied for a batch of {batch}"
-            )
-        children = ensure_rng_batch(rng, batch)
-        results: List[np.ndarray] = []
-        for index in range(batch):
-            results.append(
-                self.run(
-                    fields=fields[index],
-                    couplings=couplings[index],
-                    schedule=schedule,
-                    num_reads=num_reads,
-                    annealing_functions=annealing_functions,
-                    relative_temperature=relative_temperature,
-                    initial_spins=None if initial_spins is None else initial_spins[index],
-                    rng=children[index],
-                )
-            )
-        return results

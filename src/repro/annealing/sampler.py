@@ -94,14 +94,11 @@ class QuantumAnnealerSimulator:
         """Sample a QUBO along an anneal schedule.
 
         ``initial_state`` is a 0/1 assignment and is required whenever the
-        schedule starts from a classical state (reverse annealing).
+        schedule starts from a classical state (reverse annealing).  A batch
+        of one: see :meth:`sample_qubo_batch`.
         """
-        ising = qubo_to_ising(qubo)
-        initial_spins = None
-        if initial_state is not None:
-            initial_spins = bits_to_spins(np.asarray(initial_state, dtype=int))
-        sampleset = self.sample_ising(ising, schedule, num_reads, initial_spins, rng)
-        return self._requbo_sampleset(qubo, sampleset)
+        states = None if initial_state is None else [initial_state]
+        return self.sample_qubo_batch([qubo], schedule, num_reads, states, self._child(rng))[0]
 
     @staticmethod
     def _requbo_sampleset(qubo: QUBOModel, sampleset: SampleSet) -> SampleSet:
@@ -119,24 +116,13 @@ class QuantumAnnealerSimulator:
         initial_spins: Optional[np.ndarray] = None,
         rng: RandomState = None,
     ) -> SampleSet:
-        """Sample an Ising model along an anneal schedule."""
-        if num_reads <= 0:
-            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
-        generator = ensure_rng(rng) if rng is not None else self._rng
+        """Sample an Ising model along an anneal schedule (a batch of one)."""
+        spins = None if initial_spins is None else [initial_spins]
+        return self.sample_ising_batch([ising], schedule, num_reads, spins, self._child(rng))[0]
 
-        if schedule.requires_initial_state and initial_spins is None:
-            raise ConfigurationError(
-                f"schedule {schedule.name!r} starts from a classical state; "
-                "supply initial_state/initial_spins"
-            )
-
-        if self.use_embedding and ising.num_spins > 1:
-            sampleset = self._sample_embedded(ising, schedule, num_reads, initial_spins, generator)
-        else:
-            sampleset = self._sample_logical(ising, schedule, num_reads, initial_spins, generator)
-
-        sampleset.metadata.update(self._metadata(schedule, num_reads))
-        return sampleset
+    def _child(self, rng: RandomState) -> List[np.random.Generator]:
+        """The single child of a batch of one: ``rng``, or the sampler's own stream."""
+        return [ensure_rng(rng) if rng is not None else self._rng]
 
     # ------------------------------------------------------------------ #
     # Batched multi-instance entry points
@@ -152,11 +138,10 @@ class QuantumAnnealerSimulator:
     ) -> List[SampleSet]:
         """Sample a batch of independent QUBOs along one shared anneal schedule.
 
-        Instances may have different sizes; each draws from its own child
-        generator (``rng`` is a root seed or an explicit per-instance
-        generator sequence), so the returned sample sets are bitwise-identical
-        to calling :meth:`sample_qubo` once per instance with those children —
-        regardless of batch composition.
+        Instances may have different sizes; each draws only from its own
+        child generator (``rng`` is a root seed or an explicit per-instance
+        generator sequence), so the returned sample sets do not depend on
+        batch composition.
         """
         if initial_states is not None and len(initial_states) != len(qubos):
             raise ConfigurationError(
@@ -185,9 +170,10 @@ class QuantumAnnealerSimulator:
     ) -> List[SampleSet]:
         """Sample a batch of independent Ising models along one schedule.
 
-        The whole batch is handed to the backend's vectorised
-        :meth:`~repro.annealing.backend.AnnealingBackend.run_batch` kernel in
-        a single call (embedded sampling falls back to a per-instance loop).
+        Every logical instance of the batch is handed to the backend's
+        vectorised :meth:`~repro.annealing.backend.AnnealingBackend.run_batch`
+        kernel in a single call; with ``use_embedding`` each multi-spin
+        instance is instead embedded and annealed on its own.
         """
         if num_reads <= 0:
             raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
@@ -195,56 +181,43 @@ class QuantumAnnealerSimulator:
             raise ConfigurationError(
                 f"{len(initial_spins)} initial states supplied for a batch of {len(isings)}"
             )
-        batch = len(isings)
-        children = ensure_rng_batch(rng if rng is not None else self._rng, batch)
-
-        for index, ising in enumerate(isings):
-            supplied = None if initial_spins is None else initial_spins[index]
+        children = ensure_rng_batch(rng if rng is not None else self._rng, len(isings))
+        initials = [None] * len(isings) if initial_spins is None else list(initial_spins)
+        for index, supplied in enumerate(initials):
             if schedule.requires_initial_state and supplied is None:
                 raise ConfigurationError(
                     f"schedule {schedule.name!r} starts from a classical state; "
                     f"supply initial_state/initial_spins (missing for instance {index})"
                 )
 
-        if self.use_embedding:
-            return [
-                self.sample_ising(
-                    ising,
-                    schedule,
-                    num_reads,
-                    None if initial_spins is None else initial_spins[index],
-                    children[index],
-                )
-                for index, ising in enumerate(isings)
-            ]
-
-        fields_list = []
-        couplings_list = []
-        kernel_children = []
+        samplesets: List[Optional[SampleSet]] = [None] * len(isings)
+        logical = []
         for index, ising in enumerate(isings):
-            fields, couplings, _ = self._normalise(ising, children[index])
-            fields_list.append(fields)
-            couplings_list.append(couplings)
-            # Mirrors the single-instance path (normalise, then spawn the
-            # kernel child) so batch-of-one stays bitwise-identical to single.
-            kernel_children.append(self._kernel_rng(children[index]))
-        spins_list = self.backend.run_batch(
-            fields=fields_list,
-            couplings=couplings_list,
-            schedule=schedule,
-            num_reads=num_reads,
-            annealing_functions=self.device.annealing,
-            relative_temperature=self.device.relative_temperature,
-            initial_spins=initial_spins,
-            rng=kernel_children,
-        )
-        samplesets = []
-        for ising, spins in zip(isings, spins_list):
-            bits = ((spins + 1) // 2).astype(np.int8)
-            energies = ising.energies(spins)
-            sampleset = SampleSet.from_arrays(bits, energies, metadata={"embedded": False})
+            if self.use_embedding and ising.num_spins > 1:
+                samplesets[index] = self._sample_embedded(
+                    ising, schedule, num_reads, initials[index], children[index]
+                )
+            else:
+                logical.append(index)
+        if logical:
+            normalised = [self._normalise(isings[index], children[index]) for index in logical]
+            spins_list = self.backend.run_batch(
+                fields=[fields for fields, _ in normalised],
+                couplings=[couplings for _, couplings in normalised],
+                schedule=schedule,
+                num_reads=num_reads,
+                annealing_functions=self.device.annealing,
+                relative_temperature=self.device.relative_temperature,
+                initial_spins=[initials[index] for index in logical],
+                rng=[self._kernel_rng(children[index]) for index in logical],
+            )
+            for index, spins in zip(logical, spins_list):
+                bits = ((spins + 1) // 2).astype(np.int8)
+                samplesets[index] = SampleSet.from_arrays(
+                    bits, isings[index].energies(spins), metadata={"embedded": False}
+                )
+        for sampleset in samplesets:
             sampleset.metadata.update(self._metadata(schedule, num_reads))
-            samplesets.append(sampleset)
         return samplesets
 
     def forward_anneal_batch(
@@ -327,8 +300,7 @@ class QuantumAnnealerSimulator:
         scale = self.device.normalisation_scale(ising)
         fields = ising.fields / scale
         couplings = ising.couplings / scale
-        fields, couplings = self.device.apply_control_noise(fields, couplings, generator)
-        return fields, couplings, scale
+        return self.device.apply_control_noise(fields, couplings, generator)
 
     @staticmethod
     def _kernel_rng(generator: np.random.Generator) -> np.random.Generator:
@@ -342,29 +314,6 @@ class QuantumAnnealerSimulator:
         """
         return spawn_rngs(generator, 1)[0]
 
-    def _sample_logical(
-        self,
-        ising: IsingModel,
-        schedule: AnnealSchedule,
-        num_reads: int,
-        initial_spins: Optional[np.ndarray],
-        generator: np.random.Generator,
-    ) -> SampleSet:
-        fields, couplings, _ = self._normalise(ising, generator)
-        spins = self.backend.run(
-            fields=fields,
-            couplings=couplings,
-            schedule=schedule,
-            num_reads=num_reads,
-            annealing_functions=self.device.annealing,
-            relative_temperature=self.device.relative_temperature,
-            initial_spins=initial_spins,
-            rng=self._kernel_rng(generator),
-        )
-        bits = ((spins + 1) // 2).astype(np.int8)
-        energies = ising.energies(spins)
-        return SampleSet.from_arrays(bits, energies, metadata={"embedded": False})
-
     def _sample_embedded(
         self,
         ising: IsingModel,
@@ -374,7 +323,7 @@ class QuantumAnnealerSimulator:
         generator: np.random.Generator,
     ) -> SampleSet:
         embedding = find_clique_embedding(ising.num_spins, self.lattice_size)
-        fields, couplings, _ = self._normalise(ising, generator)
+        fields, couplings = self._normalise(ising, generator)
         logical = IsingModel(fields=fields, couplings=couplings)
         physical_fields, physical_couplings, chain_strength = embed_ising(logical, embedding)
 

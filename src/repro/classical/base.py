@@ -74,12 +74,6 @@ class QuboSolver(abc.ABC):
     def solve(self, qubo: QUBOModel, rng: RandomState = None) -> QuboSolution:
         """Minimise the QUBO and return the best solution found."""
 
-    def solve_many(self, qubo: QUBOModel, count: int, rng: RandomState = None) -> list:
-        """Run the solver ``count`` times (used for restart-style statistics)."""
-        from repro.utils.rng import spawn_rngs
-
-        return [self.solve(qubo, child) for child in spawn_rngs(rng, count)]
-
     def solve_batch(self, qubos: Sequence[QUBOModel], rng: BatchRandomState = None) -> list:
         """Solve a batch of *independent* QUBO instances.
 

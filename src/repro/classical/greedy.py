@@ -150,17 +150,8 @@ class GreedySearchSolver(QuboSolver):
         self.modelled_time_per_variable_us = float(modelled_time_per_variable_us)
 
     def solve(self, qubo: QUBOModel, rng: RandomState = None) -> QuboSolution:
-        """Run GS; the ``rng`` argument is accepted for interface uniformity."""
-        assignment, measured_us = timed_call(greedy_search, qubo, self.order)
-        modelled_us = self.modelled_time_per_variable_us * qubo.num_variables
-        return QuboSolution(
-            assignment=assignment,
-            energy=qubo.energy(assignment),
-            solver_name=self.name,
-            compute_time_us=modelled_us,
-            iterations=qubo.num_variables,
-            metadata={"measured_wall_time_us": measured_us, "order": self.order},
-        )
+        """Run GS on one QUBO (a batch of one; GS draws nothing from ``rng``)."""
+        return self.solve_batch([qubo], rng)[0]
 
     def solve_batch(
         self, qubos: Sequence[QUBOModel], rng: BatchRandomState = None
@@ -169,7 +160,7 @@ class GreedySearchSolver(QuboSolver):
 
         One wall-clock measurement covers the whole batch (apportioned evenly
         into each solution's ``measured_wall_time_us``); the modelled compute
-        time stays per-instance and linear in N, matching :meth:`solve`.
+        time stays per-instance and linear in N.
         """
         assignments, measured_us = timed_call(
             lambda: [greedy_search(qubo, self.order) for qubo in qubos]

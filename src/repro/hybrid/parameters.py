@@ -96,50 +96,21 @@ def sweep_switch_point(
     sweep varies the pause location; for ``"FR"`` the turning point is fixed
     at ``min(s_p + 0.2, 0.95)`` — use
     :func:`sweep_forward_reverse_turning_point` for the oracle c_p search.
+    A batch of one: see :func:`sweep_switch_point_batch`.
     """
-    method = method.upper()
-    if method not in ("FA", "RA", "FR"):
-        raise ConfigurationError(f"method must be 'FA', 'RA' or 'FR', got {method!r}")
-    if method == "RA" and initial_state is None:
-        raise ConfigurationError("reverse annealing sweeps require an initial_state")
-
-    values = np.asarray(
-        switch_values if switch_values is not None else paper_switch_point_grid(), dtype=float
-    )
-    annealer = sampler if sampler is not None else QuantumAnnealerSimulator()
-    generator = ensure_rng(rng)
-
-    records: List[SwitchPointRecord] = []
-    for switch_s in values:
-        switch_s = float(switch_s)
-        turning_s: Optional[float] = None
-        if method == "FA":
-            schedule = forward_anneal_schedule(anneal_time_us, switch_s, pause_duration_us)
-            sampleset = annealer.sample_qubo(qubo, schedule, num_reads, None, generator)
-        elif method == "RA":
-            schedule = reverse_anneal_schedule(switch_s, pause_duration_us)
-            sampleset = annealer.sample_qubo(qubo, schedule, num_reads, initial_state, generator)
-        else:
-            turning_s = min(switch_s + 0.2, 0.95)
-            schedule = forward_reverse_anneal_schedule(
-                turning_s, switch_s, pause_duration_us, anneal_time_us
-            )
-            sampleset = annealer.sample_qubo(qubo, schedule, num_reads, None, generator)
-
-        probability = sampleset.success_probability(ground_energy)
-        tts = time_to_solution(probability, schedule.duration_us, confidence_percent)
-        records.append(
-            SwitchPointRecord(
-                method=method,
-                switch_s=switch_s,
-                success_probability=probability,
-                tts=tts,
-                expectation_energy=sampleset.expectation_energy(),
-                duration_us=schedule.duration_us,
-                turning_s=turning_s,
-            )
-        )
-    return records
+    return sweep_switch_point_batch(
+        [qubo],
+        [ground_energy],
+        method=method,
+        switch_values=switch_values,
+        initial_states=None if initial_state is None else [initial_state],
+        sampler=sampler,
+        num_reads=num_reads,
+        pause_duration_us=pause_duration_us,
+        anneal_time_us=anneal_time_us,
+        confidence_percent=confidence_percent,
+        rng=[ensure_rng(rng)],
+    )[0]
 
 
 def sweep_switch_point_batch(
@@ -162,8 +133,8 @@ def sweep_switch_point_batch(
     vectorised backend kernel instead of looping.  The entries of ``qubos``
     may repeat (e.g. one detection problem swept from several initial states,
     as Figure 8 does) or differ (e.g. the headline experiment's instance
-    seeds).  Per-instance child generators make the result identical to
-    running :func:`sweep_switch_point` once per instance with those children.
+    seeds).  Instance ``b`` draws only from child generator ``b``, so the
+    result does not depend on how instances are batched.
 
     Returns one ``List[SwitchPointRecord]`` (ordered like the grid) per
     instance.

@@ -26,10 +26,9 @@ classical/quantum pipeline) and of **Design Challenge 3** in Section 5
 (stage balancing, buffering and cost accounting).  The batched engine extends
 the figure's premise: not only do the classical and quantum stages overlap
 across successive channel uses, but each stage also *processes channel uses
-in batches* — the classical initialisers via
-:meth:`~repro.classical.base.QuboSolver.solve_batch` and the anneals via
-:meth:`~repro.annealing.QuantumAnnealerSimulator.sample_qubo_batch` — which
-is how a receiver keeps many concurrent channel uses in flight.  Batch
+in batches* through
+:meth:`~repro.hybrid.solver.HybridQuboSolver.solve_batch` — which is how a
+receiver keeps many concurrent channel uses in flight.  Batch
 grouping is a pure execution detail: per-channel-use child generators keep
 the reported solutions identical for every ``batch_size``.
 """
@@ -42,11 +41,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
-from repro.annealing.sampleset import SampleSet
-from repro.annealing.schedule import reverse_anneal_schedule
 from repro.classical.base import QuboSolver
-from repro.classical.greedy import GreedySearchSolver
 from repro.exceptions import PipelineError
+from repro.hybrid.solver import HybridQuboSolver
 from repro.serving.events import FifoServer, StageTiming
 from repro.transform.mimo_to_qubo import is_optimum, mimo_to_qubo
 from repro.utils.batching import iter_batches
@@ -140,17 +137,17 @@ class HybridPipelineSimulator:
     ) -> None:
         if not 0.0 < switch_s < 1.0:
             raise PipelineError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
+        if pause_duration_us < 0:
+            raise PipelineError(
+                f"pause_duration_us must be non-negative, got {pause_duration_us}"
+            )
         if num_reads <= 0:
             raise PipelineError(f"num_reads must be positive, got {num_reads}")
         if batch_size is not None and batch_size <= 0:
             raise PipelineError(f"batch_size must be positive or None, got {batch_size}")
-        self.classical_solver = (
-            classical_solver if classical_solver is not None else GreedySearchSolver()
+        self.solver = HybridQuboSolver(
+            classical_solver, sampler, switch_s, pause_duration_us, num_reads
         )
-        self.sampler = sampler if sampler is not None else QuantumAnnealerSimulator()
-        self.switch_s = float(switch_s)
-        self.pause_duration_us = float(pause_duration_us)
-        self.num_reads = int(num_reads)
         self.include_qpu_overheads = bool(include_qpu_overheads)
         self.evaluate_solutions = bool(evaluate_solutions)
         self.batch_size = batch_size
@@ -172,40 +169,32 @@ class HybridPipelineSimulator:
 
         Solutions are computed through the batched engine: channel uses are
         grouped into ``batch_size`` chunks and each chunk is submitted as one
-        :meth:`~repro.classical.base.QuboSolver.solve_batch` /
-        :meth:`~repro.annealing.QuantumAnnealerSimulator.sample_qubo_batch`
-        call, with one child generator per channel use so the outcome is
-        independent of the grouping.  The discrete-event timing model then
+        :meth:`~repro.hybrid.solver.HybridQuboSolver.solve_batch` call (only
+        its classical stage when ``evaluate_solutions`` is off), with one
+        child generator per channel use so the outcome is independent of the
+        grouping.  The discrete-event timing model then
         replays arrivals job by job.
         """
         if not channel_uses:
             raise PipelineError("channel_uses must not be empty")
         children = ensure_rng_batch(rng, len(channel_uses))
-        schedule = reverse_anneal_schedule(self.switch_s, self.pause_duration_us)
+        solver = self.solver
 
         # ---- Batched solution computation -----------------------------
         encodings = [
             mimo_to_qubo(channel_use.transmission.instance) for channel_use in channel_uses
         ]
-        initials = []
-        samplesets: List[Optional[SampleSet]] = []
+        # (classical solution, best energy) per channel use.
+        outcomes = []
         for start, chunk in iter_batches(encodings, self.batch_size):
             chunk_children = children[start : start + len(chunk)]
             chunk_qubos = [encoding.qubo for encoding in chunk]
-            chunk_initials = self.classical_solver.solve_batch(chunk_qubos, chunk_children)
-            initials.extend(chunk_initials)
             if self.evaluate_solutions:
-                samplesets.extend(
-                    self.sampler.sample_qubo_batch(
-                        chunk_qubos,
-                        schedule,
-                        num_reads=self.num_reads,
-                        initial_states=[initial.assignment for initial in chunk_initials],
-                        rng=chunk_children,
-                    )
-                )
+                results = solver.solve_batch(chunk_qubos, chunk_children)
+                outcomes.extend((result.initial_solution, result.best_energy) for result in results)
             else:
-                samplesets.extend([None] * len(chunk))
+                initials = solver.classical_solver.solve_batch(chunk_qubos, chunk_children)
+                outcomes.extend((initial, initial.energy) for initial in initials)
 
         # ---- Discrete-event timing replay -----------------------------
         # Each stage is a FIFO server; in the serialised baseline both stages
@@ -218,22 +207,18 @@ class HybridPipelineSimulator:
         classical_busy = 0.0
         quantum_busy = 0.0
 
-        for channel_use, encoding, initial, sampleset in zip(
-            channel_uses, encodings, initials, samplesets
+        quantum_service = solver.schedule.duration_us * solver.num_reads
+        if self.include_qpu_overheads:
+            device = solver.sampler.device
+            quantum_service += solver.num_reads * (
+                device.readout_time_us + device.inter_sample_delay_us
+            )
+
+        for channel_use, encoding, (initial, best_energy) in zip(
+            channel_uses, encodings, outcomes
         ):
             ground_energy = encoding.noiseless_ground_energy(channel_use.transmission)
-
             classical_service = max(initial.compute_time_us, 1e-9)
-
-            quantum_service = schedule.duration_us * self.num_reads
-            if self.include_qpu_overheads:
-                quantum_service += self.num_reads * (
-                    self.sampler.device.readout_time_us + self.sampler.device.inter_sample_delay_us
-                )
-
-            best_energy = initial.energy
-            if sampleset is not None:
-                best_energy = min(best_energy, sampleset.lowest_energy())
             detected_optimum = is_optimum(best_energy, ground_energy)
 
             arrival = channel_use.arrival_time_us
@@ -308,10 +293,10 @@ class HybridPipelineSimulator:
             deadline_miss_rate=miss_rate,
             optimum_rate=optimum_rate,
             metadata={
-                "switch_s": self.switch_s,
-                "num_reads": self.num_reads,
+                "switch_s": self.solver.switch_s,
+                "num_reads": self.solver.num_reads,
                 "include_qpu_overheads": self.include_qpu_overheads,
-                "classical_solver": self.classical_solver.name,
+                "classical_solver": self.solver.classical_solver.name,
                 "batch_size": self.batch_size,
             },
         )

@@ -124,42 +124,11 @@ class HybridQuboSolver:
         self.switch_s = float(switch_s)
         self.pause_duration_us = float(pause_duration_us)
         self.num_reads = int(num_reads)
+        self.schedule = reverse_anneal_schedule(self.switch_s, self.pause_duration_us)
 
     def solve(self, qubo: QUBOModel, rng: RandomState = None) -> HybridSolverResult:
-        """Run the two-stage hybrid solve on a QUBO."""
-        generator = ensure_rng(rng)
-        initial = self.classical_solver.solve(qubo, generator)
-
-        schedule = reverse_anneal_schedule(self.switch_s, self.pause_duration_us)
-        sampleset = self.sampler.sample_qubo(
-            qubo,
-            schedule,
-            num_reads=self.num_reads,
-            initial_state=initial.assignment,
-            rng=generator,
-        )
-
-        best_assignment = initial.assignment
-        best_energy = initial.energy
-        if len(sampleset) and sampleset.lowest_energy() < best_energy:
-            best_assignment = sampleset.first.assignment
-            best_energy = sampleset.lowest_energy()
-
-        quantum_time = schedule.duration_us * self.num_reads
-        return HybridSolverResult(
-            best_assignment=np.asarray(best_assignment, dtype=np.int8),
-            best_energy=float(best_energy),
-            initial_solution=initial,
-            sampleset=sampleset,
-            switch_s=self.switch_s,
-            classical_time_us=initial.compute_time_us,
-            quantum_time_us=quantum_time,
-            metadata={
-                "classical_solver": self.classical_solver.name,
-                "schedule": schedule.as_pairs(),
-                "num_reads": self.num_reads,
-            },
-        )
+        """Run the two-stage hybrid solve on one QUBO (a batch of one)."""
+        return self.solve_batch([qubo], [ensure_rng(rng)])[0]
 
     def solve_batch(
         self, qubos: Sequence[QUBOModel], rng: BatchRandomState = None
@@ -171,24 +140,32 @@ class HybridQuboSolver:
         anneals as one vectorised
         :meth:`~repro.annealing.QuantumAnnealerSimulator.sample_qubo_batch`
         call.  Instance ``b`` consumes only child generator ``b`` in both
-        stages, so the results are bitwise-identical to calling :meth:`solve`
-        per instance with those children.
+        stages, so results do not depend on how instances are batched.
         """
         children = ensure_rng_batch(rng, len(qubos))
-        initials = self.classical_solver.solve_batch(qubos, children)
+        return self._refine(qubos, self.classical_solver.solve_batch(qubos, children), children)
 
-        schedule = reverse_anneal_schedule(self.switch_s, self.pause_duration_us)
+    def _refine(
+        self,
+        qubos: Sequence[QUBOModel],
+        initials: Sequence[QuboSolution],
+        children: List[np.random.Generator],
+    ) -> List[HybridSolverResult]:
+        """Reverse-anneal each QUBO from its classical candidate and keep the better.
+
+        All anneals go out as one batched sampler call; instance ``b`` draws
+        from ``children[b]``, after its classical stage.
+        """
         samplesets = self.sampler.sample_qubo_batch(
             qubos,
-            schedule,
+            self.schedule,
             num_reads=self.num_reads,
             initial_states=[initial.assignment for initial in initials],
             rng=children,
         )
-
+        quantum_time = self.schedule.duration_us * self.num_reads
         results: List[HybridSolverResult] = []
-        quantum_time = schedule.duration_us * self.num_reads
-        for qubo, initial, sampleset in zip(qubos, initials, samplesets):
+        for initial, sampleset in zip(initials, samplesets):
             best_assignment = initial.assignment
             best_energy = initial.energy
             if len(sampleset) and sampleset.lowest_energy() < best_energy:
@@ -204,8 +181,8 @@ class HybridQuboSolver:
                     classical_time_us=initial.compute_time_us,
                     quantum_time_us=quantum_time,
                     metadata={
-                        "classical_solver": self.classical_solver.name,
-                        "schedule": schedule.as_pairs(),
+                        "classical_solver": initial.solver_name,
+                        "schedule": self.schedule.as_pairs(),
                         "num_reads": self.num_reads,
                     },
                 )
@@ -272,10 +249,14 @@ class HybridMIMODetector:
         num_reads: int = 100,
     ) -> None:
         self.initializer = initializer
-        self.sampler = sampler if sampler is not None else QuantumAnnealerSimulator()
-        self.switch_s = switch_s
-        self.pause_duration_us = pause_duration_us
-        self.num_reads = num_reads
+        # Only the refinement stage of this solver runs: the classical stage
+        # is resolved per instance (signal-domain initialisers need it).
+        self._refiner = HybridQuboSolver(
+            sampler=sampler,
+            switch_s=switch_s,
+            pause_duration_us=pause_duration_us,
+            num_reads=num_reads,
+        )
 
     def _resolve_initializer(self, encoding: MIMOQuboEncoding) -> QuboSolver:
         if isinstance(self.initializer, str):
@@ -303,21 +284,9 @@ class HybridMIMODetector:
 
     def detect_with_details(
         self, instance: MIMOInstance, rng: RandomState = None
-    ) -> tuple:
-        """Detect and also return the underlying :class:`HybridSolverResult`."""
-        encoding = mimo_to_qubo(instance)
-        solver = HybridQuboSolver(
-            classical_solver=self._resolve_initializer(encoding),
-            sampler=self.sampler,
-            switch_s=self.switch_s,
-            pause_duration_us=self.pause_duration_us,
-            num_reads=self.num_reads,
-        )
-        hybrid_result = solver.solve(encoding.qubo, rng)
-        detection = encoding.detection_result(
-            hybrid_result.best_assignment, algorithm="hybrid-gs-ra"
-        )
-        return detection, hybrid_result
+    ) -> Tuple[MIMODetectionResult, HybridSolverResult]:
+        """Detect and also return the underlying :class:`HybridSolverResult` (a batch of one)."""
+        return self.detect_batch_with_details([instance], [ensure_rng(rng)])[0]
 
     def detect_batch(
         self, instances: Sequence[MIMOInstance], rng: BatchRandomState = None
@@ -333,9 +302,8 @@ class HybridMIMODetector:
         The classical initialisers run per instance (they may be
         instance-specific, e.g. signal-domain detectors), but every reverse
         anneal of the batch is submitted as one vectorised
-        ``sample_qubo_batch`` call.  With per-instance child generators the
-        results are bitwise-identical to calling :meth:`detect_with_details`
-        per instance with those children.
+        ``sample_qubo_batch`` call.  Instance ``b`` draws only from child
+        generator ``b``.
         """
         encodings = [mimo_to_qubo(instance) for instance in instances]
         children = ensure_rng_batch(rng, len(instances))
@@ -343,40 +311,10 @@ class HybridMIMODetector:
             self._resolve_initializer(encoding).solve(encoding.qubo, child)
             for encoding, child in zip(encodings, children)
         ]
-
-        schedule = reverse_anneal_schedule(self.switch_s, self.pause_duration_us)
-        sampler_batch = self.sampler.sample_qubo_batch(
-            [encoding.qubo for encoding in encodings],
-            schedule,
-            num_reads=self.num_reads,
-            initial_states=[initial.assignment for initial in initials],
-            rng=children,
+        results = self._refiner._refine(
+            [encoding.qubo for encoding in encodings], initials, children
         )
-
-        quantum_time = schedule.duration_us * self.num_reads
-        outputs: List[Tuple[MIMODetectionResult, HybridSolverResult]] = []
-        for encoding, initial, sampleset in zip(encodings, initials, sampler_batch):
-            best_assignment = initial.assignment
-            best_energy = initial.energy
-            if len(sampleset) and sampleset.lowest_energy() < best_energy:
-                best_assignment = sampleset.first.assignment
-                best_energy = sampleset.lowest_energy()
-            hybrid_result = HybridSolverResult(
-                best_assignment=np.asarray(best_assignment, dtype=np.int8),
-                best_energy=float(best_energy),
-                initial_solution=initial,
-                sampleset=sampleset,
-                switch_s=self.switch_s,
-                classical_time_us=initial.compute_time_us,
-                quantum_time_us=quantum_time,
-                metadata={
-                    "classical_solver": initial.solver_name,
-                    "schedule": schedule.as_pairs(),
-                    "num_reads": self.num_reads,
-                },
-            )
-            detection = encoding.detection_result(
-                hybrid_result.best_assignment, algorithm="hybrid-gs-ra"
-            )
-            outputs.append((detection, hybrid_result))
-        return outputs
+        return [
+            (encoding.detection_result(result.best_assignment, algorithm="hybrid-gs-ra"), result)
+            for encoding, result in zip(encodings, results)
+        ]

@@ -20,10 +20,12 @@ where batching buys throughput (the batched `run_batch` kernels are the
 software counterpart).  The classical backend is a sequential software solver
 whose service time is linear in the submitted problem volume.
 
-Layering note: this module composes samplers and classical solvers directly
-and must **not** import :mod:`repro.hybrid` — the hybrid pipeline simulator
-imports :mod:`repro.serving.events`, so a serving→hybrid import would create
-a cycle.
+Layering note: the annealer backend solves through
+:class:`repro.hybrid.solver.HybridQuboSolver`, and the hybrid pipeline
+simulator imports :mod:`repro.serving.events`.  This module therefore imports
+the :mod:`repro.hybrid.solver` module, never the :mod:`repro.hybrid` package
+root, and ``repro.hybrid.solver`` must not import :mod:`repro.serving`; with
+that, ``import repro.hybrid`` and ``import repro.serving`` each work first.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
-from repro.annealing.schedule import reverse_anneal_schedule
 from repro.classical.base import QuboSolver
-from repro.classical.greedy import GreedySearchSolver
 from repro.classical.simulated_annealing import SimulatedAnnealingSolver
 from repro.exceptions import ConfigurationError
+from repro.hybrid.solver import HybridQuboSolver
 from repro.transform.mimo_to_qubo import is_optimum, mimo_to_qubo
 from repro.serving.workload import ServingJob
 
@@ -144,10 +145,7 @@ class AnnealerServingBackend(ServingBackend):
         init_time_per_variable_us: float = 0.01,
         name: str = "annealer",
     ) -> None:
-        if not 0.0 < switch_s < 1.0:
-            raise ConfigurationError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
-        if num_reads <= 0:
-            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
+        self.solver = HybridQuboSolver(initializer, sampler, switch_s, pause_duration_us, num_reads)
         if lanes <= 0:
             raise ConfigurationError(f"lanes must be positive, got {lanes}")
         if programming_overhead_us < 0:
@@ -158,11 +156,6 @@ class AnnealerServingBackend(ServingBackend):
             raise ConfigurationError(
                 f"init_time_per_variable_us must be non-negative, got {init_time_per_variable_us}"
             )
-        self.sampler = sampler if sampler is not None else QuantumAnnealerSimulator()
-        self.initializer = initializer if initializer is not None else GreedySearchSolver()
-        self.schedule = reverse_anneal_schedule(switch_s, pause_duration_us)
-        self.switch_s = float(switch_s)
-        self.num_reads = int(num_reads)
         self.lanes = int(lanes)
         self.programming_overhead_us = float(programming_overhead_us)
         self.include_qpu_overheads = bool(include_qpu_overheads)
@@ -172,11 +165,11 @@ class AnnealerServingBackend(ServingBackend):
     @property
     def shot_time_us(self) -> float:
         """Wall-clock of one full read sequence (all ``num_reads`` anneals)."""
-        per_read = self.schedule.duration_us
+        per_read = self.solver.schedule.duration_us
         if self.include_qpu_overheads:
-            device = self.sampler.device
+            device = self.solver.sampler.device
             per_read += device.readout_time_us + device.inter_sample_delay_us
-        return per_read * self.num_reads
+        return per_read * self.solver.num_reads
 
     def service_time_us(self, jobs: Sequence[ServingJob]) -> float:
         """Batch service time: programming + init + tiled shot sequences."""
@@ -189,24 +182,13 @@ class AnnealerServingBackend(ServingBackend):
     def solve(
         self, jobs: Sequence[ServingJob], children: Sequence[np.random.Generator]
     ) -> List[JobSolution]:
-        """Initialise and reverse-anneal the batch through the batched kernels."""
+        """Initialise and reverse-anneal the batch through the hybrid solver."""
         encodings = [mimo_to_qubo(job.channel_use.transmission.instance) for job in jobs]
-        qubos = [encoding.qubo for encoding in encodings]
-        initials = self.initializer.solve_batch(qubos, list(children))
-        samplesets = self.sampler.sample_qubo_batch(
-            qubos,
-            self.schedule,
-            num_reads=self.num_reads,
-            initial_states=[initial.assignment for initial in initials],
-            rng=list(children),
-        )
-        solutions = []
-        for job, encoding, initial, sampleset in zip(jobs, encodings, initials, samplesets):
-            best_energy = initial.energy
-            if len(sampleset):
-                best_energy = min(best_energy, sampleset.lowest_energy())
-            solutions.append(_solution(job, encoding, best_energy))
-        return solutions
+        results = self.solver.solve_batch([encoding.qubo for encoding in encodings], list(children))
+        return [
+            _solution(job, encoding, result.best_energy)
+            for job, encoding, result in zip(jobs, encodings, results)
+        ]
 
 
 class ClassicalServingBackend(ServingBackend):

@@ -1,5 +1,10 @@
 """Tests for the exception hierarchy and top-level package surface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -78,6 +83,17 @@ class TestPackageSurface:
             repro.wireless,
         ):
             assert module.__doc__, f"{module.__name__} must have a module docstring"
+
+    @pytest.mark.parametrize("package", ["repro.hybrid", "repro.serving"])
+    def test_imports_first_in_a_fresh_interpreter(self, package):
+        # repro.serving.backends imports repro.hybrid.solver while the
+        # hybrid pipeline imports repro.serving.events: either may load first.
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        subprocess.run(
+            [sys.executable, "-c", f"import {package}"],
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
 
     def test_public_symbols_resolve(self):
         import repro.annealing as annealing

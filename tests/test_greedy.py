@@ -89,8 +89,9 @@ class TestGreedySearchSolver:
         assert solution.energy == pytest.approx(exact.energy)
         assert np.array_equal(solution.assignment, planted)
 
-    def test_solve_many(self, random_qubo_8):
-        solutions = GreedySearchSolver().solve_many(random_qubo_8, 3, rng=1)
-        assert len(solutions) == 3
-        # GS is deterministic, so all restarts agree.
+    def test_solve_is_deterministic(self, random_qubo_8):
+        solver = GreedySearchSolver()
+        solutions = [solver.solve(random_qubo_8, rng=seed) for seed in (1, 2)]
+        solutions += solver.solve_batch([random_qubo_8], rng=3)
+        # GS draws nothing, so every seed and batch gives the same answer.
         assert all(np.array_equal(s.assignment, solutions[0].assignment) for s in solutions)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.classical.greedy import GreedySearchSolver
+from repro.classical.base import QuboSolution, QuboSolver
 from repro.classical.zero_forcing import ZeroForcingDetector
 from repro.exceptions import ConfigurationError
 from repro.hybrid.solver import DetectorInitializer, HybridMIMODetector, HybridQuboSolver
@@ -50,10 +50,9 @@ class TestHybridQuboSolver:
     def test_improved_over_initial_flag(self, planted, fast_sampler):
         qubo, bits = planted
         # Initialise from the exact optimum: RA cannot improve on it.
-        class _Oracle(GreedySearchSolver):
+        class _Oracle(QuboSolver):
             def solve(self, model, rng=None):
-                solution = super().solve(model, rng)
-                return type(solution)(
+                return QuboSolution(
                     assignment=bits,
                     energy=model.energy(bits),
                     solver_name="oracle",
@@ -62,6 +61,7 @@ class TestHybridQuboSolver:
         result = HybridQuboSolver(
             classical_solver=_Oracle(), sampler=fast_sampler, num_reads=20
         ).solve(qubo, rng=5)
+        assert result.initial_solution.solver_name == "oracle"
         assert not result.improved_over_initial
 
     @pytest.mark.parametrize(
@@ -122,6 +122,16 @@ class TestHybridMIMODetector:
         # ZF is exact on noiseless square unit-gain channels most of the time;
         # at minimum the detection payload must be well-formed.
         assert set(np.unique(result.bits)).issubset({0, 1})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"switch_s": 0.0}, {"switch_s": 1.5}, {"pause_duration_us": -1.0}, {"num_reads": 0}],
+    )
+    def test_invalid_configuration_rejected_at_construction(self, kwargs):
+        # detect and detect_batch share the refiner built here, so both
+        # entry points reject a bad programme the same way: up front.
+        with pytest.raises(ConfigurationError):
+            HybridMIMODetector(**kwargs)
 
     def test_unknown_initializer_name(self, mimo_encoding_16qam, fast_sampler):
         transmission, _ = mimo_encoding_16qam

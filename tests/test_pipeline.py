@@ -105,7 +105,9 @@ class TestPipelineSimulator:
         with pytest.raises(PipelineError):
             simulator.run([], rng=1)
 
-    @pytest.mark.parametrize("kwargs", [{"switch_s": 0.0}, {"num_reads": 0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"switch_s": 0.0}, {"num_reads": 0}, {"pause_duration_us": -1.0}]
+    )
     def test_invalid_configuration(self, kwargs):
         with pytest.raises(PipelineError):
             HybridPipelineSimulator(**kwargs)
