@@ -19,6 +19,7 @@ performs a local stochastic search around its current state.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +34,40 @@ __all__ = [
     "broadcast_initial_spins",
     "pad_problem_batch",
     "prepare_anneal_batch",
+    "SCHEDULE_SCALES_CACHE_SIZE",
+    "schedule_scales",
 ]
+
+#: Most ``(schedule, functions, steps)`` keys :func:`schedule_scales` keeps.
+#: A study sweeps a few dozen schedules at most; the bound only caps memory
+#: for a long-lived process that builds schedules without end.
+SCHEDULE_SCALES_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=SCHEDULE_SCALES_CACHE_SIZE)
+def schedule_scales(
+    schedule: AnnealSchedule, annealing_functions: AnnealingFunctions, num_steps: int
+) -> np.ndarray:
+    """Per-sweep ``(problem, transverse)`` energy scales of a discretised schedule.
+
+    A read-only ``(num_steps, 2)`` array of ``B(s)/B(1)`` and ``A(s)/B(1)``
+    at the points of ``schedule.discretise(num_steps)``.  A pure function of
+    frozen inputs, so it is memoised: a workload that anneals many small
+    batches on one schedule builds it once.  The backends derive their
+    temperature and activity rows from it per call, so a changed backend
+    attribute never meets a stale entry.
+    """
+    scales = np.array(
+        [
+            (
+                annealing_functions.relative_problem(float(s)),
+                annealing_functions.relative_transverse(float(s)),
+            )
+            for _, s in schedule.discretise(num_steps)
+        ]
+    )
+    scales.flags.writeable = False
+    return scales
 
 
 def broadcast_initial_spins(

@@ -60,7 +60,7 @@ kernel keeps the dense data flow, with identical results.
 Bitwise-equivalence design rules
 --------------------------------
 The implementations of one family, and the scalar specification in the
-tests, agree bit for bit because they follow three rules, which any future
+tests, agree bit for bit because they follow these rules, which any future
 kernel must preserve:
 
 * **Exact arithmetic may differ in shape.**  IEEE-754 ``+ - * /``,
@@ -80,6 +80,13 @@ kernel must preserve:
   gemv), so the local-field refresh and the energy bookkeeping run through
   :func:`commit_chunk` / :func:`apply_couplings` with identically-shaped
   inputs in every implementation.
+* **One-term contractions are exact, so width-1 commits may use plain
+  products.**  A contraction over a single chunk position has one product
+  and nothing to reorder, so :func:`commit_chunk` computes a one-position
+  chunk as elementwise products; the specification keeps the general
+  einsum + :func:`apply_couplings` form for every width.  Likewise a chunk
+  in which nothing flips changes no state, field or energy, so the
+  vectorized SA kernel skips its commit.
 
 Random-draw discipline
 ----------------------
@@ -293,7 +300,23 @@ def commit_chunk(
     (the second term corrects for pairs flipped in the same chunk).  The
     einsum/gemm reduction order is part of the kernel contract — every
     implementation calls this helper with identical arrays.
+
+    A one-position chunk (the classical solver's single-spin steps)
+    contracts over one term, so each contraction is one plain product.  The
+    einsum/gemm pair adds that product to ``0.0``, which can only turn a
+    ``-0.0`` term into ``+0.0``; the fields and energies the terms are added
+    to are never ``-0.0``, so every sum comes out bit-identical.
     """
+    if p1 - p0 == 1:
+        if energies is not None:
+            gain = change[:, 0] * local[:, p0]
+        spins[:, p0:p1] += change
+        np.multiply(symmetric[:, :, p0:p1], change, out=coupled)
+        local += coupled
+        if energies is not None:
+            gain += 0.5 * (change[:, 0] * coupled[:, p0])
+            energies += gain
+        return
     if energies is not None:
         gain = np.einsum("bcr,bcr->br", change, local[:, p0:p1])
     spins[:, p0:p1] += change
@@ -311,7 +334,7 @@ def _track_best(
 ) -> None:
     """Fold the current states into the running per-read minima (exact copies)."""
     improved = energies < best_energies
-    if improved.any():
+    if np.count_nonzero(improved):
         np.copyto(best_energies, energies, where=improved)
         np.copyto(best_spins, spins, where=improved[:, None, :])
 
@@ -361,21 +384,23 @@ def _sa_fill_thresholds(children, sizes, num_reads, out, problem, temperature, l
 def _svmc_draw_blocks(children, sizes, num_reads, proposal_width, normals, mixes, uniforms):
     """Draw each instance's SVMC sweep blocks: normals, mix uniforms, accept uniforms.
 
-    Only the real rows of each instance are written; padding rows keep
-    whatever they held.
+    Only the real rows of each instance are drawn.  Padding rows of
+    ``mixes`` and ``uniforms`` keep whatever they held; padding rows of
+    ``normals`` must hold zeros, which the scaling below keeps at exactly
+    ``0.0`` (``proposal_width`` is finite and positive).
     """
     for index, child in enumerate(children):
         size = int(sizes[index])
         if size == 0:
             continue
-        # Generator.normal(0, w) is 0.0 + w*z on the standard-normal stream;
-        # filling in place gives the same bits without a temporary.
-        block = normals[index, :size]
-        child.standard_normal(out=block)
-        block *= proposal_width
-        block += 0.0  # the 0.0 + w*z of normal(): turns a -0.0 into +0.0
+        child.standard_normal(out=normals[index, :size])
         child.random(out=mixes[index, :size])
         child.random(out=uniforms[index, :size])
+    # Generator.normal(0, w) is 0.0 + w*z on the standard-normal stream;
+    # scaling the whole block in place gives the same bits without a
+    # temporary, in two calls however many instances the batch holds.
+    normals *= proposal_width
+    normals += 0.0  # the 0.0 + w*z of normal(): turns a -0.0 into +0.0
 
 
 def _svmc_thresholds(block, temperature, log_activity):
@@ -462,6 +487,10 @@ def sa_sweeps_vectorized(
                 np.less(thresholds[:, p0:p1], log_activity, out=decided)
             if not all_active:
                 decided &= mask[:, p0:p1, None]
+            if not np.count_nonzero(decided):
+                # Nothing flips: no state, field or energy moves, so no
+                # minimum can either.
+                continue
             np.multiply(decided, -2.0, out=flips)
             flips *= current
             commit_chunk(spins, local, symmetric, flips, p0, p1, coupled, energies)
@@ -549,10 +578,14 @@ def _svmc_propose_block(theta_chunk, normals_chunk, mixes_chunk, uniform_fractio
     Gaussian step clipped to ``[0, pi]``; with probability
     ``uniform_fraction`` the mix uniform itself is rescaled into a fresh
     ``U[0, pi)`` angle (conditioned on ``u < f``, ``u/f`` is again uniform,
-    so the gate and the angle can share one draw).
+    so the gate and the angle can share one draw).  The clip is a
+    ``maximum``/``minimum`` pair, which equals ``np.clip`` for every sum but
+    ``-0.0`` (``np.clip`` keeps its sign) — and the sum is never ``-0.0``,
+    because the normals never are.
     """
     np.add(theta_chunk, normals_chunk, out=out)
-    np.clip(out, 0.0, np.pi, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, np.pi, out=out)
     if uniform_fraction > 0.0:
         redraw = mixes_chunk < uniform_fraction
         np.copyto(out, mixes_chunk * (np.pi / uniform_fraction), where=redraw)

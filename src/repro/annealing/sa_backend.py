@@ -38,7 +38,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.annealing import kernels
-from repro.annealing.backend import AnnealingBackend, prepare_anneal_batch
+from repro.annealing.backend import (
+    AnnealingBackend,
+    prepare_anneal_batch,
+    schedule_scales,
+)
 from repro.annealing.device import AnnealingFunctions
 from repro.annealing.schedule import AnnealSchedule
 from repro.exceptions import ConfigurationError
@@ -133,9 +137,8 @@ class ScheduleDrivenAnnealingBackend(AnnealingBackend):
         base_temperature = max(relative_temperature, 1e-6)
         num_steps = max(2, int(round(schedule.duration_us * self.sweeps_per_microsecond)))
         settings = []
-        for _, s in schedule.discretise(num_steps):
-            problem = annealing_functions.relative_problem(float(s))
-            transverse = annealing_functions.relative_transverse(float(s))
+        scales = schedule_scales(schedule, annealing_functions, num_steps)
+        for problem, transverse in scales.tolist():
             temperature = base_temperature + self.fluctuation_gain * transverse
             activity = max(min(1.0, transverse / self.freeze_scale), self.residual_activity)
             settings.append((problem, transverse, temperature, activity))

@@ -40,7 +40,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.annealing import kernels
-from repro.annealing.backend import AnnealingBackend, prepare_anneal_batch
+from repro.annealing.backend import (
+    AnnealingBackend,
+    prepare_anneal_batch,
+    schedule_scales,
+)
 from repro.annealing.device import AnnealingFunctions
 from repro.annealing.schedule import AnnealSchedule
 from repro.exceptions import ConfigurationError
@@ -92,8 +96,10 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
             raise ConfigurationError(
                 f"sweeps_per_microsecond must be positive, got {sweeps_per_microsecond}"
             )
-        if proposal_width <= 0:
-            raise ConfigurationError(f"proposal_width must be positive, got {proposal_width}")
+        if not 0 < proposal_width < np.inf:
+            raise ConfigurationError(
+                f"proposal_width must be positive and finite, got {proposal_width}"
+            )
         if not 0.0 <= uniform_fraction <= 1.0:
             raise ConfigurationError(
                 f"uniform_fraction must lie in [0, 1], got {uniform_fraction}"
@@ -151,9 +157,8 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         temperature = max(relative_temperature, 1e-6)
         num_steps = max(2, int(round(schedule.duration_us * self.sweeps_per_microsecond)))
         settings = []
-        for _, s in schedule.discretise(num_steps):
-            problem = annealing_functions.relative_problem(float(s))
-            transverse = annealing_functions.relative_transverse(float(s))
+        scales = schedule_scales(schedule, annealing_functions, num_steps)
+        for problem, transverse in scales.tolist():
             # Freeze-out: spin updates only happen while quantum fluctuations
             # remain appreciable relative to the problem scale.
             activity = max(min(1.0, transverse / self.freeze_scale), self.residual_activity)

@@ -13,7 +13,7 @@ returns a shared instance per scheme name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -144,9 +144,12 @@ class Modulation:
             return 1
         return self.bits_per_symbol // 2
 
-    @property
+    @cached_property
     def scale(self) -> float:
-        """Multiplicative factor applied to the integer grid for normalisation."""
+        """Multiplicative factor applied to the integer grid for normalisation.
+
+        Computed once per instance: the transform reads it for every QUBO.
+        """
         if not self.normalized:
             return 1.0
         return float(1.0 / np.sqrt(self._average_grid_energy()))

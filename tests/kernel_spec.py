@@ -6,8 +6,12 @@ scalar loops.  They take exactly the arguments of
 :func:`~repro.annealing.kernels.svmc_sweeps_vectorized` and must agree with
 every production implementation *bit for bit*.  Draws, transcendental
 blocks and BLAS reductions go through the kernels' shared helpers (see the
-equivalence rules in the :mod:`repro.annealing.kernels` docstring); only the
-decision logic is restated here.
+equivalence rules in the :mod:`repro.annealing.kernels` docstring); the
+decision logic and the SA chunk commit are restated here.  The commit is
+spelled out in its general einsum + ``apply_couplings`` form for every chunk
+width and runs after every chunk, so the production shortcuts — plain
+products for one-position chunks, no commit when nothing flips — are checked
+against it rather than shared with it.
 
 ``tests/test_kernels.py`` calls these functions directly for the kernel-level
 equivalence tests and swaps them into ``kernels._SA_IMPLEMENTATIONS`` /
@@ -27,7 +31,6 @@ from repro.annealing.kernels import (
     _svmc_propose_block,
     _track_best,
     apply_couplings,
-    commit_chunk,
 )
 
 __all__ = ["sa_sweeps_reference", "svmc_sweeps_reference"]
@@ -50,8 +53,8 @@ def sa_sweeps_reference(
     """The SA dynamics spelled out with per-read scalar loops.
 
     Every accept decision and flip value is computed one read at a time with
-    exact scalar arithmetic, while draws, thresholds and the chunk commit go
-    through the kernels' shared helpers.  O(batch * spins * reads) python
+    exact scalar arithmetic, while draws, thresholds and the coupling refresh
+    go through the kernels' shared helpers.  O(batch * spins * reads) python
     work per sweep.
     """
     batch, max_size, reads = spins.shape
@@ -83,7 +86,14 @@ def sa_sweeps_reference(
                         else:
                             ok = thresholds[b, p, r] < log_activity
                         flips[b, row, r] = (-2.0 if ok else -0.0) * cur
-            commit_chunk(spins, local, symmetric, flips, p0, p1, coupled, energies)
+            # dE = sum_i change_i * local_i(stale) + 1/2 change^T Jsym change
+            if energies is not None:
+                gain = np.einsum("bcr,bcr->br", flips, local[:, p0:p1])
+            spins[:, p0:p1] += flips
+            apply_couplings(local, symmetric, flips, p0, p1, coupled)
+            if energies is not None:
+                gain += 0.5 * np.einsum("bcr,bcr->br", flips, coupled[:, p0:p1])
+                energies += gain
             if track:
                 _track_best(spins, energies, best_spins, best_energies)
     return spins

@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.annealing.backend import broadcast_initial_spins
+from repro.annealing.backend import (
+    SCHEDULE_SCALES_CACHE_SIZE,
+    broadcast_initial_spins,
+    schedule_scales,
+)
 from repro.annealing.device import AnnealingFunctions
 from repro.annealing.sa_backend import ScheduleDrivenAnnealingBackend
-from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
+from repro.annealing.schedule import (
+    forward_anneal_schedule,
+    forward_reverse_anneal_schedule,
+    reverse_anneal_schedule,
+)
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
 from repro.exceptions import ConfigurationError
 from repro.qubo.generators import planted_solution_qubo
@@ -182,6 +190,8 @@ class TestBackendConfiguration:
             {"uniform_fraction": 1.5},
             {"freeze_scale": 0.0},
             {"residual_activity": -0.1},
+            {"proposal_width": float("inf")},
+            {"proposal_width": float("nan")},
         ],
     )
     def test_svmc_invalid(self, kwargs):
@@ -200,3 +210,92 @@ class TestBackendConfiguration:
     def test_sa_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
             ScheduleDrivenAnnealingBackend(**kwargs)
+
+
+#: One schedule of each paper family, with a pause where the family has one.
+MEMO_SCHEDULES = {
+    "FA": forward_anneal_schedule(1.0, pause_s=0.4, pause_duration_us=0.5),
+    "RA": reverse_anneal_schedule(0.45, pause_duration_us=1.0),
+    "FR": forward_reverse_anneal_schedule(0.7, 0.4, pause_duration_us=0.5),
+}
+
+
+def _fresh_settings(backend, schedule, functions, relative_temperature):
+    """The per-sweep rows built from scratch, without the memo."""
+    num_steps = max(2, int(round(schedule.duration_us * backend.sweeps_per_microsecond)))
+    rows = []
+    for _, s in schedule.discretise(num_steps):
+        problem = functions.relative_problem(float(s))
+        transverse = functions.relative_transverse(float(s))
+        temperature = max(relative_temperature, 1e-6)
+        if isinstance(backend, ScheduleDrivenAnnealingBackend):
+            temperature = temperature + backend.fluctuation_gain * transverse
+        activity = max(min(1.0, transverse / backend.freeze_scale), backend.residual_activity)
+        rows.append((problem, transverse, temperature, activity))
+    return rows
+
+
+class TestScheduleScalesMemo:
+    """Both backends build their sweep rows from the memoised schedule scales."""
+
+    @pytest.mark.parametrize("backend_class", BACKENDS)
+    @pytest.mark.parametrize("schedule_key", sorted(MEMO_SCHEDULES))
+    @pytest.mark.parametrize("relative_temperature", [0.01, 0.2])
+    def test_settings_equal_a_fresh_computation(
+        self, backend_class, schedule_key, relative_temperature
+    ):
+        schedule = MEMO_SCHEDULES[schedule_key]
+        functions = AnnealingFunctions()
+        backend = backend_class()
+        expected = _fresh_settings(backend, schedule, functions, relative_temperature)
+        # The first call may fill the memo, the second reads it.
+        for _ in range(2):
+            settings = backend._sweep_settings(schedule, functions, relative_temperature)
+            assert settings == expected
+
+    def test_keys_never_alias(self):
+        schedule_scales.cache_clear()
+        functions = [AnnealingFunctions(), AnnealingFunctions(transverse_exponent=2.0)]
+        keys = [
+            (schedule, scales, steps)
+            for schedule in MEMO_SCHEDULES.values()
+            for scales in functions
+            for steps in (24, 48)
+        ]
+        # Warm the memo with every key, then read each back: every entry is
+        # its own key's fresh value, and different keys give different rows.
+        for key in keys:
+            schedule_scales(*key)
+        rows = {}
+        for schedule, scales, steps in keys:
+            fresh = [
+                [scales.relative_problem(float(s)), scales.relative_transverse(float(s))]
+                for _, s in schedule.discretise(steps)
+            ]
+            assert schedule_scales(schedule, scales, steps).tolist() == fresh
+            rows[(schedule.name, scales.transverse_exponent, steps)] = tuple(map(tuple, fresh))
+        assert len(set(rows.values())) == len(keys)
+        assert schedule_scales.cache_info().hits >= len(keys)
+
+    def test_backend_attributes_are_never_cached(self):
+        schedule, functions = MEMO_SCHEDULES["RA"], AnnealingFunctions()
+        backend = SpinVectorMonteCarloBackend()
+        backend._sweep_settings(schedule, functions, 0.05)
+        backend.freeze_scale = 0.4
+        backend.sweeps_per_microsecond = 20.0
+        expected = _fresh_settings(backend, schedule, functions, 0.05)
+        assert backend._sweep_settings(schedule, functions, 0.05) == expected
+
+    def test_entries_are_read_only(self):
+        scales = schedule_scales(MEMO_SCHEDULES["RA"], AnnealingFunctions(), 30)
+        with pytest.raises(ValueError):
+            scales[0, 0] = 0.0
+
+    def test_cache_is_bounded(self):
+        schedule, functions = MEMO_SCHEDULES["FA"], AnnealingFunctions()
+        for steps in range(2, SCHEDULE_SCALES_CACHE_SIZE + 12):
+            schedule_scales(schedule, functions, steps)
+            assert schedule_scales.cache_info().currsize <= SCHEDULE_SCALES_CACHE_SIZE
+        info = schedule_scales.cache_info()
+        assert info.maxsize == SCHEDULE_SCALES_CACHE_SIZE
+        assert info.currsize == SCHEDULE_SCALES_CACHE_SIZE

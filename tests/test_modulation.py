@@ -90,6 +90,22 @@ class TestConstellationGeometry:
         distances[np.diag_indices_from(distances)] = np.inf
         assert distances.min() > 1e-6
 
+    @pytest.mark.parametrize("name", ["BPSK", "QPSK", "16-QAM", "64-QAM"])
+    def test_scale_normalises_the_raw_grid(self, name):
+        modulation = get_modulation(name)
+        # The raw odd-integer grid, rebuilt here without the module's helpers.
+        if name == "BPSK":
+            grid = np.array([-1.0, 1.0])
+        else:
+            count = 1 << (modulation.bits_per_symbol // 2)
+            levels = np.arange(count) * 2.0 - (count - 1)
+            grid = (levels[:, None] + 1j * levels[None, :]).ravel()
+        assert modulation.scale == 1.0 / np.sqrt(np.mean(np.abs(grid) ** 2))
+        # Computed once: repeated access returns the very same float.
+        assert modulation.scale is modulation.scale
+        assert np.mean(np.abs(modulation.points) ** 2) == pytest.approx(1.0)
+        assert get_modulation(name, normalized=False).scale == 1.0
+
     def test_unnormalized_grid(self):
         modulation = get_modulation("16-QAM", normalized=False)
         reals = sorted(set(np.round(modulation.points.real, 6)))
