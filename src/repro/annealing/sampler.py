@@ -35,6 +35,7 @@ from repro.annealing.svmc import SpinVectorMonteCarloBackend
 from repro.exceptions import ConfigurationError
 from repro.qubo.ising import IsingModel, bits_to_spins, qubo_to_ising
 from repro.qubo.model import QUBOModel
+from repro.utils.batching import iter_batches
 from repro.utils.rng import (
     BatchRandomState,
     RandomState,
@@ -43,7 +44,12 @@ from repro.utils.rng import (
     spawn_rngs,
 )
 
-__all__ = ["QuantumAnnealerSimulator"]
+__all__ = ["QuantumAnnealerSimulator", "SPIN_READ_BUDGET"]
+
+#: Spin-reads (instances x padded spins x reads) one ``run_batch`` call may
+#: hold.  Larger batches go to the backend in consecutive chunks; every
+#: instance draws only from its own child, so the split changes no sample.
+SPIN_READ_BUDGET = 1 << 20
 
 
 class QuantumAnnealerSimulator:
@@ -170,10 +176,12 @@ class QuantumAnnealerSimulator:
     ) -> List[SampleSet]:
         """Sample a batch of independent Ising models along one schedule.
 
-        Every logical instance of the batch is handed to the backend's
-        vectorised :meth:`~repro.annealing.backend.AnnealingBackend.run_batch`
-        kernel in a single call; with ``use_embedding`` each multi-spin
-        instance is instead embedded and annealed on its own.
+        The logical instances go to the backend's vectorised
+        :meth:`~repro.annealing.backend.AnnealingBackend.run_batch` kernel in
+        consecutive chunks of ``max(1, SPIN_READ_BUDGET // (N_max *
+        num_reads))`` instances, ``N_max`` being the batch's widest instance;
+        with ``use_embedding`` each multi-spin instance is instead embedded
+        and annealed on its own.
         """
         if num_reads <= 0:
             raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
@@ -200,22 +208,25 @@ class QuantumAnnealerSimulator:
             else:
                 logical.append(index)
         if logical:
-            normalised = [self._normalise(isings[index], children[index]) for index in logical]
-            spins_list = self.backend.run_batch(
-                fields=[fields for fields, _ in normalised],
-                couplings=[couplings for _, couplings in normalised],
-                schedule=schedule,
-                num_reads=num_reads,
-                annealing_functions=self.device.annealing,
-                relative_temperature=self.device.relative_temperature,
-                initial_spins=[initials[index] for index in logical],
-                rng=[self._kernel_rng(children[index]) for index in logical],
-            )
-            for index, spins in zip(logical, spins_list):
-                bits = ((spins + 1) // 2).astype(np.int8)
-                samplesets[index] = SampleSet.from_arrays(
-                    bits, isings[index].energies(spins), metadata={"embedded": False}
+            widest = max(1, max(isings[index].num_spins for index in logical))
+            chunk_length = max(1, SPIN_READ_BUDGET // (widest * num_reads))
+            for _, chunk in iter_batches(logical, chunk_length):
+                normalised = [self._normalise(isings[index], children[index]) for index in chunk]
+                spins_list = self.backend.run_batch(
+                    fields=[fields for fields, _ in normalised],
+                    couplings=[couplings for _, couplings in normalised],
+                    schedule=schedule,
+                    num_reads=num_reads,
+                    annealing_functions=self.device.annealing,
+                    relative_temperature=self.device.relative_temperature,
+                    initial_spins=[initials[index] for index in chunk],
+                    rng=[self._kernel_rng(children[index]) for index in chunk],
                 )
+                for index, spins in zip(chunk, spins_list):
+                    bits = ((spins + 1) // 2).astype(np.int8)
+                    samplesets[index] = SampleSet.from_arrays(
+                        bits, isings[index].energies(spins), metadata={"embedded": False}
+                    )
         for sampleset in samplesets:
             sampleset.metadata.update(self._metadata(schedule, num_reads))
         return samplesets

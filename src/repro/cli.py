@@ -25,10 +25,6 @@ parsers, so the run-shaping surface is identical everywhere.  The *scale*
 options select the configuration variant: ``--paper-scale`` switches the
 configurations that support it to the paper's full instance/read counts
 (slow); ``--quick`` selects the minimal smoke-test configurations.
-``--batch-size N`` bounds how many QUBO instances the experiments submit per
-batched annealer/solver call (the default submits each experiment's natural
-instance group as one batch); results are identical for every batch size
-thanks to per-instance child generators.
 
 The *execution* options shape how work runs without changing results.
 ``--workers N`` shards any experiment across ``N`` processes — results are
@@ -139,7 +135,6 @@ class CommonRunOptions:
     """
 
     scale: str = "default"
-    batch_size: Optional[int] = None
     workers: Optional[int] = None
     cache: Optional[ResultCache] = None
 
@@ -148,30 +143,16 @@ class CommonRunOptions:
         """Collapse the parsed flags into one options value."""
         scale = "paper" if arguments.paper_scale else ("quick" if arguments.quick else "default")
         cache = None if arguments.no_cache else ResultCache(arguments.cache_dir)
-        return cls(
-            scale=scale,
-            batch_size=arguments.batch_size,
-            workers=arguments.workers,
-            cache=cache,
-        )
+        return cls(scale=scale, workers=arguments.workers, cache=cache)
 
 
 def _config(config_class, options: CommonRunOptions):
-    """The configuration variant for the requested scale and batch size.
+    """The configuration variant for the requested scale.
 
     A scale the class has no preset for falls back to its default.
-    ``--batch-size`` lands on the config's ``batch_size`` field (fig6, snr,
-    robustness, pipeline) or, for the serving studies, its
-    ``max_batch_size``; configs with neither ignore the flag.
     """
     presets = config_presets(config_class)
-    config = presets.get(options.scale, presets["default"])()
-    if options.batch_size is not None:
-        fields = {field.name for field in dataclasses.fields(config)}
-        for name in ("batch_size", "max_batch_size"):
-            if name in fields:
-                return dataclasses.replace(config, **{name: options.batch_size})
-    return config
+    return presets.get(options.scale, presets["default"])()
 
 
 def _run_ablate(spec_path: str, output: Optional[str], options: CommonRunOptions) -> str:
@@ -229,15 +210,6 @@ def _scale_options() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="use the minimal smoke-test configurations",
-    )
-    parent.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="QUBO instances per batched annealer/solver submission (default: "
-        "each experiment's natural instance group as one batch); results are "
-        "identical for every batch size",
     )
     return parent
 
@@ -306,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Flags that only some subcommands define still need namespace defaults
     # so main() can read them unconditionally.
-    parser.set_defaults(spec=None, output=None, paper_scale=False, quick=False, batch_size=None)
+    parser.set_defaults(spec=None, output=None, paper_scale=False, quick=False)
     scale = _scale_options()
     execution = _execution_options()
     subparsers = parser.add_subparsers(
@@ -372,8 +344,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     arguments = parser.parse_args(argv)
-    if arguments.batch_size is not None and arguments.batch_size <= 0:
-        parser.error(f"--batch-size must be positive, got {arguments.batch_size}")
     if arguments.workers is not None and arguments.workers < 1:
         parser.error(f"--workers must be at least 1, got {arguments.workers}")
     if arguments.quiet and arguments.verbose:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.classical.greedy import GreedySearchSolver
 from repro.experiments.instances import (
     instance_qubos,
-    iter_batches,
     paper_figure6_configurations,
     synthesize_instances,
 )
@@ -71,10 +70,6 @@ class Figure6Config:
         sensitivity of the Figure 6 ordering to this choice.
     bin_edges:
         ΔE% histogram bins.
-    batch_size:
-        Instances per batched annealer submission; ``None`` submits all
-        instances of a modulation as one batch.  Child generators per
-        instance keep the results identical for every grouping.
     """
 
     num_variables: int = 36
@@ -86,7 +81,6 @@ class Figure6Config:
     bin_edges: Tuple[float, ...] = (0.0, 2.0, 5.0, 10.0, 20.0, 40.0, 70.0, 100.0, 1e9)
     base_seed: int = 0
     modulations: Optional[Tuple[str, ...]] = None
-    batch_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         require_positive_fields(self, "num_variables", "instances_per_modulation", "num_reads")
@@ -127,22 +121,14 @@ class Figure6Series:
     bin_edges: Tuple[float, ...]
 
 
-def _figure6_shard(
-    config: Figure6Config,
-    num_users: int,
-    modulation: str,
-    batch_size: Optional[int] = None,
-) -> List[Figure6Series]:
+def _figure6_shard(config: Figure6Config, num_users: int, modulation: str) -> List[Figure6Series]:
     """Run the three-method comparison for one (num_users, modulation) pair.
 
     All anneal randomness flows through children spawned from
     ``stable_seed("fig6-anneal", method, modulation, num_users, base_seed)``,
     so configurations are mutually independent: sharding the figure across
-    processes cannot change a single sample.  ``batch_size`` arrives outside
-    the fingerprinted config (results are proven batch-size-invariant, so the
-    cache key must not depend on it).
+    processes cannot change a single sample.
     """
-    config = dataclasses.replace(config, batch_size=batch_size)
     annealer = QuantumAnnealerSimulator(seed=stable_seed("fig6", config.base_seed))
     greedy = GreedySearchSolver()
     bundles = synthesize_instances(
@@ -151,7 +137,6 @@ def _figure6_shard(
         modulation,
         base_seed=config.base_seed,
     )
-    per_method: Dict[str, List[np.ndarray]] = {method: [] for method in METHODS}
 
     qubos = instance_qubos(bundles)
     grounds = [bundle.ground_energy for bundle in bundles]
@@ -164,9 +149,7 @@ def _figure6_shard(
     random_states = [state_rng.integers(0, 2, qubo.num_variables) for qubo in qubos]
     greedy_solutions = greedy.solve_batch(qubos)
 
-    # One anneal child generator per (method, instance), spawned up front:
-    # chunked submissions receive slices of the same children, so results
-    # are identical for every batch_size.
+    # One anneal child generator per (method, instance).
     method_children = {
         method: spawn_rngs(
             stable_seed("fig6-anneal", method, modulation, num_users, config.base_seed),
@@ -175,46 +158,52 @@ def _figure6_shard(
         for method in METHODS
     }
 
-    # Each method's reads for every instance of the modulation go through
-    # the annealer as (chunked) batched submissions instead of a loop.
-    for start, chunk_qubos in iter_batches(qubos, config.batch_size):
-        stop = start + len(chunk_qubos)
-        chunk_grounds = grounds[start:stop]
+    def delta_e(samplesets) -> np.ndarray:
+        return np.concatenate(
+            [
+                delta_e_distribution(sampleset, ground)
+                for sampleset, ground in zip(samplesets, grounds)
+            ]
+        )
 
-        fa_sets = annealer.forward_anneal_batch(
-            chunk_qubos,
-            num_reads=config.num_reads,
-            anneal_time_us=config.anneal_time_us,
-            pause_s=config.switch_s,
-            pause_duration_us=config.pause_duration_us,
-            rng=method_children["FA"][start:stop],
-        )
-        ra_random_sets = annealer.reverse_anneal_batch(
-            chunk_qubos,
-            random_states[start:stop],
-            switch_s=config.switch_s,
-            num_reads=config.num_reads,
-            pause_duration_us=config.pause_duration_us,
-            rng=method_children["RA-random"][start:stop],
-        )
-        ra_greedy_sets = annealer.reverse_anneal_batch(
-            chunk_qubos,
-            [solution.assignment for solution in greedy_solutions[start:stop]],
-            switch_s=config.switch_s,
-            num_reads=config.num_reads,
-            pause_duration_us=config.pause_duration_us,
-            rng=method_children["RA-greedy"][start:stop],
-        )
-        for ground, fa, ra_random, ra_greedy in zip(
-            chunk_grounds, fa_sets, ra_random_sets, ra_greedy_sets
-        ):
-            per_method["FA"].append(delta_e_distribution(fa, ground))
-            per_method["RA-random"].append(delta_e_distribution(ra_random, ground))
-            per_method["RA-greedy"].append(delta_e_distribution(ra_greedy, ground))
+    # Each method's reads for every instance of the modulation go through the
+    # annealer as one batched submission, reduced to ΔE% samples before the
+    # next method runs.
+    per_method = {
+        "FA": delta_e(
+            annealer.forward_anneal_batch(
+                qubos,
+                num_reads=config.num_reads,
+                anneal_time_us=config.anneal_time_us,
+                pause_s=config.switch_s,
+                pause_duration_us=config.pause_duration_us,
+                rng=method_children["FA"],
+            )
+        ),
+        "RA-random": delta_e(
+            annealer.reverse_anneal_batch(
+                qubos,
+                random_states,
+                switch_s=config.switch_s,
+                num_reads=config.num_reads,
+                pause_duration_us=config.pause_duration_us,
+                rng=method_children["RA-random"],
+            )
+        ),
+        "RA-greedy": delta_e(
+            annealer.reverse_anneal_batch(
+                qubos,
+                [solution.assignment for solution in greedy_solutions],
+                switch_s=config.switch_s,
+                num_reads=config.num_reads,
+                pause_duration_us=config.pause_duration_us,
+                rng=method_children["RA-greedy"],
+            )
+        ),
+    }
 
     series: List[Figure6Series] = []
-    for method in METHODS:
-        samples = np.concatenate(per_method[method])
+    for method, samples in per_method.items():
         histogram = histogram_percentiles(samples, config.bin_edges)
         series.append(
             Figure6Series(
@@ -244,8 +233,7 @@ class Figure6Driver(ExperimentDriver):
         The per-shard configuration normalises the ``modulations`` filter
         away (the shard is already pinned to one modulation), so changing
         which modulations a run sweeps re-keys only the added or removed
-        pairs; the batch-size-invariant ``batch_size`` travels outside the
-        fingerprint so re-chunking a sweep never recomputes it.
+        pairs.
         """
         configurations = paper_figure6_configurations(config.num_variables)
         if config.modulations is not None:
@@ -254,7 +242,7 @@ class Figure6Driver(ExperimentDriver):
                 for users, modulation in configurations
                 if modulation in config.modulations
             ]
-        shard_config = dataclasses.replace(config, modulations=None, batch_size=None)
+        shard_config = dataclasses.replace(config, modulations=None)
         return [
             ShardTask(
                 key=("fig6", modulation, num_users),
@@ -263,9 +251,7 @@ class Figure6Driver(ExperimentDriver):
                     "config": shard_config,
                     "num_users": num_users,
                     "modulation": modulation,
-                    "batch_size": config.batch_size,
                 },
-                fingerprint_exclude=("batch_size",),
             )
             for num_users, modulation in configurations
         ]

@@ -23,7 +23,6 @@ from repro.exceptions import ConfigurationError
 from repro.qubo.energy import brute_force_minimum
 from repro.qubo.model import QUBOModel
 from repro.transform.mimo_to_qubo import MIMOQuboEncoding, mimo_to_qubo
-from repro.utils.batching import iter_batches
 from repro.utils.rng import stable_seed
 from repro.wireless.channel import ChannelModel, UnitGainRandomPhaseChannel
 from repro.wireless.mimo import MIMOConfig, MIMOTransmission, simulate_transmission
@@ -37,7 +36,6 @@ __all__ = [
     "users_for_variables",
     "paper_figure6_configurations",
     "instance_qubos",
-    "iter_batches",
 ]
 
 
@@ -180,8 +178,7 @@ def instance_qubos(bundles: Sequence[InstanceBundle]) -> List[QUBOModel]:
 
     Convenience for the experiment drivers, which hand whole instance batches
     to the batched solvers/samplers (``solve_batch`` / ``sample_qubo_batch``)
-    instead of looping; chunking to a configured batch size is done with
-    :func:`iter_batches` (re-exported here).
+    instead of looping.
     """
     return [bundle.encoding.qubo for bundle in bundles]
 

@@ -48,10 +48,6 @@ class PipelineStudyConfig:
     evaluate_solutions:
         Whether the annealer actually runs per channel use (slower but lets
         the report include detection quality).
-    batch_size:
-        Channel uses per batched solver/sampler submission (``None`` = whole
-        trace at once); forwarded to
-        :class:`~repro.hybrid.HybridPipelineSimulator`.
     """
 
     num_users: int = 4
@@ -65,7 +61,6 @@ class PipelineStudyConfig:
     include_qpu_overheads: bool = False
     evaluate_solutions: bool = True
     base_seed: int = 0
-    batch_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         require_positive_fields(
@@ -116,7 +111,6 @@ def _pipeline_result(config: PipelineStudyConfig) -> PipelineStudyResult:
         num_reads=config.num_reads,
         include_qpu_overheads=config.include_qpu_overheads,
         evaluate_solutions=config.evaluate_solutions,
-        batch_size=config.batch_size,
     )
     pipelined = simulator.run(
         channel_uses, pipelined=True, rng=stable_seed("pipeline-run", config.base_seed)

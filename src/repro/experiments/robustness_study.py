@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from repro.experiments.driver import ExperimentDriver, mean_or_nan
 from repro.hybrid.solver import HybridMIMODetector
 from repro.parallel import ShardTask
 from repro.transform.mimo_to_qubo import is_optimum, mimo_to_qubo
-from repro.utils.batching import iter_batches
 from repro.utils.rng import ensure_rng, stable_seed
 from repro.utils.validation import require, require_positive_fields
 from repro.wireless.channel import effective_noise_variance
@@ -101,10 +100,6 @@ class RobustnessStudyConfig:
     interference_grid:
         Inter-cell interference powers, in units of the AWGN variance
         convention (the MMSE detector regularises on noise + interference).
-    batch_size:
-        Channel uses per batched hybrid submission; ``None`` submits a
-        point's whole stream as one batch.  Per-use child generators keep
-        the results identical for every grouping.
     """
 
     num_users: int = 3
@@ -115,7 +110,6 @@ class RobustnessStudyConfig:
     num_reads: int = 100
     switch_s: float = 0.45
     base_seed: int = 0
-    batch_size: Optional[int] = None
     correlation_grid: Tuple[float, ...] = (0.0, 0.3, 0.6, 0.9)
     velocity_grid_mps: Tuple[float, ...] = (0.0, 3.0, 30.0, 120.0)
     csi_error_grid: Tuple[float, ...] = (0.0, 0.02, 0.1, 0.3)
@@ -201,25 +195,20 @@ def _axis_grid(config: RobustnessStudyConfig, axis: str) -> Tuple[float, ...]:
         ) from None
 
 
-def _robustness_point_shard(
-    config: RobustnessStudyConfig, axis: str, batch_size: Optional[int] = None
-) -> RobustnessRow:
+def _robustness_point_shard(config: RobustnessStudyConfig, axis: str) -> RobustnessRow:
     """Decode one coherent stream under one impairment grid point.
 
     The config's axis grid holds exactly the point.  Channel synthesis walks
     the point's fading process use by use (block ``i`` depends on blocks
     ``0..i-1`` exactly as physics demands), each use drawing from its own
     explicit child seed; detection randomness flows through separate per-use
-    children, so the row is independent of the hybrid submission batching.
-    ``batch_size`` arrives outside the fingerprinted config (results are
-    proven batch-size-invariant, so the cache key must not depend on it).
+    children.
     """
     grid = _axis_grid(config, axis)
     if len(grid) != 1:
         raise ConfigurationError(
             f"a robustness shard sweeps exactly one {axis} point, got {grid!r}"
         )
-    config = dataclasses.replace(config, batch_size=batch_size)
     value = float(grid[0])
     annealer = QuantumAnnealerSimulator(
         seed=stable_seed("robustness-study", axis, config.base_seed)
@@ -281,17 +270,14 @@ def _robustness_point_shard(
         )
         mmse_errors.append(bit_error_rate(transmission.transmitted_bits, mmse_bits))
 
-    for start, chunk in iter_batches(transmissions, config.batch_size):
-        details = hybrid.detect_batch_with_details(
-            [transmission.instance for transmission in chunk],
-            rng=[ensure_rng(seed + 1) for seed in seeds[start : start + len(chunk)]],
-        )
-        for offset, (detection, solver_result) in enumerate(details):
-            transmission = chunk[offset]
-            ground = grounds[start + offset]
-            hybrid_errors.append(bit_error_rate(transmission.transmitted_bits, detection.bits))
-            optimum_hits.append(is_optimum(solver_result.best_energy, ground))
-            hybrid_times.append(solver_result.total_time_us)
+    details = hybrid.detect_batch_with_details(
+        [transmission.instance for transmission in transmissions],
+        rng=[ensure_rng(seed + 1) for seed in seeds],
+    )
+    for transmission, ground, (detection, solver_result) in zip(transmissions, grounds, details):
+        hybrid_errors.append(bit_error_rate(transmission.transmitted_bits, detection.bits))
+        optimum_hits.append(is_optimum(solver_result.best_energy, ground))
+        hybrid_times.append(solver_result.total_time_us)
 
     return RobustnessRow(
         axis=axis,
@@ -318,28 +304,20 @@ class RobustnessStudyDriver(ExperimentDriver):
         Each task's configuration keeps only its own point (every other axis
         grid is emptied), so adding, removing or editing one grid point
         re-keys only that point on a cached re-run — the
-        selective-invalidation contract the cache tests pin down.  The
-        batch-size-invariant ``batch_size`` travels outside the fingerprint.
+        selective-invalidation contract the cache tests pin down.
         """
         empty = {field: () for field in _AXIS_FIELDS.values()}
         tasks: List[ShardTask] = []
         for axis in ROBUSTNESS_AXES:
             for value in _axis_grid(config, axis):
                 shard_config = dataclasses.replace(
-                    config,
-                    batch_size=None,
-                    **{**empty, _AXIS_FIELDS[axis]: (float(value),)},
+                    config, **{**empty, _AXIS_FIELDS[axis]: (float(value),)}
                 )
                 tasks.append(
                     ShardTask(
                         key=("robustness", axis, float(value)),
                         fn=_robustness_point_shard,
-                        kwargs={
-                            "config": shard_config,
-                            "axis": axis,
-                            "batch_size": config.batch_size,
-                        },
-                        fingerprint_exclude=("batch_size",),
+                        kwargs={"config": shard_config, "axis": axis},
                     )
                 )
         return tasks

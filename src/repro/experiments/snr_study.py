@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from repro import telemetry
 from repro.hybrid.solver import HybridMIMODetector
 from repro.parallel import ShardTask
 from repro.transform.mimo_to_qubo import mimo_to_qubo
-from repro.utils.batching import iter_batches
 from repro.utils.rng import ensure_rng, stable_seed
 from repro.utils.validation import require, require_positive_fields
 from repro.wireless.channel import RayleighFadingChannel
@@ -57,10 +56,6 @@ class SNRStudyConfig:
         Independent channel uses averaged per SNR point.
     num_reads:
         Reverse-annealing reads for the hybrid detector.
-    batch_size:
-        Channel uses per batched hybrid-detector submission; ``None`` submits
-        every channel use of an SNR point as one batch.  Per-channel-use
-        child generators keep the BER results identical for every grouping.
     """
 
     num_users: int = 2
@@ -71,7 +66,6 @@ class SNRStudyConfig:
     num_reads: int = 100
     switch_s: float = 0.45
     base_seed: int = 0
-    batch_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         require(bool(self.snr_grid_db), "snr_grid_db must not be empty")
@@ -94,23 +88,18 @@ class SNRStudyRow:
     hybrid_ber: float
 
 
-def _snr_point_shard(
-    config: SNRStudyConfig, batch_size: Optional[int] = None
-) -> SNRStudyRow:
+def _snr_point_shard(config: SNRStudyConfig) -> SNRStudyRow:
     """Average the detectors' BERs over the channel uses of one SNR point.
 
     ``config.snr_grid_db`` holds exactly the point.  Every channel use is
     seeded by its own explicit child
     (``stable_seed("snr-use", snr_db, index, base_seed)``), so points are
-    independent of each other and of execution order.  ``batch_size``
-    arrives outside the fingerprinted config (results are proven
-    batch-size-invariant, so the cache key must not depend on it).
+    independent of each other and of execution order.
     """
     if len(config.snr_grid_db) != 1:
         raise ConfigurationError(
             f"an SNR shard sweeps exactly one point, got {config.snr_grid_db!r}"
         )
-    config = dataclasses.replace(config, batch_size=batch_size)
     snr_db = float(config.snr_grid_db[0])
     annealer = QuantumAnnealerSimulator(seed=stable_seed("snr-study", config.base_seed))
     zero_forcing = ZeroForcingDetector()
@@ -142,7 +131,7 @@ def _snr_point_shard(
     encodings = [mimo_to_qubo(transmission.instance) for transmission in transmissions]
 
     # Linear detectors run per channel use (they are closed-form and
-    # essentially free); the hybrid detector is submitted in batches.
+    # essentially free); the hybrid detector gets the point as one batch.
     for transmission, encoding in zip(transmissions, encodings):
         zf_bits = encoding.payload_bits(
             encoding.symbols_to_bits(zero_forcing.detect(transmission.instance))
@@ -154,18 +143,14 @@ def _snr_point_shard(
         )
         mmse_errors.append(bit_error_rate(transmission.transmitted_bits, mmse_bits))
 
-    for start, chunk in iter_batches(transmissions, config.batch_size):
-        detections = hybrid.detect_batch(
-            [transmission.instance for transmission in chunk],
-            # One explicit generator per channel use (seeded exactly as
-            # the sequential per-use path would be), so results do not
-            # depend on the batch grouping.
-            rng=[ensure_rng(seed + 1) for seed in seeds[start : start + len(chunk)]],
-        )
-        for transmission, detection in zip(chunk, detections):
-            hybrid_errors.append(
-                bit_error_rate(transmission.transmitted_bits, detection.bits)
-            )
+    detections = hybrid.detect_batch(
+        [transmission.instance for transmission in transmissions],
+        # One explicit generator per channel use (seeded exactly as the
+        # sequential per-use path would be).
+        rng=[ensure_rng(seed + 1) for seed in seeds],
+    )
+    for transmission, detection in zip(transmissions, detections):
+        hybrid_errors.append(bit_error_rate(transmission.transmitted_bits, detection.bits))
 
     return SNRStudyRow(
         snr_db=float(snr_db),
@@ -187,20 +172,13 @@ class SNRStudyDriver(ExperimentDriver):
 
         Each task's configuration is restricted to its own point, so adding
         or changing one grid point recomputes only that point on a cached
-        re-run; the batch-size-invariant ``batch_size`` travels outside the
-        fingerprint.
+        re-run.
         """
         return [
             ShardTask(
                 key=("snr-study", float(snr_db)),
                 fn=_snr_point_shard,
-                kwargs={
-                    "config": dataclasses.replace(
-                        config, snr_grid_db=(float(snr_db),), batch_size=None
-                    ),
-                    "batch_size": config.batch_size,
-                },
-                fingerprint_exclude=("batch_size",),
+                kwargs={"config": dataclasses.replace(config, snr_grid_db=(float(snr_db),))},
             )
             for snr_db in config.snr_grid_db
         ]

@@ -28,9 +28,7 @@ the figure's premise: not only do the classical and quantum stages overlap
 across successive channel uses, but each stage also *processes channel uses
 in batches* through
 :meth:`~repro.hybrid.solver.HybridQuboSolver.solve_batch` — which is how a
-receiver keeps many concurrent channel uses in flight.  Batch
-grouping is a pure execution detail: per-channel-use child generators keep
-the reported solutions identical for every ``batch_size``.
+receiver keeps many concurrent channel uses in flight.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from repro.exceptions import PipelineError
 from repro.hybrid.solver import HybridQuboSolver
 from repro.serving.events import FifoServer, StageTiming
 from repro.transform.mimo_to_qubo import is_optimum, mimo_to_qubo
-from repro.utils.batching import iter_batches
 from repro.utils.rng import BatchRandomState, ensure_rng_batch
 from repro.wireless.traffic import ChannelUse
 
@@ -116,12 +113,6 @@ class HybridPipelineSimulator:
         When true the annealer is actually run per channel use so solution
         quality can be reported; when false only the timing model is exercised
         (much faster — useful for long traffic traces).
-    batch_size:
-        How many channel uses are grouped into each batched solver/sampler
-        submission.  ``None`` (the default) submits the whole trace as one
-        batch — the fastest option; smaller values bound memory.  Per-job
-        child generators make the reported solutions identical for every
-        choice.
     """
 
     def __init__(
@@ -133,7 +124,6 @@ class HybridPipelineSimulator:
         num_reads: int = 50,
         include_qpu_overheads: bool = False,
         evaluate_solutions: bool = True,
-        batch_size: Optional[int] = None,
     ) -> None:
         if not 0.0 < switch_s < 1.0:
             raise PipelineError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
@@ -143,14 +133,11 @@ class HybridPipelineSimulator:
             )
         if num_reads <= 0:
             raise PipelineError(f"num_reads must be positive, got {num_reads}")
-        if batch_size is not None and batch_size <= 0:
-            raise PipelineError(f"batch_size must be positive or None, got {batch_size}")
         self.solver = HybridQuboSolver(
             classical_solver, sampler, switch_s, pause_duration_us, num_reads
         )
         self.include_qpu_overheads = bool(include_qpu_overheads)
         self.evaluate_solutions = bool(evaluate_solutions)
-        self.batch_size = batch_size
 
     # ------------------------------------------------------------------ #
 
@@ -167,13 +154,11 @@ class HybridPipelineSimulator:
         use occupies a single combined server for the sum of both service
         times (the non-pipelined baseline).
 
-        Solutions are computed through the batched engine: channel uses are
-        grouped into ``batch_size`` chunks and each chunk is submitted as one
-        :meth:`~repro.hybrid.solver.HybridQuboSolver.solve_batch` call (only
-        its classical stage when ``evaluate_solutions`` is off), with one
-        child generator per channel use so the outcome is independent of the
-        grouping.  The discrete-event timing model then
-        replays arrivals job by job.
+        Solutions are computed through the batched engine: the whole trace is
+        one :meth:`~repro.hybrid.solver.HybridQuboSolver.solve_batch` call
+        (only its classical stage when ``evaluate_solutions`` is off), with
+        one child generator per channel use.  The discrete-event timing model
+        then replays arrivals job by job.
         """
         if not channel_uses:
             raise PipelineError("channel_uses must not be empty")
@@ -184,17 +169,14 @@ class HybridPipelineSimulator:
         encodings = [
             mimo_to_qubo(channel_use.transmission.instance) for channel_use in channel_uses
         ]
+        qubos = [encoding.qubo for encoding in encodings]
         # (classical solution, best energy) per channel use.
-        outcomes = []
-        for start, chunk in iter_batches(encodings, self.batch_size):
-            chunk_children = children[start : start + len(chunk)]
-            chunk_qubos = [encoding.qubo for encoding in chunk]
-            if self.evaluate_solutions:
-                results = solver.solve_batch(chunk_qubos, chunk_children)
-                outcomes.extend((result.initial_solution, result.best_energy) for result in results)
-            else:
-                initials = solver.classical_solver.solve_batch(chunk_qubos, chunk_children)
-                outcomes.extend((initial, initial.energy) for initial in initials)
+        if self.evaluate_solutions:
+            results = solver.solve_batch(qubos, children)
+            outcomes = [(result.initial_solution, result.best_energy) for result in results]
+        else:
+            initials = solver.classical_solver.solve_batch(qubos, children)
+            outcomes = [(initial, initial.energy) for initial in initials]
 
         # ---- Discrete-event timing replay -----------------------------
         # Each stage is a FIFO server; in the serialised baseline both stages
@@ -297,6 +279,5 @@ class HybridPipelineSimulator:
                 "num_reads": self.solver.num_reads,
                 "include_qpu_overheads": self.include_qpu_overheads,
                 "classical_solver": self.solver.classical_solver.name,
-                "batch_size": self.batch_size,
             },
         )

@@ -139,17 +139,8 @@ def task_fingerprint(
     function: Callable,
     kwargs: Mapping[str, Any],
     key: Sequence[Union[str, int, float]] = (),
-    exclude: Sequence[str] = (),
 ) -> str:
-    """The content address of one shard: code identity + canonical arguments.
-
-    ``exclude`` names kwargs left out of the fingerprint — reserved for
-    execution details *proven* not to affect results (e.g. the solver
-    submission chunking ``batch_size``, whose invariance the batch-engine
-    tests enforce bitwise).  Excluding an argument that does affect results
-    would serve stale data; use sparingly.
-    """
-    excluded = frozenset(exclude)
+    """The content address of one shard: code identity + canonical arguments."""
     payload = {
         "version": CACHE_FORMAT_VERSION,
         # Results can legitimately change across interpreter/numpy upgrades
@@ -163,9 +154,7 @@ def task_fingerprint(
         "library": _library_digest(),
         "source": _source_digest(function),
         "key": canonical_token(tuple(key)),
-        "kwargs": canonical_token(
-            {name: value for name, value in kwargs.items() if name not in excluded}
-        ),
+        "kwargs": canonical_token(kwargs),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

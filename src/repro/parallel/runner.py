@@ -66,20 +66,15 @@ class ShardTask:
         Keyword arguments of the shard; these are canonicalised into the
         cache fingerprint, so they must contain only seeds, configuration
         dataclasses and plain data.
-    fingerprint_exclude:
-        Names of kwargs left out of the cache fingerprint — reserved for
-        execution details *proven* not to affect results (e.g. solver
-        submission chunking).  See :func:`task_fingerprint`.
     """
 
     key: Tuple[Union[str, int, float], ...]
     fn: Callable[..., Any]
     kwargs: Mapping[str, Any] = field(default_factory=dict)
-    fingerprint_exclude: Tuple[str, ...] = ()
 
     def fingerprint(self) -> str:
         """The shard's content address (see :func:`task_fingerprint`)."""
-        return task_fingerprint(self.fn, self.kwargs, self.key, self.fingerprint_exclude)
+        return task_fingerprint(self.fn, self.kwargs, self.key)
 
     def execute(self) -> Any:
         """Run the shard in the current process."""

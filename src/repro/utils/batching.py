@@ -1,35 +1,23 @@
-"""Chunking helpers for the batched multi-instance engine.
+"""Chunking helper for the batched multi-instance engine.
 
-The batched solvers and samplers accept arbitrarily large instance batches;
-experiment drivers use :func:`iter_batches` to honour a configured
-``batch_size`` (memory ceiling / submission granularity) while still feeding
-each chunk through the vectorised code path.  Because every instance draws
-from its own child generator, results are identical whatever chunking is
-chosen.
+:class:`~repro.annealing.sampler.QuantumAnnealerSimulator` uses
+:func:`iter_batches` to split a large instance batch into kernel calls of a
+bounded size.  Because every instance draws from its own child generator,
+results are identical whatever chunking is chosen.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Iterator, List, Sequence, Tuple, TypeVar
 
 Item = TypeVar("Item")
 
 __all__ = ["iter_batches"]
 
 
-def iter_batches(
-    items: Sequence[Item], batch_size: Optional[int] = None
-) -> Iterator[Tuple[int, List[Item]]]:
-    """Yield ``(start_index, chunk)`` pairs covering ``items`` in order.
-
-    ``batch_size=None`` yields the whole sequence as one chunk (maximum
-    batching); otherwise chunks have at most ``batch_size`` items.
-    """
-    if batch_size is not None and batch_size <= 0:
-        raise ValueError(f"batch_size must be positive or None, got {batch_size}")
-    total = len(items)
-    if total == 0:
-        return
-    size = total if batch_size is None else batch_size
-    for start in range(0, total, size):
+def iter_batches(items: Sequence[Item], size: int) -> Iterator[Tuple[int, List[Item]]]:
+    """Yield ``(start_index, chunk)`` pairs of at most ``size`` items, in order."""
+    if size <= 0:
+        raise ValueError(f"chunk size must be positive, got {size}")
+    for start in range(0, len(items), size):
         yield start, list(items[start : start + size])

@@ -21,7 +21,6 @@ from repro.classical.simulated_annealing import SimulatedAnnealingSolver
 from repro.classical.tabu import TabuSearchSolver
 from repro.exceptions import ConfigurationError
 from repro.hybrid.parameters import sweep_switch_point, sweep_switch_point_batch
-from repro.hybrid.pipeline import HybridPipelineSimulator
 from repro.hybrid.solver import HybridQuboSolver
 from repro.qubo.generators import planted_solution_qubo
 from repro.qubo.ising import bits_to_spins, qubo_to_ising
@@ -383,54 +382,31 @@ class TestHybridBatch:
                 assert expected.success_probability == actual.success_probability
                 assert expected.expectation_energy == actual.expectation_energy
 
-    def test_figure6_batch_size_does_not_change_results(self):
+    def test_figure6_rows_do_not_depend_on_the_sampler_budget(self, monkeypatch):
+        from repro.annealing import sampler as sampler_module
         from repro.experiments.driver import run_driver
         from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
 
-        def run(batch_size):
-            config = Figure6Config(
-                num_variables=8,
-                instances_per_modulation=3,
-                num_reads=40,
-                modulations=("QPSK",),
-                batch_size=batch_size,
-            )
-            return run_driver(Figure6Driver(), config)
+        config = Figure6Config(
+            num_variables=8, instances_per_modulation=3, num_reads=40, modulations=("QPSK",)
+        )
+        calls = []
+        run_batch = SpinVectorMonteCarloBackend.run_batch
 
-        whole = run(None)
-        split = run(2)
-        singles = run(1)
-        for reference, other in ((whole, split), (whole, singles)):
-            for left, right in zip(reference, other):
-                assert left.method == right.method
-                assert left.mean_delta_e == right.mean_delta_e
-                assert left.histogram == right.histogram
+        def counting_run_batch(self, fields, *args, **kwargs):
+            calls.append(len(fields))
+            return run_batch(self, fields, *args, **kwargs)
 
-    def test_pipeline_batch_size_does_not_change_solutions(self):
-        from repro.wireless.mimo import MIMOConfig
-        from repro.wireless.traffic import TrafficGenerator
+        monkeypatch.setattr(SpinVectorMonteCarloBackend, "run_batch", counting_run_batch)
+        whole = run_driver(Figure6Driver(), config)
+        assert calls == [3, 3, 3]  # one submission per method
 
-        config = MIMOConfig(num_users=2, modulation="QPSK")
-        traffic = TrafficGenerator(config, symbol_period_us=50.0)
-        channel_uses = traffic.generate(6, rng=0)
-
-        def run(batch_size):
-            sampler = QuantumAnnealerSimulator(
-                backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8), seed=0
-            )
-            simulator = HybridPipelineSimulator(
-                sampler=sampler, num_reads=6, batch_size=batch_size
-            )
-            return simulator.run(channel_uses, pipelined=True, rng=1)
-
-        whole = run(None)
-        per_job = run(1)
-        pairs = run(2)
-        for report in (per_job, pairs):
-            assert [job.best_energy for job in report.jobs] == [
-                job.best_energy for job in whole.jobs
-            ]
-        assert whole.metadata["batch_size"] is None
+        calls.clear()
+        # Two 8-spin instances of 40 reads fit: each method splits 2 + 1.
+        monkeypatch.setattr(sampler_module, "SPIN_READ_BUDGET", 2 * 8 * 40)
+        split = run_driver(Figure6Driver(), config)
+        assert calls == [2, 1, 2, 1, 2, 1]
+        assert split == whole
 
 
 def _all_bits(size):

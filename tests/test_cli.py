@@ -80,11 +80,6 @@ class TestMain:
         assert "deadline-miss rate vs offered load" in captured.out
         assert "pooled serving report" in captured.out
 
-    def test_serve_accepts_batch_size(self, capsys):
-        exit_code = cli.main(["serve", "--quick", "--batch-size", "2"])
-        assert exit_code == 0
-        assert "deadline-miss" in capsys.readouterr().out
-
     def test_runs_robustness_quick(self, capsys):
         exit_code = cli.main(["robustness", "--quick", "--no-cache"])
         captured = capsys.readouterr()

@@ -142,19 +142,6 @@ class TestTaskFingerprint:
         # invalidate cached results), via the "library" payload field.
         assert _library_digest.cache_info().hits >= 1
 
-    def test_excluded_kwargs_do_not_affect_the_fingerprint(self):
-        base = task_fingerprint(
-            _seeded_draw, {"seed": 1, "count": 5}, ("k",), exclude=("count",)
-        )
-        rechunked = task_fingerprint(
-            _seeded_draw, {"seed": 1, "count": 9}, ("k",), exclude=("count",)
-        )
-        assert rechunked == base
-        # Non-excluded kwargs still participate.
-        assert task_fingerprint(
-            _seeded_draw, {"seed": 2, "count": 5}, ("k",), exclude=("count",)
-        ) != base
-
 
 # ---------------------------------------------------------------------- #
 # The result cache

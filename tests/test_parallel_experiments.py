@@ -131,16 +131,3 @@ class TestScenarioCacheCorrectness:
         run_driver(Figure8Driver(), toggled, cache=cache)
         assert cache.misses == 1  # the RA family shard only
         assert cache.hits == num_shards - 1
-
-    def test_batch_size_is_cache_transparent(self, tmp_path):
-        # Results are proven batch-size-invariant, so re-chunking a sweep
-        # must replay from the cache, not recompute.
-        config = SNRStudyConfig.quick()
-        cache = ResultCache(tmp_path / "cache")
-        baseline = run_driver(SNRStudyDriver(), config, cache=cache)
-
-        cache.reset_counters()
-        rechunked = dataclasses.replace(config, batch_size=1)
-        rows = run_driver(SNRStudyDriver(), rechunked, cache=cache)
-        assert cache.hits == len(config.snr_grid_db) and cache.misses == 0
-        assert rows == baseline

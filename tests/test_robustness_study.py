@@ -85,14 +85,6 @@ class TestStudy:
         parallel = run_driver(RobustnessStudyDriver(), quick_config, workers=2)
         assert serial == parallel
 
-    def test_batch_size_invariant(self, quick_config):
-        whole = run_driver(RobustnessStudyDriver(), quick_config)
-        chunked = run_driver(
-            RobustnessStudyDriver(),
-            dataclasses.replace(quick_config, batch_size=1)
-        )
-        assert whole == chunked
-
     def test_format_table_lists_every_axis(self, quick_config):
         rows = run_driver(RobustnessStudyDriver(), quick_config)
         table = format_robustness_table(rows)
@@ -125,16 +117,6 @@ class TestSelectiveInvalidation:
         for key, fingerprint in changed.items():
             if key != fresh:
                 assert base[key] == fingerprint, f"untouched point {key} re-keyed"
-
-    def test_batch_size_is_outside_the_fingerprint(self, quick_config):
-        base = [task.fingerprint() for task in RobustnessStudyDriver().tasks(quick_config)]
-        rechunked = [
-            task.fingerprint()
-            for task in RobustnessStudyDriver().tasks(
-                dataclasses.replace(quick_config, batch_size=1)
-            )
-        ]
-        assert base == rechunked
 
     def test_cached_rerun_recomputes_only_the_edited_point(
         self, quick_config, tmp_path

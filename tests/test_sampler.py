@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.annealing import sampler as sampler_module
 from repro.annealing import (
     DeviceModel,
     QuantumAnnealerSimulator,
@@ -14,7 +15,7 @@ from repro.annealing import (
 from repro.exceptions import ConfigurationError
 from repro.qubo.energy import brute_force_minimum
 from repro.qubo.generators import planted_solution_qubo
-from repro.qubo.ising import qubo_to_ising
+from repro.qubo.ising import IsingModel, qubo_to_ising
 
 
 @pytest.fixture
@@ -148,3 +149,55 @@ class TestEmbeddedSampling:
         )
         sampleset = sampler.forward_anneal(qubo, num_reads=40, pause_s=0.4)
         assert sampleset.lowest_energy() <= exact.energy + 0.5 * abs(exact.energy)
+
+
+class TestSpinReadBudget:
+    """Batches beyond the budget reach the backend in chunks that change no sample."""
+
+    @pytest.mark.parametrize(
+        "use_embedding, sizes, budget, chunked_calls",
+        [
+            # Widest instance 6 spins x 7 reads: two instances per call.
+            (False, (3, 6, 2, 5, 4), 2 * 6 * 7, [2, 2, 1]),
+            # Instance 2 is embedded (annealed alone, first) and sits between
+            # the two chunks of logical 0/1-spin instances.
+            (True, (1, 0, 5, 1, 1), 2 * 1 * 7, [1, 2, 2]),
+        ],
+        ids=["logical", "embedded"],
+    )
+    def test_chunked_batch_equals_one_submission(
+        self, monkeypatch, use_embedding, sizes, budget, chunked_calls
+    ):
+        rng = np.random.default_rng(5)
+        isings = [
+            IsingModel(rng.normal(size=size), np.triu(rng.normal(size=(size, size)), k=1))
+            for size in sizes
+        ]
+        calls = []
+        run_batch = SpinVectorMonteCarloBackend.run_batch
+
+        def counting_run_batch(self, fields, *args, **kwargs):
+            calls.append(len(fields))
+            return run_batch(self, fields, *args, **kwargs)
+
+        monkeypatch.setattr(SpinVectorMonteCarloBackend, "run_batch", counting_run_batch)
+
+        def sample():
+            calls.clear()
+            sampler = QuantumAnnealerSimulator(
+                backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=8),
+                use_embedding=use_embedding,
+                seed=1,
+            )
+            return sampler.sample_ising_batch(isings, forward_anneal_schedule(1.0), 7, rng=21)
+
+        whole = sample()
+        assert calls == ([1, 4] if use_embedding else [5])
+        monkeypatch.setattr(sampler_module, "SPIN_READ_BUDGET", budget)
+        chunked = sample()
+        assert calls == chunked_calls
+        for expected, actual in zip(whole, chunked, strict=True):
+            assert actual.assignments().tobytes() == expected.assignments().tobytes()
+            assert actual.energies().tobytes() == expected.energies().tobytes()
+            assert actual.occurrences().tobytes() == expected.occurrences().tobytes()
+            assert actual.metadata == expected.metadata
