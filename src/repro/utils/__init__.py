@@ -7,8 +7,7 @@ The submodules are intentionally small and dependency-free (beyond numpy):
   detection transform and linear detectors.
 * :mod:`repro.utils.validation` — argument checking helpers shared by the
   public API surface.
-* :mod:`repro.utils.serialization` — JSON-friendly encoding of numpy-backed
-  dataclasses.
+* :mod:`repro.utils.batching` — bounded chunking of instance batches.
 """
 
 from repro.utils.rng import (
@@ -33,7 +32,6 @@ from repro.utils.validation import (
     require_power_of_two,
     require_probability,
 )
-from repro.utils.serialization import to_jsonable, from_jsonable
 
 __all__ = [
     "BatchRandomState",
@@ -52,6 +50,4 @@ __all__ = [
     "require_in_range",
     "require_power_of_two",
     "require_probability",
-    "to_jsonable",
-    "from_jsonable",
 ]
