@@ -1,0 +1,65 @@
+"""The golden study table shared by ``scripts/regen_golden.py`` and
+``tests/test_golden_regression.py``.
+
+:data:`STUDIES` maps each fixture name in ``tests/golden/`` to a
+zero-argument callable returning that study's result rows: every paper
+study's quick configuration, the network study, the micro ablation study and
+the single-instance entry points (see ``tests/entry_point_cases.py``).
+Single-result studies (headline, pipeline) are stored as a one-row list.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+from repro.ablation.presets import ablation_quick_rows
+from repro.experiments import (
+    Figure3Config,
+    Figure3Driver,
+    Figure7Config,
+    Figure7Driver,
+    HeadlineConfig,
+    HeadlineDriver,
+    InitializerAblationConfig,
+    InitializerAblationDriver,
+    PauseAblationConfig,
+    PauseAblationDriver,
+    PipelineStudyConfig,
+    PipelineStudyDriver,
+    SoftConstraintConfig,
+    SoftConstraintDriver,
+)
+from repro.experiments.driver import run_driver
+from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
+from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
+from repro.experiments.network_study import NetworkStudyConfig, NetworkStudyDriver
+from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver
+from tests.entry_point_cases import single_entry_point_rows
+
+#: Fixture name -> zero-argument callable returning a list of result rows.
+STUDIES = {
+    "ablation_quick": ablation_quick_rows,
+    "ablation_quick_initializers": lambda: run_driver(
+        InitializerAblationDriver(), InitializerAblationConfig.quick()
+    ),
+    "constraints_quick": lambda: run_driver(SoftConstraintDriver(), SoftConstraintConfig.quick()),
+    # Figure3Config has no quick preset: ``fig3 --quick`` runs the default.
+    "fig3_quick": lambda: run_driver(Figure3Driver(), Figure3Config()),
+    "fig6_quick": lambda: run_driver(Figure6Driver(), Figure6Config.quick()),
+    "fig7_quick": lambda: run_driver(Figure7Driver(), Figure7Config.quick()),
+    "fig8_quick": lambda: run_driver(Figure8Driver(), Figure8Config.quick()),
+    "headline_quick": lambda: [run_driver(HeadlineDriver(), HeadlineConfig.quick())],
+    "network_quick": lambda: run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick()).rows,
+    "pause_quick": lambda: run_driver(PauseAblationDriver(), PauseAblationConfig.quick()),
+    "pipeline_quick": lambda: [run_driver(PipelineStudyDriver(), PipelineStudyConfig.quick())],
+    "single_entry_points": single_entry_point_rows,
+    "snr_quick": lambda: run_driver(SNRStudyDriver(), SNRStudyConfig.quick()),
+}
+
+
+def rows_as_payload(rows) -> list:
+    """Result rows (dataclasses or plain dicts) as JSON-compatible dicts (exact floats)."""
+    return json.loads(
+        json.dumps([row if isinstance(row, dict) else dataclasses.asdict(row) for row in rows])
+    )

@@ -1,10 +1,9 @@
 """Golden regression tests for the quick experiment configurations.
 
 Each fixture in ``tests/golden/`` freezes the exact numeric output of one
-quick study under the replica-parallel kernels (``single_entry_points``
-pins the single-instance hybrid entry points instead; see
-``tests/entry_point_cases.py``).  These tests re-run them and compare every
-field bitwise, failing with a readable per-field diff.  They are the tripwire
+study of ``tests/golden_studies.py`` under the replica-parallel kernels.
+These tests re-run them and compare every field bitwise, failing with a
+readable per-field diff.  They are the tripwire
 for unintended numerics changes anywhere in the stack — kernels, RNG draw
 discipline, padding, or experiment plumbing.
 
@@ -16,63 +15,19 @@ The fixtures are recorded under the ``vectorized`` kernel and equally bind
 the ``numba`` kernel (bitwise-equal by contract, see tests/test_kernels.py).
 """
 
-import dataclasses
 import json
 import pathlib
 
 import pytest
 
-from repro.ablation.presets import ablation_quick_rows
-from repro.experiments import (
-    Figure3Config,
-    Figure3Driver,
-    Figure7Config,
-    Figure7Driver,
-    HeadlineConfig,
-    HeadlineDriver,
-    InitializerAblationConfig,
-    InitializerAblationDriver,
-    PauseAblationConfig,
-    PauseAblationDriver,
-    PipelineStudyConfig,
-    PipelineStudyDriver,
-    SoftConstraintConfig,
-    SoftConstraintDriver,
-)
-from repro.experiments.driver import run_driver
-from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
-from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
-from repro.experiments.network_study import NetworkStudyConfig, NetworkStudyDriver
-from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver
-from tests.entry_point_cases import single_entry_point_rows
+from tests.golden_studies import STUDIES, rows_as_payload
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-def rows_as_payload(rows) -> list:
-    """Result rows as JSON-roundtripped dicts (same as regen_golden)."""
-    return json.loads(
-        json.dumps([row if isinstance(row, dict) else dataclasses.asdict(row) for row in rows])
-    )
-
-STUDIES = {
-    "ablation_quick": ablation_quick_rows,
-    "ablation_quick_initializers": lambda: run_driver(
-        InitializerAblationDriver(), InitializerAblationConfig.quick()
-    ),
-    "constraints_quick": lambda: run_driver(SoftConstraintDriver(), SoftConstraintConfig.quick()),
-    # Figure3Config has no quick preset: ``fig3 --quick`` runs the default.
-    "fig3_quick": lambda: run_driver(Figure3Driver(), Figure3Config()),
-    "fig6_quick": lambda: run_driver(Figure6Driver(), Figure6Config.quick()),
-    "fig7_quick": lambda: run_driver(Figure7Driver(), Figure7Config.quick()),
-    "fig8_quick": lambda: run_driver(Figure8Driver(), Figure8Config.quick()),
-    "headline_quick": lambda: [run_driver(HeadlineDriver(), HeadlineConfig.quick())],
-    "network_quick": lambda: run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick()).rows,
-    "pause_quick": lambda: run_driver(PauseAblationDriver(), PauseAblationConfig.quick()),
-    "pipeline_quick": lambda: [run_driver(PipelineStudyDriver(), PipelineStudyConfig.quick())],
-    "single_entry_points": single_entry_point_rows,
-    "snr_quick": lambda: run_driver(SNRStudyDriver(), SNRStudyConfig.quick()),
-}
+def test_every_golden_fixture_has_a_study():
+    fixtures = sorted(path.stem for path in GOLDEN_DIR.glob("*.json"))
+    assert fixtures == sorted(STUDIES)
 
 
 def _diff(expected, actual, path, lines):
