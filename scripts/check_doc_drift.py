@@ -1,10 +1,11 @@
-"""CI doc-drift check: the CLI surface must be documented in docs/cli.md.
+"""CI doc-drift check: the CLI surface and docs/cli.md must agree.
 
 Walks the ``repro-experiments`` argument parser and asserts that every
 registered subcommand (experiment name) and every option flag appears
-somewhere in ``docs/cli.md``.  New CLI surface therefore cannot land without
-its documentation — the docs can drift in prose, but never silently lose an
-entry point.  It also renders ``--help`` for the root parser and every
+somewhere in ``docs/cli.md``, and that every ``--flag`` the document names
+is one the parser registers.  CLI surface therefore cannot land without its
+documentation, and a removed flag cannot linger in it — the docs can drift
+in prose, but never in entry points.  It also renders ``--help`` for the root parser and every
 subparser, so a help string argparse cannot format (a stray ``%``) fails
 here rather than in a user's terminal.
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import re
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -70,6 +72,13 @@ def cli_surface() -> list:
     return sorted(flags) + sorted(subcommands)
 
 
+def stale_flags(document: str) -> list:
+    """Every ``--flag`` named in ``document`` that no parser registers."""
+    registered = {option for parser in _parsers() for option in parser._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", document))
+    return sorted(named - registered)
+
+
 def check_help_renders() -> list:
     """Every parser's ``--help`` must format without raising."""
     problems = []
@@ -117,6 +126,13 @@ def main() -> int:
         print(
             "document every subcommand and flag in docs/cli.md (the doc-drift "
             "check matches plain substrings)",
+            file=sys.stderr,
+        )
+        return 1
+    stale = stale_flags(document)
+    if stale:
+        print(
+            "FAIL: docs/cli.md names flags the CLI does not have: " + ", ".join(stale),
             file=sys.stderr,
         )
         return 1
