@@ -92,3 +92,17 @@ def fast_sampler():
     """An annealer simulator configured for speed (few sweeps) in tests."""
     backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=16.0)
     return QuantumAnnealerSimulator(backend=backend, seed=99)
+
+
+@pytest.fixture
+def run_batch_calls(monkeypatch):
+    """Instance counts of every ``SpinVectorMonteCarloBackend.run_batch`` call, in order."""
+    calls = []
+    run_batch = SpinVectorMonteCarloBackend.run_batch
+
+    def counting_run_batch(self, fields, *args, **kwargs):
+        calls.append(len(fields))
+        return run_batch(self, fields, *args, **kwargs)
+
+    monkeypatch.setattr(SpinVectorMonteCarloBackend, "run_batch", counting_run_batch)
+    return calls

@@ -382,7 +382,7 @@ class TestHybridBatch:
                 assert expected.success_probability == actual.success_probability
                 assert expected.expectation_energy == actual.expectation_energy
 
-    def test_figure6_rows_do_not_depend_on_the_sampler_budget(self, monkeypatch):
+    def test_figure6_rows_do_not_depend_on_the_sampler_budget(self, monkeypatch, run_batch_calls):
         from repro.annealing import sampler as sampler_module
         from repro.experiments.driver import run_driver
         from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
@@ -390,22 +390,14 @@ class TestHybridBatch:
         config = Figure6Config(
             num_variables=8, instances_per_modulation=3, num_reads=40, modulations=("QPSK",)
         )
-        calls = []
-        run_batch = SpinVectorMonteCarloBackend.run_batch
-
-        def counting_run_batch(self, fields, *args, **kwargs):
-            calls.append(len(fields))
-            return run_batch(self, fields, *args, **kwargs)
-
-        monkeypatch.setattr(SpinVectorMonteCarloBackend, "run_batch", counting_run_batch)
         whole = run_driver(Figure6Driver(), config)
-        assert calls == [3, 3, 3]  # one submission per method
+        assert run_batch_calls == [3, 3, 3]  # one submission per method
 
-        calls.clear()
+        run_batch_calls.clear()
         # Two 8-spin instances of 40 reads fit: each method splits 2 + 1.
         monkeypatch.setattr(sampler_module, "SPIN_READ_BUDGET", 2 * 8 * 40)
         split = run_driver(Figure6Driver(), config)
-        assert calls == [2, 1, 2, 1, 2, 1]
+        assert run_batch_calls == [2, 1, 2, 1, 2, 1]
         assert split == whole
 
 

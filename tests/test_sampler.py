@@ -166,24 +166,16 @@ class TestSpinReadBudget:
         ids=["logical", "embedded"],
     )
     def test_chunked_batch_equals_one_submission(
-        self, monkeypatch, use_embedding, sizes, budget, chunked_calls
+        self, monkeypatch, run_batch_calls, use_embedding, sizes, budget, chunked_calls
     ):
         rng = np.random.default_rng(5)
         isings = [
             IsingModel(rng.normal(size=size), np.triu(rng.normal(size=(size, size)), k=1))
             for size in sizes
         ]
-        calls = []
-        run_batch = SpinVectorMonteCarloBackend.run_batch
-
-        def counting_run_batch(self, fields, *args, **kwargs):
-            calls.append(len(fields))
-            return run_batch(self, fields, *args, **kwargs)
-
-        monkeypatch.setattr(SpinVectorMonteCarloBackend, "run_batch", counting_run_batch)
 
         def sample():
-            calls.clear()
+            run_batch_calls.clear()
             sampler = QuantumAnnealerSimulator(
                 backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=8),
                 use_embedding=use_embedding,
@@ -192,10 +184,10 @@ class TestSpinReadBudget:
             return sampler.sample_ising_batch(isings, forward_anneal_schedule(1.0), 7, rng=21)
 
         whole = sample()
-        assert calls == ([1, 4] if use_embedding else [5])
+        assert run_batch_calls == ([1, 4] if use_embedding else [5])
         monkeypatch.setattr(sampler_module, "SPIN_READ_BUDGET", budget)
         chunked = sample()
-        assert calls == chunked_calls
+        assert run_batch_calls == chunked_calls
         for expected, actual in zip(whole, chunked, strict=True):
             assert actual.assignments().tobytes() == expected.assignments().tobytes()
             assert actual.energies().tobytes() == expected.energies().tobytes()
