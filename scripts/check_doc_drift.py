@@ -7,7 +7,8 @@ is one the parser registers.  CLI surface therefore cannot land without its
 documentation, and a removed flag cannot linger in it — the docs can drift
 in prose, but never in entry points.  It also renders ``--help`` for the root parser and every
 subparser, so a help string argparse cannot format (a stray ``%``) fails
-here rather than in a user's terminal.
+here rather than in a user's terminal, and checks that the Targets table of
+``docs/ablation.md`` lists exactly the experiments an ablation spec can sweep.
 
 Run from the repository root (CI does)::
 
@@ -105,8 +106,33 @@ def check_required_docs() -> list:
     return problems
 
 
+def check_ablation_targets() -> list:
+    """The Targets table of docs/ablation.md must list exactly the sweepable experiments."""
+    from repro.ablation.targets import sweepable_drivers
+
+    doc_path = REPO_ROOT / "docs" / "ablation.md"
+    if not doc_path.exists():
+        return []  # check_required_docs reports the missing page
+    _, _, section = doc_path.read_text(encoding="utf-8").partition("\n## Targets\n")
+    section = section.split("\n## ", 1)[0]
+    listed = set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE))
+    sweepable = set(sweepable_drivers())
+    problems = []
+    if sweepable - listed:
+        problems.append(
+            "docs/ablation.md Targets table is missing sweepable experiments: "
+            + ", ".join(sorted(sweepable - listed))
+        )
+    if listed - sweepable:
+        problems.append(
+            "docs/ablation.md Targets table lists experiments that cannot be swept: "
+            + ", ".join(sorted(listed - sweepable))
+        )
+    return problems
+
+
 def main() -> int:
-    problems = check_required_docs() + check_help_renders()
+    problems = check_required_docs() + check_help_renders() + check_ablation_targets()
     if problems:
         print("FAIL: " + "; ".join(problems), file=sys.stderr)
         return 1

@@ -11,12 +11,6 @@ optional Pareto front.  See ``docs/ablation.md`` for the full contract.
 
 from repro.ablation.io import load_spec, spec_from_mapping
 from repro.ablation.pareto import ParetoExclusion, ParetoExclusionWarning, pareto_front
-from repro.ablation.registry import (
-    ExperimentTarget,
-    available_targets,
-    get_target,
-    register_target,
-)
 from repro.ablation.spec import (
     AblationSpec,
     StudyPoint,
@@ -38,18 +32,14 @@ __all__ = [
     "StudyRow",
     "StudyResult",
     "PointResult",
-    "ExperimentTarget",
     "ParetoExclusion",
     "ParetoExclusionWarning",
-    "available_targets",
     "compile_config",
     "expand_spec",
     "format_study_table",
-    "get_target",
     "load_spec",
     "pareto_front",
     "point_fingerprint",
-    "register_target",
     "run_study",
     "spec_from_mapping",
 ]

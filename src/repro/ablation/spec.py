@@ -1,7 +1,7 @@
 """Declarative ablation/HPO study specifications and their expansion.
 
 An :class:`AblationSpec` is the whole description of a tradeoff study: which
-registered experiment to sweep (see :mod:`repro.ablation.registry`), a preset
+sweepable experiment to run (see :mod:`repro.ablation.targets`), a preset
 plus base-config overrides, the axes to vary, and how the resulting grid is
 explored (full cartesian product or a seed-keyed subsample).  The spec is a
 frozen value object — :func:`expand_spec` turns it into a deterministic,
@@ -104,8 +104,8 @@ class AblationSpec:
         and the artifact filename); not part of point fingerprints, so two
         differently named but otherwise identical specs share cache entries.
     experiment:
-        A registered experiment target (see
-        :func:`repro.ablation.registry.available_targets`).
+        A sweepable experiment: the name of a study driver that declares
+        metrics (see :func:`repro.ablation.targets.sweepable_drivers`).
     preset:
         Which of the target's configuration presets seeds the base config
         (``default`` / ``quick`` / ``paper`` where supported).

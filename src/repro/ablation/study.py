@@ -18,18 +18,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro import telemetry
 from repro.ablation.pareto import ParetoExclusion, pareto_front
-from repro.ablation.registry import ExperimentTarget, get_target
 from repro.ablation.spec import AblationSpec, StudyPoint, compile_config, expand_spec
+from repro.ablation.targets import sweepable_drivers
 from repro.exceptions import ConfigurationError
+from repro.experiments import ExperimentDriver, config_presets
 from repro.parallel import ParallelRunner, ResultCache, ShardTask
 from repro.parallel.runner import RunStats
 from repro.telemetry.log import get_logger
+from repro.utils.jsonable import to_jsonable
 
 __all__ = [
     "ABLATION_ARTIFACT_SCHEMA_VERSION",
@@ -109,15 +110,15 @@ class StudyResult:
                 "experiment": self.spec.experiment,
                 "preset": self.spec.preset,
                 "strategy": self.spec.strategy,
-                "base": {name: _jsonable(value) for name, value in self.spec.base},
-                "axes": {name: _jsonable(values) for name, values in self.spec.axes},
+                "base": {name: to_jsonable(value) for name, value in self.spec.base},
+                "axes": {name: to_jsonable(values) for name, values in self.spec.axes},
                 "objectives": [list(pair) for pair in self.spec.objectives],
                 "points": [
                     {
                         "point_id": row.point_id,
                         "index": row.index,
-                        "assignments": {k: _jsonable(v) for k, v in row.assignments},
-                        "metrics": {k: _jsonable(v) for k, v in row.metrics},
+                        "assignments": {k: to_jsonable(v) for k, v in row.assignments},
+                        "metrics": {k: to_jsonable(v) for k, v in row.metrics},
                         "on_front": row.on_front,
                     }
                     for row in self.table_rows()
@@ -129,17 +130,6 @@ class StudyResult:
                 "stats": dataclasses.asdict(self.stats),
             },
         }
-
-
-def _jsonable(value: Any) -> Any:
-    """JSON-safe reduction (non-finite floats become ``repr`` strings)."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else repr(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    return value
 
 
 def _validate_metric_names(spec: AblationSpec, metric_names: Tuple[str, ...]) -> None:
@@ -166,26 +156,38 @@ def _validate_metric_names(spec: AblationSpec, metric_names: Tuple[str, ...]) ->
 
 def compile_study(
     spec: AblationSpec,
-) -> Tuple[ExperimentTarget, Tuple[StudyPoint, ...], List[Any], List[ShardTask], List[slice]]:
+) -> Tuple[ExperimentDriver, Tuple[StudyPoint, ...], List[Any], List[ShardTask], List[slice]]:
     """Validate and compile a spec into its points, configs and shard tasks.
 
-    Returns ``(target, points, configs, tasks, slices)`` where ``slices[i]``
+    Returns ``(driver, points, configs, tasks, slices)`` where ``slices[i]``
     selects point ``i``'s tasks inside the concatenated ``tasks`` list.
     """
-    target = get_target(spec.experiment)
-    base_config = target.make_config(spec.preset)
-    _validate_metric_names(spec, target.driver.metric_names)
+    drivers = sweepable_drivers()
+    if spec.experiment not in drivers:
+        raise ConfigurationError(
+            f"experiment {spec.experiment!r} is not sweepable; sweepable experiments: "
+            + ", ".join(sorted(drivers))
+        )
+    driver = drivers[spec.experiment]
+    presets = config_presets(driver.config_class)
+    if spec.preset not in presets:
+        raise ConfigurationError(
+            f"experiment {spec.experiment!r} has no preset {spec.preset!r}; presets: "
+            + ", ".join(sorted(presets))
+        )
+    base_config = presets[spec.preset]()
+    _validate_metric_names(spec, driver.metric_names)
     points = expand_spec(spec)
     configs: List[Any] = []
     tasks: List[ShardTask] = []
     slices: List[slice] = []
     for point in points:
         config = compile_config(spec, point, base_config)
-        inner = list(target.driver.tasks(config))
+        inner = list(driver.tasks(config))
         slices.append(slice(len(tasks), len(tasks) + len(inner)))
         tasks.extend(inner)
         configs.append(config)
-    return target, points, configs, tasks, slices
+    return driver, points, configs, tasks, slices
 
 
 def run_study(
@@ -200,7 +202,7 @@ def run_study(
     and ``cache`` reuses shard results across runs and across the imperative
     drivers (the shards are identical work units); see :mod:`repro.parallel`.
     """
-    target, points, configs, tasks, slices = compile_study(spec)
+    driver, points, configs, tasks, slices = compile_study(spec)
     _log.info(
         "ablation.study_start",
         study=spec.name,
@@ -212,7 +214,6 @@ def run_study(
     runner = ParallelRunner(workers=workers, cache=cache)
     shard_results = runner.run_sharded(tasks)
 
-    driver = target.driver
     selected = spec.metrics or driver.metric_names
     results: List[PointResult] = []
     for point, config, task_slice in zip(points, configs, slices):
@@ -223,7 +224,7 @@ def run_study(
         telemetry.emit_progress(
             f"ablation:{spec.name}",
             point.point_id,
-            **{name: _jsonable(value) for name, value in metrics},
+            **{name: to_jsonable(value) for name, value in metrics},
         )
 
     front: Tuple[str, ...] = ()
@@ -290,5 +291,5 @@ def _format_cell(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     if isinstance(value, (list, tuple)):
-        return json.dumps(_jsonable(value))
+        return json.dumps(to_jsonable(value))
     return str(value)

@@ -1,16 +1,15 @@
-"""Built-in ablation targets: fig8, robustness, the serving/scenario/network/
-QoS drivers, and a synthetic SA HPO sweep.
+"""Ablation targets: every study driver that declares metrics, plus a
+synthetic SA HPO sweep.
 
-Each target wraps an :class:`~repro.experiments.driver.ExperimentDriver`
-with the presets its config class defines: a study point's shards are *the
-same work units* — same functions, same kwargs, same cache fingerprints —
-that ``run_driver`` (and so ``repro-experiments fig8`` / ``robustness`` /
-``serve`` / ``scenarios`` / ``network`` / ``qos``) produces, and the rows and
-metrics come from the driver's own pure ``aggregate``/``metrics`` pair.  This
-is what makes the harness subsume the imperative runs bitwise, and it means
-the declarative and imperative paths share one warm cache.  The
-serving-side targets turn pool sizes, autoscale thresholds, QoS class mixes
-and the network study's detector/embedder knobs into sweepable axes.
+A spec's ``experiment`` names a driver in :data:`repro.experiments.DRIVERS`
+(or ``anneal-hpo``) whose ``metric_names`` is non-empty.  A study point runs
+*the same work units* — same functions, same kwargs, same cache
+fingerprints — that ``run_driver`` (and so the matching
+``repro-experiments`` subcommand) produces, and the rows and metrics come
+from the driver's own pure ``aggregate``/``metrics`` pair.  This is what makes the harness subsume the
+imperative runs bitwise, and it means the declarative and imperative paths
+share one warm cache.  Presets come from ``config_presets`` on the driver's
+``config_class``.
 
 ``anneal-hpo`` is a self-contained hyper-parameter target (simulated
 annealing over a planted random QUBO) used by examples, the property-test
@@ -21,25 +20,9 @@ Pareto path in milliseconds without touching the MIMO stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.ablation.registry import ExperimentTarget, register_target
-from repro.experiments import (
-    ExperimentDriver,
-    Figure8Config,
-    Figure8Driver,
-    LoadStudyConfig,
-    LoadStudyDriver,
-    NetworkStudyConfig,
-    NetworkStudyDriver,
-    QoSStudyConfig,
-    QoSStudyDriver,
-    RobustnessStudyConfig,
-    RobustnessStudyDriver,
-    ScenarioStudyConfig,
-    ScenarioStudyDriver,
-    config_presets,
-)
+from repro.experiments import DRIVERS, ExperimentDriver
 from repro.experiments.driver import mean_or_nan
 from repro.parallel import ShardTask
 
@@ -47,7 +30,7 @@ __all__ = [
     "AnnealHPOConfig",
     "AnnealHPODriver",
     "AnnealHPORow",
-    "register_builtin_targets",
+    "sweepable_drivers",
 ]
 
 
@@ -129,6 +112,7 @@ class AnnealHPODriver(ExperimentDriver):
 
     name = "anneal-hpo"
     metric_names = ANNEAL_HPO_METRICS
+    config_class = AnnealHPOConfig
 
     def tasks(self, config: AnnealHPOConfig) -> List[ShardTask]:
         """One shard per SA restart, each seeded by (base_seed, restart)."""
@@ -151,16 +135,8 @@ class AnnealHPODriver(ExperimentDriver):
         )
 
 
-def register_builtin_targets() -> None:
-    """Register the built-in targets (idempotent via replace=True)."""
-    builtins = (
-        (Figure8Driver(), Figure8Config),
-        (RobustnessStudyDriver(), RobustnessStudyConfig),
-        (LoadStudyDriver(), LoadStudyConfig),
-        (ScenarioStudyDriver(), ScenarioStudyConfig),
-        (NetworkStudyDriver(), NetworkStudyConfig),
-        (QoSStudyDriver(), QoSStudyConfig),
-        (AnnealHPODriver(), AnnealHPOConfig),
-    )
-    for driver, config_class in builtins:
-        register_target(ExperimentTarget(driver, config_presets(config_class)), replace=True)
+def sweepable_drivers() -> Dict[str, ExperimentDriver]:
+    """Every driver a spec's ``experiment`` may name, keyed by name."""
+    candidates = (*DRIVERS, AnnealHPODriver())
+    return {driver.name: driver for driver in candidates if driver.metric_names}
+

@@ -40,8 +40,10 @@ without it (see ``docs/telemetry.md``).  ``--verbose/-v`` and ``--quiet/-q``
 control structured progress logging.
 
 Parsed options land in one :class:`CommonRunOptions` value consumed by every
-experiment, so adding a subcommand means one table entry — never re-wiring
-flags.  Every experiment subcommand runs through
+experiment.  The subcommands and the ``all`` loop come from
+:data:`repro.experiments.DRIVERS`: each driver names its config class and
+table formatter, so adding a study means one ``DRIVERS`` entry — never
+re-wiring flags.  Every experiment subcommand runs through
 :func:`~repro.experiments.driver.run_driver` with its study's driver.
 
 ``ablate`` runs a declarative ablation/HPO study: ``--spec FILE`` names a
@@ -59,63 +61,14 @@ import json
 import pathlib
 import re
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro import telemetry
 from repro.parallel import ResultCache
 from repro.telemetry import exporters
 from repro.telemetry.log import configure_logging, get_logger
 
-from repro.experiments import (
-    ExperimentDriver,
-    Figure3Config,
-    Figure3Driver,
-    Figure6Config,
-    Figure6Driver,
-    Figure7Config,
-    Figure7Driver,
-    Figure8Config,
-    Figure8Driver,
-    HeadlineConfig,
-    HeadlineDriver,
-    InitializerAblationConfig,
-    InitializerAblationDriver,
-    LoadStudyConfig,
-    LoadStudyDriver,
-    NetworkStudyConfig,
-    NetworkStudyDriver,
-    PauseAblationConfig,
-    PauseAblationDriver,
-    PipelineStudyConfig,
-    PipelineStudyDriver,
-    QoSStudyConfig,
-    QoSStudyDriver,
-    RobustnessStudyConfig,
-    RobustnessStudyDriver,
-    ScenarioStudyConfig,
-    ScenarioStudyDriver,
-    SNRStudyConfig,
-    SNRStudyDriver,
-    SoftConstraintConfig,
-    SoftConstraintDriver,
-    config_presets,
-    format_figure3_table,
-    format_figure6_table,
-    format_figure7_table,
-    format_figure8_table,
-    format_headline_report,
-    format_initializer_table,
-    format_load_study_table,
-    format_network_table,
-    format_pause_table,
-    format_pipeline_table,
-    format_qos_table,
-    format_robustness_table,
-    format_scenario_table,
-    format_snr_table,
-    format_soft_constraint_table,
-    run_driver,
-)
+from repro.experiments import DRIVERS, config_presets, run_driver
 
 __all__ = ["CommonRunOptions", "main"]
 
@@ -174,27 +127,8 @@ def _run_ablate(spec_path: str, output: Optional[str], options: CommonRunOptions
     return format_study_table(result) + f"\nArtifact: {artifact}"
 
 
-#: Subcommand (``driver.name``) -> (driver, config class, table formatter).
-_EXPERIMENTS: Dict[str, Tuple[ExperimentDriver, Any, Callable[[Any], str]]] = {
-    driver.name: (driver, config_class, formatter)
-    for driver, config_class, formatter in (
-        (Figure3Driver(), Figure3Config, format_figure3_table),
-        (Figure6Driver(), Figure6Config, format_figure6_table),
-        (Figure7Driver(), Figure7Config, format_figure7_table),
-        (Figure8Driver(), Figure8Config, format_figure8_table),
-        (HeadlineDriver(), HeadlineConfig, format_headline_report),
-        (PipelineStudyDriver(), PipelineStudyConfig, format_pipeline_table),
-        (InitializerAblationDriver(), InitializerAblationConfig, format_initializer_table),
-        (SoftConstraintDriver(), SoftConstraintConfig, format_soft_constraint_table),
-        (SNRStudyDriver(), SNRStudyConfig, format_snr_table),
-        (PauseAblationDriver(), PauseAblationConfig, format_pause_table),
-        (RobustnessStudyDriver(), RobustnessStudyConfig, format_robustness_table),
-        (LoadStudyDriver(), LoadStudyConfig, format_load_study_table),
-        (ScenarioStudyDriver(), ScenarioStudyConfig, format_scenario_table),
-        (NetworkStudyDriver(), NetworkStudyConfig, format_network_table),
-        (QoSStudyDriver(), QoSStudyConfig, format_qos_table),
-    )
-}
+#: Subcommand -> the study's driver.
+_DRIVERS = {driver.name: driver for driver in DRIVERS}
 
 
 def _scale_options() -> argparse.ArgumentParser:
@@ -288,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which experiment to run ('ablate' runs a declarative study "
         "from --spec and is not part of 'all')",
     )
-    for name, (driver, *_) in sorted(_EXPERIMENTS.items()):
+    for name, driver in sorted(_DRIVERS.items()):
         summary = driver.description
         subparsers.add_parser(name, parents=[scale, execution], help=summary, description=summary)
     subparsers.add_parser(
@@ -354,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     configure_logging(-1 if arguments.quiet else arguments.verbose)
 
     session = telemetry.enable() if arguments.telemetry is not None else None
-    names = sorted(_EXPERIMENTS) if arguments.experiment == "all" else [arguments.experiment]
+    names = sorted(_DRIVERS) if arguments.experiment == "all" else [arguments.experiment]
     try:
         # Spec loading happens inside the try so a bad spec still exports
         # whatever telemetry was recorded before the failure.
@@ -363,9 +297,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print()
         else:
             for name in names:
-                driver, config_class, formatter = _EXPERIMENTS[name]
-                config = _config(config_class, options)
-                print(formatter(run_driver(driver, config, options.workers, options.cache)))
+                driver = _DRIVERS[name]
+                config = _config(driver.config_class, options)
+                result = run_driver(driver, config, options.workers, options.cache)
+                print(driver.format_table(result))
                 print()
     finally:
         # Export whatever was recorded even when an experiment raises —

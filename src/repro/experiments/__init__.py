@@ -33,8 +33,9 @@ E-QS      QoS — classless vs class-aware serving of a mixed
 Every study has one entry path, ``run_driver(XDriver(), XConfig)``: an
 :class:`~repro.experiments.driver.ExperimentDriver` (``tasks`` /
 ``aggregate`` / ``metrics``) executed by
-:func:`~repro.experiments.driver.run_driver`.  The ablation harness wraps the
-same driver objects in its targets.
+:func:`~repro.experiments.driver.run_driver`.  :data:`DRIVERS` holds one
+instance of each study's driver: the CLI builds a subcommand per entry, and
+the ablation harness sweeps every entry that declares ``metric_names``.
 """
 
 from repro.experiments.driver import ExperimentDriver, config_presets, run_driver
@@ -141,7 +142,27 @@ from repro.experiments.qos_study import (
     format_qos_table,
 )
 
+#: One driver instance per CLI study.
+DRIVERS = (
+    Figure3Driver(),
+    Figure6Driver(),
+    Figure7Driver(),
+    Figure8Driver(),
+    HeadlineDriver(),
+    PipelineStudyDriver(),
+    InitializerAblationDriver(),
+    SoftConstraintDriver(),
+    SNRStudyDriver(),
+    PauseAblationDriver(),
+    RobustnessStudyDriver(),
+    LoadStudyDriver(),
+    ScenarioStudyDriver(),
+    NetworkStudyDriver(),
+    QoSStudyDriver(),
+)
+
 __all__ = [
+    "DRIVERS",
     "ExperimentDriver",
     "config_presets",
     "run_driver",

@@ -142,24 +142,6 @@ def _initializer_shard(config: InitializerAblationConfig) -> InitializerAblation
     )
 
 
-class InitializerAblationDriver(ExperimentDriver):
-    """The initialiser ablation behind the shared experiment-driver protocol."""
-
-    name = "ablation"
-    description = "initialiser-quality ablation (GS/ZF/MMSE/sphere)"
-
-    def tasks(self, config: InitializerAblationConfig) -> List[ShardTask]:
-        """One task per initialiser, its config holding only that initialiser."""
-        return [
-            ShardTask(
-                key=("ablation", name),
-                fn=_initializer_shard,
-                kwargs={"config": dataclasses.replace(config, initializers=(name,))},
-            )
-            for name in config.initializers
-        ]
-
-
 def format_initializer_table(rows: Sequence[InitializerAblationRow]) -> str:
     """Render the initialiser ablation as an aligned text table."""
     lines = [
@@ -174,6 +156,26 @@ def format_initializer_table(rows: Sequence[InitializerAblationRow]) -> str:
             f"{row.classical_time_us:>19.2f}"
         )
     return "\n".join(lines)
+
+
+class InitializerAblationDriver(ExperimentDriver):
+    """The initialiser ablation behind the shared experiment-driver protocol."""
+
+    name = "ablation"
+    description = "initialiser-quality ablation (GS/ZF/MMSE/sphere)"
+    config_class = InitializerAblationConfig
+    format_table = staticmethod(format_initializer_table)
+
+    def tasks(self, config: InitializerAblationConfig) -> List[ShardTask]:
+        """One task per initialiser, its config holding only that initialiser."""
+        return [
+            ShardTask(
+                key=("ablation", name),
+                fn=_initializer_shard,
+                kwargs={"config": dataclasses.replace(config, initializers=(name,))},
+            )
+            for name in config.initializers
+        ]
 
 
 # --------------------------------------------------------------------------- #
@@ -297,14 +299,6 @@ def _soft_constraint_rows(config: SoftConstraintConfig) -> List[SoftConstraintRo
     return rows
 
 
-class SoftConstraintDriver(SingleShardDriver):
-    """The soft-constraint study as one shard: every strength shares one annealer."""
-
-    name = "constraints"
-    description = "Figure 4 — soft-information constraints"
-    study = staticmethod(_soft_constraint_rows)
-
-
 def format_soft_constraint_table(rows: Sequence[SoftConstraintRow]) -> str:
     """Render the soft-constraint study as an aligned text table."""
     lines = [
@@ -318,3 +312,13 @@ def format_soft_constraint_table(rows: Sequence[SoftConstraintRow]) -> str:
             f"{row.success_probability:>17.3f}  {row.expectation_delta_e:>7.2f}"
         )
     return "\n".join(lines)
+
+
+class SoftConstraintDriver(SingleShardDriver):
+    """The soft-constraint study as one shard: every strength shares one annealer."""
+
+    name = "constraints"
+    description = "Figure 4 — soft-information constraints"
+    study = staticmethod(_soft_constraint_rows)
+    config_class = SoftConstraintConfig
+    format_table = staticmethod(format_soft_constraint_table)

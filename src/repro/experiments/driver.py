@@ -17,11 +17,16 @@ Every study is a frozen configuration dataclass plus an
 * :meth:`~ExperimentDriver.progress` — the driver's progress-telemetry
   side effects, kept out of :meth:`aggregate` so study points stay silent.
 
+A driver is the whole record of its study: besides the protocol above it
+names its ``config_class`` and its CLI ``format_table``, so
+:data:`repro.experiments.DRIVERS` is the one study table the CLI builds its
+subcommands from and the ablation harness looks a spec's ``experiment`` up
+in (every driver that declares ``metric_names`` is an ablation target).
+
 :func:`run_driver` is the only runner: the CLI, benchmarks, examples and
 tests call ``run_driver(XDriver(), XConfig)`` directly, so every study gets
 ``--workers``, the result cache and shard telemetry, and the ablation
-harness wraps the same driver objects in its targets
-(:class:`repro.ablation.registry.ExperimentTarget`).  Configs validate
+harness runs the same driver objects per study point.  Configs validate
 themselves in ``__post_init__``, so every entry point rejects a bad config
 with the same message.  :func:`config_presets` names the ``default`` /
 ``quick`` / ``paper`` variants of a config class for the CLI and the harness.
@@ -64,11 +69,10 @@ def mean_or_nan(values: Sequence[float]) -> float:
 class ExperimentDriver(ABC):
     """One experiment behind the shared ``tasks / aggregate / metrics`` API.
 
-    Subclasses set :attr:`name` (the CLI subcommand and the registry key a
-    :class:`~repro.ablation.registry.ExperimentTarget` binding uses),
-    :attr:`description` and :attr:`metric_names` (the declaration-ordered
-    names :meth:`metrics` emits; empty for experiments the ablation harness
-    does not sweep), and implement :meth:`tasks`.
+    Subclasses set :attr:`name`, :attr:`description`, :attr:`metric_names`
+    (the declaration-ordered names :meth:`metrics` emits; empty for studies
+    the ablation harness does not sweep), :attr:`config_class` and, for CLI
+    studies, :attr:`format_table`, and implement :meth:`tasks`.
     """
 
     #: The CLI subcommand and the ablation spec's ``experiment`` value.
@@ -77,6 +81,10 @@ class ExperimentDriver(ABC):
     description: str = ""
     #: Names :meth:`metrics` emits, in declaration order.
     metric_names: Tuple[str, ...] = ()
+    #: The frozen config dataclass; :func:`config_presets` names its variants.
+    config_class: type
+    #: ``result -> str``: the CLI's table of a result (``staticmethod``-wrapped).
+    format_table: Callable[[Any], str]
 
     @abstractmethod
     def tasks(self, config: Any) -> Sequence[ShardTask]:
@@ -106,8 +114,8 @@ class ExperimentDriver(ABC):
     def metrics(self, rows: Sequence[Any]) -> Tuple[Tuple[str, float], ...]:
         """Scalar summary metrics over the tidy rows, in declaration order.
 
-        The default is no metrics — only experiments registered with the
-        ablation harness need them.
+        The default is no metrics — only studies the ablation harness
+        sweeps need them.
         """
         return ()
 

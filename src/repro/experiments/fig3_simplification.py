@@ -106,25 +106,6 @@ def _figure3_point_shard(config: Figure3Config) -> Figure3Row:
     )
 
 
-class Figure3Driver(ExperimentDriver):
-    """Figure 3 behind the shared experiment-driver protocol."""
-
-    name = "fig3"
-    description = "Figure 3 — QUBO simplification by variable prefixing"
-
-    def tasks(self, config: Figure3Config) -> List[ShardTask]:
-        """One task per (modulation, users) point, its config holding only that point."""
-        return [
-            ShardTask(
-                key=("fig3", modulation, users),
-                fn=_figure3_point_shard,
-                kwargs={"config": dataclasses.replace(config, user_counts={modulation: (users,)})},
-            )
-            for modulation, user_counts in config.user_counts.items()
-            for users in user_counts
-        ]
-
-
 def format_figure3_table(rows: Sequence[Figure3Row]) -> str:
     """Render the Figure 3 series as an aligned text table."""
     lines = [
@@ -138,3 +119,24 @@ def format_figure3_table(rows: Sequence[Figure3Row]) -> str:
             f"{row.simplified_ratio:>16.2f}  {row.average_fixed_variables:>14.2f}"
         )
     return "\n".join(lines)
+
+
+class Figure3Driver(ExperimentDriver):
+    """Figure 3 behind the shared experiment-driver protocol."""
+
+    name = "fig3"
+    description = "Figure 3 — QUBO simplification by variable prefixing"
+    config_class = Figure3Config
+    format_table = staticmethod(format_figure3_table)
+
+    def tasks(self, config: Figure3Config) -> List[ShardTask]:
+        """One task per (modulation, users) point, its config holding only that point."""
+        return [
+            ShardTask(
+                key=("fig3", modulation, users),
+                fn=_figure3_point_shard,
+                kwargs={"config": dataclasses.replace(config, user_counts={modulation: (users,)})},
+            )
+            for modulation, user_counts in config.user_counts.items()
+            for users in user_counts
+        ]

@@ -221,11 +221,29 @@ def _figure6_shard(config: Figure6Config, num_users: int, modulation: str) -> Li
     return series
 
 
+def format_figure6_table(series: Sequence[Figure6Series]) -> str:
+    """Render the Figure 6 summary as an aligned text table."""
+    lines = [
+        "Figure 6 - Delta-E% distribution over anneal samples",
+        f"{'modulation':>10}  {'method':>10}  {'samples':>8}  {'mean dE%':>9}  "
+        f"{'median dE%':>10}  {'P(ground)':>9}",
+    ]
+    for row in series:
+        lines.append(
+            f"{row.modulation:>10}  {row.method:>10}  {row.num_samples:>8}  "
+            f"{row.mean_delta_e:>9.2f}  {row.median_delta_e:>10.2f}  "
+            f"{row.ground_state_fraction:>9.3f}"
+        )
+    return "\n".join(lines)
+
+
 class Figure6Driver(ExperimentDriver):
     """Figure 6 behind the shared experiment-driver protocol."""
 
     name = "fig6"
     description = "Figure 6 — delta-E percentage distributions of FA / RA"
+    config_class = Figure6Config
+    format_table = staticmethod(format_figure6_table)
 
     def tasks(self, config: Figure6Config) -> List[ShardTask]:
         """One task per (num_users, modulation) pair.
@@ -264,19 +282,3 @@ class Figure6Driver(ExperimentDriver):
     def progress(self, config, tasks, results) -> None:
         for task, shard in zip(tasks, results):
             telemetry.emit_progress("fig6", task.key[1:], series=len(shard))
-
-
-def format_figure6_table(series: Sequence[Figure6Series]) -> str:
-    """Render the Figure 6 summary as an aligned text table."""
-    lines = [
-        "Figure 6 - Delta-E% distribution over anneal samples",
-        f"{'modulation':>10}  {'method':>10}  {'samples':>8}  {'mean dE%':>9}  "
-        f"{'median dE%':>10}  {'P(ground)':>9}",
-    ]
-    for row in series:
-        lines.append(
-            f"{row.modulation:>10}  {row.method:>10}  {row.num_samples:>8}  "
-            f"{row.mean_delta_e:>9.2f}  {row.median_delta_e:>10.2f}  "
-            f"{row.ground_state_fraction:>9.3f}"
-        )
-    return "\n".join(lines)

@@ -167,14 +167,6 @@ def _figure7_rows(config: Figure7Config) -> List[Figure7Row]:
     return rows
 
 
-class Figure7Driver(SingleShardDriver):
-    """Figure 7 as one shard: every bin's RA runs draw from one annealer stream."""
-
-    name = "fig7"
-    description = "Figure 7 — RA performance vs initial-state quality"
-    study = staticmethod(_figure7_rows)
-
-
 def format_figure7_table(rows: Sequence[Figure7Row]) -> str:
     """Render the Figure 7 series as an aligned text table."""
     lines = [
@@ -189,3 +181,13 @@ def format_figure7_table(rows: Sequence[Figure7Row]) -> str:
             f"{row.success_probability:>10.3f}  {row.expectation_delta_e:>15.2f}"
         )
     return "\n".join(lines)
+
+
+class Figure7Driver(SingleShardDriver):
+    """Figure 7 as one shard: every bin's RA runs draw from one annealer stream."""
+
+    name = "fig7"
+    description = "Figure 7 — RA performance vs initial-state quality"
+    study = staticmethod(_figure7_rows)
+    config_class = Figure7Config
+    format_table = staticmethod(format_figure7_table)

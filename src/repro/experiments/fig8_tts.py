@@ -286,12 +286,35 @@ def _figure8_fr_shard(config: Figure8Config, switch_s: float) -> List[Figure8Row
     return _rows_from_records("FR-oracle", [best])
 
 
+def format_figure8_table(rows: Sequence[Figure8Row]) -> str:
+    """Render the Figure 8 sweep as an aligned text table."""
+    lines = [
+        "Figure 8 - success probability and TTS(99%) vs switch/pause location s_p",
+        f"{'method':>16}  {'s_p':>5}  {'p*':>7}  {'TTS (us)':>12}  {'duration (us)':>13}  "
+        f"{'dE_IS%':>7}",
+    ]
+    for row in sorted(rows, key=lambda item: (item.method, item.switch_s)):
+        tts_text = f"{row.tts_us:.1f}" if np.isfinite(row.tts_us) else "inf"
+        quality_text = (
+            f"{row.initial_quality_percent:.1f}"
+            if row.initial_quality_percent is not None
+            else "-"
+        )
+        lines.append(
+            f"{row.method:>16}  {row.switch_s:>5.2f}  {row.success_probability:>7.3f}  "
+            f"{tts_text:>12}  {row.duration_us:>13.2f}  {quality_text:>7}"
+        )
+    return "\n".join(lines)
+
+
 class Figure8Driver(ExperimentDriver):
     """Figure 8 behind the shared experiment-driver protocol."""
 
     name = "fig8"
     description = "Figure 8 — success probability and TTS vs s_p"
     metric_names = FIG8_METRICS
+    config_class = Figure8Config
+    format_table = staticmethod(format_figure8_table)
 
     def tasks(self, config: Figure8Config) -> List[ShardTask]:
         """FA sweep, RA family, one task per FR point.
@@ -355,24 +378,3 @@ class Figure8Driver(ExperimentDriver):
     def progress(self, config, tasks, results) -> None:
         for task, shard in zip(tasks, results):
             telemetry.emit_progress("fig8", task.key[1:], rows=len(shard))
-
-
-def format_figure8_table(rows: Sequence[Figure8Row]) -> str:
-    """Render the Figure 8 sweep as an aligned text table."""
-    lines = [
-        "Figure 8 - success probability and TTS(99%) vs switch/pause location s_p",
-        f"{'method':>16}  {'s_p':>5}  {'p*':>7}  {'TTS (us)':>12}  {'duration (us)':>13}  "
-        f"{'dE_IS%':>7}",
-    ]
-    for row in sorted(rows, key=lambda item: (item.method, item.switch_s)):
-        tts_text = f"{row.tts_us:.1f}" if np.isfinite(row.tts_us) else "inf"
-        quality_text = (
-            f"{row.initial_quality_percent:.1f}"
-            if row.initial_quality_percent is not None
-            else "-"
-        )
-        lines.append(
-            f"{row.method:>16}  {row.switch_s:>5.2f}  {row.success_probability:>7.3f}  "
-            f"{tts_text:>12}  {row.duration_us:>13.2f}  {quality_text:>7}"
-        )
-    return "\n".join(lines)

@@ -179,14 +179,6 @@ def _headline_result(config: HeadlineConfig) -> HeadlineResult:
     )
 
 
-class HeadlineDriver(SingleShardDriver):
-    """The headline comparison as one shard: FA and RA share one annealer."""
-
-    name = "headline"
-    description = "the abstract's 2-10x RA vs FA comparison"
-    study = staticmethod(_headline_result)
-
-
 def format_headline_report(result: HeadlineResult) -> str:
     """Render the headline comparison, one instance per row plus the medians."""
     lines = [
@@ -213,3 +205,13 @@ def format_headline_report(result: HeadlineResult) -> str:
         "(paper reports approximately 2-10x)"
     )
     return "\n".join(lines)
+
+
+class HeadlineDriver(SingleShardDriver):
+    """The headline comparison as one shard: FA and RA share one annealer."""
+
+    name = "headline"
+    description = "the abstract's 2-10x RA vs FA comparison"
+    study = staticmethod(_headline_result)
+    config_class = HeadlineConfig
+    format_table = staticmethod(format_headline_report)

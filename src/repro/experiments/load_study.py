@@ -234,12 +234,45 @@ def _load_shard(
     return serialized, pipelined, pooled
 
 
+def format_load_study_table(result: LoadStudyResult) -> str:
+    """Render the sweep plus the peak-load pooled report as text."""
+    config = result.config
+    lines = [
+        "RAN serving load study - deadline-miss rate vs offered load",
+        f"{config.num_cells} cells x {config.users_per_cell} users, "
+        f"{config.jobs_per_user} jobs/user, budget {config.turnaround_budget_us:.0f} us, "
+        f"policy {config.policy}, {config.annealer_workers} annealer + "
+        f"{config.classical_workers} classical workers",
+        f"{'load':>6}  {'jobs/ms':>8}  {'miss(serial)':>12}  {'miss(pipe)':>10}  "
+        f"{'miss(pool)':>10}  {'p95(serial)':>11}  {'p95(pipe)':>9}  {'p95(pool)':>9}  "
+        f"{'mean B':>6}  {'demoted':>7}",
+    ]
+    for row in result.rows:
+        lines.append(
+            f"{row.load_factor:>6.2f}  {row.offered_load_jobs_per_ms:>8.2f}  "
+            f"{row.serialized_miss_rate:>12.3f}  {row.pipelined_miss_rate:>10.3f}  "
+            f"{row.pooled_miss_rate:>10.3f}  {row.serialized_p95_us:>11.1f}  "
+            f"{row.pipelined_p95_us:>9.1f}  {row.pooled_p95_us:>9.1f}  "
+            f"{row.pooled_mean_batch:>6.2f}  {row.pooled_demotion_rate:>7.3f}"
+        )
+    lines.append("")
+    lines.append(
+        format_serving_report(
+            result.detail,
+            title=f"pooled serving report at load {result.rows[-1].load_factor:.2f}",
+        )
+    )
+    return "\n".join(lines)
+
+
 class LoadStudyDriver(ExperimentDriver):
     """The offered-load sweep behind the shared experiment-driver protocol."""
 
     name = "serve"
     description = "serving layer — deadline-miss rate vs offered load"
     metric_names = SERVE_METRICS
+    config_class = LoadStudyConfig
+    format_table = staticmethod(format_load_study_table)
 
     def tasks(self, config: LoadStudyConfig) -> List[ShardTask]:
         """One task per load factor.
@@ -316,34 +349,3 @@ class LoadStudyDriver(ExperimentDriver):
                 pooled_miss_rate=pooled.deadline_miss_rate or 0.0,
             )
             _log.debug("load_study.point", load_factor=load_factor)
-
-
-def format_load_study_table(result: LoadStudyResult) -> str:
-    """Render the sweep plus the peak-load pooled report as text."""
-    config = result.config
-    lines = [
-        "RAN serving load study - deadline-miss rate vs offered load",
-        f"{config.num_cells} cells x {config.users_per_cell} users, "
-        f"{config.jobs_per_user} jobs/user, budget {config.turnaround_budget_us:.0f} us, "
-        f"policy {config.policy}, {config.annealer_workers} annealer + "
-        f"{config.classical_workers} classical workers",
-        f"{'load':>6}  {'jobs/ms':>8}  {'miss(serial)':>12}  {'miss(pipe)':>10}  "
-        f"{'miss(pool)':>10}  {'p95(serial)':>11}  {'p95(pipe)':>9}  {'p95(pool)':>9}  "
-        f"{'mean B':>6}  {'demoted':>7}",
-    ]
-    for row in result.rows:
-        lines.append(
-            f"{row.load_factor:>6.2f}  {row.offered_load_jobs_per_ms:>8.2f}  "
-            f"{row.serialized_miss_rate:>12.3f}  {row.pipelined_miss_rate:>10.3f}  "
-            f"{row.pooled_miss_rate:>10.3f}  {row.serialized_p95_us:>11.1f}  "
-            f"{row.pipelined_p95_us:>9.1f}  {row.pooled_p95_us:>9.1f}  "
-            f"{row.pooled_mean_batch:>6.2f}  {row.pooled_demotion_rate:>7.3f}"
-        )
-    lines.append("")
-    lines.append(
-        format_serving_report(
-            result.detail,
-            title=f"pooled serving report at load {result.rows[-1].load_factor:.2f}",
-        )
-    )
-    return "\n".join(lines)

@@ -413,12 +413,42 @@ def _placement_row(rows, placement: str):
     return None
 
 
+def format_network_table(result: NetworkStudyResult) -> str:
+    """Render the placement comparison as a text table."""
+    config = result.config
+    lines = [
+        "Network capacity study - static vs reactive vs oracle placement",
+        f"{config.topology_kind} topology, {config.num_cells} cells, "
+        f"{config.simulated_users:,} simulated users, scenario "
+        f"{config.scenario!r}, horizon {config.horizon_us / 1000.0:.1f} ms",
+        f"utilization {config.utilization:.2f}, migration budget "
+        f"{config.migration_fraction:.2%} of capacity per "
+        f"{config.window_us:.0f} us window",
+        "",
+        f"{'placement':<10} {'miss rate':>10} {'peak cell':>10} "
+        f"{'moved':>12} {'raises':>7} {'latency(w)':>10} {'detail miss':>12}",
+    ]
+    for row in result.rows:
+        latency = str(row.detection_latency_windows) if row.placement == "reactive" else "-"
+        detail = (
+            f"{row.detail_miss_rate:.4f}" if row.detail_jobs else "-"
+        )
+        lines.append(
+            f"{row.placement:<10} {row.miss_rate:>10.4f} "
+            f"{row.peak_cell_miss_rate:>10.4f} {row.capacity_moved:>12.1f} "
+            f"{row.hotspot_raises:>7d} {latency:>10} {detail:>12}"
+        )
+    return "\n".join(lines)
+
+
 class NetworkStudyDriver(ExperimentDriver):
     """The placement study behind the shared experiment-driver protocol."""
 
     name = "network"
     description = "city-scale capacity placement on a topology"
     metric_names = NETWORK_METRICS
+    config_class = NetworkStudyConfig
+    format_table = staticmethod(format_network_table)
 
     def tasks(self, config: NetworkStudyConfig) -> List[ShardTask]:
         """One task per placement arm.
@@ -479,31 +509,3 @@ class NetworkStudyDriver(ExperimentDriver):
             telemetry.emit_progress(
                 "network-study", row.placement, miss_rate=row.miss_rate
             )
-
-
-def format_network_table(result: NetworkStudyResult) -> str:
-    """Render the placement comparison as a text table."""
-    config = result.config
-    lines = [
-        "Network capacity study - static vs reactive vs oracle placement",
-        f"{config.topology_kind} topology, {config.num_cells} cells, "
-        f"{config.simulated_users:,} simulated users, scenario "
-        f"{config.scenario!r}, horizon {config.horizon_us / 1000.0:.1f} ms",
-        f"utilization {config.utilization:.2f}, migration budget "
-        f"{config.migration_fraction:.2%} of capacity per "
-        f"{config.window_us:.0f} us window",
-        "",
-        f"{'placement':<10} {'miss rate':>10} {'peak cell':>10} "
-        f"{'moved':>12} {'raises':>7} {'latency(w)':>10} {'detail miss':>12}",
-    ]
-    for row in result.rows:
-        latency = str(row.detection_latency_windows) if row.placement == "reactive" else "-"
-        detail = (
-            f"{row.detail_miss_rate:.4f}" if row.detail_jobs else "-"
-        )
-        lines.append(
-            f"{row.placement:<10} {row.miss_rate:>10.4f} "
-            f"{row.peak_cell_miss_rate:>10.4f} {row.capacity_moved:>12.1f} "
-            f"{row.hotspot_raises:>7d} {latency:>10} {detail:>12}"
-        )
-    return "\n".join(lines)

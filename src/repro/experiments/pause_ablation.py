@@ -103,14 +103,6 @@ def _pause_rows(config: PauseAblationConfig) -> List[PauseAblationRow]:
     return rows
 
 
-class PauseAblationDriver(SingleShardDriver):
-    """The pause ablation as one shard: every duration shares one annealer stream."""
-
-    name = "pause"
-    description = "extension — the power of pausing"
-    study = staticmethod(_pause_rows)
-
-
 def format_pause_table(rows: Sequence[PauseAblationRow]) -> str:
     """Render the pause ablation as an aligned text table."""
     lines = [
@@ -126,3 +118,13 @@ def format_pause_table(rows: Sequence[PauseAblationRow]) -> str:
             f"{tts_text:>12}  {row.duration_us:>13.2f}"
         )
     return "\n".join(lines)
+
+
+class PauseAblationDriver(SingleShardDriver):
+    """The pause ablation as one shard: every duration shares one annealer stream."""
+
+    name = "pause"
+    description = "extension — the power of pausing"
+    study = staticmethod(_pause_rows)
+    config_class = PauseAblationConfig
+    format_table = staticmethod(format_pause_table)

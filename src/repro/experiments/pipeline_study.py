@@ -121,14 +121,6 @@ def _pipeline_result(config: PipelineStudyConfig) -> PipelineStudyResult:
     return PipelineStudyResult(pipelined=pipelined, serial=serial)
 
 
-class PipelineStudyDriver(SingleShardDriver):
-    """Figure 2 as one shard: both runs share one annealer and one trace."""
-
-    name = "pipeline"
-    description = "Figure 2 — pipelined classical/quantum processing"
-    study = staticmethod(_pipeline_result)
-
-
 def format_pipeline_table(result: PipelineStudyResult) -> str:
     """Render the pipelined vs serial comparison as an aligned text table."""
     rows = [
@@ -156,3 +148,13 @@ def format_pipeline_table(result: PipelineStudyResult) -> str:
         f"latency ratio: {result.latency_ratio:.2f}"
     )
     return "\n".join(lines)
+
+
+class PipelineStudyDriver(SingleShardDriver):
+    """Figure 2 as one shard: both runs share one annealer and one trace."""
+
+    name = "pipeline"
+    description = "Figure 2 — pipelined classical/quantum processing"
+    study = staticmethod(_pipeline_result)
+    config_class = PipelineStudyConfig
+    format_table = staticmethod(format_pipeline_table)

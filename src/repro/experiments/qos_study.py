@@ -255,12 +255,48 @@ def _qos_shard(config: QoSStudyConfig, arm: str, workload_seed: int) -> ServingR
     return report
 
 
+def format_qos_table(result: QoSStudyResult) -> str:
+    """Render the QoS sweep plus the last aware report as text."""
+    config = result.config
+    lines = [
+        "RAN QoS study - classless vs class-aware serving across the catalog",
+        f"{config.num_cells} cells x {config.users_per_cell} users, classes "
+        f"{'/'.join(config.service_classes)}, horizon "
+        f"{config.horizon_us / 1000.0:.1f} ms, velocity {config.velocity_mps:.0f} m/s, "
+        f"policy {config.policy}, {config.annealer_workers} annealer + "
+        f"{config.classical_workers} classical workers",
+        f"{'scenario':>14}  {'class':>12}  {'jobs':>5}  {'handover':>8}  "
+        f"{'miss(classless)':>15}  {'miss(aware)':>11}  {'p99(classless)':>14}  "
+        f"{'p99(aware)':>10}  {'demoted(aware)':>14}",
+    ]
+    for row in result.rows:
+        lines.append(
+            f"{row.scenario:>14}  {row.service_class:>12}  {row.jobs:>5d}  "
+            f"{row.handover_fraction:>8.3f}  {row.classless_miss_rate:>15.3f}  "
+            f"{row.aware_miss_rate:>11.3f}  {row.classless_p99_us:>14.1f}  "
+            f"{row.aware_p99_us:>10.1f}  {row.aware_demotion_rate:>14.3f}"
+        )
+    lines.append("")
+    lines.append(
+        format_serving_report(
+            result.detail,
+            title=(
+                "class-aware serving report for scenario "
+                f"{result.rows[-1].scenario!r}"
+            ),
+        )
+    )
+    return "\n".join(lines)
+
+
 class QoSStudyDriver(ExperimentDriver):
     """The QoS-class sweep behind the shared experiment-driver protocol."""
 
     name = "qos"
     description = "QoS classes — classless vs class-aware serving with handover"
     metric_names = QOS_METRICS
+    config_class = QoSStudyConfig
+    format_table = staticmethod(format_qos_table)
 
     def tasks(self, config: QoSStudyConfig) -> List[ShardTask]:
         """One (scenario, arm) task per catalog entry.
@@ -360,37 +396,3 @@ class QoSStudyDriver(ExperimentDriver):
             telemetry.emit_progress(
                 "qos-study", name, miss_rate=aware.deadline_miss_rate or 0.0
             )
-
-
-def format_qos_table(result: QoSStudyResult) -> str:
-    """Render the QoS sweep plus the last aware report as text."""
-    config = result.config
-    lines = [
-        "RAN QoS study - classless vs class-aware serving across the catalog",
-        f"{config.num_cells} cells x {config.users_per_cell} users, classes "
-        f"{'/'.join(config.service_classes)}, horizon "
-        f"{config.horizon_us / 1000.0:.1f} ms, velocity {config.velocity_mps:.0f} m/s, "
-        f"policy {config.policy}, {config.annealer_workers} annealer + "
-        f"{config.classical_workers} classical workers",
-        f"{'scenario':>14}  {'class':>12}  {'jobs':>5}  {'handover':>8}  "
-        f"{'miss(classless)':>15}  {'miss(aware)':>11}  {'p99(classless)':>14}  "
-        f"{'p99(aware)':>10}  {'demoted(aware)':>14}",
-    ]
-    for row in result.rows:
-        lines.append(
-            f"{row.scenario:>14}  {row.service_class:>12}  {row.jobs:>5d}  "
-            f"{row.handover_fraction:>8.3f}  {row.classless_miss_rate:>15.3f}  "
-            f"{row.aware_miss_rate:>11.3f}  {row.classless_p99_us:>14.1f}  "
-            f"{row.aware_p99_us:>10.1f}  {row.aware_demotion_rate:>14.3f}"
-        )
-    lines.append("")
-    lines.append(
-        format_serving_report(
-            result.detail,
-            title=(
-                "class-aware serving report for scenario "
-                f"{result.rows[-1].scenario!r}"
-            ),
-        )
-    )
-    return "\n".join(lines)

@@ -291,12 +291,37 @@ def _robustness_point_shard(config: RobustnessStudyConfig, axis: str) -> Robustn
     )
 
 
+def format_robustness_table(rows: Sequence[RobustnessRow]) -> str:
+    """Render the impairment sweep as an aligned text table, one axis block each."""
+    lines = ["Extension - detection robustness under channel impairments"]
+    for axis in ROBUSTNESS_AXES:
+        axis_rows = [row for row in rows if row.axis == axis]
+        if not axis_rows:
+            continue
+        lines.append("")
+        lines.append(f"{_AXIS_LABELS.get(axis, axis)}:")
+        lines.append(
+            f"{'value':>8}  {'uses':>5}  {'ZF BER':>7}  {'MMSE BER':>8}  "
+            f"{'hybrid BER':>10}  {'P(opt)':>7}  {'time (us)':>9}"
+        )
+        for row in axis_rows:
+            lines.append(
+                f"{row.value:>8.3f}  {row.channel_uses:>5}  "
+                f"{row.zero_forcing_ber:>7.3f}  {row.mmse_ber:>8.3f}  "
+                f"{row.hybrid_ber:>10.3f}  {row.hybrid_optimum_rate:>7.3f}  "
+                f"{row.hybrid_time_us:>9.1f}"
+            )
+    return "\n".join(lines)
+
+
 class RobustnessStudyDriver(ExperimentDriver):
     """The impairment sweep behind the shared experiment-driver protocol."""
 
     name = "robustness"
     description = "extension — impairment robustness sweep"
     metric_names = ROBUSTNESS_METRICS
+    config_class = RobustnessStudyConfig
+    format_table = staticmethod(format_robustness_table)
 
     def tasks(self, config: RobustnessStudyConfig) -> List[ShardTask]:
         """One task per (axis, value) grid point.
@@ -355,26 +380,3 @@ _AXIS_LABELS = {
     "csi-error": "CSI error variance",
     "interference": "interference power",
 }
-
-
-def format_robustness_table(rows: Sequence[RobustnessRow]) -> str:
-    """Render the impairment sweep as an aligned text table, one axis block each."""
-    lines = ["Extension - detection robustness under channel impairments"]
-    for axis in ROBUSTNESS_AXES:
-        axis_rows = [row for row in rows if row.axis == axis]
-        if not axis_rows:
-            continue
-        lines.append("")
-        lines.append(f"{_AXIS_LABELS.get(axis, axis)}:")
-        lines.append(
-            f"{'value':>8}  {'uses':>5}  {'ZF BER':>7}  {'MMSE BER':>8}  "
-            f"{'hybrid BER':>10}  {'P(opt)':>7}  {'time (us)':>9}"
-        )
-        for row in axis_rows:
-            lines.append(
-                f"{row.value:>8.3f}  {row.channel_uses:>5}  "
-                f"{row.zero_forcing_ber:>7.3f}  {row.mmse_ber:>8.3f}  "
-                f"{row.hybrid_ber:>10.3f}  {row.hybrid_optimum_rate:>7.3f}  "
-                f"{row.hybrid_time_us:>9.1f}"
-            )
-    return "\n".join(lines)

@@ -114,10 +114,25 @@ class ScenarioStudyConfig:
     def __post_init__(self) -> None:
         if not self.scenarios:
             raise ConfigurationError("scenarios must not be empty")
+        for name in self.scenarios:
+            if name not in SCENARIO_NAMES:
+                raise ConfigurationError(
+                    f"unknown scenario {name!r}; catalog: {', '.join(SCENARIO_NAMES)}"
+                )
         if self.static_workers < 1:
             raise ConfigurationError(
                 f"static_workers must be at least 1, got {self.static_workers}"
             )
+        self.autoscale_config()  # checks the elastic arm's bounds and timings
+
+    def autoscale_config(self) -> AutoscaleConfig:
+        """The elastic arm's control-loop settings."""
+        return AutoscaleConfig(
+            interval_us=self.autoscale_interval_us,
+            warmup_us=self.warmup_us,
+            min_workers=self.min_workers,
+            max_workers=self.max_workers,
+        )
 
     @classmethod
     def quick(cls) -> "ScenarioStudyConfig":
@@ -228,14 +243,6 @@ def _scenario_shard(
             admission_control=config.admission_control,
         ).run(jobs)
     if arm == "autoscaled":
-        controller = AutoscaleController(
-            AutoscaleConfig(
-                interval_us=config.autoscale_interval_us,
-                warmup_us=config.warmup_us,
-                min_workers=config.min_workers,
-                max_workers=config.max_workers,
-            )
-        )
         return RANServingSimulator(
             pool=ElasticBackendPool(
                 annealer=_annealer(config),
@@ -246,9 +253,42 @@ def _scenario_shard(
             policy=config.policy,
             max_batch_size=config.max_batch_size,
             admission_control=config.admission_control,
-            autoscaler=controller,
+            autoscaler=AutoscaleController(config.autoscale_config()),
         ).run(jobs)
     raise ConfigurationError(f"arm must be 'static' or 'autoscaled', got {arm!r}")
+
+
+def format_scenario_table(result: ScenarioStudyResult) -> str:
+    """Render the catalog sweep plus the last autoscaled report as text."""
+    config = result.config
+    lines = [
+        "RAN scenario study - static vs autoscaled pools across the catalog",
+        f"{config.num_cells} cells x {config.users_per_cell} users, horizon "
+        f"{config.horizon_us / 1000.0:.1f} ms, budget "
+        f"{config.turnaround_budget_us:.0f} us, policy {config.policy}; static = "
+        f"{config.static_workers} workers, autoscaled = "
+        f"[{config.min_workers}, {config.max_workers}] workers "
+        f"(warm-up {config.warmup_us:.0f} us)",
+        f"{'scenario':>14}  {'jobs':>5}  {'jobs/ms':>8}  {'miss(static)':>12}  "
+        f"{'miss(auto)':>10}  {'p99(static)':>11}  {'p99(auto)':>9}  "
+        f"{'mean K':>6}  {'scales':>6}  {'demoted':>7}",
+    ]
+    for row in result.rows:
+        lines.append(
+            f"{row.scenario:>14}  {row.num_jobs:>5d}  "
+            f"{row.offered_load_jobs_per_ms:>8.2f}  {row.static_miss_rate:>12.3f}  "
+            f"{row.autoscaled_miss_rate:>10.3f}  {row.static_p99_us:>11.1f}  "
+            f"{row.autoscaled_p99_us:>9.1f}  {row.mean_active_workers:>6.2f}  "
+            f"{row.scale_events:>6d}  {row.autoscaled_demotion_rate:>7.3f}"
+        )
+    lines.append("")
+    lines.append(
+        format_serving_report(
+            result.detail,
+            title=f"autoscaled serving report for scenario {result.rows[-1].scenario!r}",
+        )
+    )
+    return "\n".join(lines)
 
 
 class ScenarioStudyDriver(ExperimentDriver):
@@ -257,6 +297,8 @@ class ScenarioStudyDriver(ExperimentDriver):
     name = "scenarios"
     description = "time-varying scenarios — static vs autoscaled"
     metric_names = SCENARIOS_METRICS
+    config_class = ScenarioStudyConfig
+    format_table = staticmethod(format_scenario_table)
 
     def tasks(self, config: ScenarioStudyConfig) -> List[ShardTask]:
         """One (scenario, arm) task per catalog entry.
@@ -335,36 +377,3 @@ class ScenarioStudyDriver(ExperimentDriver):
             telemetry.emit_progress(
                 "scenario-study", name, miss_rate=autoscaled.deadline_miss_rate or 0.0
             )
-
-
-def format_scenario_table(result: ScenarioStudyResult) -> str:
-    """Render the catalog sweep plus the last autoscaled report as text."""
-    config = result.config
-    lines = [
-        "RAN scenario study - static vs autoscaled pools across the catalog",
-        f"{config.num_cells} cells x {config.users_per_cell} users, horizon "
-        f"{config.horizon_us / 1000.0:.1f} ms, budget "
-        f"{config.turnaround_budget_us:.0f} us, policy {config.policy}; static = "
-        f"{config.static_workers} workers, autoscaled = "
-        f"[{config.min_workers}, {config.max_workers}] workers "
-        f"(warm-up {config.warmup_us:.0f} us)",
-        f"{'scenario':>14}  {'jobs':>5}  {'jobs/ms':>8}  {'miss(static)':>12}  "
-        f"{'miss(auto)':>10}  {'p99(static)':>11}  {'p99(auto)':>9}  "
-        f"{'mean K':>6}  {'scales':>6}  {'demoted':>7}",
-    ]
-    for row in result.rows:
-        lines.append(
-            f"{row.scenario:>14}  {row.num_jobs:>5d}  "
-            f"{row.offered_load_jobs_per_ms:>8.2f}  {row.static_miss_rate:>12.3f}  "
-            f"{row.autoscaled_miss_rate:>10.3f}  {row.static_p99_us:>11.1f}  "
-            f"{row.autoscaled_p99_us:>9.1f}  {row.mean_active_workers:>6.2f}  "
-            f"{row.scale_events:>6d}  {row.autoscaled_demotion_rate:>7.3f}"
-        )
-    lines.append("")
-    lines.append(
-        format_serving_report(
-            result.detail,
-            title=f"autoscaled serving report for scenario {result.rows[-1].scenario!r}",
-        )
-    )
-    return "\n".join(lines)

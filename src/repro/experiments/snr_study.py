@@ -161,11 +161,27 @@ def _snr_point_shard(config: SNRStudyConfig) -> SNRStudyRow:
     )
 
 
+def format_snr_table(rows: Sequence[SNRStudyRow]) -> str:
+    """Render the SNR sweep as an aligned text table."""
+    lines = [
+        "Extension - BER vs SNR under AWGN (Rayleigh fading uplink)",
+        f"{'SNR (dB)':>8}  {'uses':>5}  {'ZF BER':>7}  {'MMSE BER':>8}  {'hybrid BER':>10}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row.snr_db:>8.1f}  {row.channel_uses:>5}  {row.zero_forcing_ber:>7.3f}  "
+            f"{row.mmse_ber:>8.3f}  {row.hybrid_ber:>10.3f}"
+        )
+    return "\n".join(lines)
+
+
 class SNRStudyDriver(ExperimentDriver):
     """The BER-vs-SNR sweep behind the shared experiment-driver protocol."""
 
     name = "snr"
     description = "extension — BER vs SNR under AWGN"
+    config_class = SNRStudyConfig
+    format_table = staticmethod(format_snr_table)
 
     def tasks(self, config: SNRStudyConfig) -> List[ShardTask]:
         """One task per SNR grid point.
@@ -186,17 +202,3 @@ class SNRStudyDriver(ExperimentDriver):
     def progress(self, config, tasks, results) -> None:
         for row in results:
             telemetry.emit_progress("snr-study", row.snr_db, hybrid_ber=row.hybrid_ber)
-
-
-def format_snr_table(rows: Sequence[SNRStudyRow]) -> str:
-    """Render the SNR sweep as an aligned text table."""
-    lines = [
-        "Extension - BER vs SNR under AWGN (Rayleigh fading uplink)",
-        f"{'SNR (dB)':>8}  {'uses':>5}  {'ZF BER':>7}  {'MMSE BER':>8}  {'hybrid BER':>10}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.snr_db:>8.1f}  {row.channel_uses:>5}  {row.zero_forcing_ber:>7.3f}  "
-            f"{row.mmse_ber:>8.3f}  {row.hybrid_ber:>10.3f}"
-        )
-    return "\n".join(lines)

@@ -14,7 +14,6 @@ provides:
   of Figure 4.
 * :mod:`repro.qubo.generators` — random QUBO instance generators for tests and
   benchmarks that do not need the MIMO structure.
-* :mod:`repro.qubo.serialization` — stable text round-tripping of models.
 """
 
 from repro.qubo.model import QUBOModel
@@ -40,7 +39,6 @@ from repro.qubo.generators import (
     random_ising,
     planted_solution_qubo,
 )
-from repro.qubo.serialization import qubo_to_dict, qubo_from_dict, qubo_to_json, qubo_from_json
 
 __all__ = [
     "QUBOModel",
@@ -60,8 +58,4 @@ __all__ = [
     "random_qubo",
     "random_ising",
     "planted_solution_qubo",
-    "qubo_to_dict",
-    "qubo_from_dict",
-    "qubo_to_json",
-    "qubo_from_json",
 ]

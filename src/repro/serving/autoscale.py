@@ -24,7 +24,7 @@ The control loop and its parameters are documented in ``docs/scenarios.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.serving.backends import (
@@ -67,21 +67,6 @@ class AutoscaleConfig:
     cooldown_us:
         Minimum simulated time between two scaling actions, preventing
         thrash around a threshold.
-    hotspot_queue_per_cell:
-        Optional per-*cell* queue-depth threshold.  When set (and the
-        simulator was given a topology so it reports per-cell depths), the
-        controller also scales up when any single cell's queued jobs exceed
-        this — a localized flash crowd can overload one cell long before
-        the network-wide queue per worker looks deep.  ``None`` (default)
-        disables the signal and reproduces the pre-network controller
-        bitwise.
-    critical_pressure_jobs:
-        Optional *absolute* count of deadline-pressured **protected**
-        (degradation-tier-0, e.g. URLLC) jobs that forces scale-up.  The
-        fractional ``pressure_fraction`` signal dilutes a handful of
-        pressured critical jobs in a sea of best-effort traffic; this
-        threshold reacts to them directly.  ``None`` (default) disables the
-        signal and reproduces the class-blind controller bitwise.
     """
 
     interval_us: float = 250.0
@@ -92,8 +77,6 @@ class AutoscaleConfig:
     scale_down_queue_per_worker: float = 0.5
     pressure_fraction: float = 0.1
     cooldown_us: float = 500.0
-    hotspot_queue_per_cell: Optional[float] = None
-    critical_pressure_jobs: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.interval_us <= 0:
@@ -131,16 +114,6 @@ class AutoscaleConfig:
         if self.cooldown_us < 0:
             raise ConfigurationError(
                 f"cooldown_us must be non-negative, got {self.cooldown_us}"
-            )
-        if self.hotspot_queue_per_cell is not None and self.hotspot_queue_per_cell <= 0:
-            raise ConfigurationError(
-                "hotspot_queue_per_cell must be positive or None, got "
-                f"{self.hotspot_queue_per_cell}"
-            )
-        if self.critical_pressure_jobs is not None and self.critical_pressure_jobs < 1:
-            raise ConfigurationError(
-                "critical_pressure_jobs must be at least 1 or None, got "
-                f"{self.critical_pressure_jobs}"
             )
 
 
@@ -297,17 +270,8 @@ class AutoscaleController:
         queue: Sequence[ServingJob],
         pool: ElasticBackendPool,
         pressured_count: int,
-        cell_queue_depths: Optional[Dict[int, int]] = None,
-        critical_pressured: int = 0,
     ) -> Optional[AutoscaleEvent]:
-        """Observe the system at ``now_us`` and take at most one scaling action.
-
-        ``cell_queue_depths`` (queued jobs per cell id) feeds the optional
-        ``hotspot_queue_per_cell`` signal; the simulator supplies it when a
-        topology is attached and the threshold is configured.
-        ``critical_pressured`` (deadline-pressured protected jobs) feeds the
-        optional ``critical_pressure_jobs`` signal the same way.
-        """
+        """Observe the system at ``now_us`` and take at most one scaling action."""
         config = self.config
         active = pool.active_annealer_count
         ceiling = pool.max_annealer_workers
@@ -317,18 +281,6 @@ class AutoscaleController:
         per_worker = depth / max(active, 1)
         deadline_jobs = sum(1 for job in queue if job.deadline_us is not None)
         pressure = pressured_count / deadline_jobs if deadline_jobs else 0.0
-        hotspot = (
-            config.hotspot_queue_per_cell is not None
-            and cell_queue_depths is not None
-            and any(
-                cell_depth > config.hotspot_queue_per_cell
-                for cell_depth in cell_queue_depths.values()
-            )
-        )
-        critical = (
-            config.critical_pressure_jobs is not None
-            and critical_pressured >= config.critical_pressure_jobs
-        )
         if now_us - self._last_action_us < config.cooldown_us - 1e-9:
             return None
 
@@ -336,19 +288,13 @@ class AutoscaleController:
         if active < ceiling and (
             per_worker > config.scale_up_queue_per_worker
             or pressure > config.pressure_fraction
-            or hotspot
-            or critical
         ):
             worker = pool.activate_worker(now_us, config.warmup_us)
             if worker is not None:
-                if critical:
-                    reason = "critical-pressure"
-                elif pressure > config.pressure_fraction:
+                if pressure > config.pressure_fraction:
                     reason = "deadline-pressure"
-                elif per_worker > config.scale_up_queue_per_worker:
-                    reason = "queue-depth"
                 else:
-                    reason = "cell-hotspot"
+                    reason = "queue-depth"
                 event = AutoscaleEvent(
                     time_us=now_us,
                     action="scale-up",

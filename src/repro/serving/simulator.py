@@ -167,11 +167,8 @@ class RANServingSimulator:
     topology:
         Optional :class:`~repro.network.topology.NetworkTopology` the
         workload's cells live on.  Job cell ids are validated against it,
-        it is recorded in the report metadata, and — when the autoscaler's
-        ``hotspot_queue_per_cell`` threshold is set — per-cell queue depths
-        are fed to the controller so a single overloaded cell can trigger
-        scale-up before the *network-wide* queue looks deep.  Omitting it
-        changes nothing about the simulation.
+        it is recorded in the report metadata.  Omitting it changes nothing
+        about the simulation.
     class_aware:
         When true (default) scheduling honours service classes: EDF order
         is prefixed by class priority, batches never cross the degradation
@@ -282,23 +279,8 @@ class RANServingSimulator:
                 elif kind == _AUTOSCALE:
                     autoscale_tick = True
             if autoscale_tick and self.autoscaler is not None:
-                pressured_jobs = self._pressured_jobs(queue, now)
-                pressured = len(pressured_jobs)
-                step_kwargs: Dict = {}
-                if self.autoscaler.config.critical_pressure_jobs is not None:
-                    step_kwargs["critical_pressured"] = sum(
-                        1
-                        for job in pressured_jobs
-                        if _service_class_of(job).degradation_tier == 0
-                    )
-                if self.autoscaler.config.hotspot_queue_per_cell is not None:
-                    depths: Dict[int, int] = {}
-                    for job in queue:
-                        depths[job.cell_id] = depths.get(job.cell_id, 0) + 1
-                    step_kwargs["cell_queue_depths"] = depths
-                action = self.autoscaler.step(
-                    now, queue, self.pool, pressured, **step_kwargs
-                )
+                pressured = len(self._pressured_jobs(queue, now))
+                action = self.autoscaler.step(now, queue, self.pool, pressured)
                 if tel is not None:
                     active = self.pool.active_annealer_count
                     tel.registry.gauge("repro_serving_queue_depth").set(len(queue))

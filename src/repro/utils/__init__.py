@@ -8,6 +8,7 @@ The submodules are intentionally small and dependency-free (beyond numpy):
 * :mod:`repro.utils.validation` — argument checking helpers shared by the
   public API surface.
 * :mod:`repro.utils.batching` — bounded chunking of instance batches.
+* :mod:`repro.utils.jsonable` — the JSON reducer for result artifacts.
 """
 
 from repro.utils.rng import (
@@ -18,6 +19,7 @@ from repro.utils.rng import (
     spawn_rngs,
 )
 from repro.utils.batching import iter_batches
+from repro.utils.jsonable import to_jsonable
 from repro.utils.linalg import (
     complex_to_real_stacked,
     real_to_complex_stacked,
@@ -39,6 +41,7 @@ __all__ = [
     "ensure_rng",
     "ensure_rng_batch",
     "iter_batches",
+    "to_jsonable",
     "spawn_rngs",
     "complex_to_real_stacked",
     "real_to_complex_stacked",

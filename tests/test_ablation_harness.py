@@ -30,17 +30,16 @@ from hypothesis import strategies as st
 from repro.ablation import (
     AblationSpec,
     ParetoExclusionWarning,
-    available_targets,
     compile_config,
     expand_spec,
     format_study_table,
-    get_target,
     pareto_front,
     point_fingerprint,
     run_study,
 )
-from repro.ablation.targets import AnnealHPOConfig
+from repro.ablation.targets import AnnealHPOConfig, sweepable_drivers
 from repro.exceptions import ConfigurationError
+from repro.experiments import DRIVERS
 from repro.experiments.driver import run_driver
 from repro.parallel import ResultCache
 
@@ -411,6 +410,11 @@ def _hpo_spec(**overrides) -> AblationSpec:
     return AblationSpec(**kwargs)
 
 
+#: Every experiment an ablation spec may name.
+_SWEEPABLE = ("anneal-hpo", "fig8", "network", "qos", "robustness", "scenarios", "serve")
+_SWEEPABLE_LISTING = "sweepable experiments: " + ", ".join(_SWEEPABLE)
+
+
 class TestRunStudy:
     def test_serial_equals_sharded_at_any_worker_count(self):
         serial = run_study(_hpo_spec()).table_rows()
@@ -439,8 +443,15 @@ class TestRunStudy:
             run_study(_hpo_spec(metrics=("mean_energy",)))
 
     def test_unknown_experiment_rejected(self):
-        with pytest.raises(ConfigurationError, match="no-such-experiment"):
+        with pytest.raises(ConfigurationError, match="no-such-experiment") as error:
             run_study(AblationSpec(name="x", experiment="no-such-experiment"))
+        assert error.value.args[0].endswith(_SWEEPABLE_LISTING)
+
+    def test_metric_less_study_rejected(self):
+        # fig6 is a CLI study, but it declares no metrics to sweep.
+        with pytest.raises(ConfigurationError, match="'fig6' is not sweepable") as error:
+            run_study(AblationSpec(name="x", experiment="fig6", preset="quick"))
+        assert error.value.args[0].endswith(_SWEEPABLE_LISTING)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigurationError, match="warp"):
@@ -463,9 +474,10 @@ class TestRunStudy:
             assert row.point_id in table
 
     def test_builtin_targets_are_registered(self):
-        assert {"fig8", "robustness", "anneal-hpo"} <= set(available_targets())
-        target = get_target("anneal-hpo")
-        assert target.driver.metric_names == (
+        drivers = sweepable_drivers()
+        assert set(drivers) == set(_SWEEPABLE)
+        assert set(drivers) - {"anneal-hpo"} == {d.name for d in DRIVERS if d.metric_names}
+        assert drivers["anneal-hpo"].metric_names == (
             "best_energy",
             "mean_energy",
             "compute_time_us_mean",

@@ -7,6 +7,7 @@ import pytest
 
 import repro.cli as cli
 from repro.exceptions import ConfigurationError
+from repro.experiments import DRIVERS
 
 
 @pytest.fixture(autouse=True)
@@ -23,6 +24,14 @@ class TestParser:
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["fig99"])
+
+    def test_subcommands_are_the_study_table(self):
+        (subparsers,) = [
+            action
+            for action in cli.build_parser()._actions
+            if action.dest == "experiment"
+        ]
+        assert set(subparsers.choices) == {d.name for d in DRIVERS} | {"all", "ablate"}
 
     def test_scale_flags_are_exclusive(self):
         with pytest.raises(SystemExit):
@@ -96,7 +105,7 @@ class TestMain:
         # The default on-disk shard cache was populated in the CWD.
         assert list(pathlib.Path(".repro-cache").glob("*/*.pkl"))
 
-    @pytest.mark.parametrize("experiment", sorted(cli._EXPERIMENTS))
+    @pytest.mark.parametrize("experiment", sorted(driver.name for driver in DRIVERS))
     def test_workers_match_serial_output(self, experiment, capsys):
         # Every study runs through run_driver, so sharding never changes a table.
         exit_code = cli.main([experiment, "--quick", "--no-cache"])

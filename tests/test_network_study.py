@@ -29,8 +29,6 @@ from repro.network import (
 from repro.parallel import ResultCache
 from repro.parallel.cache import task_fingerprint
 from repro.serving import (
-    AutoscaleConfig,
-    AutoscaleController,
     build_scenario,
     generate_serving_jobs,
     uniform_cell_profiles,
@@ -254,45 +252,3 @@ class TestLegacyEquivalence:
     def test_scenario_rejects_mismatched_topology(self):
         with pytest.raises(ConfigurationError):
             build_scenario("steady", 4, topology=NetworkTopology.line(5))
-
-
-# ---------------------------------------------------------------------- #
-# The autoscaler's per-cell hotspot signal
-# ---------------------------------------------------------------------- #
-
-
-class TestCellHotspotSignal:
-    def _pool(self):
-        from repro.serving import AnnealerServingBackend, ElasticBackendPool
-
-        return ElasticBackendPool(
-            annealer=AnnealerServingBackend(num_reads=10),
-            max_annealer_workers=3,
-            initial_annealer_workers=1,
-        )
-
-    def test_scales_up_on_single_cell_hotspot(self):
-        pool = self._pool()
-        controller = AutoscaleController(
-            AutoscaleConfig(
-                scale_up_queue_per_worker=100.0, hotspot_queue_per_cell=2.0
-            )
-        )
-        controller.begin(0.0, pool)
-        event = controller.step(
-            10.0, [], pool, pressured_count=0, cell_queue_depths={4: 5}
-        )
-        assert event is not None
-        assert event.action == "scale-up" and event.reason == "cell-hotspot"
-
-    def test_signal_inert_without_threshold_or_depths(self):
-        pool = self._pool()
-        controller = AutoscaleController(
-            AutoscaleConfig(scale_up_queue_per_worker=100.0)
-        )
-        controller.begin(0.0, pool)
-        assert (
-            controller.step(10.0, [], pool, 0, cell_queue_depths={4: 500}) is None
-        )
-        with pytest.raises(ConfigurationError):
-            AutoscaleConfig(hotspot_queue_per_cell=0.0)

@@ -152,7 +152,6 @@ def simulator_kwargs(draw) -> dict:
         cooldown_us=draw(st.sampled_from([0.0, 40.0])),
         scale_up_queue_per_worker=draw(st.sampled_from([1.0, 3.0])),
         scale_down_queue_per_worker=0.5,
-        critical_pressure_jobs=draw(st.sampled_from([None, 1])),
     )
     kwargs["autoscaler"] = AutoscaleController(config)
     return kwargs

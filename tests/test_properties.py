@@ -13,7 +13,6 @@ from repro.qubo.ising import bits_to_spins, ising_to_qubo, qubo_to_ising, spins_
 from repro.qubo.model import QUBOModel
 from repro.qubo.preprocessing import simplify_qubo
 from repro.qubo.energy import brute_force_minimum
-from repro.qubo.serialization import qubo_from_dict, qubo_to_dict
 from repro.transform.symbol_mapping import (
     amplitude_to_transform_bits,
     transform_bits_to_amplitude,
@@ -64,14 +63,6 @@ class TestQuboIsingProperties:
             )
         )
         assert round_tripped.energy(bits) == pytest.approx(qubo.energy(bits), abs=1e-7)
-
-    @given(matrix=_coefficients)
-    @_settings
-    def test_serialization_round_trip(self, matrix):
-        qubo = QUBOModel(coefficients=matrix)
-        restored = qubo_from_dict(qubo_to_dict(qubo))
-        assert np.allclose(restored.coefficients, qubo.coefficients)
-        assert restored.offset == pytest.approx(qubo.offset)
 
     @given(matrix=_coefficients, data=st.data())
     @_settings

@@ -15,17 +15,9 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
-    Figure3Config,
-    Figure6Config,
-    Figure7Config,
-    HeadlineConfig,
-    InitializerAblationConfig,
-    PauseAblationConfig,
-    PipelineStudyConfig,
+    DRIVERS,
     QoSStudyConfig,
     QoSStudyDriver,
-    SNRStudyConfig,
-    SoftConstraintConfig,
     config_presets,
     format_qos_table,
     run_driver,
@@ -360,13 +352,16 @@ _BAD_OVERRIDES = [
     dict(annealer_workers=0),
 ]
 
-#: Fields the study configs reject, as (ablation target name or config
-#: class, overrides); the QoS cases come first.
+#: Fields the study configs reject, as (study name, overrides); the QoS
+#: cases come first.
 _REJECTED_FIELDS = [("qos", overrides) for overrides in _BAD_OVERRIDES] + [
     ("serve", dict(load_factors=())),
     ("serve", dict(load_factors=(-1.0,))),
     ("scenarios", dict(scenarios=())),
     ("scenarios", dict(static_workers=0)),
+    ("scenarios", dict(scenarios=("rush-hour",))),
+    ("scenarios", dict(min_workers=4)),
+    ("scenarios", dict(warmup_us=-1.0)),
     ("network", dict(topology_kind="torus")),
     ("network", dict(scenario="rush-hour")),
     ("network", dict(placements=())),
@@ -381,18 +376,18 @@ _REJECTED_FIELDS = [("qos", overrides) for overrides in _BAD_OVERRIDES] + [
         "robustness",
         dict(correlation_grid=(), velocity_grid_mps=(), csi_error_grid=(), interference_grid=()),
     ),
-    (Figure3Config, dict(instances_per_point=0)),
-    (Figure3Config, dict(user_counts={"QPSK": ()})),
-    (Figure6Config, dict(modulations=())),
-    (Figure7Config, dict(bin_width_percent=0)),
-    (HeadlineConfig, dict(switch_values=())),
-    (PipelineStudyConfig, dict(num_channel_uses=0)),
-    (InitializerAblationConfig, dict(initializers=("greedy", "oracle"))),
-    (InitializerAblationConfig, dict(initializers=())),
-    (SoftConstraintConfig, dict(strengths=(-1.0,))),
-    (SNRStudyConfig, dict(snr_grid_db=())),
-    (SNRStudyConfig, dict(channel_uses_per_point=0)),
-    (PauseAblationConfig, dict(pause_durations_us=(-1.0,))),
+    ("fig3", dict(instances_per_point=0)),
+    ("fig3", dict(user_counts={"QPSK": ()})),
+    ("fig6", dict(modulations=())),
+    ("fig7", dict(bin_width_percent=0)),
+    ("headline", dict(switch_values=())),
+    ("pipeline", dict(num_channel_uses=0)),
+    ("ablation", dict(initializers=("greedy", "oracle"))),
+    ("ablation", dict(initializers=())),
+    ("constraints", dict(strengths=(-1.0,))),
+    ("snr", dict(snr_grid_db=())),
+    ("snr", dict(channel_uses_per_point=0)),
+    ("pause", dict(pause_durations_us=(-1.0,))),
 ]
 
 
@@ -440,31 +435,29 @@ class TestQoSStudy:
         # The config rejects itself, so neither run_driver nor an ablation
         # spec can silently run it (zero load points, zero scenarios, zero
         # annealers): both paths raise the config's own message.
-        from repro.ablation import AblationSpec, get_target, run_study
+        from repro.ablation import AblationSpec, run_study
 
         experiment, fields = overrides
-        if not isinstance(experiment, str):
-            # Not an ablation target: reach the config through the preset
-            # the CLI's --quick selects (its default when it has none).
-            presets = config_presets(experiment)
-            with pytest.raises(ConfigurationError):
-                dataclasses.replace(presets.get("quick", presets["default"])(), **fields)
-            return
+        (driver,) = [driver for driver in DRIVERS if driver.name == experiment]
+        # The preset the CLI's --quick selects (its default when it has none).
+        presets = config_presets(driver.config_class)
         with pytest.raises(ConfigurationError) as constructed:
-            dataclasses.replace(get_target(experiment).make_config("quick"), **fields)
+            dataclasses.replace(presets.get("quick", presets["default"])(), **fields)
+        if not driver.metric_names:
+            return  # not an ablation target
         spec = AblationSpec(name="invalid", experiment=experiment, preset="quick", base=fields)
         with pytest.raises(ConfigurationError) as studied:
             run_study(spec)
         assert str(studied.value) == str(constructed.value)
 
     def test_registered_as_ablation_target(self):
-        from repro.ablation import available_targets, get_target
+        from repro.ablation.targets import sweepable_drivers
         from repro.experiments.qos_study import QOS_METRICS
 
-        assert "qos" in available_targets()
-        target = get_target("qos")
-        assert target.driver.metric_names == QOS_METRICS
-        assert set(target.presets) >= {"default", "quick", "paper"}
+        driver = sweepable_drivers()["qos"]
+        assert isinstance(driver, QoSStudyDriver)
+        assert driver.metric_names == QOS_METRICS
+        assert set(config_presets(driver.config_class)) >= {"default", "quick", "paper"}
 
 
 # ---------------------------------------------------------------------- #
@@ -485,7 +478,6 @@ class _ToyDriver:
 
         class Toy(ExperimentDriver):
             name = "toy"
-            metric_names = ("total",)
 
             def tasks(self, config):
                 return [
@@ -495,12 +487,6 @@ class _ToyDriver:
 
             def aggregate(self, config, results):
                 return {"rows": list(results), "total": sum(results)}
-
-            def rows(self, result):
-                return result["rows"]
-
-            def metrics(self, rows):
-                return (("total", float(sum(rows))),)
 
         return Toy()
 
@@ -520,16 +506,19 @@ class TestExperimentDriver:
         assert run_driver(driver, (5, 4, 3, 2)) == run_driver(driver, (5, 4, 3, 2), workers=2)
 
     def test_target_wraps_the_driver(self):
-        from repro.ablation.registry import ExperimentTarget
+        from repro.ablation.targets import AnnealHPOConfig, AnnealHPODriver, sweepable_drivers
 
-        target = ExperimentTarget(_ToyDriver(), presets={"quick": lambda: (1, 2)})
-        assert target.name == "toy"
-        config = target.make_config("quick")
-        driver = target.driver
+        driver = sweepable_drivers()["anneal-hpo"]
+        assert isinstance(driver, AnnealHPODriver)
+        assert driver.name == "anneal-hpo"
+        config = config_presets(driver.config_class)["quick"]()
+        assert config == AnnealHPOConfig.quick()
         shards = [task.fn(**task.kwargs) for task in driver.tasks(config)]
         rows = driver.rows(driver.aggregate(config, shards))
-        assert rows == [1, 4]
-        assert driver.metrics(rows) == (("total", 5.0),)
+        assert [row.restart for row in rows] == list(range(config.num_restarts))
+        metrics = driver.metrics(rows)
+        assert [name for name, _ in metrics] == list(driver.metric_names)
+        assert dict(metrics)["best_energy"] == min(row.energy for row in rows)
 
     def test_every_sweep_study_driver_subclasses_the_protocol(self):
         from repro.experiments.driver import ExperimentDriver
