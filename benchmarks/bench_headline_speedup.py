@@ -78,7 +78,7 @@ def _anneal_settings():
     return settings
 
 
-def _time_sa(implementation, reads):
+def _time_sa(reads):
     fields, symmetric, mask, sizes = _kernel_problem()
     children = spawn_rngs(7, 1)
     n = KERNEL_PROBLEM_SIZE
@@ -87,13 +87,12 @@ def _time_sa(implementation, reads):
     local = kernels.initial_local_fields(fields, symmetric, spins)
     start = time.perf_counter()
     kernels.sa_sweeps(
-        spins, local, symmetric, mask, sizes, children, _anneal_settings(),
-        implementation=implementation,
+        spins, local, symmetric, mask, sizes, children, _anneal_settings()
     )
     return time.perf_counter() - start
 
 
-def _time_svmc(implementation, reads):
+def _time_svmc(reads):
     fields, symmetric, mask, sizes = _kernel_problem()
     children = spawn_rngs(7, 1)
     n = KERNEL_PROBLEM_SIZE
@@ -104,22 +103,21 @@ def _time_svmc(implementation, reads):
     start = time.perf_counter()
     kernels.svmc_sweeps(
         theta, cosines, sines, local, symmetric, mask, sizes, children, _anneal_settings(),
-        implementation=implementation, proposal_width=0.8, uniform_fraction=0.05,
+        proposal_width=0.8, uniform_fraction=0.05,
     )
     return time.perf_counter() - start
 
 
 def measure_kernel_throughput():
     """sweeps/sec of each kernel family at each read count."""
-    implementation = "numba" if kernels.numba_available() else "vectorized"
-    results = {"implementation": implementation, "families": {}}
+    results = {"families": {}}
     for family, timer in (("sa", _time_sa), ("svmc", _time_svmc)):
         rows = {}
         for reads in KERNEL_READ_COUNTS:
-            timer(implementation, min(reads, 100))  # warm caches / JIT
+            timer(min(reads, 100))  # warm caches
             # The min of several runs, so a transient load spike on a
             # shared runner cannot skew the point.
-            fastest = min(timer(implementation, reads) for _ in range(6))
+            fastest = min(timer(reads) for _ in range(6))
             rows[str(reads)] = {"kernel_sweeps_per_sec": KERNEL_NUM_SWEEPS / fastest}
         results["families"][family] = rows
     return results
@@ -128,8 +126,7 @@ def measure_kernel_throughput():
 def format_kernel_throughput(results):
     lines = [
         "Replica-parallel kernel throughput "
-        f"(N = {KERNEL_PROBLEM_SIZE}, {KERNEL_NUM_SWEEPS} sweeps, "
-        f"implementation = {results['implementation']})",
+        f"(N = {KERNEL_PROBLEM_SIZE}, {KERNEL_NUM_SWEEPS} sweeps)",
         f"{'family':>6}  {'reads':>6}  {'kernel sw/s':>12}",
     ]
     for family, rows in results["families"].items():

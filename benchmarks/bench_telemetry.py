@@ -84,7 +84,7 @@ def _time_kernel(runner, reads):
 def measure_kernel_overhead(reads=2000):
     """Dispatcher (guarded) vs raw implementation, plus the enabled cost."""
     telemetry.disable()
-    dispatcher = lambda *args: kernels.sa_sweeps(*args, implementation="vectorized")  # noqa: E731
+    dispatcher = kernels.sa_sweeps
     raw = kernels.sa_sweeps_vectorized
     _time_kernel(raw, min(reads, 200))  # warm caches
     guarded_times, raw_times = [], []

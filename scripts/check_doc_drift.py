@@ -9,6 +9,9 @@ in prose, but never in entry points.  It also renders ``--help`` for the root pa
 subparser, so a help string argparse cannot format (a stray ``%``) fails
 here rather than in a user's terminal, and checks that the Targets table of
 ``docs/ablation.md`` lists exactly the experiments an ablation spec can sweep.
+Finally, every ``REPRO_*`` environment variable that ``README.md`` or
+``docs/*.md`` names must be read somewhere in ``src/repro``, so the docs
+cannot advertise a knob the library has dropped.
 
 Run from the repository root (CI does)::
 
@@ -131,8 +134,36 @@ def check_ablation_targets() -> list:
     return problems
 
 
+def check_env_vars() -> list:
+    """Every ``REPRO_*`` variable the README or docs name must be read in src/repro.
+
+    A variable counts as read when a module under ``src/repro`` spells its
+    name as a string literal and also touches ``os.environ`` or
+    ``os.getenv`` (directly, or through a module constant holding the name).
+    """
+    documents = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+    named = set()
+    for path in documents:
+        if path.exists():
+            named.update(re.findall(r"\bREPRO_[A-Z_]+", path.read_text(encoding="utf-8")))
+    read = set()
+    for source in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        text = source.read_text(encoding="utf-8")
+        if re.search(r"\bos\.(environ|getenv)\b", text):
+            read.update(re.findall(r"[\"'](REPRO_[A-Z_]+)[\"']", text))
+    return [
+        f"docs name environment variable {name}, which src/repro never reads"
+        for name in sorted(named - read)
+    ]
+
+
 def main() -> int:
-    problems = check_required_docs() + check_help_renders() + check_ablation_targets()
+    problems = (
+        check_required_docs()
+        + check_help_renders()
+        + check_ablation_targets()
+        + check_env_vars()
+    )
     if problems:
         print("FAIL: " + "; ".join(problems), file=sys.stderr)
         return 1

@@ -7,10 +7,7 @@ and fails with a readable field-by-field diff whenever any number moves — so
 a change to the kernels, the RNG draw discipline, or the experiment plumbing
 cannot silently alter results.
 
-The fixtures are recorded under the default (``vectorized``) kernel; the
-``numba`` kernel is bitwise-identical by contract, so the same fixtures gate
-both CI legs.  Run from the repository root after an *intentional*
-numerics change::
+Run from the repository root after an *intentional* numerics change::
 
     PYTHONPATH=src python scripts/regen_golden.py
 """

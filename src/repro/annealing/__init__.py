@@ -14,8 +14,7 @@ programming surface:
 * :mod:`repro.annealing.device` — device timing constants, control-error
   (ICE-like) noise, and annealing energy scales A(s)/B(s).
 * :mod:`repro.annealing.kernels` — the replica-parallel Metropolis sweep
-  kernels (vectorized / numba, selected by the ``REPRO_KERNEL`` environment
-  variable) shared by both backends and the classical SA solver.
+  kernels shared by both backends and the classical SA solver.
 * :mod:`repro.annealing.svmc` — a schedule-aware spin-vector Monte Carlo
   backend (the default physics surrogate).
 * :mod:`repro.annealing.sa_backend` — a schedule-driven simulated annealing
@@ -42,13 +41,6 @@ from repro.annealing.embedding import (
 )
 from repro.annealing.device import DeviceModel, AnnealingFunctions
 from repro.annealing.backend import AnnealingBackend, pad_problem_batch
-from repro.annealing.kernels import (
-    KERNEL_CHOICES,
-    KERNEL_ENV_VAR,
-    active_kernel_name,
-    numba_available,
-    requested_kernel_name,
-)
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
 from repro.annealing.sa_backend import ScheduleDrivenAnnealingBackend
 from repro.annealing.sampler import QuantumAnnealerSimulator
@@ -72,11 +64,6 @@ __all__ = [
     "AnnealingFunctions",
     "AnnealingBackend",
     "pad_problem_batch",
-    "KERNEL_CHOICES",
-    "KERNEL_ENV_VAR",
-    "active_kernel_name",
-    "numba_available",
-    "requested_kernel_name",
     "SpinVectorMonteCarloBackend",
     "ScheduleDrivenAnnealingBackend",
     "QuantumAnnealerSimulator",

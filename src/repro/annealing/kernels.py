@@ -5,21 +5,14 @@ of :class:`~repro.annealing.sa_backend.ScheduleDrivenAnnealingBackend`,
 :class:`~repro.annealing.svmc.SpinVectorMonteCarloBackend` and the classical
 :class:`~repro.classical.simulated_annealing.SimulatedAnnealingSolver` all
 execute here.  Each family (SA spin flips, SVMC rotor updates) has one
-production data flow, available in two bitwise-identical implementations:
-
-``vectorized`` (default)
-    One array program over ``(batch, spins, reads)`` per sweep — every read
-    of every instance advances in a single sequence of numpy operations.
-``numba``
-    The vectorized data flow with the per-chunk decision loops fused by a
-    numba JIT (see :mod:`repro.annealing._kernels_numba`).  Optional: when
-    numba is not importable the library falls back to ``vectorized`` with a
-    one-time warning, so nothing ever requires it.
-
-Select an implementation with the ``REPRO_KERNEL`` environment variable
-(``vectorized`` | ``numba``); see ``docs/kernels.md``.  The executable
-specification both are tested against — per-read python scalar loops over
-the same draws and helpers — lives with the tests (``tests/kernel_spec.py``).
+production kernel — :func:`sa_sweeps_vectorized` and
+:func:`svmc_sweeps_vectorized` — that runs one array program over
+``(batch, spins, reads)`` per sweep: every read of every instance advances
+in a single sequence of numpy operations.  :func:`sa_sweeps` and
+:func:`svmc_sweeps` are their telemetry-instrumented entry points; see
+``docs/kernels.md``.  The executable specification the kernels are tested
+against — per-read python scalar loops over the same draws and helpers —
+lives with the tests (``tests/kernel_spec.py``).
 
 Chunked replica-parallel dynamics
 ---------------------------------
@@ -54,14 +47,13 @@ run the dense chunk program.  At the residual floor (``activity = 0.02``)
 a gated ``(1, 32, 300)`` sweep costs ~0.55× a dense one.  On the
 ``ra-sweep`` benchmark, where about two thirds of the sweeps run below the
 crossover, anneal reads/s went from 4600 to 6747 (median of 10 runs each,
-2-vCPU x86_64 host); the per-sweep draw fills are now the floor.  The numba
-kernel keeps the dense data flow, with identical results.
+2-vCPU x86_64 host); the per-sweep draw fills are now the floor.
 
 Bitwise-equivalence design rules
 --------------------------------
-The implementations of one family, and the scalar specification in the
-tests, agree bit for bit because they follow these rules, which any future
-kernel must preserve:
+The kernel of each family and the scalar specification in the tests agree
+bit for bit because they follow these rules, which any future kernel must
+preserve:
 
 * **Exact arithmetic may differ in shape.**  IEEE-754 ``+ - * /``,
   comparisons, and min/max are exact per element, so the specification may
@@ -69,17 +61,16 @@ kernel must preserve:
   arrays.
 * **Transcendentals run through numpy's elementwise ufunc loop.**  numpy's
   ``log``/``exp``/``cos``/``sin`` pick different code paths for scalars and
-  arrays (and numba's libm differs again), so every transcendental is
-  computed by the array loop — on the dense block or on a gathered
-  contiguous block of the same values — never on a 0-d scalar, never inside
-  a JIT loop.  The array loop is elementwise, so a value's result does not
-  depend on the block it sits in; ``tests/test_kernels.py`` checks that
+  arrays, so every transcendental is computed by the array loop — on the
+  dense block or on a gathered contiguous block of the same values — never
+  on a 0-d scalar.  The array loop is elementwise, so a value's result does
+  not depend on the block it sits in; ``tests/test_kernels.py`` checks that
   property on the running platform.
 * **Reductions go through shared helpers.**  BLAS contractions are not
   bitwise shape-stable (a ``(R,C)@(C,N)`` gemm differs from row-by-row
   gemv), so the local-field refresh and the energy bookkeeping run through
   :func:`commit_chunk` / :func:`apply_couplings` with identically-shaped
-  inputs in every implementation.
+  inputs in the kernel and the specification.
 * **One-term contractions are exact, so width-1 commits may use plain
   products.**  A contraction over a single chunk position has one product
   and nothing to reorder, so :func:`commit_chunk` computes a one-position
@@ -100,40 +91,25 @@ is what keeps experiment results invariant to batching and worker counts.
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
-from repro.exceptions import ConfigurationError
-from repro.telemetry.log import get_logger
 
 __all__ = [
-    "KERNEL_ENV_VAR",
-    "KERNEL_CHOICES",
     "DEFAULT_SPINS_PER_STEP",
     "SVMC_GATE_CROSSOVER",
     "SweepSettings",
-    "numba_available",
-    "requested_kernel_name",
     "active_kernel_name",
     "initial_local_fields",
     "apply_couplings",
     "commit_chunk",
     "sa_sweeps",
     "sa_sweeps_vectorized",
-    "sa_sweeps_numba",
     "svmc_sweeps",
     "svmc_sweeps_vectorized",
-    "svmc_sweeps_numba",
 ]
-
-#: Environment variable selecting the sweep-kernel implementation.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Recognised values of :data:`KERNEL_ENV_VAR`.
-KERNEL_CHOICES = ("vectorized", "numba")
 
 #: Spins updated simultaneously per chunk of a sweep.  A constant (rather
 #: than e.g. a fraction of the problem size) so chunk boundaries — and with
@@ -156,51 +132,14 @@ _SVMC_GATE_MARGIN = 2.0**-20
 #: (the classical SA solver); the other entries are scalars.
 SweepSettings = Sequence[Tuple[float, float, Union[float, np.ndarray], float]]
 
-_log = get_logger(__name__)
-
-_numba_fallback_warned = False
-
-
-def numba_available() -> bool:
-    """True when the optional numba JIT path can be used."""
-    from repro.annealing import _kernels_numba
-
-    return _kernels_numba.HAVE_NUMBA
-
-
-def requested_kernel_name() -> str:
-    """The kernel named by ``REPRO_KERNEL``, before availability fallback."""
-    raw = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
-    if not raw:
-        return "vectorized"
-    if raw not in KERNEL_CHOICES:
-        raise ConfigurationError(
-            f"{KERNEL_ENV_VAR}={raw!r} is not a known kernel; "
-            f"choose one of {', '.join(KERNEL_CHOICES)}"
-        )
-    return raw
-
 
 def active_kernel_name() -> str:
-    """The kernel implementation that will actually run.
+    """The name of the sweep kernel that runs: always ``"vectorized"``.
 
-    Resolves ``REPRO_KERNEL`` and applies the numba fallback: when the JIT
-    path is requested but numba is not importable, the vectorized kernel is
-    used instead and a warning is emitted once per process.
+    Kept because the frozen benchmark harness (``perfbench/run.py``) imports
+    it to record which kernel produced a run.
     """
-    name = requested_kernel_name()
-    if name == "numba" and not numba_available():
-        global _numba_fallback_warned
-        if not _numba_fallback_warned:
-            _log.warning(
-                "kernel.numba_fallback",
-                requested="numba",
-                used="vectorized",
-                reason="numba is not importable",
-            )
-            _numba_fallback_warned = True
-        return "vectorized"
-    return name
+    return "vectorized"
 
 
 # --------------------------------------------------------------------- #
@@ -208,7 +147,7 @@ def active_kernel_name() -> str:
 # --------------------------------------------------------------------- #
 
 
-def _dispatch_instrumented(family, implementation, kernel, args, kwargs):
+def _dispatch_instrumented(family, kernel, args, kwargs):
     """Run one kernel call, timed and counted when telemetry is enabled.
 
     The wall span wraps the call from the *outside*, so the kernel's
@@ -224,14 +163,13 @@ def _dispatch_instrumented(family, implementation, kernel, args, kwargs):
     settings = kwargs["settings"] if "settings" in kwargs else args[-1]
     sweeps = len(settings)
     batch, reads = args[0].shape[0], args[0].shape[-1]
-    labels = {"family": family, "implementation": implementation}
+    labels = {"family": family}
     tel.registry.counter("repro_kernel_calls_total", **labels).inc()
     tel.registry.counter("repro_kernel_sweeps_total", **labels).inc(sweeps)
     read_sweeps = sweeps * batch * reads
     tel.registry.counter("repro_kernel_read_sweeps_total", **labels).inc(read_sweeps)
     with tel.tracer.span(
         f"kernel.{family}",
-        implementation=implementation,
         sweeps=sweeps,
         batch=batch,
         reads=reads,
@@ -247,7 +185,7 @@ def _dispatch_instrumented(family, implementation, kernel, args, kwargs):
 
 
 # --------------------------------------------------------------------- #
-# Shared numerics (identical call shapes in every implementation)
+# Shared numerics (identical call shapes in the kernels and the spec)
 # --------------------------------------------------------------------- #
 
 
@@ -256,8 +194,8 @@ def initial_local_fields(
 ) -> np.ndarray:
     """``local[b, i, r] = h_i + sum_j Jsym_ij * state[b, j, r]``.
 
-    One batched gemm shared by every replica-parallel implementation so the
-    starting local fields are bitwise-identical across kernels.
+    One batched gemm shared by the kernels and the test-side specification
+    so their starting local fields are bitwise-identical.
     """
     return padded_fields[:, :, None] + np.matmul(symmetric, state)
 
@@ -274,8 +212,8 @@ def apply_couplings(
 
     ``change`` holds the state deltas of chunk positions ``p0..p1``; the
     rank-``C`` contraction ``Jsym[:, :, p0:p1] @ change`` is the single BLAS
-    call every implementation shares (a reduction's float result depends on
-    its shape, so the shapes must be identical everywhere).
+    call the kernels and the specification share (a reduction's float result
+    depends on its shape, so the shapes must be identical everywhere).
     """
     np.matmul(symmetric[:, :, p0:p1], change, out=out)
     local += out
@@ -298,8 +236,8 @@ def commit_chunk(
     exactly for simultaneous flips:
     ``dE = sum_i change_i * local_i(stale) + 1/2 * change^T Jsym change``
     (the second term corrects for pairs flipped in the same chunk).  The
-    einsum/gemm reduction order is part of the kernel contract — every
-    implementation calls this helper with identical arrays.
+    einsum/gemm reduction order is part of the kernel contract — the SA
+    kernel and the specification call this helper with identical arrays.
 
     A one-position chunk (the classical solver's single-spin steps)
     contracts over one term, so each contraction is one plain product.  The
@@ -499,72 +437,13 @@ def sa_sweeps_vectorized(
     return spins
 
 
-def sa_sweeps_numba(
-    spins: np.ndarray,
-    local: np.ndarray,
-    symmetric: np.ndarray,
-    mask: np.ndarray,
-    sizes: np.ndarray,
-    children: Sequence[np.random.Generator],
-    settings: SweepSettings,
-    *,
-    spins_per_step: int = DEFAULT_SPINS_PER_STEP,
-    energies: Optional[np.ndarray] = None,
-    best_spins: Optional[np.ndarray] = None,
-    best_energies: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The vectorized SA data flow with JIT-fused chunk decision loops."""
-    from repro.annealing import _kernels_numba
+def sa_sweeps(*args, **kwargs) -> np.ndarray:
+    """Run :func:`sa_sweeps_vectorized`, timed and counted under telemetry.
 
-    if not _kernels_numba.HAVE_NUMBA:  # pragma: no cover - guarded by dispatch
-        raise ConfigurationError("numba kernel requested but numba is not importable")
-    batch, max_size, reads = spins.shape
-    track = best_energies is not None
-    chunk_cap = min(spins_per_step, max_size)
-    thresholds = np.zeros((batch, max_size, reads))
-    change = np.empty((batch, chunk_cap, reads))
-    coupled = np.empty((batch, max_size, reads))
-    for problem, _transverse, temperature, activity in settings:
-        log_activity = np.log(activity)
-        _sa_fill_thresholds(
-            children, sizes, reads, thresholds, problem, temperature, log_activity
-        )
-        for p0 in range(0, max_size, spins_per_step):
-            p1 = min(p0 + spins_per_step, max_size)
-            flips = change[:, : p1 - p0]
-            _kernels_numba.sa_chunk_changes(
-                spins,
-                local,
-                thresholds,
-                mask,
-                p0,
-                p1,
-                problem > 0.0,
-                float(log_activity),
-                flips,
-            )
-            commit_chunk(spins, local, symmetric, flips, p0, p1, coupled, energies)
-            if track:
-                _track_best(spins, energies, best_spins, best_energies)
-    return spins
-
-
-_SA_IMPLEMENTATIONS = {
-    "vectorized": sa_sweeps_vectorized,
-    "numba": sa_sweeps_numba,
-}
-
-
-def sa_sweeps(*args, implementation: str = "vectorized", **kwargs) -> np.ndarray:
-    """Dispatch SA sweeps to a replica-parallel implementation by name."""
-    try:
-        kernel = _SA_IMPLEMENTATIONS[implementation]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown replica-parallel SA kernel {implementation!r}; "
-            f"choose one of {', '.join(_SA_IMPLEMENTATIONS)}"
-        ) from None
-    return _dispatch_instrumented("sa", implementation, kernel, args, kwargs)
+    The kernel is looked up at call time, so a test may substitute the
+    scalar specification for the module attribute.
+    """
+    return _dispatch_instrumented("sa", sa_sweeps_vectorized, args, kwargs)
 
 
 # --------------------------------------------------------------------- #
@@ -598,7 +477,7 @@ def _svmc_cos_sin_block(angles, cos_out, sin_out):
     ``sin = sqrt(1 - cos^2)`` — valid because rotor angles live in
     ``[0, pi]`` — replaces the second transcendental with an exact
     (correctly-rounded, therefore bitwise shape-independent) square root.
-    Every implementation shares this helper so the one genuine
+    The kernel and the specification share this helper so the one genuine
     transcendental, ``cos``, is always evaluated on an identical block.
     """
     np.cos(angles, out=cos_out)
@@ -819,100 +698,10 @@ def svmc_sweeps_vectorized(
     return cosines
 
 
-def svmc_sweeps_numba(
-    theta: np.ndarray,
-    cosines: np.ndarray,
-    sines: np.ndarray,
-    local: np.ndarray,
-    symmetric: np.ndarray,
-    mask: np.ndarray,
-    sizes: np.ndarray,
-    children: Sequence[np.random.Generator],
-    settings: SweepSettings,
-    *,
-    proposal_width: float,
-    uniform_fraction: float,
-    spins_per_step: int = DEFAULT_SPINS_PER_STEP,
-) -> np.ndarray:
-    """The dense vectorized SVMC data flow with JIT-fused chunk decision loops.
+def svmc_sweeps(*args, **kwargs) -> np.ndarray:
+    """Run :func:`svmc_sweeps_vectorized`, timed and counted under telemetry.
 
-    Every sweep runs the dense chunk program (no activity gate); the results
-    are identical to the gated vectorized kernel.
+    The kernel is looked up at call time, so a test may substitute the
+    scalar specification for the module attribute.
     """
-    from repro.annealing import _kernels_numba
-
-    if not _kernels_numba.HAVE_NUMBA:  # pragma: no cover - guarded by dispatch
-        raise ConfigurationError("numba kernel requested but numba is not importable")
-    batch, max_size, reads = theta.shape
-    chunk_cap = min(spins_per_step, max_size)
-    normals = np.zeros((batch, max_size, reads))
-    mixes = np.zeros((batch, max_size, reads))
-    thresholds = np.zeros((batch, max_size, reads))
-    proposed = np.empty((batch, chunk_cap, reads))
-    proposed_cos = np.empty((batch, chunk_cap, reads))
-    proposed_sin = np.empty((batch, chunk_cap, reads))
-    change = np.empty((batch, chunk_cap, reads))
-    coupled = np.empty((batch, max_size, reads))
-    for problem, transverse, temperature, activity in settings:
-        log_activity = np.log(activity)
-        _svmc_fill_blocks(
-            children,
-            sizes,
-            reads,
-            proposal_width,
-            normals,
-            mixes,
-            thresholds,
-            float(temperature),
-            log_activity,
-        )
-        for p0 in range(0, max_size, spins_per_step):
-            p1 = min(p0 + spins_per_step, max_size)
-            width = p1 - p0
-            prop = _svmc_propose_block(
-                theta[:, p0:p1],
-                normals[:, p0:p1],
-                mixes[:, p0:p1],
-                uniform_fraction,
-                proposed[:, :width],
-            )
-            cos_p, sin_p = _svmc_cos_sin_block(
-                prop, proposed_cos[:, :width], proposed_sin[:, :width]
-            )
-            flips = change[:, :width]
-            _kernels_numba.svmc_chunk_updates(
-                theta,
-                cosines,
-                sines,
-                local,
-                thresholds,
-                mask,
-                prop,
-                cos_p,
-                sin_p,
-                float(problem),
-                float(transverse),
-                p0,
-                p1,
-                flips,
-            )
-            apply_couplings(local, symmetric, flips, p0, p1, coupled)
-    return cosines
-
-
-_SVMC_IMPLEMENTATIONS = {
-    "vectorized": svmc_sweeps_vectorized,
-    "numba": svmc_sweeps_numba,
-}
-
-
-def svmc_sweeps(*args, implementation: str = "vectorized", **kwargs) -> np.ndarray:
-    """Dispatch SVMC sweeps to a replica-parallel implementation by name."""
-    try:
-        kernel = _SVMC_IMPLEMENTATIONS[implementation]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown replica-parallel SVMC kernel {implementation!r}; "
-            f"choose one of {', '.join(_SVMC_IMPLEMENTATIONS)}"
-        ) from None
-    return _dispatch_instrumented("svmc", implementation, kernel, args, kwargs)
+    return _dispatch_instrumented("svmc", svmc_sweeps_vectorized, args, kwargs)

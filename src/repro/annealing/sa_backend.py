@@ -26,9 +26,8 @@ flight at once) is benchmarked on: both entry points execute through the
 replica-parallel sweep kernels of :mod:`repro.annealing.kernels` — one array
 program over ``(batch, spins, reads)`` per sweep — while drawing each
 instance's randomness from its own child generator, so batched and
-sequential results are bitwise-identical and independent of batch grouping.
-The ``REPRO_KERNEL`` environment variable selects the kernel implementation
-(vectorized / numba); see ``docs/kernels.md``.
+sequential results are bitwise-identical and independent of batch grouping
+(see ``docs/kernels.md``).
 """
 
 from __future__ import annotations
@@ -162,9 +161,7 @@ class ScheduleDrivenAnnealingBackend(AnnealingBackend):
         :mod:`repro.annealing.kernels`): instances are padded to a common
         size with zero fields/couplings and a validity mask, and instance
         ``b`` draws exclusively from child generator ``b``, so results are
-        independent of how a workload is grouped into batches.  The sweep
-        implementation is selected by the ``REPRO_KERNEL`` environment
-        variable.
+        independent of how a workload is grouped into batches.
         """
         prepared = prepare_anneal_batch(fields, couplings, schedule, num_reads, initial_spins, rng)
         if prepared is None:
@@ -196,7 +193,6 @@ class ScheduleDrivenAnnealingBackend(AnnealingBackend):
             sizes,
             children,
             settings,
-            implementation=kernels.active_kernel_name(),
         )
         return [
             state[index, : int(sizes[index])].T.astype(np.int8) for index in range(batch)

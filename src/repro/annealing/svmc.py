@@ -28,9 +28,7 @@ implements the batched engine contract: both entry points advance through
 the replica-parallel rotor kernels of :mod:`repro.annealing.kernels` — one
 array program over ``(batch, spins, reads)`` per sweep — with per-instance
 child generators so batched and sequential results are bitwise-identical
-and independent of batch grouping.  The ``REPRO_KERNEL`` environment
-variable selects the kernel implementation (vectorized / numba); see
-``docs/kernels.md``.
+and independent of batch grouping (see ``docs/kernels.md``).
 """
 
 from __future__ import annotations
@@ -183,8 +181,6 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         :mod:`repro.annealing.kernels`), padded to a common size, with
         instance ``b`` drawing exclusively from child generator ``b`` — so
         results are independent of how a workload is grouped into batches.
-        The sweep implementation is selected by the ``REPRO_KERNEL``
-        environment variable.
         """
         prepared = prepare_anneal_batch(fields, couplings, schedule, num_reads, initial_spins, rng)
         if prepared is None:
@@ -219,7 +215,6 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
             sizes,
             children,
             settings,
-            implementation=kernels.active_kernel_name(),
             proposal_width=self.proposal_width,
             uniform_fraction=self.uniform_fraction,
         )

@@ -13,8 +13,7 @@ Both the single-instance :meth:`SimulatedAnnealingSolver.solve` and the
 batched :meth:`SimulatedAnnealingSolver.solve_batch` run the same kernel: the
 single path is literally a batch of one, so a batched solve over per-instance
 child generators is bitwise-identical to the sequential loop regardless of
-how instances are grouped.  ``REPRO_KERNEL`` selects the kernel
-implementation (vectorized / numba), exactly as for the anneal backends.
+how instances are grouped.
 """
 
 from __future__ import annotations
@@ -171,7 +170,6 @@ class SimulatedAnnealingSolver(QuboSolver):
             sizes,
             children,
             settings,
-            implementation=kernels.active_kernel_name(),
             spins_per_step=1,
             energies=energies,
             best_spins=best_state,

@@ -280,6 +280,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     arguments = parser.parse_args(argv)
     if arguments.workers is not None and arguments.workers < 1:
         parser.error(f"--workers must be at least 1, got {arguments.workers}")
+    # An empty DIR would export or cache straight into the working directory.
+    if arguments.telemetry == "":
+        parser.error("--telemetry=DIR needs a non-empty DIR; omit '=DIR' for the default")
+    if arguments.cache_dir == "":
+        parser.error("--cache-dir needs a non-empty DIR")
     if arguments.quiet and arguments.verbose:
         parser.error("--quiet and --verbose are mutually exclusive")
     if arguments.experiment == "ablate" and arguments.spec is None:

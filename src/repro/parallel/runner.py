@@ -16,7 +16,6 @@ shard.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -29,24 +28,6 @@ from repro.telemetry.log import get_logger
 __all__ = ["ShardTask", "RunStats", "ParallelRunner"]
 
 _log = get_logger(__name__)
-
-
-def _pool_worker_init() -> None:
-    """Process-pool worker initializer: prefer the numba kernel when present.
-
-    Pool workers are fresh processes doing pure batch compute, so when the
-    user has not pinned ``REPRO_KERNEL`` themselves and numba is importable,
-    workers default to the JIT kernel (it is bitwise-equivalent to the
-    vectorized kernel — see ``tests/test_kernels.py``).  An explicit
-    ``REPRO_KERNEL`` always wins, and without numba the usual warn-once
-    vectorized fallback still applies because nothing is overridden here.
-    """
-    from repro.annealing.kernels import KERNEL_ENV_VAR, numba_available
-
-    if os.environ.get(KERNEL_ENV_VAR, "").strip():
-        return
-    if numba_available():
-        os.environ[KERNEL_ENV_VAR] = "numba"
 
 
 @dataclass(frozen=True)
@@ -220,9 +201,7 @@ class ParallelRunner:
         # still records a completion event per shard.  Use serial mode when
         # a full trace matters — results are bitwise-identical either way.
         tel = telemetry.active()
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_worker_init
-        ) as executor:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
             futures = {
                 executor.submit(tasks[index].fn, **dict(tasks[index].kwargs)): index
                 for index in pending

@@ -4,7 +4,7 @@ Each function spells out one kernel family's dynamics with per-read python
 scalar loops.  They take exactly the arguments of
 :func:`repro.annealing.kernels.sa_sweeps_vectorized` /
 :func:`~repro.annealing.kernels.svmc_sweeps_vectorized` and must agree with
-every production implementation *bit for bit*.  Draws, transcendental
+those production kernels *bit for bit*.  Draws, transcendental
 blocks and BLAS reductions go through the kernels' shared helpers (see the
 equivalence rules in the :mod:`repro.annealing.kernels` docstring); the
 decision logic and the SA chunk commit are restated here.  The commit is
@@ -14,8 +14,8 @@ products for one-position chunks, no commit when nothing flips — are checked
 against it rather than shared with it.
 
 ``tests/test_kernels.py`` calls these functions directly for the kernel-level
-equivalence tests and swaps them into ``kernels._SA_IMPLEMENTATIONS`` /
-``kernels._SVMC_IMPLEMENTATIONS`` for the solver-level ones.
+equivalence tests and substitutes them for ``kernels.sa_sweeps_vectorized`` /
+``kernels.svmc_sweeps_vectorized`` for the solver-level ones.
 """
 
 from typing import Optional, Sequence

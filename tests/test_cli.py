@@ -62,6 +62,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.main(["scenarios", "--quick", "--workers", "0"])
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--telemetry", ["fig8", "--quick", "--no-cache", "--telemetry="]),
+            ("--cache-dir", ["fig3", "--quick", "--cache-dir="]),
+            ("--cache-dir", ["fig3", "--quick", "--cache-dir", ""]),
+        ],
+    )
+    def test_rejects_empty_directory_flags(self, flag, argv, capsys):
+        # An empty DIR would scatter exports or cache shards over the cwd.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert list(pathlib.Path(".").iterdir()) == []
+
+    def test_bare_telemetry_exports_to_the_default_directory(self, capsys):
+        assert cli.main(["fig3", "--quick", "--no-cache", "--telemetry"]) == 0
+        capsys.readouterr()
+        exported = pathlib.Path(cli.DEFAULT_TELEMETRY_DIR)
+        assert exported == pathlib.Path("telemetry-out")
+        for name in ("trace.jsonl", "metrics.prom", "summary.txt"):
+            assert (exported / name).exists()
+
 
 class TestMain:
     def test_runs_fig3_quick(self, capsys):

@@ -10,9 +10,6 @@ discipline, padding, or experiment plumbing.
 After an *intentional* numerics change, regenerate with::
 
     PYTHONPATH=src python scripts/regen_golden.py
-
-The fixtures are recorded under the ``vectorized`` kernel and equally bind
-the ``numba`` kernel (bitwise-equal by contract, see tests/test_kernels.py).
 """
 
 import json

@@ -1,17 +1,14 @@
 """Tests for repro.annealing.kernels (replica-parallel sweep kernels).
 
 The reference kernels in ``tests/kernel_spec.py`` are the executable
-specification: every production implementation (vectorized, numba) must
-reproduce them *bit for bit* on every tested configuration — spin counts,
-read counts, chunk sizes, schedules and seeds — for both the SA and SVMC
-families.  The suite also locks down the ``REPRO_KERNEL`` selection
-machinery and the random-draw discipline that keeps experiment results
-invariant to batching.
+specification: the production kernel of each family must reproduce them
+*bit for bit* on every tested configuration — spin counts, read counts,
+chunk sizes, schedules and seeds — for both the SA and SVMC families.  The
+suite also locks down the random-draw discipline that keeps experiment
+results invariant to batching.
 """
 
 import copy
-import functools
-import logging
 
 import numpy as np
 import pytest
@@ -20,8 +17,6 @@ from repro.annealing import kernels
 from repro.annealing.device import AnnealingFunctions
 from repro.annealing.kernels import (
     DEFAULT_SPINS_PER_STEP,
-    KERNEL_CHOICES,
-    KERNEL_ENV_VAR,
     initial_local_fields,
     sa_sweeps,
     svmc_sweeps,
@@ -31,15 +26,10 @@ from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
 from repro.classical.simulated_annealing import SimulatedAnnealingSolver
-from repro.exceptions import ConfigurationError
 from repro.qubo.ising import IsingModel
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import spawn_rngs
 from tests.kernel_spec import sa_sweeps_reference, svmc_sweeps_reference
-
-needs_numba = pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba is not installed"
-)
 
 #: Named sweep schedules exercising every decision branch of the kernels:
 #: problem > 0 and problem == 0 sweeps, full activity and freeze-out
@@ -120,25 +110,20 @@ def _svmc_state(sizes, reads, seed, padded_fields, symmetric):
 
 
 def _kernel(dispatch, spec, implementation):
-    """The test-side ``spec`` for ``"reference"``, else the production dispatch."""
-    if implementation == "reference":
-        return spec
-    return functools.partial(dispatch, implementation=implementation)
+    """The test-side ``spec`` for ``"reference"``, else the production entry point."""
+    return spec if implementation == "reference" else dispatch
+
+
+#: Kernels the solver-level tests substitute for production, by name: the
+#: (SA, SVMC) pair of the test-side specification.
+SPEC_KERNELS = {"reference": (sa_sweeps_reference, svmc_sweeps_reference)}
 
 
 def _use_kernel(monkeypatch, kernel):
-    """Route every solver-level kernel call to ``kernel``.
-
-    ``"reference"`` swaps the test-side spec in for the default
-    implementation of both families; any other name goes through
-    ``REPRO_KERNEL``.
-    """
-    if kernel == "reference":
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        monkeypatch.setitem(kernels._SA_IMPLEMENTATIONS, "vectorized", sa_sweeps_reference)
-        monkeypatch.setitem(kernels._SVMC_IMPLEMENTATIONS, "vectorized", svmc_sweeps_reference)
-    else:
-        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+    """Route every solver-level kernel call to the named ``SPEC_KERNELS`` pair."""
+    sa, svmc = SPEC_KERNELS[kernel]
+    monkeypatch.setattr(kernels, "sa_sweeps_vectorized", sa)
+    monkeypatch.setattr(kernels, "svmc_sweeps_vectorized", svmc)
 
 
 def _run_sa(implementation, sizes, reads, seed, schedule, chunk, track=False):
@@ -182,57 +167,8 @@ def _run_svmc(implementation, sizes, reads, seed, schedule, chunk, **params):
     return theta, cosines, sines, local
 
 
-class TestKernelSelection:
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert kernels.requested_kernel_name() == "vectorized"
-        assert kernels.active_kernel_name() == "vectorized"
-
-    def test_choices_are_the_production_implementations(self):
-        assert KERNEL_CHOICES == ("vectorized", "numba")
-        assert tuple(kernels._SA_IMPLEMENTATIONS) == KERNEL_CHOICES
-        assert tuple(kernels._SVMC_IMPLEMENTATIONS) == KERNEL_CHOICES
-
-    @pytest.mark.parametrize("name", KERNEL_CHOICES)
-    def test_every_choice_is_accepted(self, monkeypatch, name):
-        monkeypatch.setenv(KERNEL_ENV_VAR, name)
-        assert kernels.requested_kernel_name() == name
-
-    def test_value_is_normalised(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "  Numba ")
-        assert kernels.requested_kernel_name() == "numba"
-
-    @pytest.mark.parametrize("name", ["turbo", "legacy", "reference"])
-    def test_unknown_value_is_rejected(self, monkeypatch, name):
-        monkeypatch.setenv(KERNEL_ENV_VAR, name)
-        with pytest.raises(ConfigurationError, match=f"{name}.*vectorized, numba"):
-            kernels.requested_kernel_name()
-        with pytest.raises(ConfigurationError):
-            kernels.active_kernel_name()
-
-    def test_numba_resolution(self, monkeypatch, caplog):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numba")
-        monkeypatch.setattr(kernels, "_numba_fallback_warned", False)
-        if kernels.numba_available():
-            assert kernels.active_kernel_name() == "numba"
-        else:
-            with caplog.at_level(logging.WARNING, logger="repro.annealing.kernels"):
-                assert kernels.active_kernel_name() == "vectorized"
-            assert any("kernel.numba_fallback" in rec.message for rec in caplog.records)
-            # The warning fires once per process, not once per call.
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="repro.annealing.kernels"):
-                assert kernels.active_kernel_name() == "vectorized"
-            assert not caplog.records
-
-    @pytest.mark.parametrize("dispatch", [sa_sweeps, svmc_sweeps])
-    def test_dispatch_rejects_unknown_implementation(self, dispatch):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            dispatch(implementation="warp-drive")
-
-
 class TestSAEquivalence:
-    """vectorized (and numba) SA kernels are bitwise-identical to reference."""
+    """The vectorized SA kernel is bitwise-identical to the reference."""
 
     @pytest.mark.parametrize("size_key", sorted(SIZE_SETS))
     @pytest.mark.parametrize("schedule_key", sorted(SCHEDULES))
@@ -307,7 +243,6 @@ class TestSAEquivalence:
             size_array,
             children,
             SCHEDULES["anneal"],
-            implementation="vectorized",
             spins_per_step=3,
             **extras,
         )
@@ -322,19 +257,10 @@ class TestSAEquivalence:
         state, local, _ = _run_sa("vectorized", [3, 9], 4, 11, SCHEDULES["anneal"], 4)
         assert np.all(state[0, 3:] == 1.0)
 
-    @needs_numba
-    @pytest.mark.parametrize("schedule_key", sorted(SCHEDULES))
-    @pytest.mark.parametrize("chunk", [2, DEFAULT_SPINS_PER_STEP])
-    def test_numba_matches_reference(self, schedule_key, chunk):
-        schedule = SCHEDULES[schedule_key]
-        ref = _run_sa("reference", [7, 3, 10], 4, 7, schedule, chunk)
-        jit = _run_sa("numba", [7, 3, 10], 4, 7, schedule, chunk)
-        assert np.array_equal(ref[0], jit[0])
-        assert np.array_equal(ref[1], jit[1])
 
 
 class TestSVMCEquivalence:
-    """vectorized (and numba) SVMC kernels are bitwise-identical to reference."""
+    """The vectorized SVMC kernel is bitwise-identical to the reference."""
 
     @pytest.mark.parametrize("size_key", sorted(SIZE_SETS))
     @pytest.mark.parametrize("schedule_key", sorted(SCHEDULES))
@@ -372,15 +298,6 @@ class TestSVMCEquivalence:
         # Padding rotors of the first (size-4) instance stay at theta = 0.
         assert np.all(theta[0, 4:] == 0.0)
 
-    @needs_numba
-    @pytest.mark.parametrize("schedule_key", sorted(SCHEDULES))
-    @pytest.mark.parametrize("chunk", [2, DEFAULT_SPINS_PER_STEP])
-    def test_numba_matches_reference(self, schedule_key, chunk):
-        schedule = SCHEDULES[schedule_key]
-        ref = _run_svmc("reference", [7, 3, 10], 4, 7, schedule, chunk)
-        jit = _run_svmc("numba", [7, 3, 10], 4, 7, schedule, chunk)
-        for reference, candidate in zip(ref, jit):
-            assert np.array_equal(reference, candidate)
 
 
 class TestSVMCSharedHelpers:
@@ -533,7 +450,7 @@ class TestGatedSVMC:
         padding = [array[0, 3:].copy() for array in (theta, cosines, sines)]
         svmc_sweeps(
             theta, cosines, sines, local, symmetric, mask, size_array, children,
-            _gate_schedule(0.02), implementation="vectorized",
+            _gate_schedule(0.02),
             proposal_width=0.5, uniform_fraction=0.2,
         )
         for before, array in zip(padding, (theta, cosines, sines)):
@@ -546,7 +463,7 @@ class TestGatedSVMC:
             svmc_sweeps(
                 theta[:, :, ::2], cosines[:, :, ::2], sines[:, :, ::2], local[:, :, ::2],
                 symmetric, mask, size_array, children, _gate_schedule(0.02),
-                implementation="vectorized", proposal_width=0.5, uniform_fraction=0.1,
+                proposal_width=0.5, uniform_fraction=0.1,
             )
 
     def test_transcendentals_match_on_gathered_blocks(self):
@@ -584,16 +501,12 @@ def _toy_ising(seed, size=8):
     return IsingModel(fields=rng.normal(size=size), couplings=upper)
 
 
-SOLVER_LEVEL_KERNELS = ["reference", pytest.param("numba", marks=needs_numba)]
-
-
 class TestSolverLevelEquivalence:
-    """End-to-end runs agree bitwise with the spec and every REPRO_KERNEL."""
+    """End-to-end runs agree bitwise with the spec swapped in for the kernels."""
 
-    @pytest.mark.parametrize("kernel", SOLVER_LEVEL_KERNELS)
+    @pytest.mark.parametrize("kernel", sorted(SPEC_KERNELS))
     def test_classical_sa(self, monkeypatch, kernel):
         qubos = [_toy_qubo(seed) for seed in range(3)]
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
         solver = SimulatedAnnealingSolver(num_sweeps=30)
         baseline = solver.solve_batch(qubos, rng=0)
         _use_kernel(monkeypatch, kernel)
@@ -602,7 +515,7 @@ class TestSolverLevelEquivalence:
             assert np.array_equal(expected.assignment, actual.assignment)
             assert expected.energy == actual.energy
 
-    @pytest.mark.parametrize("kernel", SOLVER_LEVEL_KERNELS)
+    @pytest.mark.parametrize("kernel", sorted(SPEC_KERNELS))
     @pytest.mark.parametrize("backend_cls", [
         ScheduleDrivenAnnealingBackend, SpinVectorMonteCarloBackend,
     ])
@@ -611,7 +524,6 @@ class TestSolverLevelEquivalence:
         functions = AnnealingFunctions()
         schedule = forward_anneal_schedule(1.0)
         backend = backend_cls()
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
         baseline = backend.run(
             ising.fields, ising.couplings, schedule, 6, functions, 0.05,
             rng=np.random.default_rng(2),
@@ -689,7 +601,7 @@ class TestDrawDiscipline:
             state, local, children, _ = _sa_state([6, 4], 3, 21, padded_fields, symmetric)
             sa_sweeps(
                 state, local, symmetric, mask, sizes, children,
-                SCHEDULES["anneal"], implementation="vectorized",
+                SCHEDULES["anneal"],
                 spins_per_step=chunk,
             )
             followers.append(np.stack([child.random(4) for child in children]))
@@ -731,7 +643,6 @@ class TestDrawDiscipline:
                 for backend in backends
             ]
 
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
         production = run_all()
         _use_kernel(monkeypatch, "reference")
         for expected, actual in zip(production, run_all()):

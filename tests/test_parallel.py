@@ -121,17 +121,6 @@ class TestTaskFingerprint:
         kwargs = {"value": 3}
         assert task_fingerprint(_square, kwargs) != task_fingerprint(_fail, {"message": "x"})
 
-    def test_same_for_every_kernel_choice(self, monkeypatch):
-        # The selectable kernels are bitwise-equal, so choosing among them
-        # must never invalidate cached results.
-        from repro.annealing.kernels import KERNEL_ENV_VAR
-
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        base = task_fingerprint(_seeded_draw, {"seed": 1, "count": 5}, ("k",))
-        for kernel in ("vectorized", "numba"):
-            monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
-            assert task_fingerprint(_seeded_draw, {"seed": 1, "count": 5}, ("k",)) == base
-
     def test_library_digest_is_stable_within_a_process(self):
         from repro.parallel.cache import _library_digest
 

@@ -406,7 +406,7 @@ class TestBitwiseInvariance:
             local = kernels.initial_local_fields(fields, symmetric, spins)
             kernels.sa_sweeps(
                 spins, local, symmetric, mask, np.array([n]), children,
-                [(0.5, 0.5, 0.55, 1.0)] * 6, implementation="vectorized",
+                [(0.5, 0.5, 0.55, 1.0)] * 6,
             )
             return spins, local
 
@@ -580,14 +580,13 @@ class TestKernelInstrumentation:
         with telemetry.session() as tel:
             kernels.sa_sweeps(
                 spins, local, symmetric, mask, np.array([n]), children,
-                [(0.5, 0.5, 0.55, 1.0)] * sweeps, implementation="vectorized",
+                [(0.5, 0.5, 0.55, 1.0)] * sweeps,
             )
             (span,) = tel.tracer.spans_named("kernel.sa")
-            assert span.attrs["implementation"] == "vectorized"
             assert span.attrs["sweeps"] == sweeps
             assert span.attrs["reads"] == reads
             assert span.attrs["read_sweeps_per_s"] > 0
-            labels = {"family": "sa", "implementation": "vectorized"}
+            labels = {"family": "sa"}
             registry = tel.registry
             assert registry.counter("repro_kernel_calls_total", **labels).value == 1
             assert registry.counter("repro_kernel_sweeps_total", **labels).value == sweeps
