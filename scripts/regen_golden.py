@@ -10,6 +10,9 @@ cannot silently alter results.
 Run from the repository root after an *intentional* numerics change::
 
     PYTHONPATH=src python scripts/regen_golden.py
+
+Each fixture is reported as ``moved`` (its payload differs from the file on
+disk, which is then rewritten) or ``unchanged`` (the file is left alone).
 """
 
 from __future__ import annotations
@@ -36,8 +39,13 @@ def main() -> int:
             "rows": rows_as_payload(study()),
         }
         path = GOLDEN_DIR / f"{name}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path.relative_to(REPO_ROOT)} ({len(payload['rows'])} rows)")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if path.exists() and path.read_text() == text:
+            status = "unchanged"
+        else:
+            status = "moved"
+            path.write_text(text)
+        print(f"{status:9} {path.relative_to(REPO_ROOT)} ({len(payload['rows'])} rows)")
     return 0
 
 
