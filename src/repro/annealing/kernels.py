@@ -99,7 +99,6 @@ from repro import telemetry
 
 __all__ = [
     "DEFAULT_SPINS_PER_STEP",
-    "SVMC_GATE_CROSSOVER",
     "SweepSettings",
     "active_kernel_name",
     "initial_local_fields",
@@ -115,12 +114,6 @@ __all__ = [
 #: than e.g. a fraction of the problem size) so chunk boundaries — and with
 #: them the dynamics — depend only on the problem size itself.
 DEFAULT_SPINS_PER_STEP = 64
-
-#: Activity below which an SVMC sweep evaluates only the proposals that can
-#: pass the freeze-out gate (see :func:`_svmc_gated_chunk`); sweeps at or
-#: above it run the dense chunk program.  Both give identical results, so
-#: this is purely a speed crossover.
-SVMC_GATE_CROSSOVER = 0.5
 
 #: Relative margin of the gate above ``activity``: a draw within rounding of
 #: ``activity`` is evaluated in full, so the gate never depends on how the
@@ -319,26 +312,60 @@ def _sa_fill_thresholds(children, sizes, num_reads, out, problem, temperature, l
                 block += c0
 
 
-def _svmc_draw_blocks(children, sizes, num_reads, proposal_width, normals, mixes, uniforms):
-    """Draw each instance's SVMC sweep blocks: normals, mix uniforms, accept uniforms.
+def _svmc_draw_blocks(children, sizes, proposal_width, activity, uniforms, passing, normals, mixes):
+    """Draw one gated SVMC sweep's randomness, accept uniforms first.
 
-    Only the real rows of each instance are drawn.  Padding rows of
-    ``mixes`` and ``uniforms`` keep whatever they held; padding rows of
-    ``normals`` must hold zeros, which the scaling below keeps at exactly
-    ``0.0`` (``proposal_width`` is finite and positive).
+    Per instance child: the ``(size, reads)`` accept-uniform block into
+    ``uniforms[b, :size]``, then one normal and one mix uniform for each
+    position of that block whose uniform is below the gate
+    ``activity * (1 + 2**-20)``, in flat (position, read) order.  A position
+    at or above the gate can never be accepted, so it gets no proposal
+    draws.  ``passing[b, :size]`` records the gate test.  The normals and
+    mixes of all instances are packed in batch order at the front of the
+    flat buffers ``normals`` and ``mixes``: the ``j``-th gate-passing
+    position of ``passing`` in C order owns entry ``j``.  Returns their
+    count.  Padding rows of ``uniforms`` and ``passing`` are not touched.
+
+    Generator.normal(0, w) is ``0.0 + w*z`` on the standard-normal stream;
+    the packed normals are scaled the same way in two calls.
+    """
+    gate = activity * (1.0 + _SVMC_GATE_MARGIN)
+    count = 0
+    for index, child in enumerate(children):
+        size = int(sizes[index])
+        if size == 0:
+            continue
+        block = uniforms[index, :size]
+        child.random(out=block)
+        drawn = np.count_nonzero(np.less(block, gate, out=passing[index, :size]))
+        child.standard_normal(out=normals[count : count + drawn])
+        child.random(out=mixes[count : count + drawn])
+        count += drawn
+    steps = normals[:count]
+    steps *= proposal_width
+    steps += 0.0  # the 0.0 + w*z of normal(): turns a -0.0 into +0.0
+    return count
+
+
+def _svmc_draw_dense(children, sizes, proposal_width, uniforms, normals, mixes):
+    """Draw a full-activity SVMC sweep straight into the dense blocks.
+
+    With ``activity >= 1`` every position passes the gate, so this draws
+    exactly what :func:`_svmc_draw_blocks` draws — per instance the accept
+    uniforms, then ``size*reads`` normals and as many mixes — but into the
+    real rows of ``(batch, max_size, reads)`` blocks.  Padding rows of
+    ``normals`` must hold zeros, which the whole-block scaling keeps at
+    exactly ``0.0`` (``proposal_width`` is finite and positive).
     """
     for index, child in enumerate(children):
         size = int(sizes[index])
         if size == 0:
             continue
+        child.random(out=uniforms[index, :size])
         child.standard_normal(out=normals[index, :size])
         child.random(out=mixes[index, :size])
-        child.random(out=uniforms[index, :size])
-    # Generator.normal(0, w) is 0.0 + w*z on the standard-normal stream;
-    # scaling the whole block in place gives the same bits without a
-    # temporary, in two calls however many instances the batch holds.
     normals *= proposal_width
-    normals += 0.0  # the 0.0 + w*z of normal(): turns a -0.0 into +0.0
+    normals += 0.0  # as in _svmc_draw_blocks
 
 
 def _svmc_thresholds(block, temperature, log_activity):
@@ -354,20 +381,16 @@ def _svmc_thresholds(block, temperature, log_activity):
     return block
 
 
-def _svmc_fill_blocks(
-    children, sizes, num_reads, proposal_width, normals, mixes, thresholds,
-    temperature, log_activity,
-):
-    """Draw each instance's SVMC sweep blocks and turn the third into thresholds.
+def _svmc_fill_thresholds(uniforms, sizes, temperature, log_activity):
+    """Turn each instance's ``(size, reads)`` accept uniforms into thresholds.
 
-    The log runs on each instance's ``(size, reads)`` block.  Padding rows
-    stay at zero, which can never accept (``dE+ >= 0 >= T*log a``).
+    The log runs on each instance's real rows.  Padding rows are left as
+    they are; the kernels mask their decisions.
     """
-    _svmc_draw_blocks(children, sizes, num_reads, proposal_width, normals, mixes, thresholds)
     with np.errstate(divide="ignore"):
         for index, size in enumerate(sizes):
             if size:
-                _svmc_thresholds(thresholds[index, : int(size)], temperature, log_activity)
+                _svmc_thresholds(uniforms[index, : int(size)], temperature, log_activity)
 
 
 # --------------------------------------------------------------------- #
@@ -488,49 +511,43 @@ def _svmc_cos_sin_block(angles, cos_out, sin_out):
 
 
 def _svmc_gated_chunk(
-    flat, uniforms, mask, p0, p1, sweep, gate, uniform_fraction, selected, work, change
+    flat, index, slot, ranks, p0, p1, sweep, uniform_fraction, selected, work, change
 ):
-    """One SVMC chunk evaluated only where the accept uniform is below ``gate``.
+    """One SVMC chunk evaluated only at its gate-passing positions.
 
-    A proposal whose uniform ``u`` is at or above ``activity`` has the
-    threshold ``T*log(activity/u) <= 0 <= dE+`` and can never be accepted.
-    So the chunk selects the positions with ``u < gate``, gathers them into
-    the flat ``work`` buffers and runs the dense chunk arithmetic there
-    unchanged: proposal, ``cos``/``sin``, threshold ``log``, accept test and
-    the ``keep``-weighted updates.  The new states are scattered back and
-    the chunk's cosine deltas land in ``change`` (zero where nothing was
+    A proposal whose accept uniform ``u`` is at or above ``activity`` has the
+    threshold ``T*log(activity/u) <= 0 <= dE+`` and can never be accepted,
+    and :func:`_svmc_draw_blocks` drew proposals only for the positions
+    below the gate.  ``index`` holds the chunk's gate-passing positions as
+    flat indices into the ``(batch, max_size, reads)`` state, in C order;
+    ``slot`` the same positions in the ``(batch, chunk_cap, reads)``
+    ``change`` buffer; and ``ranks`` their entries in the packed normals and
+    mixes — ``None`` when they are the first ``index.size`` entries (a
+    one-chunk sweep).
+    The chunk gathers the state at ``index`` into the flat ``work`` buffers
+    and runs the dense chunk arithmetic there unchanged: proposal,
+    ``cos``/``sin``, threshold ``log``, accept test and the
+    ``keep``-weighted updates.  The new states are scattered back and the
+    chunk's cosine deltas land in ``change`` (zero where nothing was
     evaluated) for the full-shape coupling refresh.
 
-    ``flat`` holds flat views of ``(theta, cosines, sines, local, normals,
-    mixes, uniforms)``; ``uniforms`` is the ``(batch, max_size, reads)``
-    block of raw accept uniforms.  Returns the chunk's ``change`` view.
+    ``flat`` holds flat views of ``(theta, cosines, sines, local)``, the
+    packed ``normals`` and ``mixes``, and the raw accept ``uniforms``.
+    Returns the chunk's ``change`` view.
     """
     theta, cosines, sines, local, normals, mixes, raw = flat
     problem, transverse, temperature, log_activity = sweep
-    _, max_size, reads = uniforms.shape
-    chunk_cap = change.shape[1]
-    width = p1 - p0
-    chosen = selected[:, :width]
-    np.less(uniforms[:, p0:p1], gate, out=chosen)
-    if mask is not None:
-        chosen &= mask[:, p0:p1, None]
-    # Positions in the (batch, width, reads) chunk, mapped into the full
-    # arrays (``index``) and into the change buffer (``slot``).
-    index = slot = np.flatnonzero(chosen)
-    if width < max_size:
-        rows = index // (width * reads)
-        if width < chunk_cap:
-            slot = index + rows * ((chunk_cap - width) * reads)
-        index = index + rows * ((max_size - width) * reads) + p0 * reads
     count = index.size
     angle, prop, cos_p, sin_p, cos_t, sin_t, step, threshold = (
         buffer[:count] for buffer in work
     )
     theta.take(index, out=angle, mode="clip")
-    normals.take(index, out=prop, mode="clip")
-    if uniform_fraction > 0.0:
-        mixes.take(index, out=cos_p, mode="clip")
-    _svmc_propose_block(angle, prop, cos_p, uniform_fraction, prop)
+    if ranks is None:
+        steps, mix = normals[:count], mixes[:count]
+    else:
+        steps = normals.take(ranks, out=prop, mode="clip")
+        mix = mixes.take(ranks, out=cos_p, mode="clip") if uniform_fraction > 0.0 else None
+    _svmc_propose_block(angle, steps, mix, uniform_fraction, prop)
     _svmc_cos_sin_block(prop, cos_p, sin_p)
     gap, sdiff = cos_p, sin_p
     cosines.take(index, out=cos_t, mode="clip")
@@ -559,7 +576,7 @@ def _svmc_gated_chunk(
     theta[index] = angle
     cosines[index] = cos_t
     sines[index] = sin_t
-    chunk_change = change[:, :width]
+    chunk_change = change[:, : p1 - p0]
     chunk_change.fill(0.0)
     change.reshape(-1)[slot] = flips
     return chunk_change
@@ -585,15 +602,24 @@ def svmc_sweeps_vectorized(
     State arrays are C-contiguous ``(batch, max_size, reads)`` float64:
     rotor angles plus their cosines/sines (maintained so only proposal
     angles need fresh transcendentals) and the problem local fields on the
-    cosines.  Sweeps with ``activity < SVMC_GATE_CROSSOVER`` evaluate only
-    the proposals that can pass the freeze-out gate
-    (:func:`_svmc_gated_chunk`), with identical results.
+    cosines.  A sweep with ``activity < 1`` can reject at the freeze-out
+    gate: it draws proposals only for the positions that pass
+    (:func:`_svmc_draw_blocks`) and evaluates only those
+    (:func:`_svmc_gated_chunk`).  A sweep with ``activity >= 1`` passes
+    every position and runs the dense chunk program on the same draws
+    (:func:`_svmc_draw_dense`), so results are identical on either side.
     """
     batch, max_size, reads = theta.shape
     chunk_cap = min(spins_per_step, max_size)
-    normals = np.zeros((batch, max_size, reads))
-    mixes = np.zeros((batch, max_size, reads))
-    thresholds = np.zeros((batch, max_size, reads))
+    shape = (batch, max_size, reads)
+    # Gated sweeps pack their proposal draws at the front of these flat
+    # buffers; dense sweeps draw into their (batch, max_size, reads) views.
+    packed_normals = np.zeros(batch * max_size * reads)
+    packed_mixes = np.zeros(batch * max_size * reads)
+    normals = packed_normals.reshape(shape)
+    mixes = packed_mixes.reshape(shape)
+    thresholds = np.zeros(shape)
+    passing = np.zeros(shape, dtype=bool)
     proposed = np.empty((batch, chunk_cap, reads))
     proposed_cos = np.empty((batch, chunk_cap, reads))
     proposed_sin = np.empty((batch, chunk_cap, reads))
@@ -603,17 +629,19 @@ def svmc_sweeps_vectorized(
     scratch = np.empty((batch, chunk_cap, reads))
     accept = np.empty((batch, chunk_cap, reads), dtype=bool)
     change = np.empty((batch, chunk_cap, reads))
-    coupled = np.empty((batch, max_size, reads))
+    coupled = np.empty(shape)
     all_active = bool(mask.all())
+    one_chunk = max_size <= spins_per_step
+    # Set while a gated sweep's packed draws may sit in the padding rows,
+    # which the dense program needs at zero.
+    stale_padding = False
     # Gated sweeps gather from and scatter into flat views of the state and
-    # draw blocks (``thresholds`` then holds the raw accept uniforms), and
+    # draw buffers (``thresholds`` then holds the raw accept uniforms), and
     # reuse the dense scratch, plus one buffer, flat.
     if not all(array.flags.c_contiguous for array in (theta, cosines, sines, local)):
         raise ValueError("theta, cosines, sines and local must be C-contiguous")
-    flat = [
-        array.reshape(-1)
-        for array in (theta, cosines, sines, local, normals, mixes, thresholds)
-    ]
+    flat = [array.reshape(-1) for array in (theta, cosines, sines, local)]
+    flat += [packed_normals, packed_mixes, thresholds.reshape(-1)]
     work = [
         buffer.reshape(-1)
         for buffer in (proposed, proposed_cos, proposed_sin, diff, delta, shift, scratch)
@@ -621,40 +649,40 @@ def svmc_sweeps_vectorized(
     work.append(np.empty(batch * chunk_cap * reads))
     for problem, transverse, temperature, activity in settings:
         log_activity = np.log(activity)
-        if activity < SVMC_GATE_CROSSOVER:
+        if activity < 1.0:
             _svmc_draw_blocks(
-                children, sizes, reads, proposal_width, normals, mixes, thresholds
+                children, sizes, proposal_width, activity,
+                thresholds, passing, packed_normals, packed_mixes,
             )
+            stale_padding = not all_active
             sweep = (problem, transverse, float(temperature), log_activity)
-            gate = activity * (1.0 + _SVMC_GATE_MARGIN)
+            positions = np.flatnonzero(passing)
+            if not one_chunk:
+                instances, rows = np.divmod(positions // reads, max_size)
             for p0 in range(0, max_size, spins_per_step):
                 p1 = min(p0 + spins_per_step, max_size)
+                index = slot = positions
+                ranks = None
+                if not one_chunk:
+                    # Position (b, p, r) of the state is (b, p - p0, r) of
+                    # the change buffer.
+                    ranks = np.flatnonzero((rows >= p0) & (rows < p1))
+                    index = positions[ranks]
+                    offset = instances[ranks] * (max_size - chunk_cap) + p0
+                    slot = index - offset * reads
                 flips = _svmc_gated_chunk(
-                    flat,
-                    thresholds,
-                    None if all_active else mask,
-                    p0,
-                    p1,
-                    sweep,
-                    gate,
-                    uniform_fraction,
-                    accept,
-                    work,
-                    change,
+                    flat, index, slot, ranks, p0, p1, sweep, uniform_fraction,
+                    accept, work, change,
                 )
                 apply_couplings(local, symmetric, flips, p0, p1, coupled)
             continue
-        _svmc_fill_blocks(
-            children,
-            sizes,
-            reads,
-            proposal_width,
-            normals,
-            mixes,
-            thresholds,
-            float(temperature),
-            log_activity,
-        )
+        if stale_padding:
+            for index, size in enumerate(sizes):
+                normals[index, int(size) :] = 0.0
+                mixes[index, int(size) :] = 0.0
+            stale_padding = False
+        _svmc_draw_dense(children, sizes, proposal_width, thresholds, normals, mixes)
+        _svmc_fill_thresholds(thresholds, sizes, float(temperature), log_activity)
         for p0 in range(0, max_size, spins_per_step):
             p1 = min(p0 + spins_per_step, max_size)
             width = p1 - p0

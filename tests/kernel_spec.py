@@ -27,7 +27,8 @@ from repro.annealing.kernels import (
     SweepSettings,
     _sa_fill_thresholds,
     _svmc_cos_sin_block,
-    _svmc_fill_blocks,
+    _svmc_draw_blocks,
+    _svmc_fill_thresholds,
     _svmc_propose_block,
     _track_best,
     apply_couplings,
@@ -124,9 +125,10 @@ def svmc_sweeps_reference(
     """
     batch, max_size, reads = theta.shape
     chunk_cap = min(spins_per_step, max_size)
-    normals = np.zeros((batch, max_size, reads))
-    mixes = np.zeros((batch, max_size, reads))
     thresholds = np.zeros((batch, max_size, reads))
+    passing = np.zeros((batch, max_size, reads), dtype=bool)
+    packed_normals = np.empty(batch * max_size * reads)
+    packed_mixes = np.empty(batch * max_size * reads)
     proposed = np.empty((batch, chunk_cap, reads))
     proposed_cos = np.empty((batch, chunk_cap, reads))
     proposed_sin = np.empty((batch, chunk_cap, reads))
@@ -134,17 +136,17 @@ def svmc_sweeps_reference(
     coupled = np.empty((batch, max_size, reads))
     for problem, transverse, temperature, activity in settings:
         log_activity = np.log(activity)
-        _svmc_fill_blocks(
-            children,
-            sizes,
-            reads,
-            proposal_width,
-            normals,
-            mixes,
-            thresholds,
-            float(temperature),
-            log_activity,
+        # Every sweep runs dense here: the gate-passing positions get their
+        # drawn proposals, every other position a zero normal and mix.
+        count = _svmc_draw_blocks(
+            children, sizes, proposal_width, activity,
+            thresholds, passing, packed_normals, packed_mixes,
         )
+        normals = np.zeros((batch, max_size, reads))
+        mixes = np.zeros((batch, max_size, reads))
+        normals[passing] = packed_normals[:count]
+        mixes[passing] = packed_mixes[:count]
+        _svmc_fill_thresholds(thresholds, sizes, float(temperature), log_activity)
         for p0 in range(0, max_size, spins_per_step):
             p1 = min(p0 + spins_per_step, max_size)
             width = p1 - p0

@@ -309,22 +309,39 @@ class TestSVMCSharedHelpers:
     """
 
     def test_draw_blocks_match_generator_draws(self):
+        # Per child: the accept uniforms first, then one normal (scaled as
+        # normal(0, w) scales it) and one mix per real position below the
+        # gate, packed in batch order; nothing else is drawn or written.
         sizes, reads, width = np.array([5, 0, 9, 3]), 4, 0.7
-        children = spawn_rngs(31, len(sizes))
-        replays = copy.deepcopy(children)
         shape = (len(sizes), int(sizes.max()), reads)
-        normals, mixes, uniforms = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-        kernels._svmc_draw_blocks(children, sizes, reads, width, normals, mixes, uniforms)
-        for index, (size, replay) in enumerate(zip(sizes, replays)):
-            expected = replay.normal(0.0, width, (size, reads))
-            assert normals[index, :size].tobytes() == expected.tobytes()
-            assert mixes[index, :size].tobytes() == replay.random((size, reads)).tobytes()
-            assert uniforms[index, :size].tobytes() == replay.random((size, reads)).tobytes()
-            # Each child drew exactly its own blocks, nothing more.
-            assert children[index].random() == replay.random()
-            for block in (normals, mixes, uniforms):
-                padding = block[index, size:]
-                assert padding.tobytes() == np.zeros_like(padding).tobytes()
+        for activity in (0.3, 1.0):
+            gate = activity * (1.0 + 2.0**-20)
+            children = spawn_rngs(31, len(sizes))
+            replays = copy.deepcopy(children)
+            uniforms, passing = np.full(shape, 7.0), np.ones(shape, dtype=bool)
+            normals, mixes = np.full(uniforms.size, 7.0), np.full(uniforms.size, 7.0)
+            count = kernels._svmc_draw_blocks(
+                children, sizes, width, activity, uniforms, passing, normals, mixes
+            )
+            offset = 0
+            for index, (size, replay) in enumerate(zip(sizes, replays)):
+                expected = replay.random((size, reads))
+                assert uniforms[index, :size].tobytes() == expected.tobytes()
+                chosen = expected < gate
+                assert np.array_equal(passing[index, :size], chosen)
+                drawn = int(np.count_nonzero(chosen))
+                if gate > 1.0:
+                    assert drawn == size * reads
+                steps = replay.standard_normal(drawn) * width + 0.0
+                assert normals[offset : offset + drawn].tobytes() == steps.tobytes()
+                assert mixes[offset : offset + drawn].tobytes() == replay.random(drawn).tobytes()
+                offset += drawn
+                # Each child drew exactly its own blocks, nothing more.
+                assert children[index].random() == replay.random()
+                assert np.all(uniforms[index, size:] == 7.0)
+                assert np.all(passing[index, size:])
+            assert count == offset
+            assert np.all(normals[count:] == 7.0) and np.all(mixes[count:] == 7.0)
 
     @pytest.mark.parametrize("uniform_fraction", [0.0, 0.25])
     def test_propose_block_equals_the_clip_formulation(self, uniform_fraction):
@@ -344,13 +361,17 @@ class TestSVMCSharedHelpers:
         assert proposed.tobytes() == expected.tobytes()
 
 
-#: Activities around the SVMC freeze-out gate: the backends' residual floor,
-#: just below the gate crossover (gated path), exactly at it and full
-#: activity (dense path).
+#: Activities around the SVMC freeze-out gate.  The crossover between the
+#: gated and the dense program is full activity, where the gate can no
+#: longer reject: the backends' residual floor and a half-open gate (gated
+#: program), the largest activity below the crossover (gated program, but
+#: the gate margin lets every position pass) and full activity (dense
+#: program; keyed both "at-crossover" and "full").
 GATE_ACTIVITIES = {
     "floor": 0.02,
-    "below-crossover": float(np.nextafter(kernels.SVMC_GATE_CROSSOVER, 0.0)),
-    "at-crossover": kernels.SVMC_GATE_CROSSOVER,
+    "half": 0.5,
+    "below-crossover": float(np.nextafter(1.0, 0.0)),
+    "at-crossover": 1.0,
     "full": 1.0,
 }
 
@@ -393,9 +414,9 @@ class TestGatedSVMC:
         schedule = [
             (0.2, 0.8, 2.0, 1.0),
             (0.5, 0.5, 1.0, 0.02),
-            (0.7, 0.3, 0.6, 0.6),
+            (0.7, 0.3, 0.6, 1.0),
             (0.9, 0.1, 0.3, 0.3),
-            (1.0, 0.0, 0.1, kernels.SVMC_GATE_CROSSOVER),
+            (1.0, 0.0, 0.1, 0.5),
         ]
         runs = [
             _run_svmc(implementation, [65, 9], 3, 5, schedule, DEFAULT_SPINS_PER_STEP)
@@ -405,16 +426,21 @@ class TestGatedSVMC:
 
     @pytest.mark.parametrize("uniform_fraction", [0.0, 0.2])
     def test_uniform_equal_to_activity(self, uniform_fraction):
-        # Replay the first sweep's draws on copies of the children and set
-        # the activity to one of the accept uniforms it will draw.
+        # Replay the first sweep's accept uniforms (each child's first draw)
+        # on a copy of the children and set the activity to one of them.
         sizes, reads, seed = [7, 4], 6, 23
-        padded_fields, symmetric, _, _ = _problem_batch(sizes, seed + 1000)
+        padded_fields, symmetric, _, size_array = _problem_batch(sizes, seed + 1000)
         children = _svmc_state(sizes, reads, seed, padded_fields, symmetric)[-1]
-        replay = copy.deepcopy(children[0])
-        replay.standard_normal((sizes[0], reads))
-        replay.random((sizes[0], reads))
-        uniforms = replay.random((sizes[0], reads))
-        activity = float(uniforms[uniforms < kernels.SVMC_GATE_CROSSOVER][0])
+        uniforms = copy.deepcopy(children[0]).random((sizes[0], reads))
+        activity = float(uniforms[uniforms < 0.5][0])
+        # The kernel's own draw helper puts that value among the sweep's
+        # accept uniforms, so the gate really meets u == activity.
+        drawn = np.zeros((len(sizes), max(sizes), reads))
+        kernels._svmc_draw_blocks(
+            copy.deepcopy(children), size_array, 0.5, activity, drawn,
+            np.zeros(drawn.shape, dtype=bool), np.empty(drawn.size), np.empty(drawn.size),
+        )
+        assert activity in drawn[0, : sizes[0]]
         schedule = [(0.6, 0.4, 0.7, activity), (0.9, 0.1, 0.3, activity)]
         runs = [
             _run_svmc(
@@ -434,7 +460,7 @@ class TestGatedSVMC:
         )
         activity = GATE_ACTIVITIES[activity_key]
         _run_svmc("vectorized", [5], 2, 3, _gate_schedule(activity), DEFAULT_SPINS_PER_STEP)
-        assert bool(calls) == (activity < kernels.SVMC_GATE_CROSSOVER)
+        assert bool(calls) == (activity < 1.0)
 
     def test_padding_rotors_never_move(self):
         # Padding lanes are frozen by the mask even when they hold a rotor
@@ -455,6 +481,22 @@ class TestGatedSVMC:
         )
         for before, array in zip(padding, (theta, cosines, sines)):
             assert before.tobytes() == array[0, 3:].tobytes()
+
+    def test_dense_sweep_clears_packed_draws_from_padding(self):
+        # A gated sweep packs its draws over the padding rows of the dense
+        # blocks (here instance 0's), and the dense program scales its whole
+        # normal block.  Left in place, a huge-width step would overflow
+        # there on the next dense sweep.
+        schedule = [(0.5, 0.5, 1.0, 0.9), (0.7, 0.3, 0.6, 1.0)] * 2
+        with np.errstate(over="raise"):
+            runs = [
+                _run_svmc(
+                    implementation, [3, 6], 4, 2, schedule, DEFAULT_SPINS_PER_STEP,
+                    proposal_width=1e300,
+                )
+                for implementation in ("reference", "vectorized")
+            ]
+        _assert_bitwise(*runs)
 
     def test_rejects_non_contiguous_state(self):
         padded_fields, symmetric, mask, size_array = _problem_batch([4], 1)
@@ -603,6 +645,26 @@ class TestDrawDiscipline:
                 state, local, symmetric, mask, sizes, children,
                 SCHEDULES["anneal"],
                 spins_per_step=chunk,
+            )
+            followers.append(np.stack([child.random(4) for child in children]))
+        assert np.array_equal(followers[0], followers[1])
+        assert np.array_equal(followers[1], followers[2])
+
+    def test_svmc_chunking_consumes_no_extra_draws(self):
+        # SVMC draw consumption depends on each instance's own accept
+        # uniforms (one proposal per gate-passing position), never on the
+        # chunking: follower draws match across full, partial and
+        # residual-floor activity sweeps.
+        schedule = [(0.2, 0.8, 2.0, 1.0), (0.6, 0.4, 1.0, 0.6), (1.0, 0.05, 0.3, 0.02)]
+        followers = []
+        for chunk in (1, 3, DEFAULT_SPINS_PER_STEP):
+            padded_fields, symmetric, mask, sizes = _problem_batch([6, 4], 99)
+            theta, cosines, sines, local, children = _svmc_state(
+                [6, 4], 3, 21, padded_fields, symmetric
+            )
+            svmc_sweeps(
+                theta, cosines, sines, local, symmetric, mask, sizes, children, schedule,
+                proposal_width=0.5, uniform_fraction=0.15, spins_per_step=chunk,
             )
             followers.append(np.stack([child.random(4) for child in children]))
         assert np.array_equal(followers[0], followers[1])
