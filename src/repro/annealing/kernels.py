@@ -35,19 +35,21 @@ therefore costs no extra draw.
 Activity-gated SVMC sweeps
 --------------------------
 A proposal with ``u >= activity`` has a threshold ``<= 0 <= dE+`` and can
-never be accepted.  Below :data:`SVMC_GATE_CROSSOVER` the vectorized SVMC
-kernel therefore evaluates a chunk only at the positions with ``u < gate``
-(``activity`` plus a rounding margin): it gathers them into flat scratch
-buffers, runs the dense chunk arithmetic there — proposal, ``cos``, the
-threshold ``log``, accept test, updates — and scatters the results back.
-Every draw block is still drawn in full and in the same order, and the
-coupling refresh keeps its full ``(batch, chunk, reads)`` shape, so results
-are bit-identical on either side of the crossover.  Sweeps at or above it
-run the dense chunk program.  At the residual floor (``activity = 0.02``)
-a gated ``(1, 32, 300)`` sweep costs ~0.55× a dense one.  On the
-``ra-sweep`` benchmark, where about two thirds of the sweeps run below the
-crossover, anneal reads/s went from 4600 to 6747 (median of 10 runs each,
-2-vCPU x86_64 host); the per-sweep draw fills are now the floor.
+never be accepted.  So each SVMC sweep draws, per instance, its accept
+uniforms first, and then a normal and a mix uniform only for the positions
+with ``u < gate`` (``activity`` plus a rounding margin).  A sweep with
+``activity < 1`` can reject at the gate: it packs those proposal draws at
+the front of flat buffers, gathers the state at the passing positions into
+flat scratch buffers, runs the dense chunk arithmetic there — proposal,
+``cos``, the threshold ``log``, accept test, updates — and scatters the
+results back.  A sweep with ``activity >= 1`` passes every position, so it
+draws the same numbers straight into dense blocks and runs the dense chunk
+program.  The coupling refresh keeps its full ``(batch, chunk, reads)``
+shape either way, so results are bit-identical on both sides of the branch.
+Rejected positions cost neither a proposal draw nor any arithmetic.  On the
+``ra-sweep`` benchmark, where 80% of the rotor-sweep slots are gated and 22%
+of those pass, anneal reads/s went from 6884 to 9104 (median of 10
+alternating pairs, 2-vCPU x86_64 host; see ``docs/kernels.md``).
 
 Bitwise-equivalence design rules
 --------------------------------
@@ -83,10 +85,12 @@ Random-draw discipline
 ----------------------
 Instance ``b`` of a batch draws exclusively from child generator ``b``:
 per sweep the replica-parallel SA kernel consumes one ``(n, reads)`` uniform
-block, and the SVMC kernel one normal block plus two uniform blocks, in that
-order.  Draw consumption therefore depends only on the instance's own size,
-sweep count and read count — never on batch composition or chunking — which
-is what keeps experiment results invariant to batching and worker counts.
+block, and the SVMC kernel one ``(n, reads)`` accept-uniform block followed
+by one normal and one mix uniform per gate-passing position (all the normals
+first).  Draw consumption therefore depends only on the instance's own size,
+sweep count, read count and accept uniforms — never on batch composition,
+chunk size or worker count — which is what keeps experiment results
+invariant to batching and worker counts.
 """
 
 from __future__ import annotations
