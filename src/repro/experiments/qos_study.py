@@ -23,6 +23,7 @@ arm-independent, so serial and process-pool runs agree bitwise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -187,8 +188,14 @@ class QoSStudyResult:
     config: QoSStudyConfig
 
 
+@functools.lru_cache(maxsize=1)
 def _qos_jobs(config: QoSStudyConfig, name: str, workload_seed: int):
-    """The scenario's mixed-class, handover-re-homed workload (arm-shared)."""
+    """The scenario's mixed-class, handover-re-homed workload (arm-shared).
+
+    Memoised for the last ``(config, name, workload_seed)`` only: the two
+    arms of a scenario run back to back, so the second reuses the first's
+    frozen jobs, and the memo never holds more than one scenario's list.
+    """
     topology = build_topology("line", 1, config.num_cells)
     scenario = build_scenario(
         name, config.num_cells, horizon_us=config.horizon_us, topology=topology
@@ -227,9 +234,11 @@ def _qos_shard(config: QoSStudyConfig, arm: str, workload_seed: int) -> ServingR
     """One (scenario, arm) shard of the QoS sweep.
 
     ``config.scenarios`` holds exactly the shard's scenario, and both arms
-    regenerate the *identical* job list from ``workload_seed`` — the
+    serve the *identical* job list generated from ``workload_seed`` — the
     comparison is paired by construction, only the plant's class awareness
-    differs.  Shards are independent of execution order and worker count.
+    differs.  Arms in one process share one generated list (see
+    :func:`_qos_jobs`); arms in different processes generate the same list
+    each.  Shards are independent of execution order and worker count.
     """
     if len(config.scenarios) != 1:
         raise ConfigurationError(

@@ -23,6 +23,7 @@ and exactly reproducible from the configuration's seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -189,7 +190,14 @@ def _annealer(config: ScenarioStudyConfig) -> AnnealerServingBackend:
     return AnnealerServingBackend(num_reads=config.num_reads, lanes=config.lanes)
 
 
+@functools.lru_cache(maxsize=1)
 def _scenario_jobs(config: ScenarioStudyConfig, name: str, workload_seed: int):
+    """The scenario's workload, shared by both arms.
+
+    Memoised for the last ``(config, name, workload_seed)`` only: the two
+    arms of a scenario run back to back, so the second reuses the first's
+    frozen jobs, and the memo never holds more than one scenario's list.
+    """
     scenario = build_scenario(name, config.num_cells, horizon_us=config.horizon_us)
     configs = [MIMOConfig(config.num_users, modulation) for modulation in config.modulations]
     profiles = uniform_cell_profiles(
@@ -222,9 +230,10 @@ def _scenario_shard(
     ``config.scenarios`` holds exactly the shard's scenario, and every bit of
     shard randomness flows through ``workload_seed`` (the explicitly derived
     per-scenario child seed) — the simulation itself is timing-modelled and
-    deterministic.  Shards are therefore independent of execution order and
-    worker count, and the (function, config, seed) triple is the shard's
-    complete cache identity.
+    deterministic.  Both arms serve the identical job list; arms in one
+    process share one generated list (see :func:`_scenario_jobs`).  Shards
+    are therefore independent of execution order and worker count, and the
+    (function, config, seed) triple is the shard's complete cache identity.
     """
     if len(config.scenarios) != 1:
         raise ConfigurationError(

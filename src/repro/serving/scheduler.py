@@ -30,7 +30,7 @@ from __future__ import annotations
 import abc
 import heapq
 import math
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 from repro.serving.qos import DEFAULT_CLASS
@@ -128,29 +128,32 @@ def select_batch(
     queue: List[ServingJob],
     policy: SchedulingPolicy,
     max_batch_size: Optional[int],
-    candidates: Optional[Sequence[ServingJob]] = None,
     class_aware: bool = True,
 ) -> List[ServingJob]:
     """Pop the policy's next job plus compatible companions from ``queue``.
 
-    The head job is the policy minimum over ``candidates`` (defaults to the
-    whole queue — admission control passes a restricted candidate set); the
-    rest of the batch is filled with queued candidate jobs sharing the head's
+    The head job is the policy minimum over ``queue``; the rest of the batch
+    is filled with queued jobs sharing the head's
     :attr:`~repro.serving.workload.ServingJob.compat_key`, taken in policy
-    order, never exceeding ``max_batch_size`` (``None`` = unbounded).
-    Selected jobs are removed from ``queue``; the batch is returned.
+    order (ties in queue order), never exceeding ``max_batch_size``
+    (``None`` = unbounded).  Selected jobs are removed from ``queue``; the
+    batch is returned.
 
     ``class_aware=False`` coalesces on the physical
     :attr:`~repro.serving.workload.ServingJob.shape_key` alone — the legacy
     class-blind behaviour, which may batch protected and degradable jobs
     together.
+
+    This is the definition of a batch.  The simulator picks demotion batches
+    with it from the admission candidates, and answers the whole-queue case
+    from per-batch-key ready heaps that select the same batch (see
+    ``docs/serving.md``).
     """
-    pool = list(queue) if candidates is None else list(candidates)
-    if not pool:
+    if not queue:
         return []
-    head = min(pool, key=policy.key)
+    head = min(queue, key=policy.key)
     head_key = _batch_key(head, class_aware)
-    compatible = [job for job in pool if _batch_key(job, class_aware) == head_key]
+    compatible = [job for job in queue if _batch_key(job, class_aware) == head_key]
     limit = len(compatible) if max_batch_size is None else max_batch_size
     # Equivalent to sorted(compatible, key=policy.key)[:limit], without
     # ordering the whole compatible set.

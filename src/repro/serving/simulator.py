@@ -26,13 +26,17 @@ deadline are counted in the report, never dropped.
 
 Deadline pressure — the admission and autoscaling signal — is answered from
 an incremental :class:`_PressureIndex` rather than by re-timing every queued
-job on every annealer at every query (see ``docs/serving.md``).
+job on every annealer at every query, and the next batch is popped from
+per-batch-key :class:`_ReadyQueue` heaps rather than by scanning the queue
+(see ``docs/serving.md``).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import heapq
+import operator
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +53,13 @@ from repro.serving.report import (
     ServingReport,
     build_serving_report,
 )
-from repro.serving.scheduler import EdfPolicy, SchedulingPolicy, resolve_policy, select_batch
+from repro.serving.scheduler import (
+    EdfPolicy,
+    SchedulingPolicy,
+    _batch_key,
+    resolve_policy,
+    select_batch,
+)
 from repro.serving.workload import ServingJob
 from repro.utils.rng import BatchRandomState, ensure_rng_batch
 
@@ -67,12 +77,8 @@ def _service_class_of(job: ServingJob) -> ServiceClass:
     return getattr(job, "service_class", DEFAULT_CLASS)
 
 
-def _deadline_order(job: ServingJob) -> Tuple[float, int]:
-    return (job.deadline_us, job.job_id)
-
-
-def _slack_deadline(job: ServingJob) -> float:
-    return job.deadline_us + 1e-9
+#: A pressure-index entry's slack deadline, ``deadline_us + 1e-9``.
+_SLACK = operator.itemgetter(2)
 
 
 class _PressureIndex:
@@ -84,26 +90,36 @@ class _PressureIndex:
     its deadline — waiting for an annealer already blows it.
 
     Each job's solo service time on every annealer worker is computed once,
-    when it joins the queue; that tuple is its *service profile*.  Jobs
-    sharing a profile live in one list ordered by ``(deadline_us, job_id)``,
-    so a query computes one best completion per profile and the pressured
-    jobs are the list prefix whose deadlines fall short of it.  This relies
+    when it joins the queue, and only once per distinct backend object
+    (workers often share one: K identical QPUs); the per-worker tuple is its
+    *service profile*.  Jobs sharing a profile live in one list of
+    ``(deadline_us, job_id, deadline_us + 1e-9, job)`` entries, sorted, so a
+    query computes one best completion per profile and the pressured jobs
+    are the list prefix whose slack deadlines fall short of it.  This relies
     on :meth:`~repro.serving.backends.ServingBackend.service_time_us` being a
     pure function of the batch.
     """
 
     def __init__(self, annealer_workers: Sequence[Worker]) -> None:
         self._workers = list(annealer_workers)
-        self._groups: Dict[Tuple[float, ...], List[ServingJob]] = {}
+        slot_of: Dict[int, int] = {}
+        self._slots = [
+            slot_of.setdefault(id(worker.backend), len(slot_of)) for worker in self._workers
+        ]
+        self._backends = list({id(w.backend): w.backend for w in self._workers}.values())
+        self._groups: Dict[Tuple[float, ...], List[Tuple[float, int, float, ServingJob]]] = {}
         self._profile_of: Dict[int, Tuple[float, ...]] = {}
 
     def add(self, job: ServingJob) -> None:
         """Index a newly queued job; deadline-free jobs are never pressured."""
-        if job.deadline_us is None:
+        deadline = job.deadline_us
+        if deadline is None:
             return
-        profile = tuple(worker.backend.service_time_us([job]) for worker in self._workers)
+        solo = [backend.service_time_us([job]) for backend in self._backends]
+        profile = tuple(solo[slot] for slot in self._slots)
         self._profile_of[job.job_id] = profile
-        bisect.insort(self._groups.setdefault(profile, []), job, key=_deadline_order)
+        entry = (deadline, job.job_id, deadline + 1e-9, job)
+        bisect.insort(self._groups.setdefault(profile, []), entry)
 
     def discard(self, jobs: Sequence[ServingJob]) -> None:
         """Drop dispatched jobs from the index."""
@@ -112,7 +128,7 @@ class _PressureIndex:
             if profile is None:
                 continue
             group = self._groups[profile]
-            del group[bisect.bisect_left(group, _deadline_order(job), key=_deadline_order)]
+            del group[bisect.bisect_left(group, (job.deadline_us, job.job_id))]
 
     def pressured(self, now: float) -> List[ServingJob]:
         """Every indexed job whose deadline is already blown at ``now``.
@@ -127,12 +143,75 @@ class _PressureIndex:
             if worker.active
         ]
         if not starts:
-            return [job for group in self._groups.values() for job in group]
+            return [entry[3] for group in self._groups.values() for entry in group]
         pressured: List[ServingJob] = []
         for profile, group in self._groups.items():
+            if not group:
+                continue
             completion = min(start + profile[position] for position, start in starts)
-            pressured.extend(group[: bisect.bisect_left(group, completion, key=_slack_deadline)])
+            cut = bisect.bisect_left(group, completion, key=_SLACK)
+            pressured.extend(entry[3] for entry in group[:cut])
         return pressured
+
+
+class _ReadyQueue:
+    """The queued jobs: arrival order for scans, one ready heap per batch key.
+
+    Iterating the queue yields its jobs in arrival order (the order they were
+    pushed).  Alongside, each batch key (``compat_key``, or ``shape_key``
+    when class-blind) owns a heap of ``(policy key, push sequence, job)``
+    entries; the policy key is computed once per job, on arrival.
+    :meth:`pop_batch` therefore answers ``select_batch`` over the whole queue
+    from the heap heads alone: the head job is the least ``(key, sequence)``
+    over the heads — ``min``'s first-in-queue-order tie-break — and its
+    companions are the next entries of the same heap, i.e. the compatible
+    jobs in policy order with ties in queue order.  Jobs taken by
+    :meth:`remove` leave their heap entries behind; a pop skips them.
+    """
+
+    __slots__ = ("_policy_key", "_class_aware", "_jobs", "_heaps", "_sequence")
+
+    def __init__(self, policy: SchedulingPolicy, class_aware: bool) -> None:
+        self._policy_key = policy.key
+        self._class_aware = class_aware
+        self._jobs: Dict[int, ServingJob] = {}
+        self._heaps: Dict[Tuple, List[Tuple[Tuple, int, ServingJob]]] = {}
+        self._sequence = 0
+
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+    def __iter__(self) -> Iterator[ServingJob]:
+        return iter(self._jobs.values())
+
+    def push(self, job: ServingJob) -> None:
+        """Queue a newly arrived job."""
+        self._jobs[job.job_id] = job
+        heap = self._heaps.setdefault(_batch_key(job, self._class_aware), [])
+        heapq.heappush(heap, (self._policy_key(job), self._sequence, job))
+        self._sequence += 1
+
+    def remove(self, jobs: Sequence[ServingJob]) -> None:
+        """Take jobs chosen elsewhere out of the queue."""
+        for job in jobs:
+            del self._jobs[job.job_id]
+
+    def pop_batch(self, max_batch_size: Optional[int]) -> List[ServingJob]:
+        """``select_batch`` over the whole queue: pop the head batch."""
+        jobs, head = self._jobs, None
+        for key, heap in list(self._heaps.items()):
+            while heap and heap[0][2].job_id not in jobs:
+                heapq.heappop(heap)
+            if not heap:
+                del self._heaps[key]
+            elif head is None or heap[0] < head[0]:
+                head = heap
+        batch: List[ServingJob] = []
+        while head and (max_batch_size is None or len(batch) < max_batch_size):
+            job = heapq.heappop(head)[2]
+            if jobs.pop(job.job_id, None) is not None:
+                batch.append(job)
+        return batch
 
 
 class RANServingSimulator:
@@ -261,7 +340,7 @@ class RANServingSimulator:
             self.autoscaler.begin(start_us, self.pool)
             events.push(start_us + self.autoscaler.config.interval_us, (_AUTOSCALE, None))
 
-        queue: List[ServingJob] = []
+        queue = _ReadyQueue(self.policy, self.class_aware)
         outcomes: List[JobOutcome] = []
         arrivals_remaining = len(ordered)
         while events:
@@ -272,7 +351,7 @@ class RANServingSimulator:
             autoscale_tick = False
             for kind, item in pending:
                 if kind == _ARRIVAL:
-                    queue.append(item)
+                    queue.push(item)
                     if self._pressure is not None:
                         self._pressure.add(item)
                     arrivals_remaining -= 1
@@ -354,54 +433,53 @@ class RANServingSimulator:
     def _dispatch(
         self,
         now: float,
-        queue: List[ServingJob],
+        queue: _ReadyQueue,
         events: EventQueue,
         outcomes: List[JobOutcome],
         child_of: Dict[int, np.random.Generator],
     ) -> None:
-        """Work-conserving dispatch of queued jobs onto idle workers at ``now``."""
+        """Work-conserving dispatch of queued jobs onto idle workers at ``now``.
+
+        A worker that may take any queued job pops the queue's head batch;
+        a demotion picks its batch with :func:`select_batch` over the
+        admission candidates.
+        """
         has_annealers = bool(self.pool.annealer_workers)
         progress = True
         while progress and queue:
             progress = False
-            for worker in self.pool.idle_workers(now, kind="annealer"):
+            # Serving an annealer leaves the classical workers' idleness as
+            # it was, so one scan serves both passes.
+            idle = self.pool.idle_workers(now)
+            for worker in idle:
                 if not queue:
                     break
-                batch = select_batch(
-                    queue,
-                    self.policy,
-                    self.max_batch_size,
-                    class_aware=self.class_aware,
-                )
-                if batch:
+                if worker.kind == "annealer":
+                    batch = queue.pop_batch(self.max_batch_size)
                     self._serve(worker, batch, now, events, outcomes, child_of, demoted=False)
                     progress = True
-            for worker in self.pool.idle_workers(now, kind="classical"):
+            for worker in idle:
                 if not queue:
                     break
-                if has_annealers and not self.admission_control:
-                    break  # fallbacks only activate through admission control
-                candidates = (
-                    self._degradation_candidates(queue, now) if has_annealers else queue
-                )
-                if not candidates:
+                if worker.kind != "classical":
                     continue
-                batch = select_batch(
-                    queue,
-                    self.policy,
-                    self.max_batch_size,
-                    candidates,
-                    class_aware=self.class_aware,
-                )
-                if batch:
-                    self._serve(
-                        worker, batch, now, events, outcomes, child_of, demoted=has_annealers
+                if not has_annealers:
+                    batch = queue.pop_batch(self.max_batch_size)
+                elif not self.admission_control:
+                    break  # fallbacks only activate through admission control
+                else:
+                    candidates = self._degradation_candidates(queue, now)
+                    if not candidates:
+                        continue
+                    # ``candidates`` is a scratch list, so select_batch may pop from it.
+                    batch = select_batch(
+                        candidates, self.policy, self.max_batch_size, class_aware=self.class_aware
                     )
-                    progress = True
+                    queue.remove(batch)
+                self._serve(worker, batch, now, events, outcomes, child_of, demoted=has_annealers)
+                progress = True
 
-    def _degradation_candidates(
-        self, queue: List[ServingJob], now: float
-    ) -> List[ServingJob]:
+    def _degradation_candidates(self, queue: _ReadyQueue, now: float) -> List[ServingJob]:
         """Jobs eligible for the classical fallback at ``now``.
 
         Class-blind mode (and the single-default-class identity case, where
@@ -420,16 +498,18 @@ class RANServingSimulator:
             return demotable
         min_priority = min(_service_class_of(job).priority for job in pressured)
         chosen = {job.job_id for job in demotable}
-        shed = [
-            job
-            for job in queue
-            if job.job_id not in chosen
-            and _service_class_of(job).sheddable
-            and _service_class_of(job).priority > min_priority
-        ]
+        shed = []
+        for job in queue:
+            service_class = _service_class_of(job)
+            if (
+                service_class.sheddable
+                and service_class.priority > min_priority
+                and job.job_id not in chosen
+            ):
+                shed.append(job)
         return demotable + shed
 
-    def _pressured_jobs(self, queue: List[ServingJob], now: float) -> List[ServingJob]:
+    def _pressured_jobs(self, queue: _ReadyQueue, now: float) -> List[ServingJob]:
         """The deadline-pressured jobs of ``queue`` at ``now``, in no set order.
 
         Answered from the run's pressure index, which mirrors ``queue``'s

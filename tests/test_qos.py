@@ -425,6 +425,24 @@ class TestQoSStudy:
         sharded = run_driver(QoSStudyDriver(), config, workers=2)
         assert serial.rows == sharded.rows
 
+    def test_arms_share_one_generated_workload_per_scenario(self, monkeypatch):
+        from repro.experiments import qos_study
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(qos_study._qos_jobs.cache_info().currsize)
+            return generate_serving_jobs(*args, **kwargs)
+
+        monkeypatch.setattr(qos_study, "generate_serving_jobs", counted)
+        qos_study._qos_jobs.cache_clear()
+        config = QoSStudyConfig.quick()
+        run_driver(QoSStudyDriver(), config)
+        assert len(calls) == len(config.scenarios)
+        # The memo holds one scenario's list at most, before and after.
+        assert qos_study._qos_jobs.cache_info().maxsize == 1
+        assert max(calls) <= 1 and qos_study._qos_jobs.cache_info().currsize == 1
+
     @pytest.mark.parametrize("overrides", _BAD_OVERRIDES)
     def test_invalid_configurations_rejected(self, overrides):
         with pytest.raises(ConfigurationError):

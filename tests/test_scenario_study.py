@@ -11,7 +11,7 @@ from repro.experiments import (
     format_scenario_table,
     run_driver,
 )
-from repro.serving import ServingReport
+from repro.serving import ServingReport, generate_serving_jobs
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,24 @@ class TestScenarioStudy:
         first = run_driver(ScenarioStudyDriver(), config)
         second = run_driver(ScenarioStudyDriver(), config)
         assert first.rows == second.rows
+
+    def test_arms_share_one_generated_workload_per_scenario(self, monkeypatch):
+        from repro.experiments import scenario_study
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(scenario_study._scenario_jobs.cache_info().currsize)
+            return generate_serving_jobs(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_study, "generate_serving_jobs", counted)
+        scenario_study._scenario_jobs.cache_clear()
+        config = ScenarioStudyConfig.quick()
+        run_driver(ScenarioStudyDriver(), config)
+        assert len(calls) == len(config.scenarios)
+        # The memo holds one scenario's list at most, before and after.
+        assert scenario_study._scenario_jobs.cache_info().maxsize == 1
+        assert max(calls) <= 1 and scenario_study._scenario_jobs.cache_info().currsize == 1
 
     def test_invalid_configurations_rejected(self):
         with pytest.raises(ConfigurationError):
