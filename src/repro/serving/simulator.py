@@ -346,8 +346,12 @@ class RANServingSimulator:
         while events:
             now, payload = events.pop()
             pending = [payload]
-            while events and events.peek_time() <= now + _TIME_EPS:
-                pending.append(events.pop()[1])
+            # Events within _TIME_EPS of the first are handled together, at
+            # the latest of their times, so no job can start before it arrives.
+            group_end = now + _TIME_EPS
+            while events and events.peek_time() <= group_end:
+                now, payload = events.pop()
+                pending.append(payload)
             autoscale_tick = False
             for kind, item in pending:
                 if kind == _ARRIVAL:

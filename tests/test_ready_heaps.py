@@ -7,7 +7,9 @@ the original dispatch, which hands the whole arrival-ordered queue to
 workloads, FIFO and EDF, class-aware and class-blind scheduling, every batch
 ceiling and autoscaled elastic pools, both produce the same outcomes, and
 both satisfy the serving invariants.  A deterministic case with a tied
-policy key pins the tie-break: queue (arrival) order, not job id.
+policy key pins the tie-break: queue (arrival) order, not job id.  A
+two-job case pins the coalesced-event clock: an arrival grouped with an
+earlier worker-free event is dispatched at its own arrival time.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Tuple
 from hypothesis import given
 
 from repro.serving import (
+    DEFAULT_CLASS,
     URLLC,
     AnnealerServingBackend,
     BackendPool,
@@ -157,3 +160,17 @@ class TestTiedPolicyKeys:
             assert report.demotion_rate > 0
             assert report.outcomes == ListScanSimulator(**kwargs).run(jobs).outcomes
             check_serving_invariants(jobs, report)
+
+
+class TestCoalescedEventClock:
+    def test_arrival_grouped_with_earlier_worker_free_starts_on_arrival(self):
+        # 32.4 + 4 * 0.2 rounds to 33.199999999999996: the worker frees
+        # 7e-15 us before the second arrival, inside the event-grouping
+        # window, and the group must be dispatched at the later time.
+        jobs = [_job(0, 32.4, None, 0, DEFAULT_CLASS), _job(1, 33.2, None, 0, DEFAULT_CLASS)]
+        pool = BackendPool([ClassicalServingBackend(time_per_variable_us=0.2)])
+        report = RANServingSimulator(pool=pool).run(jobs)
+        first, second = sorted(report.outcomes, key=lambda outcome: outcome.job_id)
+        assert first.finish_us < 33.2
+        assert second.start_us == 33.2
+        check_serving_invariants(jobs, report)
