@@ -145,10 +145,12 @@ class ServingJob:
     (``cell_id`` is then the cell serving the job *at arrival time*).
 
     The scheduling keys (:attr:`num_variables`, :attr:`shape_key`,
-    :attr:`compat_key`) are computed on first access and cached on the
-    instance: the dispatcher reads them many times per job.  A
-    :func:`dataclasses.replace` copy starts with an empty cache, so it never
-    inherits a key of the original's channel use.
+    :attr:`compat_key`) come from the channel use's link config, never its
+    payload, so scheduling a job never draws its transmission.  They are
+    computed on first access and cached on the instance: the dispatcher
+    reads them many times per job.  A :func:`dataclasses.replace` copy
+    starts with an empty cache, so it never inherits a key of the original's
+    channel use.
     """
 
     job_id: int
@@ -443,17 +445,22 @@ def generate_serving_jobs(
     """Draw every user's stream and merge into one arrival-ordered job list.
 
     Each profile consumes its own child generator (spawned in profile order
-    from the root seed), so the merged workload is reproducible and adding a
-    user never perturbs the other users' streams.  Ties in arrival time are
-    broken by ``(user_id, per-user index)`` for determinism.
+    from the root seed) for its arrivals and job-mix choices, so the merged
+    workload is reproducible and adding a user never perturbs the other
+    users' streams.  Each job's payload (channel, bits, noise) is drawn on a
+    payload generator spawned from the user's child, on first access to its
+    transmission (see :mod:`repro.wireless.traffic`): a run that only
+    schedules the jobs draws none, and arrivals do not depend on
+    ``impairments``.  Ties in arrival time are broken by
+    ``(user_id, per-user index)`` for determinism.
 
     With a :class:`~repro.serving.scenarios.NetworkScenario`, each user's
     stream becomes a piecewise-inhomogeneous Poisson process over the
     scenario horizon: the scenario's per-cell intensity multiplier modulates
     the user's nominal rate (via
     :meth:`~repro.wireless.traffic.TrafficGenerator.stream_modulated`
-    thinning on the same per-user child generators, so fixed seeds still
-    yield bitwise-identical workloads).  ``jobs_per_user`` then acts as a
+    thinning on the per-user child generators, so fixed seeds still yield
+    bitwise-identical workloads).  ``jobs_per_user`` then acts as a
     per-user ceiling — the realised count varies with the scenario's demand
     — and the user's ``phase_offset_us`` staggers the start of its thinning
     clock without shifting the scenario timeline.

@@ -19,6 +19,15 @@ channel uses draw from, either cyclically or at random.  This models a user
 whose scheduler adapts modulation and rank over time, and it is what the RAN
 serving simulator (:mod:`repro.serving`) uses to produce realistically mixed
 detection workloads.
+
+Every stream splits its randomness in two.  Arrival times, thinning and the
+job-mix choice are drawn on the caller's generator (the *arrival stream*).
+Each channel use's payload — channel, bits, noise, fading state and CSI
+error — is drawn on a *payload stream*, a generator spawned once per stream
+from the caller's, and only when a consumer first reads
+:attr:`ChannelUse.transmission`.  Studies that schedule jobs by arrival,
+deadline and QUBO shape therefore never simulate a channel, and their
+arrivals do not depend on the channel or impairment settings.
 """
 
 from __future__ import annotations
@@ -38,7 +47,157 @@ from repro.wireless.mimo import MIMOConfig, MIMOTransmission, simulate_transmiss
 __all__ = ["ChannelUse", "TrafficGenerator"]
 
 
-@dataclass(frozen=True)
+def _impaired_transmission(
+    config: MIMOConfig,
+    impairments: ChannelImpairments,
+    fading_base: Optional[ChannelModel],
+    interference_scale: Optional[float],
+    rng: np.random.Generator,
+    processes: Dict[Tuple[int, int], FadingProcess],
+) -> MIMOTransmission:
+    """One channel use under active impairments (fading process + scaling).
+
+    ``processes`` maps a link shape to its fading process, so a user's
+    successive blocks of one shape are temporally correlated;
+    ``interference_scale`` multiplies the nominal interference power.
+    """
+    shape = (config.receive_antennas, config.num_users)
+    process = processes.get(shape)
+    if process is None:
+        process = FadingProcess(shape[0], shape[1], impairments, base_model=fading_base)
+        processes[shape] = process
+    channel = process.advance(rng)
+    if interference_scale is not None:
+        impairments = dataclasses.replace(
+            impairments,
+            interference_power=impairments.interference_power * interference_scale,
+        )
+    return simulate_transmission(config, rng=rng, impairments=impairments, channel_matrix=channel)
+
+
+class _PayloadStream:
+    """One stream's payload generator and the payloads it has handed out.
+
+    Payloads are drawn strictly in the order they were handed out, whichever
+    one a consumer reads first: reading payload ``k`` draws every earlier
+    undrawn payload and keeps them all.  So each payload, and the state of
+    every per-shape :class:`~repro.wireless.fading.FadingProcess`, is the
+    same for every access order.  Holds no callable, so it pickles, and no
+    reference back to its payloads, so a dropped stream is freed at once.
+    """
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        channel_model: ChannelModel,
+        impairments: Optional[ChannelImpairments],
+        fading_base: Optional[ChannelModel],
+    ) -> None:
+        seed_sequence = rng.bit_generator.seed_seq
+        #: Identifies the draws: equal keys and positions mean equal payloads.
+        self.seed_key = (seed_sequence.entropy, seed_sequence.spawn_key)
+        self._rng = rng
+        self._channel_model = channel_model
+        self._impairments = impairments
+        self._fading_base = fading_base
+        self._processes: Dict[Tuple[int, int], FadingProcess] = {}
+        self._recipes: List[Tuple[MIMOConfig, Optional[float]]] = []
+        self._drawn: List[MIMOTransmission] = []
+
+    def add(self, config: MIMOConfig, interference_scale: Optional[float]) -> "_Payload":
+        """Hand out the next payload, undrawn."""
+        self._recipes.append((config, interference_scale))
+        return _Payload(config, None, self, len(self._recipes) - 1)
+
+    def transmission(self, position: int) -> MIMOTransmission:
+        """Payload ``position``'s transmission, drawing every earlier one first."""
+        drawn = self._drawn
+        while len(drawn) <= position:
+            config, scale = self._recipes[len(drawn)]
+            if self._impairments is None:
+                drawn.append(simulate_transmission(config, self._channel_model, self._rng))
+            else:
+                drawn.append(
+                    _impaired_transmission(
+                        config,
+                        self._impairments,
+                        self._fading_base,
+                        scale,
+                        self._rng,
+                        self._processes,
+                    )
+                )
+        return drawn[position]
+
+
+class _Payload:
+    """A channel use's link config and its transmission.
+
+    A payload either wraps a given transmission or is a position in a
+    :class:`_PayloadStream`, which draws it on first access to
+    :attr:`transmission`.  Equality, hashing, ``repr`` and pickling never
+    draw, and do not depend on whether the payload was drawn: two stream
+    payloads are equal when they are the same draw (same payload seed,
+    position, config and interference scale), two given ones when they wrap
+    the same transmission object.
+    """
+
+    __slots__ = ("config", "_stream", "_position", "_transmission")
+
+    def __init__(
+        self,
+        config: MIMOConfig,
+        transmission: Optional[MIMOTransmission],
+        stream: Optional[_PayloadStream] = None,
+        position: int = 0,
+    ) -> None:
+        self.config = config
+        self._stream = stream
+        self._position = position
+        self._transmission = transmission
+
+    @classmethod
+    def given(cls, transmission: MIMOTransmission) -> "_Payload":
+        """Wrap a transmission; its config is the instance's link shape."""
+        instance = transmission.instance
+        config = MIMOConfig(
+            num_users=instance.num_users,
+            modulation=instance.modulation,
+            num_receive_antennas=instance.num_receive_antennas,
+        )
+        return cls(config, transmission)
+
+    @property
+    def is_drawn(self) -> bool:
+        """Whether the transmission exists yet."""
+        return self._stream is None or self._position < len(self._stream._drawn)
+
+    @property
+    def transmission(self) -> MIMOTransmission:
+        """The transmission, drawn (with every earlier payload) on first access."""
+        if self._stream is None:
+            return self._transmission
+        return self._stream.transmission(self._position)
+
+    def _key(self) -> tuple:
+        stream = self._stream
+        if stream is None:
+            return (id(self._transmission),)
+        return (stream.seed_key, self._position, stream._recipes[self._position])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Payload):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"_Payload(config={self.config!r})"
+
+
+@dataclass(frozen=True, init=False)
 class ChannelUse:
     """One timestamped detection job entering the processing pipeline.
 
@@ -48,27 +207,60 @@ class ChannelUse:
         Sequence number of the channel use (0-based).
     arrival_time_us:
         Arrival time at the baseband processor, in microseconds.
-    transmission:
-        The simulated transmission (instance + ground truth payload).
     deadline_us:
         Absolute processing deadline (arrival + turnaround budget), or
         ``None`` when no deadline applies.  When present it must lie strictly
         after the arrival time — a job that is born already expired is a
         configuration error, not a schedulable workload.  A NaN deadline is
         rejected too: it orders against nothing, so no scheduler can honour it.
+    payload:
+        The use's link config and its transmission.  A
+        :class:`TrafficGenerator` stream hands out payloads that are drawn
+        on first access to :attr:`transmission`; :attr:`config`,
+        :attr:`qubo_variable_count` and :attr:`modulation` never draw.
+
+    A use is built around a given ``transmission`` (its config is then the
+    instance's link shape) or around a stream's ``payload``.  A
+    ``transmission`` passed to :func:`dataclasses.replace` replaces the
+    payload.
     """
 
     index: int
     arrival_time_us: float
-    transmission: MIMOTransmission
-    deadline_us: Optional[float] = None
+    deadline_us: Optional[float]
+    payload: _Payload
 
-    def __post_init__(self) -> None:
-        if self.deadline_us is not None and not self.deadline_us > self.arrival_time_us:
+    def __init__(
+        self,
+        index: int,
+        arrival_time_us: float,
+        transmission: Optional[MIMOTransmission] = None,
+        deadline_us: Optional[float] = None,
+        payload: Optional[_Payload] = None,
+    ) -> None:
+        if transmission is not None:
+            payload = _Payload.given(transmission)
+        elif payload is None:
+            raise ConfigurationError("a channel use needs a transmission or a payload")
+        if deadline_us is not None and not deadline_us > arrival_time_us:
             raise ConfigurationError(
-                f"deadline_us ({self.deadline_us}) must be strictly greater than "
-                f"arrival_time_us ({self.arrival_time_us})"
+                f"deadline_us ({deadline_us}) must be strictly greater than "
+                f"arrival_time_us ({arrival_time_us})"
             )
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "arrival_time_us", arrival_time_us)
+        object.__setattr__(self, "deadline_us", deadline_us)
+        object.__setattr__(self, "payload", payload)
+
+    @property
+    def transmission(self) -> MIMOTransmission:
+        """The simulated transmission (instance + ground truth payload)."""
+        return self.payload.transmission
+
+    @property
+    def config(self) -> MIMOConfig:
+        """The link configuration this channel use was drawn under."""
+        return self.payload.config
 
     @property
     def has_deadline(self) -> bool:
@@ -78,16 +270,23 @@ class ChannelUse:
     @property
     def qubo_variable_count(self) -> int:
         """QUBO size of this channel use's detection problem."""
-        return self.transmission.instance.qubo_variable_count
+        return self.payload.config.qubo_variable_count
 
     @property
     def modulation(self) -> str:
         """Modulation name of this channel use."""
-        return self.transmission.instance.modulation
+        return self.payload.config.modulation
 
 
 class TrafficGenerator:
     """Generate a stream of :class:`ChannelUse` jobs for the pipeline simulator.
+
+    Every stream draws arrivals, thinning and mix choices on the supplied
+    generator and the payloads on a generator spawned from it once per
+    stream, each payload lazily and all of them in index order (see the
+    module docstring).  So a fixed seed yields a bitwise-identical stream,
+    and the arrivals do not depend on ``channel_model``, ``impairments`` or
+    ``interference_scale``.
 
     Parameters
     ----------
@@ -110,9 +309,8 @@ class TrafficGenerator:
     job_mix:
         How a multi-configuration mix is sampled: ``"cyclic"`` walks the
         sequence round-robin (deterministic), ``"random"`` draws uniformly
-        per channel use from the stream's generator.  Ignored for a single
-        configuration, where no mix randomness is ever consumed — existing
-        single-configuration streams are unchanged.
+        per channel use from the stream's arrival generator.  Ignored for a
+        single configuration, where no mix randomness is ever consumed.
     impairments:
         Optional :class:`~repro.wireless.fading.ChannelImpairments`.  When
         active (non-identity), every channel use's realisation comes from a
@@ -120,12 +318,15 @@ class TrafficGenerator:
         user's successive blocks are temporally correlated per the Jakes
         model — and CSI error / interference apply per use.  ``None`` and
         the identity configuration leave the stream bitwise-identical to
-        the unimpaired generator.
+        the unimpaired generator.  The fading state advances on the payload
+        generator, in index order.
     interference_scale:
         Optional map from a channel use's arrival time (us) to a
         non-negative multiplier on ``impairments.interference_power`` — the
         hook the serving layer uses to couple interference to neighbouring
-        cells' time-varying load.  Requires ``impairments``.
+        cells' time-varying load.  Requires ``impairments``.  It is evaluated
+        (and a negative value rejected) when a use is emitted, at its
+        arrival time.
     """
 
     def __init__(
@@ -209,37 +410,54 @@ class TrafficGenerator:
         """Yield ``count`` channel uses lazily (useful for long simulations)."""
         if count < 0:
             raise ConfigurationError(f"count must be non-negative, got {count}")
-        # Each stream is its own coherence run: the fading-process map is
-        # local to this invocation, so re-streaming the same generator with
-        # the same seed is bitwise-identical and concurrent streams of one
-        # generator cannot corrupt each other's temporal state.
-        processes: Dict[Tuple[int, int], FadingProcess] = {}
         generator = ensure_rng(rng)
+        payloads = self._payload_stream(generator)
         arrival_time = 0.0
         for index in range(count):
             if index > 0:
                 arrival_time += self._inter_arrival(generator)
-            yield self._emit(index, arrival_time, generator, processes)
+            yield self._emit(index, arrival_time, generator, payloads)
+
+    def _payload_stream(self, generator: np.random.Generator) -> _PayloadStream:
+        """A fresh payload stream on a child of the arrival generator.
+
+        Each stream is its own coherence run: the fading processes live in
+        the payload stream, so re-streaming the same generator with the same
+        seed is bitwise-identical and concurrent streams of one generator
+        cannot corrupt each other's temporal state.  Spawning reads the
+        generator's seed sequence, not its state, so it consumes no arrival
+        draw.
+        """
+        return _PayloadStream(
+            generator.spawn(1)[0],
+            self.channel_model,
+            self._active_impairments,
+            self._fading_base,
+        )
 
     def _emit(
         self,
         index: int,
         arrival_time_us: float,
         rng: np.random.Generator,
-        processes: Dict[Tuple[int, int], FadingProcess],
+        payloads: _PayloadStream,
     ) -> ChannelUse:
-        """Realise one channel use at a fixed arrival time.
+        """Emit one channel use at a fixed arrival time, its payload undrawn.
 
         Shared by the homogeneous and modulated streams so both arrival
-        processes derive configs, channel realisations and deadlines
-        identically (and in the same per-use randomness order).
-        ``processes`` is the calling stream's private fading-state map.
+        processes derive configs, deadlines and payloads identically.  The
+        mix choice is drawn on ``rng``, the arrival generator; the
+        interference scale is evaluated, and validated, here.
         """
         config = self._config_for(index, rng)
-        if self._active_impairments is None:
-            transmission = simulate_transmission(config, self.channel_model, rng)
-        else:
-            transmission = self._emit_impaired(config, arrival_time_us, rng, processes)
+        scale = None
+        if self._active_impairments is not None and self.interference_scale is not None:
+            scale = float(self.interference_scale(arrival_time_us))
+            if scale < 0:
+                raise ConfigurationError(
+                    f"interference_scale must be non-negative, got {scale} "
+                    f"at t={arrival_time_us}"
+                )
         deadline = (
             arrival_time_us + self.turnaround_budget_us
             if self.turnaround_budget_us is not None
@@ -248,40 +466,8 @@ class TrafficGenerator:
         return ChannelUse(
             index=index,
             arrival_time_us=arrival_time_us,
-            transmission=transmission,
             deadline_us=deadline,
-        )
-
-    def _emit_impaired(
-        self,
-        config: MIMOConfig,
-        arrival_time_us: float,
-        rng: np.random.Generator,
-        processes: Dict[Tuple[int, int], FadingProcess],
-    ) -> MIMOTransmission:
-        """One channel use under active impairments (fading process + scaling)."""
-        impairments = self._active_impairments
-        shape = (config.receive_antennas, config.num_users)
-        process = processes.get(shape)
-        if process is None:
-            process = FadingProcess(
-                shape[0], shape[1], impairments, base_model=self._fading_base
-            )
-            processes[shape] = process
-        channel = process.advance(rng)
-        if self.interference_scale is not None:
-            scale = float(self.interference_scale(arrival_time_us))
-            if scale < 0:
-                raise ConfigurationError(
-                    f"interference_scale must be non-negative, got {scale} "
-                    f"at t={arrival_time_us}"
-                )
-            impairments = dataclasses.replace(
-                impairments,
-                interference_power=impairments.interference_power * scale,
-            )
-        return simulate_transmission(
-            config, rng=rng, impairments=impairments, channel_matrix=channel
+            payload=payloads.add(config, scale),
         )
 
     def stream_modulated(
@@ -300,11 +486,12 @@ class TrafficGenerator:
         homogeneous rate, 0.0 silences the stream) and ``peak_intensity``
         must bound it from above.  Arrivals are drawn by Ogata thinning:
         candidates arrive at the majorising rate ``peak / period`` and are
-        accepted with probability ``intensity(t) / peak``.  All randomness —
-        candidate times, acceptance draws, mix choices, channel realisations
-        — comes from the single supplied generator, so a fixed seed yields a
-        bitwise-identical stream (the time-varying analogue of the
-        homogeneous :meth:`stream` guarantee).
+        accepted with probability ``intensity(t) / peak``.  Candidate times,
+        acceptance draws and mix choices come from the supplied generator;
+        payloads are drawn lazily on a generator spawned from it, as in
+        :meth:`stream`.  So a fixed seed yields a bitwise-identical stream
+        (the time-varying analogue of the homogeneous :meth:`stream`
+        guarantee), and thinning never depends on the payload draws.
 
         The modulated stream is inherently Poisson; a generator configured
         with ``arrival_process="deterministic"`` is rejected rather than
@@ -327,9 +514,8 @@ class TrafficGenerator:
             raise ConfigurationError(
                 f"max_count must be non-negative, got {max_count}"
             )
-        # Fresh coherence run per stream; see :meth:`stream`.
-        processes: Dict[Tuple[int, int], FadingProcess] = {}
         generator = ensure_rng(rng)
+        payloads = self._payload_stream(generator)
         mean_gap_us = self.symbol_period_us / peak_intensity
         arrival_time = start_us
         index = 0
@@ -352,7 +538,7 @@ class TrafficGenerator:
             # instant, and m=peak accepts every u in [0, 1).
             if float(generator.uniform()) * peak_intensity >= multiplier:
                 continue
-            yield self._emit(index, arrival_time, generator, processes)
+            yield self._emit(index, arrival_time, generator, payloads)
             index += 1
 
     def _config_for(self, index: int, rng: np.random.Generator) -> MIMOConfig:

@@ -443,6 +443,21 @@ class TestQoSStudy:
         assert qos_study._qos_jobs.cache_info().maxsize == 1
         assert max(calls) <= 1 and qos_study._qos_jobs.cache_info().currsize == 1
 
+    def test_serving_only_run_never_simulates_a_channel(self, monkeypatch):
+        from repro.experiments import qos_study
+        from repro.wireless import traffic
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate_transmission(*args, **kwargs)
+
+        monkeypatch.setattr(traffic, "simulate_transmission", counted)
+        qos_study._qos_jobs.cache_clear()
+        run_driver(QoSStudyDriver(), QoSStudyConfig.quick())
+        assert calls == []
+
     @pytest.mark.parametrize("overrides", _BAD_OVERRIDES)
     def test_invalid_configurations_rejected(self, overrides):
         with pytest.raises(ConfigurationError):

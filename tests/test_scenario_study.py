@@ -12,6 +12,7 @@ from repro.experiments import (
     run_driver,
 )
 from repro.serving import ServingReport, generate_serving_jobs
+from repro.wireless.mimo import simulate_transmission
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,21 @@ class TestScenarioStudy:
         # The memo holds one scenario's list at most, before and after.
         assert scenario_study._scenario_jobs.cache_info().maxsize == 1
         assert max(calls) <= 1 and scenario_study._scenario_jobs.cache_info().currsize == 1
+
+    def test_serving_only_run_never_simulates_a_channel(self, monkeypatch):
+        from repro.experiments import scenario_study
+        from repro.wireless import traffic
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate_transmission(*args, **kwargs)
+
+        monkeypatch.setattr(traffic, "simulate_transmission", counted)
+        scenario_study._scenario_jobs.cache_clear()
+        run_driver(ScenarioStudyDriver(), ScenarioStudyConfig.quick())
+        assert calls == []
 
     def test_invalid_configurations_rejected(self):
         with pytest.raises(ConfigurationError):

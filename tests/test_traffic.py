@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
@@ -255,3 +257,228 @@ class TestChannelUseDeadlineValidation:
         )
         assert use.has_deadline
         assert use.qubo_variable_count == 4
+
+
+# ---------------------------------------------------------------------- #
+# The split seed tree: arrivals on the caller's generator, payloads lazily
+# on a generator spawned from it
+# ---------------------------------------------------------------------- #
+
+_MIX = (
+    MIMOConfig(num_users=2, modulation="QPSK"),
+    MIMOConfig(num_users=3, modulation="16-QAM"),
+    MIMOConfig(num_users=2, modulation="16-QAM", num_receive_antennas=3),
+)
+_split_settings = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def _impairments(kind):
+    from repro.wireless import ChannelImpairments
+
+    if kind == "off":
+        return None
+    if kind == "identity":
+        return ChannelImpairments()
+    return ChannelImpairments(
+        temporal_correlation=0.8, csi_error_variance=0.05, interference_power=0.5
+    )
+
+
+def _generator(job_mix, impairments, arrival_process="poisson"):
+    scale = (lambda t_us: 1.0 + (t_us % 50.0) / 50.0) if impairments is not None else None
+    return TrafficGenerator(
+        list(_MIX),
+        symbol_period_us=10.0,
+        arrival_process=arrival_process,
+        turnaround_budget_us=40.0,
+        job_mix=job_mix,
+        impairments=impairments,
+        interference_scale=scale,
+    )
+
+
+def _uses(generator, modulated, seed, count=12):
+    if modulated:
+        return list(
+            generator.stream_modulated(
+                horizon_us=400.0,
+                intensity=lambda t_us: 0.5 if t_us < 200.0 else 2.0,
+                peak_intensity=2.0,
+                rng=seed,
+                max_count=count,
+            )
+        )
+    return generator.generate(count, rng=seed)
+
+
+def _schedule(uses):
+    return [(use.index, use.arrival_time_us, use.deadline_us, use.config) for use in uses]
+
+
+def _job_key(job):
+    use = job.channel_use
+    return (job.job_id, job.user_id, job.cell_id, use.arrival_time_us, use.deadline_us, use.config)
+
+
+def _same_transmission(a, b):
+    return (
+        np.array_equal(a.instance.channel_matrix, b.instance.channel_matrix)
+        and np.array_equal(a.instance.received, b.instance.received)
+        and np.array_equal(a.transmitted_bits, b.transmitted_bits)
+        and a.interference_power == b.interference_power
+        and a.has_perfect_csi == b.has_perfect_csi
+    )
+
+
+class TestSplitSeedTree:
+    @given(
+        seed=st.integers(0, 2**31),
+        job_mix=st.sampled_from(["cyclic", "random"]),
+        arrival_process=st.sampled_from(["deterministic", "poisson"]),
+        modulated=st.booleans(),
+    )
+    @_split_settings
+    def test_schedule_is_independent_of_impairments(
+        self, seed, job_mix, arrival_process, modulated
+    ):
+        if modulated:
+            arrival_process = "poisson"
+        schedules = []
+        for kind in ("off", "identity", "active"):
+            generator = _generator(job_mix, _impairments(kind), arrival_process)
+            schedules.append(_schedule(_uses(generator, modulated, seed)))
+        assert schedules[0] == schedules[1] == schedules[2]
+
+    @given(seed=st.integers(0, 2**31), job_mix=st.sampled_from(["cyclic", "random"]))
+    @_split_settings
+    def test_serving_job_ids_are_independent_of_impairments(self, seed, job_mix):
+        from repro.serving import generate_serving_jobs, uniform_cell_profiles
+
+        profiles = uniform_cell_profiles(
+            num_cells=2,
+            users_per_cell=2,
+            configs=[_MIX[:2], _MIX[1:]],
+            symbol_period_us=20.0,
+            job_mix=job_mix,
+        )
+        workloads = [
+            generate_serving_jobs(
+                profiles,
+                jobs_per_user=5,
+                rng=seed,
+                impairments=_impairments(kind),
+                cell_load_factors=None if kind == "off" else (1.0, 2.0),
+            )
+            for kind in ("off", "identity", "active")
+        ]
+        keys = [[_job_key(job) for job in jobs] for jobs in workloads]
+        assert keys[0] == keys[1] == keys[2]
+
+    @given(
+        seed=st.integers(0, 2**31),
+        job_mix=st.sampled_from(["cyclic", "random"]),
+        kind=st.sampled_from(["off", "active"]),
+        modulated=st.booleans(),
+        order=st.permutations(range(12)),
+    )
+    @_split_settings
+    def test_any_access_order_replays_the_payload_generator(
+        self, seed, job_mix, kind, modulated, order
+    ):
+        from repro.wireless.traffic import _impaired_transmission
+
+        impairments = _impairments(kind)
+        generator = _generator(job_mix, impairments)
+        in_order = _uses(generator, modulated, seed)
+        shuffled = _uses(generator, modulated, seed)
+        backwards = _uses(generator, modulated, seed)
+        for position in order:
+            if position < len(shuffled):
+                shuffled[position].transmission
+        for use in reversed(backwards):
+            use.transmission
+        # The replay: one payload generator spawned from the arrival seed,
+        # drawn in index order, with the fading state kept per link shape.
+        payload_rng = np.random.default_rng(seed).spawn(1)[0]
+        processes = {}
+        for first, second, third in zip(in_order, shuffled, backwards):
+            if impairments is None:
+                expected = simulate_transmission(first.config, rng=payload_rng)
+            else:
+                scale = generator.interference_scale(first.arrival_time_us)
+                expected = _impaired_transmission(
+                    first.config, impairments, None, scale, payload_rng, processes
+                )
+            for use in (first, second, third):
+                assert _same_transmission(use.transmission, expected)
+
+    def test_negative_interference_scale_is_rejected_on_emission(self, config):
+        from repro.wireless import ChannelImpairments
+
+        generator = TrafficGenerator(
+            config,
+            symbol_period_us=10.0,
+            impairments=ChannelImpairments(interference_power=1.0),
+            interference_scale=lambda t_us: 1.0 if t_us < 15.0 else -1.0,
+        )
+        stream = generator.stream(3, rng=1)
+        next(stream)
+        next(stream)
+        with pytest.raises(ConfigurationError):
+            next(stream)
+
+    def test_repr_equality_pickle_and_replace_never_draw(self):
+        import dataclasses
+        import pickle
+
+        generator = _generator("random", _impairments("active"))
+        drawn = generator.generate(6, rng=21)
+        undrawn = generator.generate(6, rng=21)
+        for use in drawn:
+            use.transmission
+        copies = [
+            dataclasses.replace(use, arrival_time_us=use.arrival_time_us + 5.0) for use in undrawn
+        ]
+        assert [repr(use) for use in drawn] == [repr(use) for use in undrawn]
+        assert drawn == undrawn
+        assert [hash(use) for use in drawn] == [hash(use) for use in undrawn]
+        assert drawn != generator.generate(6, rng=22)
+        assert copies != undrawn
+        drawn_copies = [
+            dataclasses.replace(use, arrival_time_us=use.arrival_time_us + 5.0) for use in drawn
+        ]
+        assert drawn_copies == copies
+        restored_drawn = pickle.loads(pickle.dumps(drawn))
+        restored_undrawn = pickle.loads(pickle.dumps(undrawn))
+        assert restored_drawn == drawn and restored_undrawn == undrawn
+        assert not any(use.payload.is_drawn for use in undrawn + copies)
+        assert not any(use.payload.is_drawn for use in restored_undrawn)
+        # The copies draw the originals' payloads, whatever was drawn first.
+        for original, copy, restored, reference in zip(undrawn, copies, restored_undrawn, drawn):
+            for use in (copy, original, restored):
+                assert _same_transmission(use.transmission, reference.transmission)
+        assert copies[3].transmission is undrawn[3].transmission
+
+    def test_keys_never_draw_the_payload(self, mix):
+        uses = TrafficGenerator(mix, job_mix="random").generate(8, rng=4)
+        assert [use.qubo_variable_count for use in uses] == [
+            use.config.qubo_variable_count for use in uses
+        ]
+        assert {use.modulation for use in uses} <= {"QPSK", "16-QAM"}
+        assert not any(use.payload.is_drawn for use in uses)
+        assert uses[5].transmission is not None
+        assert all(use.payload.is_drawn for use in uses[:6])
+        assert not any(use.payload.is_drawn for use in uses[6:])
+
+    def test_a_given_transmission_sets_the_config_and_replace_swaps_it(self, config, rng):
+        import dataclasses
+
+        transmission = simulate_transmission(config, rng=rng)
+        use = ChannelUse(index=0, arrival_time_us=1.0, transmission=transmission)
+        assert use.transmission is transmission
+        assert use.config == MIMOConfig(num_users=2, modulation="QPSK", num_receive_antennas=2)
+        wider = simulate_transmission(MIMOConfig(3, "16-QAM"), rng=rng)
+        swapped = dataclasses.replace(use, transmission=wider)
+        assert swapped.transmission is wider and swapped.qubo_variable_count == 12
+        with pytest.raises(ConfigurationError):
+            ChannelUse(index=0, arrival_time_us=1.0)
