@@ -16,9 +16,14 @@ workload the ``class_aware`` flag is bitwise invisible, so the QoS machinery
 cannot have perturbed the pre-QoS ``serve``/``scenarios`` outputs.
 
 All arms share one deterministic workload seed, so the comparison is exactly
-reproducible.
+reproducible.  The busy day always runs its full ``HORIZON_US``: over seeds
+0-63 the classless urllc miss rate is at least 0.30 and the class-aware one
+zero at every seed, so the gate does not hang on a lucky seed.  At an 8 ms
+day the flash crowd is too short to stress the classless arm at most seeds,
+and it saves no time: a run takes under a second either way.
 
-Run standalone (CI smoke uses ``--smoke``)::
+Run standalone (``--smoke``, which CI passes to every gate, runs the same
+day)::
 
     python benchmarks/bench_qos.py [--smoke]
 
@@ -63,7 +68,6 @@ CONGESTED_PERIOD_US = 120.0
 UNCONGESTED_PERIOD_US = 260.0
 TURNAROUND_BUDGET_US = 600.0
 HORIZON_US = 20_000.0
-SMOKE_HORIZON_US = 8_000.0
 MAX_JOBS_PER_USER = 2_000
 NUM_READS = 30
 LANES = 4
@@ -234,7 +238,7 @@ def _gate_failures(result: dict) -> list:
 def test_qos_gates(benchmark, report_writer):
     from conftest import run_once
 
-    result = run_once(benchmark, run_busy_day_comparison, horizon_us=SMOKE_HORIZON_US)
+    result = run_once(benchmark, run_busy_day_comparison)
     report_writer("qos", format_report(result), data=result)
     assert not _gate_failures(result)
 
@@ -244,12 +248,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="shorter busy-day horizon for CI; every gate is still enforced",
+        help="the CI flag every gate takes; the busy day has no shorter run",
     )
-    arguments = parser.parse_args(argv)
-    result = run_busy_day_comparison(
-        horizon_us=SMOKE_HORIZON_US if arguments.smoke else HORIZON_US
-    )
+    parser.parse_args(argv)
+    result = run_busy_day_comparison()
     print(format_report(result))
     failures = _gate_failures(result)
     for failure in failures:

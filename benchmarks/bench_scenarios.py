@@ -13,7 +13,18 @@ Both arms are pure annealer pools under EDF with identical batching; the
 timing model is deterministic, so the comparison is exactly reproducible
 from the fixed workload seed.
 
-Run standalone (CI smoke uses ``--smoke``)::
+The workload is sized so that the static pool is stressed whichever way the
+mean rounds.  The site is one cell, so the pool sees the full 6x spike: in a
+four-cell site the quiet cells dilute it to about 2.5x, the static pool one
+worker above the mean serves the peak, and the gate passes or fails with the
+fraction of the mean.  Over seeds 0-63 a static pool of ``ceil(mean)``
+workers misses at least 57% of its deadlines, and the autoscaled pool's
+miss rate stays under 0.21 times that.  The full ``HORIZON_US`` always
+runs: at 8 ms the burst is too short for the autoscaler's warm-up, and a
+run takes under a second either way.
+
+Run standalone (``--smoke``, which CI passes to every gate, runs the same
+scenario)::
 
     python benchmarks/bench_scenarios.py [--smoke]
 
@@ -44,14 +55,13 @@ GATE_RATIO = 0.5
 #: The static arm must genuinely suffer for the comparison to mean anything.
 MIN_STATIC_MISS = 0.05
 
-NUM_CELLS = 4
-USERS_PER_CELL = 3
+NUM_CELLS = 1
+USERS_PER_CELL = 6
 NUM_USERS = 2
 MODULATIONS = (MIMOConfig(NUM_USERS, "QPSK"), MIMOConfig(NUM_USERS, "16-QAM"))
-BASE_SYMBOL_PERIOD_US = 150.0
+BASE_SYMBOL_PERIOD_US = 100.0
 TURNAROUND_BUDGET_US = 300.0
 HORIZON_US = 20_000.0
-SMOKE_HORIZON_US = 8_000.0
 MAX_JOBS_PER_USER = 4_000
 NUM_READS = 30
 LANES = 4
@@ -137,7 +147,7 @@ def format_report(result: dict) -> str:
     """Render the comparison as an aligned text report."""
     lines = [
         "Scenario autoscaling - flash crowd, autoscaled vs static equal-average pool",
-        f"{NUM_CELLS} cells x {USERS_PER_CELL} users, horizon "
+        f"{NUM_CELLS} cell(s) x {USERS_PER_CELL} users, horizon "
         f"{result['horizon_us'] / 1000.0:.0f} ms, budget "
         f"{TURNAROUND_BUDGET_US:.0f} us, {NUM_READS} reads, {LANES} lanes; "
         f"autoscale [{AUTOSCALE.min_workers}, {MAX_WORKERS}] workers, "
@@ -184,12 +194,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="shorter scenario horizon for CI; the miss-ratio bar is still enforced",
+        help="the CI flag every gate takes; the flash crowd has no shorter run",
     )
-    arguments = parser.parse_args(argv)
-    result = run_flash_crowd_comparison(
-        horizon_us=SMOKE_HORIZON_US if arguments.smoke else HORIZON_US
-    )
+    parser.parse_args(argv)
+    result = run_flash_crowd_comparison()
     print(format_report(result))
     failures = _gate_failures(result)
     for failure in failures:
