@@ -33,8 +33,9 @@ arrivals do not depend on the channel or impairment settings.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,14 +77,16 @@ def _impaired_transmission(
 
 
 class _PayloadStream:
-    """One stream's payload generator and the payloads it has handed out.
+    """One stream's payload generator and its payloads not yet handed over.
 
     Payloads are drawn strictly in the order they were handed out, whichever
     one a consumer reads first: reading payload ``k`` draws every earlier
-    undrawn payload and keeps them all.  So each payload, and the state of
-    every per-shape :class:`~repro.wireless.fading.FadingProcess`, is the
-    same for every access order.  Holds no callable, so it pickles, and no
-    reference back to its payloads, so a dropped stream is freed at once.
+    undrawn payload and keeps each until its own payload claims it.  So each
+    payload, and the state of every per-shape
+    :class:`~repro.wireless.fading.FadingProcess`, is the same for every
+    access order, and a stream read in order holds no transmission at all.
+    Holds no callable, so it pickles, and no reference back to its payloads,
+    so a dropped stream is freed at once.
     """
 
     def __init__(
@@ -93,41 +96,43 @@ class _PayloadStream:
         impairments: Optional[ChannelImpairments],
         fading_base: Optional[ChannelModel],
     ) -> None:
-        seed_sequence = rng.bit_generator.seed_seq
-        #: Identifies the draws: equal keys and positions mean equal payloads.
-        self.seed_key = (seed_sequence.entropy, seed_sequence.spawn_key)
         self._rng = rng
         self._channel_model = channel_model
         self._impairments = impairments
         self._fading_base = fading_base
         self._processes: Dict[Tuple[int, int], FadingProcess] = {}
-        self._recipes: List[Tuple[MIMOConfig, Optional[float]]] = []
-        self._drawn: List[MIMOTransmission] = []
+        #: Recipes of the payloads handed out and not drawn yet, in order.
+        self._recipes: Deque[Tuple[MIMOConfig, Optional[float]]] = deque()
+        #: Transmissions drawn before their own payload asked for them.
+        self._unclaimed: Dict[int, MIMOTransmission] = {}
+        self.drawn = 0
 
     def add(self, config: MIMOConfig, interference_scale: Optional[float]) -> "_Payload":
         """Hand out the next payload, undrawn."""
         self._recipes.append((config, interference_scale))
-        return _Payload(config, None, self, len(self._recipes) - 1)
+        return _Payload(config, None, self, self.drawn + len(self._recipes) - 1)
 
-    def transmission(self, position: int) -> MIMOTransmission:
-        """Payload ``position``'s transmission, drawing every earlier one first."""
-        drawn = self._drawn
-        while len(drawn) <= position:
-            config, scale = self._recipes[len(drawn)]
+    def claim(self, position: int) -> MIMOTransmission:
+        """Payload ``position``'s transmission, drawing every earlier one first.
+
+        Each position is claimed once: its payload keeps the transmission.
+        """
+        while self.drawn <= position:
+            config, scale = self._recipes.popleft()
             if self._impairments is None:
-                drawn.append(simulate_transmission(config, self._channel_model, self._rng))
+                transmission = simulate_transmission(config, self._channel_model, self._rng)
             else:
-                drawn.append(
-                    _impaired_transmission(
-                        config,
-                        self._impairments,
-                        self._fading_base,
-                        scale,
-                        self._rng,
-                        self._processes,
-                    )
+                transmission = _impaired_transmission(
+                    config,
+                    self._impairments,
+                    self._fading_base,
+                    scale,
+                    self._rng,
+                    self._processes,
                 )
-        return drawn[position]
+            self._unclaimed[self.drawn] = transmission
+            self.drawn += 1
+        return self._unclaimed.pop(position)
 
 
 class _Payload:
@@ -135,11 +140,10 @@ class _Payload:
 
     A payload either wraps a given transmission or is a position in a
     :class:`_PayloadStream`, which draws it on first access to
-    :attr:`transmission`.  Equality, hashing, ``repr`` and pickling never
-    draw, and do not depend on whether the payload was drawn: two stream
-    payloads are equal when they are the same draw (same payload seed,
-    position, config and interference scale), two given ones when they wrap
-    the same transmission object.
+    :attr:`transmission`.  Equality and hashing are by identity — a stream
+    payload is its (stream, position), a given one its transmission object —
+    so they, ``repr`` and pickling never draw and do not depend on whether
+    the payload was drawn.
     """
 
     __slots__ = ("config", "_stream", "_position", "_transmission")
@@ -170,20 +174,19 @@ class _Payload:
     @property
     def is_drawn(self) -> bool:
         """Whether the transmission exists yet."""
-        return self._stream is None or self._position < len(self._stream._drawn)
+        return self._transmission is not None or self._position < self._stream.drawn
 
     @property
     def transmission(self) -> MIMOTransmission:
         """The transmission, drawn (with every earlier payload) on first access."""
-        if self._stream is None:
-            return self._transmission
-        return self._stream.transmission(self._position)
+        if self._transmission is None:
+            self._transmission = self._stream.claim(self._position)
+        return self._transmission
 
     def _key(self) -> tuple:
-        stream = self._stream
-        if stream is None:
+        if self._stream is None:
             return (id(self._transmission),)
-        return (stream.seed_key, self._position, stream._recipes[self._position])
+        return (id(self._stream), self._position)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _Payload):
@@ -259,7 +262,12 @@ class ChannelUse:
 
     @property
     def config(self) -> MIMOConfig:
-        """The link configuration this channel use was drawn under."""
+        """The link configuration this channel use was drawn under.
+
+        For a use built around a given transmission it is the instance's
+        link shape (users, modulation, receive antennas), without the
+        ``snr_db`` the transmission may have been drawn at.
+        """
         return self.payload.config
 
     @property

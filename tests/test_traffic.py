@@ -432,32 +432,58 @@ class TestSplitSeedTree:
         import pickle
 
         generator = _generator("random", _impairments("active"))
-        drawn = generator.generate(6, rng=21)
-        undrawn = generator.generate(6, rng=21)
-        for use in drawn:
-            use.transmission
+        reference = generator.generate(6, rng=21)
+        uses = generator.generate(6, rng=21)
         copies = [
-            dataclasses.replace(use, arrival_time_us=use.arrival_time_us + 5.0) for use in undrawn
+            dataclasses.replace(use, arrival_time_us=use.arrival_time_us + 5.0) for use in uses
         ]
-        assert [repr(use) for use in drawn] == [repr(use) for use in undrawn]
-        assert drawn == undrawn
-        assert [hash(use) for use in drawn] == [hash(use) for use in undrawn]
-        assert drawn != generator.generate(6, rng=22)
-        assert copies != undrawn
-        drawn_copies = [
-            dataclasses.replace(use, arrival_time_us=use.arrival_time_us + 5.0) for use in drawn
-        ]
-        assert drawn_copies == copies
-        restored_drawn = pickle.loads(pickle.dumps(drawn))
-        restored_undrawn = pickle.loads(pickle.dumps(undrawn))
-        assert restored_drawn == drawn and restored_undrawn == undrawn
-        assert not any(use.payload.is_drawn for use in undrawn + copies)
+        retimed = [dataclasses.replace(use, arrival_time_us=use.arrival_time_us) for use in uses]
+
+        def observed():
+            return (
+                [repr(use) for use in uses + copies],
+                [[a == b for b in uses + copies + retimed] for a in uses],
+                [hash(use) for use in uses + retimed],
+            )
+
+        before = observed()
+        pickled = pickle.dumps(uses)
+        assert not any(use.payload.is_drawn for use in uses + copies + retimed)
+        assert retimed == uses and copies != uses
+        assert uses != reference
+        for position in (4, 1, 5, 0, 3, 2):
+            uses[position].transmission
+        assert observed() == before
+        # A copy shares its original's payload; a pickled undrawn stream
+        # draws what the original drew, and so does a pickled drawn one.
+        restored_undrawn = pickle.loads(pickled)
+        restored_drawn = pickle.loads(pickle.dumps(uses))
         assert not any(use.payload.is_drawn for use in restored_undrawn)
-        # The copies draw the originals' payloads, whatever was drawn first.
-        for original, copy, restored, reference in zip(undrawn, copies, restored_undrawn, drawn):
-            for use in (copy, original, restored):
-                assert _same_transmission(use.transmission, reference.transmission)
-        assert copies[3].transmission is undrawn[3].transmission
+        for use, copy, undrawn, drawn, expected in zip(
+            uses, copies, restored_undrawn, restored_drawn, reference
+        ):
+            assert copy.transmission is use.transmission
+            for other in (use, undrawn, drawn):
+                assert _same_transmission(other.transmission, expected.transmission)
+
+    def test_a_stream_read_in_order_keeps_no_transmission(self):
+        import weakref
+
+        generator = _generator("random", _impairments("active"))
+        read = []
+        for use in generator.stream(200, rng=3):
+            read.append(weakref.ref(use.transmission))
+            assert sum(ref() is not None for ref in read) == 1
+        kept = use
+        # Claimed transmissions drawn early are not kept by the stream either.
+        uses = generator.generate(20, rng=3)
+        uses[9].transmission
+        early = [weakref.ref(use.transmission) for use in uses[:10]]
+        survivor = uses[-1]
+        del uses
+        assert not any(ref() is not None for ref in read[:-1] + early)
+        assert kept.transmission is read[-1]()
+        assert not survivor.payload.is_drawn
 
     def test_keys_never_draw_the_payload(self, mix):
         uses = TrafficGenerator(mix, job_mix="random").generate(8, rng=4)
