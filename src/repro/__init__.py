@@ -8,7 +8,7 @@ Classical-Quantum Computation Structures in Wirelessly-Networked Systems*
   :mod:`repro.wireless`;
 * the QUBO/Ising substrate and the QuAMax MIMO-to-QUBO reduction —
   :mod:`repro.qubo`, :mod:`repro.transform`;
-* classical solvers and detectors (greedy search, SA, tabu, ZF, MMSE, sphere
+* classical solvers and detectors (greedy search, SA, ZF, MMSE, sphere
   decoders) — :mod:`repro.classical`;
 * a software quantum-annealer simulator with forward / reverse /
   forward-reverse schedules, Chimera embedding and a device model —

@@ -1,10 +1,4 @@
-"""Canonical in-tree study specs.
-
-``fig8_quick_spec`` and ``robustness_quick_spec`` are the two paper drivers
-re-expressed as degenerate (single-point, no-axis) studies — running them
-through :func:`~repro.ablation.study.run_study` executes exactly the shards
-a ``repro-experiments fig8`` / ``robustness`` quick run would, so their rows
-match the imperative drivers bitwise.
+"""Canonical in-tree study spec.
 
 ``ablation_quick_spec`` is the micro two-axis robustness study frozen as the
 ``ablation_quick`` golden fixture and exercised by the CI smoke step: a
@@ -13,26 +7,9 @@ match the imperative drivers bitwise.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.ablation.spec import AblationSpec
 
-__all__ = [
-    "fig8_quick_spec",
-    "robustness_quick_spec",
-    "ablation_quick_spec",
-    "ablation_quick_rows",
-]
-
-
-def fig8_quick_spec() -> AblationSpec:
-    """The fig8 quick run as a one-point study."""
-    return AblationSpec(name="fig8-quick", experiment="fig8", preset="quick")
-
-
-def robustness_quick_spec() -> AblationSpec:
-    """The robustness quick run as a one-point study."""
-    return AblationSpec(name="robustness-quick", experiment="robustness", preset="quick")
+__all__ = ["ablation_quick_spec"]
 
 
 def ablation_quick_spec() -> AblationSpec:
@@ -65,10 +42,3 @@ def ablation_quick_spec() -> AblationSpec:
             ("hybrid_time_us_mean", "min"),
         ),
     )
-
-
-def ablation_quick_rows() -> List:
-    """Table rows of the quick study (golden-fixture entry point)."""
-    from repro.ablation.study import run_study
-
-    return run_study(ablation_quick_spec()).table_rows()

@@ -12,7 +12,7 @@ share one warm cache.  Presets come from ``config_presets`` on the driver's
 ``config_class``.
 
 ``anneal-hpo`` is a self-contained hyper-parameter target (simulated
-annealing over a planted random QUBO) used by examples, the property-test
+annealing over a seeded random QUBO) used by examples, the property-test
 suite and CI smoke: it exercises the full spec → points → shards → metrics →
 Pareto path in milliseconds without touching the MIMO stack.
 """
@@ -35,7 +35,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# anneal-hpo — classical SA hyper-parameters on a planted random QUBO
+# anneal-hpo — classical SA hyper-parameters on a seeded random QUBO
 # ---------------------------------------------------------------------------
 
 

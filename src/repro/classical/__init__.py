@@ -4,8 +4,8 @@ Two families live here:
 
 * **QUBO-domain solvers** operating on :class:`repro.qubo.QUBOModel`:
   the paper's Greedy Search (:class:`GreedySearchSolver`), an exhaustive
-  solver for ground truth, simulated annealing, and tabu search.  All share
-  the :class:`QuboSolver` interface and return :class:`QuboSolution` objects.
+  solver for ground truth and simulated annealing.  All share the
+  :class:`QuboSolver` interface and return :class:`QuboSolution` objects.
 
 * **Signal-domain MIMO detectors** operating directly on the channel matrix:
   zero-forcing, MMSE, the fixed-complexity sphere decoder (FCSD) and the
@@ -17,7 +17,6 @@ from repro.classical.base import QuboSolver, QuboSolution, MIMODetector
 from repro.classical.greedy import GreedySearchSolver, greedy_search
 from repro.classical.exhaustive import ExhaustiveSolver
 from repro.classical.simulated_annealing import SimulatedAnnealingSolver
-from repro.classical.tabu import TabuSearchSolver
 from repro.classical.zero_forcing import ZeroForcingDetector
 from repro.classical.mmse import MMSEDetector
 from repro.classical.sphere_decoder import FixedComplexitySphereDecoder, KBestSphereDecoder
@@ -30,7 +29,6 @@ __all__ = [
     "greedy_search",
     "ExhaustiveSolver",
     "SimulatedAnnealingSolver",
-    "TabuSearchSolver",
     "ZeroForcingDetector",
     "MMSEDetector",
     "FixedComplexitySphereDecoder",

@@ -33,7 +33,6 @@ __all__ = [
     "synthesize_instance",
     "synthesize_instances",
     "variables_for",
-    "users_for_variables",
     "paper_figure6_configurations",
     "instance_qubos",
 ]
@@ -90,21 +89,6 @@ class InstanceBundle:
 def variables_for(num_users: int, modulation: str) -> int:
     """QUBO variable count for a user count and modulation."""
     return num_users * get_modulation(modulation).bits_per_symbol
-
-
-def users_for_variables(num_variables: int, modulation: str) -> int:
-    """User count whose QuAMax encoding has exactly ``num_variables`` variables.
-
-    Raises :class:`ConfigurationError` when the division is not exact (e.g. a
-    35-variable 16-QAM problem does not exist).
-    """
-    bits = get_modulation(modulation).bits_per_symbol
-    users, remainder = divmod(num_variables, bits)
-    if remainder or users <= 0:
-        raise ConfigurationError(
-            f"{num_variables} variables is not a whole number of {modulation} users"
-        )
-    return users
 
 
 def paper_figure6_configurations(num_variables: int = 36) -> List[Tuple[int, str]]:

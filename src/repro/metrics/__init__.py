@@ -1,39 +1,25 @@
 """Evaluation metrics used throughout the paper's experiments.
 
 * :mod:`repro.metrics.quality` — the ΔE% solution-quality percentile (paper
-  Sec. 4.3), initial-state quality ΔE_IS%, and ground-state success
-  probability.
+  Sec. 4.3) and ground-state success probability.
 * :mod:`repro.metrics.tts` — time-to-solution TTS(C_t%) (paper Eq. 2).
-* :mod:`repro.metrics.statistics` — distribution summaries and bootstrap
-  confidence intervals used by the experiment runners.
+* :mod:`repro.metrics.statistics` — the percentile histograms of paper
+  Figure 6.
 """
 
 from repro.metrics.quality import (
     delta_e_percent,
     delta_e_distribution,
-    initial_state_quality,
     success_probability,
-    expectation_value,
 )
-from repro.metrics.tts import time_to_solution, tts_from_sampleset, TTSResult
-from repro.metrics.statistics import (
-    bootstrap_confidence_interval,
-    summarize_distribution,
-    DistributionSummary,
-    histogram_percentiles,
-)
+from repro.metrics.tts import time_to_solution, TTSResult
+from repro.metrics.statistics import histogram_percentiles
 
 __all__ = [
     "delta_e_percent",
     "delta_e_distribution",
-    "initial_state_quality",
     "success_probability",
-    "expectation_value",
     "time_to_solution",
-    "tts_from_sampleset",
     "TTSResult",
-    "bootstrap_confidence_interval",
-    "summarize_distribution",
-    "DistributionSummary",
     "histogram_percentiles",
 ]

@@ -1,4 +1,4 @@
-"""Solution-quality metrics: ΔE%, ΔE_IS%, success probability.
+"""Solution-quality metrics: ΔE% and success probability.
 
 The paper defines the quality of a sample with cost ``E_s`` relative to the
 best possible cost ``E_g`` as
@@ -25,14 +25,11 @@ import numpy as np
 
 from repro.annealing.sampleset import SampleSet
 from repro.exceptions import ConfigurationError
-from repro.qubo.model import QUBOModel
 
 __all__ = [
     "delta_e_percent",
     "delta_e_distribution",
-    "initial_state_quality",
     "success_probability",
-    "expectation_value",
 ]
 
 
@@ -73,21 +70,8 @@ def delta_e_distribution(
     return np.array([delta_e_percent(energy, ground_energy) for energy in energies])
 
 
-def initial_state_quality(
-    qubo: QUBOModel, initial_state: Sequence[int], ground_energy: float
-) -> float:
-    """ΔE_IS%: the quality of a candidate initial state for reverse annealing."""
-    energy = qubo.energy(initial_state)
-    return delta_e_percent(energy, ground_energy)
-
-
 def success_probability(
     sampleset: SampleSet, ground_energy: float, tolerance: float = 1e-6
 ) -> float:
     """Fraction of reads that found the ground state (p* in the paper)."""
     return sampleset.success_probability(ground_energy, tolerance)
-
-
-def expectation_value(sampleset: SampleSet) -> float:
-    """Occurrence-weighted mean sample energy (paper Figure 7's cost curve)."""
-    return sampleset.expectation_energy()

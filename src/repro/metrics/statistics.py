@@ -1,94 +1,19 @@
-"""Distribution summaries and resampling statistics for experiment reports.
+"""Distribution statistics for experiment reports.
 
 The paper reports averaged distributions over many instances and many anneal
-samples.  The helpers here compute the standard summaries (median, mean,
-percentiles), percentile histograms of ΔE% distributions (the shape shown in
-paper Figure 6), and bootstrap confidence intervals for derived quantities
-such as success probabilities.
+samples.  :func:`histogram_percentiles` bins a ΔE% distribution into the
+percentile histogram shown in paper Figure 6.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.rng import RandomState, ensure_rng
 
-__all__ = [
-    "DistributionSummary",
-    "summarize_distribution",
-    "bootstrap_confidence_interval",
-    "histogram_percentiles",
-]
-
-
-@dataclass(frozen=True)
-class DistributionSummary:
-    """Summary statistics of a one-dimensional sample."""
-
-    count: int
-    mean: float
-    median: float
-    std: float
-    minimum: float
-    maximum: float
-    percentile_5: float
-    percentile_25: float
-    percentile_75: float
-    percentile_95: float
-
-
-def summarize_distribution(values: Sequence[float]) -> DistributionSummary:
-    """Compute a :class:`DistributionSummary` for a non-empty sample."""
-    array = np.asarray(values, dtype=float).ravel()
-    if array.size == 0:
-        raise ConfigurationError("cannot summarise an empty distribution")
-    return DistributionSummary(
-        count=int(array.size),
-        mean=float(np.mean(array)),
-        median=float(np.median(array)),
-        std=float(np.std(array)),
-        minimum=float(np.min(array)),
-        maximum=float(np.max(array)),
-        percentile_5=float(np.percentile(array, 5)),
-        percentile_25=float(np.percentile(array, 25)),
-        percentile_75=float(np.percentile(array, 75)),
-        percentile_95=float(np.percentile(array, 95)),
-    )
-
-
-def bootstrap_confidence_interval(
-    values: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    confidence: float = 0.95,
-    num_resamples: int = 1000,
-    rng: RandomState = None,
-) -> Tuple[float, float, float]:
-    """Percentile-bootstrap confidence interval for an arbitrary statistic.
-
-    Returns ``(point_estimate, lower, upper)``.
-    """
-    array = np.asarray(values, dtype=float).ravel()
-    if array.size == 0:
-        raise ConfigurationError("cannot bootstrap an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
-    if num_resamples <= 0:
-        raise ConfigurationError(f"num_resamples must be positive, got {num_resamples}")
-
-    generator = ensure_rng(rng)
-    point = float(statistic(array))
-    resampled = np.empty(num_resamples)
-    for index in range(num_resamples):
-        draw = generator.choice(array, size=array.size, replace=True)
-        resampled[index] = statistic(draw)
-    alpha = (1.0 - confidence) / 2.0
-    lower = float(np.percentile(resampled, 100.0 * alpha))
-    upper = float(np.percentile(resampled, 100.0 * (1.0 - alpha)))
-    return point, lower, upper
+__all__ = ["histogram_percentiles"]
 
 
 def histogram_percentiles(

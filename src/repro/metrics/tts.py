@@ -18,14 +18,11 @@ Conventions handled explicitly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from repro.annealing.sampleset import SampleSet
 from repro.exceptions import ConfigurationError
 
-__all__ = ["time_to_solution", "tts_from_sampleset", "TTSResult"]
+__all__ = ["time_to_solution", "TTSResult"]
 
 
 @dataclass(frozen=True)
@@ -77,27 +74,3 @@ def time_to_solution(
         confidence_percent=float(confidence_percent),
         repeats=float(repeats),
     )
-
-
-def tts_from_sampleset(
-    sampleset: SampleSet,
-    ground_energy: float,
-    confidence_percent: float = 99.0,
-    duration_us: Optional[float] = None,
-    tolerance: float = 1e-6,
-) -> TTSResult:
-    """Compute TTS from a sample set's empirical success probability.
-
-    ``duration_us`` defaults to the anneal-schedule duration recorded in the
-    sample set's metadata — the same convention the paper uses (TTS counts
-    pure anneal time, not programming or readout overheads).
-    """
-    duration = duration_us
-    if duration is None:
-        duration = sampleset.metadata.get("schedule_duration_us")
-    if duration is None:
-        raise ConfigurationError(
-            "duration_us not given and the sample set has no schedule metadata"
-        )
-    probability = sampleset.success_probability(ground_energy, tolerance)
-    return time_to_solution(probability, float(duration), confidence_percent)

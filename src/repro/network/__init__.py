@@ -34,7 +34,6 @@ from repro.network.kpi import (
     HotspotDetector,
     HotspotDetectorConfig,
     HotspotEvent,
-    cell_counts_from_outcomes,
 )
 from repro.network.embedding import (
     CapacityReembedder,
@@ -56,7 +55,6 @@ __all__ = [
     "HotspotDetector",
     "HotspotDetectorConfig",
     "HotspotEvent",
-    "cell_counts_from_outcomes",
     "CapacityReembedder",
     "EmbeddingConfig",
     "FluidCellReport",

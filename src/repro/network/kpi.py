@@ -23,7 +23,6 @@ and return values are identical with telemetry off.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +36,6 @@ __all__ = [
     "HotspotDetectorConfig",
     "HotspotEvent",
     "HotspotDetector",
-    "cell_counts_from_outcomes",
 ]
 
 
@@ -287,34 +285,3 @@ class HotspotDetector:
                 z_score=event.z_score,
                 count=event.count,
             )
-
-
-def cell_counts_from_outcomes(
-    outcomes: Sequence[object], num_cells: int, window_us: float
-) -> np.ndarray:
-    """Bin served-job outcomes into the per-cell KPI counter matrix.
-
-    Bridges the detailed serving simulator to the detector: any sequence of
-    objects with ``cell_id`` and ``arrival_us`` attributes (e.g.
-    :class:`~repro.serving.report.JobOutcome` or
-    :class:`~repro.serving.workload.ServingJob`) becomes the same
-    ``(num_windows, num_cells)`` count matrix :func:`cell_window_counts`
-    produces at the aggregate level.
-    """
-    if num_cells <= 0:
-        raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
-    if window_us <= 0:
-        raise ConfigurationError(f"window_us must be positive, got {window_us}")
-    if not outcomes:
-        return np.zeros((0, num_cells), dtype=np.int64)
-    horizon = max(float(outcome.arrival_us) for outcome in outcomes)
-    windows = int(math.floor(horizon / window_us)) + 1
-    counts = np.zeros((windows, num_cells), dtype=np.int64)
-    for outcome in outcomes:
-        cell = int(outcome.cell_id)
-        if not 0 <= cell < num_cells:
-            raise ConfigurationError(
-                f"outcome cell_id {cell} outside the {num_cells}-cell layout"
-            )
-        counts[int(float(outcome.arrival_us) // window_us), cell] += 1
-    return counts

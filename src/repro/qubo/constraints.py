@@ -18,7 +18,7 @@ remains a QUBO.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from repro.qubo.model import QUBOModel
 
 __all__ = [
     "SoftConstraint",
-    "pairwise_agreement_constraint",
-    "single_bit_bias_constraint",
     "add_soft_constraints",
 ]
 
@@ -115,24 +113,6 @@ class SoftConstraint:
         matrix[high, high] += self.strength * sign_high * t_low
         offset += self.strength * t_low * t_high
         return QUBOModel(coefficients=matrix, offset=offset)
-
-
-def pairwise_agreement_constraint(
-    variable_pair: Sequence[int], target_bits: Sequence[int], strength: float
-) -> SoftConstraint:
-    """Build the Figure-4 style pair constraint for two bits of one symbol."""
-    return SoftConstraint(
-        variables=tuple(int(v) for v in variable_pair),
-        targets=tuple(int(t) for t in target_bits),
-        strength=float(strength),
-    )
-
-
-def single_bit_bias_constraint(variable: int, target_bit: int, strength: float) -> SoftConstraint:
-    """Build a single-variable bias toward a believed bit value."""
-    return SoftConstraint(
-        variables=(int(variable),), targets=(int(target_bit),), strength=float(strength)
-    )
 
 
 def add_soft_constraints(qubo: QUBOModel, constraints: Iterable[SoftConstraint]) -> QUBOModel:

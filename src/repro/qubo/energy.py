@@ -1,4 +1,4 @@
-"""Energy evaluation utilities and exact (brute-force) minimisation.
+"""Exact (brute-force) QUBO minimisation.
 
 The paper's metrics (ΔE%, success probability, TTS) are all defined relative
 to the *ground-state* energy of each QUBO instance, which for the studied
@@ -11,18 +11,14 @@ pure numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.qubo.ising import IsingModel
 from repro.qubo.model import QUBOModel
 
 __all__ = [
-    "qubo_energy",
-    "ising_energy",
-    "energy_landscape",
     "brute_force_minimum",
     "BruteForceResult",
     "enumerate_assignments",
@@ -33,16 +29,6 @@ _MAX_EXHAUSTIVE_VARIABLES = 28
 
 #: Number of assignments evaluated per vectorised block.
 _BLOCK_BITS = 16
-
-
-def qubo_energy(qubo: QUBOModel, assignment: Sequence[int]) -> float:
-    """Energy of a 0/1 assignment under a QUBO (thin convenience wrapper)."""
-    return qubo.energy(assignment)
-
-
-def ising_energy(ising: IsingModel, spins: Sequence[int]) -> float:
-    """Energy of a +/-1 assignment under an Ising model (convenience wrapper)."""
-    return ising.energy(spins)
 
 
 def enumerate_assignments(
@@ -141,23 +127,3 @@ def brute_force_minimum(
         ground_state_count=ground_count,
         evaluated=1 << n,
     )
-
-
-def energy_landscape(qubo: QUBOModel, max_variables: int = 20) -> Tuple[np.ndarray, np.ndarray]:
-    """Return (assignments, energies) for the full landscape of a small QUBO.
-
-    Intended for analysis and tests; refuses to enumerate more than
-    ``max_variables`` variables.
-    """
-    n = qubo.num_variables
-    if n > max_variables:
-        raise ConfigurationError(
-            f"energy_landscape over {n} variables exceeds max_variables={max_variables}"
-        )
-    assignments = (
-        np.concatenate(list(enumerate_assignments(n)), axis=0)
-        if n
-        else np.zeros((1, 0), dtype=np.int8)
-    )
-    energies = qubo.energies(assignments)
-    return assignments, energies

@@ -1,24 +1,20 @@
-"""Random QUBO / Ising instance generators.
+"""Random QUBO instance generator.
 
 The paper's experiments use MIMO-detection QUBOs produced by the QuAMax
-transform (see :mod:`repro.transform`), but the solver stack and its tests
-also need structure-free instances: dense/sparse random QUBOs, random Ising
-spin glasses, and *planted-solution* models whose ground state is known by
-construction (invaluable for verifying samplers without exhaustive search).
+transform (see :mod:`repro.transform`); the ``anneal-hpo`` ablation target
+(:mod:`repro.ablation.targets`) anneals a structure-free dense or sparse
+random QUBO instead.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.qubo.ising import IsingModel, ising_to_qubo, bits_to_spins
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import RandomState, ensure_rng
 
-__all__ = ["random_qubo", "random_ising", "planted_solution_qubo"]
+__all__ = ["random_qubo"]
 
 
 def random_qubo(
@@ -55,70 +51,3 @@ def random_qubo(
             if generator.random() < density:
                 matrix[i, j] = generator.normal(0.0, coefficient_scale)
     return QUBOModel(coefficients=matrix)
-
-
-def random_ising(
-    num_spins: int,
-    density: float = 1.0,
-    coupling_scale: float = 1.0,
-    field_scale: float = 0.5,
-    rng: RandomState = None,
-) -> IsingModel:
-    """Draw a random Ising spin glass with Gaussian fields and couplings."""
-    if num_spins < 0:
-        raise ConfigurationError(f"num_spins must be non-negative, got {num_spins}")
-    if not 0.0 <= density <= 1.0:
-        raise ConfigurationError(f"density must lie in [0, 1], got {density}")
-
-    generator = ensure_rng(rng)
-    fields = generator.normal(0.0, field_scale, size=num_spins)
-    couplings = np.zeros((num_spins, num_spins))
-    for i in range(num_spins):
-        for j in range(i + 1, num_spins):
-            if generator.random() < density:
-                couplings[i, j] = generator.normal(0.0, coupling_scale)
-    return IsingModel(fields=fields, couplings=couplings)
-
-
-def planted_solution_qubo(
-    planted_bits: Sequence[int],
-    coupling_strength: float = 1.0,
-    field_strength: float = 0.25,
-    density: float = 1.0,
-    rng: RandomState = None,
-) -> QUBOModel:
-    """Construct a QUBO whose unique ground state is ``planted_bits``.
-
-    The construction plants a ferromagnetic-like Ising model aligned with the
-    planted spin configuration: every included coupling ``J_ij`` is negative
-    along ``s_i s_j`` (i.e. ``J_ij * s_i * s_j = -|J|``), and every spin gets a
-    small field aligned with it.  Any disagreement with the planted state
-    strictly increases the energy, so the planted state is the unique ground
-    state for any positive strengths.
-    """
-    bits = np.asarray(planted_bits, dtype=int).ravel()
-    if bits.size == 0:
-        raise ConfigurationError("planted_bits must be non-empty")
-    if not np.all(np.isin(bits, (0, 1))):
-        raise ConfigurationError("planted_bits must contain only 0/1 values")
-    if coupling_strength < 0 or field_strength < 0:
-        raise ConfigurationError("strengths must be non-negative")
-    if coupling_strength == 0 and field_strength == 0:
-        raise ConfigurationError("at least one of the strengths must be positive")
-    if not 0.0 <= density <= 1.0:
-        raise ConfigurationError(f"density must lie in [0, 1], got {density}")
-
-    generator = ensure_rng(rng)
-    spins = bits_to_spins(bits).astype(float)
-    n = bits.size
-
-    fields = -field_strength * spins
-    couplings = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if generator.random() < density:
-                couplings[i, j] = -coupling_strength * spins[i] * spins[j]
-
-    ising = IsingModel(fields=fields, couplings=couplings)
-    qubo = ising_to_qubo(ising)
-    return qubo

@@ -1,19 +1,19 @@
-"""Ising model and exact QUBO <-> Ising conversions.
+"""Ising model and the exact QUBO -> Ising conversion.
 
 Quantum annealers physically implement the Ising Hamiltonian
 
     E(s) = sum_i h_i s_i + sum_{i<j} J_ij s_i s_j,    s_i in {-1, +1},
 
 which is equivalent to the QUBO form of paper Eq. 1 under the substitution
-``q_i = (1 + s_i) / 2``.  The conversions implemented here are exact
+``q_i = (1 + s_i) / 2``.  The conversion implemented here is exact
 (including the constant offset), so energies agree to floating-point
 precision on every assignment — a property the test suite checks with
-hypothesis.
+hypothesis against the inverse conversion in ``tests/qubo_fixtures.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
@@ -21,15 +21,7 @@ import numpy as np
 from repro.exceptions import DimensionError
 from repro.qubo.model import QUBOModel
 
-__all__ = ["IsingModel", "qubo_to_ising", "ising_to_qubo", "spins_to_bits", "bits_to_spins"]
-
-
-def spins_to_bits(spins: Sequence[int]) -> np.ndarray:
-    """Map +/-1 spins to 0/1 bits using ``q = (1 + s) / 2``."""
-    spins = np.asarray(spins, dtype=int).ravel()
-    if spins.size and not np.all(np.isin(spins, (-1, 1))):
-        raise ValueError("spins must be -1 or +1")
-    return ((spins + 1) // 2).astype(np.int8)
+__all__ = ["IsingModel", "qubo_to_ising", "bits_to_spins"]
 
 
 def bits_to_spins(bits: Sequence[int]) -> np.ndarray:
@@ -150,31 +142,3 @@ def qubo_to_ising(qubo: QUBOModel) -> IsingModel:
             offset += quad / 4.0
 
     return IsingModel(fields=fields, couplings=couplings, offset=offset)
-
-
-def ising_to_qubo(ising: IsingModel) -> QUBOModel:
-    """Convert an Ising model to the exactly equivalent QUBO.
-
-    Uses ``s = 2q - 1``; the resulting coefficients are
-
-    * Q_ij = 4 J_ij for i < j,
-    * Q_ii = 2 h_i - 2 * sum_j (J_ij + J_ji),
-    * offset = sum_{i<j} J_ij - sum_i h_i + original offset.
-    """
-    n = ising.num_spins
-    matrix = np.zeros((n, n))
-    offset = ising.offset
-
-    for i in range(n):
-        matrix[i, i] += 2.0 * ising.fields[i]
-        offset -= ising.fields[i]
-        for j in range(i + 1, n):
-            coupling = ising.couplings[i, j]
-            if coupling == 0.0:
-                continue
-            matrix[i, j] += 4.0 * coupling
-            matrix[i, i] -= 2.0 * coupling
-            matrix[j, j] -= 2.0 * coupling
-            offset += coupling
-
-    return QUBOModel(coefficients=matrix, offset=offset)

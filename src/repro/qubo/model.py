@@ -186,8 +186,8 @@ class QUBOModel:
     def energy_delta_flip(self, assignment: np.ndarray, index: int) -> float:
         """Energy change from flipping variable ``index`` in ``assignment``.
 
-        Used by local-search solvers (greedy descent, tabu, simulated
-        annealing) to avoid recomputing full energies on every move.
+        Costs one row and one column product instead of two full energy
+        evaluations.
         """
         vector = np.asarray(assignment, dtype=float).ravel()
         if not 0 <= index < self.num_variables:

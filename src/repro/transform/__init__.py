@@ -8,9 +8,9 @@ inverse:
 * :mod:`repro.transform.symbol_mapping` — per-modulation mapping between QUBO
   variables, per-dimension amplitudes, and Gray-coded payload bits.
 * :mod:`repro.transform.mimo_to_qubo` — the quadratic-form expansion producing
-  a :class:`repro.qubo.QUBOModel` from a :class:`repro.wireless.MIMOInstance`,
-  plus helpers to decode a QUBO bitstring back into detected symbols and
-  payload bits.
+  a :class:`repro.qubo.QUBOModel` from a :class:`repro.wireless.MIMOInstance`;
+  the resulting :class:`MIMOQuboEncoding` decodes a QUBO bitstring back into
+  detected symbols and payload bits.
 """
 
 from repro.transform.symbol_mapping import (
@@ -23,7 +23,6 @@ from repro.transform.symbol_mapping import (
 from repro.transform.mimo_to_qubo import (
     MIMOQuboEncoding,
     mimo_to_qubo,
-    decode_bits_to_symbols,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "gray_bits_to_transform_bits",
     "MIMOQuboEncoding",
     "mimo_to_qubo",
-    "decode_bits_to_symbols",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "OPTIMUM_TOLERANCE",
     "MIMOQuboEncoding",
     "mimo_to_qubo",
-    "decode_bits_to_symbols",
     "is_optimum",
 ]
 
@@ -257,11 +256,6 @@ def mimo_to_qubo(instance: MIMOInstance) -> MIMOQuboEncoding:
         amplitude_matrix=amplitude_matrix,
         amplitude_offset=amplitude_offset,
     )
-
-
-def decode_bits_to_symbols(encoding: MIMOQuboEncoding, qubo_bits: Sequence[int]) -> np.ndarray:
-    """Convenience wrapper around :meth:`MIMOQuboEncoding.bits_to_symbols`."""
-    return encoding.bits_to_symbols(qubo_bits)
 
 
 def is_optimum(best_energy: float, ground_energy: "float | None") -> "bool | None":

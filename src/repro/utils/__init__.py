@@ -3,8 +3,6 @@
 The submodules are intentionally small and dependency-free (beyond numpy):
 
 * :mod:`repro.utils.rng` — reproducible random-number-generator plumbing.
-* :mod:`repro.utils.linalg` — complex/real decompositions used by the MIMO
-  detection transform and linear detectors.
 * :mod:`repro.utils.validation` — argument checking helpers shared by the
   public API surface.
 * :mod:`repro.utils.batching` — bounded chunking of instance batches.
@@ -20,19 +18,9 @@ from repro.utils.rng import (
 )
 from repro.utils.batching import iter_batches
 from repro.utils.jsonable import to_jsonable
-from repro.utils.linalg import (
-    complex_to_real_stacked,
-    real_to_complex_stacked,
-    hermitian,
-    is_hermitian,
-    vector_norm_squared,
-)
 from repro.utils.validation import (
     require,
     require_positive,
-    require_in_range,
-    require_power_of_two,
-    require_probability,
 )
 
 __all__ = [
@@ -43,14 +31,6 @@ __all__ = [
     "iter_batches",
     "to_jsonable",
     "spawn_rngs",
-    "complex_to_real_stacked",
-    "real_to_complex_stacked",
-    "hermitian",
-    "is_hermitian",
-    "vector_norm_squared",
     "require",
     "require_positive",
-    "require_in_range",
-    "require_power_of_two",
-    "require_probability",
 ]

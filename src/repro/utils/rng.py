@@ -114,10 +114,3 @@ def stable_seed(*components: Union[int, str, float]) -> int:
             acc ^= char
             acc = (acc * 0x01000193) & 0xFFFFFFFF
     return acc
-
-
-def random_bitstring(rng: np.random.Generator, length: int) -> np.ndarray:
-    """Return a uniformly random 0/1 vector of the given length."""
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
-    return rng.integers(0, 2, size=length, dtype=np.int8)

@@ -16,9 +16,6 @@ __all__ = [
     "require_positive",
     "require_positive_fields",
     "require_non_negative",
-    "require_in_range",
-    "require_power_of_two",
-    "require_probability",
 ]
 
 
@@ -44,22 +41,3 @@ def require_non_negative(value: Any, name: str) -> None:
     """Require ``value >= 0``."""
     if not value >= 0:
         raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
-
-
-def require_in_range(value: Any, low: Any, high: Any, name: str) -> None:
-    """Require ``low <= value <= high``."""
-    if not (low <= value <= high):
-        raise ConfigurationError(
-            f"{name} must lie in [{low}, {high}], got {value!r}"
-        )
-
-
-def require_power_of_two(value: int, name: str) -> None:
-    """Require that an integer is a power of two (constellation orders)."""
-    if not isinstance(value, (int,)) or value <= 0 or value & (value - 1):
-        raise ConfigurationError(f"{name} must be a positive power of two, got {value!r}")
-
-
-def require_probability(value: float, name: str) -> None:
-    """Require that a float is a valid probability in [0, 1]."""
-    require_in_range(value, 0.0, 1.0, name)

@@ -10,9 +10,8 @@ evaluation depends on:
 * :mod:`repro.wireless.fading` — the realistic-channel impairment engine:
   Kronecker spatial correlation, Rician LoS, Jakes-Doppler block fading,
   pilot-based imperfect CSI, and inter-cell interference.
-* :mod:`repro.wireless.mimo` — spatial-multiplexing MIMO link simulation and
-  exact maximum-likelihood detection for ground truth.
-* :mod:`repro.wireless.metrics` — BER / SER / EVM link metrics.
+* :mod:`repro.wireless.mimo` — spatial-multiplexing MIMO link simulation.
+* :mod:`repro.wireless.metrics` — BER / SER link metrics.
 * :mod:`repro.wireless.traffic` — successive channel-use traffic generation
   for the pipelining study (paper Figure 2).
 """
@@ -20,7 +19,6 @@ evaluation depends on:
 from repro.wireless.modulation import (
     Modulation,
     get_modulation,
-    available_modulations,
     gray_code,
     gray_decode,
 )
@@ -28,7 +26,6 @@ from repro.wireless.channel import (
     ChannelModel,
     UnitGainRandomPhaseChannel,
     RayleighFadingChannel,
-    IdentityChannel,
     awgn,
     noise_variance_for_snr,
     effective_noise_variance,
@@ -40,7 +37,6 @@ from repro.wireless.fading import (
     estimate_channel,
     exponential_correlation,
     jakes_correlation,
-    pilot_csi_error_variance,
 )
 from repro.wireless.mimo import (
     MIMOConfig,
@@ -48,21 +44,18 @@ from repro.wireless.mimo import (
     MIMOTransmission,
     MIMODetectionResult,
     simulate_transmission,
-    maximum_likelihood_detect,
 )
-from repro.wireless.metrics import bit_error_rate, symbol_error_rate, error_vector_magnitude
+from repro.wireless.metrics import bit_error_rate, symbol_error_rate
 from repro.wireless.traffic import ChannelUse, TrafficGenerator
 
 __all__ = [
     "Modulation",
     "get_modulation",
-    "available_modulations",
     "gray_code",
     "gray_decode",
     "ChannelModel",
     "UnitGainRandomPhaseChannel",
     "RayleighFadingChannel",
-    "IdentityChannel",
     "awgn",
     "noise_variance_for_snr",
     "effective_noise_variance",
@@ -72,16 +65,13 @@ __all__ = [
     "estimate_channel",
     "exponential_correlation",
     "jakes_correlation",
-    "pilot_csi_error_variance",
     "MIMOConfig",
     "MIMOInstance",
     "MIMOTransmission",
     "MIMODetectionResult",
     "simulate_transmission",
-    "maximum_likelihood_detect",
     "bit_error_rate",
     "symbol_error_rate",
-    "error_vector_magnitude",
     "ChannelUse",
     "TrafficGenerator",
 ]

@@ -3,9 +3,8 @@
 The paper's experimental protocol (Sec. 4.2) synthesises detection instances
 with a *unit-gain wireless channel with random phase* and no AWGN.  The
 library also provides i.i.d. Rayleigh fading (the standard model used by the
-QuAMax baseline and by the classical detectors' literature) and an identity
-channel for debugging, plus AWGN generation for the extension benchmarks that
-sweep SNR.
+QuAMax baseline and by the classical detectors' literature), plus AWGN
+generation for the extension benchmarks that sweep SNR.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "ChannelModel",
     "UnitGainRandomPhaseChannel",
     "RayleighFadingChannel",
-    "IdentityChannel",
     "awgn",
     "noise_variance_for_snr",
     "effective_noise_variance",
@@ -100,23 +98,6 @@ class RayleighFadingChannel(ChannelModel):
         scale = np.sqrt(self.average_power / 2.0)
         shape = (receive_antennas, transmit_antennas)
         return scale * (generator.standard_normal(shape) + 1j * generator.standard_normal(shape))
-
-
-class IdentityChannel(ChannelModel):
-    """A noiseless identity channel, useful for unit tests and debugging."""
-
-    def sample(
-        self,
-        receive_antennas: int,
-        transmit_antennas: int,
-        rng: RandomState = None,
-    ) -> np.ndarray:
-        require_positive(receive_antennas, "receive_antennas")
-        require_positive(transmit_antennas, "transmit_antennas")
-        matrix = np.zeros((receive_antennas, transmit_antennas), dtype=complex)
-        for index in range(min(receive_antennas, transmit_antennas)):
-            matrix[index, index] = 1.0
-        return matrix
 
 
 def noise_variance_for_snr(

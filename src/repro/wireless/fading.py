@@ -18,9 +18,8 @@ ideal models in :mod:`repro.wireless.channel`:
   (:class:`FadingProcess`, :func:`jakes_correlation`).
 * **Imperfect CSI** — a pilot-based estimation-error model: the receiver
   works from ``H_hat = H + E`` with ``E ~ CN(0, sigma_e^2)`` per entry
-  (:func:`estimate_channel`, :func:`pilot_csi_error_variance`), so QUBOs are
-  built from the *estimate* while symbols propagate through the *true*
-  channel.
+  (:func:`estimate_channel`), so QUBOs are built from the *estimate* while
+  symbols propagate through the *true* channel.
 * **Inter-cell interference** — a per-receive-antenna Gaussian interference
   floor (the standard many-interferer approximation) whose power the serving
   layer couples to per-cell load factors and scenario timelines
@@ -59,7 +58,6 @@ __all__ = [
     "handover_rate_per_us",
     "jakes_correlation",
     "los_matrix",
-    "pilot_csi_error_variance",
     "steering_vector",
 ]
 
@@ -223,19 +221,6 @@ def handover_rate_per_us(velocity_mps: float, cell_radius_m: float = 250.0) -> f
 # --------------------------------------------------------------------- #
 # Imperfect CSI
 # --------------------------------------------------------------------- #
-
-
-def pilot_csi_error_variance(pilot_snr_db: float, num_pilots: int = 1) -> float:
-    """Per-entry estimation-error variance of least-squares pilot estimation.
-
-    With ``num_pilots`` orthogonal unit-energy pilot symbols at SNR
-    ``pilot_snr_db``, the LS channel estimate carries independent complex
-    Gaussian error of variance ``1 / (num_pilots * snr)`` per entry — more
-    pilots or a cleaner pilot channel shrink the error floor.
-    """
-    require_positive(num_pilots, "num_pilots")
-    snr_linear = 10.0 ** (pilot_snr_db / 10.0)
-    return float(1.0 / (num_pilots * snr_linear))
 
 
 def estimate_channel(

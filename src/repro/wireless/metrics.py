@@ -1,4 +1,4 @@
-"""Link-level error metrics: BER, SER, and EVM.
+"""Link-level error metrics: BER and SER.
 
 These metrics quantify how well a detector recovered the transmitted payload
 and are used by the example applications and the extension benchmarks that
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.exceptions import DimensionError
 
-__all__ = ["bit_error_rate", "symbol_error_rate", "error_vector_magnitude"]
+__all__ = ["bit_error_rate", "symbol_error_rate"]
 
 
 def _as_flat_array(values: Sequence, dtype) -> np.ndarray:
@@ -53,22 +53,3 @@ def symbol_error_rate(
     if transmitted.size == 0:
         return 0.0
     return float(np.mean(np.abs(transmitted - detected) > tolerance))
-
-
-def error_vector_magnitude(
-    reference_symbols: Sequence[complex], measured_symbols: Sequence[complex]
-) -> float:
-    """Root-mean-square EVM (as a fraction of RMS reference magnitude)."""
-    reference = _as_flat_array(reference_symbols, complex)
-    measured = _as_flat_array(measured_symbols, complex)
-    if reference.size != measured.size:
-        raise DimensionError(
-            f"symbol vectors differ in length: {reference.size} vs {measured.size}"
-        )
-    if reference.size == 0:
-        return 0.0
-    reference_power = float(np.mean(np.abs(reference) ** 2))
-    if reference_power == 0:
-        raise ValueError("reference symbols have zero power")
-    error_power = float(np.mean(np.abs(measured - reference) ** 2))
-    return float(np.sqrt(error_power / reference_power))

@@ -1,4 +1,4 @@
-"""Spatial-multiplexing MIMO link simulation and exact ML detection.
+"""Spatial-multiplexing MIMO link simulation.
 
 A *MIMO detection instance* is the tuple (H, y, modulation): the receiver
 observes ``y = H x + n`` and must recover the transmitted symbol vector ``x``
@@ -11,16 +11,16 @@ This module provides:
 * :class:`MIMOConfig` — the static link configuration (users, antennas,
   modulation, channel model, noise);
 * :func:`simulate_transmission` — draw a channel, transmit random bits, and
-  produce a :class:`MIMOInstance` together with the ground-truth payload;
-* :func:`maximum_likelihood_detect` — exact (exhaustive) ML detection used as
-  ground truth by the experiments and metrics.
+  produce a :class:`MIMOInstance` together with the ground-truth payload.
+
+Exact ML ground truth comes from the QUBO-domain exhaustive solver on the
+transformed problem (:func:`repro.qubo.energy.brute_force_minimum`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "MIMOTransmission",
     "MIMODetectionResult",
     "simulate_transmission",
-    "maximum_likelihood_detect",
     "residual_energy",
 ]
 
@@ -325,47 +324,4 @@ def simulate_transmission(
         true_channel=true_channel,
         csi_error_variance=csi_error_variance,
         interference_power=interference_power,
-    )
-
-
-def maximum_likelihood_detect(
-    instance: MIMOInstance, max_variables: int = 24
-) -> MIMODetectionResult:
-    """Exhaustive maximum-likelihood detection.
-
-    Enumerates every constellation vector, so the cost is
-    ``M ** num_users``; the ``max_variables`` guard (measured in equivalent
-    QUBO variables, i.e. payload bits) protects against accidental
-    exponential blow-ups.  Experiments that need exact optima for larger
-    instances should use the QUBO-domain exhaustive solver on the transformed
-    problem instead, which is equivalent but shares its implementation with
-    the solver stack.
-    """
-    modulation = instance.modulation_scheme
-    total_bits = instance.qubo_variable_count
-    if total_bits > max_variables:
-        raise ConfigurationError(
-            f"exhaustive ML over {total_bits} bits exceeds max_variables="
-            f"{max_variables}; raise the limit explicitly if this is intended"
-        )
-
-    best_objective = np.inf
-    best_indices: Tuple[int, ...] = ()
-    for indices in itertools.product(range(modulation.order), repeat=instance.num_users):
-        candidate = modulation.modulate_indices(indices)
-        objective = instance.objective(candidate)
-        if objective < best_objective:
-            best_objective = objective
-            best_indices = indices
-
-    symbols = modulation.modulate_indices(best_indices)
-    bits = np.concatenate(
-        [np.asarray(modulation.bits_for_index(index), dtype=int) for index in best_indices]
-    )
-    return MIMODetectionResult(
-        symbols=symbols,
-        bits=bits,
-        objective_value=float(best_objective),
-        algorithm="ml-exhaustive",
-        metadata={"enumerated": modulation.order ** instance.num_users},
     )

@@ -23,7 +23,6 @@ from repro.exceptions import ModulationError
 __all__ = [
     "Modulation",
     "get_modulation",
-    "available_modulations",
     "gray_code",
     "gray_decode",
     "bits_to_int",
@@ -298,8 +297,3 @@ def get_modulation(name: str, normalized: bool = True) -> Modulation:
             f"unknown modulation {name!r}; available: {sorted(set(_CANONICAL_NAMES.values()))}"
         )
     return _cached_modulation(_CANONICAL_NAMES[key], normalized)
-
-
-def available_modulations() -> List[str]:
-    """Names of the modulations studied in the paper, lowest order first."""
-    return ["BPSK", "QPSK", "16-QAM", "64-QAM"]

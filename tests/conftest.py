@@ -14,9 +14,10 @@ import pytest
 
 from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBackend
 from repro.experiments.instances import synthesize_instance
-from repro.qubo import QUBOModel, planted_solution_qubo, random_qubo
+from repro.qubo import QUBOModel, random_qubo
 from repro.transform import mimo_to_qubo
 from repro.wireless import MIMOConfig, simulate_transmission
+from tests.qubo_fixtures import planted_solution_qubo
 
 
 @pytest.fixture(autouse=True)

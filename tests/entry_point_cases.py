@@ -27,13 +27,14 @@ from repro.classical.zero_forcing import ZeroForcingDetector
 from repro.hybrid.parameters import sweep_switch_point
 from repro.hybrid.pipeline import HybridPipelineSimulator
 from repro.hybrid.solver import HybridMIMODetector, HybridQuboSolver
-from repro.qubo.generators import planted_solution_qubo, random_qubo
+from repro.qubo.generators import random_qubo
 from repro.qubo.ising import bits_to_spins, qubo_to_ising
 from repro.serving.backends import AnnealerServingBackend
 from repro.serving.workload import generate_serving_jobs, uniform_cell_profiles
 from repro.utils.rng import spawn_rngs
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
 from repro.wireless.traffic import TrafficGenerator
+from tests.qubo_fixtures import planted_solution_qubo
 
 
 def _plain(value):

@@ -13,7 +13,8 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from repro.ablation.presets import ablation_quick_rows
+from repro.ablation import run_study
+from repro.ablation.presets import ablation_quick_spec
 from repro.experiments import (
     Figure3Config,
     Figure3Driver,
@@ -39,7 +40,7 @@ from tests.entry_point_cases import single_entry_point_rows
 
 #: Fixture name -> zero-argument callable returning a list of result rows.
 STUDIES = {
-    "ablation_quick": ablation_quick_rows,
+    "ablation_quick": lambda: run_study(ablation_quick_spec()).table_rows(),
     "ablation_quick_initializers": lambda: run_driver(
         InitializerAblationDriver(), InitializerAblationConfig.quick()
     ),

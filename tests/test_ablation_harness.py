@@ -485,15 +485,23 @@ class TestRunStudy:
         )
 
 
+#: The two paper drivers re-expressed as degenerate (single-point, no-axis)
+#: studies: running them through ``run_study`` executes exactly the shards a
+#: ``repro-experiments fig8`` / ``robustness`` quick run would.
+FIG8_QUICK_SPEC = AblationSpec(name="fig8-quick", experiment="fig8", preset="quick")
+ROBUSTNESS_QUICK_SPEC = AblationSpec(
+    name="robustness-quick", experiment="robustness", preset="quick"
+)
+
+
 class TestDriverSubsumption:
     """The declarative specs reproduce the imperative drivers bitwise."""
 
     def test_fig8_quick_spec_matches_run_driver(self):
-        from repro.ablation.presets import fig8_quick_spec
         from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
 
         direct = run_driver(Figure8Driver(), Figure8Config.quick())
-        result = run_study(fig8_quick_spec())
+        result = run_study(FIG8_QUICK_SPEC)
         assert len(result.points) == 1
         harness_rows = list(result.points[0].rows)
         assert [dataclasses.asdict(r) for r in harness_rows] == [
@@ -501,14 +509,13 @@ class TestDriverSubsumption:
         ]
 
     def test_robustness_quick_spec_matches_run_driver(self):
-        from repro.ablation.presets import robustness_quick_spec
         from repro.experiments.robustness_study import (
             RobustnessStudyConfig,
             RobustnessStudyDriver,
         )
 
         direct = run_driver(RobustnessStudyDriver(), RobustnessStudyConfig.quick())
-        result = run_study(robustness_quick_spec())
+        result = run_study(ROBUSTNESS_QUICK_SPEC)
         assert len(result.points) == 1
         harness_rows = list(result.points[0].rows)
         assert [dataclasses.asdict(r) for r in harness_rows] == [
@@ -516,11 +523,10 @@ class TestDriverSubsumption:
         ]
 
     def test_fig8_shards_share_cache_with_imperative_driver(self, tmp_path):
-        from repro.ablation.presets import fig8_quick_spec
         from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
 
         cache = ResultCache(tmp_path / "cache")
         run_driver(Figure8Driver(), Figure8Config.quick(), cache=cache)
-        warm = run_study(fig8_quick_spec(), cache=cache)
+        warm = run_study(FIG8_QUICK_SPEC, cache=cache)
         assert warm.stats.executed == 0
         assert warm.stats.cache_hits > 0

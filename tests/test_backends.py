@@ -17,8 +17,8 @@ from repro.annealing.schedule import (
 )
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
 from repro.exceptions import ConfigurationError
-from repro.qubo.generators import planted_solution_qubo
-from repro.qubo.ising import qubo_to_ising, bits_to_spins, spins_to_bits
+from repro.qubo.ising import qubo_to_ising, bits_to_spins
+from tests.qubo_fixtures import planted_solution_qubo, spins_to_bits
 
 BACKENDS = [SpinVectorMonteCarloBackend, ScheduleDrivenAnnealingBackend]
 

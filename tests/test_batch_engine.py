@@ -17,16 +17,16 @@ from repro.annealing.sa_backend import ScheduleDrivenAnnealingBackend
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
+from repro.classical.base import QuboSolution, QuboSolver
 from repro.classical.simulated_annealing import SimulatedAnnealingSolver
-from repro.classical.tabu import TabuSearchSolver
 from repro.exceptions import ConfigurationError
 from repro.hybrid.parameters import sweep_switch_point, sweep_switch_point_batch
 from repro.hybrid.solver import HybridQuboSolver
-from repro.qubo.generators import planted_solution_qubo
 from repro.qubo.ising import bits_to_spins, qubo_to_ising
 from repro.qubo.model import QUBOModel
 from repro.utils.batching import iter_batches
-from repro.utils.rng import ensure_rng_batch, spawn_rngs
+from repro.utils.rng import ensure_rng, ensure_rng_batch, spawn_rngs
+from tests.qubo_fixtures import planted_solution_qubo
 
 BACKENDS = [ScheduleDrivenAnnealingBackend, SpinVectorMonteCarloBackend]
 FUNCTIONS = AnnealingFunctions()
@@ -293,10 +293,27 @@ class TestSamplerBatch:
         assert [s.num_variables for s in samplesets] == [3, 4]
 
 
+class _RandomDrawSolver(QuboSolver):
+    """Best of a few uniform random assignments.
+
+    Every production solver that keeps the default ``solve_batch`` is
+    deterministic, so this stochastic one checks that the default loop hands
+    instance ``b`` its own child generator.
+    """
+
+    name = "random-draw"
+
+    def solve(self, qubo, rng=None):
+        draws = ensure_rng(rng).integers(0, 2, size=(3, qubo.num_variables))
+        energies = qubo.energies(draws)
+        best = int(np.argmin(energies))
+        return QuboSolution(draws[best], float(energies[best]), self.name)
+
+
 class TestClassicalSolverBatch:
     def test_default_solve_batch_matches_loop(self, rng):
         qubos = _qubo_batch(rng, (6, 4))
-        solver = TabuSearchSolver(max_iterations=30)
+        solver = _RandomDrawSolver()
         sequential = [
             solver.solve(qubo, child) for qubo, child in zip(qubos, spawn_rngs(3, 2))
         ]
@@ -304,6 +321,11 @@ class TestClassicalSolverBatch:
         for expected, actual in zip(sequential, batched):
             assert np.array_equal(expected.assignment, actual.assignment)
             assert expected.energy == actual.energy
+        shared = ensure_rng(3)
+        assert any(
+            not np.array_equal(solver.solve(qubo, shared).assignment, result.assignment)
+            for qubo, result in zip(qubos, batched)
+        )
 
     def test_simulated_annealing_batch_matches_loop(self, rng):
         qubos = _qubo_batch(rng, (8, 3, 0, 5))

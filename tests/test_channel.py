@@ -5,13 +5,13 @@ import pytest
 
 from repro.exceptions import ConfigurationError, DimensionError
 from repro.wireless.channel import (
-    IdentityChannel,
     RayleighFadingChannel,
     UnitGainRandomPhaseChannel,
     apply_channel,
     awgn,
     noise_variance_for_snr,
 )
+from tests.wireless_fixtures import IdentityChannel
 
 
 class TestUnitGainRandomPhaseChannel:

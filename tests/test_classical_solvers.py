@@ -1,11 +1,10 @@
-"""Tests for the exhaustive, simulated annealing and tabu QUBO solvers."""
+"""Tests for the exhaustive and simulated annealing QUBO solvers."""
 
 import numpy as np
 import pytest
 
 from repro.classical.exhaustive import ExhaustiveSolver
 from repro.classical.simulated_annealing import SimulatedAnnealingSolver
-from repro.classical.tabu import TabuSearchSolver
 from repro.exceptions import ConfigurationError
 from repro.qubo.energy import brute_force_minimum
 from repro.qubo.generators import random_qubo
@@ -78,43 +77,5 @@ class TestSimulatedAnnealing:
 
     def test_wrong_initial_state_length(self, random_qubo_8):
         solver = SimulatedAnnealingSolver(initial_state=[0, 1])
-        with pytest.raises(ConfigurationError):
-            solver.solve(random_qubo_8, rng=1)
-
-
-class TestTabuSearch:
-    def test_finds_planted_optimum(self, planted_qubo_10):
-        qubo, planted = planted_qubo_10
-        solution = TabuSearchSolver(max_iterations=200).solve(qubo, rng=3)
-        assert np.array_equal(solution.assignment, planted)
-
-    def test_matches_exact_on_small_random(self, rng):
-        qubo = random_qubo(10, rng=rng)
-        exact = brute_force_minimum(qubo)
-        solution = TabuSearchSolver(max_iterations=400, num_restarts=2).solve(qubo, rng=6)
-        assert solution.energy == pytest.approx(exact.energy, rel=0.05, abs=0.5)
-
-    def test_restarts_counted(self, random_qubo_8):
-        solution = TabuSearchSolver(max_iterations=20, num_restarts=3).solve(random_qubo_8, rng=1)
-        assert solution.iterations == 60
-
-    def test_initial_state_used(self, planted_qubo_10):
-        qubo, planted = planted_qubo_10
-        solution = TabuSearchSolver(max_iterations=30, initial_state=planted).solve(qubo, rng=2)
-        assert solution.energy <= qubo.energy(planted) + 1e-9
-
-    def test_empty_model(self):
-        solution = TabuSearchSolver().solve(QUBOModel.empty(0))
-        assert solution.num_variables == 0
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"max_iterations": 0}, {"num_restarts": 0}, {"tenure": -1}]
-    )
-    def test_invalid_configuration(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            TabuSearchSolver(**kwargs)
-
-    def test_wrong_initial_state_length(self, random_qubo_8):
-        solver = TabuSearchSolver(initial_state=[1, 0, 1])
         with pytest.raises(ConfigurationError):
             solver.solve(random_qubo_8, rng=1)

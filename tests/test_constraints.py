@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.qubo.constraints import (
-    SoftConstraint,
-    add_soft_constraints,
-    pairwise_agreement_constraint,
-    single_bit_bias_constraint,
-)
+from repro.qubo.constraints import SoftConstraint, add_soft_constraints
 from repro.qubo.generators import random_qubo
 
 
@@ -45,7 +40,7 @@ class TestSoftConstraintValidation:
 class TestPairPenaltyValues:
     @pytest.mark.parametrize("targets", list(itertools.product((0, 1), repeat=2)))
     def test_penalty_only_when_both_wrong(self, targets):
-        constraint = pairwise_agreement_constraint((0, 1), targets, strength=2.5)
+        constraint = SoftConstraint(variables=(0, 1), targets=targets, strength=2.5)
         penalty = constraint.penalty_qubo(num_variables=2)
         for bits in itertools.product((0, 1), repeat=2):
             both_wrong = bits[0] != targets[0] and bits[1] != targets[1]
@@ -54,7 +49,7 @@ class TestPairPenaltyValues:
 
     def test_paper_example_expansion(self):
         # Target (1, 1): the penalty is C (q0 - 1)(q1 - 1).
-        constraint = pairwise_agreement_constraint((0, 1), (1, 1), strength=3.0)
+        constraint = SoftConstraint(variables=(0, 1), targets=(1, 1), strength=3.0)
         penalty = constraint.penalty_qubo(2)
         assert penalty.coupling(0, 1) == pytest.approx(3.0)
         assert penalty.linear[0] == pytest.approx(-3.0)
@@ -65,7 +60,7 @@ class TestPairPenaltyValues:
 class TestSingleBitPenalty:
     @pytest.mark.parametrize("target", (0, 1))
     def test_penalises_disagreement(self, target):
-        constraint = single_bit_bias_constraint(0, target, strength=1.5)
+        constraint = SoftConstraint(variables=(0,), targets=(target,), strength=1.5)
         penalty = constraint.penalty_qubo(1)
         assert penalty.energy([target]) == pytest.approx(0.0)
         assert penalty.energy([1 - target]) == pytest.approx(1.5)
@@ -75,8 +70,8 @@ class TestAddSoftConstraints:
     def test_energy_shift_only_for_disagreement(self, rng):
         qubo = random_qubo(6, rng=rng)
         constraints = [
-            pairwise_agreement_constraint((0, 1), (1, 1), 4.0),
-            single_bit_bias_constraint(5, 0, 2.0),
+            SoftConstraint(variables=(0, 1), targets=(1, 1), strength=4.0),
+            SoftConstraint(variables=(5,), targets=(0,), strength=2.0),
         ]
         augmented = add_soft_constraints(qubo, constraints)
         agreeing = np.array([1, 1, 0, 0, 0, 0])
@@ -87,7 +82,9 @@ class TestAddSoftConstraints:
     def test_correct_knowledge_preserves_optimum(self, planted_qubo_10):
         qubo, planted = planted_qubo_10
         constraints = [
-            pairwise_agreement_constraint((i, i + 1), (planted[i], planted[i + 1]), 5.0)
+            SoftConstraint(
+                variables=(i, i + 1), targets=(planted[i], planted[i + 1]), strength=5.0
+            )
             for i in range(0, 10, 2)
         ]
         augmented = add_soft_constraints(qubo, constraints)

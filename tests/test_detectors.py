@@ -7,13 +7,9 @@ from repro.classical.mmse import MMSEDetector
 from repro.classical.sphere_decoder import FixedComplexitySphereDecoder, KBestSphereDecoder
 from repro.classical.zero_forcing import ZeroForcingDetector
 from repro.exceptions import ConfigurationError, SolverError
-from repro.wireless.channel import IdentityChannel, RayleighFadingChannel
-from repro.wireless.mimo import (
-    MIMOConfig,
-    MIMOInstance,
-    maximum_likelihood_detect,
-    simulate_transmission,
-)
+from repro.wireless.channel import RayleighFadingChannel
+from repro.wireless.mimo import MIMOConfig, MIMOInstance, simulate_transmission
+from tests.wireless_fixtures import IdentityChannel, maximum_likelihood_detect
 
 
 def _noiseless_transmission(users=3, modulation="16-QAM", seed=5, receive=None):

@@ -6,7 +6,7 @@ import pytest
 from repro.annealing.device import AnnealingFunctions, DeviceModel
 from repro.annealing.schedule import forward_anneal_schedule
 from repro.exceptions import ConfigurationError
-from repro.qubo.generators import random_ising
+from tests.qubo_fixtures import random_ising
 
 
 class TestAnnealingFunctions:

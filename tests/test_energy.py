@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.qubo.energy import (
-    brute_force_minimum,
-    energy_landscape,
-    enumerate_assignments,
-    ising_energy,
-    qubo_energy,
-)
+from repro.qubo.energy import brute_force_minimum, enumerate_assignments
 from repro.qubo.generators import random_qubo
-from repro.qubo.ising import qubo_to_ising, bits_to_spins
 from repro.qubo.model import QUBOModel
 
 
@@ -68,26 +61,5 @@ class TestBruteForce:
     def test_matches_exhaustive_scan(self, rng):
         qubo = random_qubo(10, rng=rng)
         result = brute_force_minimum(qubo)
-        assignments, energies = energy_landscape(qubo)
-        assert result.energy == pytest.approx(energies.min())
-
-
-class TestEnergyLandscape:
-    def test_shapes(self, random_qubo_8):
-        assignments, energies = energy_landscape(random_qubo_8)
-        assert assignments.shape == (256, 8)
-        assert energies.shape == (256,)
-
-    def test_guard(self):
-        with pytest.raises(ConfigurationError):
-            energy_landscape(QUBOModel.empty(25))
-
-
-class TestWrappers:
-    def test_qubo_energy_wrapper(self, small_qubo):
-        assert qubo_energy(small_qubo, [1, 0]) == small_qubo.energy([1, 0])
-
-    def test_ising_energy_wrapper(self, small_qubo, rng):
-        ising = qubo_to_ising(small_qubo)
-        bits = rng.integers(0, 2, size=2)
-        assert ising_energy(ising, bits_to_spins(bits)) == pytest.approx(small_qubo.energy(bits))
+        every_assignment = (np.arange(1 << 10)[:, None] >> np.arange(10)) & 1
+        assert result.energy == pytest.approx(qubo.energies(every_assignment).min())

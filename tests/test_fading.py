@@ -19,7 +19,6 @@ from repro.wireless.fading import (
     exponential_correlation,
     jakes_correlation,
     los_matrix,
-    pilot_csi_error_variance,
     steering_vector,
 )
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
@@ -300,11 +299,6 @@ class TestEstimateChannel:
     def test_negative_variance_rejected(self):
         with pytest.raises(ConfigurationError):
             estimate_channel(np.eye(2), -0.1)
-
-    def test_pilot_variance_scaling(self):
-        assert pilot_csi_error_variance(0.0) == pytest.approx(1.0)
-        assert pilot_csi_error_variance(10.0) == pytest.approx(0.1)
-        assert pilot_csi_error_variance(10.0, num_pilots=4) == pytest.approx(0.025)
 
 
 class TestEffectiveNoiseVariance:

@@ -5,7 +5,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.qubo.energy import brute_force_minimum
-from repro.qubo.generators import planted_solution_qubo, random_ising, random_qubo
+from repro.qubo.generators import random_qubo
+from tests.qubo_fixtures import planted_solution_qubo, random_ising
 
 
 class TestRandomQubo:

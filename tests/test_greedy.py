@@ -7,9 +7,10 @@ from repro.classical.greedy import GreedySearchSolver, greedy_field_scores, gree
 from repro.exceptions import ConfigurationError
 from repro.metrics.quality import delta_e_percent
 from repro.qubo.energy import brute_force_minimum
-from repro.qubo.generators import planted_solution_qubo, random_qubo
+from repro.qubo.generators import random_qubo
 from repro.qubo.ising import qubo_to_ising
 from repro.qubo.model import QUBOModel
+from tests.qubo_fixtures import planted_solution_qubo
 
 
 class TestFieldScores:

@@ -7,7 +7,7 @@ from repro.classical.base import QuboSolution, QuboSolver
 from repro.classical.zero_forcing import ZeroForcingDetector
 from repro.exceptions import ConfigurationError
 from repro.hybrid.solver import DetectorInitializer, HybridMIMODetector, HybridQuboSolver
-from repro.qubo.generators import planted_solution_qubo
+from tests.qubo_fixtures import planted_solution_qubo
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ from repro.experiments.instances import (
     paper_figure6_configurations,
     synthesize_instance,
     synthesize_instances,
-    users_for_variables,
     variables_for,
 )
 from repro.qubo.energy import brute_force_minimum
@@ -21,14 +20,6 @@ class TestSizingHelpers:
     )
     def test_variables_for(self, users, modulation, expected):
         assert variables_for(users, modulation) == expected
-
-    def test_users_for_variables(self):
-        assert users_for_variables(36, "QPSK") == 18
-        assert users_for_variables(36, "64-QAM") == 6
-
-    def test_users_for_variables_inexact(self):
-        with pytest.raises(ConfigurationError):
-            users_for_variables(35, "16-QAM")
 
     def test_figure6_configurations(self):
         configurations = dict(

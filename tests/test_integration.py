@@ -12,8 +12,8 @@ from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBacken
 from repro.classical import ExhaustiveSolver, GreedySearchSolver, SimulatedAnnealingSolver
 from repro.experiments.instances import synthesize_instance
 from repro.hybrid import HybridMIMODetector, HybridQuboSolver
-from repro.metrics.quality import delta_e_percent, initial_state_quality
-from repro.metrics.tts import tts_from_sampleset
+from repro.metrics.quality import delta_e_percent
+from repro.metrics.tts import time_to_solution
 from repro.qubo import simplify_qubo
 from repro.transform import mimo_to_qubo
 from repro.wireless import MIMOConfig, simulate_transmission
@@ -39,7 +39,7 @@ class TestDetectionChain:
         assert exhaustive.energy == pytest.approx(bundle.ground_energy)
 
         greedy = GreedySearchSolver().solve(qubo)
-        quality = initial_state_quality(qubo, greedy.assignment, bundle.ground_energy)
+        quality = delta_e_percent(qubo.energy(greedy.assignment), bundle.ground_energy)
         assert quality >= -1e-9
         assert quality == pytest.approx(
             delta_e_percent(greedy.energy, bundle.ground_energy)
@@ -73,7 +73,11 @@ class TestDetectionChain:
     def test_tts_computable_from_hybrid_sampleset(self, bundle, sampler):
         hybrid = HybridQuboSolver(sampler=sampler, switch_s=0.45, num_reads=60)
         result = hybrid.solve(bundle.encoding.qubo, rng=8)
-        tts = tts_from_sampleset(result.sampleset, bundle.ground_energy)
+        sampleset = result.sampleset
+        tts = time_to_solution(
+            sampleset.success_probability(bundle.ground_energy),
+            sampleset.metadata["schedule_duration_us"],
+        )
         assert tts.duration_us == pytest.approx(2 * (1 - 0.45) + 1.0)
         if result.sampleset.success_probability(bundle.ground_energy) > 0:
             assert tts.is_finite

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DimensionError
-from repro.qubo.ising import (
-    IsingModel,
-    bits_to_spins,
-    ising_to_qubo,
-    qubo_to_ising,
-    spins_to_bits,
-)
-from repro.qubo.generators import random_ising, random_qubo
+from repro.qubo.ising import IsingModel, bits_to_spins, qubo_to_ising
+from repro.qubo.generators import random_qubo
+from tests.qubo_fixtures import ising_to_qubo, random_ising, spins_to_bits
 
 
 class TestSpinBitMaps:

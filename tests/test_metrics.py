@@ -8,20 +8,13 @@ from repro.exceptions import ConfigurationError
 from repro.metrics.quality import (
     delta_e_distribution,
     delta_e_percent,
-    expectation_value,
-    initial_state_quality,
     success_probability,
 )
-from repro.metrics.statistics import (
-    bootstrap_confidence_interval,
-    histogram_percentiles,
-    summarize_distribution,
-)
-from repro.metrics.tts import time_to_solution, tts_from_sampleset
-from repro.qubo.model import QUBOModel
+from repro.metrics.statistics import histogram_percentiles
+from repro.metrics.tts import time_to_solution
 
 
-def _sampleset(energies, counts=None, duration=2.0):
+def _sampleset(energies, counts=None):
     counts = counts or [1] * len(energies)
     records = [
         SampleRecord(
@@ -40,7 +33,7 @@ def _sampleset(energies, counts=None, duration=2.0):
         )
         for index, record in enumerate(records)
     ]
-    return SampleSet(records, metadata={"schedule_duration_us": duration})
+    return SampleSet(records)
 
 
 class TestDeltaEPercent:
@@ -71,20 +64,11 @@ class TestDeltaEPercent:
         distribution = delta_e_distribution([-10.0, 0.0], -10.0)
         assert list(distribution) == [0.0, 100.0]
 
-    def test_initial_state_quality(self):
-        model = QUBOModel(coefficients=np.array([[-4.0]]))
-        assert initial_state_quality(model, [0], -4.0) == pytest.approx(100.0)
-        assert initial_state_quality(model, [1], -4.0) == 0.0
-
 
 class TestSuccessAndExpectation:
     def test_success_probability(self):
         sampleset = _sampleset([-10.0, -9.0, -5.0], counts=[2, 2, 6])
         assert success_probability(sampleset, -10.0) == pytest.approx(0.2)
-
-    def test_expectation_value(self):
-        sampleset = _sampleset([-10.0, 0.0], counts=[1, 3])
-        assert expectation_value(sampleset) == pytest.approx(-2.5)
 
 
 class TestTTS:
@@ -122,48 +106,8 @@ class TestTTS:
         with pytest.raises(ConfigurationError):
             time_to_solution(**kwargs)
 
-    def test_from_sampleset_uses_metadata_duration(self):
-        sampleset = _sampleset([-10.0, -5.0], counts=[1, 1], duration=4.0)
-        result = tts_from_sampleset(sampleset, ground_energy=-10.0)
-        assert result.duration_us == 4.0
-        assert result.success_probability == pytest.approx(0.5)
-
-    def test_from_sampleset_without_metadata(self):
-        sampleset = SampleSet([SampleRecord(assignment=np.array([1]), energy=-1.0)])
-        with pytest.raises(ConfigurationError):
-            tts_from_sampleset(sampleset, ground_energy=-1.0)
-
 
 class TestStatistics:
-    def test_summary(self):
-        summary = summarize_distribution([1.0, 2.0, 3.0, 4.0])
-        assert summary.count == 4
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.median == pytest.approx(2.5)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-
-    def test_summary_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            summarize_distribution([])
-
-    def test_bootstrap_contains_point_estimate(self, rng):
-        data = rng.normal(5.0, 1.0, size=200)
-        point, lower, upper = bootstrap_confidence_interval(data, rng=1)
-        assert lower <= point <= upper
-        assert lower == pytest.approx(5.0, abs=0.5)
-
-    def test_bootstrap_custom_statistic(self, rng):
-        data = rng.normal(0.0, 1.0, size=100)
-        point, lower, upper = bootstrap_confidence_interval(data, statistic=np.median, rng=2)
-        assert lower <= point <= upper
-
-    def test_bootstrap_invalid(self):
-        with pytest.raises(ConfigurationError):
-            bootstrap_confidence_interval([], rng=1)
-        with pytest.raises(ConfigurationError):
-            bootstrap_confidence_interval([1.0], confidence=1.5, rng=1)
-
     def test_histogram_percentiles(self):
         fractions = histogram_percentiles([0.0, 1.0, 5.0, 50.0], [0.0, 2.0, 10.0, 100.0])
         assert fractions.sum() == pytest.approx(1.0)

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.wireless.channel import IdentityChannel
-from repro.wireless.mimo import (
-    MIMOConfig,
-    MIMOInstance,
-    maximum_likelihood_detect,
-    residual_energy,
-    simulate_transmission,
-)
+from repro.wireless.mimo import MIMOConfig, MIMOInstance, residual_energy, simulate_transmission
+from tests.wireless_fixtures import IdentityChannel, maximum_likelihood_detect
 
 
 class TestMIMOConfig:

@@ -5,9 +5,10 @@ import pytest
 
 from repro.exceptions import TransformError
 from repro.qubo.energy import brute_force_minimum
-from repro.transform.mimo_to_qubo import decode_bits_to_symbols, mimo_to_qubo
-from repro.wireless.mimo import MIMOConfig, maximum_likelihood_detect, simulate_transmission
+from repro.transform.mimo_to_qubo import mimo_to_qubo
+from repro.wireless.mimo import MIMOConfig, simulate_transmission
 from repro.wireless.metrics import bit_error_rate
+from tests.wireless_fixtures import maximum_likelihood_detect
 
 
 @pytest.mark.parametrize(
@@ -96,11 +97,6 @@ class TestDecoding:
         assert result.algorithm == "test"
         assert result.objective_value == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(result.symbols, transmission.transmitted_symbols)
-
-    def test_decode_helper(self, mimo_encoding_16qam, rng):
-        _, encoding = mimo_encoding_16qam
-        bits = rng.integers(0, 2, size=encoding.num_variables)
-        assert np.allclose(decode_bits_to_symbols(encoding, bits), encoding.bits_to_symbols(bits))
 
     def test_wrong_length_rejected(self, mimo_encoding_16qam):
         _, encoding = mimo_encoding_16qam

@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import ModulationError
 from repro.wireless.modulation import (
-    available_modulations,
     bits_to_int,
     get_modulation,
     gray_code,
@@ -64,9 +63,6 @@ class TestGetModulation:
 
     def test_shared_instances(self):
         assert get_modulation("bpsk") is get_modulation("BPSK")
-
-    def test_available_list(self):
-        assert available_modulations() == ["BPSK", "QPSK", "16-QAM", "64-QAM"]
 
 
 class TestConstellationGeometry:

@@ -21,7 +21,6 @@ from repro.network import (
     HotspotDetector,
     HotspotDetectorConfig,
     NetworkTopology,
-    cell_counts_from_outcomes,
     cell_window_counts,
     oracle_capacity,
     simulate_fluid_network,
@@ -297,25 +296,3 @@ def test_fluid_validates_shapes():
         simulate_fluid_network(counts, np.ones((4, 3)), config)
     with pytest.raises(ConfigurationError):
         simulate_fluid_network(counts, -np.ones(3), config)
-
-
-# ---------------------------------------------------------------------- #
-# Counter bridges
-# ---------------------------------------------------------------------- #
-
-
-def test_cell_counts_from_outcomes_bins_by_window():
-    class Outcome:
-        def __init__(self, cell_id, arrival_us):
-            self.cell_id = cell_id
-            self.arrival_us = arrival_us
-
-    outcomes = [Outcome(0, 10.0), Outcome(0, 499.0), Outcome(1, 500.0), Outcome(1, 1200.0)]
-    counts = cell_counts_from_outcomes(outcomes, num_cells=2, window_us=500.0)
-    assert counts.shape == (3, 2)
-    assert counts[0, 0] == 2
-    assert counts[1, 1] == 1
-    assert counts[2, 1] == 1
-    assert cell_counts_from_outcomes([], 2, 500.0).shape == (0, 2)
-    with pytest.raises(ConfigurationError):
-        cell_counts_from_outcomes(outcomes, num_cells=1, window_us=500.0)

@@ -11,7 +11,7 @@ from repro.hybrid.parameters import (
     sweep_forward_reverse_turning_point,
     sweep_switch_point,
 )
-from repro.qubo.generators import planted_solution_qubo
+from tests.qubo_fixtures import planted_solution_qubo
 
 
 @pytest.fixture

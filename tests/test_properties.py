@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
 from repro.metrics.quality import delta_e_percent
 from repro.metrics.tts import time_to_solution
-from repro.qubo.ising import bits_to_spins, ising_to_qubo, qubo_to_ising, spins_to_bits
+from repro.qubo.ising import bits_to_spins, qubo_to_ising
 from repro.qubo.model import QUBOModel
 from repro.qubo.preprocessing import simplify_qubo
 from repro.qubo.energy import brute_force_minimum
@@ -20,6 +20,7 @@ from repro.transform.symbol_mapping import (
     transform_bits_to_gray_bits,
 )
 from repro.wireless.modulation import get_modulation, gray_code, gray_decode
+from tests.qubo_fixtures import ising_to_qubo, spins_to_bits
 
 # Shared strategy: small square coefficient matrices with bounded entries.
 _coefficients = st.integers(min_value=2, max_value=7).flatmap(

@@ -42,7 +42,7 @@ from repro.serving import (
     select_batch,
     uniform_cell_profiles,
 )
-from repro.serving.report import BackendUtilization, JobOutcome, build_serving_report
+from repro.serving.report import JobOutcome, build_serving_report
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
 from repro.wireless.traffic import ChannelUse
 

@@ -14,8 +14,8 @@ from repro.annealing import (
 )
 from repro.exceptions import ConfigurationError
 from repro.qubo.energy import brute_force_minimum
-from repro.qubo.generators import planted_solution_qubo
 from repro.qubo.ising import IsingModel, qubo_to_ising
+from tests.qubo_fixtures import planted_solution_qubo
 
 
 @pytest.fixture

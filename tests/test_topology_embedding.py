@@ -12,7 +12,7 @@ from repro.annealing.embedding import (
 )
 from repro.annealing.topology import ChimeraCoordinates, chimera_graph
 from repro.exceptions import ConfigurationError, EmbeddingError
-from repro.qubo.generators import random_ising
+from tests.qubo_fixtures import random_ising
 
 
 class TestChimeraCoordinates:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, random_bitstring, spawn_rngs, stable_seed
+from repro.utils.rng import ensure_rng, spawn_rngs, stable_seed
 
 
 class TestEnsureRng:
@@ -65,17 +65,3 @@ class TestStableSeed:
 
     def test_fits_in_32_bits(self):
         assert 0 <= stable_seed("instance", 99, "64-QAM") < 2 ** 32
-
-
-class TestRandomBitstring:
-    def test_length_and_values(self, rng):
-        bits = random_bitstring(rng, 50)
-        assert bits.size == 50
-        assert set(np.unique(bits)).issubset({0, 1})
-
-    def test_zero_length(self, rng):
-        assert random_bitstring(rng, 0).size == 0
-
-    def test_negative_length_raises(self, rng):
-        with pytest.raises(ValueError):
-            random_bitstring(rng, -1)

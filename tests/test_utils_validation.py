@@ -5,11 +5,8 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import (
     require,
-    require_in_range,
     require_non_negative,
     require_positive,
-    require_power_of_two,
-    require_probability,
 )
 
 
@@ -36,27 +33,3 @@ class TestNumericRequirements:
     def test_non_negative_rejects(self):
         with pytest.raises(ConfigurationError):
             require_non_negative(-1, "x")
-
-    def test_in_range_inclusive(self):
-        require_in_range(0.0, 0.0, 1.0, "x")
-        require_in_range(1.0, 0.0, 1.0, "x")
-
-    def test_in_range_rejects(self):
-        with pytest.raises(ConfigurationError):
-            require_in_range(1.5, 0.0, 1.0, "x")
-
-    def test_probability(self):
-        require_probability(0.5, "p")
-        with pytest.raises(ConfigurationError):
-            require_probability(-0.1, "p")
-
-
-class TestPowerOfTwo:
-    @pytest.mark.parametrize("value", [1, 2, 4, 16, 64])
-    def test_accepts_powers(self, value):
-        require_power_of_two(value, "order")
-
-    @pytest.mark.parametrize("value", [0, 3, 6, -4, 12])
-    def test_rejects_non_powers(self, value):
-        with pytest.raises(ConfigurationError):
-            require_power_of_two(value, "order")

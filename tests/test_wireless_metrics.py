@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DimensionError
-from repro.wireless.metrics import bit_error_rate, error_vector_magnitude, symbol_error_rate
+from repro.wireless.metrics import bit_error_rate, symbol_error_rate
 
 
 class TestBitErrorRate:
@@ -40,22 +40,3 @@ class TestSymbolErrorRate:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             symbol_error_rate([1j], [1j, 2j])
-
-
-class TestEVM:
-    def test_zero_for_identical(self):
-        assert error_vector_magnitude([1 + 0j, 0 + 1j], [1 + 0j, 0 + 1j]) == 0.0
-
-    def test_known_value(self):
-        # One symbol off by its own magnitude -> EVM = sqrt(1/2).
-        assert error_vector_magnitude([1 + 0j, 1 + 0j], [1 + 0j, 0 + 0j]) == pytest.approx(
-            np.sqrt(0.5)
-        )
-
-    def test_zero_power_reference_rejected(self):
-        with pytest.raises(ValueError):
-            error_vector_magnitude([0j], [1 + 0j])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            error_vector_magnitude([1j, 2j], [1j])
