@@ -11,8 +11,7 @@ Classical-Quantum Computation Structures in Wirelessly-Networked Systems*
 * classical solvers and detectors (greedy search, SA, ZF, MMSE, sphere
   decoders) — :mod:`repro.classical`;
 * a software quantum-annealer simulator with forward / reverse /
-  forward-reverse schedules, Chimera embedding and a device model —
-  :mod:`repro.annealing`;
+  forward-reverse schedules and a device model — :mod:`repro.annealing`;
 * the paper's hybrid GS + reverse-annealing solver, parameter sweeps and the
   Figure-2 pipeline simulator — :mod:`repro.hybrid`;
 * the deadline-aware RAN serving subsystem (multi-user workloads, EDF/FIFO
@@ -37,7 +36,6 @@ from repro.exceptions import (
     DimensionError,
     ModulationError,
     ScheduleError,
-    EmbeddingError,
     SolverError,
     TransformError,
     PipelineError,
@@ -52,7 +50,6 @@ __all__ = [
     "DimensionError",
     "ModulationError",
     "ScheduleError",
-    "EmbeddingError",
     "SolverError",
     "TransformError",
     "PipelineError",

@@ -239,13 +239,6 @@ class AblationSpec:
         """The swept field names, in expansion (name-sorted) order."""
         return tuple(name for name, _ in self.axes)
 
-    def num_cartesian_points(self) -> int:
-        """Size of the full product grid (before subsampling/budget)."""
-        count = 1
-        for _, values in self.axes:
-            count *= len(values)
-        return count
-
 
 @dataclass(frozen=True)
 class StudyPoint:
@@ -298,7 +291,7 @@ def expand_spec(spec: AblationSpec) -> Tuple[StudyPoint, ...]:
 
     Cartesian expansion iterates axes in name-sorted order (the last-sorted
     axis varies fastest) over the per-axis de-duplicated values, so the
-    result has exactly ``spec.num_cartesian_points()`` points and the same
+    result has exactly the product of the axis sizes in points and the same
     spec always expands to the same tuple, in the same order.  Subsampling
     keeps the ``sample_count`` best-ranked points (see :func:`_sample_rank`)
     in expansion order; a ``budget`` keeps the order prefix and logs what was

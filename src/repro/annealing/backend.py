@@ -1,17 +1,13 @@
-"""Backend interface shared by the annealing simulator physics surrogates.
+"""Backend interface of the annealing simulator's physics surrogate.
 
-A backend executes one anneal *schedule* on a (normalised) Ising problem for a
-batch of independent reads and returns the final spin configurations.  Two
-backends ship with the library:
+A backend executes one anneal *schedule* on a batch of (normalised) Ising
+problems for a number of independent reads and returns the final spin
+configurations.  The library ships one:
+:class:`repro.annealing.svmc.SpinVectorMonteCarloBackend`, which models each
+qubit as a classical O(2) spin angle driven by the transverse-field and
+problem energy scales A(s), B(s).
 
-* :class:`repro.annealing.svmc.SpinVectorMonteCarloBackend` — models each
-  qubit as a classical O(2) spin angle driven by the transverse-field and
-  problem energy scales A(s), B(s);
-* :class:`repro.annealing.sa_backend.ScheduleDrivenAnnealingBackend` — models
-  the anneal as Metropolis dynamics whose effective temperature tracks the
-  schedule (quantum fluctuations mapped onto thermal ones).
-
-Both capture the mechanism the paper's experiments rely on: at s = 1 the state
+It captures the mechanism the paper's experiments rely on: at s = 1 the state
 is frozen, at s = 0 it is randomised, and at intermediate s the device
 performs a local stochastic search around its current state.
 """
@@ -146,7 +142,7 @@ def prepare_anneal_batch(
     initial_spins: Optional[Sequence[Optional[np.ndarray]]],
     rng: BatchRandomState,
 ) -> Optional[tuple]:
-    """The shared front end of the kernel backends' ``run_batch``.
+    """The validating front end of a kernel backend's ``run_batch``.
 
     Validates the read count and the initial states (a schedule that starts
     at s = 1 needs one for every non-empty instance), spawns the per-instance
@@ -192,45 +188,6 @@ class AnnealingBackend(abc.ABC):
     name: str = "backend"
 
     @abc.abstractmethod
-    def run(
-        self,
-        fields: np.ndarray,
-        couplings: np.ndarray,
-        schedule: AnnealSchedule,
-        num_reads: int,
-        annealing_functions: AnnealingFunctions,
-        relative_temperature: float,
-        initial_spins: Optional[np.ndarray] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Run ``num_reads`` independent anneals and return final spins.
-
-        Parameters
-        ----------
-        fields, couplings:
-            Normalised Ising coefficients (couplings strictly upper
-            triangular).
-        schedule:
-            The anneal schedule to follow.
-        num_reads:
-            Number of independent anneals.
-        annealing_functions:
-            The device's A(s)/B(s) energy scales.
-        relative_temperature:
-            Operating temperature normalised by B(1).
-        initial_spins:
-            Required when the schedule starts at s = 1 (reverse annealing);
-            either one vector shared by all reads or a per-read matrix.
-        rng:
-            Random generator (required to be a Generator, not a seed).
-
-        Returns
-        -------
-        numpy.ndarray
-            Array of shape (num_reads, num_spins) with entries +/-1.
-        """
-
-    @abc.abstractmethod
     def run_batch(
         self,
         fields: Sequence[np.ndarray],
@@ -248,18 +205,28 @@ class AnnealingBackend(abc.ABC):
         instance keeps its own size, coefficients and (optional) initial
         state.  Instance ``b`` draws exclusively from per-instance child
         generator ``b`` (see :func:`repro.utils.rng.ensure_rng_batch`), so
-        results do not depend on how instances are grouped into batches, and
-        :meth:`run` is this method on a batch of one.
+        results do not depend on how instances are grouped into batches.
         :func:`prepare_anneal_batch` is the shared validating front end.
 
         Parameters
         ----------
         fields, couplings:
-            Per-instance normalised Ising coefficients; instances may have
-            different sizes (they are padded internally by batched kernels).
+            Per-instance normalised Ising coefficients (couplings strictly
+            upper triangular); instances may have different sizes (they are
+            padded internally by batched kernels).
+        schedule:
+            The anneal schedule to follow.
+        num_reads:
+            Number of independent anneals per instance.
+        annealing_functions:
+            The device's A(s)/B(s) energy scales.
+        relative_temperature:
+            Operating temperature normalised by B(1).
         initial_spins:
             Optional per-instance initial states (``None`` entries allowed for
-            forward schedules).
+            forward schedules), each one vector shared by all reads or a
+            per-read matrix; required when the schedule starts at s = 1
+            (reverse annealing).
         rng:
             A root seed (spawned into one child per instance) or an explicit
             sequence of per-instance generators.

@@ -9,7 +9,7 @@ the D-Wave 2000Q the paper uses:
   bits); at s = 1 the problem term dominates and the device behaves as a
   classical memory register — exactly the picture of paper Figure 5.
 * **Operating temperature**, which sets the thermal fluctuation scale the
-  Monte Carlo backends use.
+  Monte Carlo backend uses.
 * **Integrated control errors (ICE)**: Gaussian perturbations applied to the
   programmed fields/couplings of every anneal, modelling the analog precision
   limits of real hardware.
@@ -73,7 +73,7 @@ class AnnealingFunctions:
         return self.problem_max_ghz * s
 
     def relative_transverse(self, s: float) -> float:
-        """A(s) normalised by B(1), the form the Monte Carlo backends use."""
+        """A(s) normalised by B(1), the form the Monte Carlo backend uses."""
         return self.transverse_energy(s) / self.problem_max_ghz
 
     def relative_problem(self, s: float) -> float:

@@ -1,9 +1,8 @@
-"""Replica-parallel sweep kernels shared by the anneal backends and solvers.
+"""Replica-parallel sweep kernels of the anneal backend and the SA solver.
 
 This module is the numerical core of the library: the Metropolis sweep loops
-of :class:`~repro.annealing.sa_backend.ScheduleDrivenAnnealingBackend`,
-:class:`~repro.annealing.svmc.SpinVectorMonteCarloBackend` and the classical
-:class:`~repro.classical.simulated_annealing.SimulatedAnnealingSolver` all
+of :class:`~repro.annealing.svmc.SpinVectorMonteCarloBackend` and the
+classical :class:`~repro.classical.simulated_annealing.SimulatedAnnealingSolver`
 execute here.  Each family (SA spin flips, SVMC rotor updates) has one
 production kernel — :func:`sa_sweeps_vectorized` and
 :func:`svmc_sweeps_vectorized` — that runs one array program over

@@ -1,8 +1,8 @@
 """The quantum annealer simulator front-end.
 
 :class:`QuantumAnnealerSimulator` exposes an Ocean-SDK-like sampling API on
-top of the schedule definitions, the device model, the (optional) Chimera
-minor embedding, and one of the Monte Carlo physics backends:
+top of the schedule definitions, the device model and the spin-vector Monte
+Carlo physics backend; every problem is sampled on its logical variables:
 
 >>> from repro.annealing import QuantumAnnealerSimulator, reverse_anneal_schedule
 >>> sampler = QuantumAnnealerSimulator(seed=7)
@@ -10,9 +10,10 @@ minor embedding, and one of the Monte Carlo physics backends:
 >>> result = sampler.sample_qubo(qubo, schedule, num_reads=500, initial_state=bits)
 >>> result.first.energy
 
-The paper's three solver flavours map onto the convenience methods
-:meth:`forward_anneal`, :meth:`reverse_anneal` and
-:meth:`forward_reverse_anneal`.
+The paper's three solver flavours are the schedules of
+:func:`forward_anneal_schedule`, :func:`reverse_anneal_schedule` and
+:func:`forward_reverse_anneal_schedule`; :meth:`forward_anneal` and
+:meth:`reverse_anneal` (and their batch forms) build the first two.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ import numpy as np
 
 from repro.annealing.backend import AnnealingBackend
 from repro.annealing.device import DeviceModel
-from repro.annealing.embedding import embed_ising, find_clique_embedding, unembed_sampleset
 from repro.annealing.sampleset import SampleSet
 from repro.annealing.schedule import (
     AnnealSchedule,
     forward_anneal_schedule,
-    forward_reverse_anneal_schedule,
     reverse_anneal_schedule,
 )
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
@@ -62,10 +61,6 @@ class QuantumAnnealerSimulator:
         the simulated 2000Q description.
     backend:
         Physics surrogate; defaults to spin-vector Monte Carlo.
-    use_embedding:
-        When true, problems are minor-embedded onto the device's Chimera graph
-        and samples are unembedded with majority-vote chain-break resolution —
-        slower but faithful to how dense problems run on real hardware.
     seed:
         Seed for the simulator's private random stream (used when a call does
         not pass its own ``rng``).
@@ -75,14 +70,10 @@ class QuantumAnnealerSimulator:
         self,
         device: Optional[DeviceModel] = None,
         backend: Optional[AnnealingBackend] = None,
-        use_embedding: bool = False,
-        lattice_size: Optional[int] = None,
         seed: RandomState = None,
     ) -> None:
         self.device = device if device is not None else DeviceModel()
         self.backend = backend if backend is not None else SpinVectorMonteCarloBackend()
-        self.use_embedding = bool(use_embedding)
-        self.lattice_size = lattice_size
         self._rng = ensure_rng(seed)
 
     # ------------------------------------------------------------------ #
@@ -176,12 +167,10 @@ class QuantumAnnealerSimulator:
     ) -> List[SampleSet]:
         """Sample a batch of independent Ising models along one schedule.
 
-        The logical instances go to the backend's vectorised
+        The instances go to the backend's vectorised
         :meth:`~repro.annealing.backend.AnnealingBackend.run_batch` kernel in
         consecutive chunks of ``max(1, SPIN_READ_BUDGET // (N_max *
-        num_reads))`` instances, ``N_max`` being the batch's widest instance;
-        with ``use_embedding`` each multi-spin instance is instead embedded
-        and annealed on its own.
+        num_reads))`` instances, ``N_max`` being the batch's widest instance.
         """
         if num_reads <= 0:
             raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
@@ -198,37 +187,26 @@ class QuantumAnnealerSimulator:
                     f"supply initial_state/initial_spins (missing for instance {index})"
                 )
 
-        samplesets: List[Optional[SampleSet]] = [None] * len(isings)
-        logical = []
-        for index, ising in enumerate(isings):
-            if self.use_embedding and ising.num_spins > 1:
-                samplesets[index] = self._sample_embedded(
-                    ising, schedule, num_reads, initials[index], children[index]
-                )
-            else:
-                logical.append(index)
-        if logical:
-            widest = max(1, max(isings[index].num_spins for index in logical))
-            chunk_length = max(1, SPIN_READ_BUDGET // (widest * num_reads))
-            for _, chunk in iter_batches(logical, chunk_length):
-                normalised = [self._normalise(isings[index], children[index]) for index in chunk]
-                spins_list = self.backend.run_batch(
-                    fields=[fields for fields, _ in normalised],
-                    couplings=[couplings for _, couplings in normalised],
-                    schedule=schedule,
-                    num_reads=num_reads,
-                    annealing_functions=self.device.annealing,
-                    relative_temperature=self.device.relative_temperature,
-                    initial_spins=[initials[index] for index in chunk],
-                    rng=[self._kernel_rng(children[index]) for index in chunk],
-                )
-                for index, spins in zip(chunk, spins_list):
-                    bits = ((spins + 1) // 2).astype(np.int8)
-                    samplesets[index] = SampleSet.from_arrays(
-                        bits, isings[index].energies(spins), metadata={"embedded": False}
-                    )
-        for sampleset in samplesets:
-            sampleset.metadata.update(self._metadata(schedule, num_reads))
+        samplesets: List[SampleSet] = []
+        widest = max((ising.num_spins for ising in isings), default=0)
+        chunk_length = max(1, SPIN_READ_BUDGET // (max(1, widest) * num_reads))
+        for _, chunk in iter_batches(range(len(isings)), chunk_length):
+            normalised = [self._normalise(isings[index], children[index]) for index in chunk]
+            spins_list = self.backend.run_batch(
+                fields=[fields for fields, _ in normalised],
+                couplings=[couplings for _, couplings in normalised],
+                schedule=schedule,
+                num_reads=num_reads,
+                annealing_functions=self.device.annealing,
+                relative_temperature=self.device.relative_temperature,
+                initial_spins=[initials[index] for index in chunk],
+                rng=[self._kernel_rng(children[index]) for index in chunk],
+            )
+            for index, spins in zip(chunk, spins_list):
+                bits = ((spins + 1) // 2).astype(np.int8)
+                energies = isings[index].energies(spins)
+                metadata = self._metadata(schedule, num_reads)
+                samplesets.append(SampleSet.from_arrays(bits, energies, metadata=metadata))
         return samplesets
 
     def forward_anneal_batch(
@@ -287,22 +265,6 @@ class QuantumAnnealerSimulator:
         schedule = reverse_anneal_schedule(switch_s, pause_duration_us)
         return self.sample_qubo(qubo, schedule, num_reads, initial_state, rng)
 
-    def forward_reverse_anneal(
-        self,
-        qubo: QUBOModel,
-        turning_s: float,
-        switch_s: float,
-        num_reads: int = 100,
-        pause_duration_us: float = 1.0,
-        anneal_time_us: float = 1.0,
-        rng: RandomState = None,
-    ) -> SampleSet:
-        """Single-step forward-reverse annealing (FR)."""
-        schedule = forward_reverse_anneal_schedule(
-            turning_s, switch_s, pause_duration_us, anneal_time_us
-        )
-        return self.sample_qubo(qubo, schedule, num_reads, None, rng)
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
@@ -324,72 +286,6 @@ class QuantumAnnealerSimulator:
         consumer takes from the caller's generator.
         """
         return spawn_rngs(generator, 1)[0]
-
-    def _sample_embedded(
-        self,
-        ising: IsingModel,
-        schedule: AnnealSchedule,
-        num_reads: int,
-        initial_spins: Optional[np.ndarray],
-        generator: np.random.Generator,
-    ) -> SampleSet:
-        embedding = find_clique_embedding(ising.num_spins, self.lattice_size)
-        fields, couplings = self._normalise(ising, generator)
-        logical = IsingModel(fields=fields, couplings=couplings)
-        physical_fields, physical_couplings, chain_strength = embed_ising(logical, embedding)
-
-        used_qubits = sorted({qubit for chain in embedding.chains for qubit in chain})
-        position = {qubit: index for index, qubit in enumerate(used_qubits)}
-        dense_fields = np.zeros(len(used_qubits))
-        dense_couplings = np.zeros((len(used_qubits), len(used_qubits)))
-        for qubit, value in physical_fields.items():
-            dense_fields[position[qubit]] = value
-        for (qubit_a, qubit_b), value in physical_couplings.items():
-            low, high = sorted((position[qubit_a], position[qubit_b]))
-            dense_couplings[low, high] += value
-
-        physical_initial = None
-        if initial_spins is not None:
-            initial_spins = np.asarray(initial_spins, dtype=np.int8)
-            if initial_spins.ndim != 1:
-                raise ConfigurationError(
-                    "embedded sampling supports a single shared initial state"
-                )
-            physical_initial = np.zeros(len(used_qubits), dtype=np.int8)
-            for logical_index, chain in enumerate(embedding.chains):
-                for qubit in chain:
-                    physical_initial[position[qubit]] = initial_spins[logical_index]
-
-        # Re-normalise the embedded problem (chain couplings may exceed range).
-        max_abs = max(
-            float(np.max(np.abs(dense_fields))) if dense_fields.size else 0.0,
-            float(np.max(np.abs(dense_couplings))) if dense_couplings.size else 0.0,
-            1e-12,
-        )
-        spins = self.backend.run(
-            fields=dense_fields / max_abs,
-            couplings=dense_couplings / max_abs,
-            schedule=schedule,
-            num_reads=num_reads,
-            annealing_functions=self.device.annealing,
-            relative_temperature=self.device.relative_temperature,
-            initial_spins=physical_initial,
-            rng=self._kernel_rng(generator),
-        )
-        physical_samples = [
-            {qubit: int(spins[read, position[qubit]]) for qubit in used_qubits}
-            for read in range(num_reads)
-        ]
-        # Energies are re-evaluated on the *unnormalised* logical model so the
-        # caller sees energies in their own units.  Chain-break tie resolution
-        # draws from its own spawned child for the same reason the kernel
-        # does: its consumption scales with num_reads.
-        sampleset = unembed_sampleset(
-            physical_samples, embedding, ising, self._kernel_rng(generator)
-        )
-        sampleset.metadata["chain_strength"] = chain_strength
-        sampleset.metadata["max_chain_length"] = embedding.max_chain_length
-        return sampleset
 
     def _metadata(self, schedule: AnnealSchedule, num_reads: int) -> Dict:
         return {

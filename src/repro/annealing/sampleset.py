@@ -301,23 +301,6 @@ class SampleSet:
             raise ValueError("cannot compute the expectation of an empty sample set")
         return float(np.average(self._energies, weights=self._occurrences))
 
-    def truncate(self, max_records: int) -> "SampleSet":
-        """Keep only the ``max_records`` lowest-energy records."""
-        keep = slice(None, max_records)
-        return SampleSet._from_columns(
-            self._assignments[keep],
-            self._energies[keep],
-            self._occurrences[keep],
-            self._chain_breaks[keep],
-            self.metadata,
-        )
-
-    def merge(self, other: "SampleSet") -> "SampleSet":
-        """Combine two sample sets (metadata of ``self`` wins on conflicts)."""
-        metadata = dict(other.metadata)
-        metadata.update(self.metadata)
-        return SampleSet(self.records + other.records, metadata)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if not len(self):
             return "SampleSet(empty)"

@@ -121,11 +121,6 @@ class AnnealSchedule:
         return self.initial_s == 1.0
 
     @property
-    def minimum_s(self) -> float:
-        """The lowest anneal fraction reached (depth of quantum fluctuations)."""
-        return min(point.s for point in self.points)
-
-    @property
     def pause_duration_us(self) -> float:
         """Total time spent in segments where s stays constant."""
         total = 0.0
@@ -148,7 +143,7 @@ class AnnealSchedule:
         """Sample the schedule at ``num_steps`` evenly spaced times.
 
         Returns an array of shape (num_steps, 2) with columns (time_us, s);
-        the simulator backends run one Monte Carlo sweep per step.
+        the simulator backend runs one Monte Carlo sweep per step.
         """
         if num_steps < 2:
             raise ScheduleError(f"num_steps must be at least 2, got {num_steps}")

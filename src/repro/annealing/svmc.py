@@ -19,16 +19,17 @@ dynamics entirely.
 
 Paper linkage
 -------------
-SVMC is the higher-fidelity of the two device surrogates and the default
-backend of :class:`repro.annealing.QuantumAnnealerSimulator`.  It models the
+SVMC is the device surrogate behind every study and the default backend of
+:class:`repro.annealing.QuantumAnnealerSimulator`.  It models the
 transverse-field mechanism behind the paper's Figure 5 schedules and the
 Figure 6/8 reverse-annealing band structure (success over a window of
-``s_p``, collapse on both sides).  Like the schedule-driven backend it
-implements the batched engine contract: both entry points advance through
+``s_p``, collapse on both sides).  It implements the batched engine
+contract: :meth:`~SpinVectorMonteCarloBackend.run_batch` advances through
 the replica-parallel rotor kernels of :mod:`repro.annealing.kernels` — one
 array program over ``(batch, spins, reads)`` per sweep — with per-instance
-child generators so batched and sequential results are bitwise-identical
-and independent of batch grouping (see ``docs/kernels.md``).
+child generators so results are bitwise-identical whatever the batch
+grouping, and :meth:`~SpinVectorMonteCarloBackend.run` is that call on a
+batch of one (see ``docs/kernels.md``).
 """
 
 from __future__ import annotations
@@ -127,11 +128,12 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         initial_spins: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """Run the SVMC dynamics along the schedule; see the backend interface.
+        """Run ``num_reads`` anneals of one Ising problem: :meth:`run_batch` at B = 1.
 
-        Implemented as a batch of one: the same rotor kernel serves both entry
-        points, so a single run is bitwise-identical to the corresponding lane
-        of any batched run seeded with the same generator.
+        ``fields``/``couplings`` are one instance's normalised coefficients
+        and ``initial_spins`` its optional initial state; returns the
+        ``(num_reads, num_spins)`` final spins, bitwise-identical to the
+        corresponding lane of any batched run seeded with the same generator.
         """
         generator = ensure_rng(rng)
         return self.run_batch(

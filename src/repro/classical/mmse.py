@@ -64,19 +64,3 @@ class MMSEDetector(MIMODetector):
 
         soft_symbols = filter_matrix @ instance.received
         return ZeroForcingDetector.quantise(instance, soft_symbols)
-
-    def soft_estimate(
-        self, instance: MIMOInstance, noise_variance: Optional[float] = None
-    ) -> np.ndarray:
-        """Return the unquantised MMSE symbol estimates."""
-        variance = noise_variance if noise_variance is not None else (self.noise_variance or 0.0)
-        channel = instance.channel_matrix
-        num_users = channel.shape[1]
-        gram = np.conjugate(channel.T) @ channel
-        signal_energy = instance.modulation_scheme.average_energy()
-        regulariser = (variance / signal_energy) * np.eye(num_users)
-        try:
-            filter_matrix = np.linalg.solve(gram + regulariser, np.conjugate(channel.T))
-        except np.linalg.LinAlgError:
-            filter_matrix = np.linalg.pinv(channel)
-        return filter_matrix @ instance.received

@@ -4,10 +4,10 @@ Simulated annealing (SA) is the conventional classical baseline for
 QUBO/Ising heuristics and one of the "classical approximate solvers" the
 paper's conclusion lists as candidates for richer hybrid designs.  The solver
 converts each QUBO to Ising form and runs the shared replica-parallel
-single-flip Metropolis kernel of :mod:`repro.annealing.kernels` — the same
-array program that powers the anneal backends — under a geometric temperature
-schedule, tracking the best state seen over all sweeps with exact incremental
-energy bookkeeping.
+single-flip Metropolis kernel of :mod:`repro.annealing.kernels` (the
+module whose rotor kernel powers the anneal backend) under a geometric
+temperature schedule, tracking the best state seen over all sweeps with exact
+incremental energy bookkeeping.
 
 Both the single-instance :meth:`SimulatedAnnealingSolver.solve` and the
 batched :meth:`SimulatedAnnealingSolver.solve_batch` run the same kernel: the

@@ -166,9 +166,3 @@ class FixedComplexitySphereDecoder(MIMODetector):
 
         best = min(paths, key=lambda item: item.metric)
         return np.asarray(best.symbols, dtype=complex)
-
-    def candidate_count(self, instance: MIMOInstance) -> int:
-        """Number of leaf candidates the decoder evaluates for this instance."""
-        order = instance.modulation_scheme.order
-        full_levels = min(self.full_expansion_levels, instance.num_users)
-        return order ** full_levels

@@ -39,11 +39,6 @@ class ZeroForcingDetector(MIMODetector):
         soft_symbols = pseudo_inverse @ instance.received
         return self.quantise(instance, soft_symbols)
 
-    def soft_estimate(self, instance: MIMOInstance) -> np.ndarray:
-        """Return the unquantised equalised symbols (useful for soft information)."""
-        pseudo_inverse = np.linalg.pinv(instance.channel_matrix)
-        return pseudo_inverse @ instance.received
-
     @staticmethod
     def quantise(instance: MIMOInstance, soft_symbols: np.ndarray) -> np.ndarray:
         """Quantise soft symbol estimates to the nearest constellation points."""

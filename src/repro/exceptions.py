@@ -14,7 +14,6 @@ __all__ = [
     "DimensionError",
     "ModulationError",
     "ScheduleError",
-    "EmbeddingError",
     "SolverError",
     "TransformError",
     "PipelineError",
@@ -39,10 +38,6 @@ class ModulationError(ReproError):
 
 class ScheduleError(ReproError):
     """An annealing schedule is malformed (non-monotone time, s out of range)."""
-
-
-class EmbeddingError(ReproError):
-    """A minor embedding could not be found or is invalid for the topology."""
 
 
 class SolverError(ReproError):

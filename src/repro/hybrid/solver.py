@@ -76,11 +76,6 @@ class HybridSolverResult:
         """Classical plus quantum processing time."""
         return self.classical_time_us + self.quantum_time_us
 
-    @property
-    def improved_over_initial(self) -> bool:
-        """Whether reverse annealing improved on the classical candidate."""
-        return self.best_energy < self.initial_solution.energy - 1e-12
-
 
 class HybridQuboSolver:
     """Classical initialisation followed by reverse annealing.

@@ -147,11 +147,6 @@ class HotspotDetector:
         """Currently raised (localised) hotspot cells, sorted."""
         return tuple(sorted(self._hot))
 
-    @property
-    def windows_seen(self) -> int:
-        """Number of observed KPI windows."""
-        return self._windows_seen
-
     def z_score(self, cell_id: int) -> float:
         """The most recent window's z-score for ``cell_id``."""
         if not 0 <= cell_id < self.num_cells:

@@ -203,18 +203,6 @@ class NetworkTopology:
         position = int(rng.integers(0, max(len(neighbours), 1)))
         return neighbours[position] if neighbours else cell_id
 
-    def distance(self, first: int, second: int) -> float:
-        """Euclidean centre distance between two cells.
-
-        On a line layout this equals ``abs(first - second)`` *exactly*
-        (``math.hypot`` of a zero second component is the absolute value),
-        which is what keeps position-based phase arithmetic bitwise-equal to
-        the legacy index arithmetic.
-        """
-        ax, ay = self.position(first)
-        bx, by = self.position(second)
-        return math.hypot(bx - ax, by - ay)
-
     def _check_cell(self, cell_id: int) -> None:
         if not 0 <= cell_id < len(self.cells):
             raise ConfigurationError(

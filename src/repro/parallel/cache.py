@@ -269,22 +269,3 @@ class ResultCache:
         if not self.root.exists():
             return 0
         return sum(1 for _ in self.root.glob("*/*.pkl"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for entry in self.root.glob("*/*.pkl"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss/eviction counters (entries on disk are untouched)."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0

@@ -14,7 +14,7 @@ hypothesis against the inverse conversion in ``tests/qubo_fixtures.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,24 +86,6 @@ class IsingModel:
             )
         quadratic = np.einsum("bi,ij,bj->b", batch, self.couplings, batch)
         return batch @ self.fields + quadratic + self.offset
-
-    def coupling(self, i: int, j: int) -> float:
-        """Coupling J_ij (order-insensitive, 0 if absent)."""
-        if i == j:
-            raise ValueError("Ising couplings are defined for distinct spins only")
-        low, high = (i, j) if i < j else (j, i)
-        return float(self.couplings[low, high])
-
-    def neighbourhood(self, index: int) -> Dict[int, float]:
-        """Nonzero couplings touching spin ``index``."""
-        result: Dict[int, float] = {}
-        for j in range(self.num_spins):
-            if j == index:
-                continue
-            value = self.coupling(index, j)
-            if value != 0.0:
-                result[j] = value
-        return result
 
     def max_abs_coefficient(self) -> float:
         """Largest absolute field or coupling (used for hardware rescaling)."""

@@ -8,14 +8,14 @@ A QUBO instance is an upper-triangular real matrix ``Q``; the objective is
 upper-triangular convention (symmetric or lower-triangular input is folded
 upward), evaluates energies for single assignments and batches, and supports
 the algebraic operations the rest of the library needs: fixing variables,
-adding constraint terms, relabelling, and conversion to the Ising form
+adding constraint terms, scaling, and conversion to the Ising form
 (through :mod:`repro.qubo.ising`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -76,32 +76,6 @@ class QUBOModel:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_dict(
-        cls,
-        linear: Mapping[int, float],
-        quadratic: Mapping[Tuple[int, int], float],
-        num_variables: Optional[int] = None,
-        offset: float = 0.0,
-    ) -> "QUBOModel":
-        """Build a model from sparse linear/quadratic coefficient mappings."""
-        indices = set(linear)
-        for i, j in quadratic:
-            indices.add(i)
-            indices.add(j)
-        size = num_variables if num_variables is not None else (max(indices) + 1 if indices else 0)
-        matrix = np.zeros((size, size), dtype=float)
-        for i, value in linear.items():
-            matrix[i, i] += value
-        for (i, j), value in quadratic.items():
-            if i == j:
-                matrix[i, i] += value
-            elif i < j:
-                matrix[i, j] += value
-            else:
-                matrix[j, i] += value
-        return cls(coefficients=matrix, offset=offset)
-
-    @classmethod
     def empty(cls, num_variables: int) -> "QUBOModel":
         """An all-zero QUBO on ``num_variables`` variables."""
         return cls(coefficients=np.zeros((num_variables, num_variables)))
@@ -129,24 +103,6 @@ class QUBOModel:
             couplings[(i, j)] = float(self.coefficients[i, j])
         return couplings
 
-    def coupling(self, i: int, j: int) -> float:
-        """Coefficient of the ``q_i q_j`` term (order-insensitive)."""
-        if i == j:
-            return float(self.coefficients[i, i])
-        low, high = (i, j) if i < j else (j, i)
-        return float(self.coefficients[low, high])
-
-    def neighbourhood(self, index: int) -> Dict[int, float]:
-        """Nonzero couplings touching variable ``index`` (excluding its linear term)."""
-        result: Dict[int, float] = {}
-        for j in range(self.num_variables):
-            if j == index:
-                continue
-            value = self.coupling(index, j)
-            if value != 0.0:
-                result[j] = value
-        return result
-
     def density(self) -> float:
         """Fraction of possible off-diagonal couplings that are nonzero."""
         n = self.num_variables
@@ -156,7 +112,7 @@ class QUBOModel:
         return len(self.quadratic) / possible
 
     def max_abs_coefficient(self) -> float:
-        """Largest absolute coefficient (used for auto-scaling chain strength)."""
+        """Largest absolute coefficient (sets the classical SA solver's start temperature)."""
         if self.num_variables == 0:
             return 0.0
         return float(np.max(np.abs(self.coefficients)))
@@ -182,24 +138,6 @@ class QUBOModel:
                 f"assignments have {batch.shape[1]} columns, expected {self.num_variables}"
             )
         return np.einsum("bi,ij,bj->b", batch, self.coefficients, batch) + self.offset
-
-    def energy_delta_flip(self, assignment: np.ndarray, index: int) -> float:
-        """Energy change from flipping variable ``index`` in ``assignment``.
-
-        Costs one row and one column product instead of two full energy
-        evaluations.
-        """
-        vector = np.asarray(assignment, dtype=float).ravel()
-        if not 0 <= index < self.num_variables:
-            raise IndexError(f"variable index {index} out of range")
-        current = vector[index]
-        new = 1.0 - current
-        row = self.coefficients[index, :]
-        col = self.coefficients[:, index]
-        interaction = row @ vector + col @ vector - 2 * self.coefficients[index, index] * current
-        linear = self.coefficients[index, index]
-        delta_from_zero_to_one = linear + interaction
-        return float(delta_from_zero_to_one if new == 1.0 else -delta_from_zero_to_one)
 
     # ------------------------------------------------------------------ #
     # Algebra
@@ -263,21 +201,6 @@ class QUBOModel:
 
         names = tuple(self.variable_names[i] for i in keep)
         return QUBOModel(coefficients=new_matrix, offset=new_offset, variable_names=names)
-
-    def relabel(self, names: Sequence[str]) -> "QUBOModel":
-        """Return a copy with new variable names."""
-        return QUBOModel(
-            coefficients=self.coefficients.copy(),
-            offset=self.offset,
-            variable_names=tuple(names),
-        )
-
-    def subqubo(self, indices: Iterable[int]) -> "QUBOModel":
-        """Restriction of the model to a subset of variables (others dropped)."""
-        index_list = list(indices)
-        matrix = self.coefficients[np.ix_(index_list, index_list)]
-        names = tuple(self.variable_names[i] for i in index_list)
-        return QUBOModel(coefficients=matrix, offset=self.offset, variable_names=names)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QUBOModel):

@@ -70,36 +70,6 @@ class PreprocessingReport:
         """Whether at least one variable could be fixed."""
         return self.num_fixed > 0
 
-    @property
-    def reduction_ratio(self) -> float:
-        """Fraction of variables removed (0 when the model was empty)."""
-        if self.original_num_variables == 0:
-            return 0.0
-        return self.num_fixed / self.original_num_variables
-
-    def lift_assignment(self, reduced_assignment: np.ndarray) -> np.ndarray:
-        """Combine a solution of the reduced QUBO with the fixed variables.
-
-        Returns a full-length assignment over the original variable indices.
-        """
-        reduced_assignment = np.asarray(reduced_assignment, dtype=int).ravel()
-        remaining = [
-            index
-            for index in range(self.original_num_variables)
-            if index not in self.fixed_assignments
-        ]
-        if reduced_assignment.size != len(remaining):
-            raise ValueError(
-                f"reduced assignment has {reduced_assignment.size} entries, "
-                f"expected {len(remaining)}"
-            )
-        full = np.zeros(self.original_num_variables, dtype=np.int8)
-        for index, value in self.fixed_assignments.items():
-            full[index] = value
-        for position, index in enumerate(remaining):
-            full[index] = reduced_assignment[position]
-        return full
-
 
 def find_fixable_variables(qubo: QUBOModel) -> Dict[int, int]:
     """One pass of the prefixing rules; returns {variable index: fixed value}.

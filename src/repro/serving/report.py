@@ -56,11 +56,6 @@ class JobOutcome:
         """Arrival-to-completion turnaround."""
         return self.finish_us - self.arrival_us
 
-    @property
-    def queueing_us(self) -> float:
-        """Time spent waiting before service began."""
-        return self.start_us - self.arrival_us
-
 
 @dataclass(frozen=True)
 class BackendUtilization:

@@ -119,9 +119,7 @@ def resolve_policy(policy: Union[str, SchedulingPolicy]) -> SchedulingPolicy:
 
 def _batch_key(job: ServingJob, class_aware: bool) -> Tuple:
     """The coalescing key: class-extended by default, shape-only when blind."""
-    if class_aware:
-        return job.compat_key
-    return getattr(job, "shape_key", job.compat_key)
+    return job.compat_key if class_aware else job.shape_key
 
 
 def select_batch(

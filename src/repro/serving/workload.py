@@ -170,11 +170,6 @@ class ServingJob:
         """Absolute deadline, or ``None`` for best-effort jobs."""
         return self.channel_use.deadline_us
 
-    @property
-    def has_deadline(self) -> bool:
-        """Whether the job carries a deadline."""
-        return self.channel_use.has_deadline
-
     @functools.cached_property
     def num_variables(self) -> int:
         """QUBO size of the detection problem."""

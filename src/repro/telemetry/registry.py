@@ -84,9 +84,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """A fixed-bucket histogram with Prometheus ``le`` (≤ edge) semantics.

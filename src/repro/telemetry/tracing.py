@@ -176,9 +176,5 @@ class Tracer:
 
     # ------------------------------------------------------------------ #
 
-    def spans_named(self, name: str) -> List[Span]:
-        """Every buffered record with the given name, in recording order."""
-        return [span for span in self.records if span.name == name]
-
     def __len__(self) -> int:
         return len(self.records)

@@ -18,7 +18,6 @@ from repro.transform.symbol_mapping import (
     transform_bits_to_amplitude,
     amplitude_to_transform_bits,
     transform_bits_to_gray_bits,
-    gray_bits_to_transform_bits,
 )
 from repro.transform.mimo_to_qubo import (
     MIMOQuboEncoding,
@@ -30,7 +29,6 @@ __all__ = [
     "transform_bits_to_amplitude",
     "amplitude_to_transform_bits",
     "transform_bits_to_gray_bits",
-    "gray_bits_to_transform_bits",
     "MIMOQuboEncoding",
     "mimo_to_qubo",
 ]

@@ -133,22 +133,6 @@ class MIMOQuboEncoding:
             payload.extend(mapping.gray_payload_bits(bits))
         return np.asarray(payload, dtype=np.int8)
 
-    def bits_from_payload(self, payload_bits: Sequence[int]) -> np.ndarray:
-        """QUBO bitstring corresponding to Gray-coded payload bits."""
-        payload_bits = np.asarray(payload_bits, dtype=int).ravel()
-        expected = sum(mapping.bits_per_symbol for mapping in self.mappings)
-        if payload_bits.size != expected:
-            raise TransformError(
-                f"expected {expected} payload bits, got {payload_bits.size}"
-            )
-        bits: List[int] = []
-        cursor = 0
-        for mapping in self.mappings:
-            chunk = payload_bits[cursor : cursor + mapping.bits_per_symbol]
-            bits.extend(mapping.transform_bits_from_payload(chunk.tolist()))
-            cursor += mapping.bits_per_symbol
-        return np.asarray(bits, dtype=np.int8)
-
     def ml_objective(self, qubo_bits: Sequence[int]) -> float:
         """Exact ML objective ``||y - H x(q)||^2`` of a QUBO bitstring."""
         return self.qubo.energy(qubo_bits) + self.constant

@@ -24,7 +24,6 @@ from repro.exceptions import TransformError
 from repro.wireless.modulation import (
     Modulation,
     gray_code,
-    gray_decode,
     int_to_bits,
     bits_to_int,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "transform_bits_to_amplitude",
     "amplitude_to_transform_bits",
     "transform_bits_to_gray_bits",
-    "gray_bits_to_transform_bits",
 ]
 
 
@@ -75,13 +73,6 @@ def transform_bits_to_gray_bits(bits: Sequence[int]) -> Tuple[int, ...]:
     width = len(list(bits))
     natural = bits_to_int(bits)
     return int_to_bits(gray_code(natural), width)
-
-
-def gray_bits_to_transform_bits(bits: Sequence[int]) -> Tuple[int, ...]:
-    """Convert Gray-coded payload bits into the transform bits of that dimension."""
-    width = len(list(bits))
-    label = bits_to_int(bits)
-    return int_to_bits(gray_decode(label), width)
 
 
 @dataclass(frozen=True)
@@ -170,17 +161,3 @@ class SymbolBitMapping:
             quadrature_bits = [int(qubo_bits[i]) for i in self.quadrature_indices]
             payload.extend(transform_bits_to_gray_bits(quadrature_bits))
         return tuple(payload)
-
-    def transform_bits_from_payload(self, payload_bits: Sequence[int]) -> Tuple[int, ...]:
-        """Invert :meth:`gray_payload_bits` for one user's payload bits."""
-        payload_bits = list(payload_bits)
-        if len(payload_bits) != self.bits_per_symbol:
-            raise TransformError(
-                f"expected {self.bits_per_symbol} payload bits, got {len(payload_bits)}"
-            )
-        if self.modulation.name == "BPSK":
-            return gray_bits_to_transform_bits(payload_bits)
-        half = self.bits_per_symbol // 2
-        in_phase = gray_bits_to_transform_bits(payload_bits[:half])
-        quadrature = gray_bits_to_transform_bits(payload_bits[half:])
-        return in_phase + quadrature

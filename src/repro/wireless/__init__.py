@@ -20,7 +20,6 @@ from repro.wireless.modulation import (
     Modulation,
     get_modulation,
     gray_code,
-    gray_decode,
 )
 from repro.wireless.channel import (
     ChannelModel,
@@ -52,7 +51,6 @@ __all__ = [
     "Modulation",
     "get_modulation",
     "gray_code",
-    "gray_decode",
     "ChannelModel",
     "UnitGainRandomPhaseChannel",
     "RayleighFadingChannel",

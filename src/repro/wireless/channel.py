@@ -40,19 +40,6 @@ class ChannelModel(abc.ABC):
     ) -> np.ndarray:
         """Draw one channel realisation of shape (receive, transmit)."""
 
-    def sample_many(
-        self,
-        count: int,
-        receive_antennas: int,
-        transmit_antennas: int,
-        rng: RandomState = None,
-    ) -> np.ndarray:
-        """Draw ``count`` independent realisations, stacked on axis 0."""
-        generator = ensure_rng(rng)
-        return np.stack(
-            [self.sample(receive_antennas, transmit_antennas, generator) for _ in range(count)]
-        )
-
 
 class UnitGainRandomPhaseChannel(ChannelModel):
     """The paper's channel: every entry has unit magnitude and uniform phase.

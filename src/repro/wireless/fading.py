@@ -23,7 +23,7 @@ ideal models in :mod:`repro.wireless.channel`:
 * **Inter-cell interference** — a per-receive-antenna Gaussian interference
   floor (the standard many-interferer approximation) whose power the serving
   layer couples to per-cell load factors and scenario timelines
-  (:meth:`ChannelImpairments.interference_for_load`).
+  (:meth:`ChannelImpairments.neighbour_load_scale`).
 
 Everything is driven by one frozen :class:`ChannelImpairments` configuration
 whose default is the *identity*: zero correlation, no Doppler evolution,
@@ -388,17 +388,6 @@ class ChannelImpairments:
         if not others:
             return 0.0
         return float(np.mean(others))
-
-    def interference_for_load(
-        self,
-        own_cell: int,
-        cell_load_factors: Sequence[float],
-        neighbours: Optional[Sequence[int]] = None,
-    ) -> float:
-        """Interference power seen by ``own_cell`` under per-cell load."""
-        return self.interference_power * self.neighbour_load_scale(
-            own_cell, cell_load_factors, neighbours
-        )
 
 
 # --------------------------------------------------------------------- #

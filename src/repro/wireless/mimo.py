@@ -192,13 +192,6 @@ class MIMOTransmission:
     interference_power: float = 0.0
 
     @property
-    def actual_channel(self) -> np.ndarray:
-        """The channel the symbols really traversed (estimate if CSI is perfect)."""
-        if self.true_channel is not None:
-            return self.true_channel
-        return self.instance.channel_matrix
-
-    @property
     def has_perfect_csi(self) -> bool:
         """Whether the receiver's channel matrix equals the true channel."""
         return self.true_channel is None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "Modulation",
     "get_modulation",
     "gray_code",
-    "gray_decode",
     "bits_to_int",
     "int_to_bits",
 ]
@@ -50,17 +49,6 @@ def gray_code(value: int) -> int:
     if value < 0:
         raise ValueError(f"value must be non-negative, got {value}")
     return value ^ (value >> 1)
-
-
-def gray_decode(code: int) -> int:
-    """Invert :func:`gray_code`."""
-    if code < 0:
-        raise ValueError(f"code must be non-negative, got {code}")
-    value = 0
-    while code:
-        value ^= code
-        code >>= 1
-    return value
 
 
 def bits_to_int(bits: Sequence[int]) -> int:
@@ -157,14 +145,6 @@ class Modulation:
         raw, _ = _build_constellation(self.name, self.bits_per_symbol, normalized=False)
         return float(np.mean(np.abs(raw) ** 2))
 
-    @property
-    def amplitude_levels(self) -> np.ndarray:
-        """Per-dimension amplitude levels (scaled), sorted ascending."""
-        if self.name == "BPSK":
-            return np.array([-1.0, 1.0]) * self.scale
-        count = 1 << self.bits_per_dimension
-        return (np.arange(count) * 2.0 - (count - 1)) * self.scale
-
     # ------------------------------------------------------------------ #
     # Bit <-> symbol mapping
     # ------------------------------------------------------------------ #
@@ -186,56 +166,6 @@ class Modulation:
         indices = np.array([bits_to_int(group) for group in groups], dtype=int)
         return self._points[indices]
 
-    def modulate_indices(self, indices: Sequence[int]) -> np.ndarray:
-        """Map symbol indices (bit-label integers) to constellation points."""
-        indices = np.asarray(indices, dtype=int).ravel()
-        if indices.size and (indices.min() < 0 or indices.max() >= self.order):
-            raise ModulationError(
-                f"symbol indices must lie in [0, {self.order - 1}] for {self.name}"
-            )
-        return self._points[indices]
-
-    def demodulate_hard(self, symbols: Sequence[complex]) -> np.ndarray:
-        """Nearest-point hard demodulation; returns the bit sequence."""
-        symbols = np.asarray(symbols, dtype=complex).ravel()
-        bits: List[int] = []
-        for symbol in symbols:
-            index = int(np.argmin(np.abs(self._points - symbol)))
-            bits.extend(int_to_bits(index, self.bits_per_symbol))
-        return np.asarray(bits, dtype=int)
-
-    def symbol_index(self, symbol: complex, tolerance: float = 1e-9) -> int:
-        """Return the index of an exact constellation point.
-
-        Raises :class:`ModulationError` if ``symbol`` is not (within
-        ``tolerance``) a constellation point — use :meth:`nearest_index` for
-        noisy inputs.
-        """
-        distances = np.abs(self._points - symbol)
-        index = int(np.argmin(distances))
-        if distances[index] > tolerance:
-            raise ModulationError(
-                f"{symbol!r} is not a {self.name} constellation point"
-            )
-        return index
-
-    def nearest_index(self, symbol: complex) -> int:
-        """Index of the constellation point closest to ``symbol``."""
-        return int(np.argmin(np.abs(self._points - symbol)))
-
-    def bits_for_index(self, index: int) -> Tuple[int, ...]:
-        """Bit label (MSB first) of a symbol index."""
-        if not 0 <= index < self.order:
-            raise ModulationError(
-                f"symbol index {index} out of range for {self.name}"
-            )
-        return int_to_bits(index, self.bits_per_symbol)
-
-    def random_symbols(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` uniformly random constellation symbols."""
-        indices = rng.integers(0, self.order, size=count)
-        return self._points[indices]
-
     def random_bits(self, symbol_count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw a random bit sequence for ``symbol_count`` symbols."""
         return rng.integers(0, 2, size=symbol_count * self.bits_per_symbol)
@@ -243,13 +173,6 @@ class Modulation:
     def average_energy(self) -> float:
         """Mean squared magnitude of the constellation."""
         return float(np.mean(np.abs(self._points) ** 2))
-
-    def minimum_distance(self) -> float:
-        """Minimum Euclidean distance between distinct constellation points."""
-        points = self._points
-        distances = np.abs(points[:, None] - points[None, :])
-        distances[np.diag_indices_from(distances)] = np.inf
-        return float(distances.min())
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name

@@ -271,11 +271,6 @@ class ChannelUse:
         return self.payload.config
 
     @property
-    def has_deadline(self) -> bool:
-        """Whether this channel use carries a turnaround deadline."""
-        return self.deadline_us is not None
-
-    @property
     def qubo_variable_count(self) -> int:
         """QUBO size of this channel use's detection problem."""
         return self.payload.config.qubo_variable_count
@@ -404,11 +399,6 @@ class TrafficGenerator:
             impairments if impairments is not None and not impairments.is_identity else None
         )
         self._fading_base = channel_model
-
-    @property
-    def is_heterogeneous(self) -> bool:
-        """Whether the stream mixes more than one link configuration."""
-        return len(self.configs) > 1
 
     def generate(self, count: int, rng: RandomState = None) -> List[ChannelUse]:
         """Materialise ``count`` channel uses as a list."""
@@ -560,21 +550,3 @@ class TrafficGenerator:
         if self.arrival_process == "deterministic":
             return self.symbol_period_us
         return float(rng.exponential(self.symbol_period_us))
-
-    @property
-    def nominal_rate_per_us(self) -> float:
-        """Nominal arrival rate (jobs per microsecond) at intensity 1.0.
-
-        The aggregate-traffic layer (:mod:`repro.network.aggregate`) sums
-        this over a cell's population to size the cell's Poisson counters.
-        """
-        return 1.0 / self.symbol_period_us
-
-    def offered_load_bits_per_us(self) -> float:
-        """Average offered payload load in bits per microsecond.
-
-        For a heterogeneous mix this is the mean over the mix (exact for the
-        cyclic mix, the expectation for the random mix).
-        """
-        mean_bits = float(np.mean([config.bits_per_channel_use for config in self.configs]))
-        return mean_bits / self.symbol_period_us

@@ -18,7 +18,6 @@ import dataclasses
 import numpy as np
 
 from repro.annealing.device import DeviceModel
-from repro.annealing.sa_backend import ScheduleDrivenAnnealingBackend
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
@@ -132,25 +131,6 @@ def _sampler_cases() -> list:
         )
     )
     rows.append(("reverse_anneal", sampler.reverse_anneal(qubo, start, 0.3, 12, rng=14)))
-
-    embedded = QuantumAnnealerSimulator(
-        backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8.0),
-        use_embedding=True,
-        seed=7,
-    )
-    small, small_start = _qubo(2, 3)
-    single, _ = _qubo(3, 1)
-    rows.append(("sample_qubo/embedded", embedded.sample_qubo(small, forward, 10, rng=15)))
-    # A one-variable problem takes the logical route even when embedding.
-    rows.append(("sample_qubo/embedded/one_variable", embedded.sample_qubo(single, forward, 10)))
-    batch = embedded.sample_qubo_batch(
-        [small, single, qubo],
-        reverse,
-        10,
-        initial_states=[small_start, [1], start],
-        rng=16,
-    )
-    rows.extend((f"sample_qubo_batch/embedded/{index}", s) for index, s in enumerate(batch))
     return [{"case": case, "result": _sampleset(sampleset)} for case, sampleset in rows]
 
 

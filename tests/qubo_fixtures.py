@@ -9,7 +9,10 @@ No study needs these, so they live beside the tests that use them:
 * :func:`random_ising` draws a structure-free spin glass;
 * :func:`planted_solution_qubo` builds a QUBO whose unique ground state is
   known by construction, which verifies samplers and solvers without
-  exhaustive search.
+  exhaustive search;
+* :func:`lift_assignment` rebuilds a full assignment from a solution of a
+  :func:`repro.qubo.preprocessing.simplify_qubo` reduction, the oracle that
+  checks preprocessing never raises the minimum.
 """
 
 from typing import Sequence
@@ -19,9 +22,16 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.qubo.ising import IsingModel, bits_to_spins
 from repro.qubo.model import QUBOModel
+from repro.qubo.preprocessing import PreprocessingReport
 from repro.utils.rng import RandomState, ensure_rng
 
-__all__ = ["spins_to_bits", "ising_to_qubo", "random_ising", "planted_solution_qubo"]
+__all__ = [
+    "spins_to_bits",
+    "ising_to_qubo",
+    "random_ising",
+    "planted_solution_qubo",
+    "lift_assignment",
+]
 
 
 def spins_to_bits(spins: Sequence[int]) -> np.ndarray:
@@ -125,3 +135,27 @@ def planted_solution_qubo(
     ising = IsingModel(fields=fields, couplings=couplings)
     qubo = ising_to_qubo(ising)
     return qubo
+
+
+def lift_assignment(report: PreprocessingReport, reduced_assignment: np.ndarray) -> np.ndarray:
+    """Combine a solution of the reduced QUBO with the fixed variables.
+
+    Returns a full-length assignment over the original variable indices.
+    """
+    reduced_assignment = np.asarray(reduced_assignment, dtype=int).ravel()
+    remaining = [
+        index
+        for index in range(report.original_num_variables)
+        if index not in report.fixed_assignments
+    ]
+    if reduced_assignment.size != len(remaining):
+        raise ValueError(
+            f"reduced assignment has {reduced_assignment.size} entries, "
+            f"expected {len(remaining)}"
+        )
+    full = np.zeros(report.original_num_variables, dtype=np.int8)
+    for index, value in report.fixed_assignments.items():
+        full[index] = value
+    for position, index in enumerate(remaining):
+        full[index] = reduced_assignment[position]
+    return full

@@ -1,4 +1,4 @@
-"""Tests for the SVMC and schedule-driven annealing backends."""
+"""Tests for the SVMC annealing backend and the shared backend helpers."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.annealing.backend import (
     schedule_scales,
 )
 from repro.annealing.device import AnnealingFunctions
-from repro.annealing.sa_backend import ScheduleDrivenAnnealingBackend
 from repro.annealing.schedule import (
     forward_anneal_schedule,
     forward_reverse_anneal_schedule,
@@ -20,7 +19,7 @@ from repro.exceptions import ConfigurationError
 from repro.qubo.ising import qubo_to_ising, bits_to_spins
 from tests.qubo_fixtures import planted_solution_qubo, spins_to_bits
 
-BACKENDS = [SpinVectorMonteCarloBackend, ScheduleDrivenAnnealingBackend]
+BACKENDS = [SpinVectorMonteCarloBackend]
 
 
 def _planted_problem(rng, size=8):
@@ -198,19 +197,6 @@ class TestBackendConfiguration:
         with pytest.raises(ConfigurationError):
             SpinVectorMonteCarloBackend(**kwargs)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"sweeps_per_microsecond": -1},
-            {"fluctuation_gain": -0.5},
-            {"freeze_scale": 0.0},
-            {"residual_activity": 2.0},
-        ],
-    )
-    def test_sa_invalid(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            ScheduleDrivenAnnealingBackend(**kwargs)
-
 
 #: One schedule of each paper family, with a pause where the family has one.
 MEMO_SCHEDULES = {
@@ -228,15 +214,13 @@ def _fresh_settings(backend, schedule, functions, relative_temperature):
         problem = functions.relative_problem(float(s))
         transverse = functions.relative_transverse(float(s))
         temperature = max(relative_temperature, 1e-6)
-        if isinstance(backend, ScheduleDrivenAnnealingBackend):
-            temperature = temperature + backend.fluctuation_gain * transverse
         activity = max(min(1.0, transverse / backend.freeze_scale), backend.residual_activity)
         rows.append((problem, transverse, temperature, activity))
     return rows
 
 
 class TestScheduleScalesMemo:
-    """Both backends build their sweep rows from the memoised schedule scales."""
+    """The backend builds its sweep rows from the memoised schedule scales."""
 
     @pytest.mark.parametrize("backend_class", BACKENDS)
     @pytest.mark.parametrize("schedule_key", sorted(MEMO_SCHEDULES))

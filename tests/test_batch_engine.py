@@ -13,7 +13,6 @@ import pytest
 
 from repro.annealing.backend import pad_problem_batch
 from repro.annealing.device import AnnealingFunctions, DeviceModel
-from repro.annealing.sa_backend import ScheduleDrivenAnnealingBackend
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
@@ -28,7 +27,7 @@ from repro.utils.batching import iter_batches
 from repro.utils.rng import ensure_rng, ensure_rng_batch, spawn_rngs
 from tests.qubo_fixtures import planted_solution_qubo
 
-BACKENDS = [ScheduleDrivenAnnealingBackend, SpinVectorMonteCarloBackend]
+BACKENDS = [SpinVectorMonteCarloBackend]
 FUNCTIONS = AnnealingFunctions()
 
 
@@ -256,7 +255,7 @@ class TestSamplerBatch:
         qubos = _qubo_batch(rng, (4, 6))
         states = [rng.integers(0, 2, qubo.num_variables) for qubo in qubos]
         sampler = QuantumAnnealerSimulator(
-            backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8), seed=1
+            backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=8), seed=1
         )
         samplesets = sampler.reverse_anneal_batch(qubos, states, switch_s=0.45, num_reads=6)
         assert [s.num_variables for s in samplesets] == [4, 6]
@@ -267,7 +266,7 @@ class TestSamplerBatch:
         device = DeviceModel(field_noise_sigma=0.02, coupling_noise_sigma=0.01)
         sampler = QuantumAnnealerSimulator(
             device=device,
-            backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8),
+            backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=8),
             seed=4,
         )
         qubos = _qubo_batch(rng, (5, 5))
@@ -279,18 +278,6 @@ class TestSamplerBatch:
         batched = sampler.sample_qubo_batch(qubos, schedule, num_reads=5, rng=8)
         for expected, actual in zip(sequential, batched):
             assert np.array_equal(expected.energies(), actual.energies())
-
-    def test_embedding_falls_back_to_sequential(self, rng):
-        qubos = _qubo_batch(rng, (3, 4))
-        sampler = QuantumAnnealerSimulator(
-            backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8),
-            use_embedding=True,
-            seed=6,
-        )
-        samplesets = sampler.sample_qubo_batch(
-            qubos, forward_anneal_schedule(1.0), num_reads=4, rng=6
-        )
-        assert [s.num_variables for s in samplesets] == [3, 4]
 
 
 class _RandomDrawSolver(QuboSolver):
@@ -355,7 +342,7 @@ class TestHybridBatch:
     def test_hybrid_solve_batch_matches_sequential(self, rng):
         qubos = _qubo_batch(rng, (6, 4))
         sampler = QuantumAnnealerSimulator(
-            backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8), seed=3
+            backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=8), seed=3
         )
         solver = HybridQuboSolver(sampler=sampler, switch_s=0.45, num_reads=8)
         sequential = [
@@ -372,7 +359,7 @@ class TestHybridBatch:
         grounds = [float(min(qubo.energies(_all_bits(qubo.num_variables)))) for qubo in qubos]
         grid = (0.35, 0.55)
         sampler = QuantumAnnealerSimulator(
-            backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8), seed=2
+            backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=8), seed=2
         )
         states = [rng.integers(0, 2, qubo.num_variables) for qubo in qubos]
         sequential = [

@@ -32,10 +32,6 @@ class TestUnitGainRandomPhaseChannel:
         with pytest.raises(ConfigurationError):
             UnitGainRandomPhaseChannel().sample(0, 3, rng)
 
-    def test_sample_many(self, rng):
-        stack = UnitGainRandomPhaseChannel().sample_many(7, 2, 3, rng)
-        assert stack.shape == (7, 2, 3)
-
 
 class TestRayleighChannel:
     def test_average_power(self, rng):

@@ -51,7 +51,7 @@ class TestPairPenaltyValues:
         # Target (1, 1): the penalty is C (q0 - 1)(q1 - 1).
         constraint = SoftConstraint(variables=(0, 1), targets=(1, 1), strength=3.0)
         penalty = constraint.penalty_qubo(2)
-        assert penalty.coupling(0, 1) == pytest.approx(3.0)
+        assert penalty.coefficients[0, 1] == pytest.approx(3.0)
         assert penalty.linear[0] == pytest.approx(-3.0)
         assert penalty.linear[1] == pytest.approx(-3.0)
         assert penalty.offset == pytest.approx(3.0)

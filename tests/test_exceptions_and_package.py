@@ -11,7 +11,6 @@ import repro
 from repro.exceptions import (
     ConfigurationError,
     DimensionError,
-    EmbeddingError,
     ModulationError,
     PipelineError,
     ReproError,
@@ -29,7 +28,6 @@ class TestExceptionHierarchy:
             DimensionError,
             ModulationError,
             ScheduleError,
-            EmbeddingError,
             SolverError,
             TransformError,
             PipelineError,

@@ -145,16 +145,15 @@ class TestChannelImpairments:
 
     def test_interference_for_load_averages_other_cells(self):
         impairments = ChannelImpairments(interference_power=2.0)
-        power = impairments.interference_for_load(0, (1.0, 3.0, 5.0))
-        assert power == pytest.approx(2.0 * 4.0)
+        scale = impairments.neighbour_load_scale(0, (1.0, 3.0, 5.0))
+        assert impairments.interference_power * scale == pytest.approx(2.0 * 4.0)
 
     def test_interference_for_load_single_cell_is_zero(self):
-        impairments = ChannelImpairments(interference_power=2.0)
-        assert impairments.interference_for_load(0, (4.0,)) == 0.0
+        assert ChannelImpairments.neighbour_load_scale(0, (4.0,)) == 0.0
 
     def test_interference_for_load_validates_cell(self):
         with pytest.raises(ConfigurationError):
-            ChannelImpairments().interference_for_load(3, (1.0, 1.0))
+            ChannelImpairments.neighbour_load_scale(3, (1.0, 1.0))
 
 
 class TestFadingChannel:
@@ -338,7 +337,7 @@ class TestSimulateTransmissionImpairments:
         )
         # The received vector was produced by the *true* channel (noiseless).
         residual = transmission.instance.received - (
-            transmission.actual_channel @ transmission.transmitted_symbols
+            transmission.true_channel @ transmission.transmitted_symbols
         )
         assert np.linalg.norm(residual) < 1e-12
 
@@ -350,8 +349,10 @@ class TestSimulateTransmissionImpairments:
             transmission = simulate_transmission(
                 config, rng=seed, impairments=impairments
             )
+            # Perfect CSI: the instance carries the channel the symbols traversed.
+            assert transmission.has_perfect_csi
             residual = transmission.instance.received - (
-                transmission.actual_channel @ transmission.transmitted_symbols
+                transmission.instance.channel_matrix @ transmission.transmitted_symbols
             )
             residuals.append(np.mean(np.abs(residual) ** 2))
         assert np.mean(residuals) == pytest.approx(4.0, rel=0.2)

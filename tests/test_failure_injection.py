@@ -21,6 +21,7 @@ from repro.metrics.tts import time_to_solution
 from repro.qubo import QUBOModel, brute_force_minimum
 from repro.transform import mimo_to_qubo
 from repro.wireless import MIMOConfig, MIMOInstance, simulate_transmission
+from tests.wireless_fixtures import symbol_index
 
 
 class TestDegradedDevice:
@@ -83,7 +84,7 @@ class TestPathologicalProblems:
         assert result.ground_state_count >= 1
         symbols = encoding.bits_to_symbols(result.assignment)
         for symbol in symbols:
-            instance.modulation_scheme.symbol_index(symbol)
+            symbol_index(instance.modulation_scheme, symbol)
 
     def test_greedy_on_constant_qubo(self):
         solution = GreedySearchSolver().solve(QUBOModel.empty(6))

@@ -18,6 +18,7 @@ from repro.qubo import simplify_qubo
 from repro.transform import mimo_to_qubo
 from repro.wireless import MIMOConfig, simulate_transmission
 from repro.wireless.metrics import bit_error_rate, symbol_error_rate
+from tests.qubo_fixtures import lift_assignment
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +90,9 @@ class TestDetectionChain:
         report = simplify_qubo(bundle.encoding.qubo)
         if report.reduced_qubo.num_variables:
             reduced_best = ExhaustiveSolver(max_variables=10).solve(report.reduced_qubo)
-            lifted = report.lift_assignment(reduced_best.assignment)
+            lifted = lift_assignment(report, reduced_best.assignment)
         else:
-            lifted = report.lift_assignment(np.zeros(0, dtype=int))
+            lifted = lift_assignment(report, np.zeros(0, dtype=int))
         assert bundle.encoding.qubo.energy(lifted) == pytest.approx(bundle.ground_energy)
 
     def test_noisy_link_detection_quality_improves_with_snr(self, sampler):

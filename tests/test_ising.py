@@ -43,7 +43,7 @@ class TestIsingModel:
 
     def test_lower_triangle_folded(self):
         model = IsingModel(fields=[0.0, 0.0], couplings=np.array([[0.0, 0.0], [1.5, 0.0]]))
-        assert model.coupling(0, 1) == pytest.approx(1.5)
+        assert model.couplings[0, 1] == pytest.approx(1.5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -55,17 +55,6 @@ class TestIsingModel:
         energies = model.energies(spins)
         for row, energy in zip(spins, energies):
             assert energy == pytest.approx(model.energy(row))
-
-    def test_coupling_same_spin_rejected(self):
-        model = random_ising(3, rng=1)
-        with pytest.raises(ValueError):
-            model.coupling(1, 1)
-
-    def test_neighbourhood(self):
-        couplings = np.zeros((3, 3))
-        couplings[0, 2] = -1.0
-        model = IsingModel(fields=np.zeros(3), couplings=couplings)
-        assert model.neighbourhood(2) == {0: -1.0}
 
     def test_max_abs_coefficient(self):
         model = IsingModel(fields=[0.5, -2.0], couplings=np.zeros((2, 2)))

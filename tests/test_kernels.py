@@ -21,7 +21,6 @@ from repro.annealing.kernels import (
     sa_sweeps,
     svmc_sweeps,
 )
-from repro.annealing.sa_backend import ScheduleDrivenAnnealingBackend
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
@@ -363,7 +362,7 @@ class TestSVMCSharedHelpers:
 
 #: Activities around the SVMC freeze-out gate.  The crossover between the
 #: gated and the dense program is full activity, where the gate can no
-#: longer reject: the backends' residual floor and a half-open gate (gated
+#: longer reject: the backend's residual floor and a half-open gate (gated
 #: program), the largest activity below the crossover (gated program, but
 #: the gate margin lets every position pass) and full activity (dense
 #: program; keyed both "at-crossover" and "full").
@@ -558,9 +557,7 @@ class TestSolverLevelEquivalence:
             assert expected.energy == actual.energy
 
     @pytest.mark.parametrize("kernel", sorted(SPEC_KERNELS))
-    @pytest.mark.parametrize("backend_cls", [
-        ScheduleDrivenAnnealingBackend, SpinVectorMonteCarloBackend,
-    ])
+    @pytest.mark.parametrize("backend_cls", [SpinVectorMonteCarloBackend])
     def test_anneal_backends(self, monkeypatch, kernel, backend_cls):
         ising = _toy_ising(4)
         functions = AnnealingFunctions()
@@ -581,9 +578,7 @@ class TestSolverLevelEquivalence:
 class TestDrawDiscipline:
     """Child-RNG consumption is invariant to batching, chunking and reads."""
 
-    @pytest.mark.parametrize("backend_cls", [
-        ScheduleDrivenAnnealingBackend, SpinVectorMonteCarloBackend,
-    ])
+    @pytest.mark.parametrize("backend_cls", [SpinVectorMonteCarloBackend])
     def test_single_run_is_a_batch_of_one(self, backend_cls):
         ising = _toy_ising(9)
         functions = AnnealingFunctions()
@@ -599,9 +594,7 @@ class TestDrawDiscipline:
         )
         assert np.array_equal(single, batched[0])
 
-    @pytest.mark.parametrize("backend_cls", [
-        ScheduleDrivenAnnealingBackend, SpinVectorMonteCarloBackend,
-    ])
+    @pytest.mark.parametrize("backend_cls", [SpinVectorMonteCarloBackend])
     def test_batch_grouping_is_immaterial(self, backend_cls):
         # Lane b of a ragged batch equals a solo run with the same child:
         # padding other instances to a larger common size must not change
@@ -688,24 +681,20 @@ class TestDrawDiscipline:
         assert np.array_equal(second_calls[0], second_calls[1])
 
     def test_reverse_anneal_paths_agree_too(self, monkeypatch):
-        # Reverse annealing threads initial states through the kernels of
-        # both backends; the spec must agree there as well.
+        # Reverse annealing threads initial states through the backend's
+        # kernel; the spec must agree there as well.
         ising = _toy_ising(6, size=6)
         functions = AnnealingFunctions()
         schedule = reverse_anneal_schedule(0.6, 1.0, 1.0)
         initial = np.array([1, -1, 1, 1, -1, -1], dtype=np.int8)
-        backends = (ScheduleDrivenAnnealingBackend(), SpinVectorMonteCarloBackend())
+        backend = SpinVectorMonteCarloBackend()
 
-        def run_all():
-            return [
-                backend.run(
-                    ising.fields, ising.couplings, schedule, 4, functions, 0.05,
-                    initial_spins=initial, rng=np.random.default_rng(8),
-                )
-                for backend in backends
-            ]
+        def run():
+            return backend.run(
+                ising.fields, ising.couplings, schedule, 4, functions, 0.05,
+                initial_spins=initial, rng=np.random.default_rng(8),
+            )
 
-        production = run_all()
+        production = run()
         _use_kernel(monkeypatch, "reference")
-        for expected, actual in zip(production, run_all()):
-            assert np.array_equal(expected, actual)
+        assert np.array_equal(production, run())

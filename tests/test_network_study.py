@@ -130,7 +130,7 @@ class TestNetworkStudyDeterminism:
         cold = run_driver(NetworkStudyDriver(), config, cache=cache)
         assert cache.misses == num_shards and cache.hits == 0
 
-        cache.reset_counters()
+        cache = ResultCache(tmp_path / "cache")  # a fresh handle counts from zero
         warm = run_driver(NetworkStudyDriver(), config, cache=cache)
         assert cache.hits == num_shards and cache.misses == 0
         assert warm.rows == cold.rows == quick_result.rows
@@ -140,7 +140,7 @@ class TestNetworkStudyDeterminism:
         cache = ResultCache(tmp_path / "cache")
         run_driver(NetworkStudyDriver(), config, cache=cache)
 
-        cache.reset_counters()
+        cache = ResultCache(tmp_path / "cache")  # a fresh handle counts from zero
         only_static = dataclasses.replace(config, placements=("static",))
         narrowed = run_driver(NetworkStudyDriver(), only_static, cache=cache)
         assert cache.hits == 1 and cache.misses == 0

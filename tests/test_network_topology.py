@@ -2,14 +2,11 @@
 
 The contracts under test: the three standard layouts (line/grid/hex) build
 the documented neighbour graphs, the validator rejects malformed graphs
-(wrong id order, self-loops, asymmetry, out-of-range neighbours), distances
-on a line layout equal the legacy index arithmetic *exactly* (the
-bitwise-compatibility rule of ``docs/network.md``), and topologies are
-hashable and picklable so they can ride inside scenario phases across
-process-pool boundaries.
+(wrong id order, self-loops, asymmetry, out-of-range neighbours), and
+topologies are hashable and picklable so they can ride inside scenario
+phases across process-pool boundaries.
 """
 
-import math
 import pickle
 
 import pytest
@@ -121,25 +118,8 @@ def test_rejects_empty_layout_and_bad_queries():
 
 
 # ---------------------------------------------------------------------- #
-# Bitwise-compatibility and transport
+# Transport
 # ---------------------------------------------------------------------- #
-
-
-def test_line_distance_equals_index_arithmetic_exactly():
-    # The legacy serving code measured cell separation as abs(i - j); the
-    # topology's Euclidean distance must reproduce it bitwise on a line
-    # (math.hypot(x, 0.0) == abs(x) exactly in CPython).
-    topology = NetworkTopology.line(7)
-    for first in range(7):
-        for second in range(7):
-            assert topology.distance(first, second) == float(abs(first - second))
-
-
-def test_grid_distance_is_euclidean():
-    topology = NetworkTopology.grid(2, 3)
-    # Cells 0 (0,0) and 4 (1,1) on the plane.
-    assert topology.distance(0, 4) == math.hypot(1.0, 1.0)
-    assert topology.distance(2, 2) == 0.0
 
 
 @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)

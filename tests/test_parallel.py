@@ -178,16 +178,6 @@ class TestResultCache:
         results = runner.run_sharded(_tasks([5]))
         np.testing.assert_array_equal(results[0], _seeded_draw(5, 5))
 
-    def test_clear_and_reset(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        for index in range(3):
-            cache.put(f"{index:02d}" + "0" * 62, index)
-        assert cache.clear() == 3
-        assert len(cache) == 0
-        cache.misses = 5
-        cache.reset_counters()
-        assert (cache.hits, cache.misses) == (0, 0)
-
 
 # ---------------------------------------------------------------------- #
 # The runner
@@ -285,9 +275,8 @@ class TestParallelRunner:
         # The two shards that finished before the failure are stored;
         # a retry of the fixed sweep reuses them.
         assert len(cache) == 2
-        cache.reset_counters()
         results = runner.run_sharded(tasks[:2])
-        assert cache.hits == 2
+        assert runner.last_run.cache_hits == 2
         np.testing.assert_array_equal(results[0], _seeded_draw(1, 5))
 
     def test_pool_failure_still_stores_inflight_completions(self, tmp_path):

@@ -69,7 +69,7 @@ class TestScenarioCacheCorrectness:
         cold = run_driver(ScenarioStudyDriver(), config, cache=cache)
         assert cache.misses == num_shards and cache.hits == 0
 
-        cache.reset_counters()
+        cache = ResultCache(tmp_path / "cache")  # a fresh handle counts from zero
         warm = run_driver(ScenarioStudyDriver(), config, cache=cache)
         assert cache.hits == num_shards and cache.misses == 0
         assert format_scenario_table(warm) == format_scenario_table(cold)
@@ -88,10 +88,9 @@ class TestScenarioCacheCorrectness:
         kwargs["workload_seed"] = kwargs["workload_seed"] + 1
         edited[0] = ShardTask(key=edited[0].key, fn=edited[0].fn, kwargs=kwargs)
 
-        cache.reset_counters()
         results = runner.run_sharded(edited)
-        assert cache.misses == 1
-        assert cache.hits == len(tasks) - 1
+        assert runner.last_run.cache_misses == 1
+        assert runner.last_run.cache_hits == len(tasks) - 1
         assert runner.last_run.executed == 1
         # The re-seeded shard genuinely changed; the untouched ones did not.
         assert results[0].outcomes != baseline[0].outcomes
@@ -104,13 +103,13 @@ class TestScenarioCacheCorrectness:
         cache = ResultCache(tmp_path / "cache")
         run_driver(ScenarioStudyDriver(), config, cache=cache)
 
-        cache.reset_counters()
+        cache = ResultCache(tmp_path / "cache")  # a fresh handle counts from zero
         extended = dataclasses.replace(config, scenarios=config.scenarios + ("diurnal",))
         run_driver(ScenarioStudyDriver(), extended, cache=cache)
         assert cache.hits == 2 * len(config.scenarios)
         assert cache.misses == 2  # the two new diurnal arms
 
-        cache.reset_counters()
+        cache = ResultCache(tmp_path / "cache")  # a fresh handle counts from zero
         retuned = dataclasses.replace(config, static_workers=config.static_workers + 1)
         run_driver(ScenarioStudyDriver(), retuned, cache=cache)
         assert cache.misses == 2 * len(config.scenarios)
@@ -126,7 +125,7 @@ class TestScenarioCacheCorrectness:
         run_driver(Figure8Driver(), config, cache=cache)
         num_shards = 2 + len(config.grid())
 
-        cache.reset_counters()
+        cache = ResultCache(tmp_path / "cache")  # a fresh handle counts from zero
         toggled = dataclasses.replace(config, intermediate_initial_quality=6.0)
         run_driver(Figure8Driver(), toggled, cache=cache)
         assert cache.misses == 1  # the RA family shard only

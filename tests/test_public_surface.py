@@ -28,15 +28,28 @@ def test_planted_uncalled_function_is_named(tmp_path):
     (package / "mod.py").write_text(
         "def called():\n    return 1\n\n\n"
         "def uncalled():\n    return uncalled\n\n\n"
-        "def _private():\n    return 2\n"
+        "def _private():\n    return 2\n\n\n"
+        "class Model:\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 3\n\n"
+        "    @property\n    def size(self):\n        return 4\n\n"
+        "    def unused(self):\n        return self.unused()\n\n"
+        "    def _hidden(self):\n        return 5\n"
     )
     (tmp_path / "scripts").mkdir()
-    (tmp_path / "scripts" / "run.py").write_text("from repro.mod import called\n\ncalled()\n")
+    (tmp_path / "scripts" / "run.py").write_text(
+        "from repro.mod import Model, called\n\ncalled()\nModel().used()\nprint(Model().size)\n"
+    )
     (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "test_mod.py").write_text("from repro.mod import uncalled\n")
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.mod import Model, uncalled\n\nModel().unused()\n"
+    )
 
     result = _check(str(tmp_path))
     assert result.returncode == 1
+    # A method referenced only by itself and by tests is named; one that
+    # another method of its class calls is not.
     assert result.stdout.splitlines() == [
-        "public name with no caller outside tests: repro.mod:uncalled"
+        "public name with no caller outside tests: repro.mod:uncalled",
+        "public name with no caller outside tests: repro.mod:Model.unused",
     ]

@@ -130,7 +130,6 @@ class TestSelectiveInvalidation:
             quick_config,
             interference_grid=quick_config.interference_grid[:-1] + (5.0,),
         )
-        cache.reset_counters()
         second = runner.run_sharded(RobustnessStudyDriver().tasks(edited))
         assert runner.last_run.cache_misses == 1
         assert runner.last_run.cache_hits == len(second) - 1
@@ -152,7 +151,6 @@ class TestSelectiveInvalidation:
         scribbled = cache._path(tasks[1].fingerprint())
         scribbled.write_bytes(b"not a pickle at all")
 
-        cache.reset_counters()
         second = runner.run_sharded(tasks)
         assert second == first
         assert runner.last_run.cache_misses == 2

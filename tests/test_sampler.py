@@ -7,13 +7,12 @@ from repro.annealing import sampler as sampler_module
 from repro.annealing import (
     DeviceModel,
     QuantumAnnealerSimulator,
-    ScheduleDrivenAnnealingBackend,
     SpinVectorMonteCarloBackend,
     forward_anneal_schedule,
+    forward_reverse_anneal_schedule,
     reverse_anneal_schedule,
 )
 from repro.exceptions import ConfigurationError
-from repro.qubo.energy import brute_force_minimum
 from repro.qubo.ising import IsingModel, qubo_to_ising
 from tests.qubo_fixtures import planted_solution_qubo
 
@@ -59,9 +58,8 @@ class TestSampleQubo:
 
     def test_forward_reverse_anneal_runs(self, planted_qubo_and_state, fast_sampler):
         qubo, planted = planted_qubo_and_state
-        sampleset = fast_sampler.forward_reverse_anneal(
-            qubo, turning_s=0.7, switch_s=0.4, num_reads=30
-        )
+        schedule = forward_reverse_anneal_schedule(turning_s=0.7, switch_s=0.4)
+        sampleset = fast_sampler.sample_qubo(qubo, schedule, num_reads=30)
         assert sampleset.num_reads == 30
         assert sampleset.metadata["schedule_name"] == "FR"
 
@@ -115,58 +113,19 @@ class TestControlNoise:
             assert record.energy == pytest.approx(qubo.energy(record.assignment))
 
 
-class TestEmbeddedSampling:
-    def test_embedded_run_returns_logical_samples(self, planted_qubo_and_state):
-        qubo, planted = planted_qubo_and_state
-        sampler = QuantumAnnealerSimulator(
-            backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8),
-            use_embedding=True,
-            seed=7,
-        )
-        sampleset = sampler.forward_anneal(qubo, num_reads=15, pause_s=0.4)
-        assert sampleset.num_variables == qubo.num_variables
-        assert sampleset.metadata["embedded"] is True
-        assert "chain_strength" in sampleset.metadata
-        assert sampleset.metadata["max_chain_length"] >= 2
-
-    def test_embedded_reverse_anneal(self, planted_qubo_and_state):
-        qubo, planted = planted_qubo_and_state
-        sampler = QuantumAnnealerSimulator(
-            backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8),
-            use_embedding=True,
-            seed=9,
-        )
-        sampleset = sampler.reverse_anneal(qubo, planted, switch_s=0.85, num_reads=15)
-        assert sampleset.success_probability(qubo.energy(planted)) > 0.3
-
-    def test_embedded_finds_reasonable_energy(self, planted_qubo_and_state):
-        qubo, planted = planted_qubo_and_state
-        exact = brute_force_minimum(qubo)
-        sampler = QuantumAnnealerSimulator(
-            backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=16),
-            use_embedding=True,
-            seed=11,
-        )
-        sampleset = sampler.forward_anneal(qubo, num_reads=40, pause_s=0.4)
-        assert sampleset.lowest_energy() <= exact.energy + 0.5 * abs(exact.energy)
-
-
 class TestSpinReadBudget:
     """Batches beyond the budget reach the backend in chunks that change no sample."""
 
     @pytest.mark.parametrize(
-        "use_embedding, sizes, budget, chunked_calls",
+        "sizes, budget, chunked_calls",
         [
             # Widest instance 6 spins x 7 reads: two instances per call.
-            (False, (3, 6, 2, 5, 4), 2 * 6 * 7, [2, 2, 1]),
-            # Instance 2 is embedded (annealed alone, first) and sits between
-            # the two chunks of logical 0/1-spin instances.
-            (True, (1, 0, 5, 1, 1), 2 * 1 * 7, [1, 2, 2]),
+            ((3, 6, 2, 5, 4), 2 * 6 * 7, [2, 2, 1]),
         ],
-        ids=["logical", "embedded"],
+        ids=["logical"],
     )
     def test_chunked_batch_equals_one_submission(
-        self, monkeypatch, run_batch_calls, use_embedding, sizes, budget, chunked_calls
+        self, monkeypatch, run_batch_calls, sizes, budget, chunked_calls
     ):
         rng = np.random.default_rng(5)
         isings = [
@@ -178,13 +137,12 @@ class TestSpinReadBudget:
             run_batch_calls.clear()
             sampler = QuantumAnnealerSimulator(
                 backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=8),
-                use_embedding=use_embedding,
                 seed=1,
             )
             return sampler.sample_ising_batch(isings, forward_anneal_schedule(1.0), 7, rng=21)
 
         whole = sample()
-        assert run_batch_calls == ([1, 4] if use_embedding else [5])
+        assert run_batch_calls == [5]
         monkeypatch.setattr(sampler_module, "SPIN_READ_BUDGET", budget)
         chunked = sample()
         assert run_batch_calls == chunked_calls

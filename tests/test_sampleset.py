@@ -102,18 +102,6 @@ class TestSampleSetStatistics:
         expected = (2 * -5.0 + 3 * -3.0 + 5 * 1.0) / 10
         assert sampleset.expectation_energy() == pytest.approx(expected)
 
-    def test_truncate(self, sampleset):
-        truncated = sampleset.truncate(1)
-        assert len(truncated) == 1
-        assert truncated.first.energy == -5.0
-
-    def test_merge(self, sampleset):
-        other = SampleSet([_record([0, 0], -5.0)], metadata={"extra": 1})
-        merged = sampleset.merge(other)
-        assert merged.num_reads == 11
-        assert merged.metadata["schedule_duration_us"] == 2.0
-        assert merged.metadata["extra"] == 1
-
     def test_empty_set_behaviour(self):
         empty = SampleSet([])
         assert len(empty) == 0

@@ -77,7 +77,7 @@ class TestForwardSchedule:
         schedule = forward_anneal_schedule(anneal_time_us=2.0)
         assert schedule.duration_us == 2.0
         assert not schedule.requires_initial_state
-        assert schedule.minimum_s == 0.0
+        assert min(point.s for point in schedule.points) == 0.0
 
     def test_paper_shape_with_pause(self):
         # [0,0] -> [s_p, s_p] -> [s_p + t_p, s_p] -> [t_a + t_p, 1]

@@ -9,11 +9,11 @@ from repro.exceptions import TransformError
 from repro.transform.symbol_mapping import (
     SymbolBitMapping,
     amplitude_to_transform_bits,
-    gray_bits_to_transform_bits,
     transform_bits_to_amplitude,
     transform_bits_to_gray_bits,
 )
 from repro.wireless.modulation import get_modulation
+from tests.wireless_fixtures import gray_bits_to_transform_bits
 
 
 class TestAmplitudeMapping:
@@ -99,25 +99,9 @@ class TestSymbolBitMapping:
             payload = mapping.gray_payload_bits(bits)
             assert modulation.modulate_bits(list(payload))[0] == pytest.approx(symbol)
 
-    def test_payload_round_trip(self):
-        modulation = get_modulation("16-QAM")
-        mapping = SymbolBitMapping(modulation=modulation, user_index=0, first_variable=0)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            bits = rng.integers(0, 2, size=4)
-            payload = mapping.gray_payload_bits(bits)
-            assert mapping.transform_bits_from_payload(payload) == tuple(bits)
-
     def test_bpsk_rejects_complex_symbol(self):
         mapping = SymbolBitMapping(
             modulation=get_modulation("BPSK"), user_index=0, first_variable=0
         )
         with pytest.raises(TransformError):
             mapping.bits_from_symbol(0.5 + 0.5j)
-
-    def test_wrong_payload_length(self):
-        mapping = SymbolBitMapping(
-            modulation=get_modulation("QPSK"), user_index=0, first_variable=0
-        )
-        with pytest.raises(TransformError):
-            mapping.transform_bits_from_payload([1])

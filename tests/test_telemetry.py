@@ -49,6 +49,11 @@ def _draw(seed, count=4):
     return np.random.default_rng(seed).random(count)
 
 
+def _spans_named(tracer, name):
+    """Every buffered record of ``tracer`` with the given name, in recording order."""
+    return [span for span in tracer.records if span.name == name]
+
+
 # ---------------------------------------------------------------------- #
 # Metrics registry
 # ---------------------------------------------------------------------- #
@@ -72,7 +77,8 @@ class TestRegistry:
         gauge = telemetry.MetricsRegistry().gauge("depth")
         gauge.set(5.0)
         gauge.inc()
-        gauge.dec(3.0)
+        assert gauge.value == 6.0
+        gauge.inc(-3.0)
         assert gauge.value == 3.0
 
     def test_kind_conflict_is_an_error(self):
@@ -124,7 +130,7 @@ class TestTracer:
     def test_record_span_sim_clock(self):
         tracer = telemetry.Tracer()
         span_id = tracer.record_span("job", 10.0, 35.0, job_id=7)
-        (span,) = tracer.spans_named("job")
+        (span,) = _spans_named(tracer, "job")
         assert (span.span_id, span.parent_id) == (span_id, None)
         assert span.clock == telemetry.CLOCK_SIM
         assert span.duration_us == pytest.approx(25.0)
@@ -204,7 +210,7 @@ class TestSession:
     def test_emit_progress_records_event(self):
         with telemetry.session() as tel:
             telemetry.emit_progress("snr-study", 4.0, hybrid_ber=0.1)
-            (event,) = tel.tracer.spans_named("experiment.point")
+            (event,) = _spans_named(tel.tracer, "experiment.point")
             assert event.attrs == {
                 "experiment": "snr-study", "point": "4.0", "hybrid_ber": 0.1,
             }
@@ -413,7 +419,7 @@ class TestBitwiseInvariance:
         baseline_spins, baseline_local = run_sa()
         with telemetry.session() as tel:
             traced_spins, traced_local = run_sa()
-            assert tel.tracer.spans_named("kernel.sa")  # it *was* instrumented
+            assert _spans_named(tel.tracer, "kernel.sa")  # it *was* instrumented
         np.testing.assert_array_equal(baseline_spins, traced_spins)
         np.testing.assert_array_equal(baseline_local, traced_local)
 
@@ -455,9 +461,9 @@ class TestServingInstrumentation:
         )
         with telemetry.session() as tel:
             report = simulator.run(jobs)
-            job_spans = tel.tracer.spans_named("serving.job")
-            queue_spans = tel.tracer.spans_named("serving.queue")
-            solve_spans = tel.tracer.spans_named("serving.solve")
+            job_spans = _spans_named(tel.tracer, "serving.job")
+            queue_spans = _spans_named(tel.tracer, "serving.queue")
+            solve_spans = _spans_named(tel.tracer, "serving.solve")
 
         assert len(job_spans) == report.num_jobs == len(jobs)
         # Every job span splits exactly into its queue + solve children.
@@ -480,7 +486,7 @@ class TestServingInstrumentation:
         ) == pytest.approx(report.p95_latency_us)
 
         # The run-level event carries the same numbers.
-        (run_event,) = tel.tracer.spans_named("serving.run")
+        (run_event,) = _spans_named(tel.tracer, "serving.run")
         assert run_event.attrs["jobs"] == report.num_jobs
         assert run_event.attrs["p50_latency_us"] == pytest.approx(report.p50_latency_us)
         assert run_event.attrs["p95_latency_us"] == pytest.approx(report.p95_latency_us)
@@ -531,7 +537,7 @@ class TestParallelInstrumentation:
             assert registry.counter("repro_parallel_tasks_total").value == 6
             assert registry.counter("repro_parallel_cache_misses_total").value == 3
             assert registry.counter("repro_parallel_cache_hits_total").value == 3
-            shard_spans = tel.tracer.spans_named("parallel.shard")
+            shard_spans = _spans_named(tel.tracer, "parallel.shard")
             assert len(shard_spans) == 3  # only executed shards get spans
             assert {span.attrs["key"] for span in shard_spans} == {
                 str(("draw", seed)) for seed in (1, 2, 3)
@@ -553,12 +559,6 @@ class TestParallelInstrumentation:
         (record,) = caplog.records
         assert "cache.evicted_corrupt_entry" in record.message
         assert "draw" in record.message  # the shard key is named in the warning
-
-    def test_eviction_counter_resets(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.evictions = 3
-        cache.reset_counters()
-        assert cache.evictions == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -582,7 +582,7 @@ class TestKernelInstrumentation:
                 spins, local, symmetric, mask, np.array([n]), children,
                 [(0.5, 0.5, 0.55, 1.0)] * sweeps,
             )
-            (span,) = tel.tracer.spans_named("kernel.sa")
+            (span,) = _spans_named(tel.tracer, "kernel.sa")
             assert span.attrs["sweeps"] == sweeps
             assert span.attrs["reads"] == reads
             assert span.attrs["read_sweeps_per_s"] > 0

@@ -6,21 +6,36 @@ No study needs these, so they live beside the tests that use them:
   detector's output can be checked against the transmitted symbols by eye;
 * :func:`maximum_likelihood_detect` enumerates every constellation vector.
   It is the reference oracle for the sphere decoders and for the QUBO
-  ground state of the MIMO -> QUBO transform.
+  ground state of the MIMO -> QUBO transform;
+* :func:`symbol_index` maps an exact constellation point back to its index
+  and rejects any other value, so a test can check that a detector outputs
+  constellation points and that modulation round-trips;
+* :func:`gray_decode` inverts :func:`repro.wireless.modulation.gray_code`,
+  and :func:`gray_bits_to_transform_bits` inverts
+  :func:`repro.transform.symbol_mapping.transform_bits_to_gray_bits`: the
+  round-trip oracles of the Gray labelling and of the transform's payload
+  mapping.
 """
 
 import itertools
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ModulationError
 from repro.utils.rng import RandomState
 from repro.utils.validation import require_positive
 from repro.wireless.channel import ChannelModel
 from repro.wireless.mimo import MIMODetectionResult, MIMOInstance
+from repro.wireless.modulation import Modulation, bits_to_int, int_to_bits
 
-__all__ = ["IdentityChannel", "maximum_likelihood_detect"]
+__all__ = [
+    "IdentityChannel",
+    "maximum_likelihood_detect",
+    "symbol_index",
+    "gray_decode",
+    "gray_bits_to_transform_bits",
+]
 
 
 class IdentityChannel(ChannelModel):
@@ -63,16 +78,18 @@ def maximum_likelihood_detect(
 
     best_objective = np.inf
     best_indices: Tuple[int, ...] = ()
+    points = modulation.points
     for indices in itertools.product(range(modulation.order), repeat=instance.num_users):
-        candidate = modulation.modulate_indices(indices)
+        candidate = points[list(indices)]
         objective = instance.objective(candidate)
         if objective < best_objective:
             best_objective = objective
             best_indices = indices
 
-    symbols = modulation.modulate_indices(best_indices)
+    symbols = points[list(best_indices)]
+    width = modulation.bits_per_symbol
     bits = np.concatenate(
-        [np.asarray(modulation.bits_for_index(index), dtype=int) for index in best_indices]
+        [np.asarray(int_to_bits(index, width), dtype=int) for index in best_indices]
     )
     return MIMODetectionResult(
         symbols=symbols,
@@ -81,3 +98,34 @@ def maximum_likelihood_detect(
         algorithm="ml-exhaustive",
         metadata={"enumerated": modulation.order ** instance.num_users},
     )
+
+
+def symbol_index(modulation: Modulation, symbol: complex, tolerance: float = 1e-9) -> int:
+    """Return the index of an exact constellation point.
+
+    Raises :class:`ModulationError` if ``symbol`` is not (within
+    ``tolerance``) a constellation point.
+    """
+    distances = np.abs(modulation.points - symbol)
+    index = int(np.argmin(distances))
+    if distances[index] > tolerance:
+        raise ModulationError(f"{symbol!r} is not a {modulation.name} constellation point")
+    return index
+
+
+def gray_decode(code: int) -> int:
+    """Invert :func:`repro.wireless.modulation.gray_code`."""
+    if code < 0:
+        raise ValueError(f"code must be non-negative, got {code}")
+    value = 0
+    while code:
+        value ^= code
+        code >>= 1
+    return value
+
+
+def gray_bits_to_transform_bits(bits: Sequence[int]) -> Tuple[int, ...]:
+    """Convert Gray-coded payload bits into the transform bits of that dimension."""
+    width = len(list(bits))
+    label = bits_to_int(bits)
+    return int_to_bits(gray_decode(label), width)
