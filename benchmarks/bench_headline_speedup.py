@@ -79,15 +79,21 @@ def _anneal_settings():
 
 
 def _time_sa(reads):
+    """The classical solver's dynamics: geometric cooling, sequential flips, tracked energies."""
     fields, symmetric, mask, sizes = _kernel_problem()
     children = spawn_rngs(7, 1)
     n = KERNEL_PROBLEM_SIZE
-    # Contiguous spin-major state, exactly as the backends allocate it.
+    # Contiguous spin-major state, exactly as the solver allocates it.
     spins = np.ascontiguousarray(children[0].choice([-1.0, 1.0], size=(reads, n)).T)[None]
     local = kernels.initial_local_fields(fields, symmetric, spins)
+    energies = 0.5 * (
+        np.einsum("bnr,bnr->br", spins, local) + np.einsum("bnr,bn->br", spins, fields)
+    )
+    temperatures = np.geomspace(np.abs(symmetric).max(), 0.01, KERNEL_NUM_SWEEPS)[:, None]
     start = time.perf_counter()
     kernels.sa_sweeps(
-        spins, local, symmetric, mask, sizes, children, _anneal_settings()
+        spins, local, symmetric, mask, sizes, children, temperatures,
+        energies=energies, best_spins=spins.copy(), best_energies=energies.copy(),
     )
     return time.perf_counter() - start
 

@@ -56,6 +56,7 @@ SERVING_REPEATS = 7
 
 
 def _kernel_state(reads):
+    """Positional and keyword arguments of one SA kernel call, as the solver makes it."""
     rng = np.random.default_rng(3)
     n = 32
     fields = rng.normal(size=(1, n))
@@ -63,21 +64,25 @@ def _kernel_state(reads):
     symmetric = (upper + upper.T)[None]
     mask = np.ones((1, n), dtype=bool)
     sizes = np.array([n])
-    fractions = np.linspace(0.0, 1.0, 48)
-    settings = [
-        (float(s), float((1.0 - s) ** 3), 0.05 + float((1.0 - s) ** 3), 1.0)
-        for s in fractions
-    ]
+    temperatures = np.geomspace(4.0, 0.01, 48)[:, None]
     children = spawn_rngs(7, 1)
     spins = np.ascontiguousarray(children[0].choice([-1.0, 1.0], size=(reads, n)).T)[None]
     local = kernels.initial_local_fields(fields, symmetric, spins)
-    return spins, local, symmetric, mask, sizes, children, settings
+    energies = 0.5 * (
+        np.einsum("bnr,bnr->br", spins, local) + np.einsum("bnr,bn->br", spins, fields)
+    )
+    tracked = {
+        "energies": energies,
+        "best_spins": spins.copy(),
+        "best_energies": energies.copy(),
+    }
+    return (spins, local, symmetric, mask, sizes, children, temperatures), tracked
 
 
 def _time_kernel(runner, reads):
-    args = _kernel_state(reads)
+    args, kwargs = _kernel_state(reads)
     start = time.perf_counter()
-    runner(*args)
+    runner(*args, **kwargs)
     return time.perf_counter() - start
 
 

@@ -5,31 +5,41 @@ of :class:`~repro.annealing.svmc.SpinVectorMonteCarloBackend` and the
 classical :class:`~repro.classical.simulated_annealing.SimulatedAnnealingSolver`
 execute here.  Each family (SA spin flips, SVMC rotor updates) has one
 production kernel — :func:`sa_sweeps_vectorized` and
-:func:`svmc_sweeps_vectorized` — that runs one array program over
-``(batch, spins, reads)`` per sweep: every read of every instance advances
-in a single sequence of numpy operations.  :func:`sa_sweeps` and
-:func:`svmc_sweeps` are their telemetry-instrumented entry points; see
-``docs/kernels.md``.  The executable specification the kernels are tested
-against — per-read python scalar loops over the same draws and helpers —
-lives with the tests (``tests/kernel_spec.py``).
+:func:`svmc_sweeps_vectorized` — that advances every read of every instance
+in a single sequence of numpy operations over ``(batch, spins, reads)``
+arrays.  :func:`sa_sweeps` and :func:`svmc_sweeps` are their
+telemetry-instrumented entry points; see ``docs/kernels.md``.  The
+executable specification the kernels are tested against — per-read python
+scalar loops over the same draws and helpers — lives with the tests
+(``tests/kernel_spec.py``).
 
-Chunked replica-parallel dynamics
----------------------------------
-The replica-parallel kernels sweep the spins in fixed index order in chunks
-of ``spins_per_step`` positions.  Within a chunk all proposals are evaluated
+Sequential SA sweeps
+--------------------
+The SA kernel is textbook single-flip Metropolis under a temperature
+schedule: each sweep visits the spins one at a time in fixed index order,
+each proposal is evaluated against the current local fields, and an
+accepted flip refreshes every local field with one rank-1 product and
+advances the per-read Ising energies exactly.  The running per-read minima
+(best energy and state) are folded in after every flip.  Only the visit
+over positions is a python loop; every instance and read of a position is
+one array operation.
+
+Chunked SVMC sweeps
+-------------------
+The SVMC kernel sweeps the rotors in fixed index order in chunks of 64
+positions (``_SVMC_CHUNK``).  Within a chunk all proposals are evaluated
 against the *same* stale local fields and committed simultaneously; after a
 chunk the local fields of every spin are refreshed with one rank-``C`` BLAS
 contraction.  Fixed order and fixed chunk boundaries make the dynamics
 independent of batch composition, and simultaneous within-chunk updates are
-what turn the per-position python loop into one array program.  (dwave-neal's
-compiled SA sweeps use the same fixed-order structure.)
+what turn the per-position python loop into one array program.
 
 The Metropolis accept tests are evaluated in log space: each spin draws one
-uniform ``u`` per sweep and accepts iff ``dE+ < -T*log(u/activity)`` where
-``dE+ = max(dE, 0)`` — acceptance with probability
-``activity * min(1, exp(-dE/T))``, computed as a single per-sweep ``log``
-block instead of a per-chunk ``exp``.  The freeze-out ``activity`` gate
-therefore costs no extra draw.
+uniform ``u`` per sweep and accepts iff ``dE+ < -T*log(u)`` (SA) or
+``dE+ < -T*log(u/activity)`` (SVMC), where ``dE+ = max(dE, 0)`` —
+acceptance with probability ``activity * min(1, exp(-dE/T))``, computed as
+a single per-sweep ``log`` block instead of a per-position ``exp``.  The
+SVMC freeze-out ``activity`` gate therefore costs no extra draw.
 
 Activity-gated SVMC sweeps
 --------------------------
@@ -69,64 +79,59 @@ preserve:
   property on the running platform.
 * **Reductions go through shared helpers.**  BLAS contractions are not
   bitwise shape-stable (a ``(R,C)@(C,N)`` gemm differs from row-by-row
-  gemv), so the local-field refresh and the energy bookkeeping run through
-  :func:`commit_chunk` / :func:`apply_couplings` with identically-shaped
-  inputs in the kernel and the specification.
-* **One-term contractions are exact, so width-1 commits may use plain
-  products.**  A contraction over a single chunk position has one product
-  and nothing to reorder, so :func:`commit_chunk` computes a one-position
-  chunk as elementwise products; the specification keeps the general
-  einsum + :func:`apply_couplings` form for every width.  Likewise a chunk
-  in which nothing flips changes no state, field or energy, so the
-  vectorized SA kernel skips its commit.
+  gemv), so the SVMC local-field refresh runs through
+  :func:`apply_couplings` with identically-shaped inputs in the kernel and
+  the specification.
+* **One-term contractions are exact, so the SA commit uses plain
+  products.**  A contraction over a single position has one product and
+  nothing to reorder, so the SA kernel commits a flip as elementwise
+  products; the specification keeps the general einsum +
+  :func:`apply_couplings` form.  Likewise a position at which nothing flips
+  changes no state, field or energy, so the SA kernel skips its commit.
 
 Random-draw discipline
 ----------------------
 Instance ``b`` of a batch draws exclusively from child generator ``b``:
-per sweep the replica-parallel SA kernel consumes one ``(n, reads)`` uniform
-block, and the SVMC kernel one ``(n, reads)`` accept-uniform block followed
-by one normal and one mix uniform per gate-passing position (all the normals
-first).  Draw consumption therefore depends only on the instance's own size,
-sweep count, read count and accept uniforms — never on batch composition,
-chunk size or worker count — which is what keeps experiment results
-invariant to batching and worker counts.
+per sweep the SA kernel consumes one ``(n, reads)`` uniform block, and the
+SVMC kernel one ``(n, reads)`` accept-uniform block followed by one normal
+and one mix uniform per gate-passing position (all the normals first).  Each
+sweep's blocks are drawn before any position is visited, so draw
+consumption depends only on the instance's own size, sweep count, read count
+and accept uniforms — never on batch composition or worker count — which is
+what keeps experiment results invariant to batching and worker counts.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
 
 __all__ = [
-    "DEFAULT_SPINS_PER_STEP",
     "SweepSettings",
     "active_kernel_name",
     "initial_local_fields",
     "apply_couplings",
-    "commit_chunk",
     "sa_sweeps",
     "sa_sweeps_vectorized",
     "svmc_sweeps",
     "svmc_sweeps_vectorized",
 ]
 
-#: Spins updated simultaneously per chunk of a sweep.  A constant (rather
-#: than e.g. a fraction of the problem size) so chunk boundaries — and with
-#: them the dynamics — depend only on the problem size itself.
-DEFAULT_SPINS_PER_STEP = 64
+#: Rotors updated simultaneously per chunk of an SVMC sweep.  A constant
+#: (rather than e.g. a fraction of the problem size) so chunk boundaries —
+#: and with them the dynamics — depend only on the problem size itself.
+_SVMC_CHUNK = 64
 
 #: Relative margin of the gate above ``activity``: a draw within rounding of
 #: ``activity`` is evaluated in full, so the gate never depends on how the
 #: scalar ``log(activity)`` and the block ``log(u)`` round.
 _SVMC_GATE_MARGIN = 2.0**-20
 
-#: Per-sweep schedule row: ``(problem, transverse, temperature, activity)``.
-#: ``temperature`` may be a ``(batch,)`` array for per-instance schedules
-#: (the classical SA solver); the other entries are scalars.
-SweepSettings = Sequence[Tuple[float, float, Union[float, np.ndarray], float]]
+#: Per-sweep SVMC schedule row: ``(problem, transverse, temperature, activity)``.
+SweepSettings = Sequence[Tuple[float, float, float, float]]
 
 
 def active_kernel_name() -> str:
@@ -143,21 +148,21 @@ def active_kernel_name() -> str:
 # --------------------------------------------------------------------- #
 
 
-def _dispatch_instrumented(family, kernel, args, kwargs):
+def _dispatch_instrumented(family, kernel, schedule, args, kwargs):
     """Run one kernel call, timed and counted when telemetry is enabled.
 
     The wall span wraps the call from the *outside*, so the kernel's
     arithmetic and draw sequence are untouched and results stay
-    bitwise-identical to the uninstrumented path.  Geometry comes from the leading state array
-    ``(batch, max_size, reads)`` and the trailing ``settings`` sequence (one
-    row per sweep); fully-keyword calls skip instrumentation rather than
-    guess at argument positions.
+    bitwise-identical to the uninstrumented path.  Geometry comes from the
+    leading state array ``(batch, max_size, reads)`` and the per-sweep
+    argument named ``schedule`` (one row per sweep; the last positional
+    argument unless passed by keyword); fully-keyword calls skip
+    instrumentation rather than guess at argument positions.
     """
     tel = telemetry.active()
     if tel is None or not args:
         return kernel(*args, **kwargs)
-    settings = kwargs["settings"] if "settings" in kwargs else args[-1]
-    sweeps = len(settings)
+    sweeps = len(kwargs[schedule] if schedule in kwargs else args[-1])
     batch, reads = args[0].shape[0], args[0].shape[-1]
     labels = {"family": family}
     tel.registry.counter("repro_kernel_calls_total", **labels).inc()
@@ -216,48 +221,33 @@ def apply_couplings(
     return out
 
 
-def commit_chunk(
+def _commit_flip(
     spins: np.ndarray,
     local: np.ndarray,
     symmetric: np.ndarray,
     change: np.ndarray,
-    p0: int,
-    p1: int,
+    position: int,
     coupled: np.ndarray,
-    energies: Optional[np.ndarray] = None,
+    energies: np.ndarray,
 ) -> None:
-    """Apply a chunk's simultaneous spin flips and refresh the local fields.
+    """Apply one position's spin flips, refresh the local fields and energies.
 
-    With ``energies`` supplied, also advances the per-read Ising energies
-    exactly for simultaneous flips:
-    ``dE = sum_i change_i * local_i(stale) + 1/2 * change^T Jsym change``
-    (the second term corrects for pairs flipped in the same chunk).  The
-    einsum/gemm reduction order is part of the kernel contract — the SA
-    kernel and the specification call this helper with identical arrays.
-
-    A one-position chunk (the classical solver's single-spin steps)
-    contracts over one term, so each contraction is one plain product.  The
-    einsum/gemm pair adds that product to ``0.0``, which can only turn a
-    ``-0.0`` term into ``+0.0``; the fields and energies the terms are added
-    to are never ``-0.0``, so every sum comes out bit-identical.
+    ``change`` is the ``(batch, reads)`` spin delta at ``position`` (``-2s``
+    where a read flips, a signed zero elsewhere).  The per-read Ising
+    energies advance exactly:
+    ``dE = change * local(stale) + 1/2 * change * Jsym[p, p] * change``.
+    Each contraction has one term, so it is one plain product; the
+    specification's einsum/gemm form adds that product to ``0.0``, which
+    can only turn a ``-0.0`` term into ``+0.0``, and the fields and energies
+    the terms are added to are never ``-0.0``, so every sum comes out
+    bit-identical.
     """
-    if p1 - p0 == 1:
-        if energies is not None:
-            gain = change[:, 0] * local[:, p0]
-        spins[:, p0:p1] += change
-        np.multiply(symmetric[:, :, p0:p1], change, out=coupled)
-        local += coupled
-        if energies is not None:
-            gain += 0.5 * (change[:, 0] * coupled[:, p0])
-            energies += gain
-        return
-    if energies is not None:
-        gain = np.einsum("bcr,bcr->br", change, local[:, p0:p1])
-    spins[:, p0:p1] += change
-    apply_couplings(local, symmetric, change, p0, p1, coupled)
-    if energies is not None:
-        gain += 0.5 * np.einsum("bcr,bcr->br", change, coupled[:, p0:p1])
-        energies += gain
+    gain = change * local[:, position]
+    spins[:, position] += change
+    np.multiply(symmetric[:, :, position, None], change[:, None], out=coupled)
+    local += coupled
+    gain += 0.5 * (change * coupled[:, position])
+    energies += gain
 
 
 def _track_best(
@@ -273,29 +263,14 @@ def _track_best(
         np.copyto(best_spins, spins, where=improved[:, None, :])
 
 
-def _sa_threshold_coefficients(problem, temperature, log_activity):
-    """Coefficients of the SA log-space accept threshold.
-
-    Accepting iff ``dE+ < -T*log(u/activity)`` with ``dE = -2*p*s_i*L_i``
-    rearranges (for ``p > 0``) to ``min(s_i*L_i, 0) > c1*log(u) + c0``.
-    ``temperature`` may be a per-instance array; the arithmetic sequence here
-    must match the per-instance scalar evaluation exactly.
-    """
-    denominator = 2.0 * problem
-    c1 = temperature / denominator
-    c0 = -(temperature * log_activity) / denominator
-    return c1, c0
-
-
-def _sa_fill_thresholds(children, sizes, num_reads, out, problem, temperature, log_activity):
+def _sa_fill_thresholds(children, sizes, out, temperatures):
     """Draw each instance's sweep uniforms and scale them into thresholds.
 
-    Writes ``c1*log(u) + c0`` into the real rows of ``out`` (for
-    ``problem > 0``) or the raw ``log(u)`` (for ``problem == 0``, where the
-    accept rule degenerates to the bare activity gate ``log u < log a``).
-    Padding rows are left at their initial zeros, which can never accept.
+    Accepting iff ``dE+ < -T*log(u)`` with ``dE = -2*s_i*L_i`` rearranges to
+    ``min(s_i*L_i, 0) > (T/2)*log(u)``, which this writes into the real rows
+    of ``out``, instance ``b`` at temperature ``temperatures[b]``.  Padding
+    rows are left at their initial zeros, which can never accept.
     """
-    temperature = np.asarray(temperature, dtype=float)
     # u == 0.0 (possible, if vanishingly rare) maps to a -inf threshold,
     # i.e. certain acceptance.
     with np.errstate(divide="ignore"):
@@ -306,13 +281,7 @@ def _sa_fill_thresholds(children, sizes, num_reads, out, problem, temperature, l
             block = out[index, :size]
             child.random(out=block)
             np.log(block, out=block)
-            if problem > 0.0:
-                instance_temperature = (
-                    float(temperature) if temperature.ndim == 0 else float(temperature[index])
-                )
-                c1, c0 = _sa_threshold_coefficients(problem, instance_temperature, log_activity)
-                np.multiply(block, c1, out=block)
-                block += c0
+            np.multiply(block, temperatures[index] / 2.0, out=block)
 
 
 def _svmc_draw_blocks(children, sizes, proposal_width, activity, uniforms, passing, normals, mixes):
@@ -397,7 +366,7 @@ def _svmc_fill_thresholds(uniforms, sizes, temperature, log_activity):
 
 
 # --------------------------------------------------------------------- #
-# SA (spin-flip Metropolis) replica-parallel kernels
+# SA (sequential spin-flip Metropolis) kernel
 # --------------------------------------------------------------------- #
 
 
@@ -408,58 +377,44 @@ def sa_sweeps_vectorized(
     mask: np.ndarray,
     sizes: np.ndarray,
     children: Sequence[np.random.Generator],
-    settings: SweepSettings,
+    temperatures: np.ndarray,
     *,
-    spins_per_step: int = DEFAULT_SPINS_PER_STEP,
-    energies: Optional[np.ndarray] = None,
-    best_spins: Optional[np.ndarray] = None,
-    best_energies: Optional[np.ndarray] = None,
+    energies: np.ndarray,
+    best_spins: np.ndarray,
+    best_energies: np.ndarray,
 ) -> np.ndarray:
-    """Replica-parallel SA sweeps as one array program per chunk.
+    """Sequential single-flip Metropolis sweeps over a batch of instances.
 
     ``spins``/``local`` are ``(batch, max_size, reads)`` float64 arrays
-    updated in place (padding lanes at +1 / 0).  ``settings`` holds one
-    ``(problem, transverse, temperature, activity)`` row per sweep.  With
-    ``energies``/``best_spins``/``best_energies`` supplied, per-read Ising
-    energies are tracked exactly and running minima maintained (the classical
-    SA solver's best-seen-state contract).
+    updated in place (padding lanes at +1 / 0).  ``temperatures`` holds one
+    ``(batch,)`` row per sweep.  ``energies`` holds the ``(batch, reads)``
+    Ising energies, advanced exactly by every flip, and
+    ``best_spins``/``best_energies`` the running per-read minima (the
+    classical SA solver's best-seen-state contract).
     """
     batch, max_size, reads = spins.shape
-    track = best_energies is not None
     all_active = bool(mask.all())
-    chunk_cap = min(spins_per_step, max_size)
     thresholds = np.zeros((batch, max_size, reads))
-    change = np.empty((batch, chunk_cap, reads))
-    accept = np.empty((batch, chunk_cap, reads), dtype=bool)
+    flips = np.empty((batch, reads))
+    decided = np.empty((batch, reads), dtype=bool)
     coupled = np.empty((batch, max_size, reads))
-    for problem, _transverse, temperature, activity in settings:
-        log_activity = np.log(activity)
-        _sa_fill_thresholds(
-            children, sizes, reads, thresholds, problem, temperature, log_activity
-        )
-        for p0 in range(0, max_size, spins_per_step):
-            p1 = min(p0 + spins_per_step, max_size)
-            width = p1 - p0
-            current = spins[:, p0:p1]
-            flips = change[:, :width]
-            decided = accept[:, :width]
-            if problem > 0.0:
-                np.multiply(current, local[:, p0:p1], out=flips)
-                np.minimum(flips, 0.0, out=flips)
-                np.greater(flips, thresholds[:, p0:p1], out=decided)
-            else:
-                np.less(thresholds[:, p0:p1], log_activity, out=decided)
+    for row in temperatures:
+        _sa_fill_thresholds(children, sizes, thresholds, row)
+        for position in range(max_size):
+            current = spins[:, position]
+            np.multiply(current, local[:, position], out=flips)
+            np.minimum(flips, 0.0, out=flips)
+            np.greater(flips, thresholds[:, position], out=decided)
             if not all_active:
-                decided &= mask[:, p0:p1, None]
+                decided &= mask[:, position, None]
             if not np.count_nonzero(decided):
                 # Nothing flips: no state, field or energy moves, so no
                 # minimum can either.
                 continue
             np.multiply(decided, -2.0, out=flips)
             flips *= current
-            commit_chunk(spins, local, symmetric, flips, p0, p1, coupled, energies)
-            if track:
-                _track_best(spins, energies, best_spins, best_energies)
+            _commit_flip(spins, local, symmetric, flips, position, coupled, energies)
+            _track_best(spins, energies, best_spins, best_energies)
     return spins
 
 
@@ -469,7 +424,7 @@ def sa_sweeps(*args, **kwargs) -> np.ndarray:
     The kernel is looked up at call time, so a test may substitute the
     scalar specification for the module attribute.
     """
-    return _dispatch_instrumented("sa", sa_sweeps_vectorized, args, kwargs)
+    return _dispatch_instrumented("sa", sa_sweeps_vectorized, "temperatures", args, kwargs)
 
 
 # --------------------------------------------------------------------- #
@@ -598,7 +553,6 @@ def svmc_sweeps_vectorized(
     *,
     proposal_width: float,
     uniform_fraction: float,
-    spins_per_step: int = DEFAULT_SPINS_PER_STEP,
 ) -> np.ndarray:
     """Replica-parallel SVMC sweeps as one array program per chunk.
 
@@ -613,7 +567,7 @@ def svmc_sweeps_vectorized(
     (:func:`_svmc_draw_dense`), so results are identical on either side.
     """
     batch, max_size, reads = theta.shape
-    chunk_cap = min(spins_per_step, max_size)
+    chunk_cap = min(_SVMC_CHUNK, max_size)
     shape = (batch, max_size, reads)
     # Gated sweeps pack their proposal draws at the front of these flat
     # buffers; dense sweeps draw into their (batch, max_size, reads) views.
@@ -634,7 +588,7 @@ def svmc_sweeps_vectorized(
     change = np.empty((batch, chunk_cap, reads))
     coupled = np.empty(shape)
     all_active = bool(mask.all())
-    one_chunk = max_size <= spins_per_step
+    one_chunk = max_size <= _SVMC_CHUNK
     # Set while a gated sweep's packed draws may sit in the padding rows,
     # which the dense program needs at zero.
     stale_padding = False
@@ -658,12 +612,12 @@ def svmc_sweeps_vectorized(
                 thresholds, passing, packed_normals, packed_mixes,
             )
             stale_padding = not all_active
-            sweep = (problem, transverse, float(temperature), log_activity)
+            sweep = (problem, transverse, temperature, log_activity)
             positions = np.flatnonzero(passing)
             if not one_chunk:
                 instances, rows = np.divmod(positions // reads, max_size)
-            for p0 in range(0, max_size, spins_per_step):
-                p1 = min(p0 + spins_per_step, max_size)
+            for p0 in range(0, max_size, _SVMC_CHUNK):
+                p1 = min(p0 + _SVMC_CHUNK, max_size)
                 index = slot = positions
                 ranks = None
                 if not one_chunk:
@@ -685,9 +639,9 @@ def svmc_sweeps_vectorized(
                 mixes[index, int(size) :] = 0.0
             stale_padding = False
         _svmc_draw_dense(children, sizes, proposal_width, thresholds, normals, mixes)
-        _svmc_fill_thresholds(thresholds, sizes, float(temperature), log_activity)
-        for p0 in range(0, max_size, spins_per_step):
-            p1 = min(p0 + spins_per_step, max_size)
+        _svmc_fill_thresholds(thresholds, sizes, temperature, log_activity)
+        for p0 in range(0, max_size, _SVMC_CHUNK):
+            p1 = min(p0 + _SVMC_CHUNK, max_size)
             width = p1 - p0
             theta_chunk = theta[:, p0:p1]
             cos_chunk = cosines[:, p0:p1]
@@ -735,4 +689,4 @@ def svmc_sweeps(*args, **kwargs) -> np.ndarray:
     The kernel is looked up at call time, so a test may substitute the
     scalar specification for the module attribute.
     """
-    return _dispatch_instrumented("svmc", svmc_sweeps_vectorized, args, kwargs)
+    return _dispatch_instrumented("svmc", svmc_sweeps_vectorized, "settings", args, kwargs)

@@ -6,17 +6,16 @@ collection sorted by energy, and provides the aggregate statistics the paper's
 metrics are computed from (ground-state hit counts, energy distributions,
 sample weights).
 
-A sample set is stored as columns — distinct assignments, energies,
-occurrence counts and chain-break fractions, one row per distinct bitstring
-in ``(energy, bits)`` order — so aggregating a sampler's reads and computing
-its statistics are array operations.  :class:`SampleRecord` objects are built
-only when a caller iterates, indexes or asks for :attr:`SampleSet.records`.
+A sample set is stored as columns — distinct assignments, energies and
+occurrence counts, one row per distinct bitstring in ``(energy, bits)``
+order — built from a sampler's reads by :meth:`SampleSet.from_arrays`, so
+aggregating the reads and computing their statistics are array operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -37,15 +36,11 @@ class SampleRecord:
         Its energy under the problem the sampler was given.
     num_occurrences:
         How many reads returned exactly this assignment.
-    chain_break_fraction:
-        Fraction of embedded chains that were broken in the raw hardware
-        sample (0.0 when the problem was not embedded).
     """
 
     assignment: np.ndarray
     energy: float
     num_occurrences: int = 1
-    chain_break_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         assignment = np.asarray(self.assignment, dtype=np.int8).ravel()
@@ -54,16 +49,6 @@ class SampleRecord:
             raise ValueError(
                 f"num_occurrences must be positive, got {self.num_occurrences}"
             )
-        if not 0.0 <= self.chain_break_fraction <= 1.0:
-            raise ValueError(
-                "chain_break_fraction must lie in [0, 1], "
-                f"got {self.chain_break_fraction}"
-            )
-
-    @property
-    def key(self) -> Tuple[int, ...]:
-        """Hashable form of the assignment, used for aggregation."""
-        return tuple(int(bit) for bit in self.assignment)
 
 
 def _row_keys(assignments: np.ndarray) -> np.ndarray:
@@ -89,78 +74,29 @@ def _energy_bits_order(assignments: np.ndarray, energies: np.ndarray) -> np.ndar
 class SampleSet:
     """An energy-sorted, aggregated collection of sampler reads.
 
+    Build one from raw reads with :meth:`from_arrays`; the constructor takes
+    columns that are already aggregated and in ``(energy, bits)`` order.
+
     Parameters
     ----------
-    records:
-        Sample records; duplicates (same bitstring) are merged and their
-        occurrence counts summed.  :meth:`from_arrays` is the fast path for
-        raw reads.
+    assignments / energies / occurrences:
+        One row per distinct bitstring: its int8 assignment, its energy and
+        how many reads returned it.
     metadata:
         Sampler-provided context (schedule, timing, backend name, ...).
     """
 
     def __init__(
         self,
-        records: Iterable[SampleRecord],
+        assignments: np.ndarray,
+        energies: np.ndarray,
+        occurrences: np.ndarray,
         metadata: Optional[Dict] = None,
     ) -> None:
-        merged: Dict[Tuple[int, ...], SampleRecord] = {}
-        for record in records:
-            key = record.key
-            if key in merged:
-                existing = merged[key]
-                total = existing.num_occurrences + record.num_occurrences
-                # Occurrence-weighted chain-break fraction keeps the aggregate meaningful.
-                weighted_breaks = (
-                    existing.chain_break_fraction * existing.num_occurrences
-                    + record.chain_break_fraction * record.num_occurrences
-                ) / total
-                merged[key] = SampleRecord(
-                    assignment=existing.assignment,
-                    energy=existing.energy,
-                    num_occurrences=total,
-                    chain_break_fraction=weighted_breaks,
-                )
-            else:
-                merged[key] = record
-
-        sizes = {record.assignment.size for record in merged.values()}
-        if len(sizes) > 1:
-            raise DimensionError(
-                f"all samples must have the same length, got lengths {sorted(sizes)}"
-            )
-        distinct = list(merged.values())
-        assignments = np.array(
-            [record.assignment for record in distinct], dtype=np.int8
-        ).reshape(len(distinct), sizes.pop() if sizes else 0)
-        energies = np.array([record.energy for record in distinct], dtype=float)
-        order = _energy_bits_order(assignments, energies)
-        self._set_columns(
-            assignments[order],
-            energies[order],
-            np.array([record.num_occurrences for record in distinct], dtype=int)[order],
-            np.array([record.chain_break_fraction for record in distinct], dtype=float)[order],
-            metadata,
-        )
-
-    def _set_columns(self, assignments, energies, occurrences, chain_breaks, metadata) -> None:
         self._assignments = assignments
         self._energies = energies
         self._occurrences = occurrences
-        self._chain_breaks = chain_breaks
-        self._records: Optional[List[SampleRecord]] = None
         self.metadata: Dict = dict(metadata) if metadata else {}
-
-    @classmethod
-    def _from_columns(cls, assignments, energies, occurrences, chain_breaks, metadata):
-        """A sample set over columns already aggregated and in order."""
-        sampleset = cls.__new__(cls)
-        sampleset._set_columns(assignments, energies, occurrences, chain_breaks, metadata)
-        return sampleset
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
 
     @classmethod
     def from_arrays(
@@ -188,9 +124,7 @@ class SampleSet:
         # energy yields the (energy, bits) order.
         order = np.argsort(energies[first], kind="stable")
         rows = first[order]
-        return cls._from_columns(
-            assignments[rows], energies[rows], counts[order], np.zeros(rows.size), metadata
-        )
+        return cls(assignments[rows], energies[rows], counts[order], metadata)
 
     def with_energies(self, energies: Sequence[float]) -> "SampleSet":
         """The same distinct samples and counts, re-scored and re-sorted.
@@ -202,12 +136,8 @@ class SampleSet:
         if energies.size != len(self):
             raise DimensionError(f"{energies.size} energies for {len(self)} records")
         order = _energy_bits_order(self._assignments, energies)
-        return SampleSet._from_columns(
-            self._assignments[order],
-            energies[order],
-            self._occurrences[order],
-            self._chain_breaks[order],
-            self.metadata,
+        return SampleSet(
+            self._assignments[order], energies[order], self._occurrences[order], self.metadata
         )
 
     # ------------------------------------------------------------------ #
@@ -216,31 +146,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self._energies.size
-
-    def __iter__(self) -> Iterator[SampleRecord]:
-        return iter(self._materialised())
-
-    def __getitem__(self, index: int) -> SampleRecord:
-        return self._materialised()[index]
-
-    def _record(self, index: int) -> SampleRecord:
-        return SampleRecord(
-            assignment=self._assignments[index],
-            energy=float(self._energies[index]),
-            num_occurrences=int(self._occurrences[index]),
-            chain_break_fraction=float(self._chain_breaks[index]),
-        )
-
-    def _materialised(self) -> List[SampleRecord]:
-        """The records, built from the columns on first use."""
-        if self._records is None:
-            self._records = [self._record(index) for index in range(len(self))]
-        return self._records
-
-    @property
-    def records(self) -> List[SampleRecord]:
-        """All distinct records, lowest energy first."""
-        return list(self._materialised())
 
     def assignments(self) -> np.ndarray:
         """The distinct assignments as a ``(len(self), n)`` int8 array, in record order."""
@@ -251,11 +156,6 @@ class SampleSet:
         """Total number of reads represented (sum of occurrence counts)."""
         return int(self._occurrences.sum())
 
-    @property
-    def num_variables(self) -> int:
-        """Number of variables per sample (0 for an empty set)."""
-        return int(self._assignments.shape[1]) if len(self) else 0
-
     # ------------------------------------------------------------------ #
     # Statistics
     # ------------------------------------------------------------------ #
@@ -265,7 +165,11 @@ class SampleSet:
         """The lowest-energy record."""
         if not len(self):
             raise IndexError("sample set is empty")
-        return self._record(0) if self._records is None else self._records[0]
+        return SampleRecord(
+            assignment=self._assignments[0],
+            energy=float(self._energies[0]),
+            num_occurrences=int(self._occurrences[0]),
+        )
 
     def lowest_energy(self) -> float:
         """Lowest energy observed."""

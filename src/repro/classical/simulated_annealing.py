@@ -3,11 +3,11 @@
 Simulated annealing (SA) is the conventional classical baseline for
 QUBO/Ising heuristics and one of the "classical approximate solvers" the
 paper's conclusion lists as candidates for richer hybrid designs.  The solver
-converts each QUBO to Ising form and runs the shared replica-parallel
-single-flip Metropolis kernel of :mod:`repro.annealing.kernels` (the
-module whose rotor kernel powers the anneal backend) under a geometric
-temperature schedule, tracking the best state seen over all sweeps with exact
-incremental energy bookkeeping.
+converts each QUBO to Ising form and runs the sequential single-flip
+Metropolis kernel of :mod:`repro.annealing.kernels` (the module whose rotor
+kernel powers the anneal backend) under a geometric temperature schedule,
+tracking the best state seen over all sweeps with exact incremental energy
+bookkeeping.
 
 Both the single-instance :meth:`SimulatedAnnealingSolver.solve` and the
 batched :meth:`SimulatedAnnealingSolver.solve_batch` run the same kernel: the
@@ -118,7 +118,7 @@ class SimulatedAnnealingSolver(QuboSolver):
         if batch == 0:
             return []
         sizes = np.array([qubo.num_variables for qubo in qubos], dtype=int)
-        max_size = int(sizes.max()) if batch else 0
+        max_size = int(sizes.max())
         temperatures = np.stack(
             [self._temperature_schedule(qubo) for qubo in qubos]
         )  # (B, num_sweeps)
@@ -153,15 +153,9 @@ class SimulatedAnnealingSolver(QuboSolver):
         best_state = state.copy()
         best_energies = energies.copy()
 
-        settings = [
-            (1.0, 0.0, temperatures[:, sweep], 1.0) for sweep in range(self.num_sweeps)
-        ]
-        # Classical SA runs one read per instance at full activity, so its
-        # parallelism comes from the batch axis, not replicas.  Dense MIMO
-        # QUBOs oscillate under whole-chunk synchronous flips (strongly
-        # coupled pairs flip together on stale fields and never settle), so
-        # update one spin per chunk: sequential fixed-order Metropolis, the
-        # textbook dynamics, still vectorised across instances.
+        # One read per instance, so the parallelism comes from the batch
+        # axis: sequential fixed-order Metropolis, vectorised across
+        # instances, with one temperature row per sweep.
         kernels.sa_sweeps(
             state,
             local,
@@ -169,8 +163,7 @@ class SimulatedAnnealingSolver(QuboSolver):
             mask,
             sizes,
             children,
-            settings,
-            spins_per_step=1,
+            temperatures.T,
             energies=energies,
             best_spins=best_state,
             best_energies=best_energies,

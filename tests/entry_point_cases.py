@@ -58,7 +58,6 @@ def _sampleset(sampleset) -> dict:
         "assignments": _plain(sampleset.assignments()),
         "energies": _plain(sampleset.energies()),
         "occurrences": _plain(sampleset.occurrences()),
-        "chain_break_fractions": [record.chain_break_fraction for record in sampleset],
         "metadata": _plain(sampleset.metadata),
     }
 

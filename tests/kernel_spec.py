@@ -7,23 +7,22 @@ scalar loops.  They take exactly the arguments of
 those production kernels *bit for bit*.  Draws, transcendental
 blocks and BLAS reductions go through the kernels' shared helpers (see the
 equivalence rules in the :mod:`repro.annealing.kernels` docstring); the
-decision logic and the SA chunk commit are restated here.  The commit is
-spelled out in its general einsum + ``apply_couplings`` form for every chunk
-width and runs after every chunk, so the production shortcuts — plain
-products for one-position chunks, no commit when nothing flips — are checked
-against it rather than shared with it.
+decision logic and the SA flip commit are restated here.  The commit is
+spelled out in its general einsum + ``apply_couplings`` form and runs after
+every position, so the production shortcuts — plain products for the
+one-position commit, no commit when nothing flips — are checked against it
+rather than shared with it.
 
 ``tests/test_kernels.py`` calls these functions directly for the kernel-level
 equivalence tests and substitutes them for ``kernels.sa_sweeps_vectorized`` /
 ``kernels.svmc_sweeps_vectorized`` for the solver-level ones.
 """
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.annealing.kernels import (
-    DEFAULT_SPINS_PER_STEP,
     SweepSettings,
     _sa_fill_thresholds,
     _svmc_cos_sin_block,
@@ -36,6 +35,11 @@ from repro.annealing.kernels import (
 
 __all__ = ["sa_sweeps_reference", "svmc_sweeps_reference"]
 
+#: Rotors per SVMC chunk.  Restated here rather than imported, so a change
+#: to the production kernel's chunk width fails the equivalence tests on
+#: batches that cross a chunk boundary.
+SVMC_CHUNK = 64
+
 
 def sa_sweeps_reference(
     spins: np.ndarray,
@@ -44,14 +48,13 @@ def sa_sweeps_reference(
     mask: np.ndarray,
     sizes: np.ndarray,
     children: Sequence[np.random.Generator],
-    settings: SweepSettings,
+    temperatures: np.ndarray,
     *,
-    spins_per_step: int = DEFAULT_SPINS_PER_STEP,
-    energies: Optional[np.ndarray] = None,
-    best_spins: Optional[np.ndarray] = None,
-    best_energies: Optional[np.ndarray] = None,
+    energies: np.ndarray,
+    best_spins: np.ndarray,
+    best_energies: np.ndarray,
 ) -> np.ndarray:
-    """The SA dynamics spelled out with per-read scalar loops.
+    """The sequential SA dynamics spelled out with per-read scalar loops.
 
     Every accept decision and flip value is computed one read at a time with
     exact scalar arithmetic, while draws, thresholds and the coupling refresh
@@ -59,44 +62,29 @@ def sa_sweeps_reference(
     work per sweep.
     """
     batch, max_size, reads = spins.shape
-    track = best_energies is not None
-    chunk_cap = min(spins_per_step, max_size)
     thresholds = np.zeros((batch, max_size, reads))
-    change = np.empty((batch, chunk_cap, reads))
+    flips = np.empty((batch, 1, reads))
     coupled = np.empty((batch, max_size, reads))
-    for problem, _transverse, temperature, activity in settings:
-        log_activity = np.log(activity)
-        _sa_fill_thresholds(
-            children, sizes, reads, thresholds, problem, temperature, log_activity
-        )
-        for p0 in range(0, max_size, spins_per_step):
-            p1 = min(p0 + spins_per_step, max_size)
-            flips = change[:, : p1 - p0]
+    for row in temperatures:
+        _sa_fill_thresholds(children, sizes, thresholds, row)
+        for p in range(max_size):
             for b in range(batch):
                 size = int(sizes[b])
-                for p in range(p0, p1):
-                    row = p - p0
-                    for r in range(reads):
-                        cur = spins[b, p, r]
-                        if p >= size:
-                            ok = False
-                        elif problem > 0.0:
-                            prod = cur * local[b, p, r]
-                            clipped = prod if prod < 0.0 else 0.0
-                            ok = clipped > thresholds[b, p, r]
-                        else:
-                            ok = thresholds[b, p, r] < log_activity
-                        flips[b, row, r] = (-2.0 if ok else -0.0) * cur
-            # dE = sum_i change_i * local_i(stale) + 1/2 change^T Jsym change
-            if energies is not None:
-                gain = np.einsum("bcr,bcr->br", flips, local[:, p0:p1])
-            spins[:, p0:p1] += flips
-            apply_couplings(local, symmetric, flips, p0, p1, coupled)
-            if energies is not None:
-                gain += 0.5 * np.einsum("bcr,bcr->br", flips, coupled[:, p0:p1])
-                energies += gain
-            if track:
-                _track_best(spins, energies, best_spins, best_energies)
+                for r in range(reads):
+                    cur = spins[b, p, r]
+                    ok = False
+                    if p < size:
+                        prod = cur * local[b, p, r]
+                        clipped = prod if prod < 0.0 else 0.0
+                        ok = clipped > thresholds[b, p, r]
+                    flips[b, 0, r] = (-2.0 if ok else -0.0) * cur
+            # dE = change * local(stale) + 1/2 change * Jsym * change
+            gain = np.einsum("bcr,bcr->br", flips, local[:, p : p + 1])
+            spins[:, p : p + 1] += flips
+            apply_couplings(local, symmetric, flips, p, p + 1, coupled)
+            gain += 0.5 * np.einsum("bcr,bcr->br", flips, coupled[:, p : p + 1])
+            energies += gain
+            _track_best(spins, energies, best_spins, best_energies)
     return spins
 
 
@@ -113,7 +101,6 @@ def svmc_sweeps_reference(
     *,
     proposal_width: float,
     uniform_fraction: float,
-    spins_per_step: int = DEFAULT_SPINS_PER_STEP,
 ) -> np.ndarray:
     """The SVMC dynamics spelled out with per-read scalar loops.
 
@@ -124,7 +111,7 @@ def svmc_sweeps_reference(
     scalar computation.
     """
     batch, max_size, reads = theta.shape
-    chunk_cap = min(spins_per_step, max_size)
+    chunk_cap = min(SVMC_CHUNK, max_size)
     thresholds = np.zeros((batch, max_size, reads))
     passing = np.zeros((batch, max_size, reads), dtype=bool)
     packed_normals = np.empty(batch * max_size * reads)
@@ -146,9 +133,9 @@ def svmc_sweeps_reference(
         mixes = np.zeros((batch, max_size, reads))
         normals[passing] = packed_normals[:count]
         mixes[passing] = packed_mixes[:count]
-        _svmc_fill_thresholds(thresholds, sizes, float(temperature), log_activity)
-        for p0 in range(0, max_size, spins_per_step):
-            p1 = min(p0 + spins_per_step, max_size)
+        _svmc_fill_thresholds(thresholds, sizes, temperature, log_activity)
+        for p0 in range(0, max_size, SVMC_CHUNK):
+            p1 = min(p0 + SVMC_CHUNK, max_size)
             width = p1 - p0
             prop = _svmc_propose_block(
                 theta[:, p0:p1],

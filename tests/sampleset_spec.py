@@ -1,12 +1,12 @@
 """Executable specification of SampleSet aggregation.
 
-The record-by-record aggregation :class:`repro.annealing.sampleset.SampleSet`
-is specified by: one record per read, duplicates merged by bitstring key in
-read order (the first occurrence keeps its energy, chain-break fractions are
-occurrence-weighted), records sorted by ``(energy, key)``, and every
-statistic computed record by record.  The production class stores columns
-and aggregates with array operations; ``tests/test_sampleset.py`` checks it
-against these functions for exact equality.
+The read-by-read aggregation :class:`repro.annealing.sampleset.SampleSet`
+is specified by: one record per read, duplicates merged by bitstring in read
+order (the first occurrence keeps its energy), records sorted by
+``(energy, bits)``, and every statistic computed record by record.  The
+production class stores columns and aggregates with array operations;
+``tests/test_sampleset.py`` checks it against these functions for exact
+equality.
 """
 
 from typing import Dict, Iterable, List, Tuple
@@ -16,6 +16,7 @@ import numpy as np
 from repro.annealing.sampleset import SampleRecord
 
 __all__ = [
+    "record_key",
     "merge_records_reference",
     "from_arrays_reference",
     "expanded_energies_reference",
@@ -24,27 +25,26 @@ __all__ = [
 ]
 
 
+def record_key(record: SampleRecord) -> Tuple[int, ...]:
+    """The record's assignment as a tuple of ints (hashable, orderable)."""
+    return tuple(int(bit) for bit in record.assignment)
+
+
 def merge_records_reference(records: Iterable[SampleRecord]) -> List[SampleRecord]:
-    """Merge records by bitstring and sort them by ``(energy, key)``."""
+    """Merge records by bitstring and sort them by ``(energy, bits)``."""
     merged: Dict[Tuple[int, ...], SampleRecord] = {}
     for record in records:
-        key = record.key
+        key = record_key(record)
         if key in merged:
             existing = merged[key]
-            total = existing.num_occurrences + record.num_occurrences
-            weighted_breaks = (
-                existing.chain_break_fraction * existing.num_occurrences
-                + record.chain_break_fraction * record.num_occurrences
-            ) / total
             merged[key] = SampleRecord(
                 assignment=existing.assignment,
                 energy=existing.energy,
-                num_occurrences=total,
-                chain_break_fraction=weighted_breaks,
+                num_occurrences=existing.num_occurrences + record.num_occurrences,
             )
         else:
             merged[key] = record
-    return sorted(merged.values(), key=lambda item: (item.energy, item.key))
+    return sorted(merged.values(), key=lambda item: (item.energy, record_key(item)))
 
 
 def from_arrays_reference(assignments: np.ndarray, energies) -> List[SampleRecord]:

@@ -239,9 +239,8 @@ class TestSamplerBatch:
         for expected, actual in zip(sequential, batched):
             assert expected.num_reads == actual.num_reads == 7
             assert np.array_equal(expected.energies(), actual.energies())
-            for left, right in zip(expected.records, actual.records):
-                assert np.array_equal(left.assignment, right.assignment)
-                assert left.num_occurrences == right.num_occurrences
+            assert np.array_equal(expected.assignments(), actual.assignments())
+            assert np.array_equal(expected.occurrences(), actual.occurrences())
 
     def test_reverse_anneal_batch_requires_initial_states(self, rng):
         qubos = _qubo_batch(rng, (4, 4))
@@ -258,7 +257,7 @@ class TestSamplerBatch:
             backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=8), seed=1
         )
         samplesets = sampler.reverse_anneal_batch(qubos, states, switch_s=0.45, num_reads=6)
-        assert [s.num_variables for s in samplesets] == [4, 6]
+        assert [s.assignments().shape[1] for s in samplesets] == [4, 6]
 
     def test_control_noise_consumes_per_instance_children(self, rng):
         # With ICE noise enabled the noise draws also come from the child

@@ -33,8 +33,7 @@ class TestDegradedDevice:
         )
         sampleset = sampler.forward_anneal(qubo, num_reads=20)
         assert sampleset.num_reads == 20
-        for record in sampleset:
-            assert record.energy == pytest.approx(qubo.energy(record.assignment))
+        assert np.allclose(sampleset.energies(), qubo.energies(sampleset.assignments()))
 
     def test_heavy_noise_degrades_success(self, planted_qubo_10):
         qubo, planted = planted_qubo_10

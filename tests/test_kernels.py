@@ -2,10 +2,10 @@
 
 The reference kernels in ``tests/kernel_spec.py`` are the executable
 specification: the production kernel of each family must reproduce them
-*bit for bit* on every tested configuration — spin counts, read counts,
-chunk sizes, schedules and seeds — for both the SA and SVMC families.  The
-suite also locks down the random-draw discipline that keeps experiment
-results invariant to batching.
+*bit for bit* on every tested configuration — spin counts (including SVMC
+batches that cross the 64-rotor chunk boundary), read counts, schedules and
+seeds — for both the SA and SVMC families.  The suite also locks down the
+random-draw discipline that keeps experiment results invariant to batching.
 """
 
 import copy
@@ -15,12 +15,7 @@ import pytest
 
 from repro.annealing import kernels
 from repro.annealing.device import AnnealingFunctions
-from repro.annealing.kernels import (
-    DEFAULT_SPINS_PER_STEP,
-    initial_local_fields,
-    sa_sweeps,
-    svmc_sweeps,
-)
+from repro.annealing.kernels import initial_local_fields, sa_sweeps, svmc_sweeps
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
@@ -30,9 +25,10 @@ from repro.qubo.model import QUBOModel
 from repro.utils.rng import spawn_rngs
 from tests.kernel_spec import sa_sweeps_reference, svmc_sweeps_reference
 
-#: Named sweep schedules exercising every decision branch of the kernels:
-#: problem > 0 and problem == 0 sweeps, full activity and freeze-out
-#: dilution, hot and near-frozen temperatures.
+#: Named SVMC sweep schedules exercising every decision branch of the
+#: kernel: problem > 0 and problem == 0 sweeps, hot and near-frozen
+#: temperatures, and both sides of the activity crossover — every entry
+#: mixes gated (activity < 1) and dense (activity = 1) sweeps.
 SCHEDULES = {
     "anneal": [
         (0.2, 0.8, 2.0, 1.0),
@@ -50,12 +46,33 @@ SCHEDULES = {
     ],
 }
 
+#: Named SA temperature schedules (one temperature per sweep): a cooling
+#: anneal, a near-frozen quench and a hot random walk.
+SA_SCHEDULES = {
+    "anneal": [2.0, 1.0, 0.3, 0.05],
+    "cold-quench": [1e-6, 1e-6],
+    "hot": [50.0, 20.0],
+}
+
 #: Batch compositions: equal sizes, ragged sizes (padding lanes), batch of 1.
 SIZE_SETS = {
     "single": [6],
     "equal": [5, 5],
     "ragged": [7, 3, 10],
 }
+
+#: SA batches add a ragged batch with an empty instance (a lane of pure
+#: padding that draws nothing).
+SA_SIZE_SETS = {**SIZE_SETS, "ragged-empty": [7, 0, 10]}
+
+#: SVMC batches add instances that cross the 64-rotor chunk boundary: a
+#: partial second chunk beside a one-chunk instance, and three chunks.
+SVMC_SIZE_SETS = {**SIZE_SETS, "cross-chunk": [70, 9], "three-chunks": [130]}
+
+
+def _sa_temperatures(schedule, batch):
+    """``(num_sweeps, batch)`` rows: instance ``b`` runs ``schedule`` scaled by ``1 + b/2``."""
+    return np.outer(schedule, 1.0 + 0.5 * np.arange(batch))
 
 
 def _problem_batch(sizes, seed):
@@ -73,26 +90,24 @@ def _problem_batch(sizes, seed):
     return padded_fields, symmetric, mask, np.array(sizes, dtype=int)
 
 
-def _sa_state(sizes, reads, seed, padded_fields, symmetric, track=False):
-    """Fresh SA kernel state plus the child generators that drive it."""
+def _sa_state(sizes, reads, seed, padded_fields, symmetric):
+    """Fresh SA kernel state (spins, fields, tracked energies and minima)."""
     children = spawn_rngs(seed, len(sizes))
     batch, max_size = len(sizes), max(sizes)
     state = np.ones((batch, max_size, reads))
     for b, n in enumerate(sizes):
         state[b, :n] = children[b].choice([-1.0, 1.0], size=(reads, n)).T
     local = initial_local_fields(padded_fields, symmetric, state)
-    extras = {}
-    if track:
-        energies = 0.5 * (
-            np.einsum("bnr,bnr->br", state, local)
-            + np.einsum("bnr,bn->br", state, padded_fields)
-        )
-        extras = {
-            "energies": energies,
-            "best_spins": state.copy(),
-            "best_energies": energies.copy(),
-        }
-    return state, local, children, extras
+    energies = 0.5 * (
+        np.einsum("bnr,bnr->br", state, local)
+        + np.einsum("bnr,bn->br", state, padded_fields)
+    )
+    tracked = {
+        "energies": energies,
+        "best_spins": state.copy(),
+        "best_energies": energies.copy(),
+    }
+    return state, local, children, tracked
 
 
 def _svmc_state(sizes, reads, seed, padded_fields, symmetric):
@@ -125,26 +140,18 @@ def _use_kernel(monkeypatch, kernel):
     monkeypatch.setattr(kernels, "svmc_sweeps_vectorized", svmc)
 
 
-def _run_sa(implementation, sizes, reads, seed, schedule, chunk, track=False):
+def _run_sa(implementation, sizes, reads, seed, temperatures):
     padded_fields, symmetric, mask, size_array = _problem_batch(sizes, seed + 1000)
-    state, local, children, extras = _sa_state(
-        sizes, reads, seed, padded_fields, symmetric, track=track
+    state, local, children, tracked = _sa_state(
+        sizes, reads, seed, padded_fields, symmetric
     )
     _kernel(sa_sweeps, sa_sweeps_reference, implementation)(
-        state,
-        local,
-        symmetric,
-        mask,
-        size_array,
-        children,
-        schedule,
-        spins_per_step=chunk,
-        **extras,
+        state, local, symmetric, mask, size_array, children, temperatures, **tracked
     )
-    return state, local, extras
+    return state, local, tracked
 
 
-def _run_svmc(implementation, sizes, reads, seed, schedule, chunk, **params):
+def _run_svmc(implementation, sizes, reads, seed, schedule, **params):
     padded_fields, symmetric, mask, size_array = _problem_batch(sizes, seed + 1000)
     theta, cosines, sines, local, children = _svmc_state(
         sizes, reads, seed, padded_fields, symmetric
@@ -161,69 +168,62 @@ def _run_svmc(implementation, sizes, reads, seed, schedule, chunk, **params):
         schedule,
         proposal_width=params.get("proposal_width", 0.5),
         uniform_fraction=params.get("uniform_fraction", 0.15),
-        spins_per_step=chunk,
     )
     return theta, cosines, sines, local
+
+
+def _assert_sa_bitwise(expected, actual):
+    """States, fields, energies and tracked minima are byte-identical."""
+    assert expected[0].tobytes() == actual[0].tobytes()
+    assert expected[1].tobytes() == actual[1].tobytes()
+    for key in ("energies", "best_spins", "best_energies"):
+        assert expected[2][key].tobytes() == actual[2][key].tobytes(), key
 
 
 class TestSAEquivalence:
     """The vectorized SA kernel is bitwise-identical to the reference."""
 
-    @pytest.mark.parametrize("size_key", sorted(SIZE_SETS))
-    @pytest.mark.parametrize("schedule_key", sorted(SCHEDULES))
+    @pytest.mark.parametrize("size_key", sorted(SA_SIZE_SETS))
+    @pytest.mark.parametrize("schedule_key", sorted(SA_SCHEDULES))
     @pytest.mark.parametrize("reads", [1, 4])
-    @pytest.mark.parametrize("chunk", [1, 4, DEFAULT_SPINS_PER_STEP])
-    def test_vectorized_matches_reference(self, size_key, schedule_key, reads, chunk):
-        sizes, schedule = SIZE_SETS[size_key], SCHEDULES[schedule_key]
-        ref = _run_sa("reference", sizes, reads, 7, schedule, chunk)
-        vec = _run_sa("vectorized", sizes, reads, 7, schedule, chunk)
-        for reference, candidate in zip(ref[:2], vec[:2]):
-            assert np.array_equal(reference, candidate)
+    def test_vectorized_matches_reference(self, size_key, schedule_key, reads):
+        sizes = SA_SIZE_SETS[size_key]
+        temperatures = _sa_temperatures(SA_SCHEDULES[schedule_key], len(sizes))
+        ref = _run_sa("reference", sizes, reads, 7, temperatures)
+        vec = _run_sa("vectorized", sizes, reads, 7, temperatures)
+        _assert_sa_bitwise(ref, vec)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_seed_sweep(self, seed):
-        ref = _run_sa("reference", [9, 4], 3, seed, SCHEDULES["anneal"], 5)
-        vec = _run_sa("vectorized", [9, 4], 3, seed, SCHEDULES["anneal"], 5)
-        assert np.array_equal(ref[0], vec[0])
-        assert np.array_equal(ref[1], vec[1])
+        temperatures = _sa_temperatures(SA_SCHEDULES["anneal"], 2)
+        ref = _run_sa("reference", [9, 4], 3, seed, temperatures)
+        vec = _run_sa("vectorized", [9, 4], 3, seed, temperatures)
+        _assert_sa_bitwise(ref, vec)
 
     def test_energy_and_best_tracking_match(self, monkeypatch):
-        # Per-instance temperature arrays (the classical solver's schedule
-        # shape) with exact energy bookkeeping and best-state minima.  The
-        # cold quench leaves both instances in local minima; instance 1 is
-        # then reheated alone, so in the cold final sweep instance 0 flips
-        # nothing while instance 1 descends.  Chunks where nobody flips skip
-        # the commit, chunks where only instance 1 flips commit a zero
-        # change for instance 0, and chunk 1 takes the one-position commit.
-        # Seed 0 is one where the 4-wide synchronous chunks settle under the
-        # quench too (on some seeds they oscillate and always commit).
-        cold = (1.0, 0.0, np.array([1e-9, 1e-9]), 1.0)
-        schedule = [
-            (1.0, 0.0, np.array([3.0, 1.0]), 1.0),
-            (1.0, 0.0, np.array([0.5, 0.2]), 1.0),
-            (1.0, 0.0, np.array([0.05, 0.01]), 1.0),
-            cold,
-            cold,
-            (1.0, 0.0, np.array([1e-9, 5.0]), 1.0),
-            cold,
-        ]
-        commits = []
-        commit = kernels.commit_chunk
-        monkeypatch.setattr(
-            kernels, "commit_chunk", lambda *args: commits.append(1) or commit(*args)
+        # Per-instance temperatures with exact energy bookkeeping and
+        # best-state minima.  The cold quench leaves both instances in local
+        # minima; instance 1 is then reheated alone, so in the cold final
+        # sweep instance 0 flips nothing while instance 1 descends.
+        # Positions where nobody flips skip the commit, and positions where
+        # only instance 1 flips commit a zero change for instance 0.
+        cold = [1e-9, 1e-9]
+        temperatures = np.array(
+            [[3.0, 1.0], [0.5, 0.2], [0.05, 0.01], cold, cold, [1e-9, 5.0], cold]
         )
-        for chunk in (1, 4):
-            ref = _run_sa("reference", [6, 8], 3, 0, schedule, chunk, track=True)
-            commits.clear()
-            vec = _run_sa("vectorized", [6, 8], 3, 0, schedule, chunk, track=True)
-            assert ref[0].tobytes() == vec[0].tobytes()
-            assert ref[1].tobytes() == vec[1].tobytes()
-            for key in ("energies", "best_spins", "best_energies"):
-                assert ref[2][key].tobytes() == vec[2][key].tobytes(), (chunk, key)
-            assert 0 < len(commits) < len(schedule) * -(-8 // chunk)
-            before = _run_sa("vectorized", [6, 8], 3, 0, schedule[:-1], chunk)[0]
-            assert np.array_equal(before[0], vec[0][0])
-            assert not np.array_equal(before[1], vec[0][1])
+        commits = []
+        commit = kernels._commit_flip
+        monkeypatch.setattr(
+            kernels, "_commit_flip", lambda *args: commits.append(1) or commit(*args)
+        )
+        ref = _run_sa("reference", [6, 8], 3, 0, temperatures)
+        commits.clear()
+        vec = _run_sa("vectorized", [6, 8], 3, 0, temperatures)
+        _assert_sa_bitwise(ref, vec)
+        assert 0 < len(commits) < len(temperatures) * 8
+        before = _run_sa("vectorized", [6, 8], 3, 0, temperatures[:-1])[0]
+        assert np.array_equal(before[0], vec[0][0])
+        assert not np.array_equal(before[1], vec[0][1])
 
     def test_tracked_energies_are_exact(self):
         # The incrementally-maintained energies equal a from-scratch
@@ -231,8 +231,8 @@ class TestSAEquivalence:
         # different reduction, so compare to double rounding).
         sizes, reads, seed = [7, 5], 4, 3
         padded_fields, symmetric, mask, size_array = _problem_batch(sizes, seed + 1000)
-        state, local, children, extras = _sa_state(
-            sizes, reads, seed, padded_fields, symmetric, track=True
+        state, local, children, tracked = _sa_state(
+            sizes, reads, seed, padded_fields, symmetric
         )
         sa_sweeps(
             state,
@@ -241,46 +241,63 @@ class TestSAEquivalence:
             mask,
             size_array,
             children,
-            SCHEDULES["anneal"],
-            spins_per_step=3,
-            **extras,
+            _sa_temperatures(SA_SCHEDULES["anneal"], len(sizes)),
+            **tracked,
         )
         recomputed = 0.5 * (
             np.einsum("bnr,bnr->br", state, initial_local_fields(padded_fields, symmetric, state))
             + np.einsum("bnr,bn->br", state, padded_fields)
         )
-        assert np.allclose(extras["energies"], recomputed, atol=1e-9)
-        assert np.all(extras["best_energies"] <= extras["energies"] + 1e-12)
+        assert np.allclose(tracked["energies"], recomputed, atol=1e-9)
+        assert np.all(tracked["best_energies"] <= tracked["energies"] + 1e-12)
+
+    def test_fill_thresholds_match_generator_draws(self):
+        # The spec shares this helper, so its contract is pinned here: per
+        # real row, (T_b / 2) * log(u) of the instance's own uniforms;
+        # padding rows and empty instances untouched and undrawn.
+        sizes, reads = np.array([5, 0, 3]), 4
+        temperatures = np.array([0.7, 9.0, 2.5])
+        children = spawn_rngs(17, len(sizes))
+        replays = copy.deepcopy(children)
+        out = np.full((len(sizes), int(sizes.max()), reads), 7.0)
+        kernels._sa_fill_thresholds(children, sizes, out, temperatures)
+        for index, (size, replay) in enumerate(zip(sizes, replays)):
+            expected = np.log(replay.random((size, reads))) * (temperatures[index] / 2.0)
+            assert out[index, :size].tobytes() == expected.tobytes()
+            assert np.all(out[index, size:] == 7.0)
+            assert children[index].random() == replay.random()
 
     def test_padding_lanes_never_move(self):
-        state, local, _ = _run_sa("vectorized", [3, 9], 4, 11, SCHEDULES["anneal"], 4)
+        temperatures = _sa_temperatures(SA_SCHEDULES["anneal"], 2)
+        state, _, _ = _run_sa("vectorized", [3, 9], 4, 11, temperatures)
         assert np.all(state[0, 3:] == 1.0)
-
 
 
 class TestSVMCEquivalence:
     """The vectorized SVMC kernel is bitwise-identical to the reference."""
 
-    @pytest.mark.parametrize("size_key", sorted(SIZE_SETS))
+    @pytest.mark.parametrize("size_key", sorted(SVMC_SIZE_SETS))
     @pytest.mark.parametrize("schedule_key", sorted(SCHEDULES))
     @pytest.mark.parametrize("reads", [1, 4])
-    @pytest.mark.parametrize("chunk", [1, 4, DEFAULT_SPINS_PER_STEP])
-    def test_vectorized_matches_reference(self, size_key, schedule_key, reads, chunk):
-        sizes, schedule = SIZE_SETS[size_key], SCHEDULES[schedule_key]
-        ref = _run_svmc("reference", sizes, reads, 7, schedule, chunk)
-        vec = _run_svmc("vectorized", sizes, reads, 7, schedule, chunk)
+    def test_vectorized_matches_reference(self, size_key, schedule_key, reads):
+        sizes, schedule = SVMC_SIZE_SETS[size_key], SCHEDULES[schedule_key]
+        # Every schedule runs both the gated and the dense sweep program.
+        activities = [row[3] for row in schedule]
+        assert min(activities) < 1.0 and max(activities) == 1.0
+        ref = _run_svmc("reference", sizes, reads, 7, schedule)
+        vec = _run_svmc("vectorized", sizes, reads, 7, schedule)
         for reference, candidate in zip(ref, vec):
-            assert np.array_equal(reference, candidate)
+            assert reference.tobytes() == candidate.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("uniform_fraction", [0.0, 0.3])
     def test_seed_and_mix_sweep(self, seed, uniform_fraction):
         ref = _run_svmc(
-            "reference", [8, 5], 3, seed, SCHEDULES["anneal"], 4,
+            "reference", [70, 5], 3, seed, SCHEDULES["anneal"],
             uniform_fraction=uniform_fraction,
         )
         vec = _run_svmc(
-            "vectorized", [8, 5], 3, seed, SCHEDULES["anneal"], 4,
+            "vectorized", [70, 5], 3, seed, SCHEDULES["anneal"],
             uniform_fraction=uniform_fraction,
         )
         for reference, candidate in zip(ref, vec):
@@ -288,7 +305,7 @@ class TestSVMCEquivalence:
 
     def test_state_invariants(self):
         theta, cosines, sines, _ = _run_svmc(
-            "vectorized", [4, 10], 5, 13, SCHEDULES["anneal"], 4
+            "vectorized", [4, 70], 5, 13, SCHEDULES["anneal"]
         )
         assert np.all((theta >= 0.0) & (theta <= np.pi))
         # cos/sin caches track the angles (sin via sqrt(1-cos^2)).
@@ -396,13 +413,12 @@ class TestGatedSVMC:
     @pytest.mark.parametrize("size_key", sorted(GATE_SIZES))
     @pytest.mark.parametrize("reads", [1, 5])
     @pytest.mark.parametrize("uniform_fraction", [0.0, 0.2])
-    @pytest.mark.parametrize("chunk", [4, DEFAULT_SPINS_PER_STEP])
-    def test_matches_reference(self, activity_key, size_key, reads, uniform_fraction, chunk):
+    def test_matches_reference(self, activity_key, size_key, reads, uniform_fraction):
         schedule = _gate_schedule(GATE_ACTIVITIES[activity_key])
         sizes = GATE_SIZES[size_key]
         runs = [
             _run_svmc(
-                implementation, sizes, reads, 11, schedule, chunk,
+                implementation, sizes, reads, 11, schedule,
                 uniform_fraction=uniform_fraction,
             )
             for implementation in ("reference", "vectorized")
@@ -418,7 +434,7 @@ class TestGatedSVMC:
             (1.0, 0.0, 0.1, 0.5),
         ]
         runs = [
-            _run_svmc(implementation, [65, 9], 3, 5, schedule, DEFAULT_SPINS_PER_STEP)
+            _run_svmc(implementation, [65, 9], 3, 5, schedule)
             for implementation in ("reference", "vectorized")
         ]
         _assert_bitwise(*runs)
@@ -443,7 +459,7 @@ class TestGatedSVMC:
         schedule = [(0.6, 0.4, 0.7, activity), (0.9, 0.1, 0.3, activity)]
         runs = [
             _run_svmc(
-                implementation, sizes, reads, seed, schedule, DEFAULT_SPINS_PER_STEP,
+                implementation, sizes, reads, seed, schedule,
                 uniform_fraction=uniform_fraction,
             )
             for implementation in ("reference", "vectorized")
@@ -458,7 +474,7 @@ class TestGatedSVMC:
             kernels, "_svmc_gated_chunk", lambda *args: calls.append(1) or gated(*args)
         )
         activity = GATE_ACTIVITIES[activity_key]
-        _run_svmc("vectorized", [5], 2, 3, _gate_schedule(activity), DEFAULT_SPINS_PER_STEP)
+        _run_svmc("vectorized", [5], 2, 3, _gate_schedule(activity))
         assert bool(calls) == (activity < 1.0)
 
     def test_padding_rotors_never_move(self):
@@ -490,7 +506,7 @@ class TestGatedSVMC:
         with np.errstate(over="raise"):
             runs = [
                 _run_svmc(
-                    implementation, [3, 6], 4, 2, schedule, DEFAULT_SPINS_PER_STEP,
+                    implementation, [3, 6], 4, 2, schedule,
                     proposal_width=1e300,
                 )
                 for implementation in ("reference", "vectorized")
@@ -626,42 +642,61 @@ class TestDrawDiscipline:
             assert np.array_equal(solo.assignment, expected.assignment)
             assert solo.energy == expected.energy
 
-    def test_chunking_consumes_no_extra_draws(self):
-        # The per-sweep blocks are drawn up front, so spins_per_step affects
-        # dynamics only through chunk boundaries — never draw consumption:
-        # follower draws after the kernel are identical for any chunking.
-        followers = []
-        for chunk in (1, 3, DEFAULT_SPINS_PER_STEP):
-            padded_fields, symmetric, mask, sizes = _problem_batch([6, 4], 99)
-            state, local, children, _ = _sa_state([6, 4], 3, 21, padded_fields, symmetric)
-            sa_sweeps(
-                state, local, symmetric, mask, sizes, children,
-                SCHEDULES["anneal"],
-                spins_per_step=chunk,
-            )
-            followers.append(np.stack([child.random(4) for child in children]))
-        assert np.array_equal(followers[0], followers[1])
-        assert np.array_equal(followers[1], followers[2])
+    def test_classical_solver_empty_instance_in_batch(self):
+        # An empty QUBO rides through the kernel as a lane of pure padding:
+        # it draws nothing and leaves its neighbour's result unchanged.
+        qubos = [QUBOModel(np.zeros((0, 0))), _toy_qubo(3, size=7)]
+        solver = SimulatedAnnealingSolver(num_sweeps=25)
+        batched = solver.solve_batch(qubos, rng=5)
+        for qubo, child, expected in zip(qubos, spawn_rngs(5, 2), batched):
+            solo = solver.solve(qubo, rng=child)
+            assert solo.assignment.tobytes() == expected.assignment.tobytes()
+            assert solo.energy == expected.energy
+        assert batched[0].assignment.size == 0
+
+    def test_sa_consumes_one_block_per_sweep(self):
+        # The SA kernel visits positions one at a time, but each sweep's
+        # uniforms are drawn up front as one (size, reads) block per
+        # instance: follower draws after the kernel equal a replay of
+        # exactly those blocks, and an empty instance draws nothing.
+        sizes, reads = [6, 0, 4], 3
+        temperatures = _sa_temperatures(SA_SCHEDULES["anneal"], len(sizes))
+        padded_fields, symmetric, mask, size_array = _problem_batch(sizes, 99)
+        state, local, children, tracked = _sa_state(sizes, reads, 21, padded_fields, symmetric)
+        replays = copy.deepcopy(children)
+        sa_sweeps(
+            state, local, symmetric, mask, size_array, children, temperatures, **tracked
+        )
+        for size, child, replay in zip(sizes, children, replays):
+            for _ in temperatures:
+                replay.random((size, reads))
+            assert child.random(4).tobytes() == replay.random(4).tobytes()
 
     def test_svmc_chunking_consumes_no_extra_draws(self):
         # SVMC draw consumption depends on each instance's own accept
         # uniforms (one proposal per gate-passing position), never on the
-        # chunking: follower draws match across full, partial and
-        # residual-floor activity sweeps.
+        # chunking: across full, partial and residual-floor activity sweeps
+        # of instances on both sides of the chunk boundary, follower draws
+        # equal a replay of exactly the per-sweep blocks.
         schedule = [(0.2, 0.8, 2.0, 1.0), (0.6, 0.4, 1.0, 0.6), (1.0, 0.05, 0.3, 0.02)]
-        followers = []
-        for chunk in (1, 3, DEFAULT_SPINS_PER_STEP):
-            padded_fields, symmetric, mask, sizes = _problem_batch([6, 4], 99)
-            theta, cosines, sines, local, children = _svmc_state(
-                [6, 4], 3, 21, padded_fields, symmetric
-            )
-            svmc_sweeps(
-                theta, cosines, sines, local, symmetric, mask, sizes, children, schedule,
-                proposal_width=0.5, uniform_fraction=0.15, spins_per_step=chunk,
-            )
-            followers.append(np.stack([child.random(4) for child in children]))
-        assert np.array_equal(followers[0], followers[1])
-        assert np.array_equal(followers[1], followers[2])
+        sizes, reads = [70, 6, 0], 3
+        padded_fields, symmetric, mask, size_array = _problem_batch(sizes, 99)
+        theta, cosines, sines, local, children = _svmc_state(
+            sizes, reads, 21, padded_fields, symmetric
+        )
+        replays = copy.deepcopy(children)
+        svmc_sweeps(
+            theta, cosines, sines, local, symmetric, mask, size_array, children, schedule,
+            proposal_width=0.5, uniform_fraction=0.15,
+        )
+        for size, child, replay in zip(sizes, children, replays):
+            for *_, activity in schedule:
+                passing = int(np.count_nonzero(
+                    replay.random((size, reads)) < activity * (1.0 + 2.0**-20)
+                ))
+                replay.standard_normal(passing)
+                replay.random(passing)
+            assert child.random(4).tobytes() == replay.random(4).tobytes()
 
     def test_num_reads_never_shifts_downstream_draws(self):
         # The sampler hands the kernel a *spawned* child, so read count —
@@ -675,9 +710,7 @@ class TestDrawDiscipline:
             sampler = QuantumAnnealerSimulator(seed=123)
             sampler.sample_ising(ising, schedule, num_reads=first_reads)
             follow_up = sampler.sample_ising(ising, schedule, num_reads=6)
-            second_calls.append(
-                np.array([record.assignment for record in follow_up.records])
-            )
+            second_calls.append(follow_up.assignments())
         assert np.array_equal(second_calls[0], second_calls[1])
 
     def test_reverse_anneal_paths_agree_too(self, monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.annealing.sampleset import SampleRecord, SampleSet
+from repro.annealing.sampleset import SampleSet
 from repro.exceptions import ConfigurationError
 from repro.metrics.quality import (
     delta_e_distribution,
@@ -15,25 +15,10 @@ from repro.metrics.tts import time_to_solution
 
 
 def _sampleset(energies, counts=None):
+    """Reads of one distinct assignment per energy, ``counts[i]`` times each."""
     counts = counts or [1] * len(energies)
-    records = [
-        SampleRecord(
-            assignment=np.array([index % 2], dtype=np.int8),
-            energy=energy,
-            num_occurrences=count,
-        )
-        for index, (energy, count) in enumerate(zip(energies, counts))
-    ]
-    # Distinct assignments per record so they are not merged.
-    records = [
-        SampleRecord(
-            assignment=np.array([index], dtype=np.int8),
-            energy=record.energy,
-            num_occurrences=record.num_occurrences,
-        )
-        for index, record in enumerate(records)
-    ]
-    return SampleSet(records)
+    rows = np.repeat(np.arange(len(energies)), counts)
+    return SampleSet.from_arrays(rows[:, None], np.asarray(energies)[rows])
 
 
 class TestDeltaEPercent:

@@ -29,15 +29,14 @@ class TestSampleQubo:
         qubo, planted = planted_qubo_and_state
         sampleset = fast_sampler.forward_anneal(qubo, num_reads=40)
         assert sampleset.num_reads == 40
-        assert sampleset.num_variables == 6
+        assert sampleset.assignments().shape[1] == 6
         assert sampleset.metadata["schedule_name"] == "FA"
         assert sampleset.metadata["backend"] == "spin-vector-monte-carlo"
 
     def test_energies_match_qubo(self, planted_qubo_and_state, fast_sampler):
         qubo, _ = planted_qubo_and_state
         sampleset = fast_sampler.forward_anneal(qubo, num_reads=30)
-        for record in sampleset:
-            assert record.energy == pytest.approx(qubo.energy(record.assignment))
+        assert np.allclose(sampleset.energies(), qubo.energies(sampleset.assignments()))
 
     def test_forward_anneal_finds_planted_state(self, planted_qubo_and_state, fast_sampler):
         qubo, planted = planted_qubo_and_state
@@ -92,9 +91,9 @@ class TestSampleIsing:
         qubo, _ = planted_qubo_and_state
         ising = qubo_to_ising(qubo)
         sampleset = fast_sampler.sample_ising(ising, forward_anneal_schedule(1.0), num_reads=20)
-        for record in sampleset:
-            spins = 2 * record.assignment.astype(int) - 1
-            assert record.energy == pytest.approx(ising.energy(spins))
+        for assignment, energy in zip(sampleset.assignments(), sampleset.energies()):
+            spins = 2 * assignment.astype(int) - 1
+            assert energy == pytest.approx(ising.energy(spins))
 
 
 class TestControlNoise:
@@ -109,8 +108,7 @@ class TestControlNoise:
             seed=3,
         )
         sampleset = sampler.forward_anneal(qubo, num_reads=20)
-        for record in sampleset:
-            assert record.energy == pytest.approx(qubo.energy(record.assignment))
+        assert np.allclose(sampleset.energies(), qubo.energies(sampleset.assignments()))
 
 
 class TestSpinReadBudget:

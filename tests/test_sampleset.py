@@ -16,49 +16,23 @@ from tests.sampleset_spec import (
 )
 
 
-def _record(bits, energy, count=1, breaks=0.0):
-    return SampleRecord(
-        assignment=np.asarray(bits, dtype=np.int8),
-        energy=energy,
-        num_occurrences=count,
-        chain_break_fraction=breaks,
-    )
-
-
 class TestSampleRecord:
-    def test_key(self):
-        assert _record([1, 0, 1], -1.0).key == (1, 0, 1)
-
     def test_invalid_occurrences(self):
         with pytest.raises(ValueError):
-            _record([1], 0.0, count=0)
-
-    def test_invalid_chain_breaks(self):
-        with pytest.raises(ValueError):
-            _record([1], 0.0, breaks=1.5)
+            SampleRecord(assignment=np.array([1], dtype=np.int8), energy=0.0, num_occurrences=0)
 
 
 class TestSampleSetAggregation:
     def test_duplicates_merged(self):
-        sampleset = SampleSet([_record([0, 1], -1.0), _record([0, 1], -1.0, count=2)])
+        sampleset = SampleSet.from_arrays(np.array([[0, 1]] * 3), [-1.0] * 3)
         assert len(sampleset) == 1
         assert sampleset.num_reads == 3
 
     def test_sorted_by_energy(self):
-        sampleset = SampleSet([_record([1, 1], 2.0), _record([0, 0], -3.0), _record([1, 0], 0.0)])
+        sampleset = SampleSet.from_arrays(np.array([[1, 1], [0, 0], [1, 0]]), [2.0, -3.0, 0.0])
         energies = sampleset.energies()
         assert list(energies) == sorted(energies)
         assert sampleset.first.energy == -3.0
-
-    def test_chain_break_weighted_merge(self):
-        sampleset = SampleSet(
-            [_record([1], 0.0, count=1, breaks=0.0), _record([1], 0.0, count=3, breaks=1.0)]
-        )
-        assert sampleset.records[0].chain_break_fraction == pytest.approx(0.75)
-
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(DimensionError):
-            SampleSet([_record([1], 0.0), _record([1, 0], 0.0)])
 
     def test_from_arrays(self):
         sampleset = SampleSet.from_arrays(np.array([[0, 1], [0, 1], [1, 1]]), [1.0, 1.0, 2.0])
@@ -73,18 +47,16 @@ class TestSampleSetAggregation:
 class TestSampleSetStatistics:
     @pytest.fixture
     def sampleset(self):
-        return SampleSet(
-            [
-                _record([0, 0], -5.0, count=2),
-                _record([0, 1], -3.0, count=3),
-                _record([1, 1], 1.0, count=5),
-            ],
-            metadata={"schedule_duration_us": 2.0},
+        # Reads of three distinct bitstrings, 2, 3 and 5 times over.
+        rows = [[1, 1]] * 5 + [[0, 1]] * 3 + [[0, 0]] * 2
+        energies = [1.0] * 5 + [-3.0] * 3 + [-5.0] * 2
+        return SampleSet.from_arrays(
+            np.array(rows), energies, metadata={"schedule_duration_us": 2.0}
         )
 
     def test_num_reads_and_variables(self, sampleset):
         assert sampleset.num_reads == 10
-        assert sampleset.num_variables == 2
+        assert sampleset.assignments().shape == (3, 2)
 
     def test_lowest_energy(self, sampleset):
         assert sampleset.lowest_energy() == -5.0
@@ -103,7 +75,7 @@ class TestSampleSetStatistics:
         assert sampleset.expectation_energy() == pytest.approx(expected)
 
     def test_empty_set_behaviour(self):
-        empty = SampleSet([])
+        empty = SampleSet.from_arrays(np.empty((0, 2)), [])
         assert len(empty) == 0
         assert empty.num_reads == 0
         assert empty.success_probability(0.0) == 0.0
@@ -111,11 +83,6 @@ class TestSampleSetStatistics:
             _ = empty.first
         with pytest.raises(ValueError):
             empty.expectation_energy()
-
-    def test_iteration_and_indexing(self, sampleset):
-        records = list(sampleset)
-        assert records[0] is sampleset[0]
-        assert len(records) == 3
 
 
 #: A few energies so that equal energies (ordered by bits alone) are common.
@@ -144,14 +111,8 @@ def _bits_equal(expected, actual):
 
 
 def _assert_matches_reference(sampleset, reference):
-    """Records, order, counts and every statistic equal the spec exactly."""
+    """Columns, order, counts and every statistic equal the spec exactly."""
     assert len(sampleset) == len(reference)
-    for record, expected in zip(sampleset.records, reference):
-        _bits_equal(expected.assignment, record.assignment)
-        assert record.energy == expected.energy
-        assert np.signbit(record.energy) == np.signbit(expected.energy)
-        assert record.num_occurrences == expected.num_occurrences
-        assert record.chain_break_fraction == expected.chain_break_fraction
     _bits_equal(np.array([r.energy for r in reference], dtype=float), sampleset.energies())
     _bits_equal(
         np.array([r.num_occurrences for r in reference], dtype=int), sampleset.occurrences()
@@ -163,15 +124,16 @@ def _assert_matches_reference(sampleset, reference):
             reference, ground
         )
     if reference:
-        assert sampleset.expectation_energy() == expectation_energy_reference(reference)
-        assert sampleset.lowest_energy() == reference[0].energy
-        _bits_equal(reference[0].assignment, sampleset.first.assignment)
         _bits_equal(
             np.array([r.assignment for r in reference]), sampleset.assignments()
         )
-        assert sampleset.num_variables == reference[0].assignment.size
-    else:
-        assert sampleset.num_variables == 0
+        assert sampleset.expectation_energy() == expectation_energy_reference(reference)
+        assert sampleset.lowest_energy() == reference[0].energy
+        first = sampleset.first
+        _bits_equal(reference[0].assignment, first.assignment)
+        assert first.energy == reference[0].energy
+        assert np.signbit(first.energy) == np.signbit(reference[0].energy)
+        assert first.num_occurrences == reference[0].num_occurrences
 
 
 class TestColumnarAggregation:
@@ -187,33 +149,16 @@ class TestColumnarAggregation:
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        reads=_reads(max_reads=12),
-        counts=st.lists(st.integers(1, 4), min_size=12, max_size=12),
-        breaks=st.lists(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 1.0]), min_size=12, max_size=12),
-    )
-    def test_record_constructor_matches_spec(self, reads, counts, breaks):
-        assignments, energies = reads
-        records = [
-            _record(bits, energy, count, fraction)
-            for bits, energy, count, fraction in zip(assignments, energies, counts, breaks)
-        ]
-        _assert_matches_reference(SampleSet(records), merge_records_reference(records))
-
-    @settings(max_examples=100, deadline=None)
     @given(reads=_reads(), data=st.data())
     def test_with_energies_matches_spec(self, reads, data):
         assignments, energies = reads
         sampleset = SampleSet.from_arrays(assignments, energies)
         rescored = data.draw(st.lists(_ENERGIES, min_size=len(sampleset), max_size=len(sampleset)))
         reference = merge_records_reference(
-            SampleRecord(
-                assignment=record.assignment,
-                energy=energy,
-                num_occurrences=record.num_occurrences,
-                chain_break_fraction=record.chain_break_fraction,
+            SampleRecord(assignment=assignment, energy=energy, num_occurrences=count)
+            for assignment, energy, count in zip(
+                sampleset.assignments(), rescored, sampleset.occurrences()
             )
-            for record, energy in zip(sampleset.records, rescored)
         )
         _assert_matches_reference(sampleset.with_energies(rescored), reference)
 
@@ -245,19 +190,14 @@ class TestColumnarAggregation:
     def test_signed_assignments_sort_like_tuples(self):
         spins = np.array([[1, -1], [-1, 1], [-1, -1], [1, 1]], dtype=np.int8)
         sampleset = SampleSet.from_arrays(spins, [0.0] * 4)
-        assert [record.key for record in sampleset] == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-
-    def test_records_are_built_once(self):
-        sampleset = SampleSet.from_arrays(np.array([[0, 1], [1, 1]]), [1.0, 0.0])
-        assert sampleset.records[0] is sampleset[0] is sampleset.first
-        assert sampleset.records is not sampleset.records
+        assert sampleset.assignments().tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
 
     def test_columns_are_copies(self):
         sampleset = SampleSet.from_arrays(np.array([[0, 1], [1, 1]]), [1.0, 0.0])
         sampleset.assignments()[:] = 7
         sampleset.energies()[:] = 7.0
         sampleset.occurrences()[:] = 7
-        assert sampleset.first.key == (1, 1)
+        assert sampleset.first.assignment.tolist() == [1, 1]
         assert sampleset.lowest_energy() == 0.0
         assert sampleset.num_reads == 2
 

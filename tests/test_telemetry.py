@@ -410,9 +410,11 @@ class TestBitwiseInvariance:
                 children[0].choice([-1.0, 1.0], size=(16, n)).T
             )[None]
             local = kernels.initial_local_fields(fields, symmetric, spins)
+            energies = np.zeros((1, 16))
             kernels.sa_sweeps(
                 spins, local, symmetric, mask, np.array([n]), children,
-                [(0.5, 0.5, 0.55, 1.0)] * 6,
+                np.full((6, 1), 0.55),
+                energies=energies, best_spins=spins.copy(), best_energies=energies.copy(),
             )
             return spins, local
 
@@ -577,10 +579,12 @@ class TestKernelInstrumentation:
         children = spawn_rngs(3, 1)
         spins = np.ascontiguousarray(children[0].choice([-1.0, 1.0], size=(reads, n)).T)[None]
         local = kernels.initial_local_fields(fields, symmetric, spins)
+        energies = np.zeros((1, reads))
         with telemetry.session() as tel:
             kernels.sa_sweeps(
                 spins, local, symmetric, mask, np.array([n]), children,
-                [(0.5, 0.5, 0.55, 1.0)] * sweeps,
+                np.full((sweeps, 1), 0.55),
+                energies=energies, best_spins=spins.copy(), best_energies=energies.copy(),
             )
             (span,) = _spans_named(tel.tracer, "kernel.sa")
             assert span.attrs["sweeps"] == sweeps
