@@ -3,8 +3,8 @@
 The reference kernels in ``tests/kernel_spec.py`` are the executable
 specification: the production kernel of each family must reproduce them
 *bit for bit* on every tested configuration — spin counts (including SVMC
-batches that cross the 64-rotor chunk boundary), read counts, schedules and
-seeds — for both the SA and SVMC families.  The suite also locks down the
+batches that cross the fixed 64-rotor chunk boundary), SVMC chunk widths,
+read counts, schedules and seeds — for both the SA and SVMC families.  The suite also locks down the
 random-draw discipline that keeps experiment results invariant to batching.
 """
 
@@ -23,6 +23,7 @@ from repro.classical.simulated_annealing import SimulatedAnnealingSolver
 from repro.qubo.ising import IsingModel
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import spawn_rngs
+from tests import kernel_spec
 from tests.kernel_spec import sa_sweeps_reference, svmc_sweeps_reference
 
 #: Named SVMC sweep schedules exercising every decision branch of the
@@ -65,9 +66,14 @@ SIZE_SETS = {
 #: padding that draws nothing).
 SA_SIZE_SETS = {**SIZE_SETS, "ragged-empty": [7, 0, 10]}
 
-#: SVMC batches add instances that cross the 64-rotor chunk boundary: a
-#: partial second chunk beside a one-chunk instance, and three chunks.
-SVMC_SIZE_SETS = {**SIZE_SETS, "cross-chunk": [70, 9], "three-chunks": [130]}
+#: SVMC batches that cross the fixed 64-rotor chunk boundary: a partial
+#: second chunk beside a one-chunk instance, and three chunks.
+CROSS_CHUNK_SIZE_SETS = {"cross-chunk": [70, 9], "three-chunks": [130]}
+
+#: SVMC chunk widths the equivalence tests run both kernels at: narrow
+#: widths put chunk boundaries inside the small test instances, and the
+#: last is the fixed production width.
+SVMC_CHUNKS = [1, 4, kernel_spec.SVMC_CHUNK]
 
 
 def _sa_temperatures(schedule, batch):
@@ -121,6 +127,17 @@ def _svmc_state(sizes, reads, seed, padded_fields, symmetric):
     sines = np.sin(theta)
     local = initial_local_fields(padded_fields, symmetric, cosines)
     return theta, cosines, sines, local, children
+
+
+def _svmc_chunk_width(monkeypatch, chunk):
+    """Run the production SVMC kernel and its spec at ``chunk`` rotors per chunk.
+
+    The fixed width is left unpatched, so a change to either kernel's own
+    constant still fails the tests run at it.
+    """
+    if chunk != kernel_spec.SVMC_CHUNK:
+        monkeypatch.setattr(kernels, "_SVMC_CHUNK", chunk)
+        monkeypatch.setattr(kernel_spec, "SVMC_CHUNK", chunk)
 
 
 def _kernel(dispatch, spec, implementation):
@@ -276,14 +293,28 @@ class TestSAEquivalence:
 class TestSVMCEquivalence:
     """The vectorized SVMC kernel is bitwise-identical to the reference."""
 
-    @pytest.mark.parametrize("size_key", sorted(SVMC_SIZE_SETS))
+    @pytest.mark.parametrize("size_key", sorted(SIZE_SETS))
     @pytest.mark.parametrize("schedule_key", sorted(SCHEDULES))
     @pytest.mark.parametrize("reads", [1, 4])
-    def test_vectorized_matches_reference(self, size_key, schedule_key, reads):
-        sizes, schedule = SVMC_SIZE_SETS[size_key], SCHEDULES[schedule_key]
+    @pytest.mark.parametrize("chunk", SVMC_CHUNKS)
+    def test_vectorized_matches_reference(
+        self, monkeypatch, size_key, schedule_key, reads, chunk
+    ):
+        _svmc_chunk_width(monkeypatch, chunk)
+        sizes, schedule = SIZE_SETS[size_key], SCHEDULES[schedule_key]
         # Every schedule runs both the gated and the dense sweep program.
         activities = [row[3] for row in schedule]
         assert min(activities) < 1.0 and max(activities) == 1.0
+        ref = _run_svmc("reference", sizes, reads, 7, schedule)
+        vec = _run_svmc("vectorized", sizes, reads, 7, schedule)
+        for reference, candidate in zip(ref, vec):
+            assert reference.tobytes() == candidate.tobytes()
+
+    @pytest.mark.parametrize("size_key", sorted(CROSS_CHUNK_SIZE_SETS))
+    @pytest.mark.parametrize("schedule_key", sorted(SCHEDULES))
+    @pytest.mark.parametrize("reads", [1, 4])
+    def test_fixed_chunk_boundary_matches_reference(self, size_key, schedule_key, reads):
+        sizes, schedule = CROSS_CHUNK_SIZE_SETS[size_key], SCHEDULES[schedule_key]
         ref = _run_svmc("reference", sizes, reads, 7, schedule)
         vec = _run_svmc("vectorized", sizes, reads, 7, schedule)
         for reference, candidate in zip(ref, vec):
@@ -392,7 +423,8 @@ GATE_ACTIVITIES = {
 }
 
 #: Batch compositions for the gated path: one instance, ragged padding, and
-#: sizes 65 and 130 (several 64-spin chunks, a partial last chunk).
+#: sizes 65 and 130 (several chunks at any tested width, a partial last
+#: chunk at the fixed 64-rotor width).
 GATE_SIZES = {"single": [6], "ragged": [7, 3, 10], "multi-chunk": [65, 130, 3]}
 
 
@@ -413,7 +445,11 @@ class TestGatedSVMC:
     @pytest.mark.parametrize("size_key", sorted(GATE_SIZES))
     @pytest.mark.parametrize("reads", [1, 5])
     @pytest.mark.parametrize("uniform_fraction", [0.0, 0.2])
-    def test_matches_reference(self, activity_key, size_key, reads, uniform_fraction):
+    @pytest.mark.parametrize("chunk", SVMC_CHUNKS[1:])
+    def test_matches_reference(
+        self, monkeypatch, activity_key, size_key, reads, uniform_fraction, chunk
+    ):
+        _svmc_chunk_width(monkeypatch, chunk)
         schedule = _gate_schedule(GATE_ACTIVITIES[activity_key])
         sizes = GATE_SIZES[size_key]
         runs = [
