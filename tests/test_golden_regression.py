@@ -54,7 +54,9 @@ def _row_label(row) -> str:
     """A short identity for one result row, for diff readability."""
     keys = [
         k
-        for k in ("case", "modulation", "method", "switch_s", "snr_db", "placement", "point_id")
+        for k in (
+            "case", "modulation", "method", "switch_s", "snr_db", "placement", "point_id", "job_id"
+        )
         if k in row
     ]
     return "/".join(str(row[k]) for k in keys) or "row"
@@ -88,3 +90,11 @@ def test_quick_study_matches_golden(name):
             "`PYTHONPATH=src python scripts/regen_golden.py`.",
             pytrace=False,
         )
+
+
+def test_detect_serve_golden_exercises_demotion_and_batching():
+    """The evaluated serving golden pins both backends and coalesced batches."""
+    rows = json.loads((GOLDEN_DIR / "detect_serve_quick.json").read_text())["rows"]
+    assert any(row["demoted"] and row["backend_kind"] == "classical" for row in rows)
+    assert any(row["batch_size"] > 1 and row["backend_kind"] == "annealer" for row in rows)
+    assert all(row["best_energy"] is not None for row in rows)
