@@ -80,7 +80,7 @@ def _anneal_settings():
 
 def _time_sa(reads):
     """The classical solver's dynamics: geometric cooling, sequential flips, tracked energies."""
-    fields, symmetric, mask, sizes = _kernel_problem()
+    fields, symmetric, _, sizes = _kernel_problem()
     children = spawn_rngs(7, 1)
     n = KERNEL_PROBLEM_SIZE
     # Contiguous spin-major state, exactly as the solver allocates it.
@@ -92,7 +92,7 @@ def _time_sa(reads):
     temperatures = np.geomspace(np.abs(symmetric).max(), 0.01, KERNEL_NUM_SWEEPS)[:, None]
     start = time.perf_counter()
     kernels.sa_sweeps(
-        spins, local, symmetric, mask, sizes, children, temperatures,
+        spins, local, symmetric, sizes, children, temperatures,
         energies=energies, best_spins=spins.copy(), best_energies=energies.copy(),
     )
     return time.perf_counter() - start

@@ -62,7 +62,6 @@ def _kernel_state(reads):
     fields = rng.normal(size=(1, n))
     upper = np.triu(rng.normal(size=(n, n)), 1)
     symmetric = (upper + upper.T)[None]
-    mask = np.ones((1, n), dtype=bool)
     sizes = np.array([n])
     temperatures = np.geomspace(4.0, 0.01, 48)[:, None]
     children = spawn_rngs(7, 1)
@@ -76,7 +75,7 @@ def _kernel_state(reads):
         "best_spins": spins.copy(),
         "best_energies": energies.copy(),
     }
-    return (spins, local, symmetric, mask, sizes, children, temperatures), tracked
+    return (spins, local, symmetric, sizes, children, temperatures), tracked
 
 
 def _time_kernel(runner, reads):

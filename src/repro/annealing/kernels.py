@@ -235,19 +235,19 @@ def _commit_flip(
     ``change`` is the ``(batch, reads)`` spin delta at ``position`` (``-2s``
     where a read flips, a signed zero elsewhere).  The per-read Ising
     energies advance exactly:
-    ``dE = change * local(stale) + 1/2 * change * Jsym[p, p] * change``.
-    Each contraction has one term, so it is one plain product; the
+    ``dE = change * local(stale) + 1/2 * change * Jsym[p, p] * change``,
+    whose second term is a signed zero, because every caller's symmetric
+    couplings have a zero diagonal; it is left out.  The first term's
+    contraction has one term, so it is one plain product; the
     specification's einsum/gemm form adds that product to ``0.0``, which
     can only turn a ``-0.0`` term into ``+0.0``, and the fields and energies
     the terms are added to are never ``-0.0``, so every sum comes out
     bit-identical.
     """
-    gain = change * local[:, position]
+    energies += change * local[:, position]
     spins[:, position] += change
     np.multiply(symmetric[:, :, position, None], change[:, None], out=coupled)
     local += coupled
-    gain += 0.5 * (change * coupled[:, position])
-    energies += gain
 
 
 def _track_best(
@@ -374,7 +374,6 @@ def sa_sweeps_vectorized(
     spins: np.ndarray,
     local: np.ndarray,
     symmetric: np.ndarray,
-    mask: np.ndarray,
     sizes: np.ndarray,
     children: Sequence[np.random.Generator],
     temperatures: np.ndarray,
@@ -386,14 +385,15 @@ def sa_sweeps_vectorized(
     """Sequential single-flip Metropolis sweeps over a batch of instances.
 
     ``spins``/``local`` are ``(batch, max_size, reads)`` float64 arrays
-    updated in place (padding lanes at +1 / 0).  ``temperatures`` holds one
+    updated in place (padding lanes at +1 / 0).  Padding needs no mask: its
+    thresholds and local fields stay zero (the padded couplings are), so
+    ``min(s*L, 0) > 0`` never accepts there.  ``temperatures`` holds one
     ``(batch,)`` row per sweep.  ``energies`` holds the ``(batch, reads)``
     Ising energies, advanced exactly by every flip, and
     ``best_spins``/``best_energies`` the running per-read minima (the
     classical SA solver's best-seen-state contract).
     """
     batch, max_size, reads = spins.shape
-    all_active = bool(mask.all())
     thresholds = np.zeros((batch, max_size, reads))
     flips = np.empty((batch, reads))
     decided = np.empty((batch, reads), dtype=bool)
@@ -405,8 +405,6 @@ def sa_sweeps_vectorized(
             np.multiply(current, local[:, position], out=flips)
             np.minimum(flips, 0.0, out=flips)
             np.greater(flips, thresholds[:, position], out=decided)
-            if not all_active:
-                decided &= mask[:, position, None]
             if not np.count_nonzero(decided):
                 # Nothing flips: no state, field or energy moves, so no
                 # minimum can either.

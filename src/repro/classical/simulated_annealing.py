@@ -127,11 +127,11 @@ class SimulatedAnnealingSolver(QuboSolver):
             return [self._empty_solution(qubo) for qubo in qubos]
 
         # Ising-space replica state, one read per instance: spins (B, N, 1)
-        # with trailing padding lanes frozen at +1 by the kernel mask.
+        # with trailing padding lanes at +1, which zero fields and couplings
+        # never flip.
         state = np.ones((batch, max_size, 1))
         padded_fields = np.zeros((batch, max_size))
         symmetric = np.zeros((batch, max_size, max_size))
-        mask = np.zeros((batch, max_size), dtype=bool)
         for index, qubo in enumerate(qubos):
             n = int(sizes[index])
             if n == 0:
@@ -141,7 +141,6 @@ class SimulatedAnnealingSolver(QuboSolver):
             ising = qubo_to_ising(qubo)
             padded_fields[index, :n] = ising.fields
             symmetric[index, :n, :n] = ising.couplings + ising.couplings.T
-            mask[index, :n] = True
 
         local = kernels.initial_local_fields(padded_fields, symmetric, state)
         # Bare Ising energies E = h.s + 1/2 s.J.s = (s.local + s.h) / 2;
@@ -160,7 +159,6 @@ class SimulatedAnnealingSolver(QuboSolver):
             state,
             local,
             symmetric,
-            mask,
             sizes,
             children,
             temperatures.T,

@@ -13,9 +13,19 @@ idles while an eligible job is queued.  Batch occupancy therefore adapts to
 load — light traffic is served solo with minimal latency, heavy traffic
 queues and rides the batched engine's throughput.
 
+The event loop is timing-only: it decides when, on which worker and in
+which batch each job is served, and never calls a solver.  When solutions
+are evaluated they are computed once the loop ends: the served jobs are
+grouped by the backend object that served them and their ``shape_key``, and
+each group goes to ``backend.solve`` in slices of at most
+:data:`_SOLVE_VARIABLES_PER_CALL` QUBO variables — fewer, wider kernel
+calls than one per dispatched batch.
+
 Reproducibility follows the library-wide child-generator discipline: when
 solutions are evaluated, job ``j`` draws exclusively from child generator
-``j`` (keyed by job id).  For a fixed job-to-backend assignment — an
+``j`` (keyed by job id), and a kernel lane's result does not depend on its
+batch-mates, so every solution is bitwise the one its dispatched batch
+would have produced.  For a fixed job-to-backend assignment — an
 annealer-only pool, or admission control disabled — detection outcomes are
 therefore identical for every batch ceiling and scheduling order; only the
 *timing* changes.  With admission control enabled, scheduling decides
@@ -36,7 +46,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import operator
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +54,7 @@ from repro import telemetry
 from repro.exceptions import ConfigurationError
 from repro.network.topology import NetworkTopology
 from repro.serving.autoscale import AutoscaleController, ElasticBackendPool
+from repro.serving.backends import JobSolution, ServingBackend
 from repro.serving.events import EventQueue
 from repro.serving.pool import BackendPool, Worker, build_pool
 from repro.serving.qos import DEFAULT_CLASS, ServiceClass
@@ -79,6 +90,22 @@ def _service_class_of(job: ServingJob) -> ServiceClass:
 
 #: A pressure-index entry's slack deadline, ``deadline_us + 1e-9``.
 _SLACK = operator.itemgetter(2)
+
+#: Ceiling on the total QUBO variables of one post-loop ``backend.solve``
+#: call.  Larger calls amortise the kernels' per-sweep overhead further but
+#: grow their working set with the batch; this keeps peak memory near that
+#: of per-dispatch solving.
+_SOLVE_VARIABLES_PER_CALL = 256
+
+
+class _Dispatch(NamedTuple):
+    """One batch as the event loop served it: where, when, and whether demoted."""
+
+    worker: Worker
+    batch: List[ServingJob]
+    start_us: float
+    finish_us: float
+    demoted: bool
 
 
 class _PressureIndex:
@@ -233,8 +260,10 @@ class RANServingSimulator:
         to an idle classical worker.  When false, classical workers serve only
         if the pool contains no annealers at all.
     evaluate_solutions:
-        When true each dispatched batch is actually solved through the
-        batched kernels (slower; enables quality metrics).  When false only
+        When true every served job is also solved through the batched
+        kernels once the event loop ends, grouped by backend and shape
+        (slower; enables quality metrics).  Solutions never feed back into
+        timing, so the schedule is the same either way.  When false only
         the timing model runs — the mode for long load sweeps.
     autoscaler:
         Optional :class:`~repro.serving.autoscale.AutoscaleController`.
@@ -314,14 +343,6 @@ class RANServingSimulator:
         # cost and disabled mode is equivalent to the uninstrumented loop.
         tel = telemetry.active()
 
-        # Child generator j belongs to job j (keyed by sorted job id), so
-        # solutions are independent of batching and scheduling order.
-        child_of: Dict[int, np.random.Generator] = {}
-        if self.evaluate_solutions:
-            children = ensure_rng_batch(rng, len(ordered))
-            for job_id, child in zip(sorted(ids), children):
-                child_of[job_id] = child
-
         self._reset_pool()
         # Pressure is only ever queried by admission control over a mixed
         # pool or by the autoscaler; other runs never time solo jobs.
@@ -341,7 +362,7 @@ class RANServingSimulator:
             events.push(start_us + self.autoscaler.config.interval_us, (_AUTOSCALE, None))
 
         queue = _ReadyQueue(self.policy, self.class_aware)
-        outcomes: List[JobOutcome] = []
+        served: List[_Dispatch] = []
         arrivals_remaining = len(ordered)
         while events:
             now, payload = events.pop()
@@ -390,12 +411,21 @@ class RANServingSimulator:
                 # drain in-flight batches and no scaling decision is needed.
                 if queue or arrivals_remaining:
                     events.push(now + self.autoscaler.config.interval_us, (_AUTOSCALE, None))
-            self._dispatch(now, queue, events, outcomes, child_of)
+            self._dispatch(now, queue, events, served)
 
         if queue:  # pragma: no cover - defensive; dispatch drains every queue
             raise ConfigurationError(f"{len(queue)} jobs were never scheduled")
 
-        outcomes.sort(key=lambda outcome: outcome.job_id)
+        solutions: Dict[int, JobSolution] = {}
+        if self.evaluate_solutions:
+            # Child generator j belongs to job j (keyed by sorted job id), so
+            # solutions are independent of batching and scheduling order.
+            children = ensure_rng_batch(rng, len(ordered))
+            solutions = _solve_served(served, dict(zip(sorted(ids), children)))
+        outcomes = sorted(
+            (outcome for dispatch in served for outcome in _outcomes(dispatch, solutions)),
+            key=lambda outcome: outcome.job_id,
+        )
         metadata = {
             "max_batch_size": self.max_batch_size,
             "admission_control": self.admission_control,
@@ -435,12 +465,7 @@ class RANServingSimulator:
         self.pool.reset()
 
     def _dispatch(
-        self,
-        now: float,
-        queue: _ReadyQueue,
-        events: EventQueue,
-        outcomes: List[JobOutcome],
-        child_of: Dict[int, np.random.Generator],
+        self, now: float, queue: _ReadyQueue, events: EventQueue, served: List[_Dispatch]
     ) -> None:
         """Work-conserving dispatch of queued jobs onto idle workers at ``now``.
 
@@ -460,7 +485,7 @@ class RANServingSimulator:
                     break
                 if worker.kind == "annealer":
                     batch = queue.pop_batch(self.max_batch_size)
-                    self._serve(worker, batch, now, events, outcomes, child_of, demoted=False)
+                    self._serve(worker, batch, now, events, served, demoted=False)
                     progress = True
             for worker in idle:
                 if not queue:
@@ -480,7 +505,7 @@ class RANServingSimulator:
                         candidates, self.policy, self.max_batch_size, class_aware=self.class_aware
                     )
                     queue.remove(batch)
-                self._serve(worker, batch, now, events, outcomes, child_of, demoted=has_annealers)
+                self._serve(worker, batch, now, events, served, demoted=has_annealers)
                 progress = True
 
     def _degradation_candidates(self, queue: _ReadyQueue, now: float) -> List[ServingJob]:
@@ -528,49 +553,17 @@ class RANServingSimulator:
         batch: List[ServingJob],
         now: float,
         events: EventQueue,
-        outcomes: List[JobOutcome],
-        child_of: Dict[int, np.random.Generator],
+        served: List[_Dispatch],
         demoted: bool,
     ) -> None:
-        """Dispatch one batch onto one worker and record per-job outcomes."""
+        """Dispatch one batch onto one worker and record its timing."""
         if self._pressure is not None:
             self._pressure.discard(batch)
         service = worker.backend.service_time_us(batch)
         timing = worker.server.serve(now, service)
         worker.record_batch(len(batch))
         events.push(timing.finish_us, (_WORKER_FREE, worker))
-
-        solutions = None
-        if self.evaluate_solutions:
-            solutions = worker.backend.solve(batch, [child_of[job.job_id] for job in batch])
-
-        for position, job in enumerate(batch):
-            met: Optional[bool] = None
-            if job.deadline_us is not None:
-                met = bool(timing.finish_us <= job.deadline_us + 1e-9)
-            best_energy = detected = None
-            if solutions is not None:
-                best_energy = solutions[position].best_energy
-                detected = solutions[position].detected_optimum
-            outcomes.append(
-                JobOutcome(
-                    job_id=job.job_id,
-                    user_id=job.user_id,
-                    cell_id=job.cell_id,
-                    arrival_us=job.arrival_us,
-                    start_us=timing.start_us,
-                    finish_us=timing.finish_us,
-                    deadline_us=job.deadline_us,
-                    met_deadline=met,
-                    backend=worker.name,
-                    backend_kind=worker.kind,
-                    demoted=demoted,
-                    batch_size=len(batch),
-                    best_energy=best_energy,
-                    detected_optimum=detected,
-                    service_class=_service_class_of(job).name,
-                )
-            )
+        served.append(_Dispatch(worker, batch, timing.start_us, timing.finish_us, demoted))
 
     def _utilization(self, outcomes: Sequence[JobOutcome]) -> List[BackendUtilization]:
         makespan = max(
@@ -595,6 +588,63 @@ class RANServingSimulator:
                 )
             )
         return stats
+
+
+def _solve_served(
+    served: Sequence[_Dispatch], child_of: Dict[int, np.random.Generator]
+) -> Dict[int, JobSolution]:
+    """Solve every served job, keyed by job id, in shape-grouped batches.
+
+    Jobs are grouped by the backend object that served them and their
+    :attr:`~repro.serving.workload.ServingJob.shape_key`, in dispatch order,
+    and each group goes to ``backend.solve`` in slices of at most
+    :data:`_SOLVE_VARIABLES_PER_CALL` variables (at least one job).  Job
+    ``j`` draws only from ``child_of[j]`` and a kernel lane does not depend
+    on its batch-mates, so each solution is bitwise the one its dispatched
+    batch would have produced.
+    """
+    groups: Dict[Tuple, Tuple[ServingBackend, List[ServingJob]]] = {}
+    for dispatch in served:
+        backend = dispatch.worker.backend
+        for job in dispatch.batch:
+            key = (id(backend), job.shape_key)
+            groups.setdefault(key, (backend, []))[1].append(job)
+    solutions: Dict[int, JobSolution] = {}
+    for backend, jobs in groups.values():
+        step = max(1, _SOLVE_VARIABLES_PER_CALL // jobs[0].num_variables)
+        for begin in range(0, len(jobs), step):
+            chunk = jobs[begin : begin + step]
+            results = backend.solve(chunk, [child_of[job.job_id] for job in chunk])
+            for job, solution in zip(chunk, results):
+                solutions[job.job_id] = solution
+    return solutions
+
+
+def _outcomes(dispatch: _Dispatch, solutions: Dict[int, JobSolution]) -> Iterator[JobOutcome]:
+    """The per-job outcomes of one served batch (solutions when evaluated)."""
+    worker, batch, start_us, finish_us, demoted = dispatch
+    for job in batch:
+        met: Optional[bool] = None
+        if job.deadline_us is not None:
+            met = bool(finish_us <= job.deadline_us + 1e-9)
+        solution = solutions.get(job.job_id)
+        yield JobOutcome(
+            job_id=job.job_id,
+            user_id=job.user_id,
+            cell_id=job.cell_id,
+            arrival_us=job.arrival_us,
+            start_us=start_us,
+            finish_us=finish_us,
+            deadline_us=job.deadline_us,
+            met_deadline=met,
+            backend=worker.name,
+            backend_kind=worker.kind,
+            demoted=demoted,
+            batch_size=len(batch),
+            best_energy=None if solution is None else solution.best_energy,
+            detected_optimum=None if solution is None else solution.detected_optimum,
+            service_class=_service_class_of(job).name,
+        )
 
 
 def _emit_serving_telemetry(tel: "telemetry.TelemetrySession", report: ServingReport) -> None:

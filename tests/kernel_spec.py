@@ -45,7 +45,6 @@ def sa_sweeps_reference(
     spins: np.ndarray,
     local: np.ndarray,
     symmetric: np.ndarray,
-    mask: np.ndarray,
     sizes: np.ndarray,
     children: Sequence[np.random.Generator],
     temperatures: np.ndarray,

@@ -158,12 +158,12 @@ def _use_kernel(monkeypatch, kernel):
 
 
 def _run_sa(implementation, sizes, reads, seed, temperatures):
-    padded_fields, symmetric, mask, size_array = _problem_batch(sizes, seed + 1000)
+    padded_fields, symmetric, _, size_array = _problem_batch(sizes, seed + 1000)
     state, local, children, tracked = _sa_state(
         sizes, reads, seed, padded_fields, symmetric
     )
     _kernel(sa_sweeps, sa_sweeps_reference, implementation)(
-        state, local, symmetric, mask, size_array, children, temperatures, **tracked
+        state, local, symmetric, size_array, children, temperatures, **tracked
     )
     return state, local, tracked
 
@@ -247,7 +247,7 @@ class TestSAEquivalence:
         # recomputation (floating-point exactly is too strong across the
         # different reduction, so compare to double rounding).
         sizes, reads, seed = [7, 5], 4, 3
-        padded_fields, symmetric, mask, size_array = _problem_batch(sizes, seed + 1000)
+        padded_fields, symmetric, _, size_array = _problem_batch(sizes, seed + 1000)
         state, local, children, tracked = _sa_state(
             sizes, reads, seed, padded_fields, symmetric
         )
@@ -255,7 +255,6 @@ class TestSAEquivalence:
             state,
             local,
             symmetric,
-            mask,
             size_array,
             children,
             _sa_temperatures(SA_SCHEDULES["anneal"], len(sizes)),
@@ -697,12 +696,10 @@ class TestDrawDiscipline:
         # exactly those blocks, and an empty instance draws nothing.
         sizes, reads = [6, 0, 4], 3
         temperatures = _sa_temperatures(SA_SCHEDULES["anneal"], len(sizes))
-        padded_fields, symmetric, mask, size_array = _problem_batch(sizes, 99)
+        padded_fields, symmetric, _, size_array = _problem_batch(sizes, 99)
         state, local, children, tracked = _sa_state(sizes, reads, 21, padded_fields, symmetric)
         replays = copy.deepcopy(children)
-        sa_sweeps(
-            state, local, symmetric, mask, size_array, children, temperatures, **tracked
-        )
+        sa_sweeps(state, local, symmetric, size_array, children, temperatures, **tracked)
         for size, child, replay in zip(sizes, children, replays):
             for _ in temperatures:
                 replay.random((size, reads))

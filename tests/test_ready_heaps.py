@@ -43,7 +43,7 @@ from tests.test_pressure_index import (
 class ListScanSimulator(RANServingSimulator):
     """Dispatch by scanning the arrival-ordered queue on every selection."""
 
-    def _dispatch(self, now, queue, events, outcomes, child_of):
+    def _dispatch(self, now, queue, events, served):
         has_annealers = bool(self.pool.annealer_workers)
         progress = True
         while progress and queue:
@@ -55,7 +55,7 @@ class ListScanSimulator(RANServingSimulator):
                     list(queue), self.policy, self.max_batch_size, class_aware=self.class_aware
                 )
                 queue.remove(batch)
-                self._serve(worker, batch, now, events, outcomes, child_of, demoted=False)
+                self._serve(worker, batch, now, events, served, demoted=False)
                 progress = True
             for worker in self.pool.idle_workers(now, kind="classical"):
                 if not queue:
@@ -71,7 +71,7 @@ class ListScanSimulator(RANServingSimulator):
                     candidates, self.policy, self.max_batch_size, class_aware=self.class_aware
                 )
                 queue.remove(batch)
-                self._serve(worker, batch, now, events, outcomes, child_of, demoted=has_annealers)
+                self._serve(worker, batch, now, events, served, demoted=has_annealers)
                 progress = True
 
 

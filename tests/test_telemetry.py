@@ -404,7 +404,6 @@ class TestBitwiseInvariance:
             fields = rng.normal(size=(1, n))
             upper = np.triu(rng.normal(size=(n, n)), 1)
             symmetric = (upper + upper.T)[None]
-            mask = np.ones((1, n), dtype=bool)
             children = spawn_rngs(13, 1)
             spins = np.ascontiguousarray(
                 children[0].choice([-1.0, 1.0], size=(16, n)).T
@@ -412,7 +411,7 @@ class TestBitwiseInvariance:
             local = kernels.initial_local_fields(fields, symmetric, spins)
             energies = np.zeros((1, 16))
             kernels.sa_sweeps(
-                spins, local, symmetric, mask, np.array([n]), children,
+                spins, local, symmetric, np.array([n]), children,
                 np.full((6, 1), 0.55),
                 energies=energies, best_spins=spins.copy(), best_energies=energies.copy(),
             )
@@ -575,14 +574,13 @@ class TestKernelInstrumentation:
         fields = rng.normal(size=(1, n))
         upper = np.triu(rng.normal(size=(n, n)), 1)
         symmetric = (upper + upper.T)[None]
-        mask = np.ones((1, n), dtype=bool)
         children = spawn_rngs(3, 1)
         spins = np.ascontiguousarray(children[0].choice([-1.0, 1.0], size=(reads, n)).T)[None]
         local = kernels.initial_local_fields(fields, symmetric, spins)
         energies = np.zeros((1, reads))
         with telemetry.session() as tel:
             kernels.sa_sweeps(
-                spins, local, symmetric, mask, np.array([n]), children,
+                spins, local, symmetric, np.array([n]), children,
                 np.full((sweeps, 1), 0.55),
                 energies=energies, best_spins=spins.copy(), best_energies=energies.copy(),
             )
