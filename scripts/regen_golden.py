@@ -11,8 +11,9 @@ Run from the repository root after an *intentional* numerics change::
 
     PYTHONPATH=src python scripts/regen_golden.py
 
-Each fixture is reported as ``moved`` (its payload differs from the file on
-disk, which is then rewritten) or ``unchanged`` (the file is left alone).
+Each fixture is reported as ``new`` (no file on disk yet), ``moved`` (its
+payload differs from the file on disk, which is then rewritten) or
+``unchanged`` (the file is left alone).
 """
 
 from __future__ import annotations
@@ -40,10 +41,13 @@ def main() -> int:
         }
         path = GOLDEN_DIR / f"{name}.json"
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if path.exists() and path.read_text() == text:
+        if not path.exists():
+            status = "new"
+        elif path.read_text() == text:
             status = "unchanged"
         else:
             status = "moved"
+        if status != "unchanged":
             path.write_text(text)
         print(f"{status:9} {path.relative_to(REPO_ROOT)} ({len(payload['rows'])} rows)")
     return 0

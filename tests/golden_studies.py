@@ -7,6 +7,13 @@ study's quick configuration, the network study, the micro ablation study and
 the single-instance entry points (see ``tests/entry_point_cases.py``) and
 one evaluated serving run (``detect_serve_quick``, one row per job outcome).
 Single-result studies (headline, pipeline) are stored as a one-row list.
+
+Three serving schedules are pinned shard by shard, one row per job of every
+serving report (``serve_quick``, ``qos_stress``, ``scenarios_stress``): the
+worker, start, finish and demotion flag of each job.  The stress presets
+overload the plant so the fixtures cover demotions, sheddable-class offload,
+deadline misses, handover and autoscaling with warm-ups in flight (checked in
+``tests/test_golden_regression.py``).
 """
 
 from __future__ import annotations
@@ -36,13 +43,17 @@ from repro.experiments import (
 from repro.experiments.driver import run_driver
 from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
 from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
+from repro.experiments.load_study import LoadStudyConfig, LoadStudyDriver
 from repro.experiments.network_study import NetworkStudyConfig, NetworkStudyDriver
+from repro.experiments.qos_study import QoSStudyConfig, QoSStudyDriver
+from repro.experiments.scenario_study import ScenarioStudyConfig, ScenarioStudyDriver
 from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver
 from repro.serving import (
     AnnealerServingBackend,
     BackendPool,
     ClassicalServingBackend,
     RANServingSimulator,
+    ServingReport,
     generate_serving_jobs,
     uniform_cell_profiles,
 )
@@ -80,6 +91,57 @@ def detect_serve_quick_outcomes():
     return simulator.run(jobs, rng=99).outcomes
 
 
+#: The QoS study overloaded: one annealer worker, full-length reads and a
+#: 60 us symbol period demote jobs in both arms and miss deadlines in each.
+QOS_STRESS = dataclasses.replace(
+    QoSStudyConfig.quick(),
+    base_symbol_period_us=60.0,
+    max_jobs_per_user=200,
+    num_reads=30,
+    annealer_workers=1,
+)
+
+#: The scenario study overloaded, with warm-ups (700 us) longer than the
+#: autoscaler's 500 us cooldown, so scaling acts while a warm-up is in flight.
+SCENARIOS_STRESS = dataclasses.replace(
+    ScenarioStudyConfig.quick(),
+    base_symbol_period_us=60.0,
+    max_jobs_per_user=200,
+    num_reads=30,
+    static_workers=1,
+    warmup_us=700.0,
+)
+
+
+def serving_schedule_rows(driver, config):
+    """The schedule of every serving report of every shard, one row per job.
+
+    A shard returning several reports (the load study's serialized and
+    pooled plants) labels each with its position in the shard's result.
+    """
+    rows = []
+    for task in driver.tasks(config):
+        result = task.fn(**task.kwargs)
+        results = result if isinstance(result, tuple) else (result,)
+        for position, report in enumerate(results):
+            if not isinstance(report, ServingReport):
+                continue
+            parts = task.key[1:] + ((position,) if isinstance(result, tuple) else ())
+            shard = "/".join(str(part) for part in parts)
+            rows.extend(
+                {
+                    "shard": shard,
+                    "job_id": outcome.job_id,
+                    "backend": outcome.backend,
+                    "start_us": outcome.start_us,
+                    "finish_us": outcome.finish_us,
+                    "demoted": outcome.demoted,
+                }
+                for outcome in report.outcomes
+            )
+    return rows
+
+
 #: Fixture name -> zero-argument callable returning a list of result rows.
 STUDIES = {
     "ablation_quick": lambda: run_study(ablation_quick_spec()).table_rows(),
@@ -97,6 +159,9 @@ STUDIES = {
     "network_quick": lambda: run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick()).rows,
     "pause_quick": lambda: run_driver(PauseAblationDriver(), PauseAblationConfig.quick()),
     "pipeline_quick": lambda: [run_driver(PipelineStudyDriver(), PipelineStudyConfig.quick())],
+    "qos_stress": lambda: serving_schedule_rows(QoSStudyDriver(), QOS_STRESS),
+    "scenarios_stress": lambda: serving_schedule_rows(ScenarioStudyDriver(), SCENARIOS_STRESS),
+    "serve_quick": lambda: serving_schedule_rows(LoadStudyDriver(), LoadStudyConfig.quick()),
     "single_entry_points": single_entry_point_rows,
     "snr_quick": lambda: run_driver(SNRStudyDriver(), SNRStudyConfig.quick()),
 }

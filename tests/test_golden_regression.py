@@ -14,10 +14,22 @@ After an *intentional* numerics change, regenerate with::
 
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
-from tests.golden_studies import STUDIES, rows_as_payload
+from repro.experiments.load_study import LoadStudyConfig, LoadStudyDriver
+from repro.experiments.qos_study import QoSStudyDriver
+from repro.experiments.scenario_study import ScenarioStudyDriver
+from repro.serving import AutoscaleController, RANServingSimulator
+from tests.golden_studies import (
+    QOS_STRESS,
+    SCENARIOS_STRESS,
+    STUDIES,
+    rows_as_payload,
+    serving_schedule_rows,
+)
+from tests.serving_invariants import check_serving_invariants
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -55,7 +67,8 @@ def _row_label(row) -> str:
     keys = [
         k
         for k in (
-            "case", "modulation", "method", "switch_s", "snr_db", "placement", "point_id", "job_id"
+            "shard", "case", "modulation", "method", "switch_s", "snr_db", "placement",
+            "point_id", "job_id",
         )
         if k in row
     ]
@@ -98,3 +111,74 @@ def test_detect_serve_golden_exercises_demotion_and_batching():
     assert any(row["demoted"] and row["backend_kind"] == "classical" for row in rows)
     assert any(row["batch_size"] > 1 and row["backend_kind"] == "annealer" for row in rows)
     assert all(row["best_energy"] is not None for row in rows)
+
+
+def test_serving_schedule_goldens_are_not_vacuous(monkeypatch):
+    """The serving schedule fixtures keep pinning the paths they exist for.
+
+    Every simulator run behind ``serve_quick``, ``qos_stress`` and
+    ``scenarios_stress`` is captured with its workload and checked against
+    the serving invariants.  Each count below must stay positive, so a later
+    preset edit cannot leave a fixture that pins none of them.
+    """
+    runs = []
+    scale_actions = []
+    serve = RANServingSimulator.run
+    step = AutoscaleController.step
+
+    def capturing_run(self, jobs, rng=None):
+        report = serve(self, jobs, rng)
+        runs.append((jobs, report))
+        return report
+
+    def capturing_step(self, now_us, queue, pool, pressured_count):
+        warming = sum(
+            1 for worker in pool.annealer_workers
+            if worker.active and worker.available_from_us > now_us
+        )
+        event = step(self, now_us, queue, pool, pressured_count)
+        if event is not None:
+            scale_actions.append((event.action, warming))
+        return event
+
+    monkeypatch.setattr(RANServingSimulator, "run", capturing_run)
+    monkeypatch.setattr(AutoscaleController, "step", capturing_step)
+    counts = Counter()
+    for study, driver, config in (
+        ("serve", LoadStudyDriver(), LoadStudyConfig.quick()),
+        ("qos", QoSStudyDriver(), QOS_STRESS),
+        ("scenarios", ScenarioStudyDriver(), SCENARIOS_STRESS),
+    ):
+        runs.clear()
+        serving_schedule_rows(driver, config)
+        counts[f"{study} runs"] = len(runs)
+        for jobs, report in runs:
+            check_serving_invariants(jobs, report)
+            if study == "serve":
+                continue
+            if study == "qos":
+                arm = "aware" if report.metadata["class_aware"] else "classless"
+                counts["qos handover jobs"] += sum(job.handed_over for job in jobs)
+            else:
+                arm = "autoscaled" if "autoscale_events" in report.metadata else "static"
+            by_id = {job.job_id: job for job in jobs}
+            for outcome in report.outcomes:
+                counts[f"{study} {arm} misses"] += outcome.met_deadline is False
+                if study == "qos":
+                    counts[f"qos {arm} demotions"] += outcome.demoted
+                    if arm == "aware":
+                        counts["qos aware sheddable demotions"] += (
+                            outcome.demoted and by_id[outcome.job_id].service_class.sheddable
+                        )
+    for action, warming in scale_actions:
+        counts[f"scenarios {action}"] += 1
+        counts["scenarios scaling with a warm-up in flight"] += warming > 0
+    expected = [
+        "serve runs", "qos runs", "scenarios runs",
+        "qos classless demotions", "qos aware demotions", "qos aware sheddable demotions",
+        "qos classless misses", "qos aware misses", "qos handover jobs",
+        "scenarios static misses", "scenarios autoscaled misses",
+        "scenarios scale-up", "scenarios scale-down",
+        "scenarios scaling with a warm-up in flight",
+    ]
+    assert all(counts[name] > 0 for name in expected), dict(counts)
