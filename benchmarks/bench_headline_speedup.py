@@ -61,9 +61,8 @@ def _kernel_problem(seed=0):
     fields = rng.normal(size=(1, n))
     upper = np.triu(rng.normal(size=(n, n)), 1)
     symmetric = (upper + upper.T)[None]
-    mask = np.ones((1, n), dtype=bool)
     sizes = np.array([n])
-    return fields, symmetric, mask, sizes
+    return fields, symmetric, sizes
 
 
 def _anneal_settings():
@@ -80,7 +79,7 @@ def _anneal_settings():
 
 def _time_sa(reads):
     """The classical solver's dynamics: geometric cooling, sequential flips, tracked energies."""
-    fields, symmetric, _, sizes = _kernel_problem()
+    fields, symmetric, sizes = _kernel_problem()
     children = spawn_rngs(7, 1)
     n = KERNEL_PROBLEM_SIZE
     # Contiguous spin-major state, exactly as the solver allocates it.
@@ -99,7 +98,7 @@ def _time_sa(reads):
 
 
 def _time_svmc(reads):
-    fields, symmetric, mask, sizes = _kernel_problem()
+    fields, symmetric, sizes = _kernel_problem()
     children = spawn_rngs(7, 1)
     n = KERNEL_PROBLEM_SIZE
     theta = np.ascontiguousarray(children[0].uniform(0.0, np.pi, size=(reads, n)).T)[None]
@@ -108,7 +107,7 @@ def _time_svmc(reads):
     local = kernels.initial_local_fields(fields, symmetric, cosines)
     start = time.perf_counter()
     kernels.svmc_sweeps(
-        theta, cosines, sines, local, symmetric, mask, sizes, children, _anneal_settings(),
+        theta, cosines, sines, local, symmetric, sizes, children, _anneal_settings(),
         proposal_width=0.8, uniform_fraction=0.05,
     )
     return time.perf_counter() - start

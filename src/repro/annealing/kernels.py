@@ -356,8 +356,9 @@ def _svmc_thresholds(block, temperature, log_activity):
 def _svmc_fill_thresholds(uniforms, sizes, temperature, log_activity):
     """Turn each instance's ``(size, reads)`` accept uniforms into thresholds.
 
-    The log runs on each instance's real rows.  Padding rows are left as
-    they are; the kernels mask their decisions.
+    The log runs on each instance's real rows.  Padding rows keep the zero
+    threshold they were allocated with, and no step (clamped at zero) falls
+    below it, so a padding rotor is never accepted.
     """
     with np.errstate(divide="ignore"):
         for index, size in enumerate(sizes):
@@ -544,7 +545,6 @@ def svmc_sweeps_vectorized(
     sines: np.ndarray,
     local: np.ndarray,
     symmetric: np.ndarray,
-    mask: np.ndarray,
     sizes: np.ndarray,
     children: Sequence[np.random.Generator],
     settings: SweepSettings,
@@ -585,7 +585,6 @@ def svmc_sweeps_vectorized(
     accept = np.empty((batch, chunk_cap, reads), dtype=bool)
     change = np.empty((batch, chunk_cap, reads))
     coupled = np.empty(shape)
-    all_active = bool(mask.all())
     one_chunk = max_size <= _SVMC_CHUNK
     # Set while a gated sweep's packed draws may sit in the padding rows,
     # which the dense program needs at zero.
@@ -609,7 +608,7 @@ def svmc_sweeps_vectorized(
                 children, sizes, proposal_width, activity,
                 thresholds, passing, packed_normals, packed_mixes,
             )
-            stale_padding = not all_active
+            stale_padding = True
             sweep = (problem, transverse, temperature, log_activity)
             positions = np.flatnonzero(passing)
             if not one_chunk:
@@ -667,8 +666,6 @@ def svmc_sweeps_vectorized(
             np.maximum(step, 0.0, out=step)
             decided = accept[:, :width]
             np.less(step, thresholds[:, p0:p1], out=decided)
-            if not all_active:
-                decided &= mask[:, p0:p1, None]
             flips = change[:, :width]
             np.multiply(decided, gap, out=flips)
             cos_chunk += flips

@@ -187,13 +187,13 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         prepared = prepare_anneal_batch(fields, couplings, schedule, num_reads, initial_spins, rng)
         if prepared is None:
             return [np.zeros((num_reads, 0), dtype=np.int8) for _ in fields]
-        children, padded_fields, symmetric, mask, sizes, initials = prepared
+        children, padded_fields, symmetric, _, sizes, initials = prepared
         settings = self._sweep_settings(schedule, annealing_functions, relative_temperature)
 
         # The kernels use the spin-major (batch, spins, reads) layout.
         # Padding rotors sit at theta = 0 (cos 1, sin 0) with zero
-        # couplings: they cannot influence real spins and the kernel's mask
-        # keeps them frozen.
+        # couplings: they cannot influence real spins, and their zero accept
+        # thresholds keep them frozen.
         batch, max_size = padded_fields.shape
         theta = np.zeros((batch, max_size, num_reads))
         for index in range(batch):
@@ -213,7 +213,6 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
             sines,
             local,
             symmetric,
-            mask,
             sizes,
             children,
             settings,

@@ -89,10 +89,12 @@ class ServingBackend(abc.ABC):
     def service_time_us(self, jobs: Sequence[ServingJob]) -> float:
         """Modelled wall-clock the backend needs to process ``jobs`` as one batch.
 
-        Must be a pure timing query: a deterministic function of the batch,
-        with no side effects.  The simulator relies on this — it times each
-        queued job solo once and reuses the answer for every admission and
-        autoscaling pressure query.
+        Must be a pure timing query: a deterministic function of the
+        :attr:`~repro.serving.workload.ServingJob.shape_key` of each job in
+        the batch, with no side effects.  The simulator relies on this — it
+        times one solo job per shape once per run and reuses the answer for
+        every queued job of that shape in every admission and autoscaling
+        pressure query.
         """
 
     @abc.abstractmethod

@@ -112,14 +112,6 @@ class BackendPool:
         """
         return [worker for worker in self.annealer_workers if worker.active]
 
-    def idle_workers(self, now_us: float, kind: Optional[str] = None) -> List[Worker]:
-        """Dispatchable workers at ``now_us``, optionally filtered by kind."""
-        return [
-            worker
-            for worker in self.workers
-            if worker.dispatchable_at(now_us) and (kind is None or worker.kind == kind)
-        ]
-
     def reset(self) -> None:
         """Clear every worker's timeline and statistics between runs."""
         for worker in self.workers:

@@ -31,6 +31,7 @@ every code path is byte-for-byte the pre-topology implementation.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -375,10 +376,27 @@ class NetworkScenario:
                         f"{self.num_cells}-cell grid"
                     )
 
-    @property
+    @functools.cached_property
     def duration_us(self) -> float:
         """Total simulated-time horizon covered by the phases."""
         return sum(phase.duration_us for phase in self.phases)
+
+    @functools.cached_property
+    def _phase_bounds(self) -> Tuple[Tuple[LoadPhase, float, float, bool], ...]:
+        """``(phase, start, limit, final)`` per phase, in timeline order.
+
+        :meth:`phase_at` picks the first phase with ``t_us < limit``, or the
+        final phase object.  Starts accumulate the durations in phase order
+        and ``limit`` is ``start + duration - _EPS``, so the lookup is
+        bitwise what re-summing the timeline on every call gave.
+        """
+        bounds = []
+        start = 0.0
+        for phase in self.phases:
+            limit = start + phase.duration_us - _EPS
+            bounds.append((phase, start, limit, phase is self.phases[-1]))
+            start += phase.duration_us
+        return tuple(bounds)
 
     def phase_at(self, t_us: float) -> Tuple[LoadPhase, float]:
         """The phase containing absolute time ``t_us`` and the local offset."""
@@ -386,11 +404,9 @@ class NetworkScenario:
             raise ConfigurationError(
                 f"t_us {t_us} outside the scenario horizon [0, {self.duration_us})"
             )
-        start = 0.0
-        for phase in self.phases:
-            if t_us < start + phase.duration_us - _EPS or phase is self.phases[-1]:
+        for phase, start, limit, final in self._phase_bounds:
+            if t_us < limit or final:
                 return phase, t_us - start
-            start += phase.duration_us
         raise AssertionError("unreachable")  # pragma: no cover
 
     def intensity(self, cell_id: int, t_us: float) -> float:

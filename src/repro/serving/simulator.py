@@ -7,11 +7,14 @@ next, compatible jobs are coalesced into batches for the batched kernels, and
 admission control demotes jobs that would blow their turnaround deadline
 waiting for an annealer onto the fast classical path.
 
-The simulation is event-driven (arrivals and worker-free events through
-:class:`~repro.serving.events.EventQueue`) and work-conserving: no worker
-idles while an eligible job is queued.  Batch occupancy therefore adapts to
-load — light traffic is served solo with minimal latency, heavy traffic
-queues and rides the batched engine's throughput.
+The simulation is event-driven and work-conserving: no worker idles while
+an eligible job is queued.  Arrivals are read off the sorted workload and
+win ties against an :class:`~repro.serving.events.EventQueue` of
+worker-free, autoscale and warm-up events, and a dispatch round runs only
+where a decision can change: when some worker that may serve a queued job
+is dispatchable.  Batch occupancy therefore adapts to load — light traffic
+is served solo with minimal latency, heavy traffic queues and rides the
+batched engine's throughput.
 
 The event loop is timing-only: it decides when, on which worker and in
 which batch each job is served, and never calls a solver.  When solutions
@@ -36,15 +39,18 @@ deadline are counted in the report, never dropped.
 
 Deadline pressure — the admission and autoscaling signal — is answered from
 an incremental :class:`_PressureIndex` rather than by re-timing every queued
-job on every annealer at every query, and the next batch is popped from
-per-batch-key :class:`_ReadyQueue` heaps rather than by scanning the queue
-(see ``docs/serving.md``).
+job on every annealer at every query; its onset bound answers "nothing is
+pressured yet" without a query and lets a round whose only idle worker is
+a fallback be skipped.  The next batch is popped from per-batch-key
+:class:`_ReadyQueue` heaps rather than by scanning the queue (see
+``docs/serving.md``).
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
+import math
 import operator
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -76,7 +82,6 @@ from repro.utils.rng import BatchRandomState, ensure_rng_batch
 
 __all__ = ["RANServingSimulator"]
 
-_ARRIVAL = "arrival"
 _WORKER_FREE = "worker-free"
 _AUTOSCALE = "autoscale"
 _WARMUP_DONE = "warmup-done"
@@ -90,6 +95,12 @@ def _service_class_of(job: ServingJob) -> ServiceClass:
 
 #: A pressure-index entry's slack deadline, ``deadline_us + 1e-9``.
 _SLACK = operator.itemgetter(2)
+
+#: Relative margin of the pressure index's onset bound.  The bound stands in
+#: for the test ``fl(now + solo) <= slack``, whose rounding error is a few
+#: units in the last place of ``slack`` (every term lies in ``[0, slack]``);
+#: ``1e-9 * (1 + |slack|)`` covers it about a million times over.
+_ONSET_MARGIN = 1e-9
 
 #: Ceiling on the total QUBO variables of one post-loop ``backend.solve``
 #: call.  Larger calls amortise the kernels' per-sweep overhead further but
@@ -116,15 +127,23 @@ class _PressureIndex:
     ``min(max(now, free_at_us, available_from_us) + solo_us)``, lands after
     its deadline — waiting for an annealer already blows it.
 
-    Each job's solo service time on every annealer worker is computed once,
-    when it joins the queue, and only once per distinct backend object
-    (workers often share one: K identical QPUs); the per-worker tuple is its
-    *service profile*.  Jobs sharing a profile live in one list of
-    ``(deadline_us, job_id, deadline_us + 1e-9, job)`` entries, sorted, so a
-    query computes one best completion per profile and the pressured jobs
-    are the list prefix whose slack deadlines fall short of it.  This relies
-    on :meth:`~repro.serving.backends.ServingBackend.service_time_us` being a
-    pure function of the batch.
+    A job's solo service time on every annealer worker, its *service
+    profile*, is computed once per job shape (``shape_key``) and distinct
+    backend object (workers often share one: K identical QPUs), which
+    relies on :meth:`~repro.serving.backends.ServingBackend.service_time_us`
+    depending on a batch's shapes alone.  Jobs sharing a profile live in one
+    list of ``(deadline_us, job_id, deadline_us + 1e-9, job)`` entries,
+    sorted, so a query computes one best completion per profile and the
+    pressured jobs are the list prefix whose slack deadlines fall short of
+    it.
+
+    :meth:`onset_us` is a lower bound on the earliest ``now`` at which any
+    indexed job can be pressured, and a query before it returns ``[]``
+    without a cut; every other query runs the exact cut.  The bound depends
+    only on the group heads and the annealer timelines: :meth:`add` lowers
+    it, :meth:`invalidate` (a worker was served or the pool was rescaled)
+    marks it stale, and the next read recomputes it (see
+    ``docs/serving.md``).
     """
 
     def __init__(self, annealer_workers: Sequence[Worker]) -> None:
@@ -136,17 +155,29 @@ class _PressureIndex:
         self._backends = list({id(w.backend): w.backend for w in self._workers}.values())
         self._groups: Dict[Tuple[float, ...], List[Tuple[float, int, float, ServingJob]]] = {}
         self._profile_of: Dict[int, Tuple[float, ...]] = {}
+        self._profile_of_shape: Dict[Tuple, Tuple[float, ...]] = {}
+        self._onset = math.inf
+        self._fresh = False
+        # ``(position, ready time)`` of each active annealer, as of the
+        # bound's last recomputation.
+        self._ready: List[Tuple[int, float]] = []
 
     def add(self, job: ServingJob) -> None:
         """Index a newly queued job; deadline-free jobs are never pressured."""
         deadline = job.deadline_us
         if deadline is None:
             return
-        solo = [backend.service_time_us([job]) for backend in self._backends]
-        profile = tuple(solo[slot] for slot in self._slots)
+        profile = self._profile_of_shape.get(job.shape_key)
+        if profile is None:
+            solo = [backend.service_time_us([job]) for backend in self._backends]
+            profile = tuple(solo[slot] for slot in self._slots)
+            self._profile_of_shape[job.shape_key] = profile
         self._profile_of[job.job_id] = profile
         entry = (deadline, job.job_id, deadline + 1e-9, job)
-        bisect.insort(self._groups.setdefault(profile, []), entry)
+        group = self._groups.setdefault(profile, [])
+        bisect.insort(group, entry)
+        if self._fresh and group[0] is entry:
+            self._onset = min(self._onset, self._head_onset(profile, entry[2]))
 
     def discard(self, jobs: Sequence[ServingJob]) -> None:
         """Drop dispatched jobs from the index."""
@@ -157,6 +188,29 @@ class _PressureIndex:
             group = self._groups[profile]
             del group[bisect.bisect_left(group, (job.deadline_us, job.job_id))]
 
+    def invalidate(self) -> None:
+        """Mark the onset bound stale: an annealer's timeline or activity changed."""
+        self._fresh = False
+
+    def onset_us(self) -> float:
+        """No indexed job is pressured at any ``now`` below this bound."""
+        if not self._fresh:
+            self._ready = [
+                (position, max(worker.server.free_at_us, worker.available_from_us))
+                for position, worker in enumerate(self._workers)
+                if worker.active
+            ]
+            self._onset = min(
+                (
+                    self._head_onset(profile, group[0][2])
+                    for profile, group in self._groups.items()
+                    if group
+                ),
+                default=math.inf,
+            )
+            self._fresh = True
+        return self._onset
+
     def pressured(self, now: float) -> List[ServingJob]:
         """Every indexed job whose deadline is already blown at ``now``.
 
@@ -164,6 +218,8 @@ class _PressureIndex:
         they become dispatchable.  With no active annealer at all, every
         deadline-carrying job is pressured.
         """
+        if now < self.onset_us():
+            return []
         starts = [
             (position, max(now, worker.server.free_at_us, worker.available_from_us))
             for position, worker in enumerate(self._workers)
@@ -180,6 +236,36 @@ class _PressureIndex:
             pressured.extend(entry[3] for entry in group[:cut])
         return pressured
 
+    def _head_onset(self, profile: Tuple[float, ...], slack: float) -> float:
+        """A lower bound on when a job of ``profile`` and ``slack`` is pressured.
+
+        The job is not pressured at ``now`` while some active annealer
+        ``w`` has ``max(now, ready_w) + solo_w <= slack``: for every ``w``
+        whose ready time already meets the slack, that holds up to
+        ``now = slack - solo_w``, less :data:`_ONSET_MARGIN` relative to the
+        slack for the rounding of ``now + solo_w``.  ``-inf`` when no active
+        annealer can still meet it; ``inf`` for an infinite deadline.
+        """
+        latest = -math.inf
+        for position, ready in self._ready:
+            service = profile[position]
+            if ready + service <= slack:
+                latest = max(latest, slack - service)
+        if not math.isfinite(latest):  # no annealer meets it, or no deadline to meet
+            return latest
+        return latest - _ONSET_MARGIN * (1.0 + abs(slack))
+
+
+class _ArrivalKeyedPolicy(SchedulingPolicy):
+    """A policy whose keys were computed once, as the jobs arrived."""
+
+    def __init__(self, policy: SchedulingPolicy) -> None:
+        self.name = policy.name
+        self.keys: Dict[int, Tuple] = {}
+
+    def key(self, job: ServingJob) -> Tuple:
+        return self.keys[job.job_id]
+
 
 class _ReadyQueue:
     """The queued jobs: arrival order for scans, one ready heap per batch key.
@@ -194,9 +280,15 @@ class _ReadyQueue:
     companions are the next entries of the same heap, i.e. the compatible
     jobs in policy order with ties in queue order.  Jobs taken by
     :meth:`remove` leave their heap entries behind; a pop skips them.
+
+    A class-aware queue also keeps its queued jobs of *sheddable* classes
+    by priority, so the admission ladder finds its shedding candidates
+    without walking the queue (:meth:`sheddable_below`).
     """
 
-    __slots__ = ("_policy_key", "_class_aware", "_jobs", "_heaps", "_sequence")
+    __slots__ = (
+        "_policy_key", "_class_aware", "_jobs", "_heaps", "_sequence", "_sheddable", "order"
+    )
 
     def __init__(self, policy: SchedulingPolicy, class_aware: bool) -> None:
         self._policy_key = policy.key
@@ -204,6 +296,9 @@ class _ReadyQueue:
         self._jobs: Dict[int, ServingJob] = {}
         self._heaps: Dict[Tuple, List[Tuple[Tuple, int, ServingJob]]] = {}
         self._sequence = 0
+        self._sheddable: Dict[int, Dict[int, ServingJob]] = {}
+        #: ``policy`` answered from the keys computed on arrival.
+        self.order = _ArrivalKeyedPolicy(policy)
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -214,14 +309,29 @@ class _ReadyQueue:
     def push(self, job: ServingJob) -> None:
         """Queue a newly arrived job."""
         self._jobs[job.job_id] = job
+        key = self.order.keys[job.job_id] = self._policy_key(job)
         heap = self._heaps.setdefault(_batch_key(job, self._class_aware), [])
-        heapq.heappush(heap, (self._policy_key(job), self._sequence, job))
+        heapq.heappush(heap, (key, self._sequence, job))
         self._sequence += 1
+        if self._class_aware:
+            service_class = _service_class_of(job)
+            if service_class.sheddable:
+                self._sheddable.setdefault(service_class.priority, {})[job.job_id] = job
 
     def remove(self, jobs: Sequence[ServingJob]) -> None:
         """Take jobs chosen elsewhere out of the queue."""
         for job in jobs:
             del self._jobs[job.job_id]
+        self._forget_sheddable(jobs)
+
+    def sheddable_below(self, priority: int) -> Iterator[ServingJob]:
+        """Queued jobs of sheddable classes less critical than ``priority``.
+
+        Always empty on a class-blind queue.
+        """
+        for level, jobs in self._sheddable.items():
+            if level > priority:
+                yield from jobs.values()
 
     def pop_batch(self, max_batch_size: Optional[int]) -> List[ServingJob]:
         """``select_batch`` over the whole queue: pop the head batch."""
@@ -238,7 +348,15 @@ class _ReadyQueue:
             job = heapq.heappop(head)[2]
             if jobs.pop(job.job_id, None) is not None:
                 batch.append(job)
+        self._forget_sheddable(batch)
         return batch
+
+    def _forget_sheddable(self, jobs: Sequence[ServingJob]) -> None:
+        if self._sheddable:
+            for job in jobs:
+                service_class = _service_class_of(job)
+                if service_class.sheddable:
+                    del self._sheddable[service_class.priority][job.job_id]
 
 
 class RANServingSimulator:
@@ -320,6 +438,8 @@ class RANServingSimulator:
         self.autoscaler = autoscaler
         self.topology = topology
         self._pressure: Optional[_PressureIndex] = None
+        self._annealers: List[Worker] = []
+        self._classical: List[Worker] = []
 
     # ------------------------------------------------------------------ #
 
@@ -343,18 +463,30 @@ class RANServingSimulator:
         # cost and disabled mode is equivalent to the uninstrumented loop.
         tel = telemetry.active()
 
+        times = []
+        for job in ordered:
+            arrival = float(job.arrival_us)
+            if not math.isfinite(arrival) or arrival < 0.0:
+                raise ConfigurationError(
+                    f"event timestamps must be finite and non-negative, got {arrival}"
+                )
+            times.append(arrival)
+
         self._reset_pool()
+        pool = self.pool
+        self._annealers = pool.annealer_workers
+        self._classical = pool.classical_workers
         # Pressure is only ever queried by admission control over a mixed
         # pool or by the autoscaler; other runs never time solo jobs.
-        pool = self.pool
         self._pressure = None
         if self.autoscaler is not None or (
-            self.admission_control and pool.annealer_workers and pool.classical_workers
+            self.admission_control and self._annealers and self._classical
         ):
-            self._pressure = _PressureIndex(pool.annealer_workers)
+            self._pressure = _PressureIndex(self._annealers)
+        # Arrivals are already sorted: they are read off ``ordered`` with a
+        # cursor and win ties against the heap, which holds only worker-free,
+        # autoscale and warm-up events.
         events = EventQueue()
-        for job in ordered:
-            events.push(job.arrival_us, (_ARRIVAL, job))
         if self.autoscaler is not None:
             self.autoscaler.reset()
             start_us = ordered[0].arrival_us
@@ -363,55 +495,31 @@ class RANServingSimulator:
 
         queue = _ReadyQueue(self.policy, self.class_aware)
         served: List[_Dispatch] = []
-        arrivals_remaining = len(ordered)
-        while events:
-            now, payload = events.pop()
-            pending = [payload]
+        cursor, total = 0, len(ordered)
+        while cursor < total or events:
+            if cursor < total and (not events or times[cursor] <= events.peek_time()):
+                now = times[cursor]
+            else:
+                now = events.peek_time()
             # Events within _TIME_EPS of the first are handled together, at
             # the latest of their times, so no job can start before it arrives.
             group_end = now + _TIME_EPS
-            while events and events.peek_time() <= group_end:
-                now, payload = events.pop()
-                pending.append(payload)
+            while cursor < total and times[cursor] <= group_end:
+                job = ordered[cursor]
+                queue.push(job)
+                if self._pressure is not None:
+                    self._pressure.add(job)
+                now = max(now, times[cursor])
+                cursor += 1
             autoscale_tick = False
-            for kind, item in pending:
-                if kind == _ARRIVAL:
-                    queue.push(item)
-                    if self._pressure is not None:
-                        self._pressure.add(item)
-                    arrivals_remaining -= 1
-                elif kind == _AUTOSCALE:
-                    autoscale_tick = True
-            if autoscale_tick and self.autoscaler is not None:
-                pressured = len(self._pressured_jobs(queue, now))
-                action = self.autoscaler.step(now, queue, self.pool, pressured)
-                if tel is not None:
-                    active = self.pool.active_annealer_count
-                    tel.registry.gauge("repro_serving_queue_depth").set(len(queue))
-                    tel.registry.gauge("repro_serving_deadline_pressure").set(pressured)
-                    tel.registry.gauge("repro_serving_active_annealers").set(active)
-                    tel.tracer.event(
-                        "serving.autoscale",
-                        time_us=now,
-                        clock=telemetry.CLOCK_SIM,
-                        queue_depth=len(queue),
-                        pressured=pressured,
-                        active_annealers=active,
-                        action=action.action if action is not None else "hold",
-                    )
-                if action is not None and action.action == "scale-up":
-                    # Wake the dispatcher the instant the warm-up completes;
-                    # otherwise the new worker could idle until the next
-                    # arrival/tick while pressured jobs queue.
-                    events.push(
-                        now + self.autoscaler.config.warmup_us, (_WARMUP_DONE, None)
-                    )
-                # Keep ticking while load can still arrive or is still queued;
-                # once both dry up, the remaining worker-free events just
-                # drain in-flight batches and no scaling decision is needed.
-                if queue or arrivals_remaining:
-                    events.push(now + self.autoscaler.config.interval_us, (_AUTOSCALE, None))
-            self._dispatch(now, queue, events, served)
+            while events and events.peek_time() <= group_end:
+                time_us, (kind, _) = events.pop()
+                now = max(now, time_us)
+                autoscale_tick = autoscale_tick or kind == _AUTOSCALE
+            if autoscale_tick:
+                self._autoscale(now, queue, events, cursor < total, tel)
+            if queue and self._dispatch_due(now, queue):
+                self._dispatch(now, queue, events, served)
 
         if queue:  # pragma: no cover - defensive; dispatch drains every queue
             raise ConfigurationError(f"{len(queue)} jobs were never scheduled")
@@ -431,8 +539,8 @@ class RANServingSimulator:
             "admission_control": self.admission_control,
             "evaluate_solutions": self.evaluate_solutions,
             "class_aware": self.class_aware,
-            "num_annealer_workers": len(self.pool.annealer_workers),
-            "num_classical_workers": len(self.pool.classical_workers),
+            "num_annealer_workers": len(self._annealers),
+            "num_classical_workers": len(self._classical),
         }
         if self.topology is not None:
             metadata["topology_kind"] = self.topology.kind
@@ -464,6 +572,62 @@ class RANServingSimulator:
         """Clear worker timelines so consecutive runs are independent."""
         self.pool.reset()
 
+    def _autoscale(
+        self,
+        now: float,
+        queue: _ReadyQueue,
+        events: EventQueue,
+        arrivals_remaining: bool,
+        tel: Optional["telemetry.TelemetrySession"],
+    ) -> None:
+        """One autoscale tick: observe, let the controller act, schedule the next."""
+        pressured = len(self._pressured_jobs(queue, now))
+        action = self.autoscaler.step(now, queue, self.pool, pressured)
+        if action is not None:  # a worker was activated or parked
+            self._pressure.invalidate()
+        if tel is not None:
+            active = self.pool.active_annealer_count
+            tel.registry.gauge("repro_serving_queue_depth").set(len(queue))
+            tel.registry.gauge("repro_serving_deadline_pressure").set(pressured)
+            tel.registry.gauge("repro_serving_active_annealers").set(active)
+            tel.tracer.event(
+                "serving.autoscale",
+                time_us=now,
+                clock=telemetry.CLOCK_SIM,
+                queue_depth=len(queue),
+                pressured=pressured,
+                active_annealers=active,
+                action=action.action if action is not None else "hold",
+            )
+        if action is not None and action.action == "scale-up":
+            # Wake the dispatcher the instant the warm-up completes;
+            # otherwise the new worker could idle until the next
+            # arrival/tick while pressured jobs queue.
+            events.push(now + self.autoscaler.config.warmup_us, (_WARMUP_DONE, None))
+        # Keep ticking while load can still arrive or is still queued; once
+        # both dry up, the remaining worker-free events just drain in-flight
+        # batches and no scaling decision is needed.
+        if queue or arrivals_remaining:
+            events.push(now + self.autoscaler.config.interval_us, (_AUTOSCALE, None))
+
+    def _dispatch_due(self, now: float, queue: _ReadyQueue) -> bool:
+        """Whether a dispatch round at ``now`` can serve anything.
+
+        A round serves a job only through a dispatchable annealer, or a
+        dispatchable classical worker that either fronts an annealer-free
+        pool or takes admission candidates.  Without a pressured job there
+        is no candidate, and none is pressured before the pressure index's
+        onset bound — so a round this returns false for serves nothing.
+        """
+        for worker in self._annealers:
+            if worker.dispatchable_at(now):
+                return True
+        if not any(worker.dispatchable_at(now) for worker in self._classical):
+            return False
+        if not self._annealers:
+            return True
+        return self.admission_control and now >= self._pressure.onset_us()
+
     def _dispatch(
         self, now: float, queue: _ReadyQueue, events: EventQueue, served: List[_Dispatch]
     ) -> None:
@@ -473,39 +637,38 @@ class RANServingSimulator:
         a demotion picks its batch with :func:`select_batch` over the
         admission candidates.
         """
-        has_annealers = bool(self.pool.annealer_workers)
+        annealers, classical = self._annealers, self._classical
         progress = True
         while progress and queue:
             progress = False
-            # Serving an annealer leaves the classical workers' idleness as
-            # it was, so one scan serves both passes.
-            idle = self.pool.idle_workers(now)
-            for worker in idle:
+            # Serving an annealer leaves every other worker's idleness as
+            # it was, so each worker is checked once per pass.
+            for worker in annealers:
                 if not queue:
                     break
-                if worker.kind == "annealer":
+                if worker.dispatchable_at(now):
                     batch = queue.pop_batch(self.max_batch_size)
                     self._serve(worker, batch, now, events, served, demoted=False)
                     progress = True
-            for worker in idle:
+            if annealers and not self.admission_control:
+                continue  # fallbacks only activate through admission control
+            for worker in classical:
                 if not queue:
                     break
-                if worker.kind != "classical":
+                if not worker.dispatchable_at(now):
                     continue
-                if not has_annealers:
+                if not annealers:
                     batch = queue.pop_batch(self.max_batch_size)
-                elif not self.admission_control:
-                    break  # fallbacks only activate through admission control
                 else:
                     candidates = self._degradation_candidates(queue, now)
                     if not candidates:
                         continue
                     # ``candidates`` is a scratch list, so select_batch may pop from it.
                     batch = select_batch(
-                        candidates, self.policy, self.max_batch_size, class_aware=self.class_aware
+                        candidates, queue.order, self.max_batch_size, class_aware=self.class_aware
                     )
                     queue.remove(batch)
-                self._serve(worker, batch, now, events, served, demoted=has_annealers)
+                self._serve(worker, batch, now, events, served, demoted=bool(annealers))
                 progress = True
 
     def _degradation_candidates(self, queue: _ReadyQueue, now: float) -> List[ServingJob]:
@@ -520,22 +683,12 @@ class RANServingSimulator:
         free annealer capacity for it.
         """
         pressured = self._pressured_jobs(queue, now)
-        if not self.class_aware:
+        if not self.class_aware or not pressured:
             return pressured
         demotable = [job for job in pressured if _service_class_of(job).demotable]
-        if not pressured:
-            return demotable
         min_priority = min(_service_class_of(job).priority for job in pressured)
         chosen = {job.job_id for job in demotable}
-        shed = []
-        for job in queue:
-            service_class = _service_class_of(job)
-            if (
-                service_class.sheddable
-                and service_class.priority > min_priority
-                and job.job_id not in chosen
-            ):
-                shed.append(job)
+        shed = [job for job in queue.sheddable_below(min_priority) if job.job_id not in chosen]
         return demotable + shed
 
     def _pressured_jobs(self, queue: _ReadyQueue, now: float) -> List[ServingJob]:
@@ -559,6 +712,7 @@ class RANServingSimulator:
         """Dispatch one batch onto one worker and record its timing."""
         if self._pressure is not None:
             self._pressure.discard(batch)
+            self._pressure.invalidate()
         service = worker.backend.service_time_us(batch)
         timing = worker.server.serve(now, service)
         worker.record_batch(len(batch))
@@ -623,10 +777,10 @@ def _solve_served(
 def _outcomes(dispatch: _Dispatch, solutions: Dict[int, JobSolution]) -> Iterator[JobOutcome]:
     """The per-job outcomes of one served batch (solutions when evaluated)."""
     worker, batch, start_us, finish_us, demoted = dispatch
+    name, kind, size = worker.name, worker.kind, len(batch)
     for job in batch:
-        met: Optional[bool] = None
-        if job.deadline_us is not None:
-            met = bool(finish_us <= job.deadline_us + 1e-9)
+        deadline = job.deadline_us
+        met = None if deadline is None else bool(finish_us <= deadline + 1e-9)
         solution = solutions.get(job.job_id)
         yield JobOutcome(
             job_id=job.job_id,
@@ -635,12 +789,12 @@ def _outcomes(dispatch: _Dispatch, solutions: Dict[int, JobSolution]) -> Iterato
             arrival_us=job.arrival_us,
             start_us=start_us,
             finish_us=finish_us,
-            deadline_us=job.deadline_us,
+            deadline_us=deadline,
             met_deadline=met,
-            backend=worker.name,
-            backend_kind=worker.kind,
+            backend=name,
+            backend_kind=kind,
             demoted=demoted,
-            batch_size=len(batch),
+            batch_size=size,
             best_energy=None if solution is None else solution.best_energy,
             detected_optimum=None if solution is None else solution.detected_optimum,
             service_class=_service_class_of(job).name,

@@ -93,7 +93,6 @@ def svmc_sweeps_reference(
     sines: np.ndarray,
     local: np.ndarray,
     symmetric: np.ndarray,
-    mask: np.ndarray,
     sizes: np.ndarray,
     children: Sequence[np.random.Generator],
     settings: SweepSettings,

@@ -169,7 +169,7 @@ def _run_sa(implementation, sizes, reads, seed, temperatures):
 
 
 def _run_svmc(implementation, sizes, reads, seed, schedule, **params):
-    padded_fields, symmetric, mask, size_array = _problem_batch(sizes, seed + 1000)
+    padded_fields, symmetric, _, size_array = _problem_batch(sizes, seed + 1000)
     theta, cosines, sines, local, children = _svmc_state(
         sizes, reads, seed, padded_fields, symmetric
     )
@@ -179,7 +179,6 @@ def _run_svmc(implementation, sizes, reads, seed, schedule, **params):
         sines,
         local,
         symmetric,
-        mask,
         size_array,
         children,
         schedule,
@@ -513,24 +512,27 @@ class TestGatedSVMC:
         assert bool(calls) == (activity < 1.0)
 
     def test_padding_rotors_never_move(self):
-        # Padding lanes are frozen by the mask even when they hold a rotor
-        # state that a proposal could change.
-        sizes, reads = [3, 8], 4
-        padded_fields, symmetric, mask, size_array = _problem_batch(sizes, 77)
-        theta, cosines, sines, local, children = _svmc_state(
-            sizes, reads, 5, padded_fields, symmetric
-        )
-        theta[0, 3:] = np.pi / 3.0
-        cosines[0, 3:] = np.cos(np.pi / 3.0)
-        sines[0, 3:] = np.sin(np.pi / 3.0)
-        padding = [array[0, 3:].copy() for array in (theta, cosines, sines)]
-        svmc_sweeps(
-            theta, cosines, sines, local, symmetric, mask, size_array, children,
-            _gate_schedule(0.02),
-            proposal_width=0.5, uniform_fraction=0.2,
-        )
-        for before, array in zip(padding, (theta, cosines, sines)):
-            assert before.tobytes() == array[0, 3:].tobytes()
+        # Padding rows keep zero accept thresholds, which no step (clamped
+        # at zero) falls below, so padding lanes stay frozen even when they
+        # hold a rotor state that a proposal could change, on gated sweeps
+        # and on dense sweeps that follow them.
+        mixed = [(0.5, 0.5, 1.0, 0.9), (0.7, 0.3, 0.6, 1.0)] * 2
+        for schedule in (_gate_schedule(0.02), mixed):
+            sizes, reads = [3, 8], 4
+            padded_fields, symmetric, _, size_array = _problem_batch(sizes, 77)
+            theta, cosines, sines, local, children = _svmc_state(
+                sizes, reads, 5, padded_fields, symmetric
+            )
+            theta[0, 3:] = np.pi / 3.0
+            cosines[0, 3:] = np.cos(np.pi / 3.0)
+            sines[0, 3:] = np.sin(np.pi / 3.0)
+            padding = [array[0, 3:].copy() for array in (theta, cosines, sines)]
+            svmc_sweeps(
+                theta, cosines, sines, local, symmetric, size_array, children, schedule,
+                proposal_width=0.5, uniform_fraction=0.2,
+            )
+            for before, array in zip(padding, (theta, cosines, sines)):
+                assert before.tobytes() == array[0, 3:].tobytes()
 
     def test_dense_sweep_clears_packed_draws_from_padding(self):
         # A gated sweep packs its draws over the padding rows of the dense
@@ -549,12 +551,12 @@ class TestGatedSVMC:
         _assert_bitwise(*runs)
 
     def test_rejects_non_contiguous_state(self):
-        padded_fields, symmetric, mask, size_array = _problem_batch([4], 1)
+        padded_fields, symmetric, _, size_array = _problem_batch([4], 1)
         theta, cosines, sines, local, children = _svmc_state([4], 6, 0, padded_fields, symmetric)
         with pytest.raises(ValueError, match="C-contiguous"):
             svmc_sweeps(
                 theta[:, :, ::2], cosines[:, :, ::2], sines[:, :, ::2], local[:, :, ::2],
-                symmetric, mask, size_array, children, _gate_schedule(0.02),
+                symmetric, size_array, children, _gate_schedule(0.02),
                 proposal_width=0.5, uniform_fraction=0.1,
             )
 
@@ -713,13 +715,13 @@ class TestDrawDiscipline:
         # equal a replay of exactly the per-sweep blocks.
         schedule = [(0.2, 0.8, 2.0, 1.0), (0.6, 0.4, 1.0, 0.6), (1.0, 0.05, 0.3, 0.02)]
         sizes, reads = [70, 6, 0], 3
-        padded_fields, symmetric, mask, size_array = _problem_batch(sizes, 99)
+        padded_fields, symmetric, _, size_array = _problem_batch(sizes, 99)
         theta, cosines, sines, local, children = _svmc_state(
             sizes, reads, 21, padded_fields, symmetric
         )
         replays = copy.deepcopy(children)
         svmc_sweeps(
-            theta, cosines, sines, local, symmetric, mask, size_array, children, schedule,
+            theta, cosines, sines, local, symmetric, size_array, children, schedule,
             proposal_width=0.5, uniform_fraction=0.15,
         )
         for size, child, replay in zip(sizes, children, replays):

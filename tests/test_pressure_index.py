@@ -8,6 +8,10 @@ ordered by deadline, cut by bisect).  The properties below hold the two
 together over random mixed workloads, heterogeneous pools, class-aware and
 class-blind scheduling, and autoscaled elastic pools: every query returns
 the oracle's set, and full runs produce the oracle simulator's outcomes.
+The oracle runs a dispatch round after every event group, while the
+production simulator skips the rounds that cannot serve and answers some
+queries from the index's onset bound; :class:`SkipCheckedSimulator` holds
+each of those shortcuts against the scan.
 
 The module also pins the cached :class:`~repro.serving.workload.ServingJob`
 scheduling keys: a copy never reports a stale key.
@@ -66,10 +70,17 @@ def pressured_oracle(pool, job: ServingJob, now: float) -> bool:
 
 
 class OracleSimulator(RANServingSimulator):
-    """Admission and autoscaling driven by the scan, in queue order."""
+    """Admission and autoscaling driven by the scan, in queue order.
+
+    It runs a dispatch round after every event group, so the production
+    simulator's skipped rounds are held against rounds that really ran.
+    """
 
     def _pressured_jobs(self, queue, now):
         return [job for job in queue if pressured_oracle(self.pool, job, now)]
+
+    def _dispatch_due(self, now, queue):
+        return True
 
 
 class CheckedSimulator(RANServingSimulator):
@@ -83,6 +94,45 @@ class CheckedSimulator(RANServingSimulator):
         assert sorted(job.job_id for job in indexed) == [job.job_id for job in expected]
         self.queries += 1
         return indexed
+
+
+class SkipCheckedSimulator(RANServingSimulator):
+    """The production simulator, asserting each shortcut it takes against the scan.
+
+    * A skipped dispatch round must be one that would serve nothing: no
+      annealer is dispatchable, and either no classical worker is, or the
+      pool has annealers and admission control is off or the scan finds no
+      pressured job.
+    * A pressure query answered from the onset bound must be empty under
+      the scan.
+    """
+
+    skipped_rounds = 0
+    bound_answers = 0
+
+    def _dispatch_due(self, now, queue):
+        due = super()._dispatch_due(now, queue)
+        if not due:
+            self.skipped_rounds += 1
+            workers = self.pool.workers
+            assert not any(
+                w.kind == "annealer" and w.dispatchable_at(now) for w in workers
+            )
+            if any(w.kind == "classical" and w.dispatchable_at(now) for w in workers):
+                assert self.pool.annealer_workers
+                assert not self.admission_control or not any(
+                    pressured_oracle(self.pool, job, now) for job in queue
+                )
+        return due
+
+    def _pressured_jobs(self, queue, now):
+        from_bound = now < self._pressure.onset_us()
+        pressured = super()._pressured_jobs(queue, now)
+        if from_bound:
+            self.bound_answers += 1
+            assert pressured == []
+            assert not any(pressured_oracle(self.pool, job, now) for job in queue)
+        return pressured
 
 
 def _job(job_id: int, arrival_us: float, budget_us, shape: int, service_class) -> ServingJob:
@@ -164,7 +214,9 @@ class TestPressureIndexMatchesOracle:
         checked = CheckedSimulator(**kwargs)
         checked_report = checked.run(jobs)
         oracle_report = OracleSimulator(**kwargs).run(jobs)
-        indexed_report = RANServingSimulator(**kwargs).run(jobs)
+        # The production simulator, asserting its skipped rounds and its
+        # answers from the onset bound against the scan as it runs.
+        indexed_report = SkipCheckedSimulator(**kwargs).run(jobs)
         assert checked_report.outcomes == oracle_report.outcomes
         assert indexed_report.outcomes == oracle_report.outcomes
         if kwargs.get("autoscaler") is None and not (
@@ -190,6 +242,31 @@ class TestPressureIndexMatchesOracle:
         assert checked.queries > 0
         assert report.demotion_rate > 0
         assert report.outcomes == OracleSimulator(**kwargs).run(jobs).outcomes
+
+
+class TestDecisionPointShortcuts:
+    def test_overloaded_mixed_pool_takes_both_shortcuts(self):
+        # A deterministic case, so the property above cannot pass vacuously.
+        # Bursts of three leave jobs queued behind the annealer's batch while
+        # the fallback idles; tight and loose budgets alternate.
+        jobs = [
+            _job(i, 40.0 * (i // 3), (400.0, 120.0, None)[i % 3], i % 3, _CLASSES[i % 4])
+            for i in range(60)
+        ]
+        for class_aware in (True, False):
+            kwargs = dict(
+                pool=BackendPool(
+                    [AnnealerServingBackend(num_reads=30, lanes=2), ClassicalServingBackend()]
+                ),
+                max_batch_size=2,
+                class_aware=class_aware,
+            )
+            checked = SkipCheckedSimulator(**kwargs)
+            report = checked.run(jobs)
+            assert checked.skipped_rounds > 0
+            assert checked.bound_answers > 0
+            assert report.demotion_rate > 0
+            assert report.outcomes == OracleSimulator(**kwargs).run(jobs).outcomes
 
 
 class TestFrozenJobKeys:

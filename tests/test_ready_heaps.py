@@ -10,20 +10,30 @@ both satisfy the serving invariants.  A deterministic case with a tied
 policy key pins the tie-break: queue (arrival) order, not job id.  A
 two-job case pins the coalesced-event clock: an arrival grouped with an
 earlier worker-free event is dispatched at its own arrival time.
+
+Arrivals are read off the sorted workload beside the event heap and win
+ties against it.  Deterministic cases pin arrivals at, and within the
+grouping window after, a worker-free, autoscale or warm-up time, and the
+validation of arrival times before the run starts.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
+import pytest
 from hypothesis import given
 
+from repro.exceptions import ConfigurationError
 from repro.serving import (
     DEFAULT_CLASS,
     URLLC,
     AnnealerServingBackend,
+    AutoscaleConfig,
+    AutoscaleController,
     BackendPool,
     ClassicalServingBackend,
+    ElasticBackendPool,
     RANServingSimulator,
     SchedulingPolicy,
     ServingJob,
@@ -40,6 +50,10 @@ from tests.test_pressure_index import (
 )
 
 
+def _dispatchable(workers, now):
+    return [worker for worker in workers if worker.dispatchable_at(now)]
+
+
 class ListScanSimulator(RANServingSimulator):
     """Dispatch by scanning the arrival-ordered queue on every selection."""
 
@@ -48,7 +62,7 @@ class ListScanSimulator(RANServingSimulator):
         progress = True
         while progress and queue:
             progress = False
-            for worker in self.pool.idle_workers(now, kind="annealer"):
+            for worker in _dispatchable(self.pool.annealer_workers, now):
                 if not queue:
                     break
                 batch = select_batch(
@@ -57,7 +71,7 @@ class ListScanSimulator(RANServingSimulator):
                 queue.remove(batch)
                 self._serve(worker, batch, now, events, served, demoted=False)
                 progress = True
-            for worker in self.pool.idle_workers(now, kind="classical"):
+            for worker in _dispatchable(self.pool.classical_workers, now):
                 if not queue:
                     break
                 if has_annealers and not self.admission_control:
@@ -174,3 +188,69 @@ class TestCoalescedEventClock:
         assert first.finish_us < 33.2
         assert second.start_us == 33.2
         check_serving_invariants(jobs, report)
+
+
+#: Inside the simulator's event-grouping window (1e-12 us) at these times.
+_WITHIN_WINDOW = 5e-13
+
+
+class TestArrivalStreamTies:
+    @pytest.mark.parametrize("offset", [0.0, _WITHIN_WINDOW])
+    def test_arrival_at_a_worker_free_time(self, offset):
+        # The first job holds the only worker until exactly 1.0 us.
+        jobs = [_job(0, 0.0, None, 0, DEFAULT_CLASS), _job(1, 1.0 + offset, None, 0, DEFAULT_CLASS)]
+        pool = BackendPool([ClassicalServingBackend(time_per_variable_us=0.25)])
+        report = RANServingSimulator(pool=pool).run(jobs)
+        first, second = sorted(report.outcomes, key=lambda outcome: outcome.job_id)
+        assert first.finish_us == 1.0
+        assert second.start_us == 1.0 + offset
+        check_serving_invariants(jobs, report)
+
+    @pytest.mark.parametrize("offset", [0.0, _WITHIN_WINDOW])
+    def test_arrivals_at_an_autoscale_tick_and_a_warmup_end(self, offset):
+        # Job 0 holds the single active annealer (70.44 us) past the 50 us
+        # tick.  Jobs 1 and 2 arrive with the tick, so the controller sees a
+        # queue of two and scales up; the new worker warms up for 30 us and
+        # job 3 arrives as it becomes dispatchable.
+        tick, warmup = 50.0, 30.0
+        jobs = [
+            _job(0, 0.0, None, 0, DEFAULT_CLASS),
+            _job(1, tick + offset, None, 0, DEFAULT_CLASS),
+            _job(2, tick + offset, None, 0, DEFAULT_CLASS),
+            _job(3, tick + offset + warmup, None, 0, DEFAULT_CLASS),
+        ]
+        pool = ElasticBackendPool(
+            annealer=AnnealerServingBackend(num_reads=30, lanes=1),
+            max_annealer_workers=2,
+            initial_annealer_workers=1,
+            num_classical_workers=0,
+        )
+        autoscaler = AutoscaleController(
+            AutoscaleConfig(
+                interval_us=tick,
+                warmup_us=warmup,
+                cooldown_us=0.0,
+                scale_up_queue_per_worker=1.0,
+                scale_down_queue_per_worker=0.5,
+            )
+        )
+        report = RANServingSimulator(pool=pool, max_batch_size=None, autoscaler=autoscaler).run(
+            jobs
+        )
+        scale_up = autoscaler.events[0]
+        assert (scale_up.action, scale_up.time_us, scale_up.queue_depth) == (
+            "scale-up", tick + offset, 2
+        )
+        last = max(report.outcomes, key=lambda outcome: outcome.job_id)
+        assert last.start_us == tick + offset + warmup
+        assert last.backend == scale_up.worker
+        check_serving_invariants(jobs, report)
+
+
+class TestArrivalValidation:
+    @pytest.mark.parametrize("bad_time", [float("nan"), -1.0, float("inf")])
+    def test_run_rejects_nan_negative_and_infinite_arrivals(self, bad_time):
+        jobs = [_job(0, 0.0, None, 0, DEFAULT_CLASS), _job(1, bad_time, None, 0, DEFAULT_CLASS)]
+        simulator = RANServingSimulator(pool=BackendPool([ClassicalServingBackend()]))
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            simulator.run(jobs)

@@ -377,6 +377,10 @@ def _elastic_pool(max_workers=4, initial=1, classical=0):
     )
 
 
+def _dispatchable_annealers(pool, now_us):
+    return [worker for worker in pool.annealer_workers if worker.dispatchable_at(now_us)]
+
+
 class TestElasticPool:
     def test_initial_layout(self):
         pool = _elastic_pool(max_workers=4, initial=2, classical=1)
@@ -384,7 +388,7 @@ class TestElasticPool:
         assert len(pool.parked_annealer_workers) == 2
         assert len(pool.classical_workers) == 1
         # Parked workers are not dispatchable.
-        assert len(pool.idle_workers(0.0, kind="annealer")) == 2
+        assert len(_dispatchable_annealers(pool, 0.0)) == 2
 
     def test_activation_honours_warmup(self):
         pool = _elastic_pool()
@@ -392,8 +396,8 @@ class TestElasticPool:
         assert worker is not None and worker.active
         assert pool.active_annealer_count == 2
         # Warming: counted as active but not yet dispatchable.
-        assert worker not in pool.idle_workers(120.0, kind="annealer")
-        assert worker in pool.idle_workers(150.0, kind="annealer")
+        assert worker not in _dispatchable_annealers(pool, 120.0)
+        assert worker in _dispatchable_annealers(pool, 150.0)
 
     def test_activation_exhausts_parked_workers(self):
         pool = _elastic_pool(max_workers=2, initial=2)
