@@ -9,9 +9,12 @@ in prose, but never in entry points.  It also renders ``--help`` for the root pa
 subparser, so a help string argparse cannot format (a stray ``%``) fails
 here rather than in a user's terminal, and checks that the Targets table of
 ``docs/ablation.md`` lists exactly the experiments an ablation spec can sweep.
-Finally, every ``REPRO_*`` environment variable that ``README.md`` or
-``docs/*.md`` names must be read somewhere in ``src/repro``, so the docs
-cannot advertise a knob the library has dropped.
+Every ``REPRO_*`` environment variable that ``README.md`` or ``docs/*.md``
+names must be read somewhere in ``src/repro``, so the docs cannot advertise a
+knob the library has dropped.  Finally, every keyword of a call code span
+such as ``generate_serving_jobs(..., scenario=...)`` in those documents must
+be a parameter of the ``repro`` callable it names (callables taking
+``**kwargs`` are skipped), so the docs cannot advertise a removed keyword.
 
 Run from the repository root (CI does)::
 
@@ -21,7 +24,11 @@ Run from the repository root (CI does)::
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 import sys
 
@@ -157,12 +164,92 @@ def check_env_vars() -> list:
     ]
 
 
+def _repro_callables() -> dict:
+    """Every class and function defined in a ``repro`` module, by name."""
+    import repro
+
+    found: dict = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if callable(value) and getattr(value, "__module__", None) == info.name:
+                found.setdefault(name, []).append(value)
+    return found
+
+
+def _call_keywords(span: str):
+    """``(callee, keywords)`` of a call code span such as ``f(..., kw=...)``.
+
+    ``...`` is Python's Ellipsis, so most spans parse; nested calls are
+    walked too.  A span that does not parse falls back to a regex reading.
+    """
+    try:
+        tree = ast.parse(span, mode="eval")
+    except SyntaxError:
+        match = re.match(r"([A-Za-z_][\w.]*)\(", span)
+        if match:
+            yield match.group(1), re.findall(r"(?<![\w=!<>])([A-Za-z_]\w*)=(?!=)", span)
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.keywords:
+            callee = ast.unparse(node.func)
+            yield callee, [keyword.arg for keyword in node.keywords if keyword.arg]
+
+
+def _accepts(target, keyword: str) -> bool:
+    """Whether ``target`` takes ``keyword`` (always true with ``**kwargs``)."""
+    try:
+        parameters = inspect.signature(target).parameters.values()
+    except (TypeError, ValueError):
+        return True
+    return any(
+        parameter.kind is parameter.VAR_KEYWORD or parameter.name == keyword
+        for parameter in parameters
+    )
+
+
+def check_call_keywords() -> tuple:
+    """Every ``kw=`` of a ``name(..., kw=...)`` code span must be a parameter of ``name``.
+
+    ``name`` (or ``Class.method``) is resolved among the classes and
+    functions defined in ``repro``; a span naming anything else is skipped.
+    Returns the problems and the number of keywords checked.
+    """
+    callables = _repro_callables()
+    documents = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+    problems = []
+    checked = 0
+    for path in documents:
+        text = re.sub(r"```.*?```", "", path.read_text(encoding="utf-8"), flags=re.DOTALL)
+        for span in re.findall(r"`([A-Za-z_][\w.]*\([^`]*=[^`]*\))`", text):
+            span = " ".join(span.split())
+            for callee, keywords in _call_keywords(span):
+                head, _, attribute = callee.partition(".")
+                targets = [
+                    getattr(owner, attribute, None) if attribute else owner
+                    for owner in callables.get(head, ())
+                ]
+                targets = [target for target in targets if target is not None]
+                if not targets:
+                    continue
+                for keyword in keywords:
+                    checked += 1
+                    if not any(_accepts(target, keyword) for target in targets):
+                        problems.append(
+                            f"{path.relative_to(REPO_ROOT)} names `{callee}(..., "
+                            f"{keyword}=...)`, but {callee} has no parameter {keyword!r}"
+                        )
+    return problems, checked
+
+
 def main() -> int:
+    keyword_problems, keywords_checked = check_call_keywords()
     problems = (
         check_required_docs()
         + check_help_renders()
         + check_ablation_targets()
         + check_env_vars()
+        + keyword_problems
     )
     if problems:
         print("FAIL: " + "; ".join(problems), file=sys.stderr)
@@ -195,7 +282,8 @@ def main() -> int:
         return 1
     print(
         f"doc-drift check: {len(cli_surface())} CLI tokens all present in "
-        f"docs/cli.md; {len(REQUIRED_DOCS)} subsystem docs present and indexed"
+        f"docs/cli.md; {len(REQUIRED_DOCS)} subsystem docs present and indexed; "
+        f"{keywords_checked} documented call keywords exist"
     )
     return 0
 

@@ -97,14 +97,13 @@ def broadcast_initial_spins(
 
 def pad_problem_batch(
     fields: Sequence[np.ndarray], couplings: Sequence[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack variable-size Ising problems into common-size padded arrays.
 
-    Returns ``(padded_fields, padded_symmetric, mask, sizes)`` where
+    Returns ``(padded_fields, padded_symmetric, sizes)`` where
     ``padded_fields`` has shape ``(B, N_max)``, ``padded_symmetric`` has shape
-    ``(B, N_max, N_max)`` and holds ``J + J.T`` per instance, ``mask`` is a
-    boolean ``(B, N_max)`` array marking real (non-padding) spins, and
-    ``sizes`` records each instance's true spin count.  Padding lanes carry
+    ``(B, N_max, N_max)`` and holds ``J + J.T`` per instance, and ``sizes``
+    records each instance's true spin count.  Padding lanes carry
     zero fields and couplings, so they can never change the energy of — or the
     dynamics on — real spins.
     """
@@ -125,13 +124,11 @@ def pad_problem_batch(
     max_size = int(sizes.max()) if batch else 0
     padded_fields = np.zeros((batch, max_size))
     padded_symmetric = np.zeros((batch, max_size, max_size))
-    mask = np.zeros((batch, max_size), dtype=bool)
     for index, (vector, matrix) in enumerate(zip(clean_fields, clean_couplings)):
         size = vector.size
         padded_fields[index, :size] = vector
         padded_symmetric[index, :size, :size] = matrix + matrix.T
-        mask[index, :size] = True
-    return padded_fields, padded_symmetric, mask, sizes
+    return padded_fields, padded_symmetric, sizes
 
 
 def prepare_anneal_batch(
@@ -147,7 +144,7 @@ def prepare_anneal_batch(
     Validates the read count and the initial states (a schedule that starts
     at s = 1 needs one for every non-empty instance), spawns the per-instance
     child generators and pads the problems.  Returns ``(children,
-    padded_fields, padded_symmetric, mask, sizes, initials)`` — the padded
+    padded_fields, padded_symmetric, sizes, initials)`` — the padded
     arrays as from :func:`pad_problem_batch`, ``initials`` one
     ``(num_reads, size)`` state or ``None`` per instance — or ``None`` when
     the batch holds no spins at all, in which case every instance's result
@@ -163,7 +160,7 @@ def prepare_anneal_batch(
     if batch == 0:
         return None
     children = ensure_rng_batch(rng, batch)
-    padded_fields, symmetric, mask, sizes = pad_problem_batch(fields, couplings)
+    padded_fields, symmetric, sizes = pad_problem_batch(fields, couplings)
 
     initials: List[Optional[np.ndarray]] = []
     for index in range(batch):
@@ -178,7 +175,7 @@ def prepare_anneal_batch(
 
     if padded_fields.shape[1] == 0:
         return None
-    return children, padded_fields, symmetric, mask, sizes, initials
+    return children, padded_fields, symmetric, sizes, initials
 
 
 class AnnealingBackend(abc.ABC):

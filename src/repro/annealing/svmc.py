@@ -187,7 +187,7 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         prepared = prepare_anneal_batch(fields, couplings, schedule, num_reads, initial_spins, rng)
         if prepared is None:
             return [np.zeros((num_reads, 0), dtype=np.int8) for _ in fields]
-        children, padded_fields, symmetric, _, sizes, initials = prepared
+        children, padded_fields, symmetric, sizes, initials = prepared
         settings = self._sweep_settings(schedule, annealing_functions, relative_temperature)
 
         # The kernels use the spin-major (batch, spins, reads) layout.

@@ -22,9 +22,13 @@ workloads bitwise):
 * **inter-cell handover** — a :class:`HandoverModel` re-homes each user's
   jobs along a per-user Poisson timeline of cell-boundary crossings
   (velocity-coupled via :func:`repro.wireless.fading.handover_rate_per_us`,
-  targets drawn from the topology's neighbour graph).  Handover draws come
-  from dedicated per-user child seeds, so sweeping the velocity never
-  perturbs the traffic streams.
+  targets drawn from the neighbour graph of the scenario's topology).
+  Handover draws come from dedicated per-user child seeds, so sweeping the
+  velocity never perturbs the traffic streams.
+
+Every job's payload is drawn over the paper's unit-gain random-phase
+channel; the channel-impairment engine (:mod:`repro.wireless.fading`) is
+swept by the robustness study, not by the serving workloads.
 """
 
 from __future__ import annotations
@@ -33,14 +37,14 @@ import bisect
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 from repro.network.topology import NetworkTopology
 from repro.serving.qos import DEFAULT_CLASS, ServiceClass, resolve_service_class
 from repro.serving.scenarios import NetworkScenario
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs, stable_seed
-from repro.wireless.fading import ChannelImpairments, handover_rate_per_us
+from repro.wireless.fading import handover_rate_per_us
 from repro.wireless.mimo import MIMOConfig
 from repro.wireless.traffic import ChannelUse, TrafficGenerator
 
@@ -71,14 +75,12 @@ class UserProfile:
         ``"deterministic"`` or ``"poisson"`` (bursty uplink).
     turnaround_budget_us:
         Relative deadline of each of the user's jobs, or ``None``.
-    job_mix:
-        Mix sampling mode forwarded to the traffic generator.
     phase_offset_us:
         Start offset of the user's stream.  Every traffic stream begins at
         relative time 0, so without offsets all users emit their first job
         simultaneously — a synchronized burst no real cell exhibits.
         :func:`uniform_cell_profiles` staggers users across one symbol
-        period by default.
+        period.
     service_class:
         The user's QoS class, or ``None`` for the legacy single-class
         behaviour (:data:`~repro.serving.qos.DEFAULT_CLASS`).  A class with
@@ -92,7 +94,6 @@ class UserProfile:
     symbol_period_us: float = 71.4
     arrival_process: str = "poisson"
     turnaround_budget_us: Optional[float] = 500.0
-    job_mix: str = "cyclic"
     phase_offset_us: float = 0.0
     service_class: Optional[ServiceClass] = None
 
@@ -112,26 +113,13 @@ class UserProfile:
         class_budget = self.resolved_service_class.turnaround_budget_us
         return class_budget if class_budget is not None else self.turnaround_budget_us
 
-    def traffic_generator(
-        self,
-        impairments: Optional[ChannelImpairments] = None,
-        interference_scale: Optional[Callable[[float], float]] = None,
-    ) -> TrafficGenerator:
-        """Build the traffic generator realising this profile.
-
-        ``impairments`` and ``interference_scale`` forward the channel
-        impairment engine into the user's stream (see
-        :class:`~repro.wireless.traffic.TrafficGenerator`); the serving
-        layer derives the scale from neighbouring cells' load.
-        """
+    def traffic_generator(self) -> TrafficGenerator:
+        """Build the traffic generator realising this profile."""
         return TrafficGenerator(
             self.config,
             symbol_period_us=self.symbol_period_us,
             arrival_process=self.arrival_process,
             turnaround_budget_us=self.effective_budget_us,
-            job_mix=self.job_mix,
-            impairments=impairments,
-            interference_scale=interference_scale,
         )
 
 
@@ -298,8 +286,6 @@ def uniform_cell_profiles(
     arrival_process: str = "poisson",
     turnaround_budget_us: Optional[float] = 500.0,
     cell_load_factors: Optional[Sequence[float]] = None,
-    job_mix: str = "cyclic",
-    stagger_phases: bool = True,
     topology: Optional[NetworkTopology] = None,
     service_classes: Optional[Sequence[Union[str, ServiceClass]]] = None,
 ) -> List[UserProfile]:
@@ -311,14 +297,12 @@ def uniform_cell_profiles(
     divides the symbol period of that cell's users by ``f``, modelling
     spatially skewed hotspot load.
 
-    With ``stagger_phases`` (default) each cell's users are offset evenly
-    across one (cell-scaled) symbol period, so the plant sees a steady
-    multi-user stream rather than an artificial synchronized burst at t=0.
+    Each cell's users are offset evenly across one (cell-scaled) symbol
+    period, so the plant sees a steady multi-user stream rather than an
+    artificial synchronized burst at t=0.
 
     ``topology`` (optional) pins the layout the users live on; it only
-    validates the cell count here — pass the same topology to
-    :func:`generate_serving_jobs` to make interference coupling follow its
-    neighbour graph.
+    validates the cell count.
 
     ``service_classes`` (names or :class:`~repro.serving.qos.ServiceClass`
     instances) is cycled across each cell's users by their in-cell
@@ -367,10 +351,7 @@ def uniform_cell_profiles(
                     symbol_period_us=cell_period,
                     arrival_process=arrival_process,
                     turnaround_budget_us=turnaround_budget_us,
-                    job_mix=job_mix,
-                    phase_offset_us=(
-                        cell_period * position / users_per_cell if stagger_phases else 0.0
-                    ),
+                    phase_offset_us=cell_period * position / users_per_cell,
                     service_class=(
                         resolved_classes[position % len(resolved_classes)]
                         if resolved_classes is not None
@@ -382,71 +363,22 @@ def uniform_cell_profiles(
     return profiles
 
 
-def _interference_scale_for(
-    profile: UserProfile,
-    scenario: Optional[NetworkScenario],
-    cell_load_factors: Optional[Tuple[float, ...]],
-    topology: Optional[NetworkTopology] = None,
-) -> Optional[Callable[[float], float]]:
-    """The interference multiplier a user's stream sees from *other* cells.
-
-    Both branches apply the one coupling rule,
-    :meth:`~repro.wireless.fading.ChannelImpairments.neighbour_load_scale`:
-    under a scenario to the timeline's intensity field at each arrival
-    instant (a flash crowd next door degrades this cell's SINR while it
-    lasts), under static ``cell_load_factors`` to the constant factors.  A
-    single-cell layout has no interferers, so the scale is 0.
-
-    With a topology (the scenario's, or the explicit one for static
-    factors), only the user's cell-graph neighbours couple — and the
-    intensity field is evaluated for those neighbours alone, keeping the
-    per-arrival cost O(degree) instead of O(num_cells) at city scale.
-    """
-    own_cell = profile.cell_id
-    if scenario is not None:
-        if scenario.topology is not None:
-            neighbours = scenario.topology.neighbors(own_cell)
-            # Compact layout (own cell at slot 0, neighbours after it) so the
-            # intensity field is only evaluated at the O(degree) neighbours.
-            slots = tuple(range(1, len(neighbours) + 1))
-            return lambda t_us: ChannelImpairments.neighbour_load_scale(
-                0,
-                [0.0] + [scenario.intensity(cell, t_us) for cell in neighbours],
-                neighbours=slots,
-            )
-        cells = range(scenario.num_cells)
-        return lambda t_us: ChannelImpairments.neighbour_load_scale(
-            own_cell, [scenario.intensity(cell, t_us) for cell in cells]
-        )
-    if cell_load_factors is not None:
-        neighbours = topology.neighbors(own_cell) if topology is not None else None
-        constant = ChannelImpairments.neighbour_load_scale(
-            own_cell, cell_load_factors, neighbours=neighbours
-        )
-        return lambda t_us: constant
-    return None
-
-
 def generate_serving_jobs(
     profiles: Sequence[UserProfile],
     jobs_per_user: int,
     rng: RandomState = None,
     scenario: Optional[NetworkScenario] = None,
-    impairments: Optional[ChannelImpairments] = None,
-    cell_load_factors: Optional[Sequence[float]] = None,
-    topology: Optional[NetworkTopology] = None,
     handover: Optional[HandoverModel] = None,
 ) -> List[ServingJob]:
     """Draw every user's stream and merge into one arrival-ordered job list.
 
     Each profile consumes its own child generator (spawned in profile order
-    from the root seed) for its arrivals and job-mix choices, so the merged
-    workload is reproducible and adding a user never perturbs the other
-    users' streams.  Each job's payload (channel, bits, noise) is drawn on a
-    payload generator spawned from the user's child, on first access to its
+    from the root seed) for its arrivals, so the merged workload is
+    reproducible and adding a user never perturbs the other users' streams.
+    Each job's payload (channel, bits, noise) is drawn on a payload
+    generator spawned from the user's child, on first access to its
     transmission (see :mod:`repro.wireless.traffic`): a run that only
-    schedules the jobs draws none, and arrivals do not depend on
-    ``impairments``.  Ties in arrival time are broken by
+    schedules the jobs draws none.  Ties in arrival time are broken by
     ``(user_id, per-user index)`` for determinism.
 
     With a :class:`~repro.serving.scenarios.NetworkScenario`, each user's
@@ -460,80 +392,24 @@ def generate_serving_jobs(
     — and the user's ``phase_offset_us`` staggers the start of its thinning
     clock without shifting the scenario timeline.
 
-    ``impairments`` routes every user's channel realisations through the
-    impairment engine (:mod:`repro.wireless.fading`).  Its nominal
-    ``interference_power`` is scaled per user by the load of the *other*
-    cells: time-varying under a scenario (the same intensity field that
-    drives arrivals also degrades SINR, so a flash crowd hurts its
-    neighbours' radio quality as well as the queue), constant under
-    ``cell_load_factors`` (pass the same factors given to
-    :func:`uniform_cell_profiles`).  ``cell_load_factors`` is only
-    meaningful with ``impairments`` and is mutually exclusive with
-    ``scenario`` (whose timeline already carries the per-cell load).
-
-    ``topology`` restricts static-factor interference coupling to the
-    layout's neighbour graph (under a scenario, attach the topology to the
-    scenario itself — see :func:`~repro.serving.scenarios.build_scenario`).
-    Omitting every topology keeps the legacy fully coupled behaviour
-    bitwise.
-
     ``handover`` re-homes each user's jobs along its cell-crossing timeline
     (see :class:`HandoverModel`): a job emitted after the user crossed into
     a neighbouring cell carries that cell as ``cell_id`` and the user's
-    original cell as ``home_cell_id``.  Handover needs a neighbour graph —
-    either the explicit ``topology`` or the scenario's.  Handover draws use
-    their own per-user child seeds, so the traffic streams (and therefore
-    arrival times, deadlines and channel realisations) are bitwise-identical
-    with and without it.
+    original cell as ``home_cell_id``.  Handover needs a neighbour graph:
+    a scenario built on a topology (see
+    :func:`~repro.serving.scenarios.build_scenario`), whose duration is the
+    crossing timeline's horizon.  Handover draws use their own per-user
+    child seeds, so the traffic streams (and therefore arrival times,
+    deadlines and channel realisations) are bitwise-identical with and
+    without it.
     """
     if not profiles:
         raise ConfigurationError("profiles must not be empty")
-    if topology is not None:
-        if scenario is not None:
-            raise ConfigurationError(
-                "pass the topology on the scenario (build_scenario(..., "
-                "topology=...)), not alongside it"
-            )
-        highest_profile_cell = max(profile.cell_id for profile in profiles)
-        if highest_profile_cell >= topology.num_cells:
-            raise ConfigurationError(
-                f"user cell {highest_profile_cell} outside the topology's "
-                f"{topology.num_cells}-cell layout"
-            )
-    if cell_load_factors is not None:
-        if scenario is not None:
-            raise ConfigurationError(
-                "cell_load_factors and scenario are mutually exclusive; the "
-                "scenario timeline already defines per-cell load"
-            )
-        if impairments is None:
-            raise ConfigurationError(
-                "cell_load_factors only scales impairment interference; supply "
-                "impairments as well"
-            )
-        factors = tuple(float(factor) for factor in cell_load_factors)
-        for factor in factors:
-            if factor < 0:
-                raise ConfigurationError(
-                    f"cell_load_factors must be non-negative, got {factor}"
-                )
-        highest_cell = max(profile.cell_id for profile in profiles)
-        if highest_cell >= len(factors):
-            raise ConfigurationError(
-                f"user cell {highest_cell} outside the {len(factors)}-cell "
-                "cell_load_factors layout"
-            )
-    else:
-        factors = None
-    if handover is not None:
-        handover_topology = scenario.topology if scenario is not None else topology
-        if handover_topology is None:
-            raise ConfigurationError(
-                "handover needs a neighbour graph; pass topology= (or attach "
-                "one to the scenario via build_scenario(..., topology=...))"
-            )
-    else:
-        handover_topology = None
+    if handover is not None and (scenario is None or scenario.topology is None):
+        raise ConfigurationError(
+            "handover needs a neighbour graph; attach a topology to the scenario "
+            "via build_scenario(..., topology=...)"
+        )
     if jobs_per_user <= 0:
         raise ConfigurationError(f"jobs_per_user must be positive, got {jobs_per_user}")
     seen_ids = set()
@@ -557,14 +433,7 @@ def generate_serving_jobs(
     children = spawn_rngs(root, len(profiles))
     tagged: List[Tuple[float, int, int, int, ChannelUse, ServiceClass, Optional[int]]] = []
     for profile, child in zip(profiles, children):
-        scale = (
-            _interference_scale_for(profile, scenario, factors, topology)
-            if impairments is not None
-            else None
-        )
-        generator = profile.traffic_generator(
-            impairments=impairments, interference_scale=scale
-        )
+        generator = profile.traffic_generator()
         if scenario is not None:
             uses = list(
                 generator.stream_modulated(
@@ -597,13 +466,8 @@ def generate_serving_jobs(
         if handover is not None and uses:
             # Timeline draws come from the user's dedicated handover child,
             # never from `child`, so traffic streams stay untouched.
-            horizon_us = (
-                scenario.duration_us
-                if scenario is not None
-                else max(use.arrival_time_us for use in uses)
-            )
             times, cells = _handover_timeline(
-                profile, handover, handover_topology, horizon_us
+                profile, handover, scenario.topology, scenario.duration_us
             )
             home_cell: Optional[int] = profile.cell_id
         else:

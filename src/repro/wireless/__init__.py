@@ -7,9 +7,9 @@ evaluation depends on:
   constellations with bit/symbol mapping.
 * :mod:`repro.wireless.channel` — the paper's unit-gain random-phase channel,
   a Rayleigh fading channel, and AWGN.
-* :mod:`repro.wireless.fading` — the realistic-channel impairment engine:
-  Kronecker spatial correlation, Rician LoS, Jakes-Doppler block fading,
-  pilot-based imperfect CSI, and inter-cell interference.
+* :mod:`repro.wireless.fading` — the channel impairment engine the
+  robustness study sweeps: Kronecker spatial correlation, Jakes-Doppler
+  block fading, pilot-based imperfect CSI, and inter-cell interference.
 * :mod:`repro.wireless.mimo` — spatial-multiplexing MIMO link simulation.
 * :mod:`repro.wireless.metrics` — BER / SER link metrics.
 * :mod:`repro.wireless.traffic` — successive channel-use traffic generation
@@ -31,7 +31,6 @@ from repro.wireless.channel import (
 )
 from repro.wireless.fading import (
     ChannelImpairments,
-    FadingChannel,
     FadingProcess,
     estimate_channel,
     exponential_correlation,
@@ -58,7 +57,6 @@ __all__ = [
     "noise_variance_for_snr",
     "effective_noise_variance",
     "ChannelImpairments",
-    "FadingChannel",
     "FadingProcess",
     "estimate_channel",
     "exponential_correlation",

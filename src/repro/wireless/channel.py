@@ -65,13 +65,9 @@ class UnitGainRandomPhaseChannel(ChannelModel):
 class RayleighFadingChannel(ChannelModel):
     """I.i.d. circularly-symmetric complex Gaussian fading.
 
-    Entries are CN(0, ``average_power``); the default unit average power is
-    the conventional normalisation in the MIMO detection literature.
+    Entries are CN(0, 1): unit average power, the conventional
+    normalisation in the MIMO detection literature.
     """
-
-    def __init__(self, average_power: float = 1.0) -> None:
-        require_positive(average_power, "average_power")
-        self.average_power = float(average_power)
 
     def sample(
         self,
@@ -82,7 +78,7 @@ class RayleighFadingChannel(ChannelModel):
         require_positive(receive_antennas, "receive_antennas")
         require_positive(transmit_antennas, "transmit_antennas")
         generator = ensure_rng(rng)
-        scale = np.sqrt(self.average_power / 2.0)
+        scale = np.sqrt(0.5)
         shape = (receive_antennas, transmit_antennas)
         return scale * (generator.standard_normal(shape) + 1j * generator.standard_normal(shape))
 

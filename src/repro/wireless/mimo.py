@@ -32,7 +32,7 @@ from repro.wireless.channel import (
     apply_channel,
     noise_variance_for_snr,
 )
-from repro.wireless.fading import ChannelImpairments, FadingChannel, estimate_channel
+from repro.wireless.fading import ChannelImpairments, estimate_channel
 from repro.wireless.modulation import Modulation, get_modulation
 
 __all__ = [
@@ -247,15 +247,16 @@ def simulate_transmission(
     the channel and (optionally) AWGN, and returns both the receiver-visible
     :class:`MIMOInstance` and the ground truth needed for error accounting.
 
-    ``impairments`` layers the realistic-channel engine on top
-    (:mod:`repro.wireless.fading`): spatial correlation / Rician LoS shape
-    the channel draw, interference adds to the noise floor, and with a
-    non-zero CSI error variance the returned instance carries the *pilot
-    estimate* while the received vector is produced by the *true* channel.
-    ``None`` (and the identity configuration) reproduce the unimpaired path
-    bitwise.  ``channel_matrix`` supplies a pre-drawn true channel — the way
-    a :class:`~repro.wireless.fading.FadingProcess` feeds temporally
-    correlated block fading through this function — skipping the draw.
+    ``channel_matrix`` supplies a pre-drawn true channel, skipping the draw
+    from ``channel_model`` (the paper's unit-gain random-phase channel by
+    default).  ``impairments`` layers the impairment engine on top
+    (:mod:`repro.wireless.fading`): interference adds to the noise floor,
+    and with a non-zero CSI error variance the returned instance carries the
+    *pilot estimate* while the received vector is produced by the *true*
+    channel.  Active (non-identity) impairments need a ``channel_matrix``
+    drawn by a :class:`~repro.wireless.fading.FadingProcess`, which applies
+    the spatial and temporal correlation; ``None`` and the identity
+    configuration reproduce the unimpaired path bitwise.
 
     The per-use draw order is fixed: channel (unless supplied), payload
     bits, noise+interference, then the CSI estimation error, so disabled
@@ -272,18 +273,12 @@ def simulate_transmission(
             raise DimensionError(
                 f"channel_matrix has shape {channel.shape}, expected {expected}"
             )
+    elif active:
+        raise ConfigurationError(
+            "active impairments need a channel_matrix drawn by a FadingProcess"
+        )
     else:
-        if active and impairments.has_spatial_structure:
-            model: ChannelModel = FadingChannel(impairments, base_model=channel_model)
-        elif channel_model is not None:
-            model = channel_model
-        elif active:
-            # Impairments without spatial structure still imply the fading
-            # engine's scattering statistics (Rayleigh), not the paper's
-            # unit-gain protocol channel.
-            model = FadingChannel(impairments)
-        else:
-            model = UnitGainRandomPhaseChannel()
+        model = channel_model if channel_model is not None else UnitGainRandomPhaseChannel()
         channel = model.sample(config.receive_antennas, config.num_users, generator)
 
     bits = modulation.random_bits(config.num_users, generator)

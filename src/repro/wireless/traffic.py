@@ -15,24 +15,22 @@ Arrival processes supported:
 
 A generator may also carry a *heterogeneous job mix*: a sequence of MIMO
 configurations (different modulations and antenna counts) that successive
-channel uses draw from, either cyclically or at random.  This models a user
-whose scheduler adapts modulation and rank over time, and it is what the RAN
-serving simulator (:mod:`repro.serving`) uses to produce realistically mixed
-detection workloads.
+channel uses walk through cyclically.  This models a user whose scheduler
+adapts modulation and rank over time, and it is what the RAN serving
+simulator (:mod:`repro.serving`) uses to produce mixed detection workloads.
 
-Every stream splits its randomness in two.  Arrival times, thinning and the
-job-mix choice are drawn on the caller's generator (the *arrival stream*).
-Each channel use's payload — channel, bits, noise, fading state and CSI
-error — is drawn on a *payload stream*, a generator spawned once per stream
-from the caller's, and only when a consumer first reads
+Every stream splits its randomness in two.  Arrival times and thinning are
+drawn on the caller's generator (the *arrival stream*).  Each channel use's
+payload — the paper's unit-gain random-phase channel, bits and noise — is
+drawn on a *payload stream*, a generator spawned once per stream from the
+caller's, and only when a consumer first reads
 :attr:`ChannelUse.transmission`.  Studies that schedule jobs by arrival,
 deadline and QUBO shape therefore never simulate a channel, and their
-arrivals do not depend on the channel or impairment settings.
+arrivals do not depend on the payload draws.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -41,39 +39,9 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, ensure_rng
-from repro.wireless.channel import ChannelModel, UnitGainRandomPhaseChannel
-from repro.wireless.fading import ChannelImpairments, FadingProcess
 from repro.wireless.mimo import MIMOConfig, MIMOTransmission, simulate_transmission
 
 __all__ = ["ChannelUse", "TrafficGenerator"]
-
-
-def _impaired_transmission(
-    config: MIMOConfig,
-    impairments: ChannelImpairments,
-    fading_base: Optional[ChannelModel],
-    interference_scale: Optional[float],
-    rng: np.random.Generator,
-    processes: Dict[Tuple[int, int], FadingProcess],
-) -> MIMOTransmission:
-    """One channel use under active impairments (fading process + scaling).
-
-    ``processes`` maps a link shape to its fading process, so a user's
-    successive blocks of one shape are temporally correlated;
-    ``interference_scale`` multiplies the nominal interference power.
-    """
-    shape = (config.receive_antennas, config.num_users)
-    process = processes.get(shape)
-    if process is None:
-        process = FadingProcess(shape[0], shape[1], impairments, base_model=fading_base)
-        processes[shape] = process
-    channel = process.advance(rng)
-    if interference_scale is not None:
-        impairments = dataclasses.replace(
-            impairments,
-            interference_power=impairments.interference_power * interference_scale,
-        )
-    return simulate_transmission(config, rng=rng, impairments=impairments, channel_matrix=channel)
 
 
 class _PayloadStream:
@@ -82,34 +50,23 @@ class _PayloadStream:
     Payloads are drawn strictly in the order they were handed out, whichever
     one a consumer reads first: reading payload ``k`` draws every earlier
     undrawn payload and keeps each until its own payload claims it.  So each
-    payload, and the state of every per-shape
-    :class:`~repro.wireless.fading.FadingProcess`, is the same for every
-    access order, and a stream read in order holds no transmission at all.
+    payload is the same for every access order, and a stream read in order
+    holds no transmission at all.
     Holds no callable, so it pickles, and no reference back to its payloads,
     so a dropped stream is freed at once.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        channel_model: ChannelModel,
-        impairments: Optional[ChannelImpairments],
-        fading_base: Optional[ChannelModel],
-    ) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-        self._channel_model = channel_model
-        self._impairments = impairments
-        self._fading_base = fading_base
-        self._processes: Dict[Tuple[int, int], FadingProcess] = {}
-        #: Recipes of the payloads handed out and not drawn yet, in order.
-        self._recipes: Deque[Tuple[MIMOConfig, Optional[float]]] = deque()
+        #: Link configs of the payloads handed out and not drawn yet, in order.
+        self._recipes: Deque[MIMOConfig] = deque()
         #: Transmissions drawn before their own payload asked for them.
         self._unclaimed: Dict[int, MIMOTransmission] = {}
         self.drawn = 0
 
-    def add(self, config: MIMOConfig, interference_scale: Optional[float]) -> "_Payload":
+    def add(self, config: MIMOConfig) -> "_Payload":
         """Hand out the next payload, undrawn."""
-        self._recipes.append((config, interference_scale))
+        self._recipes.append(config)
         return _Payload(config, None, self, self.drawn + len(self._recipes) - 1)
 
     def claim(self, position: int) -> MIMOTransmission:
@@ -118,19 +75,8 @@ class _PayloadStream:
         Each position is claimed once: its payload keeps the transmission.
         """
         while self.drawn <= position:
-            config, scale = self._recipes.popleft()
-            if self._impairments is None:
-                transmission = simulate_transmission(config, self._channel_model, self._rng)
-            else:
-                transmission = _impaired_transmission(
-                    config,
-                    self._impairments,
-                    self._fading_base,
-                    scale,
-                    self._rng,
-                    self._processes,
-                )
-            self._unclaimed[self.drawn] = transmission
+            config = self._recipes.popleft()
+            self._unclaimed[self.drawn] = simulate_transmission(config, rng=self._rng)
             self.drawn += 1
         return self._unclaimed.pop(position)
 
@@ -284,19 +230,18 @@ class ChannelUse:
 class TrafficGenerator:
     """Generate a stream of :class:`ChannelUse` jobs for the pipeline simulator.
 
-    Every stream draws arrivals, thinning and mix choices on the supplied
-    generator and the payloads on a generator spawned from it once per
-    stream, each payload lazily and all of them in index order (see the
-    module docstring).  So a fixed seed yields a bitwise-identical stream,
-    and the arrivals do not depend on ``channel_model``, ``impairments`` or
-    ``interference_scale``.
+    Every stream draws arrivals and thinning on the supplied generator and
+    the payloads on a generator spawned from it once per stream, each
+    payload lazily and all of them in index order (see the module
+    docstring).  So a fixed seed yields a bitwise-identical stream.
 
     Parameters
     ----------
     config:
         MIMO link configuration shared by every channel use, or a sequence of
         configurations forming a heterogeneous job mix (successive channel
-        uses then vary in modulation and/or antenna count).
+        uses walk it round-robin, varying in modulation and/or antenna
+        count).
     symbol_period_us:
         Mean spacing between successive channel uses, in microseconds.  The
         default of 71.4 us corresponds to an LTE OFDM symbol (including the
@@ -307,29 +252,6 @@ class TrafficGenerator:
         Per-channel-use processing deadline relative to arrival (the link
         layer's ARQ turnaround the paper's introduction describes), or
         ``None`` to disable deadlines.
-    channel_model:
-        Channel model used to draw each channel use's realisation.
-    job_mix:
-        How a multi-configuration mix is sampled: ``"cyclic"`` walks the
-        sequence round-robin (deterministic), ``"random"`` draws uniformly
-        per channel use from the stream's arrival generator.  Ignored for a
-        single configuration, where no mix randomness is ever consumed.
-    impairments:
-        Optional :class:`~repro.wireless.fading.ChannelImpairments`.  When
-        active (non-identity), every channel use's realisation comes from a
-        per-link-shape :class:`~repro.wireless.fading.FadingProcess` — so a
-        user's successive blocks are temporally correlated per the Jakes
-        model — and CSI error / interference apply per use.  ``None`` and
-        the identity configuration leave the stream bitwise-identical to
-        the unimpaired generator.  The fading state advances on the payload
-        generator, in index order.
-    interference_scale:
-        Optional map from a channel use's arrival time (us) to a
-        non-negative multiplier on ``impairments.interference_power`` — the
-        hook the serving layer uses to couple interference to neighbouring
-        cells' time-varying load.  Requires ``impairments``.  It is evaluated
-        (and a negative value rejected) when a use is emitted, at its
-        arrival time.
     """
 
     def __init__(
@@ -338,10 +260,6 @@ class TrafficGenerator:
         symbol_period_us: float = 71.4,
         arrival_process: str = "deterministic",
         turnaround_budget_us: Optional[float] = None,
-        channel_model: Optional[ChannelModel] = None,
-        job_mix: str = "cyclic",
-        impairments: Optional[ChannelImpairments] = None,
-        interference_scale: Optional[Callable[[float], float]] = None,
     ) -> None:
         if symbol_period_us <= 0:
             raise ConfigurationError(
@@ -356,10 +274,6 @@ class TrafficGenerator:
             raise ConfigurationError(
                 f"turnaround_budget_us must be positive, got {turnaround_budget_us}"
             )
-        if job_mix not in ("cyclic", "random"):
-            raise ConfigurationError(
-                f"job_mix must be 'cyclic' or 'random', got {job_mix!r}"
-            )
         configs: Tuple[MIMOConfig, ...]
         if isinstance(config, MIMOConfig):
             configs = (config,)
@@ -373,32 +287,11 @@ class TrafficGenerator:
                         f"config sequence must contain MIMOConfig objects, got "
                         f"{type(item).__name__}"
                     )
-        if interference_scale is not None and impairments is None:
-            raise ConfigurationError(
-                "interference_scale modulates impairment interference; supply "
-                "impairments as well"
-            )
         self.configs = configs
         self.config = configs[0]
         self.symbol_period_us = float(symbol_period_us)
         self.arrival_process = arrival_process
         self.turnaround_budget_us = turnaround_budget_us
-        self.channel_model = (
-            channel_model if channel_model is not None else UnitGainRandomPhaseChannel()
-        )
-        self.job_mix = job_mix
-        self.impairments = impairments
-        self.interference_scale = interference_scale
-        # Identity impairments leave the configured channel_model in charge
-        # (bitwise-unchanged streams); active impairments route channel
-        # realisations through per-shape fading processes whose scattering
-        # base is an *explicitly* supplied model, else the engine's Rayleigh
-        # default (the unit-gain protocol channel has no spatial/temporal
-        # structure to impair).
-        self._active_impairments = (
-            impairments if impairments is not None and not impairments.is_identity else None
-        )
-        self._fading_base = channel_model
 
     def generate(self, count: int, rng: RandomState = None) -> List[ChannelUse]:
         """Materialise ``count`` channel uses as a list."""
@@ -414,48 +307,25 @@ class TrafficGenerator:
         for index in range(count):
             if index > 0:
                 arrival_time += self._inter_arrival(generator)
-            yield self._emit(index, arrival_time, generator, payloads)
+            yield self._emit(index, arrival_time, payloads)
 
-    def _payload_stream(self, generator: np.random.Generator) -> _PayloadStream:
+    @staticmethod
+    def _payload_stream(generator: np.random.Generator) -> _PayloadStream:
         """A fresh payload stream on a child of the arrival generator.
 
-        Each stream is its own coherence run: the fading processes live in
-        the payload stream, so re-streaming the same generator with the same
-        seed is bitwise-identical and concurrent streams of one generator
-        cannot corrupt each other's temporal state.  Spawning reads the
-        generator's seed sequence, not its state, so it consumes no arrival
-        draw.
+        Spawning reads the generator's seed sequence, not its state, so it
+        consumes no arrival draw, and re-streaming the same generator with
+        the same seed is bitwise-identical.
         """
-        return _PayloadStream(
-            generator.spawn(1)[0],
-            self.channel_model,
-            self._active_impairments,
-            self._fading_base,
-        )
+        return _PayloadStream(generator.spawn(1)[0])
 
-    def _emit(
-        self,
-        index: int,
-        arrival_time_us: float,
-        rng: np.random.Generator,
-        payloads: _PayloadStream,
-    ) -> ChannelUse:
+    def _emit(self, index: int, arrival_time_us: float, payloads: _PayloadStream) -> ChannelUse:
         """Emit one channel use at a fixed arrival time, its payload undrawn.
 
         Shared by the homogeneous and modulated streams so both arrival
-        processes derive configs, deadlines and payloads identically.  The
-        mix choice is drawn on ``rng``, the arrival generator; the
-        interference scale is evaluated, and validated, here.
+        processes derive configs, deadlines and payloads identically.
         """
-        config = self._config_for(index, rng)
-        scale = None
-        if self._active_impairments is not None and self.interference_scale is not None:
-            scale = float(self.interference_scale(arrival_time_us))
-            if scale < 0:
-                raise ConfigurationError(
-                    f"interference_scale must be non-negative, got {scale} "
-                    f"at t={arrival_time_us}"
-                )
+        config = self.configs[index % len(self.configs)]
         deadline = (
             arrival_time_us + self.turnaround_budget_us
             if self.turnaround_budget_us is not None
@@ -465,7 +335,7 @@ class TrafficGenerator:
             index=index,
             arrival_time_us=arrival_time_us,
             deadline_us=deadline,
-            payload=payloads.add(config, scale),
+            payload=payloads.add(config),
         )
 
     def stream_modulated(
@@ -484,8 +354,8 @@ class TrafficGenerator:
         homogeneous rate, 0.0 silences the stream) and ``peak_intensity``
         must bound it from above.  Arrivals are drawn by Ogata thinning:
         candidates arrive at the majorising rate ``peak / period`` and are
-        accepted with probability ``intensity(t) / peak``.  Candidate times,
-        acceptance draws and mix choices come from the supplied generator;
+        accepted with probability ``intensity(t) / peak``.  Candidate times
+        and acceptance draws come from the supplied generator;
         payloads are drawn lazily on a generator spawned from it, as in
         :meth:`stream`.  So a fixed seed yields a bitwise-identical stream
         (the time-varying analogue of the homogeneous :meth:`stream`
@@ -536,15 +406,8 @@ class TrafficGenerator:
             # instant, and m=peak accepts every u in [0, 1).
             if float(generator.uniform()) * peak_intensity >= multiplier:
                 continue
-            yield self._emit(index, arrival_time, generator, payloads)
+            yield self._emit(index, arrival_time, payloads)
             index += 1
-
-    def _config_for(self, index: int, rng: np.random.Generator) -> MIMOConfig:
-        if len(self.configs) == 1:
-            return self.configs[0]
-        if self.job_mix == "cyclic":
-            return self.configs[index % len(self.configs)]
-        return self.configs[int(rng.integers(len(self.configs)))]
 
     def _inter_arrival(self, rng: np.random.Generator) -> float:
         if self.arrival_process == "deterministic":

@@ -6,6 +6,9 @@ zero-argument callable returning that study's result rows: every paper
 study's quick configuration, the network study, the micro ablation study and
 the single-instance entry points (see ``tests/entry_point_cases.py``) and
 one evaluated serving run (``detect_serve_quick``, one row per job outcome).
+``robustness_quick`` pins the one channel-impairment path: a
+:class:`~repro.wireless.fading.FadingProcess` feeding
+``simulate_transmission(..., channel_matrix=...)``.
 Single-result studies (headline, pipeline) are stored as a one-row list.
 
 Three serving schedules are pinned shard by shard, one row per job of every
@@ -46,6 +49,7 @@ from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
 from repro.experiments.load_study import LoadStudyConfig, LoadStudyDriver
 from repro.experiments.network_study import NetworkStudyConfig, NetworkStudyDriver
 from repro.experiments.qos_study import QoSStudyConfig, QoSStudyDriver
+from repro.experiments.robustness_study import RobustnessStudyConfig, RobustnessStudyDriver
 from repro.experiments.scenario_study import ScenarioStudyConfig, ScenarioStudyDriver
 from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver
 from repro.serving import (
@@ -160,6 +164,7 @@ STUDIES = {
     "pause_quick": lambda: run_driver(PauseAblationDriver(), PauseAblationConfig.quick()),
     "pipeline_quick": lambda: [run_driver(PipelineStudyDriver(), PipelineStudyConfig.quick())],
     "qos_stress": lambda: serving_schedule_rows(QoSStudyDriver(), QOS_STRESS),
+    "robustness_quick": lambda: run_driver(RobustnessStudyDriver(), RobustnessStudyConfig.quick()),
     "scenarios_stress": lambda: serving_schedule_rows(ScenarioStudyDriver(), SCENARIOS_STRESS),
     "serve_quick": lambda: serving_schedule_rows(LoadStudyDriver(), LoadStudyConfig.quick()),
     "single_entry_points": single_entry_point_rows,

@@ -76,12 +76,11 @@ class TestEnsureRngBatch:
 
 
 class TestPadProblemBatch:
-    def test_shapes_and_mask(self, rng):
+    def test_shapes_and_sizes(self, rng):
         fields, couplings, _ = _problem_batch(rng, (4, 2, 0))
-        padded_fields, symmetric, mask, sizes = pad_problem_batch(fields, couplings)
+        padded_fields, symmetric, sizes = pad_problem_batch(fields, couplings)
         assert padded_fields.shape == (3, 4)
         assert symmetric.shape == (3, 4, 4)
-        assert mask.tolist() == [[True] * 4, [True, True, False, False], [False] * 4]
         assert sizes.tolist() == [4, 2, 0]
         # Padding lanes are exactly zero everywhere.
         assert np.all(padded_fields[1, 2:] == 0.0)

@@ -38,14 +38,6 @@ class TestRayleighChannel:
         matrix = RayleighFadingChannel().sample(200, 200, rng)
         assert np.mean(np.abs(matrix) ** 2) == pytest.approx(1.0, rel=0.05)
 
-    def test_custom_power(self, rng):
-        matrix = RayleighFadingChannel(average_power=4.0).sample(100, 100, rng)
-        assert np.mean(np.abs(matrix) ** 2) == pytest.approx(4.0, rel=0.1)
-
-    def test_invalid_power(self):
-        with pytest.raises(ConfigurationError):
-            RayleighFadingChannel(average_power=0.0)
-
 
 class TestIdentityChannel:
     def test_square(self, rng):

@@ -4,22 +4,15 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.wireless.channel import (
-    RayleighFadingChannel,
-    UnitGainRandomPhaseChannel,
-    effective_noise_variance,
-)
+from repro.wireless.channel import RayleighFadingChannel, effective_noise_variance
 from repro.wireless.fading import (
     ChannelImpairments,
-    FadingChannel,
     FadingProcess,
     bessel_j0,
     correlation_root,
     estimate_channel,
     exponential_correlation,
     jakes_correlation,
-    los_matrix,
-    steering_vector,
 )
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
 
@@ -83,22 +76,6 @@ class TestBesselAndJakes:
             jakes_correlation(-1.0)
 
 
-class TestSteeringAndLos:
-    def test_steering_unit_magnitude(self):
-        vector = steering_vector(6, 30.0)
-        assert vector.shape == (6,)
-        assert np.allclose(np.abs(vector), 1.0)
-
-    def test_broadside_steering_is_flat(self):
-        assert np.allclose(steering_vector(4, 0.0), np.ones(4))
-
-    def test_los_matrix_is_rank_one_unit_magnitude(self):
-        los = los_matrix(4, 3, 30.0, 20.0)
-        assert los.shape == (4, 3)
-        assert np.allclose(np.abs(los), 1.0)
-        assert np.linalg.matrix_rank(los) == 1
-
-
 class TestChannelImpairments:
     def test_default_is_identity(self):
         assert ChannelImpairments().is_identity
@@ -108,10 +85,10 @@ class TestChannelImpairments:
         [
             {"rx_correlation": 0.2},
             {"tx_correlation": 0.2},
-            {"rician_k": 0.0},
             {"temporal_correlation": 0.5},
             {"csi_error_variance": 0.1},
             {"interference_power": 0.5},
+            {"temporal_correlation": -0.5},
         ],
     )
     def test_any_active_knob_breaks_identity(self, kwargs):
@@ -125,10 +102,10 @@ class TestChannelImpairments:
         [
             {"rx_correlation": 1.0},
             {"tx_correlation": -0.1},
-            {"rician_k": -1.0},
             {"temporal_correlation": 1.5},
             {"csi_error_variance": -0.1},
             {"interference_power": -1.0},
+            {"temporal_correlation": -1.5},
         ],
     )
     def test_validation(self, kwargs):
@@ -142,74 +119,6 @@ class TestChannelImpairments:
         assert impairments.temporal_correlation == pytest.approx(
             jakes_correlation(30.0, 2.0, 100.0)
         )
-
-    def test_interference_for_load_averages_other_cells(self):
-        impairments = ChannelImpairments(interference_power=2.0)
-        scale = impairments.neighbour_load_scale(0, (1.0, 3.0, 5.0))
-        assert impairments.interference_power * scale == pytest.approx(2.0 * 4.0)
-
-    def test_interference_for_load_single_cell_is_zero(self):
-        assert ChannelImpairments.neighbour_load_scale(0, (4.0,)) == 0.0
-
-    def test_interference_for_load_validates_cell(self):
-        with pytest.raises(ConfigurationError):
-            ChannelImpairments.neighbour_load_scale(3, (1.0, 1.0))
-
-
-class TestFadingChannel:
-    def test_identity_matches_rayleigh_bitwise(self):
-        channel = FadingChannel(ChannelImpairments())
-        reference = RayleighFadingChannel()
-        assert np.array_equal(
-            channel.sample(4, 3, np.random.default_rng(7)),
-            reference.sample(4, 3, np.random.default_rng(7)),
-        )
-
-    def test_custom_base_model_is_honoured(self):
-        channel = FadingChannel(
-            ChannelImpairments(), base_model=UnitGainRandomPhaseChannel()
-        )
-        sample = channel.sample(3, 3, 5)
-        assert np.allclose(np.abs(sample), 1.0)
-
-    def test_receive_correlation_statistics(self):
-        channel = FadingChannel(ChannelImpairments(rx_correlation=0.9))
-        generator = np.random.default_rng(0)
-        accumulated = 0.0
-        count = 3000
-        for _ in range(count):
-            sample = channel.sample(2, 1, generator)
-            accumulated += (sample[0, 0] * np.conj(sample[1, 0])).real
-        assert accumulated / count == pytest.approx(0.9, abs=0.07)
-
-    def test_correlation_preserves_average_power(self):
-        channel = FadingChannel(
-            ChannelImpairments(rx_correlation=0.7, tx_correlation=0.5)
-        )
-        generator = np.random.default_rng(1)
-        power = np.mean(
-            [np.mean(np.abs(channel.sample(4, 4, generator)) ** 2) for _ in range(1500)]
-        )
-        assert power == pytest.approx(1.0, abs=0.05)
-
-    def test_large_k_converges_to_los(self):
-        impairments = ChannelImpairments(rician_k=1e9)
-        channel = FadingChannel(impairments)
-        sample = channel.sample(4, 3, 2)
-        los = los_matrix(4, 3, impairments.los_aoa_deg, impairments.los_aod_deg)
-        assert np.allclose(sample, los, atol=1e-3)
-
-    def test_rician_preserves_average_power(self):
-        channel = FadingChannel(ChannelImpairments(rician_k=3.0))
-        generator = np.random.default_rng(3)
-        power = np.mean(
-            [np.mean(np.abs(channel.sample(4, 4, generator)) ** 2) for _ in range(1500)]
-        )
-        assert power == pytest.approx(1.0, abs=0.05)
-
-    def test_rejects_non_impairment_config(self):
-        with pytest.raises(ConfigurationError):
-            FadingChannel({"rx_correlation": 0.5})
 
 
 class TestFadingProcess:
@@ -258,12 +167,29 @@ class TestFadingProcess:
         assert np.array_equal(followers[0], followers[1])
         assert np.array_equal(followers[1], followers[2])
 
-    def test_reset_restarts_the_coherence_run(self):
-        process = FadingProcess(2, 2, ChannelImpairments(temporal_correlation=0.9))
-        first = process.advance(np.random.default_rng(7))
-        process.reset()
-        again = process.advance(np.random.default_rng(7))
-        assert np.array_equal(first, again)
+    def test_receive_correlation_statistics(self):
+        process = FadingProcess(2, 1, ChannelImpairments(rx_correlation=0.9))
+        generator = np.random.default_rng(0)
+        accumulated = 0.0
+        count = 3000
+        for _ in range(count):
+            sample = process.advance(generator)
+            accumulated += (sample[0, 0] * np.conj(sample[1, 0])).real
+        assert accumulated / count == pytest.approx(0.9, abs=0.07)
+
+    def test_correlation_preserves_average_power(self):
+        process = FadingProcess(4, 4, ChannelImpairments(rx_correlation=0.7, tx_correlation=0.5))
+        generator = np.random.default_rng(1)
+        power = np.mean([np.mean(np.abs(process.advance(generator)) ** 2) for _ in range(1500)])
+        assert power == pytest.approx(1.0, abs=0.05)
+
+    def test_correlation_colours_the_scattering_draw(self):
+        process = FadingProcess(3, 2, ChannelImpairments(rx_correlation=0.8))
+        scattering = RayleighFadingChannel().sample(3, 2, np.random.default_rng(4))
+        assert np.array_equal(
+            process.advance(np.random.default_rng(4)),
+            correlation_root(3, 0.8) @ scattering,
+        )
 
     def test_spatial_shaping_applies_per_block(self):
         process = FadingProcess(
@@ -273,7 +199,6 @@ class TestFadingProcess:
         accumulated = 0.0
         count = 3000
         for _ in range(count):
-            process.reset()
             sample = process.advance(generator)
             accumulated += (sample[0, 0] * np.conj(sample[1, 0])).real
         assert accumulated / count == pytest.approx(0.9, abs=0.07)
@@ -311,6 +236,16 @@ class TestEffectiveNoiseVariance:
             effective_noise_variance(1.0, -0.5)
 
 
+def _faded(config, impairments, seed):
+    """One impaired transmission whose channel a FadingProcess drew."""
+    generator = np.random.default_rng(seed)
+    process = FadingProcess(config.receive_antennas, config.num_users, impairments)
+    channel = process.advance(generator)
+    return simulate_transmission(
+        config, rng=generator, impairments=impairments, channel_matrix=channel
+    )
+
+
 class TestSimulateTransmissionImpairments:
     def test_identity_impairments_are_bitwise_neutral(self):
         config = MIMOConfig(num_users=4, modulation="QPSK", snr_db=10.0)
@@ -328,9 +263,7 @@ class TestSimulateTransmissionImpairments:
 
     def test_imperfect_csi_separates_estimate_from_truth(self):
         config = MIMOConfig(num_users=3, modulation="QPSK")
-        transmission = simulate_transmission(
-            config, rng=11, impairments=ChannelImpairments(csi_error_variance=0.1)
-        )
+        transmission = _faded(config, ChannelImpairments(csi_error_variance=0.1), 11)
         assert not transmission.has_perfect_csi
         assert not np.array_equal(
             transmission.instance.channel_matrix, transmission.true_channel
@@ -346,9 +279,7 @@ class TestSimulateTransmissionImpairments:
         impairments = ChannelImpairments(interference_power=4.0)
         residuals = []
         for seed in range(200):
-            transmission = simulate_transmission(
-                config, rng=seed, impairments=impairments
-            )
+            transmission = _faded(config, impairments, seed)
             # Perfect CSI: the instance carries the channel the symbols traversed.
             assert transmission.has_perfect_csi
             residual = transmission.instance.received - (
@@ -380,16 +311,28 @@ class TestSimulateTransmissionImpairments:
             ChannelImpairments(csi_error_variance=0.2),
             ChannelImpairments(interference_power=1.0),
         ):
-            impaired = simulate_transmission(config, rng=5, impairments=impairments)
+            impaired = _faded(config, impairments, 5)
             encoding = mimo_to_qubo(impaired.instance)
             assert encoding.noiseless_ground_energy(impaired) is None
 
-    def test_correlated_draw_differs_from_plain(self):
+    def test_correlated_draw_reaches_the_instance(self):
         config = MIMOConfig(num_users=3, modulation="QPSK")
-        plain = simulate_transmission(config, rng=4)
-        impaired = simulate_transmission(
-            config, rng=4, impairments=ChannelImpairments(rx_correlation=0.8)
-        )
-        assert not np.array_equal(
-            plain.instance.channel_matrix, impaired.instance.channel_matrix
-        )
+        impairments = ChannelImpairments(rx_correlation=0.8)
+        impaired = _faded(config, impairments, 4)
+        expected = FadingProcess(3, 3, impairments).advance(np.random.default_rng(4))
+        assert np.array_equal(impaired.instance.channel_matrix, expected)
+        assert impaired.has_perfect_csi
+
+    @pytest.mark.parametrize(
+        "impairments",
+        [
+            ChannelImpairments(rx_correlation=0.5),
+            ChannelImpairments(temporal_correlation=0.9),
+            ChannelImpairments(csi_error_variance=0.1),
+            ChannelImpairments(interference_power=1.0),
+        ],
+    )
+    def test_active_impairments_need_a_channel_matrix(self, impairments):
+        config = MIMOConfig(num_users=2, modulation="QPSK")
+        with pytest.raises(ConfigurationError, match="channel_matrix"):
+            simulate_transmission(config, rng=0, impairments=impairments)

@@ -20,6 +20,11 @@ import pytest
 
 from repro.experiments.load_study import LoadStudyConfig, LoadStudyDriver
 from repro.experiments.qos_study import QoSStudyDriver
+from repro.experiments.robustness_study import (
+    ROBUSTNESS_AXES,
+    RobustnessStudyConfig,
+    _impairments_for,
+)
 from repro.experiments.scenario_study import ScenarioStudyDriver
 from repro.serving import AutoscaleController, RANServingSimulator
 from tests.golden_studies import (
@@ -67,7 +72,7 @@ def _row_label(row) -> str:
     keys = [
         k
         for k in (
-            "shard", "case", "modulation", "method", "switch_s", "snr_db", "placement",
+            "shard", "axis", "case", "modulation", "method", "switch_s", "snr_db", "placement",
             "point_id", "job_id",
         )
         if k in row
@@ -111,6 +116,23 @@ def test_detect_serve_golden_exercises_demotion_and_batching():
     assert any(row["demoted"] and row["backend_kind"] == "classical" for row in rows)
     assert any(row["batch_size"] > 1 and row["backend_kind"] == "annealer" for row in rows)
     assert all(row["best_energy"] is not None for row in rows)
+
+
+def test_robustness_golden_exercises_every_impairment_axis():
+    """The robustness fixture pins each axis away from the ideal channel.
+
+    Every axis has a row at a value whose impairments are not the identity,
+    and the Doppler rows decode at least two channel uses with a non-zero
+    AR(1) coefficient, so the fading process really steps block to block.
+    """
+    config = RobustnessStudyConfig.quick()
+    rows = json.loads((GOLDEN_DIR / "robustness_quick.json").read_text())["rows"]
+    points = [(row, _impairments_for(config, row["axis"], row["value"])) for row in rows]
+    for axis in ROBUSTNESS_AXES:
+        impaired = [row for row, point in points if row["axis"] == axis and not point.is_identity]
+        assert impaired, f"no impaired {axis} row in robustness_quick"
+    doppler = [row for row, point in points if point.temporal_correlation]
+    assert doppler and all(row["channel_uses"] >= 2 for row in doppler)
 
 
 def test_serving_schedule_goldens_are_not_vacuous(monkeypatch):

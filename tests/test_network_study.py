@@ -209,9 +209,8 @@ class TestAggregation:
 
 class TestLegacyEquivalence:
     def test_line_topology_reproduces_legacy_scenario_jobs_bitwise(self):
-        # On a 2-cell line the neighbour set equals "all other cells", so the
-        # topology-aware interference path must reproduce the legacy
-        # all-others coupling bit for bit.
+        # On a 2-cell line the topology-aware scenario reproduces the legacy
+        # scenario's jobs bit for bit.
         profiles = uniform_cell_profiles(
             num_cells=2,
             users_per_cell=2,

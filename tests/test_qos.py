@@ -37,6 +37,7 @@ from repro.serving import (
     RANServingSimulator,
     ServiceClass,
     ServingJob,
+    build_scenario,
     generate_serving_jobs,
     resolve_service_class,
     select_batch,
@@ -212,6 +213,7 @@ class TestSingleClassIdentity:
 
 def _mobile_workload(velocity_mps, seed=3, jobs_per_user=8):
     topology = build_topology("grid", 2, 2)
+    scenario = build_scenario("steady", 4, horizon_us=800.0, topology=topology)
     profiles = uniform_cell_profiles(
         num_cells=4,
         users_per_cell=2,
@@ -225,7 +227,7 @@ def _mobile_workload(velocity_mps, seed=3, jobs_per_user=8):
         else None
     )
     return generate_serving_jobs(
-        profiles, jobs_per_user=jobs_per_user, rng=seed, topology=topology, handover=handover
+        profiles, jobs_per_user=jobs_per_user, rng=seed, scenario=scenario, handover=handover
     )
 
 
@@ -274,10 +276,12 @@ class TestHandover:
         profiles = uniform_cell_profiles(
             num_cells=2, users_per_cell=1, configs=[MIMOConfig(2, "QPSK")]
         )
-        with pytest.raises(ConfigurationError, match="topology"):
-            generate_serving_jobs(
-                profiles, jobs_per_user=2, rng=0, handover=HandoverModel(velocity_mps=_FAST)
-            )
+        handover = HandoverModel(velocity_mps=_FAST)
+        for scenario in (None, build_scenario("steady", 2)):
+            with pytest.raises(ConfigurationError, match="topology"):
+                generate_serving_jobs(
+                    profiles, jobs_per_user=2, rng=0, scenario=scenario, handover=handover
+                )
 
     def test_negative_velocity_rejected(self):
         with pytest.raises(ConfigurationError):

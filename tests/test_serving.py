@@ -7,6 +7,7 @@ QUBO shapes, and — because job ``j`` draws exclusively from child generator
 seed, with only the timing changing.
 """
 
+import dataclasses
 from typing import List, Sequence
 
 import numpy as np
@@ -157,9 +158,8 @@ class TestWorkload:
         assert len(set(arrivals)) > len(set(a for a in arrivals if a == 0.0))
         assert sum(1 for a in arrivals if a == 0.0) == 2  # one per cell, not all 4
 
-        burst = generate_serving_jobs(
-            _profiles(stagger_phases=False), jobs_per_user=2, rng=3
-        )
+        unstaggered = [dataclasses.replace(profile, phase_offset_us=0.0) for profile in _profiles()]
+        burst = generate_serving_jobs(unstaggered, jobs_per_user=2, rng=3)
         assert sum(1 for job in burst if job.arrival_us == 0.0) == 4
 
     def test_phase_offset_shifts_deadlines_with_arrivals(self):
@@ -205,134 +205,6 @@ class TestWorkload:
             generate_serving_jobs([], jobs_per_user=2, rng=1)
         with pytest.raises(ConfigurationError):
             generate_serving_jobs(_profiles(), jobs_per_user=0, rng=1)
-
-
-class TestWorkloadImpairments:
-    """Channel impairments coupled into the serving workload."""
-
-    def test_no_impairments_is_bitwise_unchanged(self):
-        plain = generate_serving_jobs(_profiles(), jobs_per_user=3, rng=9)
-        explicit = generate_serving_jobs(
-            _profiles(), jobs_per_user=3, rng=9, impairments=None
-        )
-        for a, b in zip(plain, explicit):
-            assert np.array_equal(
-                a.channel_use.transmission.instance.received,
-                b.channel_use.transmission.instance.received,
-            )
-
-    def test_identity_impairments_keep_arrivals_and_perfect_csi(self):
-        from repro.wireless import ChannelImpairments
-
-        plain = generate_serving_jobs(_profiles(), jobs_per_user=3, rng=9)
-        identity = generate_serving_jobs(
-            _profiles(), jobs_per_user=3, rng=9, impairments=ChannelImpairments()
-        )
-        assert [job.arrival_us for job in identity] == [job.arrival_us for job in plain]
-        assert all(
-            job.channel_use.transmission.has_perfect_csi for job in identity
-        )
-
-    def test_static_load_scales_interference_by_other_cells(self):
-        from repro.wireless import ChannelImpairments
-
-        impairments = ChannelImpairments(interference_power=2.0)
-        jobs = generate_serving_jobs(
-            _profiles(cell_load_factors=[1.0, 4.0]),
-            jobs_per_user=2,
-            rng=4,
-            impairments=impairments,
-            cell_load_factors=[1.0, 4.0],
-        )
-        by_cell = {
-            cell: {
-                job.channel_use.transmission.interference_power
-                for job in jobs
-                if job.cell_id == cell
-            }
-            for cell in (0, 1)
-        }
-        # Cell 0's users hear the hot neighbour (factor 4); cell 1 hears the
-        # cold one (factor 1).
-        assert by_cell[0] == {8.0}
-        assert by_cell[1] == {2.0}
-
-    def test_scenario_couples_interference_to_the_timeline(self):
-        from repro.serving import build_scenario
-        from repro.wireless import ChannelImpairments
-
-        scenario = build_scenario("flash-crowd", num_cells=2, horizon_us=4_000.0)
-        profiles = _profiles(arrival_process="poisson")
-        impairments = ChannelImpairments(interference_power=1.0)
-        jobs = generate_serving_jobs(
-            profiles,
-            jobs_per_user=30,
-            rng=6,
-            scenario=scenario,
-            impairments=impairments,
-        )
-        # Cell 1 hosts the flash crowd (middle cell of a 2-cell grid), so
-        # cell 0's users see time-varying interference that peaks with it.
-        powers = [
-            job.channel_use.transmission.interference_power
-            for job in jobs
-            if job.cell_id == 0
-        ]
-        assert powers, "cell 0 generated no jobs"
-        assert max(powers) > 1.5  # the 6x crest, scaled by the ramp
-        assert min(powers) < 1.25  # quiet phases sit near background
-
-    def test_scenario_workload_reproducible_under_impairments(self):
-        from repro.serving import build_scenario
-        from repro.wireless import ChannelImpairments
-
-        scenario = build_scenario("steady", num_cells=2, horizon_us=2_000.0)
-        impairments = ChannelImpairments(
-            interference_power=0.5, csi_error_variance=0.05, temporal_correlation=0.9
-        )
-        kwargs = dict(
-            jobs_per_user=10, scenario=scenario, impairments=impairments
-        )
-        first = generate_serving_jobs(
-            _profiles(arrival_process="poisson"), rng=8, **kwargs
-        )
-        second = generate_serving_jobs(
-            _profiles(arrival_process="poisson"), rng=8, **kwargs
-        )
-        assert len(first) == len(second)
-        for a, b in zip(first, second):
-            assert a.arrival_us == b.arrival_us
-            assert np.array_equal(
-                a.channel_use.transmission.instance.received,
-                b.channel_use.transmission.instance.received,
-            )
-
-    def test_cell_load_factors_validation(self):
-        from repro.serving import build_scenario
-        from repro.wireless import ChannelImpairments
-
-        impairments = ChannelImpairments(interference_power=1.0)
-        with pytest.raises(ConfigurationError):
-            generate_serving_jobs(
-                _profiles(), jobs_per_user=1, rng=1, cell_load_factors=[1.0, 2.0]
-            )
-        with pytest.raises(ConfigurationError):
-            generate_serving_jobs(
-                _profiles(),
-                jobs_per_user=1,
-                rng=1,
-                impairments=impairments,
-                cell_load_factors=[1.0],  # 2 cells in the layout
-            )
-        with pytest.raises(ConfigurationError):
-            generate_serving_jobs(
-                _profiles(arrival_process="poisson"),
-                jobs_per_user=1,
-                rng=1,
-                scenario=build_scenario("steady", num_cells=2),
-                impairments=impairments,
-                cell_load_factors=[1.0, 1.0],
-            )
 
 
 # ---------------------------------------------------------------------- #

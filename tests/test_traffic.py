@@ -85,20 +85,14 @@ class TestTrafficGenerator:
 
 class TestHeterogeneousMix:
     def test_cyclic_mix_alternates_configurations(self, mix):
-        uses = TrafficGenerator(mix, job_mix="cyclic").generate(4, rng=1)
+        uses = TrafficGenerator(mix).generate(4, rng=1)
         assert [use.qubo_variable_count for use in uses] == [4, 12, 4, 12]
         assert [use.modulation for use in uses] == ["QPSK", "16-QAM", "QPSK", "16-QAM"]
 
-    def test_random_mix_draws_from_the_set(self, mix):
-        uses = TrafficGenerator(mix, job_mix="random").generate(30, rng=2)
-        sizes = {use.qubo_variable_count for use in uses}
-        assert sizes == {4, 12}
-
     def test_single_config_stream_unchanged_by_mix_machinery(self, config):
-        # The mix path must not consume extra randomness for a single config:
-        # wrapping the config in a list yields the identical stream.
+        # Wrapping a single config in a list yields the identical stream.
         plain = TrafficGenerator(config).generate(3, rng=9)
-        wrapped = TrafficGenerator([config], job_mix="random").generate(3, rng=9)
+        wrapped = TrafficGenerator([config]).generate(3, rng=9)
         assert np.allclose(
             plain[2].transmission.instance.received,
             wrapped[2].transmission.instance.received,
@@ -108,118 +102,6 @@ class TestHeterogeneousMix:
     def test_invalid_config_sequences_rejected(self, bad):
         with pytest.raises((ConfigurationError, TypeError)):
             TrafficGenerator(bad)
-
-    def test_invalid_job_mix_rejected(self, mix):
-        with pytest.raises(ConfigurationError):
-            TrafficGenerator(mix, job_mix="round-robin")
-
-
-class TestImpairedStreams:
-    def test_identity_impairments_leave_the_stream_bitwise_unchanged(self, config):
-        from repro.wireless import ChannelImpairments
-
-        plain = TrafficGenerator(config).generate(4, rng=3)
-        identity = TrafficGenerator(
-            config, impairments=ChannelImpairments()
-        ).generate(4, rng=3)
-        for a, b in zip(plain, identity):
-            assert np.array_equal(
-                a.transmission.instance.received, b.transmission.instance.received
-            )
-            assert np.array_equal(
-                a.transmission.instance.channel_matrix,
-                b.transmission.instance.channel_matrix,
-            )
-
-    def test_temporally_correlated_stream_evolves_smoothly(self, config):
-        from repro.wireless import ChannelImpairments
-
-        impairments = ChannelImpairments(temporal_correlation=0.99)
-        uses = TrafficGenerator(config, impairments=impairments).generate(2, rng=5)
-        first = uses[0].transmission.instance.channel_matrix
-        second = uses[1].transmission.instance.channel_matrix
-        # Successive blocks at a=0.99 stay close; independent draws do not.
-        assert np.linalg.norm(second - first) < 0.5 * np.linalg.norm(first)
-
-    def test_restreaming_the_same_generator_is_reproducible(self, config):
-        from repro.wireless import ChannelImpairments
-
-        generator = TrafficGenerator(
-            config, impairments=ChannelImpairments(temporal_correlation=0.9)
-        )
-        first = generator.generate(3, rng=4)
-        second = generator.generate(3, rng=4)
-        for a, b in zip(first, second):
-            assert np.array_equal(
-                a.transmission.instance.channel_matrix,
-                b.transmission.instance.channel_matrix,
-            )
-
-    def test_interleaved_streams_keep_independent_fading_state(self, config):
-        from repro.wireless import ChannelImpairments
-
-        generator = TrafficGenerator(
-            config, impairments=ChannelImpairments(temporal_correlation=0.9)
-        )
-        reference = generator.generate(4, rng=4)
-        # Interleave two lazy streams of the same generator: each must see
-        # its own coherence run, identical to an uninterleaved stream.
-        first = generator.stream(4, rng=4)
-        second = generator.stream(4, rng=4)
-        collected = []
-        for _ in range(4):
-            collected.append((next(first), next(second)))
-        for (a, b), ref in zip(collected, reference):
-            for use in (a, b):
-                assert np.array_equal(
-                    use.transmission.instance.channel_matrix,
-                    ref.transmission.instance.channel_matrix,
-                )
-
-    def test_mixed_shapes_keep_separate_fading_processes(self, mix):
-        from repro.wireless import ChannelImpairments
-
-        impairments = ChannelImpairments(temporal_correlation=0.9)
-        uses = TrafficGenerator(mix, impairments=impairments).generate(4, rng=6)
-        shapes = {use.transmission.instance.channel_matrix.shape for use in uses}
-        assert shapes == {(2, 2), (3, 3)}
-
-    def test_interference_scale_tracks_arrival_time(self, config):
-        from repro.wireless import ChannelImpairments
-
-        impairments = ChannelImpairments(interference_power=1.0)
-        generator = TrafficGenerator(
-            config,
-            symbol_period_us=10.0,
-            impairments=impairments,
-            interference_scale=lambda t_us: 0.0 if t_us < 15.0 else 3.0,
-        )
-        uses = generator.generate(4, rng=7)
-        powers = [use.transmission.interference_power for use in uses]
-        assert powers == [0.0, 0.0, 3.0, 3.0]
-
-    def test_interference_scale_requires_impairments(self, config):
-        with pytest.raises(ConfigurationError):
-            TrafficGenerator(config, interference_scale=lambda t_us: 1.0)
-
-    def test_negative_interference_scale_rejected(self, config):
-        from repro.wireless import ChannelImpairments
-
-        generator = TrafficGenerator(
-            config,
-            impairments=ChannelImpairments(interference_power=1.0),
-            interference_scale=lambda t_us: -1.0,
-        )
-        with pytest.raises(ConfigurationError):
-            generator.generate(1, rng=1)
-
-    def test_imperfect_csi_flows_into_the_stream(self, config):
-        from repro.wireless import ChannelImpairments
-
-        impairments = ChannelImpairments(csi_error_variance=0.1)
-        uses = TrafficGenerator(config, impairments=impairments).generate(2, rng=8)
-        for use in uses:
-            assert not use.transmission.has_perfect_csi
 
 
 class TestChannelUseDeadlineValidation:
@@ -259,43 +141,29 @@ _MIX = (
 _split_settings = settings(max_examples=25, deadline=None, derandomize=True)
 
 
-def _impairments(kind):
-    from repro.wireless import ChannelImpairments
-
-    if kind == "off":
-        return None
-    if kind == "identity":
-        return ChannelImpairments()
-    return ChannelImpairments(
-        temporal_correlation=0.8, csi_error_variance=0.05, interference_power=0.5
-    )
-
-
-def _generator(job_mix, impairments, arrival_process="poisson"):
-    scale = (lambda t_us: 1.0 + (t_us % 50.0) / 50.0) if impairments is not None else None
+def _generator(arrival_process="poisson", mix=_MIX):
     return TrafficGenerator(
-        list(_MIX),
+        list(mix),
         symbol_period_us=10.0,
         arrival_process=arrival_process,
         turnaround_budget_us=40.0,
-        job_mix=job_mix,
-        impairments=impairments,
-        interference_scale=scale,
     )
 
 
-def _uses(generator, modulated, seed, count=12):
+def _stream(generator, modulated, seed, count=12):
     if modulated:
-        return list(
-            generator.stream_modulated(
-                horizon_us=400.0,
-                intensity=lambda t_us: 0.5 if t_us < 200.0 else 2.0,
-                peak_intensity=2.0,
-                rng=seed,
-                max_count=count,
-            )
+        return generator.stream_modulated(
+            horizon_us=400.0,
+            intensity=lambda t_us: 0.5 if t_us < 200.0 else 2.0,
+            peak_intensity=2.0,
+            rng=seed,
+            max_count=count,
         )
-    return generator.generate(count, rng=seed)
+    return generator.stream(count, rng=seed)
+
+
+def _uses(generator, modulated, seed, count=12):
+    return list(_stream(generator, modulated, seed, count))
 
 
 def _schedule(uses):
@@ -304,7 +172,7 @@ def _schedule(uses):
 
 def _job_key(job):
     use = job.channel_use
-    return (job.job_id, job.user_id, job.cell_id, use.arrival_time_us, use.deadline_us, use.config)
+    return (job.job_id, job.user_id, job.cell_id, use.arrival_time_us, use.deadline_us)
 
 
 def _same_transmission(a, b):
@@ -320,62 +188,52 @@ def _same_transmission(a, b):
 class TestSplitSeedTree:
     @given(
         seed=st.integers(0, 2**31),
-        job_mix=st.sampled_from(["cyclic", "random"]),
         arrival_process=st.sampled_from(["deterministic", "poisson"]),
         modulated=st.booleans(),
     )
     @_split_settings
-    def test_schedule_is_independent_of_impairments(
-        self, seed, job_mix, arrival_process, modulated
-    ):
+    def test_schedule_is_independent_of_the_payload_draws(self, seed, arrival_process, modulated):
         if modulated:
             arrival_process = "poisson"
-        schedules = []
-        for kind in ("off", "identity", "active"):
-            generator = _generator(job_mix, _impairments(kind), arrival_process)
-            schedules.append(_schedule(_uses(generator, modulated, seed)))
-        assert schedules[0] == schedules[1] == schedules[2]
+        undrawn = _uses(_generator(arrival_process), modulated, seed)
+        # Drawing each payload as it is emitted, or streaming links whose
+        # payloads draw fewer values, leaves the arrival draws untouched.
+        drawn = []
+        for use in _stream(_generator(arrival_process), modulated, seed):
+            use.transmission
+            drawn.append(use)
+        small = _uses(_generator(arrival_process, mix=_MIX[:1]), modulated, seed)
+        assert _schedule(undrawn) == _schedule(drawn)
+        assert [entry[:3] for entry in _schedule(undrawn)] == [
+            entry[:3] for entry in _schedule(small)
+        ]
 
-    @given(seed=st.integers(0, 2**31), job_mix=st.sampled_from(["cyclic", "random"]))
+    @given(seed=st.integers(0, 2**31))
     @_split_settings
-    def test_serving_job_ids_are_independent_of_impairments(self, seed, job_mix):
+    def test_serving_job_ids_are_independent_of_the_link_configs(self, seed):
         from repro.serving import generate_serving_jobs, uniform_cell_profiles
 
-        profiles = uniform_cell_profiles(
-            num_cells=2,
-            users_per_cell=2,
-            configs=[_MIX[:2], _MIX[1:]],
-            symbol_period_us=20.0,
-            job_mix=job_mix,
-        )
         workloads = [
             generate_serving_jobs(
-                profiles,
+                uniform_cell_profiles(
+                    num_cells=2, users_per_cell=2, configs=configs, symbol_period_us=20.0
+                ),
                 jobs_per_user=5,
                 rng=seed,
-                impairments=_impairments(kind),
-                cell_load_factors=None if kind == "off" else (1.0, 2.0),
             )
-            for kind in ("off", "identity", "active")
+            for configs in ([_MIX[:2], _MIX[1:]], [_MIX[:1]])
         ]
         keys = [[_job_key(job) for job in jobs] for jobs in workloads]
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
 
     @given(
         seed=st.integers(0, 2**31),
-        job_mix=st.sampled_from(["cyclic", "random"]),
-        kind=st.sampled_from(["off", "active"]),
         modulated=st.booleans(),
         order=st.permutations(range(12)),
     )
     @_split_settings
-    def test_any_access_order_replays_the_payload_generator(
-        self, seed, job_mix, kind, modulated, order
-    ):
-        from repro.wireless.traffic import _impaired_transmission
-
-        impairments = _impairments(kind)
-        generator = _generator(job_mix, impairments)
+    def test_any_access_order_replays_the_payload_generator(self, seed, modulated, order):
+        generator = _generator()
         in_order = _uses(generator, modulated, seed)
         shuffled = _uses(generator, modulated, seed)
         backwards = _uses(generator, modulated, seed)
@@ -385,40 +243,18 @@ class TestSplitSeedTree:
         for use in reversed(backwards):
             use.transmission
         # The replay: one payload generator spawned from the arrival seed,
-        # drawn in index order, with the fading state kept per link shape.
+        # drawn in index order.
         payload_rng = np.random.default_rng(seed).spawn(1)[0]
-        processes = {}
         for first, second, third in zip(in_order, shuffled, backwards):
-            if impairments is None:
-                expected = simulate_transmission(first.config, rng=payload_rng)
-            else:
-                scale = generator.interference_scale(first.arrival_time_us)
-                expected = _impaired_transmission(
-                    first.config, impairments, None, scale, payload_rng, processes
-                )
+            expected = simulate_transmission(first.config, rng=payload_rng)
             for use in (first, second, third):
                 assert _same_transmission(use.transmission, expected)
-
-    def test_negative_interference_scale_is_rejected_on_emission(self, config):
-        from repro.wireless import ChannelImpairments
-
-        generator = TrafficGenerator(
-            config,
-            symbol_period_us=10.0,
-            impairments=ChannelImpairments(interference_power=1.0),
-            interference_scale=lambda t_us: 1.0 if t_us < 15.0 else -1.0,
-        )
-        stream = generator.stream(3, rng=1)
-        next(stream)
-        next(stream)
-        with pytest.raises(ConfigurationError):
-            next(stream)
 
     def test_repr_equality_pickle_and_replace_never_draw(self):
         import dataclasses
         import pickle
 
-        generator = _generator("random", _impairments("active"))
+        generator = _generator()
         reference = generator.generate(6, rng=21)
         uses = generator.generate(6, rng=21)
         copies = [
@@ -456,7 +292,7 @@ class TestSplitSeedTree:
     def test_a_stream_read_in_order_keeps_no_transmission(self):
         import weakref
 
-        generator = _generator("random", _impairments("active"))
+        generator = _generator()
         read = []
         for use in generator.stream(200, rng=3):
             read.append(weakref.ref(use.transmission))
@@ -473,7 +309,7 @@ class TestSplitSeedTree:
         assert not survivor.payload.is_drawn
 
     def test_keys_never_draw_the_payload(self, mix):
-        uses = TrafficGenerator(mix, job_mix="random").generate(8, rng=4)
+        uses = TrafficGenerator(mix).generate(8, rng=4)
         assert [use.qubo_variable_count for use in uses] == [
             use.config.qubo_variable_count for use in uses
         ]
