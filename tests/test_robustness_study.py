@@ -1,11 +1,14 @@
 """Tests for repro.experiments.robustness_study and its caching contract."""
 
 import dataclasses
+import hashlib
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.experiments import robustness_study
 from repro.experiments.driver import run_driver
 from repro.experiments.robustness_study import (
     ROBUSTNESS_AXES,
@@ -181,3 +184,31 @@ class TestDegradation:
         # Jakes coefficient at v=0 is 1, so a stationary user's blocks cohere.
         static = _impairments_for(quick_config, "doppler", 0.0)
         assert static.temporal_correlation == pytest.approx(1.0)
+
+
+class TestImpairmentDraws:
+    """Pin the channel matrices the study draws, not only the BERs they give.
+
+    The ``robustness_quick`` golden stores per-point aggregates, which a
+    change to the AR(1) or Kronecker arithmetic that flips no decoded bit
+    would leave unchanged.  This digest covers every drawn matrix.
+    """
+
+    # Recorded from the serial quick run: 16 channel uses.
+    DRAWS_SHA256 = "a27c70ed7ea16b08af9fd57c534af944373a29c70762fe605d9fb537855d4aaf"
+
+    def test_quick_draws_match_recorded_digest(self, monkeypatch, quick_config):
+        digests = []
+        simulate = robustness_study.simulate_transmission
+
+        def recording(*args, **kwargs):
+            matrix = np.ascontiguousarray(kwargs["channel_matrix"])
+            header = f"{matrix.dtype.str}{matrix.shape}".encode()
+            digests.append(hashlib.sha256(header + matrix.tobytes()).hexdigest())
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(robustness_study, "simulate_transmission", recording)
+        run_driver(RobustnessStudyDriver(), quick_config)
+        assert len(digests) == 16
+        combined = hashlib.sha256("".join(digests).encode()).hexdigest()
+        assert combined == self.DRAWS_SHA256
