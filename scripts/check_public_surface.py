@@ -1,4 +1,4 @@
-"""CI public-surface check: every public ``src/repro`` name must have a caller.
+"""CI public-surface check: every public name and every defaulted parameter needs a caller.
 
 A public top-level ``def``, ``class`` or assignment in ``src/repro``, and a
 public method or property of a public top-level class, stays only while
@@ -10,13 +10,23 @@ caller, and neither is a test.  Names are matched by identifier, not by
 module, so the check can miss a dead name that shares an identifier with a
 live one but never flags a live name.
 
-A name that has to stay without a caller goes in ``ALLOWLIST`` with the
-reason in a comment.  Run from the repository root (CI does)::
+A defaulted parameter of an explicit ``def`` in ``src/repro`` (private
+functions and methods included; dataclass-generated fields are not
+``def``s) stays only while a call in those directories passes it: by
+keyword, by position, or through ``*args`` / ``**kwargs``.  A call is
+matched to its callee by identifier, and ``__init__`` answers to its class
+name.  A call that forwards the caller's own same-named parameter passes it
+only while that parameter is itself live, which is settled by iterating to
+a fixpoint; so a chain of defaults that only tests turn is dead end to end.
+
+A name or parameter that has to stay without a caller goes in
+``ALLOWLIST`` or ``PARAMETER_ALLOWLIST`` with the reason in a comment.  Run
+from the repository root (CI does)::
 
     python scripts/check_public_surface.py [ROOT]
 
 ``ROOT`` defaults to the repository this script lives in.  The check exits
-1 and names every unreferenced definition.
+1 and names every unreferenced definition and uncalled parameter.
 """
 
 from __future__ import annotations
@@ -51,6 +61,32 @@ ALLOWLIST: frozenset = frozenset(
         # Per-shard registry snapshots are how pool workers will return
         # telemetry under --workers (ROADMAP, observability).
         "repro.telemetry.registry:MetricsRegistry.snapshot",
+    }
+)
+
+
+#: ``module.path:qualname(parameter)`` entries exempt from the parameter
+#: check, each with the reason it stays.
+PARAMETER_ALLOWLIST: frozenset = frozenset(
+    {
+        # Lets a test anneal on a small fake device.
+        "repro.annealing.sampler:QuantumAnnealerSimulator(device)",
+        # Let a test drive one anneal with a fixed generator.
+        "repro.annealing.sampler:QuantumAnnealerSimulator.forward_anneal(rng)",
+        "repro.annealing.sampler:QuantumAnnealerSimulator.reverse_anneal(rng)",
+        # Lets a test substitute a fake sampler.
+        "repro.hybrid.parameters:sweep_switch_point(sampler)",
+        # perfbench/layertrace.py traces sample_ising by name, so its
+        # signature is the traced entry point's, callers or not.
+        "repro.annealing.sampler:QuantumAnnealerSimulator.sample_ising(num_reads)",
+        "repro.annealing.sampler:QuantumAnnealerSimulator.sample_ising(initial_spins)",
+        "repro.annealing.sampler:QuantumAnnealerSimulator.sample_ising(rng)",
+        # Lets tests reach the multi-block path with small N.
+        "repro.qubo.energy:enumerate_assignments(block_bits)",
+        # Lets a test fill the span buffer and see records dropped.
+        "repro.telemetry.tracing:Tracer(max_records)",
+        # The test fixture's way to build a channel use around a transmission.
+        "repro.wireless.traffic:ChannelUse(transmission)",
     }
 )
 
@@ -143,17 +179,152 @@ def unreferenced(root: pathlib.Path) -> list:
     return missing
 
 
+def _defaulted(function: ast.AST, is_method: bool) -> list:
+    """``(name, position)`` of a ``def``'s defaulted parameters.
+
+    ``position`` indexes the positional arguments a call writes (after
+    ``self`` / ``cls`` for a method); it is ``None`` for keyword-only ones.
+    """
+    arguments = function.args
+    positional = arguments.posonlyargs + arguments.args
+    static = any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in function.decorator_list
+    )
+    if is_method and not static:
+        positional = positional[1:]
+    first = len(positional) - len(arguments.defaults)
+    defaulted = [(arg.arg, index) for index, arg in enumerate(positional) if index >= first]
+    defaulted.extend(
+        (arg.arg, None)
+        for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+        if default is not None
+    )
+    return defaulted
+
+
+def _functions(body: list, prefix: str = "", owner: str = "") -> list:
+    """``(qualified name, callee identifier, node, is_method)`` of every ``def``.
+
+    Functions nested in functions are included under their outer function's
+    qualified name; ``__init__`` answers to its class name.
+    """
+    found = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            identifier = owner if owner and node.name == "__init__" else node.name
+            qualified = prefix + node.name
+            found.append((qualified, identifier, node, bool(owner)))
+            found.extend(_functions(node.body, qualified + ".", ""))
+        elif isinstance(node, ast.ClassDef):
+            found.extend(_functions(node.body, prefix + node.name + ".", node.name))
+    return found
+
+
+def _callee(call: ast.Call) -> str:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return ""
+
+
+def _passes(call: ast.Call, name: str, position) -> tuple:
+    """``(passed, value)``: whether ``call`` writes the parameter, and the node it writes.
+
+    ``value`` is ``None`` when the parameter arrives through ``*args`` or
+    ``**kwargs``.
+    """
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return True, keyword.value
+    if position is not None:
+        for index, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                if index <= position:
+                    return True, None
+            elif index == position:
+                return True, arg
+    if any(keyword.arg is None for keyword in call.keywords):
+        return True, None
+    return False, None
+
+
+def uncalled_parameters(root: pathlib.Path) -> list:
+    """``module:qual(param)`` of every defaulted parameter no non-test call passes."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for directory in CALLER_ROOTS
+        for path in _python_files(root / directory)
+    }
+    # Callee identifier -> (key, name, position) of its defaulted parameters,
+    # and each package def -> {name: key} of its own.
+    by_identifier = defaultdict(list)
+    own = {}
+    every = []
+    for path in _python_files(root / PACKAGE):
+        module = ".".join(path.relative_to(root / PACKAGE.parent).with_suffix("").parts)
+        for qualified, identifier, node, is_method in _functions(trees[path].body):
+            owner = f"{module}:{qualified.removesuffix('.__init__')}"
+            parameters = _defaulted(node, is_method)
+            own[node] = {name: f"{owner}({name})" for name, _ in parameters}
+            every.extend(own[node].values())
+            by_identifier[identifier].extend(
+                (f"{owner}({name})", name, position) for name, position in parameters
+            )
+
+    live = set()
+    # key -> the callers' same-named parameters whose liveness it inherits
+    forwarded = defaultdict(set)
+
+    def visit(node: ast.AST, enclosing: dict) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, own.get(child, {}))
+                continue
+            if isinstance(child, ast.Call):
+                for key, name, position in by_identifier.get(_callee(child), ()):
+                    passed, value = _passes(child, name, position)
+                    if not passed:
+                        continue
+                    if isinstance(value, ast.Name) and value.id == name and name in enclosing:
+                        forwarded[key].add(enclosing[name])
+                    else:
+                        live.add(key)
+            visit(child, enclosing)
+
+    for tree in trees.values():
+        visit(tree, {})
+    changed = True
+    while changed:
+        changed = False
+        for key, sources in forwarded.items():
+            if key not in live and sources & live:
+                live.add(key)
+                changed = True
+    return [key for key in every if key not in live and key not in PARAMETER_ALLOWLIST]
+
+
 def main(argv: list) -> int:
     root = pathlib.Path(argv[0]).resolve() if argv else REPO_ROOT
     missing = unreferenced(root)
+    uncalled = uncalled_parameters(root)
     for key in missing:
         print(f"public name with no caller outside tests: {key}")
+    for key in uncalled:
+        print(f"defaulted parameter with no caller outside tests: {key}")
     if missing:
         print(
             f"{len(missing)} unreferenced public name(s): delete them, move a test-only "
             "fixture under tests/, or make the name private",
             file=sys.stderr,
         )
+    if uncalled:
+        print(
+            f"{len(uncalled)} uncalled defaulted parameter(s): delete them and fold "
+            "the default into the code",
+            file=sys.stderr,
+        )
+    if missing or uncalled:
         return 1
     print("public surface check passed")
     return 0

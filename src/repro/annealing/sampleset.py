@@ -192,11 +192,11 @@ class SampleSet:
         """Occurrence counts aligned with :meth:`energies` (non-expanded)."""
         return self._occurrences.copy()
 
-    def success_probability(self, ground_energy: float, tolerance: float = 1e-6) -> float:
-        """Fraction of reads that reached the ground-state energy."""
+    def success_probability(self, ground_energy: float) -> float:
+        """Fraction of reads that reached the ground-state energy (within 1e-6)."""
         if self.num_reads == 0:
             return 0.0
-        hits = int(self._occurrences[self._energies <= ground_energy + tolerance].sum())
+        hits = int(self._occurrences[self._energies <= ground_energy + 1e-6].sum())
         return hits / self.num_reads
 
     def expectation_energy(self) -> float:

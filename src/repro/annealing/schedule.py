@@ -202,19 +202,14 @@ def forward_anneal_schedule(
     )
 
 
-def reverse_anneal_schedule(
-    switch_s: float,
-    pause_duration_us: float = 1.0,
-    ramp_rate_us_per_s: float = 1.0,
-) -> AnnealSchedule:
+def reverse_anneal_schedule(switch_s: float, pause_duration_us: float = 1.0) -> AnnealSchedule:
     """Reverse annealing (paper RA).
 
     The schedule starts from a classical state at s = 1, anneals backwards to
     the switch point ``s_p``, pauses there for ``t_p`` microseconds, and then
     anneals forward to s = 1.  As in the paper the ramp durations are
-    proportional to the traversed s range (``1 - s_p`` microseconds each way
-    at the default unit ramp rate), so the total duration is
-    ``2 (1 - s_p) + t_p``.
+    proportional to the traversed s range (``1 - s_p`` microseconds each way),
+    so the total duration is ``2 (1 - s_p) + t_p``.
 
     Parameters
     ----------
@@ -222,17 +217,12 @@ def reverse_anneal_schedule(
         Switch and pause location s_p in (0, 1).
     pause_duration_us:
         Pause duration t_p.
-    ramp_rate_us_per_s:
-        Microseconds spent per unit of s traversed on each ramp (1.0
-        reproduces the paper's timing arithmetic).
     """
     if not 0.0 < switch_s < 1.0:
         raise ScheduleError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
     if pause_duration_us < 0:
         raise ScheduleError(f"pause_duration_us must be non-negative, got {pause_duration_us}")
-    if ramp_rate_us_per_s <= 0:
-        raise ScheduleError(f"ramp_rate_us_per_s must be positive, got {ramp_rate_us_per_s}")
-    ramp = (1.0 - switch_s) * ramp_rate_us_per_s
+    ramp = 1.0 - switch_s
     return AnnealSchedule.from_pairs(
         [
             [0.0, 1.0],
@@ -249,13 +239,13 @@ def forward_reverse_anneal_schedule(
     switch_s: float,
     pause_duration_us: float = 1.0,
     anneal_time_us: float = 1.0,
-    ramp_rate_us_per_s: float = 1.0,
 ) -> AnnealSchedule:
     """Single-step forward-reverse annealing (paper FR).
 
     The anneal runs forward from s = 0 up to the turning point ``c_p``,
     reverses down to ``s_p`` (without a measurement in between), pauses, and
-    finally anneals forward to s = 1.
+    finally anneals forward to s = 1.  The initial forward and the reverse
+    ramp take one microsecond per unit of s traversed.
 
     Parameters
     ----------
@@ -267,8 +257,6 @@ def forward_reverse_anneal_schedule(
         Pause duration t_p.
     anneal_time_us:
         Duration t_a of the final forward ramp in the paper's parameterisation.
-    ramp_rate_us_per_s:
-        Microseconds per unit s for the initial forward and the reverse ramp.
     """
     if not 0.0 < turning_s < 1.0:
         raise ScheduleError(f"turning_s must lie strictly inside (0, 1), got {turning_s}")
@@ -282,11 +270,9 @@ def forward_reverse_anneal_schedule(
         raise ScheduleError(f"pause_duration_us must be non-negative, got {pause_duration_us}")
     if anneal_time_us <= 0:
         raise ScheduleError(f"anneal_time_us must be positive, got {anneal_time_us}")
-    if ramp_rate_us_per_s <= 0:
-        raise ScheduleError(f"ramp_rate_us_per_s must be positive, got {ramp_rate_us_per_s}")
 
-    rise = turning_s * ramp_rate_us_per_s
-    fall = (turning_s - switch_s) * ramp_rate_us_per_s
+    rise = turning_s
+    fall = turning_s - switch_s
     pause_start = rise + fall
     pause_end = pause_start + pause_duration_us
     final_end = pause_end + anneal_time_us

@@ -52,8 +52,31 @@ from repro.utils.rng import BatchRandomState, ensure_rng
 __all__ = ["SpinVectorMonteCarloBackend"]
 
 
+#: Standard deviation (radians) of the Gaussian angle proposals.
+_PROPOSAL_WIDTH = 0.6
+#: Probability of proposing an entirely new uniform angle instead of a local
+#: Gaussian perturbation (helps escape frozen rotors).
+_UNIFORM_FRACTION = 0.05
+#: Transverse-field scale (relative to B(1)) below which the single-spin
+#: dynamics freeze out.  Physical annealers relax only while quantum
+#: fluctuations are appreciable; once A(s) drops well below the problem scale
+#: the state is essentially read-only.  Each spin update is attempted with
+#: probability ``min(1, A(s)/B(1)/_FREEZE_SCALE)`` (floored at
+#: ``_RESIDUAL_ACTIVITY``), which reproduces the hardware behaviour the
+#: paper's Figure 6 depends on: a reverse anneal from a *random* state cannot
+#: be rescued by the final ramp, so its samples stay poor.
+_FREEZE_SCALE = 0.15
+#: Floor on the attempt probability, modelling the weak residual thermal
+#: relaxation near s = 1.
+_RESIDUAL_ACTIVITY = 0.02
+
+
 class SpinVectorMonteCarloBackend(AnnealingBackend):
     """Schedule-aware spin-vector Monte Carlo.
+
+    Angle proposals are Gaussian with a small uniform re-draw mix, and spin
+    updates freeze out as the transverse field fades; the proposal width,
+    mix and freeze-out scales are module constants.
 
     Parameters
     ----------
@@ -61,59 +84,16 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         Number of full Metropolis sweeps executed per microsecond of schedule
         time; it controls how thoroughly the rotor system equilibrates at each
         point of the schedule.
-    proposal_width:
-        Standard deviation (radians) of the Gaussian angle proposals; a full
-        uniform re-draw is mixed in with probability ``uniform_fraction``.
-    uniform_fraction:
-        Probability of proposing an entirely new uniform angle instead of a
-        local Gaussian perturbation (helps escape frozen rotors).
-    freeze_scale:
-        Transverse-field scale (relative to B(1)) below which the single-spin
-        dynamics freeze out.  Physical annealers relax only while quantum
-        fluctuations are appreciable; once A(s) drops well below the problem
-        scale the state is essentially read-only.  Each spin update is
-        attempted with probability ``min(1, A(s)/B(1)/freeze_scale)`` (floored
-        at ``residual_activity``), which reproduces the hardware behaviour the
-        paper's Figure 6 depends on: a reverse anneal from a *random* state
-        cannot be rescued by the final ramp, so its samples stay poor.
-    residual_activity:
-        Floor on the attempt probability, modelling the weak residual thermal
-        relaxation near s = 1.
     """
 
     name = "spin-vector-monte-carlo"
 
-    def __init__(
-        self,
-        sweeps_per_microsecond: float = 48.0,
-        proposal_width: float = 0.6,
-        uniform_fraction: float = 0.05,
-        freeze_scale: float = 0.15,
-        residual_activity: float = 0.02,
-    ) -> None:
+    def __init__(self, sweeps_per_microsecond: float = 48.0) -> None:
         if sweeps_per_microsecond <= 0:
             raise ConfigurationError(
                 f"sweeps_per_microsecond must be positive, got {sweeps_per_microsecond}"
             )
-        if not 0 < proposal_width < np.inf:
-            raise ConfigurationError(
-                f"proposal_width must be positive and finite, got {proposal_width}"
-            )
-        if not 0.0 <= uniform_fraction <= 1.0:
-            raise ConfigurationError(
-                f"uniform_fraction must lie in [0, 1], got {uniform_fraction}"
-            )
-        if freeze_scale <= 0:
-            raise ConfigurationError(f"freeze_scale must be positive, got {freeze_scale}")
-        if not 0.0 <= residual_activity <= 1.0:
-            raise ConfigurationError(
-                f"residual_activity must lie in [0, 1], got {residual_activity}"
-            )
         self.sweeps_per_microsecond = float(sweeps_per_microsecond)
-        self.proposal_width = float(proposal_width)
-        self.uniform_fraction = float(uniform_fraction)
-        self.freeze_scale = float(freeze_scale)
-        self.residual_activity = float(residual_activity)
 
     # ------------------------------------------------------------------ #
 
@@ -161,7 +141,7 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         for problem, transverse in scales.tolist():
             # Freeze-out: spin updates only happen while quantum fluctuations
             # remain appreciable relative to the problem scale.
-            activity = max(min(1.0, transverse / self.freeze_scale), self.residual_activity)
+            activity = max(min(1.0, transverse / _FREEZE_SCALE), _RESIDUAL_ACTIVITY)
             settings.append((problem, transverse, temperature, activity))
         return settings
 
@@ -216,8 +196,8 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
             sizes,
             children,
             settings,
-            proposal_width=self.proposal_width,
-            uniform_fraction=self.uniform_fraction,
+            proposal_width=_PROPOSAL_WIDTH,
+            uniform_fraction=_UNIFORM_FRACTION,
         )
         return [
             self._project(cosines[index, : int(sizes[index])].T, children[index])

@@ -2,8 +2,8 @@
 
 Used to establish the exact ground-state energy E_g that every paper metric
 (ΔE%, success probability, TTS) is defined against.  For the instance sizes
-the paper studies this is feasible; the solver refuses to enumerate beyond a
-configurable variable-count guard.
+the paper studies this is feasible; the solver refuses to enumerate beyond
+28 variables, the guard of :func:`~repro.qubo.energy.brute_force_minimum`.
 """
 
 from __future__ import annotations
@@ -17,22 +17,13 @@ __all__ = ["ExhaustiveSolver"]
 
 
 class ExhaustiveSolver(QuboSolver):
-    """Enumerate every assignment and return the exact optimum.
-
-    Parameters
-    ----------
-    max_variables:
-        Guard against accidental exponential blow-ups (default 28).
-    """
+    """Enumerate every assignment and return the exact optimum."""
 
     name = "exhaustive"
 
-    def __init__(self, max_variables: int = 28) -> None:
-        self.max_variables = int(max_variables)
-
     def solve(self, qubo: QUBOModel, rng: RandomState = None) -> QuboSolution:
         """Return the exact ground state (first one in enumeration order)."""
-        result, measured_us = timed_call(brute_force_minimum, qubo, self.max_variables)
+        result, measured_us = timed_call(brute_force_minimum, qubo)
         return QuboSolution(
             assignment=result.assignment,
             energy=result.energy,

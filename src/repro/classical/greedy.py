@@ -11,8 +11,7 @@ GS is "a very simple deterministic QUBO solver featuring linear complexity":
    each assignment the marginal energies of the unset bits are re-evaluated
    against the bits already fixed, and the next bit fixed is again the one
    whose marginal has the largest magnitude, assigned the value that minimises
-   the partial QUBO energy.  (Static one-shot orderings are available as
-   ablation variants via the ``order`` parameter.)
+   the partial QUBO energy.
 
 The solution is usually not the global optimum but is a good, essentially free
 initial state for reverse annealing — which is exactly how the paper's hybrid
@@ -26,128 +25,57 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.classical.base import QuboSolution, QuboSolver, timed_call
-from repro.exceptions import ConfigurationError
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import BatchRandomState, RandomState
 
-__all__ = ["GreedySearchSolver", "greedy_search", "greedy_field_scores"]
+__all__ = ["GreedySearchSolver", "greedy_search"]
+
+#: Modelled GS compute time per variable (see :class:`GreedySearchSolver`).
+_MODELLED_TIME_PER_VARIABLE_US = 0.01
 
 
-def greedy_field_scores(qubo: QUBOModel) -> np.ndarray:
-    """The signed per-bit scores ``1/2 Q_ii + 1/4 (sum_k<i Q_ki + sum_k>i Q_ik)``.
-
-    These equal the Ising local fields of the model (up to the exact constant
-    conventions), which is why the paper describes the sort as being "by the
-    absolute magnitude of the matrix's diagonal elements in the Ising model".
-    """
-    matrix = qubo.coefficients
-    n = qubo.num_variables
-    scores = np.empty(n)
-    for i in range(n):
-        column_above = matrix[:i, i].sum()
-        row_right = matrix[i, i + 1 :].sum()
-        scores[i] = 0.5 * matrix[i, i] + 0.25 * (column_above + row_right)
-    return scores
-
-
-def greedy_search(qubo: QUBOModel, order: str = "adaptive") -> np.ndarray:
+def greedy_search(qubo: QUBOModel) -> np.ndarray:
     """Run the paper's greedy search and return the 0/1 assignment.
 
-    Parameters
-    ----------
-    qubo:
-        Model to minimise.
-    order:
-        * ``"adaptive"`` (default) — re-evaluate every unset bit's marginal
-          energy after each assignment and always fix the bit whose marginal
-          has the largest magnitude next.  This is the recursive reading of
-          the paper's description ("the procedure is iterated recursively on
-          the remaining variables") and is the variant that reproduces the
-          paper's observation that GS solutions typically score ΔE_IS% <= 10%.
-        * ``"ascending"`` / ``"descending"`` — fix the visiting order up front
-          by sorting the static field scores once (ablation variants).
+    Every unset bit's marginal energy is re-evaluated after each assignment,
+    and the bit whose marginal has the largest magnitude is fixed next.  This
+    is the recursive reading of the paper's description ("the procedure is
+    iterated recursively on the remaining variables") and reproduces the
+    paper's observation that GS solutions typically score ΔE_IS% <= 10%.
     """
-    if order not in ("adaptive", "ascending", "descending"):
-        raise ConfigurationError(
-            f"order must be 'adaptive', 'ascending' or 'descending', got {order!r}"
-        )
-
     n = qubo.num_variables
     assignment = np.zeros(n, dtype=np.int8)
     if n == 0:
         return assignment
 
     matrix = qubo.coefficients
-
-    if order == "adaptive":
-        # marginal[i] = energy change of setting q_i = 1 given the bits fixed
-        # to 1 so far (couplings to bits fixed to 0 contribute nothing).
-        marginal = np.diagonal(matrix).astype(float).copy()
-        assigned = np.zeros(n, dtype=bool)
-        for _ in range(n):
-            remaining = np.where(~assigned)[0]
-            index = int(remaining[np.argmax(np.abs(marginal[remaining]))])
-            value = 1 if marginal[index] < 0 else 0
-            assignment[index] = value
-            assigned[index] = True
-            if value == 1:
-                for other in np.where(~assigned)[0]:
-                    low, high = (index, other) if index < other else (other, index)
-                    marginal[other] += matrix[low, high]
-        return assignment
-
-    scores = greedy_field_scores(qubo)
-    visit_order = np.argsort(np.abs(scores), kind="stable")
-    if order == "descending":
-        visit_order = visit_order[::-1]
-
+    # marginal[i] = energy change of setting q_i = 1 given the bits fixed
+    # to 1 so far (couplings to bits fixed to 0 contribute nothing).
+    marginal = np.diagonal(matrix).astype(float).copy()
     assigned = np.zeros(n, dtype=bool)
-
-    first = int(visit_order[0])
-    assignment[first] = 0 if scores[first] > 0 else 1
-    assigned[first] = True
-
-    for position in range(1, n):
-        index = int(visit_order[position])
-        # Marginal energy of setting q_index = 1 given the already-set bits:
-        # its linear term plus couplings to set bits that are 1.
-        marginal = matrix[index, index]
-        set_ones = np.where(assigned & (assignment == 1))[0]
-        for other in set_ones:
-            low, high = (index, other) if index < other else (other, index)
-            marginal += matrix[low, high]
-        assignment[index] = 1 if marginal < 0 else 0
+    for _ in range(n):
+        remaining = np.where(~assigned)[0]
+        index = int(remaining[np.argmax(np.abs(marginal[remaining]))])
+        value = 1 if marginal[index] < 0 else 0
+        assignment[index] = value
         assigned[index] = True
-
+        if value == 1:
+            for other in np.where(~assigned)[0]:
+                low, high = (index, other) if index < other else (other, index)
+                marginal[other] += matrix[low, high]
     return assignment
 
 
 class GreedySearchSolver(QuboSolver):
     """The paper's Greedy Search packaged behind the :class:`QuboSolver` API.
 
-    Parameters
-    ----------
-    order:
-        Bit visiting order; see :func:`greedy_search`.
-    modelled_time_per_variable_us:
-        The pipeline simulator charges GS a deterministic, linear-in-N compute
-        time; the paper describes GS as requiring "nearly negligible
-        computation time", and 0.01 us per variable keeps it far below the
-        microsecond-scale anneal times while staying non-zero.
+    The pipeline simulator charges GS a deterministic, linear-in-N compute
+    time; the paper describes GS as requiring "nearly negligible computation
+    time", and 0.01 us per variable keeps it far below the microsecond-scale
+    anneal times while staying non-zero.
     """
 
     name = "greedy-search"
-
-    def __init__(
-        self, order: str = "adaptive", modelled_time_per_variable_us: float = 0.01
-    ) -> None:
-        if modelled_time_per_variable_us < 0:
-            raise ConfigurationError(
-                "modelled_time_per_variable_us must be non-negative, "
-                f"got {modelled_time_per_variable_us}"
-            )
-        self.order = order
-        self.modelled_time_per_variable_us = float(modelled_time_per_variable_us)
 
     def solve(self, qubo: QUBOModel, rng: RandomState = None) -> QuboSolution:
         """Run GS on one QUBO (a batch of one; GS draws nothing from ``rng``)."""
@@ -163,7 +91,7 @@ class GreedySearchSolver(QuboSolver):
         time stays per-instance and linear in N.
         """
         assignments, measured_us = timed_call(
-            lambda: [greedy_search(qubo, self.order) for qubo in qubos]
+            lambda: [greedy_search(qubo) for qubo in qubos]
         )
         per_instance_us = measured_us / max(len(qubos), 1)
         return [
@@ -171,9 +99,9 @@ class GreedySearchSolver(QuboSolver):
                 assignment=assignment,
                 energy=qubo.energy(assignment),
                 solver_name=self.name,
-                compute_time_us=self.modelled_time_per_variable_us * qubo.num_variables,
+                compute_time_us=_MODELLED_TIME_PER_VARIABLE_US * qubo.num_variables,
                 iterations=qubo.num_variables,
-                metadata={"measured_wall_time_us": per_instance_us, "order": self.order},
+                metadata={"measured_wall_time_us": per_instance_us, "order": "adaptive"},
             )
             for qubo, assignment in zip(qubos, assignments)
         ]

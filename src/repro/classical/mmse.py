@@ -39,16 +39,9 @@ class MMSEDetector(MIMODetector):
             raise SolverError(f"noise_variance must be non-negative, got {noise_variance}")
         self.noise_variance = noise_variance
 
-    def detect(self, instance: MIMOInstance, noise_variance: Optional[float] = None) -> np.ndarray:
-        """Return hard symbol decisions for every user.
-
-        ``noise_variance`` overrides the constructor value for this call.
-        """
-        variance = noise_variance if noise_variance is not None else self.noise_variance
-        if variance is None:
-            variance = 0.0
-        if variance < 0:
-            raise SolverError(f"noise_variance must be non-negative, got {variance}")
+    def detect(self, instance: MIMOInstance) -> np.ndarray:
+        """Return hard symbol decisions for every user."""
+        variance = self.noise_variance if self.noise_variance is not None else 0.0
 
         channel = instance.channel_matrix
         num_users = channel.shape[1]

@@ -18,7 +18,7 @@ how instances are grouped.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from repro.utils.rng import BatchRandomState, RandomState, ensure_rng, ensure_rn
 
 __all__ = ["SimulatedAnnealingSolver"]
 
+#: Modelled compute time charged per sweep for pipeline accounting.
+_TIME_PER_SWEEP_US = 0.1
+
 
 class SimulatedAnnealingSolver(QuboSolver):
     """Single-flip Metropolis simulated annealing.
@@ -39,49 +42,30 @@ class SimulatedAnnealingSolver(QuboSolver):
     ----------
     num_sweeps:
         Number of full sweeps (each sweep proposes one flip per variable).
-    initial_temperature / final_temperature:
-        End points of the geometric cooling schedule, in energy units.  If
-        ``initial_temperature`` is ``None`` it is auto-scaled to the model's
-        largest absolute coefficient so acceptance starts near 1.
-    initial_state:
-        Optional starting assignment (defaults to uniformly random), allowing
-        SA to be used as a refinement stage like RA.
-    time_per_sweep_us:
-        Modelled compute time charged per sweep for pipeline accounting.
+        Each sweep is charged 0.1 us of modelled compute time for pipeline
+        accounting.
+    final_temperature:
+        End point of the geometric cooling schedule, in energy units.  The
+        schedule starts at the model's largest absolute coefficient (at
+        least 1) so acceptance starts near 1.
+
+    Every anneal starts from a uniformly random assignment.
     """
 
     name = "simulated-annealing"
 
-    def __init__(
-        self,
-        num_sweeps: int = 200,
-        initial_temperature: Optional[float] = None,
-        final_temperature: float = 0.01,
-        initial_state: Optional[Sequence[int]] = None,
-        time_per_sweep_us: float = 0.1,
-    ) -> None:
+    def __init__(self, num_sweeps: int = 200, final_temperature: float = 0.01) -> None:
         if num_sweeps <= 0:
             raise ConfigurationError(f"num_sweeps must be positive, got {num_sweeps}")
         if final_temperature <= 0:
             raise ConfigurationError(
                 f"final_temperature must be positive, got {final_temperature}"
             )
-        if initial_temperature is not None and initial_temperature <= 0:
-            raise ConfigurationError(
-                f"initial_temperature must be positive, got {initial_temperature}"
-            )
         self.num_sweeps = int(num_sweeps)
-        self.initial_temperature = initial_temperature
         self.final_temperature = float(final_temperature)
-        self.initial_state = (
-            np.asarray(initial_state, dtype=np.int8).copy() if initial_state is not None else None
-        )
-        self.time_per_sweep_us = float(time_per_sweep_us)
 
     def _temperature_schedule(self, qubo: QUBOModel) -> np.ndarray:
-        start = self.initial_temperature
-        if start is None:
-            start = max(qubo.max_abs_coefficient(), 1.0)
+        start = max(qubo.max_abs_coefficient(), 1.0)
         if start < self.final_temperature:
             start = self.final_temperature
         return np.geomspace(start, self.final_temperature, self.num_sweeps)
@@ -101,15 +85,6 @@ class SimulatedAnnealingSolver(QuboSolver):
         instance with those children.
         """
         return self._anneal_batch(list(qubos), ensure_rng_batch(rng, len(qubos)))
-
-    def _initial_bits(self, qubo_size: int, child: np.random.Generator) -> np.ndarray:
-        if self.initial_state is not None:
-            if self.initial_state.size != qubo_size:
-                raise ConfigurationError(
-                    f"initial_state has {self.initial_state.size} bits, expected {qubo_size}"
-                )
-            return self.initial_state
-        return child.integers(0, 2, size=qubo_size, dtype=np.int8)
 
     def _anneal_batch(
         self, qubos: List[QUBOModel], children: List[np.random.Generator]
@@ -136,7 +111,7 @@ class SimulatedAnnealingSolver(QuboSolver):
             n = int(sizes[index])
             if n == 0:
                 continue
-            bits = self._initial_bits(n, children[index])
+            bits = children[index].integers(0, 2, size=n, dtype=np.int8)
             state[index, :n, 0] = bits.astype(float) * 2.0 - 1.0
             ising = qubo_to_ising(qubo)
             padded_fields[index, :n] = ising.fields
@@ -181,7 +156,7 @@ class SimulatedAnnealingSolver(QuboSolver):
                     # (the tracked Ising energies drop the constant offset).
                     energy=float(qubo.energy(bits)),
                     solver_name=self.name,
-                    compute_time_us=self.time_per_sweep_us * self.num_sweeps,
+                    compute_time_us=_TIME_PER_SWEEP_US * self.num_sweeps,
                     iterations=self.num_sweeps,
                     metadata={
                         "final_temperature": float(temperatures[index, -1]),

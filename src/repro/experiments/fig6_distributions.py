@@ -66,8 +66,8 @@ class Figure6Config:
         Pause / switch location used for all three methods.  The paper uses
         each method's "median best parameter setting"; this reproduction uses
         one shared location chosen from the hybrid's best band on 36-variable
-        problems under the simulator (0.57).  See EXPERIMENTS.md for the
-        sensitivity of the Figure 6 ordering to this choice.
+        problems under the simulator (0.57).  The Figure 6 ordering of the
+        methods can change with this choice.
     bin_edges:
         ΔE% histogram bins.
     """

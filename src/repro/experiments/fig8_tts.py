@@ -85,8 +85,7 @@ class Figure8Config:
         presents "one typical 8-user 16-QAM detection instance" and calls its
         results illustrative — the default seed selects a typical instance in
         which the greedy initial state is configurationally close to the
-        optimum; the instance-to-instance spread is documented in
-        EXPERIMENTS.md.
+        optimum; other seeds can give quite different sweeps.
     """
 
     num_users: int = 8
@@ -165,13 +164,16 @@ def _rows_from_records(
 
 
 def _candidate_with_quality(
-    bundle: InstanceBundle, target_percent: float, rng: np.random.Generator, attempts: int = 4000
+    bundle: InstanceBundle, target_percent: float, rng: np.random.Generator
 ) -> Optional[np.ndarray]:
-    """Find an initial state whose ΔE_IS% is close to ``target_percent``."""
+    """Find an initial state whose ΔE_IS% is close to ``target_percent``.
+
+    Draws at most 4000 random bit-flip perturbations of the ground state.
+    """
     qubo = bundle.encoding.qubo
     best_candidate: Optional[np.ndarray] = None
     best_gap = np.inf
-    for _ in range(attempts):
+    for _ in range(4000):
         candidate = bundle.ground_state.copy()
         num_flips = int(rng.integers(1, max(2, qubo.num_variables // 4)))
         flips = rng.choice(qubo.num_variables, size=num_flips, replace=False)

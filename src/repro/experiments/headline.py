@@ -44,8 +44,8 @@ class HeadlineConfig:
         default seed selects such a typical instance (one where the greedy
         initial state lies configurationally close to the optimum, which is
         the regime reverse annealing exploits).  Instance-to-instance
-        variability is large — EXPERIMENTS.md reports the spread over random
-        seeds alongside this default.
+        variability is large, so other seeds can give a quite different
+        speedup.
     switch_values:
         s_p grid searched for each method's best operating point.
     num_reads:

@@ -8,23 +8,21 @@ In the experiments, we exclude the wireless noise (AWGN)."
 Because the protocol is noiseless, the transmitted symbol vector is an exact
 zero-residual solution of the ML objective and therefore a ground state of the
 QuAMax QUBO.  :func:`synthesize_instance` exploits that to provide the exact
-ground-state energy for instances far too large to brute-force, and verifies
-it against exhaustive search for small instances when asked.
+ground-state energy for instances far too large to brute-force.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.qubo.energy import brute_force_minimum
 from repro.qubo.model import QUBOModel
 from repro.transform.mimo_to_qubo import MIMOQuboEncoding, mimo_to_qubo
 from repro.utils.rng import stable_seed
-from repro.wireless.channel import ChannelModel, UnitGainRandomPhaseChannel
+from repro.wireless.channel import UnitGainRandomPhaseChannel
 from repro.wireless.mimo import MIMOConfig, MIMOTransmission, simulate_transmission
 from repro.wireless.modulation import get_modulation
 
@@ -53,15 +51,12 @@ class InstanceBundle:
         encoding in the noiseless protocol).
     ground_energy:
         Its (negative) QUBO energy.
-    verified_exhaustively:
-        Whether the ground state was double-checked by brute force.
     """
 
     transmission: MIMOTransmission
     encoding: MIMOQuboEncoding
     ground_state: np.ndarray
     ground_energy: float
-    verified_exhaustively: bool = False
 
     @property
     def num_variables(self) -> int:
@@ -105,15 +100,10 @@ def paper_figure6_configurations(num_variables: int = 36) -> List[Tuple[int, str
     return configurations
 
 
-def synthesize_instance(
-    num_users: int,
-    modulation: str,
-    seed: int = 0,
-    channel_model: Optional[ChannelModel] = None,
-    verify_exhaustively: bool = False,
-    exhaustive_limit: int = 20,
-) -> InstanceBundle:
+def synthesize_instance(num_users: int, modulation: str, seed: int = 0) -> InstanceBundle:
     """Synthesize one noiseless MIMO detection instance with known ground truth.
+
+    The channel is the paper's unit-gain random-phase channel.
 
     Parameters
     ----------
@@ -122,38 +112,18 @@ def synthesize_instance(
     seed:
         Deterministic instance seed; the same seed always yields the same
         instance regardless of call order.
-    channel_model:
-        Defaults to the paper's unit-gain random-phase channel.
-    verify_exhaustively:
-        When true and the problem has at most ``exhaustive_limit`` variables,
-        the analytically known ground state is cross-checked by brute force.
     """
     config = MIMOConfig(num_users=num_users, modulation=modulation, snr_db=None)
-    model = channel_model if channel_model is not None else UnitGainRandomPhaseChannel()
     rng = np.random.default_rng(stable_seed("instance", num_users, modulation, seed))
-    transmission = simulate_transmission(config, model, rng)
+    transmission = simulate_transmission(config, UnitGainRandomPhaseChannel(), rng)
     encoding = mimo_to_qubo(transmission.instance)
 
     ground_state = encoding.symbols_to_bits(transmission.transmitted_symbols)
-    ground_energy = float(encoding.qubo.energy(ground_state))
-
-    verified = False
-    if verify_exhaustively and encoding.num_variables <= exhaustive_limit:
-        exact = brute_force_minimum(encoding.qubo, max_variables=exhaustive_limit)
-        if exact.energy < ground_energy - 1e-6:
-            # Extremely unlikely in the noiseless protocol (would require an
-            # exactly degenerate alternative symbol vector), but prefer the
-            # exhaustive answer if it ever happens.
-            ground_state = exact.assignment
-            ground_energy = float(exact.energy)
-        verified = True
-
     return InstanceBundle(
         transmission=transmission,
         encoding=encoding,
         ground_state=np.asarray(ground_state, dtype=np.int8),
-        ground_energy=ground_energy,
-        verified_exhaustively=verified,
+        ground_energy=float(encoding.qubo.energy(ground_state)),
     )
 
 
@@ -172,19 +142,11 @@ def synthesize_instances(
     num_users: int,
     modulation: str,
     base_seed: int = 0,
-    channel_model: Optional[ChannelModel] = None,
-    verify_exhaustively: bool = False,
 ) -> List[InstanceBundle]:
     """Synthesize ``count`` independent instances of one configuration."""
     if count <= 0:
         raise ConfigurationError(f"count must be positive, got {count}")
     return [
-        synthesize_instance(
-            num_users,
-            modulation,
-            seed=base_seed + index,
-            channel_model=channel_model,
-            verify_exhaustively=verify_exhaustively,
-        )
+        synthesize_instance(num_users, modulation, seed=base_seed + index)
         for index in range(count)
     ]

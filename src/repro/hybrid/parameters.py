@@ -70,11 +70,9 @@ class SwitchPointRecord:
     turning_s: Optional[float] = None
 
 
-def paper_switch_point_grid(step: float = 0.04) -> np.ndarray:
+def paper_switch_point_grid() -> np.ndarray:
     """The paper's s_p grid: 0.25 to 0.99 in steps of 0.04."""
-    if step <= 0:
-        raise ConfigurationError(f"step must be positive, got {step}")
-    return np.round(np.arange(0.25, 0.99 + 1e-9, step), 6)
+    return np.round(np.arange(0.25, 0.99 + 1e-9, 0.04), 6)
 
 
 def sweep_switch_point(
@@ -85,9 +83,6 @@ def sweep_switch_point(
     initial_state: Optional[Sequence[int]] = None,
     sampler: Optional[QuantumAnnealerSimulator] = None,
     num_reads: int = 500,
-    pause_duration_us: float = 1.0,
-    anneal_time_us: float = 1.0,
-    confidence_percent: float = 99.0,
     rng: RandomState = None,
 ) -> List[SwitchPointRecord]:
     """Sweep s_p for one annealing method and return one record per value.
@@ -106,9 +101,6 @@ def sweep_switch_point(
         initial_states=None if initial_state is None else [initial_state],
         sampler=sampler,
         num_reads=num_reads,
-        pause_duration_us=pause_duration_us,
-        anneal_time_us=anneal_time_us,
-        confidence_percent=confidence_percent,
         rng=[ensure_rng(rng)],
     )[0]
 

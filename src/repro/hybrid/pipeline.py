@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
-from repro.classical.base import QuboSolver
 from repro.exceptions import PipelineError
 from repro.hybrid.solver import HybridQuboSolver
 from repro.serving.events import FifoServer, StageTiming
@@ -97,13 +96,14 @@ class PipelineReport:
 class HybridPipelineSimulator:
     """Discrete-event simulation of the Figure-2 hybrid pipeline.
 
+    The classical stage runs Greedy Search; the quantum stage reverse-anneals
+    with a 1 us pause.
+
     Parameters
     ----------
-    classical_solver:
-        Initialiser run by the classical stage (defaults to Greedy Search).
     sampler:
         Annealer simulator used by the quantum stage.
-    switch_s, pause_duration_us, num_reads:
+    switch_s, num_reads:
         Reverse-annealing parameters of the quantum stage.
     include_qpu_overheads:
         When true the quantum stage's service time includes per-read readout
@@ -117,25 +117,17 @@ class HybridPipelineSimulator:
 
     def __init__(
         self,
-        classical_solver: Optional[QuboSolver] = None,
         sampler: Optional[QuantumAnnealerSimulator] = None,
         switch_s: float = 0.41,
-        pause_duration_us: float = 1.0,
         num_reads: int = 50,
         include_qpu_overheads: bool = False,
         evaluate_solutions: bool = True,
     ) -> None:
         if not 0.0 < switch_s < 1.0:
             raise PipelineError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
-        if pause_duration_us < 0:
-            raise PipelineError(
-                f"pause_duration_us must be non-negative, got {pause_duration_us}"
-            )
         if num_reads <= 0:
             raise PipelineError(f"num_reads must be positive, got {num_reads}")
-        self.solver = HybridQuboSolver(
-            classical_solver, sampler, switch_s, pause_duration_us, num_reads
-        )
+        self.solver = HybridQuboSolver(sampler=sampler, switch_s=switch_s, num_reads=num_reads)
         self.include_qpu_overheads = bool(include_qpu_overheads)
         self.evaluate_solutions = bool(evaluate_solutions)
 

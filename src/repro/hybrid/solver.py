@@ -9,17 +9,18 @@ The prototype the paper evaluates consists of two sequential modules:
 
 :class:`HybridQuboSolver` implements that composition for arbitrary QUBOs and
 arbitrary classical initialisers.  :class:`HybridMIMODetector` wraps it into an
-end-to-end Large MIMO detector: MIMO instance → QuAMax QUBO → classical
-initialisation → reverse annealing → decoded symbols and payload bits.  The
-classical stage can also be a *signal-domain* detector (zero-forcing, MMSE,
-sphere decoder) via :class:`DetectorInitializer`, which is the extension the
+end-to-end Large MIMO detector with Greedy Search as the initialiser: MIMO
+instance → QuAMax QUBO → greedy initialisation → reverse annealing → decoded
+symbols and payload bits.  :class:`DetectorInitializer` turns a
+*signal-domain* detector (zero-forcing, MMSE, sphere decoder) into a
+classical stage for :class:`HybridQuboSolver`, which is the extension the
 paper's Section 5 proposes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,9 +90,8 @@ class HybridQuboSolver:
         The annealer simulator; a default instance is created lazily.
     switch_s:
         Reverse-annealing switch/pause location s_p.  The default 0.41 sits in
-        the paper's successful interval (0.33-0.49).
-    pause_duration_us:
-        Pause duration t_p (1 us in the paper).
+        the paper's successful interval (0.33-0.49).  The pause lasts 1 us, as
+        in the paper.
     num_reads:
         Anneal reads per solve.
     """
@@ -101,15 +101,10 @@ class HybridQuboSolver:
         classical_solver: Optional[QuboSolver] = None,
         sampler: Optional[QuantumAnnealerSimulator] = None,
         switch_s: float = 0.41,
-        pause_duration_us: float = 1.0,
         num_reads: int = 100,
     ) -> None:
         if not 0.0 < switch_s < 1.0:
             raise ConfigurationError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
-        if pause_duration_us < 0:
-            raise ConfigurationError(
-                f"pause_duration_us must be non-negative, got {pause_duration_us}"
-            )
         if num_reads <= 0:
             raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
         self.classical_solver = (
@@ -117,9 +112,8 @@ class HybridQuboSolver:
         )
         self.sampler = sampler if sampler is not None else QuantumAnnealerSimulator()
         self.switch_s = float(switch_s)
-        self.pause_duration_us = float(pause_duration_us)
         self.num_reads = int(num_reads)
-        self.schedule = reverse_anneal_schedule(self.switch_s, self.pause_duration_us)
+        self.schedule = reverse_anneal_schedule(self.switch_s)
 
     def solve(self, qubo: QUBOModel, rng: RandomState = None) -> HybridSolverResult:
         """Run the two-stage hybrid solve on one QUBO (a batch of one)."""
@@ -226,49 +220,21 @@ class DetectorInitializer(QuboSolver):
 class HybridMIMODetector:
     """End-to-end Large MIMO detection through the hybrid solver.
 
+    The classical stage is the paper's Greedy Search.
+
     Parameters
     ----------
-    initializer:
-        ``"greedy"`` (default, the paper's GS), any :class:`QuboSolver`, or a
-        signal-domain :class:`MIMODetector` (wrapped automatically).
-    sampler, switch_s, pause_duration_us, num_reads:
+    sampler, switch_s, num_reads:
         Forwarded to :class:`HybridQuboSolver`.
     """
 
     def __init__(
         self,
-        initializer: Union[str, QuboSolver, MIMODetector] = "greedy",
         sampler: Optional[QuantumAnnealerSimulator] = None,
         switch_s: float = 0.41,
-        pause_duration_us: float = 1.0,
         num_reads: int = 100,
     ) -> None:
-        self.initializer = initializer
-        # Only the refinement stage of this solver runs: the classical stage
-        # is resolved per instance (signal-domain initialisers need it).
-        self._refiner = HybridQuboSolver(
-            sampler=sampler,
-            switch_s=switch_s,
-            pause_duration_us=pause_duration_us,
-            num_reads=num_reads,
-        )
-
-    def _resolve_initializer(self, encoding: MIMOQuboEncoding) -> QuboSolver:
-        if isinstance(self.initializer, str):
-            if self.initializer.lower() in ("greedy", "gs", "greedy-search"):
-                return GreedySearchSolver()
-            raise ConfigurationError(
-                f"unknown initializer name {self.initializer!r}; use 'greedy', a "
-                "QuboSolver, or a MIMODetector"
-            )
-        if isinstance(self.initializer, MIMODetector):
-            return DetectorInitializer(self.initializer, encoding)
-        if isinstance(self.initializer, QuboSolver):
-            return self.initializer
-        raise ConfigurationError(
-            f"initializer must be a name, QuboSolver or MIMODetector, got "
-            f"{type(self.initializer).__name__}"
-        )
+        self._solver = HybridQuboSolver(sampler=sampler, switch_s=switch_s, num_reads=num_reads)
 
     def detect(
         self, instance: MIMOInstance, rng: RandomState = None
@@ -294,21 +260,12 @@ class HybridMIMODetector:
     ) -> List[Tuple[MIMODetectionResult, HybridSolverResult]]:
         """Batched :meth:`detect_with_details`.
 
-        The classical initialisers run per instance (they may be
-        instance-specific, e.g. signal-domain detectors), but every reverse
-        anneal of the batch is submitted as one vectorised
+        Every reverse anneal of the batch is submitted as one vectorised
         ``sample_qubo_batch`` call.  Instance ``b`` draws only from child
         generator ``b``.
         """
         encodings = [mimo_to_qubo(instance) for instance in instances]
-        children = ensure_rng_batch(rng, len(instances))
-        initials = [
-            self._resolve_initializer(encoding).solve(encoding.qubo, child)
-            for encoding, child in zip(encodings, children)
-        ]
-        results = self._refiner._refine(
-            [encoding.qubo for encoding in encodings], initials, children
-        )
+        results = self._solver.solve_batch([encoding.qubo for encoding in encodings], rng)
         return [
             (encoding.detection_result(result.best_assignment, algorithm="hybrid-gs-ra"), result)
             for encoding, result in zip(encodings, results)

@@ -70,8 +70,6 @@ def delta_e_distribution(
     return np.array([delta_e_percent(energy, ground_energy) for energy in energies])
 
 
-def success_probability(
-    sampleset: SampleSet, ground_energy: float, tolerance: float = 1e-6
-) -> float:
+def success_probability(sampleset: SampleSet, ground_energy: float) -> float:
     """Fraction of reads that found the ground state (p* in the paper)."""
-    return sampleset.success_probability(ground_energy, tolerance)
+    return sampleset.success_probability(ground_energy)

@@ -129,15 +129,13 @@ def materialize_cell_jobs(
     base_seed: int = 0,
     max_jobs_per_cell: int = 500,
     turnaround_budget_us: Optional[float] = 500.0,
-    start_us: float = 0.0,
-    horizon_us: Optional[float] = None,
 ) -> List["ServingJob"]:
     """Materialise real :class:`ServingJob` streams for selected cells only.
 
     Each requested cell gets one *cell-level* traffic generator whose period
     is ``symbol_period_us / users_per_cell`` — the aggregate of its whole
     population (exact by Poisson superposition) — modulated by the
-    scenario's intensity for that cell over ``[start_us, horizon_us)``.
+    scenario's intensity for that cell over the scenario's whole duration.
     ``max_jobs_per_cell`` caps materialisation (the sampled head of the
     stream) so a detector zooming into a flash crowd never allocates the
     crowd.  Per-cell generators are seeded by
@@ -161,16 +159,6 @@ def materialize_cell_jobs(
         )
     if not mimo_configs:
         raise ConfigurationError("mimo_configs must not be empty")
-    end_us = scenario.duration_us if horizon_us is None else float(horizon_us)
-    if not 0.0 <= start_us < end_us:
-        raise ConfigurationError(
-            f"start_us {start_us} must lie in [0, horizon {end_us})"
-        )
-    if end_us > scenario.duration_us:
-        raise ConfigurationError(
-            f"horizon_us {end_us} exceeds the scenario duration {scenario.duration_us}"
-        )
-
     tagged: List[Tuple[float, int, int, object]] = []
     peak = scenario.peak_intensity()
     for cell_id in cells:
@@ -187,12 +175,11 @@ def materialize_cell_jobs(
         )
         child = ensure_rng(stable_seed("network-detail", base_seed, cell_id))
         stream = generator.stream_modulated(
-            horizon_us=end_us,
+            horizon_us=scenario.duration_us,
             intensity=lambda t_us, cell=cell_id: scenario.intensity(cell, t_us),
             peak_intensity=peak,
             rng=child,
             max_count=max_jobs_per_cell,
-            start_us=start_us,
         )
         for use in stream:
             tagged.append((use.arrival_time_us, cell_id, use.index, use))

@@ -285,16 +285,13 @@ def simulate_fluid_network(
     counts: np.ndarray,
     capacity: np.ndarray,
     config: EmbeddingConfig,
-    window_order: Optional[Sequence[np.ndarray]] = None,
 ) -> FluidNetworkReport:
     """Deterministic fluid queues scoring a capacity schedule against counts.
 
     ``counts`` is the ``(num_windows, num_cells)`` aggregate arrival matrix;
     ``capacity`` is either a static ``(num_cells,)`` vector or a per-window
     ``(num_windows, num_cells)`` schedule (e.g. an oracle plan or the stacked
-    outputs of a :class:`CapacityReembedder`).  ``window_order`` overrides the
-    capacity row used per window — rarely needed; provided so callers that
-    compute capacity on the fly can replay it.
+    outputs of a :class:`CapacityReembedder`).
 
     Each window, each cell enqueues its arrivals, serves up to its embedded
     capacity oldest-first, then drops (as missed) whatever has now waited
@@ -324,10 +321,6 @@ def simulate_fluid_network(
         )
     if np.any(plan < 0):
         raise ConfigurationError("capacity must be non-negative")
-    if window_order is not None and len(window_order) != num_windows:
-        raise ConfigurationError(
-            f"window_order has {len(window_order)} rows for {num_windows} windows"
-        )
 
     deadline = config.deadline_windows
     served = np.zeros(num_cells)
@@ -337,7 +330,7 @@ def simulate_fluid_network(
     queues: List[Deque[List[float]]] = [deque() for _ in range(num_cells)]
 
     for window in range(num_windows):
-        row = window_order[window] if window_order is not None else plan[window]
+        row = plan[window]
         for cell in range(num_cells):
             queue = queues[cell]
             arrivals = matrix[window, cell]

@@ -92,31 +92,22 @@ class ParallelRunner:
         workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
     ) -> None:
-        self.workers = self._validate_workers(workers)
+        if workers is not None:
+            workers = int(workers)
+            if workers < 0:
+                raise ConfigurationError(f"workers must be non-negative, got {workers}")
+        self.workers = workers
         self.cache = cache
         self.last_run = RunStats()
 
-    @staticmethod
-    def _validate_workers(workers: Optional[int]) -> Optional[int]:
-        if workers is None:
-            return None
-        workers = int(workers)
-        if workers < 0:
-            raise ConfigurationError(f"workers must be non-negative, got {workers}")
-        return workers
-
-    def run_sharded(
-        self,
-        tasks: Sequence[ShardTask],
-        workers: Optional[int] = None,
-    ) -> List[Any]:
+    def run_sharded(self, tasks: Sequence[ShardTask]) -> List[Any]:
         """Execute ``tasks`` and return their results in task order.
 
         The result list satisfies ``results[i] == tasks[i].fn(**tasks[i].kwargs)``
         bit for bit, whether shards ran serially, in a pool of any size, or
         came out of the cache.
         """
-        workers = self.workers if workers is None else self._validate_workers(workers)
+        workers = self.workers
         effective = 1 if workers in (None, 0) else workers
         stats = RunStats(tasks=len(tasks), workers=effective)
         self.last_run = stats

@@ -30,6 +30,10 @@ _MAX_EXHAUSTIVE_VARIABLES = 28
 #: Number of assignments evaluated per vectorised block.
 _BLOCK_BITS = 16
 
+#: Energies within this absolute tolerance of the minimum count as
+#: degenerate ground states.
+_TIE_TOLERANCE = 1e-9
+
 
 def enumerate_assignments(
     num_variables: int, block_bits: int = _BLOCK_BITS
@@ -62,8 +66,8 @@ class BruteForceResult:
     energy:
         The minimum energy, including the model offset.
     ground_state_count:
-        Number of assignments achieving the minimum (degeneracy), counted with
-        the same floating-point tolerance used to detect ties.
+        Number of assignments achieving the minimum (degeneracy), counted
+        with an absolute tolerance of 1e-9 in energy.
     evaluated:
         Total number of assignments evaluated (always ``2**num_variables``).
     """
@@ -75,9 +79,7 @@ class BruteForceResult:
 
 
 def brute_force_minimum(
-    qubo: QUBOModel,
-    max_variables: int = _MAX_EXHAUSTIVE_VARIABLES,
-    tie_tolerance: float = 1e-9,
+    qubo: QUBOModel, max_variables: int = _MAX_EXHAUSTIVE_VARIABLES
 ) -> BruteForceResult:
     """Exhaustively find the ground state of a QUBO.
 
@@ -88,9 +90,6 @@ def brute_force_minimum(
     max_variables:
         Guard against accidental exponential blow-ups; raise explicitly to go
         beyond the default of 28 variables.
-    tie_tolerance:
-        Energies within this absolute tolerance of the minimum count as
-        degenerate ground states.
     """
     n = qubo.num_variables
     if n > max_variables:
@@ -113,12 +112,12 @@ def brute_force_minimum(
         energies = qubo.energies(block)
         block_min_index = int(np.argmin(energies))
         block_min = float(energies[block_min_index])
-        if block_min < best_energy - tie_tolerance:
+        if block_min < best_energy - _TIE_TOLERANCE:
             best_energy = block_min
             best_assignment = block[block_min_index].copy()
-            ground_count = int(np.sum(np.isclose(energies, block_min, atol=tie_tolerance)))
-        elif abs(block_min - best_energy) <= tie_tolerance:
-            ground_count += int(np.sum(np.isclose(energies, best_energy, atol=tie_tolerance)))
+            ground_count = int(np.sum(np.isclose(energies, block_min, atol=_TIE_TOLERANCE)))
+        elif abs(block_min - best_energy) <= _TIE_TOLERANCE:
+            ground_count += int(np.sum(np.isclose(energies, best_energy, atol=_TIE_TOLERANCE)))
 
     assert best_assignment is not None
     return BruteForceResult(

@@ -20,10 +20,9 @@ __all__ = ["random_qubo"]
 def random_qubo(
     num_variables: int,
     density: float = 1.0,
-    coefficient_scale: float = 1.0,
     rng: RandomState = None,
 ) -> QUBOModel:
-    """Draw a random QUBO with Gaussian coefficients.
+    """Draw a random QUBO with standard Gaussian coefficients.
 
     Parameters
     ----------
@@ -32,22 +31,18 @@ def random_qubo(
     density:
         Probability that each off-diagonal coupling is present (1.0 gives a
         fully dense model, matching the density of MIMO-detection QUBOs).
-    coefficient_scale:
-        Standard deviation of the Gaussian coefficients.
     """
     if num_variables < 0:
         raise ConfigurationError(f"num_variables must be non-negative, got {num_variables}")
     if not 0.0 <= density <= 1.0:
         raise ConfigurationError(f"density must lie in [0, 1], got {density}")
-    if coefficient_scale <= 0:
-        raise ConfigurationError(f"coefficient_scale must be positive, got {coefficient_scale}")
 
     generator = ensure_rng(rng)
     matrix = np.zeros((num_variables, num_variables))
-    diagonal = generator.normal(0.0, coefficient_scale, size=num_variables)
+    diagonal = generator.normal(0.0, 1.0, size=num_variables)
     matrix[np.diag_indices(num_variables)] = diagonal
     for i in range(num_variables):
         for j in range(i + 1, num_variables):
             if generator.random() < density:
-                matrix[i, j] = generator.normal(0.0, coefficient_scale)
+                matrix[i, j] = generator.normal(0.0, 1.0)
     return QUBOModel(coefficients=matrix)

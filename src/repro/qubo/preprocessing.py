@@ -28,7 +28,7 @@ preprocessing literature the paper cites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -92,20 +92,14 @@ def find_fixable_variables(qubo: QUBOModel) -> Dict[int, int]:
     return fixable
 
 
-def simplify_qubo(qubo: QUBOModel, max_iterations: Optional[int] = None) -> PreprocessingReport:
+def simplify_qubo(qubo: QUBOModel) -> PreprocessingReport:
     """Iterate the prefixing rules to a fixpoint and return the report.
 
-    Parameters
-    ----------
-    qubo:
-        The model to simplify.
-    max_iterations:
-        Optional cap on the number of passes (defaults to the variable count,
-        which is always sufficient since each productive pass removes at least
-        one variable).
+    Passes are capped at the variable count (at least one), which is always
+    sufficient since each productive pass removes at least one variable.
     """
     original_n = qubo.num_variables
-    limit = max_iterations if max_iterations is not None else max(original_n, 1)
+    limit = max(original_n, 1)
 
     # Track the mapping from current (reduced) indices back to original ones.
     current = qubo

@@ -144,7 +144,6 @@ class ElasticBackendPool(BackendPool):
         max_annealer_workers: int = 4,
         initial_annealer_workers: int = 1,
         num_classical_workers: int = 1,
-        classical: Optional[ClassicalServingBackend] = None,
     ) -> None:
         if max_annealer_workers < 1:
             raise ConfigurationError(
@@ -162,10 +161,7 @@ class ElasticBackendPool(BackendPool):
         annealer_backend = annealer if annealer is not None else AnnealerServingBackend()
         backends: List[ServingBackend] = [annealer_backend] * max_annealer_workers
         if num_classical_workers:
-            classical_backend = (
-                classical if classical is not None else ClassicalServingBackend()
-            )
-            backends.extend([classical_backend] * num_classical_workers)
+            backends.extend([ClassicalServingBackend()] * num_classical_workers)
         super().__init__(backends)
         self.max_annealer_workers = int(max_annealer_workers)
         self.initial_annealer_workers = int(initial_annealer_workers)

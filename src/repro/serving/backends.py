@@ -38,7 +38,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
-from repro.classical.base import QuboSolver
 from repro.classical.simulated_annealing import SimulatedAnnealingSolver
 from repro.exceptions import ConfigurationError
 from repro.hybrid.solver import HybridQuboSolver
@@ -51,6 +50,11 @@ __all__ = [
     "AnnealerServingBackend",
     "ClassicalServingBackend",
 ]
+
+#: Programming/IO overhead an annealer worker pays once per submitted batch.
+_PROGRAMMING_OVERHEAD_US = 5.0
+#: Modelled classical initialisation cost per QUBO variable, charged per job.
+_INIT_TIME_PER_VARIABLE_US = 0.01
 
 
 @dataclass(frozen=True)
@@ -112,74 +116,47 @@ class AnnealerServingBackend(ServingBackend):
     sampler:
         Annealer simulator executing the reads (shared between workers is
         fine: all randomness flows through per-job child generators).
-    initializer:
-        Classical initialiser that seeds each reverse anneal (the paper's
-        Greedy Search by default).
-    switch_s / pause_duration_us / num_reads:
-        Reverse-annealing programme.
+    switch_s / num_reads:
+        Reverse-annealing programme; each anneal is seeded by the paper's
+        Greedy Search and pauses for 1 us.
     lanes:
         Multi-instance tiling capacity: how many same-shape instances the
         device processes side by side per shot sequence.  A batch of ``B``
         jobs costs ``ceil(B / lanes)`` shot sequences.
-    programming_overhead_us:
-        Per-submission programming/IO overhead, charged once per batch.
-    include_qpu_overheads:
-        When true, per-read readout and inter-sample delays from the device
-        model are added to the shot time (realistic access accounting).
-    init_time_per_variable_us:
-        Modelled classical initialisation cost per QUBO variable, charged per
-        job (kept decoupled from wall-clock measurements so the timing model
-        is deterministic).
+
+    A shot sequence costs pure anneal time (no per-read readout or delay).
+    Each batch is charged a programming/IO overhead of 5 us, and each job a
+    modelled initialisation cost of 0.01 us per QUBO variable (decoupled from
+    wall-clock measurements so the timing model is deterministic).
     """
 
     kind = "annealer"
+    name = "annealer"
 
     def __init__(
         self,
         sampler: Optional[QuantumAnnealerSimulator] = None,
-        initializer: Optional[QuboSolver] = None,
         switch_s: float = 0.41,
-        pause_duration_us: float = 1.0,
         num_reads: int = 50,
         lanes: int = 8,
-        programming_overhead_us: float = 5.0,
-        include_qpu_overheads: bool = False,
-        init_time_per_variable_us: float = 0.01,
-        name: str = "annealer",
     ) -> None:
-        self.solver = HybridQuboSolver(initializer, sampler, switch_s, pause_duration_us, num_reads)
+        self.solver = HybridQuboSolver(sampler=sampler, switch_s=switch_s, num_reads=num_reads)
         if lanes <= 0:
             raise ConfigurationError(f"lanes must be positive, got {lanes}")
-        if programming_overhead_us < 0:
-            raise ConfigurationError(
-                f"programming_overhead_us must be non-negative, got {programming_overhead_us}"
-            )
-        if init_time_per_variable_us < 0:
-            raise ConfigurationError(
-                f"init_time_per_variable_us must be non-negative, got {init_time_per_variable_us}"
-            )
         self.lanes = int(lanes)
-        self.programming_overhead_us = float(programming_overhead_us)
-        self.include_qpu_overheads = bool(include_qpu_overheads)
-        self.init_time_per_variable_us = float(init_time_per_variable_us)
-        self.name = name
 
     @property
     def shot_time_us(self) -> float:
         """Wall-clock of one full read sequence (all ``num_reads`` anneals)."""
-        per_read = self.solver.schedule.duration_us
-        if self.include_qpu_overheads:
-            device = self.solver.sampler.device
-            per_read += device.readout_time_us + device.inter_sample_delay_us
-        return per_read * self.solver.num_reads
+        return self.solver.schedule.duration_us * self.solver.num_reads
 
     def service_time_us(self, jobs: Sequence[ServingJob]) -> float:
         """Batch service time: programming + init + tiled shot sequences."""
         if not jobs:
             return 0.0
-        init_us = self.init_time_per_variable_us * sum(job.num_variables for job in jobs)
+        init_us = _INIT_TIME_PER_VARIABLE_US * sum(job.num_variables for job in jobs)
         sequences = math.ceil(len(jobs) / self.lanes)
-        return self.programming_overhead_us + init_us + sequences * self.shot_time_us
+        return _PROGRAMMING_OVERHEAD_US + init_us + sequences * self.shot_time_us
 
     def solve(
         self, jobs: Sequence[ServingJob], children: Sequence[np.random.Generator]
@@ -197,25 +174,21 @@ class ClassicalServingBackend(ServingBackend):
     """A classical-fallback worker running a software QUBO solver.
 
     Deadline-pressured jobs are demoted here by admission control: the solver
-    is fast and predictable but offers no quantum refinement.  Service time
-    is sequential and linear in submitted problem volume.
+    (60-sweep simulated annealing) is fast and predictable but offers no
+    quantum refinement.  Service time is sequential and linear in submitted
+    problem volume.
     """
 
     kind = "classical"
+    name = "classical"
 
-    def __init__(
-        self,
-        solver: Optional[QuboSolver] = None,
-        time_per_variable_us: float = 0.2,
-        name: str = "classical",
-    ) -> None:
+    def __init__(self, time_per_variable_us: float = 0.2) -> None:
         if time_per_variable_us <= 0:
             raise ConfigurationError(
                 f"time_per_variable_us must be positive, got {time_per_variable_us}"
             )
-        self.solver = solver if solver is not None else SimulatedAnnealingSolver(num_sweeps=60)
+        self.solver = SimulatedAnnealingSolver(num_sweeps=60)
         self.time_per_variable_us = float(time_per_variable_us)
-        self.name = name
 
     def service_time_us(self, jobs: Sequence[ServingJob]) -> float:
         """Sequential software solve: cost accumulates across the batch."""

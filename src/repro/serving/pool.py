@@ -10,7 +10,7 @@ index order, which keeps simulation runs deterministic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.serving.backends import (
@@ -118,26 +118,9 @@ class BackendPool:
             worker.reset()
 
 
-def build_pool(
-    num_annealer_workers: int = 2,
-    num_classical_workers: int = 1,
-    annealer: Optional[AnnealerServingBackend] = None,
-    classical: Optional[ClassicalServingBackend] = None,
-) -> BackendPool:
-    """Convenience constructor for the common K-annealers + L-fallbacks pool.
+def build_pool() -> BackendPool:
+    """The default pool: two annealer workers and one classical fallback.
 
-    All annealer workers share one backend object (identical devices) and all
-    classical workers share another; pass explicit backends to customise.
+    Both annealer workers share one backend object (identical devices).
     """
-    if num_annealer_workers < 0 or num_classical_workers < 0:
-        raise ConfigurationError("worker counts must be non-negative")
-    if num_annealer_workers + num_classical_workers == 0:
-        raise ConfigurationError("the pool needs at least one worker")
-    backends: List[ServingBackend] = []
-    if num_annealer_workers:
-        annealer_backend = annealer if annealer is not None else AnnealerServingBackend()
-        backends.extend([annealer_backend] * num_annealer_workers)
-    if num_classical_workers:
-        classical_backend = classical if classical is not None else ClassicalServingBackend()
-        backends.extend([classical_backend] * num_classical_workers)
-    return BackendPool(backends)
+    return BackendPool([AnnealerServingBackend()] * 2 + [ClassicalServingBackend()])

@@ -69,9 +69,9 @@ class TelemetrySession:
 
     __slots__ = ("registry", "tracer", "_run_counter")
 
-    def __init__(self, max_records: int = 200_000) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(max_records=max_records)
+        self.tracer = Tracer()
         self._run_counter = 0
 
     def next_run_index(self) -> int:
@@ -94,7 +94,7 @@ def active() -> Optional[TelemetrySession]:
     return _session
 
 
-def enable(max_records: int = 200_000) -> TelemetrySession:
+def enable() -> TelemetrySession:
     """Turn telemetry on process-wide; returns the (possibly existing) session.
 
     Idempotent: enabling while already enabled keeps the current session and
@@ -102,7 +102,7 @@ def enable(max_records: int = 200_000) -> TelemetrySession:
     """
     global _session
     if _session is None:
-        _session = TelemetrySession(max_records=max_records)
+        _session = TelemetrySession()
     return _session
 
 
@@ -125,7 +125,7 @@ def emit_progress(experiment: str, point: object, **attrs: object) -> None:
 
 
 @contextmanager
-def session(max_records: int = 200_000) -> Iterator[TelemetrySession]:
+def session() -> Iterator[TelemetrySession]:
     """Scoped enablement: telemetry is on inside the ``with``, restored after.
 
     If a session is already active it is reused (and left active on exit),
@@ -133,7 +133,7 @@ def session(max_records: int = 200_000) -> Iterator[TelemetrySession]:
     """
     global _session
     created = _session is None
-    tel = enable(max_records=max_records)
+    tel = enable()
     try:
         yield tel
     finally:

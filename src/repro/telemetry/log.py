@@ -21,7 +21,7 @@ applications keep full control until :func:`configure_logging` is called.
 from __future__ import annotations
 
 import logging
-from typing import Any, IO, Optional
+from typing import Any
 
 __all__ = ["configure_logging", "get_logger", "StructuredLogger", "ROOT_LOGGER_NAME"]
 
@@ -95,8 +95,8 @@ def get_logger(name: str) -> StructuredLogger:
     return StructuredLogger(logging.getLogger(name))
 
 
-def configure_logging(verbosity: int = 0, stream: Optional[IO[str]] = None) -> None:
-    """Install (or reconfigure) the library's log handler.
+def configure_logging(verbosity: int = 0) -> None:
+    """Install (or reconfigure) the library's log handler, writing to stderr.
 
     Idempotent: repeated calls replace the handler installed by earlier
     calls rather than stacking duplicates.  Only the ``repro`` root logger
@@ -107,7 +107,7 @@ def configure_logging(verbosity: int = 0, stream: Optional[IO[str]] = None) -> N
     for handler in list(root.handlers):
         if getattr(handler, "_repro_telemetry_handler", False):
             root.removeHandler(handler)
-    handler = logging.StreamHandler(stream)
+    handler = logging.StreamHandler()
     handler._repro_telemetry_handler = True
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     root.addHandler(handler)

@@ -17,7 +17,7 @@ counter and a gauge would corrupt the exported snapshot.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -165,12 +165,13 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: str) -> Gauge:
         return self._get("gauge", name, labels, Gauge)
 
-    def histogram(
-        self, name: str, edges: Optional[Sequence[float]] = None, **labels: str
-    ) -> Histogram:
-        edges = DEFAULT_LATENCY_BUCKETS_US if edges is None else edges
+    def histogram(self, name: str, **labels: str) -> Histogram:
+        """The histogram ``name`` with ``labels``, on the default latency buckets."""
         return self._get(
-            "histogram", name, labels, lambda n, items: Histogram(n, items, edges)
+            "histogram",
+            name,
+            labels,
+            lambda n, items: Histogram(n, items, DEFAULT_LATENCY_BUCKETS_US),
         )
 
     def metrics(self) -> Iterator[object]:

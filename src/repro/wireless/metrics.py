@@ -35,13 +35,11 @@ def bit_error_rate(transmitted_bits: Sequence[int], detected_bits: Sequence[int]
 
 
 def symbol_error_rate(
-    transmitted_symbols: Sequence[complex],
-    detected_symbols: Sequence[complex],
-    tolerance: float = 1e-9,
+    transmitted_symbols: Sequence[complex], detected_symbols: Sequence[complex]
 ) -> float:
     """Fraction of constellation symbols detected incorrectly.
 
-    Symbols are compared with a small tolerance because detected points are
+    Symbols are compared with a 1e-9 tolerance because detected points are
     reconstructed through floating-point arithmetic.
     """
     transmitted = _as_flat_array(transmitted_symbols, complex)
@@ -52,4 +50,4 @@ def symbol_error_rate(
         )
     if transmitted.size == 0:
         return 0.0
-    return float(np.mean(np.abs(transmitted - detected) > tolerance))
+    return float(np.mean(np.abs(transmitted - detected) > 1e-9))

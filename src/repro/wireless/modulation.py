@@ -93,20 +93,18 @@ class Modulation:
         Canonical scheme name (``"BPSK"``, ``"QPSK"``, ``"16-QAM"``, ``"64-QAM"``).
     bits_per_symbol:
         Number of bits carried by one complex constellation symbol.
-    normalized:
-        If true, the constellation is scaled to unit average symbol energy
-        (the paper's "unit gain signal"); otherwise the raw odd-integer grid
-        is used.
+
+    The odd-integer constellation grid is scaled to unit average symbol
+    energy (the paper's "unit gain signal").
     """
 
     name: str
     bits_per_symbol: int
-    normalized: bool = True
     _points: np.ndarray = field(repr=False, compare=False, default=None)
     _labels: Dict[Tuple[int, ...], int] = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        points, labels = _build_constellation(self.name, self.bits_per_symbol, self.normalized)
+        points, labels = _build_constellation(self.name, self.bits_per_symbol)
         object.__setattr__(self, "_points", points)
         object.__setattr__(self, "_labels", labels)
 
@@ -137,12 +135,10 @@ class Modulation:
 
         Computed once per instance: the transform reads it for every QUBO.
         """
-        if not self.normalized:
-            return 1.0
         return float(1.0 / np.sqrt(self._average_grid_energy()))
 
     def _average_grid_energy(self) -> float:
-        raw, _ = _build_constellation(self.name, self.bits_per_symbol, normalized=False)
+        raw = _grid_points(self.name, self.bits_per_symbol)
         return float(np.mean(np.abs(raw) ** 2))
 
     # ------------------------------------------------------------------ #
@@ -178,10 +174,8 @@ class Modulation:
         return self.name
 
 
-def _build_constellation(
-    name: str, bits_per_symbol: int, normalized: bool
-) -> Tuple[np.ndarray, Dict[Tuple[int, ...], int]]:
-    """Construct constellation points indexed by bit-label integer."""
+def _grid_points(name: str, bits_per_symbol: int) -> np.ndarray:
+    """The raw odd-integer constellation grid, indexed by bit-label integer."""
     order = 1 << bits_per_symbol
     points = np.empty(order, dtype=complex)
 
@@ -195,21 +189,27 @@ def _build_constellation(
             in_phase_label = label >> bits_per_dim
             quadrature_label = label & ((1 << bits_per_dim) - 1)
             points[label] = levels[in_phase_label] + 1j * levels[quadrature_label]
+    return points
 
-    if normalized:
-        energy = float(np.mean(np.abs(points) ** 2))
-        points = points / np.sqrt(energy)
 
-    labels = {int_to_bits(index, bits_per_symbol): index for index in range(order)}
+def _build_constellation(
+    name: str, bits_per_symbol: int
+) -> Tuple[np.ndarray, Dict[Tuple[int, ...], int]]:
+    """Unit-energy constellation points and the bit-label -> index map."""
+    points = _grid_points(name, bits_per_symbol)
+    energy = float(np.mean(np.abs(points) ** 2))
+    points = points / np.sqrt(energy)
+
+    labels = {int_to_bits(index, bits_per_symbol): index for index in range(1 << bits_per_symbol)}
     return points, labels
 
 
 @lru_cache(maxsize=None)
-def _cached_modulation(name: str, normalized: bool) -> Modulation:
-    return Modulation(name=name, bits_per_symbol=_BITS_PER_SYMBOL[name], normalized=normalized)
+def _cached_modulation(name: str) -> Modulation:
+    return Modulation(name=name, bits_per_symbol=_BITS_PER_SYMBOL[name])
 
 
-def get_modulation(name: str, normalized: bool = True) -> Modulation:
+def get_modulation(name: str) -> Modulation:
     """Return the shared :class:`Modulation` instance for a scheme name.
 
     Accepts case-insensitive aliases such as ``"16qam"`` and ``"16-QAM"``.
@@ -219,4 +219,4 @@ def get_modulation(name: str, normalized: bool = True) -> Modulation:
         raise ModulationError(
             f"unknown modulation {name!r}; available: {sorted(set(_CANONICAL_NAMES.values()))}"
         )
-    return _cached_modulation(_CANONICAL_NAMES[key], normalized)
+    return _cached_modulation(_CANONICAL_NAMES[key])

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBackend
-from repro.experiments.instances import synthesize_instance
 from repro.qubo import QUBOModel, random_qubo
 from repro.transform import mimo_to_qubo
 from repro.wireless import MIMOConfig, simulate_transmission
@@ -80,12 +79,6 @@ def mimo_encoding_16qam(rng):
     config = MIMOConfig(num_users=3, modulation="16-QAM")
     transmission = simulate_transmission(config, rng=rng)
     return transmission, mimo_to_qubo(transmission.instance)
-
-
-@pytest.fixture
-def instance_bundle_small():
-    """A small synthesized instance with exhaustively verified ground truth."""
-    return synthesize_instance(2, "16-QAM", seed=7, verify_exhaustively=True)
 
 
 @pytest.fixture

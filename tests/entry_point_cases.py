@@ -25,11 +25,12 @@ from repro.classical.simulated_annealing import SimulatedAnnealingSolver
 from repro.classical.zero_forcing import ZeroForcingDetector
 from repro.hybrid.parameters import sweep_switch_point
 from repro.hybrid.pipeline import HybridPipelineSimulator
-from repro.hybrid.solver import HybridMIMODetector, HybridQuboSolver
+from repro.hybrid.solver import DetectorInitializer, HybridMIMODetector, HybridQuboSolver
 from repro.qubo.generators import random_qubo
 from repro.qubo.ising import bits_to_spins, qubo_to_ising
 from repro.serving.backends import AnnealerServingBackend
 from repro.serving.workload import generate_serving_jobs, uniform_cell_profiles
+from repro.transform.mimo_to_qubo import mimo_to_qubo
 from repro.utils.rng import spawn_rngs
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
 from repro.wireless.traffic import TrafficGenerator
@@ -146,11 +147,19 @@ def _hybrid_cases() -> list:
         rows.append({"case": f"hybrid_solve/{name}", "result": _hybrid(solver.solve(qubo, rng=21))})
 
     transmission = simulate_transmission(MIMOConfig(3, "16-QAM"), rng=np.random.default_rng(22))
-    for name, initializer in (("greedy", "greedy"), ("zero_forcing", ZeroForcingDetector())):
-        detector = HybridMIMODetector(
-            initializer=initializer, sampler=_svmc_sampler(seed=9), switch_s=0.3, num_reads=10
-        )
-        detection, hybrid = detector.detect_with_details(transmission.instance, rng=23)
+    detector = HybridMIMODetector(sampler=_svmc_sampler(seed=9), switch_s=0.3, num_reads=10)
+    detections = [("greedy", *detector.detect_with_details(transmission.instance, rng=23))]
+    # A signal-domain initialiser seeds HybridQuboSolver through DetectorInitializer.
+    encoding = mimo_to_qubo(transmission.instance)
+    hybrid = HybridQuboSolver(
+        classical_solver=DetectorInitializer(ZeroForcingDetector(), encoding),
+        sampler=_svmc_sampler(seed=9),
+        switch_s=0.3,
+        num_reads=10,
+    ).solve(encoding.qubo, rng=23)
+    detection = encoding.detection_result(hybrid.best_assignment, algorithm="hybrid-gs-ra")
+    detections.append(("zero_forcing", detection, hybrid))
+    for name, detection, hybrid in detections:
         rows.append(
             {
                 "case": f"detect_with_details/{name}",

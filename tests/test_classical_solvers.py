@@ -18,7 +18,7 @@ class TestExhaustiveSolver:
 
     def test_guard(self):
         with pytest.raises(ConfigurationError):
-            ExhaustiveSolver(max_variables=5).solve(QUBOModel.empty(6))
+            ExhaustiveSolver().solve(QUBOModel.empty(29))
 
     def test_metadata(self, small_qubo):
         solution = ExhaustiveSolver().solve(small_qubo)
@@ -44,38 +44,22 @@ class TestSimulatedAnnealing:
         second = solver.solve(random_qubo_8, rng=7)
         assert np.array_equal(first.assignment, second.assignment)
 
-    def test_initial_state_refinement(self, planted_qubo_10):
-        qubo, planted = planted_qubo_10
-        start = planted.copy()
-        start[0] = 1 - start[0]
-        solver = SimulatedAnnealingSolver(
-            num_sweeps=50, initial_temperature=0.5, initial_state=start
-        )
-        solution = solver.solve(qubo, rng=2)
-        assert solution.energy <= qubo.energy(start) + 1e-9
-
     def test_empty_model(self):
         solution = SimulatedAnnealingSolver().solve(QUBOModel.empty(0))
         assert solution.num_variables == 0
 
     def test_compute_time_model(self):
-        solver = SimulatedAnnealingSolver(num_sweeps=100, time_per_sweep_us=0.2)
+        solver = SimulatedAnnealingSolver(num_sweeps=100)
         solution = solver.solve(QUBOModel.empty(3), rng=1)
-        assert solution.compute_time_us == pytest.approx(20.0)
+        assert solution.compute_time_us == pytest.approx(10.0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"num_sweeps": 0},
             {"final_temperature": 0.0},
-            {"initial_temperature": -1.0},
         ],
     )
     def test_invalid_configuration(self, kwargs):
         with pytest.raises(ConfigurationError):
             SimulatedAnnealingSolver(**kwargs)
-
-    def test_wrong_initial_state_length(self, random_qubo_8):
-        solver = SimulatedAnnealingSolver(initial_state=[0, 1])
-        with pytest.raises(ConfigurationError):
-            solver.solve(random_qubo_8, rng=1)

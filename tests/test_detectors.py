@@ -58,13 +58,6 @@ class TestMMSE:
         mmse = MMSEDetector().detect(transmission.instance)
         assert np.allclose(zf, mmse)
 
-    def test_noise_variance_override(self):
-        transmission = _noiseless_transmission(users=2, modulation="QPSK")
-        detected = MMSEDetector(noise_variance=0.5).detect(
-            transmission.instance, noise_variance=0.0
-        )
-        assert np.allclose(detected, transmission.transmitted_symbols)
-
     def test_negative_variance_rejected(self):
         with pytest.raises(SolverError):
             MMSEDetector(noise_variance=-0.1)

@@ -31,10 +31,6 @@ class TestRandomQubo:
         with pytest.raises(ConfigurationError):
             random_qubo(4, density=1.2)
 
-    def test_invalid_scale(self):
-        with pytest.raises(ConfigurationError):
-            random_qubo(4, coefficient_scale=0.0)
-
 
 class TestRandomIsing:
     def test_size(self, rng):

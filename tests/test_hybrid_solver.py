@@ -39,9 +39,7 @@ class TestHybridQuboSolver:
 
     def test_quantum_time_accounting(self, planted, fast_sampler):
         qubo, _ = planted
-        solver = HybridQuboSolver(
-            sampler=fast_sampler, switch_s=0.5, pause_duration_us=1.0, num_reads=10
-        )
+        solver = HybridQuboSolver(sampler=fast_sampler, switch_s=0.5, num_reads=10)
         result = solver.solve(qubo, rng=4)
         expected_duration = 2 * (1 - 0.5) + 1.0
         assert result.quantum_time_us == pytest.approx(10 * expected_duration)
@@ -66,7 +64,7 @@ class TestHybridQuboSolver:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"switch_s": 0.0}, {"switch_s": 1.0}, {"pause_duration_us": -1.0}, {"num_reads": 0}],
+        [{"switch_s": 0.0}, {"switch_s": 1.0}, {"num_reads": 0}],
     )
     def test_invalid_configuration(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -86,6 +84,17 @@ class TestDetectorInitializer:
         _, encoding = mimo_encoding_16qam
         with pytest.raises(ConfigurationError):
             DetectorInitializer(ZeroForcingDetector(), encoding, modelled_time_us=-1.0)
+
+    def test_seeds_the_hybrid_solver(self, mimo_encoding_16qam, fast_sampler):
+        _, encoding = mimo_encoding_16qam
+        solver = HybridQuboSolver(
+            classical_solver=DetectorInitializer(ZeroForcingDetector(), encoding),
+            sampler=fast_sampler,
+            num_reads=20,
+        )
+        result = solver.solve(encoding.qubo, rng=8)
+        assert "zero-forcing" in result.metadata["classical_solver"]
+        assert set(np.unique(result.best_assignment)).issubset({0, 1})
 
 
 class TestHybridMIMODetector:
@@ -112,35 +121,12 @@ class TestHybridMIMODetector:
         assert result.symbols.size == transmission.instance.num_users
         assert result.bits.size == transmission.instance.qubo_variable_count
 
-    def test_signal_domain_initializer(self, mimo_encoding_16qam, fast_sampler):
-        transmission, _ = mimo_encoding_16qam
-        detector = HybridMIMODetector(
-            initializer=ZeroForcingDetector(), sampler=fast_sampler, num_reads=20
-        )
-        result, details = detector.detect_with_details(transmission.instance, rng=8)
-        assert "zero-forcing" in details.metadata["classical_solver"]
-        # ZF is exact on noiseless square unit-gain channels most of the time;
-        # at minimum the detection payload must be well-formed.
-        assert set(np.unique(result.bits)).issubset({0, 1})
-
     @pytest.mark.parametrize(
         "kwargs",
-        [{"switch_s": 0.0}, {"switch_s": 1.5}, {"pause_duration_us": -1.0}, {"num_reads": 0}],
+        [{"switch_s": 0.0}, {"switch_s": 1.5}, {"num_reads": 0}],
     )
     def test_invalid_configuration_rejected_at_construction(self, kwargs):
-        # detect and detect_batch share the refiner built here, so both
+        # detect and detect_batch share the solver built here, so both
         # entry points reject a bad programme the same way: up front.
         with pytest.raises(ConfigurationError):
             HybridMIMODetector(**kwargs)
-
-    def test_unknown_initializer_name(self, mimo_encoding_16qam, fast_sampler):
-        transmission, _ = mimo_encoding_16qam
-        detector = HybridMIMODetector(initializer="magic", sampler=fast_sampler)
-        with pytest.raises(ConfigurationError):
-            detector.detect(transmission.instance, rng=9)
-
-    def test_invalid_initializer_type(self, mimo_encoding_16qam, fast_sampler):
-        transmission, _ = mimo_encoding_16qam
-        detector = HybridMIMODetector(initializer=42, sampler=fast_sampler)
-        with pytest.raises(ConfigurationError):
-            detector.detect(transmission.instance, rng=10)

@@ -42,8 +42,7 @@ class TestSynthesizeInstance:
         )
 
     def test_exhaustive_verification_agrees(self):
-        bundle = synthesize_instance(2, "16-QAM", seed=3, verify_exhaustively=True)
-        assert bundle.verified_exhaustively
+        bundle = synthesize_instance(2, "16-QAM", seed=3)
         exact = brute_force_minimum(bundle.encoding.qubo)
         assert exact.energy == pytest.approx(bundle.ground_energy)
 

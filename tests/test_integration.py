@@ -30,13 +30,13 @@ def sampler():
 
 @pytest.fixture(scope="module")
 def bundle():
-    return synthesize_instance(3, "16-QAM", seed=12, verify_exhaustively=False)
+    return synthesize_instance(3, "16-QAM", seed=12)
 
 
 class TestDetectionChain:
     def test_transform_solvers_and_metrics_agree(self, bundle):
         qubo = bundle.encoding.qubo
-        exhaustive = ExhaustiveSolver(max_variables=12).solve(qubo)
+        exhaustive = ExhaustiveSolver().solve(qubo)
         assert exhaustive.energy == pytest.approx(bundle.ground_energy)
 
         greedy = GreedySearchSolver().solve(qubo)
@@ -86,10 +86,10 @@ class TestDetectionChain:
     def test_preprocessing_then_solving_reaches_same_optimum(self):
         # Small instance where preprocessing may fix variables; the combined
         # pipeline must still recover the exact ML solution.
-        bundle = synthesize_instance(2, "QPSK", seed=3, verify_exhaustively=True)
+        bundle = synthesize_instance(2, "QPSK", seed=3)
         report = simplify_qubo(bundle.encoding.qubo)
         if report.reduced_qubo.num_variables:
-            reduced_best = ExhaustiveSolver(max_variables=10).solve(report.reduced_qubo)
+            reduced_best = ExhaustiveSolver().solve(report.reduced_qubo)
             lifted = lift_assignment(report, reduced_best.assignment)
         else:
             lifted = lift_assignment(report, np.zeros(0, dtype=int))

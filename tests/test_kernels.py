@@ -753,7 +753,7 @@ class TestDrawDiscipline:
         # kernel; the spec must agree there as well.
         ising = _toy_ising(6, size=6)
         functions = AnnealingFunctions()
-        schedule = reverse_anneal_schedule(0.6, 1.0, 1.0)
+        schedule = reverse_anneal_schedule(0.6, 1.0)
         initial = np.array([1, -1, 1, 1, -1, -1], dtype=np.int8)
         backend = SpinVectorMonteCarloBackend()
 

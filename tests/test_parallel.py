@@ -191,8 +191,6 @@ class TestParallelRunner:
     def test_negative_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             ParallelRunner(workers=-1)
-        with pytest.raises(ConfigurationError):
-            ParallelRunner().run_sharded([], workers=-2)
 
     @pytest.mark.parametrize("workers", [None, 0, 1])
     def test_serial_modes_run_in_process(self, workers):

@@ -28,10 +28,6 @@ class TestPaperGrid:
         assert grid[-1] == pytest.approx(0.97)
         assert np.allclose(np.diff(grid), 0.04)
 
-    def test_invalid_step(self):
-        with pytest.raises(ConfigurationError):
-            paper_switch_point_grid(step=0.0)
-
 
 class TestSweepSwitchPoint:
     def test_fa_sweep_records(self, problem, fast_sampler):

@@ -106,7 +106,7 @@ class TestPipelineSimulator:
             simulator.run([], rng=1)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"switch_s": 0.0}, {"num_reads": 0}, {"pause_duration_us": -1.0}]
+        "kwargs", [{"switch_s": 0.0}, {"num_reads": 0}]
     )
     def test_invalid_configuration(self, kwargs):
         with pytest.raises(PipelineError):

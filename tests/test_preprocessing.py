@@ -86,8 +86,3 @@ class TestSimplifyQubo:
         bundle = synthesize_instance(12, "16-QAM", seed=0)  # 48 variables
         report = simplify_qubo(bundle.encoding.qubo)
         assert report.num_fixed == 0
-
-    def test_max_iterations_respected(self, rng):
-        qubo = random_qubo(10, rng=rng)
-        report = simplify_qubo(qubo, max_iterations=1)
-        assert report.iterations == 1

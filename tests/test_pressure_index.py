@@ -170,7 +170,6 @@ _annealers = st.builds(
     AnnealerServingBackend,
     num_reads=st.sampled_from([5, 10, 30]),
     lanes=st.sampled_from([1, 2, 4]),
-    init_time_per_variable_us=st.sampled_from([0.0, 0.5]),
 )
 _classical = st.builds(ClassicalServingBackend, time_per_variable_us=st.sampled_from([0.2, 2.0]))
 
@@ -194,7 +193,6 @@ def simulator_kwargs(draw) -> dict:
         max_annealer_workers=draw(st.integers(min_value=1, max_value=3)),
         initial_annealer_workers=1,
         num_classical_workers=len(classical),
-        classical=classical[0] if classical else None,
     )
     config = AutoscaleConfig(
         interval_us=draw(st.sampled_from([15.0, 40.0])),

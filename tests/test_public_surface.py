@@ -53,3 +53,55 @@ def test_planted_uncalled_function_is_named(tmp_path):
         "public name with no caller outside tests: repro.mod:uncalled",
         "public name with no caller outside tests: repro.mod:Model.unused",
     ]
+
+
+def test_planted_uncalled_parameters_are_named(tmp_path):
+    package = tmp_path / "src" / "repro"
+    (package / "qubo").mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "def tune(x, by_position=3, by_keyword=2, dead=1):\n    return x\n\n\n"
+        "def spread(x, via_kwargs=0):\n    return x\n\n\n"
+        "def outer(x, level=0):\n    return middle(x, level=level)\n\n\n"
+        "def middle(x, level=0):\n    return inner(x, level)\n\n\n"
+        "def inner(x, level=0):\n    return x\n\n\n"
+        "def relay(x, gain=1.0):\n    return sink(x, gain=gain)\n\n\n"
+        "def sink(x, gain=1.0):\n    return x\n\n\n"
+        "class Engine:\n"
+        "    def __init__(self, size, width=4):\n        self.size = size\n"
+    )
+    # Allowlisted: tests reach the multi-block path through block_bits.
+    (package / "qubo" / "energy.py").write_text(
+        "def enumerate_assignments(num_variables, block_bits=16):\n"
+        "    return num_variables\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "run.py").write_text(
+        "from repro.mod import Engine, outer, relay, spread, tune\n"
+        "from repro.qubo.energy import enumerate_assignments\n\n"
+        "options = {'via_kwargs': 1}\n"
+        "tune(1, 7, by_keyword=4)\n"
+        "spread(1, **options)\n"
+        "outer(1)\n"
+        "relay(1, gain=2.0)\n"
+        "Engine(3)\n"
+        "enumerate_assignments(4)\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.mod import Engine, outer, tune\n\n"
+        "tune(1, dead=0)\nouter(1, level=2)\nEngine(3, width=8)\n"
+    )
+
+    result = _check(str(tmp_path))
+    assert result.returncode == 1
+    # Only tests turn ``dead``, ``width`` and the ``level`` chain; forwarding
+    # a dead parameter (middle, inner) passes nothing, while ``relay``'s
+    # live ``gain`` makes ``sink``'s live too.
+    prefix = "defaulted parameter with no caller outside tests: "
+    assert result.stdout.splitlines() == [
+        prefix + "repro.mod:tune(dead)",
+        prefix + "repro.mod:outer(level)",
+        prefix + "repro.mod:middle(level)",
+        prefix + "repro.mod:inner(level)",
+        prefix + "repro.mod:Engine(width)",
+    ]

@@ -316,20 +316,14 @@ class TestPolicies:
 
 class TestBackends:
     def test_annealer_lane_tiling(self, rng):
-        backend = AnnealerServingBackend(
-            num_reads=10, lanes=4, programming_overhead_us=2.0, init_time_per_variable_us=0.0
-        )
-        jobs = [_manual_job(i, 0.0, 900.0, rng) for i in range(5)]
+        backend = AnnealerServingBackend(num_reads=10, lanes=4)
+        jobs = [_manual_job(i, 0.0, 900.0, rng) for i in range(5)]  # 4 vars each
         one_sequence = backend.service_time_us(jobs[:4])
         two_sequences = backend.service_time_us(jobs)
-        assert one_sequence == pytest.approx(2.0 + backend.shot_time_us)
-        assert two_sequences == pytest.approx(2.0 + 2 * backend.shot_time_us)
+        # 5 us programming per batch plus 0.01 us of initialisation per variable.
+        assert one_sequence == pytest.approx(5.0 + 0.16 + backend.shot_time_us)
+        assert two_sequences == pytest.approx(5.0 + 0.2 + 2 * backend.shot_time_us)
         assert backend.service_time_us([]) == 0.0
-
-    def test_qpu_overheads_increase_shot_time(self):
-        lean = AnnealerServingBackend(num_reads=10, include_qpu_overheads=False)
-        loaded = AnnealerServingBackend(num_reads=10, include_qpu_overheads=True)
-        assert loaded.shot_time_us > lean.shot_time_us
 
     def test_classical_service_linear_in_volume(self, rng):
         backend = ClassicalServingBackend(time_per_variable_us=0.5)
@@ -353,8 +347,6 @@ class TestBackends:
             {"switch_s": 0.0},
             {"num_reads": 0},
             {"lanes": 0},
-            {"programming_overhead_us": -1.0},
-            {"init_time_per_variable_us": -0.1},
         ],
     )
     def test_invalid_annealer_config(self, kwargs):
@@ -368,7 +360,7 @@ class TestBackends:
 
 class TestPool:
     def test_build_pool_layout(self):
-        pool = build_pool(num_annealer_workers=2, num_classical_workers=1)
+        pool = build_pool()
         assert len(pool.annealer_workers) == 2
         assert len(pool.classical_workers) == 1
         assert len({worker.name for worker in pool.workers}) == 3
@@ -376,8 +368,6 @@ class TestPool:
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigurationError):
             BackendPool([])
-        with pytest.raises(ConfigurationError):
-            build_pool(num_annealer_workers=0, num_classical_workers=0)
 
 
 # ---------------------------------------------------------------------- #
@@ -462,15 +452,13 @@ class TestServingSimulator:
         assert edf_urgent.start_us == pytest.approx(0.0)
 
     def test_admission_control_demotes_pressured_jobs(self, rng):
-        # One slow annealer: the second job would finish at 1000 us against a
+        # One slow annealer: the second job would finish at 882 us against a
         # 600 us deadline, so admission control routes it to the classical
         # fallback; without admission control it waits and misses.
         jobs = [_manual_job(0, 0.0, 600.0, rng), _manual_job(1, 0.0, 600.0, rng)]
-        annealer = AnnealerServingBackend(
-            num_reads=100, lanes=1, programming_overhead_us=0.0,
-            init_time_per_variable_us=0.0, pause_duration_us=3.82,
-        )
-        assert annealer.service_time_us(jobs[:1]) == pytest.approx(500.0)
+        annealer = AnnealerServingBackend(num_reads=200, lanes=1)
+        # 5 us programming + 4 x 0.01 us init + 200 reads x 2.18 us.
+        assert annealer.service_time_us(jobs[:1]) == pytest.approx(441.04)
 
         def run(admission_control):
             return RANServingSimulator(
@@ -503,7 +491,7 @@ class TestServingSimulator:
 
     def test_same_seed_reproduces_report(self):
         jobs = _mixed_workload(process="poisson")
-        simulator = RANServingSimulator(pool=build_pool(2, 1), policy="edf")
+        simulator = RANServingSimulator(pool=build_pool(), policy="edf")
         first = simulator.run(jobs)
         second = simulator.run(jobs)
         assert [o.finish_us for o in first.outcomes] == [o.finish_us for o in second.outcomes]
@@ -536,7 +524,7 @@ class TestServingSimulator:
 
     def test_report_sanity(self):
         jobs = _mixed_workload(jobs_per_user=6, symbol_period_us=20.0, budget=5_000.0)
-        report = RANServingSimulator(pool=build_pool(2, 1), policy="edf").run(jobs)
+        report = RANServingSimulator(pool=build_pool(), policy="edf").run(jobs)
         assert report.p50_latency_us <= report.p95_latency_us <= report.p99_latency_us
         assert report.mean_batch_size >= 1.0
         assert report.max_batch_size >= 1

@@ -90,7 +90,7 @@ class TestRegistry:
     def test_histogram_value_on_edge_lands_in_that_bucket(self):
         # Prometheus `le` semantics: le means less-than-OR-EQUAL, so an
         # observation exactly on an edge belongs to that edge's bucket.
-        histogram = telemetry.MetricsRegistry().histogram("h", edges=(10.0, 20.0))
+        histogram = telemetry.Histogram("h", (), (10.0, 20.0))
         histogram.observe(10.0)   # == first edge -> bucket 0
         histogram.observe(10.5)   # bucket 1
         histogram.observe(20.0)   # == second edge -> bucket 1
@@ -101,11 +101,10 @@ class TestRegistry:
         assert histogram.sum == pytest.approx(139.5)
 
     def test_histogram_rejects_bad_edges(self):
-        registry = telemetry.MetricsRegistry()
         with pytest.raises(ConfigurationError):
-            registry.histogram("empty", edges=())
+            telemetry.Histogram("empty", (), ())
         with pytest.raises(ConfigurationError):
-            registry.histogram("unsorted", edges=(2.0, 1.0))
+            telemetry.Histogram("unsorted", (), (2.0, 1.0))
 
     def test_default_edges_are_the_latency_ladder(self):
         histogram = telemetry.MetricsRegistry().histogram("latency_us")
@@ -114,11 +113,13 @@ class TestRegistry:
     def test_snapshot_shape(self):
         registry = telemetry.MetricsRegistry()
         registry.counter("jobs", policy="edf").inc(4)
-        registry.histogram("lat", edges=(1.0,)).observe(0.5)
+        registry.histogram("lat").observe(0.5)
         view = registry.snapshot()
         assert view["jobs"]["kind"] == "counter"
         assert view["jobs"]["samples"]["policy=edf"] == 4.0
-        assert view["lat"]["samples"][""]["buckets"] == {"1.0": 1, "+Inf": 1}
+        buckets = view["lat"]["samples"][""]["buckets"]
+        assert list(buckets) == [str(e) for e in telemetry.DEFAULT_LATENCY_BUCKETS_US] + ["+Inf"]
+        assert set(buckets.values()) == {1}
 
 
 # ---------------------------------------------------------------------- #
@@ -300,8 +301,8 @@ class TestPrometheus:
         registry = telemetry.MetricsRegistry()
         registry.counter("repro_jobs_total", policy="edf").inc(7)
         registry.gauge("repro_queue_depth").set(3.5)
-        histogram = registry.histogram("repro_latency_us", edges=(10.0, 100.0))
-        for value in (5.0, 10.0, 50.0, 1000.0):
+        histogram = registry.histogram("repro_latency_us")
+        for value in (5.0, 100.0, 500.0, 1e6):
             histogram.observe(value)
 
         text = exporters.prometheus_text(registry)
@@ -312,10 +313,10 @@ class TestPrometheus:
         assert parsed["repro_jobs_total"][(("policy", "edf"),)] == 7.0
         assert parsed["repro_queue_depth"][()] == 3.5
         buckets = parsed["repro_latency_us_bucket"]
-        assert buckets[(("le", "10"),)] == 2.0       # le is cumulative, 10.0 included
-        assert buckets[(("le", "100"),)] == 3.0
+        assert buckets[(("le", "100"),)] == 2.0       # le is cumulative, 100.0 included
+        assert buckets[(("le", "500"),)] == 3.0
         assert buckets[(("le", "+Inf"),)] == 4.0
-        assert parsed["repro_latency_us_sum"][()] == pytest.approx(1065.0)
+        assert parsed["repro_latency_us_sum"][()] == pytest.approx(1_000_605.0)
         assert parsed["repro_latency_us_count"][()] == 4.0
 
     def test_label_values_with_commas_and_quotes(self):
