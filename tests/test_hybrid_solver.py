@@ -64,7 +64,7 @@ class TestHybridQuboSolver:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"switch_s": 0.0}, {"switch_s": 1.0}, {"num_reads": 0}],
+        [{"switch_s": 0.0}, {"switch_s": 1.0}, {"switch_s": float("nan")}, {"num_reads": 0}],
     )
     def test_invalid_configuration(self, kwargs):
         with pytest.raises(ConfigurationError):
