@@ -20,13 +20,16 @@ only while that parameter is itself live, which is settled by iterating to
 a fixpoint; so a chain of defaults that only tests turn is dead end to end.
 
 A name or parameter that has to stay without a caller goes in
-``ALLOWLIST`` or ``PARAMETER_ALLOWLIST`` with the reason in a comment.  Run
-from the repository root (CI does)::
+``ALLOWLIST`` or ``PARAMETER_ALLOWLIST`` with the reason in a comment.  An
+entry of either that names nothing in the tree, or names something the
+check would pass anyway, fails the check too, so a typo or a left-over
+entry cannot sit there unnoticed.  Run from the repository root (CI does)::
 
     python scripts/check_public_surface.py [ROOT]
 
 ``ROOT`` defaults to the repository this script lives in.  The check exits
-1 and names every unreferenced definition and uncalled parameter.
+1 and names every unreferenced definition, uncalled parameter and stale
+allowlist entry.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ ALLOWLIST: frozenset = frozenset(
     {
         # perfbench/layertrace.py traces it by name (a string, not a reference).
         "repro.annealing.sampler:QuantumAnnealerSimulator.sample_ising",
-        # perfbench/layertrace.py traces it by name in the class's own vars().
-        "repro.annealing.svmc:SpinVectorMonteCarloBackend.run",
         # Per-shard registry snapshots are how pool workers will return
         # telemetry under --workers (ROADMAP, observability).
         "repro.telemetry.registry:MetricsRegistry.snapshot",
@@ -165,18 +166,18 @@ def references(root: pathlib.Path) -> dict:
     return places
 
 
-def unreferenced(root: pathlib.Path) -> list:
-    """``module:name`` of every public definition with no caller outside itself."""
+def unreferenced(root: pathlib.Path) -> tuple:
+    """``(defined, missing)``: every public definition's ``module:name``, and
+    those with no caller outside themselves, ``ALLOWLIST`` not applied."""
     places = references(root)
-    missing = []
+    defined, missing = [], []
     for path, qualified, name, first, last in public_definitions(root):
         module = ".".join(path.relative_to(root / PACKAGE.parent).with_suffix("").parts)
         key = f"{module}:{qualified}"
-        if key in ALLOWLIST:
-            continue
+        defined.append(key)
         if not any(p != path or not first <= line <= last for p, line in places.get(name, ())):
             missing.append(key)
-    return missing
+    return defined, missing
 
 
 def _defaulted(function: ast.AST, is_method: bool) -> list:
@@ -249,8 +250,9 @@ def _passes(call: ast.Call, name: str, position) -> tuple:
     return False, None
 
 
-def uncalled_parameters(root: pathlib.Path) -> list:
-    """``module:qual(param)`` of every defaulted parameter no non-test call passes."""
+def uncalled_parameters(root: pathlib.Path) -> tuple:
+    """``(defined, uncalled)``: every defaulted parameter's ``module:qual(param)``,
+    and those no non-test call passes, ``PARAMETER_ALLOWLIST`` not applied."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for directory in CALLER_ROOTS
@@ -301,17 +303,40 @@ def uncalled_parameters(root: pathlib.Path) -> list:
             if key not in live and sources & live:
                 live.add(key)
                 changed = True
-    return [key for key in every if key not in live and key not in PARAMETER_ALLOWLIST]
+    return every, [key for key in every if key not in live]
+
+
+def stale_entries(allowlist: frozenset, defined: list, flagged: list) -> list:
+    """``(reason, entry)`` of every allowlist entry that exempts nothing.
+
+    An entry is stale when it names no definition in the tree (a typo, or
+    the name is gone) or names one the check would pass anyway.
+    """
+    defined, flagged = set(defined), set(flagged)
+    stale = []
+    for entry in sorted(allowlist):
+        if entry not in defined:
+            stale.append(("names nothing", entry))
+        elif entry not in flagged:
+            stale.append(("already live", entry))
+    return stale
 
 
 def main(argv: list) -> int:
     root = pathlib.Path(argv[0]).resolve() if argv else REPO_ROOT
-    missing = unreferenced(root)
-    uncalled = uncalled_parameters(root)
+    names, unreferenced_names = unreferenced(root)
+    parameters, uncalled_found = uncalled_parameters(root)
+    missing = [key for key in unreferenced_names if key not in ALLOWLIST]
+    uncalled = [key for key in uncalled_found if key not in PARAMETER_ALLOWLIST]
+    stale = stale_entries(ALLOWLIST, names, unreferenced_names) + stale_entries(
+        PARAMETER_ALLOWLIST, parameters, uncalled_found
+    )
     for key in missing:
         print(f"public name with no caller outside tests: {key}")
     for key in uncalled:
         print(f"defaulted parameter with no caller outside tests: {key}")
+    for reason, entry in stale:
+        print(f"stale allowlist entry ({reason}): {entry}")
     if missing:
         print(
             f"{len(missing)} unreferenced public name(s): delete them, move a test-only "
@@ -324,7 +349,13 @@ def main(argv: list) -> int:
             "the default into the code",
             file=sys.stderr,
         )
-    if missing or uncalled:
+    if stale:
+        print(
+            f"{len(stale)} stale allowlist entr{'y' if len(stale) == 1 else 'ies'}: "
+            "correct or remove them",
+            file=sys.stderr,
+        )
+    if missing or uncalled or stale:
         return 1
     print("public surface check passed")
     return 0

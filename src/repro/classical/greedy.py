@@ -2,16 +2,21 @@
 
 GS is "a very simple deterministic QUBO solver featuring linear complexity":
 
-1. Every bit is scored by the magnitude of its mean-field coefficient
-   ``|1/2 Q_ii + 1/4 sum_{k<i} Q_ki + 1/4 sum_{k>i} Q_ik|`` — equivalently the
-   magnitude of the Ising local field h_i of the model.
-2. The first bit fixed is the one with the largest-magnitude score; it is
-   assigned 0 if the signed score is positive and 1 otherwise.
-3. "The procedure is iterated recursively on the remaining variables": after
-   each assignment the marginal energies of the unset bits are re-evaluated
-   against the bits already fixed, and the next bit fixed is again the one
-   whose marginal has the largest magnitude, assigned the value that minimises
-   the partial QUBO energy.
+1. Every bit starts with its marginal energy: the QUBO energy change of
+   setting it to 1 while every other bit is 0, i.e. its diagonal coefficient
+   ``Q_ii``.
+2. The first bit fixed is the one with the largest ``|Q_ii|`` (the lowest
+   index on a tie); it is assigned 1 if its marginal is negative and 0
+   otherwise.
+3. "The procedure is iterated recursively on the remaining variables": a bit
+   fixed to 1 adds its coupling ``Q_ij`` (upper-triangular entry) to the
+   marginal of every unset bit ``j``, a bit fixed to 0 changes nothing, and
+   the next bit fixed is again the unset one whose marginal has the largest
+   magnitude, assigned by the same sign rule.
+
+The scores are these QUBO marginals, not the Ising local fields
+``1/2 Q_ii + 1/4 (sum_{k<i} Q_ki + sum_{k>i} Q_ik)``: the first pick ignores
+the couplings.
 
 The solution is usually not the global optimum but is a good, essentially free
 initial state for reverse annealing — which is exactly how the paper's hybrid

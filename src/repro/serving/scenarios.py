@@ -385,8 +385,8 @@ class NetworkScenario:
     def _phase_bounds(self) -> Tuple[Tuple[LoadPhase, float, float, bool], ...]:
         """``(phase, start, limit, final)`` per phase, in timeline order.
 
-        :meth:`phase_at` picks the first phase with ``t_us < limit``, or the
-        final phase object.  Starts accumulate the durations in phase order
+        :meth:`intensity` evaluates the first phase with ``t_us < limit``, or
+        the final phase.  Starts accumulate the durations in phase order
         and ``limit`` is ``start + duration - _EPS``, so the lookup is
         bitwise what re-summing the timeline on every call gave.
         """
@@ -398,27 +398,22 @@ class NetworkScenario:
             start += phase.duration_us
         return tuple(bounds)
 
-    def phase_at(self, t_us: float) -> Tuple[LoadPhase, float]:
-        """The phase containing absolute time ``t_us`` and the local offset."""
-        if t_us < 0 or t_us >= self.duration_us:
-            raise ConfigurationError(
-                f"t_us {t_us} outside the scenario horizon [0, {self.duration_us})"
-            )
-        for phase, start, limit, final in self._phase_bounds:
-            if t_us < limit or final:
-                return phase, t_us - start
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def intensity(self, cell_id: int, t_us: float) -> float:
-        """Intensity multiplier for ``cell_id`` at absolute time ``t_us``."""
+        """Intensity multiplier for ``cell_id`` at absolute time ``t_us``.
+
+        The containing phase is evaluated at the phase-local offset.
+        Thinning calls this once per candidate arrival.
+        """
         if not 0 <= cell_id < self.num_cells:
             raise ConfigurationError(
                 f"cell_id {cell_id} outside the {self.num_cells}-cell grid"
             )
         if t_us < 0 or t_us >= self.duration_us:
             return 0.0
-        phase, local = self.phase_at(t_us)
-        return phase.intensity(cell_id, self.num_cells, local)
+        for phase, start, limit, final in self._phase_bounds:
+            if t_us < limit or final:
+                return phase.intensity(cell_id, self.num_cells, t_us - start)
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def peak_intensity(self) -> float:
         """Upper bound on the multiplier over all cells and times."""

@@ -775,7 +775,11 @@ def _solve_served(
 
 
 def _outcomes(dispatch: _Dispatch, solutions: Dict[int, JobSolution]) -> Iterator[JobOutcome]:
-    """The per-job outcomes of one served batch (solutions when evaluated)."""
+    """The per-job outcomes of one served batch (solutions when evaluated).
+
+    Built positionally, in :class:`JobOutcome` field order: keyword
+    arguments cost more, and this runs once per served job.
+    """
     worker, batch, start_us, finish_us, demoted = dispatch
     name, kind, size = worker.name, worker.kind, len(batch)
     for job in batch:
@@ -783,21 +787,21 @@ def _outcomes(dispatch: _Dispatch, solutions: Dict[int, JobSolution]) -> Iterato
         met = None if deadline is None else bool(finish_us <= deadline + 1e-9)
         solution = solutions.get(job.job_id)
         yield JobOutcome(
-            job_id=job.job_id,
-            user_id=job.user_id,
-            cell_id=job.cell_id,
-            arrival_us=job.arrival_us,
-            start_us=start_us,
-            finish_us=finish_us,
-            deadline_us=deadline,
-            met_deadline=met,
-            backend=name,
-            backend_kind=kind,
-            demoted=demoted,
-            batch_size=size,
-            best_energy=None if solution is None else solution.best_energy,
-            detected_optimum=None if solution is None else solution.detected_optimum,
-            service_class=_service_class_of(job).name,
+            job.job_id,
+            job.user_id,
+            job.cell_id,
+            job.arrival_us,
+            start_us,
+            finish_us,
+            deadline,
+            met,
+            name,
+            kind,
+            demoted,
+            size,
+            None if solution is None else solution.best_energy,
+            None if solution is None else solution.detected_optimum,
+            _service_class_of(job).name,
         )
 
 

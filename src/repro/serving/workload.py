@@ -135,10 +135,30 @@ class ServingJob:
     The scheduling keys (:attr:`num_variables`, :attr:`shape_key`,
     :attr:`compat_key`) come from the channel use's link config, never its
     payload, so scheduling a job never draws its transmission.  They are
-    computed on first access and cached on the instance: the dispatcher
-    reads them many times per job.  A :func:`dataclasses.replace` copy
-    starts with an empty cache, so it never inherits a key of the original's
-    channel use.
+    plain attributes set once, when the job is built (the dispatcher reads
+    them many times per job), and are not dataclass fields, so equality,
+    hashing, ``repr`` and :func:`dataclasses.fields` ignore them.
+    :func:`dataclasses.replace` builds the copy anew, so its keys follow its
+    own channel use and class.
+
+    Scheduling keys
+    ---------------
+    num_variables:
+        QUBO size of the detection problem.
+    shape_key:
+        Physical batching key ``(num_variables, modulation)``.  An annealer
+        submission programs one problem shape, so a batch must not mix QUBO
+        sizes (or modulations, whose decode paths differ).  This is the
+        pre-QoS ``compat_key``; class-blind schedulers
+        (``class_aware=False``) still batch on it.
+    compat_key:
+        Batching compatibility key: jobs may share a batch only if equal.
+        Extends ``shape_key`` with the service class's
+        :attr:`~repro.serving.qos.ServiceClass.degradation_tier`, so
+        protected jobs never co-batch with degradable ones — a batch is
+        demoted or shed as a unit, and a protected URLLC job must not be
+        dragged onto the classical path by its batch-mates.  Classes on the
+        *same* tier (eMBB and best-effort) still coalesce freely.
     """
 
     job_id: int
@@ -147,6 +167,16 @@ class ServingJob:
     channel_use: ChannelUse
     service_class: ServiceClass = DEFAULT_CLASS
     home_cell_id: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # Straight into the instance dict, as functools.cached_property
+        # writes: cheaper than the frozen class's object.__setattr__.
+        config = self.channel_use.config
+        shape = (config.qubo_variable_count, config.modulation)
+        keys = self.__dict__
+        keys["num_variables"] = shape[0]
+        keys["shape_key"] = shape
+        keys["compat_key"] = shape + (self.service_class.degradation_tier,)
 
     @property
     def arrival_us(self) -> float:
@@ -158,11 +188,6 @@ class ServingJob:
         """Absolute deadline, or ``None`` for best-effort jobs."""
         return self.channel_use.deadline_us
 
-    @functools.cached_property
-    def num_variables(self) -> int:
-        """QUBO size of the detection problem."""
-        return self.channel_use.qubo_variable_count
-
     @property
     def modulation(self) -> str:
         """Modulation of the underlying channel use."""
@@ -172,30 +197,6 @@ class ServingJob:
     def handed_over(self) -> bool:
         """Whether the job arrives in a different cell than the user's home."""
         return self.home_cell_id is not None and self.cell_id != self.home_cell_id
-
-    @functools.cached_property
-    def shape_key(self) -> Tuple[int, str]:
-        """Physical batching key: QUBO size and modulation only.
-
-        An annealer submission programs one problem shape, so a batch must
-        not mix QUBO sizes (or modulations, whose decode paths differ).
-        This is the pre-QoS ``compat_key``; class-blind schedulers
-        (``class_aware=False``) still batch on it.
-        """
-        return (self.num_variables, self.modulation)
-
-    @functools.cached_property
-    def compat_key(self) -> Tuple[int, str, int]:
-        """Batching compatibility key: jobs may share a batch only if equal.
-
-        Extends :attr:`shape_key` with the service class's
-        :attr:`~repro.serving.qos.ServiceClass.degradation_tier`, so
-        protected jobs never co-batch with degradable ones — a batch is
-        demoted or shed as a unit, and a protected URLLC job must not be
-        dragged onto the classical path by its batch-mates.  Classes on the
-        *same* tier (eMBB and best-effort) still coalesce freely.
-        """
-        return (self.num_variables, self.modulation, self.service_class.degradation_tier)
 
 
 @dataclass(frozen=True)
@@ -438,9 +439,7 @@ def generate_serving_jobs(
             uses = list(
                 generator.stream_modulated(
                     horizon_us=scenario.duration_us,
-                    intensity=lambda t_us, cell=profile.cell_id: scenario.intensity(
-                        cell, t_us
-                    ),
+                    intensity=functools.partial(scenario.intensity, profile.cell_id),
                     peak_intensity=scenario.peak_intensity(),
                     rng=child,
                     max_count=jobs_per_user,
@@ -489,14 +488,7 @@ def generate_serving_jobs(
 
     tagged.sort(key=lambda item: (item[0], item[1], item[2]))
     return [
-        ServingJob(
-            job_id=job_id,
-            user_id=user_id,
-            cell_id=cell_id,
-            channel_use=use,
-            service_class=service_class,
-            home_cell_id=home_cell,
-        )
+        ServingJob(job_id, user_id, cell_id, use, service_class, home_cell)
         for job_id, (_, user_id, _, cell_id, use, service_class, home_cell) in enumerate(
             tagged
         )

@@ -388,7 +388,7 @@ class TrafficGenerator:
         arrival_time = start_us
         index = 0
         while max_count is None or index < max_count:
-            arrival_time += float(generator.exponential(mean_gap_us))
+            arrival_time += generator.exponential(mean_gap_us)
             if arrival_time >= horizon_us:
                 return
             multiplier = float(intensity(arrival_time))
@@ -403,8 +403,10 @@ class TrafficGenerator:
                     f"{peak_intensity} at t={arrival_time}"
                 )
             # Strict inequality: a u=0 draw must not accept a silent (m=0)
-            # instant, and m=peak accepts every u in [0, 1).
-            if float(generator.uniform()) * peak_intensity >= multiplier:
+            # instant, and m=peak accepts every u in [0, 1).  ``random()`` is
+            # ``uniform()`` without its ``0 + 1 * u`` rescale: the same draw,
+            # the same bits.
+            if generator.random() * peak_intensity >= multiplier:
                 continue
             yield self._emit(index, arrival_time, payloads)
             index += 1

@@ -13,8 +13,8 @@ production simulator skips the rounds that cannot serve and answers some
 queries from the index's onset bound; :class:`SkipCheckedSimulator` holds
 each of those shortcuts against the scan.
 
-The module also pins the cached :class:`~repro.serving.workload.ServingJob`
-scheduling keys: a copy never reports a stale key.
+The module also pins the :class:`~repro.serving.workload.ServingJob`
+scheduling keys, set when a job is built: a copy never reports a stale key.
 """
 
 from __future__ import annotations
@@ -280,15 +280,37 @@ class TestFrozenJobKeys:
         assert reshaped.shape_key == (8, "16-QAM")
         assert reshaped.compat_key == (8, "16-QAM", 0)
         reclassed = dataclasses.replace(job, service_class=BEST_EFFORT)
+        assert reclassed.num_variables == 4
+        assert reclassed.shape_key == (4, "QPSK")
         assert reclassed.compat_key == (4, "QPSK", 1)
+        both = dataclasses.replace(
+            reclassed,
+            channel_use=dataclasses.replace(job.channel_use, transmission=_TRANSMISSIONS[2]),
+        )
+        assert (both.num_variables, both.shape_key, both.compat_key) == (
+            6,
+            (6, "QPSK"),
+            (6, "QPSK", 1),
+        )
         # The original keeps its own keys.
+        assert job.num_variables == 4
         assert job.compat_key == (4, "QPSK", 0)
 
+    def test_keys_are_not_fields(self):
+        job = _job(3, 0.0, 100.0, 1, URLLC)
+        assert [field.name for field in dataclasses.fields(ServingJob)] == [
+            "job_id",
+            "user_id",
+            "cell_id",
+            "channel_use",
+            "service_class",
+            "home_cell_id",
+        ]
+        assert "shape_key" not in repr(job)
+        assert job == dataclasses.replace(job) and hash(job) == hash(dataclasses.replace(job))
+
     def test_pickle_round_trip_keeps_keys(self):
-        cached = _job(1, 0.0, 100.0, 2, EMBB)
-        _ = cached.compat_key  # populate the cache before pickling
-        fresh = _job(2, 0.0, None, 1, DEFAULT_CLASS)
-        for job in (cached, fresh):
+        for job in (_job(1, 0.0, 100.0, 2, EMBB), _job(2, 0.0, None, 1, DEFAULT_CLASS)):
             restored = pickle.loads(pickle.dumps(job))
             assert restored.job_id == job.job_id
             assert restored.num_variables == job.channel_use.qubo_variable_count

@@ -1,5 +1,6 @@
 """Tests for scripts/check_public_surface.py, the public-surface CI check."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -12,6 +13,28 @@ def _check(*args):
     return subprocess.run(
         [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, timeout=60
     )
+
+
+def _allowlists():
+    """The script's ``(ALLOWLIST, PARAMETER_ALLOWLIST)``."""
+    spec = importlib.util.spec_from_file_location("check_public_surface", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ALLOWLIST, module.PARAMETER_ALLOWLIST
+
+
+def _stale(reasons):
+    """The stale-entry lines the check prints, given each entry's reason.
+
+    Entries missing from ``reasons`` name nothing in a planted tree.
+    """
+    names, parameters = _allowlists()
+    return [
+        f"stale allowlist entry ({reasons.get(entry, 'names nothing')}): {entry}"
+        for allowlist in (names, parameters)
+        for entry in sorted(allowlist)
+        if reasons.get(entry) != "valid"
+    ]
 
 
 def test_tree_has_no_unreferenced_public_name():
@@ -52,7 +75,7 @@ def test_planted_uncalled_function_is_named(tmp_path):
     assert result.stdout.splitlines() == [
         "public name with no caller outside tests: repro.mod:uncalled",
         "public name with no caller outside tests: repro.mod:Model.unused",
-    ]
+    ] + _stale({})
 
 
 def test_planted_uncalled_parameters_are_named(tmp_path):
@@ -104,4 +127,44 @@ def test_planted_uncalled_parameters_are_named(tmp_path):
         prefix + "repro.mod:middle(level)",
         prefix + "repro.mod:inner(level)",
         prefix + "repro.mod:Engine(width)",
-    ]
+    ] + _stale({"repro.qubo.energy:enumerate_assignments(block_bits)": "valid"})
+
+
+def test_stale_allowlist_entries_are_named(tmp_path):
+    package = tmp_path / "src" / "repro"
+    for directory in ("qubo", "telemetry", "wireless"):
+        (package / directory).mkdir(parents=True)
+    # Still needed: only tests pass block_bits.
+    (package / "qubo" / "energy.py").write_text(
+        "def enumerate_assignments(num_variables, block_bits=16):\n"
+        "    return num_variables\n"
+    )
+    # Allowlisted, but a script calls the method and passes the parameter.
+    (package / "telemetry" / "registry.py").write_text(
+        "class MetricsRegistry:\n    def snapshot(self):\n        return {}\n"
+    )
+    (package / "wireless" / "traffic.py").write_text(
+        "class ChannelUse:\n"
+        "    def __init__(self, index, transmission=None):\n        self.index = index\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "run.py").write_text(
+        "from repro.qubo.energy import enumerate_assignments\n"
+        "from repro.telemetry.registry import MetricsRegistry\n"
+        "from repro.wireless.traffic import ChannelUse\n\n"
+        "enumerate_assignments(4)\n"
+        "MetricsRegistry().snapshot()\n"
+        "ChannelUse(0, transmission=None)\n"
+    )
+
+    result = _check(str(tmp_path))
+    # Stale entries alone fail the check.
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == _stale(
+        {
+            "repro.qubo.energy:enumerate_assignments(block_bits)": "valid",
+            "repro.telemetry.registry:MetricsRegistry.snapshot": "already live",
+            "repro.wireless.traffic:ChannelUse(transmission)": "already live",
+        }
+    )
+    assert "stale allowlist entries: correct or remove them" in result.stderr

@@ -16,6 +16,7 @@ import pytest
 from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBackend
 from repro.exceptions import ConfigurationError
 from repro.serving import (
+    EMBB,
     AnnealerServingBackend,
     BackendPool,
     ClassicalServingBackend,
@@ -567,6 +568,54 @@ def _outcome(job_id, arrival, start, finish, deadline, met, demoted=False):
         demoted=demoted,
         batch_size=1,
     )
+
+
+class TestOutcomeRows:
+    """The simulator's per-job rows are the keyword-built outcomes."""
+
+    @pytest.mark.parametrize("evaluated", [False, True])
+    @pytest.mark.parametrize("deadline", [None, 30.0, 100.0])
+    def test_row_equals_the_keyword_built_outcome(self, rng, evaluated, deadline):
+        import pickle
+
+        from repro.serving import JobOutcome
+        from repro.serving.backends import JobSolution
+        from repro.serving.pool import Worker
+        from repro.serving.simulator import _Dispatch, _outcomes
+
+        job = dataclasses.replace(
+            _manual_job(4, 10.0, deadline, rng), cell_id=2, service_class=EMBB
+        )
+        worker = Worker(ClassicalServingBackend(), 1)
+        solutions = {4: JobSolution(4, -3.5, True)} if evaluated else {}
+        (row,) = _outcomes(_Dispatch(worker, [job], 20.0, 50.0, True), solutions)
+        expected = JobOutcome(
+            job_id=4,
+            user_id=4,
+            cell_id=2,
+            arrival_us=10.0,
+            start_us=20.0,
+            finish_us=50.0,
+            deadline_us=deadline,
+            met_deadline=None if deadline is None else deadline >= 50.0,
+            backend="classical#1",
+            backend_kind="classical",
+            demoted=True,
+            batch_size=1,
+            best_energy=-3.5 if evaluated else None,
+            detected_optimum=True if evaluated else None,
+            service_class="embb",
+        )
+        assert type(row) is JobOutcome
+        assert row == expected
+        for field in dataclasses.fields(JobOutcome):
+            ours, theirs = getattr(row, field.name), getattr(expected, field.name)
+            assert (type(ours), ours) == (type(theirs), theirs), field.name
+        assert repr(dataclasses.astuple(row)) == repr(dataclasses.astuple(expected))
+        assert hash(row) == hash(expected)
+        assert pickle.loads(pickle.dumps(row)) == expected
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.finish_us = 0.0
 
 
 class TestServingReportEdgeCases:

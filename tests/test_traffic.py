@@ -331,3 +331,76 @@ class TestSplitSeedTree:
         assert swapped.transmission is wider and swapped.qubo_variable_count == 12
         with pytest.raises(ConfigurationError):
             ChannelUse(index=0, arrival_time_us=1.0)
+
+
+# ---------------------------------------------------------------------- #
+# Thinning against a reference loop
+# ---------------------------------------------------------------------- #
+
+
+def _reference_thinning(period_us, horizon_us, intensity, peak, generator, max_count, start_us):
+    """Ogata thinning drawn with ``exponential(scale)`` gaps and ``uniform()`` accepts.
+
+    Returns the accepted ``(index, arrival time)`` pairs and the number of
+    candidates thinned; ``generator`` is left where the last draw put it.
+    """
+    accepted = []
+    candidates = 0
+    arrival = start_us
+    while max_count is None or len(accepted) < max_count:
+        arrival += float(generator.exponential(period_us / peak))
+        if arrival >= horizon_us:
+            break
+        candidates += 1
+        if float(generator.uniform()) * peak >= float(intensity(arrival)):
+            continue
+        accepted.append((len(accepted), arrival))
+    return accepted, candidates
+
+
+class TestThinningOracle:
+    """``stream_modulated`` draws exactly what the reference loop draws."""
+
+    # The outage scenario silences its middle cell (m = 0) for half the
+    # horizon; busy-day mixes a sinusoid, a flash crowd and an outage of cell 0.
+    @pytest.mark.parametrize(
+        "name, cell, max_count",
+        [("cell-outage", 1, None), ("cell-outage", 1, 40), ("busy-day", 1, None)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7, 23, 2024])
+    def test_arrivals_indices_and_end_state_match(self, name, cell, max_count, seed):
+        import functools
+
+        from repro.serving import build_scenario
+
+        scenario = build_scenario(name, 3, horizon_us=2_000.0)
+        intensity = functools.partial(scenario.intensity, cell)
+        peak = scenario.peak_intensity()
+        generator = _generator()
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        uses = list(
+            generator.stream_modulated(
+                horizon_us=scenario.duration_us,
+                intensity=intensity,
+                peak_intensity=peak,
+                rng=ours,
+                max_count=max_count,
+                start_us=3.5,
+            )
+        )
+        expected, candidates = _reference_thinning(
+            generator.symbol_period_us,
+            scenario.duration_us,
+            intensity,
+            peak,
+            theirs,
+            max_count,
+            3.5,
+        )
+        assert [(use.index, use.arrival_time_us) for use in uses] == expected
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        # Non-vacuous: the stream both accepted and rejected candidates.
+        assert 0 < len(expected) < candidates
+        if name == "cell-outage":
+            silent = [t for _, t in expected if 500.0 <= t < 1_500.0]
+            assert silent == []
