@@ -82,7 +82,7 @@ def broadcast_initial_spins(
             raise ConfigurationError(
                 f"initial state has {spins.size} spins, expected {num_spins}"
             )
-        spins = np.tile(spins, (num_reads, 1))
+        spins = np.broadcast_to(spins, (num_reads, num_spins))
     elif spins.ndim == 2:
         if spins.shape != (num_reads, num_spins):
             raise ConfigurationError(
@@ -90,7 +90,7 @@ def broadcast_initial_spins(
             )
     else:
         raise ConfigurationError("initial state must be a vector or a matrix")
-    if spins.size and not np.all(np.isin(spins, (-1, 1))):
+    if not ((spins == 1) | (spins == -1)).all():
         raise ConfigurationError("initial spins must be -1 or +1")
     return spins.copy()
 

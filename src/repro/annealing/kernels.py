@@ -292,27 +292,39 @@ def _svmc_draw_blocks(children, sizes, proposal_width, activity, uniforms, passi
     position of that block whose uniform is below the gate
     ``activity * (1 + 2**-20)``, in flat (position, read) order.  A position
     at or above the gate can never be accepted, so it gets no proposal
-    draws.  ``passing[b, :size]`` records the gate test.  The normals and
-    mixes of all instances are packed in batch order at the front of the
-    flat buffers ``normals`` and ``mixes``: the ``j``-th gate-passing
-    position of ``passing`` in C order owns entry ``j``.  Returns their
-    count.  Padding rows of ``uniforms`` and ``passing`` are not touched.
+    draws.  ``passing`` records the gate test of the whole block; padding
+    rows of ``uniforms`` are not written and must hold a value no gate
+    passes (``+inf``), so their ``passing`` rows come out all ``False``.
+    The normals and mixes of all instances are packed in batch order at the
+    front of the flat buffers ``normals`` and ``mixes``: the ``j``-th
+    gate-passing position of ``passing`` in C order owns entry ``j``.
+    Returns their count.
+
+    Each child makes its three generator calls (uniforms, normals, mixes)
+    and nothing else per instance runs in python: the gate test is one
+    ``less`` over the batch and the per-instance counts one row reduction
+    (a scalar count at B = 1).  An empty instance draws nothing.
 
     Generator.normal(0, w) is ``0.0 + w*z`` on the standard-normal stream;
     the packed normals are scaled the same way in two calls.
     """
-    gate = activity * (1.0 + _SVMC_GATE_MARGIN)
+    batch = len(children)
+    lengths = sizes.tolist()
+    for index, (child, size) in enumerate(zip(children, lengths)):
+        if size:
+            child.random(out=uniforms[index, :size])
+    np.less(uniforms, activity * (1.0 + _SVMC_GATE_MARGIN), out=passing)
+    if batch == 1:
+        counts = [np.count_nonzero(passing)]
+    else:
+        counts = np.count_nonzero(passing.reshape(batch, -1), axis=1).tolist()
     count = 0
-    for index, child in enumerate(children):
-        size = int(sizes[index])
-        if size == 0:
-            continue
-        block = uniforms[index, :size]
-        child.random(out=block)
-        drawn = np.count_nonzero(np.less(block, gate, out=passing[index, :size]))
-        child.standard_normal(out=normals[count : count + drawn])
-        child.random(out=mixes[count : count + drawn])
-        count += drawn
+    for child, drawn in zip(children, counts):
+        if drawn:
+            end = count + drawn
+            child.standard_normal(out=normals[count:end])
+            child.random(out=mixes[count:end])
+            count = end
     steps = normals[:count]
     steps *= proposal_width
     steps += 0.0  # the 0.0 + w*z of normal(): turns a -0.0 into +0.0
@@ -574,6 +586,9 @@ def svmc_sweeps_vectorized(
     normals = packed_normals.reshape(shape)
     mixes = packed_mixes.reshape(shape)
     thresholds = np.zeros(shape)
+    # Gated sweeps draw their accept uniforms here; padding rows stay +inf,
+    # which no gate passes.
+    uniforms = np.full(shape, np.inf)
     passing = np.zeros(shape, dtype=bool)
     proposed = np.empty((batch, chunk_cap, reads))
     proposed_cos = np.empty((batch, chunk_cap, reads))
@@ -590,12 +605,11 @@ def svmc_sweeps_vectorized(
     # which the dense program needs at zero.
     stale_padding = False
     # Gated sweeps gather from and scatter into flat views of the state and
-    # draw buffers (``thresholds`` then holds the raw accept uniforms), and
-    # reuse the dense scratch, plus one buffer, flat.
+    # draw buffers, and reuse the dense scratch, plus one buffer, flat.
     if not all(array.flags.c_contiguous for array in (theta, cosines, sines, local)):
         raise ValueError("theta, cosines, sines and local must be C-contiguous")
     flat = [array.reshape(-1) for array in (theta, cosines, sines, local)]
-    flat += [packed_normals, packed_mixes, thresholds.reshape(-1)]
+    flat += [packed_normals, packed_mixes, uniforms.reshape(-1)]
     work = [
         buffer.reshape(-1)
         for buffer in (proposed, proposed_cos, proposed_sin, diff, delta, shift, scratch)
@@ -606,7 +620,7 @@ def svmc_sweeps_vectorized(
         if activity < 1.0:
             _svmc_draw_blocks(
                 children, sizes, proposal_width, activity,
-                thresholds, passing, packed_normals, packed_mixes,
+                uniforms, passing, packed_normals, packed_mixes,
             )
             stale_padding = True
             sweep = (problem, transverse, temperature, log_activity)

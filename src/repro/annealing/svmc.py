@@ -174,15 +174,7 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         # Padding rotors sit at theta = 0 (cos 1, sin 0) with zero
         # couplings: they cannot influence real spins, and their zero accept
         # thresholds keep them frozen.
-        batch, max_size = padded_fields.shape
-        theta = np.zeros((batch, max_size, num_reads))
-        for index in range(batch):
-            size = int(sizes[index])
-            if size == 0:
-                continue
-            theta[index, :size] = self._initial_angles(
-                initials[index], num_reads, size, children[index]
-            ).T
+        theta = self._initial_angles(initials, num_reads, sizes, children)
         # Padding rotors at theta = 0 land exactly on cos 1 / sin 0.
         cosines = np.cos(theta)
         sines = np.sin(theta)
@@ -199,41 +191,58 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
             proposal_width=_PROPOSAL_WIDTH,
             uniform_fraction=_UNIFORM_FRACTION,
         )
-        return [
-            self._project(cosines[index, : int(sizes[index])].T, children[index])
-            for index in range(batch)
-        ]
+        return self._project(cosines, sizes, children)
 
     # ------------------------------------------------------------------ #
 
+    @staticmethod
     def _initial_angles(
-        self,
-        initial_spins: Optional[np.ndarray],
+        initials: Sequence[Optional[np.ndarray]],
         num_reads: int,
-        num_spins: int,
-        generator: np.random.Generator,
+        sizes: np.ndarray,
+        children: Sequence[np.random.Generator],
     ) -> np.ndarray:
-        """Angles for the start of the schedule.
+        """Spin-major ``(batch, max_size, reads)`` angles for the start of the schedule.
 
         Reverse anneals start from the programmed classical state (angles 0 or
-        pi); forward anneals start in the fully "quantum" configuration where
-        every rotor points along the transverse field (pi/2), plus a tiny
-        symmetric jitter so reads decorrelate immediately.
+        pi), set for the whole batch by one ``where`` over the stacked
+        states; forward anneals start in the fully "quantum" configuration
+        where every rotor points along the transverse field (pi/2), plus a
+        tiny symmetric jitter, drawn from the instance's child, so reads
+        decorrelate immediately.  Padding rotors sit at 0.
         """
-        if initial_spins is not None:
-            theta = np.where(initial_spins > 0, 0.0, np.pi).astype(float)
-            return theta
-        jitter = generator.normal(0.0, 1e-3, size=(num_reads, num_spins))
-        return np.full((num_reads, num_spins), np.pi / 2.0) + jitter
+        batch = len(initials)
+        stacked = np.ones((batch, int(sizes.max()), num_reads), dtype=np.int8)
+        forward = []
+        for index, (initial, size) in enumerate(zip(initials, sizes.tolist())):
+            if initial is not None:
+                stacked[index, :size] = initial.T
+            elif size:
+                forward.append((index, size))
+        theta = np.where(stacked > 0, 0.0, np.pi)
+        for index, size in forward:
+            jitter = children[index].normal(0.0, 1e-3, size=(num_reads, size))
+            theta[index, :size] = (np.full((num_reads, size), np.pi / 2.0) + jitter).T
+        return theta
 
     @staticmethod
-    def _project(cosines: np.ndarray, generator: np.random.Generator) -> np.ndarray:
-        """Project rotor angles onto classical spins at the end of the anneal."""
+    def _project(
+        cosines: np.ndarray, sizes: np.ndarray, children: Sequence[np.random.Generator]
+    ) -> List[np.ndarray]:
+        """Project the rotors onto classical spins at the end of the anneal.
+
+        One sign test and one ``isclose`` run on the whole batch block
+        (padding cosines are 1, never undecided).  An undecided rotor takes
+        a random spin from its instance's child, drawn in (read, spin)
+        order.  Each instance gets the ``(reads, size)`` transposed view of
+        its rows.
+        """
         spins = np.where(cosines > 0.0, 1, -1).astype(np.int8)
         undecided = np.isclose(cosines, 0.0)
-        if np.any(undecided):
-            random_spins = generator.choice(
-                np.array([-1, 1], dtype=np.int8), size=int(undecided.sum())
+        views = [spins[index, :size].T for index, size in enumerate(sizes.tolist())]
+        for index in np.flatnonzero(undecided.any(axis=(1, 2))).tolist():
+            mask = undecided[index, : int(sizes[index])].T
+            views[index][mask] = children[index].choice(
+                np.array([-1, 1], dtype=np.int8), size=int(mask.sum())
             )
-            spins[undecided] = random_spins
-        return spins
+        return views

@@ -48,27 +48,32 @@ def greedy_search(qubo: QUBOModel) -> np.ndarray:
     iterated recursively on the remaining variables") and reproduces the
     paper's observation that GS solutions typically score ΔE_IS% <= 10%.
     """
-    n = qubo.num_variables
-    assignment = np.zeros(n, dtype=np.int8)
-    if n == 0:
-        return assignment
-
-    matrix = qubo.coefficients
+    rows = qubo.coefficients.tolist()
+    n = len(rows)
     # marginal[i] = energy change of setting q_i = 1 given the bits fixed
-    # to 1 so far (couplings to bits fixed to 0 contribute nothing).
-    marginal = np.diagonal(matrix).astype(float).copy()
-    assigned = np.zeros(n, dtype=bool)
-    for _ in range(n):
-        remaining = np.where(~assigned)[0]
-        index = int(remaining[np.argmax(np.abs(marginal[remaining]))])
-        value = 1 if marginal[index] < 0 else 0
-        assignment[index] = value
-        assigned[index] = True
-        if value == 1:
-            for other in np.where(~assigned)[0]:
-                low, high = (index, other) if index < other else (other, index)
-                marginal[other] += matrix[low, high]
-    return assignment
+    # to 1 so far (couplings to bits fixed to 0 contribute nothing).  Python
+    # floats carry the same IEEE-754 sums as numpy scalars would.
+    marginal = [row[i] for i, row in enumerate(rows)]
+    assignment = [0] * n
+    remaining = list(range(n))
+    while remaining:
+        # np.argmax's rule: the first largest |marginal|, or the first NaN.
+        best = remaining[0]
+        largest = abs(marginal[best])
+        if largest == largest:
+            for candidate in remaining[1:]:
+                size = abs(marginal[candidate])
+                if size > largest or size != size:
+                    best, largest = candidate, size
+                    if size != size:
+                        break
+        remaining.remove(best)
+        if marginal[best] < 0:
+            assignment[best] = 1
+            row = rows[best]
+            for other in remaining:
+                marginal[other] += row[other] if best < other else rows[other][best]
+    return np.array(assignment, dtype=np.int8)
 
 
 class GreedySearchSolver(QuboSolver):

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import DimensionError
-from repro.qubo.model import QUBOModel
+from repro.qubo.model import QUBOModel, _fold_upper
 
 __all__ = ["IsingModel", "qubo_to_ising", "bits_to_spins"]
 
@@ -27,7 +27,7 @@ __all__ = ["IsingModel", "qubo_to_ising", "bits_to_spins"]
 def bits_to_spins(bits: Sequence[int]) -> np.ndarray:
     """Map 0/1 bits to +/-1 spins using ``s = 2q - 1``."""
     bits = np.asarray(bits, dtype=int).ravel()
-    if bits.size and not np.all(np.isin(bits, (0, 1))):
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1")
     return (2 * bits - 1).astype(np.int8)
 
@@ -58,7 +58,7 @@ class IsingModel:
             )
         diagonal = np.diagonal(couplings)
         extra_offset = float(np.sum(diagonal))
-        upper = np.triu(couplings, k=1) + np.tril(couplings, k=-1).T
+        upper = _fold_upper(couplings, False)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "couplings", upper)
         object.__setattr__(self, "offset", float(self.offset) + extra_offset)
@@ -103,24 +103,33 @@ def qubo_to_ising(qubo: QUBOModel) -> IsingModel:
     * J_ij = Q_ij / 4 for i < j,
     * h_i  = Q_ii / 2 + (sum_j Q_ij + Q_ji) / 4 over off-diagonal couplings,
     * offset = sum_i Q_ii / 2 + sum_{i<j} Q_ij / 4 + original offset.
+
+    The loop runs on python floats read out with ``tolist()``: the same
+    IEEE-754 divisions and additions in the same order as on numpy scalars,
+    without a numpy scalar per coefficient.
     """
-    n = qubo.num_variables
-    matrix = qubo.coefficients
-    fields = np.zeros(n)
-    couplings = np.zeros((n, n))
+    rows = qubo.coefficients.tolist()
+    n = len(rows)
+    fields = [0.0] * n
+    couplings = [[0.0] * n for _ in range(n)]
     offset = qubo.offset
 
-    for i in range(n):
-        linear = matrix[i, i]
+    for i, row in enumerate(rows):
+        linear = row[i]
         fields[i] += linear / 2.0
         offset += linear / 2.0
         for j in range(i + 1, n):
-            quad = matrix[i, j]
+            quad = row[j]
             if quad == 0.0:
                 continue
-            couplings[i, j] += quad / 4.0
-            fields[i] += quad / 4.0
-            fields[j] += quad / 4.0
-            offset += quad / 4.0
+            quarter = quad / 4.0
+            couplings[i][j] += quarter
+            fields[i] += quarter
+            fields[j] += quarter
+            offset += quarter
 
-    return IsingModel(fields=fields, couplings=couplings, offset=offset)
+    return IsingModel(
+        fields=np.array(fields, dtype=float),
+        couplings=np.array(couplings, dtype=float).reshape(n, n),
+        offset=offset,
+    )

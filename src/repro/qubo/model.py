@@ -14,6 +14,7 @@ adding constraint terms, scaling, and conversion to the Ising form
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Sequence, Tuple
 
@@ -23,6 +24,39 @@ from repro.exceptions import DimensionError
 
 __all__ = ["QUBOModel"]
 
+#: Most matrix sizes :func:`_triangle_masks` keeps masks for.  Problems come
+#: in a handful of sizes; the bound only caps memory.
+_TRIANGLE_MASK_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_TRIANGLE_MASK_CACHE_SIZE)
+def _triangle_masks(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(strictly_lower, lower)`` boolean masks of an ``n x n`` matrix.
+
+    The masks ``np.tri`` builds for ``np.tril(m, -1)`` / ``np.triu(m)`` and
+    ``np.triu(m, 1)``, memoised: every QUBO and Ising model folds its
+    matrix, and building the masks cost more than the fold itself.
+    """
+    strictly_lower = np.tri(n, k=-1, dtype=bool)
+    lower = np.tri(n, dtype=bool)
+    strictly_lower.flags.writeable = False
+    lower.flags.writeable = False
+    return strictly_lower, lower
+
+
+def _fold_upper(matrix: np.ndarray, keep_diagonal: bool) -> np.ndarray:
+    """``np.triu(m, k) + np.tril(m, -1).T`` with ``k = 0`` or ``1``, bit for bit.
+
+    The same ``np.where`` selections ``np.triu``/``np.tril`` make, on
+    memoised masks.  Each upper entry is ``m[i, j] + m[j, i]`` (so a
+    ``-0.0`` comes out ``+0.0`` unless both are ``-0.0``), a kept diagonal
+    entry is ``m[i, i] + 0.0`` and every other entry ``+0.0``.
+    """
+    strictly_lower, lower = _triangle_masks(matrix.shape[0])
+    upper = np.where(strictly_lower if keep_diagonal else lower, 0.0, matrix)
+    upper += np.where(strictly_lower, matrix, 0.0).T
+    return upper
+
 
 def _to_upper_triangular(matrix: np.ndarray) -> np.ndarray:
     """Fold a square coefficient matrix into the upper-triangular convention."""
@@ -31,9 +65,7 @@ def _to_upper_triangular(matrix: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"QUBO coefficients must form a square matrix, got shape {matrix.shape}"
         )
-    upper = np.triu(matrix)
-    lower = np.tril(matrix, k=-1)
-    return upper + lower.T
+    return _fold_upper(matrix, True)
 
 
 @dataclass(frozen=True)

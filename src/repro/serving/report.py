@@ -17,6 +17,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -132,27 +133,55 @@ class ServingReport:
         return None
 
 
-def _class_reports(outcomes: Sequence[JobOutcome]) -> Tuple[ServiceClassReport, ...]:
-    """Per-class statistic slices, in class-name order."""
-    by_class: Dict[str, List[JobOutcome]] = {}
-    for outcome in outcomes:
-        by_class.setdefault(outcome.service_class, []).append(outcome)
+#: One outcome's report columns, read in one C-level call per outcome.
+_REPORT_FIELDS = operator.attrgetter(
+    "arrival_us",
+    "finish_us",
+    "met_deadline",
+    "detected_optimum",
+    "batch_size",
+    "demoted",
+    "service_class",
+)
+
+
+def _known(flags: Sequence[Optional[bool]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(values, known)`` bool arrays of an optional-flag column (``None`` unknown)."""
+    column = np.array(flags, dtype=object)
+    known = np.not_equal(column, None)
+    return column.astype(bool), known
+
+
+def _class_reports(
+    classes: Sequence[str],
+    latencies: np.ndarray,
+    met: np.ndarray,
+    has_deadline: np.ndarray,
+    demoted: np.ndarray,
+) -> Tuple[ServiceClassReport, ...]:
+    """Per-class statistic slices, in class-name order.
+
+    Each class's rows are selected from the run's columns in outcome
+    order, so every reduction sees the same values in the same order as
+    one over the class's own outcomes.
+    """
+    names = np.array(classes)
     reports = []
-    for name in sorted(by_class):
-        members = by_class[name]
-        latencies = np.array([outcome.latency_us for outcome in members])
-        flags = [o.met_deadline for o in members if o.met_deadline is not None]
+    for name in sorted(set(classes)):
+        members = names == name
+        class_latencies = latencies[members]
+        flags = met[members & has_deadline]
         reports.append(
             ServiceClassReport(
                 service_class=name,
-                jobs=len(members),
-                mean_latency_us=float(np.mean(latencies)),
-                p50_latency_us=float(np.percentile(latencies, 50)),
-                p95_latency_us=float(np.percentile(latencies, 95, method="higher")),
-                p99_latency_us=float(np.percentile(latencies, 99, method="higher")),
-                deadline_miss_rate=(1.0 - float(np.mean(flags))) if flags else None,
-                missed_jobs=sum(1 for flag in flags if not flag),
-                demotion_rate=float(np.mean([o.demoted for o in members])),
+                jobs=int(np.count_nonzero(members)),
+                mean_latency_us=float(np.mean(class_latencies)),
+                p50_latency_us=float(np.percentile(class_latencies, 50)),
+                p95_latency_us=float(np.percentile(class_latencies, 95, method="higher")),
+                p99_latency_us=float(np.percentile(class_latencies, 99, method="higher")),
+                deadline_miss_rate=(1.0 - float(np.mean(flags))) if flags.size else None,
+                missed_jobs=int(np.count_nonzero(~flags)),
+                demotion_rate=float(np.mean(demoted[members])),
             )
         )
     return tuple(reports)
@@ -171,6 +200,9 @@ def build_serving_report(
     and ``optimum_rate`` of ``None``, and a single job reports its own
     latency at every percentile with an offered load of 0 (a lone arrival
     has no meaningful rate).
+
+    The outcomes are walked once, gathering every column the run-level and
+    per-class statistics reduce.
     """
     outcomes = list(outcomes)
     if not outcomes:
@@ -194,23 +226,30 @@ def build_serving_report(
             metadata=dict(metadata or {}),
             class_reports=(),
         )
-    latencies = np.array([outcome.latency_us for outcome in outcomes])
-    arrivals = np.array([outcome.arrival_us for outcome in outcomes])
-    makespan = max(float(max(o.finish_us for o in outcomes) - arrivals.min()), 1e-9)
+    arrival_list, finish_list, met_list, optimum_list, batch_list, demoted_list, classes = zip(
+        *map(_REPORT_FIELDS, outcomes)
+    )
+    arrivals = np.array(arrival_list)
+    # finish - arrival per job: JobOutcome.latency_us, as one array subtraction.
+    latencies = np.array(finish_list) - arrivals
+    makespan = max(float(max(finish_list) - arrivals.min()), 1e-9)
 
     arrival_span = float(arrivals.max() - arrivals.min())
     # A degenerate workload (single job, or all arrivals coincident) has no
     # meaningful rate; report 0 rather than an absurd clamped division.
     offered = len(outcomes) / (arrival_span / 1000.0) if arrival_span > 0.0 else 0.0
 
-    deadline_flags = [o.met_deadline for o in outcomes if o.met_deadline is not None]
-    miss_rate = (1.0 - float(np.mean(deadline_flags))) if deadline_flags else None
-    missed = sum(1 for flag in deadline_flags if not flag)
+    met, has_deadline = _known(met_list)
+    deadline_flags = met[has_deadline]
+    miss_rate = (1.0 - float(np.mean(deadline_flags))) if deadline_flags.size else None
+    missed = int(np.count_nonzero(~deadline_flags))
 
-    optimum_flags = [o.detected_optimum for o in outcomes if o.detected_optimum is not None]
-    optimum_rate = float(np.mean(optimum_flags)) if optimum_flags else None
+    optimum, has_optimum = _known(optimum_list)
+    optimum_flags = optimum[has_optimum]
+    optimum_rate = float(np.mean(optimum_flags)) if optimum_flags.size else None
 
-    batch_sizes = [o.batch_size for o in outcomes]
+    batch_sizes = np.array(batch_list)
+    demoted = np.array(demoted_list, dtype=bool)
     return ServingReport(
         outcomes=outcomes,
         policy=policy,
@@ -227,13 +266,13 @@ def build_serving_report(
         p99_latency_us=float(np.percentile(latencies, 99, method="higher")),
         deadline_miss_rate=miss_rate,
         missed_jobs=missed,
-        demotion_rate=float(np.mean([o.demoted for o in outcomes])),
+        demotion_rate=float(np.mean(demoted)),
         mean_batch_size=float(np.mean(batch_sizes)),
-        max_batch_size=int(max(batch_sizes)),
+        max_batch_size=int(batch_sizes.max()),
         backend_utilization=tuple(backend_utilization),
         optimum_rate=optimum_rate,
         metadata=dict(metadata or {}),
-        class_reports=_class_reports(outcomes),
+        class_reports=_class_reports(classes, latencies, met, has_deadline, demoted),
     )
 
 

@@ -22,6 +22,7 @@ payload bits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -30,7 +31,7 @@ import numpy as np
 from repro.exceptions import TransformError
 from repro.qubo.model import QUBOModel
 from repro.wireless.mimo import MIMODetectionResult, MIMOInstance
-from repro.wireless.modulation import Modulation
+from repro.wireless.modulation import Modulation, get_modulation
 from repro.transform.symbol_mapping import SymbolBitMapping
 
 __all__ = [
@@ -44,6 +45,10 @@ __all__ = [
 #: (noiseless-protocol) ground energy.  Shared by every simulator that
 #: reports optimum-detection rates so the evaluation rule cannot drift.
 OPTIMUM_TOLERANCE = 1e-6
+
+#: Most (modulation, user count) layouts :func:`_amplitude_map` keeps; a
+#: study uses a handful, the bound only caps memory.
+_LAYOUT_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -162,12 +167,17 @@ class MIMOQuboEncoding:
         return bits
 
 
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _amplitude_map(
-    instance: MIMOInstance,
-) -> Tuple[np.ndarray, np.ndarray, Tuple[SymbolBitMapping, ...]]:
-    """Build the linear map ``x = A q + b`` and the per-user bit layouts."""
-    modulation = instance.modulation_scheme
-    num_users = instance.num_users
+    modulation_name: str, num_users: int
+) -> Tuple[np.ndarray, np.ndarray, Tuple[SymbolBitMapping, ...], Tuple[str, ...]]:
+    """The linear map ``x = A q + b``, the per-user bit layouts and variable names.
+
+    A pure function of the modulation and the user count, so it is memoised
+    (every channel use of a configuration shares it); the arrays are
+    read-only.
+    """
+    modulation = get_modulation(modulation_name)
     bits_per_symbol = modulation.bits_per_symbol
     bits_per_dim = modulation.bits_per_dimension
     scale = modulation.scale
@@ -193,7 +203,14 @@ def _amplitude_map(
             amplitude_matrix[user, variable] += 2.0j * weight
             amplitude_offset[user] -= 1.0j * weight
 
-    return amplitude_matrix, amplitude_offset, tuple(mappings)
+    names = tuple(
+        f"u{mapping.user_index}b{offset_index}"
+        for mapping in mappings
+        for offset_index in range(bits_per_symbol)
+    )
+    amplitude_matrix.flags.writeable = False
+    amplitude_offset.flags.writeable = False
+    return amplitude_matrix, amplitude_offset, tuple(mappings), names
 
 
 def mimo_to_qubo(instance: MIMOInstance) -> MIMOQuboEncoding:
@@ -206,7 +223,9 @@ def mimo_to_qubo(instance: MIMOInstance) -> MIMOQuboEncoding:
 
     where ``x(q)`` is the symbol vector decoded by ``encoding.bits_to_symbols``.
     """
-    amplitude_matrix, amplitude_offset, mappings = _amplitude_map(instance)
+    amplitude_matrix, amplitude_offset, mappings, names = _amplitude_map(
+        instance.modulation, instance.num_users
+    )
     channel = instance.channel_matrix
     received = instance.received
 
@@ -216,22 +235,13 @@ def mimo_to_qubo(instance: MIMOInstance) -> MIMOQuboEncoding:
     gram = np.real(np.conjugate(effective_matrix.T) @ effective_matrix)
     linear_correlation = np.real(np.conjugate(effective_received) @ effective_matrix)
 
-    total_bits = amplitude_matrix.shape[1]
-    coefficients = np.zeros((total_bits, total_bits))
-    for i in range(total_bits):
-        coefficients[i, i] = gram[i, i] - 2.0 * linear_correlation[i]
-        for j in range(i + 1, total_bits):
-            coefficients[i, j] = 2.0 * gram[i, j]
+    # Q_ii = G_ii - 2 c_i and Q_ij = 2 G_ij above the diagonal, zero below.
+    coefficients = np.triu(2.0 * gram, 1)
+    np.fill_diagonal(coefficients, np.diagonal(gram) - 2.0 * linear_correlation)
 
     constant = float(np.real(np.vdot(effective_received, effective_received)))
 
-    modulation = instance.modulation_scheme
-    names = []
-    for mapping in mappings:
-        for offset_index in range(modulation.bits_per_symbol):
-            names.append(f"u{mapping.user_index}b{offset_index}")
-
-    qubo = QUBOModel(coefficients=coefficients, offset=0.0, variable_names=tuple(names))
+    qubo = QUBOModel(coefficients=coefficients, offset=0.0, variable_names=names)
     return MIMOQuboEncoding(
         instance=instance,
         qubo=qubo,

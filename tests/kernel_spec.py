@@ -110,7 +110,8 @@ def svmc_sweeps_reference(
     """
     batch, max_size, reads = theta.shape
     chunk_cap = min(SVMC_CHUNK, max_size)
-    thresholds = np.zeros((batch, max_size, reads))
+    # Padding rows of the accept uniforms hold +inf, which no gate passes.
+    thresholds = np.full((batch, max_size, reads), np.inf)
     passing = np.zeros((batch, max_size, reads), dtype=bool)
     packed_normals = np.empty(batch * max_size * reads)
     packed_mixes = np.empty(batch * max_size * reads)

@@ -133,6 +133,20 @@ class TestConversionBytes:
         assert actual.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_greedy_ties_and_non_finite_marginals(seed):
+    # Integer coefficients tie often; a NaN or inf marginal is picked the
+    # way np.argmax picks it (the first NaN, else the first largest).
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 6, 9):
+        matrix = rng.integers(-2, 3, (n, n)).astype(float)
+        cells = rng.integers(0, n, (2, 2))
+        matrix[cells[0, 0], cells[0, 1]] = np.nan
+        matrix[cells[1, 0], cells[1, 1]] = [np.inf, -np.inf][seed % 2]
+        qubo = QUBOModel(matrix)
+        assert greedy_search(qubo).tobytes() == _greedy_loop(qubo).tobytes()
+
+
 class TestFoldBytes:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
     def test_qubo_fold_matches_triu_plus_tril(self, n):
