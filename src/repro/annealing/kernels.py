@@ -46,12 +46,15 @@ Activity-gated SVMC sweeps
 A proposal with ``u >= activity`` has a threshold ``<= 0 <= dE+`` and can
 never be accepted.  So each SVMC sweep draws, per instance, its accept
 uniforms first, and then a normal and a mix uniform only for the positions
-with ``u < gate`` (``activity`` plus a rounding margin).  A sweep with
-``activity < 1`` can reject at the gate: it packs those proposal draws at
-the front of flat buffers, gathers the state at the passing positions into
-flat scratch buffers, runs the dense chunk arithmetic there — proposal,
-``cos``, the threshold ``log``, accept test, updates — and scatters the
-results back.  A sweep with ``activity >= 1`` passes every position, so it
+with ``u < gate`` (``activity`` plus a rounding margin).  The gate test is
+one comparison over the whole ``(batch, max_size, reads)`` uniform block,
+whose padding rows hold ``+inf`` and so never pass, and the per-instance
+counts one row reduction; in python each child only makes its three
+generator calls.  A sweep with ``activity < 1`` can reject at the gate: it
+packs those proposal draws at the front of flat buffers, gathers the state
+at the passing positions into flat scratch buffers, runs the dense chunk
+arithmetic there — proposal, ``cos``, the threshold ``log``, accept test,
+updates — and scatters the results back.  A sweep with ``activity >= 1`` passes every position, so it
 draws the same numbers straight into dense blocks and runs the dense chunk
 program.  The coupling refresh keeps its full ``(batch, chunk, reads)``
 shape either way, so results are bit-identical on both sides of the branch.
@@ -94,11 +97,16 @@ Random-draw discipline
 Instance ``b`` of a batch draws exclusively from child generator ``b``:
 per sweep the SA kernel consumes one ``(n, reads)`` uniform block, and the
 SVMC kernel one ``(n, reads)`` accept-uniform block followed by one normal
-and one mix uniform per gate-passing position (all the normals first).  Each
-sweep's blocks are drawn before any position is visited, so draw
-consumption depends only on the instance's own size, sweep count, read count
-and accept uniforms — never on batch composition or worker count — which is
-what keeps experiment results invariant to batching and worker counts.
+and one mix uniform per gate-passing position (all the normals first).  The
+gated SVMC draw visits the children twice per sweep, accept uniforms for
+all of them and then normals and mixes for each; since every child has its
+own stream, each still sees uniforms, normals, mixes in that order, and an
+empty instance draws nothing.  Each sweep's blocks are drawn before any
+position is visited, so draw consumption depends only on the instance's own
+size, sweep count, read count and accept uniforms — never on batch
+composition or worker count — which is what keeps experiment results
+invariant to batching and worker counts.  ``tests/test_svmc_draw_oracle.py``
+checks the gated draws against a per-child loop, generator states included.
 """
 
 from __future__ import annotations

@@ -486,7 +486,7 @@ class TestGatedSVMC:
         activity = float(uniforms[uniforms < 0.5][0])
         # The kernel's own draw helper puts that value among the sweep's
         # accept uniforms, so the gate really meets u == activity.
-        drawn = np.zeros((len(sizes), max(sizes), reads))
+        drawn = np.full((len(sizes), max(sizes), reads), np.inf)
         kernels._svmc_draw_blocks(
             copy.deepcopy(children), size_array, 0.5, activity, drawn,
             np.zeros(drawn.shape, dtype=bool), np.empty(drawn.size), np.empty(drawn.size),
