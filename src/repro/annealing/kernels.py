@@ -54,9 +54,9 @@ generator calls.  A sweep with ``activity < 1`` can reject at the gate: it
 packs those proposal draws at the front of flat buffers, gathers the state
 at the passing positions into flat scratch buffers, runs the dense chunk
 arithmetic there — proposal, ``cos``, the threshold ``log``, accept test,
-updates — and scatters the results back.  A sweep with ``activity >= 1`` passes every position, so it
-draws the same numbers straight into dense blocks and runs the dense chunk
-program.  The coupling refresh keeps its full ``(batch, chunk, reads)``
+updates — and scatters the results back.  A sweep with ``activity >= 1``
+passes every position, so it draws the same numbers straight into dense
+blocks and runs the dense chunk program.  The coupling refresh keeps its full ``(batch, chunk, reads)``
 shape either way, so results are bit-identical on both sides of the branch.
 Rejected positions cost neither a proposal draw nor any arithmetic.  On the
 ``ra-sweep`` benchmark, where 80% of the rotor-sweep slots are gated and 22%

@@ -60,13 +60,12 @@ def greedy_search(qubo: QUBOModel) -> np.ndarray:
         # np.argmax's rule: the first largest |marginal|, or the first NaN.
         best = remaining[0]
         largest = abs(marginal[best])
-        if largest == largest:
-            for candidate in remaining[1:]:
-                size = abs(marginal[candidate])
-                if size > largest or size != size:
-                    best, largest = candidate, size
-                    if size != size:
-                        break
+        for candidate in remaining[1:]:
+            if largest != largest:
+                break
+            size = abs(marginal[candidate])
+            if size > largest or size != size:
+                best, largest = candidate, size
         remaining.remove(best)
         if marginal[best] < 0:
             assignment[best] = 1
