@@ -17,7 +17,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -133,58 +132,39 @@ class ServingReport:
         return None
 
 
-#: One outcome's report columns, read in one C-level call per outcome.
-_REPORT_FIELDS = operator.attrgetter(
-    "arrival_us",
-    "finish_us",
-    "met_deadline",
-    "detected_optimum",
-    "batch_size",
-    "demoted",
-    "service_class",
-)
+#: Codes of an optional flag (``met_deadline``, ``detected_optimum``);
+#: ``None`` is unknown.
+_FLAG_CODES = {False: 0, True: 1, None: 2}
+_UNKNOWN = 2
 
 
-def _known(flags: Sequence[Optional[bool]]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(values, known)`` bool arrays of an optional-flag column (``None`` unknown)."""
-    column = np.array(flags, dtype=object)
-    known = np.not_equal(column, None)
-    return column.astype(bool), known
+def _flag_codes(flags) -> np.ndarray:
+    """One ``int8`` code per optional flag."""
+    return np.array([_FLAG_CODES[flag] for flag in flags], dtype=np.int8)
 
 
-def _class_reports(
-    classes: Sequence[str],
-    latencies: np.ndarray,
-    met: np.ndarray,
-    has_deadline: np.ndarray,
-    demoted: np.ndarray,
-) -> Tuple[ServiceClassReport, ...]:
-    """Per-class statistic slices, in class-name order.
+def _slice_statistics(latencies: np.ndarray, met: np.ndarray, demoted: np.ndarray) -> Dict:
+    """Latency, deadline and demotion statistics of one slice of a run.
 
-    Each class's rows are selected from the run's columns in outcome
-    order, so every reduction sees the same values in the same order as
-    one over the class's own outcomes.
+    The fields :class:`ServingReport` and :class:`ServiceClassReport`
+    share.  Tail percentiles use the conservative ``"higher"`` method: linear
+    interpolation on small job counts reports a p95/p99 *below any observed
+    job*, understating the tail the deadline analysis cares about;
+    ``"higher"`` always returns an actually-observed latency (one call
+    selects both order statistics).  ``deadline_miss_rate`` is ``None`` when
+    no job of the slice carried a deadline.
     """
-    names = np.array(classes)
-    reports = []
-    for name in sorted(set(classes)):
-        members = names == name
-        class_latencies = latencies[members]
-        flags = met[members & has_deadline]
-        reports.append(
-            ServiceClassReport(
-                service_class=name,
-                jobs=int(np.count_nonzero(members)),
-                mean_latency_us=float(np.mean(class_latencies)),
-                p50_latency_us=float(np.percentile(class_latencies, 50)),
-                p95_latency_us=float(np.percentile(class_latencies, 95, method="higher")),
-                p99_latency_us=float(np.percentile(class_latencies, 99, method="higher")),
-                deadline_miss_rate=(1.0 - float(np.mean(flags))) if flags.size else None,
-                missed_jobs=int(np.count_nonzero(~flags)),
-                demotion_rate=float(np.mean(demoted[members])),
-            )
-        )
-    return tuple(reports)
+    p95, p99 = np.percentile(latencies, [95, 99], method="higher")
+    flags = met[met != _UNKNOWN] == 1
+    return {
+        "mean_latency_us": float(np.mean(latencies)),
+        "p50_latency_us": float(np.percentile(latencies, 50)),
+        "p95_latency_us": float(p95),
+        "p99_latency_us": float(p99),
+        "deadline_miss_rate": (1.0 - float(np.mean(flags))) if flags.size else None,
+        "missed_jobs": int(np.count_nonzero(~flags)),
+        "demotion_rate": float(np.mean(demoted)),
+    }
 
 
 def build_serving_report(
@@ -201,8 +181,11 @@ def build_serving_report(
     latency at every percentile with an offered load of 0 (a lone arrival
     has no meaningful rate).
 
-    The outcomes are walked once, gathering every column the run-level and
-    per-class statistics reduce.
+    Each column is read off the outcomes once and shared by the run-level
+    statistics and the per-class slices, which select their rows in outcome
+    order (so every reduction sees the values, in the order, a walk over the
+    class's own outcomes would).  A run with one class reports the run-level
+    statistics as that class's, since its slice is the whole run.
     """
     outcomes = list(outcomes)
     if not outcomes:
@@ -226,53 +209,54 @@ def build_serving_report(
             metadata=dict(metadata or {}),
             class_reports=(),
         )
-    arrival_list, finish_list, met_list, optimum_list, batch_list, demoted_list, classes = zip(
-        *map(_REPORT_FIELDS, outcomes)
-    )
-    arrivals = np.array(arrival_list)
+    arrivals = np.array([o.arrival_us for o in outcomes])
+    finishes = [o.finish_us for o in outcomes]
     # finish - arrival per job: JobOutcome.latency_us, as one array subtraction.
-    latencies = np.array(finish_list) - arrivals
-    makespan = max(float(max(finish_list) - arrivals.min()), 1e-9)
+    latencies = np.array(finishes) - arrivals
+    met = _flag_codes([o.met_deadline for o in outcomes])
+    demoted = np.array([o.demoted for o in outcomes])
+    classes = [o.service_class for o in outcomes]
+    batch_sizes = [o.batch_size for o in outcomes]
+    optimum = _flag_codes([o.detected_optimum for o in outcomes])
 
+    makespan = max(float(max(finishes) - arrivals.min()), 1e-9)
     arrival_span = float(arrivals.max() - arrivals.min())
     # A degenerate workload (single job, or all arrivals coincident) has no
     # meaningful rate; report 0 rather than an absurd clamped division.
     offered = len(outcomes) / (arrival_span / 1000.0) if arrival_span > 0.0 else 0.0
+    optimum_flags = optimum[optimum != _UNKNOWN] == 1
 
-    met, has_deadline = _known(met_list)
-    deadline_flags = met[has_deadline]
-    miss_rate = (1.0 - float(np.mean(deadline_flags))) if deadline_flags.size else None
-    missed = int(np.count_nonzero(~deadline_flags))
-
-    optimum, has_optimum = _known(optimum_list)
-    optimum_flags = optimum[has_optimum]
-    optimum_rate = float(np.mean(optimum_flags)) if optimum_flags.size else None
-
-    batch_sizes = np.array(batch_list)
-    demoted = np.array(demoted_list, dtype=bool)
+    statistics = _slice_statistics(latencies, met, demoted)
+    names = sorted(set(classes))
+    if len(names) == 1:
+        class_reports = (ServiceClassReport(names[0], len(outcomes), **statistics),)
+    else:
+        code_of = {name: code for code, name in enumerate(names)}
+        codes = np.array([code_of[name] for name in classes])
+        class_reports = []
+        for code, name in enumerate(names):
+            members = codes == code
+            class_reports.append(
+                ServiceClassReport(
+                    name,
+                    int(np.count_nonzero(members)),
+                    **_slice_statistics(latencies[members], met[members], demoted[members]),
+                )
+            )
+        class_reports = tuple(class_reports)
     return ServingReport(
         outcomes=outcomes,
         policy=policy,
         makespan_us=makespan,
         offered_load_jobs_per_ms=float(offered),
         throughput_jobs_per_ms=float(len(outcomes) / (makespan / 1000.0)),
-        mean_latency_us=float(np.mean(latencies)),
-        p50_latency_us=float(np.percentile(latencies, 50)),
-        # Tail percentiles use the conservative "higher" method: linear
-        # interpolation on small job counts reports a p95/p99 *below any
-        # observed job*, understating the tail the deadline analysis cares
-        # about.  "higher" always returns an actually-observed latency.
-        p95_latency_us=float(np.percentile(latencies, 95, method="higher")),
-        p99_latency_us=float(np.percentile(latencies, 99, method="higher")),
-        deadline_miss_rate=miss_rate,
-        missed_jobs=missed,
-        demotion_rate=float(np.mean(demoted)),
         mean_batch_size=float(np.mean(batch_sizes)),
-        max_batch_size=int(batch_sizes.max()),
+        max_batch_size=int(max(batch_sizes)),
         backend_utilization=tuple(backend_utilization),
-        optimum_rate=optimum_rate,
+        optimum_rate=float(np.mean(optimum_flags)) if optimum_flags.size else None,
         metadata=dict(metadata or {}),
-        class_reports=_class_reports(classes, latencies, met, has_deadline, demoted),
+        class_reports=class_reports,
+        **statistics,
     )
 
 

@@ -1,10 +1,11 @@
 """``build_serving_report`` against a test-side copy of its per-field walks.
 
-The report gathers its columns in one walk over the outcomes and reduces
-them with numpy.  The oracle below walks the outcomes once per statistic,
-through ``JobOutcome.latency_us`` and plain lists, the way the report was
-first written; every run-level and per-class field must come out with the
-same type and the same bits.
+The report reads each column off the outcomes once, shares it between the
+run-level statistics and the per-class slices, and reduces it with numpy.
+The oracle below walks the outcomes once per statistic, through
+``JobOutcome.latency_us`` and plain lists, the way the report was first
+written; every run-level and per-class field must come out with the same
+type and the same bits.
 """
 
 import dataclasses
