@@ -1,9 +1,9 @@
 """Bitwise pins of the per-instance steps around the anneal kernel.
 
-Every QUBO an evaluated serving run solves passes through
-:func:`~repro.qubo.ising.qubo_to_ising`, the QUBO and Ising folds, Greedy
-Search, the initial-state validators and the SVMC backend's start angles
-and end-of-anneal projection.  Each test here restates one of those steps
+Every QUBO an evaluated serving run solves passes through the MIMO
+transform, :func:`~repro.qubo.ising.qubo_to_ising`, the QUBO and Ising
+folds, Greedy Search, the initial-state validators and the SVMC backend's
+start angles and end-of-anneal projection.  Each test here restates one of those steps
 in its plain numpy form — numpy-scalar indexing, ``np.triu``/``np.tril``,
 ``np.isin``, one ``np.isclose`` per instance — and requires the library to
 give the same bytes, signed zeros included.
@@ -145,6 +145,33 @@ def test_greedy_ties_and_non_finite_marginals(seed):
         matrix[cells[1, 0], cells[1, 1]] = [np.inf, -np.inf][seed % 2]
         qubo = QUBOModel(matrix)
         assert greedy_search(qubo).tobytes() == _greedy_loop(qubo).tobytes()
+
+
+@pytest.mark.parametrize(
+    "modulation,users", [("BPSK", 5), ("QPSK", 3), ("16-QAM", 4), ("64-QAM", 2)]
+)
+def test_mimo_to_qubo_matches_the_coefficient_loop(modulation, users):
+    # The coefficients, names and amplitude map the transform built per
+    # instance with scalar loops; the layout is now memoised per shape.
+    for seed in (5, 6):
+        instance = simulate_transmission(MIMOConfig(users, modulation), rng=seed).instance
+        encoding = mimo_to_qubo(instance)
+        effective = instance.channel_matrix @ encoding.amplitude_matrix
+        residual = instance.received - instance.channel_matrix @ encoding.amplitude_offset
+        gram = np.real(np.conjugate(effective.T) @ effective)
+        correlation = np.real(np.conjugate(residual) @ effective)
+        n = gram.shape[0]
+        coefficients = np.zeros((n, n))
+        for i in range(n):
+            coefficients[i, i] = gram[i, i] - 2.0 * correlation[i]
+            for j in range(i + 1, n):
+                coefficients[i, j] = 2.0 * gram[i, j]
+        expected = QUBOModel(coefficients).coefficients
+        assert encoding.qubo.coefficients.tobytes() == expected.tobytes()
+        per_user = n // users
+        names = tuple(f"u{user}b{bit}" for user in range(users) for bit in range(per_user))
+        assert encoding.qubo.variable_names == names
+        assert not encoding.amplitude_matrix.flags.writeable
 
 
 class TestFoldBytes:
