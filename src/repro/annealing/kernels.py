@@ -56,8 +56,9 @@ at the passing positions into flat scratch buffers, runs the dense chunk
 arithmetic there — proposal, ``cos``, the threshold ``log``, accept test,
 updates — and scatters the results back.  A sweep with ``activity >= 1``
 passes every position, so it draws the same numbers straight into dense
-blocks and runs the dense chunk program.  The coupling refresh keeps its full ``(batch, chunk, reads)``
-shape either way, so results are bit-identical on both sides of the branch.
+blocks and runs the dense chunk program.  The coupling refresh keeps its
+full ``(batch, chunk, reads)`` shape either way, so results are
+bit-identical on both sides of the branch.
 Rejected positions cost neither a proposal draw nor any arithmetic.  On the
 ``ra-sweep`` benchmark, where 80% of the rotor-sweep slots are gated and 22%
 of those pass, anneal reads/s went from 6884 to 9104 (median of 10
@@ -310,8 +311,8 @@ def _svmc_draw_blocks(children, sizes, proposal_width, activity, uniforms, passi
 
     Each child makes its three generator calls (uniforms, normals, mixes)
     and nothing else per instance runs in python: the gate test is one
-    ``less`` over the batch and the per-instance counts one row reduction
-    (a scalar count at B = 1).  An empty instance draws nothing.
+    ``less`` over the batch and the per-instance counts one row reduction.
+    An empty instance draws nothing.
 
     Generator.normal(0, w) is ``0.0 + w*z`` on the standard-normal stream;
     the packed normals are scaled the same way in two calls.
@@ -322,10 +323,7 @@ def _svmc_draw_blocks(children, sizes, proposal_width, activity, uniforms, passi
         if size:
             child.random(out=uniforms[index, :size])
     np.less(uniforms, activity * (1.0 + _SVMC_GATE_MARGIN), out=passing)
-    if batch == 1:
-        counts = [np.count_nonzero(passing)]
-    else:
-        counts = np.count_nonzero(passing.reshape(batch, -1), axis=1).tolist()
+    counts = np.count_nonzero(passing.reshape(batch, -1), axis=1).tolist()
     count = 0
     for child, drawn in zip(children, counts):
         if drawn:
@@ -594,9 +592,6 @@ def svmc_sweeps_vectorized(
     normals = packed_normals.reshape(shape)
     mixes = packed_mixes.reshape(shape)
     thresholds = np.zeros(shape)
-    # Gated sweeps draw their accept uniforms here; padding rows stay +inf,
-    # which no gate passes.
-    uniforms = np.full(shape, np.inf)
     passing = np.zeros(shape, dtype=bool)
     proposed = np.empty((batch, chunk_cap, reads))
     proposed_cos = np.empty((batch, chunk_cap, reads))
@@ -609,15 +604,17 @@ def svmc_sweeps_vectorized(
     change = np.empty((batch, chunk_cap, reads))
     coupled = np.empty(shape)
     one_chunk = max_size <= _SVMC_CHUNK
-    # Set while a gated sweep's packed draws may sit in the padding rows,
-    # which the dense program needs at zero.
+    # Set while gated sweeps own the padding rows: ``thresholds`` then holds
+    # the raw accept uniforms with ``+inf`` padding, which no gate passes,
+    # and the packed draws may sit in the padding rows of ``normals`` and
+    # ``mixes``.  The dense program needs all three padded with zeros.
     stale_padding = False
     # Gated sweeps gather from and scatter into flat views of the state and
     # draw buffers, and reuse the dense scratch, plus one buffer, flat.
     if not all(array.flags.c_contiguous for array in (theta, cosines, sines, local)):
         raise ValueError("theta, cosines, sines and local must be C-contiguous")
     flat = [array.reshape(-1) for array in (theta, cosines, sines, local)]
-    flat += [packed_normals, packed_mixes, uniforms.reshape(-1)]
+    flat += [packed_normals, packed_mixes, thresholds.reshape(-1)]
     work = [
         buffer.reshape(-1)
         for buffer in (proposed, proposed_cos, proposed_sin, diff, delta, shift, scratch)
@@ -626,11 +623,14 @@ def svmc_sweeps_vectorized(
     for problem, transverse, temperature, activity in settings:
         log_activity = np.log(activity)
         if activity < 1.0:
+            if not stale_padding:
+                for index, size in enumerate(sizes):
+                    thresholds[index, int(size) :] = np.inf
+                stale_padding = True
             _svmc_draw_blocks(
                 children, sizes, proposal_width, activity,
-                uniforms, passing, packed_normals, packed_mixes,
+                thresholds, passing, packed_normals, packed_mixes,
             )
-            stale_padding = True
             sweep = (problem, transverse, temperature, log_activity)
             positions = np.flatnonzero(passing)
             if not one_chunk:
@@ -656,6 +656,7 @@ def svmc_sweeps_vectorized(
             for index, size in enumerate(sizes):
                 normals[index, int(size) :] = 0.0
                 mixes[index, int(size) :] = 0.0
+                thresholds[index, int(size) :] = 0.0
             stale_padding = False
         _svmc_draw_dense(children, sizes, proposal_width, thresholds, normals, mixes)
         _svmc_fill_thresholds(thresholds, sizes, temperature, log_activity)
