@@ -184,8 +184,7 @@ def build_serving_report(
     Each column is read off the outcomes once and shared by the run-level
     statistics and the per-class slices, which select their rows in outcome
     order (so every reduction sees the values, in the order, a walk over the
-    class's own outcomes would).  A run with one class reports the run-level
-    statistics as that class's, since its slice is the whole run.
+    class's own outcomes would).
     """
     outcomes = list(outcomes)
     if not outcomes:
@@ -226,24 +225,19 @@ def build_serving_report(
     offered = len(outcomes) / (arrival_span / 1000.0) if arrival_span > 0.0 else 0.0
     optimum_flags = optimum[optimum != _UNKNOWN] == 1
 
-    statistics = _slice_statistics(latencies, met, demoted)
     names = sorted(set(classes))
-    if len(names) == 1:
-        class_reports = (ServiceClassReport(names[0], len(outcomes), **statistics),)
-    else:
-        code_of = {name: code for code, name in enumerate(names)}
-        codes = np.array([code_of[name] for name in classes])
-        class_reports = []
-        for code, name in enumerate(names):
-            members = codes == code
-            class_reports.append(
-                ServiceClassReport(
-                    name,
-                    int(np.count_nonzero(members)),
-                    **_slice_statistics(latencies[members], met[members], demoted[members]),
-                )
+    code_of = {name: code for code, name in enumerate(names)}
+    codes = np.array([code_of[name] for name in classes])
+    class_reports = []
+    for code, name in enumerate(names):
+        members = codes == code
+        class_reports.append(
+            ServiceClassReport(
+                name,
+                int(np.count_nonzero(members)),
+                **_slice_statistics(latencies[members], met[members], demoted[members]),
             )
-        class_reports = tuple(class_reports)
+        )
     return ServingReport(
         outcomes=outcomes,
         policy=policy,
@@ -255,8 +249,8 @@ def build_serving_report(
         backend_utilization=tuple(backend_utilization),
         optimum_rate=float(np.mean(optimum_flags)) if optimum_flags.size else None,
         metadata=dict(metadata or {}),
-        class_reports=class_reports,
-        **statistics,
+        class_reports=tuple(class_reports),
+        **_slice_statistics(latencies, met, demoted),
     )
 
 
