@@ -48,9 +48,9 @@ never be accepted.  So each SVMC sweep draws, per instance, its accept
 uniforms first, and then a normal and a mix uniform only for the positions
 with ``u < gate`` (``activity`` plus a rounding margin).  The gate test is
 one comparison over the whole ``(batch, max_size, reads)`` uniform block,
-whose padding rows hold ``+inf`` and so never pass, and the per-instance
-counts one row reduction; in python each child only makes its three
-generator calls.  A sweep with ``activity < 1`` can reject at the gate: it
+whose padding rows hold ``+inf`` and so never pass, and one search of the
+row ends in the passing positions splits the packed draws per instance; in
+python each child only makes its three generator calls.  A sweep with ``activity < 1`` can reject at the gate: it
 packs those proposal draws at the front of flat buffers, gathers the state
 at the passing positions into flat scratch buffers, runs the dense chunk
 arithmetic there — proposal, ``cos``, the threshold ``log``, accept test,
@@ -307,34 +307,35 @@ def _svmc_draw_blocks(children, sizes, proposal_width, activity, uniforms, passi
     The normals and mixes of all instances are packed in batch order at the
     front of the flat buffers ``normals`` and ``mixes``: the ``j``-th
     gate-passing position of ``passing`` in C order owns entry ``j``.
-    Returns their count.
+    Returns those positions as flat indices into the block, in C order
+    (their count is the number of packed entries).
 
     Each child makes its three generator calls (uniforms, normals, mixes)
     and nothing else per instance runs in python: the gate test is one
-    ``less`` over the batch and the per-instance counts one row reduction.
-    An empty instance draws nothing.
+    ``less`` over the batch, and one ``searchsorted`` of the row ends in the
+    passing positions gives where each instance's packed draws end.  An
+    empty instance draws nothing.
 
     Generator.normal(0, w) is ``0.0 + w*z`` on the standard-normal stream;
     the packed normals are scaled the same way in two calls.
     """
-    batch = len(children)
-    lengths = sizes.tolist()
-    for index, (child, size) in enumerate(zip(children, lengths)):
+    batch, max_size, reads = passing.shape
+    for index, (child, size) in enumerate(zip(children, sizes.tolist())):
         if size:
             child.random(out=uniforms[index, :size])
     np.less(uniforms, activity * (1.0 + _SVMC_GATE_MARGIN), out=passing)
-    counts = np.count_nonzero(passing.reshape(batch, -1), axis=1).tolist()
+    positions = np.flatnonzero(passing)
+    row_ends = np.arange(1, batch + 1) * (max_size * reads)
     count = 0
-    for child, drawn in zip(children, counts):
-        if drawn:
-            end = count + drawn
+    for child, end in zip(children, positions.searchsorted(row_ends).tolist()):
+        if end > count:
             child.standard_normal(out=normals[count:end])
             child.random(out=mixes[count:end])
             count = end
     steps = normals[:count]
     steps *= proposal_width
     steps += 0.0  # the 0.0 + w*z of normal(): turns a -0.0 into +0.0
-    return count
+    return positions
 
 
 def _svmc_draw_dense(children, sizes, proposal_width, uniforms, normals, mixes):
@@ -627,12 +628,11 @@ def svmc_sweeps_vectorized(
                 for index, size in enumerate(sizes):
                     thresholds[index, int(size) :] = np.inf
                 stale_padding = True
-            _svmc_draw_blocks(
+            positions = _svmc_draw_blocks(
                 children, sizes, proposal_width, activity,
                 thresholds, passing, packed_normals, packed_mixes,
             )
             sweep = (problem, transverse, temperature, log_activity)
-            positions = np.flatnonzero(passing)
             if not one_chunk:
                 instances, rows = np.divmod(positions // reads, max_size)
             for p0 in range(0, max_size, _SVMC_CHUNK):

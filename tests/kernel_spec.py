@@ -127,7 +127,7 @@ def svmc_sweeps_reference(
         count = _svmc_draw_blocks(
             children, sizes, proposal_width, activity,
             thresholds, passing, packed_normals, packed_mixes,
-        )
+        ).size
         normals = np.zeros((batch, max_size, reads))
         mixes = np.zeros((batch, max_size, reads))
         normals[passing] = packed_normals[:count]

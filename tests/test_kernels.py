@@ -368,7 +368,7 @@ class TestSVMCSharedHelpers:
             normals, mixes = np.full(uniforms.size, 7.0), np.full(uniforms.size, 7.0)
             count = kernels._svmc_draw_blocks(
                 children, sizes, width, activity, uniforms, passing, normals, mixes
-            )
+            ).size
             offset = 0
             for index, (size, replay) in enumerate(zip(sizes, replays)):
                 expected = replay.random((size, reads))

@@ -62,9 +62,12 @@ def test_helper_matches_per_child_oracle(reads, seed):
     for activity in ACTIVITIES:
         normals.fill(7.0)
         mixes.fill(7.0)
-        count = kernels._svmc_draw_blocks(
+        positions = kernels._svmc_draw_blocks(
             children, sizes, width, activity, uniforms, passing, normals, mixes
         )
+        # Entry j of the packed draws belongs to the j-th passing position.
+        assert np.array_equal(positions, np.flatnonzero(passing))
+        count = positions.size
         expected = _oracle(replays, SIZES, reads, width, activity)
         for index, size in enumerate(SIZES):
             assert uniforms[index, :size].tobytes() == expected[0][index].tobytes()
