@@ -36,6 +36,10 @@ import tracemalloc
 
 from repro.experiments.driver import run_driver
 from repro.experiments.network_study import (
+    SCENARIO,
+    SYMBOL_PERIOD_US,
+    TOPOLOGY_KIND,
+    WINDOW_US,
     NetworkStudyConfig,
     NetworkStudyDriver,
 )
@@ -66,14 +70,12 @@ def _study_config(smoke: bool) -> NetworkStudyConfig:
 
 def _measure_counter_memory(config: NetworkStudyConfig) -> dict:
     """Peak allocation while sampling the city's aggregate counter matrix."""
-    topology = build_topology(config.topology_kind, config.rows, config.cols)
-    scenario = build_scenario(
-        config.scenario, topology.num_cells, config.horizon_us, topology=topology
-    )
+    topology = build_topology(TOPOLOGY_KIND, config.rows, config.cols)
+    scenario = build_scenario(SCENARIO, topology.num_cells, config.horizon_us, topology=topology)
     aggregation = AggregationConfig(
         users_per_cell=config.users_per_cell,
-        symbol_period_us=config.symbol_period_us,
-        window_us=config.window_us,
+        symbol_period_us=SYMBOL_PERIOD_US,
+        window_us=WINDOW_US,
     )
     tracemalloc.start()
     try:
@@ -104,7 +106,7 @@ def run_network_gates(smoke: bool = False) -> dict:
     ratio = reactive_miss / static_miss if static_miss else float("inf")
     return {
         **memory,
-        "scenario": config.scenario,
+        "scenario": SCENARIO,
         "static_miss": static_miss,
         "static_peak_miss": rows["static"].peak_cell_miss_rate,
         "reactive_miss": reactive_miss,

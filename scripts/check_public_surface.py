@@ -1,4 +1,4 @@
-"""CI public-surface check: every public name and every defaulted parameter needs a caller.
+"""CI public-surface check: every public name, defaulted parameter and config field needs a caller.
 
 A public top-level ``def``, ``class`` or assignment in ``src/repro``, and a
 public method or property of a public top-level class, stays only while
@@ -19,17 +19,28 @@ name.  A call that forwards the caller's own same-named parameter passes it
 only while that parameter is itself live, which is settled by iterating to
 a fixpoint; so a chain of defaults that only tests turn is dead end to end.
 
-A name or parameter that has to stay without a caller goes in
-``ALLOWLIST`` or ``PARAMETER_ALLOWLIST`` with the reason in a comment.  An
-entry of either that names nothing in the tree, or names something the
-check would pass anyway, fails the check too, so a typo or a left-over
-entry cannot sit there unnoticed.  Run from the repository root (CI does)::
+A field of a study config (any class a ``src/repro`` class body assigns to
+``config_class``) stays only while something outside tests sets it: a
+``cls(...)`` call in the class's own ``quick`` / ``paper_scale`` /
+``city_scale`` preset; a call to the class by name in those directories,
+by keyword or by position; a keyword of any ``replace(...)`` call (matched
+by identifier, like names); or a ``base=`` / ``axes=`` key of an
+``AblationSpec(...)`` call or a ``[base]`` / ``[axes]`` key of an
+``examples/specs/*.toml`` file, for the config of that spec's
+``experiment``.  The seeds (``SEED_FIELDS``) are exempt.
+
+A name, parameter or field that has to stay without a caller goes in
+``ALLOWLIST``, ``PARAMETER_ALLOWLIST`` or ``CONFIG_FIELD_ALLOWLIST`` with
+the reason in a comment.  An entry of any of them that names nothing in
+the tree, or names something the check would pass anyway, fails the check
+too, so a typo or a left-over entry cannot sit there unnoticed.  Run from
+the repository root (CI does)::
 
     python scripts/check_public_surface.py [ROOT]
 
 ``ROOT`` defaults to the repository this script lives in.  The check exits
-1 and names every unreferenced definition, uncalled parameter and stale
-allowlist entry.
+1 and names every unreferenced definition, uncalled parameter, unset config
+field and stale allowlist entry.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from __future__ import annotations
 import ast
 import pathlib
 import sys
+import tomllib
 from collections import defaultdict
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -88,6 +100,30 @@ PARAMETER_ALLOWLIST: frozenset = frozenset(
         "repro.telemetry.tracing:Tracer(max_records)",
         # The test fixture's way to build a channel use around a transmission.
         "repro.wireless.traffic:ChannelUse(transmission)",
+    }
+)
+
+#: Ablation spec files whose ``[base]`` / ``[axes]`` keys set config fields.
+SPEC_FILES = "examples/specs/*.toml"
+
+#: Config preset factories whose ``cls(...)`` calls set their own class's fields.
+PRESETS = ("quick", "paper_scale", "city_scale")
+
+#: Config fields every study keeps whether or not anything sets them.
+SEED_FIELDS = frozenset({"base_seed", "instance_seed"})
+
+#: ``module.path:Class.field`` entries exempt from the config-field check,
+#: each with the reason it stays.
+CONFIG_FIELD_ALLOWLIST: frozenset = frozenset(
+    {
+        # The qos_stress and scenarios_stress goldens overload the plant
+        # through these fields.
+        "repro.experiments.qos_study:QoSStudyConfig.base_symbol_period_us",
+        "repro.experiments.scenario_study:ScenarioStudyConfig.base_symbol_period_us",
+        "repro.experiments.scenario_study:ScenarioStudyConfig.warmup_us",
+        # The harness property tests sweep them.
+        "repro.ablation.targets:AnnealHPOConfig.density",
+        "repro.ablation.targets:AnnealHPOConfig.final_temperature",
     }
 )
 
@@ -172,8 +208,7 @@ def unreferenced(root: pathlib.Path) -> tuple:
     places = references(root)
     defined, missing = [], []
     for path, qualified, name, first, last in public_definitions(root):
-        module = ".".join(path.relative_to(root / PACKAGE.parent).with_suffix("").parts)
-        key = f"{module}:{qualified}"
+        key = f"{_module(root, path)}:{qualified}"
         defined.append(key)
         if not any(p != path or not first <= line <= last for p, line in places.get(name, ())):
             missing.append(key)
@@ -250,21 +285,30 @@ def _passes(call: ast.Call, name: str, position) -> tuple:
     return False, None
 
 
-def uncalled_parameters(root: pathlib.Path) -> tuple:
-    """``(defined, uncalled)``: every defaulted parameter's ``module:qual(param)``,
-    and those no non-test call passes, ``PARAMETER_ALLOWLIST`` not applied."""
-    trees = {
+def _caller_trees(root: pathlib.Path) -> dict:
+    """The parsed module of every file in ``CALLER_ROOTS``, keyed by path."""
+    return {
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for directory in CALLER_ROOTS
         for path in _python_files(root / directory)
     }
+
+
+def _module(root: pathlib.Path, path: pathlib.Path) -> str:
+    return ".".join(path.relative_to(root / PACKAGE.parent).with_suffix("").parts)
+
+
+def uncalled_parameters(root: pathlib.Path) -> tuple:
+    """``(defined, uncalled)``: every defaulted parameter's ``module:qual(param)``,
+    and those no non-test call passes, ``PARAMETER_ALLOWLIST`` not applied."""
+    trees = _caller_trees(root)
     # Callee identifier -> (key, name, position) of its defaulted parameters,
     # and each package def -> {name: key} of its own.
     by_identifier = defaultdict(list)
     own = {}
     every = []
     for path in _python_files(root / PACKAGE):
-        module = ".".join(path.relative_to(root / PACKAGE.parent).with_suffix("").parts)
+        module = _module(root, path)
         for qualified, identifier, node, is_method in _functions(trees[path].body):
             owner = f"{module}:{qualified.removesuffix('.__init__')}"
             parameters = _defaulted(node, is_method)
@@ -306,6 +350,113 @@ def uncalled_parameters(root: pathlib.Path) -> tuple:
     return every, [key for key in every if key not in live]
 
 
+def _config_classes(root: pathlib.Path, trees: dict) -> tuple:
+    """``(classes, experiments)`` of the study configs.
+
+    ``classes`` maps each config class name to ``(module, ClassDef)``;
+    ``experiments`` maps each driver's ``name`` to its config class name.
+    """
+    assigned, experiments = set(), {}
+    for path in _python_files(root / PACKAGE):
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            values = {
+                item.targets[0].id: item.value
+                for item in node.body
+                if isinstance(item, ast.Assign) and isinstance(item.targets[0], ast.Name)
+            }
+            config = values.get("config_class")
+            if not isinstance(config, ast.Name):
+                continue
+            assigned.add(config.id)
+            name = values.get("name")
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                experiments[name.value] = config.id
+    classes = {
+        node.name: (_module(root, path), node)
+        for path in _python_files(root / PACKAGE)
+        for node in trees[path].body
+        if isinstance(node, ast.ClassDef) and node.name in assigned
+    }
+    return classes, experiments
+
+
+def _fields(node: ast.ClassDef) -> list:
+    """A dataclass's field names, in declaration order."""
+    return [
+        item.target.id
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def _call_sets(call: ast.Call, fields: list) -> set:
+    """The fields a call to a config class writes, by keyword or position."""
+    written = {keyword.arg for keyword in call.keywords if keyword.arg is not None}
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            written.update(fields[index:])
+            break
+        written.update(fields[index : index + 1])
+    return written
+
+
+def _spec_keys(call: ast.Call) -> tuple:
+    """``(experiment, keys)`` of an ``AblationSpec(...)`` call's ``base`` / ``axes`` dicts."""
+    experiment, keys = None, set()
+    for keyword in call.keywords:
+        if keyword.arg == "experiment" and isinstance(keyword.value, ast.Constant):
+            experiment = keyword.value.value
+        elif keyword.arg in ("base", "axes") and isinstance(keyword.value, ast.Dict):
+            keys.update(
+                key.value
+                for key in keyword.value.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
+    return experiment, keys
+
+
+def unset_config_fields(root: pathlib.Path) -> tuple:
+    """``(defined, unset)``: every config field's ``module:Class.field``, and
+    those nothing outside tests sets, ``CONFIG_FIELD_ALLOWLIST`` not applied."""
+    trees = _caller_trees(root)
+    classes, experiments = _config_classes(root, trees)
+    fields = {name: _fields(node) for name, (_, node) in classes.items()}
+    live = defaultdict(set)
+    for name, (_, node) in classes.items():
+        for method in node.body:
+            if isinstance(method, ast.FunctionDef) and method.name in PRESETS:
+                for call in ast.walk(method):
+                    if isinstance(call, ast.Call) and _callee(call) == "cls":
+                        live[name] |= _call_sets(call, fields[name])
+    replaced = set()
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = _callee(call)
+            if callee in fields:
+                live[callee] |= _call_sets(call, fields[callee])
+            elif callee == "replace":
+                replaced.update(k.arg for k in call.keywords if k.arg is not None)
+            elif callee == "AblationSpec":
+                experiment, keys = _spec_keys(call)
+                live[experiments.get(experiment)] |= keys
+    for path in sorted(root.glob(SPEC_FILES)):
+        spec = tomllib.loads(path.read_text(encoding="utf-8"))
+        keys = {*spec.get("base", {}), *spec.get("axes", {})}
+        live[experiments.get(spec.get("experiment"))] |= keys
+    defined, unset = [], []
+    for name, (module, _) in sorted(classes.items(), key=lambda item: item[1][0]):
+        for field in fields[name]:
+            key = f"{module}:{name}.{field}"
+            defined.append(key)
+            if field not in SEED_FIELDS | replaced | live[name]:
+                unset.append(key)
+    return defined, unset
+
+
 def stale_entries(allowlist: frozenset, defined: list, flagged: list) -> list:
     """``(reason, entry)`` of every allowlist entry that exempts nothing.
 
@@ -326,15 +477,21 @@ def main(argv: list) -> int:
     root = pathlib.Path(argv[0]).resolve() if argv else REPO_ROOT
     names, unreferenced_names = unreferenced(root)
     parameters, uncalled_found = uncalled_parameters(root)
+    fields, unset_found = unset_config_fields(root)
     missing = [key for key in unreferenced_names if key not in ALLOWLIST]
     uncalled = [key for key in uncalled_found if key not in PARAMETER_ALLOWLIST]
-    stale = stale_entries(ALLOWLIST, names, unreferenced_names) + stale_entries(
-        PARAMETER_ALLOWLIST, parameters, uncalled_found
+    unset = [key for key in unset_found if key not in CONFIG_FIELD_ALLOWLIST]
+    stale = (
+        stale_entries(ALLOWLIST, names, unreferenced_names)
+        + stale_entries(PARAMETER_ALLOWLIST, parameters, uncalled_found)
+        + stale_entries(CONFIG_FIELD_ALLOWLIST, fields, unset_found)
     )
     for key in missing:
         print(f"public name with no caller outside tests: {key}")
     for key in uncalled:
         print(f"defaulted parameter with no caller outside tests: {key}")
+    for key in unset:
+        print(f"config field nothing outside tests sets: {key}")
     for reason, entry in stale:
         print(f"stale allowlist entry ({reason}): {entry}")
     if missing:
@@ -349,13 +506,19 @@ def main(argv: list) -> int:
             "the default into the code",
             file=sys.stderr,
         )
+    if unset:
+        print(
+            f"{len(unset)} unset config field(s): delete them and fold the default "
+            "into a module constant",
+            file=sys.stderr,
+        )
     if stale:
         print(
             f"{len(stale)} stale allowlist entr{'y' if len(stale) == 1 else 'ies'}: "
             "correct or remove them",
             file=sys.stderr,
         )
-    if missing or uncalled or stale:
+    if missing or uncalled or unset or stale:
         return 1
     print("public surface check passed")
     return 0

@@ -6,15 +6,15 @@ A spec's ``experiment`` names a driver in :data:`repro.experiments.DRIVERS`
 *the same work units* — same functions, same kwargs, same cache
 fingerprints — that ``run_driver`` (and so the matching
 ``repro-experiments`` subcommand) produces, and the rows and metrics come
-from the driver's own pure ``aggregate``/``metrics`` pair.  This is what makes the harness subsume the
-imperative runs bitwise, and it means the declarative and imperative paths
-share one warm cache.  Presets come from ``config_presets`` on the driver's
+from the driver's own pure ``aggregate``/``metrics`` pair.  This is what
+makes the harness subsume the imperative runs bitwise, and it means the
+declarative and imperative paths share one warm cache.  Presets come from ``config_presets`` on the driver's
 ``config_class``.
 
 ``anneal-hpo`` is a self-contained hyper-parameter target (simulated
-annealing over a seeded random QUBO) used by examples, the property-test
-suite and CI smoke: it exercises the full spec → points → shards → metrics →
-Pareto path in milliseconds without touching the MIMO stack.
+annealing over a seeded random QUBO) that only the test suite drives: it
+exercises the full spec → points → shards → metrics → Pareto path in
+milliseconds without touching the MIMO stack.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class AnnealHPOConfig:
 
     @classmethod
     def quick(cls) -> "AnnealHPOConfig":
-        """A minimal configuration used by tests and CI smoke."""
+        """A minimal configuration used by the test suite."""
         return cls(num_variables=6, num_sweeps=12, num_restarts=2)
 
 

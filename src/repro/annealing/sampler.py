@@ -213,13 +213,11 @@ class QuantumAnnealerSimulator:
         self,
         qubos: Sequence[QUBOModel],
         num_reads: int = 100,
-        anneal_time_us: float = 1.0,
         pause_s: Optional[float] = None,
-        pause_duration_us: float = 1.0,
         rng: BatchRandomState = None,
     ) -> List[SampleSet]:
-        """Forward-anneal a batch of QUBOs under one shared schedule."""
-        schedule = forward_anneal_schedule(anneal_time_us, pause_s, pause_duration_us)
+        """Forward-anneal a batch of QUBOs for 1 us, pausing 1 us at ``pause_s``."""
+        schedule = forward_anneal_schedule(1.0, pause_s, 1.0)
         return self.sample_qubo_batch(qubos, schedule, num_reads, None, rng)
 
     def reverse_anneal_batch(
@@ -228,11 +226,10 @@ class QuantumAnnealerSimulator:
         initial_states: Sequence[Sequence[int]],
         switch_s: float,
         num_reads: int = 100,
-        pause_duration_us: float = 1.0,
         rng: BatchRandomState = None,
     ) -> List[SampleSet]:
-        """Reverse-anneal a batch of QUBOs from per-instance initial states."""
-        schedule = reverse_anneal_schedule(switch_s, pause_duration_us)
+        """Reverse-anneal a batch of QUBOs from per-instance initial states (1 us pause)."""
+        schedule = reverse_anneal_schedule(switch_s)
         return self.sample_qubo_batch(qubos, schedule, num_reads, initial_states, rng)
 
     # ------------------------------------------------------------------ #

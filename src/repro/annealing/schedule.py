@@ -234,18 +234,13 @@ def reverse_anneal_schedule(switch_s: float, pause_duration_us: float = 1.0) -> 
     )
 
 
-def forward_reverse_anneal_schedule(
-    turning_s: float,
-    switch_s: float,
-    pause_duration_us: float = 1.0,
-    anneal_time_us: float = 1.0,
-) -> AnnealSchedule:
+def forward_reverse_anneal_schedule(turning_s: float, switch_s: float) -> AnnealSchedule:
     """Single-step forward-reverse annealing (paper FR).
 
     The anneal runs forward from s = 0 up to the turning point ``c_p``,
-    reverses down to ``s_p`` (without a measurement in between), pauses, and
-    finally anneals forward to s = 1.  The initial forward and the reverse
-    ramp take one microsecond per unit of s traversed.
+    reverses down to ``s_p`` (without a measurement in between), pauses for
+    1 us, and finally anneals forward to s = 1 in 1 us.  The initial forward
+    and the reverse ramp take one microsecond per unit of s traversed.
 
     Parameters
     ----------
@@ -253,10 +248,6 @@ def forward_reverse_anneal_schedule(
         Turning point c_p in (0, 1); must satisfy ``c_p >= s_p``.
     switch_s:
         Pause location s_p in (0, 1).
-    pause_duration_us:
-        Pause duration t_p.
-    anneal_time_us:
-        Duration t_a of the final forward ramp in the paper's parameterisation.
     """
     if not 0.0 < turning_s < 1.0:
         raise ScheduleError(f"turning_s must lie strictly inside (0, 1), got {turning_s}")
@@ -266,16 +257,12 @@ def forward_reverse_anneal_schedule(
         raise ScheduleError(
             f"turning point c_p ({turning_s}) must be at least the switch point s_p ({switch_s})"
         )
-    if pause_duration_us < 0:
-        raise ScheduleError(f"pause_duration_us must be non-negative, got {pause_duration_us}")
-    if anneal_time_us <= 0:
-        raise ScheduleError(f"anneal_time_us must be positive, got {anneal_time_us}")
 
     rise = turning_s
     fall = turning_s - switch_s
     pause_start = rise + fall
-    pause_end = pause_start + pause_duration_us
-    final_end = pause_end + anneal_time_us
+    pause_end = pause_start + 1.0
+    final_end = pause_end + 1.0
     return AnnealSchedule.from_pairs(
         [
             [0.0, 0.0],

@@ -74,14 +74,18 @@ _INITIALIZER_FACTORIES = {
 #: Initialiser names :class:`InitializerAblationConfig` accepts.
 INITIALIZERS = tuple(_INITIALIZER_FACTORIES)
 
+#: The modulation both ablations detect.
+_MODULATION = "16-QAM"
+
+#: Where the initialiser ablation's reverse anneal turns back.
+_INITIALIZER_SWITCH_S = 0.45
+
 
 @dataclass(frozen=True)
 class InitializerAblationConfig:
     """Configuration of the initialiser ablation."""
 
     num_users: int = 6
-    modulation: str = "16-QAM"
-    switch_s: float = 0.45
     num_reads: int = 200
     instance_seed: int = 2
     base_seed: int = 0
@@ -121,12 +125,12 @@ def _initializer_shard(config: InitializerAblationConfig) -> InitializerAblation
     so a row does not depend on which other initialisers the study holds.
     """
     (name,) = config.initializers
-    instance = synthesize_instance(config.num_users, config.modulation, seed=config.instance_seed)
+    instance = synthesize_instance(config.num_users, _MODULATION, seed=config.instance_seed)
     ground = instance.ground_energy
     hybrid = HybridQuboSolver(
         classical_solver=_INITIALIZER_FACTORIES[name](instance.encoding),
         sampler=QuantumAnnealerSimulator(seed=stable_seed("ablation", config.base_seed)),
-        switch_s=config.switch_s,
+        switch_s=_INITIALIZER_SWITCH_S,
         num_reads=config.num_reads,
     )
     result = hybrid.solve(
@@ -182,23 +186,25 @@ class InitializerAblationDriver(ExperimentDriver):
 # E-F4: soft-information constraint study
 # --------------------------------------------------------------------------- #
 
+#: Constraint pairs whose pre-knowledge targets are flipped.
+_WRONG_PAIRS = 1
+
+#: Where the soft-constraint study's forward anneal pauses.
+_SOFT_CONSTRAINT_PAUSE_S = 0.41
+
 
 @dataclass(frozen=True)
 class SoftConstraintConfig:
     """Configuration of the soft-constraint study."""
 
     num_users: int = 4
-    modulation: str = "16-QAM"
     strengths: Tuple[float, ...] = (0.0, 0.5, 2.0, 8.0)
-    wrong_pairs: int = 1
     num_reads: int = 200
-    switch_s: float = 0.41
     instance_seed: int = 3
     base_seed: int = 0
 
     def __post_init__(self) -> None:
         require_positive_fields(self, "num_users", "num_reads")
-        require_non_negative(self.wrong_pairs, "wrong_pairs")
         require(bool(self.strengths), "strengths must not be empty")
         for strength in self.strengths:
             require_non_negative(strength, "constraint strength")
@@ -221,7 +227,7 @@ class SoftConstraintRow:
 
 
 def _pair_constraints(
-    bundle: InstanceBundle, strength: float, wrong_pairs: int
+    bundle: InstanceBundle, strength: float
 ) -> Tuple[List[SoftConstraint], List[SoftConstraint]]:
     """Constraints from correct pre-knowledge and from partially wrong pre-knowledge."""
     ground = bundle.ground_state
@@ -239,7 +245,7 @@ def _pair_constraints(
     wrong: List[SoftConstraint] = []
     for count, (i, j) in enumerate(pairs):
         targets = (int(ground[i]), int(ground[j]))
-        if count < wrong_pairs:
+        if count < _WRONG_PAIRS:
             targets = (1 - targets[0], 1 - targets[1])
         wrong.append(SoftConstraint(variables=(i, j), targets=targets, strength=strength))
     return correct, wrong
@@ -247,7 +253,7 @@ def _pair_constraints(
 
 def _soft_constraint_rows(config: SoftConstraintConfig) -> List[SoftConstraintRow]:
     """Sweep constraint strength with correct and partially wrong pre-knowledge."""
-    instance = synthesize_instance(config.num_users, config.modulation, seed=config.instance_seed)
+    instance = synthesize_instance(config.num_users, _MODULATION, seed=config.instance_seed)
     annealer = QuantumAnnealerSimulator(seed=stable_seed("soft-constraints", config.base_seed))
     qubo = instance.encoding.qubo
     ground_energy = instance.ground_energy
@@ -257,7 +263,7 @@ def _soft_constraint_rows(config: SoftConstraintConfig) -> List[SoftConstraintRo
     for strength in config.strengths:
         variants = [("none", [])] if strength == 0.0 else []
         if strength > 0.0:
-            correct, wrong = _pair_constraints(instance, strength, config.wrong_pairs)
+            correct, wrong = _pair_constraints(instance, strength)
             variants = [("correct", correct), ("partially-wrong", wrong)]
         for knowledge, constraints in variants:
             augmented = add_soft_constraints(qubo, constraints) if constraints else qubo
@@ -272,7 +278,7 @@ def _soft_constraint_rows(config: SoftConstraintConfig) -> List[SoftConstraintRo
                     augmented.energy(ground_state) <= qubo.energy(ground_state) + 1e-6
                 )
             sampleset = annealer.forward_anneal(
-                augmented, num_reads=config.num_reads, pause_s=config.switch_s
+                augmented, num_reads=config.num_reads, pause_s=_SOFT_CONSTRAINT_PAUSE_S
             )
             # Success is judged on the ORIGINAL objective: did the augmented
             # search return the true detection optimum?

@@ -47,6 +47,16 @@ __all__ = [
 #: The three solver flavours compared by Figure 6.
 METHODS = ("FA", "RA-random", "RA-greedy")
 
+#: Pause / switch location used for all three methods.  The paper uses each
+#: method's "median best parameter setting"; this reproduction uses one
+#: shared location chosen from the hybrid's best band on 36-variable
+#: problems under the simulator.  The Figure 6 ordering of the methods can
+#: change with this choice.
+_SWITCH_S = 0.57
+
+#: ΔE% histogram bins.
+_BIN_EDGES = (0.0, 2.0, 5.0, 10.0, 20.0, 40.0, 70.0, 100.0, 1e9)
+
 
 @dataclass(frozen=True)
 class Figure6Config:
@@ -62,29 +72,16 @@ class Figure6Config:
         Anneal reads per instance and method (200,000-600,000 in aggregate in
         the paper; the default here keeps laptop runtimes reasonable while
         preserving the distribution shapes).
-    switch_s:
-        Pause / switch location used for all three methods.  The paper uses
-        each method's "median best parameter setting"; this reproduction uses
-        one shared location chosen from the hybrid's best band on 36-variable
-        problems under the simulator (0.57).  The Figure 6 ordering of the
-        methods can change with this choice.
-    bin_edges:
-        ΔE% histogram bins.
     """
 
     num_variables: int = 36
     instances_per_modulation: int = 2
     num_reads: int = 300
-    switch_s: float = 0.57
-    pause_duration_us: float = 1.0
-    anneal_time_us: float = 1.0
-    bin_edges: Tuple[float, ...] = (0.0, 2.0, 5.0, 10.0, 20.0, 40.0, 70.0, 100.0, 1e9)
     base_seed: int = 0
     modulations: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         require_positive_fields(self, "num_variables", "instances_per_modulation", "num_reads")
-        require(len(self.bin_edges) >= 2, "bin_edges must hold at least two edges")
         require(
             self.modulations is None or len(self.modulations) > 0,
             "modulations must not be empty (None selects all)",
@@ -174,9 +171,7 @@ def _figure6_shard(config: Figure6Config, num_users: int, modulation: str) -> Li
             annealer.forward_anneal_batch(
                 qubos,
                 num_reads=config.num_reads,
-                anneal_time_us=config.anneal_time_us,
-                pause_s=config.switch_s,
-                pause_duration_us=config.pause_duration_us,
+                pause_s=_SWITCH_S,
                 rng=method_children["FA"],
             )
         ),
@@ -184,9 +179,8 @@ def _figure6_shard(config: Figure6Config, num_users: int, modulation: str) -> Li
             annealer.reverse_anneal_batch(
                 qubos,
                 random_states,
-                switch_s=config.switch_s,
+                switch_s=_SWITCH_S,
                 num_reads=config.num_reads,
-                pause_duration_us=config.pause_duration_us,
                 rng=method_children["RA-random"],
             )
         ),
@@ -194,9 +188,8 @@ def _figure6_shard(config: Figure6Config, num_users: int, modulation: str) -> Li
             annealer.reverse_anneal_batch(
                 qubos,
                 [solution.assignment for solution in greedy_solutions],
-                switch_s=config.switch_s,
+                switch_s=_SWITCH_S,
                 num_reads=config.num_reads,
-                pause_duration_us=config.pause_duration_us,
                 rng=method_children["RA-greedy"],
             )
         ),
@@ -204,7 +197,7 @@ def _figure6_shard(config: Figure6Config, num_users: int, modulation: str) -> Li
 
     series: List[Figure6Series] = []
     for method, samples in per_method.items():
-        histogram = histogram_percentiles(samples, config.bin_edges)
+        histogram = histogram_percentiles(samples, _BIN_EDGES)
         series.append(
             Figure6Series(
                 modulation=modulation,
@@ -215,7 +208,7 @@ def _figure6_shard(config: Figure6Config, num_users: int, modulation: str) -> Li
                 median_delta_e=float(np.median(samples)),
                 ground_state_fraction=float(np.mean(samples <= 1e-6)),
                 histogram=tuple(float(value) for value in histogram),
-                bin_edges=config.bin_edges,
+                bin_edges=_BIN_EDGES,
             )
         )
     return series

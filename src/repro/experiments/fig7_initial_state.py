@@ -24,9 +24,22 @@ from repro.experiments.driver import SingleShardDriver
 from repro.experiments.instances import InstanceBundle, synthesize_instance
 from repro.metrics.quality import delta_e_percent
 from repro.utils.rng import stable_seed
-from repro.utils.validation import require_non_negative, require_positive_fields
+from repro.utils.validation import require_positive_fields
 
 __all__ = ["Figure7Config", "Figure7Driver", "Figure7Row", "format_figure7_table"]
+
+#: The instance's modulation (8-user 16-QAM in the paper: 32 variables).
+_MODULATION = "16-QAM"
+
+#: RA switch/pause location used for every run.
+_SWITCH_S = 0.45
+
+#: Width of the ΔE_IS% bins (2% in the paper).
+_BIN_WIDTH_PERCENT = 2.0
+
+#: Initial states beyond this quality are discarded (10% in the paper:
+#: "initial states featuring ΔE_IS% >= 10% are out of our consideration").
+_MAX_BIN_PERCENT = 10.0
 
 
 @dataclass(frozen=True)
@@ -35,17 +48,10 @@ class Figure7Config:
 
     Attributes
     ----------
-    num_users, modulation:
-        Instance configuration (8-user 16-QAM in the paper: 32 variables).
-    switch_s:
-        RA switch/pause location used for every run.
+    num_users:
+        Users of the instance (8 in the paper).
     num_reads:
         Anneal reads per initial-state candidate.
-    bin_width_percent:
-        Width of the ΔE_IS% bins (2% in the paper).
-    max_bin_percent:
-        Initial states beyond this quality are discarded (10% in the paper:
-        "initial states featuring ΔE_IS% >= 10% are out of our consideration").
     candidates_per_bin:
         Target number of initial-state candidates retained per bin.
     instance_seed:
@@ -54,20 +60,13 @@ class Figure7Config:
     """
 
     num_users: int = 8
-    modulation: str = "16-QAM"
-    switch_s: float = 0.45
-    pause_duration_us: float = 1.0
     num_reads: int = 300
-    bin_width_percent: float = 2.0
-    max_bin_percent: float = 10.0
     candidates_per_bin: int = 3
     instance_seed: int = 12
     base_seed: int = 0
 
     def __post_init__(self) -> None:
         require_positive_fields(self, "num_users", "num_reads", "candidates_per_bin")
-        require_positive_fields(self, "bin_width_percent", "max_bin_percent")
-        require_non_negative(self.pause_duration_us, "pause_duration_us")
 
     @classmethod
     def paper_scale(cls) -> "Figure7Config":
@@ -100,7 +99,7 @@ def _generate_candidates(
     """Bucket initial-state candidates by their ΔE_IS% bin index."""
     qubo = bundle.encoding.qubo
     ground = bundle.ground_energy
-    num_bins = int(np.ceil(config.max_bin_percent / config.bin_width_percent))
+    num_bins = int(np.ceil(_MAX_BIN_PERCENT / _BIN_WIDTH_PERCENT))
     buckets: Dict[int, List[np.ndarray]] = {index: [] for index in range(num_bins)}
 
     # The ground state itself populates the first bin deterministically.
@@ -117,9 +116,9 @@ def _generate_candidates(
         flip_indices = rng.choice(qubo.num_variables, size=num_flips, replace=False)
         candidate[flip_indices] = 1 - candidate[flip_indices]
         quality = delta_e_percent(qubo.energy(candidate), ground)
-        if quality >= config.max_bin_percent:
+        if quality >= _MAX_BIN_PERCENT:
             continue
-        bin_index = int(quality // config.bin_width_percent)
+        bin_index = int(quality // _BIN_WIDTH_PERCENT)
         if len(buckets[bin_index]) < config.candidates_per_bin:
             buckets[bin_index].append(candidate)
     return buckets
@@ -127,7 +126,7 @@ def _generate_candidates(
 
 def _figure7_rows(config: Figure7Config) -> List[Figure7Row]:
     """Run the initial-state-quality study and return one row per ΔE_IS% bin."""
-    instance = synthesize_instance(config.num_users, config.modulation, seed=config.instance_seed)
+    instance = synthesize_instance(config.num_users, _MODULATION, seed=config.instance_seed)
     annealer = QuantumAnnealerSimulator(seed=stable_seed("fig7", config.base_seed))
     rng = np.random.default_rng(stable_seed("fig7-candidates", config.base_seed))
 
@@ -148,16 +147,15 @@ def _figure7_rows(config: Figure7Config) -> List[Figure7Row]:
             sampleset = annealer.reverse_anneal(
                 qubo,
                 candidate,
-                switch_s=config.switch_s,
+                switch_s=_SWITCH_S,
                 num_reads=config.num_reads,
-                pause_duration_us=config.pause_duration_us,
             )
             successes.append(sampleset.success_probability(ground))
             expectations.append(delta_e_percent(sampleset.expectation_energy(), ground))
         rows.append(
             Figure7Row(
-                bin_low_percent=bin_index * config.bin_width_percent,
-                bin_high_percent=(bin_index + 1) * config.bin_width_percent,
+                bin_low_percent=bin_index * _BIN_WIDTH_PERCENT,
+                bin_high_percent=(bin_index + 1) * _BIN_WIDTH_PERCENT,
                 num_candidates=len(candidates),
                 mean_initial_quality=float(np.mean(qualities)),
                 success_probability=float(np.mean(successes)),

@@ -60,6 +60,9 @@ FIG8_METRICS = (
     "duration_us_mean",
 )
 
+#: The instance's modulation (8-user 16-QAM in the paper).
+_MODULATION = "16-QAM"
+
 
 @dataclass(frozen=True)
 class Figure8Config:
@@ -67,8 +70,8 @@ class Figure8Config:
 
     Attributes
     ----------
-    num_users, modulation:
-        Instance configuration (8-user 16-QAM in the paper).
+    num_users:
+        Users of the instance (8 in the paper).
     switch_values:
         The s_p grid; ``None`` selects a reduced grid spanning the paper's
         0.25-0.99 range.
@@ -89,12 +92,8 @@ class Figure8Config:
     """
 
     num_users: int = 8
-    modulation: str = "16-QAM"
     switch_values: Optional[Tuple[float, ...]] = None
     num_reads: int = 300
-    pause_duration_us: float = 1.0
-    anneal_time_us: float = 1.0
-    confidence_percent: float = 99.0
     include_fr_oracle: bool = True
     intermediate_initial_quality: Optional[float] = 6.0
     instance_seed: int = 12
@@ -192,9 +191,7 @@ def _instance_and_annealer(
     config: Figure8Config,
 ) -> Tuple[InstanceBundle, QuantumAnnealerSimulator]:
     annealer = QuantumAnnealerSimulator(seed=stable_seed("fig8", config.base_seed))
-    instance = synthesize_instance(
-        config.num_users, config.modulation, seed=config.instance_seed
-    )
+    instance = synthesize_instance(config.num_users, _MODULATION, seed=config.instance_seed)
     return instance, annealer
 
 
@@ -211,9 +208,6 @@ def _figure8_fa_shard(config: Figure8Config) -> List[Figure8Row]:
         switch_values=config.grid(),
         sampler=annealer,
         num_reads=config.num_reads,
-        pause_duration_us=config.pause_duration_us,
-        anneal_time_us=config.anneal_time_us,
-        confidence_percent=config.confidence_percent,
         rng=stable_seed("fig8-fa", config.base_seed),
     )[0]
     return _rows_from_records("FA", fa_records)
@@ -252,8 +246,6 @@ def _figure8_ra_shard(config: Figure8Config) -> List[Figure8Row]:
         initial_states=ra_initial_states,
         sampler=annealer,
         num_reads=config.num_reads,
-        pause_duration_us=config.pause_duration_us,
-        confidence_percent=config.confidence_percent,
         rng=stable_seed("fig8-ra", config.base_seed),
     )
     rows: List[Figure8Row] = []
@@ -277,9 +269,6 @@ def _figure8_fr_shard(config: Figure8Config, switch_s: float) -> List[Figure8Row
         ),
         sampler=annealer,
         num_reads=config.num_reads,
-        pause_duration_us=config.pause_duration_us,
-        anneal_time_us=config.anneal_time_us,
-        confidence_percent=config.confidence_percent,
         rng=stable_seed("fig8-fr", config.base_seed, float(switch_s)),
     )
     if not fr_records:

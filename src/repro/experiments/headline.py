@@ -25,9 +25,12 @@ from repro.experiments.driver import SingleShardDriver
 from repro.experiments.instances import synthesize_instance
 from repro.hybrid.parameters import best_switch_point, sweep_switch_point_batch
 from repro.utils.rng import stable_seed
-from repro.utils.validation import require, require_non_negative, require_positive_fields
+from repro.utils.validation import require, require_positive_fields
 
 __all__ = ["HeadlineConfig", "HeadlineDriver", "HeadlineResult", "format_headline_report"]
+
+#: The instances' modulation (the abstract's 8-user 16-QAM example).
+_MODULATION = "16-QAM"
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,8 @@ class HeadlineConfig:
 
     Attributes
     ----------
-    num_users, modulation:
-        Instance configuration (the abstract's 8-user 16-QAM example).
+    num_users:
+        Users per instance (the abstract's 8-user 16-QAM example).
     instance_seeds:
         Seeds of the instances compared.  The paper reports "a single typical
         problem instance" and notes its results are "mostly illustrative"; the
@@ -53,17 +56,13 @@ class HeadlineConfig:
     """
 
     num_users: int = 8
-    modulation: str = "16-QAM"
     instance_seeds: Tuple[int, ...] = (12,)
     switch_values: Tuple[float, ...] = (0.33, 0.41, 0.49, 0.57, 0.65)
     num_reads: int = 400
-    pause_duration_us: float = 1.0
-    anneal_time_us: float = 1.0
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        require_positive_fields(self, "num_users", "num_reads", "anneal_time_us")
-        require_non_negative(self.pause_duration_us, "pause_duration_us")
+        require_positive_fields(self, "num_users", "num_reads")
         require(bool(self.instance_seeds), "instance_seeds must not be empty")
         require(bool(self.switch_values), "switch_values must not be empty")
 
@@ -133,7 +132,7 @@ def _headline_result(config: HeadlineConfig) -> HeadlineResult:
     annealer = QuantumAnnealerSimulator(seed=stable_seed("headline", config.base_seed))
     greedy = GreedySearchSolver()
     bundles = [
-        synthesize_instance(config.num_users, config.modulation, seed=seed)
+        synthesize_instance(config.num_users, _MODULATION, seed=seed)
         for seed in config.instance_seeds
     ]
 
@@ -149,8 +148,6 @@ def _headline_result(config: HeadlineConfig) -> HeadlineResult:
         switch_values=config.switch_values,
         sampler=annealer,
         num_reads=config.num_reads,
-        pause_duration_us=config.pause_duration_us,
-        anneal_time_us=config.anneal_time_us,
         rng=stable_seed("headline-fa", config.base_seed),
     )
     greedy_solutions = greedy.solve_batch(qubos)
@@ -162,7 +159,6 @@ def _headline_result(config: HeadlineConfig) -> HeadlineResult:
         initial_states=[solution.assignment for solution in greedy_solutions],
         sampler=annealer,
         num_reads=config.num_reads,
-        pause_duration_us=config.pause_duration_us,
         rng=stable_seed("headline-ra", config.base_seed),
     )
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError
@@ -61,6 +61,19 @@ SERVE_METRICS = (
     "pooled_demotion_rate_mean",
 )
 
+#: Spatial streams of every user.
+_NUM_USERS = 2
+
+#: Per-user mean channel-use spacing at load factor 1.0; a load factor ``f``
+#: divides it by ``f``.
+_BASE_SYMBOL_PERIOD_US = 900.0
+
+#: Relative deadline of every job.
+_TURNAROUND_BUDGET_US = 600.0
+
+#: Largest batch the pooled plant coalesces.
+_POOLED_MAX_BATCH_SIZE = 8
+
 
 @dataclass(frozen=True)
 class LoadStudyConfig:
@@ -70,41 +83,25 @@ class LoadStudyConfig:
     ----------
     num_cells / users_per_cell / jobs_per_user:
         Workload shape.  Users cycle through ``modulations`` (heterogeneous
-        population) and ``num_users`` spatial streams.
-    base_symbol_period_us:
-        Per-user mean channel-use spacing at load factor 1.0; a load factor
-        ``f`` divides it by ``f``.
+        population), each with two spatial streams and Poisson arrivals.
     load_factors:
         The sweep grid.
-    turnaround_budget_us:
-        Relative deadline of every job.
-    num_reads / switch_s:
-        Reverse-annealing programme of the quantum stage(s).
-    annealer_workers / lanes / max_batch_size / policy / classical_workers /
-    admission_control:
-        Pooled-architecture knobs (the serialized arm always uses one
-        annealer worker with ``lanes=1`` and batch size 1).
-    arrival_process:
-        ``"poisson"`` (bursty) or ``"deterministic"``.
+    num_reads:
+        Reverse-annealing reads of the quantum stage(s).
+    annealer_workers:
+        Annealer workers of the pooled architecture, beside one classical
+        worker; it schedules EDF with admission control and batches of up
+        to 8 on 8 lanes (the serialized arm always uses one annealer worker
+        with ``lanes=1`` and batch size 1).
     """
 
     num_cells: int = 2
     users_per_cell: int = 3
     jobs_per_user: int = 8
-    num_users: int = 2
     modulations: Tuple[str, ...] = ("QPSK", "16-QAM")
-    base_symbol_period_us: float = 900.0
     load_factors: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-    turnaround_budget_us: float = 600.0
-    arrival_process: str = "poisson"
     num_reads: int = 30
-    switch_s: float = 0.41
     annealer_workers: int = 3
-    classical_workers: int = 1
-    lanes: int = 8
-    max_batch_size: Optional[int] = 8
-    policy: str = "edf"
-    admission_control: bool = True
     base_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -163,23 +160,14 @@ class LoadStudyResult:
     config: LoadStudyConfig
 
 
-def _annealer_backend(config: LoadStudyConfig, lanes: int) -> AnnealerServingBackend:
-    return AnnealerServingBackend(
-        switch_s=config.switch_s,
-        num_reads=config.num_reads,
-        lanes=lanes,
-    )
-
-
 def _workload(config: LoadStudyConfig, load_factor: float, workload_seed: int):
-    configs = [MIMOConfig(config.num_users, modulation) for modulation in config.modulations]
+    configs = [MIMOConfig(_NUM_USERS, modulation) for modulation in config.modulations]
     profiles = uniform_cell_profiles(
         num_cells=config.num_cells,
         users_per_cell=config.users_per_cell,
         configs=configs,
-        symbol_period_us=config.base_symbol_period_us / load_factor,
-        arrival_process=config.arrival_process,
-        turnaround_budget_us=config.turnaround_budget_us,
+        symbol_period_us=_BASE_SYMBOL_PERIOD_US / load_factor,
+        turnaround_budget_us=_TURNAROUND_BUDGET_US,
     )
     # The same seed family at every load factor: scaling the period rescales
     # arrival times but keeps channel realisations comparable across loads.
@@ -205,7 +193,7 @@ def _load_shard(
     jobs = _workload(config, load_factor, workload_seed)
 
     serialized = RANServingSimulator(
-        pool=BackendPool([_annealer_backend(config, lanes=1)]),
+        pool=BackendPool([AnnealerServingBackend(num_reads=config.num_reads, lanes=1)]),
         policy="fifo",
         max_batch_size=1,
         admission_control=False,
@@ -217,19 +205,13 @@ def _load_shard(
         dataclasses.replace(job.channel_use, index=position)
         for position, job in enumerate(jobs)
     ]
-    pipelined = HybridPipelineSimulator(
-        switch_s=config.switch_s,
-        num_reads=config.num_reads,
-        evaluate_solutions=False,
-    ).run(channel_uses, pipelined=True, rng=pipeline_seed)
+    pipeline = HybridPipelineSimulator(num_reads=config.num_reads, evaluate_solutions=False)
+    pipelined = pipeline.run(channel_uses, pipelined=True, rng=pipeline_seed)
 
-    pooled_backends = [_annealer_backend(config, lanes=config.lanes)] * config.annealer_workers
-    pooled_backends += [ClassicalServingBackend()] * config.classical_workers
+    pooled_backends = [AnnealerServingBackend(num_reads=config.num_reads)] * config.annealer_workers
     pooled = RANServingSimulator(
-        pool=BackendPool(pooled_backends),
-        policy=config.policy,
-        max_batch_size=config.max_batch_size,
-        admission_control=config.admission_control,
+        pool=BackendPool(pooled_backends + [ClassicalServingBackend()]),
+        max_batch_size=_POOLED_MAX_BATCH_SIZE,
     ).run(jobs)
     return serialized, pipelined, pooled
 
@@ -240,9 +222,8 @@ def format_load_study_table(result: LoadStudyResult) -> str:
     lines = [
         "RAN serving load study - deadline-miss rate vs offered load",
         f"{config.num_cells} cells x {config.users_per_cell} users, "
-        f"{config.jobs_per_user} jobs/user, budget {config.turnaround_budget_us:.0f} us, "
-        f"policy {config.policy}, {config.annealer_workers} annealer + "
-        f"{config.classical_workers} classical workers",
+        f"{config.jobs_per_user} jobs/user, budget {_TURNAROUND_BUDGET_US:.0f} us, "
+        f"policy edf, {config.annealer_workers} annealer + 1 classical workers",
         f"{'load':>6}  {'jobs/ms':>8}  {'miss(serial)':>12}  {'miss(pipe)':>10}  "
         f"{'miss(pool)':>10}  {'p95(serial)':>11}  {'p95(pipe)':>9}  {'p95(pool)':>9}  "
         f"{'mean B':>6}  {'demoted':>7}",

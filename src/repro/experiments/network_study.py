@@ -57,9 +57,9 @@ from repro.network.embedding import (
     static_capacity,
 )
 from repro.network.kpi import HotspotDetector, HotspotDetectorConfig
-from repro.network.topology import TOPOLOGY_KINDS, build_topology
+from repro.network.topology import build_topology
 from repro.parallel import ShardTask
-from repro.serving.scenarios import SCENARIO_NAMES, build_scenario
+from repro.serving.scenarios import build_scenario
 from repro.serving.simulator import RANServingSimulator
 from repro.utils.rng import stable_seed
 from repro.wireless.mimo import MIMOConfig
@@ -67,6 +67,10 @@ from repro.wireless.mimo import MIMOConfig
 __all__ = [
     "NETWORK_METRICS",
     "PLACEMENTS",
+    "SCENARIO",
+    "SYMBOL_PERIOD_US",
+    "TOPOLOGY_KIND",
+    "WINDOW_US",
     "NetworkStudyConfig",
     "NetworkStudyDriver",
     "NetworkStudyRow",
@@ -88,87 +92,75 @@ NETWORK_METRICS = (
     "false_positive_raises",
 )
 
+#: The cell layout's kind (see :data:`~repro.network.topology.TOPOLOGY_KINDS`).
+TOPOLOGY_KIND = "grid"
+
+#: Catalog scenario driving the demand field: a flash crowd in the middle
+#: cell, whose ramp starts a quarter of the way into the horizon.
+SCENARIO = "flash-crowd"
+
+#: Per-user nominal job spacing.
+SYMBOL_PERIOD_US = 150.0
+
+#: KPI counter window.
+WINDOW_US = 500.0
+
+#: Network-wide nominal offered load over total capacity; 0.7 embeds ~43%
+#: headroom — comfortable for every cell except a hotspot.
+_UTILIZATION = 0.7
+
+#: Per-cell capacity floor as a fraction of the equal share.
+_MIN_CAPACITY_FRACTION = 0.25
+
+#: Link shape and deadline of the reactive arm's materialised detail jobs.
+_DETAIL_MIMO = MIMOConfig(2, "QPSK")
+_DETAIL_TURNAROUND_US = 600.0
+
 
 @dataclass(frozen=True)
 class NetworkStudyConfig:
     """Configuration of the capacity-placement study.
 
-    The topology rides as ``(topology_kind, rows, cols)`` primitives —
-    shards rebuild it via :func:`~repro.network.topology.build_topology`, so
-    the configuration stays canonically fingerprintable for the result
-    cache.
+    The topology rides as ``(rows, cols)`` primitives of a
+    :data:`TOPOLOGY_KIND` layout — shards rebuild it via
+    :func:`~repro.network.topology.build_topology`, so the configuration
+    stays canonically fingerprintable for the result cache.
 
     Attributes
     ----------
-    topology_kind / rows / cols:
-        The cell layout (``line`` uses ``rows * cols`` cells).
+    rows / cols:
+        The cell layout.
     users_per_cell:
         Simulated population per cell.  Only rates scale with it — the
         default network simulates one million users in a few MB.
-    symbol_period_us / horizon_us / window_us:
-        Per-user nominal job spacing, scenario span, and KPI counter window.
-    scenario:
-        Catalog scenario driving the demand field (see
-        :data:`~repro.serving.scenarios.SCENARIO_NAMES`).
+    horizon_us:
+        Scenario span.
     placements:
         Arms to run, each a :data:`PLACEMENTS` entry.
-    utilization:
-        Network-wide nominal offered load over total capacity; 0.7 embeds
-        ~43% headroom — comfortable for every cell except a hotspot.
-    deadline_windows:
-        Fluid-model deadline, in KPI windows.
     migration_fraction:
         Per-window migration budget as a fraction of total capacity.
-    min_capacity_fraction:
-        Per-cell capacity floor as a fraction of the equal share.
-    detector_alpha / detector_z_threshold / detector_warmup_windows /
-    detector_confirm_windows / detector_clear_windows:
-        Hotspot-detector knobs (see
-        :class:`~repro.network.kpi.HotspotDetectorConfig`).
+    detector_z_threshold:
+        The hotspot detector's raise threshold (see
+        :class:`~repro.network.kpi.HotspotDetectorConfig`, whose defaults
+        set its other knobs).
     detail_max_jobs_per_cell:
         Materialisation cap per raised cell for the reactive arm's detailed
         serving pass (0 disables the pass).
-    detail_num_users / detail_modulation / detail_turnaround_us:
-        Link shape and deadline of the materialised detail jobs.
     base_seed:
         Root of every derived seed.
     """
 
-    topology_kind: str = "grid"
     rows: int = 10
     cols: int = 10
     users_per_cell: int = 10_000
-    symbol_period_us: float = 150.0
     horizon_us: float = 20_000.0
-    window_us: float = 500.0
-    scenario: str = "flash-crowd"
     placements: Tuple[str, ...] = PLACEMENTS
-    utilization: float = 0.7
-    deadline_windows: int = 2
     migration_fraction: float = 0.05
-    min_capacity_fraction: float = 0.25
-    detector_alpha: float = 0.2
     detector_z_threshold: float = 4.0
-    detector_warmup_windows: int = 4
-    detector_confirm_windows: int = 2
-    detector_clear_windows: int = 3
     detail_max_jobs_per_cell: int = 120
-    detail_num_users: int = 2
-    detail_modulation: str = "QPSK"
-    detail_turnaround_us: float = 600.0
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.topology_kind not in TOPOLOGY_KINDS:
-            raise ConfigurationError(
-                f"unknown topology_kind {self.topology_kind!r}; choose from "
-                f"{', '.join(TOPOLOGY_KINDS)}"
-            )
-        if self.scenario not in SCENARIO_NAMES:
-            raise ConfigurationError(
-                f"unknown scenario {self.scenario!r}; catalog: "
-                f"{', '.join(SCENARIO_NAMES)}"
-            )
         if not self.placements:
             raise ConfigurationError("placements must not be empty")
         for placement in self.placements:
@@ -177,18 +169,9 @@ class NetworkStudyConfig:
                     f"unknown placement {placement!r}; choose from "
                     f"{', '.join(PLACEMENTS)}"
                 )
-        if not 0.0 < self.utilization < 1.0:
-            raise ConfigurationError(
-                f"utilization must lie in (0, 1), got {self.utilization}"
-            )
         if not 0.0 <= self.migration_fraction <= 1.0:
             raise ConfigurationError(
                 f"migration_fraction must lie in [0, 1], got {self.migration_fraction}"
-            )
-        if not 0.0 <= self.min_capacity_fraction <= 1.0:
-            raise ConfigurationError(
-                "min_capacity_fraction must lie in [0, 1], got "
-                f"{self.min_capacity_fraction}"
             )
         if self.detail_max_jobs_per_cell < 0:
             raise ConfigurationError(
@@ -198,7 +181,7 @@ class NetworkStudyConfig:
 
     @property
     def num_cells(self) -> int:
-        """Cells in the layout (``line`` layouts use ``rows * cols``)."""
+        """Cells in the layout."""
         return self.rows * self.cols
 
     @property
@@ -263,29 +246,14 @@ def _embedding_config(
     config: NetworkStudyConfig, aggregation: AggregationConfig
 ) -> EmbeddingConfig:
     """Size the capacity pool from the nominal offered load and utilization."""
-    nominal_per_window = aggregation.cell_rate_per_us * config.window_us
-    total = nominal_per_window * config.num_cells / config.utilization
+    nominal_per_window = aggregation.cell_rate_per_us * WINDOW_US
+    total = nominal_per_window * config.num_cells / _UTILIZATION
     equal_share = total / config.num_cells
     return EmbeddingConfig(
         total_capacity=total,
-        min_capacity=config.min_capacity_fraction * equal_share,
+        min_capacity=_MIN_CAPACITY_FRACTION * equal_share,
         migration_budget=config.migration_fraction * total,
-        deadline_windows=config.deadline_windows,
     )
-
-
-def _expected_hot_cell(config: NetworkStudyConfig) -> Optional[int]:
-    """The cell the scenario's demand singles out, when there is one."""
-    if config.scenario in ("flash-crowd", "cell-outage", "busy-day"):
-        return config.num_cells // 2
-    return None
-
-
-def _spike_start_window(config: NetworkStudyConfig) -> Optional[int]:
-    """First KPI window of the flash-crowd ramp (the detector's stopwatch)."""
-    if config.scenario not in ("flash-crowd",):
-        return None
-    return int(0.25 * config.horizon_us // config.window_us)
 
 
 def _network_shard(
@@ -298,14 +266,12 @@ def _network_shard(
     comparison is paired by construction, and shards stay independent of
     execution order and worker count.
     """
-    topology = build_topology(config.topology_kind, config.rows, config.cols)
-    scenario = build_scenario(
-        config.scenario, topology.num_cells, config.horizon_us, topology=topology
-    )
+    topology = build_topology(TOPOLOGY_KIND, config.rows, config.cols)
+    scenario = build_scenario(SCENARIO, topology.num_cells, config.horizon_us, topology=topology)
     aggregation = AggregationConfig(
         users_per_cell=config.users_per_cell,
-        symbol_period_us=config.symbol_period_us,
-        window_us=config.window_us,
+        symbol_period_us=SYMBOL_PERIOD_US,
+        window_us=WINDOW_US,
     )
     counts = cell_window_counts(scenario, aggregation, rng=workload_seed)
     embedding = _embedding_config(config, aggregation)
@@ -324,13 +290,7 @@ def _network_shard(
     elif placement == "reactive":
         detector = HotspotDetector(
             topology.num_cells,
-            HotspotDetectorConfig(
-                alpha=config.detector_alpha,
-                z_threshold=config.detector_z_threshold,
-                warmup_windows=config.detector_warmup_windows,
-                confirm_windows=config.detector_confirm_windows,
-                clear_windows=config.detector_clear_windows,
-            ),
+            HotspotDetectorConfig(z_threshold=config.detector_z_threshold),
             topology=topology,
         )
         reembedder = CapacityReembedder(topology.num_cells, embedding)
@@ -342,9 +302,7 @@ def _network_shard(
             # decided from detector state and counters of windows < w.
             plan[window] = reembedder.step(detector.hot_cells, last_counts)
             hot_window_total += len(detector.hot_cells)
-            events = detector.observe(
-                window, (window + 0.5) * config.window_us, counts[window]
-            )
+            events = detector.observe(window, (window + 0.5) * WINDOW_US, counts[window])
             raises.extend(event for event in events if event.kind == "raised")
             last_counts = counts[window]
         capacity_moved = reembedder.capacity_moved
@@ -355,10 +313,10 @@ def _network_shard(
                 scenario,
                 hot_cells,
                 aggregation,
-                [MIMOConfig(config.detail_num_users, config.detail_modulation)],
+                [_DETAIL_MIMO],
                 base_seed=workload_seed,
                 max_jobs_per_cell=config.detail_max_jobs_per_cell,
-                turnaround_budget_us=config.detail_turnaround_us,
+                turnaround_budget_us=_DETAIL_TURNAROUND_US,
             )
             report = RANServingSimulator(topology=topology).run(jobs)
             detail_jobs = report.num_jobs
@@ -368,25 +326,19 @@ def _network_shard(
 
     fluid: FluidNetworkReport = simulate_fluid_network(counts, plan, embedding)
 
-    expected = _expected_hot_cell(config)
-    spike_start = _spike_start_window(config)
-    if expected is None:
-        true_raises = []
-        false_raises = list(raises)
-    else:
-        true_raises = [event for event in raises if event.cell_id == expected]
-        false_raises = [event for event in raises if event.cell_id != expected]
+    # The flash crowd singles out the middle cell; the detector's stopwatch
+    # starts at the first KPI window of its ramp.
+    expected = config.num_cells // 2
+    spike_start = int(0.25 * config.horizon_us // WINDOW_US)
+    true_raises = [event for event in raises if event.cell_id == expected]
+    false_raises = [event for event in raises if event.cell_id != expected]
     detection_window = true_raises[0].window if true_raises else -1
-    detection_latency = (
-        detection_window - spike_start
-        if detection_window >= 0 and spike_start is not None
-        else -1
-    )
+    detection_latency = detection_window - spike_start if detection_window >= 0 else -1
 
     return NetworkStudyRow(
         placement=placement,
-        scenario=config.scenario,
-        topology_kind=config.topology_kind,
+        scenario=SCENARIO,
+        topology_kind=TOPOLOGY_KIND,
         num_cells=topology.num_cells,
         simulated_users=config.simulated_users,
         num_windows=num_windows,
@@ -418,12 +370,12 @@ def format_network_table(result: NetworkStudyResult) -> str:
     config = result.config
     lines = [
         "Network capacity study - static vs reactive vs oracle placement",
-        f"{config.topology_kind} topology, {config.num_cells} cells, "
+        f"{TOPOLOGY_KIND} topology, {config.num_cells} cells, "
         f"{config.simulated_users:,} simulated users, scenario "
-        f"{config.scenario!r}, horizon {config.horizon_us / 1000.0:.1f} ms",
-        f"utilization {config.utilization:.2f}, migration budget "
+        f"{SCENARIO!r}, horizon {config.horizon_us / 1000.0:.1f} ms",
+        f"utilization {_UTILIZATION:.2f}, migration budget "
         f"{config.migration_fraction:.2%} of capacity per "
-        f"{config.window_us:.0f} us window",
+        f"{WINDOW_US:.0f} us window",
         "",
         f"{'placement':<10} {'miss rate':>10} {'peak cell':>10} "
         f"{'moved':>12} {'raises':>7} {'latency(w)':>10} {'detail miss':>12}",
@@ -458,10 +410,10 @@ class NetworkStudyDriver(ExperimentDriver):
         to its own arm so cache fingerprints never depend on which *other*
         arms the study sweeps.
         """
-        workload_seed = stable_seed("network-study", config.scenario, config.base_seed)
+        workload_seed = stable_seed("network-study", SCENARIO, config.base_seed)
         return [
             ShardTask(
-                key=("network-study", config.scenario, placement),
+                key=("network-study", SCENARIO, placement),
                 fn=_network_shard,
                 kwargs={
                     "config": dataclasses.replace(config, placements=(placement,)),

@@ -23,17 +23,23 @@ from repro.utils.validation import require, require_non_negative, require_positi
 
 __all__ = ["PauseAblationConfig", "PauseAblationDriver", "PauseAblationRow", "format_pause_table"]
 
+#: The instance's modulation.
+_MODULATION = "16-QAM"
+
+#: Where forward annealing pauses.
+_FA_PAUSE_S = 0.49
+
+#: Where reverse annealing turns back.
+_RA_SWITCH_S = 0.41
+
 
 @dataclass(frozen=True)
 class PauseAblationConfig:
     """Configuration of the pause ablation."""
 
     num_users: int = 8
-    modulation: str = "16-QAM"
     instance_seed: int = 12
     pause_durations_us: Tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
-    fa_pause_location: float = 0.49
-    ra_switch_s: float = 0.41
     num_reads: int = 400
     base_seed: int = 0
 
@@ -62,7 +68,7 @@ class PauseAblationRow:
 
 def _pause_rows(config: PauseAblationConfig) -> List[PauseAblationRow]:
     """Sweep the pause duration for FA and RA(GS) on one instance."""
-    instance = synthesize_instance(config.num_users, config.modulation, seed=config.instance_seed)
+    instance = synthesize_instance(config.num_users, _MODULATION, seed=config.instance_seed)
     annealer = QuantumAnnealerSimulator(seed=stable_seed("pause-ablation", config.base_seed))
     qubo = instance.encoding.qubo
     ground = instance.ground_energy
@@ -78,13 +84,13 @@ def _pause_rows(config: PauseAblationConfig) -> List[PauseAblationRow]:
                 qubo,
                 num_reads=config.num_reads,
                 anneal_time_us=1.0,
-                pause_s=config.fa_pause_location,
+                pause_s=_FA_PAUSE_S,
                 pause_duration_us=pause,
             )
         ra = annealer.reverse_anneal(
             qubo,
             greedy.assignment,
-            switch_s=config.ra_switch_s,
+            switch_s=_RA_SWITCH_S,
             num_reads=config.num_reads,
             pause_duration_us=pause,
         )

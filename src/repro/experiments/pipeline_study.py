@@ -41,8 +41,9 @@ class PipelineStudyConfig:
     num_channel_uses:
         Length of the simulated traffic trace.
     symbol_period_us:
-        Channel-use spacing (71.4 us matches an LTE OFDM symbol; the 5G NR
-        numerologies the paper's introduction targets are shorter).
+        Channel-use spacing, deterministic (71.4 us matches an LTE OFDM
+        symbol; the 5G NR numerologies the paper's introduction targets are
+        shorter).
     num_reads:
         Reverse-annealing reads per channel use (the quantum stage's batch).
     evaluate_solutions:
@@ -54,7 +55,6 @@ class PipelineStudyConfig:
     modulation: str = "16-QAM"
     num_channel_uses: int = 12
     symbol_period_us: float = 71.4
-    arrival_process: str = "deterministic"
     turnaround_budget_us: Optional[float] = 500.0
     switch_s: float = 0.41
     num_reads: int = 20
@@ -98,7 +98,6 @@ def _pipeline_result(config: PipelineStudyConfig) -> PipelineStudyResult:
     traffic = TrafficGenerator(
         mimo_config,
         symbol_period_us=config.symbol_period_us,
-        arrival_process=config.arrival_process,
         turnaround_budget_us=config.turnaround_budget_us,
     )
     channel_uses = traffic.generate(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError
@@ -34,7 +34,6 @@ from repro.network.topology import build_topology
 from repro.parallel import ShardTask
 from repro.serving.backends import AnnealerServingBackend, ClassicalServingBackend
 from repro.serving.pool import BackendPool
-from repro.serving.qos import resolve_service_class
 from repro.serving.report import ServingReport, format_serving_report
 from repro.serving.scenarios import SCENARIO_NAMES, build_scenario
 from repro.serving.simulator import RANServingSimulator
@@ -69,6 +68,30 @@ QOS_METRICS = (
     "handover_fraction_mean",
 )
 
+#: Spatial streams of every user.
+_NUM_USERS = 2
+
+#: QoS class names cycled across each cell's users (see
+#: :data:`repro.serving.qos.SERVICE_CLASSES`); per-class budgets override the
+#: generic ``_TURNAROUND_BUDGET_US``.
+_SERVICE_CLASSES = ("urllc", "embb", "best_effort")
+
+#: Generic relative deadline of a job.
+_TURNAROUND_BUDGET_US = 600.0
+
+#: User speed of the handover timelines.  The catalog compresses hours of
+#: RAN time into a ~20 ms plant horizon; mobility is compressed by the same
+#: factor so boundary crossings land inside the horizon (the effective
+#: crossing rate is ``handover_rate_per_us(_VELOCITY_MPS *
+#: _HANDOVER_TIME_COMPRESSION)``).
+_VELOCITY_MPS = 30.0
+_HANDOVER_TIME_COMPRESSION = 1e4
+
+#: Side-by-side lanes of an annealer worker, and the largest batch the plant
+#: coalesces.
+_LANES = 4
+_MAX_BATCH_SIZE = 4
+
 
 @dataclass(frozen=True)
 class QoSStudyConfig:
@@ -76,57 +99,36 @@ class QoSStudyConfig:
 
     Attributes
     ----------
-    num_cells / users_per_cell / num_users / modulations:
-        Cell line and user population (configurations cycle across users).
-    service_classes:
-        QoS class names cycled across each cell's users (see
-        :data:`repro.serving.qos.SERVICE_CLASSES`); per-class budgets
-        override the generic ``turnaround_budget_us``.
+    num_cells / users_per_cell / modulations:
+        Cell line and user population (configurations cycle across users,
+        each with two spatial streams and the urllc / embb / best-effort
+        classes cycled across each cell's users).
     base_symbol_period_us / horizon_us / max_jobs_per_user:
         Traffic shape shared with the scenario study.
     scenarios:
         Catalog names to sweep (see :data:`repro.serving.SCENARIO_NAMES`).
-    velocity_mps / cell_radius_m:
-        Mobility model of the handover timelines (0 disables handover).
-    handover_time_compression:
-        The catalog compresses hours of RAN time into a ~20 ms plant
-        horizon; mobility is compressed by the same factor so boundary
-        crossings land inside the horizon (the effective crossing rate is
-        ``handover_rate_per_us(velocity_mps * handover_time_compression)``).
-    turnaround_budget_us / num_reads / lanes / max_batch_size / policy /
-    annealer_workers / classical_workers / admission_control:
-        Plant knobs shared by both arms.
+    num_reads / annealer_workers:
+        Plant knobs shared by both arms, beside one classical worker; the
+        plant schedules EDF with admission control and batches of up to 4
+        on 4 lanes.
     base_seed:
         Root of every derived seed.
     """
 
     num_cells: int = 4
     users_per_cell: int = 3
-    num_users: int = 2
     modulations: Tuple[str, ...] = ("QPSK", "16-QAM")
-    service_classes: Tuple[str, ...] = ("urllc", "embb", "best_effort")
     base_symbol_period_us: float = 150.0
     horizon_us: float = 20_000.0
     max_jobs_per_user: int = 900
     scenarios: Tuple[str, ...] = ("steady", "flash-crowd", "busy-day")
-    velocity_mps: float = 30.0
-    cell_radius_m: float = 250.0
-    handover_time_compression: float = 1e4
-    turnaround_budget_us: float = 600.0
     num_reads: int = 30
-    lanes: int = 4
-    max_batch_size: Optional[int] = 4
-    policy: str = "edf"
     annealer_workers: int = 2
-    classical_workers: int = 1
-    admission_control: bool = True
     base_seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.scenarios:
             raise ConfigurationError("scenarios must not be empty")
-        if not self.service_classes:
-            raise ConfigurationError("service_classes must not be empty")
         if self.annealer_workers < 1:
             raise ConfigurationError(
                 f"annealer_workers must be at least 1, got {self.annealer_workers}"
@@ -136,8 +138,6 @@ class QoSStudyConfig:
                 raise ConfigurationError(
                     f"unknown scenario {name!r}; catalog: {', '.join(SCENARIO_NAMES)}"
                 )
-        for name in self.service_classes:
-            resolve_service_class(name)
 
     @classmethod
     def quick(cls) -> "QoSStudyConfig":
@@ -200,20 +200,17 @@ def _qos_jobs(config: QoSStudyConfig, name: str, workload_seed: int):
     scenario = build_scenario(
         name, config.num_cells, horizon_us=config.horizon_us, topology=topology
     )
-    configs = [MIMOConfig(config.num_users, modulation) for modulation in config.modulations]
+    configs = [MIMOConfig(_NUM_USERS, modulation) for modulation in config.modulations]
     profiles = uniform_cell_profiles(
         num_cells=config.num_cells,
         users_per_cell=config.users_per_cell,
         configs=configs,
         symbol_period_us=config.base_symbol_period_us,
-        arrival_process="poisson",
-        turnaround_budget_us=config.turnaround_budget_us,
-        service_classes=config.service_classes,
+        turnaround_budget_us=_TURNAROUND_BUDGET_US,
+        service_classes=_SERVICE_CLASSES,
     )
     handover = HandoverModel(
-        velocity_mps=config.velocity_mps * config.handover_time_compression,
-        cell_radius_m=config.cell_radius_m,
-        seed=workload_seed,
+        velocity_mps=_VELOCITY_MPS * _HANDOVER_TIME_COMPRESSION, seed=workload_seed
     )
     jobs = generate_serving_jobs(
         profiles,
@@ -249,14 +246,11 @@ def _qos_shard(config: QoSStudyConfig, arm: str, workload_seed: int) -> ServingR
     name = config.scenarios[0]
     topology, jobs = _qos_jobs(config, name, workload_seed)
     backends: List = [
-        AnnealerServingBackend(num_reads=config.num_reads, lanes=config.lanes)
+        AnnealerServingBackend(num_reads=config.num_reads, lanes=_LANES)
     ] * config.annealer_workers
-    backends += [ClassicalServingBackend()] * config.classical_workers
     report = RANServingSimulator(
-        pool=BackendPool(backends),
-        policy=config.policy,
-        max_batch_size=config.max_batch_size,
-        admission_control=config.admission_control,
+        pool=BackendPool(backends + [ClassicalServingBackend()]),
+        max_batch_size=_MAX_BATCH_SIZE,
         topology=topology,
         class_aware=(arm == "aware"),
     ).run(jobs)
@@ -270,10 +264,9 @@ def format_qos_table(result: QoSStudyResult) -> str:
     lines = [
         "RAN QoS study - classless vs class-aware serving across the catalog",
         f"{config.num_cells} cells x {config.users_per_cell} users, classes "
-        f"{'/'.join(config.service_classes)}, horizon "
-        f"{config.horizon_us / 1000.0:.1f} ms, velocity {config.velocity_mps:.0f} m/s, "
-        f"policy {config.policy}, {config.annealer_workers} annealer + "
-        f"{config.classical_workers} classical workers",
+        f"{'/'.join(_SERVICE_CLASSES)}, horizon "
+        f"{config.horizon_us / 1000.0:.1f} ms, velocity {_VELOCITY_MPS:.0f} m/s, "
+        f"policy edf, {config.annealer_workers} annealer + 1 classical workers",
         f"{'scenario':>14}  {'class':>12}  {'jobs':>5}  {'handover':>8}  "
         f"{'miss(classless)':>15}  {'miss(aware)':>11}  {'p99(classless)':>14}  "
         f"{'p99(aware)':>10}  {'demoted(aware)':>14}",

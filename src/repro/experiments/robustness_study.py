@@ -66,6 +66,9 @@ ROBUSTNESS_METRICS = (
     "hybrid_time_us_p95",
 )
 
+#: The link's modulation.
+_MODULATION = "QPSK"
+
 #: Maps each axis to its grid field on :class:`RobustnessStudyConfig`.
 _AXIS_FIELDS = {
     "correlation": "correlation_grid",
@@ -81,8 +84,8 @@ class RobustnessStudyConfig:
 
     Attributes
     ----------
-    num_users, num_receive_antennas, modulation, snr_db:
-        Link configuration; the default 3x5 QPSK link at 14 dB keeps the
+    num_users, num_receive_antennas, snr_db:
+        QPSK link configuration; the default 3x5 link at 14 dB keeps the
         exhaustive QUBO reference (64 states) trivial while leaving every
         detector short of error-free.
     channel_uses_per_point:
@@ -92,8 +95,8 @@ class RobustnessStudyConfig:
     correlation_grid:
         Spatial correlation rho applied to both arrays (Kronecker model).
     velocity_grid_mps:
-        User velocities; translated through the Jakes model at
-        ``carrier_frequency_ghz`` / ``block_period_us``.
+        User velocities; translated through the Jakes model at the
+        defaults of :meth:`~repro.wireless.fading.ChannelImpairments.from_mobility`.
     csi_error_grid:
         Pilot estimation-error variances (QUBOs are built from the
         estimate; symbols propagate through the true channel).
@@ -104,7 +107,6 @@ class RobustnessStudyConfig:
 
     num_users: int = 3
     num_receive_antennas: int = 5
-    modulation: str = "QPSK"
     snr_db: float = 14.0
     channel_uses_per_point: int = 8
     num_reads: int = 100
@@ -114,8 +116,6 @@ class RobustnessStudyConfig:
     velocity_grid_mps: Tuple[float, ...] = (0.0, 3.0, 30.0, 120.0)
     csi_error_grid: Tuple[float, ...] = (0.0, 0.02, 0.1, 0.3)
     interference_grid: Tuple[float, ...] = (0.0, 0.5, 2.0)
-    carrier_frequency_ghz: float = 3.5
-    block_period_us: float = 71.4
 
     def __post_init__(self) -> None:
         require(
@@ -165,18 +165,12 @@ class RobustnessRow:
     hybrid_time_us: float
 
 
-def _impairments_for(
-    config: RobustnessStudyConfig, axis: str, value: float
-) -> ChannelImpairments:
+def _impairments_for(axis: str, value: float) -> ChannelImpairments:
     """The impairment configuration of one grid point (one axis active)."""
     if axis == "correlation":
         return ChannelImpairments(rx_correlation=value, tx_correlation=value)
     if axis == "doppler":
-        return ChannelImpairments.from_mobility(
-            value,
-            carrier_frequency_ghz=config.carrier_frequency_ghz,
-            block_period_us=config.block_period_us,
-        )
+        return ChannelImpairments.from_mobility(value)
     if axis == "csi-error":
         return ChannelImpairments(csi_error_variance=value)
     if axis == "interference":
@@ -213,10 +207,10 @@ def _robustness_point_shard(config: RobustnessStudyConfig, axis: str) -> Robustn
     annealer = QuantumAnnealerSimulator(
         seed=stable_seed("robustness-study", axis, config.base_seed)
     )
-    impairments = _impairments_for(config, axis, value)
+    impairments = _impairments_for(axis, value)
     mimo_config = MIMOConfig(
         num_users=config.num_users,
-        modulation=config.modulation,
+        modulation=_MODULATION,
         num_receive_antennas=config.num_receive_antennas,
         snr_db=float(config.snr_db),
     )

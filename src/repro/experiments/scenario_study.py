@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError
@@ -64,6 +64,20 @@ SCENARIOS_METRICS = (
     "scale_events_total",
 )
 
+#: Spatial streams of every user.
+_NUM_USERS = 2
+
+#: Relative deadline of every job.
+_TURNAROUND_BUDGET_US = 600.0
+
+#: Side-by-side lanes of an annealer worker, and the largest batch the plant
+#: coalesces.
+_LANES = 4
+_MAX_BATCH_SIZE = 4
+
+#: How often the elastic arm's control loop runs.
+_AUTOSCALE_INTERVAL_US = 200.0
+
 
 @dataclass(frozen=True)
 class ScenarioStudyConfig:
@@ -71,8 +85,9 @@ class ScenarioStudyConfig:
 
     Attributes
     ----------
-    num_cells / users_per_cell / num_users / modulations:
-        Cell grid and user population (configurations cycle across users).
+    num_cells / users_per_cell / modulations:
+        Cell grid and user population (configurations cycle across users,
+        each with two spatial streams).
     base_symbol_period_us:
         Nominal per-user channel-use spacing at intensity multiplier 1.0.
     horizon_us:
@@ -81,35 +96,28 @@ class ScenarioStudyConfig:
         Per-user job ceiling (scenario demand sets the realised count).
     scenarios:
         Catalog names to sweep (see :data:`repro.serving.SCENARIO_NAMES`).
-    turnaround_budget_us / num_reads / lanes / max_batch_size / policy /
-    classical_workers / admission_control:
-        Plant knobs shared by both arms.
+    num_reads:
+        Reverse-annealing reads per job, in both arms.  Both plants keep one
+        classical worker, schedule EDF with admission control and batch up
+        to 4 jobs on 4 lanes.
     static_workers:
         Annealer worker count of the static arm.
-    min_workers / max_workers / warmup_us / autoscale_interval_us:
-        Elastic-arm bounds and control-loop parameters.
+    max_workers / warmup_us:
+        The elastic arm's upper bound (it starts from one worker) and a new
+        worker's warm-up latency.
     """
 
     num_cells: int = 4
     users_per_cell: int = 3
-    num_users: int = 2
     modulations: Tuple[str, ...] = ("QPSK", "16-QAM")
     base_symbol_period_us: float = 150.0
     horizon_us: float = 20_000.0
     max_jobs_per_user: int = 900
     scenarios: Tuple[str, ...] = SCENARIO_NAMES
-    turnaround_budget_us: float = 600.0
     num_reads: int = 30
-    lanes: int = 4
-    max_batch_size: Optional[int] = 4
-    policy: str = "edf"
-    classical_workers: int = 1
-    admission_control: bool = True
     static_workers: int = 2
-    min_workers: int = 1
     max_workers: int = 6
     warmup_us: float = 400.0
-    autoscale_interval_us: float = 200.0
     base_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -129,9 +137,8 @@ class ScenarioStudyConfig:
     def autoscale_config(self) -> AutoscaleConfig:
         """The elastic arm's control-loop settings."""
         return AutoscaleConfig(
-            interval_us=self.autoscale_interval_us,
+            interval_us=_AUTOSCALE_INTERVAL_US,
             warmup_us=self.warmup_us,
-            min_workers=self.min_workers,
             max_workers=self.max_workers,
         )
 
@@ -187,7 +194,7 @@ class ScenarioStudyResult:
 
 
 def _annealer(config: ScenarioStudyConfig) -> AnnealerServingBackend:
-    return AnnealerServingBackend(num_reads=config.num_reads, lanes=config.lanes)
+    return AnnealerServingBackend(num_reads=config.num_reads, lanes=_LANES)
 
 
 @functools.lru_cache(maxsize=1)
@@ -199,14 +206,13 @@ def _scenario_jobs(config: ScenarioStudyConfig, name: str, workload_seed: int):
     frozen jobs, and the memo never holds more than one scenario's list.
     """
     scenario = build_scenario(name, config.num_cells, horizon_us=config.horizon_us)
-    configs = [MIMOConfig(config.num_users, modulation) for modulation in config.modulations]
+    configs = [MIMOConfig(_NUM_USERS, modulation) for modulation in config.modulations]
     profiles = uniform_cell_profiles(
         num_cells=config.num_cells,
         users_per_cell=config.users_per_cell,
         configs=configs,
         symbol_period_us=config.base_symbol_period_us,
-        arrival_process="poisson",
-        turnaround_budget_us=config.turnaround_budget_us,
+        turnaround_budget_us=_TURNAROUND_BUDGET_US,
     )
     jobs = generate_serving_jobs(
         profiles,
@@ -244,24 +250,16 @@ def _scenario_shard(
 
     if arm == "static":
         static_backends: List = [_annealer(config)] * config.static_workers
-        static_backends += [ClassicalServingBackend()] * config.classical_workers
         return RANServingSimulator(
-            pool=BackendPool(static_backends),
-            policy=config.policy,
-            max_batch_size=config.max_batch_size,
-            admission_control=config.admission_control,
+            pool=BackendPool(static_backends + [ClassicalServingBackend()]),
+            max_batch_size=_MAX_BATCH_SIZE,
         ).run(jobs)
     if arm == "autoscaled":
         return RANServingSimulator(
             pool=ElasticBackendPool(
-                annealer=_annealer(config),
-                max_annealer_workers=config.max_workers,
-                initial_annealer_workers=config.min_workers,
-                num_classical_workers=config.classical_workers,
+                annealer=_annealer(config), max_annealer_workers=config.max_workers
             ),
-            policy=config.policy,
-            max_batch_size=config.max_batch_size,
-            admission_control=config.admission_control,
+            max_batch_size=_MAX_BATCH_SIZE,
             autoscaler=AutoscaleController(config.autoscale_config()),
         ).run(jobs)
     raise ConfigurationError(f"arm must be 'static' or 'autoscaled', got {arm!r}")
@@ -274,9 +272,9 @@ def format_scenario_table(result: ScenarioStudyResult) -> str:
         "RAN scenario study - static vs autoscaled pools across the catalog",
         f"{config.num_cells} cells x {config.users_per_cell} users, horizon "
         f"{config.horizon_us / 1000.0:.1f} ms, budget "
-        f"{config.turnaround_budget_us:.0f} us, policy {config.policy}; static = "
+        f"{_TURNAROUND_BUDGET_US:.0f} us, policy edf; static = "
         f"{config.static_workers} workers, autoscaled = "
-        f"[{config.min_workers}, {config.max_workers}] workers "
+        f"[1, {config.max_workers}] workers "
         f"(warm-up {config.warmup_us:.0f} us)",
         f"{'scenario':>14}  {'jobs':>5}  {'jobs/ms':>8}  {'miss(static)':>12}  "
         f"{'miss(auto)':>10}  {'p99(static)':>11}  {'p99(auto)':>9}  "

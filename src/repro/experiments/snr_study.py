@@ -39,6 +39,16 @@ __all__ = [
     "format_snr_table",
 ]
 
+#: The link: 2 users, 6 receive antennas, QPSK.  It keeps the exhaustive
+#: reference tractable while leaving the linear detectors imperfect at low
+#: SNR.
+_NUM_USERS = 2
+_NUM_RECEIVE_ANTENNAS = 6
+_MODULATION = "QPSK"
+
+#: Where the hybrid detector's reverse anneal turns back.
+_SWITCH_S = 0.45
+
 
 @dataclass(frozen=True)
 class SNRStudyConfig:
@@ -46,10 +56,6 @@ class SNRStudyConfig:
 
     Attributes
     ----------
-    num_users, num_receive_antennas, modulation:
-        Link configuration; the default 2x6 QPSK link keeps the exhaustive
-        reference tractable while leaving the linear detectors imperfect at
-        low SNR.
     snr_grid_db:
         SNR points swept.
     channel_uses_per_point:
@@ -58,13 +64,9 @@ class SNRStudyConfig:
         Reverse-annealing reads for the hybrid detector.
     """
 
-    num_users: int = 2
-    num_receive_antennas: int = 6
-    modulation: str = "QPSK"
     snr_grid_db: Tuple[float, ...] = (0.0, 6.0, 12.0, 18.0)
     channel_uses_per_point: int = 6
     num_reads: int = 100
-    switch_s: float = 0.45
     base_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -105,15 +107,15 @@ def _snr_point_shard(config: SNRStudyConfig) -> SNRStudyRow:
     zero_forcing = ZeroForcingDetector()
     channel_model = RayleighFadingChannel()
     mimo_config = MIMOConfig(
-        num_users=config.num_users,
-        modulation=config.modulation,
-        num_receive_antennas=config.num_receive_antennas,
+        num_users=_NUM_USERS,
+        modulation=_MODULATION,
+        num_receive_antennas=_NUM_RECEIVE_ANTENNAS,
         snr_db=float(snr_db),
     )
     mmse = MMSEDetector(noise_variance=mimo_config.noise_variance)
     hybrid = HybridMIMODetector(
         sampler=annealer,
-        switch_s=config.switch_s,
+        switch_s=_SWITCH_S,
         num_reads=config.num_reads,
     )
 

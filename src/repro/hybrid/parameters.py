@@ -113,9 +113,6 @@ def sweep_switch_point_batch(
     initial_states: Optional[Sequence[Optional[Sequence[int]]]] = None,
     sampler: Optional[QuantumAnnealerSimulator] = None,
     num_reads: int = 500,
-    pause_duration_us: float = 1.0,
-    anneal_time_us: float = 1.0,
-    confidence_percent: float = 99.0,
     rng: BatchRandomState = None,
 ) -> List[List[SwitchPointRecord]]:
     """Sweep s_p for a *batch* of instances and return per-instance records.
@@ -128,8 +125,8 @@ def sweep_switch_point_batch(
     seeds).  Instance ``b`` draws only from child generator ``b``, so the
     result does not depend on how instances are batched.
 
-    Returns one ``List[SwitchPointRecord]`` (ordered like the grid) per
-    instance.
+    Every schedule anneals for 1 us and pauses for 1 us.  Returns one
+    ``List[SwitchPointRecord]`` (ordered like the grid) per instance.
     """
     method = method.upper()
     if method not in ("FA", "RA", "FR"):
@@ -157,21 +154,19 @@ def sweep_switch_point_batch(
         switch_s = float(switch_s)
         turning_s: Optional[float] = None
         if method == "FA":
-            schedule = forward_anneal_schedule(anneal_time_us, switch_s, pause_duration_us)
+            schedule = forward_anneal_schedule(1.0, switch_s, 1.0)
             states: Optional[Sequence] = None
         elif method == "RA":
-            schedule = reverse_anneal_schedule(switch_s, pause_duration_us)
+            schedule = reverse_anneal_schedule(switch_s)
             states = initial_states
         else:
             turning_s = min(switch_s + 0.2, 0.95)
-            schedule = forward_reverse_anneal_schedule(
-                turning_s, switch_s, pause_duration_us, anneal_time_us
-            )
+            schedule = forward_reverse_anneal_schedule(turning_s, switch_s)
             states = None
         samplesets = annealer.sample_qubo_batch(qubos, schedule, num_reads, states, children)
         for index, (sampleset, ground_energy) in enumerate(zip(samplesets, ground_energies)):
             probability = sampleset.success_probability(float(ground_energy))
-            tts = time_to_solution(probability, schedule.duration_us, confidence_percent)
+            tts = time_to_solution(probability, schedule.duration_us)
             results[index].append(
                 SwitchPointRecord(
                     method=method,
@@ -207,9 +202,6 @@ def sweep_forward_reverse_turning_point(
     turning_values: Optional[Sequence[float]] = None,
     sampler: Optional[QuantumAnnealerSimulator] = None,
     num_reads: int = 500,
-    pause_duration_us: float = 1.0,
-    anneal_time_us: float = 1.0,
-    confidence_percent: float = 99.0,
     rng: RandomState = None,
 ) -> List[SwitchPointRecord]:
     """Oracle search over FR's turning point c_p at a fixed s_p (paper Sec. 4.3)."""
@@ -229,12 +221,10 @@ def sweep_forward_reverse_turning_point(
         turning_s = float(turning_s)
         if turning_s < switch_s:
             continue
-        schedule = forward_reverse_anneal_schedule(
-            turning_s, switch_s, pause_duration_us, anneal_time_us
-        )
+        schedule = forward_reverse_anneal_schedule(turning_s, switch_s)
         sampleset = annealer.sample_qubo(qubo, schedule, num_reads, None, generator)
         probability = sampleset.success_probability(ground_energy)
-        tts = time_to_solution(probability, schedule.duration_us, confidence_percent)
+        tts = time_to_solution(probability, schedule.duration_us)
         records.append(
             SwitchPointRecord(
                 method="FR",

@@ -24,6 +24,9 @@ from repro.exceptions import ConfigurationError
 
 __all__ = ["time_to_solution", "TTSResult"]
 
+#: The confidence C_t of the paper's TTS(99%).
+_CONFIDENCE_PERCENT = 99.0
+
 
 @dataclass(frozen=True)
 class TTSResult:
@@ -41,29 +44,21 @@ class TTSResult:
         return np.isfinite(self.tts_us)
 
 
-def time_to_solution(
-    success_probability: float,
-    duration_us: float,
-    confidence_percent: float = 99.0,
-) -> TTSResult:
-    """Compute TTS(C_t%) from a success probability and per-run duration."""
+def time_to_solution(success_probability: float, duration_us: float) -> TTSResult:
+    """Compute TTS(99%) from a success probability and per-run duration."""
     if not 0.0 <= success_probability <= 1.0:
         raise ConfigurationError(
             f"success_probability must lie in [0, 1], got {success_probability}"
         )
     if duration_us <= 0:
         raise ConfigurationError(f"duration_us must be positive, got {duration_us}")
-    if not 0.0 < confidence_percent < 100.0:
-        raise ConfigurationError(
-            f"confidence_percent must lie strictly inside (0, 100), got {confidence_percent}"
-        )
 
     if success_probability == 0.0:
         repeats = np.inf
     elif success_probability == 1.0:
         repeats = 1.0
     else:
-        repeats = np.log(1.0 - confidence_percent / 100.0) / np.log(1.0 - success_probability)
+        repeats = np.log(1.0 - _CONFIDENCE_PERCENT / 100.0) / np.log(1.0 - success_probability)
         repeats = max(repeats, 1.0)
 
     tts = duration_us * repeats
@@ -71,6 +66,6 @@ def time_to_solution(
         tts_us=float(tts),
         success_probability=float(success_probability),
         duration_us=float(duration_us),
-        confidence_percent=float(confidence_percent),
+        confidence_percent=_CONFIDENCE_PERCENT,
         repeats=float(repeats),
     )

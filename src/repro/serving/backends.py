@@ -116,9 +116,9 @@ class AnnealerServingBackend(ServingBackend):
     sampler:
         Annealer simulator executing the reads (shared between workers is
         fine: all randomness flows through per-job child generators).
-    switch_s / num_reads:
-        Reverse-annealing programme; each anneal is seeded by the paper's
-        Greedy Search and pauses for 1 us.
+    num_reads:
+        Reverse-annealing reads; each anneal is seeded by the paper's
+        Greedy Search, turns back at s_p = 0.41 and pauses for 1 us.
     lanes:
         Multi-instance tiling capacity: how many same-shape instances the
         device processes side by side per shot sequence.  A batch of ``B``
@@ -136,11 +136,10 @@ class AnnealerServingBackend(ServingBackend):
     def __init__(
         self,
         sampler: Optional[QuantumAnnealerSimulator] = None,
-        switch_s: float = 0.41,
         num_reads: int = 50,
         lanes: int = 8,
     ) -> None:
-        self.solver = HybridQuboSolver(sampler=sampler, switch_s=switch_s, num_reads=num_reads)
+        self.solver = HybridQuboSolver(sampler=sampler, num_reads=num_reads)
         if lanes <= 0:
             raise ConfigurationError(f"lanes must be positive, got {lanes}")
         self.lanes = int(lanes)

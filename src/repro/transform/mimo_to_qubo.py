@@ -23,7 +23,7 @@ payload bits.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -66,16 +66,12 @@ class MIMOQuboEncoding:
         equals the ML objective ``||y - H x(q)||^2`` exactly.
     mappings:
         Per-user bit layout descriptors.
-    amplitude_matrix / amplitude_offset:
-        The linear map ``x = A q + b`` used by the reduction.
     """
 
     instance: MIMOInstance
     qubo: QUBOModel
     constant: float
     mappings: Tuple[SymbolBitMapping, ...]
-    amplitude_matrix: np.ndarray = field(repr=False)
-    amplitude_offset: np.ndarray = field(repr=False)
 
     @property
     def num_variables(self) -> int:
@@ -247,8 +243,6 @@ def mimo_to_qubo(instance: MIMOInstance) -> MIMOQuboEncoding:
         qubo=qubo,
         constant=constant,
         mappings=mappings,
-        amplitude_matrix=amplitude_matrix,
-        amplitude_offset=amplitude_offset,
     )
 
 

@@ -58,6 +58,11 @@ __all__ = [
 #: Propagation speed used to convert velocity to Doppler shift, in m/s.
 SPEED_OF_LIGHT_MPS = 299_792_458.0
 
+#: Mid-band 5G carrier and the block period (an LTE OFDM symbol) the Jakes
+#: correlation is taken over.
+_CARRIER_FREQUENCY_GHZ = 3.5
+_BLOCK_PERIOD_US = 71.4
+
 
 # --------------------------------------------------------------------- #
 # Spatial correlation
@@ -146,11 +151,7 @@ def bessel_j0(x: float) -> float:
     return _polynomial(_J0_AMPLITUDE, t) * math.cos(theta) / math.sqrt(ax)
 
 
-def jakes_correlation(
-    velocity_mps: float,
-    carrier_frequency_ghz: float = 3.5,
-    block_period_us: float = 71.4,
-) -> float:
+def jakes_correlation(velocity_mps: float) -> float:
     """Block-to-block fading correlation under the Jakes Doppler spectrum.
 
     A user moving at ``velocity_mps`` sees the maximum Doppler shift
@@ -161,10 +162,8 @@ def jakes_correlation(
     """
     if velocity_mps < 0:
         raise ConfigurationError(f"velocity_mps must be non-negative, got {velocity_mps}")
-    require_positive(carrier_frequency_ghz, "carrier_frequency_ghz")
-    require_positive(block_period_us, "block_period_us")
-    doppler_hz = velocity_mps * carrier_frequency_ghz * 1e9 / SPEED_OF_LIGHT_MPS
-    return bessel_j0(2.0 * math.pi * doppler_hz * block_period_us * 1e-6)
+    doppler_hz = velocity_mps * _CARRIER_FREQUENCY_GHZ * 1e9 / SPEED_OF_LIGHT_MPS
+    return bessel_j0(2.0 * math.pi * doppler_hz * _BLOCK_PERIOD_US * 1e-6)
 
 
 def handover_rate_per_us(velocity_mps: float, cell_radius_m: float = 250.0) -> float:
@@ -261,22 +260,12 @@ class ChannelImpairments:
             )
 
     @classmethod
-    def from_mobility(
-        cls,
-        velocity_mps: float,
-        carrier_frequency_ghz: float = 3.5,
-        block_period_us: float = 71.4,
-    ) -> "ChannelImpairments":
+    def from_mobility(cls, velocity_mps: float) -> "ChannelImpairments":
         """Impairments whose temporal correlation follows user mobility.
 
-        Translates (velocity, carrier, block period) into the Jakes AR(1)
-        coefficient.
+        Translates the velocity into the Jakes AR(1) coefficient.
         """
-        return cls(
-            temporal_correlation=jakes_correlation(
-                velocity_mps, carrier_frequency_ghz, block_period_us
-            )
-        )
+        return cls(temporal_correlation=jakes_correlation(velocity_mps))
 
     @property
     def is_identity(self) -> bool:

@@ -220,7 +220,10 @@ def _serving_cases() -> list:
         symbol_period_us=100.0,
     )
     jobs = generate_serving_jobs(profiles, jobs_per_user=1, rng=51)
-    backend = AnnealerServingBackend(sampler=_svmc_sampler(seed=12), switch_s=0.3, num_reads=8)
+    sampler = _svmc_sampler(seed=12)
+    backend = AnnealerServingBackend(sampler=sampler, num_reads=8)
+    # The backend turns back at s_p = 0.41; the pinned case turns back at 0.3.
+    backend.solver = HybridQuboSolver(sampler=sampler, switch_s=0.3, num_reads=8)
     solutions = backend.solve(jobs, spawn_rngs(52, len(jobs)))
     return [{"case": "annealer_backend_solve", "result": _plain(solutions)}]
 

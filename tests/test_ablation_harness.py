@@ -20,6 +20,7 @@ errors that name the offending key.
 import dataclasses
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -33,6 +34,7 @@ from repro.ablation import (
     compile_config,
     expand_spec,
     format_study_table,
+    load_spec,
     pareto_front,
     point_fingerprint,
     run_study,
@@ -40,7 +42,8 @@ from repro.ablation import (
 from repro.ablation.targets import AnnealHPOConfig, sweepable_drivers
 from repro.exceptions import ConfigurationError
 from repro.experiments import DRIVERS
-from repro.experiments.driver import run_driver
+from repro.experiments.driver import config_presets, run_driver
+from repro.experiments.qos_study import QoSStudyConfig
 from repro.parallel import ResultCache
 
 # Fixed, derandomized profile: the suite must behave identically on every
@@ -386,15 +389,48 @@ class TestCompileConfig:
         assert config.final_temperature == 1.0
         assert isinstance(config.final_temperature, float)
 
-    def test_unknown_field_names_key_and_experiment(self):
-        spec = AblationSpec(name="c", experiment="anneal-hpo", axes={"bogus_field": (1,)})
-        with pytest.raises(ConfigurationError, match="bogus_field.*anneal-hpo"):
-            compile_config(spec, self._one_point(spec), AnnealHPOConfig())
+    # ``policy`` was a QoS config field; the study now fixes it.
+    @pytest.mark.parametrize(
+        "experiment,key,base_config",
+        [
+            ("anneal-hpo", "bogus_field", AnnealHPOConfig()),
+            ("qos", "policy", QoSStudyConfig.quick()),
+        ],
+    )
+    def test_unknown_field_names_key_and_experiment(self, experiment, key, base_config):
+        spec = AblationSpec(name="c", experiment=experiment, axes={key: ("edf",)})
+        with pytest.raises(ConfigurationError, match=f"{key}.*{experiment}") as error:
+            compile_config(spec, self._one_point(spec), base_config)
+        valid = sorted(field.name for field in dataclasses.fields(base_config))
+        assert str(error.value).endswith("valid fields: " + ", ".join(valid))
 
     def test_string_for_number_rejected(self):
         spec = AblationSpec(name="c", experiment="anneal-hpo", axes={"num_sweeps": ("many",)})
         with pytest.raises(ConfigurationError, match="num_sweeps"):
             compile_config(spec, self._one_point(spec), AnnealHPOConfig())
+
+
+#: The spec files shipped with the examples.
+EXAMPLE_SPECS = sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs").glob("*.toml")
+)
+
+
+def test_example_specs_are_found():
+    assert len(EXAMPLE_SPECS) >= 3
+
+
+@pytest.mark.parametrize("path", EXAMPLE_SPECS, ids=lambda path: path.name)
+def test_example_spec_compiles_against_its_preset(path):
+    # Every point of a shipped spec sets only fields its study's config has,
+    # checked without running a shard.
+    spec = load_spec(path)
+    driver = sweepable_drivers()[spec.experiment]
+    base_config = config_presets(driver.config_class)[spec.preset]()
+    points = expand_spec(spec)
+    assert points
+    for point in points:
+        compile_config(spec, point, base_config)
 
 
 def _hpo_spec(**overrides) -> AblationSpec:

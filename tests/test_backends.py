@@ -192,7 +192,7 @@ class TestBackendConfiguration:
 MEMO_SCHEDULES = {
     "FA": forward_anneal_schedule(1.0, pause_s=0.4, pause_duration_us=0.5),
     "RA": reverse_anneal_schedule(0.45, pause_duration_us=1.0),
-    "FR": forward_reverse_anneal_schedule(0.7, 0.4, pause_duration_us=0.5),
+    "FR": forward_reverse_anneal_schedule(0.7, 0.4),
 }
 
 

@@ -27,6 +27,7 @@ from repro.experiments import (
     format_soft_constraint_table,
     run_driver,
 )
+from repro.experiments.fig7_initial_state import _MAX_BIN_PERCENT
 
 
 class TestFigure3:
@@ -83,7 +84,7 @@ class TestFigure7:
         assert rows[0].bin_low_percent == 0.0
         for row in rows:
             assert 0.0 <= row.success_probability <= 1.0
-            assert row.mean_initial_quality < Figure7Config.quick().max_bin_percent
+            assert row.mean_initial_quality < _MAX_BIN_PERCENT
         assert "dE_IS%" in format_figure7_table(rows)
 
     def test_bins_are_ordered(self):

@@ -113,12 +113,8 @@ class TestChannelImpairments:
             ChannelImpairments(**kwargs)
 
     def test_from_mobility_uses_jakes(self):
-        impairments = ChannelImpairments.from_mobility(
-            30.0, carrier_frequency_ghz=2.0, block_period_us=100.0
-        )
-        assert impairments.temporal_correlation == pytest.approx(
-            jakes_correlation(30.0, 2.0, 100.0)
-        )
+        impairments = ChannelImpairments.from_mobility(30.0)
+        assert impairments.temporal_correlation == jakes_correlation(30.0)
 
 
 class TestFadingProcess:

@@ -22,7 +22,6 @@ from repro.experiments.load_study import LoadStudyConfig, LoadStudyDriver
 from repro.experiments.qos_study import QoSStudyDriver
 from repro.experiments.robustness_study import (
     ROBUSTNESS_AXES,
-    RobustnessStudyConfig,
     _impairments_for,
 )
 from repro.experiments.scenario_study import ScenarioStudyDriver
@@ -125,9 +124,8 @@ def test_robustness_golden_exercises_every_impairment_axis():
     and the Doppler rows decode at least two channel uses with a non-zero
     AR(1) coefficient, so the fading process really steps block to block.
     """
-    config = RobustnessStudyConfig.quick()
     rows = json.loads((GOLDEN_DIR / "robustness_quick.json").read_text())["rows"]
-    points = [(row, _impairments_for(config, row["axis"], row["value"])) for row in rows]
+    points = [(row, _impairments_for(row["axis"], row["value"])) for row in rows]
     for axis in ROBUSTNESS_AXES:
         impaired = [row for row, point in points if row["axis"] == axis and not point.is_identity]
         assert impaired, f"no impaired {axis} row in robustness_quick"

@@ -68,7 +68,7 @@ class TestTTS:
 
     def test_known_value(self):
         # p*=0.5, Ct=99%: repeats = log(0.01)/log(0.5) ~ 6.64
-        result = time_to_solution(0.5, duration_us=1.0, confidence_percent=99.0)
+        result = time_to_solution(0.5, duration_us=1.0)
         assert result.tts_us == pytest.approx(np.log(0.01) / np.log(0.5), rel=1e-6)
 
     def test_repeats_floored_at_one(self):
@@ -84,7 +84,6 @@ class TestTTS:
         [
             {"success_probability": -0.1, "duration_us": 1.0},
             {"success_probability": 0.5, "duration_us": 0.0},
-            {"success_probability": 0.5, "duration_us": 1.0, "confidence_percent": 100.0},
         ],
     )
     def test_invalid(self, kwargs):

@@ -23,7 +23,7 @@ from repro.classical.greedy import greedy_search
 from repro.exceptions import ConfigurationError
 from repro.qubo.ising import IsingModel, bits_to_spins, qubo_to_ising
 from repro.qubo.model import QUBOModel
-from repro.transform.mimo_to_qubo import mimo_to_qubo
+from repro.transform.mimo_to_qubo import _amplitude_map, mimo_to_qubo
 from repro.utils.rng import spawn_rngs
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
 
@@ -151,13 +151,27 @@ def test_greedy_ties_and_non_finite_marginals(seed):
     "modulation,users", [("BPSK", 5), ("QPSK", 3), ("16-QAM", 4), ("64-QAM", 2)]
 )
 def test_mimo_to_qubo_matches_the_coefficient_loop(modulation, users):
-    # The coefficients, names and amplitude map the transform built per
-    # instance with scalar loops; the layout is now memoised per shape.
+    # The coefficients and names the transform built per instance with
+    # scalar loops; the layout is now memoised per shape.
     for seed in (5, 6):
         instance = simulate_transmission(MIMOConfig(users, modulation), rng=seed).instance
         encoding = mimo_to_qubo(instance)
-        effective = instance.channel_matrix @ encoding.amplitude_matrix
-        residual = instance.received - instance.channel_matrix @ encoding.amplitude_offset
+        # The linear map x = A q + b, rebuilt from the per-user bit layouts.
+        amplitude = np.zeros((users, encoding.num_variables), dtype=complex)
+        offset = np.zeros(users, dtype=complex)
+        for mapping in encoding.mappings:
+            scale = mapping.modulation.scale
+            bits_per_dim = mapping.modulation.bits_per_dimension
+            for position, variable in enumerate(mapping.in_phase_indices):
+                weight = scale * (1 << (bits_per_dim - 1 - position))
+                amplitude[mapping.user_index, variable] += 2.0 * weight
+                offset[mapping.user_index] -= weight
+            for position, variable in enumerate(mapping.quadrature_indices):
+                weight = scale * (1 << (bits_per_dim - 1 - position))
+                amplitude[mapping.user_index, variable] += 2.0j * weight
+                offset[mapping.user_index] -= 1.0j * weight
+        effective = instance.channel_matrix @ amplitude
+        residual = instance.received - instance.channel_matrix @ offset
         gram = np.real(np.conjugate(effective.T) @ effective)
         correlation = np.real(np.conjugate(residual) @ effective)
         n = gram.shape[0]
@@ -171,7 +185,9 @@ def test_mimo_to_qubo_matches_the_coefficient_loop(modulation, users):
         per_user = n // users
         names = tuple(f"u{user}b{bit}" for user in range(users) for bit in range(per_user))
         assert encoding.qubo.variable_names == names
-        assert not encoding.amplitude_matrix.flags.writeable
+        memoised_amplitude, memoised_offset, _, _ = _amplitude_map(instance.modulation, users)
+        assert not memoised_amplitude.flags.writeable
+        assert not memoised_offset.flags.writeable
 
 
 class TestFoldBytes:

@@ -16,11 +16,11 @@ def _check(*args):
 
 
 def _allowlists():
-    """The script's ``(ALLOWLIST, PARAMETER_ALLOWLIST)``."""
+    """The script's ``(ALLOWLIST, PARAMETER_ALLOWLIST, CONFIG_FIELD_ALLOWLIST)``."""
     spec = importlib.util.spec_from_file_location("check_public_surface", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.ALLOWLIST, module.PARAMETER_ALLOWLIST
+    return module.ALLOWLIST, module.PARAMETER_ALLOWLIST, module.CONFIG_FIELD_ALLOWLIST
 
 
 def _stale(reasons):
@@ -28,10 +28,9 @@ def _stale(reasons):
 
     Entries missing from ``reasons`` name nothing in a planted tree.
     """
-    names, parameters = _allowlists()
     return [
         f"stale allowlist entry ({reasons.get(entry, 'names nothing')}): {entry}"
-        for allowlist in (names, parameters)
+        for allowlist in _allowlists()
         for entry in sorted(allowlist)
         if reasons.get(entry) != "valid"
     ]
@@ -168,3 +167,80 @@ def test_stale_allowlist_entries_are_named(tmp_path):
         }
     )
     assert "stale allowlist entries: correct or remove them" in result.stderr
+
+
+def test_planted_unset_config_fields_are_named(tmp_path):
+    package = tmp_path / "src" / "repro"
+    for directory in ("ablation", "experiments"):
+        (package / directory).mkdir(parents=True)
+    (package / "study.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class StudyConfig:\n"
+        "    positional: int = 1\n"
+        "    preset_field: int = 2\n"
+        "    keyword: int = 3\n"
+        "    replaced: int = 4\n"
+        "    spec_key: int = 5\n"
+        "    toml_key: int = 6\n"
+        "    dead: int = 7\n"
+        "    instance_seed: int = 0\n"
+        "    base_seed: int = 0\n\n"
+        "    @classmethod\n"
+        "    def quick(cls):\n        return cls(preset_field=0)\n\n\n"
+        "class _StudyDriver:\n"
+        "    name = 'study'\n"
+        "    config_class = StudyConfig\n"
+    )
+    # Allowlisted: only the goldens overload the plant through it.
+    (package / "experiments" / "qos_study.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class QoSStudyConfig:\n    base_symbol_period_us: float = 150.0\n\n\n"
+        "class _QoSDriver:\n    name = 'qos'\n    config_class = QoSStudyConfig\n"
+    )
+    # Allowlisted, but a script sets density.
+    (package / "ablation" / "targets.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class AnnealHPOConfig:\n"
+        "    density: float = 1.0\n    final_temperature: float = 0.01\n\n\n"
+        "class _HPODriver:\n    name = 'anneal-hpo'\n    config_class = AnnealHPOConfig\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "run.py").write_text(
+        "import dataclasses\n\n"
+        "from repro.ablation import AblationSpec\n"
+        "from repro.ablation.targets import AnnealHPOConfig\n"
+        "from repro.experiments.qos_study import QoSStudyConfig\n"
+        "from repro.study import StudyConfig\n\n"
+        "config = dataclasses.replace(StudyConfig(8, keyword=9), replaced=10)\n"
+        "StudyConfig.quick()\n"
+        "QoSStudyConfig()\n"
+        "AnnealHPOConfig(density=0.5)\n"
+        "AblationSpec(name='a', experiment='study', preset='quick', base={'spec_key': 1})\n"
+        "AblationSpec(name='b', experiment='qos', preset='quick', axes={'dead': (1, 2)})\n"
+    )
+    (tmp_path / "examples" / "specs").mkdir(parents=True)
+    (tmp_path / "examples" / "specs" / "study.toml").write_text(
+        'name = "toml"\nexperiment = "study"\npreset = "quick"\n\n[axes]\ntoml_key = [1, 2]\n'
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_study.py").write_text(
+        "from repro.study import StudyConfig\n\nStudyConfig(dead=0)\n"
+    )
+
+    result = _check(str(tmp_path))
+    assert result.returncode == 1
+    # Only a test sets ``dead``, and the spec naming it sweeps another
+    # experiment; every other field is set in one live way, or is a seed.
+    assert result.stdout.splitlines() == [
+        "config field nothing outside tests sets: repro.study:StudyConfig.dead",
+    ] + _stale(
+        {
+            "repro.ablation.targets:AnnealHPOConfig.density": "already live",
+            "repro.ablation.targets:AnnealHPOConfig.final_temperature": "valid",
+            "repro.experiments.qos_study:QoSStudyConfig.base_symbol_period_us": "valid",
+        }
+    )
+    assert "1 unset config field(s)" in result.stderr

@@ -60,16 +60,14 @@ class TestConfigAndTasks:
                 config=quick_config, axis="correlation"
             )
 
-    def test_impairments_for_each_axis(self, quick_config):
-        assert _impairments_for(quick_config, "correlation", 0.5).rx_correlation == 0.5
-        doppler = _impairments_for(quick_config, "doppler", 30.0)
+    def test_impairments_for_each_axis(self):
+        assert _impairments_for("correlation", 0.5).rx_correlation == 0.5
+        doppler = _impairments_for("doppler", 30.0)
         assert 0.0 < doppler.temporal_correlation < 1.0
-        assert _impairments_for(quick_config, "csi-error", 0.1).csi_error_variance == 0.1
-        assert (
-            _impairments_for(quick_config, "interference", 2.0).interference_power == 2.0
-        )
+        assert _impairments_for("csi-error", 0.1).csi_error_variance == 0.1
+        assert _impairments_for("interference", 2.0).interference_power == 2.0
         with pytest.raises(ConfigurationError):
-            _impairments_for(quick_config, "rainfall", 1.0)
+            _impairments_for("rainfall", 1.0)
 
 
 class TestStudy:
@@ -179,10 +177,10 @@ class TestDegradation:
 
     def test_zero_points_are_clean_baselines(self, quick_config):
         for axis in ("correlation", "csi-error", "interference"):
-            assert _impairments_for(quick_config, axis, 0.0).is_identity
+            assert _impairments_for(axis, 0.0).is_identity
         # Zero velocity is not the identity but the *static* channel: the
         # Jakes coefficient at v=0 is 1, so a stationary user's blocks cohere.
-        static = _impairments_for(quick_config, "doppler", 0.0)
+        static = _impairments_for("doppler", 0.0)
         assert static.temporal_correlation == pytest.approx(1.0)
 
 

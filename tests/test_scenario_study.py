@@ -39,7 +39,7 @@ class TestScenarioStudy:
             assert 0.0 <= row.static_miss_rate <= 1.0
             assert 0.0 <= row.autoscaled_miss_rate <= 1.0
             assert 0.0 <= row.autoscaled_demotion_rate <= 1.0
-            assert config.min_workers <= row.mean_active_workers <= config.max_workers
+            assert 1 <= row.mean_active_workers <= config.max_workers
             assert row.scale_events >= 0
 
     def test_format_table(self, quick_result):

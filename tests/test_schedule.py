@@ -121,9 +121,7 @@ class TestReverseSchedule:
 class TestForwardReverseSchedule:
     def test_paper_shape(self):
         # [0,0] -> [c_p,c_p] -> [2c_p-s_p, s_p] -> [.. + t_p, s_p] -> [.. + t_a, 1]
-        schedule = forward_reverse_anneal_schedule(
-            turning_s=0.7, switch_s=0.4, pause_duration_us=1.0, anneal_time_us=1.0
-        )
+        schedule = forward_reverse_anneal_schedule(turning_s=0.7, switch_s=0.4)
         pairs = np.array(schedule.as_pairs())
         assert pairs[1].tolist() == pytest.approx([0.7, 0.7])
         assert pairs[2].tolist() == pytest.approx([1.0, 0.4])

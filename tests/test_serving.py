@@ -345,7 +345,6 @@ class TestBackends:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"switch_s": 0.0},
             {"num_reads": 0},
             {"lanes": 0},
         ],
