@@ -388,6 +388,19 @@ _REJECTED_FIELDS = [("qos", overrides) for overrides in _BAD_OVERRIDES] + [
     ("pause", dict(pause_durations_us=(-1.0,))),
 ]
 
+#: Values the study configs rejected before these fields became module
+#: constants, as (study name, overrides); a spec naming one is now rejected
+#: as an unknown field.
+_CUT_FIELDS = [
+    ("qos", dict(service_classes=())),
+    ("qos", dict(service_classes=("platinum",))),
+    ("scenarios", dict(min_workers=4)),
+    ("network", dict(topology_kind="torus")),
+    ("network", dict(scenario="rush-hour")),
+    ("network", dict(utilization=1.0)),
+    ("network", dict(min_capacity_fraction=-0.1)),
+]
+
 
 class TestQoSStudy:
     def test_one_row_per_scenario_and_class(self, quick_result):
@@ -480,6 +493,23 @@ class TestQoSStudy:
         with pytest.raises(ConfigurationError) as studied:
             run_study(spec)
         assert str(studied.value) == str(constructed.value)
+
+    @pytest.mark.parametrize("overrides", _CUT_FIELDS)
+    def test_spec_naming_a_cut_field_is_rejected(self, overrides):
+        from repro.ablation import AblationSpec, run_study
+
+        experiment, fields = overrides
+        (key,) = fields
+        (driver,) = [driver for driver in DRIVERS if driver.name == experiment]
+        valid = sorted(field.name for field in dataclasses.fields(driver.config_class))
+        assert key not in valid
+        spec = AblationSpec(name="cut", experiment=experiment, preset="quick", base=fields)
+        with pytest.raises(ConfigurationError) as studied:
+            run_study(spec)
+        assert str(studied.value) == (
+            f"unknown config field {key!r} for experiment {experiment!r}; "
+            f"valid fields: {', '.join(valid)}"
+        )
 
     def test_registered_as_ablation_target(self):
         from repro.ablation.targets import sweepable_drivers
