@@ -8,7 +8,8 @@ problems larger than roughly 32-40 variables.
 
 from conftest import run_once
 
-from repro.experiments import Figure3Config, Figure3Driver, format_figure3_table, run_driver
+from repro.experiments.fig3_simplification import Figure3Config, Figure3Driver, format_figure3_table
+from repro.experiments.driver import run_driver
 
 
 def test_figure3_simplification(benchmark, report_writer):

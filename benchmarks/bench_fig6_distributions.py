@@ -9,7 +9,8 @@ sample distribution.
 
 from conftest import run_once
 
-from repro.experiments import Figure6Config, Figure6Driver, format_figure6_table, run_driver
+from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver, format_figure6_table
+from repro.experiments.driver import run_driver
 
 
 def test_figure6_distributions(benchmark, report_writer):

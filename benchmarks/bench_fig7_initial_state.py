@@ -9,7 +9,8 @@ degrade as the initial state gets worse.
 import numpy as np
 from conftest import run_once
 
-from repro.experiments import Figure7Config, Figure7Driver, format_figure7_table, run_driver
+from repro.experiments.fig7_initial_state import Figure7Config, Figure7Driver, format_figure7_table
+from repro.experiments.driver import run_driver
 
 
 def test_figure7_initial_state_quality(benchmark, report_writer):

@@ -14,7 +14,8 @@ the switch/pause location grid, and checks the paper's qualitative findings:
 import numpy as np
 from conftest import run_once
 
-from repro.experiments import Figure8Config, Figure8Driver, format_figure8_table, run_driver
+from repro.experiments.fig8_tts import Figure8Config, Figure8Driver, format_figure8_table
+from repro.experiments.driver import run_driver
 
 
 def _best(rows, method):

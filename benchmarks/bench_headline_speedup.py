@@ -13,7 +13,8 @@ on the default typical instance and checks that the hybrid wins by a factor in
 
 from conftest import run_once
 
-from repro.experiments import HeadlineConfig, HeadlineDriver, format_headline_report, run_driver
+from repro.experiments.headline import HeadlineConfig, HeadlineDriver, format_headline_report
+from repro.experiments.driver import run_driver
 
 
 def test_headline_speedup(benchmark, report_writer):

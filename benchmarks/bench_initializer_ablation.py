@@ -9,12 +9,12 @@ initialiser the library ships.
 
 from conftest import run_once
 
-from repro.experiments import (
+from repro.experiments.ablation import (
     InitializerAblationConfig,
     InitializerAblationDriver,
     format_initializer_table,
-    run_driver,
 )
+from repro.experiments.driver import run_driver
 
 
 def test_initializer_ablation(benchmark, report_writer):

@@ -33,12 +33,12 @@ import sys
 import tempfile
 import time
 
-from repro.experiments import (
+from repro.experiments.scenario_study import (
     ScenarioStudyConfig,
     ScenarioStudyDriver,
     format_scenario_table,
-    run_driver,
 )
+from repro.experiments.driver import run_driver
 from repro.parallel import ResultCache
 
 #: Worker count of the headline speedup measurement.

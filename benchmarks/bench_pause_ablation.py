@@ -9,12 +9,12 @@ schedule.
 
 from conftest import run_once
 
-from repro.experiments import (
+from repro.experiments.pause_ablation import (
     PauseAblationConfig,
     PauseAblationDriver,
     format_pause_table,
-    run_driver,
 )
+from repro.experiments.driver import run_driver
 
 
 def test_pause_ablation(benchmark, report_writer):

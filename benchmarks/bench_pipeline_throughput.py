@@ -9,12 +9,12 @@ both stages busy.
 
 from conftest import run_once
 
-from repro.experiments import (
+from repro.experiments.pipeline_study import (
     PipelineStudyConfig,
     PipelineStudyDriver,
     format_pipeline_table,
-    run_driver,
 )
+from repro.experiments.driver import run_driver
 
 
 def test_pipeline_throughput(benchmark, report_writer):

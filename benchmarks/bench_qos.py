@@ -37,7 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.network import build_topology
+from repro.network.topology import build_topology
 from repro.serving import (
     AnnealerServingBackend,
     BackendPool,

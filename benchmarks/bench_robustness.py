@@ -34,12 +34,12 @@ import sys
 
 import numpy as np
 
-from repro.experiments import (
+from repro.experiments.robustness_study import (
     RobustnessStudyConfig,
     RobustnessStudyDriver,
     format_robustness_table,
-    run_driver,
 )
+from repro.experiments.driver import run_driver
 from repro.wireless import ChannelImpairments, MIMOConfig
 from repro.wireless.mimo import simulate_transmission
 

@@ -8,7 +8,8 @@ accurate as zero-forcing.
 
 from conftest import run_once
 
-from repro.experiments import SNRStudyConfig, SNRStudyDriver, format_snr_table, run_driver
+from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver, format_snr_table
+from repro.experiments.driver import run_driver
 
 
 def test_snr_ber_curves(benchmark, report_writer):

@@ -9,12 +9,12 @@ The benchmark reproduces exactly that trade-off.
 
 from conftest import run_once
 
-from repro.experiments import (
+from repro.experiments.ablation import (
     SoftConstraintConfig,
     SoftConstraintDriver,
     format_soft_constraint_table,
-    run_driver,
 )
+from repro.experiments.driver import run_driver
 
 
 def test_soft_constraint_study(benchmark, report_writer):

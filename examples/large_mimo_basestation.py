@@ -25,8 +25,10 @@ from typing import Callable, List
 
 import numpy as np
 
-from repro.classical import KBestSphereDecoder, MMSEDetector, ZeroForcingDetector
-from repro.hybrid import HybridMIMODetector
+from repro.classical.sphere_decoder import KBestSphereDecoder
+from repro.classical.mmse import MMSEDetector
+from repro.classical.zero_forcing import ZeroForcingDetector
+from repro.hybrid.solver import HybridMIMODetector
 from repro.transform import mimo_to_qubo
 from repro.wireless import MIMOConfig, simulate_transmission
 from repro.wireless.metrics import bit_error_rate

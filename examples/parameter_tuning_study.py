@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.classical import GreedySearchSolver
+from repro.classical.greedy import GreedySearchSolver
 from repro.experiments.instances import synthesize_instance
-from repro.hybrid import best_switch_point, sweep_switch_point
-from repro.metrics import delta_e_percent
+from repro.hybrid.parameters import best_switch_point, sweep_switch_point
+from repro.metrics.quality import delta_e_percent
 
 
 def main() -> None:

@@ -14,12 +14,12 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.experiments import (
+from repro.experiments.pipeline_study import (
     PipelineStudyConfig,
     PipelineStudyDriver,
     format_pipeline_table,
-    run_driver,
 )
+from repro.experiments.driver import run_driver
 
 
 def main() -> None:

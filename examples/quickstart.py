@@ -17,9 +17,9 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.classical import GreedySearchSolver
-from repro.hybrid import HybridMIMODetector
-from repro.metrics import delta_e_percent
+from repro.classical.greedy import GreedySearchSolver
+from repro.hybrid.solver import HybridMIMODetector
+from repro.metrics.quality import delta_e_percent
 from repro.transform import mimo_to_qubo
 from repro.wireless import MIMOConfig, simulate_transmission
 from repro.wireless.metrics import bit_error_rate, symbol_error_rate

@@ -21,7 +21,8 @@ script finishes in well under a minute::
 from __future__ import annotations
 
 from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBackend
-from repro.experiments import LoadStudyConfig, LoadStudyDriver, format_load_study_table, run_driver
+from repro.experiments.load_study import LoadStudyConfig, LoadStudyDriver, format_load_study_table
+from repro.experiments.driver import run_driver
 from repro.serving import (
     AnnealerServingBackend,
     BackendPool,

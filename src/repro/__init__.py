@@ -22,7 +22,7 @@ Classical-Quantum Computation Structures in Wirelessly-Networked Systems*
 Quickstart::
 
     from repro.wireless import MIMOConfig, simulate_transmission
-    from repro.hybrid import HybridMIMODetector
+    from repro.hybrid.solver import HybridMIMODetector
 
     transmission = simulate_transmission(MIMOConfig(num_users=4, modulation="16-QAM"), rng=1)
     detector = HybridMIMODetector(num_reads=200)

@@ -26,7 +26,7 @@ from repro.ablation.pareto import ParetoExclusion, pareto_front
 from repro.ablation.spec import AblationSpec, StudyPoint, compile_config, expand_spec
 from repro.ablation.targets import sweepable_drivers
 from repro.exceptions import ConfigurationError
-from repro.experiments import ExperimentDriver, config_presets
+from repro.experiments.driver import ExperimentDriver, config_presets
 from repro.parallel import ParallelRunner, ResultCache, ShardTask
 from repro.parallel.runner import RunStats
 from repro.telemetry.log import get_logger

@@ -1,15 +1,15 @@
 """Ablation targets: every study driver that declares metrics, plus a
 synthetic SA HPO sweep.
 
-A spec's ``experiment`` names a driver in :data:`repro.experiments.DRIVERS`
-(or ``anneal-hpo``) whose ``metric_names`` is non-empty.  A study point runs
-*the same work units* — same functions, same kwargs, same cache
-fingerprints — that ``run_driver`` (and so the matching
-``repro-experiments`` subcommand) produces, and the rows and metrics come
-from the driver's own pure ``aggregate``/``metrics`` pair.  This is what
-makes the harness subsume the imperative runs bitwise, and it means the
-declarative and imperative paths share one warm cache.  Presets come from ``config_presets`` on the driver's
-``config_class``.
+A spec's ``experiment`` names a driver in
+:data:`repro.experiments.registry.DRIVERS` (or ``anneal-hpo``) whose
+``metric_names`` is non-empty.  A study point runs *the same work units* —
+same functions, same kwargs, same cache fingerprints — that ``run_driver``
+(and so the matching ``repro-experiments`` subcommand) produces, and the rows
+and metrics come from the driver's own pure ``aggregate``/``metrics`` pair.
+This is what makes the harness subsume the imperative runs bitwise, and it
+means the declarative and imperative paths share one warm cache.  Presets
+come from ``config_presets`` on the driver's ``config_class``.
 
 ``anneal-hpo`` is a self-contained hyper-parameter target (simulated
 annealing over a seeded random QUBO) that only the test suite drives: it
@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments import DRIVERS, ExperimentDriver
-from repro.experiments.driver import mean_or_nan
+from repro.experiments.driver import ExperimentDriver, mean_or_nan
+from repro.experiments.registry import DRIVERS
 from repro.parallel import ShardTask
 
 __all__ = [

@@ -50,11 +50,12 @@ with ``u < gate`` (``activity`` plus a rounding margin).  The gate test is
 one comparison over the whole ``(batch, max_size, reads)`` uniform block,
 whose padding rows hold ``+inf`` and so never pass, and one search of the
 row ends in the passing positions splits the packed draws per instance; in
-python each child only makes its three generator calls.  A sweep with ``activity < 1`` can reject at the gate: it
-packs those proposal draws at the front of flat buffers, gathers the state
-at the passing positions into flat scratch buffers, runs the dense chunk
-arithmetic there — proposal, ``cos``, the threshold ``log``, accept test,
-updates — and scatters the results back.  A sweep with ``activity >= 1``
+python each child only makes its three generator calls.  A sweep with
+``activity < 1`` can reject at the gate: it packs those proposal draws at
+the front of flat buffers, gathers the state at the passing positions into
+flat scratch buffers, runs the dense chunk arithmetic there — proposal,
+``cos``, the threshold ``log``, accept test, updates — and scatters the
+results back.  A sweep with ``activity >= 1``
 passes every position, so it draws the same numbers straight into dense
 blocks and runs the dense chunk program.  The coupling refresh keeps its
 full ``(batch, chunk, reads)`` shape either way, so results are

@@ -86,8 +86,8 @@ class QuboSolver(abc.ABC):
 
         This default implementation is the sequential loop; solvers with a
         vectorised multi-instance kernel (e.g.
-        :class:`repro.classical.SimulatedAnnealingSolver`) override it while
-        preserving the same contract.
+        :class:`repro.classical.simulated_annealing.SimulatedAnnealingSolver`)
+        override it while preserving the same contract.
         """
         from repro.utils.rng import ensure_rng_batch
 

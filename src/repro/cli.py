@@ -41,7 +41,7 @@ control structured progress logging.
 
 Parsed options land in one :class:`CommonRunOptions` value consumed by every
 experiment.  The subcommands and the ``all`` loop come from
-:data:`repro.experiments.DRIVERS`: each driver names its config class and
+:data:`repro.experiments.registry.DRIVERS`: each driver names its config class and
 table formatter, so adding a study means one ``DRIVERS`` entry — never
 re-wiring flags.  Every experiment subcommand runs through
 :func:`~repro.experiments.driver.run_driver` with its study's driver.
@@ -64,11 +64,11 @@ import sys
 from typing import List, Optional
 
 from repro import telemetry
+from repro.experiments.driver import config_presets, run_driver
+from repro.experiments.registry import DRIVERS
 from repro.parallel import ResultCache
 from repro.telemetry import exporters
 from repro.telemetry.log import configure_logging, get_logger
-
-from repro.experiments import DRIVERS, config_presets, run_driver
 
 __all__ = ["CommonRunOptions", "main"]
 

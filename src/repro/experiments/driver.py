@@ -19,7 +19,7 @@ Every study is a frozen configuration dataclass plus an
 
 A driver is the whole record of its study: besides the protocol above it
 names its ``config_class`` and its CLI ``format_table``, so
-:data:`repro.experiments.DRIVERS` is the one study table the CLI builds its
+:data:`repro.experiments.registry.DRIVERS` is the one study table the CLI builds its
 subcommands from and the ablation harness looks a spec's ``experiment`` up
 in (every driver that declares ``metric_names`` is an ablation target).
 

@@ -9,7 +9,7 @@ served by three architectures —
 * **serialized** — one annealer worker, one job at a time (the single-server
   baseline every comparison starts from);
 * **pipelined** — the Figure-2 two-stage pipeline
-  (:class:`repro.hybrid.HybridPipelineSimulator`), which overlaps classical
+  (:class:`repro.hybrid.pipeline.HybridPipelineSimulator`), which overlaps classical
   and quantum stages but still serves one job per stage at a time;
 * **pooled** — the serving subsystem (:class:`repro.serving.RANServingSimulator`):
   K batched annealer workers, deadline-aware scheduling, compatible-job
@@ -64,6 +64,9 @@ SERVE_METRICS = (
 #: Spatial streams of every user.
 _NUM_USERS = 2
 
+#: Modulations cycled across users.
+_MODULATIONS = ("QPSK", "16-QAM")
+
 #: Per-user mean channel-use spacing at load factor 1.0; a load factor ``f``
 #: divides it by ``f``.
 _BASE_SYMBOL_PERIOD_US = 900.0
@@ -82,7 +85,7 @@ class LoadStudyConfig:
     Attributes
     ----------
     num_cells / users_per_cell / jobs_per_user:
-        Workload shape.  Users cycle through ``modulations`` (heterogeneous
+        Workload shape.  Users cycle through QPSK and 16-QAM (heterogeneous
         population), each with two spatial streams and Poisson arrivals.
     load_factors:
         The sweep grid.
@@ -98,7 +101,6 @@ class LoadStudyConfig:
     num_cells: int = 2
     users_per_cell: int = 3
     jobs_per_user: int = 8
-    modulations: Tuple[str, ...] = ("QPSK", "16-QAM")
     load_factors: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
     num_reads: int = 30
     annealer_workers: int = 3
@@ -161,7 +163,7 @@ class LoadStudyResult:
 
 
 def _workload(config: LoadStudyConfig, load_factor: float, workload_seed: int):
-    configs = [MIMOConfig(_NUM_USERS, modulation) for modulation in config.modulations]
+    configs = [MIMOConfig(_NUM_USERS, modulation) for modulation in _MODULATIONS]
     profiles = uniform_cell_profiles(
         num_cells=config.num_cells,
         users_per_cell=config.users_per_cell,

@@ -4,7 +4,7 @@ Figure 2 of the paper is a conceptual sketch: successive wireless channel
 uses flow through staged classical and quantum processing units so the two
 kinds of hardware work concurrently.  This experiment turns the sketch into
 numbers by running the same channel-use stream through the
-:class:`repro.hybrid.HybridPipelineSimulator` twice — once pipelined, once
+:class:`repro.hybrid.pipeline.HybridPipelineSimulator` twice — once pipelined, once
 with the two stages serialised — and comparing throughput, latency and stage
 utilisation.
 """

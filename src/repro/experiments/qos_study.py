@@ -71,6 +71,9 @@ QOS_METRICS = (
 #: Spatial streams of every user.
 _NUM_USERS = 2
 
+#: Modulations cycled across users.
+_MODULATIONS = ("QPSK", "16-QAM")
+
 #: QoS class names cycled across each cell's users (see
 #: :data:`repro.serving.qos.SERVICE_CLASSES`); per-class budgets override the
 #: generic ``_TURNAROUND_BUDGET_US``.
@@ -99,8 +102,8 @@ class QoSStudyConfig:
 
     Attributes
     ----------
-    num_cells / users_per_cell / modulations:
-        Cell line and user population (configurations cycle across users,
+    num_cells / users_per_cell:
+        Cell line and user population (QPSK and 16-QAM cycle across users,
         each with two spatial streams and the urllc / embb / best-effort
         classes cycled across each cell's users).
     base_symbol_period_us / horizon_us / max_jobs_per_user:
@@ -117,7 +120,6 @@ class QoSStudyConfig:
 
     num_cells: int = 4
     users_per_cell: int = 3
-    modulations: Tuple[str, ...] = ("QPSK", "16-QAM")
     base_symbol_period_us: float = 150.0
     horizon_us: float = 20_000.0
     max_jobs_per_user: int = 900
@@ -200,7 +202,7 @@ def _qos_jobs(config: QoSStudyConfig, name: str, workload_seed: int):
     scenario = build_scenario(
         name, config.num_cells, horizon_us=config.horizon_us, topology=topology
     )
-    configs = [MIMOConfig(_NUM_USERS, modulation) for modulation in config.modulations]
+    configs = [MIMOConfig(_NUM_USERS, modulation) for modulation in _MODULATIONS]
     profiles = uniform_cell_profiles(
         num_cells=config.num_cells,
         users_per_cell=config.users_per_cell,

@@ -67,6 +67,9 @@ SCENARIOS_METRICS = (
 #: Spatial streams of every user.
 _NUM_USERS = 2
 
+#: Modulations cycled across users.
+_MODULATIONS = ("QPSK", "16-QAM")
+
 #: Relative deadline of every job.
 _TURNAROUND_BUDGET_US = 600.0
 
@@ -85,8 +88,8 @@ class ScenarioStudyConfig:
 
     Attributes
     ----------
-    num_cells / users_per_cell / modulations:
-        Cell grid and user population (configurations cycle across users,
+    num_cells / users_per_cell:
+        Cell grid and user population (QPSK and 16-QAM cycle across users,
         each with two spatial streams).
     base_symbol_period_us:
         Nominal per-user channel-use spacing at intensity multiplier 1.0.
@@ -109,7 +112,6 @@ class ScenarioStudyConfig:
 
     num_cells: int = 4
     users_per_cell: int = 3
-    modulations: Tuple[str, ...] = ("QPSK", "16-QAM")
     base_symbol_period_us: float = 150.0
     horizon_us: float = 20_000.0
     max_jobs_per_user: int = 900
@@ -206,7 +208,7 @@ def _scenario_jobs(config: ScenarioStudyConfig, name: str, workload_seed: int):
     frozen jobs, and the memo never holds more than one scenario's list.
     """
     scenario = build_scenario(name, config.num_cells, horizon_us=config.horizon_us)
-    configs = [MIMOConfig(_NUM_USERS, modulation) for modulation in config.modulations]
+    configs = [MIMOConfig(_NUM_USERS, modulation) for modulation in _MODULATIONS]
     profiles = uniform_cell_profiles(
         num_cells=config.num_cells,
         users_per_cell=config.users_per_cell,

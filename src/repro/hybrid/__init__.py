@@ -8,39 +8,3 @@
 * :mod:`repro.hybrid.pipeline` — the staged classical/quantum pipeline over
   successive channel uses sketched in paper Figure 2 (Design Challenge 3).
 """
-
-from repro.hybrid.solver import (
-    HybridSolverResult,
-    HybridQuboSolver,
-    HybridMIMODetector,
-    DetectorInitializer,
-)
-from repro.hybrid.parameters import (
-    SwitchPointRecord,
-    sweep_switch_point,
-    sweep_switch_point_batch,
-    best_switch_point,
-    sweep_forward_reverse_turning_point,
-)
-from repro.hybrid.pipeline import (
-    StageTiming,
-    PipelineJobResult,
-    PipelineReport,
-    HybridPipelineSimulator,
-)
-
-__all__ = [
-    "HybridSolverResult",
-    "HybridQuboSolver",
-    "HybridMIMODetector",
-    "DetectorInitializer",
-    "SwitchPointRecord",
-    "sweep_switch_point",
-    "sweep_switch_point_batch",
-    "best_switch_point",
-    "sweep_forward_reverse_turning_point",
-    "StageTiming",
-    "PipelineJobResult",
-    "PipelineReport",
-    "HybridPipelineSimulator",
-]

@@ -84,7 +84,7 @@ class HybridQuboSolver:
     Parameters
     ----------
     classical_solver:
-        Any :class:`repro.classical.QuboSolver`; defaults to the paper's
+        Any :class:`repro.classical.base.QuboSolver`; defaults to the paper's
         Greedy Search.
     sampler:
         The annealer simulator; a default instance is created lazily.

@@ -6,20 +6,3 @@
 * :mod:`repro.metrics.statistics` — the percentile histograms of paper
   Figure 6.
 """
-
-from repro.metrics.quality import (
-    delta_e_percent,
-    delta_e_distribution,
-    success_probability,
-)
-from repro.metrics.tts import time_to_solution, TTSResult
-from repro.metrics.statistics import histogram_percentiles
-
-__all__ = [
-    "delta_e_percent",
-    "delta_e_distribution",
-    "success_probability",
-    "time_to_solution",
-    "TTSResult",
-    "histogram_percentiles",
-]

@@ -23,43 +23,3 @@ randomness enters through explicit seeds, and single-cluster configurations
 that never name a topology run the exact pre-existing code paths bitwise
 (see ``docs/network.md`` for the compatibility rules).
 """
-
-from repro.network.topology import Cell, NetworkTopology, build_topology
-from repro.network.aggregate import (
-    AggregationConfig,
-    cell_window_counts,
-    materialize_cell_jobs,
-)
-from repro.network.kpi import (
-    HotspotDetector,
-    HotspotDetectorConfig,
-    HotspotEvent,
-)
-from repro.network.embedding import (
-    CapacityReembedder,
-    EmbeddingConfig,
-    FluidCellReport,
-    FluidNetworkReport,
-    oracle_capacity,
-    simulate_fluid_network,
-    static_capacity,
-)
-
-__all__ = [
-    "Cell",
-    "NetworkTopology",
-    "build_topology",
-    "AggregationConfig",
-    "cell_window_counts",
-    "materialize_cell_jobs",
-    "HotspotDetector",
-    "HotspotDetectorConfig",
-    "HotspotEvent",
-    "CapacityReembedder",
-    "EmbeddingConfig",
-    "FluidCellReport",
-    "FluidNetworkReport",
-    "oracle_capacity",
-    "simulate_fluid_network",
-    "static_capacity",
-]

@@ -15,30 +15,3 @@ provides:
 * :mod:`repro.qubo.generators` — the structure-free random QUBO that the
   ``anneal-hpo`` ablation target anneals.
 """
-
-from repro.qubo.model import QUBOModel
-from repro.qubo.ising import IsingModel, qubo_to_ising
-from repro.qubo.energy import brute_force_minimum
-from repro.qubo.preprocessing import (
-    PreprocessingReport,
-    simplify_qubo,
-    find_fixable_variables,
-)
-from repro.qubo.constraints import (
-    SoftConstraint,
-    add_soft_constraints,
-)
-from repro.qubo.generators import random_qubo
-
-__all__ = [
-    "QUBOModel",
-    "IsingModel",
-    "qubo_to_ising",
-    "brute_force_minimum",
-    "PreprocessingReport",
-    "simplify_qubo",
-    "find_fixable_variables",
-    "SoftConstraint",
-    "add_soft_constraints",
-    "random_qubo",
-]

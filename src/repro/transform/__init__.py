@@ -8,7 +8,7 @@ inverse:
 * :mod:`repro.transform.symbol_mapping` — per-modulation mapping between QUBO
   variables, per-dimension amplitudes, and Gray-coded payload bits.
 * :mod:`repro.transform.mimo_to_qubo` — the quadratic-form expansion producing
-  a :class:`repro.qubo.QUBOModel` from a :class:`repro.wireless.MIMOInstance`;
+  a :class:`repro.qubo.model.QUBOModel` from a :class:`repro.wireless.MIMOInstance`;
   the resulting :class:`MIMOQuboEncoding` decodes a QUBO bitstring back into
   detected symbols and payload bits.
 """

@@ -43,7 +43,6 @@ from repro.wireless.mimo import (
     MIMODetectionResult,
     simulate_transmission,
 )
-from repro.wireless.metrics import bit_error_rate, symbol_error_rate
 from repro.wireless.traffic import ChannelUse, TrafficGenerator
 
 __all__ = [
@@ -66,8 +65,6 @@ __all__ = [
     "MIMOTransmission",
     "MIMODetectionResult",
     "simulate_transmission",
-    "bit_error_rate",
-    "symbol_error_rate",
     "ChannelUse",
     "TrafficGenerator",
 ]

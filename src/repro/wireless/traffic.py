@@ -2,9 +2,9 @@
 
 Paper Figure 2 sketches a pipelined hybrid architecture in which data from
 successive wireless *channel uses* flow through classical and quantum
-processing stages.  To quantify that design (experiment E-F2 in DESIGN.md)
-the pipeline simulator needs a stream of timestamped detection jobs; this
-module generates it.
+processing stages.  To quantify that design (the ``pipeline`` study in
+``docs/experiments.md``) the pipeline simulator needs a stream of timestamped
+detection jobs; this module generates it.
 
 Arrival processes supported:
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBackend
-from repro.qubo import QUBOModel, random_qubo
+from repro.qubo.model import QUBOModel
+from repro.qubo.generators import random_qubo
 from repro.transform import mimo_to_qubo
 from repro.wireless import MIMOConfig, simulate_transmission
 from tests.qubo_fixtures import planted_solution_qubo

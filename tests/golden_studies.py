@@ -27,22 +27,17 @@ import json
 from repro.ablation import run_study
 from repro.ablation.presets import ablation_quick_spec
 from repro.annealing import QuantumAnnealerSimulator
-from repro.experiments import (
-    Figure3Config,
-    Figure3Driver,
-    Figure7Config,
-    Figure7Driver,
-    HeadlineConfig,
-    HeadlineDriver,
+from repro.experiments.fig3_simplification import Figure3Config, Figure3Driver
+from repro.experiments.fig7_initial_state import Figure7Config, Figure7Driver
+from repro.experiments.headline import HeadlineConfig, HeadlineDriver
+from repro.experiments.ablation import (
     InitializerAblationConfig,
     InitializerAblationDriver,
-    PauseAblationConfig,
-    PauseAblationDriver,
-    PipelineStudyConfig,
-    PipelineStudyDriver,
     SoftConstraintConfig,
     SoftConstraintDriver,
 )
+from repro.experiments.pause_ablation import PauseAblationConfig, PauseAblationDriver
+from repro.experiments.pipeline_study import PipelineStudyConfig, PipelineStudyDriver
 from repro.experiments.driver import run_driver
 from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
 from repro.experiments.fig8_tts import Figure8Config, Figure8Driver

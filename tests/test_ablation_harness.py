@@ -41,7 +41,7 @@ from repro.ablation import (
 )
 from repro.ablation.targets import AnnealHPOConfig, sweepable_drivers
 from repro.exceptions import ConfigurationError
-from repro.experiments import DRIVERS
+from repro.experiments.registry import DRIVERS
 from repro.experiments.driver import config_presets, run_driver
 from repro.experiments.qos_study import QoSStudyConfig
 from repro.parallel import ResultCache

@@ -7,7 +7,7 @@ import pytest
 
 import repro.cli as cli
 from repro.exceptions import ConfigurationError
-from repro.experiments import DRIVERS
+from repro.experiments.registry import DRIVERS
 
 
 @pytest.fixture(autouse=True)
@@ -32,6 +32,9 @@ class TestParser:
             if action.dest == "experiment"
         ]
         assert set(subparsers.choices) == {d.name for d in DRIVERS} | {"all", "ablate"}
+
+    def test_study_table_holds_every_study(self):
+        assert len({driver.name for driver in DRIVERS}) == len(DRIVERS) == 15
 
     def test_scale_flags_are_exclusive(self):
         with pytest.raises(SystemExit):

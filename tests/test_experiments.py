@@ -1,33 +1,29 @@
 """Tests for the experiment runners (quick configurations)."""
 
-from repro.experiments import (
-    Figure3Config,
-    Figure3Driver,
-    Figure6Config,
-    Figure6Driver,
+from repro.experiments.fig3_simplification import Figure3Config, Figure3Driver, format_figure3_table
+from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver, format_figure6_table
+from repro.experiments.fig7_initial_state import (
+    _MAX_BIN_PERCENT,
     Figure7Config,
     Figure7Driver,
-    Figure8Config,
-    Figure8Driver,
-    HeadlineConfig,
-    HeadlineDriver,
+    format_figure7_table,
+)
+from repro.experiments.fig8_tts import Figure8Config, Figure8Driver, format_figure8_table
+from repro.experiments.headline import HeadlineConfig, HeadlineDriver, format_headline_report
+from repro.experiments.ablation import (
     InitializerAblationConfig,
     InitializerAblationDriver,
-    PipelineStudyConfig,
-    PipelineStudyDriver,
     SoftConstraintConfig,
     SoftConstraintDriver,
-    format_figure3_table,
-    format_figure6_table,
-    format_figure7_table,
-    format_figure8_table,
-    format_headline_report,
     format_initializer_table,
-    format_pipeline_table,
     format_soft_constraint_table,
-    run_driver,
 )
-from repro.experiments.fig7_initial_state import _MAX_BIN_PERCENT
+from repro.experiments.pipeline_study import (
+    PipelineStudyConfig,
+    PipelineStudyDriver,
+    format_pipeline_table,
+)
+from repro.experiments.driver import run_driver
 
 
 class TestFigure3:

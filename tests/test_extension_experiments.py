@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.experiments import (
+from repro.experiments.pause_ablation import (
     PauseAblationConfig,
     PauseAblationDriver,
-    SNRStudyConfig,
-    SNRStudyDriver,
     format_pause_table,
-    format_snr_table,
-    run_driver,
 )
+from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver, format_snr_table
+from repro.experiments.driver import run_driver
 
 
 class TestSNRStudy:

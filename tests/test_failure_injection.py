@@ -14,11 +14,13 @@ from repro.annealing import (
     SpinVectorMonteCarloBackend,
     forward_anneal_schedule,
 )
-from repro.classical import GreedySearchSolver, SimulatedAnnealingSolver
+from repro.classical.greedy import GreedySearchSolver
+from repro.classical.simulated_annealing import SimulatedAnnealingSolver
 from repro.experiments.instances import synthesize_instance
-from repro.hybrid import HybridQuboSolver
+from repro.hybrid.solver import HybridQuboSolver
 from repro.metrics.tts import time_to_solution
-from repro.qubo import QUBOModel, brute_force_minimum
+from repro.qubo.model import QUBOModel
+from repro.qubo.energy import brute_force_minimum
 from repro.transform import mimo_to_qubo
 from repro.wireless import MIMOConfig, MIMOInstance, simulate_transmission
 from tests.wireless_fixtures import symbol_index

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBackend
-from repro.classical import ExhaustiveSolver, GreedySearchSolver, SimulatedAnnealingSolver
+from repro.classical.exhaustive import ExhaustiveSolver
+from repro.classical.greedy import GreedySearchSolver
+from repro.classical.simulated_annealing import SimulatedAnnealingSolver
 from repro.experiments.instances import synthesize_instance
-from repro.hybrid import HybridMIMODetector, HybridQuboSolver
+from repro.hybrid.solver import HybridMIMODetector, HybridQuboSolver
 from repro.metrics.quality import delta_e_percent
 from repro.metrics.tts import time_to_solution
-from repro.qubo import simplify_qubo
+from repro.qubo.preprocessing import simplify_qubo
 from repro.transform import mimo_to_qubo
 from repro.wireless import MIMOConfig, simulate_transmission
 from repro.wireless.metrics import bit_error_rate, symbol_error_rate

@@ -4,8 +4,9 @@ The reference kernels in ``tests/kernel_spec.py`` are the executable
 specification: the production kernel of each family must reproduce them
 *bit for bit* on every tested configuration — spin counts (including SVMC
 batches that cross the fixed 64-rotor chunk boundary), SVMC chunk widths,
-read counts, schedules and seeds — for both the SA and SVMC families.  The suite also locks down the
-random-draw discipline that keeps experiment results invariant to batching.
+read counts, schedules and seeds — for both the SA and SVMC families.  The
+suite also locks down the random-draw discipline that keeps experiment
+results invariant to batching.
 """
 
 import copy

@@ -5,12 +5,8 @@ import dataclasses
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments import (
-    LoadStudyConfig,
-    LoadStudyDriver,
-    format_load_study_table,
-    run_driver,
-)
+from repro.experiments.load_study import LoadStudyConfig, LoadStudyDriver, format_load_study_table
+from repro.experiments.driver import run_driver
 from repro.serving import ServingReport
 
 

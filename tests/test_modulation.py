@@ -113,7 +113,9 @@ class TestBitSymbolMapping:
         modulation = get_modulation(name)
         bits = modulation.random_bits(20, rng)
         symbols = modulation.modulate_bits(bits)
-        labels = [int_to_bits(symbol_index(modulation, s), modulation.bits_per_symbol) for s in symbols]
+        labels = [
+            int_to_bits(symbol_index(modulation, s), modulation.bits_per_symbol) for s in symbols
+        ]
         assert np.array_equal(np.concatenate(labels), bits)
 
     def test_gray_property_neighbouring_amplitudes(self):

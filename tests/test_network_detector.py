@@ -14,18 +14,16 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.network import (
-    AggregationConfig,
+from repro.network.aggregate import AggregationConfig, cell_window_counts
+from repro.network.embedding import (
     CapacityReembedder,
     EmbeddingConfig,
-    HotspotDetector,
-    HotspotDetectorConfig,
-    NetworkTopology,
-    cell_window_counts,
     oracle_capacity,
     simulate_fluid_network,
     static_capacity,
 )
+from repro.network.kpi import HotspotDetector, HotspotDetectorConfig
+from repro.network.topology import NetworkTopology
 from repro.serving.scenarios import build_scenario
 
 

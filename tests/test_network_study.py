@@ -14,18 +14,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments import (
+from repro.experiments.network_study import (
     NetworkStudyConfig,
     NetworkStudyDriver,
     format_network_table,
-    run_driver,
 )
-from repro.network import (
-    AggregationConfig,
-    NetworkTopology,
-    cell_window_counts,
-    materialize_cell_jobs,
-)
+from repro.experiments.driver import run_driver
+from repro.network.aggregate import AggregationConfig, cell_window_counts, materialize_cell_jobs
+from repro.network.topology import NetworkTopology
 from repro.parallel import ResultCache
 from repro.parallel.cache import task_fingerprint
 from repro.serving import (

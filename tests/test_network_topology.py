@@ -12,8 +12,7 @@ import pickle
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.network import Cell, NetworkTopology, build_topology
-from repro.network.topology import TOPOLOGY_KINDS
+from repro.network.topology import TOPOLOGY_KINDS, Cell, NetworkTopology, build_topology
 
 
 # ---------------------------------------------------------------------- #

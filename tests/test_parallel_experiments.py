@@ -10,21 +10,16 @@ shard.
 import dataclasses
 
 
-from repro.experiments import (
-    Figure6Config,
-    Figure6Driver,
-    Figure8Config,
-    Figure8Driver,
-    LoadStudyConfig,
-    LoadStudyDriver,
+from repro.experiments.fig6_distributions import Figure6Config, Figure6Driver
+from repro.experiments.fig8_tts import Figure8Config, Figure8Driver
+from repro.experiments.load_study import LoadStudyConfig, LoadStudyDriver, format_load_study_table
+from repro.experiments.scenario_study import (
     ScenarioStudyConfig,
     ScenarioStudyDriver,
-    SNRStudyConfig,
-    SNRStudyDriver,
-    format_load_study_table,
     format_scenario_table,
-    run_driver,
 )
+from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver
+from repro.experiments.driver import run_driver
 from repro.parallel import ParallelRunner, ResultCache, ShardTask
 
 

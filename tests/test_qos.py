@@ -14,16 +14,15 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments import (
-    DRIVERS,
+from repro.experiments.registry import DRIVERS
+from repro.experiments.driver import config_presets, run_driver
+from repro.experiments.qos_study import (
+    _SERVICE_CLASSES,
     QoSStudyConfig,
     QoSStudyDriver,
-    config_presets,
     format_qos_table,
-    run_driver,
 )
-from repro.experiments.qos_study import _SERVICE_CLASSES
-from repro.network import build_topology
+from repro.network.topology import build_topology
 from repro.serving import (
     BEST_EFFORT,
     DEFAULT_CLASS,

@@ -5,12 +5,12 @@ import dataclasses
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments import (
+from repro.experiments.scenario_study import (
     ScenarioStudyConfig,
     ScenarioStudyDriver,
     format_scenario_table,
-    run_driver,
 )
+from repro.experiments.driver import run_driver
 from repro.serving import ServingReport, generate_serving_jobs
 from repro.wireless.mimo import simulate_transmission
 
