@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from repro.annealing.device import DeviceModel
+from repro.annealing.device import RELATIVE_TEMPERATURE, normalisation_scale
 from repro.annealing.schedule import reverse_anneal_schedule
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
 from repro.experiments.instances import synthesize_instances
@@ -48,12 +48,11 @@ SEED = 7
 
 def _prepare_problems(batch_size: int, num_users: int, modulation: str):
     """Normalised fields/couplings and initial spins for a batch of instances."""
-    device = DeviceModel()
     bundles = synthesize_instances(batch_size, num_users, modulation, base_seed=SEED)
     fields, couplings, initial_spins = [], [], []
     for bundle in bundles:
         ising = qubo_to_ising(bundle.encoding.qubo)
-        scale = device.normalisation_scale(ising)
+        scale = normalisation_scale(ising)
         fields.append(ising.fields / scale)
         couplings.append(ising.couplings / scale)
         initial_spins.append(2 * bundle.ground_state.astype(np.int8) - 1)
@@ -72,14 +71,12 @@ def run_comparison(
     whether the two paths produced bitwise-identical spins.
     """
     backend = SpinVectorMonteCarloBackend()
-    device = DeviceModel()
     schedule = reverse_anneal_schedule(SWITCH_S, pause_duration_us=1.0)
     fields, couplings, initial_spins = _prepare_problems(batch_size, num_users, modulation)
     common = dict(
         schedule=schedule,
         num_reads=num_reads,
-        annealing_functions=device.annealing,
-        relative_temperature=device.relative_temperature,
+        relative_temperature=RELATIVE_TEMPERATURE,
     )
 
     start = time.perf_counter()

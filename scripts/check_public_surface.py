@@ -1,4 +1,4 @@
-"""CI public-surface check: every public name, defaulted parameter and config field needs a caller.
+"""CI public-surface check: public names, defaulted parameters and dataclass fields need callers.
 
 A public top-level ``def``, ``class`` or assignment in ``src/repro``, and a
 public method or property of a public top-level class, stays only while
@@ -19,18 +19,22 @@ name.  A call that forwards the caller's own same-named parameter passes it
 only while that parameter is itself live, which is settled by iterating to
 a fixpoint; so a chain of defaults that only tests turn is dead end to end.
 
-A field of a study config (any class a ``src/repro`` class body assigns to
-``config_class``) stays only while something outside tests sets it: a
-``cls(...)`` call in the class's own ``quick`` / ``paper_scale`` /
-``city_scale`` preset; a call to the class by name in those directories,
-by keyword or by position; a keyword of any ``replace(...)`` call (matched
-by identifier, like names); or a ``base=`` / ``axes=`` key of an
-``AblationSpec(...)`` call or a ``[base]`` / ``[axes]`` key of an
-``examples/specs/*.toml`` file, for the config of that spec's
-``experiment``.  The seeds (``SEED_FIELDS``) are exempt.
+A field of any ``@dataclass`` in ``src/repro`` stays only while something
+outside tests sets it: a ``cls(...)`` call in one of the class's own
+methods (its presets); a call to the class by name in those directories,
+by keyword, by position or through ``**`` unpacking; a keyword of any
+``replace(...)`` call (matched by identifier, like names); an attribute
+write (``obj.field = ...`` or ``+=``), matched by identifier, where a
+``self.field`` write counts only inside the dataclass's own body; or, for
+a study config (a class some ``src/repro`` class body assigns to
+``config_class``), a ``base=`` / ``axes=`` key of an ``AblationSpec(...)``
+call or a ``[base]`` / ``[axes]`` key of an ``examples/specs/*.toml`` file
+whose ``experiment`` runs it.  Positions count the class's own fields (no
+package dataclass subclasses another).  The seeds (``SEED_FIELDS``),
+leading-underscore fields and ``field(init=False)`` fields are exempt.
 
 A name, parameter or field that has to stay without a caller goes in
-``ALLOWLIST``, ``PARAMETER_ALLOWLIST`` or ``CONFIG_FIELD_ALLOWLIST`` with
+``ALLOWLIST``, ``PARAMETER_ALLOWLIST`` or ``FIELD_ALLOWLIST`` with
 the reason in a comment.  An entry of any of them that names nothing in
 the tree, or names something the check would pass anyway, fails the check
 too, so a typo or a left-over entry cannot sit there unnoticed.  Run from
@@ -39,8 +43,8 @@ the repository root (CI does)::
     python scripts/check_public_surface.py [ROOT]
 
 ``ROOT`` defaults to the repository this script lives in.  The check exits
-1 and names every unreferenced definition, uncalled parameter, unset config
-field and stale allowlist entry.
+1 and names every unreferenced definition, uncalled parameter, unset
+dataclass field and stale allowlist entry.
 """
 
 from __future__ import annotations
@@ -82,8 +86,6 @@ ALLOWLIST: frozenset = frozenset(
 #: check, each with the reason it stays.
 PARAMETER_ALLOWLIST: frozenset = frozenset(
     {
-        # Lets a test anneal on a small fake device.
-        "repro.annealing.sampler:QuantumAnnealerSimulator(device)",
         # Let a test drive one anneal with a fixed generator.
         "repro.annealing.sampler:QuantumAnnealerSimulator.forward_anneal(rng)",
         "repro.annealing.sampler:QuantumAnnealerSimulator.reverse_anneal(rng)",
@@ -106,15 +108,12 @@ PARAMETER_ALLOWLIST: frozenset = frozenset(
 #: Ablation spec files whose ``[base]`` / ``[axes]`` keys set config fields.
 SPEC_FILES = "examples/specs/*.toml"
 
-#: Config preset factories whose ``cls(...)`` calls set their own class's fields.
-PRESETS = ("quick", "paper_scale", "city_scale")
-
-#: Config fields every study keeps whether or not anything sets them.
+#: Study-config fields every study keeps whether or not anything sets them.
 SEED_FIELDS = frozenset({"base_seed", "instance_seed"})
 
-#: ``module.path:Class.field`` entries exempt from the config-field check,
-#: each with the reason it stays.
-CONFIG_FIELD_ALLOWLIST: frozenset = frozenset(
+#: ``module.path:Class.field`` entries exempt from the field check, each
+#: with the reason it stays.
+FIELD_ALLOWLIST: frozenset = frozenset(
     {
         # The qos_stress and scenarios_stress goldens overload the plant
         # through these fields.
@@ -256,12 +255,17 @@ def _functions(body: list, prefix: str = "", owner: str = "") -> list:
     return found
 
 
-def _callee(call: ast.Call) -> str:
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
+def _identifier(node: ast.AST) -> str:
+    """The name a ``Name`` or ``Attribute`` node ends in, else ``""``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
     return ""
+
+
+def _callee(call: ast.Call) -> str:
+    return _identifier(call.func)
 
 
 def _passes(call: ast.Call, name: str, position) -> tuple:
@@ -350,50 +354,77 @@ def uncalled_parameters(root: pathlib.Path) -> tuple:
     return every, [key for key in every if key not in live]
 
 
-def _config_classes(root: pathlib.Path, trees: dict) -> tuple:
-    """``(classes, experiments)`` of the study configs.
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        _identifier(decorator.func if isinstance(decorator, ast.Call) else decorator)
+        == "dataclass"
+        for decorator in node.decorator_list
+    )
 
-    ``classes`` maps each config class name to ``(module, ClassDef)``;
-    ``experiments`` maps each driver's ``name`` to its config class name.
+
+def _init_fields(node: ast.ClassDef) -> list:
+    """The fields a dataclass's ``__init__`` takes, in order.
+
+    A ``ClassVar`` or a ``field(init=False)`` is not an ``__init__`` field.
     """
-    assigned, experiments = set(), {}
+    found = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        annotation = item.annotation
+        if isinstance(annotation, ast.Subscript):
+            annotation = annotation.value
+        if _identifier(annotation) == "ClassVar":
+            continue
+        value = item.value
+        if (
+            isinstance(value, ast.Call)
+            and _identifier(value.func) == "field"
+            and any(
+                k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+                for k in value.keywords
+            )
+        ):
+            continue
+        found.append(item.target.id)
+    return found
+
+
+def _dataclasses(root: pathlib.Path, trees: dict) -> tuple:
+    """``(classes, experiments)`` of the package's dataclasses.
+
+    ``classes`` maps each dataclass name to ``(module, ClassDef)``;
+    ``experiments`` maps each study driver's ``name`` to its
+    ``config_class`` name.
+    """
+    classes, experiments = {}, {}
     for path in _python_files(root / PACKAGE):
+        module = _module(root, path)
         for node in ast.walk(trees[path]):
             if not isinstance(node, ast.ClassDef):
                 continue
+            if _is_dataclass(node):
+                classes[node.name] = (module, node)
             values = {
                 item.targets[0].id: item.value
                 for item in node.body
                 if isinstance(item, ast.Assign) and isinstance(item.targets[0], ast.Name)
             }
-            config = values.get("config_class")
-            if not isinstance(config, ast.Name):
-                continue
-            assigned.add(config.id)
-            name = values.get("name")
-            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+            config, name = values.get("config_class"), values.get("name")
+            if (
+                isinstance(config, ast.Name)
+                and isinstance(name, ast.Constant)
+                and isinstance(name.value, str)
+            ):
                 experiments[name.value] = config.id
-    classes = {
-        node.name: (_module(root, path), node)
-        for path in _python_files(root / PACKAGE)
-        for node in trees[path].body
-        if isinstance(node, ast.ClassDef) and node.name in assigned
-    }
     return classes, experiments
 
 
-def _fields(node: ast.ClassDef) -> list:
-    """A dataclass's field names, in declaration order."""
-    return [
-        item.target.id
-        for item in node.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-    ]
-
-
 def _call_sets(call: ast.Call, fields: list) -> set:
-    """The fields a call to a config class writes, by keyword or position."""
-    written = {keyword.arg for keyword in call.keywords if keyword.arg is not None}
+    """The fields a call to a dataclass writes: by keyword, position or ``**``."""
+    if any(keyword.arg is None for keyword in call.keywords):
+        return set(fields)
+    written = {keyword.arg for keyword in call.keywords}
     for index, arg in enumerate(call.args):
         if isinstance(arg, ast.Starred):
             written.update(fields[index:])
@@ -417,21 +448,47 @@ def _spec_keys(call: ast.Call) -> tuple:
     return experiment, keys
 
 
-def unset_config_fields(root: pathlib.Path) -> tuple:
-    """``(defined, unset)``: every config field's ``module:Class.field``, and
-    those nothing outside tests sets, ``CONFIG_FIELD_ALLOWLIST`` not applied."""
+def _written_attributes(node: ast.AST, owner: str, written: dict) -> None:
+    """Collect the attribute identifiers assigned under ``node`` (``=``, ``+=``).
+
+    ``written[owner]`` gets the ``self.name`` writes made in the methods of
+    class ``owner``, which set that class's own attributes;
+    ``written[None]`` gets every other ``obj.name`` write, by identifier.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            _written_attributes(child, child.name, written)
+            continue
+        if isinstance(child, ast.Assign):
+            targets = child.targets
+        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+            targets = [child.target]
+        else:
+            targets = []
+        for target in targets:
+            for element in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if isinstance(element, ast.Attribute):
+                    on_self = _identifier(element.value) == "self"
+                    written[owner if on_self else None].add(element.attr)
+        _written_attributes(child, owner, written)
+
+
+def unset_fields(root: pathlib.Path) -> tuple:
+    """``(defined, unset)``: every checked dataclass field's ``module:Class.field``,
+    and those nothing outside tests sets, ``FIELD_ALLOWLIST`` not applied."""
     trees = _caller_trees(root)
-    classes, experiments = _config_classes(root, trees)
-    fields = {name: _fields(node) for name, (_, node) in classes.items()}
+    classes, experiments = _dataclasses(root, trees)
+    fields = {name: _init_fields(node) for name, (_, node) in classes.items()}
     live = defaultdict(set)
     for name, (_, node) in classes.items():
-        for method in node.body:
-            if isinstance(method, ast.FunctionDef) and method.name in PRESETS:
-                for call in ast.walk(method):
-                    if isinstance(call, ast.Call) and _callee(call) == "cls":
-                        live[name] |= _call_sets(call, fields[name])
-    replaced = set()
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and _callee(call) == "cls":
+                live[name] |= _call_sets(call, fields[name])
+    # Attribute writes, by owning class; ``None`` holds the writes and the
+    # ``replace`` keywords that count for a field of any class.
+    written = defaultdict(set)
     for tree in trees.values():
+        _written_attributes(tree, None, written)
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
@@ -439,7 +496,7 @@ def unset_config_fields(root: pathlib.Path) -> tuple:
             if callee in fields:
                 live[callee] |= _call_sets(call, fields[callee])
             elif callee == "replace":
-                replaced.update(k.arg for k in call.keywords if k.arg is not None)
+                written[None].update(k.arg for k in call.keywords if k.arg is not None)
             elif callee == "AblationSpec":
                 experiment, keys = _spec_keys(call)
                 live[experiments.get(experiment)] |= keys
@@ -448,11 +505,15 @@ def unset_config_fields(root: pathlib.Path) -> tuple:
         keys = {*spec.get("base", {}), *spec.get("axes", {})}
         live[experiments.get(spec.get("experiment"))] |= keys
     defined, unset = [], []
-    for name, (module, _) in sorted(classes.items(), key=lambda item: item[1][0]):
+    for name, (module, node) in sorted(
+        classes.items(), key=lambda item: (item[1][0], item[1][1].lineno)
+    ):
         for field in fields[name]:
+            if field.startswith("_"):
+                continue
             key = f"{module}:{name}.{field}"
             defined.append(key)
-            if field not in SEED_FIELDS | replaced | live[name]:
+            if field not in SEED_FIELDS | written[None] | written[name] | live[name]:
                 unset.append(key)
     return defined, unset
 
@@ -477,21 +538,21 @@ def main(argv: list) -> int:
     root = pathlib.Path(argv[0]).resolve() if argv else REPO_ROOT
     names, unreferenced_names = unreferenced(root)
     parameters, uncalled_found = uncalled_parameters(root)
-    fields, unset_found = unset_config_fields(root)
+    fields, unset_found = unset_fields(root)
     missing = [key for key in unreferenced_names if key not in ALLOWLIST]
     uncalled = [key for key in uncalled_found if key not in PARAMETER_ALLOWLIST]
-    unset = [key for key in unset_found if key not in CONFIG_FIELD_ALLOWLIST]
+    unset = [key for key in unset_found if key not in FIELD_ALLOWLIST]
     stale = (
         stale_entries(ALLOWLIST, names, unreferenced_names)
         + stale_entries(PARAMETER_ALLOWLIST, parameters, uncalled_found)
-        + stale_entries(CONFIG_FIELD_ALLOWLIST, fields, unset_found)
+        + stale_entries(FIELD_ALLOWLIST, fields, unset_found)
     )
     for key in missing:
         print(f"public name with no caller outside tests: {key}")
     for key in uncalled:
         print(f"defaulted parameter with no caller outside tests: {key}")
     for key in unset:
-        print(f"config field nothing outside tests sets: {key}")
+        print(f"dataclass field nothing outside tests sets: {key}")
     for reason, entry in stale:
         print(f"stale allowlist entry ({reason}): {entry}")
     if missing:
@@ -508,8 +569,8 @@ def main(argv: list) -> int:
         )
     if unset:
         print(
-            f"{len(unset)} unset config field(s): delete them and fold the default "
-            "into a module constant",
+            f"{len(unset)} unset dataclass field(s): delete them and fold the default "
+            "into a module constant or the callee's default",
             file=sys.stderr,
         )
     if stale:

@@ -7,14 +7,14 @@ hardware is not available to this library, so this package provides a
 * :mod:`repro.annealing.schedule` — the FA / RA / FR anneal schedules of paper
   Section 4.1, expressed as piecewise-linear ``[time (us), s]`` waypoints.
 * :mod:`repro.annealing.sampleset` — Ocean-SDK-style sample containers.
-* :mod:`repro.annealing.device` — device timing constants, control-error
-  (ICE-like) noise, and annealing energy scales A(s)/B(s).
+* :mod:`repro.annealing.device` — the simulated 2000Q's annealing energy
+  scales A(s)/B(s), operating temperature and timing constants.
 * :mod:`repro.annealing.kernels` — the replica-parallel sweep kernels of the
   SVMC backend and the classical SA solver.
 * :mod:`repro.annealing.svmc` — a schedule-aware spin-vector Monte Carlo
   backend, the physics surrogate every study samples through.
 * :mod:`repro.annealing.sampler` — the :class:`QuantumAnnealerSimulator`
-  front-end that ties schedules, device model and backend together.
+  front-end that ties schedules, device constants and backend together.
 """
 
 from repro.annealing.schedule import (
@@ -25,7 +25,6 @@ from repro.annealing.schedule import (
     forward_reverse_anneal_schedule,
 )
 from repro.annealing.sampleset import SampleRecord, SampleSet
-from repro.annealing.device import DeviceModel, AnnealingFunctions
 from repro.annealing.backend import AnnealingBackend, pad_problem_batch
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
 from repro.annealing.sampler import QuantumAnnealerSimulator
@@ -38,8 +37,6 @@ __all__ = [
     "forward_reverse_anneal_schedule",
     "SampleRecord",
     "SampleSet",
-    "DeviceModel",
-    "AnnealingFunctions",
     "AnnealingBackend",
     "pad_problem_batch",
     "SpinVectorMonteCarloBackend",

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.annealing.device import AnnealingFunctions
+from repro.annealing.device import relative_problem, relative_transverse
 from repro.annealing.schedule import AnnealSchedule
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import BatchRandomState, ensure_rng_batch
@@ -34,16 +34,14 @@ __all__ = [
     "schedule_scales",
 ]
 
-#: Most ``(schedule, functions, steps)`` keys :func:`schedule_scales` keeps.
+#: Most ``(schedule, steps)`` keys :func:`schedule_scales` keeps.
 #: A study sweeps a few dozen schedules at most; the bound only caps memory
 #: for a long-lived process that builds schedules without end.
 SCHEDULE_SCALES_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=SCHEDULE_SCALES_CACHE_SIZE)
-def schedule_scales(
-    schedule: AnnealSchedule, annealing_functions: AnnealingFunctions, num_steps: int
-) -> np.ndarray:
+def schedule_scales(schedule: AnnealSchedule, num_steps: int) -> np.ndarray:
     """Per-sweep ``(problem, transverse)`` energy scales of a discretised schedule.
 
     A read-only ``(num_steps, 2)`` array of ``B(s)/B(1)`` and ``A(s)/B(1)``
@@ -55,10 +53,7 @@ def schedule_scales(
     """
     scales = np.array(
         [
-            (
-                annealing_functions.relative_problem(float(s)),
-                annealing_functions.relative_transverse(float(s)),
-            )
+            (relative_problem(float(s)), relative_transverse(float(s)))
             for _, s in schedule.discretise(num_steps)
         ]
     )
@@ -191,14 +186,13 @@ class AnnealingBackend(abc.ABC):
         couplings: Sequence[np.ndarray],
         schedule: AnnealSchedule,
         num_reads: int,
-        annealing_functions: AnnealingFunctions,
         relative_temperature: float,
         initial_spins: Optional[Sequence[Optional[np.ndarray]]] = None,
         rng: BatchRandomState = None,
     ) -> List[np.ndarray]:
         """Run one anneal schedule on ``B`` independent Ising problems.
 
-        The batch shares a schedule, device functions and temperature; each
+        The batch shares a schedule and temperature; each
         instance keeps its own size, coefficients and (optional) initial
         state.  Instance ``b`` draws exclusively from per-instance child
         generator ``b`` (see :func:`repro.utils.rng.ensure_rng_batch`), so
@@ -215,8 +209,6 @@ class AnnealingBackend(abc.ABC):
             The anneal schedule to follow.
         num_reads:
             Number of independent anneals per instance.
-        annealing_functions:
-            The device's A(s)/B(s) energy scales.
         relative_temperature:
             Operating temperature normalised by B(1).
         initial_spins:

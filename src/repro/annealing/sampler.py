@@ -1,8 +1,8 @@
 """The quantum annealer simulator front-end.
 
 :class:`QuantumAnnealerSimulator` exposes an Ocean-SDK-like sampling API on
-top of the schedule definitions, the device model and the spin-vector Monte
-Carlo physics backend; every problem is sampled on its logical variables:
+top of the schedule definitions, the device constants and the spin-vector
+Monte Carlo physics backend; every problem is sampled on its logical variables:
 
 >>> from repro.annealing import QuantumAnnealerSimulator, reverse_anneal_schedule
 >>> sampler = QuantumAnnealerSimulator(seed=7)
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.annealing.backend import AnnealingBackend
-from repro.annealing.device import DeviceModel
+from repro.annealing import device
 from repro.annealing.sampleset import SampleSet
 from repro.annealing.schedule import (
     AnnealSchedule,
@@ -56,9 +56,6 @@ class QuantumAnnealerSimulator:
 
     Parameters
     ----------
-    device:
-        Device model (energy scales, temperature, noise, timing).  Defaults to
-        the simulated 2000Q description.
     backend:
         Physics surrogate; defaults to spin-vector Monte Carlo.
     seed:
@@ -67,12 +64,8 @@ class QuantumAnnealerSimulator:
     """
 
     def __init__(
-        self,
-        device: Optional[DeviceModel] = None,
-        backend: Optional[AnnealingBackend] = None,
-        seed: RandomState = None,
+        self, backend: Optional[AnnealingBackend] = None, seed: RandomState = None
     ) -> None:
-        self.device = device if device is not None else DeviceModel()
         self.backend = backend if backend is not None else SpinVectorMonteCarloBackend()
         self._rng = ensure_rng(seed)
 
@@ -197,8 +190,7 @@ class QuantumAnnealerSimulator:
                 couplings=[couplings for _, couplings in normalised],
                 schedule=schedule,
                 num_reads=num_reads,
-                annealing_functions=self.device.annealing,
-                relative_temperature=self.device.relative_temperature,
+                relative_temperature=device.RELATIVE_TEMPERATURE,
                 initial_spins=[initials[index] for index in chunk],
                 rng=[self._kernel_rng(children[index]) for index in chunk],
             )
@@ -267,10 +259,14 @@ class QuantumAnnealerSimulator:
     # ------------------------------------------------------------------ #
 
     def _normalise(self, ising: IsingModel, generator: np.random.Generator):
-        scale = self.device.normalisation_scale(ising)
-        fields = ising.fields / scale
-        couplings = ising.couplings / scale
-        return self.device.apply_control_noise(fields, couplings, generator)
+        """The ``(fields, couplings)`` programmed for one instance.
+
+        ``generator`` is the instance's own child, not yet drawn from; the
+        simulated device programs exactly, but a subclass modelling control
+        noise on the programmed coefficients draws it from there.
+        """
+        scale = device.normalisation_scale(ising)
+        return ising.fields / scale, ising.couplings / scale
 
     @staticmethod
     def _kernel_rng(generator: np.random.Generator) -> np.random.Generator:
@@ -291,6 +287,6 @@ class QuantumAnnealerSimulator:
             "schedule_duration_us": schedule.duration_us,
             "num_reads": num_reads,
             "backend": self.backend.name,
-            "device": self.device.describe(),
-            "qpu_access_time_us": self.device.qpu_access_time_us(schedule, num_reads),
+            "device": device.describe(),
+            "qpu_access_time_us": device.qpu_access_time_us(schedule, num_reads),
         }

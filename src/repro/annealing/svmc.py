@@ -44,7 +44,6 @@ from repro.annealing.backend import (
     prepare_anneal_batch,
     schedule_scales,
 )
-from repro.annealing.device import AnnealingFunctions
 from repro.annealing.schedule import AnnealSchedule
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import BatchRandomState, ensure_rng
@@ -103,7 +102,6 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         couplings: np.ndarray,
         schedule: AnnealSchedule,
         num_reads: int,
-        annealing_functions: AnnealingFunctions,
         relative_temperature: float,
         initial_spins: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
@@ -121,7 +119,6 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
             [np.asarray(couplings, dtype=float)],
             schedule,
             num_reads,
-            annealing_functions,
             relative_temperature,
             initial_spins=None if initial_spins is None else [initial_spins],
             rng=[generator],
@@ -130,14 +127,13 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
     def _sweep_settings(
         self,
         schedule: AnnealSchedule,
-        annealing_functions: AnnealingFunctions,
         relative_temperature: float,
     ) -> List[tuple]:
         """Per-sweep ``(problem, transverse, temperature, activity)`` scalars."""
         temperature = max(relative_temperature, 1e-6)
         num_steps = max(2, int(round(schedule.duration_us * self.sweeps_per_microsecond)))
         settings = []
-        scales = schedule_scales(schedule, annealing_functions, num_steps)
+        scales = schedule_scales(schedule, num_steps)
         for problem, transverse in scales.tolist():
             # Freeze-out: spin updates only happen while quantum fluctuations
             # remain appreciable relative to the problem scale.
@@ -151,7 +147,6 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         couplings: Sequence[np.ndarray],
         schedule: AnnealSchedule,
         num_reads: int,
-        annealing_functions: AnnealingFunctions,
         relative_temperature: float,
         initial_spins: Optional[Sequence[Optional[np.ndarray]]] = None,
         rng: BatchRandomState = None,
@@ -168,7 +163,7 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         if prepared is None:
             return [np.zeros((num_reads, 0), dtype=np.int8) for _ in fields]
         children, padded_fields, symmetric, sizes, initials = prepared
-        settings = self._sweep_settings(schedule, annealing_functions, relative_temperature)
+        settings = self._sweep_settings(schedule, relative_temperature)
 
         # The kernels use the spin-major (batch, spins, reads) layout.
         # Padding rotors sit at theta = 0 (cos 1, sin 0) with zero

@@ -56,7 +56,7 @@ from repro.network.embedding import (
     simulate_fluid_network,
     static_capacity,
 )
-from repro.network.kpi import HotspotDetector, HotspotDetectorConfig
+from repro.network.kpi import HotspotDetector
 from repro.network.topology import build_topology
 from repro.parallel import ShardTask
 from repro.serving.scenarios import build_scenario
@@ -140,9 +140,8 @@ class NetworkStudyConfig:
     migration_fraction:
         Per-window migration budget as a fraction of total capacity.
     detector_z_threshold:
-        The hotspot detector's raise threshold (see
-        :class:`~repro.network.kpi.HotspotDetectorConfig`, whose defaults
-        set its other knobs).
+        The hotspot detector's raise threshold (its other knobs are
+        constants of :mod:`repro.network.kpi`).
     detail_max_jobs_per_cell:
         Materialisation cap per raised cell for the reactive arm's detailed
         serving pass (0 disables the pass).
@@ -290,7 +289,7 @@ def _network_shard(
     elif placement == "reactive":
         detector = HotspotDetector(
             topology.num_cells,
-            HotspotDetectorConfig(z_threshold=config.detector_z_threshold),
+            config.detector_z_threshold,
             topology=topology,
         )
         reembedder = CapacityReembedder(topology.num_cells, embedding)
@@ -324,7 +323,7 @@ def _network_shard(
     else:  # pragma: no cover - validated by the config
         raise ConfigurationError(f"unknown placement {placement!r}")
 
-    fluid: FluidNetworkReport = simulate_fluid_network(counts, plan, embedding)
+    fluid: FluidNetworkReport = simulate_fluid_network(counts, plan)
 
     # The flash crowd singles out the middle cell; the detector's stopwatch
     # starts at the first KPI window of its ramp.

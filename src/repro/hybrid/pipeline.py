@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.annealing.device import PER_READ_OVERHEAD_US
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.exceptions import PipelineError
 from repro.hybrid.solver import HybridQuboSolver
@@ -107,7 +108,7 @@ class HybridPipelineSimulator:
         Reverse-annealing parameters of the quantum stage.
     include_qpu_overheads:
         When true the quantum stage's service time includes per-read readout
-        and inter-sample delays from the device model (realistic); when false
+        and inter-sample delays of the simulated device (realistic); when false
         it counts pure anneal time only (the paper's TTS convention).
     evaluate_solutions:
         When true the annealer is actually run per channel use so solution
@@ -183,10 +184,7 @@ class HybridPipelineSimulator:
 
         quantum_service = solver.schedule.duration_us * solver.num_reads
         if self.include_qpu_overheads:
-            device = solver.sampler.device
-            quantum_service += solver.num_reads * (
-                device.readout_time_us + device.inter_sample_delay_us
-            )
+            quantum_service += solver.num_reads * PER_READ_OVERHEAD_US
 
         for channel_use, encoding, (initial, best_energy) in zip(
             channel_uses, encodings, outcomes

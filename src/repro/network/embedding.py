@@ -13,8 +13,8 @@ This module provides both sides:
   every cell keeps its ``min_capacity`` floor);
 * :func:`simulate_fluid_network` — a deterministic fluid queue per cell:
   arrivals from the aggregate counter matrix, oldest-first service up to the
-  cell's embedded capacity, jobs that wait longer than ``deadline_windows``
-  windows counted missed.  No randomness, so placement comparisons are exact
+  cell's embedded capacity, jobs that wait longer than two windows counted
+  missed.  No randomness, so placement comparisons are exact
   functions of the counter matrix and the capacity schedule.
 
 Capacity is measured in jobs per KPI window throughout.
@@ -29,6 +29,15 @@ from typing import Deque, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+
+#: Windows a job may wait (arrival window included) before the fluid model
+#: counts it missed.
+_DEADLINE_WINDOWS = 2
+
+#: Headroom factor of the online re-embedder: a hot cell is sized toward
+#: this many times its last observed counter, so a still-ramping crowd is
+#: met a little ahead of its trailing observation.
+_TARGET_MARGIN = 1.2
 
 __all__ = [
     "EmbeddingConfig",
@@ -56,21 +65,11 @@ class EmbeddingConfig:
         Most capacity the online re-embedder may move in one window
         (re-embedding virtual annealer lanes is not free; the budget models
         the migration cost).
-    deadline_windows:
-        Windows a job may wait (arrival window included) before the fluid
-        model counts it missed.
-    target_margin:
-        Headroom factor of the online re-embedder: a hot cell is sized
-        toward ``target_margin`` times its last observed counter, so a
-        still-ramping crowd is met a little ahead of its trailing
-        observation.
     """
 
     total_capacity: float
     min_capacity: float = 0.0
     migration_budget: float = float("inf")
-    deadline_windows: int = 2
-    target_margin: float = 1.2
 
     def __post_init__(self) -> None:
         if self.total_capacity <= 0:
@@ -84,14 +83,6 @@ class EmbeddingConfig:
         if self.migration_budget < 0:
             raise ConfigurationError(
                 f"migration_budget must be non-negative, got {self.migration_budget}"
-            )
-        if self.deadline_windows < 1:
-            raise ConfigurationError(
-                f"deadline_windows must be at least 1, got {self.deadline_windows}"
-            )
-        if self.target_margin < 1.0:
-            raise ConfigurationError(
-                f"target_margin must be at least 1.0, got {self.target_margin}"
             )
 
     def check_feasible(self, num_cells: int) -> None:
@@ -148,7 +139,7 @@ class CapacityReembedder:
     coming window:
 
     * with hotspots raised, each hot cell is pulled toward
-      ``target_margin`` times its observed demand; non-hot cells donate
+      1.2 times its observed demand; non-hot cells donate
       capacity above their own protected level (their observed demand, or
       the ``min_capacity`` floor when counters are not supplied) —
       proportionally to their surplus, at most ``migration_budget`` in
@@ -214,7 +205,7 @@ class CapacityReembedder:
             protected = np.maximum(observed[donors], config.min_capacity)
             surplus = np.maximum(self.capacity[donors] - protected, 0.0)
             targets = np.maximum(
-                config.target_margin * observed[hot], config.min_capacity
+                _TARGET_MARGIN * observed[hot], config.min_capacity
             )
             need = np.maximum(targets - self.capacity[hot], 0.0)
         available = float(surplus.sum())
@@ -281,11 +272,7 @@ class FluidNetworkReport:
         return max((cell.miss_rate for cell in self.cells), default=0.0)
 
 
-def simulate_fluid_network(
-    counts: np.ndarray,
-    capacity: np.ndarray,
-    config: EmbeddingConfig,
-) -> FluidNetworkReport:
+def simulate_fluid_network(counts: np.ndarray, capacity: np.ndarray) -> FluidNetworkReport:
     """Deterministic fluid queues scoring a capacity schedule against counts.
 
     ``counts`` is the ``(num_windows, num_cells)`` aggregate arrival matrix;
@@ -295,7 +282,7 @@ def simulate_fluid_network(
 
     Each window, each cell enqueues its arrivals, serves up to its embedded
     capacity oldest-first, then drops (as missed) whatever has now waited
-    ``deadline_windows`` windows.  Jobs still queued when the horizon ends are
+    two windows.  Jobs still queued when the horizon ends are
     reported as ``residual`` — neither served nor missed — and
     ``offered == served + missed + residual`` holds exactly per cell.
     """
@@ -322,7 +309,7 @@ def simulate_fluid_network(
     if np.any(plan < 0):
         raise ConfigurationError("capacity must be non-negative")
 
-    deadline = config.deadline_windows
+    deadline = _DEADLINE_WINDOWS
     served = np.zeros(num_cells)
     missed = np.zeros(num_cells)
     peak_queue = np.zeros(num_cells)

@@ -42,6 +42,13 @@ __all__ = [
     "AutoscaleController",
 ]
 
+#: Scale up when queued jobs per active annealer worker exceed this.
+_SCALE_UP_QUEUE_PER_WORKER = 3.0
+
+#: Scale up when more than this fraction of queued deadline-carrying jobs
+#: would already miss their deadline on the best annealer.
+_PRESSURE_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class AutoscaleConfig:
@@ -56,14 +63,10 @@ class AutoscaleConfig:
     min_workers / max_workers:
         Bounds on the active annealer worker count.  ``max_workers=None``
         means "every annealer worker the elastic pool holds".
-    scale_up_queue_per_worker:
-        Scale up when queued jobs per active annealer worker exceed this.
     scale_down_queue_per_worker:
         Scale down when queued jobs per active annealer worker fall below
-        this (and no job is deadline-pressured).
-    pressure_fraction:
-        Scale up when more than this fraction of queued deadline-carrying
-        jobs would already miss their deadline on the best annealer.
+        this (and no job is deadline-pressured); it must lie below the
+        scale-up threshold of 3 queued jobs per worker.
     cooldown_us:
         Minimum simulated time between two scaling actions, preventing
         thrash around a threshold.
@@ -73,9 +76,7 @@ class AutoscaleConfig:
     warmup_us: float = 500.0
     min_workers: int = 1
     max_workers: Optional[int] = None
-    scale_up_queue_per_worker: float = 3.0
     scale_down_queue_per_worker: float = 0.5
-    pressure_fraction: float = 0.1
     cooldown_us: float = 500.0
 
     def __post_init__(self) -> None:
@@ -96,20 +97,15 @@ class AutoscaleConfig:
                 f"max_workers ({self.max_workers}) must be >= min_workers "
                 f"({self.min_workers})"
             )
-        if self.scale_up_queue_per_worker <= self.scale_down_queue_per_worker:
+        if self.scale_down_queue_per_worker >= _SCALE_UP_QUEUE_PER_WORKER:
             raise ConfigurationError(
-                "scale_up_queue_per_worker must exceed scale_down_queue_per_worker "
-                f"({self.scale_up_queue_per_worker} vs "
-                f"{self.scale_down_queue_per_worker})"
+                "scale_down_queue_per_worker must lie below the scale-up threshold "
+                f"{_SCALE_UP_QUEUE_PER_WORKER}, got {self.scale_down_queue_per_worker}"
             )
         if self.scale_down_queue_per_worker < 0:
             raise ConfigurationError(
                 "scale_down_queue_per_worker must be non-negative, got "
                 f"{self.scale_down_queue_per_worker}"
-            )
-        if not 0.0 <= self.pressure_fraction <= 1.0:
-            raise ConfigurationError(
-                f"pressure_fraction must lie in [0, 1], got {self.pressure_fraction}"
             )
         if self.cooldown_us < 0:
             raise ConfigurationError(
@@ -282,12 +278,11 @@ class AutoscaleController:
 
         event: Optional[AutoscaleEvent] = None
         if active < ceiling and (
-            per_worker > config.scale_up_queue_per_worker
-            or pressure > config.pressure_fraction
+            per_worker > _SCALE_UP_QUEUE_PER_WORKER or pressure > _PRESSURE_FRACTION
         ):
             worker = pool.activate_worker(now_us, config.warmup_us)
             if worker is not None:
-                if pressure > config.pressure_fraction:
+                if pressure > _PRESSURE_FRACTION:
                     reason = "deadline-pressure"
                 else:
                     reason = "queue-depth"

@@ -17,6 +17,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +37,10 @@ class JobOutcome:
     """Per-job result of one serving simulation.
 
     Slotted: a run builds one per served job, and slots make each smaller
-    and its fields quicker to read than an instance dict would.
+    and its fields quicker to read than an instance dict would.  It pickles
+    positionally (see :meth:`__reduce__`), so loading a cached report calls
+    the generated ``__init__`` once per outcome instead of the slotted
+    dataclass's field-by-field ``__setstate__``.
     """
 
     job_id: int
@@ -59,6 +63,13 @@ class JobOutcome:
     def latency_us(self) -> float:
         """Arrival-to-completion turnaround."""
         return self.finish_us - self.arrival_us
+
+    def __reduce__(self):
+        return JobOutcome, _outcome_fields(self)
+
+
+#: A slotted dataclass's ``__slots__`` are its fields, in declaration order.
+_outcome_fields = operator.attrgetter(*JobOutcome.__slots__)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,9 @@ __all__ = [
 
 _EPS = 1e-9
 
+#: Share of a flash crowd's phase spent ramping up (and again ramping down).
+_RAMP_FRACTION = 0.25
+
 
 class LoadPhase(abc.ABC):
     """One segment of a scenario timeline.
@@ -111,23 +114,20 @@ class ConstantPhase(LoadPhase):
 class DiurnalPhase(LoadPhase):
     """A sinusoidal day/night wave, optionally phase-lagged across the grid.
 
-    Cell ``c`` sees ``base * (1 + amplitude * sin(2*pi*(cycles * t/duration -
-    lag)))`` where ``lag = cell_lag_fraction * c / num_cells`` — a non-zero
+    Cell ``c`` sees ``1 + amplitude * sin(2*pi*(cycles * t/duration - lag))``
+    where ``lag = cell_lag_fraction * c / num_cells`` — a non-zero
     ``cell_lag_fraction`` makes the demand crest sweep across the cell grid
     (morning in cell 0, evening in the last cell) instead of breathing in
     unison.
     """
 
     duration_us: float
-    base: float = 1.0
     amplitude: float = 0.5
     cycles: float = 1.0
     cell_lag_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         self._check_duration()
-        if self.base <= 0:
-            raise ConfigurationError(f"base must be positive, got {self.base}")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ConfigurationError(
                 f"amplitude must lie in [0, 1], got {self.amplitude}"
@@ -138,77 +138,44 @@ class DiurnalPhase(LoadPhase):
     def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
         lag = self.cell_lag_fraction * cell_id / max(num_cells, 1)
         wave = math.sin(2.0 * math.pi * (self.cycles * t_us / self.duration_us - lag))
-        return self.base * (1.0 + self.amplitude * wave)
+        return 1.0 + self.amplitude * wave
 
     def peak_intensity(self) -> float:
-        return self.base * (1.0 + self.amplitude)
+        return 1.0 + self.amplitude
 
 
 @dataclass(frozen=True)
 class FlashCrowdPhase(LoadPhase):
     """A localized demand spike: one cell ramps to ``peak`` and back down.
 
-    The target cell's multiplier ramps linearly from ``background`` to
-    ``peak`` over the first ``ramp_fraction`` of the phase, holds the peak,
-    then ramps back down over the last ``ramp_fraction``.  Every other cell
-    stays at ``background`` — unless a ``topology`` is attached and
-    ``neighbor_fraction`` is positive, in which case the target's topology
-    neighbours ride the same ramp at ``neighbor_fraction`` of its amplitude
-    (the crowd's fringe spilling into adjacent cells).
+    The target cell's multiplier ramps linearly from the nominal 1.0 to
+    ``peak`` over the first quarter of the phase, holds the peak, then ramps
+    back down over the last quarter.  Every other cell stays at 1.0.
     """
 
     duration_us: float
     cell_id: int
     peak: float = 6.0
-    ramp_fraction: float = 0.25
-    background: float = 1.0
-    neighbor_fraction: float = 0.0
-    topology: Optional[NetworkTopology] = None
 
     def __post_init__(self) -> None:
         self._check_duration()
         if self.cell_id < 0:
             raise ConfigurationError(f"cell_id must be non-negative, got {self.cell_id}")
-        if self.peak < self.background:
-            raise ConfigurationError(
-                f"peak ({self.peak}) must be >= background ({self.background})"
-            )
-        if self.background < 0:
-            raise ConfigurationError(
-                f"background must be non-negative, got {self.background}"
-            )
-        if not 0.0 < self.ramp_fraction <= 0.5:
-            raise ConfigurationError(
-                f"ramp_fraction must lie in (0, 0.5], got {self.ramp_fraction}"
-            )
-        if not 0.0 <= self.neighbor_fraction <= 1.0:
-            raise ConfigurationError(
-                f"neighbor_fraction must lie in [0, 1], got {self.neighbor_fraction}"
-            )
-        if self.neighbor_fraction > 0.0 and self.topology is None:
-            raise ConfigurationError(
-                "neighbor_fraction needs a topology to know who the neighbours are"
-            )
+        if self.peak < 1.0:
+            raise ConfigurationError(f"peak must be >= the nominal 1.0, got {self.peak}")
 
     def _weight(self, t_us: float) -> float:
         u = min(max(t_us / self.duration_us, 0.0), 1.0)
-        if u < self.ramp_fraction:
-            return u / self.ramp_fraction
-        if u > 1.0 - self.ramp_fraction:
-            return (1.0 - u) / self.ramp_fraction
+        if u < _RAMP_FRACTION:
+            return u / _RAMP_FRACTION
+        if u > 1.0 - _RAMP_FRACTION:
+            return (1.0 - u) / _RAMP_FRACTION
         return 1.0
 
     def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
         if cell_id != self.cell_id:
-            if (
-                self.neighbor_fraction > 0.0
-                and self.topology is not None
-                and cell_id in self.topology.neighbors(self.cell_id)
-            ):
-                spill = self.neighbor_fraction * (self.peak - self.background)
-                return self.background + spill * self._weight(t_us)
-            return self.background
-        return self.background + (self.peak - self.background) * self._weight(t_us)
+            return 1.0
+        return 1.0 + (self.peak - 1.0) * self._weight(t_us)
 
     def peak_intensity(self) -> float:
         return self.peak
@@ -222,8 +189,8 @@ class HotspotDriftPhase(LoadPhase):
     """A hotspot that migrates across the cell grid over the phase.
 
     The hotspot centre moves linearly from the first cell to the last; a
-    cell within ``width_cells`` of the centre is boosted toward ``peak``
-    with a triangular profile, modelling a crowd (commuters, a convoy)
+    cell within one cell width of the centre is boosted from the nominal 1.0
+    toward ``peak`` with a triangular profile, modelling a crowd (commuters, a convoy)
     traversing the coverage area.  Without a topology the centre moves
     through *index* space (cell 0 to cell ``num_cells - 1``); with one it
     moves through the coverage *plane*, from the first cell's position to the
@@ -233,24 +200,12 @@ class HotspotDriftPhase(LoadPhase):
 
     duration_us: float
     peak: float = 4.0
-    width_cells: float = 1.0
-    background: float = 1.0
     topology: Optional[NetworkTopology] = None
 
     def __post_init__(self) -> None:
         self._check_duration()
-        if self.peak < self.background:
-            raise ConfigurationError(
-                f"peak ({self.peak}) must be >= background ({self.background})"
-            )
-        if self.background < 0:
-            raise ConfigurationError(
-                f"background must be non-negative, got {self.background}"
-            )
-        if self.width_cells <= 0:
-            raise ConfigurationError(
-                f"width_cells must be positive, got {self.width_cells}"
-            )
+        if self.peak < 1.0:
+            raise ConfigurationError(f"peak must be >= the nominal 1.0, got {self.peak}")
 
     def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
         u = min(max(t_us / self.duration_us, 0.0), 1.0)
@@ -264,8 +219,8 @@ class HotspotDriftPhase(LoadPhase):
         else:
             centre = u * max(num_cells - 1, 0)
             offset = abs(cell_id - centre)
-        proximity = max(0.0, 1.0 - offset / self.width_cells)
-        return self.background + (self.peak - self.background) * proximity
+        proximity = max(0.0, 1.0 - offset)
+        return 1.0 + (self.peak - 1.0) * proximity
 
     def peak_intensity(self) -> float:
         return self.peak
@@ -275,38 +230,22 @@ class HotspotDriftPhase(LoadPhase):
 class CellOutagePhase(LoadPhase):
     """A cell goes dark and its traffic spills onto the neighbouring cells.
 
-    The outage cell's multiplier drops to ``residual`` (0 by default — the
-    cell is silent) and ``spill_fraction`` of its nominal load is split
-    evenly between its neighbours, modelling users re-attaching to adjacent
-    cells.  With a ``topology`` attached the neighbours come from its graph
-    (4 on a grid, up to 6 on a hex tiling); without one they are the legacy
-    implicit line neighbours ``cell_id +- 1`` where they exist.  The
-    remaining cells stay at ``background``.
+    The outage cell falls silent (multiplier 0) and its whole nominal load
+    is split evenly between its neighbours, modelling users re-attaching to
+    adjacent cells.  With a ``topology`` attached the neighbours come from
+    its graph (4 on a grid, up to 6 on a hex tiling); without one they are
+    the legacy implicit line neighbours ``cell_id +- 1`` where they exist.
+    The remaining cells stay at the nominal 1.0.
     """
 
     duration_us: float
     cell_id: int
-    spill_fraction: float = 1.0
-    background: float = 1.0
-    residual: float = 0.0
     topology: Optional[NetworkTopology] = None
 
     def __post_init__(self) -> None:
         self._check_duration()
         if self.cell_id < 0:
             raise ConfigurationError(f"cell_id must be non-negative, got {self.cell_id}")
-        if not 0.0 <= self.spill_fraction <= 1.0:
-            raise ConfigurationError(
-                f"spill_fraction must lie in [0, 1], got {self.spill_fraction}"
-            )
-        if self.background <= 0:
-            raise ConfigurationError(
-                f"background must be positive, got {self.background}"
-            )
-        if not 0.0 <= self.residual < self.background:
-            raise ConfigurationError(
-                f"residual must lie in [0, background), got {self.residual}"
-            )
 
     def _neighbours(self, num_cells: int) -> Tuple[int, ...]:
         if self.topology is not None:
@@ -319,16 +258,15 @@ class CellOutagePhase(LoadPhase):
 
     def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
         if cell_id == self.cell_id:
-            return self.residual
+            return 0.0
         neighbours = self._neighbours(num_cells)
         if cell_id in neighbours:
-            spilt = self.spill_fraction * (self.background - self.residual)
-            return self.background + spilt / len(neighbours)
-        return self.background
+            return 1.0 + 1.0 / len(neighbours)
+        return 1.0
 
     def peak_intensity(self) -> float:
         # Worst case: a single neighbour absorbs the whole spilt load.
-        return self.background + self.spill_fraction * (self.background - self.residual)
+        return 2.0
 
     def target_cells(self) -> Tuple[int, ...]:
         return (self.cell_id,)
@@ -488,9 +426,7 @@ def build_scenario(
             num_cells=num_cells,
             phases=(
                 ConstantPhase(0.25 * horizon_us),
-                FlashCrowdPhase(
-                    0.5 * horizon_us, cell_id=mid_cell, peak=6.0, topology=topology
-                ),
+                FlashCrowdPhase(0.5 * horizon_us, cell_id=mid_cell, peak=6.0),
                 ConstantPhase(0.25 * horizon_us),
             ),
             description="a 6x demand spike erupts in the middle cell and subsides",
@@ -522,9 +458,7 @@ def build_scenario(
             num_cells=num_cells,
             phases=(
                 DiurnalPhase(0.4 * horizon_us, amplitude=0.5, cycles=1.0),
-                FlashCrowdPhase(
-                    0.25 * horizon_us, cell_id=mid_cell, peak=5.0, topology=topology
-                ),
+                FlashCrowdPhase(0.25 * horizon_us, cell_id=mid_cell, peak=5.0),
                 CellOutagePhase(0.2 * horizon_us, cell_id=0, topology=topology),
                 ConstantPhase(0.15 * horizon_us, level=0.8),
             ),

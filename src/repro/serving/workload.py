@@ -216,26 +216,23 @@ class HandoverModel:
     ----------
     velocity_mps:
         User speed; 0 disables handover entirely.
-    cell_radius_m:
-        Equivalent circular cell radius of the fluid-flow model.
     seed:
         Root of the per-user handover seed tree, independent of the
         workload seed.
     """
 
     velocity_mps: float
-    cell_radius_m: float = 250.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Delegates range validation (velocity >= 0, radius > 0) so the
-        # model and the fading layer can never disagree on what is legal.
-        handover_rate_per_us(self.velocity_mps, self.cell_radius_m)
+        # Delegates range validation (velocity >= 0) so the model and the
+        # fading layer can never disagree on what is legal.
+        handover_rate_per_us(self.velocity_mps)
 
     @property
     def rate_per_us(self) -> float:
         """Mean cell-boundary crossings per microsecond."""
-        return handover_rate_per_us(self.velocity_mps, self.cell_radius_m)
+        return handover_rate_per_us(self.velocity_mps)
 
 
 def _handover_timeline(

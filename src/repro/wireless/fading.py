@@ -63,6 +63,9 @@ SPEED_OF_LIGHT_MPS = 299_792_458.0
 _CARRIER_FREQUENCY_GHZ = 3.5
 _BLOCK_PERIOD_US = 71.4
 
+#: Equivalent circular cell radius of the fluid-flow handover model, in m.
+_CELL_RADIUS_M = 250.0
+
 
 # --------------------------------------------------------------------- #
 # Spatial correlation
@@ -166,12 +169,12 @@ def jakes_correlation(velocity_mps: float) -> float:
     return bessel_j0(2.0 * math.pi * doppler_hz * _BLOCK_PERIOD_US * 1e-6)
 
 
-def handover_rate_per_us(velocity_mps: float, cell_radius_m: float = 250.0) -> float:
+def handover_rate_per_us(velocity_mps: float) -> float:
     """Mean cell-boundary crossings per microsecond of a mobile user.
 
     The classic fluid-flow mobility model: a user moving at ``velocity_mps``
     with uniformly distributed direction inside a circular cell of radius
-    ``R`` crosses the boundary at rate ``2 v / (pi R)`` per second (crossing
+    ``R`` (250 m) crosses the boundary at rate ``2 v / (pi R)`` per second (crossing
     rate = v * perimeter / (pi * area)).  This couples handover frequency to
     the *same* velocity that drives the Jakes Doppler spectrum — a fast user
     both fades harder (:func:`jakes_correlation`) and hands over more.  Zero
@@ -179,8 +182,7 @@ def handover_rate_per_us(velocity_mps: float, cell_radius_m: float = 250.0) -> f
     """
     if velocity_mps < 0:
         raise ConfigurationError(f"velocity_mps must be non-negative, got {velocity_mps}")
-    require_positive(cell_radius_m, "cell_radius_m")
-    return 2.0 * velocity_mps / (math.pi * cell_radius_m) * 1e-6
+    return 2.0 * velocity_mps / (math.pi * _CELL_RADIUS_M) * 1e-6
 
 
 # --------------------------------------------------------------------- #

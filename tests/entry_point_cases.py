@@ -17,7 +17,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.annealing.device import DeviceModel
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
@@ -34,6 +33,7 @@ from repro.transform.mimo_to_qubo import mimo_to_qubo
 from repro.utils.rng import spawn_rngs
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
 from repro.wireless.traffic import TrafficGenerator
+from tests.noisy_sampler import NoisySampler
 from tests.qubo_fixtures import planted_solution_qubo
 
 
@@ -101,9 +101,9 @@ def _qubo(seed: int, size: int):
     return random_qubo(size, rng=rng), rng.integers(0, 2, size=size)
 
 
-def _svmc_sampler(**kwargs) -> QuantumAnnealerSimulator:
+def _svmc_sampler(sampler_class=QuantumAnnealerSimulator, **kwargs):
     backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=4.0)
-    return QuantumAnnealerSimulator(backend=backend, **kwargs)
+    return sampler_class(backend=backend, **kwargs)
 
 
 def _sampler_cases() -> list:
@@ -119,9 +119,7 @@ def _sampler_cases() -> list:
         sampleset = sampler.sample_qubo(qubo, reverse, 12, initial_state=start)
         rows.append((f"sample_qubo/reverse/sampler_stream/{call}", sampleset))
 
-    noisy = _svmc_sampler(
-        device=DeviceModel(field_noise_sigma=0.02, coupling_noise_sigma=0.01), seed=6
-    )
+    noisy = _svmc_sampler(NoisySampler, field_noise_sigma=0.02, coupling_noise_sigma=0.01, seed=6)
     rows.append(("sample_qubo/control_noise", noisy.sample_qubo(qubo, forward, 12, rng=12)))
     ising = qubo_to_ising(qubo)
     rows.append(

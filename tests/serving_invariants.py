@@ -2,8 +2,11 @@
 
 :func:`check_serving_invariants` rebuilds what it needs from the workload
 and the finished :class:`~repro.serving.ServingReport` alone, so it applies
-unchanged to the production simulator and to any oracle variant of it.  A
-violated invariant raises ``AssertionError`` naming the job or worker.
+unchanged to the production simulator and to any oracle variant of it.
+:func:`check_autoscale_invariants` checks the scaling actions an
+:class:`~repro.serving.autoscale.AutoscaleController` recorded in its last
+run.  A violated invariant raises ``AssertionError`` naming the job, worker
+or scaling event.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from collections import defaultdict
 from typing import Dict, List, Sequence, Tuple
 
 from repro.serving import DEFAULT_CLASS, ServingJob, ServingReport
+from repro.serving.autoscale import AutoscaleController, ElasticBackendPool
 
 
 def check_serving_invariants(jobs: Sequence[ServingJob], report: ServingReport) -> None:
@@ -70,3 +74,26 @@ def check_serving_invariants(jobs: Sequence[ServingJob], report: ServingReport) 
                 f"at {previous_finish}"
             )
             previous_finish = finish
+
+
+def check_autoscale_invariants(autoscaler: AutoscaleController, pool: ElasticBackendPool) -> None:
+    """Assert the invariants of the scaling events ``autoscaler`` recorded on ``pool``.
+
+    * every event leaves the active annealer count within ``[min_workers,
+      max_workers]``, ``max_workers`` defaulting to the pool's size;
+    * every event comes at least ``cooldown_us`` after the one before it.
+    """
+    config = autoscaler.config
+    ceiling = pool.max_annealer_workers if config.max_workers is None else config.max_workers
+    previous = None
+    for event in autoscaler.events:
+        assert config.min_workers <= event.active_after <= ceiling, (
+            f"{event.action} at {event.time_us} leaves {event.active_after} active "
+            f"workers, outside [{config.min_workers}, {ceiling}]"
+        )
+        if previous is not None:
+            assert event.time_us - previous.time_us >= config.cooldown_us - 1e-9, (
+                f"{event.action} at {event.time_us} follows the one at "
+                f"{previous.time_us} within the {config.cooldown_us} us cooldown"
+            )
+        previous = event

@@ -8,7 +8,7 @@ from repro.annealing.backend import (
     broadcast_initial_spins,
     schedule_scales,
 )
-from repro.annealing.device import AnnealingFunctions
+from repro.annealing.device import relative_problem, relative_transverse
 from repro.annealing.schedule import (
     forward_anneal_schedule,
     forward_reverse_anneal_schedule,
@@ -67,7 +67,6 @@ class TestBackendBehaviour:
             couplings,
             forward_anneal_schedule(1.0),
             num_reads=12,
-            annealing_functions=AnnealingFunctions(),
             relative_temperature=0.01,
             rng=np.random.default_rng(1),
         )
@@ -82,7 +81,6 @@ class TestBackendBehaviour:
             couplings,
             forward_anneal_schedule(2.0, pause_s=0.4, pause_duration_us=1.0),
             num_reads=30,
-            annealing_functions=AnnealingFunctions(),
             relative_temperature=0.01,
             rng=np.random.default_rng(2),
         )
@@ -99,7 +97,6 @@ class TestBackendBehaviour:
                 couplings,
                 reverse_anneal_schedule(0.5),
                 num_reads=5,
-                annealing_functions=AnnealingFunctions(),
                 relative_temperature=0.01,
                 rng=np.random.default_rng(3),
             )
@@ -114,7 +111,6 @@ class TestBackendBehaviour:
             couplings,
             reverse_anneal_schedule(0.97, pause_duration_us=0.5),
             num_reads=10,
-            annealing_functions=AnnealingFunctions(),
             relative_temperature=0.005,
             initial_spins=initial,
             rng=np.random.default_rng(4),
@@ -131,7 +127,6 @@ class TestBackendBehaviour:
             couplings,
             reverse_anneal_schedule(0.05, pause_duration_us=1.0),
             num_reads=20,
-            annealing_functions=AnnealingFunctions(),
             relative_temperature=0.02,
             initial_spins=initial,
             rng=np.random.default_rng(5),
@@ -146,7 +141,6 @@ class TestBackendBehaviour:
             np.zeros((0, 0)),
             forward_anneal_schedule(1.0),
             num_reads=3,
-            annealing_functions=AnnealingFunctions(),
             relative_temperature=0.01,
             rng=np.random.default_rng(6),
         )
@@ -160,7 +154,6 @@ class TestBackendBehaviour:
                 couplings,
                 forward_anneal_schedule(1.0),
                 num_reads=0,
-                annealing_functions=AnnealingFunctions(),
                 relative_temperature=0.01,
                 rng=np.random.default_rng(7),
             )
@@ -173,7 +166,6 @@ class TestBackendBehaviour:
             couplings=couplings,
             schedule=forward_anneal_schedule(1.0),
             num_reads=6,
-            annealing_functions=AnnealingFunctions(),
             relative_temperature=0.02,
         )
         first = backend.run(rng=np.random.default_rng(11), **kwargs)
@@ -196,13 +188,13 @@ MEMO_SCHEDULES = {
 }
 
 
-def _fresh_settings(backend, schedule, functions, relative_temperature):
+def _fresh_settings(backend, schedule, relative_temperature):
     """The per-sweep rows built from scratch, without the memo."""
     num_steps = max(2, int(round(schedule.duration_us * backend.sweeps_per_microsecond)))
     rows = []
     for _, s in schedule.discretise(num_steps):
-        problem = functions.relative_problem(float(s))
-        transverse = functions.relative_transverse(float(s))
+        problem = relative_problem(float(s))
+        transverse = relative_transverse(float(s))
         temperature = max(relative_temperature, 1e-6)
         activity = max(min(1.0, transverse / svmc._FREEZE_SCALE), svmc._RESIDUAL_ACTIVITY)
         rows.append((problem, transverse, temperature, activity))
@@ -219,56 +211,49 @@ class TestScheduleScalesMemo:
         self, backend_class, schedule_key, relative_temperature
     ):
         schedule = MEMO_SCHEDULES[schedule_key]
-        functions = AnnealingFunctions()
         backend = backend_class()
-        expected = _fresh_settings(backend, schedule, functions, relative_temperature)
+        expected = _fresh_settings(backend, schedule, relative_temperature)
         # The first call may fill the memo, the second reads it.
         for _ in range(2):
-            settings = backend._sweep_settings(schedule, functions, relative_temperature)
+            settings = backend._sweep_settings(schedule, relative_temperature)
             assert settings == expected
 
     def test_keys_never_alias(self):
         schedule_scales.cache_clear()
-        functions = [AnnealingFunctions(), AnnealingFunctions(transverse_exponent=2.0)]
-        keys = [
-            (schedule, scales, steps)
-            for schedule in MEMO_SCHEDULES.values()
-            for scales in functions
-            for steps in (24, 48)
-        ]
+        keys = [(schedule, steps) for schedule in MEMO_SCHEDULES.values() for steps in (24, 48)]
         # Warm the memo with every key, then read each back: every entry is
         # its own key's fresh value, and different keys give different rows.
         for key in keys:
             schedule_scales(*key)
         rows = {}
-        for schedule, scales, steps in keys:
+        for schedule, steps in keys:
             fresh = [
-                [scales.relative_problem(float(s)), scales.relative_transverse(float(s))]
+                [relative_problem(float(s)), relative_transverse(float(s))]
                 for _, s in schedule.discretise(steps)
             ]
-            assert schedule_scales(schedule, scales, steps).tolist() == fresh
-            rows[(schedule.name, scales.transverse_exponent, steps)] = tuple(map(tuple, fresh))
+            assert schedule_scales(schedule, steps).tolist() == fresh
+            rows[(schedule.name, steps)] = tuple(map(tuple, fresh))
         assert len(set(rows.values())) == len(keys)
         assert schedule_scales.cache_info().hits >= len(keys)
 
     def test_backend_attributes_are_never_cached(self, monkeypatch):
-        schedule, functions = MEMO_SCHEDULES["RA"], AnnealingFunctions()
+        schedule = MEMO_SCHEDULES["RA"]
         backend = SpinVectorMonteCarloBackend()
-        backend._sweep_settings(schedule, functions, 0.05)
+        backend._sweep_settings(schedule, 0.05)
         monkeypatch.setattr(svmc, "_FREEZE_SCALE", 0.4)
         backend.sweeps_per_microsecond = 20.0
-        expected = _fresh_settings(backend, schedule, functions, 0.05)
-        assert backend._sweep_settings(schedule, functions, 0.05) == expected
+        expected = _fresh_settings(backend, schedule, 0.05)
+        assert backend._sweep_settings(schedule, 0.05) == expected
 
     def test_entries_are_read_only(self):
-        scales = schedule_scales(MEMO_SCHEDULES["RA"], AnnealingFunctions(), 30)
+        scales = schedule_scales(MEMO_SCHEDULES["RA"], 30)
         with pytest.raises(ValueError):
             scales[0, 0] = 0.0
 
     def test_cache_is_bounded(self):
-        schedule, functions = MEMO_SCHEDULES["FA"], AnnealingFunctions()
+        schedule = MEMO_SCHEDULES["FA"]
         for steps in range(2, SCHEDULE_SCALES_CACHE_SIZE + 12):
-            schedule_scales(schedule, functions, steps)
+            schedule_scales(schedule, steps)
             assert schedule_scales.cache_info().currsize <= SCHEDULE_SCALES_CACHE_SIZE
         info = schedule_scales.cache_info()
         assert info.maxsize == SCHEDULE_SCALES_CACHE_SIZE

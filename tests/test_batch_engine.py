@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.annealing.backend import pad_problem_batch
-from repro.annealing.device import AnnealingFunctions, DeviceModel
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
@@ -25,10 +24,10 @@ from repro.qubo.ising import bits_to_spins, qubo_to_ising
 from repro.qubo.model import QUBOModel
 from repro.utils.batching import iter_batches
 from repro.utils.rng import ensure_rng, ensure_rng_batch, spawn_rngs
+from tests.noisy_sampler import NoisySampler
 from tests.qubo_fixtures import planted_solution_qubo
 
 BACKENDS = [SpinVectorMonteCarloBackend]
-FUNCTIONS = AnnealingFunctions()
 
 
 def _normalised_problem(rng, size):
@@ -102,7 +101,6 @@ class TestBackendBatchSemantics:
         kwargs = dict(
             schedule=forward_anneal_schedule(1.0, pause_s=0.4, pause_duration_us=0.5),
             num_reads=9,
-            annealing_functions=FUNCTIONS,
             relative_temperature=0.02,
         )
         (child,) = spawn_rngs(11, 1)
@@ -118,7 +116,6 @@ class TestBackendBatchSemantics:
         kwargs = dict(
             schedule=reverse_anneal_schedule(0.45, pause_duration_us=0.5),
             num_reads=6,
-            annealing_functions=FUNCTIONS,
             relative_temperature=0.02,
         )
         sequential = [
@@ -140,7 +137,6 @@ class TestBackendBatchSemantics:
             couplings,
             schedule=forward_anneal_schedule(1.0),
             num_reads=4,
-            annealing_functions=FUNCTIONS,
             relative_temperature=0.02,
             rng=5,
         )
@@ -153,7 +149,6 @@ class TestBackendBatchSemantics:
             [np.zeros((0, 0)), np.zeros((0, 0))],
             schedule=forward_anneal_schedule(1.0),
             num_reads=3,
-            annealing_functions=FUNCTIONS,
             relative_temperature=0.02,
             rng=5,
         )
@@ -163,7 +158,6 @@ class TestBackendBatchSemantics:
             [],
             schedule=forward_anneal_schedule(1.0),
             num_reads=3,
-            annealing_functions=FUNCTIONS,
             relative_temperature=0.02,
         ) == []
 
@@ -174,7 +168,6 @@ class TestBackendBatchSemantics:
         kwargs = dict(
             schedule=forward_anneal_schedule(1.0),
             num_reads=5,
-            annealing_functions=FUNCTIONS,
             relative_temperature=0.02,
         )
         children = spawn_rngs(33, 4)
@@ -202,7 +195,6 @@ class TestBackendBatchSemantics:
                 couplings,
                 schedule=reverse_anneal_schedule(0.5),
                 num_reads=3,
-                annealing_functions=FUNCTIONS,
                 relative_temperature=0.02,
                 rng=1,
             )
@@ -259,11 +251,11 @@ class TestSamplerBatch:
         assert [s.assignments().shape[1] for s in samplesets] == [4, 6]
 
     def test_control_noise_consumes_per_instance_children(self, rng):
-        # With ICE noise enabled the noise draws also come from the child
+        # With ICE noise added the noise draws also come from the child
         # streams, so batched and sequential paths still agree bitwise.
-        device = DeviceModel(field_noise_sigma=0.02, coupling_noise_sigma=0.01)
-        sampler = QuantumAnnealerSimulator(
-            device=device,
+        sampler = NoisySampler(
+            field_noise_sigma=0.02,
+            coupling_noise_sigma=0.01,
             backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=8),
             seed=4,
         )

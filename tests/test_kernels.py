@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.annealing import kernels
-from repro.annealing.device import AnnealingFunctions
 from repro.annealing.kernels import initial_local_fields, sa_sweeps, svmc_sweeps
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
@@ -616,16 +615,15 @@ class TestSolverLevelEquivalence:
     @pytest.mark.parametrize("backend_cls", [SpinVectorMonteCarloBackend])
     def test_anneal_backends(self, monkeypatch, kernel, backend_cls):
         ising = _toy_ising(4)
-        functions = AnnealingFunctions()
         schedule = forward_anneal_schedule(1.0)
         backend = backend_cls()
         baseline = backend.run(
-            ising.fields, ising.couplings, schedule, 6, functions, 0.05,
+            ising.fields, ising.couplings, schedule, 6, 0.05,
             rng=np.random.default_rng(2),
         )
         _use_kernel(monkeypatch, kernel)
         candidate = backend.run(
-            ising.fields, ising.couplings, schedule, 6, functions, 0.05,
+            ising.fields, ising.couplings, schedule, 6, 0.05,
             rng=np.random.default_rng(2),
         )
         assert np.array_equal(baseline, candidate)
@@ -637,15 +635,14 @@ class TestDrawDiscipline:
     @pytest.mark.parametrize("backend_cls", [SpinVectorMonteCarloBackend])
     def test_single_run_is_a_batch_of_one(self, backend_cls):
         ising = _toy_ising(9)
-        functions = AnnealingFunctions()
         schedule = forward_anneal_schedule(1.0)
         backend = backend_cls()
         single = backend.run(
-            ising.fields, ising.couplings, schedule, 5, functions, 0.05,
+            ising.fields, ising.couplings, schedule, 5, 0.05,
             rng=np.random.default_rng(3),
         )
         batched = backend.run_batch(
-            [ising.fields], [ising.couplings], schedule, 5, functions, 0.05,
+            [ising.fields], [ising.couplings], schedule, 5, 0.05,
             rng=[np.random.default_rng(3)],
         )
         assert np.array_equal(single, batched[0])
@@ -656,18 +653,17 @@ class TestDrawDiscipline:
         # padding other instances to a larger common size must not change
         # instance b's draws or dynamics.
         isings = [_toy_ising(s, size=n) for s, n in [(0, 5), (1, 9), (2, 3)]]
-        functions = AnnealingFunctions()
         schedule = forward_anneal_schedule(1.0)
         backend = backend_cls()
         batched = backend.run_batch(
             [i.fields for i in isings],
             [i.couplings for i in isings],
-            schedule, 4, functions, 0.05,
+            schedule, 4, 0.05,
             rng=[np.random.default_rng(100 + b) for b in range(3)],
         )
         for b, ising in enumerate(isings):
             solo = backend.run(
-                ising.fields, ising.couplings, schedule, 4, functions, 0.05,
+                ising.fields, ising.couplings, schedule, 4, 0.05,
                 rng=np.random.default_rng(100 + b),
             )
             assert np.array_equal(solo, batched[b])
@@ -755,14 +751,13 @@ class TestDrawDiscipline:
         # Reverse annealing threads initial states through the backend's
         # kernel; the spec must agree there as well.
         ising = _toy_ising(6, size=6)
-        functions = AnnealingFunctions()
         schedule = reverse_anneal_schedule(0.6, 1.0)
         initial = np.array([1, -1, 1, 1, -1, -1], dtype=np.int8)
         backend = SpinVectorMonteCarloBackend()
 
         def run():
             return backend.run(
-                ising.fields, ising.couplings, schedule, 4, functions, 0.05,
+                ising.fields, ising.couplings, schedule, 4, 0.05,
                 initial_spins=initial, rng=np.random.default_rng(8),
             )
 

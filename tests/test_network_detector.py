@@ -22,7 +22,8 @@ from repro.network.embedding import (
     simulate_fluid_network,
     static_capacity,
 )
-from repro.network.kpi import HotspotDetector, HotspotDetectorConfig
+from repro.network import kpi
+from repro.network.kpi import HotspotDetector
 from repro.network.topology import NetworkTopology
 from repro.serving.scenarios import build_scenario
 
@@ -70,7 +71,7 @@ def test_flash_crowd_raises_within_confirm_windows():
     assert raises[0].cell_id == 2
     # Score-then-confirm: the raise lands confirm_windows after the ramp.
     latency = raises[0].window - spike_start
-    assert 1 <= latency <= detector.config.confirm_windows + 1
+    assert 1 <= latency <= kpi._CONFIRM_WINDOWS + 1
     assert detector.hot_cells == (2,)
 
 
@@ -91,7 +92,7 @@ def test_hotspot_clears_after_quiet_windows():
     assert ("raised", 3) in kinds
     assert ("cleared", 3) in kinds
     cleared = next(e for e in events if e.kind == "cleared")
-    assert cleared.window >= 20 + detector.config.clear_windows - 1
+    assert cleared.window >= 20 + kpi._CLEAR_WINDOWS - 1
     assert detector.hot_cells == ()
 
 
@@ -103,13 +104,12 @@ def test_baseline_freezes_while_hotspot_is_live():
     # A long crowd must not be absorbed into "normal": the hot cell stays
     # raised through the whole tail of the stream.
     assert detector.hot_cells == (0,)
-    assert detector.z_score(0) > detector.config.z_threshold
+    assert detector.z_score(0) > detector.z_threshold
 
 
 def test_raise_is_localised_to_strongest_neighbor():
     topology = NetworkTopology.line(5)
-    config = HotspotDetectorConfig(z_threshold=3.0, confirm_windows=2)
-    detector = HotspotDetector(5, config, topology=topology)
+    detector = HotspotDetector(5, z_threshold=3.0, topology=topology)
     counts = np.full((20, 5), 100, dtype=np.int64)
     # Cell 2 is the crowd's centre; cell 1 sees spill-over that also trips
     # the threshold, but the raise must be attributed to cell 2.
@@ -134,9 +134,7 @@ def test_detector_validates_inputs():
     with pytest.raises(ConfigurationError):
         detector.z_score(7)
     with pytest.raises(ConfigurationError):
-        HotspotDetectorConfig(alpha=0.0)
-    with pytest.raises(ConfigurationError):
-        HotspotDetectorConfig(confirm_windows=0)
+        HotspotDetector(3, z_threshold=0.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -225,8 +223,6 @@ def test_reembedder_validates_inputs():
         EmbeddingConfig(total_capacity=10.0, min_capacity=6.0).check_feasible(2)
     with pytest.raises(ConfigurationError):
         EmbeddingConfig(total_capacity=0.0)
-    with pytest.raises(ConfigurationError):
-        EmbeddingConfig(total_capacity=1.0, target_margin=0.5)
 
 
 # ---------------------------------------------------------------------- #
@@ -236,8 +232,8 @@ def test_reembedder_validates_inputs():
 
 def test_fluid_accounting_identity_holds_exactly():
     counts = _steady_counts(num_cells=4, windows=25, level=40, seed=3)
-    config = EmbeddingConfig(total_capacity=140.0, deadline_windows=2)
-    report = simulate_fluid_network(counts, static_capacity(4, config), config)
+    config = EmbeddingConfig(total_capacity=140.0)
+    report = simulate_fluid_network(counts, static_capacity(4, config))
     assert report.offered == int(counts.sum())
     assert report.served + report.missed + report.residual == pytest.approx(
         report.offered
@@ -251,8 +247,7 @@ def test_fluid_accounting_identity_holds_exactly():
 def test_fluid_deadline_drops_stale_buckets():
     counts = np.zeros((4, 1), dtype=np.int64)
     counts[0, 0] = 10
-    config = EmbeddingConfig(total_capacity=2.0, deadline_windows=2)
-    report = simulate_fluid_network(counts, np.array([2.0]), config)
+    report = simulate_fluid_network(counts, np.array([2.0]))
     # 2 served in window 0, 2 in window 1; the remaining 6 blow the
     # two-window deadline at the end of window 1.
     assert report.served == pytest.approx(4.0)
@@ -264,32 +259,31 @@ def test_oracle_schedule_covers_feasible_demand():
     counts = _steady_counts(num_cells=5, windows=20, level=20, seed=9)
     counts[10:, 2] *= 4
     config = EmbeddingConfig(
-        total_capacity=float(counts.sum(axis=1).max()) + 10.0, deadline_windows=2
+        total_capacity=float(counts.sum(axis=1).max()) + 10.0
     )
     schedule = oracle_capacity(counts, config)
     assert schedule.shape == counts.shape
     assert np.allclose(schedule.sum(axis=1), config.total_capacity)
-    report = simulate_fluid_network(counts, schedule, config)
+    report = simulate_fluid_network(counts, schedule)
     assert report.miss_rate == 0.0
 
 
 def test_oracle_beats_static_under_a_hotspot():
     counts = _steady_counts(num_cells=5, windows=20, level=30, seed=7)
     counts[8:, 2] *= 5
-    config = EmbeddingConfig(total_capacity=200.0, deadline_windows=2)
-    static = simulate_fluid_network(counts, static_capacity(5, config), config)
-    oracle = simulate_fluid_network(counts, oracle_capacity(counts, config), config)
+    config = EmbeddingConfig(total_capacity=200.0)
+    static = simulate_fluid_network(counts, static_capacity(5, config))
+    oracle = simulate_fluid_network(counts, oracle_capacity(counts, config))
     assert oracle.miss_rate <= static.miss_rate
 
 
 def test_fluid_validates_shapes():
-    config = EmbeddingConfig(total_capacity=10.0)
     counts = np.ones((5, 3), dtype=np.int64)
     with pytest.raises(ConfigurationError):
-        simulate_fluid_network(np.ones(5), np.ones(3), config)
+        simulate_fluid_network(np.ones(5), np.ones(3))
     with pytest.raises(ConfigurationError):
-        simulate_fluid_network(counts, np.ones(2), config)
+        simulate_fluid_network(counts, np.ones(2))
     with pytest.raises(ConfigurationError):
-        simulate_fluid_network(counts, np.ones((4, 3)), config)
+        simulate_fluid_network(counts, np.ones((4, 3)))
     with pytest.raises(ConfigurationError):
-        simulate_fluid_network(counts, -np.ones(3), config)
+        simulate_fluid_network(counts, -np.ones(3))

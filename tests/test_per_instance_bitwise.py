@@ -13,10 +13,11 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.annealing import kernels
 from repro.annealing.backend import broadcast_initial_spins
-from repro.annealing.device import AnnealingFunctions
 from repro.annealing.schedule import forward_anneal_schedule
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
 from repro.classical.greedy import greedy_search
@@ -302,7 +303,6 @@ class TestSVMCStartAndProjection:
             couplings,
             forward_anneal_schedule(1.0),
             reads,
-            AnnealingFunctions(),
             0.05,
             initial_spins=initials,
             rng=children,
@@ -355,3 +355,35 @@ class TestSVMCStartAndProjection:
         assert np.isclose(written, 0.0).sum() > 10
         # Padding rotors start at theta = 0: cos 1.
         assert np.all(seen["cosines"][1] == 1.0)
+
+
+# ---------------------------------------------------------------------- #
+# Scoring a read does not depend on the other reads of its batch
+# ---------------------------------------------------------------------- #
+
+
+@st.composite
+def _scored_batches(draw):
+    """``(qubo, rows, permutation)``: a random QUBO over 1-64 variables, a
+    batch of 1-300 reads, and a shuffle of that batch."""
+    size = draw(st.integers(min_value=1, max_value=64))
+    count = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    qubo = QUBOModel(coefficients=np.triu(rng.normal(size=(size, size))), offset=rng.normal())
+    return qubo, rng.integers(0, 2, size=(count, size)), rng.permutation(count)
+
+
+@given(_scored_batches())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_each_read_scores_the_same_bits_alone_in_its_batch_and_shuffled(case):
+    # The sampler re-scores its reads under the QUBO in one batch; a read's
+    # energy must be the same float however many reads share the batch and
+    # in what order.  (``IsingModel.energies`` gives no such guarantee: its
+    # ``batch @ fields`` product can round a row differently by batch size.)
+    qubo, rows, permutation = case
+    batched = qubo.energies(rows)
+    shuffled = qubo.energies(rows[permutation])
+    for index, row in enumerate(rows):
+        alone = qubo.energies(row[None, :])[0]
+        assert alone.tobytes() == batched[index].tobytes()
+    assert shuffled.tobytes() == batched[permutation].tobytes()

@@ -43,6 +43,7 @@ from repro.serving import (
 )
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
 from repro.wireless.traffic import ChannelUse
+from tests.serving_invariants import check_autoscale_invariants
 
 _CONFIGS = (MIMOConfig(2, "QPSK"), MIMOConfig(2, "16-QAM"), MIMOConfig(3, "QPSK"))
 _TRANSMISSIONS = tuple(
@@ -198,7 +199,6 @@ def simulator_kwargs(draw) -> dict:
         interval_us=draw(st.sampled_from([15.0, 40.0])),
         warmup_us=draw(st.sampled_from([0.0, 30.0, 120.0])),
         cooldown_us=draw(st.sampled_from([0.0, 40.0])),
-        scale_up_queue_per_worker=draw(st.sampled_from([1.0, 3.0])),
         scale_down_queue_per_worker=0.5,
     )
     kwargs["autoscaler"] = AutoscaleController(config)
@@ -217,6 +217,9 @@ class TestPressureIndexMatchesOracle:
         indexed_report = SkipCheckedSimulator(**kwargs).run(jobs)
         assert checked_report.outcomes == oracle_report.outcomes
         assert indexed_report.outcomes == oracle_report.outcomes
+        if kwargs.get("autoscaler") is not None:
+            # The controller holds the events of its last (indexed) run.
+            check_autoscale_invariants(kwargs["autoscaler"], kwargs["pool"])
         if kwargs.get("autoscaler") is None and not (
             kwargs["admission_control"] and kwargs["pool"].classical_workers
         ):

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = REPO_ROOT / "scripts" / "check_public_surface.py"
 
@@ -16,11 +18,11 @@ def _check(*args):
 
 
 def _allowlists():
-    """The script's ``(ALLOWLIST, PARAMETER_ALLOWLIST, CONFIG_FIELD_ALLOWLIST)``."""
+    """The script's ``(ALLOWLIST, PARAMETER_ALLOWLIST, FIELD_ALLOWLIST)``."""
     spec = importlib.util.spec_from_file_location("check_public_surface", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.ALLOWLIST, module.PARAMETER_ALLOWLIST, module.CONFIG_FIELD_ALLOWLIST
+    return module.ALLOWLIST, module.PARAMETER_ALLOWLIST, module.FIELD_ALLOWLIST
 
 
 def _stale(reasons):
@@ -235,7 +237,7 @@ def test_planted_unset_config_fields_are_named(tmp_path):
     # Only a test sets ``dead``, and the spec naming it sweeps another
     # experiment; every other field is set in one live way, or is a seed.
     assert result.stdout.splitlines() == [
-        "config field nothing outside tests sets: repro.study:StudyConfig.dead",
+        "dataclass field nothing outside tests sets: repro.study:StudyConfig.dead",
     ] + _stale(
         {
             "repro.ablation.targets:AnnealHPOConfig.density": "already live",
@@ -243,4 +245,77 @@ def test_planted_unset_config_fields_are_named(tmp_path):
             "repro.experiments.qos_study:QoSStudyConfig.base_symbol_period_us": "valid",
         }
     )
-    assert "1 unset config field(s)" in result.stderr
+    assert "1 unset dataclass field(s)" in result.stderr
+
+
+_QOS_ENTRY = "repro.experiments.qos_study:QoSStudyConfig.base_symbol_period_us"
+
+#: ``(Record's field, Record's extra body, script lines, stale reasons)`` per
+#: way a field of a plain dataclass is set (the check must accept each) or
+#: is exempt from the check (it must skip each).
+_FIELD_CASES = {
+    "keyword": ("kept: int = 0", "", "Record(kept=1)", {}),
+    "position": ("kept: int = 0", "", "Record(1)", {}),
+    "starred": ("kept: int = 0", "", "Record(*[1])", {}),
+    "double-star": ("kept: int = 0", "", "Record(**{'kept': 1})", {}),
+    "replace": ("kept: int = 0", "", "dataclasses.replace(Record(), kept=1)", {}),
+    "attribute": ("kept: int = 0", "", "record = Record()\nrecord.kept = 1", {}),
+    "augmented": ("kept: int = 0", "", "record = Record()\nrecord.kept += 1", {}),
+    "own-method": (
+        "kept: int = 0",
+        "    def bump(self):\n        self.kept += 1\n",
+        "Record().bump()",
+        {},
+    ),
+    "preset": (
+        "kept: int = 0",
+        "    @classmethod\n    def preset(cls):\n        return cls(kept=1)\n",
+        "Record.preset()",
+        {},
+    ),
+    "private": ("_kept: int = 0", "", "", {}),
+    "init-false": ("kept: int = dataclasses.field(default=0, init=False)", "", "", {}),
+    "class-var": ("kept: typing.ClassVar[int] = 0", "", "", {}),
+    # The allowlisted field, here of a plain dataclass, is set by a script.
+    "stale-entry": (
+        "kept: int = 0",
+        "",
+        "Record(kept=1)\nQoSStudyConfig(base_symbol_period_us=900.0)",
+        {_QOS_ENTRY: "already live"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIELD_CASES))
+def test_planted_dataclass_fields_are_set_or_exempt(tmp_path, case):
+    declaration, body, script, reasons = _FIELD_CASES[case]
+    package = tmp_path / "src" / "repro"
+    (package / "experiments").mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "import dataclasses\nimport typing\n\n\n"
+        f"@dataclasses.dataclass\nclass Record:\n    {declaration}\n{body}\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass Unset:\n    dead: int = 0\n\n\n"
+        # Another class writing its own attribute of that name sets nothing.
+        "class Writer:\n    def __init__(self):\n        self.dead = 1\n"
+    )
+    (package / "experiments" / "qos_study.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass QoSStudyConfig:\n    base_symbol_period_us: float = 150.0\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "run.py").write_text(
+        "import dataclasses\n\n"
+        "from repro.experiments.qos_study import QoSStudyConfig\n"
+        "from repro.mod import Record, Unset, Writer\n\n"
+        f"Unset()\nWriter()\n{script}\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.mod import Unset\n\nUnset(dead=1)\n"
+    )
+
+    result = _check(str(tmp_path))
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == [
+        "dataclass field nothing outside tests sets: repro.mod:Unset.dead",
+    ] + _stale({_QOS_ENTRY: "valid", **reasons})

@@ -222,7 +222,7 @@ def _mobile_workload(velocity_mps, seed=3, jobs_per_user=8):
         topology=topology,
     )
     handover = (
-        HandoverModel(velocity_mps=velocity_mps, cell_radius_m=250.0, seed=9)
+        HandoverModel(velocity_mps=velocity_mps, seed=9)
         if velocity_mps is not None
         else None
     )

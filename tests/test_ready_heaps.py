@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given
 
 from repro.exceptions import ConfigurationError
+from repro.serving import autoscale
 from repro.serving import (
     DEFAULT_CLASS,
     URLLC,
@@ -207,11 +208,13 @@ class TestArrivalStreamTies:
         check_serving_invariants(jobs, report)
 
     @pytest.mark.parametrize("offset", [0.0, _WITHIN_WINDOW])
-    def test_arrivals_at_an_autoscale_tick_and_a_warmup_end(self, offset):
+    def test_arrivals_at_an_autoscale_tick_and_a_warmup_end(self, monkeypatch, offset):
         # Job 0 holds the single active annealer (70.44 us) past the 50 us
         # tick.  Jobs 1 and 2 arrive with the tick, so the controller sees a
-        # queue of two and scales up; the new worker warms up for 30 us and
+        # queue of two, above a lowered scale-up threshold of one job per
+        # worker, and scales up; the new worker warms up for 30 us and
         # job 3 arrives as it becomes dispatchable.
+        monkeypatch.setattr(autoscale, "_SCALE_UP_QUEUE_PER_WORKER", 1.0)
         tick, warmup = 50.0, 30.0
         jobs = [
             _job(0, 0.0, None, 0, DEFAULT_CLASS),
@@ -230,7 +233,6 @@ class TestArrivalStreamTies:
                 interval_us=tick,
                 warmup_us=warmup,
                 cooldown_us=0.0,
-                scale_up_queue_per_worker=1.0,
                 scale_down_queue_per_worker=0.5,
             )
         )

@@ -9,6 +9,7 @@ type and the same bits.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -148,3 +149,23 @@ def test_no_deadlines_and_no_evaluations():
     assert report.deadline_miss_rate is None and report.optimum_rate is None
     for name, value in expected.items():
         assert _typed(getattr(report, name)) == _typed(value), name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pickle_round_trip_keeps_every_field(case):
+    # Cached serving reports are pickled; outcomes pickle positionally, so
+    # the positional order must be the dataclass's field order.
+    seed, count, classes = CASES[case]
+    outcomes = _random_outcomes(seed, count, classes)
+    report = build_serving_report(outcomes, policy="edf", backend_utilization=[])
+    loaded = pickle.loads(pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL))
+    assert loaded == report
+    assert [_typed(outcome) for outcome in loaded.outcomes] == [
+        _typed(outcome) for outcome in outcomes
+    ]
+    names = [field.name for field in dataclasses.fields(JobOutcome)]
+    for outcome in outcomes[:3]:
+        assert outcome.__reduce__() == (
+            JobOutcome,
+            tuple(getattr(outcome, name) for name in names),
+        )

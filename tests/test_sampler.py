@@ -5,15 +5,16 @@ import pytest
 
 from repro.annealing import sampler as sampler_module
 from repro.annealing import (
-    DeviceModel,
     QuantumAnnealerSimulator,
     SpinVectorMonteCarloBackend,
     forward_anneal_schedule,
     forward_reverse_anneal_schedule,
     reverse_anneal_schedule,
 )
+from repro.annealing.device import qpu_access_time_us
 from repro.exceptions import ConfigurationError
 from repro.qubo.ising import IsingModel, qubo_to_ising
+from tests.noisy_sampler import NoisySampler
 from tests.qubo_fixtures import planted_solution_qubo
 
 
@@ -82,7 +83,7 @@ class TestSampleQubo:
         qubo, _ = planted_qubo_and_state
         sampleset = fast_sampler.forward_anneal(qubo, num_reads=10)
         schedule = forward_anneal_schedule(1.0)
-        expected = fast_sampler.device.qpu_access_time_us(schedule, 10)
+        expected = qpu_access_time_us(schedule, 10)
         assert sampleset.metadata["qpu_access_time_us"] == pytest.approx(expected)
 
 
@@ -101,9 +102,9 @@ class TestControlNoise:
         self, planted_qubo_and_state
     ):
         qubo, _ = planted_qubo_and_state
-        noisy_device = DeviceModel(field_noise_sigma=0.2, coupling_noise_sigma=0.2)
-        sampler = QuantumAnnealerSimulator(
-            device=noisy_device,
+        sampler = NoisySampler(
+            field_noise_sigma=0.2,
+            coupling_noise_sigma=0.2,
             backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=8),
             seed=3,
         )

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.experiments import scenario_study
 from repro.experiments.scenario_study import (
     ScenarioStudyConfig,
     ScenarioStudyDriver,
@@ -12,7 +13,19 @@ from repro.experiments.scenario_study import (
 )
 from repro.experiments.driver import run_driver
 from repro.serving import ServingReport, generate_serving_jobs
+from repro.serving.autoscale import AutoscaleController
 from repro.wireless.mimo import simulate_transmission
+from tests.serving_invariants import check_autoscale_invariants
+
+
+class _RecordingController(AutoscaleController):
+    """An autoscaler that keeps itself and its pool for a post-run check."""
+
+    runs: list = []
+
+    def begin(self, start_us, pool):
+        super().begin(start_us, pool)
+        self.runs.append((self, pool))
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +54,18 @@ class TestScenarioStudy:
             assert 0.0 <= row.autoscaled_demotion_rate <= 1.0
             assert 1 <= row.mean_active_workers <= config.max_workers
             assert row.scale_events >= 0
+
+    @pytest.mark.parametrize("scenarios", [("steady", "flash-crowd"), ("busy-day",)])
+    def test_autoscaled_runs_keep_the_scaling_invariants(self, monkeypatch, scenarios):
+        monkeypatch.setattr(scenario_study, "AutoscaleController", _RecordingController)
+        monkeypatch.setattr(_RecordingController, "runs", [])
+        config = dataclasses.replace(ScenarioStudyConfig.quick(), scenarios=scenarios)
+        run_driver(ScenarioStudyDriver(), config)
+        runs = _RecordingController.runs
+        assert len(runs) == len(scenarios)
+        assert any(controller.events for controller, _ in runs)
+        for controller, pool in runs:
+            check_autoscale_invariants(controller, pool)
 
     def test_format_table(self, quick_result):
         table = format_scenario_table(quick_result)

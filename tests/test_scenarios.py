@@ -47,7 +47,7 @@ class TestPhases:
         assert phase.peak_intensity() == 2.5
 
     def test_diurnal_wave_stays_in_band_and_lags_across_cells(self):
-        phase = DiurnalPhase(1000.0, base=1.0, amplitude=0.5, cycles=1.0, cell_lag_fraction=0.5)
+        phase = DiurnalPhase(1000.0, amplitude=0.5, cycles=1.0, cell_lag_fraction=0.5)
         times = np.linspace(0.0, 999.9, 200)
         for cell in range(4):
             values = [phase.intensity(cell, 4, t) for t in times]
@@ -60,7 +60,7 @@ class TestPhases:
         assert phase.intensity(2, 4, crest_t) < 1.5
 
     def test_flash_crowd_ramps_and_localizes(self):
-        phase = FlashCrowdPhase(1000.0, cell_id=1, peak=5.0, ramp_fraction=0.25)
+        phase = FlashCrowdPhase(1000.0, cell_id=1, peak=5.0)
         # Ramp: background at t=0, peak at the plateau, background at the end.
         assert phase.intensity(1, 4, 0.0) == pytest.approx(1.0)
         assert phase.intensity(1, 4, 125.0) == pytest.approx(3.0)  # mid-ramp
@@ -72,7 +72,7 @@ class TestPhases:
         assert phase.peak_intensity() == 5.0
 
     def test_hotspot_drift_moves_across_grid(self):
-        phase = HotspotDriftPhase(1000.0, peak=4.0, width_cells=1.0)
+        phase = HotspotDriftPhase(1000.0, peak=4.0)
         # At t=0 the hotspot sits on cell 0; at the end on the last cell.
         assert phase.intensity(0, 4, 0.0) == pytest.approx(4.0)
         assert phase.intensity(3, 4, 0.0) == pytest.approx(1.0)
@@ -82,7 +82,7 @@ class TestPhases:
         assert max(mid[1], mid[2]) > max(mid[0], mid[3])
 
     def test_cell_outage_spills_to_neighbours(self):
-        phase = CellOutagePhase(1000.0, cell_id=1, spill_fraction=1.0)
+        phase = CellOutagePhase(1000.0, cell_id=1)
         assert phase.intensity(1, 4, 100.0) == 0.0
         # The dark cell's unit load splits between cells 0 and 2.
         assert phase.intensity(0, 4, 100.0) == pytest.approx(1.5)
@@ -90,9 +90,11 @@ class TestPhases:
         assert phase.intensity(3, 4, 100.0) == pytest.approx(1.0)
 
     def test_edge_cell_outage_single_neighbour(self):
-        phase = CellOutagePhase(1000.0, cell_id=0, spill_fraction=0.5)
+        phase = CellOutagePhase(1000.0, cell_id=0)
         assert phase.intensity(0, 3, 10.0) == 0.0
-        assert phase.intensity(1, 3, 10.0) == pytest.approx(1.5)
+        # The lone neighbour absorbs the whole spilt load.
+        assert phase.intensity(1, 3, 10.0) == pytest.approx(2.0)
+        assert phase.peak_intensity() == 2.0
         assert phase.intensity(2, 3, 10.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
@@ -101,13 +103,12 @@ class TestPhases:
             lambda: ConstantPhase(0.0),
             lambda: ConstantPhase(10.0, level=-1.0),
             lambda: DiurnalPhase(10.0, amplitude=1.5),
-            lambda: DiurnalPhase(10.0, base=0.0),
+            lambda: DiurnalPhase(10.0, cycles=0.0),
             lambda: FlashCrowdPhase(10.0, cell_id=-1),
             lambda: FlashCrowdPhase(10.0, cell_id=0, peak=0.5),
-            lambda: FlashCrowdPhase(10.0, cell_id=0, ramp_fraction=0.6),
-            lambda: HotspotDriftPhase(10.0, width_cells=0.0),
-            lambda: CellOutagePhase(10.0, cell_id=0, spill_fraction=1.5),
-            lambda: CellOutagePhase(10.0, cell_id=0, residual=1.0),
+            lambda: HotspotDriftPhase(10.0, peak=0.5),
+            lambda: CellOutagePhase(10.0, cell_id=-1),
+            lambda: CellOutagePhase(0.0, cell_id=0),
         ],
     )
     def test_invalid_phase_parameters(self, factory):
@@ -495,7 +496,7 @@ class TestAutoscaleController:
     def test_scales_up_on_queue_depth(self, rng):
         pool = _elastic_pool()
         controller = AutoscaleController(
-            AutoscaleConfig(scale_up_queue_per_worker=3.0, warmup_us=100.0)
+            AutoscaleConfig(warmup_us=100.0)
         )
         controller.begin(0.0, pool)
         event = controller.step(10.0, _queued_jobs(5, rng), pool, pressured_count=0)
@@ -505,7 +506,7 @@ class TestAutoscaleController:
 
     def test_scales_up_on_deadline_pressure(self, rng):
         pool = _elastic_pool()
-        controller = AutoscaleController(AutoscaleConfig(pressure_fraction=0.1))
+        controller = AutoscaleController(AutoscaleConfig())
         controller.begin(0.0, pool)
         event = controller.step(10.0, _queued_jobs(2, rng), pool, pressured_count=1)
         assert event is not None and event.reason == "deadline-pressure"
@@ -561,8 +562,8 @@ class TestAutoscaleController:
             {"warmup_us": -1.0},
             {"min_workers": 0},
             {"max_workers": 0},
-            {"scale_up_queue_per_worker": 0.2},
-            {"pressure_fraction": 1.5},
+            {"scale_down_queue_per_worker": 3.0},
+            {"scale_down_queue_per_worker": -0.1},
             {"cooldown_us": -1.0},
         ],
     )
