@@ -16,7 +16,9 @@ serving report (``serve_quick``, ``qos_stress``, ``scenarios_stress``): the
 worker, start, finish and demotion flag of each job.  The stress presets
 overload the plant so the fixtures cover demotions, sheddable-class offload,
 deadline misses, handover and autoscaling with warm-ups in flight (checked in
-``tests/test_golden_regression.py``).
+``tests/test_golden_regression.py``).  ``scenarios_catalog`` holds the
+scenario study's rows over the whole catalog on four cells, so the
+hotspot-drift and cell-outage phases are pinned too.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from repro.experiments.robustness_study import RobustnessStudyConfig, Robustness
 from repro.experiments.scenario_study import ScenarioStudyConfig, ScenarioStudyDriver
 from repro.experiments.snr_study import SNRStudyConfig, SNRStudyDriver
 from repro.serving import (
+    SCENARIO_NAMES,
     AnnealerServingBackend,
     BackendPool,
     ClassicalServingBackend,
@@ -111,6 +114,15 @@ SCENARIOS_STRESS = dataclasses.replace(
     warmup_us=700.0,
 )
 
+#: The scenario study over the whole catalog on four cells, one static worker.
+SCENARIOS_CATALOG = dataclasses.replace(
+    ScenarioStudyConfig.quick(),
+    num_cells=4,
+    base_symbol_period_us=60.0,
+    static_workers=1,
+    scenarios=SCENARIO_NAMES,
+)
+
 
 def serving_schedule_rows(driver, config):
     """The schedule of every serving report of every shard, one row per job.
@@ -160,6 +172,7 @@ STUDIES = {
     "pipeline_quick": lambda: [run_driver(PipelineStudyDriver(), PipelineStudyConfig.quick())],
     "qos_stress": lambda: serving_schedule_rows(QoSStudyDriver(), QOS_STRESS),
     "robustness_quick": lambda: run_driver(RobustnessStudyDriver(), RobustnessStudyConfig.quick()),
+    "scenarios_catalog": lambda: run_driver(ScenarioStudyDriver(), SCENARIOS_CATALOG).rows,
     "scenarios_stress": lambda: serving_schedule_rows(ScenarioStudyDriver(), SCENARIOS_STRESS),
     "serve_quick": lambda: serving_schedule_rows(LoadStudyDriver(), LoadStudyConfig.quick()),
     "single_entry_points": single_entry_point_rows,
