@@ -8,7 +8,8 @@ documentation, and a removed flag cannot linger in it — the docs can drift
 in prose, but never in entry points.  It also renders ``--help`` for the root parser and every
 subparser, so a help string argparse cannot format (a stray ``%``) fails
 here rather than in a user's terminal, and checks that the Targets table of
-``docs/ablation.md`` lists exactly the experiments an ablation spec can sweep.
+``docs/ablation.md`` lists exactly the experiments an ablation spec can sweep
+and that the shard table of ``docs/parallel.md`` lists exactly the CLI studies.
 Every ``REPRO_*`` environment variable that ``README.md`` or ``docs/*.md``
 names must be read somewhere in ``src/repro``, so the docs cannot advertise a
 knob the library has dropped.  Finally, every keyword of a call code span
@@ -141,6 +142,33 @@ def check_ablation_targets() -> list:
     return problems
 
 
+def check_shard_table() -> list:
+    """The shard table of docs/parallel.md must list exactly the studies of ``DRIVERS``."""
+    from repro.experiments.registry import DRIVERS
+
+    doc_path = REPO_ROOT / "docs" / "parallel.md"
+    if not doc_path.exists():
+        return []  # check_required_docs reports the missing page
+    _, _, section = doc_path.read_text(encoding="utf-8").partition("\n## Work units")
+    section = section.split("\n## ", 1)[0]
+    listed = set()
+    for cell in re.findall(r"^\| ([^|]+) \|", section, flags=re.MULTILINE):
+        listed.update(re.findall(r"`([^`]+)`", cell))
+    studies = {driver.name for driver in DRIVERS}
+    problems = []
+    if studies - listed:
+        problems.append(
+            "docs/parallel.md shard table is missing studies: "
+            + ", ".join(sorted(studies - listed))
+        )
+    if listed - studies:
+        problems.append(
+            "docs/parallel.md shard table lists unknown studies: "
+            + ", ".join(sorted(listed - studies))
+        )
+    return problems
+
+
 def check_env_vars() -> list:
     """Every ``REPRO_*`` variable the README or docs name must be read in src/repro.
 
@@ -248,6 +276,7 @@ def main() -> int:
         check_required_docs()
         + check_help_renders()
         + check_ablation_targets()
+        + check_shard_table()
         + check_env_vars()
         + keyword_problems
     )

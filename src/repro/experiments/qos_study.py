@@ -22,28 +22,25 @@ arm-independent, so serial and process-pool runs agree bitwise.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro import telemetry
 from repro.exceptions import ConfigurationError
-from repro.experiments.driver import ExperimentDriver, mean_or_nan
-from repro.network.topology import build_topology
-from repro.parallel import ShardTask
+from repro.experiments.catalog_sweep import (
+    LANES,
+    MAX_BATCH_SIZE,
+    CatalogSweepDriver,
+    CatalogSweepResult,
+    catalog_jobs,
+    check_sweep_config,
+    format_sweep_table,
+    shard_scenario,
+)
+from repro.experiments.driver import mean_or_nan
 from repro.serving.backends import AnnealerServingBackend, ClassicalServingBackend
 from repro.serving.pool import BackendPool
-from repro.serving.report import ServingReport, format_serving_report
-from repro.serving.scenarios import SCENARIO_NAMES, build_scenario
+from repro.serving.report import ServingReport
 from repro.serving.simulator import RANServingSimulator
-from repro.serving.workload import (
-    HandoverModel,
-    generate_serving_jobs,
-    uniform_cell_profiles,
-)
-from repro.utils.rng import stable_seed
-from repro.wireless.mimo import MIMOConfig
 
 __all__ = [
     "QOS_ARMS",
@@ -51,12 +48,11 @@ __all__ = [
     "QoSStudyConfig",
     "QoSStudyDriver",
     "QoSStudyRow",
-    "QoSStudyResult",
     "format_qos_table",
 ]
 
 #: Serving arms of the study, in task order per scenario.
-QOS_ARMS: Tuple[str, ...] = ("classless", "aware")
+QOS_ARMS: Tuple[str, str] = ("classless", "aware")
 
 #: Scalar metric columns of the ``qos`` ablation target, in order.
 QOS_METRICS = (
@@ -68,19 +64,10 @@ QOS_METRICS = (
     "handover_fraction_mean",
 )
 
-#: Spatial streams of every user.
-_NUM_USERS = 2
-
-#: Modulations cycled across users.
-_MODULATIONS = ("QPSK", "16-QAM")
-
 #: QoS class names cycled across each cell's users (see
 #: :data:`repro.serving.qos.SERVICE_CLASSES`); per-class budgets override the
-#: generic ``_TURNAROUND_BUDGET_US``.
+#: sweep's generic turnaround budget.
 _SERVICE_CLASSES = ("urllc", "embb", "best_effort")
-
-#: Generic relative deadline of a job.
-_TURNAROUND_BUDGET_US = 600.0
 
 #: User speed of the handover timelines.  The catalog compresses hours of
 #: RAN time into a ~20 ms plant horizon; mobility is compressed by the same
@@ -89,11 +76,6 @@ _TURNAROUND_BUDGET_US = 600.0
 #: _HANDOVER_TIME_COMPRESSION)``).
 _VELOCITY_MPS = 30.0
 _HANDOVER_TIME_COMPRESSION = 1e4
-
-#: Side-by-side lanes of an annealer worker, and the largest batch the plant
-#: coalesces.
-_LANES = 4
-_MAX_BATCH_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -129,17 +111,11 @@ class QoSStudyConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.scenarios:
-            raise ConfigurationError("scenarios must not be empty")
+        check_sweep_config(self)
         if self.annealer_workers < 1:
             raise ConfigurationError(
                 f"annealer_workers must be at least 1, got {self.annealer_workers}"
             )
-        for name in self.scenarios:
-            if name not in SCENARIO_NAMES:
-                raise ConfigurationError(
-                    f"unknown scenario {name!r}; catalog: {', '.join(SCENARIO_NAMES)}"
-                )
 
     @classmethod
     def quick(cls) -> "QoSStudyConfig":
@@ -181,78 +157,35 @@ class QoSStudyRow:
     aware_demotion_rate: float
 
 
-@dataclass(frozen=True)
-class QoSStudyResult:
-    """Per-(scenario, class) rows plus the last aware detail report."""
-
-    rows: List[QoSStudyRow]
-    detail: ServingReport
-    config: QoSStudyConfig
-
-
-@functools.lru_cache(maxsize=1)
 def _qos_jobs(config: QoSStudyConfig, name: str, workload_seed: int):
-    """The scenario's mixed-class, handover-re-homed workload (arm-shared).
+    """The scenario's mixed-class, handover-re-homed workload, arm-shared.
 
-    Memoised for the last ``(config, name, workload_seed)`` only: the two
-    arms of a scenario run back to back, so the second reuses the first's
-    frozen jobs, and the memo never holds more than one scenario's list.
+    Returns ``(topology, jobs)`` from the sweep's one-entry memo (see
+    :func:`~repro.experiments.catalog_sweep.catalog_jobs`).
     """
-    topology = build_topology("line", 1, config.num_cells)
-    scenario = build_scenario(
-        name, config.num_cells, horizon_us=config.horizon_us, topology=topology
+    return catalog_jobs(
+        config,
+        name,
+        workload_seed,
+        _SERVICE_CLASSES,
+        _VELOCITY_MPS * _HANDOVER_TIME_COMPRESSION,
     )
-    configs = [MIMOConfig(_NUM_USERS, modulation) for modulation in _MODULATIONS]
-    profiles = uniform_cell_profiles(
-        num_cells=config.num_cells,
-        users_per_cell=config.users_per_cell,
-        configs=configs,
-        symbol_period_us=config.base_symbol_period_us,
-        turnaround_budget_us=_TURNAROUND_BUDGET_US,
-        service_classes=_SERVICE_CLASSES,
-    )
-    handover = HandoverModel(
-        velocity_mps=_VELOCITY_MPS * _HANDOVER_TIME_COMPRESSION, seed=workload_seed
-    )
-    jobs = generate_serving_jobs(
-        profiles,
-        config.max_jobs_per_user,
-        rng=workload_seed,
-        scenario=scenario,
-        handover=handover,
-    )
-    if not jobs:
-        raise ConfigurationError(
-            f"scenario {name!r} produced no jobs; increase horizon_us or lower "
-            "base_symbol_period_us"
-        )
-    return topology, jobs
 
 
 def _qos_shard(config: QoSStudyConfig, arm: str, workload_seed: int) -> ServingReport:
-    """One (scenario, arm) shard of the QoS sweep.
+    """One (scenario, arm) shard: the plant, class-blind or class-aware.
 
-    ``config.scenarios`` holds exactly the shard's scenario, and both arms
-    serve the *identical* job list generated from ``workload_seed`` — the
-    comparison is paired by construction, only the plant's class awareness
-    differs.  Arms in one process share one generated list (see
-    :func:`_qos_jobs`); arms in different processes generate the same list
-    each.  Shards are independent of execution order and worker count.
+    Both arms serve the identical job list, so the comparison is paired by
+    construction; only the plant's class awareness differs.
     """
-    if len(config.scenarios) != 1:
-        raise ConfigurationError(
-            f"a QoS shard serves exactly one scenario, got {config.scenarios!r}"
-        )
-    if arm not in QOS_ARMS:
-        raise ConfigurationError(f"arm must be one of {QOS_ARMS}, got {arm!r}")
-    name = config.scenarios[0]
+    name = shard_scenario(config, arm, QOS_ARMS)
     topology, jobs = _qos_jobs(config, name, workload_seed)
     backends: List = [
-        AnnealerServingBackend(num_reads=config.num_reads, lanes=_LANES)
+        AnnealerServingBackend(num_reads=config.num_reads, lanes=LANES)
     ] * config.annealer_workers
     report = RANServingSimulator(
         pool=BackendPool(backends + [ClassicalServingBackend()]),
-        max_batch_size=_MAX_BATCH_SIZE,
+        max_batch_size=MAX_BATCH_SIZE,
         topology=topology,
         class_aware=(arm == "aware"),
     ).run(jobs)
@@ -260,7 +193,7 @@ def _qos_shard(config: QoSStudyConfig, arm: str, workload_seed: int) -> ServingR
     return report
 
 
-def format_qos_table(result: QoSStudyResult) -> str:
+def format_qos_table(result: CatalogSweepResult) -> str:
     """Render the QoS sweep plus the last aware report as text."""
     config = result.config
     lines = [
@@ -280,20 +213,10 @@ def format_qos_table(result: QoSStudyResult) -> str:
             f"{row.aware_miss_rate:>11.3f}  {row.classless_p99_us:>14.1f}  "
             f"{row.aware_p99_us:>10.1f}  {row.aware_demotion_rate:>14.3f}"
         )
-    lines.append("")
-    lines.append(
-        format_serving_report(
-            result.detail,
-            title=(
-                "class-aware serving report for scenario "
-                f"{result.rows[-1].scenario!r}"
-            ),
-        )
-    )
-    return "\n".join(lines)
+    return format_sweep_table(lines, result, "class-aware")
 
 
-class QoSStudyDriver(ExperimentDriver):
+class QoSStudyDriver(CatalogSweepDriver):
     """The QoS-class sweep behind the shared experiment-driver protocol."""
 
     name = "qos"
@@ -301,45 +224,20 @@ class QoSStudyDriver(ExperimentDriver):
     metric_names = QOS_METRICS
     config_class = QoSStudyConfig
     format_table = staticmethod(format_qos_table)
-
-    def tasks(self, config: QoSStudyConfig) -> List[ShardTask]:
-        """One (scenario, arm) task per catalog entry.
-
-        Each task's configuration is restricted to its own scenario and its
-        workload seed is the per-scenario child seed, so a task's cache
-        fingerprint never depends on which *other* scenarios the sweep
-        contains.
-        """
-        tasks: List[ShardTask] = []
-        for name in config.scenarios:
-            shard_config = dataclasses.replace(config, scenarios=(name,))
-            workload_seed = stable_seed("qos-study", name, config.base_seed)
-            for arm in QOS_ARMS:
-                tasks.append(
-                    ShardTask(
-                        key=("qos-study", name, arm),
-                        fn=_qos_shard,
-                        kwargs={
-                            "config": shard_config,
-                            "arm": arm,
-                            "workload_seed": workload_seed,
-                        },
-                    )
-                )
-        return tasks
+    label = "qos-study"
+    arms = QOS_ARMS
+    shard = staticmethod(_qos_shard)
 
     def aggregate(
         self, config: QoSStudyConfig, results: Sequence[ServingReport]
-    ) -> QoSStudyResult:
+    ) -> CatalogSweepResult:
         """Pair the (classless, aware) shard reports back into per-class rows.
 
         Both arms serve the identical job list, so they expose the identical
         class set; rows follow the aware report's (sorted) class order.
         """
         rows: List[QoSStudyRow] = []
-        for position, name in enumerate(config.scenarios):
-            classless = results[2 * position]
-            aware = results[2 * position + 1]
+        for name, classless, aware in self.arm_pairs(config, results):
             handover_fraction = (
                 aware.metadata.get("handover_jobs", 0) / aware.num_jobs
                 if aware.num_jobs
@@ -365,7 +263,7 @@ class QoSStudyDriver(ExperimentDriver):
                         aware_demotion_rate=entry.demotion_rate,
                     )
                 )
-        return QoSStudyResult(rows=rows, detail=results[-1], config=config)
+        return CatalogSweepResult(rows=rows, detail=results[-1], config=config)
 
     def metrics(self, rows) -> Tuple[Tuple[str, float], ...]:
         urllc = [row for row in rows if row.service_class == "urllc"]
@@ -393,10 +291,3 @@ class QoSStudyDriver(ExperimentDriver):
                 mean_or_nan([row.handover_fraction for row in rows]),
             ),
         )
-
-    def progress(self, config, tasks, results) -> None:
-        for position, name in enumerate(config.scenarios):
-            aware = results[2 * position + 1]
-            telemetry.emit_progress(
-                "qos-study", name, miss_rate=aware.deadline_miss_rate or 0.0
-            )

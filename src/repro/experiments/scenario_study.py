@@ -22,15 +22,22 @@ and exactly reproducible from the configuration's seed.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro import telemetry
 from repro.exceptions import ConfigurationError
-from repro.experiments.driver import ExperimentDriver, mean_or_nan
-from repro.parallel import ShardTask
+from repro.experiments.catalog_sweep import (
+    LANES,
+    MAX_BATCH_SIZE,
+    TURNAROUND_BUDGET_US,
+    CatalogSweepDriver,
+    CatalogSweepResult,
+    catalog_jobs,
+    check_sweep_config,
+    format_sweep_table,
+    shard_scenario,
+)
+from repro.experiments.driver import mean_or_nan
 from repro.serving.autoscale import (
     AutoscaleConfig,
     AutoscaleController,
@@ -38,19 +45,15 @@ from repro.serving.autoscale import (
 )
 from repro.serving.backends import AnnealerServingBackend, ClassicalServingBackend
 from repro.serving.pool import BackendPool
-from repro.serving.report import ServingReport, format_serving_report
-from repro.serving.scenarios import SCENARIO_NAMES, build_scenario
+from repro.serving.report import ServingReport
+from repro.serving.scenarios import SCENARIO_NAMES
 from repro.serving.simulator import RANServingSimulator
-from repro.serving.workload import generate_serving_jobs, uniform_cell_profiles
-from repro.utils.rng import stable_seed
-from repro.wireless.mimo import MIMOConfig
 
 __all__ = [
     "SCENARIOS_METRICS",
     "ScenarioStudyConfig",
     "ScenarioStudyDriver",
     "ScenarioStudyRow",
-    "ScenarioStudyResult",
     "format_scenario_table",
 ]
 
@@ -64,19 +67,8 @@ SCENARIOS_METRICS = (
     "scale_events_total",
 )
 
-#: Spatial streams of every user.
-_NUM_USERS = 2
-
-#: Modulations cycled across users.
-_MODULATIONS = ("QPSK", "16-QAM")
-
-#: Relative deadline of every job.
-_TURNAROUND_BUDGET_US = 600.0
-
-#: Side-by-side lanes of an annealer worker, and the largest batch the plant
-#: coalesces.
-_LANES = 4
-_MAX_BATCH_SIZE = 4
+#: Serving arms of the study, in task order per scenario.
+_ARMS = ("static", "autoscaled")
 
 #: How often the elastic arm's control loop runs.
 _AUTOSCALE_INTERVAL_US = 200.0
@@ -89,7 +81,7 @@ class ScenarioStudyConfig:
     Attributes
     ----------
     num_cells / users_per_cell:
-        Cell grid and user population (QPSK and 16-QAM cycle across users,
+        Cell line and user population (QPSK and 16-QAM cycle across users,
         each with two spatial streams).
     base_symbol_period_us:
         Nominal per-user channel-use spacing at intensity multiplier 1.0.
@@ -123,13 +115,7 @@ class ScenarioStudyConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.scenarios:
-            raise ConfigurationError("scenarios must not be empty")
-        for name in self.scenarios:
-            if name not in SCENARIO_NAMES:
-                raise ConfigurationError(
-                    f"unknown scenario {name!r}; catalog: {', '.join(SCENARIO_NAMES)}"
-                )
+        check_sweep_config(self)
         if self.static_workers < 1:
             raise ConfigurationError(
                 f"static_workers must be at least 1, got {self.static_workers}"
@@ -186,95 +172,42 @@ class ScenarioStudyRow:
     autoscaled_demotion_rate: float
 
 
-@dataclass(frozen=True)
-class ScenarioStudyResult:
-    """Sweep rows plus the autoscaled detail report of the last scenario."""
-
-    rows: List[ScenarioStudyRow]
-    detail: ServingReport
-    config: ScenarioStudyConfig
-
-
 def _annealer(config: ScenarioStudyConfig) -> AnnealerServingBackend:
-    return AnnealerServingBackend(num_reads=config.num_reads, lanes=_LANES)
-
-
-@functools.lru_cache(maxsize=1)
-def _scenario_jobs(config: ScenarioStudyConfig, name: str, workload_seed: int):
-    """The scenario's workload, shared by both arms.
-
-    Memoised for the last ``(config, name, workload_seed)`` only: the two
-    arms of a scenario run back to back, so the second reuses the first's
-    frozen jobs, and the memo never holds more than one scenario's list.
-    """
-    scenario = build_scenario(name, config.num_cells, horizon_us=config.horizon_us)
-    configs = [MIMOConfig(_NUM_USERS, modulation) for modulation in _MODULATIONS]
-    profiles = uniform_cell_profiles(
-        num_cells=config.num_cells,
-        users_per_cell=config.users_per_cell,
-        configs=configs,
-        symbol_period_us=config.base_symbol_period_us,
-        turnaround_budget_us=_TURNAROUND_BUDGET_US,
-    )
-    jobs = generate_serving_jobs(
-        profiles,
-        config.max_jobs_per_user,
-        rng=workload_seed,
-        scenario=scenario,
-    )
-    if not jobs:
-        raise ConfigurationError(
-            f"scenario {name!r} produced no jobs; increase horizon_us or lower "
-            "base_symbol_period_us"
-        )
-    return jobs
+    return AnnealerServingBackend(num_reads=config.num_reads, lanes=LANES)
 
 
 def _scenario_shard(
     config: ScenarioStudyConfig, arm: str, workload_seed: int
 ) -> ServingReport:
-    """One (scenario, arm) shard of the catalog sweep.
+    """One (scenario, arm) shard: the plant, static or autoscaled.
 
-    ``config.scenarios`` holds exactly the shard's scenario, and every bit of
-    shard randomness flows through ``workload_seed`` (the explicitly derived
-    per-scenario child seed) — the simulation itself is timing-modelled and
-    deterministic.  Both arms serve the identical job list; arms in one
-    process share one generated list (see :func:`_scenario_jobs`).  Shards
-    are therefore independent of execution order and worker count, and the
-    (function, config, seed) triple is the shard's complete cache identity.
+    Both arms serve the identical job list; only the annealer pool differs.
     """
-    if len(config.scenarios) != 1:
-        raise ConfigurationError(
-            f"a scenario shard serves exactly one scenario, got {config.scenarios!r}"
-        )
-    name = config.scenarios[0]
-    jobs = _scenario_jobs(config, name, workload_seed)
-
+    name = shard_scenario(config, arm, _ARMS)
+    _, jobs = catalog_jobs(config, name, workload_seed)
     if arm == "static":
         static_backends: List = [_annealer(config)] * config.static_workers
         return RANServingSimulator(
             pool=BackendPool(static_backends + [ClassicalServingBackend()]),
-            max_batch_size=_MAX_BATCH_SIZE,
+            max_batch_size=MAX_BATCH_SIZE,
         ).run(jobs)
-    if arm == "autoscaled":
-        return RANServingSimulator(
-            pool=ElasticBackendPool(
-                annealer=_annealer(config), max_annealer_workers=config.max_workers
-            ),
-            max_batch_size=_MAX_BATCH_SIZE,
-            autoscaler=AutoscaleController(config.autoscale_config()),
-        ).run(jobs)
-    raise ConfigurationError(f"arm must be 'static' or 'autoscaled', got {arm!r}")
+    return RANServingSimulator(
+        pool=ElasticBackendPool(
+            annealer=_annealer(config), max_annealer_workers=config.max_workers
+        ),
+        max_batch_size=MAX_BATCH_SIZE,
+        autoscaler=AutoscaleController(config.autoscale_config()),
+    ).run(jobs)
 
 
-def format_scenario_table(result: ScenarioStudyResult) -> str:
+def format_scenario_table(result: CatalogSweepResult) -> str:
     """Render the catalog sweep plus the last autoscaled report as text."""
     config = result.config
     lines = [
         "RAN scenario study - static vs autoscaled pools across the catalog",
         f"{config.num_cells} cells x {config.users_per_cell} users, horizon "
         f"{config.horizon_us / 1000.0:.1f} ms, budget "
-        f"{_TURNAROUND_BUDGET_US:.0f} us, policy edf; static = "
+        f"{TURNAROUND_BUDGET_US:.0f} us, policy edf; static = "
         f"{config.static_workers} workers, autoscaled = "
         f"[1, {config.max_workers}] workers "
         f"(warm-up {config.warmup_us:.0f} us)",
@@ -290,17 +223,10 @@ def format_scenario_table(result: ScenarioStudyResult) -> str:
             f"{row.autoscaled_p99_us:>9.1f}  {row.mean_active_workers:>6.2f}  "
             f"{row.scale_events:>6d}  {row.autoscaled_demotion_rate:>7.3f}"
         )
-    lines.append("")
-    lines.append(
-        format_serving_report(
-            result.detail,
-            title=f"autoscaled serving report for scenario {result.rows[-1].scenario!r}",
-        )
-    )
-    return "\n".join(lines)
+    return format_sweep_table(lines, result, "autoscaled")
 
 
-class ScenarioStudyDriver(ExperimentDriver):
+class ScenarioStudyDriver(CatalogSweepDriver):
     """The catalog sweep behind the shared experiment-driver protocol."""
 
     name = "scenarios"
@@ -308,42 +234,16 @@ class ScenarioStudyDriver(ExperimentDriver):
     metric_names = SCENARIOS_METRICS
     config_class = ScenarioStudyConfig
     format_table = staticmethod(format_scenario_table)
-
-    def tasks(self, config: ScenarioStudyConfig) -> List[ShardTask]:
-        """One (scenario, arm) task per catalog entry.
-
-        Each task's configuration is the study configuration restricted to
-        its own scenario, and its workload seed is the per-scenario child
-        seed — so a task's cache fingerprint never depends on *which other*
-        scenarios the sweep contains, and editing the catalog re-keys only
-        the touched entries.
-        """
-        tasks: List[ShardTask] = []
-        for name in config.scenarios:
-            shard_config = dataclasses.replace(config, scenarios=(name,))
-            workload_seed = stable_seed("scenario-study", name, config.base_seed)
-            for arm in ("static", "autoscaled"):
-                tasks.append(
-                    ShardTask(
-                        key=("scenario-study", name, arm),
-                        fn=_scenario_shard,
-                        kwargs={
-                            "config": shard_config,
-                            "arm": arm,
-                            "workload_seed": workload_seed,
-                        },
-                    )
-                )
-        return tasks
+    label = "scenario-study"
+    arms = _ARMS
+    shard = staticmethod(_scenario_shard)
 
     def aggregate(
         self, config: ScenarioStudyConfig, results: Sequence[ServingReport]
-    ) -> ScenarioStudyResult:
+    ) -> CatalogSweepResult:
         """Pair the (static, autoscaled) shard reports back into catalog rows."""
         rows: List[ScenarioStudyRow] = []
-        for position, name in enumerate(config.scenarios):
-            static = results[2 * position]
-            autoscaled = results[2 * position + 1]
+        for name, static, autoscaled in self.arm_pairs(config, results):
             rows.append(
                 ScenarioStudyRow(
                     scenario=name,
@@ -358,7 +258,7 @@ class ScenarioStudyDriver(ExperimentDriver):
                     autoscaled_demotion_rate=autoscaled.demotion_rate,
                 )
             )
-        return ScenarioStudyResult(rows=rows, detail=results[-1], config=config)
+        return CatalogSweepResult(rows=rows, detail=results[-1], config=config)
 
     def metrics(self, rows) -> Tuple[Tuple[str, float], ...]:
         autoscaled = [row.autoscaled_miss_rate for row in rows]
@@ -379,10 +279,3 @@ class ScenarioStudyDriver(ExperimentDriver):
             ),
             ("scale_events_total", float(sum(row.scale_events for row in rows))),
         )
-
-    def progress(self, config, tasks, results) -> None:
-        for position, name in enumerate(config.scenarios):
-            autoscaled = results[2 * position + 1]
-            telemetry.emit_progress(
-                "scenario-study", name, miss_rate=autoscaled.deadline_miss_rate or 0.0
-            )

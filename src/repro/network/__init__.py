@@ -19,7 +19,6 @@ is wired onto:
   network study scores them under.
 
 Every component follows the library-wide reproducibility discipline: all
-randomness enters through explicit seeds, and single-cluster configurations
-that never name a topology run the exact pre-existing code paths bitwise
-(see ``docs/network.md`` for the compatibility rules).
+randomness enters through explicit seeds.  A serving scenario built without
+a topology sits on a line of cells (see ``docs/network.md``).
 """

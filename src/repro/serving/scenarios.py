@@ -19,13 +19,11 @@ A catalog of named, documented scenarios is exposed through
 :func:`build_scenario` / :data:`SCENARIO_NAMES`; the parameters and phase
 timelines are described in ``docs/scenarios.md``.
 
-Scenarios are *topology-aware*: attaching a
-:class:`~repro.network.topology.NetworkTopology` switches the spatial phases
-from implicit index arithmetic (``cell_id +- 1`` adjacency, index distance)
-to the layout's real neighbour graph and plane positions.  On a ``line``
-topology both formulations agree bitwise — the compatibility contract spelled
-out in ``docs/network.md`` — and with no topology attached (the default)
-every code path is byte-for-byte the pre-topology implementation.
+Every scenario lives on a :class:`~repro.network.topology.NetworkTopology`:
+the spatial phases take their neighbour graph and plane positions from it,
+and handover draws its targets from it.  :func:`build_scenario` attaches
+``NetworkTopology.line(num_cells)`` when it is given none, whose neighbours
+are ``cell_id +- 1`` and whose positions are the cell ids on the x axis.
 """
 
 from __future__ import annotations
@@ -191,16 +189,14 @@ class HotspotDriftPhase(LoadPhase):
     The hotspot centre moves linearly from the first cell to the last; a
     cell within one cell width of the centre is boosted from the nominal 1.0
     toward ``peak`` with a triangular profile, modelling a crowd (commuters, a convoy)
-    traversing the coverage area.  Without a topology the centre moves
-    through *index* space (cell 0 to cell ``num_cells - 1``); with one it
-    moves through the coverage *plane*, from the first cell's position to the
-    last cell's, and proximity is Euclidean distance — on a line layout the
-    two are bitwise identical.
+    traversing the coverage area.  The centre moves through the topology's
+    coverage *plane*, from the first cell's position to the last cell's, and
+    proximity is Euclidean distance.
     """
 
     duration_us: float
+    topology: NetworkTopology
     peak: float = 4.0
-    topology: Optional[NetworkTopology] = None
 
     def __post_init__(self) -> None:
         self._check_duration()
@@ -209,16 +205,12 @@ class HotspotDriftPhase(LoadPhase):
 
     def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
         u = min(max(t_us / self.duration_us, 0.0), 1.0)
-        if self.topology is not None:
-            first_x, first_y = self.topology.position(0)
-            last_x, last_y = self.topology.position(self.topology.num_cells - 1)
-            centre_x = first_x + u * (last_x - first_x)
-            centre_y = first_y + u * (last_y - first_y)
-            cell_x, cell_y = self.topology.position(cell_id)
-            offset = math.hypot(cell_x - centre_x, cell_y - centre_y)
-        else:
-            centre = u * max(num_cells - 1, 0)
-            offset = abs(cell_id - centre)
+        first_x, first_y = self.topology.position(0)
+        last_x, last_y = self.topology.position(self.topology.num_cells - 1)
+        centre_x = first_x + u * (last_x - first_x)
+        centre_y = first_y + u * (last_y - first_y)
+        cell_x, cell_y = self.topology.position(cell_id)
+        offset = math.hypot(cell_x - centre_x, cell_y - centre_y)
         proximity = max(0.0, 1.0 - offset)
         return 1.0 + (self.peak - 1.0) * proximity
 
@@ -232,34 +224,24 @@ class CellOutagePhase(LoadPhase):
 
     The outage cell falls silent (multiplier 0) and its whole nominal load
     is split evenly between its neighbours, modelling users re-attaching to
-    adjacent cells.  With a ``topology`` attached the neighbours come from
-    its graph (4 on a grid, up to 6 on a hex tiling); without one they are
-    the legacy implicit line neighbours ``cell_id +- 1`` where they exist.
-    The remaining cells stay at the nominal 1.0.
+    adjacent cells.  The neighbours come from the topology's graph (2 on a
+    line, 4 on a grid, up to 6 on a hex tiling).  The remaining cells stay at
+    the nominal 1.0.
     """
 
     duration_us: float
     cell_id: int
-    topology: Optional[NetworkTopology] = None
+    topology: NetworkTopology
 
     def __post_init__(self) -> None:
         self._check_duration()
         if self.cell_id < 0:
             raise ConfigurationError(f"cell_id must be non-negative, got {self.cell_id}")
 
-    def _neighbours(self, num_cells: int) -> Tuple[int, ...]:
-        if self.topology is not None:
-            return self.topology.neighbors(self.cell_id)
-        return tuple(
-            cell
-            for cell in (self.cell_id - 1, self.cell_id + 1)
-            if 0 <= cell < num_cells
-        )
-
     def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
         if cell_id == self.cell_id:
             return 0.0
-        neighbours = self._neighbours(num_cells)
+        neighbours = self.topology.neighbors(self.cell_id)
         if cell_id in neighbours:
             return 1.0 + 1.0 / len(neighbours)
         return 1.0
@@ -274,32 +256,21 @@ class CellOutagePhase(LoadPhase):
 
 @dataclass(frozen=True)
 class NetworkScenario:
-    """A named timeline of :class:`LoadPhase` segments over a cell grid.
+    """A named timeline of :class:`LoadPhase` segments over a cell layout.
 
     ``intensity(cell_id, t_us)`` evaluates the phase containing absolute
     time ``t_us`` (phases abut; time before 0 or at/after ``duration_us``
     yields 0 — no arrivals are generated outside the scenario horizon).
-
-    An optional :class:`~repro.network.topology.NetworkTopology` records the
-    layout the phases were built against; it must agree with ``num_cells``.
+    The :class:`~repro.network.topology.NetworkTopology` is the layout the
+    phases were built against; its cells are the scenario's cells.
     """
 
     name: str
-    num_cells: int
     phases: Tuple[LoadPhase, ...]
+    topology: NetworkTopology
     description: str = ""
-    topology: Optional[NetworkTopology] = None
 
     def __post_init__(self) -> None:
-        if self.num_cells <= 0:
-            raise ConfigurationError(
-                f"num_cells must be positive, got {self.num_cells}"
-            )
-        if self.topology is not None and self.topology.num_cells != self.num_cells:
-            raise ConfigurationError(
-                f"topology has {self.topology.num_cells} cells, scenario declares "
-                f"{self.num_cells}"
-            )
         if not self.phases:
             raise ConfigurationError("a scenario needs at least one phase")
         for phase in self.phases:
@@ -313,6 +284,11 @@ class NetworkScenario:
                         f"{type(phase).__name__} targets cell {cell}, outside the "
                         f"{self.num_cells}-cell grid"
                     )
+
+    @functools.cached_property
+    def num_cells(self) -> int:
+        """Cells of the layout."""
+        return self.topology.num_cells
 
     @functools.cached_property
     def duration_us(self) -> float:
@@ -385,15 +361,17 @@ def build_scenario(
     catalog entry splits it into its characteristic phase timeline.  See
     ``docs/scenarios.md`` for the timelines and the reproduce commands.
 
-    Passing a ``topology`` (with ``topology.num_cells == num_cells``) makes
-    the spatial phases use its neighbour graph and positions; omitting it
-    keeps the legacy implicit-line behaviour bitwise.
+    The spatial phases use the neighbour graph and positions of
+    ``topology`` (which must have ``num_cells`` cells), or of
+    ``NetworkTopology.line(num_cells)`` when it is omitted.
     """
     if num_cells <= 0:
         raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
     if horizon_us <= 0:
         raise ConfigurationError(f"horizon_us must be positive, got {horizon_us}")
-    if topology is not None and topology.num_cells != num_cells:
+    if topology is None:
+        topology = NetworkTopology.line(num_cells)
+    elif topology.num_cells != num_cells:
         raise ConfigurationError(
             f"topology has {topology.num_cells} cells, build_scenario was asked "
             f"for {num_cells}"
@@ -401,70 +379,38 @@ def build_scenario(
 
     mid_cell = num_cells // 2
     if name == "steady":
-        return NetworkScenario(
-            name=name,
-            num_cells=num_cells,
-            phases=(ConstantPhase(horizon_us),),
-            description="stationary nominal load on every cell (the control arm)",
-            topology=topology,
+        phases: Tuple[LoadPhase, ...] = (ConstantPhase(horizon_us),)
+        description = "stationary nominal load on every cell (the control arm)"
+    elif name == "diurnal":
+        phases = (DiurnalPhase(horizon_us, amplitude=0.6, cycles=2.0, cell_lag_fraction=0.5),)
+        description = "two day/night waves whose crest sweeps across the grid"
+    elif name == "flash-crowd":
+        phases = (
+            ConstantPhase(0.25 * horizon_us),
+            FlashCrowdPhase(0.5 * horizon_us, cell_id=mid_cell, peak=6.0),
+            ConstantPhase(0.25 * horizon_us),
         )
-    if name == "diurnal":
-        return NetworkScenario(
-            name=name,
-            num_cells=num_cells,
-            phases=(
-                DiurnalPhase(
-                    horizon_us, amplitude=0.6, cycles=2.0, cell_lag_fraction=0.5
-                ),
-            ),
-            description="two day/night waves whose crest sweeps across the grid",
-            topology=topology,
+        description = "a 6x demand spike erupts in the middle cell and subsides"
+    elif name == "hotspot-drift":
+        phases = (HotspotDriftPhase(horizon_us, topology, peak=4.0),)
+        description = "a 4x hotspot migrates from the first cell to the last"
+    elif name == "cell-outage":
+        phases = (
+            ConstantPhase(0.25 * horizon_us),
+            CellOutagePhase(0.5 * horizon_us, cell_id=mid_cell, topology=topology),
+            ConstantPhase(0.25 * horizon_us),
         )
-    if name == "flash-crowd":
-        return NetworkScenario(
-            name=name,
-            num_cells=num_cells,
-            phases=(
-                ConstantPhase(0.25 * horizon_us),
-                FlashCrowdPhase(0.5 * horizon_us, cell_id=mid_cell, peak=6.0),
-                ConstantPhase(0.25 * horizon_us),
-            ),
-            description="a 6x demand spike erupts in the middle cell and subsides",
-            topology=topology,
+        description = "the middle cell goes dark; its load spills to neighbours"
+    elif name == "busy-day":
+        phases = (
+            DiurnalPhase(0.4 * horizon_us, amplitude=0.5, cycles=1.0),
+            FlashCrowdPhase(0.25 * horizon_us, cell_id=mid_cell, peak=5.0),
+            CellOutagePhase(0.2 * horizon_us, cell_id=0, topology=topology),
+            ConstantPhase(0.15 * horizon_us, level=0.8),
         )
-    if name == "hotspot-drift":
-        return NetworkScenario(
-            name=name,
-            num_cells=num_cells,
-            phases=(HotspotDriftPhase(horizon_us, peak=4.0, topology=topology),),
-            description="a 4x hotspot migrates from the first cell to the last",
-            topology=topology,
+        description = "a composite day: diurnal ramp, flash crowd, outage, cool-down"
+    else:
+        raise ConfigurationError(
+            f"unknown scenario {name!r}; catalog: {', '.join(SCENARIO_NAMES)}"
         )
-    if name == "cell-outage":
-        return NetworkScenario(
-            name=name,
-            num_cells=num_cells,
-            phases=(
-                ConstantPhase(0.25 * horizon_us),
-                CellOutagePhase(0.5 * horizon_us, cell_id=mid_cell, topology=topology),
-                ConstantPhase(0.25 * horizon_us),
-            ),
-            description="the middle cell goes dark; its load spills to neighbours",
-            topology=topology,
-        )
-    if name == "busy-day":
-        return NetworkScenario(
-            name=name,
-            num_cells=num_cells,
-            phases=(
-                DiurnalPhase(0.4 * horizon_us, amplitude=0.5, cycles=1.0),
-                FlashCrowdPhase(0.25 * horizon_us, cell_id=mid_cell, peak=5.0),
-                CellOutagePhase(0.2 * horizon_us, cell_id=0, topology=topology),
-                ConstantPhase(0.15 * horizon_us, level=0.8),
-            ),
-            description="a composite day: diurnal ramp, flash crowd, outage, cool-down",
-            topology=topology,
-        )
-    raise ConfigurationError(
-        f"unknown scenario {name!r}; catalog: {', '.join(SCENARIO_NAMES)}"
-    )
+    return NetworkScenario(name=name, phases=phases, topology=topology, description=description)

@@ -393,20 +393,19 @@ def generate_serving_jobs(
     ``handover`` re-homes each user's jobs along its cell-crossing timeline
     (see :class:`HandoverModel`): a job emitted after the user crossed into
     a neighbouring cell carries that cell as ``cell_id`` and the user's
-    original cell as ``home_cell_id``.  Handover needs a neighbour graph:
-    a scenario built on a topology (see
-    :func:`~repro.serving.scenarios.build_scenario`), whose duration is the
-    crossing timeline's horizon.  Handover draws use their own per-user
+    original cell as ``home_cell_id``.  Handover needs a scenario: its
+    topology is the neighbour graph and its duration the crossing
+    timeline's horizon.  Handover draws use their own per-user
     child seeds, so the traffic streams (and therefore arrival times,
     deadlines and channel realisations) are bitwise-identical with and
     without it.
     """
     if not profiles:
         raise ConfigurationError("profiles must not be empty")
-    if handover is not None and (scenario is None or scenario.topology is None):
+    if handover is not None and scenario is None:
         raise ConfigurationError(
-            "handover needs a neighbour graph; attach a topology to the scenario "
-            "via build_scenario(..., topology=...)"
+            "handover needs a neighbour graph; pass a scenario, whose topology "
+            "supplies it"
         )
     if jobs_per_user <= 0:
         raise ConfigurationError(f"jobs_per_user must be positive, got {jobs_per_user}")

@@ -4,8 +4,7 @@ The contracts under test: the study's reactive placement beats the static
 equal split on a flash crowd while the oracle bounds both; the sweep is
 bitwise-identical serial vs sharded and replays from the shard cache with
 restart-stable fingerprints; the aggregate counter sampler scales without
-materialising users; and the topology-aware serving paths reproduce the
-legacy single-cluster behaviour exactly where the layouts coincide.
+materialising users.
 """
 
 import dataclasses
@@ -21,14 +20,9 @@ from repro.experiments.network_study import (
 )
 from repro.experiments.driver import run_driver
 from repro.network.aggregate import AggregationConfig, cell_window_counts, materialize_cell_jobs
-from repro.network.topology import NetworkTopology
 from repro.parallel import ResultCache
 from repro.parallel.cache import task_fingerprint
-from repro.serving import (
-    build_scenario,
-    generate_serving_jobs,
-    uniform_cell_profiles,
-)
+from repro.serving import build_scenario
 from repro.wireless.mimo import MIMOConfig
 
 
@@ -190,54 +184,3 @@ class TestAggregation:
             materialize_cell_jobs(scenario, [9], aggregation, configs)
         with pytest.raises(ConfigurationError):
             materialize_cell_jobs(scenario, [1, 1], aggregation, configs)
-
-
-# ---------------------------------------------------------------------- #
-# Bitwise compatibility of the topology-aware serving paths
-# ---------------------------------------------------------------------- #
-
-
-class TestLegacyEquivalence:
-    def test_line_topology_reproduces_legacy_scenario_jobs_bitwise(self):
-        # On a 2-cell line the topology-aware scenario reproduces the legacy
-        # scenario's jobs bit for bit.
-        profiles = uniform_cell_profiles(
-            num_cells=2,
-            users_per_cell=2,
-            configs=[MIMOConfig(2, "QPSK")],
-            symbol_period_us=900.0,
-        )
-        legacy = generate_serving_jobs(
-            profiles, 6, rng=7, scenario=build_scenario("flash-crowd", 2)
-        )
-        topo = generate_serving_jobs(
-            profiles,
-            6,
-            rng=7,
-            scenario=build_scenario(
-                "flash-crowd", 2, topology=NetworkTopology.line(2)
-            ),
-        )
-        assert len(legacy) == len(topo)
-        for left, right in zip(legacy, topo):
-            assert left.channel_use.arrival_time_us == right.channel_use.arrival_time_us
-            assert np.array_equal(
-                left.channel_use.transmission.instance.received,
-                right.channel_use.transmission.instance.received,
-            )
-
-    @pytest.mark.parametrize("name", ["hotspot-drift", "cell-outage", "busy-day"])
-    def test_line_topology_intensity_field_matches_legacy(self, name):
-        legacy = build_scenario(name, 5, horizon_us=10_000.0)
-        topo = build_scenario(
-            name, 5, horizon_us=10_000.0, topology=NetworkTopology.line(5)
-        )
-        for cell in range(5):
-            for t_us in np.linspace(0.0, 9_999.0, 40):
-                assert topo.intensity(cell, float(t_us)) == legacy.intensity(
-                    cell, float(t_us)
-                )
-
-    def test_scenario_rejects_mismatched_topology(self):
-        with pytest.raises(ConfigurationError):
-            build_scenario("steady", 4, topology=NetworkTopology.line(5))

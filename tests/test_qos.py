@@ -277,11 +277,8 @@ class TestHandover:
             num_cells=2, users_per_cell=1, configs=[MIMOConfig(2, "QPSK")]
         )
         handover = HandoverModel(velocity_mps=_FAST)
-        for scenario in (None, build_scenario("steady", 2)):
-            with pytest.raises(ConfigurationError, match="topology"):
-                generate_serving_jobs(
-                    profiles, jobs_per_user=2, rng=0, scenario=scenario, handover=handover
-                )
+        with pytest.raises(ConfigurationError, match="topology"):
+            generate_serving_jobs(profiles, jobs_per_user=2, rng=0, handover=handover)
 
     def test_negative_velocity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -354,9 +351,21 @@ _BAD_OVERRIDES = [
     dict(annealer_workers=0),
 ]
 
+#: The traffic and plant fields both catalog sweeps require positive.
+_SWEEP_FIELDS = [
+    dict(num_cells=0),
+    dict(users_per_cell=0),
+    dict(base_symbol_period_us=0.0),
+    dict(horizon_us=0.0),
+    dict(max_jobs_per_user=0),
+    dict(num_reads=0),
+]
+
 #: Fields the study configs reject, as (study name, overrides); the QoS
 #: cases come first.
-_REJECTED_FIELDS = [("qos", overrides) for overrides in _BAD_OVERRIDES] + [
+_REJECTED_FIELDS = [("qos", overrides) for overrides in _BAD_OVERRIDES + _SWEEP_FIELDS] + [
+    ("scenarios", overrides) for overrides in _SWEEP_FIELDS
+] + [
     ("serve", dict(load_factors=())),
     ("serve", dict(load_factors=(-1.0,))),
     ("scenarios", dict(scenarios=())),
@@ -434,39 +443,6 @@ class TestQoSStudy:
         serial = run_driver(QoSStudyDriver(), config)
         sharded = run_driver(QoSStudyDriver(), config, workers=2)
         assert serial.rows == sharded.rows
-
-    def test_arms_share_one_generated_workload_per_scenario(self, monkeypatch):
-        from repro.experiments import qos_study
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(qos_study._qos_jobs.cache_info().currsize)
-            return generate_serving_jobs(*args, **kwargs)
-
-        monkeypatch.setattr(qos_study, "generate_serving_jobs", counted)
-        qos_study._qos_jobs.cache_clear()
-        config = QoSStudyConfig.quick()
-        run_driver(QoSStudyDriver(), config)
-        assert len(calls) == len(config.scenarios)
-        # The memo holds one scenario's list at most, before and after.
-        assert qos_study._qos_jobs.cache_info().maxsize == 1
-        assert max(calls) <= 1 and qos_study._qos_jobs.cache_info().currsize == 1
-
-    def test_serving_only_run_never_simulates_a_channel(self, monkeypatch):
-        from repro.experiments import qos_study
-        from repro.wireless import traffic
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return simulate_transmission(*args, **kwargs)
-
-        monkeypatch.setattr(traffic, "simulate_transmission", counted)
-        qos_study._qos_jobs.cache_clear()
-        run_driver(QoSStudyDriver(), QoSStudyConfig.quick())
-        assert calls == []
 
     @pytest.mark.parametrize("overrides", _BAD_OVERRIDES)
     def test_invalid_configurations_rejected(self, overrides):

@@ -12,9 +12,8 @@ from repro.experiments.scenario_study import (
     format_scenario_table,
 )
 from repro.experiments.driver import run_driver
-from repro.serving import ServingReport, generate_serving_jobs
+from repro.serving import ServingReport
 from repro.serving.autoscale import AutoscaleController
-from repro.wireless.mimo import simulate_transmission
 from tests.serving_invariants import check_autoscale_invariants
 
 
@@ -82,39 +81,6 @@ class TestScenarioStudy:
         first = run_driver(ScenarioStudyDriver(), config)
         second = run_driver(ScenarioStudyDriver(), config)
         assert first.rows == second.rows
-
-    def test_arms_share_one_generated_workload_per_scenario(self, monkeypatch):
-        from repro.experiments import scenario_study
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(scenario_study._scenario_jobs.cache_info().currsize)
-            return generate_serving_jobs(*args, **kwargs)
-
-        monkeypatch.setattr(scenario_study, "generate_serving_jobs", counted)
-        scenario_study._scenario_jobs.cache_clear()
-        config = ScenarioStudyConfig.quick()
-        run_driver(ScenarioStudyDriver(), config)
-        assert len(calls) == len(config.scenarios)
-        # The memo holds one scenario's list at most, before and after.
-        assert scenario_study._scenario_jobs.cache_info().maxsize == 1
-        assert max(calls) <= 1 and scenario_study._scenario_jobs.cache_info().currsize == 1
-
-    def test_serving_only_run_never_simulates_a_channel(self, monkeypatch):
-        from repro.experiments import scenario_study
-        from repro.wireless import traffic
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return simulate_transmission(*args, **kwargs)
-
-        monkeypatch.setattr(traffic, "simulate_transmission", counted)
-        scenario_study._scenario_jobs.cache_clear()
-        run_driver(ScenarioStudyDriver(), ScenarioStudyConfig.quick())
-        assert calls == []
 
     def test_invalid_configurations_rejected(self):
         with pytest.raises(ConfigurationError):

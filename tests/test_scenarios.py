@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.network.topology import NetworkTopology
 from repro.serving import (
     AnnealerServingBackend,
     AutoscaleConfig,
@@ -72,7 +73,7 @@ class TestPhases:
         assert phase.peak_intensity() == 5.0
 
     def test_hotspot_drift_moves_across_grid(self):
-        phase = HotspotDriftPhase(1000.0, peak=4.0)
+        phase = HotspotDriftPhase(1000.0, NetworkTopology.line(4), peak=4.0)
         # At t=0 the hotspot sits on cell 0; at the end on the last cell.
         assert phase.intensity(0, 4, 0.0) == pytest.approx(4.0)
         assert phase.intensity(3, 4, 0.0) == pytest.approx(1.0)
@@ -82,7 +83,7 @@ class TestPhases:
         assert max(mid[1], mid[2]) > max(mid[0], mid[3])
 
     def test_cell_outage_spills_to_neighbours(self):
-        phase = CellOutagePhase(1000.0, cell_id=1)
+        phase = CellOutagePhase(1000.0, cell_id=1, topology=NetworkTopology.line(4))
         assert phase.intensity(1, 4, 100.0) == 0.0
         # The dark cell's unit load splits between cells 0 and 2.
         assert phase.intensity(0, 4, 100.0) == pytest.approx(1.5)
@@ -90,7 +91,7 @@ class TestPhases:
         assert phase.intensity(3, 4, 100.0) == pytest.approx(1.0)
 
     def test_edge_cell_outage_single_neighbour(self):
-        phase = CellOutagePhase(1000.0, cell_id=0)
+        phase = CellOutagePhase(1000.0, cell_id=0, topology=NetworkTopology.line(3))
         assert phase.intensity(0, 3, 10.0) == 0.0
         # The lone neighbour absorbs the whole spilt load.
         assert phase.intensity(1, 3, 10.0) == pytest.approx(2.0)
@@ -106,9 +107,9 @@ class TestPhases:
             lambda: DiurnalPhase(10.0, cycles=0.0),
             lambda: FlashCrowdPhase(10.0, cell_id=-1),
             lambda: FlashCrowdPhase(10.0, cell_id=0, peak=0.5),
-            lambda: HotspotDriftPhase(10.0, peak=0.5),
-            lambda: CellOutagePhase(10.0, cell_id=-1),
-            lambda: CellOutagePhase(0.0, cell_id=0),
+            lambda: HotspotDriftPhase(10.0, NetworkTopology.line(2), peak=0.5),
+            lambda: CellOutagePhase(10.0, cell_id=-1, topology=NetworkTopology.line(2)),
+            lambda: CellOutagePhase(0.0, cell_id=0, topology=NetworkTopology.line(2)),
         ],
     )
     def test_invalid_phase_parameters(self, factory):
@@ -120,8 +121,8 @@ class TestNetworkScenario:
     def test_phase_timeline_lookup(self):
         scenario = NetworkScenario(
             name="two-step",
-            num_cells=2,
             phases=(ConstantPhase(100.0, level=1.0), ConstantPhase(100.0, level=3.0)),
+            topology=NetworkTopology.line(2),
         )
         assert scenario.duration_us == 200.0
         assert scenario.intensity(0, 50.0) == 1.0
@@ -149,30 +150,42 @@ class TestNetworkScenario:
                 for t in (0.0, 250.0, 500.0, 999.0):
                     assert scenario.intensity(cell, t) >= 0.0
 
+    def test_default_topology_is_a_line(self):
+        scenario = build_scenario("cell-outage", num_cells=5)
+        assert scenario.num_cells == 5
+        assert scenario.topology.kind == "line"
+        assert scenario.topology.neighbor_ids == NetworkTopology.line(5).neighbor_ids
+
+    def test_scenario_rejects_mismatched_topology(self):
+        with pytest.raises(ConfigurationError):
+            build_scenario("steady", 4, topology=NetworkTopology.line(5))
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             build_scenario("rush-hour", num_cells=2)
 
     def test_invalid_scenarios_rejected(self):
+        line = NetworkTopology.line(2)
         with pytest.raises(ConfigurationError):
-            NetworkScenario(name="empty", num_cells=2, phases=())
+            NetworkScenario(name="empty", phases=(), topology=line)
         with pytest.raises(ConfigurationError):
-            NetworkScenario(name="bad", num_cells=0, phases=(ConstantPhase(1.0),))
+            NetworkScenario(name="bad", phases=("steady",), topology=line)
 
     def test_phase_targets_outside_grid_rejected(self):
         # A mistargeted flash/outage phase must fail loudly, not silently
         # degenerate to steady load (or conjure spill from a ghost cell).
+        line = NetworkTopology.line(4)
         with pytest.raises(ConfigurationError):
             NetworkScenario(
                 name="ghost-flash",
-                num_cells=4,
                 phases=(FlashCrowdPhase(1000.0, cell_id=7),),
+                topology=line,
             )
         with pytest.raises(ConfigurationError):
             NetworkScenario(
                 name="ghost-outage",
-                num_cells=4,
-                phases=(CellOutagePhase(1000.0, cell_id=4),),
+                phases=(CellOutagePhase(1000.0, cell_id=4, topology=line),),
+                topology=line,
             )
 
 
