@@ -13,6 +13,9 @@ simulations whose control flow is event-driven rather than trace-ordered
 (the serving simulator reacts to job arrivals and worker-free events in
 timestamp order).  Ties are broken by insertion order, so simulation runs
 are exactly reproducible.
+
+:data:`TIME_EPS` is the one tolerance of simulation-time comparisons: a
+server, worker or event within it of ``now`` counts as due at ``now``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ from typing import Any, List, Tuple
 from repro.exceptions import ConfigurationError
 
 __all__ = ["StageTiming", "FifoServer", "EventQueue"]
+
+#: Tolerance (us) of simulation-time comparisons: a server free at most this
+#: long after ``now`` is idle at ``now``, and the serving simulator handles
+#: events this close together as one group.
+TIME_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ class FifoServer:
 
     def idle_at(self, now_us: float) -> bool:
         """Whether the server is free at (or before) ``now_us``."""
-        return self.free_at_us <= now_us + 1e-12
+        return self.free_at_us <= now_us + TIME_EPS
 
     def utilization(self, makespan_us: float) -> float:
         """Busy time as a fraction of the observation window."""
@@ -81,14 +89,16 @@ class EventQueue:
     Events are arbitrary payloads pushed with a timestamp; :meth:`pop`
     returns them in non-decreasing time order, and events that share a
     timestamp come back in insertion order (the payloads themselves are
-    never compared, so they need not be orderable).
+    never compared, so they need not be orderable).  :attr:`earliest_us` is
+    the earliest scheduled timestamp, ``inf`` while the queue is empty.
     """
 
-    __slots__ = ("_heap", "_sequence")
+    __slots__ = ("_heap", "_sequence", "earliest_us")
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Any]] = []
         self._sequence = 0
+        self.earliest_us = math.inf
 
     def push(self, time_us: float, payload: Any) -> None:
         """Schedule ``payload`` at ``time_us``.
@@ -105,19 +115,17 @@ class EventQueue:
             )
         heapq.heappush(self._heap, (time_us, self._sequence, payload))
         self._sequence += 1
+        if time_us < self.earliest_us:
+            self.earliest_us = time_us
 
     def pop(self) -> Tuple[float, Any]:
         """Remove and return the earliest ``(time_us, payload)`` pair."""
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise IndexError("pop from an empty EventQueue")
-        time_us, _, payload = heapq.heappop(self._heap)
+        time_us, _, payload = heapq.heappop(heap)
+        self.earliest_us = heap[0][0] if heap else math.inf
         return time_us, payload
-
-    def peek_time(self) -> float:
-        """Timestamp of the earliest scheduled event."""
-        if not self._heap:
-            raise IndexError("peek into an empty EventQueue")
-        return self._heap[0][0]
 
     def __len__(self) -> int:
         return len(self._heap)

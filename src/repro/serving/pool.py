@@ -30,7 +30,11 @@ class Worker:
     :class:`repro.serving.autoscale.ElasticBackendPool`): a parked worker
     (``active=False``) never receives work, and a freshly activated worker is
     warming up until ``available_from_us``.  Static pools leave both at their
-    defaults (always active, available from t=0).
+    defaults (always active, available from t=0).  A worker can accept a
+    batch at ``now`` when it is active and both ``available_from_us`` and its
+    server's ``free_at_us`` lie within
+    :data:`~repro.serving.events.TIME_EPS` of ``now`` or before; the serving
+    simulator keeps that readiness in a table it refreshes as workers change.
     """
 
     __slots__ = (
@@ -61,14 +65,6 @@ class Worker:
     def kind(self) -> str:
         """The worker's backend kind (``annealer`` or ``classical``)."""
         return self.backend.kind
-
-    def dispatchable_at(self, now_us: float) -> bool:
-        """Whether the worker can accept a batch at ``now_us``."""
-        return (
-            self.active
-            and self.available_from_us <= now_us + 1e-12
-            and self.server.idle_at(now_us)
-        )
 
     def record_batch(self, size: int) -> None:
         """Track one dispatched batch for occupancy statistics."""

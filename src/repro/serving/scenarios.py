@@ -66,7 +66,7 @@ class LoadPhase(abc.ABC):
     duration_us: float
 
     @abc.abstractmethod
-    def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
+    def intensity(self, cell_id: int, t_us: float) -> float:
         """Intensity multiplier for ``cell_id`` at phase-local time ``t_us``."""
 
     @abc.abstractmethod
@@ -101,7 +101,7 @@ class ConstantPhase(LoadPhase):
         if self.level < 0:
             raise ConfigurationError(f"level must be non-negative, got {self.level}")
 
-    def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
+    def intensity(self, cell_id: int, t_us: float) -> float:
         return self.level
 
     def peak_intensity(self) -> float:
@@ -116,16 +116,19 @@ class DiurnalPhase(LoadPhase):
     where ``lag = cell_lag_fraction * c / num_cells`` — a non-zero
     ``cell_lag_fraction`` makes the demand crest sweep across the cell grid
     (morning in cell 0, evening in the last cell) instead of breathing in
-    unison.
+    unison.  ``num_cells`` is the grid's cell count.
     """
 
     duration_us: float
+    num_cells: int
     amplitude: float = 0.5
     cycles: float = 1.0
     cell_lag_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         self._check_duration()
+        if self.num_cells <= 0:
+            raise ConfigurationError(f"num_cells must be positive, got {self.num_cells}")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ConfigurationError(
                 f"amplitude must lie in [0, 1], got {self.amplitude}"
@@ -133,8 +136,8 @@ class DiurnalPhase(LoadPhase):
         if self.cycles <= 0:
             raise ConfigurationError(f"cycles must be positive, got {self.cycles}")
 
-    def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
-        lag = self.cell_lag_fraction * cell_id / max(num_cells, 1)
+    def intensity(self, cell_id: int, t_us: float) -> float:
+        lag = self.cell_lag_fraction * cell_id / self.num_cells
         wave = math.sin(2.0 * math.pi * (self.cycles * t_us / self.duration_us - lag))
         return 1.0 + self.amplitude * wave
 
@@ -170,7 +173,7 @@ class FlashCrowdPhase(LoadPhase):
             return (1.0 - u) / _RAMP_FRACTION
         return 1.0
 
-    def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
+    def intensity(self, cell_id: int, t_us: float) -> float:
         if cell_id != self.cell_id:
             return 1.0
         return 1.0 + (self.peak - 1.0) * self._weight(t_us)
@@ -203,7 +206,7 @@ class HotspotDriftPhase(LoadPhase):
         if self.peak < 1.0:
             raise ConfigurationError(f"peak must be >= the nominal 1.0, got {self.peak}")
 
-    def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
+    def intensity(self, cell_id: int, t_us: float) -> float:
         u = min(max(t_us / self.duration_us, 0.0), 1.0)
         first_x, first_y = self.topology.position(0)
         last_x, last_y = self.topology.position(self.topology.num_cells - 1)
@@ -238,7 +241,7 @@ class CellOutagePhase(LoadPhase):
         if self.cell_id < 0:
             raise ConfigurationError(f"cell_id must be non-negative, got {self.cell_id}")
 
-    def intensity(self, cell_id: int, num_cells: int, t_us: float) -> float:
+    def intensity(self, cell_id: int, t_us: float) -> float:
         if cell_id == self.cell_id:
             return 0.0
         neighbours = self.topology.neighbors(self.cell_id)
@@ -284,6 +287,11 @@ class NetworkScenario:
                         f"{type(phase).__name__} targets cell {cell}, outside the "
                         f"{self.num_cells}-cell grid"
                     )
+            if isinstance(phase, DiurnalPhase) and phase.num_cells != self.num_cells:
+                raise ConfigurationError(
+                    f"DiurnalPhase lags its crest over {phase.num_cells} cells, the "
+                    f"scenario's grid has {self.num_cells}"
+                )
 
     @functools.cached_property
     def num_cells(self) -> int:
@@ -326,7 +334,7 @@ class NetworkScenario:
             return 0.0
         for phase, start, limit, final in self._phase_bounds:
             if t_us < limit or final:
-                return phase.intensity(cell_id, self.num_cells, t_us - start)
+                return phase.intensity(cell_id, t_us - start)
         raise AssertionError("unreachable")  # pragma: no cover
 
     def peak_intensity(self) -> float:
@@ -382,7 +390,9 @@ def build_scenario(
         phases: Tuple[LoadPhase, ...] = (ConstantPhase(horizon_us),)
         description = "stationary nominal load on every cell (the control arm)"
     elif name == "diurnal":
-        phases = (DiurnalPhase(horizon_us, amplitude=0.6, cycles=2.0, cell_lag_fraction=0.5),)
+        phases = (
+            DiurnalPhase(horizon_us, num_cells, amplitude=0.6, cycles=2.0, cell_lag_fraction=0.5),
+        )
         description = "two day/night waves whose crest sweeps across the grid"
     elif name == "flash-crowd":
         phases = (
@@ -403,7 +413,7 @@ def build_scenario(
         description = "the middle cell goes dark; its load spills to neighbours"
     elif name == "busy-day":
         phases = (
-            DiurnalPhase(0.4 * horizon_us, amplitude=0.5, cycles=1.0),
+            DiurnalPhase(0.4 * horizon_us, num_cells, amplitude=0.5, cycles=1.0),
             FlashCrowdPhase(0.25 * horizon_us, cell_id=mid_cell, peak=5.0),
             CellOutagePhase(0.2 * horizon_us, cell_id=0, topology=topology),
             ConstantPhase(0.15 * horizon_us, level=0.8),

@@ -37,13 +37,17 @@ those jobs' solutions) legitimately responds to timing knobs.  Every run is
 exactly reproducible from its seeds either way, and jobs that miss their
 deadline are counted in the report, never dropped.
 
-Deadline pressure — the admission and autoscaling signal — is answered from
-an incremental :class:`_PressureIndex` rather than by re-timing every queued
-job on every annealer at every query; its onset bound answers "nothing is
-pressured yet" without a query and lets a round whose only idle worker is
-a fallback be skipped.  The next batch is popped from per-batch-key
-:class:`_ReadyQueue` heaps rather than by scanning the queue (see
-``docs/serving.md``).
+Which workers can take a batch is read off one :class:`_Readiness` table —
+each worker's ``max(free_at_us, available_from_us)`` and the earliest per
+kind — refreshed only where a worker changes (a serve, an autoscale action,
+the run start), so deciding whether a round is due costs two comparisons
+rather than a poll of every worker.  Deadline pressure — the admission and
+autoscaling signal — is answered from an incremental :class:`_PressureIndex`
+over the same table rather than by re-timing every queued job on every
+annealer at every query; its onset bound answers "nothing is pressured yet"
+without a query and lets a round whose only idle worker is a fallback be
+skipped.  The next batch is popped from per-batch-key :class:`_ReadyQueue`
+heaps rather than by scanning the queue (see ``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from repro.exceptions import ConfigurationError
 from repro.network.topology import NetworkTopology
 from repro.serving.autoscale import AutoscaleController, ElasticBackendPool
 from repro.serving.backends import JobSolution, ServingBackend
-from repro.serving.events import EventQueue
+from repro.serving.events import TIME_EPS, EventQueue
 from repro.serving.pool import BackendPool, Worker, build_pool
 from repro.serving.qos import DEFAULT_CLASS, ServiceClass
 from repro.serving.report import (
@@ -85,7 +89,6 @@ __all__ = ["RANServingSimulator"]
 _WORKER_FREE = "worker-free"
 _AUTOSCALE = "autoscale"
 _WARMUP_DONE = "warmup-done"
-_TIME_EPS = 1e-12
 
 
 def _service_class_of(job: ServingJob) -> ServiceClass:
@@ -119,6 +122,78 @@ class _Dispatch(NamedTuple):
     demoted: bool
 
 
+def _ready_time(worker: Worker) -> float:
+    """When ``worker`` can next take a batch; ``inf`` while it is parked."""
+    if not worker.active:
+        return math.inf
+    return max(worker.server.free_at_us, worker.available_from_us)
+
+
+class _Readiness:
+    """The worker-readiness table: when each worker can next take a batch.
+
+    A worker's *ready time* is ``max(server.free_at_us, available_from_us)``,
+    ``inf`` while it is parked, and the worker can take a batch at ``now``
+    exactly when its ready time is at most ``now + TIME_EPS``.
+    :attr:`annealer` and :attr:`classical` hold the ready times of the
+    pool's annealer and classical workers by position, :attr:`earliest_annealer`
+    and :attr:`earliest_classical` the least of each, and
+    :attr:`active_annealers` the ``(position, ready time)`` of every active
+    annealer, in position order.
+
+    An entry changes only when its worker does, so the simulator refreshes
+    it there: :meth:`refresh` after a serve, :meth:`refresh_annealers` after
+    an autoscale action; the table is built after the run-start pool reset.
+    """
+
+    __slots__ = (
+        "annealer",
+        "classical",
+        "earliest_annealer",
+        "earliest_classical",
+        "active_annealers",
+        "_annealer_workers",
+        "_classical_slot",
+        "_active_slot",
+    )
+
+    def __init__(self, annealers: Sequence[Worker], classical: Sequence[Worker]) -> None:
+        self._annealer_workers = annealers
+        self.classical = [_ready_time(worker) for worker in classical]
+        self.earliest_classical = min(self.classical, default=math.inf)
+        #: Worker index -> position among the classical workers.
+        self._classical_slot = {worker.index: p for p, worker in enumerate(classical)}
+        self.refresh_annealers()
+
+    def refresh(self, worker: Worker) -> None:
+        """Re-read the entry of ``worker``, which was just served (so is active)."""
+        ready = max(worker.server.free_at_us, worker.available_from_us)
+        slot = self._active_slot.get(worker.index)
+        if slot is None:
+            classical = self.classical
+            classical[self._classical_slot[worker.index]] = ready
+            self.earliest_classical = min(classical)
+            return
+        position = self.active_annealers[slot][0]
+        self.active_annealers[slot] = (position, ready)
+        self.annealer[position] = ready
+        self.earliest_annealer = min(self.annealer)
+
+    def refresh_annealers(self) -> None:
+        """Re-read every annealer entry: workers were activated or parked."""
+        workers = self._annealer_workers
+        self.annealer = [_ready_time(worker) for worker in workers]
+        self.earliest_annealer = min(self.annealer, default=math.inf)
+        self.active_annealers = [
+            (position, ready) for position, ready in enumerate(self.annealer) if ready != math.inf
+        ]
+        #: Worker index -> slot of the active annealer in ``active_annealers``.
+        self._active_slot = {
+            workers[position].index: slot
+            for slot, (position, _) in enumerate(self.active_annealers)
+        }
+
+
 class _PressureIndex:
     """Queued deadline-carrying jobs, grouped for O(groups) pressure queries.
 
@@ -137,30 +212,28 @@ class _PressureIndex:
     pressured jobs are the list prefix whose slack deadlines fall short of
     it.
 
-    :meth:`onset_us` is a lower bound on the earliest ``now`` at which any
-    indexed job can be pressured, and a query before it returns ``[]``
-    without a cut; every other query runs the exact cut.  The bound depends
-    only on the group heads and the annealer timelines: :meth:`add` lowers
-    it, :meth:`invalidate` (a worker was served or the pool was rescaled)
-    marks it stale, and the next read recomputes it (see
+    The annealer timelines are read off the run's :class:`_Readiness`
+    table.  :meth:`onset_us` is a lower bound on the earliest ``now`` at
+    which any indexed job can be pressured, and a query before it returns
+    ``[]`` without a cut; every other query runs the exact cut.  The bound
+    depends only on the group heads and the annealer timelines: :meth:`add`
+    lowers it, :meth:`invalidate` (a worker was served or the pool was
+    rescaled) marks it stale, and the next read recomputes it (see
     ``docs/serving.md``).
     """
 
-    def __init__(self, annealer_workers: Sequence[Worker]) -> None:
-        self._workers = list(annealer_workers)
+    def __init__(self, annealer_workers: Sequence[Worker], readiness: _Readiness) -> None:
         slot_of: Dict[int, int] = {}
         self._slots = [
-            slot_of.setdefault(id(worker.backend), len(slot_of)) for worker in self._workers
+            slot_of.setdefault(id(worker.backend), len(slot_of)) for worker in annealer_workers
         ]
-        self._backends = list({id(w.backend): w.backend for w in self._workers}.values())
+        self._backends = list({id(w.backend): w.backend for w in annealer_workers}.values())
+        self._readiness = readiness
         self._groups: Dict[Tuple[float, ...], List[Tuple[float, int, float, ServingJob]]] = {}
         self._profile_of: Dict[int, Tuple[float, ...]] = {}
         self._profile_of_shape: Dict[Tuple, Tuple[float, ...]] = {}
         self._onset = math.inf
         self._fresh = False
-        # ``(position, ready time)`` of each active annealer, as of the
-        # bound's last recomputation.
-        self._ready: List[Tuple[int, float]] = []
 
     def add(self, job: ServingJob) -> None:
         """Index a newly queued job; deadline-free jobs are never pressured."""
@@ -195,11 +268,6 @@ class _PressureIndex:
     def onset_us(self) -> float:
         """No indexed job is pressured at any ``now`` below this bound."""
         if not self._fresh:
-            self._ready = [
-                (position, max(worker.server.free_at_us, worker.available_from_us))
-                for position, worker in enumerate(self._workers)
-                if worker.active
-            ]
             self._onset = min(
                 (
                     self._head_onset(profile, group[0][2])
@@ -221,9 +289,7 @@ class _PressureIndex:
         if now < self.onset_us():
             return []
         starts = [
-            (position, max(now, worker.server.free_at_us, worker.available_from_us))
-            for position, worker in enumerate(self._workers)
-            if worker.active
+            (position, max(now, ready)) for position, ready in self._readiness.active_annealers
         ]
         if not starts:
             return [entry[3] for group in self._groups.values() for entry in group]
@@ -247,7 +313,7 @@ class _PressureIndex:
         annealer can still meet it; ``inf`` for an infinite deadline.
         """
         latest = -math.inf
-        for position, ready in self._ready:
+        for position, ready in self._readiness.active_annealers:
             service = profile[position]
             if ready + service <= slack:
                 latest = max(latest, slack - service)
@@ -438,6 +504,7 @@ class RANServingSimulator:
         self.autoscaler = autoscaler
         self.topology = topology
         self._pressure: Optional[_PressureIndex] = None
+        self._readiness: Optional[_Readiness] = None
         self._annealers: List[Worker] = []
         self._classical: List[Worker] = []
 
@@ -476,13 +543,6 @@ class RANServingSimulator:
         pool = self.pool
         self._annealers = pool.annealer_workers
         self._classical = pool.classical_workers
-        # Pressure is only ever queried by admission control over a mixed
-        # pool or by the autoscaler; other runs never time solo jobs.
-        self._pressure = None
-        if self.autoscaler is not None or (
-            self.admission_control and self._annealers and self._classical
-        ):
-            self._pressure = _PressureIndex(self._annealers)
         # Arrivals are already sorted: they are read off ``ordered`` with a
         # cursor and win ties against the heap, which holds only worker-free,
         # autoscale and warm-up events.
@@ -492,18 +552,25 @@ class RANServingSimulator:
             start_us = ordered[0].arrival_us
             self.autoscaler.begin(start_us, self.pool)
             events.push(start_us + self.autoscaler.config.interval_us, (_AUTOSCALE, None))
+        self._readiness = _Readiness(self._annealers, self._classical)
+        # Pressure is only ever queried by admission control over a mixed
+        # pool or by the autoscaler; other runs never time solo jobs.
+        self._pressure = None
+        if self.autoscaler is not None or (
+            self.admission_control and self._annealers and self._classical
+        ):
+            self._pressure = _PressureIndex(self._annealers, self._readiness)
 
         queue = _ReadyQueue(self.policy, self.class_aware)
         served: List[_Dispatch] = []
         cursor, total = 0, len(ordered)
-        while cursor < total or events:
-            if cursor < total and (not events or times[cursor] <= events.peek_time()):
+        while cursor < total or events.earliest_us != math.inf:
+            now = events.earliest_us
+            if cursor < total and times[cursor] <= now:
                 now = times[cursor]
-            else:
-                now = events.peek_time()
-            # Events within _TIME_EPS of the first are handled together, at
+            # Events within TIME_EPS of the first are handled together, at
             # the latest of their times, so no job can start before it arrives.
-            group_end = now + _TIME_EPS
+            group_end = now + TIME_EPS
             while cursor < total and times[cursor] <= group_end:
                 job = ordered[cursor]
                 queue.push(job)
@@ -512,7 +579,7 @@ class RANServingSimulator:
                 now = max(now, times[cursor])
                 cursor += 1
             autoscale_tick = False
-            while events and events.peek_time() <= group_end:
+            while events.earliest_us <= group_end:
                 time_us, (kind, _) = events.pop()
                 now = max(now, time_us)
                 autoscale_tick = autoscale_tick or kind == _AUTOSCALE
@@ -584,6 +651,7 @@ class RANServingSimulator:
         pressured = len(self._pressured_jobs(queue, now))
         action = self.autoscaler.step(now, queue, self.pool, pressured)
         if action is not None:  # a worker was activated or parked
+            self._readiness.refresh_annealers()
             self._pressure.invalidate()
         if tel is not None:
             active = self.pool.active_annealer_count
@@ -618,11 +686,13 @@ class RANServingSimulator:
         pool or takes admission candidates.  Without a pressured job there
         is no candidate, and none is pressured before the pressure index's
         onset bound — so a round this returns false for serves nothing.
+        Worker readiness is read off the run's :class:`_Readiness` table.
         """
-        for worker in self._annealers:
-            if worker.dispatchable_at(now):
-                return True
-        if not any(worker.dispatchable_at(now) for worker in self._classical):
+        limit = now + TIME_EPS
+        readiness = self._readiness
+        if readiness.earliest_annealer <= limit:
+            return True
+        if readiness.earliest_classical > limit:
             return False
         if not self._annealers:
             return True
@@ -638,24 +708,26 @@ class RANServingSimulator:
         admission candidates.
         """
         annealers, classical = self._annealers, self._classical
+        readiness = self._readiness
+        limit = now + TIME_EPS
         progress = True
         while progress and queue:
             progress = False
             # Serving an annealer leaves every other worker's idleness as
             # it was, so each worker is checked once per pass.
-            for worker in annealers:
+            for position, worker in enumerate(annealers):
                 if not queue:
                     break
-                if worker.dispatchable_at(now):
+                if readiness.annealer[position] <= limit:
                     batch = queue.pop_batch(self.max_batch_size)
                     self._serve(worker, batch, now, events, served, demoted=False)
                     progress = True
             if annealers and not self.admission_control:
                 continue  # fallbacks only activate through admission control
-            for worker in classical:
+            for position, worker in enumerate(classical):
                 if not queue:
                     break
-                if not worker.dispatchable_at(now):
+                if readiness.classical[position] > limit:
                     continue
                 if not annealers:
                     batch = queue.pop_batch(self.max_batch_size)
@@ -716,6 +788,7 @@ class RANServingSimulator:
         service = worker.backend.service_time_us(batch)
         timing = worker.server.serve(now, service)
         worker.record_batch(len(batch))
+        self._readiness.refresh(worker)
         events.push(timing.finish_us, (_WORKER_FREE, worker))
         served.append(_Dispatch(worker, batch, timing.start_us, timing.finish_us, demoted))
 

@@ -134,12 +134,22 @@ class ServingJob:
 
     The scheduling keys (:attr:`num_variables`, :attr:`shape_key`,
     :attr:`compat_key`) come from the channel use's link config, never its
-    payload, so scheduling a job never draws its transmission.  They are
-    plain attributes set once, when the job is built (the dispatcher reads
-    them many times per job), and are not dataclass fields, so equality,
+    payload, so scheduling a job never draws its transmission.  They and
+    the job's timing (:attr:`arrival_us`, :attr:`deadline_us`) are plain
+    attributes set once, when the job is built (the dispatcher reads them
+    many times per job), and are not dataclass fields, so equality,
     hashing, ``repr`` and :func:`dataclasses.fields` ignore them.
-    :func:`dataclasses.replace` builds the copy anew, so its keys follow its
-    own channel use and class.
+    :func:`dataclasses.replace` builds the copy anew, so its keys and timing
+    follow its own channel use and class.
+
+    Timing
+    ------
+    arrival_us:
+        Arrival time at the central processing plant (the channel use's
+        ``arrival_time_us``).
+    deadline_us:
+        Absolute deadline (the channel use's), or ``None`` for best-effort
+        jobs.
 
     Scheduling keys
     ---------------
@@ -171,22 +181,15 @@ class ServingJob:
     def __post_init__(self) -> None:
         # Straight into the instance dict, as functools.cached_property
         # writes: cheaper than the frozen class's object.__setattr__.
-        config = self.channel_use.config
+        use = self.channel_use
+        config = use.config
         shape = (config.qubo_variable_count, config.modulation)
         keys = self.__dict__
         keys["num_variables"] = shape[0]
         keys["shape_key"] = shape
         keys["compat_key"] = shape + (self.service_class.degradation_tier,)
-
-    @property
-    def arrival_us(self) -> float:
-        """Arrival time at the central processing plant."""
-        return self.channel_use.arrival_time_us
-
-    @property
-    def deadline_us(self) -> Optional[float]:
-        """Absolute deadline, or ``None`` for best-effort jobs."""
-        return self.channel_use.deadline_us
+        keys["arrival_us"] = use.arrival_time_us
+        keys["deadline_us"] = use.deadline_us
 
     @property
     def modulation(self) -> str:

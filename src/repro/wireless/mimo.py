@@ -19,6 +19,7 @@ transformed problem (:func:`repro.qubo.energy.brute_force_minimum`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -94,12 +95,13 @@ class MIMOConfig:
         """Total payload bits carried by one channel use."""
         return self.num_users * self.modulation_scheme.bits_per_symbol
 
-    @property
+    @functools.cached_property
     def qubo_variable_count(self) -> int:
         """Number of QUBO variables the QuAMax transform produces.
 
         One variable per payload bit (Sec. 4.2 of the paper describes problem
-        sizes in these terms, e.g. "36-variable decoding problems").
+        sizes in these terms, e.g. "36-variable decoding problems").  Resolved
+        once per config: every serving job built reads it.
         """
         return self.bits_per_channel_use
 

@@ -18,7 +18,9 @@ overload the plant so the fixtures cover demotions, sheddable-class offload,
 deadline misses, handover and autoscaling with warm-ups in flight (checked in
 ``tests/test_golden_regression.py``).  ``scenarios_catalog`` holds the
 scenario study's rows over the whole catalog on four cells, so the
-hotspot-drift and cell-outage phases are pinned too.
+hotspot-drift and cell-outage phases are pinned too; ``qos_catalog`` holds
+the QoS study's rows over the same catalog, overloaded so that both arms
+miss deadlines and demote jobs.
 """
 
 from __future__ import annotations
@@ -103,6 +105,17 @@ QOS_STRESS = dataclasses.replace(
     annealer_workers=1,
 )
 
+#: The QoS study over the whole catalog on four cells, overloaded (60 us
+#: symbol period, full-length reads) so both arms miss and demote.
+QOS_CATALOG = dataclasses.replace(
+    QoSStudyConfig.quick(),
+    num_cells=4,
+    base_symbol_period_us=60.0,
+    max_jobs_per_user=200,
+    num_reads=30,
+    scenarios=SCENARIO_NAMES,
+)
+
 #: The scenario study overloaded, with warm-ups (700 us) longer than the
 #: autoscaler's 500 us cooldown, so scaling acts while a warm-up is in flight.
 SCENARIOS_STRESS = dataclasses.replace(
@@ -170,6 +183,7 @@ STUDIES = {
     "network_quick": lambda: run_driver(NetworkStudyDriver(), NetworkStudyConfig.quick()).rows,
     "pause_quick": lambda: run_driver(PauseAblationDriver(), PauseAblationConfig.quick()),
     "pipeline_quick": lambda: [run_driver(PipelineStudyDriver(), PipelineStudyConfig.quick())],
+    "qos_catalog": lambda: run_driver(QoSStudyDriver(), QOS_CATALOG).rows,
     "qos_stress": lambda: serving_schedule_rows(QoSStudyDriver(), QOS_STRESS),
     "robustness_quick": lambda: run_driver(RobustnessStudyDriver(), RobustnessStudyConfig.quick()),
     "scenarios_catalog": lambda: run_driver(ScenarioStudyDriver(), SCENARIOS_CATALOG).rows,

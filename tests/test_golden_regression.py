@@ -25,7 +25,7 @@ from repro.experiments.robustness_study import (
     _impairments_for,
 )
 from repro.experiments.scenario_study import ScenarioStudyDriver
-from repro.serving import AutoscaleController, RANServingSimulator
+from repro.serving import SCENARIO_NAMES, AutoscaleController, RANServingSimulator
 from tests.golden_studies import (
     QOS_STRESS,
     SCENARIOS_STRESS,
@@ -33,7 +33,7 @@ from tests.golden_studies import (
     rows_as_payload,
     serving_schedule_rows,
 )
-from tests.serving_invariants import check_serving_invariants
+from tests.serving_invariants import check_serving_invariants, check_work_conservation
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -117,6 +117,24 @@ def test_detect_serve_golden_exercises_demotion_and_batching():
     assert all(row["best_energy"] is not None for row in rows)
 
 
+def test_qos_catalog_golden_pins_misses_and_demotions_in_both_arms():
+    """The QoS catalog fixture covers the whole catalog under overload.
+
+    Both arms (classless and class-aware) must miss some deadline and demote
+    some job, so the fixture pins the deadline-miss and demotion paths on
+    every catalog phase (``scenarios_catalog`` runs below that load).
+    """
+    rows = json.loads((GOLDEN_DIR / "qos_catalog.json").read_text())["rows"]
+    assert sorted({row["scenario"] for row in rows}) == sorted(SCENARIO_NAMES)
+    for arm in ("classless", "aware"):
+        assert any(row[f"{arm}_miss_rate"] > 0 for row in rows), f"{arm} arm misses nothing"
+        assert any(row[f"{arm}_demotion_rate"] > 0 for row in rows), f"{arm} arm demotes nothing"
+    for name in SCENARIO_NAMES:
+        scenario_rows = [row for row in rows if row["scenario"] == name]
+        assert any(row["classless_demotion_rate"] > 0 for row in scenario_rows), name
+        assert any(row["aware_demotion_rate"] > 0 for row in scenario_rows), name
+
+
 def test_robustness_golden_exercises_every_impairment_axis():
     """The robustness fixture pins each axis away from the ideal channel.
 
@@ -138,8 +156,9 @@ def test_serving_schedule_goldens_are_not_vacuous(monkeypatch):
 
     Every simulator run behind ``serve_quick``, ``qos_stress`` and
     ``scenarios_stress`` is captured with its workload and checked against
-    the serving invariants.  Each count below must stay positive, so a later
-    preset edit cannot leave a fixture that pins none of them.
+    the serving invariants, and every static-pool run for work conservation.
+    Each count below must stay positive, so a later preset edit cannot leave
+    a fixture that pins none of them.
     """
     runs = []
     scale_actions = []
@@ -174,6 +193,9 @@ def test_serving_schedule_goldens_are_not_vacuous(monkeypatch):
         counts[f"{study} runs"] = len(runs)
         for jobs, report in runs:
             check_serving_invariants(jobs, report)
+            if "autoscale_events" not in report.metadata:
+                check_work_conservation(report)
+                counts[f"{study} work-conserving runs"] += 1
             if study == "serve":
                 continue
             if study == "qos":
@@ -195,6 +217,7 @@ def test_serving_schedule_goldens_are_not_vacuous(monkeypatch):
         counts["scenarios scaling with a warm-up in flight"] += warming > 0
     expected = [
         "serve runs", "qos runs", "scenarios runs",
+        "qos work-conserving runs", "scenarios work-conserving runs",
         "qos classless demotions", "qos aware demotions", "qos aware sheddable demotions",
         "qos classless misses", "qos aware misses", "qos handover jobs",
         "scenarios static misses", "scenarios autoscaled misses",

@@ -11,7 +11,12 @@ the oracle's set, and full runs produce the oracle simulator's outcomes.
 The oracle runs a dispatch round after every event group, while the
 production simulator skips the rounds that cannot serve and answers some
 queries from the index's onset bound; :class:`SkipCheckedSimulator` holds
-each of those shortcuts against the scan.
+each of those shortcuts against the scan.  It also holds the simulator's
+worker-readiness table against the workers themselves: at every
+``_dispatch_due`` call the table must name exactly the workers a per-worker
+poll finds dispatchable, and at every pressure read the index's ready
+times must be those rebuilt from the workers.  Static-pool runs are also
+checked for work conservation.
 
 The module also pins the :class:`~repro.serving.workload.ServingJob`
 scheduling keys, set when a job is built: a copy never reports a stale key.
@@ -20,6 +25,7 @@ scheduling keys, set when a job is built: a copy never reports a stale key.
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 from typing import List
 
@@ -43,7 +49,12 @@ from repro.serving import (
 )
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
 from repro.wireless.traffic import ChannelUse
-from tests.serving_invariants import check_autoscale_invariants
+from repro.serving.events import TIME_EPS
+from tests.serving_invariants import (
+    check_autoscale_invariants,
+    check_work_conservation,
+    dispatchable_at,
+)
 
 _CONFIGS = (MIMOConfig(2, "QPSK"), MIMOConfig(2, "16-QAM"), MIMOConfig(3, "QPSK"))
 _TRANSMISSIONS = tuple(
@@ -97,6 +108,13 @@ class CheckedSimulator(RANServingSimulator):
         return indexed
 
 
+def ready_times_oracle(workers) -> List[float]:
+    """Each worker's ready time rebuilt from the worker: ``inf`` when parked."""
+    return [
+        max(w.server.free_at_us, w.available_from_us) if w.active else math.inf for w in workers
+    ]
+
+
 class SkipCheckedSimulator(RANServingSimulator):
     """The production simulator, asserting each shortcut it takes against the scan.
 
@@ -106,20 +124,51 @@ class SkipCheckedSimulator(RANServingSimulator):
       pressured job.
     * A pressure query answered from the onset bound must be empty under
       the scan.
+    * At every ``_dispatch_due`` call, a worker is dispatchable by the
+      readiness table exactly when the per-worker poll
+      (:func:`~tests.serving_invariants.dispatchable_at`) says so, and the
+      table's earliest ready time per kind answers "is any worker of that
+      kind dispatchable" as the poll does.
+    * At every pressure read (``_dispatch_due`` reads the onset bound,
+      ``_pressured_jobs`` the index), the ready times the pressure index
+      reads equal those rebuilt from the workers.
     """
 
     skipped_rounds = 0
     bound_answers = 0
+    readiness_checks = 0
+    parked_checks = 0
+    warming_checks = 0
+
+    def _check_readiness(self, now):
+        table = self._readiness
+        for workers, ready_times, earliest in (
+            (self._annealers, table.annealer, table.earliest_annealer),
+            (self._classical, table.classical, table.earliest_classical),
+        ):
+            assert ready_times == ready_times_oracle(workers)
+            polled = [dispatchable_at(w, now) for w in workers]
+            assert [ready <= now + TIME_EPS for ready in ready_times] == polled
+            assert (earliest <= now + TIME_EPS) == any(polled)
+        if self._pressure is not None:
+            rebuilt = ready_times_oracle(self._annealers)
+            assert self._pressure._readiness.active_annealers == [
+                (position, ready)
+                for position, (ready, w) in enumerate(zip(rebuilt, self._annealers))
+                if w.active
+            ]
+        self.readiness_checks += 1
+        self.parked_checks += any(not w.active for w in self._annealers)
+        self.warming_checks += any(w.active and w.available_from_us > now for w in self._annealers)
 
     def _dispatch_due(self, now, queue):
+        self._check_readiness(now)
         due = super()._dispatch_due(now, queue)
         if not due:
             self.skipped_rounds += 1
             workers = self.pool.workers
-            assert not any(
-                w.kind == "annealer" and w.dispatchable_at(now) for w in workers
-            )
-            if any(w.kind == "classical" and w.dispatchable_at(now) for w in workers):
+            assert not any(w.kind == "annealer" and dispatchable_at(w, now) for w in workers)
+            if any(w.kind == "classical" and dispatchable_at(w, now) for w in workers):
                 assert self.pool.annealer_workers
                 assert not self.admission_control or not any(
                     pressured_oracle(self.pool, job, now) for job in queue
@@ -127,6 +176,7 @@ class SkipCheckedSimulator(RANServingSimulator):
         return due
 
     def _pressured_jobs(self, queue, now):
+        self._check_readiness(now)
         from_bound = now < self._pressure.onset_us()
         pressured = super()._pressured_jobs(queue, now)
         if from_bound:
@@ -220,6 +270,8 @@ class TestPressureIndexMatchesOracle:
         if kwargs.get("autoscaler") is not None:
             # The controller holds the events of its last (indexed) run.
             check_autoscale_invariants(kwargs["autoscaler"], kwargs["pool"])
+        else:
+            check_work_conservation(indexed_report)
         if kwargs.get("autoscaler") is None and not (
             kwargs["admission_control"] and kwargs["pool"].classical_workers
         ):
@@ -268,6 +320,49 @@ class TestDecisionPointShortcuts:
             assert checked.bound_answers > 0
             assert report.demotion_rate > 0
             assert report.outcomes == OracleSimulator(**kwargs).run(jobs).outcomes
+
+
+class TestReadinessTable:
+    def test_autoscaled_run_checks_parked_and_warming_workers(self):
+        # A deterministic elastic case, so the property above cannot pass
+        # vacuously on its autoscaled pools: a burst scales the pool up
+        # (warm-ups in flight), the quiet tail parks workers again.
+        jobs = [_job(i, 5.0 * i, 150.0, i % 3, _CLASSES[i % 4]) for i in range(40)]
+        jobs += [_job(40 + i, 400.0 + 60.0 * i, 400.0, i % 3, _CLASSES[i % 4]) for i in range(20)]
+        autoscaler = AutoscaleController(
+            AutoscaleConfig(interval_us=15.0, warmup_us=30.0, cooldown_us=0.0)
+        )
+        kwargs = dict(
+            pool=ElasticBackendPool(
+                annealer=AnnealerServingBackend(num_reads=30, lanes=1),
+                max_annealer_workers=3,
+                initial_annealer_workers=1,
+                num_classical_workers=1,
+            ),
+            max_batch_size=2,
+            autoscaler=autoscaler,
+        )
+        checked = SkipCheckedSimulator(**kwargs)
+        report = checked.run(jobs)
+        actions = {event.action for event in autoscaler.events}
+        assert actions == {"scale-up", "scale-down"}
+        assert checked.parked_checks > 0
+        assert checked.warming_checks > 0
+        assert checked.readiness_checks > checked.parked_checks
+        assert report.outcomes == OracleSimulator(**kwargs).run(jobs).outcomes
+
+    def test_static_overload_is_work_conserving(self):
+        jobs = [_job(i, 40.0 * (i // 3), 120.0, i % 3, _CLASSES[i % 4]) for i in range(60)]
+        checked = SkipCheckedSimulator(
+            pool=BackendPool(
+                [AnnealerServingBackend(num_reads=30, lanes=2)] * 2 + [ClassicalServingBackend()]
+            ),
+            max_batch_size=2,
+        )
+        report = checked.run(jobs)
+        assert checked.readiness_checks > 0
+        assert any(outcome.start_us > outcome.arrival_us for outcome in report.outcomes)
+        check_work_conservation(report)
 
 
 class TestFrozenJobKeys:

@@ -40,7 +40,7 @@ from repro.serving import (
     ServingJob,
     select_batch,
 )
-from tests.serving_invariants import check_serving_invariants
+from tests.serving_invariants import check_serving_invariants, dispatchable_at
 from tests.test_pressure_index import (
     _CLASSES,
     OracleSimulator,
@@ -52,7 +52,7 @@ from tests.test_pressure_index import (
 
 
 def _dispatchable(workers, now):
-    return [worker for worker in workers if worker.dispatchable_at(now)]
+    return [worker for worker in workers if dispatchable_at(worker, now)]
 
 
 class ListScanSimulator(RANServingSimulator):
@@ -191,7 +191,7 @@ class TestCoalescedEventClock:
         check_serving_invariants(jobs, report)
 
 
-#: Inside the simulator's event-grouping window (1e-12 us) at these times.
+#: Inside the simulator's event-grouping window (`TIME_EPS`, 1e-12 us) at these times.
 _WITHIN_WINDOW = 5e-13
 
 

@@ -33,6 +33,7 @@ from repro.serving import (
 )
 from repro.wireless.mimo import MIMOConfig
 from repro.wireless.traffic import TrafficGenerator
+from tests.serving_invariants import dispatchable_at
 
 
 # ---------------------------------------------------------------------- #
@@ -43,68 +44,69 @@ from repro.wireless.traffic import TrafficGenerator
 class TestPhases:
     def test_constant_phase(self):
         phase = ConstantPhase(1000.0, level=2.5)
-        assert phase.intensity(0, 4, 0.0) == 2.5
-        assert phase.intensity(3, 4, 999.0) == 2.5
+        assert phase.intensity(0, 0.0) == 2.5
+        assert phase.intensity(3, 999.0) == 2.5
         assert phase.peak_intensity() == 2.5
 
     def test_diurnal_wave_stays_in_band_and_lags_across_cells(self):
-        phase = DiurnalPhase(1000.0, amplitude=0.5, cycles=1.0, cell_lag_fraction=0.5)
+        phase = DiurnalPhase(1000.0, 4, amplitude=0.5, cycles=1.0, cell_lag_fraction=0.5)
         times = np.linspace(0.0, 999.9, 200)
         for cell in range(4):
-            values = [phase.intensity(cell, 4, t) for t in times]
+            values = [phase.intensity(cell, t) for t in times]
             assert min(values) >= 0.5 - 1e-9
             assert max(values) <= phase.peak_intensity() + 1e-9
         # The crest arrives later in later cells: at the cell-0 crest time,
         # lagged cells are below their own peak.
         crest_t = 250.0  # sin peak for cell 0 at quarter period
-        assert phase.intensity(0, 4, crest_t) == pytest.approx(1.5)
-        assert phase.intensity(2, 4, crest_t) < 1.5
+        assert phase.intensity(0, crest_t) == pytest.approx(1.5)
+        assert phase.intensity(2, crest_t) < 1.5
 
     def test_flash_crowd_ramps_and_localizes(self):
         phase = FlashCrowdPhase(1000.0, cell_id=1, peak=5.0)
         # Ramp: background at t=0, peak at the plateau, background at the end.
-        assert phase.intensity(1, 4, 0.0) == pytest.approx(1.0)
-        assert phase.intensity(1, 4, 125.0) == pytest.approx(3.0)  # mid-ramp
-        assert phase.intensity(1, 4, 500.0) == pytest.approx(5.0)
-        assert phase.intensity(1, 4, 1000.0) == pytest.approx(1.0)
+        assert phase.intensity(1, 0.0) == pytest.approx(1.0)
+        assert phase.intensity(1, 125.0) == pytest.approx(3.0)  # mid-ramp
+        assert phase.intensity(1, 500.0) == pytest.approx(5.0)
+        assert phase.intensity(1, 1000.0) == pytest.approx(1.0)
         # Other cells never leave background.
         for t in (0.0, 500.0, 900.0):
-            assert phase.intensity(0, 4, t) == pytest.approx(1.0)
+            assert phase.intensity(0, t) == pytest.approx(1.0)
         assert phase.peak_intensity() == 5.0
 
     def test_hotspot_drift_moves_across_grid(self):
         phase = HotspotDriftPhase(1000.0, NetworkTopology.line(4), peak=4.0)
         # At t=0 the hotspot sits on cell 0; at the end on the last cell.
-        assert phase.intensity(0, 4, 0.0) == pytest.approx(4.0)
-        assert phase.intensity(3, 4, 0.0) == pytest.approx(1.0)
-        assert phase.intensity(3, 4, 999.999) == pytest.approx(4.0, rel=1e-3)
+        assert phase.intensity(0, 0.0) == pytest.approx(4.0)
+        assert phase.intensity(3, 0.0) == pytest.approx(1.0)
+        assert phase.intensity(3, 999.999) == pytest.approx(4.0, rel=1e-3)
         # Mid-phase the centre is between cells 1 and 2.
-        mid = [phase.intensity(cell, 4, 500.0) for cell in range(4)]
+        mid = [phase.intensity(cell, 500.0) for cell in range(4)]
         assert max(mid[1], mid[2]) > max(mid[0], mid[3])
 
     def test_cell_outage_spills_to_neighbours(self):
         phase = CellOutagePhase(1000.0, cell_id=1, topology=NetworkTopology.line(4))
-        assert phase.intensity(1, 4, 100.0) == 0.0
+        assert phase.intensity(1, 100.0) == 0.0
         # The dark cell's unit load splits between cells 0 and 2.
-        assert phase.intensity(0, 4, 100.0) == pytest.approx(1.5)
-        assert phase.intensity(2, 4, 100.0) == pytest.approx(1.5)
-        assert phase.intensity(3, 4, 100.0) == pytest.approx(1.0)
+        assert phase.intensity(0, 100.0) == pytest.approx(1.5)
+        assert phase.intensity(2, 100.0) == pytest.approx(1.5)
+        assert phase.intensity(3, 100.0) == pytest.approx(1.0)
 
     def test_edge_cell_outage_single_neighbour(self):
         phase = CellOutagePhase(1000.0, cell_id=0, topology=NetworkTopology.line(3))
-        assert phase.intensity(0, 3, 10.0) == 0.0
+        assert phase.intensity(0, 10.0) == 0.0
         # The lone neighbour absorbs the whole spilt load.
-        assert phase.intensity(1, 3, 10.0) == pytest.approx(2.0)
+        assert phase.intensity(1, 10.0) == pytest.approx(2.0)
         assert phase.peak_intensity() == 2.0
-        assert phase.intensity(2, 3, 10.0) == pytest.approx(1.0)
+        assert phase.intensity(2, 10.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "factory",
         [
             lambda: ConstantPhase(0.0),
             lambda: ConstantPhase(10.0, level=-1.0),
-            lambda: DiurnalPhase(10.0, amplitude=1.5),
-            lambda: DiurnalPhase(10.0, cycles=0.0),
+            lambda: DiurnalPhase(10.0, 2, amplitude=1.5),
+            lambda: DiurnalPhase(10.0, 2, cycles=0.0),
+            lambda: DiurnalPhase(10.0, 0),
             lambda: FlashCrowdPhase(10.0, cell_id=-1),
             lambda: FlashCrowdPhase(10.0, cell_id=0, peak=0.5),
             lambda: HotspotDriftPhase(10.0, NetworkTopology.line(2), peak=0.5),
@@ -159,6 +161,10 @@ class TestNetworkScenario:
     def test_scenario_rejects_mismatched_topology(self):
         with pytest.raises(ConfigurationError):
             build_scenario("steady", 4, topology=NetworkTopology.line(5))
+        with pytest.raises(ConfigurationError):
+            NetworkScenario(
+                name="lagged", phases=(DiurnalPhase(10.0, 4),), topology=NetworkTopology.line(5)
+            )
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -392,7 +398,7 @@ def _elastic_pool(max_workers=4, initial=1, classical=0):
 
 
 def _dispatchable_annealers(pool, now_us):
-    return [worker for worker in pool.annealer_workers if worker.dispatchable_at(now_us)]
+    return [worker for worker in pool.annealer_workers if dispatchable_at(worker, now_us)]
 
 
 class TestElasticPool:

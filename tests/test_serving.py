@@ -86,8 +86,22 @@ class TestEventQueue:
     def test_empty_pop_raises(self):
         with pytest.raises(IndexError):
             EventQueue().pop()
-        with pytest.raises(IndexError):
-            EventQueue().peek_time()
+
+    def test_earliest_time_follows_push_and_pop(self):
+        queue = EventQueue()
+        assert queue.earliest_us == float("inf")
+        queue.push(5.0, "late")
+        assert queue.earliest_us == 5.0
+        queue.push(1.0, "early")
+        queue.push(1.0, "tied")
+        queue.push(3.0, "middle")
+        assert queue.earliest_us == 1.0
+        seen = []
+        while queue:
+            seen.append(queue.earliest_us)
+            assert queue.pop()[0] == seen[-1]
+        assert seen == [1.0, 1.0, 3.0, 5.0]
+        assert queue.earliest_us == float("inf")
 
     def test_len_and_bool(self):
         queue = EventQueue()
