@@ -73,7 +73,8 @@ CALLER_ROOTS = (
 #: the check, each with the reason it stays.
 ALLOWLIST: frozenset = frozenset(
     {
-        # perfbench/layertrace.py traces it by name (a string, not a reference).
+        # The single-instance Ising entry: perfbench/layertrace.py traces it
+        # by name (a string, not a reference), and only tests call it.
         "repro.annealing.sampler:QuantumAnnealerSimulator.sample_ising",
         # Per-shard registry snapshots are how pool workers will return
         # telemetry under --workers (ROADMAP, observability).
@@ -86,9 +87,6 @@ ALLOWLIST: frozenset = frozenset(
 #: check, each with the reason it stays.
 PARAMETER_ALLOWLIST: frozenset = frozenset(
     {
-        # Let a test drive one anneal with a fixed generator.
-        "repro.annealing.sampler:QuantumAnnealerSimulator.forward_anneal(rng)",
-        "repro.annealing.sampler:QuantumAnnealerSimulator.reverse_anneal(rng)",
         # Lets a test substitute a fake sampler.
         "repro.hybrid.parameters:sweep_switch_point(sampler)",
         # perfbench/layertrace.py traces sample_ising by name, so its

@@ -11,10 +11,12 @@ hardware is not available to this library, so this package provides a
   scales A(s)/B(s), operating temperature and timing constants.
 * :mod:`repro.annealing.kernels` — the replica-parallel sweep kernels of the
   SVMC backend and the classical SA solver.
-* :mod:`repro.annealing.svmc` — a schedule-aware spin-vector Monte Carlo
-  backend, the physics surrogate every study samples through.
+* :mod:`repro.annealing.svmc` — the schedule-aware spin-vector Monte Carlo
+  backend, the one physics surrogate every study samples through, with the
+  checks every sampling call must pass.
 * :mod:`repro.annealing.sampler` — the :class:`QuantumAnnealerSimulator`
-  front-end that ties schedules, device constants and backend together.
+  front-end that ties schedules, device constants and backend together:
+  ``sample_qubo(_batch)`` and ``sample_ising(_batch)`` take any schedule.
 """
 
 from repro.annealing.schedule import (
@@ -25,7 +27,6 @@ from repro.annealing.schedule import (
     forward_reverse_anneal_schedule,
 )
 from repro.annealing.sampleset import SampleRecord, SampleSet
-from repro.annealing.backend import AnnealingBackend, pad_problem_batch
 from repro.annealing.svmc import SpinVectorMonteCarloBackend
 from repro.annealing.sampler import QuantumAnnealerSimulator
 
@@ -37,8 +38,6 @@ __all__ = [
     "forward_reverse_anneal_schedule",
     "SampleRecord",
     "SampleSet",
-    "AnnealingBackend",
-    "pad_problem_batch",
     "SpinVectorMonteCarloBackend",
     "QuantumAnnealerSimulator",
 ]

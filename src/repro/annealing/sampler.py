@@ -10,28 +10,26 @@ Monte Carlo physics backend; every problem is sampled on its logical variables:
 >>> result = sampler.sample_qubo(qubo, schedule, num_reads=500, initial_state=bits)
 >>> result.first.energy
 
-The paper's three solver flavours are the schedules of
-:func:`forward_anneal_schedule`, :func:`reverse_anneal_schedule` and
-:func:`forward_reverse_anneal_schedule`; :meth:`forward_anneal` and
-:meth:`reverse_anneal` (and their batch forms) build the first two.
+There is one sampling entry per problem form — :meth:`sample_qubo_batch`
+and :meth:`sample_ising_batch`, with :meth:`sample_qubo` and
+:meth:`sample_ising` their batches of one — and the paper's three solver
+flavours are the schedules of :func:`forward_anneal_schedule`,
+:func:`reverse_anneal_schedule` and :func:`forward_reverse_anneal_schedule`
+handed to them.  Both forms share one anneal step, which checks the call,
+programs the device, runs the backend and scores each read once under the
+caller's own model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.annealing.backend import AnnealingBackend
 from repro.annealing import device
 from repro.annealing.sampleset import SampleSet
-from repro.annealing.schedule import (
-    AnnealSchedule,
-    forward_anneal_schedule,
-    reverse_anneal_schedule,
-)
-from repro.annealing.svmc import SpinVectorMonteCarloBackend
-from repro.exceptions import ConfigurationError
+from repro.annealing.schedule import AnnealSchedule
+from repro.annealing.svmc import SpinVectorMonteCarloBackend, check_sampling_call
 from repro.qubo.ising import IsingModel, bits_to_spins, qubo_to_ising
 from repro.qubo.model import QUBOModel
 from repro.utils.batching import iter_batches
@@ -57,14 +55,16 @@ class QuantumAnnealerSimulator:
     Parameters
     ----------
     backend:
-        Physics surrogate; defaults to spin-vector Monte Carlo.
+        The spin-vector Monte Carlo backend; a default one when omitted.
     seed:
         Seed for the simulator's private random stream (used when a call does
         not pass its own ``rng``).
     """
 
     def __init__(
-        self, backend: Optional[AnnealingBackend] = None, seed: RandomState = None
+        self,
+        backend: Optional[SpinVectorMonteCarloBackend] = None,
+        seed: RandomState = None,
     ) -> None:
         self.backend = backend if backend is not None else SpinVectorMonteCarloBackend()
         self._rng = ensure_rng(seed)
@@ -89,14 +89,6 @@ class QuantumAnnealerSimulator:
         """
         states = None if initial_state is None else [initial_state]
         return self.sample_qubo_batch([qubo], schedule, num_reads, states, self._child(rng))[0]
-
-    @staticmethod
-    def _requbo_sampleset(qubo: QUBOModel, sampleset: SampleSet) -> SampleSet:
-        # Re-evaluate energies under the QUBO so offsets/conventions match the
-        # caller's model exactly (the conversion is exact, but recomputing
-        # avoids accumulating floating-point drift through two conversions).
-        energies = qubo.energies(sampleset.assignments()) if len(sampleset) else np.empty(0)
-        return sampleset.with_energies(energies)
 
     def sample_ising(
         self,
@@ -131,54 +123,57 @@ class QuantumAnnealerSimulator:
         Instances may have different sizes; each draws only from its own
         child generator (``rng`` is a root seed or an explicit per-instance
         generator sequence), so the returned sample sets do not depend on
-        batch composition.
+        batch composition.  ``initial_states`` holds a 0/1 assignment (or
+        ``None`` under a forward schedule) per instance.  Each read is scored
+        once, under its QUBO.
         """
-        if initial_states is not None and len(initial_states) != len(qubos):
-            raise ConfigurationError(
-                f"{len(initial_states)} initial states supplied for a batch of {len(qubos)}"
-            )
-        isings = [qubo_to_ising(qubo) for qubo in qubos]
-        initial_spins: Optional[List[Optional[np.ndarray]]] = None
-        if initial_states is not None:
-            initial_spins = [
-                None if state is None else bits_to_spins(np.asarray(state, dtype=int))
-                for state in initial_states
-            ]
-        samplesets = self.sample_ising_batch(isings, schedule, num_reads, initial_spins, rng)
-        return [
-            self._requbo_sampleset(qubo, sampleset)
-            for qubo, sampleset in zip(qubos, samplesets)
-        ]
+        return self._sample_batch(qubos, schedule, num_reads, initial_states, rng)
 
     def sample_ising_batch(
         self,
         isings: Sequence[IsingModel],
         schedule: AnnealSchedule,
-        num_reads: int = 100,
+        num_reads: int,
         initial_spins: Optional[Sequence[Optional[np.ndarray]]] = None,
         rng: BatchRandomState = None,
     ) -> List[SampleSet]:
         """Sample a batch of independent Ising models along one schedule.
 
-        The instances go to the backend's vectorised
-        :meth:`~repro.annealing.backend.AnnealingBackend.run_batch` kernel in
-        consecutive chunks of ``max(1, SPIN_READ_BUDGET // (N_max *
+        As :meth:`sample_qubo_batch`, with +/-1 initial states, and each
+        read scored under its Ising model.
+        """
+        return self._sample_batch(isings, schedule, num_reads, initial_spins, rng)
+
+    # ------------------------------------------------------------------ #
+    # Internals
+    # ------------------------------------------------------------------ #
+
+    def _sample_batch(
+        self,
+        models: Sequence[Union[QUBOModel, IsingModel]],
+        schedule: AnnealSchedule,
+        num_reads: int,
+        initial_states: Optional[Sequence[Optional[np.ndarray]]],
+        rng: BatchRandomState,
+    ) -> List[SampleSet]:
+        """The anneal step both problem forms share.
+
+        The call is checked (:func:`~repro.annealing.svmc.check_sampling_call`)
+        before anything is converted or drawn.  A QUBO is annealed as its
+        Ising form from the spins of its 0/1 initial state and its reads are
+        scored under the QUBO; an Ising model anneals from its own spins and
+        scores under itself.  The instances go to the backend's
+        :meth:`~repro.annealing.svmc.SpinVectorMonteCarloBackend.run_batch`
+        in consecutive chunks of ``max(1, SPIN_READ_BUDGET // (N_max *
         num_reads))`` instances, ``N_max`` being the batch's widest instance.
         """
-        if num_reads <= 0:
-            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
-        if initial_spins is not None and len(initial_spins) != len(isings):
-            raise ConfigurationError(
-                f"{len(initial_spins)} initial states supplied for a batch of {len(isings)}"
-            )
-        children = ensure_rng_batch(rng if rng is not None else self._rng, len(isings))
-        initials = [None] * len(isings) if initial_spins is None else list(initial_spins)
-        for index, supplied in enumerate(initials):
-            if schedule.requires_initial_state and supplied is None:
-                raise ConfigurationError(
-                    f"schedule {schedule.name!r} starts from a classical state; "
-                    f"supply initial_state/initial_spins (missing for instance {index})"
-                )
+        check_sampling_call(schedule, num_reads, len(models), initial_states)
+        isings = [qubo_to_ising(m) if isinstance(m, QUBOModel) else m for m in models]
+        initials = [None] * len(models) if initial_states is None else list(initial_states)
+        for index, model in enumerate(models):
+            if isinstance(model, QUBOModel) and initials[index] is not None:
+                initials[index] = bits_to_spins(initials[index])
+        children = ensure_rng_batch(rng if rng is not None else self._rng, len(models))
 
         samplesets: List[SampleSet] = []
         widest = max((ising.num_spins for ising in isings), default=0)
@@ -196,67 +191,11 @@ class QuantumAnnealerSimulator:
             )
             for index, spins in zip(chunk, spins_list):
                 bits = ((spins + 1) // 2).astype(np.int8)
-                energies = isings[index].energies(spins)
+                model = models[index]
+                energies = model.energies(bits if isinstance(model, QUBOModel) else spins)
                 metadata = self._metadata(schedule, num_reads)
                 samplesets.append(SampleSet.from_arrays(bits, energies, metadata=metadata))
         return samplesets
-
-    def forward_anneal_batch(
-        self,
-        qubos: Sequence[QUBOModel],
-        num_reads: int = 100,
-        pause_s: Optional[float] = None,
-        rng: BatchRandomState = None,
-    ) -> List[SampleSet]:
-        """Forward-anneal a batch of QUBOs for 1 us, pausing 1 us at ``pause_s``."""
-        schedule = forward_anneal_schedule(1.0, pause_s, 1.0)
-        return self.sample_qubo_batch(qubos, schedule, num_reads, None, rng)
-
-    def reverse_anneal_batch(
-        self,
-        qubos: Sequence[QUBOModel],
-        initial_states: Sequence[Sequence[int]],
-        switch_s: float,
-        num_reads: int = 100,
-        rng: BatchRandomState = None,
-    ) -> List[SampleSet]:
-        """Reverse-anneal a batch of QUBOs from per-instance initial states (1 us pause)."""
-        schedule = reverse_anneal_schedule(switch_s)
-        return self.sample_qubo_batch(qubos, schedule, num_reads, initial_states, rng)
-
-    # ------------------------------------------------------------------ #
-    # Paper solver flavours
-    # ------------------------------------------------------------------ #
-
-    def forward_anneal(
-        self,
-        qubo: QUBOModel,
-        num_reads: int = 100,
-        anneal_time_us: float = 1.0,
-        pause_s: Optional[float] = None,
-        pause_duration_us: float = 1.0,
-        rng: RandomState = None,
-    ) -> SampleSet:
-        """Forward annealing (FA), optionally with a mid-anneal pause."""
-        schedule = forward_anneal_schedule(anneal_time_us, pause_s, pause_duration_us)
-        return self.sample_qubo(qubo, schedule, num_reads, None, rng)
-
-    def reverse_anneal(
-        self,
-        qubo: QUBOModel,
-        initial_state: Sequence[int],
-        switch_s: float,
-        num_reads: int = 100,
-        pause_duration_us: float = 1.0,
-        rng: RandomState = None,
-    ) -> SampleSet:
-        """Reverse annealing (RA) from a classical initial state."""
-        schedule = reverse_anneal_schedule(switch_s, pause_duration_us)
-        return self.sample_qubo(qubo, schedule, num_reads, initial_state, rng)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
 
     def _normalise(self, ising: IsingModel, generator: np.random.Generator):
         """The ``(fields, couplings)`` programmed for one instance.

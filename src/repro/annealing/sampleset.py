@@ -20,6 +20,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import DimensionError
+from repro.qubo.model import OPTIMUM_TOLERANCE
 
 __all__ = ["SampleRecord", "SampleSet"]
 
@@ -65,12 +66,6 @@ def _row_keys(assignments: np.ndarray) -> np.ndarray:
     return flipped.view(np.dtype((np.void, width))).ravel()
 
 
-def _energy_bits_order(assignments: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """Permutation sorting distinct rows by ``(energy, bits)``."""
-    by_bits = np.argsort(_row_keys(assignments), kind="stable")
-    return by_bits[np.argsort(energies[by_bits], kind="stable")]
-
-
 class SampleSet:
     """An energy-sorted, aggregated collection of sampler reads.
 
@@ -91,7 +86,7 @@ class SampleSet:
         assignments: np.ndarray,
         energies: np.ndarray,
         occurrences: np.ndarray,
-        metadata: Optional[Dict] = None,
+        metadata: Optional[Dict],
     ) -> None:
         self._assignments = assignments
         self._energies = energies
@@ -125,20 +120,6 @@ class SampleSet:
         order = np.argsort(energies[first], kind="stable")
         rows = first[order]
         return cls(assignments[rows], energies[rows], counts[order], metadata)
-
-    def with_energies(self, energies: Sequence[float]) -> "SampleSet":
-        """The same distinct samples and counts, re-scored and re-sorted.
-
-        ``energies`` is aligned with the current record order; metadata is
-        kept.
-        """
-        energies = np.asarray(energies, dtype=float).ravel()
-        if energies.size != len(self):
-            raise DimensionError(f"{energies.size} energies for {len(self)} records")
-        order = _energy_bits_order(self._assignments, energies)
-        return SampleSet(
-            self._assignments[order], energies[order], self._occurrences[order], self.metadata
-        )
 
     # ------------------------------------------------------------------ #
     # Container protocol
@@ -193,10 +174,10 @@ class SampleSet:
         return self._occurrences.copy()
 
     def success_probability(self, ground_energy: float) -> float:
-        """Fraction of reads that reached the ground-state energy (within 1e-6)."""
+        """Fraction of reads within ``OPTIMUM_TOLERANCE`` of the ground-state energy."""
         if self.num_reads == 0:
             return 0.0
-        hits = int(self._occurrences[self._energies <= ground_energy + 1e-6].sum())
+        hits = int(self._occurrences[self._energies <= ground_energy + OPTIMUM_TOLERANCE].sum())
         return hits / self.num_reads
 
     def expectation_energy(self) -> float:

@@ -19,36 +19,42 @@ dynamics entirely.
 
 Paper linkage
 -------------
-SVMC is the device surrogate behind every study and the default backend of
-:class:`repro.annealing.QuantumAnnealerSimulator`.  It models the
+SVMC is the annealer's one physics backend: every study samples through it
+via :class:`repro.annealing.QuantumAnnealerSimulator`.  It models the
 transverse-field mechanism behind the paper's Figure 5 schedules and the
 Figure 6/8 reverse-annealing band structure (success over a window of
-``s_p``, collapse on both sides).  It implements the batched engine
-contract: :meth:`~SpinVectorMonteCarloBackend.run_batch` advances through
-the replica-parallel rotor kernels of :mod:`repro.annealing.kernels` — one
+``s_p``, collapse on both sides).
+:meth:`~SpinVectorMonteCarloBackend.run_batch` advances through the
+replica-parallel rotor kernels of :mod:`repro.annealing.kernels` — one
 array program over ``(batch, spins, reads)`` per sweep — with per-instance
 child generators so results are bitwise-identical whatever the batch
 grouping, and :meth:`~SpinVectorMonteCarloBackend.run` is that call on a
-batch of one (see ``docs/kernels.md``).
+batch of one (see ``docs/kernels.md``).  :func:`check_sampling_call` holds
+the rules every sampling call must meet; the sampler runs it before it
+draws anything and ``run_batch`` runs it on a direct call.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import functools
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.annealing import kernels
-from repro.annealing.backend import (
-    AnnealingBackend,
-    prepare_anneal_batch,
-    schedule_scales,
-)
+from repro.annealing.device import relative_problem, relative_transverse
 from repro.annealing.schedule import AnnealSchedule
 from repro.exceptions import ConfigurationError
-from repro.utils.rng import BatchRandomState, ensure_rng
+from repro.utils.rng import BatchRandomState, ensure_rng, ensure_rng_batch
 
-__all__ = ["SpinVectorMonteCarloBackend"]
+__all__ = [
+    "SpinVectorMonteCarloBackend",
+    "broadcast_initial_spins",
+    "check_sampling_call",
+    "pad_problem_batch",
+    "SCHEDULE_SCALES_CACHE_SIZE",
+    "schedule_scales",
+]
 
 
 #: Standard deviation (radians) of the Gaussian angle proposals.
@@ -70,7 +76,128 @@ _FREEZE_SCALE = 0.15
 _RESIDUAL_ACTIVITY = 0.02
 
 
-class SpinVectorMonteCarloBackend(AnnealingBackend):
+#: Most ``(schedule, steps)`` keys :func:`schedule_scales` keeps.
+#: A study sweeps a few dozen schedules at most; the bound only caps memory
+#: for a long-lived process that builds schedules without end.
+SCHEDULE_SCALES_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=SCHEDULE_SCALES_CACHE_SIZE)
+def schedule_scales(schedule: AnnealSchedule, num_steps: int) -> np.ndarray:
+    """Per-sweep ``(problem, transverse)`` energy scales of a discretised schedule.
+
+    A read-only ``(num_steps, 2)`` array of ``B(s)/B(1)`` and ``A(s)/B(1)``
+    at the points of ``schedule.discretise(num_steps)``.  A pure function of
+    frozen inputs, so it is memoised: a workload that anneals many small
+    batches on one schedule builds it once.  The backend derives its
+    temperature and activity rows from it per call, so a changed backend
+    attribute never meets a stale entry.
+    """
+    scales = np.array(
+        [
+            (relative_problem(float(s)), relative_transverse(float(s)))
+            for _, s in schedule.discretise(num_steps)
+        ]
+    )
+    scales.flags.writeable = False
+    return scales
+
+
+def check_sampling_call(
+    schedule: AnnealSchedule,
+    num_reads: int,
+    num_instances: int,
+    initial_states: Optional[Sequence[object]],
+) -> None:
+    """Reject a sampling call that breaks one of its three rules.
+
+    ``num_reads`` must be positive, ``initial_states`` (when given) must hold
+    one entry per instance, and a schedule that starts at s = 1 needs a
+    state for every instance, empty ones included.  It reads only the
+    entries' count and ``None``-ness, so it runs before any conversion or
+    draw: the sampler calls it first, and :meth:`run_batch` on a direct call.
+    """
+    if num_reads <= 0:
+        raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
+    if initial_states is not None and len(initial_states) != num_instances:
+        raise ConfigurationError(
+            f"{len(initial_states)} initial states supplied for a batch of {num_instances}"
+        )
+    if schedule.requires_initial_state:
+        for index in range(num_instances):
+            if initial_states is None or initial_states[index] is None:
+                raise ConfigurationError(
+                    f"schedule {schedule.name!r} starts at s = 1 and requires an "
+                    f"initial state (missing for instance {index})"
+                )
+
+
+def broadcast_initial_spins(
+    initial_spins: Optional[np.ndarray], num_reads: int, num_spins: int
+) -> Optional[np.ndarray]:
+    """Normalise an initial-state specification to shape (num_reads, num_spins).
+
+    Accepts ``None`` (no initial state), a single spin vector shared by every
+    read, or a per-read matrix; validates that values are +/-1.
+    """
+    if initial_spins is None:
+        return None
+    spins = np.asarray(initial_spins, dtype=np.int8)
+    if spins.ndim == 1:
+        if spins.size != num_spins:
+            raise ConfigurationError(
+                f"initial state has {spins.size} spins, expected {num_spins}"
+            )
+        spins = np.broadcast_to(spins, (num_reads, num_spins))
+    elif spins.ndim == 2:
+        if spins.shape != (num_reads, num_spins):
+            raise ConfigurationError(
+                f"initial state has shape {spins.shape}, expected {(num_reads, num_spins)}"
+            )
+    else:
+        raise ConfigurationError("initial state must be a vector or a matrix")
+    if not ((spins == 1) | (spins == -1)).all():
+        raise ConfigurationError("initial spins must be -1 or +1")
+    return spins.copy()
+
+
+def pad_problem_batch(
+    fields: Sequence[np.ndarray], couplings: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack variable-size Ising problems into common-size padded arrays.
+
+    Returns ``(padded_fields, padded_symmetric, sizes)`` where
+    ``padded_fields`` has shape ``(B, N_max)``, ``padded_symmetric`` has shape
+    ``(B, N_max, N_max)`` and holds ``J + J.T`` per instance, and ``sizes``
+    records each instance's true spin count.  Padding lanes carry
+    zero fields and couplings, so they can never change the energy of — or the
+    dynamics on — real spins.
+    """
+    if len(fields) != len(couplings):
+        raise ConfigurationError(
+            f"{len(fields)} field vectors supplied for {len(couplings)} coupling matrices"
+        )
+    batch = len(fields)
+    clean_fields = [np.asarray(vector, dtype=float).ravel() for vector in fields]
+    clean_couplings = [np.asarray(matrix, dtype=float) for matrix in couplings]
+    sizes = np.array([vector.size for vector in clean_fields], dtype=int)
+    for index, (vector, matrix) in enumerate(zip(clean_fields, clean_couplings)):
+        if matrix.shape != (vector.size, vector.size):
+            raise ConfigurationError(
+                f"instance {index}: couplings have shape {matrix.shape}, "
+                f"expected {(vector.size, vector.size)}"
+            )
+    max_size = int(sizes.max()) if batch else 0
+    padded_fields = np.zeros((batch, max_size))
+    padded_symmetric = np.zeros((batch, max_size, max_size))
+    for index, (vector, matrix) in enumerate(zip(clean_fields, clean_couplings)):
+        size = vector.size
+        padded_fields[index, :size] = vector
+        padded_symmetric[index, :size, :size] = matrix + matrix.T
+    return padded_fields, padded_symmetric, sizes
+
+
+class SpinVectorMonteCarloBackend:
     """Schedule-aware spin-vector Monte Carlo.
 
     Angle proposals are Gaussian with a small uniform re-draw mix, and spin
@@ -151,18 +278,37 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         initial_spins: Optional[Sequence[Optional[np.ndarray]]] = None,
         rng: BatchRandomState = None,
     ) -> List[np.ndarray]:
-        """Vectorised multi-instance SVMC kernel; see the backend interface.
+        """Run one anneal schedule on ``B`` independent Ising problems.
+
+        ``fields`` / ``couplings`` are per-instance normalised coefficients
+        (couplings strictly upper triangular), of any sizes; the batch
+        shares ``schedule``, ``num_reads`` and the operating temperature
+        ``relative_temperature`` (normalised by B(1)).  ``initial_spins``
+        holds one state or ``None`` per instance, each a spin vector shared
+        by every read or a ``(num_reads, size)`` matrix; a schedule that
+        starts at s = 1 needs one for every instance.  ``rng`` is a root
+        seed or one generator per instance.
 
         All B rotor systems evolve through the shared schedule as one
         replica-parallel array computation (see
         :mod:`repro.annealing.kernels`), padded to a common size, with
         instance ``b`` drawing exclusively from child generator ``b`` — so
         results are independent of how a workload is grouped into batches.
+        Returns one ``(num_reads, size)`` array of +/-1 spins per instance.
         """
-        prepared = prepare_anneal_batch(fields, couplings, schedule, num_reads, initial_spins, rng)
-        if prepared is None:
+        batch = len(fields)
+        check_sampling_call(schedule, num_reads, batch, initial_spins)
+        if batch == 0:
+            return []
+        children = ensure_rng_batch(rng, batch)
+        padded_fields, symmetric, sizes = pad_problem_batch(fields, couplings)
+        supplied = [None] * batch if initial_spins is None else initial_spins
+        initials = [
+            broadcast_initial_spins(state, num_reads, size)
+            for state, size in zip(supplied, sizes.tolist())
+        ]
+        if padded_fields.shape[1] == 0:
             return [np.zeros((num_reads, 0), dtype=np.int8) for _ in fields]
-        children, padded_fields, symmetric, sizes, initials = prepared
         settings = self._sweep_settings(schedule, relative_temperature)
 
         # The kernels use the spin-major (batch, spins, reads) layout.

@@ -25,6 +25,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
+from repro.annealing.schedule import forward_anneal_schedule
 from repro.classical.greedy import GreedySearchSolver
 from repro.classical.mmse import MMSEDetector
 from repro.classical.sphere_decoder import FixedComplexitySphereDecoder, KBestSphereDecoder
@@ -36,6 +37,7 @@ from repro.metrics.quality import delta_e_percent
 from repro.parallel import ShardTask
 from repro.qubo.constraints import SoftConstraint, add_soft_constraints
 from repro.qubo.energy import brute_force_minimum
+from repro.qubo.model import OPTIMUM_TOLERANCE
 from repro.utils.rng import stable_seed
 from repro.utils.validation import require, require_non_negative, require_positive_fields
 
@@ -139,7 +141,7 @@ def _initializer_shard(config: InitializerAblationConfig) -> InitializerAblation
     return InitializerAblationRow(
         initializer=name,
         initial_quality_percent=delta_e_percent(result.initial_solution.energy, ground),
-        initial_found_optimum=bool(result.initial_solution.energy <= ground + 1e-6),
+        initial_found_optimum=bool(result.initial_solution.energy <= ground + OPTIMUM_TOLERANCE),
         success_probability=result.sampleset.success_probability(ground),
         best_energy=result.best_energy,
         classical_time_us=result.classical_time_us,
@@ -277,9 +279,8 @@ def _soft_constraint_rows(config: SoftConstraintConfig) -> List[SoftConstraintRo
                 preserved = bool(
                     augmented.energy(ground_state) <= qubo.energy(ground_state) + 1e-6
                 )
-            sampleset = annealer.forward_anneal(
-                augmented, num_reads=config.num_reads, pause_s=_SOFT_CONSTRAINT_PAUSE_S
-            )
+            schedule = forward_anneal_schedule(1.0, _SOFT_CONSTRAINT_PAUSE_S, 1.0)
+            sampleset = annealer.sample_qubo(augmented, schedule, config.num_reads)
             # Success is judged on the ORIGINAL objective: did the augmented
             # search return the true detection optimum?
             original_energies = qubo.energies(sampleset.assignments())
@@ -287,7 +288,7 @@ def _soft_constraint_rows(config: SoftConstraintConfig) -> List[SoftConstraintRo
             hits = sum(
                 int(count)
                 for energy, count in zip(original_energies, weights)
-                if energy <= ground_energy + 1e-6
+                if energy <= ground_energy + OPTIMUM_TOLERANCE
             )
             success = hits / sampleset.num_reads
             expectation = delta_e_percent(

@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
+from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
 from repro.classical.greedy import GreedySearchSolver
 from repro.experiments.instances import (
     instance_qubos,
@@ -168,28 +169,28 @@ def _figure6_shard(config: Figure6Config, num_users: int, modulation: str) -> Li
     # next method runs.
     per_method = {
         "FA": delta_e(
-            annealer.forward_anneal_batch(
+            annealer.sample_qubo_batch(
                 qubos,
-                num_reads=config.num_reads,
-                pause_s=_SWITCH_S,
+                forward_anneal_schedule(1.0, _SWITCH_S, 1.0),
+                config.num_reads,
                 rng=method_children["FA"],
             )
         ),
         "RA-random": delta_e(
-            annealer.reverse_anneal_batch(
+            annealer.sample_qubo_batch(
                 qubos,
+                reverse_anneal_schedule(_SWITCH_S),
+                config.num_reads,
                 random_states,
-                switch_s=_SWITCH_S,
-                num_reads=config.num_reads,
                 rng=method_children["RA-random"],
             )
         ),
         "RA-greedy": delta_e(
-            annealer.reverse_anneal_batch(
+            annealer.sample_qubo_batch(
                 qubos,
+                reverse_anneal_schedule(_SWITCH_S),
+                config.num_reads,
                 [solution.assignment for solution in greedy_solutions],
-                switch_s=_SWITCH_S,
-                num_reads=config.num_reads,
                 rng=method_children["RA-greedy"],
             )
         ),

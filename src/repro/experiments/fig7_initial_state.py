@@ -20,6 +20,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
+from repro.annealing.schedule import reverse_anneal_schedule
 from repro.experiments.driver import SingleShardDriver
 from repro.experiments.instances import InstanceBundle, synthesize_instance
 from repro.metrics.quality import delta_e_percent
@@ -133,6 +134,7 @@ def _figure7_rows(config: Figure7Config) -> List[Figure7Row]:
     qubo = instance.encoding.qubo
     ground = instance.ground_energy
     buckets = _generate_candidates(instance, config, rng)
+    schedule = reverse_anneal_schedule(_SWITCH_S)
 
     rows: List[Figure7Row] = []
     for bin_index in sorted(buckets):
@@ -144,12 +146,7 @@ def _figure7_rows(config: Figure7Config) -> List[Figure7Row]:
         expectations: List[float] = []
         for candidate in candidates:
             qualities.append(delta_e_percent(qubo.energy(candidate), ground))
-            sampleset = annealer.reverse_anneal(
-                qubo,
-                candidate,
-                switch_s=_SWITCH_S,
-                num_reads=config.num_reads,
-            )
+            sampleset = annealer.sample_qubo(qubo, schedule, config.num_reads, candidate)
             successes.append(sampleset.success_probability(ground))
             expectations.append(delta_e_percent(sampleset.expectation_energy(), ground))
         rows.append(

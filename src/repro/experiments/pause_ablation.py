@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
+from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
 from repro.classical.greedy import GreedySearchSolver
 from repro.experiments.driver import SingleShardDriver
 from repro.experiments.instances import synthesize_instance
@@ -78,21 +79,15 @@ def _pause_rows(config: PauseAblationConfig) -> List[PauseAblationRow]:
     for pause in config.pause_durations_us:
         pause = float(pause)
         if pause == 0.0:
-            fa = annealer.forward_anneal(qubo, num_reads=config.num_reads, anneal_time_us=1.0)
+            fa_schedule = forward_anneal_schedule(1.0)
         else:
-            fa = annealer.forward_anneal(
-                qubo,
-                num_reads=config.num_reads,
-                anneal_time_us=1.0,
-                pause_s=_FA_PAUSE_S,
-                pause_duration_us=pause,
-            )
-        ra = annealer.reverse_anneal(
+            fa_schedule = forward_anneal_schedule(1.0, _FA_PAUSE_S, pause)
+        fa = annealer.sample_qubo(qubo, fa_schedule, config.num_reads)
+        ra = annealer.sample_qubo(
             qubo,
+            reverse_anneal_schedule(_RA_SWITCH_S, pause),
+            config.num_reads,
             greedy.assignment,
-            switch_s=_RA_SWITCH_S,
-            num_reads=config.num_reads,
-            pause_duration_us=pause,
         )
         for method, sampleset in (("FA", fa), ("RA-greedy", ra)):
             duration = sampleset.metadata["schedule_duration_us"]

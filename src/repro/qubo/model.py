@@ -22,7 +22,13 @@ import numpy as np
 
 from repro.exceptions import DimensionError
 
-__all__ = ["QUBOModel"]
+__all__ = ["OPTIMUM_TOLERANCE", "QUBOModel"]
+
+#: Energy tolerance within which a solution counts as having reached the
+#: ground energy.  Every hit rate (sample sets, the transform's
+#: :func:`~repro.transform.mimo_to_qubo.is_optimum`, the ablation studies)
+#: reads it, so the evaluation rule cannot drift.
+OPTIMUM_TOLERANCE = 1e-6
 
 #: Most matrix sizes :func:`_triangle_masks` keeps masks for.  Problems come
 #: in a handful of sizes; the bound only caps memory.

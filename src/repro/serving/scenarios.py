@@ -292,6 +292,15 @@ class NetworkScenario:
                     f"DiurnalPhase lags its crest over {phase.num_cells} cells, the "
                     f"scenario's grid has {self.num_cells}"
                 )
+            if (
+                isinstance(phase, (HotspotDriftPhase, CellOutagePhase))
+                and phase.topology != self.topology
+            ):
+                raise ConfigurationError(
+                    f"{type(phase).__name__} is built on a {phase.topology.kind} layout of "
+                    f"{phase.topology.num_cells} cells, not the scenario's "
+                    f"{self.topology.kind} layout of {self.num_cells}"
+                )
 
     @functools.cached_property
     def num_cells(self) -> int:

@@ -29,22 +29,16 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import TransformError
-from repro.qubo.model import QUBOModel
+from repro.qubo.model import OPTIMUM_TOLERANCE, QUBOModel
 from repro.wireless.mimo import MIMODetectionResult, MIMOInstance
 from repro.wireless.modulation import Modulation, get_modulation
 from repro.transform.symbol_mapping import SymbolBitMapping
 
 __all__ = [
-    "OPTIMUM_TOLERANCE",
     "MIMOQuboEncoding",
     "mimo_to_qubo",
     "is_optimum",
 ]
-
-#: Energy tolerance below which a solution counts as having reached the
-#: (noiseless-protocol) ground energy.  Shared by every simulator that
-#: reports optimum-detection rates so the evaluation rule cannot drift.
-OPTIMUM_TOLERANCE = 1e-6
 
 #: Most (modulation, user count) layouts :func:`_amplitude_map` keeps; a
 #: study uses a handful, the bound only caps memory.

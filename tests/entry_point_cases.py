@@ -128,7 +128,9 @@ def _sampler_cases() -> list:
             noisy.sample_ising(ising, reverse, 12, bits_to_spins(start), rng=13),
         )
     )
-    rows.append(("reverse_anneal", sampler.reverse_anneal(qubo, start, 0.3, 12, rng=14)))
+    # The case keeps the name of the wrapper it once called.
+    ra = reverse_anneal_schedule(0.3)
+    rows.append(("reverse_anneal", sampler.sample_qubo(qubo, ra, 12, start, rng=14)))
     return [{"case": case, "result": _sampleset(sampleset)} for case, sampleset in rows]
 
 

@@ -7,18 +7,26 @@ order (the first occurrence keeps its energy), records sorted by
 production class stores columns and aggregates with array operations;
 ``tests/test_sampleset.py`` checks it against these functions for exact
 equality.
+
+:func:`score_twice_reference` keeps the sampler's former two-step QUBO
+construction (score under the Ising form, aggregate, re-score the distinct
+rows under the QUBO, re-sort), which the one-pass QUBO path must match bit
+for bit (``tests/test_per_instance_bitwise.py``).
 """
 
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.annealing.sampleset import SampleRecord
+from repro.annealing.sampleset import SampleRecord, SampleSet
+from repro.qubo.ising import qubo_to_ising
+from repro.qubo.model import QUBOModel
 
 __all__ = [
     "record_key",
     "merge_records_reference",
     "from_arrays_reference",
+    "score_twice_reference",
     "expanded_energies_reference",
     "success_probability_reference",
     "expectation_energy_reference",
@@ -54,6 +62,24 @@ def from_arrays_reference(assignments: np.ndarray, energies) -> List[SampleRecor
     return merge_records_reference(
         SampleRecord(assignment=assignment, energy=float(energy))
         for assignment, energy in zip(assignments, energies)
+    )
+
+
+def score_twice_reference(qubo: QUBOModel, spins: np.ndarray) -> List[SampleRecord]:
+    """A QUBO instance's sample set the way the sampler used to build it.
+
+    Every read of the ``(reads, n)`` +/-1 ``spins`` is scored under the
+    QUBO's Ising form and aggregated (:meth:`SampleSet.from_arrays`); then
+    the distinct rows are re-scored under the QUBO and re-sorted by
+    ``(energy, bits)``.
+    """
+    bits = ((spins + 1) // 2).astype(np.int8)
+    by_ising = SampleSet.from_arrays(bits, qubo_to_ising(qubo).energies(spins))
+    rows = by_ising.assignments()
+    energies = qubo.energies(rows)
+    return merge_records_reference(
+        SampleRecord(assignment=row, energy=float(energy), num_occurrences=int(count))
+        for row, energy, count in zip(rows, energies, by_ising.occurrences())
     )
 
 

@@ -1,13 +1,8 @@
-"""Tests for the SVMC annealing backend and the shared backend helpers."""
+"""Tests for the SVMC annealing backend and its helpers."""
 
 import numpy as np
 import pytest
 
-from repro.annealing.backend import (
-    SCHEDULE_SCALES_CACHE_SIZE,
-    broadcast_initial_spins,
-    schedule_scales,
-)
 from repro.annealing.device import relative_problem, relative_transverse
 from repro.annealing.schedule import (
     forward_anneal_schedule,
@@ -15,12 +10,15 @@ from repro.annealing.schedule import (
     reverse_anneal_schedule,
 )
 from repro.annealing import svmc
-from repro.annealing.svmc import SpinVectorMonteCarloBackend
+from repro.annealing.svmc import (
+    SCHEDULE_SCALES_CACHE_SIZE,
+    SpinVectorMonteCarloBackend,
+    broadcast_initial_spins,
+    schedule_scales,
+)
 from repro.exceptions import ConfigurationError
 from repro.qubo.ising import qubo_to_ising, bits_to_spins
 from tests.qubo_fixtures import planted_solution_qubo, spins_to_bits
-
-BACKENDS = [SpinVectorMonteCarloBackend]
 
 
 def _planted_problem(rng, size=8):
@@ -57,11 +55,10 @@ class TestBroadcastInitialSpins:
             broadcast_initial_spins(np.ones((3, 3, 3)), 3, 3)
 
 
-@pytest.mark.parametrize("backend_class", BACKENDS)
 class TestBackendBehaviour:
-    def test_output_shape_and_values(self, backend_class, rng):
+    def test_output_shape_and_values(self, rng):
         fields, couplings, _, _ = _planted_problem(rng)
-        backend = backend_class(sweeps_per_microsecond=16)
+        backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=16)
         spins = backend.run(
             fields,
             couplings,
@@ -73,9 +70,9 @@ class TestBackendBehaviour:
         assert spins.shape == (12, 8)
         assert set(np.unique(spins)).issubset({-1, 1})
 
-    def test_forward_anneal_finds_low_energy(self, backend_class, rng):
+    def test_forward_anneal_finds_low_energy(self, rng):
         fields, couplings, planted, qubo = _planted_problem(rng)
-        backend = backend_class(sweeps_per_microsecond=32)
+        backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=32)
         spins = backend.run(
             fields,
             couplings,
@@ -88,9 +85,9 @@ class TestBackendBehaviour:
         planted_energy = qubo.energy(planted)
         assert qubo.energy(best_bits) <= planted_energy + 0.25 * abs(planted_energy)
 
-    def test_reverse_anneal_requires_initial_state(self, backend_class, rng):
+    def test_reverse_anneal_requires_initial_state(self, rng):
         fields, couplings, _, _ = _planted_problem(rng)
-        backend = backend_class()
+        backend = SpinVectorMonteCarloBackend()
         with pytest.raises(ConfigurationError):
             backend.run(
                 fields,
@@ -101,11 +98,11 @@ class TestBackendBehaviour:
                 rng=np.random.default_rng(3),
             )
 
-    def test_reverse_anneal_at_high_switch_point_keeps_initial_state(self, backend_class, rng):
+    def test_reverse_anneal_at_high_switch_point_keeps_initial_state(self, rng):
         # With s_p close to 1 fluctuations are too weak to move the state.
         fields, couplings, planted, _ = _planted_problem(rng)
         initial = bits_to_spins(1 - planted)  # a deliberately wrong state
-        backend = backend_class(sweeps_per_microsecond=16)
+        backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=16)
         spins = backend.run(
             fields,
             couplings,
@@ -118,10 +115,10 @@ class TestBackendBehaviour:
         agreement = np.mean(spins == initial[None, :])
         assert agreement > 0.8
 
-    def test_reverse_anneal_at_low_switch_point_erases_initial_state(self, backend_class, rng):
+    def test_reverse_anneal_at_low_switch_point_erases_initial_state(self, rng):
         fields, couplings, planted, qubo = _planted_problem(rng)
         initial = bits_to_spins(1 - planted)
-        backend = backend_class(sweeps_per_microsecond=32)
+        backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=32)
         spins = backend.run(
             fields,
             couplings,
@@ -134,8 +131,8 @@ class TestBackendBehaviour:
         agreement = np.mean(spins == initial[None, :])
         assert agreement < 0.8
 
-    def test_zero_spins(self, backend_class):
-        backend = backend_class()
+    def test_zero_spins(self):
+        backend = SpinVectorMonteCarloBackend()
         spins = backend.run(
             np.zeros(0),
             np.zeros((0, 0)),
@@ -146,10 +143,10 @@ class TestBackendBehaviour:
         )
         assert spins.shape == (3, 0)
 
-    def test_invalid_reads(self, backend_class, rng):
+    def test_invalid_reads(self, rng):
         fields, couplings, _, _ = _planted_problem(rng)
         with pytest.raises(ConfigurationError):
-            backend_class().run(
+            SpinVectorMonteCarloBackend().run(
                 fields,
                 couplings,
                 forward_anneal_schedule(1.0),
@@ -158,9 +155,9 @@ class TestBackendBehaviour:
                 rng=np.random.default_rng(7),
             )
 
-    def test_reproducible_with_generator_seed(self, backend_class, rng):
+    def test_reproducible_with_generator_seed(self, rng):
         fields, couplings, _, _ = _planted_problem(rng)
-        backend = backend_class(sweeps_per_microsecond=8)
+        backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=8)
         kwargs = dict(
             fields=fields,
             couplings=couplings,
@@ -204,14 +201,11 @@ def _fresh_settings(backend, schedule, relative_temperature):
 class TestScheduleScalesMemo:
     """The backend builds its sweep rows from the memoised schedule scales."""
 
-    @pytest.mark.parametrize("backend_class", BACKENDS)
     @pytest.mark.parametrize("schedule_key", sorted(MEMO_SCHEDULES))
     @pytest.mark.parametrize("relative_temperature", [0.01, 0.2])
-    def test_settings_equal_a_fresh_computation(
-        self, backend_class, schedule_key, relative_temperature
-    ):
+    def test_settings_equal_a_fresh_computation(self, schedule_key, relative_temperature):
         schedule = MEMO_SCHEDULES[schedule_key]
-        backend = backend_class()
+        backend = SpinVectorMonteCarloBackend()
         expected = _fresh_settings(backend, schedule, relative_temperature)
         # The first call may fill the memo, the second reads it.
         for _ in range(2):

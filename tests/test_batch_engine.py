@@ -11,10 +11,9 @@ zero-variable instances safe.
 import numpy as np
 import pytest
 
-from repro.annealing.backend import pad_problem_batch
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
-from repro.annealing.svmc import SpinVectorMonteCarloBackend
+from repro.annealing.svmc import SpinVectorMonteCarloBackend, pad_problem_batch
 from repro.classical.base import QuboSolution, QuboSolver
 from repro.classical.simulated_annealing import SimulatedAnnealingSolver
 from repro.exceptions import ConfigurationError
@@ -26,8 +25,6 @@ from repro.utils.batching import iter_batches
 from repro.utils.rng import ensure_rng, ensure_rng_batch, spawn_rngs
 from tests.noisy_sampler import NoisySampler
 from tests.qubo_fixtures import planted_solution_qubo
-
-BACKENDS = [SpinVectorMonteCarloBackend]
 
 
 def _normalised_problem(rng, size):
@@ -93,11 +90,10 @@ class TestPadProblemBatch:
             pad_problem_batch([np.zeros(3), np.zeros(2)], [np.zeros((3, 3))])
 
 
-@pytest.mark.parametrize("backend_class", BACKENDS)
 class TestBackendBatchSemantics:
-    def test_batch_of_one_matches_single_path(self, backend_class, rng):
+    def test_batch_of_one_matches_single_path(self, rng):
         fields, couplings, _ = _problem_batch(rng, (8,))
-        backend = backend_class(sweeps_per_microsecond=12)
+        backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=12)
         kwargs = dict(
             schedule=forward_anneal_schedule(1.0, pause_s=0.4, pause_duration_us=0.5),
             num_reads=9,
@@ -109,10 +105,10 @@ class TestBackendBatchSemantics:
         assert len(batched) == 1
         assert np.array_equal(single, batched[0])
 
-    def test_mixed_sizes_match_sequential_loop(self, backend_class, rng):
+    def test_mixed_sizes_match_sequential_loop(self, rng):
         sizes = (8, 3, 8, 6)
         fields, couplings, initials = _problem_batch(rng, sizes)
-        backend = backend_class(sweeps_per_microsecond=12)
+        backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=12)
         kwargs = dict(
             schedule=reverse_anneal_schedule(0.45, pause_duration_us=0.5),
             num_reads=6,
@@ -129,9 +125,9 @@ class TestBackendBatchSemantics:
             assert actual.shape == (6, size)
             assert np.array_equal(expected, actual)
 
-    def test_empty_instances_do_not_crash(self, backend_class, rng):
+    def test_empty_instances_do_not_crash(self, rng):
         fields, couplings, _ = _problem_batch(rng, (5, 0, 3))
-        backend = backend_class(sweeps_per_microsecond=8)
+        backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=8)
         batched = backend.run_batch(
             fields,
             couplings,
@@ -142,8 +138,8 @@ class TestBackendBatchSemantics:
         )
         assert [spins.shape for spins in batched] == [(4, 5), (4, 0), (4, 3)]
 
-    def test_all_empty_batch(self, backend_class):
-        backend = backend_class()
+    def test_all_empty_batch(self):
+        backend = SpinVectorMonteCarloBackend()
         batched = backend.run_batch(
             [np.zeros(0), np.zeros(0)],
             [np.zeros((0, 0)), np.zeros((0, 0))],
@@ -161,10 +157,10 @@ class TestBackendBatchSemantics:
             relative_temperature=0.02,
         ) == []
 
-    def test_batch_grouping_invariance(self, backend_class, rng):
+    def test_batch_grouping_invariance(self, rng):
         sizes = (6, 6, 6, 6)
         fields, couplings, _ = _problem_batch(rng, sizes)
-        backend = backend_class(sweeps_per_microsecond=8)
+        backend = SpinVectorMonteCarloBackend(sweeps_per_microsecond=8)
         kwargs = dict(
             schedule=forward_anneal_schedule(1.0),
             num_reads=5,
@@ -186,9 +182,9 @@ class TestBackendBatchSemantics:
         for expected, actual in zip(whole, chunked):
             assert np.array_equal(expected, actual)
 
-    def test_missing_initial_state_rejected(self, backend_class, rng):
+    def test_missing_initial_state_rejected(self, rng):
         fields, couplings, _ = _problem_batch(rng, (4, 4))
-        backend = backend_class()
+        backend = SpinVectorMonteCarloBackend()
         with pytest.raises(ConfigurationError):
             backend.run_batch(
                 fields,
@@ -247,7 +243,9 @@ class TestSamplerBatch:
         sampler = QuantumAnnealerSimulator(
             backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=8), seed=1
         )
-        samplesets = sampler.reverse_anneal_batch(qubos, states, switch_s=0.45, num_reads=6)
+        samplesets = sampler.sample_qubo_batch(
+            qubos, reverse_anneal_schedule(0.45), num_reads=6, initial_states=states
+        )
         assert [s.assignments().shape[1] for s in samplesets] == [4, 6]
 
     def test_control_noise_consumes_per_instance_children(self, rng):

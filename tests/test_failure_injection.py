@@ -24,6 +24,9 @@ from repro.transform import mimo_to_qubo
 from repro.wireless import MIMOConfig, MIMOInstance, simulate_transmission
 from tests.wireless_fixtures import symbol_index
 
+#: A 1 us forward anneal pausing 1 us at s = 0.4.
+_PAUSED_FA = forward_anneal_schedule(1.0, pause_s=0.4, pause_duration_us=1.0)
+
 
 class TestDegradedDevice:
     def test_zero_temperature_device_is_valid(self, planted_qubo_10):
@@ -38,18 +41,18 @@ class TestDegradedDevice:
 class TestPathologicalProblems:
     def test_all_zero_qubo(self, fast_sampler):
         qubo = QUBOModel.empty(5)
-        sampleset = fast_sampler.forward_anneal(qubo, num_reads=10)
+        sampleset = fast_sampler.sample_qubo(qubo, forward_anneal_schedule(1.0), num_reads=10)
         assert np.allclose(sampleset.energies(), 0.0)
 
     def test_single_variable_qubo(self, fast_sampler):
         qubo = QUBOModel(coefficients=np.array([[-3.0]]))
-        sampleset = fast_sampler.forward_anneal(qubo, num_reads=30, pause_s=0.4)
+        sampleset = fast_sampler.sample_qubo(qubo, _PAUSED_FA, num_reads=30)
         assert sampleset.lowest_energy() == pytest.approx(-3.0)
 
     def test_strongly_scaled_qubo_is_normalised(self, fast_sampler, planted_qubo_10):
         qubo, planted = planted_qubo_10
         scaled = qubo.scale(1e6)
-        sampleset = fast_sampler.forward_anneal(scaled, num_reads=40, pause_s=0.4)
+        sampleset = fast_sampler.sample_qubo(scaled, _PAUSED_FA, num_reads=40)
         assert sampleset.lowest_energy() <= scaled.energy(planted) * 0.5  # clearly negative
 
     def test_rank_deficient_channel_detection(self):
@@ -81,7 +84,9 @@ class TestPathologicalProblems:
 class TestUnsuccessfulSolvers:
     def test_tts_is_infinite_when_never_successful(self, fast_sampler):
         bundle = synthesize_instance(3, "64-QAM", seed=1)
-        sampleset = fast_sampler.forward_anneal(bundle.encoding.qubo, num_reads=5)
+        sampleset = fast_sampler.sample_qubo(
+            bundle.encoding.qubo, forward_anneal_schedule(1.0), num_reads=5
+        )
         # With 5 reads on an 18-variable problem success is unlikely; whatever
         # happens, TTS must be computable and positive or infinite.
         tts = time_to_solution(

@@ -8,7 +8,12 @@ mirroring how the benchmark harness uses the library.
 import numpy as np
 import pytest
 
-from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBackend
+from repro.annealing import (
+    QuantumAnnealerSimulator,
+    SpinVectorMonteCarloBackend,
+    forward_anneal_schedule,
+    reverse_anneal_schedule,
+)
 from repro.classical.exhaustive import ExhaustiveSolver
 from repro.classical.greedy import GreedySearchSolver
 from repro.classical.simulated_annealing import SimulatedAnnealingSolver
@@ -122,13 +127,16 @@ class TestAnnealerOrderings:
         # it with higher probability than FA finds it from scratch.
         qubo = bundle.encoding.qubo
         ground = bundle.ground_energy
-        fa = sampler.forward_anneal(qubo, num_reads=120, pause_s=0.45)
-        ra = sampler.reverse_anneal(qubo, bundle.ground_state, switch_s=0.7, num_reads=120)
+        fa = sampler.sample_qubo(qubo, forward_anneal_schedule(1.0, 0.45, 1.0), num_reads=120)
+        ra = sampler.sample_qubo(
+            qubo, reverse_anneal_schedule(0.7), num_reads=120, initial_state=bundle.ground_state
+        )
         assert ra.success_probability(ground) >= fa.success_probability(ground)
 
     def test_low_switch_point_degrades_toward_forward_behaviour(self, bundle, sampler):
         qubo = bundle.encoding.qubo
         ground = bundle.ground_energy
-        shallow = sampler.reverse_anneal(qubo, bundle.ground_state, switch_s=0.9, num_reads=100)
-        deep = sampler.reverse_anneal(qubo, bundle.ground_state, switch_s=0.1, num_reads=100)
+        start = bundle.ground_state
+        shallow = sampler.sample_qubo(qubo, reverse_anneal_schedule(0.9), 100, start)
+        deep = sampler.sample_qubo(qubo, reverse_anneal_schedule(0.1), 100, start)
         assert shallow.success_probability(ground) >= deep.success_probability(ground)

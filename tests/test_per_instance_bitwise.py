@@ -3,10 +3,11 @@
 Every QUBO an evaluated serving run solves passes through the MIMO
 transform, :func:`~repro.qubo.ising.qubo_to_ising`, the QUBO and Ising
 folds, Greedy Search, the initial-state validators and the SVMC backend's
-start angles and end-of-anneal projection.  Each test here restates one of those steps
-in its plain numpy form — numpy-scalar indexing, ``np.triu``/``np.tril``,
-``np.isin``, one ``np.isclose`` per instance — and requires the library to
-give the same bytes, signed zeros included.
+start angles and end-of-anneal projection, and the sampler scores its reads.
+Each test here restates one of those steps in its plain numpy form —
+numpy-scalar indexing, ``np.triu``/``np.tril``, ``np.isin``, one
+``np.isclose`` per instance, the former two-step QUBO scoring — and requires
+the library to give the same bytes, signed zeros included.
 """
 
 import copy
@@ -17,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.annealing import kernels
-from repro.annealing.backend import broadcast_initial_spins
-from repro.annealing.schedule import forward_anneal_schedule
-from repro.annealing.svmc import SpinVectorMonteCarloBackend
+from repro.annealing import sampler as sampler_module
+from repro.annealing.sampler import QuantumAnnealerSimulator
+from repro.annealing.schedule import forward_anneal_schedule, reverse_anneal_schedule
+from repro.annealing.svmc import SpinVectorMonteCarloBackend, broadcast_initial_spins
 from repro.classical.greedy import greedy_search
 from repro.exceptions import ConfigurationError
 from repro.qubo.ising import IsingModel, bits_to_spins, qubo_to_ising
@@ -27,6 +29,8 @@ from repro.qubo.model import QUBOModel
 from repro.transform.mimo_to_qubo import _amplitude_map, mimo_to_qubo
 from repro.utils.rng import spawn_rngs
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
+from tests.noisy_sampler import NoisySampler
+from tests.sampleset_spec import score_twice_reference
 
 
 def _fold_ising(fields, couplings, offset):
@@ -387,3 +391,101 @@ def test_each_read_scores_the_same_bits_alone_in_its_batch_and_shuffled(case):
         alone = qubo.energies(row[None, :])[0]
         assert alone.tobytes() == batched[index].tobytes()
     assert shuffled.tobytes() == batched[permutation].tobytes()
+
+
+# ---------------------------------------------------------------------- #
+# The sampler scores each read once, under the caller's model
+# ---------------------------------------------------------------------- #
+
+#: Small integer coefficients: distinct reads often tie in energy, and the
+#: instances are small enough that reads repeat.
+_TIE_PRONE_COEFFICIENTS = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0])
+_FORWARD = forward_anneal_schedule(1.0, pause_s=0.5, pause_duration_us=0.5)
+_REVERSE = reverse_anneal_schedule(0.4, 0.5)
+_SAMPLERS = [
+    pytest.param(QuantumAnnealerSimulator, id="exact"),
+    pytest.param(
+        lambda **kwargs: NoisySampler(field_noise_sigma=0.05, coupling_noise_sigma=0.05, **kwargs),
+        id="control-noise",
+    ),
+]
+
+
+def _fast(sampler_class):
+    return sampler_class(backend=SpinVectorMonteCarloBackend(sweeps_per_microsecond=4.0), seed=1)
+
+
+@st.composite
+def _qubo_batches(draw):
+    """``(qubos, reads, states)``: 1-4 QUBOs of 0-5 variables with tie-prone
+    coefficients, 1-40 reads, and 0/1 initial states or ``None`` (forward)."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4))
+    offsets = rng.integers(-2, 3, size=len(sizes)).tolist()
+    qubos = [
+        QUBOModel(rng.choice(_TIE_PRONE_COEFFICIENTS, size=(n, n)), offset=float(offset))
+        for n, offset in zip(sizes, offsets)
+    ]
+    states = [rng.integers(0, 2, size=n) for n in sizes] if draw(st.booleans()) else None
+    return qubos, draw(st.integers(min_value=1, max_value=40)), states
+
+
+def _record_kernel_spins(patch):
+    """Every instance's final spins as the backend returns them, in order."""
+    recorded = []
+    run_batch = SpinVectorMonteCarloBackend.run_batch
+
+    def recording_run_batch(self, *args, **kwargs):
+        result = run_batch(self, *args, **kwargs)
+        recorded.extend(result)
+        return result
+
+    patch.setattr(SpinVectorMonteCarloBackend, "run_batch", recording_run_batch)
+    return recorded
+
+
+@pytest.mark.parametrize("sampler_class", _SAMPLERS)
+@given(case=_qubo_batches())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_qubo_path_matches_the_score_twice_reference(sampler_class, case):
+    # Scoring each read once under the QUBO gives the bytes the former
+    # construction gave: Ising scores, aggregate, QUBO re-score, re-sort.
+    qubos, reads, states = case
+    schedule = _FORWARD if states is None else _REVERSE
+    with pytest.MonkeyPatch.context() as patch:
+        kernel_spins = _record_kernel_spins(patch)
+        samplesets = _fast(sampler_class).sample_qubo_batch(qubos, schedule, reads, states, rng=7)
+    for qubo, spins, sampleset in zip(qubos, kernel_spins, samplesets, strict=True):
+        reference = score_twice_reference(qubo, spins)
+        expected_bits = np.array([record.assignment for record in reference], dtype=np.int8)
+        expected_energies = np.array([record.energy for record in reference])
+        assert sampleset.assignments().tobytes() == expected_bits.tobytes()
+        assert sampleset.energies().tobytes() == expected_energies.tobytes()
+        assert sampleset.occurrences().tolist() == [r.num_occurrences for r in reference]
+
+
+@pytest.mark.parametrize("sampler_class", _SAMPLERS)
+@pytest.mark.parametrize("form", ["qubo", "ising"])
+def test_each_instance_is_scored_once_under_its_own_model(monkeypatch, sampler_class, form):
+    # A chunked batch with an empty instance: the QUBO path never scores
+    # under the Ising form, and each path scores each instance in one call.
+    calls = {QUBOModel: 0, IsingModel: 0}
+    for model in calls:
+        energies = model.energies
+
+        def counting(self, assignments, model=model, energies=energies):
+            calls[model] += 1
+            return energies(self, assignments)
+
+        monkeypatch.setattr(model, "energies", counting)
+    monkeypatch.setattr(sampler_module, "SPIN_READ_BUDGET", 2 * 6 * 9)
+    rng = np.random.default_rng(3)
+    qubos = [QUBOModel(np.triu(rng.normal(size=(n, n)))) for n in (4, 0, 6, 3)]
+    sampler = _fast(sampler_class)
+    if form == "qubo":
+        sampler.sample_qubo_batch(qubos, _FORWARD, 9, rng=5)
+        assert calls == {QUBOModel: len(qubos), IsingModel: 0}
+    else:
+        isings = [qubo_to_ising(qubo) for qubo in qubos]
+        sampler.sample_ising_batch(isings, _FORWARD, 9, rng=5)
+        assert calls == {QUBOModel: 0, IsingModel: len(isings)}

@@ -11,7 +11,6 @@ from tests.sampleset_spec import (
     expanded_energies_reference,
     expectation_energy_reference,
     from_arrays_reference,
-    merge_records_reference,
     success_probability_reference,
 )
 
@@ -148,20 +147,6 @@ class TestColumnarAggregation:
             from_arrays_reference(assignments, energies),
         )
 
-    @settings(max_examples=100, deadline=None)
-    @given(reads=_reads(), data=st.data())
-    def test_with_energies_matches_spec(self, reads, data):
-        assignments, energies = reads
-        sampleset = SampleSet.from_arrays(assignments, energies)
-        rescored = data.draw(st.lists(_ENERGIES, min_size=len(sampleset), max_size=len(sampleset)))
-        reference = merge_records_reference(
-            SampleRecord(assignment=assignment, energy=energy, num_occurrences=count)
-            for assignment, energy, count in zip(
-                sampleset.assignments(), rescored, sampleset.occurrences()
-            )
-        )
-        _assert_matches_reference(sampleset.with_energies(rescored), reference)
-
     @pytest.mark.parametrize(
         "assignments, energies",
         [
@@ -200,8 +185,3 @@ class TestColumnarAggregation:
         assert sampleset.first.assignment.tolist() == [1, 1]
         assert sampleset.lowest_energy() == 0.0
         assert sampleset.num_reads == 2
-
-    def test_with_energies_length_mismatch(self):
-        sampleset = SampleSet.from_arrays(np.array([[0, 1], [1, 1]]), [1.0, 0.0])
-        with pytest.raises(DimensionError):
-            sampleset.with_energies([1.0])

@@ -194,6 +194,43 @@ class TestNetworkScenario:
                 topology=line,
             )
 
+    @pytest.mark.parametrize(
+        "phase_layout",
+        [
+            pytest.param(NetworkTopology.line(3), id="fewer-cells"),
+            pytest.param(NetworkTopology.grid(2, 2), id="same-count-other-layout"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "build_phase",
+        [
+            pytest.param(lambda layout: HotspotDriftPhase(100.0, layout), id="hotspot"),
+            pytest.param(
+                lambda layout: CellOutagePhase(100.0, cell_id=1, topology=layout), id="outage"
+            ),
+        ],
+    )
+    def test_spatial_phase_on_another_layout_rejected(self, phase_layout, build_phase):
+        # A spatial phase reads its own topology's positions or neighbours;
+        # built on another layout it would fail mid-generation (a hotspot
+        # asked for a cell its line lacks) or spill load along the wrong
+        # graph without a word.
+        with pytest.raises(ConfigurationError, match="layout"):
+            NetworkScenario(
+                name="mismatched",
+                phases=(build_phase(phase_layout),),
+                topology=NetworkTopology.line(4),
+            )
+
+    @pytest.mark.parametrize("layout", [NetworkTopology.line(4), NetworkTopology.grid(2, 2)])
+    def test_spatial_phase_on_the_scenario_layout_accepted(self, layout):
+        phases = (
+            HotspotDriftPhase(100.0, layout),
+            CellOutagePhase(100.0, cell_id=1, topology=layout),
+        )
+        scenario = NetworkScenario(name="matched", phases=phases, topology=layout)
+        assert scenario.num_cells == 4
+
 
 # ---------------------------------------------------------------------- #
 # Modulated traffic streams
