@@ -19,6 +19,11 @@ Classical-Quantum Computation Structures in Wirelessly-Networked Systems*
 * the paper's metrics (ΔE%, success probability, TTS) — :mod:`repro.metrics`;
 * runnable reproductions of every evaluation figure — :mod:`repro.experiments`.
 
+Every deliberate error is a :class:`ReproError`: a bad argument, from any
+entry point, raises :class:`ConfigurationError`, and a solver that cannot
+solve a well-formed problem raises :class:`SolverError`
+(:mod:`repro.exceptions`).
+
 Quickstart::
 
     from repro.wireless import MIMOConfig, simulate_transmission
@@ -30,16 +35,7 @@ Quickstart::
     print(result.symbols, result.objective_value)
 """
 
-from repro.exceptions import (
-    ReproError,
-    ConfigurationError,
-    DimensionError,
-    ModulationError,
-    ScheduleError,
-    SolverError,
-    TransformError,
-    PipelineError,
-)
+from repro.exceptions import ReproError, ConfigurationError, SolverError
 
 __version__ = "1.0.0"
 
@@ -47,10 +43,5 @@ __all__ = [
     "__version__",
     "ReproError",
     "ConfigurationError",
-    "DimensionError",
-    "ModulationError",
-    "ScheduleError",
     "SolverError",
-    "TransformError",
-    "PipelineError",
 ]

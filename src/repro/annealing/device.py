@@ -25,8 +25,8 @@ from typing import Dict
 import numpy as np
 
 from repro.annealing.schedule import AnnealSchedule
-from repro.exceptions import ConfigurationError
 from repro.qubo.ising import IsingModel
+from repro.utils.validation import require_positive
 
 __all__ = [
     "relative_problem",
@@ -105,8 +105,7 @@ def normalisation_scale(ising: IsingModel) -> float:
 
 def qpu_access_time_us(schedule: AnnealSchedule, num_reads: int) -> float:
     """Estimate total QPU access time for ``num_reads`` anneals of a schedule."""
-    if num_reads <= 0:
-        raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
+    require_positive(num_reads, "num_reads")
     per_read = schedule.duration_us + _READOUT_TIME_US + _INTER_SAMPLE_DELAY_US
     return _PROGRAMMING_TIME_US + num_reads * per_read
 

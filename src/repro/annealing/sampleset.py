@@ -19,8 +19,9 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import DimensionError
+from repro.exceptions import ConfigurationError
 from repro.qubo.model import OPTIMUM_TOLERANCE
+from repro.utils.validation import require, require_positive
 
 __all__ = ["SampleRecord", "SampleSet"]
 
@@ -46,10 +47,7 @@ class SampleRecord:
     def __post_init__(self) -> None:
         assignment = np.asarray(self.assignment, dtype=np.int8).ravel()
         object.__setattr__(self, "assignment", assignment)
-        if self.num_occurrences <= 0:
-            raise ValueError(
-                f"num_occurrences must be positive, got {self.num_occurrences}"
-            )
+        require_positive(self.num_occurrences, "num_occurrences")
 
 
 def _row_keys(assignments: np.ndarray) -> np.ndarray:
@@ -108,7 +106,7 @@ class SampleSet:
         assignments = np.atleast_2d(np.asarray(assignments, dtype=np.int8))
         energies = np.asarray(energies, dtype=float).ravel()
         if assignments.shape[0] != energies.size:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"{assignments.shape[0]} assignments but {energies.size} energies"
             )
         _, first, inverse = np.unique(
@@ -182,8 +180,7 @@ class SampleSet:
 
     def expectation_energy(self) -> float:
         """Occurrence-weighted mean energy of the reads."""
-        if self.num_reads == 0:
-            raise ValueError("cannot compute the expectation of an empty sample set")
+        require(self.num_reads > 0, "cannot compute the expectation of an empty sample set")
         return float(np.average(self._energies, weights=self._occurrences))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -34,7 +34,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ScheduleError
+from repro.exceptions import ConfigurationError
+from repro.utils.validation import require_non_negative, require_open_unit, require_positive
 
 __all__ = [
     "SchedulePoint",
@@ -54,9 +55,8 @@ class SchedulePoint:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.s <= 1.0:
-            raise ScheduleError(f"anneal fraction s must lie in [0, 1], got {self.s}")
-        if self.time_us < 0.0:
-            raise ScheduleError(f"schedule time must be non-negative, got {self.time_us}")
+            raise ConfigurationError(f"anneal fraction s must lie in [0, 1], got {self.s}")
+        require_non_negative(self.time_us, "schedule time")
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,12 @@ class AnnealSchedule:
     def __post_init__(self) -> None:
         points = tuple(self.points)
         if len(points) < 2:
-            raise ScheduleError("a schedule needs at least two waypoints")
+            raise ConfigurationError("a schedule needs at least two waypoints")
         times = [point.time_us for point in points]
         if any(later < earlier for earlier, later in zip(times, times[1:])):
-            raise ScheduleError(f"schedule times must be non-decreasing, got {times}")
+            raise ConfigurationError(f"schedule times must be non-decreasing, got {times}")
         if points[-1].s != 1.0:
-            raise ScheduleError(
+            raise ConfigurationError(
                 f"schedules must terminate at s = 1 (classical readout), got {points[-1].s}"
             )
         object.__setattr__(self, "points", points)
@@ -146,7 +146,7 @@ class AnnealSchedule:
         the simulator backend runs one Monte Carlo sweep per step.
         """
         if num_steps < 2:
-            raise ScheduleError(f"num_steps must be at least 2, got {num_steps}")
+            raise ConfigurationError(f"num_steps must be at least 2, got {num_steps}")
         times = np.linspace(self.points[0].time_us, self.points[-1].time_us, num_steps)
         fractions = np.array([self.s_at(time) for time in times])
         return np.column_stack([times, fractions])
@@ -177,17 +177,14 @@ def forward_anneal_schedule(
     pause_duration_us:
         Pause duration t_p (ignored when ``pause_s`` is ``None``).
     """
-    if anneal_time_us <= 0:
-        raise ScheduleError(f"anneal_time_us must be positive, got {anneal_time_us}")
+    require_positive(anneal_time_us, "anneal_time_us")
     if pause_s is None or pause_duration_us == 0.0:
         if pause_s is None:
             return AnnealSchedule.from_pairs(
                 [[0.0, 0.0], [anneal_time_us, 1.0]], name="FA"
             )
-    if not 0.0 < pause_s < 1.0:
-        raise ScheduleError(f"pause_s must lie strictly inside (0, 1), got {pause_s}")
-    if pause_duration_us < 0:
-        raise ScheduleError(f"pause_duration_us must be non-negative, got {pause_duration_us}")
+    require_open_unit(pause_s, "pause_s")
+    require_non_negative(pause_duration_us, "pause_duration_us")
     # Unit-proportional ramps: reaching s_p takes s_p * t_a, completing the
     # rest takes (1 - s_p) * t_a, so the sweep time excluding the pause is t_a.
     time_to_pause = pause_s * anneal_time_us
@@ -218,10 +215,8 @@ def reverse_anneal_schedule(switch_s: float, pause_duration_us: float = 1.0) -> 
     pause_duration_us:
         Pause duration t_p.
     """
-    if not 0.0 < switch_s < 1.0:
-        raise ScheduleError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
-    if pause_duration_us < 0:
-        raise ScheduleError(f"pause_duration_us must be non-negative, got {pause_duration_us}")
+    require_open_unit(switch_s, "switch_s")
+    require_non_negative(pause_duration_us, "pause_duration_us")
     ramp = 1.0 - switch_s
     return AnnealSchedule.from_pairs(
         [
@@ -249,12 +244,10 @@ def forward_reverse_anneal_schedule(turning_s: float, switch_s: float) -> Anneal
     switch_s:
         Pause location s_p in (0, 1).
     """
-    if not 0.0 < turning_s < 1.0:
-        raise ScheduleError(f"turning_s must lie strictly inside (0, 1), got {turning_s}")
-    if not 0.0 < switch_s < 1.0:
-        raise ScheduleError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
+    require_open_unit(turning_s, "turning_s")
+    require_open_unit(switch_s, "switch_s")
     if turning_s < switch_s:
-        raise ScheduleError(
+        raise ConfigurationError(
             f"turning point c_p ({turning_s}) must be at least the switch point s_p ({switch_s})"
         )
 

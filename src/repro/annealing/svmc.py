@@ -46,6 +46,7 @@ from repro.annealing.device import relative_problem, relative_transverse
 from repro.annealing.schedule import AnnealSchedule
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import BatchRandomState, ensure_rng, ensure_rng_batch
+from repro.utils.validation import require_positive
 
 __all__ = [
     "SpinVectorMonteCarloBackend",
@@ -117,8 +118,7 @@ def check_sampling_call(
     entries' count and ``None``-ness, so it runs before any conversion or
     draw: the sampler calls it first, and :meth:`run_batch` on a direct call.
     """
-    if num_reads <= 0:
-        raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
+    require_positive(num_reads, "num_reads")
     if initial_states is not None and len(initial_states) != num_instances:
         raise ConfigurationError(
             f"{len(initial_states)} initial states supplied for a batch of {num_instances}"
@@ -215,10 +215,7 @@ class SpinVectorMonteCarloBackend:
     name = "spin-vector-monte-carlo"
 
     def __init__(self, sweeps_per_microsecond: float = 48.0) -> None:
-        if sweeps_per_microsecond <= 0:
-            raise ConfigurationError(
-                f"sweeps_per_microsecond must be positive, got {sweeps_per_microsecond}"
-            )
+        require_positive(sweeps_per_microsecond, "sweeps_per_microsecond")
         self.sweeps_per_microsecond = float(sweeps_per_microsecond)
 
     # ------------------------------------------------------------------ #

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.classical.base import MIMODetector
 from repro.classical.zero_forcing import ZeroForcingDetector
-from repro.exceptions import SolverError
+from repro.utils.validation import require_non_negative
 from repro.wireless.mimo import MIMOInstance
 
 __all__ = ["MMSEDetector"]
@@ -35,8 +35,8 @@ class MMSEDetector(MIMODetector):
     name = "mmse"
 
     def __init__(self, noise_variance: Optional[float] = None) -> None:
-        if noise_variance is not None and noise_variance < 0:
-            raise SolverError(f"noise_variance must be non-negative, got {noise_variance}")
+        if noise_variance is not None:
+            require_non_negative(noise_variance, "noise_variance")
         self.noise_variance = noise_variance
 
     def detect(self, instance: MIMOInstance) -> np.ndarray:

@@ -24,10 +24,10 @@ import numpy as np
 
 from repro.annealing import kernels
 from repro.classical.base import QuboSolution, QuboSolver
-from repro.exceptions import ConfigurationError
 from repro.qubo.ising import qubo_to_ising
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import BatchRandomState, RandomState, ensure_rng, ensure_rng_batch
+from repro.utils.validation import require_positive
 
 __all__ = ["SimulatedAnnealingSolver"]
 
@@ -55,12 +55,8 @@ class SimulatedAnnealingSolver(QuboSolver):
     name = "simulated-annealing"
 
     def __init__(self, num_sweeps: int = 200, final_temperature: float = 0.01) -> None:
-        if num_sweeps <= 0:
-            raise ConfigurationError(f"num_sweeps must be positive, got {num_sweeps}")
-        if final_temperature <= 0:
-            raise ConfigurationError(
-                f"final_temperature must be positive, got {final_temperature}"
-            )
+        require_positive(num_sweeps, "num_sweeps")
+        require_positive(final_temperature, "final_temperature")
         self.num_sweeps = int(num_sweeps)
         self.final_temperature = float(final_temperature)
 

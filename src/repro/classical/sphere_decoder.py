@@ -24,7 +24,8 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.classical.base import MIMODetector
-from repro.exceptions import ConfigurationError, SolverError
+from repro.exceptions import SolverError
+from repro.utils.validation import require_non_negative, require_positive
 from repro.wireless.mimo import MIMOInstance
 
 __all__ = ["KBestSphereDecoder", "FixedComplexitySphereDecoder"]
@@ -85,8 +86,7 @@ class KBestSphereDecoder(MIMODetector):
     name = "k-best-sphere-decoder"
 
     def __init__(self, k_best: int = 8) -> None:
-        if k_best <= 0:
-            raise ConfigurationError(f"k_best must be positive, got {k_best}")
+        require_positive(k_best, "k_best")
         self.k_best = int(k_best)
 
     def detect(self, instance: MIMOInstance) -> np.ndarray:
@@ -128,10 +128,7 @@ class FixedComplexitySphereDecoder(MIMODetector):
     name = "fcsd"
 
     def __init__(self, full_expansion_levels: int = 1) -> None:
-        if full_expansion_levels < 0:
-            raise ConfigurationError(
-                f"full_expansion_levels must be non-negative, got {full_expansion_levels}"
-            )
+        require_non_negative(full_expansion_levels, "full_expansion_levels")
         self.full_expansion_levels = int(full_expansion_levels)
 
     def detect(self, instance: MIMOInstance) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 All exceptions raised deliberately by this library derive from
 :class:`ReproError`, so downstream users can catch the whole family with a
-single ``except`` clause while still distinguishing configuration mistakes
-from runtime solver failures.
+single ``except`` clause.  There are two kinds: a bad argument value or
+shape, from any entry point, is a :class:`ConfigurationError`; a solver
+that cannot produce a solution for a well-formed problem raises
+:class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -11,12 +13,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ConfigurationError",
-    "DimensionError",
-    "ModulationError",
-    "ScheduleError",
     "SolverError",
-    "TransformError",
-    "PipelineError",
 ]
 
 
@@ -25,28 +22,9 @@ class ReproError(Exception):
 
 
 class ConfigurationError(ReproError):
-    """A user-supplied configuration value is invalid or inconsistent."""
-
-
-class DimensionError(ReproError):
-    """Array/matrix dimensions do not match what an operation requires."""
-
-
-class ModulationError(ReproError):
-    """An unknown or unsupported modulation scheme was requested."""
-
-
-class ScheduleError(ReproError):
-    """An annealing schedule is malformed (non-monotone time, s out of range)."""
+    """An argument or configuration value is invalid: a bad value, an
+    inconsistent combination, or an array of the wrong shape."""
 
 
 class SolverError(ReproError):
     """A solver failed to produce a solution for the given problem."""
-
-
-class TransformError(ReproError):
-    """A problem transformation (e.g. MIMO -> QUBO) received invalid input."""
-
-
-class PipelineError(ReproError):
-    """The classical-quantum pipeline simulator was misconfigured."""

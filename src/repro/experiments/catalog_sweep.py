@@ -31,7 +31,7 @@ from repro.serving.report import ServingReport, format_serving_report
 from repro.serving.scenarios import SCENARIO_NAMES, build_scenario
 from repro.serving.workload import HandoverModel, generate_serving_jobs, uniform_cell_profiles
 from repro.utils.rng import stable_seed
-from repro.utils.validation import require_positive_fields
+from repro.utils.validation import require, require_positive_fields
 from repro.wireless.mimo import MIMOConfig
 
 __all__ = [
@@ -71,8 +71,7 @@ _POSITIVE_FIELDS = (
 
 def check_sweep_config(config: Any) -> None:
     """Reject an empty or unknown scenario list and a non-positive traffic field."""
-    if not config.scenarios:
-        raise ConfigurationError("scenarios must not be empty")
+    require(bool(config.scenarios), "scenarios must not be empty")
     for name in config.scenarios:
         if name not in SCENARIO_NAMES:
             raise ConfigurationError(

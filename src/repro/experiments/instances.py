@@ -18,10 +18,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
 from repro.qubo.model import QUBOModel
 from repro.transform.mimo_to_qubo import MIMOQuboEncoding, mimo_to_qubo
 from repro.utils.rng import stable_seed
+from repro.utils.validation import require_positive
 from repro.wireless.channel import UnitGainRandomPhaseChannel
 from repro.wireless.mimo import MIMOConfig, MIMOTransmission, simulate_transmission
 from repro.wireless.modulation import get_modulation
@@ -144,8 +144,7 @@ def synthesize_instances(
     base_seed: int = 0,
 ) -> List[InstanceBundle]:
     """Synthesize ``count`` independent instances of one configuration."""
-    if count <= 0:
-        raise ConfigurationError(f"count must be positive, got {count}")
+    require_positive(count, "count")
     return [
         synthesize_instance(num_users, modulation, seed=base_seed + index)
         for index in range(count)

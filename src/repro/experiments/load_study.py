@@ -38,6 +38,7 @@ from repro.serving.simulator import RANServingSimulator
 from repro.serving.workload import generate_serving_jobs, uniform_cell_profiles
 from repro.telemetry.log import get_logger
 from repro.utils.rng import stable_seed
+from repro.utils.validation import require, require_positive
 from repro.wireless.mimo import MIMOConfig
 
 _log = get_logger(__name__)
@@ -107,11 +108,9 @@ class LoadStudyConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.load_factors:
-            raise ConfigurationError("load_factors must not be empty")
+        require(bool(self.load_factors), "load_factors must not be empty")
         for factor in self.load_factors:
-            if factor <= 0:
-                raise ConfigurationError(f"load factors must be positive, got {factor}")
+            require_positive(factor, "load factors")
 
     @classmethod
     def quick(cls) -> "LoadStudyConfig":

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from repro.parallel import ShardTask
 from repro.serving.scenarios import build_scenario
 from repro.serving.simulator import RANServingSimulator
 from repro.utils.rng import stable_seed
+from repro.utils.validation import require, require_non_negative
 from repro.wireless.mimo import MIMOConfig
 
 __all__ = [
@@ -160,8 +161,7 @@ class NetworkStudyConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.placements:
-            raise ConfigurationError("placements must not be empty")
+        require(bool(self.placements), "placements must not be empty")
         for placement in self.placements:
             if placement not in PLACEMENTS:
                 raise ConfigurationError(
@@ -172,11 +172,7 @@ class NetworkStudyConfig:
             raise ConfigurationError(
                 f"migration_fraction must lie in [0, 1], got {self.migration_fraction}"
             )
-        if self.detail_max_jobs_per_cell < 0:
-            raise ConfigurationError(
-                "detail_max_jobs_per_cell must be non-negative, got "
-                f"{self.detail_max_jobs_per_cell}"
-            )
+        require_non_negative(self.detail_max_jobs_per_cell, "detail_max_jobs_per_cell")
 
     @property
     def num_cells(self) -> int:
@@ -295,7 +291,9 @@ def _network_shard(
         reembedder = CapacityReembedder(topology.num_cells, embedding)
         plan = np.zeros_like(counts, dtype=float)
         hot_window_total = 0
-        last_counts: Optional[np.ndarray] = None
+        # The detector raises nothing before its first window, so window 0
+        # relaxes toward the equal split and never reads these counts.
+        last_counts = np.zeros(topology.num_cells)
         for window in range(num_windows):
             # Strictly causal: the capacity in force during window w is
             # decided from detector state and counters of windows < w.

@@ -27,6 +27,7 @@ from repro.exceptions import ConfigurationError
 from repro.metrics.tts import TTSResult, time_to_solution
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import BatchRandomState, RandomState, ensure_rng, ensure_rng_batch
+from repro.utils.validation import require_open_unit
 
 __all__ = [
     "SwitchPointRecord",
@@ -146,6 +147,10 @@ def sweep_switch_point_batch(
     values = np.asarray(
         switch_values if switch_values is not None else paper_switch_point_grid(), dtype=float
     )
+    # The whole grid up front: a bad point fails before any point anneals,
+    # under its own name (the FA schedule would call it pause_s).
+    for switch_s in values:
+        require_open_unit(float(switch_s), "switch_s")
     annealer = sampler if sampler is not None else QuantumAnnealerSimulator()
     children = ensure_rng_batch(rng, len(qubos))
 
@@ -205,8 +210,9 @@ def sweep_forward_reverse_turning_point(
     rng: RandomState = None,
 ) -> List[SwitchPointRecord]:
     """Oracle search over FR's turning point c_p at a fixed s_p (paper Sec. 4.3)."""
-    if not 0.0 < switch_s < 1.0:
-        raise ConfigurationError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
+    # An s_p outside (0, 1) leaves the turning grid empty, so no schedule
+    # below would check it.
+    require_open_unit(switch_s, "switch_s")
     values = np.asarray(
         turning_values
         if turning_values is not None

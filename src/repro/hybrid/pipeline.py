@@ -40,11 +40,11 @@ import numpy as np
 
 from repro.annealing.device import PER_READ_OVERHEAD_US
 from repro.annealing.sampler import QuantumAnnealerSimulator
-from repro.exceptions import PipelineError
 from repro.hybrid.solver import HybridQuboSolver
 from repro.serving.events import FifoServer, StageTiming
 from repro.transform.mimo_to_qubo import is_optimum, mimo_to_qubo
 from repro.utils.rng import BatchRandomState, ensure_rng_batch
+from repro.utils.validation import require
 from repro.wireless.traffic import ChannelUse
 
 __all__ = [
@@ -124,10 +124,6 @@ class HybridPipelineSimulator:
         include_qpu_overheads: bool = False,
         evaluate_solutions: bool = True,
     ) -> None:
-        if not 0.0 < switch_s < 1.0:
-            raise PipelineError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
-        if num_reads <= 0:
-            raise PipelineError(f"num_reads must be positive, got {num_reads}")
         self.solver = HybridQuboSolver(sampler=sampler, switch_s=switch_s, num_reads=num_reads)
         self.include_qpu_overheads = bool(include_qpu_overheads)
         self.evaluate_solutions = bool(evaluate_solutions)
@@ -153,8 +149,7 @@ class HybridPipelineSimulator:
         one child generator per channel use.  The discrete-event timing model
         then replays arrivals job by job.
         """
-        if not channel_uses:
-            raise PipelineError("channel_uses must not be empty")
+        require(bool(channel_uses), "channel_uses must not be empty")
         children = ensure_rng_batch(rng, len(channel_uses))
         solver = self.solver
 

@@ -29,10 +29,10 @@ from repro.annealing.sampleset import SampleSet
 from repro.annealing.schedule import reverse_anneal_schedule
 from repro.classical.base import MIMODetector, QuboSolution, QuboSolver
 from repro.classical.greedy import GreedySearchSolver
-from repro.exceptions import ConfigurationError
 from repro.qubo.model import QUBOModel
 from repro.transform.mimo_to_qubo import MIMOQuboEncoding, mimo_to_qubo
 from repro.utils.rng import BatchRandomState, RandomState, ensure_rng, ensure_rng_batch
+from repro.utils.validation import require_non_negative, require_positive
 from repro.wireless.mimo import MIMODetectionResult, MIMOInstance
 
 __all__ = [
@@ -103,17 +103,15 @@ class HybridQuboSolver:
         switch_s: float = 0.41,
         num_reads: int = 100,
     ) -> None:
-        if not 0.0 < switch_s < 1.0:
-            raise ConfigurationError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
-        if num_reads <= 0:
-            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
+        self.switch_s = float(switch_s)
+        self.schedule = reverse_anneal_schedule(self.switch_s)
+        # The sampler checks num_reads only when a solve runs.
+        require_positive(num_reads, "num_reads")
+        self.num_reads = int(num_reads)
         self.classical_solver = (
             classical_solver if classical_solver is not None else GreedySearchSolver()
         )
         self.sampler = sampler if sampler is not None else QuantumAnnealerSimulator()
-        self.switch_s = float(switch_s)
-        self.num_reads = int(num_reads)
-        self.schedule = reverse_anneal_schedule(self.switch_s)
 
     def solve(self, qubo: QUBOModel, rng: RandomState = None) -> HybridSolverResult:
         """Run the two-stage hybrid solve on one QUBO (a batch of one)."""
@@ -194,10 +192,7 @@ class DetectorInitializer(QuboSolver):
         encoding: MIMOQuboEncoding,
         modelled_time_us: float = 1.0,
     ) -> None:
-        if modelled_time_us < 0:
-            raise ConfigurationError(
-                f"modelled_time_us must be non-negative, got {modelled_time_us}"
-            )
+        require_non_negative(modelled_time_us, "modelled_time_us")
         self.detector = detector
         self.encoding = encoding
         self.modelled_time_us = float(modelled_time_us)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import require_positive
 
 __all__ = ["time_to_solution", "TTSResult"]
 
@@ -50,8 +51,7 @@ def time_to_solution(success_probability: float, duration_us: float) -> TTSResul
         raise ConfigurationError(
             f"success_probability must lie in [0, 1], got {success_probability}"
         )
-    if duration_us <= 0:
-        raise ConfigurationError(f"duration_us must be positive, got {duration_us}")
+    require_positive(duration_us, "duration_us")
 
     if success_probability == 0.0:
         repeats = np.inf

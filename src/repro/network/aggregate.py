@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs, stable_seed
+from repro.utils.validation import require, require_positive
 from repro.wireless.mimo import MIMOConfig
 from repro.wireless.traffic import TrafficGenerator
 
@@ -68,16 +69,9 @@ class AggregationConfig:
     window_us: float = 500.0
 
     def __post_init__(self) -> None:
-        if self.users_per_cell <= 0:
-            raise ConfigurationError(
-                f"users_per_cell must be positive, got {self.users_per_cell}"
-            )
-        if self.symbol_period_us <= 0:
-            raise ConfigurationError(
-                f"symbol_period_us must be positive, got {self.symbol_period_us}"
-            )
-        if self.window_us <= 0:
-            raise ConfigurationError(f"window_us must be positive, got {self.window_us}")
+        require_positive(self.users_per_cell, "users_per_cell")
+        require_positive(self.symbol_period_us, "symbol_period_us")
+        require_positive(self.window_us, "window_us")
 
     @property
     def cell_rate_per_us(self) -> float:
@@ -86,8 +80,7 @@ class AggregationConfig:
 
     def num_windows(self, horizon_us: float) -> int:
         """Number of whole KPI windows covering ``[0, horizon_us)``."""
-        if horizon_us <= 0:
-            raise ConfigurationError(f"horizon_us must be positive, got {horizon_us}")
+        require_positive(horizon_us, "horizon_us")
         return int(np.ceil(horizon_us / self.window_us))
 
 
@@ -149,16 +142,11 @@ def materialize_cell_jobs(
     # topology module, so a module-level import would be circular.
     from repro.serving.workload import ServingJob
 
-    if not cells:
-        raise ConfigurationError("cells must not be empty")
+    require(bool(cells), "cells must not be empty")
     if len(set(cells)) != len(cells):
         raise ConfigurationError(f"duplicate cell ids in {tuple(cells)!r}")
-    if max_jobs_per_cell <= 0:
-        raise ConfigurationError(
-            f"max_jobs_per_cell must be positive, got {max_jobs_per_cell}"
-        )
-    if not mimo_configs:
-        raise ConfigurationError("mimo_configs must not be empty")
+    require_positive(max_jobs_per_cell, "max_jobs_per_cell")
+    require(bool(mimo_configs), "mimo_configs must not be empty")
     tagged: List[Tuple[float, int, int, object]] = []
     peak = scenario.peak_intensity()
     for cell_id in cells:

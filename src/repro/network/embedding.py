@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import require, require_non_negative, require_positive
 
 #: Windows a job may wait (arrival window included) before the fluid model
 #: counts it missed.
@@ -72,23 +73,13 @@ class EmbeddingConfig:
     migration_budget: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.total_capacity <= 0:
-            raise ConfigurationError(
-                f"total_capacity must be positive, got {self.total_capacity}"
-            )
-        if self.min_capacity < 0:
-            raise ConfigurationError(
-                f"min_capacity must be non-negative, got {self.min_capacity}"
-            )
-        if self.migration_budget < 0:
-            raise ConfigurationError(
-                f"migration_budget must be non-negative, got {self.migration_budget}"
-            )
+        require_positive(self.total_capacity, "total_capacity")
+        require_non_negative(self.min_capacity, "min_capacity")
+        require_non_negative(self.migration_budget, "migration_budget")
 
     def check_feasible(self, num_cells: int) -> None:
         """Raise unless the floor leaves capacity to distribute."""
-        if num_cells <= 0:
-            raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
+        require_positive(num_cells, "num_cells")
         if self.min_capacity * num_cells > self.total_capacity:
             raise ConfigurationError(
                 f"min_capacity {self.min_capacity} x {num_cells} cells exceeds "
@@ -133,18 +124,16 @@ class CapacityReembedder:
     """Online capacity mover driven by hotspot-detector output.
 
     Starts from the static equal split.  Each window, :meth:`step` receives
-    the detector's currently raised cells (plus, optionally, the last
-    *observed* per-cell counters — the same O&M stream the detector scores,
-    never ground truth) and returns the capacity vector in force for the
-    coming window:
+    the detector's currently raised cells and the last *observed* per-cell
+    counters (the same O&M stream the detector scores, never ground truth)
+    and returns the capacity vector in force for the coming window:
 
     * with hotspots raised, each hot cell is pulled toward
       1.2 times its observed demand; non-hot cells donate
-      capacity above their own protected level (their observed demand, or
-      the ``min_capacity`` floor when counters are not supplied) —
-      proportionally to their surplus, at most ``migration_budget`` in
-      total.  Sizing to observed demand is what keeps a long crowd from
-      draining the whole city into one cell;
+      capacity above their own protected level (their observed demand, at
+      least the ``min_capacity`` floor) — proportionally to their surplus,
+      at most ``migration_budget`` in total.  Sizing to observed demand is
+      what keeps a long crowd from draining the whole city into one cell;
     * with none raised, capacity relaxes toward the equal split, under the
       same per-window budget.
 
@@ -160,11 +149,7 @@ class CapacityReembedder:
         self.capacity_moved = 0.0
         self.windows_stepped = 0
 
-    def step(
-        self,
-        hot_cells: Sequence[int],
-        observed_counts: Optional[Sequence[float]] = None,
-    ) -> np.ndarray:
+    def step(self, hot_cells: Sequence[int], observed_counts: Sequence[float]) -> np.ndarray:
         """Re-embed for one window; returns a copy of the capacity vector."""
         hot = sorted(set(int(cell) for cell in hot_cells))
         for cell in hot:
@@ -172,14 +157,11 @@ class CapacityReembedder:
                 raise ConfigurationError(
                     f"hot cell {cell} outside the {self.num_cells}-cell layout"
                 )
-        observed = None
-        if observed_counts is not None:
-            observed = np.asarray(observed_counts, dtype=float)
-            if observed.shape != (self.num_cells,):
-                raise ConfigurationError(
-                    f"expected {self.num_cells} observed counts, got shape "
-                    f"{observed.shape}"
-                )
+        observed = np.asarray(observed_counts, dtype=float)
+        if observed.shape != (self.num_cells,):
+            raise ConfigurationError(
+                f"expected {self.num_cells} observed counts, got shape {observed.shape}"
+            )
         if hot and len(hot) < self.num_cells:
             self._move_toward_hot(np.asarray(hot, dtype=np.intp), observed)
         elif not hot:
@@ -189,35 +171,22 @@ class CapacityReembedder:
 
     # ------------------------------------------------------------------ #
 
-    def _move_toward_hot(
-        self, hot: np.ndarray, observed: Optional[np.ndarray]
-    ) -> None:
+    def _move_toward_hot(self, hot: np.ndarray, observed: np.ndarray) -> None:
         config = self.config
         donors = np.setdiff1d(
             np.arange(self.num_cells, dtype=np.intp), hot, assume_unique=True
         )
-        if observed is None:
-            # No counters: donors protect only the floor, hot cells share
-            # the whole pool (the legacy blind policy).
-            surplus = np.maximum(self.capacity[donors] - config.min_capacity, 0.0)
-            need = np.full(len(hot), float("inf"))
-        else:
-            protected = np.maximum(observed[donors], config.min_capacity)
-            surplus = np.maximum(self.capacity[donors] - protected, 0.0)
-            targets = np.maximum(
-                _TARGET_MARGIN * observed[hot], config.min_capacity
-            )
-            need = np.maximum(targets - self.capacity[hot], 0.0)
+        protected = np.maximum(observed[donors], config.min_capacity)
+        surplus = np.maximum(self.capacity[donors] - protected, 0.0)
+        targets = np.maximum(_TARGET_MARGIN * observed[hot], config.min_capacity)
+        need = np.maximum(targets - self.capacity[hot], 0.0)
         available = float(surplus.sum())
-        wanted = float(need.sum())  # inf in the counter-less policy
+        wanted = float(need.sum())
         pool = min(config.migration_budget, available, wanted)
         if pool <= 0.0:
             return
         self.capacity[donors] -= surplus * (pool / available)
-        if np.isfinite(wanted):
-            self.capacity[hot] += need * (pool / wanted)
-        else:
-            self.capacity[hot] += pool / len(hot)
+        self.capacity[hot] += need * (pool / wanted)
         self.capacity_moved += pool
 
     def _relax_toward_equal(self) -> None:
@@ -291,8 +260,7 @@ def simulate_fluid_network(counts: np.ndarray, capacity: np.ndarray) -> FluidNet
         raise ConfigurationError(
             f"counts must be a (windows, cells) matrix, got shape {matrix.shape}"
         )
-    if np.any(matrix < 0):
-        raise ConfigurationError("counts must be non-negative")
+    require(not np.any(matrix < 0), "counts must be non-negative")
     num_windows, num_cells = matrix.shape
     plan = np.asarray(capacity, dtype=float)
     if plan.ndim == 1:
@@ -306,8 +274,7 @@ def simulate_fluid_network(counts: np.ndarray, capacity: np.ndarray) -> FluidNet
             f"capacity schedule shape {plan.shape} does not match counts "
             f"shape {matrix.shape}"
         )
-    if np.any(plan < 0):
-        raise ConfigurationError("capacity must be non-negative")
+    require(not np.any(plan < 0), "capacity must be non-negative")
 
     deadline = _DEADLINE_WINDOWS
     served = np.zeros(num_cells)

@@ -31,6 +31,7 @@ import numpy as np
 from repro import telemetry
 from repro.exceptions import ConfigurationError
 from repro.network.topology import NetworkTopology
+from repro.utils.validation import require, require_positive
 
 __all__ = [
     "HotspotEvent",
@@ -85,10 +86,8 @@ class HotspotDetector:
         z_threshold: float = 4.0,
         topology: Optional[NetworkTopology] = None,
     ) -> None:
-        if num_cells <= 0:
-            raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
-        if z_threshold <= 0:
-            raise ConfigurationError(f"z_threshold must be positive, got {z_threshold}")
+        require_positive(num_cells, "num_cells")
+        require_positive(z_threshold, "z_threshold")
         if topology is not None and topology.num_cells != num_cells:
             raise ConfigurationError(
                 f"topology has {topology.num_cells} cells, detector expects {num_cells}"
@@ -136,8 +135,7 @@ class HotspotDetector:
             raise ConfigurationError(
                 f"expected {self.num_cells} per-cell counts, got shape {values.shape}"
             )
-        if np.any(values < 0):
-            raise ConfigurationError("counts must be non-negative")
+        require(not np.any(values < 0), "counts must be non-negative")
         transitions: List[HotspotEvent] = []
 
         if self._windows_seen == 0:

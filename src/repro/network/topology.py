@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import require_non_negative, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -48,8 +49,7 @@ class Cell:
     y: float
 
     def __post_init__(self) -> None:
-        if self.cell_id < 0:
-            raise ConfigurationError(f"cell_id must be non-negative, got {self.cell_id}")
+        require_non_negative(self.cell_id, "cell_id")
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ class NetworkTopology:
     @classmethod
     def line(cls, num_cells: int) -> "NetworkTopology":
         """Cells along the x axis; neighbours are ``cell_id +- 1``."""
-        if num_cells <= 0:
-            raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
+        require_positive(num_cells, "num_cells")
         cells = tuple(Cell(cell_id, float(cell_id), 0.0) for cell_id in range(num_cells))
         neighbours = tuple(
             tuple(

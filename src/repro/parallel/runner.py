@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
-from repro.exceptions import ConfigurationError
 from repro.parallel.cache import ResultCache, task_fingerprint
 from repro.telemetry.log import get_logger
+from repro.utils.validation import require_non_negative
 
 __all__ = ["ShardTask", "RunStats", "ParallelRunner"]
 
@@ -94,8 +94,7 @@ class ParallelRunner:
     ) -> None:
         if workers is not None:
             workers = int(workers)
-            if workers < 0:
-                raise ConfigurationError(f"workers must be non-negative, got {workers}")
+            require_non_negative(workers, "workers")
         self.workers = workers
         self.cache = cache
         self.last_run = RunStats()

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.qubo.model import QUBOModel
+from repro.utils.validation import require_binary, require_positive
 
 __all__ = [
     "SoftConstraint",
@@ -62,10 +63,8 @@ class SoftConstraint:
             raise ConfigurationError("variables and targets must have equal length")
         if len(set(self.variables)) != len(self.variables):
             raise ConfigurationError("constraint variables must be distinct")
-        if any(target not in (0, 1) for target in self.targets):
-            raise ConfigurationError("targets must be 0 or 1")
-        if not self.strength > 0:
-            raise ConfigurationError(f"strength must be positive, got {self.strength}")
+        require_binary(self.targets, "targets")
+        require_positive(self.strength, "strength")
 
     def penalty_qubo(self, num_variables: int) -> QUBOModel:
         """Materialise this constraint as a QUBO penalty on ``num_variables``.

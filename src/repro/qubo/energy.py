@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.qubo.model import QUBOModel
+from repro.utils.validation import require_non_negative
 
 __all__ = [
     "brute_force_minimum",
@@ -44,8 +45,7 @@ def enumerate_assignments(
     the natural binary order of the assignment integer with variable 0 as the
     least-significant bit.
     """
-    if num_variables < 0:
-        raise ConfigurationError(f"num_variables must be non-negative, got {num_variables}")
+    require_non_negative(num_variables, "num_variables")
     total = 1 << num_variables
     block_size = 1 << min(block_bits, num_variables)
     bit_weights = 1 << np.arange(num_variables, dtype=np.int64)

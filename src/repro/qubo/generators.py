@@ -13,6 +13,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.validation import require_non_negative
 
 __all__ = ["random_qubo"]
 
@@ -32,8 +33,7 @@ def random_qubo(
         Probability that each off-diagonal coupling is present (1.0 gives a
         fully dense model, matching the density of MIMO-detection QUBOs).
     """
-    if num_variables < 0:
-        raise ConfigurationError(f"num_variables must be non-negative, got {num_variables}")
+    require_non_negative(num_variables, "num_variables")
     if not 0.0 <= density <= 1.0:
         raise ConfigurationError(f"density must lie in [0, 1], got {density}")
 

@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import DimensionError
+from repro.exceptions import ConfigurationError
 from repro.qubo.model import QUBOModel, _fold_upper
+from repro.utils.validation import require_binary
 
 __all__ = ["IsingModel", "qubo_to_ising", "bits_to_spins"]
 
@@ -27,8 +28,7 @@ __all__ = ["IsingModel", "qubo_to_ising", "bits_to_spins"]
 def bits_to_spins(bits: Sequence[int]) -> np.ndarray:
     """Map 0/1 bits to +/-1 spins using ``s = 2q - 1``."""
     bits = np.asarray(bits, dtype=int).ravel()
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be 0 or 1")
+    require_binary(bits, "bits")
     return (2 * bits - 1).astype(np.int8)
 
 
@@ -49,11 +49,11 @@ class IsingModel:
         fields = np.asarray(self.fields, dtype=float).ravel()
         couplings = np.asarray(self.couplings, dtype=float)
         if couplings.ndim != 2 or couplings.shape[0] != couplings.shape[1]:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"couplings must form a square matrix, got shape {couplings.shape}"
             )
         if couplings.shape[0] != fields.size:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"{fields.size} fields supplied for {couplings.shape[0]} spins"
             )
         diagonal = np.diagonal(couplings)
@@ -72,7 +72,7 @@ class IsingModel:
         """Energy of a +/-1 spin assignment, including the offset."""
         vector = np.asarray(spins, dtype=float).ravel()
         if vector.size != self.num_spins:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"assignment has {vector.size} spins, expected {self.num_spins}"
             )
         return float(self.fields @ vector + vector @ self.couplings @ vector + self.offset)
@@ -81,7 +81,7 @@ class IsingModel:
         """Vectorised energies for a batch of spin assignments (rows)."""
         batch = np.atleast_2d(np.asarray(assignments, dtype=float))
         if batch.shape[1] != self.num_spins:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"assignments have {batch.shape[1]} columns, expected {self.num_spins}"
             )
         quadratic = np.einsum("bi,ij,bj->b", batch, self.couplings, batch)

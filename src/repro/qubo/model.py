@@ -20,7 +20,8 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import DimensionError
+from repro.exceptions import ConfigurationError
+from repro.utils.validation import require_binary
 
 __all__ = ["OPTIMUM_TOLERANCE", "QUBOModel"]
 
@@ -68,7 +69,7 @@ def _to_upper_triangular(matrix: np.ndarray) -> np.ndarray:
     """Fold a square coefficient matrix into the upper-triangular convention."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionError(
+        raise ConfigurationError(
             f"QUBO coefficients must form a square matrix, got shape {matrix.shape}"
         )
     return _fold_upper(matrix, True)
@@ -104,7 +105,7 @@ class QUBOModel:
             f"q{i}" for i in range(matrix.shape[0])
         )
         if len(names) != matrix.shape[0]:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"{len(names)} variable names supplied for {matrix.shape[0]} variables"
             )
         object.__setattr__(self, "variable_names", names)
@@ -163,7 +164,7 @@ class QUBOModel:
         """Energy of one 0/1 assignment (including the offset)."""
         vector = np.asarray(assignment, dtype=float).ravel()
         if vector.size != self.num_variables:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"assignment has {vector.size} entries, expected {self.num_variables}"
             )
         return float(vector @ self.coefficients @ vector + self.offset)
@@ -172,7 +173,7 @@ class QUBOModel:
         """Vectorised energies for a batch of assignments (rows)."""
         batch = np.atleast_2d(np.asarray(assignments, dtype=float))
         if batch.shape[1] != self.num_variables:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"assignments have {batch.shape[1]} columns, expected {self.num_variables}"
             )
         return np.einsum("bi,ij,bj->b", batch, self.coefficients, batch) + self.offset
@@ -184,7 +185,7 @@ class QUBOModel:
     def add(self, other: "QUBOModel") -> "QUBOModel":
         """Sum of two QUBOs on the same variable set."""
         if other.num_variables != self.num_variables:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"cannot add QUBOs with {self.num_variables} and {other.num_variables} variables"
             )
         return QUBOModel(
@@ -212,8 +213,7 @@ class QUBOModel:
         for index, value in assignments.items():
             if not 0 <= index < self.num_variables:
                 raise IndexError(f"variable index {index} out of range")
-            if value not in (0, 1):
-                raise ValueError(f"fixed value for variable {index} must be 0 or 1, got {value}")
+            require_binary(value, f"fixed value for variable {index}")
 
         keep = [i for i in range(self.num_variables) if i not in assignments]
         new_size = len(keep)

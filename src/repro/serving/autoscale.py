@@ -34,6 +34,7 @@ from repro.serving.backends import (
 )
 from repro.serving.pool import BackendPool, Worker
 from repro.serving.workload import ServingJob
+from repro.utils.validation import require_non_negative, require_positive
 
 __all__ = [
     "AutoscaleConfig",
@@ -80,14 +81,8 @@ class AutoscaleConfig:
     cooldown_us: float = 500.0
 
     def __post_init__(self) -> None:
-        if self.interval_us <= 0:
-            raise ConfigurationError(
-                f"interval_us must be positive, got {self.interval_us}"
-            )
-        if self.warmup_us < 0:
-            raise ConfigurationError(
-                f"warmup_us must be non-negative, got {self.warmup_us}"
-            )
+        require_positive(self.interval_us, "interval_us")
+        require_non_negative(self.warmup_us, "warmup_us")
         if self.min_workers < 1:
             raise ConfigurationError(
                 f"min_workers must be at least 1, got {self.min_workers}"
@@ -102,15 +97,8 @@ class AutoscaleConfig:
                 "scale_down_queue_per_worker must lie below the scale-up threshold "
                 f"{_SCALE_UP_QUEUE_PER_WORKER}, got {self.scale_down_queue_per_worker}"
             )
-        if self.scale_down_queue_per_worker < 0:
-            raise ConfigurationError(
-                "scale_down_queue_per_worker must be non-negative, got "
-                f"{self.scale_down_queue_per_worker}"
-            )
-        if self.cooldown_us < 0:
-            raise ConfigurationError(
-                f"cooldown_us must be non-negative, got {self.cooldown_us}"
-            )
+        require_non_negative(self.scale_down_queue_per_worker, "scale_down_queue_per_worker")
+        require_non_negative(self.cooldown_us, "cooldown_us")
 
 
 @dataclass(frozen=True)
@@ -150,10 +138,7 @@ class ElasticBackendPool(BackendPool):
                 f"initial_annealer_workers must lie in [1, {max_annealer_workers}], "
                 f"got {initial_annealer_workers}"
             )
-        if num_classical_workers < 0:
-            raise ConfigurationError(
-                f"num_classical_workers must be non-negative, got {num_classical_workers}"
-            )
+        require_non_negative(num_classical_workers, "num_classical_workers")
         annealer_backend = annealer if annealer is not None else AnnealerServingBackend()
         backends: List[ServingBackend] = [annealer_backend] * max_annealer_workers
         if num_classical_workers:

@@ -39,10 +39,10 @@ import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.classical.simulated_annealing import SimulatedAnnealingSolver
-from repro.exceptions import ConfigurationError
 from repro.hybrid.solver import HybridQuboSolver
 from repro.transform.mimo_to_qubo import is_optimum, mimo_to_qubo
 from repro.serving.workload import ServingJob
+from repro.utils.validation import require_positive
 
 __all__ = [
     "JobSolution",
@@ -140,8 +140,7 @@ class AnnealerServingBackend(ServingBackend):
         lanes: int = 8,
     ) -> None:
         self.solver = HybridQuboSolver(sampler=sampler, num_reads=num_reads)
-        if lanes <= 0:
-            raise ConfigurationError(f"lanes must be positive, got {lanes}")
+        require_positive(lanes, "lanes")
         self.lanes = int(lanes)
 
     @property
@@ -182,10 +181,7 @@ class ClassicalServingBackend(ServingBackend):
     name = "classical"
 
     def __init__(self, time_per_variable_us: float = 0.2) -> None:
-        if time_per_variable_us <= 0:
-            raise ConfigurationError(
-                f"time_per_variable_us must be positive, got {time_per_variable_us}"
-            )
+        require_positive(time_per_variable_us, "time_per_variable_us")
         self.solver = SimulatedAnnealingSolver(num_sweeps=60)
         self.time_per_variable_us = float(time_per_variable_us)
 

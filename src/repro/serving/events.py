@@ -65,8 +65,8 @@ class FifoServer:
 
     def serve(self, ready_us: float, service_us: float) -> StageTiming:
         """Occupy the server for ``service_us`` starting no earlier than ``ready_us``."""
-        if service_us < 0:
-            raise ValueError(f"service_us must be non-negative, got {service_us}")
+        if service_us < 0:  # per dispatched batch: kept inline
+            raise ConfigurationError(f"service_us must be non-negative, got {service_us}")
         start = max(ready_us, self.free_at_us)
         finish = start + service_us
         self.free_at_us = finish

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import require, require_non_negative
 
 __all__ = [
     "ServiceClass",
@@ -78,12 +79,8 @@ class ServiceClass:
     sheddable: bool = False
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("a service class needs a non-empty name")
-        if self.priority < 0:
-            raise ConfigurationError(
-                f"priority must be non-negative, got {self.priority}"
-            )
+        require(bool(self.name), "a service class needs a non-empty name")
+        require_non_negative(self.priority, "priority")
         if self.turnaround_budget_us is not None and self.turnaround_budget_us <= 0:
             raise ConfigurationError(
                 f"turnaround_budget_us must be positive or None, got "

@@ -36,6 +36,7 @@ from typing import Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.network.topology import NetworkTopology
+from repro.utils.validation import require_non_negative, require_positive
 
 __all__ = [
     "LoadPhase",
@@ -83,10 +84,7 @@ class LoadPhase(abc.ABC):
         return ()
 
     def _check_duration(self) -> None:
-        if self.duration_us <= 0:
-            raise ConfigurationError(
-                f"phase duration_us must be positive, got {self.duration_us}"
-            )
+        require_positive(self.duration_us, "phase duration_us")
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,7 @@ class ConstantPhase(LoadPhase):
 
     def __post_init__(self) -> None:
         self._check_duration()
-        if self.level < 0:
-            raise ConfigurationError(f"level must be non-negative, got {self.level}")
+        require_non_negative(self.level, "level")
 
     def intensity(self, cell_id: int, t_us: float) -> float:
         return self.level
@@ -127,14 +124,12 @@ class DiurnalPhase(LoadPhase):
 
     def __post_init__(self) -> None:
         self._check_duration()
-        if self.num_cells <= 0:
-            raise ConfigurationError(f"num_cells must be positive, got {self.num_cells}")
+        require_positive(self.num_cells, "num_cells")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ConfigurationError(
                 f"amplitude must lie in [0, 1], got {self.amplitude}"
             )
-        if self.cycles <= 0:
-            raise ConfigurationError(f"cycles must be positive, got {self.cycles}")
+        require_positive(self.cycles, "cycles")
 
     def intensity(self, cell_id: int, t_us: float) -> float:
         lag = self.cell_lag_fraction * cell_id / self.num_cells
@@ -160,8 +155,7 @@ class FlashCrowdPhase(LoadPhase):
 
     def __post_init__(self) -> None:
         self._check_duration()
-        if self.cell_id < 0:
-            raise ConfigurationError(f"cell_id must be non-negative, got {self.cell_id}")
+        require_non_negative(self.cell_id, "cell_id")
         if self.peak < 1.0:
             raise ConfigurationError(f"peak must be >= the nominal 1.0, got {self.peak}")
 
@@ -238,8 +232,7 @@ class CellOutagePhase(LoadPhase):
 
     def __post_init__(self) -> None:
         self._check_duration()
-        if self.cell_id < 0:
-            raise ConfigurationError(f"cell_id must be non-negative, got {self.cell_id}")
+        require_non_negative(self.cell_id, "cell_id")
 
     def intensity(self, cell_id: int, t_us: float) -> float:
         if cell_id == self.cell_id:
@@ -382,10 +375,8 @@ def build_scenario(
     ``topology`` (which must have ``num_cells`` cells), or of
     ``NetworkTopology.line(num_cells)`` when it is omitted.
     """
-    if num_cells <= 0:
-        raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
-    if horizon_us <= 0:
-        raise ConfigurationError(f"horizon_us must be positive, got {horizon_us}")
+    require_positive(num_cells, "num_cells")
+    require_positive(horizon_us, "horizon_us")
     if topology is None:
         topology = NetworkTopology.line(num_cells)
     elif topology.num_cells != num_cells:

@@ -33,7 +33,6 @@ import math
 from typing import List, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.serving.qos import DEFAULT_CLASS
 from repro.serving.workload import ServingJob
 
 __all__ = [
@@ -82,20 +81,17 @@ class EdfPolicy(SchedulingPolicy):
         self.class_aware = class_aware
 
     def key(self, job: ServingJob) -> Tuple:
-        # Deadline-free jobs sort last; a non-finite deadline (NaN would
-        # poison tuple comparison and make the order depend on input
-        # permutation) is treated the same way.  Equal-deadline jobs fall
-        # back to arrival order and then the unique job_id, mirroring
-        # FifoPolicy, so the policy is a total order: select_batch output
-        # is invariant under any permutation of the queue.
+        # Deadline-free jobs sort last (a channel use rejects a NaN
+        # deadline, which would poison tuple comparison).  Equal-deadline
+        # jobs fall back to arrival order and then the unique job_id,
+        # mirroring FifoPolicy, so the policy is a total order: select_batch
+        # output is invariant under any permutation of the queue.
         deadline = job.deadline_us
-        if deadline is None or not math.isfinite(deadline):
-            deadline = float("inf")
+        if deadline is None:
+            deadline = math.inf
         if not self.class_aware:
             return (deadline, job.arrival_us, job.job_id)
-        # getattr keeps duck-typed test jobs (plain namespaces) valid.
-        priority = getattr(job, "service_class", DEFAULT_CLASS).priority
-        return (priority, deadline, job.arrival_us, job.job_id)
+        return (job.service_class.priority, deadline, job.arrival_us, job.job_id)
 
 
 _POLICIES = {"fifo": FifoPolicy, "edf": EdfPolicy}

@@ -67,7 +67,6 @@ from repro.serving.autoscale import AutoscaleController, ElasticBackendPool
 from repro.serving.backends import JobSolution, ServingBackend
 from repro.serving.events import TIME_EPS, EventQueue
 from repro.serving.pool import BackendPool, Worker, build_pool
-from repro.serving.qos import DEFAULT_CLASS, ServiceClass
 from repro.serving.report import (
     BackendUtilization,
     JobOutcome,
@@ -83,17 +82,13 @@ from repro.serving.scheduler import (
 )
 from repro.serving.workload import ServingJob
 from repro.utils.rng import BatchRandomState, ensure_rng_batch
+from repro.utils.validation import require
 
 __all__ = ["RANServingSimulator"]
 
 _WORKER_FREE = "worker-free"
 _AUTOSCALE = "autoscale"
 _WARMUP_DONE = "warmup-done"
-
-
-def _service_class_of(job: ServingJob) -> ServiceClass:
-    """The job's service class; duck-typed jobs default to the legacy class."""
-    return getattr(job, "service_class", DEFAULT_CLASS)
 
 
 #: A pressure-index entry's slack deadline, ``deadline_us + 1e-9``.
@@ -380,7 +375,7 @@ class _ReadyQueue:
         heapq.heappush(heap, (key, self._sequence, job))
         self._sequence += 1
         if self._class_aware:
-            service_class = _service_class_of(job)
+            service_class = job.service_class
             if service_class.sheddable:
                 self._sheddable.setdefault(service_class.priority, {})[job.job_id] = job
 
@@ -420,7 +415,7 @@ class _ReadyQueue:
     def _forget_sheddable(self, jobs: Sequence[ServingJob]) -> None:
         if self._sheddable:
             for job in jobs:
-                service_class = _service_class_of(job)
+                service_class = job.service_class
                 if service_class.sheddable:
                     del self._sheddable[service_class.priority][job.job_id]
 
@@ -512,8 +507,7 @@ class RANServingSimulator:
 
     def run(self, jobs: Sequence[ServingJob], rng: BatchRandomState = None) -> ServingReport:
         """Serve a workload and return the aggregate :class:`ServingReport`."""
-        if not jobs:
-            raise ConfigurationError("jobs must not be empty")
+        require(bool(jobs), "jobs must not be empty")
         ordered = sorted(jobs, key=lambda job: (job.arrival_us, job.job_id))
         ids = [job.job_id for job in ordered]
         if len(set(ids)) != len(ids):
@@ -757,8 +751,8 @@ class RANServingSimulator:
         pressured = self._pressured_jobs(queue, now)
         if not self.class_aware or not pressured:
             return pressured
-        demotable = [job for job in pressured if _service_class_of(job).demotable]
-        min_priority = min(_service_class_of(job).priority for job in pressured)
+        demotable = [job for job in pressured if job.service_class.demotable]
+        min_priority = min(job.service_class.priority for job in pressured)
         chosen = {job.job_id for job in demotable}
         shed = [job for job in queue.sheddable_below(min_priority) if job.job_id not in chosen]
         return demotable + shed
@@ -874,7 +868,7 @@ def _outcomes(dispatch: _Dispatch, solutions: Dict[int, JobSolution]) -> Iterato
             size,
             None if solution is None else solution.best_energy,
             None if solution is None else solution.detected_optimum,
-            _service_class_of(job).name,
+            job.service_class.name,
         )
 
 

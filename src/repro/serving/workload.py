@@ -44,6 +44,7 @@ from repro.network.topology import NetworkTopology
 from repro.serving.qos import DEFAULT_CLASS, ServiceClass, resolve_service_class
 from repro.serving.scenarios import NetworkScenario
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs, stable_seed
+from repro.utils.validation import require, require_non_negative, require_positive
 from repro.wireless.fading import handover_rate_per_us
 from repro.wireless.mimo import MIMOConfig
 from repro.wireless.traffic import ChannelUse, TrafficGenerator
@@ -310,17 +311,14 @@ def uniform_cell_profiles(
     position, so every cell carries the full class mix.  Omitting it keeps
     the legacy single-class profiles.
     """
-    if num_cells <= 0:
-        raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
+    require_positive(num_cells, "num_cells")
     if topology is not None and topology.num_cells != num_cells:
         raise ConfigurationError(
             f"topology has {topology.num_cells} cells, profiles were asked for "
             f"{num_cells}"
         )
-    if users_per_cell <= 0:
-        raise ConfigurationError(f"users_per_cell must be positive, got {users_per_cell}")
-    if not configs:
-        raise ConfigurationError("configs must not be empty")
+    require_positive(users_per_cell, "users_per_cell")
+    require(bool(configs), "configs must not be empty")
     factors = (
         tuple(cell_load_factors) if cell_load_factors is not None else (1.0,) * num_cells
     )
@@ -329,8 +327,7 @@ def uniform_cell_profiles(
             f"{len(factors)} cell_load_factors supplied for {num_cells} cells"
         )
     for factor in factors:
-        if factor <= 0:
-            raise ConfigurationError(f"cell load factors must be positive, got {factor}")
+        require_positive(factor, "cell load factors")
     if service_classes is not None and not service_classes:
         raise ConfigurationError("service_classes must not be empty when supplied")
     resolved_classes = (
@@ -403,15 +400,13 @@ def generate_serving_jobs(
     deadlines and channel realisations) are bitwise-identical with and
     without it.
     """
-    if not profiles:
-        raise ConfigurationError("profiles must not be empty")
+    require(bool(profiles), "profiles must not be empty")
     if handover is not None and scenario is None:
         raise ConfigurationError(
             "handover needs a neighbour graph; pass a scenario, whose topology "
             "supplies it"
         )
-    if jobs_per_user <= 0:
-        raise ConfigurationError(f"jobs_per_user must be positive, got {jobs_per_user}")
+    require_positive(jobs_per_user, "jobs_per_user")
     seen_ids = set()
     for profile in profiles:
         if profile.user_id in seen_ids:
@@ -419,10 +414,7 @@ def generate_serving_jobs(
         seen_ids.add(profile.user_id)
 
     for profile in profiles:
-        if profile.phase_offset_us < 0:
-            raise ConfigurationError(
-                f"phase_offset_us must be non-negative, got {profile.phase_offset_us}"
-            )
+        require_non_negative(profile.phase_offset_us, "phase_offset_us")
         if scenario is not None and not 0 <= profile.cell_id < scenario.num_cells:
             raise ConfigurationError(
                 f"user {profile.user_id} sits in cell {profile.cell_id}, outside "

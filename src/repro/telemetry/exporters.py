@@ -22,6 +22,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from repro.telemetry.registry import Histogram, MetricsRegistry
 from repro.telemetry.tracing import Span, Tracer
+from repro.utils.jsonable import to_jsonable
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
@@ -48,17 +49,6 @@ _CLOCKS = ("sim", "wall")
 # --------------------------------------------------------------------- #
 
 
-def _jsonable_attr(value: Any) -> Any:
-    """Reduce a span attribute to a JSON-serialisable value (lossy but safe)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable_attr(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _jsonable_attr(item) for key, item in value.items()}
-    return repr(value)
-
-
 def span_to_record(span: Span) -> Dict[str, Any]:
     """One trace record as the plain dict the JSONL schema serialises."""
     return {
@@ -70,7 +60,7 @@ def span_to_record(span: Span) -> Dict[str, Any]:
         "start_us": span.start_us,
         "end_us": span.end_us,
         "duration_us": span.duration_us,
-        "attrs": {str(key): _jsonable_attr(value) for key, value in span.attrs.items()},
+        "attrs": to_jsonable(span.attrs),
     }
 
 

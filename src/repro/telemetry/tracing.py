@@ -32,6 +32,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.exceptions import ConfigurationError
+from repro.utils.validation import require_positive
+
 __all__ = ["Span", "Tracer", "CLOCK_SIM", "CLOCK_WALL"]
 
 CLOCK_SIM = "sim"
@@ -61,8 +64,7 @@ class Tracer:
     """Collects spans and events into a bounded in-memory buffer."""
 
     def __init__(self, max_records: int = 200_000) -> None:
-        if max_records < 1:
-            raise ValueError(f"max_records must be positive, got {max_records}")
+        require_positive(max_records, "max_records")
         self.max_records = int(max_records)
         self.records: List[Span] = []
         self.dropped = 0
@@ -85,7 +87,7 @@ class Tracer:
     @staticmethod
     def _check_clock(clock: str) -> None:
         if clock not in _CLOCKS:
-            raise ValueError(f"clock must be one of {_CLOCKS}, got {clock!r}")
+            raise ConfigurationError(f"clock must be one of {_CLOCKS}, got {clock!r}")
 
     # ------------------------------------------------------------------ #
 

@@ -28,8 +28,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import TransformError
+from repro.exceptions import ConfigurationError
 from repro.qubo.model import OPTIMUM_TOLERANCE, QUBOModel
+from repro.utils.validation import require_binary
 from repro.wireless.mimo import MIMODetectionResult, MIMOInstance
 from repro.wireless.modulation import Modulation, get_modulation
 from repro.transform.symbol_mapping import SymbolBitMapping
@@ -112,7 +113,7 @@ class MIMOQuboEncoding:
         """QUBO bitstring encoding an exact constellation symbol vector."""
         symbols = np.asarray(symbols, dtype=complex).ravel()
         if symbols.size != len(self.mappings):
-            raise TransformError(
+            raise ConfigurationError(
                 f"expected {len(self.mappings)} symbols, got {symbols.size}"
             )
         bits: List[int] = []
@@ -149,11 +150,10 @@ class MIMOQuboEncoding:
     def _validate_bits(self, qubo_bits: Sequence[int]) -> np.ndarray:
         bits = np.asarray(qubo_bits, dtype=int).ravel()
         if bits.size != self.num_variables:
-            raise TransformError(
+            raise ConfigurationError(
                 f"expected {self.num_variables} QUBO bits, got {bits.size}"
             )
-        if bits.size and not np.all(np.isin(bits, (0, 1))):
-            raise TransformError("QUBO bits must be 0 or 1")
+        require_binary(bits, "QUBO bits")
         return bits
 
 

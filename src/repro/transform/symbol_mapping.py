@@ -20,7 +20,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import TransformError
+from repro.exceptions import ConfigurationError
+from repro.utils.validation import require_binary, require_positive
 from repro.wireless.modulation import (
     Modulation,
     gray_code,
@@ -40,9 +41,8 @@ def transform_bits_to_amplitude(bits: Sequence[int], scale: float = 1.0) -> floa
     """Amplitude of one I/Q dimension from its transform bits (MSB first)."""
     bits = list(bits)
     if not bits:
-        raise TransformError("at least one transform bit is required per dimension")
-    if any(bit not in (0, 1) for bit in bits):
-        raise TransformError("transform bits must be 0 or 1")
+        raise ConfigurationError("at least one transform bit is required per dimension")
+    require_binary(bits, "transform bits")
     width = len(bits)
     amplitude = sum(
         (1 << (width - 1 - position)) * (2 * bit - 1) for position, bit in enumerate(bits)
@@ -54,14 +54,13 @@ def amplitude_to_transform_bits(
     amplitude: float, bits_per_dimension: int, scale: float = 1.0
 ) -> Tuple[int, ...]:
     """Invert :func:`transform_bits_to_amplitude` for an exact grid amplitude."""
-    if bits_per_dimension <= 0:
-        raise TransformError("bits_per_dimension must be positive")
+    require_positive(bits_per_dimension, "bits_per_dimension")
     count = 1 << bits_per_dimension
     grid_value = amplitude / scale
     natural = (grid_value + (count - 1)) / 2.0
     natural_index = int(round(natural))
     if not 0 <= natural_index < count or abs(natural - natural_index) > 1e-6:
-        raise TransformError(
+        raise ConfigurationError(
             f"amplitude {amplitude!r} is not on the {bits_per_dimension}-bit grid "
             f"(scale {scale!r})"
         )
@@ -142,7 +141,7 @@ class SymbolBitMapping:
         in_phase = amplitude_to_transform_bits(symbol.real, bits_per_dim, scale)
         if self.modulation.name == "BPSK":
             if abs(symbol.imag) > 1e-9:
-                raise TransformError("BPSK symbols must be real-valued")
+                raise ConfigurationError("BPSK symbols must be real-valued")
             return in_phase
         quadrature = amplitude_to_transform_bits(symbol.imag, bits_per_dim, scale)
         return in_phase + quadrature

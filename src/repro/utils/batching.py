@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Sequence, Tuple, TypeVar
 
+from repro.utils.validation import require_positive
+
 Item = TypeVar("Item")
 
 __all__ = ["iter_batches"]
@@ -17,7 +19,6 @@ __all__ = ["iter_batches"]
 
 def iter_batches(items: Sequence[Item], size: int) -> Iterator[Tuple[int, List[Item]]]:
     """Yield ``(start_index, chunk)`` pairs of at most ``size`` items, in order."""
-    if size <= 0:
-        raise ValueError(f"chunk size must be positive, got {size}")
+    require_positive(size, "chunk size")
     for start in range(0, len(items), size):
         yield start, list(items[start : start + size])

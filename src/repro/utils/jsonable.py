@@ -1,7 +1,8 @@
 """The one JSON reducer for result artifacts.
 
-Benchmark reports (``benchmarks/_emit``) and ablation-study artifacts
-(:mod:`repro.ablation.study`) both serialise through :func:`to_jsonable`.
+Benchmark reports (``benchmarks/_emit``), ablation-study artifacts
+(:mod:`repro.ablation.study`) and trace-span attributes
+(:mod:`repro.telemetry.exporters`) all serialise through :func:`to_jsonable`.
 """
 
 from __future__ import annotations

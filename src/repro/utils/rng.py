@@ -22,6 +22,9 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+from repro.utils.validation import require_non_negative
+
 __all__ = [
     "RandomState",
     "BatchRandomState",
@@ -68,8 +71,7 @@ def spawn_rngs(seed: RandomState, count: int) -> List[np.random.Generator]:
     seed is supplied, so repeated calls with the same integer seed produce the
     same family of streams.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    require_non_negative(count, "count")
     if isinstance(seed, np.random.Generator):
         return [np.random.default_rng(s) for s in seed.bit_generator.seed_seq.spawn(count)]
     sequence = np.random.SeedSequence(seed if seed is not None else None)
@@ -86,11 +88,10 @@ def ensure_rng_batch(seed: BatchRandomState, count: int) -> List[np.random.Gener
     call must draw exclusively from child ``b``; this is what makes batched
     results independent of how a workload is split into batches.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    require_non_negative(count, "count")
     if isinstance(seed, (list, tuple)):
         if len(seed) != count:
-            raise ValueError(f"{len(seed)} generators supplied for a batch of {count}")
+            raise ConfigurationError(f"{len(seed)} generators supplied for a batch of {count}")
         for item in seed:
             if not isinstance(item, np.random.Generator):
                 raise TypeError(

@@ -13,9 +13,9 @@ import abc
 
 import numpy as np
 
-from repro.exceptions import DimensionError
+from repro.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, ensure_rng
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_non_negative, require_positive
 
 __all__ = [
     "ChannelModel",
@@ -108,8 +108,7 @@ def awgn(
     each carry half of it).  A variance of zero returns exact zeros, matching
     the paper's noiseless protocol.
     """
-    if noise_variance < 0:
-        raise ValueError(f"noise_variance must be non-negative, got {noise_variance}")
+    require_non_negative(noise_variance, "noise_variance")
     if noise_variance == 0:
         return np.zeros(shape, dtype=complex)
     generator = ensure_rng(rng)
@@ -128,12 +127,8 @@ def effective_noise_variance(
     that regularise on the noise level (MMSE) should regularise on this
     total.
     """
-    if noise_variance < 0:
-        raise ValueError(f"noise_variance must be non-negative, got {noise_variance}")
-    if interference_power < 0:
-        raise ValueError(
-            f"interference_power must be non-negative, got {interference_power}"
-        )
+    require_non_negative(noise_variance, "noise_variance")
+    require_non_negative(interference_power, "interference_power")
     return float(noise_variance + interference_power)
 
 
@@ -162,9 +157,9 @@ def apply_channel(
     channel_matrix = np.asarray(channel_matrix, dtype=complex)
     transmitted = np.asarray(transmitted, dtype=complex).ravel()
     if channel_matrix.ndim != 2:
-        raise DimensionError("channel_matrix must be 2-D")
+        raise ConfigurationError("channel_matrix must be 2-D")
     if channel_matrix.shape[1] != transmitted.size:
-        raise DimensionError(
+        raise ConfigurationError(
             f"channel has {channel_matrix.shape[1]} transmit antennas but "
             f"{transmitted.size} symbols were supplied"
         )

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, ensure_rng
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_non_negative, require_positive
 from repro.wireless.channel import RayleighFadingChannel, awgn
 
 __all__ = [
@@ -163,8 +163,7 @@ def jakes_correlation(velocity_mps: float) -> float:
     ``J_0(2 pi f_D T)``.  Zero velocity gives 1.0 (a static channel);
     highway speeds at mid-band 5G decorrelate successive blocks.
     """
-    if velocity_mps < 0:
-        raise ConfigurationError(f"velocity_mps must be non-negative, got {velocity_mps}")
+    require_non_negative(velocity_mps, "velocity_mps")
     doppler_hz = velocity_mps * _CARRIER_FREQUENCY_GHZ * 1e9 / SPEED_OF_LIGHT_MPS
     return bessel_j0(2.0 * math.pi * doppler_hz * _BLOCK_PERIOD_US * 1e-6)
 
@@ -180,8 +179,7 @@ def handover_rate_per_us(velocity_mps: float) -> float:
     both fades harder (:func:`jakes_correlation`) and hands over more.  Zero
     velocity gives a static user that never hands over.
     """
-    if velocity_mps < 0:
-        raise ConfigurationError(f"velocity_mps must be non-negative, got {velocity_mps}")
+    require_non_negative(velocity_mps, "velocity_mps")
     return 2.0 * velocity_mps / (math.pi * _CELL_RADIUS_M) * 1e-6
 
 
@@ -201,8 +199,7 @@ def estimate_channel(
     consuming any randomness*, which is what keeps the perfect-CSI code path
     bitwise-identical to the pre-impairment library.
     """
-    if error_variance < 0:
-        raise ConfigurationError(f"error_variance must be non-negative, got {error_variance}")
+    require_non_negative(error_variance, "error_variance")
     true_channel = np.asarray(true_channel, dtype=complex)
     if error_variance == 0:
         return true_channel
@@ -252,14 +249,8 @@ class ChannelImpairments:
             raise ConfigurationError(
                 f"temporal_correlation must lie in [-1, 1], got {self.temporal_correlation}"
             )
-        if self.csi_error_variance < 0:
-            raise ConfigurationError(
-                f"csi_error_variance must be non-negative, got {self.csi_error_variance}"
-            )
-        if self.interference_power < 0:
-            raise ConfigurationError(
-                f"interference_power must be non-negative, got {self.interference_power}"
-            )
+        require_non_negative(self.csi_error_variance, "csi_error_variance")
+        require_non_negative(self.interference_power, "interference_power")
 
     @classmethod
     def from_mobility(cls, velocity_mps: float) -> "ChannelImpairments":

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import DimensionError
+from repro.exceptions import ConfigurationError
 
 __all__ = ["bit_error_rate", "symbol_error_rate"]
 
@@ -26,7 +26,7 @@ def bit_error_rate(transmitted_bits: Sequence[int], detected_bits: Sequence[int]
     transmitted = _as_flat_array(transmitted_bits, int)
     detected = _as_flat_array(detected_bits, int)
     if transmitted.size != detected.size:
-        raise DimensionError(
+        raise ConfigurationError(
             f"bit vectors differ in length: {transmitted.size} vs {detected.size}"
         )
     if transmitted.size == 0:
@@ -45,7 +45,7 @@ def symbol_error_rate(
     transmitted = _as_flat_array(transmitted_symbols, complex)
     detected = _as_flat_array(detected_symbols, complex)
     if transmitted.size != detected.size:
-        raise DimensionError(
+        raise ConfigurationError(
             f"symbol vectors differ in length: {transmitted.size} vs {detected.size}"
         )
     if transmitted.size == 0:

@@ -25,8 +25,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, DimensionError
+from repro.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.validation import require_positive
 from repro.wireless.channel import (
     ChannelModel,
     UnitGainRandomPhaseChannel,
@@ -70,13 +71,10 @@ class MIMOConfig:
     snr_db: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.num_users <= 0:
-            raise ConfigurationError(f"num_users must be positive, got {self.num_users}")
+        require_positive(self.num_users, "num_users")
         receive = self.num_receive_antennas
-        if receive is not None and receive <= 0:
-            raise ConfigurationError(
-                f"num_receive_antennas must be positive, got {receive}"
-            )
+        if receive is not None:
+            require_positive(receive, "num_receive_antennas")
         # Resolve the modulation eagerly so invalid names fail at config time.
         get_modulation(self.modulation)
 
@@ -139,9 +137,9 @@ class MIMOInstance:
         channel = np.asarray(self.channel_matrix, dtype=complex)
         received = np.asarray(self.received, dtype=complex).ravel()
         if channel.ndim != 2:
-            raise DimensionError("channel_matrix must be 2-D")
+            raise ConfigurationError("channel_matrix must be 2-D")
         if channel.shape[0] != received.size:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"received vector length {received.size} does not match "
                 f"{channel.shape[0]} receive antennas"
             )
@@ -228,7 +226,7 @@ def residual_energy(
     received = np.asarray(received, dtype=complex).ravel()
     candidate = np.asarray(candidate_symbols, dtype=complex).ravel()
     if candidate.size != channel_matrix.shape[1]:
-        raise DimensionError(
+        raise ConfigurationError(
             f"candidate has {candidate.size} symbols but channel expects "
             f"{channel_matrix.shape[1]}"
         )
@@ -272,7 +270,7 @@ def simulate_transmission(
         channel = np.asarray(channel_matrix, dtype=complex)
         expected = (config.receive_antennas, config.num_users)
         if channel.shape != expected:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"channel_matrix has shape {channel.shape}, expected {expected}"
             )
     elif active:

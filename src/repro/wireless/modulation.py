@@ -18,7 +18,8 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ModulationError
+from repro.exceptions import ConfigurationError
+from repro.utils.validation import require_binary, require_non_negative
 
 __all__ = [
     "Modulation",
@@ -46,17 +47,15 @@ _BITS_PER_SYMBOL = {"BPSK": 1, "QPSK": 2, "16-QAM": 4, "64-QAM": 6}
 
 def gray_code(value: int) -> int:
     """Return the Gray code of a non-negative integer."""
-    if value < 0:
-        raise ValueError(f"value must be non-negative, got {value}")
+    require_non_negative(value, "value")
     return value ^ (value >> 1)
 
 
 def bits_to_int(bits: Sequence[int]) -> int:
     """Interpret a bit sequence (MSB first) as an unsigned integer."""
+    require_binary(bits, "bits")
     value = 0
     for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {bit!r}")
         value = (value << 1) | int(bit)
     return value
 
@@ -64,7 +63,7 @@ def bits_to_int(bits: Sequence[int]) -> int:
 def int_to_bits(value: int, width: int) -> Tuple[int, ...]:
     """Expand an unsigned integer into ``width`` bits, MSB first."""
     if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
+        raise ConfigurationError(f"value {value} does not fit in {width} bits")
     return tuple((value >> shift) & 1 for shift in reversed(range(width)))
 
 
@@ -152,15 +151,14 @@ class Modulation:
         """
         bits = np.asarray(bits, dtype=int).ravel()
         if bits.size % self.bits_per_symbol:
-            raise ModulationError(
+            raise ConfigurationError(
                 f"bit count {bits.size} is not a multiple of "
                 f"bits_per_symbol={self.bits_per_symbol} for {self.name}"
             )
-        if bits.size and (bits.min() < 0 or bits.max() > 1):
-            raise ModulationError("bits must be 0 or 1")
-        groups = bits.reshape(-1, self.bits_per_symbol)
-        indices = np.array([bits_to_int(group) for group in groups], dtype=int)
-        return self._points[indices]
+        require_binary(bits, "bits")
+        # Each group read MSB first, as bits_to_int does.
+        weights = 1 << np.arange(self.bits_per_symbol - 1, -1, -1)
+        return self._points[bits.reshape(-1, self.bits_per_symbol) @ weights]
 
     def random_bits(self, symbol_count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw a random bit sequence for ``symbol_count`` symbols."""
@@ -216,7 +214,7 @@ def get_modulation(name: str) -> Modulation:
     """
     key = name.strip().lower().replace(" ", "")
     if key not in _CANONICAL_NAMES:
-        raise ModulationError(
+        raise ConfigurationError(
             f"unknown modulation {name!r}; available: {sorted(set(_CANONICAL_NAMES.values()))}"
         )
     return _cached_modulation(_CANONICAL_NAMES[key])

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.validation import require, require_non_negative, require_positive
 from repro.wireless.mimo import MIMOConfig, MIMOTransmission, simulate_transmission
 
 __all__ = ["ChannelUse", "TrafficGenerator"]
@@ -261,26 +262,20 @@ class TrafficGenerator:
         arrival_process: str = "deterministic",
         turnaround_budget_us: Optional[float] = None,
     ) -> None:
-        if symbol_period_us <= 0:
-            raise ConfigurationError(
-                f"symbol_period_us must be positive, got {symbol_period_us}"
-            )
+        require_positive(symbol_period_us, "symbol_period_us")
         if arrival_process not in ("deterministic", "poisson"):
             raise ConfigurationError(
                 "arrival_process must be 'deterministic' or 'poisson', "
                 f"got {arrival_process!r}"
             )
-        if turnaround_budget_us is not None and turnaround_budget_us <= 0:
-            raise ConfigurationError(
-                f"turnaround_budget_us must be positive, got {turnaround_budget_us}"
-            )
+        if turnaround_budget_us is not None:
+            require_positive(turnaround_budget_us, "turnaround_budget_us")
         configs: Tuple[MIMOConfig, ...]
         if isinstance(config, MIMOConfig):
             configs = (config,)
         else:
             configs = tuple(config)
-            if not configs:
-                raise ConfigurationError("config sequence must not be empty")
+            require(bool(configs), "config sequence must not be empty")
             for item in configs:
                 if not isinstance(item, MIMOConfig):
                     raise ConfigurationError(
@@ -299,8 +294,7 @@ class TrafficGenerator:
 
     def stream(self, count: int, rng: RandomState = None) -> Iterator[ChannelUse]:
         """Yield ``count`` channel uses lazily (useful for long simulations)."""
-        if count < 0:
-            raise ConfigurationError(f"count must be non-negative, got {count}")
+        require_non_negative(count, "count")
         generator = ensure_rng(rng)
         payloads = self._payload_stream(generator)
         arrival_time = 0.0
@@ -370,18 +364,11 @@ class TrafficGenerator:
                 "stream_modulated generates inhomogeneous Poisson arrivals; "
                 f"arrival_process must be 'poisson', got {self.arrival_process!r}"
             )
-        if horizon_us <= 0:
-            raise ConfigurationError(f"horizon_us must be positive, got {horizon_us}")
-        if peak_intensity <= 0:
-            raise ConfigurationError(
-                f"peak_intensity must be positive, got {peak_intensity}"
-            )
-        if start_us < 0:
-            raise ConfigurationError(f"start_us must be non-negative, got {start_us}")
-        if max_count is not None and max_count < 0:
-            raise ConfigurationError(
-                f"max_count must be non-negative, got {max_count}"
-            )
+        require_positive(horizon_us, "horizon_us")
+        require_positive(peak_intensity, "peak_intensity")
+        require_non_negative(start_us, "start_us")
+        if max_count is not None:
+            require_non_negative(max_count, "max_count")
         generator = ensure_rng(rng)
         payloads = self._payload_stream(generator)
         mean_gap_us = self.symbol_period_us / peak_intensity

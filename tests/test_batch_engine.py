@@ -63,7 +63,7 @@ class TestEnsureRngBatch:
         assert ensure_rng_batch(explicit, 2) == list(explicit)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="2 generators supplied for a batch of 3"):
             ensure_rng_batch(spawn_rngs(0, 2), 3)
 
     def test_non_generator_entries_rejected(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, DimensionError
+from repro.exceptions import ConfigurationError
 from repro.wireless.channel import (
     RayleighFadingChannel,
     UnitGainRandomPhaseChannel,
@@ -58,7 +58,7 @@ class TestNoise:
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(2.0, rel=0.05)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="noise_variance must be non-negative"):
             awgn(3, -1.0)
 
     def test_noise_variance_for_snr(self):
@@ -78,9 +78,9 @@ class TestApplyChannel:
 
     def test_dimension_mismatch(self, rng):
         channel = UnitGainRandomPhaseChannel().sample(3, 3, rng)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="3 transmit antennas but 4 symbols"):
             apply_channel(channel, np.ones(4))
 
     def test_non_2d_channel_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="channel_matrix must be 2-D"):
             apply_channel(np.ones(3), np.ones(3))

@@ -59,7 +59,7 @@ class TestMMSE:
         assert np.allclose(zf, mmse)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(SolverError):
+        with pytest.raises(ConfigurationError, match="noise_variance must be non-negative"):
             MMSEDetector(noise_variance=-0.1)
 
     def test_detects_reasonably_under_noise(self):

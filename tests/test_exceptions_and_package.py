@@ -8,31 +8,11 @@ import sys
 import pytest
 
 import repro
-from repro.exceptions import (
-    ConfigurationError,
-    DimensionError,
-    ModulationError,
-    PipelineError,
-    ReproError,
-    ScheduleError,
-    SolverError,
-    TransformError,
-)
+from repro.exceptions import ConfigurationError, ReproError, SolverError
 
 
 class TestExceptionHierarchy:
-    @pytest.mark.parametrize(
-        "exception_class",
-        [
-            ConfigurationError,
-            DimensionError,
-            ModulationError,
-            ScheduleError,
-            SolverError,
-            TransformError,
-            PipelineError,
-        ],
-    )
+    @pytest.mark.parametrize("exception_class", [ConfigurationError, SolverError])
     def test_all_derive_from_repro_error(self, exception_class):
         assert issubclass(exception_class, ReproError)
         with pytest.raises(ReproError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, DimensionError
+from repro.exceptions import ConfigurationError
 from repro.wireless.channel import RayleighFadingChannel, effective_noise_variance
 from repro.wireless.fading import (
     ChannelImpairments,
@@ -226,9 +226,9 @@ class TestEffectiveNoiseVariance:
         assert effective_noise_variance(0.5, 1.5) == pytest.approx(2.0)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="noise_variance must be non-negative"):
             effective_noise_variance(-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="interference_power must be non-negative"):
             effective_noise_variance(1.0, -0.5)
 
 
@@ -293,7 +293,7 @@ class TestSimulateTransmissionImpairments:
 
     def test_supplied_channel_matrix_shape_checked(self):
         config = MIMOConfig(num_users=2, modulation="BPSK")
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="channel_matrix has shape"):
             simulate_transmission(config, rng=0, channel_matrix=np.eye(3))
 
     def test_noiseless_ground_energy_unknown_under_impairments(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionError
+from repro.exceptions import ConfigurationError
 from repro.qubo.ising import IsingModel, bits_to_spins, qubo_to_ising
 from repro.qubo.generators import random_qubo
 from tests.qubo_fixtures import ising_to_qubo, random_ising, spins_to_bits
@@ -25,7 +25,7 @@ class TestSpinBitMaps:
             spins_to_bits([0, 1])
 
     def test_invalid_bit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="bits must be 0 or 1, got 2"):
             bits_to_spins([2])
 
 
@@ -46,7 +46,7 @@ class TestIsingModel:
         assert model.couplings[0, 1] == pytest.approx(1.5)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="1 fields supplied for 2 spins"):
             IsingModel(fields=[1.0], couplings=np.zeros((2, 2)))
 
     def test_batch_energies(self, rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, DimensionError
+from repro.exceptions import ConfigurationError
 from repro.wireless.mimo import MIMOConfig, MIMOInstance, residual_energy, simulate_transmission
 from tests.wireless_fixtures import IdentityChannel, maximum_likelihood_detect
 
@@ -41,7 +41,7 @@ class TestMIMOConfig:
 
 class TestMIMOInstance:
     def test_dimension_check(self, rng):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="received vector length 4 does not match"):
             MIMOInstance(
                 channel_matrix=rng.standard_normal((3, 2)),
                 received=rng.standard_normal(4),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import TransformError
+from repro.exceptions import ConfigurationError
 from repro.qubo.energy import brute_force_minimum
 from repro.transform.mimo_to_qubo import mimo_to_qubo
 from repro.wireless.mimo import MIMOConfig, simulate_transmission
@@ -94,17 +94,17 @@ class TestDecoding:
 
     def test_wrong_length_rejected(self, mimo_encoding_16qam):
         _, encoding = mimo_encoding_16qam
-        with pytest.raises(TransformError):
+        with pytest.raises(ConfigurationError, match="expected 12 QUBO bits, got 2"):
             encoding.bits_to_symbols([0, 1])
 
     def test_non_binary_rejected(self, mimo_encoding_16qam):
         _, encoding = mimo_encoding_16qam
-        with pytest.raises(TransformError):
+        with pytest.raises(ConfigurationError, match="QUBO bits must be 0 or 1, got 2"):
             encoding.bits_to_symbols([2] * encoding.num_variables)
 
     def test_wrong_symbol_count_rejected(self, mimo_encoding_16qam):
         _, encoding = mimo_encoding_16qam
-        with pytest.raises(TransformError):
+        with pytest.raises(ConfigurationError, match="expected 3 symbols, got 1"):
             encoding.symbols_to_bits([1 + 1j])
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ModulationError
+from repro.exceptions import ConfigurationError
 from repro.wireless.modulation import (
     bits_to_int,
     get_modulation,
@@ -24,7 +24,7 @@ class TestGrayCode:
             assert bin(diff).count("1") == 1
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="value must be non-negative, got -1"):
             gray_code(-1)
         with pytest.raises(ValueError):
             gray_decode(-3)
@@ -42,11 +42,11 @@ class TestBitHelpers:
             assert bits_to_int(int_to_bits(value, 4)) == value
 
     def test_invalid_bit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="bits must be 0 or 1, got 2"):
             bits_to_int([2, 0])
 
     def test_overflow(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="value 16 does not fit in 4 bits"):
             int_to_bits(16, 4)
 
 
@@ -58,7 +58,7 @@ class TestGetModulation:
         assert get_modulation("QPSK").name == "QPSK"
 
     def test_unknown_rejected(self):
-        with pytest.raises(ModulationError):
+        with pytest.raises(ConfigurationError, match=r"unknown modulation '256-QAM'"):
             get_modulation("256-QAM")
 
     def test_shared_instances(self):
@@ -113,6 +113,8 @@ class TestBitSymbolMapping:
         modulation = get_modulation(name)
         bits = modulation.random_bits(20, rng)
         symbols = modulation.modulate_bits(bits)
+        groups = bits.reshape(-1, modulation.bits_per_symbol)
+        assert np.array_equal(symbols, modulation.points[[bits_to_int(g) for g in groups]])
         labels = [
             int_to_bits(symbol_index(modulation, s), modulation.bits_per_symbol) for s in symbols
         ]
@@ -134,11 +136,11 @@ class TestBitSymbolMapping:
                 assert differing == 1
 
     def test_modulate_wrong_length_raises(self):
-        with pytest.raises(ModulationError):
+        with pytest.raises(ConfigurationError, match="bit count 3 is not a multiple"):
             get_modulation("16-QAM").modulate_bits([1, 0, 1])
 
     def test_modulate_invalid_bits(self):
-        with pytest.raises(ModulationError):
+        with pytest.raises(ConfigurationError, match="bits must be 0 or 1, got 2"):
             get_modulation("QPSK").modulate_bits([0, 2])
 
     def test_symbol_index_exact(self):
@@ -147,5 +149,5 @@ class TestBitSymbolMapping:
             assert symbol_index(modulation, modulation.points[index]) == index
 
     def test_symbol_index_rejects_off_grid(self):
-        with pytest.raises(ModulationError):
+        with pytest.raises(ConfigurationError, match="is not a QPSK constellation point"):
             symbol_index(get_modulation("QPSK"), 0.1 + 0.2j)

@@ -196,27 +196,16 @@ def test_reembedder_relaxes_back_to_equal_split():
     embedder.step([0], observed)
     assert embedder.capacity[0] > 10.0
     for _ in range(50):
-        capacity = embedder.step([])
+        capacity = embedder.step([], observed)
     assert np.allclose(capacity, 10.0)
     assert capacity.sum() == pytest.approx(90.0)
-
-
-def test_reembedder_without_counters_protects_only_the_floor():
-    config = EmbeddingConfig(
-        total_capacity=40.0, min_capacity=2.0, migration_budget=1000.0
-    )
-    embedder = CapacityReembedder(4, config)
-    capacity = embedder.step([1])
-    assert capacity.sum() == pytest.approx(40.0)
-    assert np.all(capacity[[0, 2, 3]] == pytest.approx(2.0))
-    assert capacity[1] == pytest.approx(34.0)
 
 
 def test_reembedder_validates_inputs():
     config = EmbeddingConfig(total_capacity=10.0)
     embedder = CapacityReembedder(4, config)
-    with pytest.raises(ConfigurationError):
-        embedder.step([9])
+    with pytest.raises(ConfigurationError, match="hot cell 9 outside the 4-cell layout"):
+        embedder.step([9], np.zeros(4))
     with pytest.raises(ConfigurationError):
         embedder.step([0], observed_counts=[1.0, 2.0])
     with pytest.raises(ConfigurationError):

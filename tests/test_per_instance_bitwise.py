@@ -235,7 +235,7 @@ class TestFoldBytes:
 class TestInitialStateValidation:
     @pytest.mark.parametrize("bits", [[2], [-1], [0, 1, 2], [1, -1, 0]])
     def test_bits_to_spins_rejects_non_bits(self, bits):
-        with pytest.raises(ValueError, match="0 or 1"):
+        with pytest.raises(ConfigurationError, match="bits must be 0 or 1"):
             bits_to_spins(bits)
 
     def test_bits_to_spins_accepts_empty(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import PipelineError
+from repro.exceptions import ConfigurationError
 from repro.hybrid.pipeline import HybridPipelineSimulator
 from repro.wireless.mimo import MIMOConfig
 from repro.wireless.traffic import TrafficGenerator
@@ -102,12 +102,16 @@ class TestPipelineSimulator:
         assert loaded.mean_latency_us > lean.mean_latency_us
 
     def test_empty_stream_rejected(self, simulator):
-        with pytest.raises(PipelineError):
+        with pytest.raises(ConfigurationError, match="channel_uses must not be empty"):
             simulator.run([], rng=1)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"switch_s": 0.0}, {"num_reads": 0}]
+        "kwargs, message",
+        [
+            ({"switch_s": 0.0}, "switch_s must lie strictly inside"),
+            ({"num_reads": 0}, "num_reads must be positive"),
+        ],
     )
-    def test_invalid_configuration(self, kwargs):
-        with pytest.raises(PipelineError):
+    def test_invalid_configuration(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
             HybridPipelineSimulator(**kwargs)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionError
+from repro.exceptions import ConfigurationError
 from repro.qubo.model import QUBOModel
 
 
@@ -20,14 +20,14 @@ class TestConstruction:
         assert model.coefficients[0, 1] == pytest.approx(3.0)
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="QUBO coefficients must form a square matrix"):
             QUBOModel(coefficients=np.zeros((2, 3)))
 
     def test_default_variable_names(self, small_qubo):
         assert small_qubo.variable_names == ("q0", "q1")
 
     def test_name_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="1 variable names supplied for 2 variables"):
             QUBOModel(coefficients=np.zeros((2, 2)), variable_names=("a",))
 
     def test_empty(self):
@@ -56,7 +56,7 @@ class TestEnergy:
             assert energy == pytest.approx(random_qubo_8.energy(row))
 
     def test_wrong_length_rejected(self, small_qubo):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="assignment has 3 entries, expected 2"):
             small_qubo.energy([0, 1, 1])
 
 
@@ -80,7 +80,7 @@ class TestAlgebra:
         assert doubled.energy([1, 1]) == pytest.approx(2 * small_qubo.energy([1, 1]))
 
     def test_add_size_mismatch(self, small_qubo):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="cannot add QUBOs with 2 and 3 variables"):
             small_qubo.add(QUBOModel.empty(3))
 
     def test_scale(self, small_qubo):
@@ -101,7 +101,8 @@ class TestAlgebra:
         assert reduced.energy(free_bits) == pytest.approx(random_qubo_8.energy(full))
 
     def test_fix_variables_invalid_value(self, small_qubo):
-        with pytest.raises(ValueError):
+        message = "fixed value for variable 0 must be 0 or 1, got 2"
+        with pytest.raises(ConfigurationError, match=message):
             small_qubo.fix_variables({0: 2})
 
     def test_fix_variables_invalid_index(self, small_qubo):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.annealing.sampleset import SampleRecord, SampleSet
-from repro.exceptions import DimensionError
+from repro.exceptions import ConfigurationError
 from tests.sampleset_spec import (
     expanded_energies_reference,
     expectation_energy_reference,
@@ -17,7 +17,7 @@ from tests.sampleset_spec import (
 
 class TestSampleRecord:
     def test_invalid_occurrences(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="num_occurrences must be positive, got 0"):
             SampleRecord(assignment=np.array([1], dtype=np.int8), energy=0.0, num_occurrences=0)
 
 
@@ -39,7 +39,7 @@ class TestSampleSetAggregation:
         assert sampleset.num_reads == 3
 
     def test_from_arrays_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="1 assignments but 2 energies"):
             SampleSet.from_arrays(np.array([[0, 1]]), [1.0, 2.0])
 
 
@@ -80,7 +80,7 @@ class TestSampleSetStatistics:
         assert empty.success_probability(0.0) == 0.0
         with pytest.raises(IndexError):
             _ = empty.first
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="expectation of an empty sample set"):
             empty.expectation_energy()
 
 

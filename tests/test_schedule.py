@@ -10,7 +10,7 @@ from repro.annealing.schedule import (
     forward_reverse_anneal_schedule,
     reverse_anneal_schedule,
 )
-from repro.exceptions import ScheduleError
+from repro.exceptions import ConfigurationError
 
 
 class TestSchedulePoint:
@@ -19,11 +19,11 @@ class TestSchedulePoint:
         assert point.s == 0.5
 
     def test_invalid_s(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match=r"anneal fraction s must lie in \[0, 1\]"):
             SchedulePoint(time_us=0.0, s=1.5)
 
     def test_negative_time(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match="schedule time must be non-negative"):
             SchedulePoint(time_us=-1.0, s=0.5)
 
 
@@ -34,15 +34,15 @@ class TestAnnealSchedule:
         assert schedule.name == "FA"
 
     def test_must_end_at_one(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match="schedules must terminate at s = 1"):
             AnnealSchedule.from_pairs([[0.0, 0.0], [1.0, 0.5]])
 
     def test_needs_two_points(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match="a schedule needs at least two waypoints"):
             AnnealSchedule(points=(SchedulePoint(0.0, 1.0),))
 
     def test_times_non_decreasing(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match="schedule times must be non-decreasing"):
             AnnealSchedule.from_pairs([[0.0, 0.0], [2.0, 0.5], [1.0, 1.0]])
 
     def test_interpolation(self):
@@ -63,7 +63,7 @@ class TestAnnealSchedule:
         assert samples[-1, 1] == pytest.approx(1.0)
 
     def test_discretise_needs_two_steps(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match="num_steps must be at least 2, got 1"):
             forward_anneal_schedule(1.0).discretise(1)
 
     def test_as_pairs_round_trip(self):
@@ -86,11 +86,11 @@ class TestForwardSchedule:
         assert pairs == [[0.0, 0.0], [0.41, 0.41], [1.41, 0.41], [2.0, 1.0]]
 
     def test_invalid_pause_location(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match="pause_s must lie strictly inside"):
             forward_anneal_schedule(1.0, pause_s=1.2, pause_duration_us=1.0)
 
     def test_invalid_anneal_time(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match=r"anneal_time_us must be positive, got 0\.0"):
             forward_anneal_schedule(0.0)
 
 
@@ -110,11 +110,11 @@ class TestReverseSchedule:
         assert low.duration_us > high.duration_us
 
     def test_invalid_switch(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match="switch_s must lie strictly inside"):
             reverse_anneal_schedule(1.0)
 
     def test_negative_pause(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match="pause_duration_us must be non-negative"):
             reverse_anneal_schedule(0.5, pause_duration_us=-1.0)
 
 
@@ -130,9 +130,9 @@ class TestForwardReverseSchedule:
         assert not schedule.requires_initial_state
 
     def test_turning_must_exceed_switch(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match="turning point c_p"):
             forward_reverse_anneal_schedule(turning_s=0.3, switch_s=0.5)
 
     def test_invalid_turning(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError, match="turning_s must lie strictly inside"):
             forward_reverse_anneal_schedule(turning_s=0.0, switch_s=0.0)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.exceptions import TransformError
+from repro.exceptions import ConfigurationError
 from repro.transform.symbol_mapping import (
     SymbolBitMapping,
     amplitude_to_transform_bits,
@@ -42,15 +42,15 @@ class TestAmplitudeMapping:
             assert amplitude_to_transform_bits(amplitude, 3, scale=0.37) == bits
 
     def test_off_grid_rejected(self):
-        with pytest.raises(TransformError):
+        with pytest.raises(ConfigurationError, match=r"amplitude 0\.4 is not on the 2-bit grid"):
             amplitude_to_transform_bits(0.4, 2)
 
     def test_empty_bits_rejected(self):
-        with pytest.raises(TransformError):
+        with pytest.raises(ConfigurationError, match="at least one transform bit is required"):
             transform_bits_to_amplitude([])
 
     def test_invalid_bits_rejected(self):
-        with pytest.raises(TransformError):
+        with pytest.raises(ConfigurationError, match="transform bits must be 0 or 1, got 2"):
             transform_bits_to_amplitude([0, 2])
 
 
@@ -103,5 +103,5 @@ class TestSymbolBitMapping:
         mapping = SymbolBitMapping(
             modulation=get_modulation("BPSK"), user_index=0, first_variable=0
         )
-        with pytest.raises(TransformError):
+        with pytest.raises(ConfigurationError, match=r"amplitude 0\.5 is not on the 1-bit grid"):
             mapping.bits_from_symbol(0.5 + 0.5j)

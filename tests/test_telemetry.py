@@ -15,6 +15,7 @@ The subsystem's contract, in order of importance:
 import dataclasses
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ class TestTracer:
         assert span.attrs == {"job_id": 7}
 
     def test_rejects_unknown_clock(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="clock must be one of"):
             telemetry.Tracer().record_span("x", 0.0, 1.0, clock="cpu")
 
     def test_context_spans_nest_and_parents_precede_children(self):
@@ -166,7 +167,7 @@ class TestTracer:
             tracer.record_span(f"s{index}", 0.0, 1.0)
         assert [span.name for span in tracer.records] == ["s0", "s1"]
         assert tracer.dropped == 3
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="max_records must be positive, got 0"):
             telemetry.Tracer(max_records=0)
 
     def test_sim_event_keeps_explicit_time(self):
@@ -247,12 +248,16 @@ class TestJsonlTrace:
 
     def test_non_jsonable_attrs_degrade_to_repr(self, tmp_path):
         tracer = telemetry.Tracer()
-        tracer.record_span("s", 0.0, 1.0, arr=np.arange(2), nested={"k": (1, 2)})
+        tracer.record_span(
+            "s", 0.0, 1.0, arr=np.arange(2), nested={"k": (1, 2)}, inf=math.inf, obj=object()
+        )
         path = tmp_path / "trace.jsonl"
         exporters.write_trace_jsonl(tracer, path)
         (_, record) = exporters.iter_trace_records(path)
         assert record["attrs"]["nested"] == {"k": [1, 2]}
-        assert isinstance(record["attrs"]["arr"], str)  # repr fallback
+        assert record["attrs"]["arr"] == [0, 1]
+        assert record["attrs"]["inf"] == "inf"  # JSON has no Infinity
+        assert isinstance(record["attrs"]["obj"], str)  # repr fallback
 
     @pytest.mark.parametrize(
         "record, reason",

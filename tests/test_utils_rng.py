@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.utils.rng import ensure_rng, spawn_rngs, stable_seed
 
 
@@ -38,7 +39,7 @@ class TestSpawnRngs:
         assert spawn_rngs(0, 0) == []
 
     def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="count must be non-negative, got -1"):
             spawn_rngs(0, -1)
 
     def test_children_are_independent(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionError
+from repro.exceptions import ConfigurationError
 from repro.wireless.metrics import bit_error_rate, symbol_error_rate
 
 
@@ -21,7 +21,7 @@ class TestBitErrorRate:
         assert bit_error_rate([], []) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="bit vectors differ in length: 2 vs 1"):
             bit_error_rate([0, 1], [0])
 
 
@@ -38,5 +38,5 @@ class TestSymbolErrorRate:
         assert symbol_error_rate([1 + 1j, -1 + 1j], [1 + 1j, 1 + 1j]) == pytest.approx(0.5)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="symbol vectors differ in length: 1 vs 2"):
             symbol_error_rate([1j], [1j, 2j])

@@ -22,7 +22,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ModulationError
+from repro.exceptions import ConfigurationError
 from repro.utils.rng import RandomState
 from repro.utils.validation import require_positive
 from repro.wireless.channel import ChannelModel
@@ -103,13 +103,13 @@ def maximum_likelihood_detect(
 def symbol_index(modulation: Modulation, symbol: complex, tolerance: float = 1e-9) -> int:
     """Return the index of an exact constellation point.
 
-    Raises :class:`ModulationError` if ``symbol`` is not (within
+    Raises :class:`ConfigurationError` if ``symbol`` is not (within
     ``tolerance``) a constellation point.
     """
     distances = np.abs(modulation.points - symbol)
     index = int(np.argmin(distances))
     if distances[index] > tolerance:
-        raise ModulationError(f"{symbol!r} is not a {modulation.name} constellation point")
+        raise ConfigurationError(f"{symbol!r} is not a {modulation.name} constellation point")
     return index
 
 
